@@ -191,6 +191,12 @@ Report estimate(const rtl::Module& m, const EstimateOptions& opt) {
     auto isChainReg = [&](const rtl::Cell& c) {
       return c.kind == rtl::CellKind::Reg && c.inputs.size() == 1;
     };
+    // nextRegOf[net]: the chain reg reading `net` (the last one in cell
+    // order), so each chain step is one lookup instead of a cell scan.
+    std::vector<int> nextRegOf(m.nets.size(), -1);
+    for (const auto& c : m.cells) {
+      if (isChainReg(c)) nextRegOf[static_cast<size_t>(c.inputs[0])] = c.id;
+    }
     // Walk chains from their heads (a chain reg whose input is NOT a
     // single-fanout chain reg).
     for (const auto& c : m.cells) {
@@ -206,10 +212,7 @@ Report estimate(const rtl::Module& m, const EstimateOptions& opt) {
       for (;;) {
         const int out = m.cells[static_cast<size_t>(cur)].output;
         if (fanout[static_cast<size_t>(out)] != 1) break;
-        int nextReg = -1;
-        for (const auto& cc : m.cells) {
-          if (isChainReg(cc) && !cc.inputs.empty() && cc.inputs[0] == out) nextReg = cc.id;
-        }
+        const int nextReg = nextRegOf[static_cast<size_t>(out)];
         if (nextReg < 0) break;
         chain.push_back(nextReg);
         cur = nextReg;

@@ -1,8 +1,10 @@
 #include "vhdl/check.hpp"
 
-#include <cctype>
-#include <map>
+#include <cstdint>
 #include <set>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "support/strings.hpp"
 
@@ -10,40 +12,81 @@ namespace roccc::vhdl {
 
 namespace {
 
-struct Tok {
-  std::string text; ///< lower-cased word, or single punctuation
-  int line = 0;
+/// What the passes below look for in a token. Every identifier, keyword or
+/// not, sorts at or after Ident; literals, numbers and other punctuation
+/// are Other.
+enum class Kind : uint8_t {
+  Other, Dot, LParen, Colon, Semicolon, LessEq,
+  Ident, Entity, Architecture, Process, If, End, Work, Is, Of, Port, Signal,
+  Constant, Begin, Then, Else, Loop, Generate,
 };
 
-std::vector<Tok> tokenize(const std::string& s) {
+struct Tok {
+  std::string_view text; ///< lower-cased word, literal, or single punctuation
+  int line = 0;
+  Kind kind = Kind::Other;
+};
+
+bool isIdent(const Tok& t) { return t.kind >= Kind::Ident; }
+
+// C-locale character classes, as <cctype> answers them in the "C" locale.
+bool isAlpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+bool isAlnum(char c) { return isAlpha(c) || isDigit(c); }
+bool isSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+char toLower(char c) { return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c; }
+
+/// Keyword kind of a lower-cased identifier.
+Kind wordKind(std::string_view w) {
+  static constexpr std::pair<std::string_view, Kind> kWords[] = {
+      {"entity", Kind::Entity}, {"architecture", Kind::Architecture}, {"process", Kind::Process},
+      {"if", Kind::If},         {"end", Kind::End},                   {"work", Kind::Work},
+      {"is", Kind::Is},         {"of", Kind::Of},                     {"port", Kind::Port},
+      {"signal", Kind::Signal}, {"constant", Kind::Constant},         {"begin", Kind::Begin},
+      {"then", Kind::Then},     {"else", Kind::Else},                 {"loop", Kind::Loop},
+      {"generate", Kind::Generate},
+  };
+  if (w.size() < 2 || w.size() > 12) return Kind::Ident;
+  for (const auto& [word, kind] : kWords) {
+    if (w == word) return kind;
+  }
+  return Kind::Ident;
+}
+
+/// Splits `buf` into tokens that are views into `buf` itself. Identifiers
+/// are lower-cased where they stand, so the text is lower-cased once and
+/// no token owns a copy. `buf` holds the design text plus one extra '"',
+/// which closes a string literal left open at the end of the text.
+std::vector<Tok> tokenize(std::string& buf) {
+  const size_t n = buf.size() - 1;
+  const std::string_view s(buf.data(), n);
   std::vector<Tok> out;
+  out.reserve(n / 4);
   int line = 1;
-  for (size_t i = 0; i < s.size();) {
+  for (size_t i = 0; i < n;) {
     const char c = s[i];
     if (c == '\n') {
       ++line;
       ++i;
       continue;
     }
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (isSpace(c)) {
       ++i;
       continue;
     }
-    if (c == '-' && i + 1 < s.size() && s[i + 1] == '-') {
-      while (i < s.size() && s[i] != '\n') ++i;
+    if (c == '-' && i + 1 < n && s[i + 1] == '-') {
+      while (i < n && s[i] != '\n') ++i;
       continue;
     }
-    if (c == '"') { // string literal
-      std::string lit = "\"";
+    if (c == '"') { // string literal, closing quote included
+      const size_t start = i++;
+      while (i < n && s[i] != '"') ++i;
       ++i;
-      while (i < s.size() && s[i] != '"') lit += s[i++];
-      lit += '"';
-      ++i;
-      out.push_back({lit, line});
+      out.push_back({std::string_view(buf.data() + start, i - start), line});
       continue;
     }
     if (c == '\'') { // character literal like '1'
-      if (i + 2 < s.size() && s[i + 2] == '\'') {
+      if (i + 2 < n && s[i + 2] == '\'') {
         out.push_back({s.substr(i, 3), line});
         i += 3;
         continue;
@@ -51,140 +94,123 @@ std::vector<Tok> tokenize(const std::string& s) {
       ++i;
       continue;
     }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::string w;
-      while (i < s.size() && (std::isalnum(static_cast<unsigned char>(s[i])) || s[i] == '_')) {
-        w += static_cast<char>(std::tolower(static_cast<unsigned char>(s[i])));
+    if (isAlpha(c) || c == '_') {
+      const size_t start = i;
+      while (i < n && (isAlnum(s[i]) || s[i] == '_')) {
+        buf[i] = toLower(s[i]);
         ++i;
       }
-      out.push_back({w, line});
+      const std::string_view w = s.substr(start, i - start);
+      out.push_back({w, line, wordKind(w)});
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::string w;
-      while (i < s.size() && std::isalnum(static_cast<unsigned char>(s[i]))) w += s[i++];
-      out.push_back({w, line});
+    if (isDigit(c)) {
+      const size_t start = i;
+      while (i < n && isAlnum(s[i])) ++i;
+      out.push_back({s.substr(start, i - start), line});
       continue;
     }
     // multi-char operators
-    static const char* two[] = {"<=", ">=", "=>", "/=", ":="};
-    bool matched = false;
-    for (const char* t : two) {
-      if (s.compare(i, 2, t) == 0) {
-        out.push_back({t, line});
-        i += 2;
-        matched = true;
-        break;
-      }
+    const std::string_view op2 = s.substr(i, 2);
+    if (op2 == "<=" || op2 == ">=" || op2 == "=>" || op2 == "/=" || op2 == ":=") {
+      out.push_back({op2, line, op2 == "<=" ? Kind::LessEq : Kind::Other});
+      i += 2;
+      continue;
     }
-    if (matched) continue;
-    out.push_back({std::string(1, c), line});
+    const Kind kind = c == '.' ? Kind::Dot
+                      : c == '(' ? Kind::LParen
+                      : c == ':' ? Kind::Colon
+                      : c == ';' ? Kind::Semicolon
+                                 : Kind::Other;
+    out.push_back({s.substr(i, 1), line, kind});
     ++i;
   }
   return out;
-}
-
-bool isIdent(const std::string& t) {
-  return !t.empty() && (std::isalpha(static_cast<unsigned char>(t[0])) || t[0] == '_');
 }
 
 } // namespace
 
 CheckResult checkDesign(const std::string& text) {
   CheckResult r;
-  const std::vector<Tok> toks = tokenize(text);
+  // Every token, set key and problem argument below is a view into `buf`.
+  std::string buf;
+  buf.reserve(text.size() + 1);
+  buf = text;
+  buf += '"';
+  const std::vector<Tok> toks = tokenize(buf);
   auto problem = [&](int line, const std::string& msg) {
     r.ok = false;
     r.problems.push_back(fmt("line %0: %1", line, msg));
   };
+  static const Tok sentinel{};
+  auto tokAt = [&](size_t k) -> const Tok& { return k < toks.size() ? toks[k] : sentinel; };
 
-  std::set<std::string> entities;
-  std::set<std::string> architecturesOf;
-  std::vector<std::string> instantiated; // entity names referenced via work.X
+  std::set<std::string_view> entities;
+  std::set<std::string_view> architecturesOf;
+  std::vector<std::string_view> instantiated; // entity names referenced via work.X
 
   // Pass 1: entity declarations and their end labels; block balance.
   // We track a stack of open constructs: entity, architecture, process,
   // if, case.
   struct Open {
-    std::string kind;
-    std::string name;
+    Kind kind;
+    std::string_view name;
     int line;
   };
   std::vector<Open> stack;
+  auto unclosed = [](const Open& o) {
+    return fmt("unclosed %0 %1",
+               o.kind == Kind::Entity         ? "entity"
+               : o.kind == Kind::Architecture ? "architecture"
+               : o.kind == Kind::Process      ? "process"
+                                              : "if",
+               o.name);
+  };
 
   for (size_t i = 0; i < toks.size(); ++i) {
     const Tok& t = toks[i];
-    auto next = [&](size_t k) -> const Tok& {
-      static const Tok sentinel{"", 0};
-      return i + k < toks.size() ? toks[i + k] : sentinel;
-    };
-    if (t.text == "entity") {
+    auto next = [&](size_t k) -> const Tok& { return tokAt(i + k); };
+    if (t.kind == Kind::Entity) {
       // Either "entity NAME is" (declaration) or "entity work.NAME" (inst).
-      if (next(1).text == "work" && next(2).text == ".") {
+      if (next(1).kind == Kind::Work && next(2).kind == Kind::Dot) {
         instantiated.push_back(next(3).text);
         ++r.instantiationCount;
         continue;
       }
-      if (next(2).text == "is") {
+      if (next(2).kind == Kind::Is) {
         entities.insert(next(1).text);
         ++r.entityCount;
-        stack.push_back({"entity", next(1).text, t.line});
+        stack.push_back({Kind::Entity, next(1).text, t.line});
         i += 2;
         continue;
       }
     }
-    if (t.text == "architecture" && next(2).text == "of") {
+    if (t.kind == Kind::Architecture && next(2).kind == Kind::Of) {
       // architecture NAME of ENTITY is
       architecturesOf.insert(next(3).text);
       ++r.architectureCount;
-      stack.push_back({"architecture", next(3).text, t.line});
+      stack.push_back({Kind::Architecture, next(3).text, t.line});
       i += 3;
       continue;
     }
-    if (t.text == "process") {
-      // could be "end process"
-      bool isEnd = i > 0 && toks[i - 1].text == "end";
+    if (t.kind == Kind::Process || t.kind == Kind::If) {
+      // "end process" / "end if" close a block; only an opener counts.
+      const bool isEnd = i > 0 && toks[i - 1].kind == Kind::End;
       if (!isEnd) {
-        ++r.processCount;
-        stack.push_back({"process", "", t.line});
+        if (t.kind == Kind::Process) ++r.processCount;
+        stack.push_back({t.kind, "", t.line});
       }
       continue;
     }
-    if (t.text == "if" && !stack.empty() && stack.back().kind == "process-body") {
-      // handled below via simple if counting
-    }
-    if (t.text == "if") {
-      // "end if" handled by the end matcher; only count "if ... then".
-      bool isEnd = i > 0 && toks[i - 1].text == "end";
-      if (!isEnd) stack.push_back({"if", "", t.line});
-      continue;
-    }
-    if (t.text == "end") {
-      const std::string& what = next(1).text;
-      if (what == "if") {
-        if (stack.empty() || stack.back().kind != "if") {
-          problem(t.line, "'end if' without open if");
+    if (t.kind == Kind::End) {
+      const Kind what = next(1).kind;
+      if (what == Kind::If || what == Kind::Process || what == Kind::Entity ||
+          what == Kind::Architecture) {
+        if (stack.empty() || stack.back().kind != what) {
+          problem(t.line, fmt("'end %0' without open %0", next(1).text));
         } else {
-          stack.pop_back();
-        }
-        i += 1;
-        continue;
-      }
-      if (what == "process") {
-        if (stack.empty() || stack.back().kind != "process") {
-          problem(t.line, "'end process' without open process");
-        } else {
-          stack.pop_back();
-        }
-        i += 1;
-        continue;
-      }
-      if (what == "entity") {
-        if (stack.empty() || stack.back().kind != "entity") {
-          problem(t.line, "'end entity' without open entity");
-        } else {
-          const std::string declared = stack.back().name;
-          if (isIdent(next(2).text) && next(2).text != declared) {
+          const std::string_view declared = stack.back().name;
+          if (what == Kind::Entity && isIdent(next(2)) && next(2).text != declared) {
             problem(t.line, fmt("entity end label '%0' does not match '%1'", next(2).text, declared));
           }
           stack.pop_back();
@@ -192,20 +218,9 @@ CheckResult checkDesign(const std::string& text) {
         i += 1;
         continue;
       }
-      if (what == "architecture") {
-        if (stack.empty() || stack.back().kind != "architecture") {
-          problem(t.line, "'end architecture' without open architecture");
-        } else {
-          stack.pop_back();
-        }
-        i += 1;
-        continue;
-      }
     }
   }
-  for (const auto& open : stack) {
-    problem(open.line, fmt("unclosed %0 %1", open.kind, open.name));
-  }
+  for (const auto& open : stack) problem(open.line, unclosed(open));
 
   // Every architecture must belong to a declared entity, and vice versa.
   for (const auto& a : architecturesOf) {
@@ -223,74 +238,59 @@ CheckResult checkDesign(const std::string& text) {
   // '<=': the assignment target must be a declared signal or port.
   // Re-scan with entity/port/signal tracking.
   {
-    std::map<std::string, std::set<std::string>> portsOf; // entity -> names
-    std::string currentEntity;
+    std::unordered_map<std::string_view, std::unordered_set<std::string_view>> portsOf;
+    std::string_view currentEntity;
     bool inPorts = false;
     for (size_t i = 0; i < toks.size(); ++i) {
       const Tok& t = toks[i];
-      auto next = [&](size_t k) -> const Tok& {
-        static const Tok sentinel{"", 0};
-        return i + k < toks.size() ? toks[i + k] : sentinel;
-      };
-      if (t.text == "entity" && next(2).text == "is") {
+      auto next = [&](size_t k) -> const Tok& { return tokAt(i + k); };
+      if (t.kind == Kind::Entity && next(2).kind == Kind::Is) {
         currentEntity = next(1).text;
         inPorts = false;
-      } else if (t.text == "port" && next(1).text == "(") {
+      } else if (t.kind == Kind::Port && next(1).kind == Kind::LParen) {
         inPorts = true;
-      } else if (inPorts && isIdent(t.text) && next(1).text == ":") {
+      } else if (inPorts && isIdent(t) && next(1).kind == Kind::Colon) {
         portsOf[currentEntity].insert(t.text);
-      } else if (t.text == "end") {
+      } else if (t.kind == Kind::End) {
         inPorts = false;
       }
     }
 
-    std::string archEntity;
-    std::set<std::string> visible;
+    std::string_view archEntity;
+    std::unordered_set<std::string_view> visible;
     bool inBody = false;
-    int depth = 0;
     for (size_t i = 0; i < toks.size(); ++i) {
       const Tok& t = toks[i];
-      auto next = [&](size_t k) -> const Tok& {
-        static const Tok sentinel{"", 0};
-        return i + k < toks.size() ? toks[i + k] : sentinel;
-      };
-      if (t.text == "architecture" && next(2).text == "of") {
+      auto next = [&](size_t k) -> const Tok& { return tokAt(i + k); };
+      if (t.kind == Kind::Architecture && next(2).kind == Kind::Of) {
         archEntity = next(3).text;
         visible = portsOf[archEntity];
         inBody = false;
-        depth = 0;
         continue;
       }
       if (archEntity.empty()) continue;
-      if (t.text == "signal" && isIdent(next(1).text)) {
+      if ((t.kind == Kind::Signal || t.kind == Kind::Constant) && isIdent(next(1))) {
         visible.insert(next(1).text);
         continue;
       }
-      if (t.text == "constant" && isIdent(next(1).text)) {
-        visible.insert(next(1).text);
-        continue;
-      }
-      if (!inBody && t.text == "begin") {
+      if (!inBody && t.kind == Kind::Begin) {
         inBody = true;
         continue;
       }
-      if (t.text == "process") ++depth;
-      if (t.text == "end") {
-        if (next(1).text == "process") {
-          --depth;
-        } else if (next(1).text == "architecture") {
-          archEntity.clear();
+      if (t.kind == Kind::End) {
+        if (next(1).kind == Kind::Architecture) {
+          archEntity = {};
           inBody = false;
         }
         continue;
       }
-      if (inBody && isIdent(t.text) && next(1).text == "<=" && i > 0) {
+      if (inBody && isIdent(t) && next(1).kind == Kind::LessEq && i > 0) {
         // Only treat as a signal assignment when the identifier starts a
         // statement; '<=' after an expression context (if/when/loop
         // conditions, operands) is the relational operator.
-        const std::string& prev = toks[i - 1].text;
-        const bool stmtStart = prev == ";" || prev == "begin" || prev == "then" ||
-                               prev == "else" || prev == "loop" || prev == "generate";
+        const Kind prev = toks[i - 1].kind;
+        const bool stmtStart = prev == Kind::Semicolon || prev == Kind::Begin || prev == Kind::Then ||
+                               prev == Kind::Else || prev == Kind::Loop || prev == Kind::Generate;
         if (!stmtStart) continue;
         if (!visible.count(t.text)) {
           problem(t.line, fmt("assignment to undeclared signal '%0' in architecture of '%1'",

@@ -1,49 +1,27 @@
 #include "vhdl/emit.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
-#include <set>
-#include <sstream>
 
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"
+#include "vhdl/layout.hpp"
 
 namespace roccc::vhdl {
 
 using dp::DataPath;
 using dp::DpOp;
 using dp::DpValue;
-using dp::NodeKind;
 using mir::Opcode;
 
 namespace {
 
-/// VHDL-safe identifier from a debug name.
-std::string sanitize(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      out += c;
-    } else if (!out.empty() && out.back() != '_') {
-      out += '_';
-    }
-  }
-  while (!out.empty() && out.back() == '_') out.pop_back();
-  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0]))) out = "s_" + out;
-  return out;
-}
-
-int addrBits(size_t entries) {
-  int b = 1;
-  while ((size_t{1} << b) < entries) ++b;
-  return b;
-}
+using hdl::addrBits;
+using hdl::sanitize;
 
 class Emitter {
  public:
   Emitter(const DataPath& dp, const rtl::Module& module, const hlir::KernelInfo& kernel)
-      : dp_(dp), module_(module), kernel_(kernel) {}
+      : dp_(dp), module_(module), kernel_(kernel), layout_(hdl::layoutDesign(dp)) {}
 
   std::string run() {
     header();
@@ -57,24 +35,19 @@ class Emitter {
   const DataPath& dp_;
   const rtl::Module& module_;
   const hlir::KernelInfo& kernel_;
+  const hdl::DesignLayout layout_;
   IndentWriter w_;
 
   // --- naming -------------------------------------------------------------
 
-  std::string valueName(int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    return fmt("v%0_%1", vid, sanitize(v.name.empty() ? "t" : v.name));
-  }
+  const std::string& valueName(int vid) const { return layout_.valueNames[static_cast<size_t>(vid)]; }
 
   std::string typeOf(int vid) const {
     const DpValue& v = dp_.values[static_cast<size_t>(vid)];
     return fmt("%0(%1 downto 0)", v.isSigned ? "signed" : "unsigned", v.width - 1);
   }
 
-  bool isConstValue(int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    return v.def >= 0 && dp_.ops[static_cast<size_t>(v.def)].op == Opcode::Ldc;
-  }
+  bool isConstValue(int vid) const { return hdl::isConstValue(dp_, vid); }
 
   /// Renders a reference to `vid` converted to (width, signedness).
   std::string cvt(int vid, int width, bool wantSigned) const {
@@ -91,63 +64,6 @@ class Emitter {
     }
     // Resize in the source domain (correct extension), then reinterpret.
     return fmt("%0(resize(%1, %2))", wantSigned ? "signed" : "unsigned", r, width);
-  }
-
-  // --- layout analysis -------------------------------------------------------
-
-  struct NodeIO {
-    std::vector<int> inputs;  ///< external values consumed (no constants)
-    std::vector<int> outputs; ///< produced values visible outside
-  };
-
-  NodeIO analyzeNode(const dp::DpNode& n) const {
-    NodeIO io;
-    std::set<int> produced;
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      if (o.result >= 0) produced.insert(o.result);
-    }
-    std::set<int> ins;
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      for (int vid : o.operands) {
-        if (produced.count(vid) || isConstValue(vid)) continue;
-        ins.insert(vid);
-      }
-    }
-    io.inputs.assign(ins.begin(), ins.end());
-    // Produced values consumed outside this node, or driving top-level
-    // outputs / feedback registers.
-    std::set<int> outs;
-    for (const auto& o : dp_.ops) {
-      if (o.node == n.id) continue;
-      for (int vid : o.operands) {
-        if (produced.count(vid)) outs.insert(vid);
-      }
-    }
-    for (const auto& port : dp_.outputs) {
-      if (produced.count(port.value)) outs.insert(port.value);
-    }
-    for (const auto& fb : dp_.feedbacks) {
-      if (produced.count(fb.snxValue)) outs.insert(fb.snxValue);
-    }
-    io.outputs.assign(outs.begin(), outs.end());
-    return io;
-  }
-
-  /// True if any op in the node consumes a value defined (inside the node)
-  /// at an earlier stage — requiring node-internal latches.
-  bool nodeNeedsClock(const dp::DpNode& n) const {
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      for (int vid : o.operands) {
-        const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-        if (v.def < 0 || isConstValue(vid)) continue;
-        const DpOp& defOp = dp_.ops[static_cast<size_t>(v.def)];
-        if (defOp.node == n.id && defOp.stage < o.stage) return true;
-      }
-    }
-    return false;
   }
 
   // --- sections ------------------------------------------------------------------
@@ -210,8 +126,8 @@ class Emitter {
   }
 
   void nodeEntity(const dp::DpNode& n) {
-    const NodeIO io = analyzeNode(n);
-    const bool clocked = nodeNeedsClock(n);
+    const hdl::NodeIO& io = layout_.nodes[static_cast<size_t>(n.id)];
+    const bool clocked = io.clocked();
     const std::string name = nodeEntityName(n);
     libraryClause();
     w_.line("entity " + name + " is");
@@ -223,7 +139,7 @@ class Emitter {
       w_.line("ce  : in std_logic;");
     }
     std::vector<std::string> portLines;
-    for (int vid : io.inputs) portLines.push_back(valueName(vid) + " : in " + typeOf(vid));
+    for (const auto& in : io.inputs) portLines.push_back(valueName(in.value) + " : in " + typeOf(in.value));
     for (int vid : io.outputs) portLines.push_back(valueName(vid) + "_out : out " + typeOf(vid));
     for (size_t i = 0; i < portLines.size(); ++i) {
       w_.line(portLines[i] + (i + 1 < portLines.size() ? ";" : ""));
@@ -238,33 +154,13 @@ class Emitter {
     w_.indent();
     // Internal signals: every produced value, plus staged copies for
     // node-internal stage crossings.
-    std::set<int> produced;
     for (int oi : n.ops) {
       const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
       if (o.result < 0 || o.op == Opcode::Ldc) continue;
-      produced.insert(o.result);
       w_.line("signal " + valueName(o.result) + " : " + typeOf(o.result) + ";");
     }
-    struct StagedCopy {
-      int vid;
-      int fromStage, toStage;
-    };
-    std::vector<StagedCopy> copies;
-    std::set<std::pair<int, int>> copySignals; // (vid, stage)
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      for (int vid : o.operands) {
-        const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-        if (v.def < 0 || isConstValue(vid)) continue;
-        const DpOp& defOp = dp_.ops[static_cast<size_t>(v.def)];
-        if (defOp.node != n.id || defOp.stage >= o.stage) continue;
-        for (int s = defOp.stage + 1; s <= o.stage; ++s) {
-          if (copySignals.insert({vid, s}).second) {
-            copies.push_back({vid, s - 1, s});
-            w_.line(fmt("signal %0_s%1 : %2;", valueName(vid), s, typeOf(vid)));
-          }
-        }
-      }
+    for (const auto& c : io.copies) {
+      w_.line(fmt("signal %0_s%1 : %2;", valueName(c.value), c.stage, typeOf(c.value)));
     }
     w_.dedent();
     w_.line("begin");
@@ -304,12 +200,11 @@ class Emitter {
       w_.indent();
       w_.line("if ce = '1' then");
       w_.indent();
-      for (const auto& c : copies) {
-        const std::string from =
-            c.fromStage == dp_.ops[static_cast<size_t>(dp_.values[static_cast<size_t>(c.vid)].def)].stage
-                ? valueName(c.vid)
-                : fmt("%0_s%1", valueName(c.vid), c.fromStage);
-        w_.line(fmt("%0_s%1 <= %2;", valueName(c.vid), c.toStage, from));
+      for (const auto& c : io.copies) {
+        const std::string from = c.stage - 1 == hdl::defStage(dp_, c.value)
+                                     ? valueName(c.value)
+                                     : fmt("%0_s%1", valueName(c.value), c.stage - 1);
+        w_.line(fmt("%0_s%1 <= %2;", valueName(c.value), c.stage, from));
       }
       w_.dedent();
       w_.line("end if;");
@@ -479,52 +374,14 @@ class Emitter {
     w_.line("architecture rtl of " + name + " is");
     w_.indent();
 
-    // Signals: every non-constant value (node outputs / inputs), staged
-    // copies for cross-node crossings, feedback registers.
-    std::set<int> crossValues;
-    std::map<int, dp::NodeKind> nodeOf;
-    for (const auto& n : dp_.nodes) {
-      const NodeIO io = analyzeNode(n);
-      for (int vid : io.inputs) crossValues.insert(vid);
-      for (int vid : io.outputs) crossValues.insert(vid);
-    }
-    for (const auto& port : dp_.outputs) crossValues.insert(port.value);
-    for (const auto& fb : dp_.feedbacks) {
-      crossValues.insert(fb.snxValue);
-      crossValues.insert(fb.lprValue);
-    }
-    for (int vid : crossValues) {
-      if (isConstValue(vid)) continue;
-      const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-      if (v.inputPort >= 0) continue; // top-level input port already a signal
+    // Signals: node ports and the values they carry, cross-node pipeline
+    // registers (a consumer node receives the operand at the consuming
+    // op's stage), feedback registers.
+    for (int vid : layout_.topSignals) {
       w_.line("signal " + valueName(vid) + " : " + typeOf(vid) + ";");
     }
-    // Cross-node staged copies: a consumer node receives the operand at the
-    // consuming op's stage; emit register chains from def stage to each
-    // needed stage.
-    struct Chain {
-      int vid;
-      int toStage;
-    };
-    std::vector<Chain> chains;
-    std::set<std::pair<int, int>> chainSignals;
-    auto needChain = [&](int vid, int defStage, int useStage) {
-      for (int s = defStage + 1; s <= useStage; ++s) {
-        if (chainSignals.insert({vid, s}).second) {
-          chains.push_back({vid, s});
-          w_.line(fmt("signal %0_p%1 : %2;", valueName(vid), s, typeOf(vid)));
-        }
-      }
-    };
-    for (const auto& o : dp_.ops) {
-      for (int vid : o.operands) {
-        const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-        if (isConstValue(vid)) continue;
-        const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
-        const int defNode = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].node : -1;
-        if (defNode == o.node) continue; // node-internal, handled there
-        if (o.stage > defStage) needChain(vid, defStage, o.stage);
-      }
+    for (const auto& c : layout_.topChains) {
+      w_.line(fmt("signal %0_p%1 : %2;", valueName(c.value), c.stage, typeOf(c.value)));
     }
     // Feedback registers and the valid chain gating them (they must not
     // latch until real data reaches their stage).
@@ -543,15 +400,14 @@ class Emitter {
 
     // Node instantiations.
     for (const auto& n : dp_.nodes) {
-      const NodeIO io = analyzeNode(n);
-      nodeOf[n.id] = n.kind;
+      const hdl::NodeIO& io = layout_.nodes[static_cast<size_t>(n.id)];
       std::vector<std::string> assoc;
-      if (nodeNeedsClock(n)) {
+      if (io.clocked()) {
         assoc.push_back("clk => clk");
         assoc.push_back("ce => ce");
       }
-      for (int vid : io.inputs) {
-        assoc.push_back(valueName(vid) + " => " + topOperandRef(n, vid));
+      for (const auto& in : io.inputs) {
+        assoc.push_back(valueName(in.value) + " => " + topOperandRef(in));
       }
       for (int vid : io.outputs) {
         assoc.push_back(valueName(vid) + "_out => " + valueName(vid));
@@ -570,12 +426,11 @@ class Emitter {
     w_.indent();
     w_.line("if ce = '1' then");
     w_.indent();
-    for (const auto& c : chains) {
-      const DpValue& v = dp_.values[static_cast<size_t>(c.vid)];
-      const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
-      const std::string from =
-          c.toStage - 1 == defStage ? topValueRef(c.vid) : fmt("%0_p%1", valueName(c.vid), c.toStage - 1);
-      w_.line(fmt("%0_p%1 <= %2;", valueName(c.vid), c.toStage, from));
+    for (const auto& c : layout_.topChains) {
+      const std::string from = c.stage - 1 == hdl::defStage(dp_, c.value)
+                                   ? topValueRef(c.value)
+                                   : fmt("%0_p%1", valueName(c.value), c.stage - 1);
+      w_.line(fmt("%0_p%1 <= %2;", valueName(c.value), c.stage, from));
     }
     if (!dp_.feedbacks.empty()) {
       for (int st = 1; st < dp_.stageCount; ++st) {
@@ -611,17 +466,13 @@ class Emitter {
     for (size_t p = 0; p < dp_.outputs.size(); ++p) {
       const auto& port = dp_.outputs[p];
       const DpValue& v = dp_.values[static_cast<size_t>(port.value)];
-      const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
       const int finalStage = dp_.stageCount - 1;
-      std::string src = topValueRef(port.value);
-      if (finalStage > defStage && !isConstValue(port.value)) {
-        // Ensure a chain exists to the final stage (may not have been
-        // created if no op consumes it there; it was — outputs are captured
-        // at the final stage by the system; emit the reference defensively).
-        src = chainSignals.count({port.value, finalStage})
-                  ? fmt("%0_p%1", valueName(port.value), finalStage)
-                  : src;
-      }
+      // Outputs are captured at the final stage: read the value's register
+      // there when a chain reaches it.
+      const bool chained = finalStage > hdl::defStage(dp_, port.value) &&
+                           layout_.topChainEnd[static_cast<size_t>(port.value)] >= finalStage;
+      const std::string src =
+          chained ? fmt("%0_p%1", valueName(port.value), finalStage) : topValueRef(port.value);
       const std::string cast =
           v.isSigned == port.type.isSigned
               ? fmt("resize(%0, %1)", src, port.type.width)
@@ -642,18 +493,9 @@ class Emitter {
 
   /// Operand binding for a node instantiation: the value, advanced through
   /// top-level chains to the node's earliest use stage.
-  std::string topOperandRef(const dp::DpNode& n, int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
-    int earliest = INT32_MAX;
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      for (int op : o.operands) {
-        if (op == vid) earliest = std::min(earliest, o.stage);
-      }
-    }
-    if (earliest == INT32_MAX || earliest <= defStage) return topValueRef(vid);
-    return fmt("%0_p%1", valueName(vid), earliest);
+  std::string topOperandRef(const hdl::NodeInput& in) const {
+    if (in.firstUseStage <= hdl::defStage(dp_, in.value)) return topValueRef(in.value);
+    return fmt("%0_p%1", valueName(in.value), in.firstUseStage);
   }
 };
 

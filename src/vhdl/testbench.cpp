@@ -1,31 +1,19 @@
 #include "vhdl/testbench.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <memory>
 
 #include "dp/eval.hpp"
 #include "rtl/system.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
+#include "vhdl/layout.hpp"
 
 namespace roccc::vhdl {
 
 namespace {
 
-std::string sanitize(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      out += c;
-    } else if (!out.empty() && out.back() != '_') {
-      out += '_';
-    }
-  }
-  while (!out.empty() && out.back() == '_') out.pop_back();
-  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0]))) out = "s_" + out;
-  return out;
-}
+using hdl::sanitize;
 
 std::string literal(const Value& v, ScalarType t) {
   return fmt("to_%0(%1, %2)", t.isSigned ? "signed" : "unsigned", v.convertTo(t).toInt(), t.width);

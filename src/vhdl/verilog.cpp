@@ -1,46 +1,35 @@
 #include "vhdl/verilog.hpp"
 
 #include <cctype>
-#include <map>
+#include <charconv>
 #include <set>
-#include <sstream>
 
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"
+#include "vhdl/layout.hpp"
 
 namespace roccc::verilog {
 
 using dp::DataPath;
 using dp::DpOp;
 using dp::DpValue;
-using dp::NodeKind;
 using mir::Opcode;
 
 namespace {
 
-std::string sanitize(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      out += c;
-    } else if (!out.empty() && out.back() != '_') {
-      out += '_';
-    }
-  }
-  while (!out.empty() && out.back() == '_') out.pop_back();
-  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0]))) out = "s_" + out;
-  return out;
-}
+using hdl::addrBits;
+using hdl::sanitize;
 
-int addrBits(size_t entries) {
-  int b = 1;
-  while ((size_t{1} << b) < entries) ++b;
-  return b;
+/// Lower-case hex digits of `bits`, no prefix (as `os << std::hex` prints).
+std::string hex(uint64_t bits) {
+  char buf[16];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, bits, 16).ptr);
 }
 
 class Emitter {
  public:
-  Emitter(const DataPath& dp, const hlir::KernelInfo& kernel) : dp_(dp), kernel_(kernel) {}
+  Emitter(const DataPath& dp, const hlir::KernelInfo& kernel)
+      : dp_(dp), kernel_(kernel), layout_(hdl::layoutDesign(dp)) {}
 
   std::string run() {
     w_.line("// Generated by ROCCC (reproduction): Verilog for kernel '" + kernel_.kernelName + "'");
@@ -55,19 +44,14 @@ class Emitter {
  private:
   const DataPath& dp_;
   const hlir::KernelInfo& kernel_;
+  const hdl::DesignLayout layout_;
   IndentWriter w_;
 
-  std::string valueName(int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    return fmt("v%0_%1", vid, sanitize(v.name.empty() ? "t" : v.name));
-  }
+  const std::string& valueName(int vid) const { return layout_.valueNames[static_cast<size_t>(vid)]; }
 
   int widthOf(int vid) const { return dp_.values[static_cast<size_t>(vid)].width; }
 
-  bool isConstValue(int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    return v.def >= 0 && dp_.ops[static_cast<size_t>(v.def)].op == Opcode::Ldc;
-  }
+  bool isConstValue(int vid) const { return hdl::isConstValue(dp_, vid); }
 
   /// Reference to `vid`, extended/truncated to `W` honoring the value's own
   /// signedness; emits pure structural bit manipulation.
@@ -76,11 +60,7 @@ class Emitter {
     if (isConstValue(vid)) {
       const int64_t c = dp_.ops[static_cast<size_t>(v.def)].imm;
       const uint64_t bits = Value::fromInt(ScalarType::make(W, v.isSigned), c).bits();
-      return fmt("%0'h%1", W, [&] {
-        std::ostringstream hex;
-        hex << std::hex << bits;
-        return hex.str();
-      }());
+      return fmt("%0'h%1", W, hex(bits));
     }
     const std::string base = nameOverride.empty() ? valueName(vid) : nameOverride;
     const int w = v.width;
@@ -88,55 +68,6 @@ class Emitter {
     if (w > W) return fmt("%0[%1:0]", base, W - 1);
     if (v.isSigned) return fmt("{{%0{%1[%2]}}, %1}", W - w, base, w - 1);
     return fmt("{{%0{1'b0}}, %1}", W - w, base);
-  }
-
-  struct NodeIO {
-    std::vector<int> inputs;
-    std::vector<int> outputs;
-  };
-
-  NodeIO analyzeNode(const dp::DpNode& n) const {
-    NodeIO io;
-    std::set<int> produced;
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      if (o.result >= 0) produced.insert(o.result);
-    }
-    std::set<int> ins;
-    for (int oi : n.ops) {
-      for (int vid : dp_.ops[static_cast<size_t>(oi)].operands) {
-        if (!produced.count(vid) && !isConstValue(vid)) ins.insert(vid);
-      }
-    }
-    io.inputs.assign(ins.begin(), ins.end());
-    std::set<int> outs;
-    for (const auto& o : dp_.ops) {
-      if (o.node == n.id) continue;
-      for (int vid : o.operands) {
-        if (produced.count(vid)) outs.insert(vid);
-      }
-    }
-    for (const auto& port : dp_.outputs) {
-      if (produced.count(port.value)) outs.insert(port.value);
-    }
-    for (const auto& fb : dp_.feedbacks) {
-      if (produced.count(fb.snxValue)) outs.insert(fb.snxValue);
-    }
-    io.outputs.assign(outs.begin(), outs.end());
-    return io;
-  }
-
-  bool nodeNeedsClock(const dp::DpNode& n) const {
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      for (int vid : o.operands) {
-        const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-        if (v.def < 0 || isConstValue(vid)) continue;
-        const DpOp& defOp = dp_.ops[static_cast<size_t>(v.def)];
-        if (defOp.node == n.id && defOp.stage < o.stage) return true;
-      }
-    }
-    return false;
   }
 
   std::string nodeModuleName(const dp::DpNode& n) const {
@@ -156,9 +87,7 @@ class Emitter {
       w_.indent();
       for (size_t i = 0; i < t.values.size(); ++i) {
         const uint64_t bits = Value::fromInt(t.elemType, t.values[i]).bits();
-        std::ostringstream hex;
-        hex << std::hex << bits;
-        w_.line(fmt("%0'd%1: data = %2'h%3;", ab, i, dw, hex.str()));
+        w_.line(fmt("%0'd%1: data = %2'h%3;", ab, i, dw, hex(bits)));
       }
       w_.line(fmt("default: data = %0'h0;", dw));
       w_.dedent();
@@ -172,15 +101,15 @@ class Emitter {
   }
 
   void nodeModule(const dp::DpNode& n) {
-    const NodeIO io = analyzeNode(n);
-    const bool clocked = nodeNeedsClock(n);
+    const hdl::NodeIO& io = layout_.nodes[static_cast<size_t>(n.id)];
+    const bool clocked = io.clocked();
     std::vector<std::string> ports;
     if (clocked) {
       ports.push_back("input wire clk");
       ports.push_back("input wire ce");
     }
-    for (int vid : io.inputs) {
-      ports.push_back(fmt("input wire [%0:0] %1", widthOf(vid) - 1, valueName(vid)));
+    for (const auto& in : io.inputs) {
+      ports.push_back(fmt("input wire [%0:0] %1", widthOf(in.value) - 1, valueName(in.value)));
     }
     for (int vid : io.outputs) {
       ports.push_back(fmt("output wire [%0:0] %1_out", widthOf(vid) - 1, valueName(vid)));
@@ -188,34 +117,14 @@ class Emitter {
     w_.line("module " + nodeModuleName(n) + "(" + join(ports, ", ") + ");");
     w_.indent();
 
-    std::set<int> produced;
     for (int oi : n.ops) {
       const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
       if (o.result < 0 || o.op == Opcode::Ldc) continue;
-      produced.insert(o.result);
       w_.line(fmt("wire [%0:0] %1;", widthOf(o.result) - 1, valueName(o.result)));
     }
     // Node-internal staged copies.
-    struct Copy {
-      int vid;
-      int toStage;
-    };
-    std::vector<Copy> copies;
-    std::set<std::pair<int, int>> copySignals;
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      for (int vid : o.operands) {
-        const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-        if (v.def < 0 || isConstValue(vid)) continue;
-        const DpOp& defOp = dp_.ops[static_cast<size_t>(v.def)];
-        if (defOp.node != n.id || defOp.stage >= o.stage) continue;
-        for (int s = defOp.stage + 1; s <= o.stage; ++s) {
-          if (copySignals.insert({vid, s}).second) {
-            copies.push_back({vid, s});
-            w_.line(fmt("reg [%0:0] %1_s%2;", widthOf(vid) - 1, valueName(vid), s));
-          }
-        }
-      }
+    for (const auto& c : io.copies) {
+      w_.line(fmt("reg [%0:0] %1_s%2;", widthOf(c.value) - 1, valueName(c.value), c.stage));
     }
 
     // Lookup-table instantiations.
@@ -247,12 +156,11 @@ class Emitter {
       w_.indent();
       w_.line("if (ce) begin");
       w_.indent();
-      for (const auto& c : copies) {
-        const int defStage = dp_.ops[static_cast<size_t>(dp_.values[static_cast<size_t>(c.vid)].def)].stage;
-        const std::string from = c.toStage - 1 == defStage
-                                     ? valueName(c.vid)
-                                     : fmt("%0_s%1", valueName(c.vid), c.toStage - 1);
-        w_.line(fmt("%0_s%1 <= %2;", valueName(c.vid), c.toStage, from));
+      for (const auto& c : io.copies) {
+        const std::string from = c.stage - 1 == hdl::defStage(dp_, c.value)
+                                     ? valueName(c.value)
+                                     : fmt("%0_s%1", valueName(c.value), c.stage - 1);
+        w_.line(fmt("%0_s%1 <= %2;", valueName(c.value), c.stage, from));
       }
       w_.dedent();
       w_.line("end");
@@ -394,46 +302,11 @@ class Emitter {
     w_.indent();
 
     // Signals: cross-node values, staged copies, feedback registers.
-    std::set<int> crossValues;
-    for (const auto& n : dp_.nodes) {
-      const NodeIO io = analyzeNode(n);
-      for (int vid : io.inputs) crossValues.insert(vid);
-      for (int vid : io.outputs) crossValues.insert(vid);
+    for (int vid : layout_.topSignals) {
+      w_.line(fmt("wire [%0:0] %1;", widthOf(vid) - 1, valueName(vid)));
     }
-    for (const auto& port : dp_.outputs) crossValues.insert(port.value);
-    for (const auto& fb : dp_.feedbacks) {
-      crossValues.insert(fb.snxValue);
-      crossValues.insert(fb.lprValue);
-    }
-    for (int vid : crossValues) {
-      if (isConstValue(vid)) continue;
-      const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-      if (v.inputPort >= 0) continue;
-      w_.line(fmt("wire [%0:0] %1;", v.width - 1, valueName(vid)));
-    }
-    struct Chain {
-      int vid;
-      int toStage;
-    };
-    std::vector<Chain> chains;
-    std::set<std::pair<int, int>> chainSignals;
-    auto needChain = [&](int vid, int defStage, int useStage) {
-      for (int s = defStage + 1; s <= useStage; ++s) {
-        if (chainSignals.insert({vid, s}).second) {
-          chains.push_back({vid, s});
-          w_.line(fmt("reg [%0:0] %1_p%2;", widthOf(vid) - 1, valueName(vid), s));
-        }
-      }
-    };
-    for (const auto& o : dp_.ops) {
-      for (int vid : o.operands) {
-        const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-        if (isConstValue(vid)) continue;
-        const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
-        const int defNode = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].node : -1;
-        if (defNode == o.node) continue;
-        if (o.stage > defStage) needChain(vid, defStage, o.stage);
-      }
+    for (const auto& c : layout_.topChains) {
+      w_.line(fmt("reg [%0:0] %1_p%2;", widthOf(c.value) - 1, valueName(c.value), c.stage));
     }
     for (const auto& fb : dp_.feedbacks) {
       w_.line(fmt("reg [%0:0] %1_fbreg = %0'd%2;", fb.type.width - 1, sanitize(fb.name),
@@ -447,14 +320,14 @@ class Emitter {
 
     // Node instantiations.
     for (const auto& n : dp_.nodes) {
-      const NodeIO io = analyzeNode(n);
+      const hdl::NodeIO& io = layout_.nodes[static_cast<size_t>(n.id)];
       std::vector<std::string> assoc;
-      if (nodeNeedsClock(n)) {
+      if (io.clocked()) {
         assoc.push_back(".clk(clk)");
         assoc.push_back(".ce(ce)");
       }
-      for (int vid : io.inputs) {
-        assoc.push_back(fmt(".%0(%1)", valueName(vid), topOperandRef(n, vid)));
+      for (const auto& in : io.inputs) {
+        assoc.push_back(fmt(".%0(%1)", valueName(in.value), topOperandRef(in)));
       }
       for (int vid : io.outputs) {
         assoc.push_back(fmt(".%0_out(%0)", valueName(vid)));
@@ -467,12 +340,11 @@ class Emitter {
     w_.indent();
     w_.line("if (ce) begin");
     w_.indent();
-    for (const auto& c : chains) {
-      const DpValue& v = dp_.values[static_cast<size_t>(c.vid)];
-      const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
-      const std::string from =
-          c.toStage - 1 == defStage ? topValueRef(c.vid) : fmt("%0_p%1", valueName(c.vid), c.toStage - 1);
-      w_.line(fmt("%0_p%1 <= %2;", valueName(c.vid), c.toStage, from));
+    for (const auto& c : layout_.topChains) {
+      const std::string from = c.stage - 1 == hdl::defStage(dp_, c.value)
+                                   ? topValueRef(c.value)
+                                   : fmt("%0_p%1", valueName(c.value), c.stage - 1);
+      w_.line(fmt("%0_p%1 <= %2;", valueName(c.value), c.stage, from));
     }
     if (!dp_.feedbacks.empty()) {
       for (int st = 1; st < dp_.stageCount; ++st) {
@@ -498,11 +370,10 @@ class Emitter {
     for (size_t p = 0; p < dp_.outputs.size(); ++p) {
       const auto& port = dp_.outputs[p];
       const DpValue& v = dp_.values[static_cast<size_t>(port.value)];
-      const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
       const int finalStage = dp_.stageCount - 1;
       std::string src;
-      if (!isConstValue(port.value) && finalStage > defStage &&
-          chainSignals.count({port.value, finalStage})) {
+      if (finalStage > hdl::defStage(dp_, port.value) &&
+          layout_.topChainEnd[static_cast<size_t>(port.value)] >= finalStage) {
         src = cvt(port.value, port.type.width, fmt("%0_p%1", valueName(port.value), finalStage));
       } else {
         src = cvt(port.value, port.type.width,
@@ -521,18 +392,9 @@ class Emitter {
     return valueName(vid);
   }
 
-  std::string topOperandRef(const dp::DpNode& n, int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
-    int earliest = INT32_MAX;
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      for (int op : o.operands) {
-        if (op == vid) earliest = std::min(earliest, o.stage);
-      }
-    }
-    if (earliest == INT32_MAX || earliest <= defStage) return topValueRef(vid);
-    return fmt("%0_p%1", valueName(vid), earliest);
+  std::string topOperandRef(const hdl::NodeInput& in) const {
+    if (in.firstUseStage <= hdl::defStage(dp_, in.value)) return topValueRef(in.value);
+    return fmt("%0_p%1", valueName(in.value), in.firstUseStage);
   }
 };
 

@@ -29,6 +29,11 @@ struct CorpusKernel {
   std::string source;
 };
 
+// gtest prints a parameter without operator<< as its raw bytes, which for
+// the std::string members are heap addresses; print the name instead so the
+// listed (and CTest-discovered) test names are the same on every run.
+void PrintTo(const CorpusKernel& k, std::ostream* os) { *os << k.name; }
+
 const std::vector<CorpusKernel>& corpus() {
   static const std::vector<CorpusKernel> kernels = [] {
     std::vector<CorpusKernel> out;

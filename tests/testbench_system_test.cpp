@@ -104,6 +104,40 @@ TEST(VhdlCheck, IgnoresCommentsAndStringLiterals) {
   EXPECT_EQ(chk.instantiationCount, 0);
 }
 
+TEST(VhdlCheck, IdentifiersAndKeywordsAreCaseInsensitive) {
+  const auto chk = vhdl::checkDesign(
+      "Entity Foo IS\n"
+      "  Port ( A : in bit; Q : OUT bit );\n"
+      "End Entity foo;\n"
+      "ARCHITECTURE Rtl Of FOO Is\n"
+      "  Signal S : bit;\n"
+      "Begin\n"
+      "  s <= a;\n"
+      "  Q <= S;\n"
+      "end architecture RTL;\n");
+  EXPECT_TRUE(chk.ok) << join(chk.problems, "\n");
+  EXPECT_EQ(chk.entityCount, 1);
+  EXPECT_EQ(chk.architectureCount, 1);
+}
+
+TEST(VhdlCheck, UnterminatedStringLiteralAtEndOfInput) {
+  // The literal runs to the end of the buffer; the checker must stop there
+  // and still report the architecture it never saw closed.
+  const auto chk = vhdl::checkDesign(
+      "entity top is\nend entity top;\n"
+      "architecture rtl of top is\nbegin\n"
+      "assert false report \"never closed");
+  EXPECT_FALSE(chk.ok);
+  EXPECT_EQ(chk.problems, std::vector<std::string>{"line 3: unclosed architecture top"});
+  EXPECT_EQ(chk.entityCount, 1);
+  EXPECT_EQ(chk.architectureCount, 1);
+
+  const auto bare = vhdl::checkDesign("\"");
+  EXPECT_TRUE(bare.ok) << join(bare.problems, "\n");
+  const auto tick = vhdl::checkDesign("x <= '");
+  EXPECT_TRUE(tick.ok) << join(tick.problems, "\n");
+}
+
 // ---- makeVectors feedback threading --------------------------------------
 
 TEST(MakeVectors, FeedbackThreadingMatchesManualEvaluation) {

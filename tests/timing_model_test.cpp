@@ -246,6 +246,81 @@ TEST(EstimateWidthFix, EstimateHonorsTimingOverride) {
   EXPECT_GT(rep.criticalPathNs, 9.0);
 }
 
+// --- SRL16 inference -----------------------------------------------------------
+
+/// `regs` plain registers (no enable) in a row behind 8-bit input `a`,
+/// optionally behind a Not cell; the last register drives output `o`.
+/// Returns the output nets of the registers in `regOuts`.
+rtl::Module regChain(int regs, bool afterLogic, std::vector<int>* regOuts = nullptr) {
+  rtl::Module m;
+  m.name = "chain";
+  const ScalarType t = ScalarType::make(8, false);
+  int prev = m.addNet(t, "a");
+  m.inputPorts = {prev};
+  m.inputNames = {"a"};
+  if (afterLogic) {
+    const int n = m.addNet(t, "na");
+    m.addCell(rtl::CellKind::Not, {prev}, n);
+    prev = n;
+  }
+  for (int i = 0; i < regs; ++i) {
+    const int q = m.addNet(t, "r" + std::to_string(i));
+    m.addCell(rtl::CellKind::Reg, {prev}, q);
+    if (regOuts) regOuts->push_back(q);
+    prev = q;
+  }
+  m.outputPorts = {prev};
+  m.outputNames = {"o"};
+  return m;
+}
+
+TEST(Srl16Inference, TwoRegisterChainStaysInFlipFlops) {
+  const auto rep = synth::estimate(regChain(2, false));
+  EXPECT_EQ(rep.res.srl16, 0);
+  EXPECT_EQ(rep.res.ff, 16);
+  EXPECT_EQ(rep.slices, 8);
+}
+
+TEST(Srl16Inference, ThreeRegisterChainBecomesOneSrlPerBit) {
+  const auto rep = synth::estimate(regChain(3, false));
+  EXPECT_EQ(rep.res.srl16, 8); // depth 2 -> one SRL16 per bit
+  EXPECT_EQ(rep.res.ff, 8);    // plus the output register
+  EXPECT_EQ(rep.slices, 6);
+  synth::EstimateOptions off;
+  off.inferSrl16 = false;
+  const auto plain = synth::estimate(regChain(3, false), off);
+  EXPECT_EQ(plain.res.srl16, 0);
+  EXPECT_EQ(plain.res.ff, 24);
+}
+
+TEST(Srl16Inference, EighteenRegisterChainNeedsTwoSrlsPerBit) {
+  const auto rep = synth::estimate(regChain(18, false));
+  EXPECT_EQ(rep.res.srl16, 16); // depth 17 > 16 taps
+  EXPECT_EQ(rep.res.ff, 8);
+  EXPECT_EQ(rep.slices, 10);
+}
+
+TEST(Srl16Inference, MidChainFanoutSplitsTheChain) {
+  // r0 -> r1 -> r2 -> r3 -> r4, with r2 also driving a second output: the
+  // first three registers form one SRL chain; r3 -> r4 is too short.
+  std::vector<int> q;
+  rtl::Module m = regChain(5, false, &q);
+  m.outputPorts.push_back(q[2]);
+  m.outputNames.push_back("tap");
+  const auto rep = synth::estimate(m);
+  EXPECT_EQ(rep.res.srl16, 8);
+  EXPECT_EQ(rep.res.ff, 8 + 16);
+  EXPECT_EQ(rep.slices, 14);
+}
+
+TEST(Srl16Inference, ChainAfterLogicCellIsInferred) {
+  const auto rep = synth::estimate(regChain(4, true));
+  EXPECT_EQ(rep.res.srl16, 8); // depth 3 -> one SRL16 per bit
+  EXPECT_EQ(rep.res.ff, 8);
+  EXPECT_DOUBLE_EQ(rep.res.lut4, TimingModel::virtex2().cost(Primitive::Logic, 8).lut4); // the Not
+  EXPECT_EQ(rep.slices, 8);
+}
+
 // --- Table 1 slice regression ------------------------------------------------
 
 struct SliceRow {
