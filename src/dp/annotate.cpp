@@ -3,30 +3,14 @@
 #include <algorithm>
 #include <sstream>
 
+#include "support/json.hpp"
 #include "support/strings.hpp"
 
 namespace roccc::dp {
 
-namespace {
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-} // namespace
-
 std::string exportJson(const DataPath& dp) {
   std::ostringstream os;
-  os << "{\n  \"name\": \"" << jsonEscape(dp.name) << "\",\n";
+  os << "{\n  \"name\": \"" << json::escape(dp.name) << "\",\n";
   os << "  \"stages\": " << dp.stageCount << ",\n";
 
   os << "  \"nodes\": [\n";
@@ -34,7 +18,7 @@ std::string exportJson(const DataPath& dp) {
     const DpNode& n = dp.nodes[i];
     os << "    {\"id\": " << n.id << ", \"kind\": \""
        << (n.kind == NodeKind::Soft ? "soft" : (n.kind == NodeKind::Mux ? "mux" : "pipe"))
-       << "\", \"label\": \"" << jsonEscape(n.label) << "\", \"ops\": [";
+       << "\", \"label\": \"" << json::escape(n.label) << "\", \"ops\": [";
     for (size_t k = 0; k < n.ops.size(); ++k) {
       if (k) os << ", ";
       os << n.ops[k];
@@ -53,7 +37,7 @@ std::string exportJson(const DataPath& dp) {
       os << o.operands[k];
     }
     os << "]";
-    if (!o.symbol.empty()) os << ", \"symbol\": \"" << jsonEscape(o.symbol) << "\"";
+    if (!o.symbol.empty()) os << ", \"symbol\": \"" << json::escape(o.symbol) << "\"";
     if (o.op == mir::Opcode::Ldc) os << ", \"imm\": " << o.imm;
     os << "}" << (i + 1 < dp.ops.size() ? "," : "") << "\n";
   }
@@ -62,7 +46,7 @@ std::string exportJson(const DataPath& dp) {
   os << "  \"values\": [\n";
   for (size_t i = 0; i < dp.values.size(); ++i) {
     const DpValue& v = dp.values[i];
-    os << "    {\"id\": " << v.id << ", \"name\": \"" << jsonEscape(v.name) << "\", \"width\": "
+    os << "    {\"id\": " << v.id << ", \"name\": \"" << json::escape(v.name) << "\", \"width\": "
        << v.width << ", \"signed\": " << (v.isSigned ? "true" : "false") << ", \"declared\": \""
        << v.declared.str() << "\", \"def\": " << v.def << "}"
        << (i + 1 < dp.values.size() ? "," : "") << "\n";
@@ -73,7 +57,7 @@ std::string exportJson(const DataPath& dp) {
     os << "  \"" << key << "\": [";
     for (size_t i = 0; i < list.size(); ++i) {
       if (i) os << ", ";
-      os << "{\"name\": \"" << jsonEscape(list[i].name) << "\", \"type\": \""
+      os << "{\"name\": \"" << json::escape(list[i].name) << "\", \"type\": \""
          << list[i].type.str() << "\", \"value\": " << list[i].value << "}";
     }
     os << "],\n";
@@ -85,7 +69,7 @@ std::string exportJson(const DataPath& dp) {
   for (size_t i = 0; i < dp.feedbacks.size(); ++i) {
     const auto& fb = dp.feedbacks[i];
     if (i) os << ", ";
-    os << "{\"name\": \"" << jsonEscape(fb.name) << "\", \"initial\": " << fb.initial
+    os << "{\"name\": \"" << json::escape(fb.name) << "\", \"initial\": " << fb.initial
        << ", \"stage\": " << fb.stage << "}";
   }
   os << "]\n}\n";

@@ -111,8 +111,8 @@ int64_t CacheEntry::byteSize() const {
   // Approximate resident size for the tier-1 byte budget: the blobs plus a
   // small fixed overhead per container element.
   int64_t n = 128;
-  n += static_cast<int64_t>(failedPass.size() + vhdl.size() + verilog.size() +
-                            transformedSource.size());
+  n += static_cast<int64_t>(failedPass.size() + vhdl.size() + vhdlSha256.size() +
+                            verilog.size() + transformedSource.size());
   for (const auto& d : diags) n += 48 + static_cast<int64_t>(d.message.size());
   for (const auto& p : passLog) {
     n += 96 + static_cast<int64_t>(p.name.size());
@@ -126,6 +126,7 @@ CacheEntry CacheEntry::fromResult(const CompileResult& r) {
   e.outcome = r.outcome;
   e.failedPass = r.failedPass;
   e.vhdl = r.vhdl;
+  e.vhdlSha256 = r.vhdlSha256;
   e.verilog = r.verilog;
   e.transformedSource = r.transformedSource;
   e.diags = r.diags.all();
@@ -139,6 +140,7 @@ CompileResult CacheEntry::toResult() const {
   r.outcome = outcome;
   r.failedPass = failedPass;
   r.vhdl = vhdl;
+  r.vhdlSha256 = vhdlSha256;
   r.verilog = verilog;
   r.transformedSource = transformedSource;
   for (const auto& d : diags) r.diags.report(d.severity, d.loc, d.message);
@@ -410,7 +412,12 @@ struct CompileCache::DiskStore {
     if (!in) return std::nullopt;
     std::ostringstream buf;
     buf << in.rdbuf();
-    return parseEntry(buf.str(), key);
+    auto entry = parseEntry(buf.str(), key);
+    // The digest is not in the entry file, so the format and kCacheSchema
+    // stay as they are; it is computed once here, as the entry is promoted
+    // into tier 1.
+    if (entry) entry->vhdlSha256 = sha256Hex(entry->vhdl);
+    return entry;
   }
 
   bool store(const std::string& key, const CacheEntry& entry) const {

@@ -87,6 +87,9 @@ struct CacheEntry {
   CompileOutcome outcome = CompileOutcome::Ok;
   std::string failedPass;
   std::string vhdl;
+  /// CompileResult::vhdlSha256 (empty when the producer did not hash). Not
+  /// part of the tier-2 file: a disk load recomputes it.
+  std::string vhdlSha256;
   std::string verilog;
   std::string transformedSource;
   std::vector<Diagnostic> diags;

@@ -105,6 +105,10 @@ struct CompileResult {
   dp::RetimeReport retiming;
   rtl::Module module;
   std::string vhdl; ///< generated RTL VHDL (all entities)
+  /// SHA-256 hex of `vhdl`, or empty when no producer computed it. The
+  /// compiler never fills it; the daemon does once per artifact, and the
+  /// cache carries it so hits replay it instead of re-hashing.
+  std::string vhdlSha256;
   std::string verilog; ///< generated Verilog (library extension)
   /// One typed record per pipeline pass (name, layer, wall time, change
   /// counters, optional IR snapshot) — see roccc/pipeline.hpp.

@@ -8,6 +8,7 @@
 
 #include "roccc/cache.hpp"
 #include "rtl/system.hpp"
+#include "support/json.hpp"
 #include "support/strings.hpp"
 #include "support/timer.hpp"
 #include "synth/estimate.hpp"
@@ -15,27 +16,6 @@
 namespace roccc {
 
 namespace {
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += fmt("\\u%0", static_cast<int>(c)); // control chars never occur in practice
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Deterministic number rendering for labels and JSON (operator<< default
 /// precision; never locale-dependent for these value ranges).
@@ -624,8 +604,8 @@ std::string SweepResult::toJson(bool includeTimings) const {
     const SweepPointConfig& c = p.point.config;
     w.line("{");
     w.indent();
-    w.line(fmt("\"kernel\": \"%0\",", jsonEscape(p.point.kernel)));
-    w.line(fmt("\"label\": \"%0\",", jsonEscape(p.point.label)));
+    w.line(fmt("\"kernel\": \"%0\",", json::escape(p.point.kernel)));
+    w.line(fmt("\"label\": \"%0\",", json::escape(p.point.label)));
     w.line(fmt("\"config\": {\"unroll\": %0, \"autoUnrollBudget\": %1, \"targetNs\": %2, "
                "\"retime\": %3, \"pipeline\": %4, \"optimize\": %5, \"lutConvert\": %6, "
                "\"widthMode\": \"%7\", \"multStyle\": \"%8\"%9",
@@ -636,7 +616,7 @@ std::string SweepResult::toJson(bool includeTimings) const {
                fmt(", \"busElems\": %0, \"smartBuffer\": %1},", c.busElems,
                    c.smartBuffer ? "true" : "false")));
     w.line(fmt("\"outcome\": \"%0\",", pointOutcomeName(p.outcome)));
-    if (!p.error.empty()) w.line(fmt("\"error\": \"%0\",", jsonEscape(p.error)));
+    if (!p.error.empty()) w.line(fmt("\"error\": \"%0\",", json::escape(p.error)));
     if (includeTimings) w.line(fmt("\"compileMs\": %0,", num(p.compileMs)));
     if (p.outcome == PointOutcome::Ok) {
       const PointMetrics& m = p.metrics;
@@ -662,11 +642,13 @@ std::string SweepResult::toJson(bool includeTimings) const {
   for (size_t i = 0; i < frontiers.size(); ++i) {
     const KernelFrontier& f = frontiers[i];
     std::vector<std::string> labels;
-    for (size_t idx : f.points) labels.push_back(fmt("\"%0\"", jsonEscape(points[idx].point.label)));
-    std::string entry = fmt("{\"kernel\": \"%0\", \"points\": [%1]", jsonEscape(f.kernel),
+    for (size_t idx : f.points) {
+      labels.push_back(fmt("\"%0\"", json::escape(points[idx].point.label)));
+    }
+    std::string entry = fmt("{\"kernel\": \"%0\", \"points\": [%1]", json::escape(f.kernel),
                             join(labels, ", "));
     if (!f.points.empty()) {
-      entry += fmt(", \"best\": \"%0\"", jsonEscape(points[f.best].point.label));
+      entry += fmt(", \"best\": \"%0\"", json::escape(points[f.best].point.label));
     }
     entry += fmt("}%0", i + 1 < frontiers.size() ? "," : "");
     w.line(entry);

@@ -6,6 +6,7 @@
 
 #include "roccc/compiler.hpp"
 #include "support/faultpoint.hpp"
+#include "support/json.hpp"
 #include "support/strings.hpp"
 #include "support/timer.hpp"
 #include "vhdl/check.hpp"
@@ -213,32 +214,6 @@ bool PassManager::run(PassContext& ctx, std::vector<PassStatistics>& stats) cons
   return true;
 }
 
-namespace {
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-} // namespace
-
 std::string statsToJson(const std::vector<PassStatistics>& stats) {
   return statsToJson(stats, std::string());
 }
@@ -250,12 +225,12 @@ std::string statsToJson(const std::vector<PassStatistics>& stats, const std::str
   for (size_t i = 0; i < stats.size(); ++i) {
     const auto& s = stats[i];
     totalMs += s.wallMs;
-    os << "    {\"name\": \"" << jsonEscape(s.name) << "\", \"layer\": \""
+    os << "    {\"name\": \"" << json::escape(s.name) << "\", \"layer\": \""
        << passLayerName(s.layer) << "\", \"wallMs\": " << s.wallMs
        << ", \"ran\": " << (s.ran ? "true" : "false") << ", \"counters\": {";
     for (size_t c = 0; c < s.counters.size(); ++c) {
       if (c) os << ", ";
-      os << '"' << jsonEscape(s.counters[c].first) << "\": " << s.counters[c].second;
+      os << '"' << json::escape(s.counters[c].first) << "\": " << s.counters[c].second;
     }
     os << "}}" << (i + 1 < stats.size() ? "," : "") << "\n";
   }

@@ -311,46 +311,6 @@ bool sendAll(int fd, std::string_view data) {
   return true;
 }
 
-/// Buffered newline-framed reader over a blocking socket.
-class LineReader {
- public:
-  enum class Status { Line, Eof, Oversized, Error };
-
-  LineReader(int fd, int64_t maxLineBytes) : fd_(fd), maxLineBytes_(maxLineBytes) {}
-
-  Status next(std::string& line) {
-    while (true) {
-      const size_t nl = buf_.find('\n', scanned_);
-      if (nl != std::string::npos) {
-        // The cap applies to complete frames too, not just ones still
-        // accumulating — a burst can deliver the whole oversize line in
-        // one recv.
-        if (static_cast<int64_t>(nl) > maxLineBytes_) return Status::Oversized;
-        line.assign(buf_, 0, nl);
-        buf_.erase(0, nl + 1);
-        scanned_ = 0;
-        return Status::Line;
-      }
-      scanned_ = buf_.size();
-      if (static_cast<int64_t>(buf_.size()) > maxLineBytes_) return Status::Oversized;
-      char chunk[65536];
-      const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-      if (n == 0) return Status::Eof; // peer closed; a partial line is a truncated frame
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::Error;
-      }
-      buf_.append(chunk, static_cast<size_t>(n));
-    }
-  }
-
- private:
-  int fd_;
-  int64_t maxLineBytes_;
-  std::string buf_;
-  size_t scanned_ = 0;
-};
-
 bool bindUnixSocket(const std::string& path, int& fd, std::string& error) {
   if (path.empty() || path.size() >= sizeof(sockaddr_un{}.sun_path)) {
     error = fmt("socket path '%0' is empty or too long for AF_UNIX", path);
@@ -390,6 +350,40 @@ bool bindUnixSocket(const std::string& path, int& fd, std::string& error) {
 }
 
 } // namespace
+
+LineReader::Status LineReader::next(std::string& line) {
+  while (true) {
+    const size_t nl = buf_.find('\n', scanned_);
+    if (nl != std::string::npos) {
+      // The cap applies to complete frames too, not just ones still
+      // accumulating — a burst can deliver the whole oversize line in
+      // one recv.
+      if (static_cast<int64_t>(nl) > maxLineBytes_) return Status::Oversized;
+      if (nl + 1 == buf_.size()) {
+        // The usual case: the buffer holds exactly one frame. Hand it
+        // over instead of copying it out.
+        buf_.pop_back();
+        line.swap(buf_);
+        buf_.clear();
+      } else {
+        line.assign(buf_, 0, nl);
+        buf_.erase(0, nl + 1);
+      }
+      scanned_ = 0;
+      return Status::Line;
+    }
+    scanned_ = buf_.size();
+    if (static_cast<int64_t>(buf_.size()) > maxLineBytes_) return Status::Oversized;
+    char chunk[65536];
+    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+    if (n == 0) return Status::Eof;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::Error;
+    }
+    buf_.append(chunk, static_cast<size_t>(n));
+  }
+}
 
 // ---------------------------------------------------------------------------
 // ServiceDaemon
@@ -473,6 +467,23 @@ struct ServiceDaemon::Impl {
     if (inFlightTotal == 0) windowEmpty.notify_all();
   }
 
+  /// One job through the shared cache when one is attached. A miss hashes
+  /// the VHDL next to the compile, so the entry carries the digest and
+  /// every later hit or coalesced waiter replays it instead of re-hashing.
+  CompileResult compileThroughCache(const CompileJob& job, bool& hit) {
+    const auto c = currentCache();
+    if (!c) return runContainedJob(job);
+    const std::string key = computeCacheKey(job.source, job.options);
+    return c->getOrCompute(
+        key, job.options,
+        [&] {
+          CompileResult r = runContainedJob(job);
+          if (r.ok) r.vhdlSha256 = sha256Hex(r.vhdl);
+          return r;
+        },
+        &hit);
+  }
+
   /// Runs one admitted job on the worker pool (through the shared cache
   /// when attached) and records its completion. Returns the result and
   /// whether it was served from the cache.
@@ -482,13 +493,7 @@ struct ServiceDaemon::Impl {
     CompileResult result;
     bool hit = false;
     auto task = [this, &job, &result, &hit, conn] {
-      const auto c = currentCache();
-      if (c) {
-        const std::string key = computeCacheKey(job.source, job.options);
-        result = c->getOrCompute(key, job.options, [&] { return runContainedJob(job); }, &hit);
-      } else {
-        result = runContainedJob(job);
-      }
+      result = compileThroughCache(job, hit);
       release(*conn);
     };
     pool->submit(std::move(task)).get();
@@ -527,7 +532,10 @@ struct ServiceDaemon::Impl {
   /// The per-job result fields shared by `result` responses and
   /// `batch-result` rows. `status` is the outcome name for compiled jobs
   /// (the service edge extends the same taxonomy with rejection codes).
-  void fillResultFields(json::Value& row, const std::string& name, const CompileResult& r,
+  /// The artifact texts are moved out of `r`. `sha256` is the digest the
+  /// result carries; only a result without one (a daemon with no cache
+  /// attached) is hashed here.
+  void fillResultFields(json::Value& row, const std::string& name, CompileResult&& r,
                         bool cached, double serviceMs, bool wantVerilog) {
     row.set("name", json::Value::string(name));
     row.set("status", json::Value::string(compileOutcomeName(r.outcome)));
@@ -535,9 +543,10 @@ struct ServiceDaemon::Impl {
     row.set("serviceMs", json::Value::number(serviceMs));
     if (!r.failedPass.empty()) row.set("failedPass", json::Value::string(r.failedPass));
     if (r.ok) {
-      row.set("vhdl", json::Value::string(r.vhdl));
-      row.set("sha256", json::Value::string(sha256Hex(r.vhdl)));
-      if (wantVerilog) row.set("verilog", json::Value::string(r.verilog));
+      std::string digest = r.vhdlSha256.empty() ? sha256Hex(r.vhdl) : std::move(r.vhdlSha256);
+      row.set("vhdl", json::Value::string(std::move(r.vhdl)));
+      row.set("sha256", json::Value::string(std::move(digest)));
+      if (wantVerilog) row.set("verilog", json::Value::string(std::move(r.verilog)));
     }
     json::Value diags = json::Value::array();
     for (const auto& d : r.diags.all()) diags.push(json::Value::string(d.str()));
@@ -604,9 +613,9 @@ struct ServiceDaemon::Impl {
     }
     bool cached = false;
     double serviceMs = 0;
-    const CompileResult result = runAdmittedJob(conn, job, cached, serviceMs);
+    CompileResult result = runAdmittedJob(conn, job, cached, serviceMs);
     json::Value resp = envelope("result", id);
-    fillResultFields(resp, job.name, result, cached, serviceMs, wantVerilog);
+    fillResultFields(resp, job.name, std::move(result), cached, serviceMs, wantVerilog);
     writeResponse(*conn, resp);
   }
 
@@ -659,14 +668,7 @@ struct ServiceDaemon::Impl {
       pending.emplace_back(i, pool->submit([this, conn, &jobs, &slots, i] {
         auto& slot = slots[i];
         WallTimer jobTimer;
-        const auto c = currentCache();
-        if (c) {
-          const std::string key = computeCacheKey(jobs[i].source, jobs[i].options);
-          slot.result = c->getOrCompute(key, jobs[i].options,
-                                        [&] { return runContainedJob(jobs[i]); }, &slot.cached);
-        } else {
-          slot.result = runContainedJob(jobs[i]);
-        }
+        slot.result = compileThroughCache(jobs[i], slot.cached);
         slot.serviceMs = jobTimer.elapsedMs();
         release(*conn);
       }));
@@ -687,8 +689,8 @@ struct ServiceDaemon::Impl {
         row.set("status", json::Value::string(reject[i]));
       } else {
         if (slots[i].result.ok) ++ok;
-        fillResultFields(row, jobs[i].name, slots[i].result, slots[i].cached, slots[i].serviceMs,
-                         wantVerilog[i] != 0);
+        fillResultFields(row, jobs[i].name, std::move(slots[i].result), slots[i].cached,
+                         slots[i].serviceMs, wantVerilog[i] != 0);
       }
       rows.push(std::move(row));
     }
@@ -894,17 +896,16 @@ struct ServiceDaemon::Impl {
       }
       if (!keep) break;
     }
-    {
-      // Closed under connMutex so the shutdown path can never shutdown()
-      // a reused fd number.
-      std::lock_guard<std::mutex> lock(connMutex);
-      ::close(conn->fd);
-      conn->fd = -1;
-      connections.remove(conn);
-      --activeHandlers;
-      connGone.notify_all();
-    }
+    // Closed under connMutex so the shutdown path can never shutdown() a
+    // reused fd number. Nothing of *this is touched after activeHandlers
+    // drops: shutdown may destroy the daemon as soon as it reads zero.
+    std::lock_guard<std::mutex> lock(connMutex);
+    ::close(conn->fd);
+    conn->fd = -1;
+    connections.remove(conn);
     metrics.recordConnectionClosed();
+    --activeHandlers;
+    connGone.notify_all();
   }
 
   void acceptLoop() {
@@ -1063,6 +1064,7 @@ bool ServiceClient::connect(const std::string& socketPath, std::string& error) {
     close();
     return false;
   }
+  reader_ = LineReader(fd_);
   return true;
 }
 
@@ -1071,30 +1073,7 @@ void ServiceClient::close() {
     ::close(fd_);
     fd_ = -1;
   }
-  inbox_.clear();
-}
-
-bool ServiceClient::readLine(std::string& line, std::string& error) {
-  while (true) {
-    const size_t nl = inbox_.find('\n');
-    if (nl != std::string::npos) {
-      line.assign(inbox_, 0, nl);
-      inbox_.erase(0, nl + 1);
-      return true;
-    }
-    char chunk[65536];
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n == 0) {
-      error = "connection closed by the daemon";
-      return false;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      error = fmt("recv(): %0", std::strerror(errno));
-      return false;
-    }
-    inbox_.append(chunk, static_cast<size_t>(n));
-  }
+  reader_ = LineReader();
 }
 
 bool ServiceClient::request(const json::Value& req, json::Value& response, std::string& error) {
@@ -1123,7 +1102,14 @@ bool ServiceClient::requestRaw(const std::string& line, std::string& rawResponse
     error = fmt("send(): %0", std::strerror(errno));
     return false;
   }
-  return readLine(rawResponse, error);
+  switch (reader_.next(rawResponse)) {
+    case LineReader::Status::Line: return true;
+    case LineReader::Status::Eof: error = "connection closed by the daemon"; return false;
+    case LineReader::Status::Oversized: // uncapped reader: never returned
+    case LineReader::Status::Error: break;
+  }
+  error = fmt("recv(): %0", std::strerror(errno));
+  return false;
 }
 
 bool ServiceClient::sendBytes(const std::string& bytes, std::string& error) {

@@ -39,6 +39,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -174,6 +175,28 @@ class ServiceDaemon {
   std::unique_ptr<Impl> impl_;
 };
 
+/// Buffered newline-framed reader over a blocking socket. The daemon reads
+/// requests with it (capped at ServiceConfig::maxRequestBytes) and
+/// ServiceClient reads responses (uncapped). Every received byte is
+/// scanned for the newline once, however many recv() calls a frame takes.
+class LineReader {
+ public:
+  enum class Status { Line, Eof, Oversized, Error };
+
+  explicit LineReader(int fd = -1, int64_t maxLineBytes = std::numeric_limits<int64_t>::max())
+      : fd_(fd), maxLineBytes_(maxLineBytes) {}
+
+  /// The next line, newline stripped. Eof: the peer closed (a partial
+  /// line is a truncated frame). Error: recv() failed and errno says why.
+  Status next(std::string& line);
+
+ private:
+  int fd_;
+  int64_t maxLineBytes_;
+  std::string buf_;
+  size_t scanned_ = 0; ///< bytes of buf_ already known to hold no newline
+};
+
 /// One client connection to a roccc-ccd socket. Blocking, line-oriented;
 /// used by tools/roccc_client.cpp, the tests, and bench_service.
 class ServiceClient {
@@ -201,10 +224,8 @@ class ServiceClient {
   bool sendBytes(const std::string& bytes, std::string& error);
 
  private:
-  bool readLine(std::string& line, std::string& error);
-
   int fd_ = -1;
-  std::string inbox_; ///< bytes read past the last returned line
+  LineReader reader_; ///< holds bytes read past the last returned line
 };
 
 /// Builds a `compile` request for (name, source) with an options object;

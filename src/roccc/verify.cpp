@@ -7,6 +7,7 @@
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
 #include "mir/exec.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "vhdl/testbench.hpp"
@@ -174,25 +175,6 @@ uint64_t digestIO(const hlir::KernelInfo& kernel, const interp::KernelIO& golden
   for (const auto& so : kernel.scalarOutputs) mixScalar(so.name);
   for (const auto& fb : kernel.feedbacks) mixScalar(fb.name);
   return d;
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += fmt("\\u00%0%1", "0123456789abcdef"[(c >> 4) & 0xf], "0123456789abcdef"[c & 0xf]);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 } // namespace
@@ -476,22 +458,24 @@ std::string VerifyReport::toJson() const {
     const KernelVerdict& v = verdicts[i];
     w.line("{");
     w.indent();
-    w.line(fmt("\"kernel\": \"%0\",", jsonEscape(v.kernel)));
+    w.line(fmt("\"kernel\": \"%0\",", json::escape(v.kernel)));
     w.line(fmt("\"outcome\": \"%0\",", compileOutcomeName(v.outcome)));
     w.line(fmt("\"agree\": %0,", v.agree ? "true" : "false"));
     w.line(fmt("\"testbenchPassed\": %0,", v.testbenchPassed ? "true" : "false"));
     w.line(fmt("\"enginesRun\": %0,", v.enginesRun));
     w.line(fmt("\"iterations\": %0,", v.iterations));
     w.line(fmt("\"outputDigest\": \"%0\",", fmt("%0", v.outputDigest)));
-    if (!v.compileError.empty()) w.line(fmt("\"compileError\": \"%0\",", jsonEscape(v.compileError)));
+    if (!v.compileError.empty()) {
+      w.line(fmt("\"compileError\": \"%0\",", json::escape(v.compileError)));
+    }
     w.line("\"disagreements\": [");
     w.indent();
     for (size_t j = 0; j < v.disagreements.size(); ++j) {
       const Counterexample& ce = v.disagreements[j];
       w.line(fmt("{\"engine\": \"%0\", \"port\": \"%1\", \"index\": %2, \"expected\": \"%3\", "
                  "\"got\": \"%4\", \"detail\": \"%5\"}%6",
-                 verifyEngineName(ce.engine), jsonEscape(ce.port), ce.index, jsonEscape(ce.expected),
-                 jsonEscape(ce.got), jsonEscape(ce.detail),
+                 verifyEngineName(ce.engine), json::escape(ce.port), ce.index,
+                 json::escape(ce.expected), json::escape(ce.got), json::escape(ce.detail),
                  j + 1 < v.disagreements.size() ? "," : ""));
     }
     w.dedent();

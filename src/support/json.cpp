@@ -74,11 +74,13 @@ void Value::set(std::string_view key, Value v) {
   members_.emplace_back(std::string(key), std::move(v));
 }
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    const unsigned char c = static_cast<unsigned char>(ch);
+void escapeTo(std::string_view s, std::string& out) {
+  size_t run = 0; // start of the pending run of verbatim bytes
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -87,16 +89,20 @@ std::string escape(std::string_view s) {
       case '\t': out += "\\t"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += ch;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(u, sizeof u);
+      }
     }
   }
+  out.append(s, run, s.size() - run);
+}
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  escapeTo(s, out);
   return out;
 }
 
@@ -118,7 +124,7 @@ void dumpTo(const Value& v, std::string& out) {
     }
     case Value::Kind::String:
       out += '"';
-      out += escape(v.asString());
+      escapeTo(v.asString(), out);
       out += '"';
       return;
     case Value::Kind::Array: {
@@ -139,7 +145,7 @@ void dumpTo(const Value& v, std::string& out) {
         if (!first) out += ',';
         first = false;
         out += '"';
-        out += escape(key);
+        escapeTo(key, out);
         out += "\":";
         dumpTo(member, out);
       }
@@ -315,8 +321,14 @@ class Parser {
       }
       if (c < 0x20) return fail("raw control character in string");
       if (c != '\\') {
-        out += static_cast<char>(c);
-        ++pos_;
+        // Copy the whole run of plain bytes up to the next quote,
+        // backslash or control byte in one append.
+        const size_t start = pos_;
+        while (++pos_ < text_.size()) {
+          const unsigned char d = static_cast<unsigned char>(text_[pos_]);
+          if (d == '"' || d == '\\' || d < 0x20) break;
+        }
+        out.append(text_, start, pos_ - start);
         continue;
       }
       ++pos_; // backslash

@@ -85,9 +85,13 @@ class Value {
 /// escapes, truncation, or nesting beyond `maxDepth`.
 bool parse(std::string_view text, Value& out, std::string& error, int maxDepth = 64);
 
-/// JSON string-literal escaping of `s` (quotes not included). All control
-/// characters become \uXXXX (or the short escapes), so the output never
-/// contains a raw newline.
+/// Appends the JSON string-literal escaping of `s` (quotes not included)
+/// to `out`. All control characters become \u00XX (or the short escapes),
+/// so the output never contains a raw newline. Runs of bytes that need no
+/// escape are appended whole.
+void escapeTo(std::string_view s, std::string& out);
+
+/// escapeTo into a fresh string.
 std::string escape(std::string_view s);
 
 } // namespace roccc::json

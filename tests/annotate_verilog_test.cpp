@@ -6,6 +6,7 @@
 #include "dp/eval.hpp"
 #include "rtl/from_dp.hpp"
 #include "roccc/compiler.hpp"
+#include "support/json.hpp"
 #include "support/strings.hpp"
 #include "vhdl/verilog.hpp"
 
@@ -57,6 +58,17 @@ TEST(Annotation, JsonExportIsWellFormedAndComplete) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
   EXPECT_NE(json.find("\"fir_dp\""), std::string::npos);
+}
+
+TEST(Annotation, JsonExportEscapesControlCharactersInNames) {
+  CompileResult r = compile(kFir);
+  r.datapath.name = "fir\r\x01dp";
+  r.datapath.values.front().name = "v\r\x01\"";
+  json::Value doc;
+  std::string error;
+  ASSERT_TRUE(json::parse(dp::exportJson(r.datapath), doc, error)) << error;
+  EXPECT_EQ(doc.find("name")->asString(), "fir\r\x01dp");
+  EXPECT_EQ(doc.find("values")->items().front().find("name")->asString(), "v\r\x01\"");
 }
 
 TEST(Annotation, ForceStageRepipelines) {

@@ -394,6 +394,55 @@ TEST(CompileCacheDisk, WarmRestartServesFromDisk) {
   fs::remove_all(dir);
 }
 
+TEST(CompileCache, EntryCarriesTheVhdlDigest) {
+  CompileResult r = runContainedJob({"k", kSmallKernel, {}});
+  ASSERT_TRUE(r.ok);
+  const CacheEntry plain = CacheEntry::fromResult(r);
+  EXPECT_TRUE(plain.vhdlSha256.empty()); // the compiler itself never hashes
+  r.vhdlSha256 = sha256Hex(r.vhdl);
+  const CacheEntry digested = CacheEntry::fromResult(r);
+  EXPECT_EQ(digested.vhdlSha256, r.vhdlSha256);
+  EXPECT_EQ(digested.toResult().vhdlSha256, r.vhdlSha256);
+  EXPECT_EQ(digested.byteSize() - plain.byteSize(), 64);
+}
+
+TEST(CompileCacheDisk, DigestIsRecomputedOnLoadNotStored) {
+  const std::string dir = freshDir("digest");
+  const CompileOptions options;
+  const std::string key = computeCacheKey(kSmallKernel, options);
+  std::string digest;
+  {
+    CacheConfig cfg;
+    cfg.diskDir = dir;
+    CompileCache cache(cfg);
+    auto compute = [&] {
+      CompileResult r = runContainedJob({"k", kSmallKernel, options});
+      r.vhdlSha256 = sha256Hex(r.vhdl);
+      return r;
+    };
+    const CompileResult miss = cache.getOrCompute(key, options, compute);
+    digest = miss.vhdlSha256;
+    ASSERT_EQ(digest.size(), 64u);
+    bool hit = false;
+    EXPECT_EQ(cache.getOrCompute(key, options, compute, &hit).vhdlSha256, digest);
+    EXPECT_TRUE(hit);
+  }
+  // The entry file keeps its format: no digest in it.
+  std::ifstream in(fs::path(dir) / (key + ".entry"), std::ios::binary);
+  std::ostringstream file;
+  file << in.rdbuf();
+  ASSERT_FALSE(file.str().empty());
+  EXPECT_EQ(file.str().find(digest), std::string::npos);
+  // A new cache over the directory computes it as the entry is loaded.
+  CacheConfig cfg;
+  cfg.diskDir = dir;
+  CompileCache cache(cfg);
+  const auto entry = cache.lookup(key);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->vhdlSha256, digest);
+  fs::remove_all(dir);
+}
+
 TEST(CompileCacheDisk, CorruptEntryIsASilentMiss) {
   const std::string dir = freshDir("corrupt");
   std::vector<CompileJob> jobs{{"k", kSmallKernel, {}}};

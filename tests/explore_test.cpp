@@ -12,6 +12,7 @@
 
 #include "../bench/kernels.hpp"
 #include "roccc/cache.hpp"
+#include "support/json.hpp"
 
 namespace roccc {
 namespace {
@@ -345,6 +346,25 @@ TEST(ExploreDeterminism, OutcomeSummaryCountsEveryPoint) {
   ASSERT_EQ(sweep.frontiers.size(), 2u);
   EXPECT_TRUE(sweep.frontiers[1].points.empty());
   EXPECT_NE(sweep.bestReport().find("no viable point"), std::string::npos);
+}
+
+TEST(ExploreDeterminism, JsonEscapesControlCharactersInNamesAndErrors) {
+  SweepResult sweep;
+  SweepPointResult p;
+  p.point.kernel = "k\r\x01";
+  p.point.label = "label\r\x01";
+  p.outcome = PointOutcome::FrontendError;
+  p.error = "error\r\x01";
+  sweep.points.push_back(p);
+  sweep.frontiers.push_back({"k\r\x01", {0}, 0});
+  json::Value doc;
+  std::string error;
+  ASSERT_TRUE(json::parse(sweep.toJson(), doc, error)) << error;
+  const json::Value& row = doc.find("results")->items().front();
+  EXPECT_EQ(row.find("kernel")->asString(), "k\r\x01");
+  EXPECT_EQ(row.find("label")->asString(), "label\r\x01");
+  EXPECT_EQ(row.find("error")->asString(), "error\r\x01");
+  EXPECT_EQ(doc.find("frontiers")->items().front().find("best")->asString(), "label\r\x01");
 }
 
 } // namespace

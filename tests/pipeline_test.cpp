@@ -7,6 +7,7 @@
 #include "frontend/sema.hpp"
 #include "hlir/transforms.hpp"
 #include "roccc/compiler.hpp"
+#include "support/json.hpp"
 
 namespace roccc {
 namespace {
@@ -228,6 +229,19 @@ TEST(Pipeline, StatsJsonShape) {
   EXPECT_NE(json.find("\"stages\": "), std::string::npos);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'), std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['), std::count(json.begin(), json.end(), ']'));
+}
+
+TEST(Pipeline, StatsJsonEscapesControlCharactersInNames) {
+  PassStatistics s;
+  s.name = "pass\r\x01";
+  s.ran = true;
+  s.add("counter\r\x01", 7);
+  json::Value doc;
+  std::string error;
+  ASSERT_TRUE(json::parse(statsToJson({s}), doc, error)) << error;
+  const json::Value& pass = doc.find("passes")->items().front();
+  EXPECT_EQ(pass.find("name")->asString(), "pass\r\x01");
+  EXPECT_EQ(pass.find("counters")->find("counter\r\x01")->asInt(), 7);
 }
 
 TEST(Pipeline, PrintAfterCapturesRequestedSnapshots) {

@@ -19,9 +19,13 @@
 // whole file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <thread>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "../bench/kernels.hpp"
 #include "roccc/driver.hpp"
@@ -340,6 +344,48 @@ TEST_F(ServiceNetProtocol, BlankLinesAreKeepAliveNoise) {
   EXPECT_EQ(fieldString(resp, "type"), "pong");
 }
 
+// The one framed reader both ends use: frames that arrive together, a
+// frame spread over many recv() calls, and the peer closing mid-frame.
+TEST(ServiceNetFraming, LineReaderSplitsCoalescedAndFragmentedFrames) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::string big(1 << 20, 'v');
+  big[12345] = 'w';
+  std::thread writer([&] {
+    const std::string stream = "first\nsecond\n" + big + "\nthird\npartial";
+    // Small writes so the big frame needs many reads.
+    for (size_t off = 0; off < stream.size(); off += 4000) {
+      const std::string_view piece = std::string_view(stream).substr(off, 4000);
+      if (::send(fds[1], piece.data(), piece.size(), 0) != static_cast<ssize_t>(piece.size())) {
+        ADD_FAILURE() << "send failed at byte " << off;
+        break;
+      }
+    }
+    ::close(fds[1]);
+  });
+  LineReader reader(fds[0]);
+  std::string line;
+  ASSERT_EQ(reader.next(line), LineReader::Status::Line);
+  EXPECT_EQ(line, "first");
+  ASSERT_EQ(reader.next(line), LineReader::Status::Line);
+  EXPECT_EQ(line, "second");
+  ASSERT_EQ(reader.next(line), LineReader::Status::Line);
+  EXPECT_EQ(line, big);
+  ASSERT_EQ(reader.next(line), LineReader::Status::Line);
+  EXPECT_EQ(line, "third");
+  EXPECT_EQ(reader.next(line), LineReader::Status::Eof); // "partial" is a truncated frame
+  writer.join();
+  ::close(fds[0]);
+
+  // The daemon's cap still applies to a frame that arrives whole.
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_EQ(::send(fds[1], "0123456789\n", 11, 0), 11);
+  LineReader capped(fds[0], 8);
+  EXPECT_EQ(capped.next(line), LineReader::Status::Oversized);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
 // --- compile / batch ---------------------------------------------------------
 
 TEST(ServiceNetCompile, DaemonBytesMatchLocalCompile) {
@@ -487,6 +533,95 @@ TEST(ServiceNetCompile, DiskCacheSurvivesDaemonGenerations) {
     ASSERT_NE(cached, nullptr);
     EXPECT_TRUE(cached->asBool());
     EXPECT_EQ(fieldString(resp, "vhdl"), bytes);
+  }
+}
+
+/// One compile over `client`; the response's sha256 must be the SHA-256 of
+/// its vhdl. Returns the response's `cached` flag.
+bool expectDigestMatchesVhdl(ServiceClient& client, const std::string& source,
+                             const std::string& what) {
+  Value resp;
+  std::string error;
+  EXPECT_TRUE(client.request(makeCompileRequest("k.c", source, {}), resp, error)) << error;
+  EXPECT_EQ(fieldString(resp, "status"), "ok") << what;
+  const std::string vhdl = fieldString(resp, "vhdl");
+  EXPECT_FALSE(vhdl.empty()) << what;
+  EXPECT_EQ(fieldString(resp, "sha256"), sha256Hex(vhdl)) << what;
+  const Value* cached = resp.find("cached");
+  return cached && cached->isBool() && cached->asBool();
+}
+
+// The digest rides in the cache entry: computed on a miss, replayed by
+// hits and coalesced waiters, recomputed on a tier-2 load, and computed
+// at the response when no cache is attached.
+TEST(ServiceNetCompile, Sha256MatchesTheVhdlOnEveryServePath) {
+  const std::string dir = freshDir("digest");
+  {
+    Harness h("digest_gen1");
+    h.cfg.workers = 4;
+    h.cfg.maxQueue = 64;
+    h.cfg.cacheEnabled = true;
+    h.cfg.cache.diskDir = dir;
+    h.start();
+    auto client = h.connect();
+    EXPECT_FALSE(expectDigestMatchesVhdl(*client, kSmallKernel, "miss"));
+    EXPECT_TRUE(expectDigestMatchesVhdl(*client, kSmallKernel, "warm hit"));
+
+    // A 16-connection stampede on a key nobody has compiled yet: one
+    // leader compiles, the rest wait on it or hit what it stored.
+    const std::string fresh = std::string(kSmallKernel) + "// stampede\n";
+    constexpr int kClients = 16;
+    std::vector<std::thread> threads;
+    std::vector<int> cached(kClients, 0);
+    for (int c = 0; c < kClients; ++c) {
+      threads.emplace_back([&, c] {
+        ServiceClient one;
+        std::string error;
+        ASSERT_TRUE(one.connect(h.cfg.socketPath, error)) << error;
+        cached[c] = expectDigestMatchesVhdl(one, fresh, "stampede client " + std::to_string(c));
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(std::count(cached.begin(), cached.end(), 0), 1); // exactly one compile
+    h.daemon->stop();
+  }
+  {
+    // Same --cache-dir, new daemon: the first request loads from disk.
+    Harness h("digest_gen2");
+    h.cfg.workers = 1;
+    h.cfg.cacheEnabled = true;
+    h.cfg.cache.diskDir = dir;
+    h.start();
+    auto client = h.connect();
+    EXPECT_TRUE(expectDigestMatchesVhdl(*client, kSmallKernel, "tier-2 load"));
+    EXPECT_TRUE(expectDigestMatchesVhdl(*client, kSmallKernel, "hit after tier-2 load"));
+  }
+  {
+    // An entry another producer (roccc-cc --cache-dir: a CompileService
+    // over a disk-backed cache, which never hashes) put in the disk tier.
+    const std::string source = std::string(kSmallKernel) + "// from roccc-cc\n";
+    CacheConfig cc;
+    cc.diskDir = dir;
+    CompileService service(1);
+    service.setCache(std::make_shared<CompileCache>(cc));
+    const BatchResult batch = service.compileBatch({{"k.c", source, {}}});
+    ASSERT_TRUE(batch.results[0].ok);
+    EXPECT_TRUE(batch.results[0].vhdlSha256.empty());
+
+    Harness h("digest_gen3");
+    h.cfg.workers = 1;
+    h.cfg.cacheEnabled = true;
+    h.cfg.cache.diskDir = dir;
+    h.start();
+    auto client = h.connect();
+    EXPECT_TRUE(expectDigestMatchesVhdl(*client, source, "entry stored by roccc-cc"));
+  }
+  {
+    Harness h("digest_nocache");
+    h.cfg.workers = 1;
+    h.start();
+    auto client = h.connect();
+    EXPECT_FALSE(expectDigestMatchesVhdl(*client, kSmallKernel, "cache-disabled daemon"));
   }
 }
 

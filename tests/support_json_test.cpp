@@ -1,0 +1,181 @@
+// The JSON string codec (src/support/json.hpp): escape/escapeTo on the
+// write side, the string scanner of json::parse on the read side.
+//
+// Every daemon response carries the generated VHDL as one JSON string, so
+// both directions copy runs of plain bytes in bulk. These tests pin what
+// must not change with that: the escaped bytes (against the byte-at-a-time
+// reference below), the decoded bytes, and the parser's error messages and
+// byte offsets.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "support/json.hpp"
+
+namespace roccc {
+namespace {
+
+namespace fs = std::filesystem;
+using json::Value;
+
+/// The reference escaper: one byte at a time, the short escapes for the
+/// seven characters that have one, \u00XX for every other control byte,
+/// everything else (including bytes >= 0x80) verbatim.
+std::string referenceEscape(std::string_view s) {
+  std::string out;
+  for (const char ch : s) {
+    const unsigned char c = static_cast<unsigned char>(ch);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += ch;
+        }
+    }
+  }
+  return out;
+}
+
+/// Escapes `s` both ways, checks the bytes against the reference, and
+/// checks that parsing the quoted form gives `s` back.
+void expectCodecRoundTrip(const std::string& s, const std::string& what) {
+  const std::string want = referenceEscape(s);
+  EXPECT_EQ(json::escape(s), want) << what;
+  std::string appended = "prefix";
+  json::escapeTo(s, appended);
+  EXPECT_EQ(appended, "prefix" + want) << what;
+  const std::string doc = Value::string(s).dump();
+  EXPECT_EQ(doc, "\"" + want + "\"") << what;
+  Value back;
+  std::string error;
+  ASSERT_TRUE(json::parse(doc, back, error)) << what << ": " << error;
+  EXPECT_EQ(back.asString(), s) << what;
+}
+
+std::string parseError(std::string_view text) {
+  Value v;
+  std::string error;
+  EXPECT_FALSE(json::parse(text, v, error)) << text;
+  return error;
+}
+
+TEST(JsonCodec, EveryByteAtStartMiddleAndEndOfARun) {
+  for (int b = 0; b < 256; ++b) {
+    const std::string c(1, static_cast<char>(b));
+    const std::string tag = "byte " + std::to_string(b);
+    expectCodecRoundTrip(c, tag + " alone");
+    expectCodecRoundTrip(c + "plain run", tag + " at start");
+    expectCodecRoundTrip("plain" + c + "run", tag + " in the middle");
+    expectCodecRoundTrip("plain run" + c, tag + " at end");
+  }
+}
+
+TEST(JsonCodec, AdjacentEscapes) {
+  expectCodecRoundTrip("\"\\\n\r\t\b\f\x01\x1f", "every escape kind, back to back");
+  expectCodecRoundTrip("\"\"\"", "quotes only");
+  expectCodecRoundTrip("\\\\", "backslashes only");
+  expectCodecRoundTrip("a\"b\\c\nd\x02" "e", "escapes between single plain bytes");
+  for (int a = 0; a < 0x21; ++a) {
+    for (int b = 0; b < 0x21; ++b) {
+      std::string s = "x";
+      s += static_cast<char>(a);
+      s += static_cast<char>(b);
+      s += "y";
+      expectCodecRoundTrip(s, "pair " + std::to_string(a) + "," + std::to_string(b));
+    }
+  }
+}
+
+TEST(JsonCodec, OneMegabyteRun) {
+  std::string s;
+  s.reserve(1 << 20);
+  for (size_t i = 0; s.size() < (1u << 20); ++i) s += static_cast<char>('a' + i % 26);
+  expectCodecRoundTrip(s, "1 MB plain");
+  s[s.size() / 2] = '\n';
+  s.back() = '"';
+  s.front() = '\x01';
+  expectCodecRoundTrip(s, "1 MB with escapes at start, middle and end");
+}
+
+TEST(JsonCodec, EmptyString) {
+  expectCodecRoundTrip("", "empty");
+  Value v;
+  std::string error;
+  ASSERT_TRUE(json::parse("\"\"", v, error)) << error;
+  EXPECT_EQ(v.asString(), "");
+}
+
+TEST(JsonCodec, SurrogatePairsInsideRuns) {
+  Value v;
+  std::string error;
+  ASSERT_TRUE(json::parse("\"\\ud83d\\ude00\"", v, error)) << error;
+  EXPECT_EQ(v.asString(), "\xf0\x9f\x98\x80");
+  ASSERT_TRUE(json::parse("\"head \\ud83d\\ude00 mid \\uD834\\uDD1E tail\"", v, error)) << error;
+  EXPECT_EQ(v.asString(), "head \xf0\x9f\x98\x80 mid \xf0\x9d\x84\x9e tail");
+  ASSERT_TRUE(json::parse("\"\\u00e9\\u0041\\u20ac\"", v, error)) << error;
+  EXPECT_EQ(v.asString(), "\xc3\xa9" "A" "\xe2\x82\xac");
+  // Raw UTF-8 passes through untouched in both directions.
+  expectCodecRoundTrip("caf\xc3\xa9 \xf0\x9f\x98\x80", "raw UTF-8");
+}
+
+TEST(JsonCodec, ErrorMessagesAndByteOffsets) {
+  // Values pinned on the byte-at-a-time scanner.
+  EXPECT_EQ(parseError("\"ab\x01" "c\""), "raw control character in string at byte 3");
+  EXPECT_EQ(parseError("\"\x1f\""), "raw control character in string at byte 1");
+  EXPECT_EQ(parseError("\"abc\ndef\""), "raw control character in string at byte 4");
+  EXPECT_EQ(parseError("\"abc"), "unterminated string at byte 4");
+  EXPECT_EQ(parseError("\""), "unterminated string at byte 1");
+  EXPECT_EQ(parseError("\"" + std::string(1000, 'a')), "unterminated string at byte 1001");
+  EXPECT_EQ(parseError("{\"key"), "unterminated string at byte 5");
+  EXPECT_EQ(parseError("[\"a\\n\\\"b"), "unterminated string at byte 8");
+  EXPECT_EQ(parseError("\"ab\\"), "truncated escape at byte 4");
+  EXPECT_EQ(parseError("\"ab\\x\""), "bad escape character at byte 5");
+  EXPECT_EQ(parseError("\"\\u12zz\""), "bad hex digit in \\u escape at byte 3");
+  EXPECT_EQ(parseError("\"\\u12\""), "truncated \\u escape at byte 3");
+  EXPECT_EQ(parseError("\"x\\ud83d\""), "unpaired surrogate at byte 8");
+  EXPECT_EQ(parseError("\"\\ude00\""), "unpaired surrogate at byte 7");
+  EXPECT_EQ(parseError("\"\\ud83d\\u0041\""), "invalid low surrogate at byte 13");
+  EXPECT_EQ(parseError("[\"ok\",\"bad\x02\"]"), "raw control character in string at byte 10");
+}
+
+/// Every checked-in golden VHDL file (Table 1 and corpus).
+std::vector<fs::path> goldenFiles() {
+  std::vector<fs::path> files;
+  for (const char* sub : {"", "corpus"}) {
+    const fs::path dir = fs::path(ROCCC_GOLDEN_DIR) / sub;
+    for (const auto& e : fs::directory_iterator(dir)) {
+      if (e.path().extension() == ".vhd") files.push_back(e.path());
+    }
+  }
+  return files;
+}
+
+TEST(JsonCodec, GoldenVhdlEscapesLikeTheReference) {
+  const auto files = goldenFiles();
+  ASSERT_GE(files.size(), 22u);
+  for (const auto& path : files) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    expectCodecRoundTrip(buf.str(), path.filename().string());
+  }
+}
+
+} // namespace
+} // namespace roccc

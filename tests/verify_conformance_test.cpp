@@ -14,6 +14,7 @@
 
 #include "../bench/kernels.hpp"
 #include "roccc/verify.hpp"
+#include "support/json.hpp"
 
 namespace roccc {
 namespace {
@@ -130,6 +131,28 @@ TEST(VerifyConformance, CompileFailureIsAVerdictNotAnAbort) {
   }
   EXPECT_TRUE(report.allAgree()); // disagreement means a *semantic* split
   EXPECT_FALSE(report.toJson().empty());
+}
+
+TEST(VerifyConformance, JsonReportEscapesControlCharacters) {
+  VerifyReport report;
+  KernelVerdict v;
+  v.kernel = "k\r\x01";
+  v.outcome = CompileOutcome::FrontendError;
+  v.compileError = "error\r\x01";
+  Counterexample ce;
+  ce.port = "port\r\x01";
+  ce.detail = "detail\r\x01";
+  v.disagreements.push_back(ce);
+  report.verdicts.push_back(v);
+  json::Value doc;
+  std::string error;
+  ASSERT_TRUE(json::parse(report.toJson(), doc, error)) << error;
+  const json::Value& row = doc.find("verdicts")->items().front();
+  EXPECT_EQ(row.find("kernel")->asString(), "k\r\x01");
+  EXPECT_EQ(row.find("compileError")->asString(), "error\r\x01");
+  const json::Value& d = row.find("disagreements")->items().front();
+  EXPECT_EQ(d.find("port")->asString(), "port\r\x01");
+  EXPECT_EQ(d.find("detail")->asString(), "detail\r\x01");
 }
 
 // The soak invariant (PR-4 harness reuse): arming a fault point on one job
