@@ -33,6 +33,11 @@ EvalResult evaluate(const DataPath& dp, const std::vector<Value>& inputs,
   // topological per construction except pipe-node rewiring; do a simple
   // ready-loop to be safe.
   std::vector<char> done(dp.ops.size(), 0);
+  // Scratch reused by every op: operand values and the instruction shim
+  // that maps an op onto the shared semantics (evalPureOp reads op, type,
+  // imm and aux fields only; Lut gets its table separately).
+  std::vector<Value> ops;
+  mir::Instr shim;
   size_t remaining = dp.ops.size();
   size_t guard = 0;
   while (remaining > 0) {
@@ -51,8 +56,7 @@ EvalResult evaluate(const DataPath& dp, const std::vector<Value>& inputs,
       done[oi] = 1;
       --remaining;
 
-      std::vector<Value> ops;
-      ops.reserve(o.operands.size());
+      ops.clear();
       for (int vid : o.operands) ops.push_back(*values[static_cast<size_t>(vid)]);
       // Bit-pattern ops must see the declared operand widths: a narrowed
       // value holds the same number, but BitSel/BitCat index raw bits.
@@ -79,16 +83,16 @@ EvalResult evaluate(const DataPath& dp, const std::vector<Value>& inputs,
       // Map the op onto the shared semantics, evaluated at the result's
       // inferred hardware type.
       const DpValue& res = dp.values[static_cast<size_t>(o.result >= 0 ? o.result : 0)];
-      mir::Instr shim;
       shim.op = o.op;
       shim.type = o.result >= 0 ? hwType(res) : ScalarType::intTy();
       shim.imm = o.imm;
       shim.aux0 = o.aux0;
       shim.aux1 = o.aux1;
-      shim.symbol = o.symbol;
       const mir::FunctionIR::Table* table = nullptr;
-      for (const auto& t : dp.tables) {
-        if (t.name == o.symbol) table = &t;
+      if (o.op == mir::Opcode::Lut) {
+        for (const auto& t : dp.tables) {
+          if (t.name == o.symbol) table = &t;
+        }
       }
       const auto v = mir::evalPureOp(shim, ops, table);
       if (!v) throw std::runtime_error(fmt("dp eval: cannot evaluate %0", mir::opcodeName(o.op)));

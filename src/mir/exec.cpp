@@ -7,7 +7,7 @@
 
 namespace roccc::mir {
 
-std::optional<Value> evalPureOp(const Instr& in, const std::vector<Value>& ops,
+std::optional<Value> evalPureOp(const Instr& in, std::span<const Value> ops,
                                 const FunctionIR::Table* table) {
   const ScalarType rt = in.type;
   switch (in.op) {
@@ -81,6 +81,9 @@ ExecResult execute(const FunctionIR& f, const std::vector<Value>& inputs,
     return *v;
   };
 
+  // Scratch reused by every block and instruction of this invocation.
+  std::vector<std::pair<int, Value>> phiValues;
+  std::vector<Value> operands;
   int cur = 0, prev = -1;
   size_t steps = 0;
   while (true) {
@@ -88,7 +91,7 @@ ExecResult execute(const FunctionIR& f, const std::vector<Value>& inputs,
     const Block& b = f.blocks[static_cast<size_t>(cur)];
     // Phis read their pred slot against `prev` — evaluate them as a batch
     // (they conceptually execute in parallel at block entry).
-    std::vector<std::pair<int, Value>> phiValues;
+    phiValues.clear();
     size_t i = 0;
     for (; i < b.instrs.size() && b.instrs[i].op == Opcode::Phi; ++i) {
       const Instr& phi = b.instrs[i];
@@ -144,13 +147,13 @@ ExecResult execute(const FunctionIR& f, const std::vector<Value>& inputs,
         case Opcode::Ret:
           return result;
         default: {
-          std::vector<Value> operands;
-          operands.reserve(in.srcs.size());
+          operands.clear();
           for (const auto& o : in.srcs) {
             // Immediate operands adopt the result type for evaluation.
             operands.push_back(opVal(o, in.type));
           }
-          const auto v = evalPureOp(in, operands, f.findTable(in.symbol));
+          const auto v =
+              evalPureOp(in, operands, in.op == Opcode::Lut ? f.findTable(in.symbol) : nullptr);
           if (!v) throw std::runtime_error(fmt("mir exec: cannot evaluate %0", opcodeName(in.op)));
           regs[static_cast<size_t>(in.dst)] = *v;
           break;

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,8 +16,9 @@
 namespace roccc::mir {
 
 /// Evaluates a pure operation given operand values; nullopt when `in` is
-/// not pure or not evaluable (In/Phi). Lut requires `table`.
-std::optional<Value> evalPureOp(const Instr& in, const std::vector<Value>& operands,
+/// not pure or not evaluable (In/Phi). Lut requires `table`; every other
+/// opcode ignores it, so callers look a table up only for Lut.
+std::optional<Value> evalPureOp(const Instr& in, std::span<const Value> operands,
                                 const FunctionIR::Table* table);
 
 struct ExecResult {

@@ -82,7 +82,7 @@ int constantPropagate(FunctionIR& f) {
           return;
         }
       }
-      if (auto v = evalPureOp(in, ops, f.findTable(in.symbol))) {
+      if (auto v = evalPureOp(in, ops, in.op == Opcode::Lut ? f.findTable(in.symbol) : nullptr)) {
         constants.emplace(in.dst, *v);
         changed = true;
       }

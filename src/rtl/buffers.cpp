@@ -21,11 +21,16 @@ Bram::Bram(ScalarType elemType, size_t size) : elemType_(elemType) {
   data_.assign(size, Value(elemType, 0));
 }
 
-Value Bram::read(int64_t addr) const {
+Value Bram::read(int64_t addr) {
+  const Value v = peek(addr);
+  ++reads;
+  return v;
+}
+
+Value Bram::peek(int64_t addr) const {
   if (addr < 0 || addr >= size()) {
     throw std::runtime_error(fmt("BRAM read out of range: %0 (size %1)", addr, size()));
   }
-  ++const_cast<Bram*>(this)->reads;
   return data_[static_cast<size_t>(addr)];
 }
 
@@ -53,14 +58,19 @@ IterationWalker::IterationWalker(std::vector<hlir::LoopDim> loops) : loops_(std:
 }
 
 std::vector<int64_t> IterationWalker::ivsAt(int64_t t) const {
-  std::vector<int64_t> ivs(loops_.size());
+  std::vector<int64_t> ivs;
+  ivsAt(t, ivs);
+  return ivs;
+}
+
+void IterationWalker::ivsAt(int64_t t, std::vector<int64_t>& ivs) const {
+  ivs.resize(loops_.size());
   int64_t rem = t;
   for (size_t li = loops_.size(); li-- > 0;) {
     const hlir::LoopDim& l = loops_[li];
     ivs[li] = l.begin + (rem % l.trips()) * l.step;
     rem /= l.trips();
   }
-  return ivs;
 }
 
 // ---------------------------------------------------------------------------
@@ -102,10 +112,10 @@ SmartBuffer::SmartBuffer(const hlir::Stream& stream, const IterationWalker& walk
 }
 
 int64_t SmartBuffer::maxAddrOf(int64_t t) const {
-  const auto ivs = walker_.ivsAt(t);
+  walker_.ivsAt(t, ivs_);
   int64_t hi = INT64_MIN;
   for (size_t a = 0; a < stream_.offsets.size(); ++a) {
-    hi = std::max(hi, stream_.flatAddress(a, ivs));
+    hi = std::max(hi, stream_.flatAddress(a, ivs_));
   }
   return hi;
 }
@@ -121,18 +131,13 @@ void SmartBuffer::cycle(Bram& bram) {
 
 bool SmartBuffer::windowReady(int64_t t) const { return fetched_ > maxAddrOf(t); }
 
-std::vector<Value> SmartBuffer::window(const Bram& bram, int64_t t) const {
+void SmartBuffer::window(const Bram& bram, int64_t t, std::vector<Value>& out) const {
   assert(windowReady(t));
-  const auto ivs = walker_.ivsAt(t);
-  std::vector<Value> out;
-  out.reserve(stream_.offsets.size());
-  const int64_t before = bram.reads;
+  walker_.ivsAt(t, ivs_);
+  out.clear();
   for (size_t a = 0; a < stream_.offsets.size(); ++a) {
-    out.push_back(bram.read(stream_.flatAddress(a, ivs)));
+    out.push_back(bram.peek(stream_.flatAddress(a, ivs_)));
   }
-  // Those reads came from the on-chip buffer, not BRAM: undo the count.
-  const_cast<Bram&>(bram).reads = before;
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -147,9 +152,9 @@ void NaiveBuffer::cycle(Bram& bram) {
   const int64_t windowElems = static_cast<int64_t>(stream_.offsets.size());
   if (elemsFetched_ >= windowElems) return;
   const int64_t n = std::min<int64_t>(busElems_, windowElems - elemsFetched_);
-  const auto ivs = walker_.ivsAt(currentIter_);
+  walker_.ivsAt(currentIter_, ivs_);
   for (int64_t k = 0; k < n; ++k) {
-    (void)bram.read(stream_.flatAddress(static_cast<size_t>(elemsFetched_ + k), ivs));
+    (void)bram.read(stream_.flatAddress(static_cast<size_t>(elemsFetched_ + k), ivs_));
     ++fetches_;
   }
   elemsFetched_ += n;
@@ -159,16 +164,13 @@ bool NaiveBuffer::windowReady(int64_t t) const {
   return t == currentIter_ && elemsFetched_ >= static_cast<int64_t>(stream_.offsets.size());
 }
 
-std::vector<Value> NaiveBuffer::window(const Bram& bram, int64_t t) const {
+void NaiveBuffer::window(const Bram& bram, int64_t t, std::vector<Value>& out) const {
   assert(windowReady(t));
-  const auto ivs = walker_.ivsAt(t);
-  std::vector<Value> out;
-  const int64_t before = bram.reads;
+  walker_.ivsAt(t, ivs_);
+  out.clear();
   for (size_t a = 0; a < stream_.offsets.size(); ++a) {
-    out.push_back(bram.read(stream_.flatAddress(a, ivs)));
+    out.push_back(bram.peek(stream_.flatAddress(a, ivs_)));
   }
-  const_cast<Bram&>(bram).reads = before;
-  return out;
 }
 
 int64_t NaiveBuffer::capacityElems() const { return static_cast<int64_t>(stream_.offsets.size()); }
@@ -184,27 +186,33 @@ void NaiveBuffer::advance() {
 
 OutputCollector::OutputCollector(const hlir::Stream& stream, const IterationWalker& walker,
                                  int busElems, size_t fifoDepth)
-    : stream_(stream), walker_(walker), busElems_(busElems), fifoDepth_(fifoDepth) {}
+    : stream_(stream), walker_(walker), busElems_(busElems), fifoDepth_(fifoDepth),
+      fifo_(fifoDepth) {}
 
-void OutputCollector::push(int64_t t, std::vector<Value> values) {
+void OutputCollector::push(int64_t t, const std::vector<Value>& values) {
   assert(hasRoom());
   assert(values.size() == stream_.offsets.size());
-  fifo_.push_back({t, std::move(values), 0});
+  Pending& p = fifo_[(head_ + count_) % fifoDepth_];
+  p.iter = t;
+  p.values.assign(values.begin(), values.end());
+  p.written = 0;
+  ++count_;
 }
 
 void OutputCollector::cycle(Bram& bram) {
   int budget = busElems_;
-  while (budget > 0 && !fifo_.empty()) {
-    Pending& p = fifo_.front();
-    const auto ivs = walker_.ivsAt(p.iter);
+  while (budget > 0 && count_ > 0) {
+    Pending& p = fifo_[head_];
+    walker_.ivsAt(p.iter, ivs_);
     while (budget > 0 && p.written < p.values.size()) {
-      bram.write(stream_.flatAddress(p.written, ivs), p.values[p.written]);
+      bram.write(stream_.flatAddress(p.written, ivs_), p.values[p.written]);
       ++p.written;
       ++writes_;
       --budget;
     }
     if (p.written == p.values.size()) {
-      fifo_.erase(fifo_.begin());
+      head_ = (head_ + 1) % fifoDepth_;
+      --count_;
     } else {
       break;
     }

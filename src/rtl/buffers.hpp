@@ -24,7 +24,11 @@ class Bram {
   Bram(ScalarType elemType, std::vector<int64_t> contents);
   explicit Bram(ScalarType elemType, size_t size);
 
-  Value read(int64_t addr) const;
+  /// One BRAM-port read: bounds-checked and counted in `reads`.
+  Value read(int64_t addr);
+  /// Bounds-checked and not counted: the value a buffer already holds on
+  /// chip (a smart buffer serving a window from data it fetched earlier).
+  Value peek(int64_t addr) const;
   void write(int64_t addr, const Value& v);
   int64_t size() const { return static_cast<int64_t>(data_.size()); }
   std::vector<int64_t> contents() const;
@@ -46,6 +50,9 @@ class IterationWalker {
 
   int64_t totalIterations() const { return total_; }
   std::vector<int64_t> ivsAt(int64_t t) const;
+  /// Allocation-free form for per-cycle callers: resizes `ivs` to the nest
+  /// depth and fills it (its capacity survives across calls).
+  void ivsAt(int64_t t, std::vector<int64_t>& ivs) const;
 
  private:
   std::vector<hlir::LoopDim> loops_;
@@ -60,8 +67,9 @@ class InputBuffer {
   virtual void cycle(Bram& bram) = 0;
   /// True when the access window of iteration `t` is fully buffered.
   virtual bool windowReady(int64_t t) const = 0;
-  /// Window values of iteration `t` in access order (requires windowReady).
-  virtual std::vector<Value> window(const Bram& bram, int64_t t) const = 0;
+  /// Fills `out` with the window values of iteration `t` in access order
+  /// (requires windowReady). Served from buffered data: no BRAM traffic.
+  virtual void window(const Bram& bram, int64_t t, std::vector<Value>& out) const = 0;
   /// Buffer storage capacity in elements (for the area model).
   virtual int64_t capacityElems() const = 0;
   virtual int64_t fetchCount() const = 0;
@@ -77,7 +85,7 @@ class SmartBuffer final : public InputBuffer {
 
   void cycle(Bram& bram) override;
   bool windowReady(int64_t t) const override;
-  std::vector<Value> window(const Bram& bram, int64_t t) const override;
+  void window(const Bram& bram, int64_t t, std::vector<Value>& out) const override;
   int64_t capacityElems() const override { return capacity_; }
   int64_t fetchCount() const override { return fetched_ - firstAddr_; }
 
@@ -89,6 +97,7 @@ class SmartBuffer final : public InputBuffer {
   int64_t lastAddr_ = 0;  ///< largest
   int64_t fetched_;       ///< next unfetched address
   int64_t capacity_ = 0;
+  mutable std::vector<int64_t> ivs_; ///< ivsAt scratch for the per-cycle queries
 
   int64_t maxAddrOf(int64_t t) const;
 };
@@ -102,7 +111,7 @@ class NaiveBuffer final : public InputBuffer {
 
   void cycle(Bram& bram) override;
   bool windowReady(int64_t t) const override;
-  std::vector<Value> window(const Bram& bram, int64_t t) const override;
+  void window(const Bram& bram, int64_t t, std::vector<Value>& out) const override;
   int64_t capacityElems() const override;
   int64_t fetchCount() const override { return fetches_; }
 
@@ -117,6 +126,7 @@ class NaiveBuffer final : public InputBuffer {
   int64_t currentIter_ = 0;
   int64_t elemsFetched_ = 0; ///< of the current window
   int64_t fetches_ = 0;
+  mutable std::vector<int64_t> ivs_; ///< ivsAt scratch
 };
 
 /// Output side: accepts one output window per enabled iteration and drains
@@ -127,12 +137,12 @@ class OutputCollector {
   OutputCollector(const hlir::Stream& stream, const IterationWalker& walker, int busElems,
                   size_t fifoDepth = 8);
 
-  bool hasRoom() const { return fifo_.size() < fifoDepth_; }
-  /// Queues iteration t's output window (values in access order).
-  void push(int64_t t, std::vector<Value> values);
+  bool hasRoom() const { return count_ < fifoDepth_; }
+  /// Queues a copy of iteration t's output window (values in access order).
+  void push(int64_t t, const std::vector<Value>& values);
   /// One clock of drain work.
   void cycle(Bram& bram);
-  bool drained() const { return fifo_.empty(); }
+  bool drained() const { return count_ == 0; }
   int64_t writeCount() const { return writes_; }
 
  private:
@@ -141,12 +151,17 @@ class OutputCollector {
   int busElems_;
   size_t fifoDepth_;
   struct Pending {
-    int64_t iter;
+    int64_t iter = 0;
     std::vector<Value> values;
     size_t written = 0;
   };
+  /// Ring of fifoDepth_ slots whose value buffers are reused, so queueing a
+  /// window does not allocate once every slot has held one.
   std::vector<Pending> fifo_;
+  size_t head_ = 0;  ///< oldest queued window
+  size_t count_ = 0; ///< queued windows
   int64_t writes_ = 0;
+  std::vector<int64_t> ivs_; ///< ivsAt scratch
 };
 
 } // namespace roccc::rtl

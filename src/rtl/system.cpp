@@ -101,8 +101,9 @@ StreamTrace traceStreamingModel(const hlir::KernelInfo& kernel, const dp::DataPa
   const int64_t total = walker.totalIterations();
   trace.inputs.reserve(static_cast<size_t>(total));
   trace.outputs.reserve(static_cast<size_t>(total));
+  std::vector<int64_t> ivs;
   for (int64_t t = 0; t < total; ++t) {
-    const auto ivs = walker.ivsAt(t);
+    walker.ivsAt(t, ivs);
 
     std::vector<Value> inputs(dp.inputs.size());
     for (size_t p = 0; p < binding.inputs.size(); ++p) {
@@ -171,9 +172,11 @@ StreamTrace traceStreamingModel(const hlir::KernelInfo& kernel, const dp::DataPa
 
 StreamStep interpreterStep(const hlir::KernelInfo& kernel, const dp::DataPath& dp,
                            interp::Interpreter& sim) {
-  return [&kernel, &dp, &sim](const std::vector<Value>& inputs,
-                              const std::map<std::string, Value>& feedback) {
-    interp::KernelIO it;
+  // The binding map is reused across calls: every call binds the same port
+  // and feedback names, so after the first call no node is allocated.
+  return [&kernel, &dp, &sim, it = interp::KernelIO{}](
+             const std::vector<Value>& inputs,
+             const std::map<std::string, Value>& feedback) mutable {
     for (size_t p = 0; p < dp.inputs.size(); ++p) it.scalars[dp.inputs[p].name] = inputs[p].toInt();
     for (const auto& [name, v] : feedback) it.scalars[name] = v.toInt();
     const interp::KernelIO r = sim.run(kernel.dpName, it);
@@ -294,6 +297,15 @@ interp::KernelIO System::run(const interp::KernelIO& io) {
     return true;
   };
 
+  // Per-cycle scratch, reused so the clock loop does not allocate. An
+  // output window slot is either written on every capture or never, so
+  // reuse carries no value over from an earlier iteration.
+  std::vector<std::vector<Value>> windows(buffers.size());
+  std::vector<std::vector<Value>> outWindows(collectors.size());
+  for (size_t s = 0; s < kernel_.outputs.size(); ++s) {
+    outWindows[s].assign(kernel_.outputs[s].scalarNames.size(), Value());
+  }
+  std::vector<int64_t> ivs;
   int64_t cycle = 0;
   while (captured < total || !allDrained()) {
     if (++cycle > opt_.cycleLimit) {
@@ -320,11 +332,10 @@ interp::KernelIO System::run(const interp::KernelIO& io) {
     }
     if (canIssue) {
       // Present iteration `issued` to the data path.
-      std::vector<std::vector<Value>> windows(buffers.size());
       for (size_t b = 0; b < buffers.size(); ++b) {
-        windows[b] = buffers[b]->window(inBrams[b], issued);
+        buffers[b]->window(inBrams[b], issued, windows[b]);
       }
-      const auto ivs = walker.ivsAt(issued);
+      walker.ivsAt(issued, ivs);
       for (size_t p = 0; p < binding.inputs.size(); ++p) {
         const auto& src = binding.inputs[p];
         switch (src.kind) {
@@ -354,11 +365,6 @@ interp::KernelIO System::run(const interp::KernelIO& io) {
       const int64_t tOut = enabledCount - latency;
       if (tOut >= 0 && tOut < total) {
         // Capture iteration tOut's results (combinational at the final stage).
-        std::vector<std::vector<Value>> outWindows(collectors.size());
-        for (auto& w : outWindows) w.clear();
-        for (size_t s = 0; s < kernel_.outputs.size(); ++s) {
-          outWindows[s].assign(kernel_.outputs[s].scalarNames.size(), Value());
-        }
         for (size_t p = 0; p < binding.outputs.size(); ++p) {
           const auto& sink = binding.outputs[p];
           const Value v = simOutput(p);
@@ -369,7 +375,7 @@ interp::KernelIO System::run(const interp::KernelIO& io) {
           }
         }
         for (size_t c = 0; c < collectors.size(); ++c) {
-          collectors[c].push(tOut, std::move(outWindows[c]));
+          collectors[c].push(tOut, outWindows[c]);
           stats_.outputElems += static_cast<int64_t>(kernel_.outputs[c].scalarNames.size());
         }
         ++captured;
@@ -382,13 +388,18 @@ interp::KernelIO System::run(const interp::KernelIO& io) {
         ++issued;
       }
       // Snapshot feedback registers whose latest update belonged to a valid
-      // iteration (flush cycles would otherwise clobber them).
-      evalSim();
-      for (size_t f = 0; f < dp_.feedbacks.size(); ++f) {
-        const auto& fb = dp_.feedbacks[f];
-        const int64_t iterOfUpdate = (enabledCount - 1) - fb.stage;
-        if (iterOfUpdate >= 0 && iterOfUpdate < total) {
-          fbFinal[fb.name] = simOutput(dp_.outputs.size() + f).toInt();
+      // iteration (flush cycles would otherwise clobber them). eval is a pure
+      // function of register state and inputs, and every cycle evaluates
+      // again before it reads or latches, so without feedback registers this
+      // post-edge pass would read nothing.
+      if (!dp_.feedbacks.empty()) {
+        evalSim();
+        for (size_t f = 0; f < dp_.feedbacks.size(); ++f) {
+          const auto& fb = dp_.feedbacks[f];
+          const int64_t iterOfUpdate = (enabledCount - 1) - fb.stage;
+          if (iterOfUpdate >= 0 && iterOfUpdate < total) {
+            fbFinal[fb.name] = simOutput(dp_.outputs.size() + f).toInt();
+          }
         }
       }
     } else {

@@ -27,21 +27,6 @@ std::string ScalarType::str() const {
   return os.str();
 }
 
-int64_t Value::toInt() const {
-  if (!type_.isSigned || type_.width == 64) return static_cast<int64_t>(bits_);
-  const uint64_t signBit = uint64_t{1} << (type_.width - 1);
-  if (bits_ & signBit) {
-    return static_cast<int64_t>(bits_ | ~((signBit << 1) - 1));
-  }
-  return static_cast<int64_t>(bits_);
-}
-
-Value Value::convertTo(ScalarType to) const {
-  // C conversion: value is first sign/zero-extended per the *source* type,
-  // then truncated to the destination width.
-  return Value(to, static_cast<uint64_t>(toInt()));
-}
-
 Value Value::bit(int index) const {
   assert(index >= 0 && index < type_.width);
   return Value(ScalarType::boolTy(), (bits_ >> index) & 1);

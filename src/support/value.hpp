@@ -61,14 +61,20 @@ class Value {
   uint64_t bits() const { return bits_; }
 
   /// Numeric value: sign-extends if the type is signed.
-  int64_t toInt() const;
+  int64_t toInt() const {
+    if (!type_.isSigned || type_.width == 64) return static_cast<int64_t>(bits_);
+    const uint64_t signBit = uint64_t{1} << (type_.width - 1);
+    if (bits_ & signBit) return static_cast<int64_t>(bits_ | ~((signBit << 1) - 1));
+    return static_cast<int64_t>(bits_);
+  }
   /// Numeric value as unsigned (zero-extended regardless of signedness).
   uint64_t toUnsigned() const { return bits_; }
   bool toBool() const { return bits_ != 0; }
 
   /// Reinterprets / resizes to `to`: truncates or extends (sign-extend when
-  /// the *source* is signed — C conversion semantics).
-  Value convertTo(ScalarType to) const;
+  /// the *source* is signed — C conversion semantics): the value is first
+  /// sign/zero-extended per the source type, then truncated to `to.width`.
+  Value convertTo(ScalarType to) const { return Value(to, static_cast<uint64_t>(toInt())); }
 
   /// Extracts bit `index` (0 = LSB) as a 1-bit unsigned value.
   Value bit(int index) const;

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "dp/eval.hpp"
-#include "rtl/system.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "vhdl/layout.hpp"
@@ -149,9 +148,14 @@ std::vector<TestVector> makeSystemVectors(const hlir::KernelInfo& kernel, const 
                                           const interp::KernelIO& io, int extraRandom,
                                           uint64_t seed, TestbenchInfo* info) {
   interp::Interpreter sim(kernel.dpModule);
-  const rtl::StreamStep step = rtl::interpreterStep(kernel, dp, sim);
-  const rtl::StreamTrace trace = rtl::traceStreamingModel(kernel, dp, io, step);
+  const rtl::StreamTrace trace =
+      rtl::traceStreamingModel(kernel, dp, io, rtl::interpreterStep(kernel, dp, sim));
+  return makeSystemVectors(kernel, dp, trace, extraRandom, seed, info);
+}
 
+std::vector<TestVector> makeSystemVectors(const hlir::KernelInfo& kernel, const dp::DataPath& dp,
+                                          const rtl::StreamTrace& trace, int extraRandom,
+                                          uint64_t seed, TestbenchInfo* info) {
   std::vector<TestVector> vectors;
   vectors.reserve(trace.inputs.size() + static_cast<size_t>(std::max(extraRandom, 0)));
   for (size_t t = 0; t < trace.inputs.size(); ++t) {
@@ -169,6 +173,8 @@ std::vector<TestVector> makeSystemVectors(const hlir::KernelInfo& kernel, const 
   // self-consistent whatever the stimulus.
   std::map<std::string, Value> feedback = trace.finalFeedback;
   SplitMix64 rng(fnv1aMix(seed, fnv1a(kernel.kernelName)));
+  interp::Interpreter sim(kernel.dpModule);
+  const rtl::StreamStep step = rtl::interpreterStep(kernel, dp, sim);
   for (int e = 0; e < extraRandom; ++e) {
     TestVector v;
     v.inputs.reserve(dp.inputs.size());

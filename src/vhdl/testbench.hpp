@@ -11,7 +11,11 @@
 //     outputs come from the AST interpreter running the extracted data-path
 //     function. Optional seeded random extra vectors extend the sequence
 //     past the iteration space; the seed is recorded in the testbench
-//     header so any emitted file pins its exact vectors.
+//     header so any emitted file pins its exact vectors. The interpreter
+//     trace is the same one the conformance engine (roccc/verify.*) records
+//     as its oracle, so a verify job runs it once: that one trace feeds
+//     engines 2-3 and these vectors (only the extras run the interpreter
+//     again).
 //
 // simulateTestbench replays the emitted testbench's schedule (stimulus held
 // during the pipeline flush, assertions sampling pre-edge values, tb_valid
@@ -28,6 +32,7 @@
 #include "interp/interp.hpp"
 #include "rtl/netlist.hpp"
 #include "rtl/fastsim.hpp"
+#include "rtl/system.hpp"
 #include "support/value.hpp"
 
 namespace roccc::vhdl {
@@ -67,6 +72,14 @@ std::vector<TestVector> makeVectors(const dp::DataPath& dp,
 /// Fills `info` with the provenance when non-null.
 std::vector<TestVector> makeSystemVectors(const hlir::KernelInfo& kernel, const dp::DataPath& dp,
                                           const interp::KernelIO& io, int extraRandom,
+                                          uint64_t seed, TestbenchInfo* info = nullptr);
+
+/// The same vector set from an interpreter trace the caller already holds:
+/// `trace` must be rtl::traceStreamingModel over the kernel's stimulus with
+/// rtl::interpreterStep (the io form above builds exactly that, then
+/// delegates here). Only the extras run the interpreter.
+std::vector<TestVector> makeSystemVectors(const hlir::KernelInfo& kernel, const dp::DataPath& dp,
+                                          const rtl::StreamTrace& trace, int extraRandom,
                                           uint64_t seed, TestbenchInfo* info = nullptr);
 
 /// emitTestbench plus a provenance header: kernel name, loop structure,

@@ -134,6 +134,11 @@ TEST(Bram, ReadWriteAndBounds) {
   EXPECT_EQ(bram.writes, 1);
   EXPECT_THROW(bram.read(3), std::runtime_error);
   EXPECT_THROW(bram.write(-1, Value::ofInt(0)), std::runtime_error);
+  // peek is bounds-checked like read but leaves the traffic count alone.
+  EXPECT_EQ(bram.peek(0).toInt(), 10);
+  EXPECT_THROW(bram.peek(3), std::runtime_error);
+  EXPECT_THROW(bram.peek(-1), std::runtime_error);
+  EXPECT_EQ(bram.reads, 2);
 }
 
 TEST(IterationWalker, DecodesNestedLoops) {
@@ -143,6 +148,25 @@ TEST(IterationWalker, DecodesNestedLoops) {
   EXPECT_EQ(w.ivsAt(2), (std::vector<int64_t>{0, 6}));
   EXPECT_EQ(w.ivsAt(3), (std::vector<int64_t>{1, 2}));
   EXPECT_EQ(w.ivsAt(8), (std::vector<int64_t>{2, 6}));
+}
+
+TEST(IterationWalker, BufferFormMatchesAllocatingForm) {
+  const IterationWalker deep({{"i", 0, 3, 1}, {"j", 2, 8, 2}, {"k", -4, 4, 3}});
+  ASSERT_EQ(deep.totalIterations(), 27);
+  std::vector<int64_t> buf;
+  for (int64_t t = 0; t < deep.totalIterations(); ++t) {
+    deep.ivsAt(t, buf);
+    EXPECT_EQ(buf, deep.ivsAt(t)) << "t=" << t;
+  }
+  // A buffer last sized by a deeper nest is resized, not left long.
+  const IterationWalker shallow({{"i", 1, 5, 2}});
+  buf.assign(7, -99);
+  for (int64_t t = 0; t < shallow.totalIterations(); ++t) {
+    shallow.ivsAt(t, buf);
+    EXPECT_EQ(buf, shallow.ivsAt(t)) << "t=" << t;
+  }
+  deep.ivsAt(26, buf);
+  EXPECT_EQ(buf, (std::vector<int64_t>{2, 6, 2}));
 }
 
 hlir::Stream firStream() {
@@ -174,14 +198,19 @@ TEST(SmartBufferUnit, FetchesEachElementOnceAndServesWindows) {
     ++cycles;
   }
   EXPECT_EQ(cycles, 5); // window fill
-  const auto win0 = buf.window(bram, 0);
-  ASSERT_EQ(win0.size(), 5u);
-  EXPECT_EQ(win0[0].toInt(), 0);
-  EXPECT_EQ(win0[4].toInt(), 40);
+  std::vector<Value> win;
+  buf.window(bram, 0, win);
+  ASSERT_EQ(win.size(), 5u);
+  EXPECT_EQ(win[0].toInt(), 0);
+  EXPECT_EQ(win[4].toInt(), 40);
+  EXPECT_EQ(bram.reads, 5) << "serving a window reads on-chip data, not the BRAM";
   // One more fetch cycle unlocks the next window (stride 1 = reuse 4/5).
   buf.cycle(bram);
   EXPECT_TRUE(buf.windowReady(1));
-  EXPECT_EQ(buf.window(bram, 1)[0].toInt(), 10);
+  buf.window(bram, 1, win);
+  ASSERT_EQ(win.size(), 5u);
+  EXPECT_EQ(win[0].toInt(), 10);
+  EXPECT_EQ(bram.reads, 6);
   // Drain everything; total fetches equal the array size.
   for (int i = 0; i < 40; ++i) buf.cycle(bram);
   EXPECT_TRUE(buf.windowReady(15));
@@ -240,6 +269,18 @@ TEST(OutputCollectorUnit, DrainsWithBackpressure) {
   EXPECT_TRUE(col.drained());
   EXPECT_EQ(bram.contents()[0], 100);
   EXPECT_EQ(bram.contents()[1], 101);
+  // The fifo slots are reused: later windows wrap around the ring in order.
+  for (int t = 2; t < 7; ++t) {
+    ASSERT_TRUE(col.hasRoom());
+    col.push(t, {Value::ofInt(100 + t)});
+    if (t % 2 == 0) continue; // let two windows queue up
+    col.cycle(bram);
+    col.cycle(bram);
+  }
+  col.cycle(bram);
+  EXPECT_TRUE(col.drained());
+  EXPECT_EQ(col.writeCount(), 7);
+  for (int t = 0; t < 7; ++t) EXPECT_EQ(bram.contents()[static_cast<size_t>(t)], 100 + t) << t;
 }
 
 // --- VCD waveform recording ----------------------------------------------------

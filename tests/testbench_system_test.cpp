@@ -7,16 +7,24 @@
 //     feedback between vectors changes the answers);
 //   - makeSystemVectors determinism / seed sensitivity, the provenance
 //     header of emitSystemTestbench, and simulateTestbench failure
-//     localization (a corrupted expectation names the port and vector).
+//     localization (a corrupted expectation names the port and vector);
+//   - the trace form of makeSystemVectors (the one a verify job uses with
+//     its engine-1 oracle trace) against the io form over Table 1 + the
+//     corpus at unroll 1/2/4: same vectors, provenance and testbench text.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "../bench/kernels.hpp"
 #include "dp/eval.hpp"
 #include "roccc/verify.hpp"
+#include "rtl/system.hpp"
 #include "support/strings.hpp"
 #include "vhdl/check.hpp"
 #include "vhdl/testbench.hpp"
@@ -255,6 +263,74 @@ TEST(SystemTestbench, SimulatedBenchPassesOnBothEnginesAndFailsWhenCorrupted) {
         << sim.firstFailure;
     EXPECT_NE(sim.firstFailure.find(fmt("vector %0", victim)), std::string::npos)
         << sim.firstFailure;
+  }
+}
+
+// ---- one oracle trace per verify job ------------------------------------
+
+std::vector<CompileJob> table1AndCorpusJobs() {
+  struct Source {
+    std::string name, text;
+    double targetNs = 0;
+  };
+  std::vector<Source> sources;
+  for (const auto& k : bench::kTable1Kernels) {
+    sources.push_back({k.name, k.source, k.targetStageDelayNs});
+  }
+  std::vector<std::filesystem::path> files;
+  for (const auto& e : std::filesystem::directory_iterator(ROCCC_CORPUS_DIR)) {
+    if (e.path().extension() == ".c") files.push_back(e.path());
+  }
+  std::sort(files.begin(), files.end());
+  for (const auto& f : files) {
+    std::ifstream in(f);
+    std::ostringstream text;
+    text << in.rdbuf();
+    sources.push_back({f.stem().string(), text.str()});
+  }
+  std::vector<CompileJob> jobs;
+  for (const Source& s : sources) {
+    for (const int u : {1, 2, 4}) {
+      CompileJob job;
+      job.name = fmt("%0@u%1", s.name, u);
+      job.source = s.text;
+      job.options.unrollFactor = u;
+      if (s.targetNs > 0) job.options.dpOptions.targetStageDelayNs = s.targetNs;
+      jobs.push_back(std::move(job));
+    }
+  }
+  return jobs;
+}
+
+TEST(SystemTestbench, TraceFormEqualsIoFormOnTable1AndCorpus) {
+  const std::vector<CompileJob> jobs = table1AndCorpusJobs();
+  ASSERT_GE(jobs.size(), 3u * (9 + 12));
+  const BatchResult batch = CompileService(2).compileBatch(jobs);
+  const uint64_t seed = VerifyOptions{}.seed;
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    const CompileResult& r = batch.results[j];
+    ASSERT_TRUE(r.ok) << jobs[j].name << ": " << r.diags.dump();
+    const interp::KernelIO io = deterministicStimulus(r.kernel, seed);
+
+    vhdl::TestbenchInfo fromIo, fromTrace;
+    const auto want = vhdl::makeSystemVectors(r.kernel, r.datapath, io, 8, seed, &fromIo);
+    interp::Interpreter sim(r.kernel.dpModule);
+    const rtl::StreamTrace trace = rtl::traceStreamingModel(
+        r.kernel, r.datapath, io, rtl::interpreterStep(r.kernel, r.datapath, sim));
+    const auto got = vhdl::makeSystemVectors(r.kernel, r.datapath, trace, 8, seed, &fromTrace);
+
+    ASSERT_EQ(want.size(), got.size()) << jobs[j].name;
+    for (size_t t = 0; t < want.size(); ++t) {
+      EXPECT_EQ(want[t].inputs, got[t].inputs) << jobs[j].name << " vector " << t;
+      EXPECT_EQ(want[t].expectedOutputs, got[t].expectedOutputs) << jobs[j].name << " vector " << t;
+    }
+    EXPECT_EQ(fromIo.kernelName, fromTrace.kernelName) << jobs[j].name;
+    EXPECT_EQ(fromIo.traceVectors, fromTrace.traceVectors) << jobs[j].name;
+    EXPECT_EQ(fromIo.extraVectors, fromTrace.extraVectors) << jobs[j].name;
+    EXPECT_EQ(fromIo.seed, fromTrace.seed) << jobs[j].name;
+    EXPECT_EQ(vhdl::emitSystemTestbench(r.datapath, r.kernel, want, fromIo),
+              vhdl::emitSystemTestbench(r.datapath, r.kernel, got, fromTrace))
+        << jobs[j].name;
   }
 }
 

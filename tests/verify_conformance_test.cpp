@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,122 @@ TEST(VerifyConformance, Table1FiveWayAgreementAcrossUnrollFactors) {
   EXPECT_EQ(report.agreed(), 27);
 }
 
+// The report bytes for Table 1 at unroll 1 with the testbench replay. The
+// verify job's speed work (one oracle trace per job, allocation-free engine
+// steps) must not move a verdict, an iteration count or a golden digest.
+TEST(VerifyConformance, Table1ReportBytesArePinned) {
+  VerifyOptions opt;
+  opt.checkTestbench = true;
+  const VerifyReport report = verifyConformance(table1Jobs({1}), opt);
+  EXPECT_EQ(report.toJson(), R"({
+  "kernels": 9,
+  "agreed": 9,
+  "compileFailures": 0,
+  "verdicts": [
+    {
+      "kernel": "bit_correlator",
+      "outcome": "ok",
+      "agree": true,
+      "testbenchPassed": true,
+      "enginesRun": 5,
+      "iterations": 64,
+      "outputDigest": "5362887572001613501",
+      "disagreements": [
+      ]
+    },
+    {
+      "kernel": "mul_acc",
+      "outcome": "ok",
+      "agree": true,
+      "testbenchPassed": true,
+      "enginesRun": 5,
+      "iterations": 64,
+      "outputDigest": "5760826716477384048",
+      "disagreements": [
+      ]
+    },
+    {
+      "kernel": "mul_acc_predicated",
+      "outcome": "ok",
+      "agree": true,
+      "testbenchPassed": true,
+      "enginesRun": 5,
+      "iterations": 64,
+      "outputDigest": "5760826716477384048",
+      "disagreements": [
+      ]
+    },
+    {
+      "kernel": "udiv",
+      "outcome": "ok",
+      "agree": true,
+      "testbenchPassed": true,
+      "enginesRun": 5,
+      "iterations": 64,
+      "outputDigest": "14658624667340929282",
+      "disagreements": [
+      ]
+    },
+    {
+      "kernel": "square_root",
+      "outcome": "ok",
+      "agree": true,
+      "testbenchPassed": true,
+      "enginesRun": 5,
+      "iterations": 64,
+      "outputDigest": "1976747578297333165",
+      "disagreements": [
+      ]
+    },
+    {
+      "kernel": "cos",
+      "outcome": "ok",
+      "agree": true,
+      "testbenchPassed": true,
+      "enginesRun": 5,
+      "iterations": 64,
+      "outputDigest": "9864215328806911935",
+      "disagreements": [
+      ]
+    },
+    {
+      "kernel": "fir",
+      "outcome": "ok",
+      "agree": true,
+      "testbenchPassed": true,
+      "enginesRun": 5,
+      "iterations": 64,
+      "outputDigest": "6621585900715507222",
+      "disagreements": [
+      ]
+    },
+    {
+      "kernel": "dct",
+      "outcome": "ok",
+      "agree": true,
+      "testbenchPassed": true,
+      "enginesRun": 5,
+      "iterations": 8,
+      "outputDigest": "1617619072075159373",
+      "disagreements": [
+      ]
+    },
+    {
+      "kernel": "wavelet",
+      "outcome": "ok",
+      "agree": true,
+      "testbenchPassed": true,
+      "enginesRun": 5,
+      "iterations": 4096,
+      "outputDigest": "672076246571851828",
+      "disagreements": [
+      ]
+    }
+  ]
+}
+)");
+}
+
 TEST(VerifyConformance, UnrollingNeverChangesTheOutputDigest) {
   // The paper's transforms are semantics-preserving: the kernel-level
   // results (and hence the digest of the golden outputs) must be identical
@@ -64,6 +181,62 @@ TEST(VerifyConformance, UnrollingNeverChangesTheOutputDigest) {
     if (!fresh) {
       EXPECT_EQ(it->second, v.outputDigest) << v.kernel << " digest changed under unrolling";
     }
+  }
+}
+
+// Lut is the one opcode whose evaluation needs a table, and the MIR and
+// data-path engines look a table up by name for Lut ops only. A kernel with
+// one converted callee and one reading two tables must agree under both.
+TEST(VerifyConformance, LutKernelsAgreeUnderMirExecAndDpEval) {
+  const char* oneTable = R"(
+    void scale(uint6 x, int16* r) { *r = x * 5 - 100; }
+    void lut_one(const uint6 A[32], int16 B[32]) {
+      int i;
+      int16 t;
+      for (i = 0; i < 32; i = i + 1) {
+        t = 0;
+        scale(A[i], t);
+        B[i] = t + 1;
+      }
+    }
+  )";
+  const char* twoTables = R"(
+    const int16 GAMMA[16] = {0, 1, 4, 9, 16, 25, 36, 49, 64, 81, 100, 121, 144, 169, 196, 225};
+    void tri(uint5 x, int16* r) { *r = x * (x + 1) / 2; }
+    void lut_two(const uint4 A[32], const uint5 B[32], int16 C[32]) {
+      int i;
+      int16 t;
+      for (i = 0; i < 32; i = i + 1) {
+        t = 0;
+        tri(B[i], t);
+        C[i] = GAMMA[A[i]] - t;
+      }
+    }
+  )";
+  for (const auto& [source, tables] : {std::pair{oneTable, 1}, std::pair{twoTables, 2}}) {
+    const CompileResult r = Compiler().compileSource(source);
+    ASSERT_TRUE(r.ok) << r.diags.dump();
+    std::set<std::string> mirTables, dpTables;
+    for (const auto& b : r.mir.blocks) {
+      for (const auto& in : b.instrs) {
+        if (in.op == mir::Opcode::Lut) mirTables.insert(in.symbol);
+      }
+    }
+    for (const auto& o : r.datapath.ops) {
+      if (o.op == mir::Opcode::Lut) dpTables.insert(o.symbol);
+    }
+    EXPECT_EQ(mirTables.size(), static_cast<size_t>(tables)) << r.kernel.kernelName;
+    EXPECT_EQ(dpTables, mirTables) << r.kernel.kernelName;
+
+    VerifyOptions opt;
+    opt.engineMask = (1u << static_cast<int>(VerifyEngine::MirExec)) |
+                     (1u << static_cast<int>(VerifyEngine::DpEval));
+    const KernelVerdict v = verifyKernel(r.kernel.kernelName, source, r, opt);
+    EXPECT_TRUE(v.agree) << r.kernel.kernelName << ": "
+                         << (v.disagreements.empty() ? v.compileError
+                                                     : v.disagreements.front().detail);
+    EXPECT_EQ(v.enginesRun, 3) << r.kernel.kernelName;
+    EXPECT_EQ(v.iterations, 32) << r.kernel.kernelName;
   }
 }
 
