@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <functional>
 #include <sstream>
 
 #include "support/strings.hpp"
@@ -273,23 +272,28 @@ bool FunctionIR::verifySSA(std::vector<std::string>& errors) const {
 
 std::vector<int> reversePostOrder(const FunctionIR& f) {
   std::vector<int> order;
+  if (f.blocks.empty()) return order;
+  order.reserve(f.blocks.size());
   std::vector<char> visited(f.blocks.size(), 0);
-  std::function<void(int)> dfs = [&](int b) {
-    visited[static_cast<size_t>(b)] = 1;
-    for (int s : f.blocks[static_cast<size_t>(b)].succs) {
-      if (!visited[static_cast<size_t>(s)]) dfs(s);
+  // (block, next successor slot): the frames of the recursive DFS.
+  std::vector<std::pair<int, size_t>> stack{{0, 0}};
+  visited[0] = 1;
+  while (!stack.empty()) {
+    auto& [b, next] = stack.back();
+    const std::vector<int>& succs = f.blocks[static_cast<size_t>(b)].succs;
+    if (next < succs.size()) {
+      const int s = succs[next++];
+      if (!visited[static_cast<size_t>(s)]) {
+        visited[static_cast<size_t>(s)] = 1;
+        stack.emplace_back(s, 0);
+      }
+      continue;
     }
     order.push_back(b);
-  };
-  dfs(0);
+    stack.pop_back();
+  }
   std::reverse(order.begin(), order.end());
   return order;
-}
-
-bool DomTree::dominates(int a, int b) const {
-  // Walk up from b; the entry is its own idom.
-  while (b != a && idom[static_cast<size_t>(b)] != b) b = idom[static_cast<size_t>(b)];
-  return a == b;
 }
 
 DomTree computeDominators(const FunctionIR& f) {
@@ -324,6 +328,29 @@ DomTree computeDominators(const FunctionIR& f) {
         changed = true;
       }
     }
+  }
+
+  // Dominator tree, numbered by an iterative DFS for O(1) dominates().
+  dt.children.assign(f.blocks.size(), {});
+  for (size_t b = 1; b < f.blocks.size(); ++b) {
+    if (dt.idom[b] >= 0) dt.children[static_cast<size_t>(dt.idom[b])].push_back(static_cast<int>(b));
+  }
+  dt.entryTime.assign(f.blocks.size(), -1);
+  dt.exitTime.assign(f.blocks.size(), -1);
+  int clock = 0;
+  std::vector<std::pair<int, size_t>> stack{{0, 0}};
+  dt.entryTime[0] = clock++;
+  while (!stack.empty()) {
+    auto& [b, next] = stack.back();
+    const std::vector<int>& kids = dt.children[static_cast<size_t>(b)];
+    if (next < kids.size()) {
+      const int c = kids[next++];
+      dt.entryTime[static_cast<size_t>(c)] = clock++;
+      stack.emplace_back(c, 0);
+      continue;
+    }
+    dt.exitTime[static_cast<size_t>(b)] = clock++;
+    stack.pop_back();
   }
 
   // Dominance frontiers (Cytron et al.).

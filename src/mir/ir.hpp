@@ -138,15 +138,30 @@ struct FunctionIR {
 
 // --- CFG analyses ------------------------------------------------------------
 
-/// Blocks in reverse post-order from the entry (ids).
+/// Blocks in reverse post-order from the entry (ids). Successors are
+/// visited in `succs` order; the walk keeps an explicit stack, so depth is
+/// bounded by memory, not by the thread stack.
 std::vector<int> reversePostOrder(const FunctionIR& f);
 
-/// Immediate dominators (Cooper-Harvey-Kennedy). idom[entry] == entry.
+/// Immediate dominators (Cooper-Harvey-Kennedy). idom[entry] == entry;
+/// idom[b] == -1 for a block unreachable from the entry.
 struct DomTree {
   std::vector<int> idom;
+  /// Dominator-tree children per block, in increasing block id.
+  std::vector<std::vector<int>> children;
+  /// DFS entry / exit times over the dominator tree (-1 when unreachable):
+  /// a dominates b exactly when b's interval nests inside a's.
+  std::vector<int> entryTime, exitTime;
   /// Dominance frontier per block.
   std::vector<std::set<int>> frontier;
-  bool dominates(int a, int b) const;
+  /// Reflexive dominance in O(1). An unreachable block dominates nothing
+  /// and is dominated by nothing.
+  bool dominates(int a, int b) const {
+    const int ea = entryTime[static_cast<size_t>(a)];
+    const int eb = entryTime[static_cast<size_t>(b)];
+    return ea >= 0 && eb >= 0 && ea <= eb &&
+           exitTime[static_cast<size_t>(b)] <= exitTime[static_cast<size_t>(a)];
+  }
 };
 DomTree computeDominators(const FunctionIR& f);
 

@@ -1,9 +1,11 @@
 #include "mir/passes.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <map>
 #include <optional>
+#include <unordered_map>
 
 #include "mir/exec.hpp"
 #include "support/budget.hpp"
@@ -14,11 +16,12 @@ namespace roccc::mir {
 
 namespace {
 
-/// Applies `fn` to every instruction in RPO block order.
-void forEachInstrRpo(FunctionIR& f, const std::function<void(Block&, Instr&)>& fn) {
-  for (int bid : reversePostOrder(f)) {
-    Block& b = f.blocks[static_cast<size_t>(bid)];
-    for (auto& in : b.instrs) fn(b, in);
+/// Applies `fn` to every instruction in the block order `rpo` (computed
+/// once per pass: no pass edits the CFG).
+template <typename Fn>
+void forEachInstrRpo(FunctionIR& f, const std::vector<int>& rpo, Fn&& fn) {
+  for (int bid : rpo) {
+    for (auto& in : f.blocks[static_cast<size_t>(bid)].instrs) fn(in);
   }
 }
 
@@ -34,22 +37,63 @@ bool nonNegative(const FunctionIR& f, const Operand& o) {
   return false;
 }
 
+/// CSE expression identity: (op, type, imm, aux0, aux1, symbol, srcs), read
+/// through the defining instruction. An available instruction is never
+/// edited while it is in the table, so the pointer is a stable key.
+bool sameOperand(const Operand& a, const Operand& b) {
+  return a.isImm() == b.isImm() && (a.isImm() ? a.imm == b.imm : a.reg == b.reg);
+}
+
+struct ExprHash {
+  size_t operator()(const Instr* in) const {
+    size_t h = std::hash<std::string>{}(in->symbol);
+    auto mix = [&h](uint64_t v) {
+      h ^= std::hash<uint64_t>{}(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    };
+    mix(static_cast<uint64_t>(in->op));
+    mix(static_cast<uint64_t>(in->type.width) << 1 | (in->type.isSigned ? 1 : 0));
+    mix(static_cast<uint64_t>(in->imm));
+    mix(static_cast<uint64_t>(static_cast<uint32_t>(in->aux0)) << 32 | static_cast<uint32_t>(in->aux1));
+    for (const auto& o : in->srcs) {
+      mix(o.isImm() ? static_cast<uint64_t>(o.imm) : static_cast<uint64_t>(o.reg));
+      mix(o.isImm() ? 1 : 0);
+    }
+    return h;
+  }
+};
+
+struct ExprEq {
+  bool operator()(const Instr* a, const Instr* b) const {
+    return a->op == b->op && a->type == b->type && a->imm == b->imm && a->aux0 == b->aux0 &&
+           a->aux1 == b->aux1 && a->symbol == b->symbol &&
+           std::equal(a->srcs.begin(), a->srcs.end(), b->srcs.begin(), b->srcs.end(), sameOperand);
+  }
+};
+
 } // namespace
 
 int constantPropagate(FunctionIR& f) {
   int changes = 0;
-  std::map<int, Value> constants; // SSA reg -> known constant
+  const std::vector<int> rpo = reversePostOrder(f);
+  // SSA reg -> known constant (valid where `known` is set).
+  std::vector<Value> constants(static_cast<size_t>(f.regCount()));
+  std::vector<char> known(static_cast<size_t>(f.regCount()), 0);
+  auto learn = [&](int reg, Value v) {
+    constants[static_cast<size_t>(reg)] = v;
+    known[static_cast<size_t>(reg)] = 1;
+  };
+  auto isKnown = [&](int reg) { return known[static_cast<size_t>(reg)] != 0; };
+  std::vector<Value> ops;
 
   // Seed + propagate in RPO (SSA defs dominate uses, so one pass per
   // fixpoint round suffices; phi handling makes extra rounds useful).
   bool changed = true;
   while (changed) {
     changed = false;
-    forEachInstrRpo(f, [&](Block& b, Instr& in) {
-      (void)b;
-      if (!in.hasDst() || constants.count(in.dst)) return;
+    forEachInstrRpo(f, rpo, [&](Instr& in) {
+      if (!in.hasDst() || isKnown(in.dst)) return;
       if (in.op == Opcode::Ldc) {
-        constants.emplace(in.dst, Value::fromInt(in.type, in.imm));
+        learn(in.dst, Value::fromInt(in.type, in.imm));
         changed = true;
         return;
       }
@@ -57,8 +101,8 @@ int constantPropagate(FunctionIR& f) {
         // A phi whose (known) inputs all agree is that constant.
         std::optional<Value> agreed;
         for (const auto& o : in.srcs) {
-          if (!o.isReg() || !constants.count(o.reg)) return;
-          const Value v = constants.at(o.reg).convertTo(in.type);
+          if (!o.isReg() || !isKnown(o.reg)) return;
+          const Value v = constants[static_cast<size_t>(o.reg)].convertTo(in.type);
           if (!agreed) {
             agreed = v;
           } else if (!(*agreed == v)) {
@@ -66,24 +110,24 @@ int constantPropagate(FunctionIR& f) {
           }
         }
         if (agreed) {
-          constants.emplace(in.dst, *agreed);
+          learn(in.dst, *agreed);
           changed = true;
         }
         return;
       }
       if (!isPure(in.op) || in.op == Opcode::In) return;
-      std::vector<Value> ops;
+      ops.clear();
       for (const auto& o : in.srcs) {
         if (o.isImm()) {
           ops.push_back(Value::fromInt(in.type, o.imm));
-        } else if (constants.count(o.reg)) {
-          ops.push_back(constants.at(o.reg));
+        } else if (isKnown(o.reg)) {
+          ops.push_back(constants[static_cast<size_t>(o.reg)]);
         } else {
           return;
         }
       }
       if (auto v = evalPureOp(in, ops, in.op == Opcode::Lut ? f.findTable(in.symbol) : nullptr)) {
-        constants.emplace(in.dst, *v);
+        learn(in.dst, *v);
         changed = true;
       }
     });
@@ -91,20 +135,18 @@ int constantPropagate(FunctionIR& f) {
 
   // Rewrite: known-constant defs become Ldc; Mux with constant selector
   // becomes Mov of the taken side.
-  forEachInstrRpo(f, [&](Block& b, Instr& in) {
-    (void)b;
-    if (in.hasDst() && constants.count(in.dst) && in.op != Opcode::Ldc && in.op != Opcode::Phi &&
+  forEachInstrRpo(f, rpo, [&](Instr& in) {
+    if (in.hasDst() && isKnown(in.dst) && in.op != Opcode::Ldc && in.op != Opcode::Phi &&
         isPure(in.op)) {
-      const Value v = constants.at(in.dst);
       in.op = Opcode::Ldc;
-      in.imm = v.toInt();
+      in.imm = constants[static_cast<size_t>(in.dst)].toInt();
       in.srcs.clear();
       in.symbol.clear();
       ++changes;
       return;
     }
-    if (in.op == Opcode::Mux && in.srcs[0].isReg() && constants.count(in.srcs[0].reg)) {
-      const bool taken = constants.at(in.srcs[0].reg).toBool();
+    if (in.op == Opcode::Mux && in.srcs[0].isReg() && isKnown(in.srcs[0].reg)) {
+      const bool taken = constants[static_cast<size_t>(in.srcs[0].reg)].toBool();
       const Operand src = taken ? in.srcs[1] : in.srcs[2];
       in.op = Opcode::Mov;
       in.srcs = {src};
@@ -116,29 +158,30 @@ int constantPropagate(FunctionIR& f) {
 
 int copyPropagate(FunctionIR& f) {
   // Mov dst, src with identical types is a pure copy; redirect uses.
-  std::map<int, Operand> copyOf;
-  forEachInstrRpo(f, [&](Block& b, Instr& in) {
-    (void)b;
+  // copyOf[dst] is the copied operand, or a None operand for a non-copy.
+  const std::vector<int> rpo = reversePostOrder(f);
+  std::vector<Operand> copyOf(static_cast<size_t>(f.regCount()));
+  bool any = false;
+  forEachInstrRpo(f, rpo, [&](Instr& in) {
     if (in.op == Opcode::Mov && in.srcs[0].isReg() &&
         f.regTypes[static_cast<size_t>(in.srcs[0].reg)] == in.type) {
-      copyOf[in.dst] = in.srcs[0];
+      copyOf[static_cast<size_t>(in.dst)] = in.srcs[0];
+      any = true;
     }
   });
-  if (copyOf.empty()) return 0;
+  if (!any) return 0;
+  auto isCopy = [&](const Operand& o) {
+    return o.isReg() && copyOf[static_cast<size_t>(o.reg)].kind != Operand::Kind::None;
+  };
   // Resolve chains.
   auto resolve = [&](Operand o) {
-    while (o.isReg()) {
-      const auto it = copyOf.find(o.reg);
-      if (it == copyOf.end()) break;
-      o = it->second;
-    }
+    while (isCopy(o)) o = copyOf[static_cast<size_t>(o.reg)];
     return o;
   };
   int changes = 0;
-  forEachInstrRpo(f, [&](Block& b, Instr& in) {
-    (void)b;
+  forEachInstrRpo(f, rpo, [&](Instr& in) {
     for (auto& o : in.srcs) {
-      if (o.isReg() && copyOf.count(o.reg)) {
+      if (isCopy(o)) {
         o = resolve(o);
         ++changes;
       }
@@ -149,89 +192,92 @@ int copyPropagate(FunctionIR& f) {
 
 int commonSubexpressionEliminate(FunctionIR& f) {
   const DomTree dt = computeDominators(f);
-  std::vector<std::vector<int>> domChildren(f.blocks.size());
-  for (size_t b = 1; b < f.blocks.size(); ++b) {
-    if (dt.idom[b] >= 0) domChildren[static_cast<size_t>(dt.idom[b])].push_back(static_cast<int>(b));
-  }
 
-  // Expression key -> available register, scoped over the dominator tree.
-  using Key = std::string;
-  auto keyOf = [&](const Instr& in) -> Key {
-    std::string k = opcodeName(in.op);
-    k += '|' + in.type.str();
-    k += '|' + std::to_string(in.imm) + '|' + std::to_string(in.aux0) + '|' + std::to_string(in.aux1);
-    k += '|' + in.symbol;
-    for (const auto& o : in.srcs) {
-      k += o.isImm() ? fmt("|#%0", o.imm) : fmt("|v%0", o.reg);
-    }
-    return k;
-  };
-
+  // Expression -> available register, scoped over the dominator tree. A
+  // key is available at most once (a second occurrence is redundant), so
+  // leaving a scope erases what it added.
+  std::unordered_map<const Instr*, int, ExprHash, ExprEq> avail;
+  std::vector<int> replaced(static_cast<size_t>(f.regCount()), -1); // dst -> canonical reg
+  std::vector<const Instr*> pushed; // keys added, innermost scope last
   int changes = 0;
-  std::map<Key, std::vector<int>> avail; // stack per key
-  std::map<int, Operand> replaced;       // dst -> canonical reg
 
-  std::function<void(int)> walk = [&](int bid) {
-    Block& b = f.blocks[static_cast<size_t>(bid)];
-    std::vector<Key> pushed;
-    for (auto& in : b.instrs) {
+  auto walk = [&](auto& self, int bid) -> void {
+    const size_t scope = pushed.size();
+    for (auto& in : f.blocks[static_cast<size_t>(bid)].instrs) {
       // First rewrite operands through prior replacements.
       for (auto& o : in.srcs) {
-        if (o.isReg()) {
-          const auto it = replaced.find(o.reg);
-          if (it != replaced.end()) o = it->second;
+        if (o.isReg() && replaced[static_cast<size_t>(o.reg)] >= 0) {
+          o = Operand::ofReg(replaced[static_cast<size_t>(o.reg)]);
         }
       }
       if (!in.hasDst() || !isCseEligible(in.op)) continue;
-      const Key k = keyOf(in);
-      const auto it = avail.find(k);
-      if (it != avail.end() && !it->second.empty()) {
-        // Redundant: replace with a Mov so DCE can drop it once unused.
-        replaced[in.dst] = Operand::ofReg(it->second.back());
-        in.op = Opcode::Mov;
-        in.srcs = {Operand::ofReg(it->second.back())};
-        in.symbol.clear();
-        ++changes;
-      } else {
-        avail[k].push_back(in.dst);
-        pushed.push_back(k);
+      const auto [it, inserted] = avail.try_emplace(&in, in.dst);
+      if (inserted) {
+        pushed.push_back(&in);
+        continue;
       }
+      // Redundant: replace with a Mov so DCE can drop it once unused.
+      replaced[static_cast<size_t>(in.dst)] = it->second;
+      in.op = Opcode::Mov;
+      in.srcs = {Operand::ofReg(it->second)};
+      in.symbol.clear();
+      ++changes;
     }
-    for (int c : domChildren[static_cast<size_t>(bid)]) walk(c);
-    for (const auto& k : pushed) avail[k].pop_back();
+    for (int c : dt.children[static_cast<size_t>(bid)]) self(self, c);
+    for (; pushed.size() > scope; pushed.pop_back()) avail.erase(pushed.back());
   };
-  walk(0);
+  walk(walk, 0);
   if (changes) copyPropagate(f);
   return changes;
 }
 
 int deadCodeEliminate(FunctionIR& f) {
-  // Seed: side-effecting instructions; then transitive operand closure.
-  std::set<int> liveRegs;
-  bool changed = true;
-  auto markSrcs = [&](const Instr& in) {
-    bool any = false;
-    for (const auto& o : in.srcs) {
-      if (o.isReg() && liveRegs.insert(o.reg).second) any = true;
+  // Seed: operands of side-effecting instructions; then the transitive
+  // operand closure through a register -> pure-defs index, one worklist
+  // pass.
+  const size_t regs = static_cast<size_t>(f.regCount());
+  std::vector<size_t> defBegin(regs + 1, 0);
+  for (const auto& b : f.blocks) {
+    for (const auto& in : b.instrs) {
+      if (isPure(in.op) && in.hasDst()) ++defBegin[static_cast<size_t>(in.dst) + 1];
     }
-    return any;
-  };
-  while (changed) {
-    changed = false;
+  }
+  for (size_t r = 0; r < regs; ++r) defBegin[r + 1] += defBegin[r];
+  std::vector<const Instr*> defs(defBegin[regs]);
+  {
+    std::vector<size_t> fill(defBegin.begin(), defBegin.end() - 1);
     for (const auto& b : f.blocks) {
       for (const auto& in : b.instrs) {
-        if (!isPure(in.op)) {
-          if (markSrcs(in)) changed = true;
-        } else if (in.hasDst() && liveRegs.count(in.dst)) {
-          if (markSrcs(in)) changed = true;
-        }
+        if (isPure(in.op) && in.hasDst()) defs[fill[static_cast<size_t>(in.dst)]++] = &in;
       }
     }
   }
+
+  std::vector<char> live(regs, 0);
+  std::vector<int> work;
+  auto markSrcs = [&](const Instr& in) {
+    for (const auto& o : in.srcs) {
+      if (o.isReg() && !live[static_cast<size_t>(o.reg)]) {
+        live[static_cast<size_t>(o.reg)] = 1;
+        work.push_back(o.reg);
+      }
+    }
+  };
+  for (const auto& b : f.blocks) {
+    for (const auto& in : b.instrs) {
+      if (!isPure(in.op)) markSrcs(in);
+    }
+  }
+  while (!work.empty()) {
+    const size_t r = static_cast<size_t>(work.back());
+    work.pop_back();
+    for (size_t d = defBegin[r]; d < defBegin[r + 1]; ++d) markSrcs(*defs[d]);
+  }
+
   int removed = 0;
   for (auto& b : f.blocks) {
     std::erase_if(b.instrs, [&](const Instr& in) {
-      const bool dead = isPure(in.op) && in.hasDst() && !liveRegs.count(in.dst);
+      const bool dead = isPure(in.op) && in.hasDst() && !live[static_cast<size_t>(in.dst)];
       if (dead) ++removed;
       return dead;
     });
@@ -241,17 +287,17 @@ int deadCodeEliminate(FunctionIR& f) {
 
 int strengthReduce(FunctionIR& f) {
   int changes = 0;
+  const std::vector<int> rpo = reversePostOrder(f);
   // Known constants (Ldc) by register, for identity detection.
-  std::map<int, int64_t> constOf;
-  forEachInstrRpo(f, [&](Block&, Instr& in) {
-    if (in.op == Opcode::Ldc) constOf[in.dst] = Value::fromInt(in.type, in.imm).toInt();
+  std::vector<std::optional<int64_t>> constOf(static_cast<size_t>(f.regCount()));
+  forEachInstrRpo(f, rpo, [&](Instr& in) {
+    if (in.op == Opcode::Ldc) {
+      constOf[static_cast<size_t>(in.dst)] = Value::fromInt(in.type, in.imm).toInt();
+    }
   });
   auto constValue = [&](const Operand& o) -> std::optional<int64_t> {
     if (o.isImm()) return o.imm;
-    if (o.isReg()) {
-      const auto it = constOf.find(o.reg);
-      if (it != constOf.end()) return it->second;
-    }
+    if (o.isReg()) return constOf[static_cast<size_t>(o.reg)];
     return std::nullopt;
   };
   auto isPow2 = [](int64_t v) { return v > 0 && (v & (v - 1)) == 0; };
@@ -261,7 +307,7 @@ int strengthReduce(FunctionIR& f) {
     return n;
   };
 
-  forEachInstrRpo(f, [&](Block&, Instr& in) {
+  forEachInstrRpo(f, rpo, [&](Instr& in) {
     switch (in.op) {
       case Opcode::Mul: {
         for (int side = 0; side < 2; ++side) {

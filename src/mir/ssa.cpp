@@ -80,11 +80,6 @@ void buildSSA(FunctionIR& f) {
   }
 
   // Renaming via dominator-tree DFS.
-  std::vector<std::vector<int>> domChildren(f.blocks.size());
-  for (size_t b = 1; b < f.blocks.size(); ++b) {
-    if (dt.idom[b] >= 0) domChildren[static_cast<size_t>(dt.idom[b])].push_back(static_cast<int>(b));
-  }
-
   const std::set<int> renamed(multiDef.begin(), multiDef.end());
   std::map<int, std::vector<int>> stacks; // original reg -> stack of versions
   std::map<int, int> versionCount;
@@ -135,7 +130,7 @@ void buildSSA(FunctionIR& f) {
         if (slot.isReg() && renamed.count(slot.reg)) slot.reg = top(slot.reg);
       }
     }
-    for (int c : domChildren[static_cast<size_t>(bid)]) rename(c);
+    for (int c : dt.children[static_cast<size_t>(bid)]) rename(c);
     for (auto& [orig, n] : pushed) {
       for (size_t i = 0; i < n; ++i) stacks[orig].pop_back();
     }

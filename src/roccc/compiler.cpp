@@ -205,17 +205,18 @@ PassManager Compiler::buildPipeline() const {
   // spread slack so the worst stage — hence achieved fmax — improves over
   // the greedy seed placement.
   Pass retimePass{"retime", PassLayer::Dp, [](PassContext& ctx, PassStatistics& st) {
-                    synth::TimingModel model;
+                    synth::TimingModel storage;
                     std::string parseError;
-                    if (!synth::TimingModel::parse(ctx.options.timingModelSpec, model,
-                                                   parseError)) {
+                    const synth::TimingModel* model = synth::TimingModel::resolve(
+                        ctx.options.timingModelSpec, storage, parseError);
+                    if (!model) {
                       ctx.diags().error({}, "timing-model: " + parseError);
                       return false;
                     }
                     dp::RetimeOptions ro;
                     ro.targetNs = ctx.options.dpOptions.targetStageDelayNs;
                     ro.multStyle = ctx.options.dpOptions.multStyle;
-                    if (!dp::retimePipeline(ctx.result.datapath, model, ro,
+                    if (!dp::retimePipeline(ctx.result.datapath, *model, ro,
                                             ctx.result.retiming, ctx.diags())) {
                       return false;
                     }

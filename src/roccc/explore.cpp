@@ -408,18 +408,18 @@ namespace {
 /// come back as a SimError outcome on the result row.
 void collectMetrics(const SweepPoint& point, const CompileResult& r, uint64_t seed,
                     bool collectCycles, SweepPointResult& out) {
-  synth::TimingModel model = synth::TimingModel::virtex2();
-  if (!point.options.timingModelSpec.empty()) {
-    std::string err;
-    if (!synth::TimingModel::parse(point.options.timingModelSpec, model, err)) {
-      // The compile itself accepted the spec, so this cannot happen; keep
-      // the containment contract anyway.
-      out.outcome = PointOutcome::SimError;
-      out.error = fmt("timing model: %0", err);
-      return;
-    }
+  synth::TimingModel storage;
+  std::string err;
+  const synth::TimingModel* model =
+      synth::TimingModel::resolve(point.options.timingModelSpec, storage, err);
+  if (!model) {
+    // The compile itself accepted the spec, so this cannot happen; keep
+    // the containment contract anyway.
+    out.outcome = PointOutcome::SimError;
+    out.error = fmt("timing model: %0", err);
+    return;
   }
-  synth::EstimateOptions eo = synth::EstimateOptions::forModel(model);
+  synth::EstimateOptions eo = synth::EstimateOptions::forModel(*model);
   eo.useMult18 = point.config.multStyle == dp::BuildOptions::MultStyle::Mult18;
   const synth::Report est = synth::estimate(r.module, eo);
   PointMetrics& m = out.metrics;

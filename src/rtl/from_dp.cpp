@@ -53,6 +53,11 @@ class Lowering {
   bool run() {
     out_ = Module{};
     out_.name = dp_.name;
+    const size_t valueCount = dp_.values.size();
+    baseNet_.assign(valueCount, -1);
+    defStage_.assign(valueCount, -1);
+    isConst_.assign(valueCount, 0);
+    staged_.assign(valueCount, {});
     out_.latency = dp_.stageCount - 1;
 
     // Input ports.
@@ -61,8 +66,7 @@ class Lowering {
       const int net = out_.addNet(hwType(v), port.name);
       out_.inputPorts.push_back(net);
       out_.inputNames.push_back(port.name);
-      baseNet_[v.id] = net;
-      defStage_[v.id] = 0;
+      define(v.id, net, 0);
     }
 
     // Feedback registers: create output nets up front so LPR values resolve.
@@ -136,12 +140,29 @@ class Lowering {
   DiagEngine& diags_;
   bool failed_ = false;
 
-  std::map<int, int> baseNet_;              ///< value id -> net at its def stage
-  std::map<int, int> defStage_;             ///< value id -> def stage
-  std::map<std::pair<int, int>, int> staged_; ///< (value, stage) -> net
+  // Dense per-value tables, indexed by value id; -1 = not yet defined.
+  std::vector<int> baseNet_;  ///< net at the value's def stage
+  std::vector<int> defStage_; ///< def stage
+  std::vector<char> isConst_; ///< constant (stage-free)
+  /// Pipeline-register nets: staged_[v][k] carries v during stage
+  /// defStage_[v] + 1 + k. A chain is always built stage by stage, so it
+  /// is a dense prefix.
+  std::vector<std::vector<int>> staged_;
   std::map<std::string, int> fbNet_;
   std::vector<int> validAt_; ///< valid net per stage (only when feedbacks exist)
-  std::map<int, bool> isConst_;             ///< value id -> constant (stage-free)
+
+  void define(int valueId, int net, int stage) {
+    baseNet_[static_cast<size_t>(valueId)] = net;
+    defStage_[static_cast<size_t>(valueId)] = stage;
+  }
+
+  int baseNetOf(int valueId) const {
+    const int net = baseNet_[static_cast<size_t>(valueId)];
+    if (net < 0) {
+      throw InternalCompilerError(fmt("rtl: value %0 used before its definition", valueId));
+    }
+    return net;
+  }
 
   ScalarType hwType(const DpValue& v) const { return ScalarType::make(v.width, v.isSigned); }
 
@@ -181,19 +202,25 @@ class Lowering {
   /// Net carrying `value` during `stage`: the base net, advanced through a
   /// pipeline-register chain when the consumer sits in a later stage.
   int netAt(int valueId, int stage) {
-    if (isConst_[valueId]) return baseNet_.at(valueId); // constants are stage-free
-    const int def = defStage_.at(valueId);
-    if (stage <= def) return baseNet_.at(valueId);
-    const auto key = std::make_pair(valueId, stage);
-    const auto it = staged_.find(key);
-    if (it != staged_.end()) return it->second;
-    const int prev = netAt(valueId, stage - 1);
-    const DpValue& v = dp_.values[static_cast<size_t>(valueId)];
-    const int net = out_.addNet(out_.nets[static_cast<size_t>(prev)].type,
-                                fmt("%0_s%1", v.name.empty() ? fmt("t%0", v.id) : v.name, stage));
-    out_.addCell(CellKind::Reg, {prev}, net);
-    staged_[key] = net;
-    return net;
+    const size_t vi = static_cast<size_t>(valueId);
+    const int base = baseNetOf(valueId);
+    if (isConst_[vi]) return base; // constants are stage-free
+    const int def = defStage_[vi];
+    if (stage <= def) return base;
+    std::vector<int>& chain = staged_[vi];
+    const size_t depth = static_cast<size_t>(stage - def);
+    if (depth <= chain.size()) return chain[depth - 1];
+    // Extend the register chain one stage at a time up to `stage`.
+    const DpValue& v = dp_.values[vi];
+    for (size_t k = chain.size(); k < depth; ++k) {
+      const int prev = k == 0 ? base : chain[k - 1];
+      const int net = out_.addNet(out_.nets[static_cast<size_t>(prev)].type,
+                                  fmt("%0_s%1", v.name.empty() ? fmt("t%0", v.id) : v.name,
+                                      def + 1 + static_cast<int>(k)));
+      out_.addCell(CellKind::Reg, {prev}, net);
+      chain.push_back(net);
+    }
+    return chain.back();
   }
 
   void lowerOp(const DpOp& o) {
@@ -202,14 +229,12 @@ class Lowering {
         const DpValue& v = dp_.values[static_cast<size_t>(o.result)];
         const int net = out_.addConst(Value::fromInt(hwType(v), o.imm).toInt(), hwType(v),
                                       v.name.empty() ? fmt("c%0", o.imm) : v.name);
-        baseNet_[o.result] = net;
-        defStage_[o.result] = 0;
-        isConst_[o.result] = true;
+        define(o.result, net, 0);
+        isConst_[static_cast<size_t>(o.result)] = 1;
         return;
       }
       case Opcode::Lpr: {
-        baseNet_[o.result] = fbNet_.at(o.symbol);
-        defStage_[o.result] = o.stage;
+        define(o.result, fbNet_.at(o.symbol), o.stage);
         return;
       }
       case Opcode::Lut: {
@@ -224,8 +249,7 @@ class Lowering {
           }
         }
         out_.cells[static_cast<size_t>(cell)].romName = o.symbol;
-        baseNet_[o.result] = net;
-        defStage_[o.result] = o.stage;
+        define(o.result, net, o.stage);
         return;
       }
       case Opcode::BitSel: {
@@ -236,8 +260,7 @@ class Lowering {
         const int cell = out_.addCell(CellKind::Slice, {full}, net);
         out_.cells[static_cast<size_t>(cell)].aux0 = o.aux0;
         out_.cells[static_cast<size_t>(cell)].aux1 = o.aux1;
-        baseNet_[o.result] = net;
-        defStage_[o.result] = o.stage;
+        define(o.result, net, o.stage);
         return;
       }
       case Opcode::BitCat: {
@@ -248,8 +271,7 @@ class Lowering {
         const int loNet = resizeTo(operandNet(o, 1), lo.declared, lo.name + "_full");
         const int net = out_.addNet(hwType(v), resultName(o));
         out_.addCell(CellKind::Concat, {hiNet, loNet}, net);
-        baseNet_[o.result] = net;
-        defStage_[o.result] = o.stage;
+        define(o.result, net, o.stage);
         return;
       }
       default: {
@@ -259,8 +281,7 @@ class Lowering {
         for (size_t k = 0; k < o.operands.size(); ++k) ins.push_back(operandNet(o, k));
         const int net = out_.addNet(hwType(v), resultName(o));
         out_.addCell(cellFor(o.op), ins, net);
-        baseNet_[o.result] = net;
-        defStage_[o.result] = o.stage;
+        define(o.result, net, o.stage);
         return;
       }
     }

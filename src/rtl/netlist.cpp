@@ -1,6 +1,5 @@
 #include "rtl/netlist.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <sstream>
@@ -148,14 +147,15 @@ bool Module::verify(std::vector<std::string>& errors) const {
       errors.push_back(fmt("rom cell %0 has no contents", c.id));
     }
   }
+  std::vector<char> isInput(nets.size(), 0);
   for (int p : inputPorts) {
     if (nets[static_cast<size_t>(p)].driver != -1) {
       errors.push_back(fmt("input port net %0 has a driver", p));
     }
+    isInput[static_cast<size_t>(p)] = 1;
   }
   for (size_t n = 0; n < nets.size(); ++n) {
-    const bool isInput = std::find(inputPorts.begin(), inputPorts.end(), static_cast<int>(n)) != inputPorts.end();
-    if (!isInput && driverCount[n] == 0) {
+    if (!isInput[n] && driverCount[n] == 0) {
       errors.push_back(fmt("net %0 (%1) is undriven", n, nets[n].name));
     }
     if (driverCount[n] > 1) {

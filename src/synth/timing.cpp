@@ -133,6 +133,12 @@ PrimitiveCost TimingModel::cost(Primitive p, int width) const {
   return lerp(lo->second, hi->second, t);
 }
 
+const TimingModel* TimingModel::resolve(const std::string& spec, TimingModel& storage,
+                                        std::string& error) {
+  if (spec.empty()) return &virtex2();
+  return parse(spec, storage, error) ? &storage : nullptr;
+}
+
 bool TimingModel::parse(const std::string& text, TimingModel& out, std::string& error) {
   out = virtex2();
   std::vector<char> overridden(kPrimitiveCount, 0);

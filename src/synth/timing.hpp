@@ -95,6 +95,12 @@ struct TimingModel {
   /// line-numbered message in `error`.
   static bool parse(const std::string& text, TimingModel& out, std::string& error);
 
+  /// The model a compile's timing-model spec selects: virtex2() itself
+  /// when `spec` is empty (no copy), else `spec` parsed into `storage`.
+  /// Null on a parse error, with the message in `error`.
+  static const TimingModel* resolve(const std::string& spec, TimingModel& storage,
+                                    std::string& error);
+
   /// Renders the model in the file format (parse(dump()) round-trips).
   std::string dump() const;
 
