@@ -384,11 +384,12 @@ class Builder {
             break; // control flow is encoded by the mux nodes
           case Opcode::Div:
           case Opcode::Rem:
-            if (opt_.expandDividers) {
-              regValue_[in.dst] = emitRestoringDivider(in, in.op == Opcode::Rem, nodeFor());
-              break;
-            }
-            placeGenericOp(in, nodeFor());
+            // Always expanded into a restoring-divider array of sub/mux rows
+            // (one row per quotient bit). The generic latch placement then
+            // pipelines the array — this is how the compiler-generated udiv
+            // reaches a higher clock rate than the hand IP at ~3x the area
+            // (Table 1).
+            regValue_[in.dst] = emitRestoringDivider(in, in.op == Opcode::Rem, nodeFor());
             break;
           case Opcode::Mul: {
             // 'LUT' multiplier style: decompose constant multiplications

@@ -128,12 +128,6 @@ struct BuildOptions {
   /// 'LUT' multiplier style decomposes constant multiplies into shift-adds
   /// (the Table 1 FIR/DCT setting); 'Mult18' keeps hardware multipliers.
   enum class MultStyle { Lut, Mult18 } multStyle = MultStyle::Lut;
-  /// Expand Div/Rem into a restoring-divider array of sub/mux rows (one row
-  /// per quotient bit). The generic latch placement then pipelines the
-  /// array — this is how the compiler-generated udiv reaches a higher clock
-  /// rate than the hand IP at ~3x the area (Table 1). When false, division
-  /// remains a single (slow) combinational cell.
-  bool expandDividers = true;
 };
 
 /// The synth::TimingModel primitive implementing a mir opcode at the given

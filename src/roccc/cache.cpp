@@ -1,6 +1,5 @@
 #include "roccc/cache.hpp"
 
-#include <bit>
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
@@ -10,6 +9,7 @@
 
 #include <unistd.h>
 
+#include "roccc/options.hpp"
 #include "support/hash.hpp"
 #include "support/strings.hpp"
 
@@ -17,7 +17,7 @@ namespace roccc {
 
 // Bump on any change to code generation, key derivation, or the entry
 // serialization below. Old tier-2 stores then read as silent misses.
-const char* const kCacheSchema = "roccc-cache-v2";
+const char* const kCacheSchema = "roccc-cache-v3";
 
 // --- key derivation ----------------------------------------------------------
 
@@ -35,59 +35,15 @@ std::string normalizeSourceForKey(std::string_view source) {
   return out;
 }
 
-namespace {
-
-/// Bit-exact double rendering (hex of the IEEE-754 payload): "4.0" and a
-/// value that merely prints as 4.0 must not collide.
-std::string doubleBits(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<uint64_t>(v)));
-  return buf;
-}
-
-} // namespace
-
 std::string canonicalizeOptions(const CompileOptions& o) {
-  std::ostringstream s;
-  // Every field here changes what the compiler produces. Fixed order; new
-  // semantic fields must be appended (and kCacheSchema bumped).
-  //
-  // Deliberately absent: o.pipeline.printAfterAll and o.pipeline.printAfter
-  // (IR-snapshot requests — pure presentation, snapshots are never cached)
-  // and roccc-cc's --quiet (never reaches CompileOptions at all). See the
-  // KeyIgnoresPresentationFields test.
-  s << "kernel=" << o.kernelName.size() << ':' << o.kernelName << ';';
-  s << "unroll=" << o.unrollFactor << ';';
-  s << "autoUnrollSliceBudget=" << o.autoUnrollSliceBudget << ';';
-  s << "fullUnrollInnerLoops=" << (o.fullUnrollInnerLoops ? 1 : 0) << ';';
-  s << "maxInnerUnrollTrip=" << o.maxInnerUnrollTrip << ';';
-  s << "convertCallsToLuts=" << (o.convertCallsToLuts ? 1 : 0) << ';';
-  s << "lutMaxIndexBits=" << o.lutMaxIndexBits << ';';
-  s << "optimize=" << (o.optimize ? 1 : 0) << ';';
-  s << "dp.targetStageDelayNs=" << doubleBits(o.dpOptions.targetStageDelayNs) << ';';
-  s << "dp.pipeline=" << (o.dpOptions.pipeline ? 1 : 0) << ';';
-  s << "dp.inferBitWidths=" << (o.dpOptions.inferBitWidths ? 1 : 0) << ';';
-  s << "dp.widthMode=" << static_cast<int>(o.dpOptions.widthMode) << ';';
-  s << "dp.multStyle=" << static_cast<int>(o.dpOptions.multStyle) << ';';
-  s << "dp.expandDividers=" << (o.dpOptions.expandDividers ? 1 : 0) << ';';
-  // verifyEach is semantic at the margin: it can turn a latent invariant
-  // break into a structured failure, so verified and unverified compiles
-  // must not share an entry.
-  s << "pipeline.verifyEach=" << (o.pipeline.verifyEach ? 1 : 0) << ';';
-  s << "budget.timeoutMs=" << o.budget.timeoutMs << ';';
-  s << "budget.maxIrNodes=" << o.budget.maxIrNodes << ';';
-  s << "budget.maxUnrollProduct=" << o.budget.maxUnrollProduct << ';';
-  s << "budget.maxDepth=" << o.budget.maxDepth << ';';
-  // The fault-injection salt: an armed compile never shares a key with a
-  // clean one (armed results are uncacheable anyway — belt and suspenders).
-  s << "injectFaultAt=" << o.injectFaultAt.size() << ':' << o.injectFaultAt << ';';
-  // v2: timing-driven retiming. The model spec is the file's *contents*, so
-  // two --timing-model paths with identical text share an entry and editing
-  // the file changes the key.
-  s << "retimePipeline=" << (o.retimePipeline ? 1 : 0) << ';';
-  s << "timingModelSpec=" << o.timingModelSpec.size() << ':' << o.timingModelSpec << ';';
-  return s.str();
+  // The option table's rows are exactly the semantic fields; presentation
+  // fields (pipeline.printAfter*) are not rows (see the
+  // CacheKey.IgnoresPresentationOnlyFields test). Strings are quoted and
+  // escaped, doubles printed at 17 significant digits, so distinct options
+  // never share a text.
+  json::Value all = json::Value::object();
+  for (const OptionRow& row : optionTable()) all.set(row.key, optionToJson(row, o));
+  return all.dump();
 }
 
 std::string computeCacheKey(std::string_view source, const CompileOptions& options) {

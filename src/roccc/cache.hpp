@@ -67,8 +67,10 @@ namespace roccc {
 extern const char* const kCacheSchema;
 
 /// Canonical fixed-order serialization of every semantic CompileOptions
-/// field. Presentation-only fields (pipeline print/snapshot requests) are
-/// excluded by design — see the key-invariance test in tests/cache_test.cpp.
+/// field: the compact JSON protocol options object holding every row of the
+/// option table (roccc/options.hpp), in table order. Presentation-only
+/// fields (pipeline print/snapshot requests) are excluded by design — see
+/// the key-invariance test in tests/cache_test.cpp.
 std::string canonicalizeOptions(const CompileOptions& options);
 
 /// Line-ending normalization applied to source bytes before hashing

@@ -27,6 +27,12 @@ const char* compileOutcomeName(CompileOutcome outcome) {
 
 namespace {
 
+/// Callees whose argument has more bits than this stay calls (and are
+/// inlined) instead of becoming lookup tables.
+constexpr int kLutMaxIndexBits = 10;
+/// Trip-count cap for fully unrolling loops nested in the streaming loop.
+constexpr int64_t kMaxInnerUnrollTrip = 256;
+
 /// Number of instructions across all MIR blocks (pass counter helper).
 int64_t mirInstrCount(const mir::FunctionIR& f) {
   int64_t n = 0;
@@ -79,7 +85,7 @@ PassManager Compiler::buildPipeline() const {
   pm.addPass({"lut-convert", PassLayer::Hlir,
               [](PassContext& ctx, PassStatistics& st) {
                 const int luts = hlir::convertCallsToLookupTables(ctx.module, ctx.diags(),
-                                                                  ctx.options.lutMaxIndexBits);
+                                                                  kLutMaxIndexBits);
                 st.add("lut-converted", luts);
                 return !ctx.diags().hasErrors();
               },
@@ -100,7 +106,7 @@ PassManager Compiler::buildPipeline() const {
               [](PassContext& ctx, PassStatistics& st) {
                 st.add("inner-unrolled",
                        hlir::fullyUnrollInnerLoops(ctx.module, *ctx.kernel(), ctx.diags(),
-                                                   ctx.options.maxInnerUnrollTrip));
+                                                   kMaxInnerUnrollTrip));
                 return !ctx.diags().hasErrors();
               },
               opts.fullUnrollInnerLoops});

@@ -56,11 +56,9 @@ struct CompileOptions {
   /// Fully unroll loops nested inside the streaming loop (bit_correlator's
   /// per-bit scan, square root's digit recurrence, ...).
   bool fullUnrollInnerLoops = true;
-  int64_t maxInnerUnrollTrip = 256;
   /// Convert pure unary callees into lookup tables ("whenever feasible made
   /// into a lookup table", section 2).
   bool convertCallsToLuts = true;
-  int lutMaxIndexBits = 10;
   /// Run the circuit-level scalar optimizations (constant propagation,
   /// copy propagation, CSE, DCE, strength reduction).
   bool optimize = true;

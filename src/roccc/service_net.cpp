@@ -13,6 +13,7 @@
 #include <list>
 #include <thread>
 
+#include "roccc/options.hpp"
 #include "support/hash.hpp"
 #include "support/strings.hpp"
 #include "support/threadpool.hpp"
@@ -191,12 +192,6 @@ int64_t clampToCeiling(int64_t requested, int64_t ceiling) {
   return std::min(requested, ceiling);
 }
 
-bool jsonInt(const json::Value& v, int64_t& out) {
-  if (!v.isNumber() || !v.isIntegral()) return false;
-  out = v.asInt();
-  return true;
-}
-
 } // namespace
 
 bool compileOptionsFromJson(const json::Value& options, const CompileOptions& base,
@@ -207,59 +202,8 @@ bool compileOptionsFromJson(const json::Value& options, const CompileOptions& ba
     return false;
   }
   for (const auto& [key, v] : options.members()) {
-    if (key == "kernel") {
-      if (!v.isString()) { error = "option 'kernel' must be a string"; return false; }
-      out.kernelName = v.asString();
-    } else if (key == "unroll") {
-      int64_t n;
-      if (!jsonInt(v, n) || n < 1) { error = "option 'unroll' must be an integer >= 1"; return false; }
-      out.unrollFactor = static_cast<int>(n);
-    } else if (key == "targetNs") {
-      if (!v.isNumber()) { error = "option 'targetNs' must be a number"; return false; }
-      out.dpOptions.targetStageDelayNs = v.asDouble();
-    } else if (key == "retime") {
-      if (!v.isBool()) { error = "option 'retime' must be a boolean"; return false; }
-      out.retimePipeline = v.asBool();
-    } else if (key == "multStyle") {
-      if (v.isString() && v.asString() == "lut") {
-        out.dpOptions.multStyle = dp::BuildOptions::MultStyle::Lut;
-      } else if (v.isString() && v.asString() == "mult18") {
-        out.dpOptions.multStyle = dp::BuildOptions::MultStyle::Mult18;
-      } else {
-        error = "option 'multStyle' must be \"lut\" or \"mult18\"";
-        return false;
-      }
-    } else if (key == "inferWidths") {
-      if (!v.isBool()) { error = "option 'inferWidths' must be a boolean"; return false; }
-      out.dpOptions.inferBitWidths = v.asBool();
-    } else if (key == "pipeline") {
-      if (!v.isBool()) { error = "option 'pipeline' must be a boolean"; return false; }
-      out.dpOptions.pipeline = v.asBool();
-    } else if (key == "optimize") {
-      if (!v.isBool()) { error = "option 'optimize' must be a boolean"; return false; }
-      out.optimize = v.asBool();
-    } else if (key == "lutConvert") {
-      if (!v.isBool()) { error = "option 'lutConvert' must be a boolean"; return false; }
-      out.convertCallsToLuts = v.asBool();
-    } else if (key == "timeoutMs") {
-      int64_t n;
-      if (!jsonInt(v, n)) { error = "option 'timeoutMs' must be an integer"; return false; }
-      out.budget.timeoutMs = n;
-    } else if (key == "maxIrNodes") {
-      int64_t n;
-      if (!jsonInt(v, n) || n < 0) { error = "option 'maxIrNodes' must be an integer >= 0"; return false; }
-      out.budget.maxIrNodes = n;
-    } else if (key == "maxUnrollProduct") {
-      int64_t n;
-      if (!jsonInt(v, n) || n < 0) { error = "option 'maxUnrollProduct' must be an integer >= 0"; return false; }
-      out.budget.maxUnrollProduct = n;
-    } else if (key == "maxDepth") {
-      int64_t n;
-      if (!jsonInt(v, n) || n < 0) { error = "option 'maxDepth' must be an integer >= 0"; return false; }
-      out.budget.maxDepth = static_cast<int>(n);
-    } else if (key == "injectFault") {
-      if (!v.isString()) { error = "option 'injectFault' must be a string"; return false; }
-      out.injectFaultAt = v.asString();
+    if (const OptionRow* row = findOptionByKey(key)) {
+      if (!setOptionFromJson(*row, v, out, error)) return false;
     } else if (key == "verilog") {
       // Presentation only (include Verilog text in the response); the
       // caller reads it straight from the request. Type-checked here so

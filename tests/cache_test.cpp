@@ -18,6 +18,7 @@
 #include "../bench/kernels.hpp"
 #include "roccc/cache.hpp"
 #include "roccc/driver.hpp"
+#include "roccc/options.hpp"
 #include "support/hash.hpp"
 
 namespace roccc {
@@ -77,42 +78,51 @@ TEST(Sha256, StreamingUpdatesMatchOneShot) {
 
 // --- key derivation ----------------------------------------------------------
 
+/// A value different from `v`'s, valid for `row`: the next integer, twice
+/// the double, the other enum token, the negated bool, a (comment-only,
+/// hence valid) timing-model text.
+json::Value nonDefaultSample(const OptionRow& row, const json::Value& v) {
+  switch (row.kind) {
+    case OptionKind::Bool: return json::Value::boolean(!v.asBool());
+    case OptionKind::Int: return json::Value::number(v.asInt() + 1);
+    case OptionKind::PositiveDouble: return json::Value::number(v.asDouble() * 2);
+    case OptionKind::Enum:
+      return json::Value::string(v.asString() == row.tokens[0] ? row.tokens[1] : row.tokens[0]);
+    case OptionKind::String:
+    case OptionKind::FileContents: return json::Value::string(v.asString() + "# sample\n");
+  }
+  return v;
+}
+
 TEST(CacheKey, SensitiveToEverySemanticOption) {
   const CompileOptions base;
   const std::string baseKey = computeCacheKey(kSmallKernel, base);
   EXPECT_EQ(baseKey.size(), 64u);
 
-  // Each mutation must move the key: a stale hit across any of these would
-  // serve artifacts from a different compile.
-  std::vector<std::pair<const char*, CompileOptions>> variants;
-  auto add = [&](const char* label, auto mutate) {
+  // Every row of the option table is a semantic field: moving any one of
+  // them must move the key, or a stale hit would serve artifacts from a
+  // different compile.
+  for (const OptionRow& row : optionTable()) {
     CompileOptions o;
-    mutate(o);
-    variants.emplace_back(label, std::move(o));
-  };
-  add("kernelName", [](CompileOptions& o) { o.kernelName = "other"; });
-  add("unrollFactor", [](CompileOptions& o) { o.unrollFactor = 4; });
-  add("optimize", [](CompileOptions& o) { o.optimize = !o.optimize; });
-  add("targetStageDelayNs", [](CompileOptions& o) { o.dpOptions.targetStageDelayNs = 7.5; });
-  add("pipeline", [](CompileOptions& o) { o.dpOptions.pipeline = !o.dpOptions.pipeline; });
-  add("inferBitWidths",
-      [](CompileOptions& o) { o.dpOptions.inferBitWidths = !o.dpOptions.inferBitWidths; });
-  add("multStyle",
-      [](CompileOptions& o) { o.dpOptions.multStyle = dp::BuildOptions::MultStyle::Mult18; });
-  add("verifyEach", [](CompileOptions& o) { o.pipeline.verifyEach = true; });
-  add("timeoutMs", [](CompileOptions& o) { o.budget.timeoutMs = 1234; });
-  add("maxIrNodes", [](CompileOptions& o) { o.budget.maxIrNodes = 99999; });
-  add("maxUnrollProduct", [](CompileOptions& o) { o.budget.maxUnrollProduct = 512; });
-  add("maxDepth", [](CompileOptions& o) { o.budget.maxDepth = 64; });
-  add("injectFaultAt", [](CompileOptions& o) { o.injectFaultAt = "driver.job"; });
-  add("retimePipeline", [](CompileOptions& o) { o.retimePipeline = !o.retimePipeline; });
-  add("timingModelSpec",
-      [](CompileOptions& o) { o.timingModelSpec = "clock-overhead-ns 1.1\n"; });
-
-  for (const auto& [label, options] : variants) {
-    EXPECT_NE(computeCacheKey(kSmallKernel, options), baseKey) << label;
+    std::string error;
+    ASSERT_TRUE(setOptionFromJson(row, nonDefaultSample(row, optionToJson(row, base)), o, error))
+        << row.key << ": " << error;
+    EXPECT_NE(canonicalizeOptions(o), canonicalizeOptions(base)) << row.key;
+    EXPECT_NE(computeCacheKey(kSmallKernel, o), baseKey) << row.key;
   }
   EXPECT_NE(computeCacheKey("void other() {}", base), baseKey) << "source bytes";
+}
+
+TEST(CacheKey, DefaultOptionsCanonicalTextIsPinned) {
+  // The protocol options object with every option-table row, in table
+  // order. A change here changes every key and needs a kCacheSchema bump.
+  EXPECT_EQ(canonicalizeOptions({}),
+            "{\"kernel\":\"\",\"unroll\":1,\"autoUnrollBudget\":0,\"fullUnroll\":true,"
+            "\"lutConvert\":true,\"optimize\":true,\"targetNs\":4,\"pipeline\":true,"
+            "\"inferWidths\":true,\"widthMode\":\"range\",\"multStyle\":\"lut\",\"retime\":true,"
+            "\"timingModel\":\"\",\"verifyEach\":false,\"timeoutMs\":0,\"maxIrNodes\":0,"
+            "\"maxUnrollProduct\":0,\"maxDepth\":256,\"injectFault\":\"\"}");
+  EXPECT_STREQ(kCacheSchema, "roccc-cache-v3");
 }
 
 TEST(CacheKey, TimingOptionsPartitionHitsButStayByteIdenticalWithinKey) {

@@ -11,8 +11,9 @@
 # bleeding into each other's checks.
 #
 # Registered as the `cli_docs_in_sync` (roccc-cc), `ccd_cli_docs_in_sync`
-# (roccc-ccd), `client_cli_docs_in_sync` (roccc-client) — all scoped
-# regions of docs/CLI.md — and `explore_cli_docs_in_sync` (roccc-explore /
+# (roccc-ccd), `client_cli_docs_in_sync` (roccc-client),
+# `verify_cli_docs_in_sync` (roccc-verify) — all scoped regions of
+# docs/CLI.md — and `explore_cli_docs_in_sync` (roccc-explore /
 # docs/EXPLORE.md, unscoped) ctests (tests/CMakeLists.txt), and run by the
 # docs CI job.
 set -eu

@@ -179,7 +179,7 @@ TEST(Pipeline, HlirCountersMatchDirectTransformRuns) {
   DiagEngine diags;
   ast::Module m = ast::parse(kHelperSrc, diags);
   ASSERT_TRUE(ast::analyze(m, diags));
-  const int luts = hlir::convertCallsToLookupTables(m, diags, c.options().lutMaxIndexBits);
+  const int luts = hlir::convertCallsToLookupTables(m, diags, 10);
   const int inlined = hlir::inlineCalls(m, diags);
   const int folded = hlir::constantFold(m, diags);
   ast::Function* kernel = m.findFunction("k");

@@ -32,6 +32,7 @@
 #include "roccc/service_net.hpp"
 #include "support/hash.hpp"
 #include "support/json.hpp"
+#include "support/strings.hpp"
 
 namespace roccc {
 namespace {
@@ -202,6 +203,33 @@ TEST(ServiceNetOptions, UnknownKeysAndWrongTypesAreRejected) {
   EXPECT_FALSE(compileOptionsFromJson(o, base, {}, out, error));
 }
 
+TEST(ServiceNetOptions, OutOfRangeValuesAreRejected) {
+  // The option table's ranges hold at the protocol door as on the CLI:
+  // `targetNs` <= 0 used to compile, although SERVICE.md says "number > 0".
+  const std::pair<const char*, Value> bad[] = {
+      {"targetNs", Value::number(int64_t{0})},
+      {"targetNs", Value::number(-2.5)},
+      {"targetNs", Value::string("4")},
+      {"unroll", Value::number(int64_t{0})},
+      {"unroll", Value::number(int64_t{-3})},
+      {"unroll", Value::number(2.5)},
+      {"unroll", Value::number(int64_t{1} << 40)},
+      {"maxDepth", Value::number(int64_t{-1})},
+      {"widthMode", Value::string("declared")},
+      {"autoUnrollBudget", Value::number(int64_t{-1})},
+      {"timingModel", Value::string("add 8 -1 0 0 0\n")},
+      {"verifyEach", Value::number(int64_t{1})},
+  };
+  for (const auto& [key, value] : bad) {
+    CompileOptions out;
+    std::string error;
+    Value o = Value::object();
+    o.set(key, value);
+    EXPECT_FALSE(compileOptionsFromJson(o, {}, {}, out, error)) << key << "=" << value.dump();
+    EXPECT_EQ(error.rfind(fmt("option '%0' ", key), 0), 0u) << error;
+  }
+}
+
 TEST(ServiceNetOptions, SemanticFieldsApplyOverBase) {
   CompileOptions base, out;
   base.unrollFactor = 1;
@@ -293,6 +321,17 @@ TEST_F(ServiceNetProtocol, MalformedFramesGetTypedErrors) {
   std::string error;
   ASSERT_TRUE(client_->request(pingRequest(), resp, error)) << error;
   EXPECT_EQ(fieldString(resp, "type"), "pong");
+}
+
+TEST_F(ServiceNetProtocol, OutOfRangeOptionIsABadRequest) {
+  const std::string prefix =
+      "{\"proto\":\"roccc-ccd-v1\",\"type\":\"compile\",\"source\":\"void k() {}\",";
+  EXPECT_EQ(roundTripErrorCode(prefix + "\"options\":{\"targetNs\":0}}"),
+            servicecode::kBadRequest);
+  EXPECT_EQ(roundTripErrorCode(prefix + "\"options\":{\"targetNs\":-1.5}}"),
+            servicecode::kBadRequest);
+  EXPECT_EQ(roundTripErrorCode(prefix + "\"options\":{\"unroll\":0}}"),
+            servicecode::kBadRequest);
 }
 
 TEST_F(ServiceNetProtocol, ErrorResponsesEchoTheRequestId) {

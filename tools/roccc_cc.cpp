@@ -14,85 +14,19 @@
 // bytes, pass counters and diagnostics per file are identical for any
 // worker count.
 //
-// Options:
-//   -o FILE            output VHDL path (default: <input>.vhd)
-//   --kernel NAME      kernel function (default: last function in the file)
-//   --unroll N         partially unroll the streaming loop by N
-//   --target-ns X      pipeline stage delay target (default 4.0); the
-//                      retime pass rebalances register placement against it
-//   --timing-model FILE
-//                      load a per-primitive delay/area/energy table
-//                      overriding the built-in Virtex-II-class model (see
-//                      docs/SYNTHESIS.md for the file format)
-//   --no-retime        keep the fixed greedy staging (disable the
-//                      timing-driven retime pass; ablation knob)
-//   --mult-style S     'lut' (default) or 'mult18'
-//   --no-infer         disable bit-width inference
-//   --no-pipeline      single combinational stage
-//   --testbench        also write <output>_tb.vhd: a system-level
-//                      self-checking testbench whose stimulus and expected
-//                      outputs come from the AST interpreter over the
-//                      kernel's full iteration space (deterministic), and
-//                      which is cross-checked against the --sim-engine
-//                      netlist engine before it is written
-//   --tb-seed N        with --testbench: append 16 seeded random extra
-//                      vectors (SplitMix64 seed N, recorded in the
-//                      testbench header comment)
-//   --cosim            run the cycle-accurate system on random inputs and
-//                      verify against the interpreter
-//   --sim-engine E     netlist engine for --cosim and the --testbench
-//                      cross-check: 'fast' (compiled, default) or 'ref'
-//                      (boxed-Value reference)
-//   --vcd FILE         with --cosim: dump a VCD waveform of the run
-//   --verilog FILE     also write the Verilog form of the design
-//   --json FILE        export the data-path graph as JSON (Fig 1's graph
-//                      editor / annotation interface)
-//   --dump-datapath    print the data-path op listing
-//   --dump-mir         print the back-end IR
-//   --time-passes      print the per-pass timing/counter table
-//   --stats-json FILE  write per-pass statistics as JSON (machine-readable
-//                      pipeline report)
-//   --verify-each      run the layer verifier (MIR/RTL/VHDL) after every
-//                      pipeline pass
-//   --print-after-all  dump the IR after every pass (stderr)
-//   --print-after P    dump the IR after pass P (repeatable; also
-//                      --print-after=P)
-//   --jobs N           batch mode: compile inputs on N worker threads
-//                      (0 = one per hardware thread)
-//   --manifest FILE    read additional input paths from FILE (one per
-//                      line; blank lines and #-comments skipped)
-//   --cache            batch mode: enable the content-addressed compile
-//                      cache (roccc::CompileCache); identical jobs are
-//                      served from memory / single-flighted
-//   --cache-dir DIR    persistent on-disk cache tier in DIR, surviving
-//                      across invocations (implies --cache)
-//   --cache-bytes N    in-memory cache byte budget (default 256 MiB;
-//                      implies --cache)
-//   --quiet            only errors (suppresses reports and pass timing)
-//   --timeout-ms N     per-job wall-clock deadline (0 = none; negative =
-//                      already expired, for deterministic timeout tests)
-//   --max-ir-nodes N   per-job cap on total live IR nodes (0 = none)
-//   --max-unroll-product N
-//                      cap on the product of all unroll expansions (0 = none)
-//   --max-depth N      parser recursion / nesting depth cap (default 256,
-//                      0 = none)
-//   --inject-fault P   arm fault point P (see faultPointRegistry); the env
-//                      var ROCCC_FAULT_INJECT is the equivalent switch for
-//                      harnesses that cannot edit the command line
-//
 // Exit codes classify the outcome: 0 ok, 1 frontend error (bad input),
 // 2 usage, 3 timeout, 4 resource budget exceeded, 5 internal error. In
 // batch mode the summary line reports per-outcome counts and the exit code
 // is the first failing job's.
 //
-// Every --opt VALUE option also accepts the --opt=VALUE spelling.
-// docs/CLI.md is the full flag reference; a CI test keeps it in sync with
-// the --help output generated from the option table below.
+// Every --opt VALUE option also accepts the --opt=VALUE spelling. The
+// compile flags come from the option table (roccc/options.hpp), shared with
+// roccc-client and the daemon protocol. docs/CLI.md is the full flag
+// reference; a CI test keeps it in sync with the --help output generated
+// from the option list below.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -102,7 +36,10 @@
 #include "roccc/cache.hpp"
 #include "roccc/compiler.hpp"
 #include "roccc/driver.hpp"
+#include "roccc/options.hpp"
 #include "roccc/verify.hpp"
+#include "support/cli.hpp"
+#include "support/strings.hpp"
 #include "synth/estimate.hpp"
 #include "vhdl/check.hpp"
 #include "vhdl/testbench.hpp"
@@ -116,7 +53,6 @@ struct Args {
   int jobs = 1;
   std::string output;
   roccc::CompileOptions options;
-  std::string timingModelPath; ///< --timing-model; contents load into options
   bool testbench = false;
   uint64_t tbSeed = 0;
   bool tbSeedSet = false;
@@ -144,216 +80,90 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// One row of the option table: entries with a null `valueName` are pure
-/// flags; value options accept both "--opt VALUE" and "--opt=VALUE". The
-/// handler returns false on a bad value. The --help listing and the
-/// docs/CLI.md sync check are generated from this table, so every option
-/// must live here.
-struct OptionSpec {
-  const char* name;
-  const char* valueName; ///< null for flags; shown in --help
-  const char* help;      ///< one-line --help description
-  std::function<bool(Args&, const char*)> apply;
-};
-
-const std::vector<OptionSpec>& optionTable() {
-  using roccc::dp::BuildOptions;
-  using roccc::rtl::SimEngine;
-  static const std::vector<OptionSpec> table = {
-      {"-o", "FILE", "output VHDL path (default: <input>.vhd)",
-       [](Args& a, const char* v) { a.output = v; return true; }},
-      {"--kernel", "NAME", "kernel function (default: last function in the file)",
-       [](Args& a, const char* v) { a.options.kernelName = v; return true; }},
-      {"--unroll", "N", "partially unroll the streaming loop by N",
-       [](Args& a, const char* v) { a.options.unrollFactor = std::atoi(v); return true; }},
-      {"--target-ns", "X", "pipeline stage delay target in ns (default 4.0); retime balances to it",
-       [](Args& a, const char* v) {
-         a.options.dpOptions.targetStageDelayNs = std::atof(v);
-         return true;
-       }},
-      {"--timing-model", "FILE", "per-primitive delay/area/energy table (docs/SYNTHESIS.md format)",
-       [](Args& a, const char* v) { a.timingModelPath = v; return true; }},
-      {"--no-retime", nullptr, "disable the timing-driven retime pass (fixed greedy staging)",
-       [](Args& a, const char*) { a.options.retimePipeline = false; return true; }},
-      {"--mult-style", "S", "multiplier style: 'lut' (default) or 'mult18'",
-       [](Args& a, const char* v) {
-         if (std::strcmp(v, "lut") == 0) {
-           a.options.dpOptions.multStyle = BuildOptions::MultStyle::Lut;
-         } else if (std::strcmp(v, "mult18") == 0) {
-           a.options.dpOptions.multStyle = BuildOptions::MultStyle::Mult18;
-         } else {
-           return false;
-         }
-         return true;
-       }},
-      {"--no-infer", nullptr, "disable bit-width inference",
-       [](Args& a, const char*) { a.options.dpOptions.inferBitWidths = false; return true; }},
-      {"--no-pipeline", nullptr, "single combinational stage (no pipelining)",
-       [](Args& a, const char*) { a.options.dpOptions.pipeline = false; return true; }},
+/// The option list: --help and the docs/CLI.md sync check are generated
+/// from it, so every option lives here.
+std::vector<roccc::cli::OptionSpec> optionList(Args& a) {
+  using roccc::OptionId;
+  using roccc::cli::setFlag;
+  using roccc::cli::setString;
+  const auto compile = [&a](OptionId id) { return roccc::compileFlag(id, a.options); };
+  return {
+      {"-o", "FILE", "output VHDL path (default: <input>.vhd)", setString(a.output)},
+      compile(OptionId::Kernel),
+      compile(OptionId::Unroll),
+      compile(OptionId::TargetNs),
+      compile(OptionId::TimingModel),
+      compile(OptionId::Retime),
+      compile(OptionId::MultStyle),
+      compile(OptionId::InferWidths),
+      compile(OptionId::Pipeline),
+      compile(OptionId::WidthMode),
+      compile(OptionId::AutoUnrollBudget),
+      compile(OptionId::FullUnroll),
+      compile(OptionId::LutConvert),
+      compile(OptionId::Optimize),
       {"--testbench", nullptr, "also write <output>_tb.vhd (system-level, interpreter-derived vectors)",
-       [](Args& a, const char*) { a.testbench = true; return true; }},
+       setFlag(a.testbench)},
       {"--tb-seed", "N", "with --testbench: append 16 seeded random vectors (seed in header)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.tbSeed = std::strtoull(v, &end, 0);
+       [&a](const char* v, std::string&) {
          a.tbSeedSet = true;
-         return end != v && *end == '\0';
+         return roccc::cli::parseSeed(v, a.tbSeed);
        }},
       {"--cosim", nullptr, "run the RTL system and verify against the interpreter",
-       [](Args& a, const char*) { a.cosim = true; return true; }},
+       setFlag(a.cosim)},
       {"--sim-engine", "E", "netlist engine for --cosim and the --testbench check: 'fast' or 'ref'",
-       [](Args& a, const char* v) {
-         if (std::strcmp(v, "ref") == 0 || std::strcmp(v, "reference") == 0) {
-           a.engine = SimEngine::Reference;
-         } else if (std::strcmp(v, "fast") == 0) {
-           a.engine = SimEngine::Fast;
-         } else {
-           return false;
-         }
+       [&a](const char* v, std::string&) {
+         const std::string e = v;
+         if (e != "fast" && e != "ref" && e != "reference") return false;
+         a.engine = e == "fast" ? roccc::rtl::SimEngine::Fast : roccc::rtl::SimEngine::Reference;
          return true;
        }},
       {"--vcd", "FILE", "with --cosim: dump a VCD waveform of the run",
-       [](Args& a, const char* v) {
+       [&a](const char* v, std::string&) {
          a.vcdPath = v;
          a.cosim = true;
          return true;
        }},
-      {"--verilog", "FILE", "also write the Verilog form of the design",
-       [](Args& a, const char* v) { a.verilogPath = v; return true; }},
-      {"--json", "FILE", "export the data-path graph as JSON",
-       [](Args& a, const char* v) { a.jsonPath = v; return true; }},
+      {"--verilog", "FILE", "also write the Verilog form of the design", setString(a.verilogPath)},
+      {"--json", "FILE", "export the data-path graph as JSON", setString(a.jsonPath)},
       {"--stats-json", "FILE", "write pass statistics (single) or batch+cache stats as JSON",
-       [](Args& a, const char* v) { a.statsJsonPath = v; return true; }},
-      {"--dump-datapath", nullptr, "print the data-path op listing",
-       [](Args& a, const char*) { a.dumpDatapath = true; return true; }},
-      {"--dump-mir", nullptr, "print the back-end IR",
-       [](Args& a, const char*) { a.dumpMir = true; return true; }},
-      {"--time-passes", nullptr, "print the per-pass timing/counter table",
-       [](Args& a, const char*) { a.timePasses = true; return true; }},
-      {"--verify-each", nullptr, "run the layer verifier after every pipeline pass",
-       [](Args& a, const char*) { a.options.pipeline.verifyEach = true; return true; }},
+       setString(a.statsJsonPath)},
+      {"--dump-datapath", nullptr, "print the data-path op listing", setFlag(a.dumpDatapath)},
+      {"--dump-mir", nullptr, "print the back-end IR", setFlag(a.dumpMir)},
+      {"--time-passes", nullptr, "print the per-pass timing/counter table", setFlag(a.timePasses)},
+      compile(OptionId::VerifyEach),
       {"--print-after-all", nullptr, "dump the IR after every pass (stderr)",
-       [](Args& a, const char*) { a.options.pipeline.printAfterAll = true; return true; }},
+       setFlag(a.options.pipeline.printAfterAll)},
       {"--print-after", "P", "dump the IR after pass P (repeatable)",
-       [](Args& a, const char* v) {
+       [&a](const char* v, std::string&) {
          a.options.pipeline.printAfter.emplace_back(v);
          return true;
        }},
       {"--jobs", "N", "batch mode: N worker threads (0 = one per hardware thread)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.jobs = static_cast<int>(std::strtol(v, &end, 10));
-         return end != v && *end == '\0' && a.jobs >= 0;
-       }},
+       roccc::cli::setInt(a.jobs, 0)},
       {"--manifest", "FILE", "read additional input paths from FILE (one per line)",
-       [](Args& a, const char* v) { a.manifestPath = v; return true; }},
+       setString(a.manifestPath)},
       {"--cache", nullptr, "batch mode: enable the content-addressed compile cache",
-       [](Args& a, const char*) { a.cacheEnabled = true; return true; }},
+       setFlag(a.cacheEnabled)},
       {"--cache-dir", "DIR", "persistent on-disk cache tier in DIR (implies --cache)",
-       [](Args& a, const char* v) {
+       [&a](const char* v, std::string&) {
          a.cacheEnabled = true;
          a.cacheDir = v;
          return true;
        }},
       {"--cache-bytes", "N", "in-memory cache byte budget, default 256 MiB (implies --cache)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cacheBytes = std::strtoll(v, &end, 10);
+       [&a](const char* v, std::string&) {
          a.cacheEnabled = true;
-         return end != v && *end == '\0' && a.cacheBytes > 0;
+         return roccc::cli::parseInt(v, a.cacheBytes, 1);
        }},
-      {"--quiet", nullptr, "only errors (suppresses reports and pass timing)",
-       [](Args& a, const char*) { a.quiet = true; return true; }},
-      {"--timeout-ms", "N", "per-job wall-clock deadline (0 = none; negative = expired)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.options.budget.timeoutMs = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0';
-       }},
-      {"--max-ir-nodes", "N", "per-job cap on total live IR nodes (0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.options.budget.maxIrNodes = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0' && a.options.budget.maxIrNodes >= 0;
-       }},
-      {"--max-unroll-product", "N", "cap on the product of all unroll expansions (0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.options.budget.maxUnrollProduct = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0' && a.options.budget.maxUnrollProduct >= 0;
-       }},
-      {"--max-depth", "N", "parser recursion/nesting depth cap (default 256, 0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.options.budget.maxDepth = static_cast<int>(std::strtol(v, &end, 10));
-         return end != v && *end == '\0' && a.options.budget.maxDepth >= 0;
-       }},
-      {"--inject-fault", "P", "arm fault point P (see faultPointRegistry)",
-       [](Args& a, const char* v) { a.options.injectFaultAt = v; return true; }},
-      {"--help", nullptr, "print this option list and exit",
-       [](Args& a, const char*) { a.showHelp = true; return true; }},
+      {"--quiet", nullptr, "only errors (suppresses reports and pass timing)", setFlag(a.quiet)},
+      compile(OptionId::TimeoutMs),
+      compile(OptionId::MaxIrNodes),
+      compile(OptionId::MaxUnrollProduct),
+      compile(OptionId::MaxDepth),
+      compile(OptionId::InjectFault),
+      {"--help", nullptr, "print this option list and exit", setFlag(a.showHelp)},
   };
-  return table;
-}
-
-/// The --help listing, generated from the option table; the docs/CLI.md
-/// sync test (tests/check_cli_docs.sh) parses this output.
-void printHelp(const char* argv0) {
-  std::printf("usage: %s [options] kernel.c [kernel2.c ...]\n\n"
-              "Compiles C kernels to RTL VHDL; with multiple inputs, compiles them as a\n"
-              "concurrent batch. docs/CLI.md is the full reference.\n\noptions:\n",
-              argv0);
-  for (const auto& s : optionTable()) {
-    std::string left = s.name;
-    if (s.valueName) {
-      left += ' ';
-      left += s.valueName;
-    }
-    std::printf("  %-22s %s\n", left.c_str(), s.help);
-  }
-  std::printf("\nexit codes: 0 ok, 1 frontend error, 2 usage, 3 timeout,\n"
-              "            4 resource budget exceeded, 5 internal error\n");
-}
-
-bool parseArgs(int argc, char** argv, Args& a) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.empty() || arg[0] != '-') {
-      a.inputs.push_back(arg);
-      continue;
-    }
-    // Split the "--opt=value" spelling.
-    std::string inlineValue;
-    bool hasInlineValue = false;
-    const size_t eq = arg.find('=');
-    if (eq != std::string::npos && arg.rfind("--", 0) == 0) {
-      inlineValue = arg.substr(eq + 1);
-      arg.resize(eq);
-      hasInlineValue = true;
-    }
-    const OptionSpec* spec = nullptr;
-    for (const auto& s : optionTable()) {
-      if (arg == s.name) {
-        spec = &s;
-        break;
-      }
-    }
-    if (!spec) return false;
-    const char* value = nullptr;
-    if (spec->valueName) {
-      if (hasInlineValue) {
-        value = inlineValue.c_str();
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        return false;
-      }
-    } else if (hasInlineValue) {
-      return false;
-    }
-    if (!spec->apply(a, value)) return false;
-  }
-  return a.showHelp || !a.inputs.empty() || !a.manifestPath.empty();
 }
 
 /// Appends the manifest's input paths (one per line, blank lines and
@@ -514,9 +324,21 @@ roccc::interp::KernelIO randomInputs(const roccc::hlir::KernelInfo& k, uint64_t 
 
 int main(int argc, char** argv) {
   Args a;
-  if (!parseArgs(argc, argv, a)) return usage(argv[0]);
+  const auto options = optionList(a);
+  std::string error;
+  if (!roccc::cli::parseArgs(argc, argv, options, a.inputs, error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return usage(argv[0]);
+  }
   if (a.showHelp) {
-    printHelp(argv[0]);
+    roccc::cli::printHelp(
+        roccc::fmt("usage: %0 [options] kernel.c [kernel2.c ...]\n\n"
+                   "Compiles C kernels to RTL VHDL; with multiple inputs, compiles them as a\n"
+                   "concurrent batch. docs/CLI.md is the full reference.\n\noptions:\n",
+                   argv[0]),
+        options,
+        "\nexit codes: 0 ok, 1 frontend error, 2 usage, 3 timeout,\n"
+        "            4 resource budget exceeded, 5 internal error\n");
     return 0;
   }
   if (!a.manifestPath.empty() && !readManifest(a.manifestPath, a.inputs)) return 1;
@@ -527,27 +349,10 @@ int main(int argc, char** argv) {
   if (a.options.injectFaultAt.empty()) {
     if (const char* env = std::getenv("ROCCC_FAULT_INJECT")) a.options.injectFaultAt = env;
   }
-
-  // --timing-model: load the file *contents* into the compile options (the
-  // cache key hashes the contents, keeping a compile a pure function of
-  // (source, options)), and parse-validate it up front so a bad table is a
-  // single clear error instead of one per batch job.
-  roccc::synth::TimingModel timingModel = roccc::synth::TimingModel::virtex2();
-  if (!a.timingModelPath.empty()) {
-    std::ifstream tm(a.timingModelPath);
-    if (!tm) {
-      std::fprintf(stderr, "error: cannot open timing model '%s'\n", a.timingModelPath.c_str());
-      return 1;
-    }
-    std::ostringstream tmBuf;
-    tmBuf << tm.rdbuf();
-    a.options.timingModelSpec = tmBuf.str();
-    std::string tmError;
-    if (!roccc::synth::TimingModel::parse(a.options.timingModelSpec, timingModel, tmError)) {
-      std::fprintf(stderr, "error: %s: %s\n", a.timingModelPath.c_str(), tmError.c_str());
-      return 1;
-    }
-  }
+  // The timing model's text was validated when its flag was parsed.
+  roccc::synth::TimingModel modelStorage;
+  const roccc::synth::TimingModel& timingModel =
+      *roccc::synth::TimingModel::resolve(a.options.timingModelSpec, modelStorage, error);
 
   if (a.inputs.size() > 1) {
     if (!a.output.empty()) {

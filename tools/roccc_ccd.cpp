@@ -9,48 +9,29 @@
 // compile cache is shared by every client and, with --cache-dir, by every
 // daemon generation.
 //
-// Options:
-//   --socket PATH        socket path to bind (default: roccc-ccd.sock)
-//   --jobs N             compile workers (0 = one per hardware thread)
-//   --queue N            admission window: max in-flight jobs (default 256)
-//   --max-client-jobs N  per-connection job quota (default 64)
-//   --max-request-bytes N
-//                        per-request frame cap in bytes (default 8 MiB)
-//   --cache              enable the shared compile cache
-//   --cache-dir DIR      persistent on-disk cache tier (implies --cache)
-//   --cache-bytes N      in-memory cache byte budget (implies --cache)
-//   --timeout-ms N       ceiling on per-job wall-clock budgets (0 = none)
-//   --max-ir-nodes N     ceiling on per-job IR-node budgets (0 = none)
-//   --max-unroll-product N
-//                        ceiling on per-job unroll-product budgets
-//   --max-depth N        ceiling on per-job nesting-depth budgets
-//   --target-ns X        server default pipeline stage delay target
-//   --timing-model FILE  server default timing model table
-//   --quiet              suppress lifecycle log lines
-//
 // Exit codes: 0 clean drain/stop, 1 startup failure, 2 usage.
 //
-// Every --opt VALUE option also accepts the --opt=VALUE spelling.
-// docs/CLI.md is the full flag reference; a CI test keeps it in sync with
-// the --help output generated from the option table below.
+// Every --opt VALUE option also accepts the --opt=VALUE spelling. The
+// ceilings, --target-ns and --timing-model are option-table flags
+// (roccc/options.hpp), spelled and validated as roccc-cc's. docs/CLI.md is
+// the full flag reference; a CI test keeps it in sync with the --help
+// output generated from the option list below.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "roccc/options.hpp"
 #include "roccc/service_net.hpp"
-#include "synth/estimate.hpp"
+#include "support/cli.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
 struct Args {
   roccc::ServiceConfig cfg;
-  std::string timingModelPath;
+  /// The ceiling flags parse into this budget; it becomes cfg.budgetCeiling.
+  roccc::CompileOptions ceilings;
   bool showHelp = false;
   Args() { cfg.quiet = false; }
 };
@@ -63,147 +44,50 @@ int usage(const char* argv0) {
   return 2;
 }
 
-struct OptionSpec {
-  const char* name;
-  const char* valueName; ///< null for flags; shown in --help
-  const char* help;      ///< one-line --help description
-  std::function<bool(Args&, const char*)> apply;
-};
-
-const std::vector<OptionSpec>& optionTable() {
-  static const std::vector<OptionSpec> table = {
+/// The option list: --help and the docs/CLI.md sync check are generated
+/// from it, so every option lives here.
+std::vector<roccc::cli::OptionSpec> optionList(Args& a) {
+  using roccc::OptionId;
+  using roccc::cli::setInt;
+  const auto ceiling = [&a](OptionId id, const char* help) {
+    return roccc::compileFlag(id, a.ceilings, help);
+  };
+  const auto serverDefault = [&a](OptionId id, const char* help) {
+    return roccc::compileFlag(id, a.cfg.baseOptions, help);
+  };
+  return {
       {"--socket", "PATH", "socket path to bind (default: roccc-ccd.sock)",
-       [](Args& a, const char* v) { a.cfg.socketPath = v; return true; }},
-      {"--jobs", "N", "compile workers (0 = one per hardware thread)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.workers = static_cast<int>(std::strtol(v, &end, 10));
-         return end != v && *end == '\0' && a.cfg.workers >= 0;
-       }},
+       roccc::cli::setString(a.cfg.socketPath)},
+      {"--jobs", "N", "compile workers (0 = one per hardware thread)", setInt(a.cfg.workers, 0)},
       {"--queue", "N", "admission window: max in-flight jobs across all clients (default 256)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.maxQueue = static_cast<int>(std::strtol(v, &end, 10));
-         return end != v && *end == '\0' && a.cfg.maxQueue >= 1;
-       }},
+       setInt(a.cfg.maxQueue, 1)},
       {"--max-client-jobs", "N", "per-connection in-flight job quota (default 64)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.maxClientJobs = static_cast<int>(std::strtol(v, &end, 10));
-         return end != v && *end == '\0' && a.cfg.maxClientJobs >= 1;
-       }},
+       setInt(a.cfg.maxClientJobs, 1)},
       {"--max-request-bytes", "N", "per-request frame cap in bytes (default 8 MiB)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.maxRequestBytes = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0' && a.cfg.maxRequestBytes >= 64;
-       }},
+       setInt(a.cfg.maxRequestBytes, 64)},
       {"--cache", nullptr, "enable the shared content-addressed compile cache",
-       [](Args& a, const char*) { a.cfg.cacheEnabled = true; return true; }},
+       roccc::cli::setFlag(a.cfg.cacheEnabled)},
       {"--cache-dir", "DIR", "persistent on-disk cache tier in DIR (implies --cache)",
-       [](Args& a, const char* v) {
+       [&a](const char* v, std::string&) {
          a.cfg.cacheEnabled = true;
          a.cfg.cache.diskDir = v;
          return true;
        }},
       {"--cache-bytes", "N", "in-memory cache byte budget (implies --cache)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.cache.maxBytes = std::strtoll(v, &end, 10);
+       [&a](const char* v, std::string&) {
          a.cfg.cacheEnabled = true;
-         return end != v && *end == '\0' && a.cfg.cache.maxBytes > 0;
+         return roccc::cli::parseInt(v, a.cfg.cache.maxBytes, 1);
        }},
-      {"--timeout-ms", "N", "ceiling on per-job wall-clock budgets (0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.budgetCeiling.timeoutMs = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0' && a.cfg.budgetCeiling.timeoutMs >= 0;
-       }},
-      {"--max-ir-nodes", "N", "ceiling on per-job IR-node budgets (0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.budgetCeiling.maxIrNodes = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0' && a.cfg.budgetCeiling.maxIrNodes >= 0;
-       }},
-      {"--max-unroll-product", "N", "ceiling on per-job unroll-product budgets (0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.budgetCeiling.maxUnrollProduct = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0' && a.cfg.budgetCeiling.maxUnrollProduct >= 0;
-       }},
-      {"--max-depth", "N", "ceiling on per-job nesting-depth budgets (0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.budgetCeiling.maxDepth = static_cast<int>(std::strtol(v, &end, 10));
-         return end != v && *end == '\0' && a.cfg.budgetCeiling.maxDepth >= 0;
-       }},
-      {"--target-ns", "X", "server default pipeline stage delay target in ns",
-       [](Args& a, const char* v) {
-         a.cfg.baseOptions.dpOptions.targetStageDelayNs = std::atof(v);
-         return true;
-       }},
-      {"--timing-model", "FILE", "server default timing model table (docs/SYNTHESIS.md format)",
-       [](Args& a, const char* v) { a.timingModelPath = v; return true; }},
-      {"--quiet", nullptr, "suppress lifecycle log lines",
-       [](Args& a, const char*) { a.cfg.quiet = true; return true; }},
-      {"--help", nullptr, "print this option list and exit",
-       [](Args& a, const char*) { a.showHelp = true; return true; }},
+      ceiling(OptionId::TimeoutMs, "ceiling on per-job wall-clock budgets (0 = none)"),
+      ceiling(OptionId::MaxIrNodes, "ceiling on per-job IR-node budgets (0 = none)"),
+      ceiling(OptionId::MaxUnrollProduct, "ceiling on per-job unroll-product budgets (0 = none)"),
+      ceiling(OptionId::MaxDepth, "ceiling on per-job nesting-depth budgets (0 = none)"),
+      serverDefault(OptionId::TargetNs, "server default pipeline stage delay target in ns"),
+      serverDefault(OptionId::TimingModel,
+                    "server default timing model table (docs/SYNTHESIS.md format)"),
+      {"--quiet", nullptr, "suppress lifecycle log lines", roccc::cli::setFlag(a.cfg.quiet)},
+      {"--help", nullptr, "print this option list and exit", roccc::cli::setFlag(a.showHelp)},
   };
-  return table;
-}
-
-void printHelp(const char* argv0) {
-  std::printf("usage: %s [options]\n\n"
-              "Serves compile requests over an AF_UNIX socket (protocol roccc-ccd-v1).\n"
-              "docs/CLI.md is the flag reference; docs/SERVICE.md the operations book.\n\n"
-              "options:\n",
-              argv0);
-  for (const auto& s : optionTable()) {
-    std::string left = s.name;
-    if (s.valueName) {
-      left += ' ';
-      left += s.valueName;
-    }
-    std::printf("  %-22s %s\n", left.c_str(), s.help);
-  }
-  std::printf("\nexit codes: 0 clean drain/stop, 1 startup failure, 2 usage\n");
-}
-
-bool parseArgs(int argc, char** argv, Args& a) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.empty() || arg[0] != '-') return false; // no positional arguments
-    std::string inlineValue;
-    bool hasInlineValue = false;
-    const size_t eq = arg.find('=');
-    if (eq != std::string::npos && arg.rfind("--", 0) == 0) {
-      inlineValue = arg.substr(eq + 1);
-      arg.resize(eq);
-      hasInlineValue = true;
-    }
-    const OptionSpec* spec = nullptr;
-    for (const auto& s : optionTable()) {
-      if (arg == s.name) {
-        spec = &s;
-        break;
-      }
-    }
-    if (!spec) return false;
-    const char* value = nullptr;
-    if (spec->valueName) {
-      if (hasInlineValue) {
-        value = inlineValue.c_str();
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        return false;
-      }
-    } else if (hasInlineValue) {
-      return false;
-    }
-    if (!spec->apply(a, value)) return false;
-  }
-  return true;
 }
 
 // SIGTERM/SIGINT drain the daemon instead of killing it mid-compile.
@@ -218,32 +102,32 @@ void onSignal(int) {
 
 int main(int argc, char** argv) {
   Args a;
-  if (!parseArgs(argc, argv, a)) return usage(argv[0]);
-  if (a.showHelp) {
-    printHelp(argv[0]);
-    return 0;
+  const auto options = optionList(a);
+  std::vector<std::string> positional;
+  std::string error;
+  if (!roccc::cli::parseArgs(argc, argv, options, positional, error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return usage(argv[0]);
   }
-  // Like roccc-cc: the timing model's *contents* become part of the base
-  // options (and so of every cache key), parse-validated once up front.
-  if (!a.timingModelPath.empty()) {
-    std::ifstream tm(a.timingModelPath);
-    if (!tm) {
-      std::fprintf(stderr, "error: cannot open timing model '%s'\n", a.timingModelPath.c_str());
-      return 1;
-    }
-    std::ostringstream tmBuf;
-    tmBuf << tm.rdbuf();
-    a.cfg.baseOptions.timingModelSpec = tmBuf.str();
-    roccc::synth::TimingModel model;
-    std::string tmError;
-    if (!roccc::synth::TimingModel::parse(a.cfg.baseOptions.timingModelSpec, model, tmError)) {
-      std::fprintf(stderr, "error: %s: %s\n", a.timingModelPath.c_str(), tmError.c_str());
-      return 1;
-    }
+  if (!positional.empty()) return usage(argv[0]);
+  if (a.ceilings.budget.timeoutMs < 0) {
+    std::fprintf(stderr, "error: a %s ceiling must be >= 0\n",
+                 roccc::optionRow(roccc::OptionId::TimeoutMs).flag);
+    return usage(argv[0]);
+  }
+  a.cfg.budgetCeiling = a.ceilings.budget;
+  if (a.showHelp) {
+    roccc::cli::printHelp(
+        roccc::fmt("usage: %0 [options]\n\n"
+                   "Serves compile requests over an AF_UNIX socket (protocol roccc-ccd-v1).\n"
+                   "docs/CLI.md is the flag reference; docs/SERVICE.md the operations book.\n\n"
+                   "options:\n",
+                   argv[0]),
+        options, "\nexit codes: 0 clean drain/stop, 1 startup failure, 2 usage\n");
+    return 0;
   }
 
   roccc::ServiceDaemon daemon(a.cfg);
-  std::string error;
   if (!daemon.start(error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;

@@ -9,50 +9,28 @@
 // inputs send one `batch` request and write one .vhd each — the daemon
 // guarantees the bytes match a local roccc-cc run of the same job.
 //
-// Options:
-//   --socket PATH      daemon socket (default: roccc-ccd.sock)
-//   -o FILE            output VHDL path (single input only)
-//   --kernel NAME      kernel function (default: last function in the file)
-//   --unroll N         partially unroll the streaming loop by N
-//   --target-ns X      pipeline stage delay target
-//   --no-retime        disable the timing-driven retime pass
-//   --mult-style S     'lut' or 'mult18'
-//   --no-infer         disable bit-width inference
-//   --no-pipeline      single combinational stage
-//   --verilog FILE     also request and write the Verilog form (single input)
-//   --timeout-ms N     per-job deadline (clamped to the server ceiling)
-//   --max-ir-nodes N   per-job IR-node cap (clamped to the server ceiling)
-//   --max-unroll-product N
-//                      unroll-product cap (clamped to the server ceiling)
-//   --max-depth N      nesting depth cap (clamped to the server ceiling)
-//   --inject-fault P   arm fault point P in the daemon-side job
-//   --status           print the daemon status response
-//   --metrics          print the live metrics response
-//   --ping             liveness check
-//   --reload           rebuild the daemon's cache over its directory
-//   --drain M          drain the daemon: 'stop', 'pause' or 'resume'
-//   --json             print raw JSON responses instead of writing files
-//   --quiet            only errors
-//
 // Exit codes: the roccc-cc outcome codes (0 ok, 1 frontend error, 2 usage,
 // 3 timeout, 4 resource budget exceeded, 5 internal error) plus two
 // service-edge codes: 6 transport/protocol failure (cannot connect, bad
 // frame), 7 request rejected by the daemon (queue-full, draining,
 // quota-exceeded, bad-request, ...).
 //
-// Every --opt VALUE option also accepts the --opt=VALUE spelling.
+// Every --opt VALUE option also accepts the --opt=VALUE spelling. The
+// compile flags come from the option table (roccc/options.hpp): each is
+// validated as roccc-cc validates it and sent under its protocol key.
 // docs/CLI.md is the full flag reference; a CI test keeps it in sync with
-// the --help output generated from the option table below.
+// the --help output generated from the option list below.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "roccc/options.hpp"
 #include "roccc/service_net.hpp"
+#include "support/cli.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -84,173 +62,57 @@ int usage(const char* argv0) {
   return 2;
 }
 
-struct OptionSpec {
-  const char* name;
-  const char* valueName; ///< null for flags; shown in --help
-  const char* help;      ///< one-line --help description
-  std::function<bool(Args&, const char*)> apply;
-};
-
-bool setIntOption(Args& a, const char* key, const char* v, int64_t min) {
-  char* end = nullptr;
-  const int64_t n = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0' || n < min) return false;
-  a.options.set(key, roccc::json::Value::number(n));
-  return true;
-}
-
-const std::vector<OptionSpec>& optionTable() {
-  using roccc::json::Value;
-  static const std::vector<OptionSpec> table = {
-      {"--socket", "PATH", "daemon socket path (default: roccc-ccd.sock)",
-       [](Args& a, const char* v) { a.socketPath = v; return true; }},
-      {"-o", "FILE", "output VHDL path (single input only; default: <input>.vhd)",
-       [](Args& a, const char* v) { a.output = v; return true; }},
-      {"--kernel", "NAME", "kernel function (default: last function in the file)",
-       [](Args& a, const char* v) {
-         a.options.set("kernel", Value::string(v));
-         return true;
-       }},
-      {"--unroll", "N", "partially unroll the streaming loop by N",
-       [](Args& a, const char* v) { return setIntOption(a, "unroll", v, 1); }},
-      {"--target-ns", "X", "pipeline stage delay target in ns",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         const double x = std::strtod(v, &end);
-         if (end == v || *end != '\0') return false;
-         a.options.set("targetNs", Value::number(x));
-         return true;
-       }},
-      {"--no-retime", nullptr, "disable the timing-driven retime pass",
-       [](Args& a, const char*) {
-         a.options.set("retime", Value::boolean(false));
-         return true;
-       }},
-      {"--mult-style", "S", "multiplier style: 'lut' or 'mult18'",
-       [](Args& a, const char* v) {
-         if (std::strcmp(v, "lut") != 0 && std::strcmp(v, "mult18") != 0) return false;
-         a.options.set("multStyle", Value::string(v));
-         return true;
-       }},
-      {"--no-infer", nullptr, "disable bit-width inference",
-       [](Args& a, const char*) {
-         a.options.set("inferWidths", Value::boolean(false));
-         return true;
-       }},
-      {"--no-pipeline", nullptr, "single combinational stage (no pipelining)",
-       [](Args& a, const char*) {
-         a.options.set("pipeline", Value::boolean(false));
-         return true;
-       }},
-      {"--verilog", "FILE", "also request and write the Verilog form (single input only)",
-       [](Args& a, const char* v) {
-         a.verilogPath = v;
-         a.options.set("verilog", Value::boolean(true));
-         return true;
-       }},
-      {"--timeout-ms", "N", "per-job deadline in ms (clamped to the server ceiling)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         const int64_t n = std::strtoll(v, &end, 10);
-         if (end == v || *end != '\0') return false;
-         a.options.set("timeoutMs", Value::number(n));
-         return true;
-       }},
-      {"--max-ir-nodes", "N", "per-job IR-node cap (clamped to the server ceiling)",
-       [](Args& a, const char* v) { return setIntOption(a, "maxIrNodes", v, 0); }},
-      {"--max-unroll-product", "N", "unroll-product cap (clamped to the server ceiling)",
-       [](Args& a, const char* v) { return setIntOption(a, "maxUnrollProduct", v, 0); }},
-      {"--max-depth", "N", "nesting depth cap (clamped to the server ceiling)",
-       [](Args& a, const char* v) { return setIntOption(a, "maxDepth", v, 0); }},
-      {"--inject-fault", "P", "arm fault point P in the daemon-side job",
-       [](Args& a, const char* v) {
-         a.options.set("injectFault", Value::string(v));
-         return true;
-       }},
-      {"--status", nullptr, "print the daemon status response",
-       [](Args& a, const char*) { a.status = true; return true; }},
-      {"--metrics", nullptr, "print the live metrics response",
-       [](Args& a, const char*) { a.metrics = true; return true; }},
-      {"--ping", nullptr, "liveness check (expects a pong)",
-       [](Args& a, const char*) { a.ping = true; return true; }},
-      {"--reload", nullptr, "rebuild the daemon's cache over its directory",
-       [](Args& a, const char*) { a.reload = true; return true; }},
-      {"--drain", "M", "drain the daemon: 'stop', 'pause' or 'resume'",
-       [](Args& a, const char* v) {
-         if (std::strcmp(v, "stop") != 0 && std::strcmp(v, "pause") != 0 &&
-             std::strcmp(v, "resume") != 0) {
-           return false;
-         }
-         a.drainMode = v;
-         return true;
-       }},
-      {"--json", nullptr, "print raw JSON responses instead of writing files",
-       [](Args& a, const char*) { a.rawJson = true; return true; }},
-      {"--quiet", nullptr, "only errors",
-       [](Args& a, const char*) { a.quiet = true; return true; }},
-      {"--help", nullptr, "print this option list and exit",
-       [](Args& a, const char*) { a.showHelp = true; return true; }},
+/// The option list: --help and the docs/CLI.md sync check are generated
+/// from it, so every option lives here.
+std::vector<roccc::cli::OptionSpec> optionList(Args& a) {
+  using roccc::OptionId;
+  using roccc::cli::setFlag;
+  using roccc::cli::setString;
+  const auto compile = [&a](OptionId id, const char* help = nullptr) {
+    return roccc::protocolFlag(id, a.options, help);
   };
-  return table;
-}
-
-void printHelp(const char* argv0) {
-  std::printf("usage: %s [options] kernel.c [kernel2.c ...]\n\n"
-              "Compiles C kernels through a running roccc-ccd daemon (byte-identical to\n"
-              "roccc-cc). docs/CLI.md is the flag reference; docs/SERVICE.md the protocol.\n\n"
-              "options:\n",
-              argv0);
-  for (const auto& s : optionTable()) {
-    std::string left = s.name;
-    if (s.valueName) {
-      left += ' ';
-      left += s.valueName;
-    }
-    std::printf("  %-22s %s\n", left.c_str(), s.help);
-  }
-  std::printf("\nexit codes: 0 ok, 1 frontend error, 2 usage, 3 timeout,\n"
-              "            4 resource budget exceeded, 5 internal error,\n"
-              "            6 transport/protocol failure, 7 rejected by the daemon\n");
-}
-
-bool parseArgs(int argc, char** argv, Args& a) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.empty() || arg[0] != '-') {
-      a.inputs.push_back(arg);
-      continue;
-    }
-    std::string inlineValue;
-    bool hasInlineValue = false;
-    const size_t eq = arg.find('=');
-    if (eq != std::string::npos && arg.rfind("--", 0) == 0) {
-      inlineValue = arg.substr(eq + 1);
-      arg.resize(eq);
-      hasInlineValue = true;
-    }
-    const OptionSpec* spec = nullptr;
-    for (const auto& s : optionTable()) {
-      if (arg == s.name) {
-        spec = &s;
-        break;
-      }
-    }
-    if (!spec) return false;
-    const char* value = nullptr;
-    if (spec->valueName) {
-      if (hasInlineValue) {
-        value = inlineValue.c_str();
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        return false;
-      }
-    } else if (hasInlineValue) {
-      return false;
-    }
-    if (!spec->apply(a, value)) return false;
-  }
-  return true;
+  return {
+      {"--socket", "PATH", "daemon socket path (default: roccc-ccd.sock)", setString(a.socketPath)},
+      {"-o", "FILE", "output VHDL path (single input only; default: <input>.vhd)",
+       setString(a.output)},
+      compile(OptionId::Kernel),
+      compile(OptionId::Unroll),
+      compile(OptionId::TargetNs, "pipeline stage delay target in ns"),
+      compile(OptionId::Retime, "disable the timing-driven retime pass"),
+      compile(OptionId::MultStyle, "multiplier style: 'lut' or 'mult18'"),
+      compile(OptionId::InferWidths),
+      compile(OptionId::Pipeline),
+      compile(OptionId::WidthMode),
+      compile(OptionId::AutoUnrollBudget),
+      compile(OptionId::FullUnroll),
+      compile(OptionId::LutConvert),
+      compile(OptionId::Optimize),
+      compile(OptionId::TimingModel, "send FILE's delay/area/energy table with the job"),
+      compile(OptionId::VerifyEach),
+      {"--verilog", "FILE", "also request and write the Verilog form (single input only)",
+       [&a](const char* v, std::string&) {
+         a.verilogPath = v;
+         a.options.set("verilog", roccc::json::Value::boolean(true));
+         return true;
+       }},
+      compile(OptionId::TimeoutMs, "per-job deadline in ms (clamped to the server ceiling)"),
+      compile(OptionId::MaxIrNodes, "per-job IR-node cap (clamped to the server ceiling)"),
+      compile(OptionId::MaxUnrollProduct, "unroll-product cap (clamped to the server ceiling)"),
+      compile(OptionId::MaxDepth, "nesting depth cap (clamped to the server ceiling)"),
+      compile(OptionId::InjectFault, "arm fault point P in the daemon-side job"),
+      {"--status", nullptr, "print the daemon status response", setFlag(a.status)},
+      {"--metrics", nullptr, "print the live metrics response", setFlag(a.metrics)},
+      {"--ping", nullptr, "liveness check (expects a pong)", setFlag(a.ping)},
+      {"--reload", nullptr, "rebuild the daemon's cache over its directory", setFlag(a.reload)},
+      {"--drain", "M", "drain the daemon: 'stop', 'pause' or 'resume'",
+       [&a](const char* v, std::string&) {
+         a.drainMode = v;
+         return a.drainMode == "stop" || a.drainMode == "pause" || a.drainMode == "resume";
+       }},
+      {"--json", nullptr, "print raw JSON responses instead of writing files", setFlag(a.rawJson)},
+      {"--quiet", nullptr, "only errors", setFlag(a.quiet)},
+      {"--help", nullptr, "print this option list and exit", setFlag(a.showHelp)},
+  };
 }
 
 /// Maps a response row's `status` string back to a process exit code —
@@ -344,9 +206,23 @@ int consumeRow(const Args& a, const roccc::json::Value& row, const std::string& 
 
 int main(int argc, char** argv) {
   Args a;
-  if (!parseArgs(argc, argv, a)) return usage(argv[0]);
+  const auto options = optionList(a);
+  std::string error;
+  if (!roccc::cli::parseArgs(argc, argv, options, a.inputs, error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return usage(argv[0]);
+  }
   if (a.showHelp) {
-    printHelp(argv[0]);
+    roccc::cli::printHelp(
+        roccc::fmt("usage: %0 [options] kernel.c [kernel2.c ...]\n\n"
+                   "Compiles C kernels through a running roccc-ccd daemon (byte-identical to\n"
+                   "roccc-cc). docs/CLI.md is the flag reference; docs/SERVICE.md the protocol.\n\n"
+                   "options:\n",
+                   argv[0]),
+        options,
+        "\nexit codes: 0 ok, 1 frontend error, 2 usage, 3 timeout,\n"
+        "            4 resource budget exceeded, 5 internal error,\n"
+        "            6 transport/protocol failure, 7 rejected by the daemon\n");
     return 0;
   }
   const int adminOps = static_cast<int>(a.status) + static_cast<int>(a.metrics) +
@@ -362,7 +238,6 @@ int main(int argc, char** argv) {
   }
 
   roccc::ServiceClient client;
-  std::string error;
   if (!client.connect(a.socketPath, error)) return transportError(error);
 
   using roccc::json::Value;

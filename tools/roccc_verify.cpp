@@ -17,21 +17,9 @@
 // diverging vector index, engine and port — and, when the two netlist
 // engines diverge from each other, the first diverging net and cycle.
 //
-// Options:
-//   --table1            add the nine Table 1 kernels
-//   --corpus DIR        add every .c kernel in DIR (sorted)
-//   --unroll LIST       comma-separated unroll factors (default "1")
-//   --seed N            stimulus seed (default 0x0dc52005)
-//   --jobs N            compile workers (0 = one per hardware thread)
-//   --engines LIST      comma list of engines to run (default: all five)
-//   --testbench-check   also generate each kernel's system-level testbench
-//                       and replay it under both netlist engines
-//   --soak N            fault-injection soak: N rounds re-running the batch
-//                       with one armed fault point per round, asserting the
-//                       sibling verdicts stay identical to the clean run
-//   --json FILE         write the full JSON report (the CI disagreement
-//                       artifact)
-//   --quiet             only the summary and any disagreements
+// Every --opt VALUE option also accepts the --opt=VALUE spelling.
+// docs/CLI.md is the full flag reference; a CI test keeps it in sync with
+// the --help output generated from the option list below.
 //
 // Exit codes: 0 all engines agree on every kernel; 1 disagreement (or soak
 // poisoning); 2 usage; 3 compile failure(s) with no disagreement.
@@ -46,7 +34,9 @@
 #include <vector>
 
 #include "../bench/kernels.hpp"
+#include "roccc/options.hpp"
 #include "roccc/verify.hpp"
+#include "support/cli.hpp"
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"
 
@@ -70,26 +60,6 @@ int usage() {
   return 2;
 }
 
-void printHelp() {
-  std::printf(
-      "usage: roccc-verify [options] [kernel.c ...]\n\n"
-      "Differential conformance: every kernel is compiled and executed by up to five\n"
-      "independent engines (interp, mir-exec, dp-eval, netlist-ref, fastsim) on the\n"
-      "same deterministic stimulus; any disagreement is a minimized counterexample.\n\n"
-      "options:\n"
-      "  --table1            add the nine Table 1 kernels\n"
-      "  --corpus DIR        add every .c kernel in DIR (sorted)\n"
-      "  --unroll LIST       comma-separated unroll factors (default \"1\")\n"
-      "  --seed N            stimulus seed (default 0x0dc52005)\n"
-      "  --jobs N            compile workers (0 = one per hardware thread)\n"
-      "  --engines LIST      comma list of engines (default: all five)\n"
-      "  --testbench-check   also replay each generated system testbench\n"
-      "  --soak N            fault-injection soak rounds (sibling isolation)\n"
-      "  --json FILE         write the full JSON report\n"
-      "  --quiet             only the summary and any disagreements\n\n"
-      "exit codes: 0 agree, 1 disagreement, 2 usage, 3 compile failure\n");
-}
-
 bool parseEngines(const std::string& list, unsigned& mask) {
   mask = 0;
   std::stringstream ss(list);
@@ -111,65 +81,32 @@ bool parseEngines(const std::string& list, unsigned& mask) {
   return mask != 0;
 }
 
-bool parseUnrolls(const std::string& list, std::vector<int>& out) {
-  out.clear();
-  std::stringstream ss(list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const int u = std::atoi(item.c_str());
-    if (u < 1) return false;
-    out.push_back(u);
-  }
-  return !out.empty();
-}
-
-bool parseArgs(int argc, char** argv, Args& a) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    const auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg.empty() || arg[0] != '-') {
-      a.inputs.push_back(arg);
-    } else if (arg == "--help") {
-      a.showHelp = true;
-    } else if (arg == "--table1") {
-      a.table1 = true;
-    } else if (arg == "--corpus") {
-      const char* v = value();
-      if (!v) return false;
-      a.corpusDir = v;
-    } else if (arg == "--unroll") {
-      const char* v = value();
-      if (!v || !parseUnrolls(v, a.unrolls)) return false;
-    } else if (arg == "--seed") {
-      const char* v = value();
-      if (!v) return false;
-      a.verify.seed = std::strtoull(v, nullptr, 0);
-    } else if (arg == "--jobs") {
-      const char* v = value();
-      if (!v) return false;
-      a.verify.workers = std::atoi(v);
-    } else if (arg == "--engines") {
-      const char* v = value();
-      if (!v || !parseEngines(v, a.verify.engineMask)) return false;
-    } else if (arg == "--testbench-check") {
-      a.verify.checkTestbench = true;
-    } else if (arg == "--soak") {
-      const char* v = value();
-      if (!v) return false;
-      a.soakRounds = std::atoi(v);
-      if (a.soakRounds < 1) return false;
-    } else if (arg == "--json") {
-      const char* v = value();
-      if (!v) return false;
-      a.jsonPath = v;
-    } else if (arg == "--quiet") {
-      a.quiet = true;
-    } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
+/// The option list: --help and the docs/CLI.md sync check are generated
+/// from it, so every option lives here.
+std::vector<roccc::cli::OptionSpec> optionList(Args& a) {
+  using roccc::cli::setFlag;
+  using roccc::cli::setString;
+  return {
+      {"--table1", nullptr, "add the nine Table 1 kernels", setFlag(a.table1)},
+      {"--corpus", "DIR", "add every .c kernel in DIR (sorted)", setString(a.corpusDir)},
+      // An axis, spelled like the compile flag it sweeps.
+      {roccc::optionRow(roccc::OptionId::Unroll).flag, "LIST",
+       "comma-separated unroll factors (default \"1\")",
+       [&a](const char* v, std::string&) { return roccc::cli::parseIntList(v, a.unrolls, 1); }},
+      {"--seed", "N", "stimulus seed (default 0x0dc52005)",
+       [&a](const char* v, std::string&) { return roccc::cli::parseSeed(v, a.verify.seed); }},
+      {"--jobs", "N", "compile workers (0 = one per hardware thread)",
+       roccc::cli::setInt(a.verify.workers, 0)},
+      {"--engines", "LIST", "comma list of engines (default: all five)",
+       [&a](const char* v, std::string&) { return parseEngines(v, a.verify.engineMask); }},
+      {"--testbench-check", nullptr, "also replay each generated system testbench",
+       setFlag(a.verify.checkTestbench)},
+      {"--soak", "N", "fault-injection soak rounds (sibling isolation)",
+       roccc::cli::setInt(a.soakRounds, 1)},
+      {"--json", "FILE", "write the full JSON report", setString(a.jsonPath)},
+      {"--quiet", nullptr, "only the summary and any disagreements", setFlag(a.quiet)},
+      {"--help", nullptr, "print this option list and exit", setFlag(a.showHelp)},
+  };
 }
 
 bool collectJobs(const Args& a, std::vector<roccc::CompileJob>& jobs) {
@@ -294,9 +231,20 @@ int runSoak(const std::vector<roccc::CompileJob>& jobs, const roccc::VerifyOptio
 
 int main(int argc, char** argv) {
   Args a;
-  if (!parseArgs(argc, argv, a)) return usage();
+  const auto options = optionList(a);
+  std::string error;
+  if (!roccc::cli::parseArgs(argc, argv, options, a.inputs, error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return usage();
+  }
   if (a.showHelp) {
-    printHelp();
+    roccc::cli::printHelp(
+        "usage: roccc-verify [options] [kernel.c ...]\n\n"
+        "Differential conformance: every kernel is compiled and executed by up to five\n"
+        "independent engines (interp, mir-exec, dp-eval, netlist-ref, fastsim) on the\n"
+        "same deterministic stimulus; any disagreement is a minimized counterexample.\n\n"
+        "options:\n",
+        options, "\nexit codes: 0 agree, 1 disagreement, 2 usage, 3 compile failure\n", 19);
     return 0;
   }
   std::vector<roccc::CompileJob> jobs;
