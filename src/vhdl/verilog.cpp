@@ -1,8 +1,6 @@
 #include "vhdl/verilog.hpp"
 
-#include <cctype>
 #include <charconv>
-#include <set>
 
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"
@@ -404,155 +402,6 @@ std::string emitDesign(const DataPath& dp, const hlir::KernelInfo& kernel) {
   faultpoint("verilog.emit");
   Emitter e(dp, kernel);
   return e.run();
-}
-
-// ---------------------------------------------------------------------------
-// Structural checker
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct Tok {
-  std::string text;
-  int line;
-};
-
-std::vector<Tok> lexVerilog(const std::string& s) {
-  std::vector<Tok> out;
-  int line = 1;
-  for (size_t i = 0; i < s.size();) {
-    const char c = s[i];
-    if (c == '\n') {
-      ++line;
-      ++i;
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    if (c == '/' && i + 1 < s.size() && s[i + 1] == '/') {
-      while (i < s.size() && s[i] != '\n') ++i;
-      continue;
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '$') {
-      std::string w;
-      while (i < s.size() && (std::isalnum(static_cast<unsigned char>(s[i])) || s[i] == '_' || s[i] == '$')) {
-        w += s[i++];
-      }
-      out.push_back({w, line});
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c)) || c == '\'') {
-      std::string w;
-      while (i < s.size() && (std::isalnum(static_cast<unsigned char>(s[i])) || s[i] == '\'')) w += s[i++];
-      out.push_back({w, line});
-      continue;
-    }
-    if (s.compare(i, 2, "<=") == 0 || s.compare(i, 2, ">=") == 0 || s.compare(i, 2, "==") == 0 ||
-        s.compare(i, 2, "!=") == 0 || s.compare(i, 3, ">>>") == 0 || s.compare(i, 2, ">>") == 0 ||
-        s.compare(i, 2, "<<") == 0) {
-      const size_t len = s.compare(i, 3, ">>>") == 0 ? 3 : 2;
-      out.push_back({s.substr(i, len), line});
-      i += len;
-      continue;
-    }
-    out.push_back({std::string(1, c), line});
-    ++i;
-  }
-  return out;
-}
-
-} // namespace
-
-CheckResult checkDesign(const std::string& text) {
-  CheckResult r;
-  const auto toks = lexVerilog(text);
-  auto problem = [&](int line, const std::string& msg) {
-    r.ok = false;
-    r.problems.push_back(fmt("line %0: %1", line, msg));
-  };
-
-  std::set<std::string> modules;
-  std::vector<std::pair<std::string, int>> instantiations; // (module, line)
-  int depth = 0;            // module nesting (must stay 0/1)
-  int beginDepth = 0;
-  std::string currentModule;
-  std::set<std::string> declared; // wires/regs/ports in the current module
-
-  static const std::set<std::string> keywords = {
-      "module", "endmodule", "input",  "output", "wire",  "reg",   "assign", "always",
-      "begin",  "end",       "case",   "endcase", "default", "posedge", "if",   "else",
-  };
-
-  for (size_t i = 0; i < toks.size(); ++i) {
-    const Tok& t = toks[i];
-    auto next = [&](size_t k) -> std::string {
-      return i + k < toks.size() ? toks[i + k].text : std::string();
-    };
-    if (t.text == "module") {
-      if (depth != 0) problem(t.line, "nested module");
-      ++depth;
-      ++r.moduleCount;
-      currentModule = next(1);
-      modules.insert(currentModule);
-      declared.clear();
-      continue;
-    }
-    if (t.text == "endmodule") {
-      if (depth != 1) problem(t.line, "endmodule without module");
-      if (beginDepth != 0) problem(t.line, "unbalanced begin/end at endmodule");
-      depth = 0;
-      continue;
-    }
-    if (t.text == "begin") {
-      ++beginDepth;
-      continue;
-    }
-    if (t.text == "end") {
-      if (beginDepth == 0) {
-        problem(t.line, "'end' without 'begin'");
-      } else {
-        --beginDepth;
-      }
-      continue;
-    }
-    if (t.text == "always") ++r.alwaysCount;
-    if ((t.text == "wire" || t.text == "reg" || t.text == "input" || t.text == "output") && depth == 1) {
-      // Skip optional 'wire'/'reg' after input/output and the range.
-      size_t j = i + 1;
-      while (j < toks.size() && (toks[j].text == "wire" || toks[j].text == "reg" ||
-                                 toks[j].text == "signed")) {
-        ++j;
-      }
-      if (j < toks.size() && toks[j].text == "[") {
-        while (j < toks.size() && toks[j].text != "]") ++j;
-        ++j;
-      }
-      if (j < toks.size() && !keywords.count(toks[j].text)) declared.insert(toks[j].text);
-      continue;
-    }
-    if (t.text == "assign" && depth == 1) {
-      const std::string target = next(1);
-      if (!declared.count(target)) {
-        problem(t.line, fmt("assign to undeclared '%0' in module '%1'", target, currentModule));
-      }
-      continue;
-    }
-    // Instantiation: IDENT IDENT '(' at statement level (heuristic: known
-    // non-keyword pair followed by '(' and preceded by ';' or similar).
-    if (depth == 1 && !keywords.count(t.text) && modules.count(t.text) && !next(1).empty() &&
-        !keywords.count(next(1)) && next(2) == "(") {
-      instantiations.emplace_back(t.text, t.line);
-      ++r.instantiationCount;
-      continue;
-    }
-  }
-  if (depth != 0) problem(0, "unterminated module");
-  for (const auto& [name, line] : instantiations) {
-    if (!modules.count(name)) problem(line, fmt("instantiation of unknown module '%0'", name));
-  }
-  return r;
 }
 
 } // namespace roccc::verilog

@@ -146,6 +146,106 @@ TEST(VhdlCheck, UnterminatedStringLiteralAtEndOfInput) {
   EXPECT_TRUE(tick.ok) << join(tick.problems, "\n");
 }
 
+// Text that stops one to three tokens after `entity`, `architecture` or
+// `end`: the block rules look three tokens ahead and skip up to three, so
+// these cases read past the last token; the expected verdicts are the
+// token-vector checker's.
+struct EndOfInputCase {
+  const char* text;
+  std::vector<std::string> problems;
+  int entities, architectures, processes, instantiations;
+};
+
+const EndOfInputCase kEndOfInputCases[] = {
+    {"entity",
+     {},
+     0, 0, 0, 0},
+    {"entity foo",
+     {},
+     0, 0, 0, 0},
+    {"entity foo is",
+     {"line 1: unclosed entity foo", "line 0: entity 'foo' has no architecture"},
+     1, 0, 0, 0},
+    {"entity work",
+     {},
+     0, 0, 0, 0},
+    {"entity work.",
+     {"line 0: instantiation of unknown entity ''"},
+     0, 0, 0, 1},
+    {"entity work.x",
+     {"line 0: instantiation of unknown entity 'x'"},
+     0, 0, 0, 1},
+    {"architecture",
+     {},
+     0, 0, 0, 0},
+    {"architecture rtl",
+     {},
+     0, 0, 0, 0},
+    {"architecture rtl of",
+     {"line 1: unclosed architecture ", "line 0: architecture of unknown entity ''"},
+     0, 1, 0, 0},
+    {"architecture rtl of foo",
+     {"line 1: unclosed architecture foo", "line 0: architecture of unknown entity 'foo'"},
+     0, 1, 0, 0},
+    {"end",
+     {},
+     0, 0, 0, 0},
+    {"end if",
+     {"line 1: 'end if' without open if"},
+     0, 0, 0, 0},
+    {"end entity",
+     {"line 1: 'end entity' without open entity"},
+     0, 0, 0, 0},
+    {"if c then end if",
+     {},
+     0, 0, 0, 0},
+    {"entity foo is\nend",
+     {"line 1: unclosed entity foo", "line 0: entity 'foo' has no architecture"},
+     1, 0, 0, 0},
+    {"entity foo is\nend entity",
+     {"line 0: entity 'foo' has no architecture"},
+     1, 0, 0, 0},
+    {"entity foo is\nend entity bar",
+     {"line 2: entity end label 'bar' does not match 'foo'", "line 0: entity 'foo' has no architecture"},
+     1, 0, 0, 0},
+    {"entity foo is\nend entity foo",
+     {"line 0: entity 'foo' has no architecture"},
+     1, 0, 0, 0},
+    {"entity foo is port (",
+     {"line 1: unclosed entity foo", "line 0: entity 'foo' has no architecture"},
+     1, 0, 0, 0},
+    {"entity foo is port ( a :",
+     {"line 1: unclosed entity foo", "line 0: entity 'foo' has no architecture"},
+     1, 0, 0, 0},
+    {"entity foo is port ( q : out bit );\nend entity;\narchitecture rtl of foo is\nbegin\nq <=",
+     {"line 3: unclosed architecture foo"},
+     1, 1, 0, 0},
+    {"entity foo is end entity;\narchitecture rtl of foo is\nbegin\nghost <=",
+     {"line 2: unclosed architecture foo", "line 4: assignment to undeclared signal 'ghost' in architecture of 'foo'"},
+     1, 1, 0, 0},
+    {"entity foo is end entity;\narchitecture rtl of foo is\nsignal s : bit;\nbegin\ns <=",
+     {"line 2: unclosed architecture foo"},
+     1, 1, 0, 0},
+    {"entity foo is end entity;\narchitecture rtl of foo is\nbegin\nghost",
+     {"line 2: unclosed architecture foo"},
+     1, 1, 0, 0},
+    {"architecture rtl of foo is\nbegin\nq <= '1';\nend architecture;\nentity foo is port ( q : out bit );\nend entity foo;",
+     {},
+     1, 1, 0, 0},
+};
+
+TEST(VhdlCheck, TextEndingInsideABlockHeaderOrAssignment) {
+  for (const auto& c : kEndOfInputCases) {
+    const auto chk = vhdl::checkDesign(c.text);
+    EXPECT_EQ(chk.problems, c.problems) << c.text;
+    EXPECT_EQ(chk.ok, c.problems.empty()) << c.text;
+    EXPECT_EQ(chk.entityCount, c.entities) << c.text;
+    EXPECT_EQ(chk.architectureCount, c.architectures) << c.text;
+    EXPECT_EQ(chk.processCount, c.processes) << c.text;
+    EXPECT_EQ(chk.instantiationCount, c.instantiations) << c.text;
+  }
+}
+
 // ---- makeVectors feedback threading --------------------------------------
 
 TEST(MakeVectors, FeedbackThreadingMatchesManualEvaluation) {
