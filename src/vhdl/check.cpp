@@ -621,7 +621,7 @@ struct AssignRules {
 /// OtherKeyword are the keywords; Signed is a plain word to the rules that
 /// test for keywords.
 enum class GKind : uint8_t {
-  Other, LBracket, RBracket, LParen, Word, Signed,
+  Other, LBracket, RBracket, LParen, Semicolon, Word, Signed,
   Module, Endmodule, Begin, End, Always, Wire, Reg, Input, Output, Assign, OtherKeyword,
 };
 
@@ -671,6 +671,7 @@ constexpr ByteTable kVerilogPunct = [] {
   t['['] = static_cast<uint8_t>(GKind::LBracket);
   t[']'] = static_cast<uint8_t>(GKind::RBracket);
   t['('] = static_cast<uint8_t>(GKind::LParen);
+  t[';'] = static_cast<uint8_t>(GKind::Semicolon);
   return t;
 }();
 
@@ -811,8 +812,13 @@ namespace verilog {
 
 CheckResult checkDesign(const std::string& text) {
   CheckResult r;
-  NameSet modules;
-  NameSet declared; // wires/regs/ports of the current module
+  struct Instance {
+    std::string_view module;
+    int line;
+  };
+  std::vector<std::string_view> modules;
+  std::vector<Instance> instances; ///< in text order, resolved after the last token
+  NameSet declared;                ///< wires/regs/ports of the current module
   std::string_view currentModule;
   int depth = 0; // module nesting (must stay 0/1)
   int beginDepth = 0;
@@ -826,27 +832,27 @@ CheckResult checkDesign(const std::string& text) {
         ++depth;
         ++r.moduleCount;
         currentModule = w[1].text;
-        modules.insert(currentModule);
+        modules.push_back(currentModule);
         declared.clear();
-        continue;
+        break;
       case GKind::Endmodule:
         if (depth != 1) addProblem(r, t.line, "endmodule without module");
         if (beginDepth != 0) addProblem(r, t.line, "unbalanced begin/end at endmodule");
         depth = 0;
-        continue;
+        break;
       case GKind::Begin:
         ++beginDepth;
-        continue;
+        break;
       case GKind::End:
         if (beginDepth == 0) {
           addProblem(r, t.line, "'end' without 'begin'");
         } else {
           --beginDepth;
         }
-        continue;
+        break;
       case GKind::Always:
         ++r.alwaysCount;
-        continue;
+        break;
       case GKind::Wire:
       case GKind::Reg:
       case GKind::Input:
@@ -855,23 +861,33 @@ CheckResult checkDesign(const std::string& text) {
           const VerilogTok name = declaredName(w);
           if (!name.text.empty() && !isKeyword(name)) declared.insert(name.text);
         }
-        continue;
+        break;
       case GKind::Assign:
         if (depth == 1 && !declared.contains(w[1].text)) {
           addProblem(r, t.line,
                      fmt("assign to undeclared '%0' in module '%1'", w[1].text, currentModule));
         }
-        continue;
+        break;
+      case GKind::Word:
+        // Instantiation: MODULE NAME ( at the start of a module-body
+        // statement, whether or not the module is declared before it.
+        if (depth == 1 && w[1].kind == GKind::Word && w[2].kind == GKind::LParen &&
+            (w[-1].kind == GKind::Semicolon || w[-1].kind == GKind::End)) {
+          instances.push_back({t.text, t.line});
+          ++r.instantiationCount;
+        }
+        break;
       default:
         break;
     }
-    // Instantiation: a known module name, then a non-keyword, then '('.
-    if (depth == 1 && !isKeyword(t) && modules.contains(t.text) && !w[1].text.empty() &&
-        !isKeyword(w[1]) && w[2].kind == GKind::LParen) {
-      ++r.instantiationCount;
-    }
   }
   if (depth != 0) addProblem(r, 0, "unterminated module");
+  sortUnique(modules);
+  for (const Instance& inst : instances) {
+    if (!sortedContains(modules, inst.module)) {
+      addProblem(r, inst.line, fmt("instantiation of unknown module '%0'", inst.module));
+    }
+  }
   return r;
 }
 

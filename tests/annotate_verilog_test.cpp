@@ -195,6 +195,27 @@ TEST(Verilog, ValidatorCatchesBrokenText) {
     endmodule
   )");
   EXPECT_TRUE(good.ok) << join(good.problems, "\n");
+
+  // An instantiation of a module the text never declares.
+  const auto ghost = verilog::checkDesign(R"(
+    module top(input wire x);
+      ghost u0 (.a(x));
+    endmodule
+  )");
+  EXPECT_FALSE(ghost.ok);
+  EXPECT_EQ(ghost.instantiationCount, 1);
+  EXPECT_EQ(ghost.problems, std::vector<std::string>{"line 3: instantiation of unknown module 'ghost'"});
+
+  // A leaf declared after the module that instantiates it still counts.
+  const auto later = verilog::checkDesign(R"(
+    module top(input wire x);
+      leaf u0 (.a(x));
+    endmodule
+    module leaf(input wire a);
+    endmodule
+  )");
+  EXPECT_TRUE(later.ok) << join(later.problems, "\n");
+  EXPECT_EQ(later.instantiationCount, 1);
 }
 
 } // namespace
