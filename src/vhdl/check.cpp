@@ -1,18 +1,17 @@
 // The VHDL and Verilog structural checkers, one streaming pass each.
 //
 // A table-driven lexer yields one token at a time into a ring window that
-// holds the previous token, the current one and three ahead; no token
-// vector is built. Each checker's rule sets run on every token, dispatched
-// on its kind, and whatever needs the whole text (which entity has an
-// architecture, which port a later entity declares, which module an
-// instantiation names) is collected in flat sets and resolved after the
-// last token. Problems keep the order of the checkers' reports: text-order
-// problems as they are met, then the end-of-text checks in a fixed order.
+// holds the previous token, the current one and the next few; no token
+// vector is built. Each checker's rule sets run on the tokens that can
+// start a rule, dispatched on their kind, and whatever needs the whole text
+// (which entity has an architecture, which port a later entity declares,
+// which module an instantiation names) is collected in vectors, sorted and
+// resolved after the last token. Problems come in a fixed order: those
+// found in the text as they are met, then the end-of-text checks.
 #include "vhdl/check.hpp"
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
@@ -46,57 +45,6 @@ constexpr ByteTable mark(ByteTable t, Pred pred, uint8_t value) {
 
 constexpr uint8_t at(const ByteTable& t, char c) { return t[static_cast<unsigned char>(c)]; }
 
-/// Words are scanned eight bytes at a time: a chunk is loaded as a
-/// little-endian number, so byte k of the text is bits 8k..8k+7 on every
-/// target, and byte classes become masks with 0x80 in each byte that is in
-/// the class.
-constexpr uint64_t kHighBits = 0x8080808080808080ULL;
-constexpr uint64_t kLowBits = 0x0101010101010101ULL;
-
-uint64_t load8(const char* p) {
-  uint64_t x = 0;
-  std::memcpy(&x, p, 8);
-  if constexpr (std::endian::native == std::endian::big) {
-    uint64_t y = 0;
-    for (int k = 0; k < 8; ++k) y = y << 8 | ((x >> (8 * k)) & 0xff);
-    x = y;
-  }
-  return x;
-}
-
-void store8(char* p, uint64_t x) {
-  if constexpr (std::endian::native == std::endian::big) {
-    uint64_t y = 0;
-    for (int k = 0; k < 8; ++k) y = y << 8 | ((x >> (8 * k)) & 0xff);
-    x = y;
-  }
-  std::memcpy(p, &x, 8);
-}
-
-/// The bytes of `v` (each below 0x80) that lie in [lo, hi].
-constexpr uint64_t bytesIn(uint64_t v, unsigned char lo, unsigned char hi) {
-  return ((v | kHighBits) - lo * kLowBits) & ((hi * kLowBits | kHighBits) - v) & kHighBits;
-}
-
-struct WordChunk {
-  uint64_t bytes;  ///< the eight bytes, little-endian
-  uint64_t upper;  ///< the upper-case letters among them
-  unsigned length; ///< how many leading bytes continue a word, 0..8
-};
-
-/// Classifies the eight bytes at `p`: a word continues through letters,
-/// digits, '_' and `extra`.
-WordChunk wordChunk(const char* p, char extra) {
-  const uint64_t x = load8(p);
-  const uint64_t v = x & ~kHighBits;
-  const uint64_t upper = bytesIn(v, 'A', 'Z') & ~x;
-  const uint64_t word = (upper | bytesIn(v, 'a', 'z') | bytesIn(v, '0', '9') | bytesIn(v, '_', '_') |
-                         bytesIn(v, static_cast<unsigned char>(extra), static_cast<unsigned char>(extra))) &
-                        ~x;
-  const uint64_t stop = ~word & kHighBits;
-  return {x, upper, stop == 0 ? 8 : static_cast<unsigned>(std::countr_zero(stop)) / 8};
-}
-
 /// A keyword table indexed by a hash of a word's first byte, last byte and
 /// length, weighted so that the keywords of a language do not collide; a
 /// word is a keyword when it equals the entry at its slot.
@@ -124,7 +72,8 @@ constexpr KeywordTable<Kind> keywordTable(const Keyword<Kind> (&words)[N], Keywo
   KeywordTable<Kind> t{};
   for (const Keyword<Kind>& k : words) {
     Keyword<Kind>& slot = t[keywordSlot(k.word, h)];
-    if (!slot.word.empty()) throw "keyword slots collide"; // a compile error here
+    // The tables are constexpr, so a collision stops the build here.
+    if (!slot.word.empty()) throw "keyword slots collide";
     slot = k;
   }
   return t;
@@ -187,44 +136,7 @@ class TokenWindow {
   size_t end_ = SIZE_MAX;
 };
 
-/// The text a lexer reads: the design text, then `stop` (one byte that
-/// ends every scan), then seven NULs. So eight bytes can be read at any
-/// position of the text: every chunk load and every name below stays
-/// inside the buffer.
-std::string paddedCopy(const std::string& text, char stop) {
-  std::string buf;
-  buf.reserve(text.size() + 8);
-  buf = text;
-  buf += stop;
-  buf.append(7, '\0');
-  return buf;
-}
-
-/// The first `n` bytes of a little-endian chunk (n < 8).
-constexpr uint64_t leading(uint64_t x, size_t n) { return x & ((uint64_t{1} << (8 * n)) - 1); }
-
-/// Hash of a name in a padded buffer, eight bytes at a time.
-uint64_t hashName(std::string_view s) {
-  uint64_t h = s.size() * 0x9e3779b97f4a7c15ULL;
-  for (size_t i = 0; i < s.size(); i += 8) {
-    const uint64_t v = load8(s.data() + i);
-    h = (h ^ (s.size() - i >= 8 ? v : leading(v, s.size() - i))) * 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 31;
-  }
-  return h ^ (h >> 29);
-}
-
-/// Equality of two names in padded buffers, eight bytes at a time.
-bool sameName(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); i += 8) {
-    const uint64_t diff = load8(a.data() + i) ^ load8(b.data() + i);
-    if ((a.size() - i >= 8 ? diff : leading(diff, a.size() - i)) != 0) return false;
-  }
-  return true;
-}
-
-/// Open-addressing set of names, which are views into a padded buffer.
+/// Open-addressing set of names, which are views into the checked text.
 /// clear() is O(1), so one set serves block after block.
 class NameSet {
  public:
@@ -235,33 +147,29 @@ class NameSet {
 
   void insert(std::string_view name) {
     if (2 * (size_ + 1) > slots_.size()) grow();
-    const uint64_t hash = hashName(name);
-    Slot& s = slots_[find(name, hash)];
+    Slot& s = slots_[find(name)];
     if (s.generation == generation_) return;
-    s = {name.data(), static_cast<uint32_t>(name.size()), generation_, hash};
+    s = {name, generation_};
     ++size_;
   }
 
   bool contains(std::string_view name) const {
-    return !slots_.empty() && slots_[find(name, hashName(name))].generation == generation_;
+    return !slots_.empty() && slots_[find(name)].generation == generation_;
   }
 
  private:
   struct Slot {
-    const char* data = nullptr;
-    uint32_t size = 0;
-    uint32_t generation = 0;
-    uint64_t hash = 0;
+    std::string_view name;
+    uint32_t generation = 0; ///< live only when equal to the set's
   };
 
   /// Index of the live slot holding `name`, or of the free slot where it
   /// would go.
-  size_t find(std::string_view name, uint64_t hash) const {
+  size_t find(std::string_view name) const {
     const size_t mask = slots_.size() - 1;
-    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    for (size_t i = std::hash<std::string_view>{}(name) & mask;; i = (i + 1) & mask) {
       const Slot& s = slots_[i];
-      if (s.generation != generation_) return i;
-      if (s.hash == hash && sameName(std::string_view(s.data, s.size), name)) return i;
+      if (s.generation != generation_ || s.name == name) return i;
     }
   }
 
@@ -269,7 +177,7 @@ class NameSet {
     std::vector<Slot> old(std::max<size_t>(64, 2 * slots_.size()));
     old.swap(slots_);
     for (const Slot& s : old) {
-      if (s.generation == generation_) slots_[find(std::string_view(s.data, s.size), s.hash)] = s;
+      if (s.generation == generation_) slots_[find(s.name)] = s;
     }
   }
 
@@ -356,15 +264,19 @@ constexpr ByteTable kVhdlPunct = [] {
 /// 1 for the bytes that continue a number: letters and digits.
 constexpr ByteTable kVhdlNumber = mark({}, [](int c) { return isAlpha(c) || isDigit(c); }, 1);
 
-/// Lexes VHDL out of a padded copy of the text whose stop byte is '"': it
-/// closes a string literal left open at the end of the text and ends every
-/// other scan without a bounds check. Identifiers are lower-cased where they
-/// stand, so tokens are views into the copy and no token owns one.
+/// 1 for the bytes that continue an identifier: letters, digits and '_'.
+constexpr ByteTable kVhdlWordPart = mark(kVhdlNumber, [](int c) { return c == '_'; }, 1);
+
+/// Lexes VHDL out of a copy of the text with one stop byte, '"', appended:
+/// it closes a string literal left open at the end of the text and ends
+/// every other scan without a bounds check. Identifiers are lower-cased
+/// where they stand, so tokens are views into the copy and no token owns
+/// one.
 class VhdlLexer {
  public:
   using Tok = VhdlTok;
 
-  explicit VhdlLexer(std::string& padded) : buf_(padded.data()), n_(padded.size() - 8) {}
+  explicit VhdlLexer(std::string& stopped) : buf_(stopped.data()), n_(stopped.size() - 1) {}
 
   bool next(Tok& t) {
     // The cursor lives in locals: stores through `buf` may alias members.
@@ -406,12 +318,10 @@ class VhdlLexer {
           ++i;
           continue;
         case kVWord: {
-          for (unsigned length = 8; length == 8; i += length) {
-            const WordChunk c = wordChunk(buf + i, '_');
-            length = c.length;
-            const uint64_t lead = length == 8 ? ~0ULL : (1ULL << (8 * length)) - 1;
-            store8(buf + i, c.bytes | (c.upper & lead) >> 2); // 'A' | 0x20 == 'a'
-          }
+          do {
+            if (buf[i] >= 'A' && buf[i] <= 'Z') buf[i] = static_cast<char>(buf[i] - 'A' + 'a');
+            ++i;
+          } while (at(kVhdlWordPart, buf[i]));
           const std::string_view w(buf + start, i - start);
           return token(start, i, keywordKind(kVhdlKeywords, kVhdlHash, w, VKind::Ident));
         }
@@ -570,7 +480,7 @@ struct AssignRules {
     std::string_view name, entity;
     int line;
   };
-  NameSet locals;
+  NameSet locals; ///< of the open architecture
   std::vector<Target> unresolved;
   std::string_view entity; ///< of the open architecture; empty outside one
   bool inBody = false;
@@ -679,14 +589,18 @@ constexpr ByteTable kVerilogPunct = [] {
 constexpr ByteTable kVerilogNumber =
     mark({}, [](int c) { return isAlpha(c) || isDigit(c) || c == '\''; }, 1);
 
-/// Lexes Verilog out of a padded copy of the text whose stop byte is NUL,
-/// which no scan continues through, so no lookahead needs a bounds check.
-/// Tokens are views into the copy.
+/// 1 for the bytes that continue a word: letters, digits, '_' and '$'.
+constexpr ByteTable kVerilogWordPart =
+    mark({}, [](int c) { return isAlpha(c) || isDigit(c) || c == '_' || c == '$'; }, 1);
+
+/// Lexes Verilog straight out of the text. The NUL that ends every
+/// std::string is a stop byte no scan continues through, so no lookahead
+/// needs a bounds check. Tokens are views into the text.
 class VerilogLexer {
  public:
   using Tok = VerilogTok;
 
-  explicit VerilogLexer(const std::string& padded) : s_(padded.data()), n_(padded.size() - 8) {}
+  explicit VerilogLexer(const std::string& text) : s_(text.c_str()), n_(text.size()) {}
 
   bool next(Tok& t) {
     const char* const s = s_;
@@ -719,7 +633,8 @@ class VerilogLexer {
           }
           continue;
         case kGWord: {
-          for (unsigned length = 8; length == 8; i += length) length = wordChunk(s + i, '$').length;
+          do ++i;
+          while (at(kVerilogWordPart, s[i]));
           const std::string_view w(s + start, i - start);
           return token(start, i, keywordKind(kVerilogKeywords, kVerilogHash, w, GKind::Word));
         }
@@ -784,7 +699,10 @@ namespace vhdl {
 CheckResult checkDesign(const std::string& text) {
   CheckResult r;
   // Every token, set key and problem argument below is a view into `buf`.
-  std::string buf = paddedCopy(text, '"');
+  std::string buf;
+  buf.reserve(text.size() + 1);
+  buf = text;
+  buf += '"';
 
   BlockRules blocks;
   PortRules ports;
@@ -818,13 +736,12 @@ CheckResult checkDesign(const std::string& text) {
   };
   std::vector<std::string_view> modules;
   std::vector<Instance> instances; ///< in text order, resolved after the last token
-  NameSet declared;                ///< wires/regs/ports of the current module
+  NameSet declared; ///< wires/regs/ports of the current module
   std::string_view currentModule;
   int depth = 0; // module nesting (must stay 0/1)
   int beginDepth = 0;
 
-  const std::string buf = paddedCopy(text, '\0');
-  for (VerilogWindow w{VerilogLexer(buf)}; !w.done(); w.advance()) {
+  for (VerilogWindow w{VerilogLexer(text)}; !w.done(); w.advance()) {
     const VerilogTok& t = w[0];
     switch (t.kind) {
       case GKind::Module:

@@ -1,9 +1,10 @@
-// Lightweight VHDL structural validator: tokenizes emitted designs and
-// checks the properties a synthesis front end would reject immediately —
-// matched entity/architecture/process/if blocks, entity-name agreement,
-// declared-before-used signals/ports inside each architecture, and that
-// every `entity work.X` instantiation resolves to an emitted entity.
-// (It is a checker for our generator, not a general VHDL parser.)
+// Lightweight VHDL structural validator: checks the properties a synthesis
+// front end would reject immediately — matched entity/architecture/process/
+// if blocks, entity-name agreement, declared-before-used signals/ports inside
+// each architecture, and that every `entity work.X` instantiation resolves to
+// an emitted entity. It reads the text in one streaming pass (check.cpp, which
+// also holds verilog::checkDesign). It is a checker for our generator, not a
+// general VHDL parser.
 #pragma once
 
 #include <string>

@@ -19,7 +19,8 @@ namespace roccc::verilog {
 std::string emitDesign(const dp::DataPath& dp, const hlir::KernelInfo& kernel);
 
 /// Structural validator for the emitted Verilog (module/endmodule balance,
-/// declared-before-assigned wires/regs, instantiations resolve).
+/// declared-before-assigned wires/regs, instantiations resolve). Defined in
+/// check.cpp, on the same one-pass lexer as vhdl::checkDesign.
 struct CheckResult {
   bool ok = true;
   std::vector<std::string> problems;
