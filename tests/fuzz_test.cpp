@@ -5,17 +5,25 @@
 // types, branches, feedback, windows and strides far beyond the hand-
 // written tests.
 // The kernel generator itself lives in kernel_fuzzer.hpp, shared with the
-// thread-pool stress suite (driver_stress_test.cpp).
+// thread-pool stress suite (driver_stress_test.cpp). The HDL checkers are
+// fuzzed on their own at the end: arbitrary bytes and truncated designs
+// must be checked to a verdict without a crash (the asan preset turns an
+// out-of-bounds read in their lexers into a failure).
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string_view>
 
+#include "../bench/kernels.hpp"
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
 #include "hlir/cosim.hpp"
 #include "kernel_fuzzer.hpp"
 #include "roccc/compiler.hpp"
+#include "support/rng.hpp"
 #include "support/strings.hpp"
+#include "vhdl/check.hpp"
+#include "vhdl/verilog.hpp"
 
 namespace roccc {
 namespace {
@@ -215,6 +223,58 @@ TEST_P(FuzzLayersSweep, AllThreeExecutionLayersAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzLayersSweep, ::testing::Values(5, 15, 25, 35, 45));
+
+// Both HDL checkers on one text: each must reach a verdict, and a verdict
+// is ok exactly when it lists no problem.
+void expectCheckersTerminate(const std::string& text) {
+  const vhdl::CheckResult v = vhdl::checkDesign(text);
+  EXPECT_EQ(v.ok, v.problems.empty());
+  const verilog::CheckResult g = verilog::checkDesign(text);
+  EXPECT_EQ(g.ok, g.problems.empty());
+}
+
+TEST(FuzzHdlCheck, ArbitraryBytes) {
+  // Bytes the lexers treat specially, alone: NUL, high-bit bytes, and an
+  // opening quote or tick with nothing after it.
+  for (const char* text : {"", "\"", "'", "-", "--", "/", "//", "\xff", "a'", "x <= '", "entity \""}) {
+    expectCheckersTerminate(text);
+  }
+  expectCheckersTerminate(std::string(1, '\0'));
+  // Seeded random texts: uniform bytes, and texts drawn from the bytes and
+  // words the rules react to.
+  static constexpr std::string_view kPieces[] = {
+      "entity", "architecture", "end", "is", "of", "port", "(", ")", ":", ";", "<=", ".",
+      "work", "signal", "begin", "process", "if", "module", "endmodule", "wire", "[", "]",
+      "assign", "\"", "'", "--", "//", " ", "\n", {"\0", 1}, "\x80", "x", "7",
+  };
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    SplitMix64 rng(seed);
+    const size_t len = rng.next() % 600;
+    std::string bytes;
+    std::string words;
+    for (size_t i = 0; i < len; ++i) {
+      bytes += static_cast<char>(rng.next());
+      words += kPieces[rng.next() % std::size(kPieces)];
+    }
+    expectCheckersTerminate(bytes);
+    expectCheckersTerminate(words);
+  }
+}
+
+TEST(FuzzHdlCheck, PrefixesOfTable1Designs) {
+  for (const auto& k : bench::kTable1Kernels) {
+    CompileOptions opt;
+    if (k.targetStageDelayNs > 0) opt.dpOptions.targetStageDelayNs = k.targetStageDelayNs;
+    const CompileResult r = Compiler(opt).compileSource(k.source);
+    ASSERT_TRUE(r.ok) << k.name;
+    for (const std::string* text : {&r.vhdl, &r.verilog}) {
+      for (size_t n = 0; n <= text->size(); n += 97) {
+        SCOPED_TRACE(std::string(k.name) + " prefix " + std::to_string(n));
+        expectCheckersTerminate(text->substr(0, n));
+      }
+    }
+  }
+}
 
 } // namespace
 } // namespace roccc

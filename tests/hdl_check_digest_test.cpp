@@ -22,10 +22,10 @@
 //   ./build/tests/hdl_check_digest_test --update-goldens
 //   git diff tests/golden/hdl_check_digests.txt
 //
-// (or set ROCCC_UPDATE_GOLDENS=1 in the environment). To find which check
-// moved, set ROCCC_HDL_CHECK_RECORDS=<file> before and after the change:
-// the test then also writes the hashed records there, one check each, for
-// a plain diff.
+// (or set ROCCC_UPDATE_GOLDENS=1 in the environment). Every run also
+// writes the hashed records, one check each, to hdl_check_records.txt in
+// the working directory; to find which check moved, keep the file from a
+// run before the change and diff it against one from after.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -51,6 +51,7 @@ namespace {
 bool g_updateGoldens = false;
 
 const char* const kDigestFile = ROCCC_GOLDEN_DIR "/hdl_check_digests.txt";
+const char* const kRecordsFile = "hdl_check_records.txt";
 
 constexpr int kMutantsPerDesign = 40;
 
@@ -208,9 +209,7 @@ std::string currentDigests() {
                                r.problems);
                      });
   }
-  if (const char* path = std::getenv("ROCCC_HDL_CHECK_RECORDS")) {
-    std::ofstream(path, std::ios::binary) << vhdlLog.records() << verilogLog.records();
-  }
+  std::ofstream(kRecordsFile, std::ios::binary) << vhdlLog.records() << verilogLog.records();
   return vhdlLog.line() + verilogLog.line();
 }
 

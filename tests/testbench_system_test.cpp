@@ -157,60 +157,34 @@ struct EndOfInputCase {
 };
 
 const EndOfInputCase kEndOfInputCases[] = {
-    {"entity",
-     {},
-     0, 0, 0, 0},
-    {"entity foo",
-     {},
-     0, 0, 0, 0},
+    {"entity", {}, 0, 0, 0, 0},
+    {"entity foo", {}, 0, 0, 0, 0},
     {"entity foo is",
      {"line 1: unclosed entity foo", "line 0: entity 'foo' has no architecture"},
      1, 0, 0, 0},
-    {"entity work",
-     {},
-     0, 0, 0, 0},
-    {"entity work.",
-     {"line 0: instantiation of unknown entity ''"},
-     0, 0, 0, 1},
-    {"entity work.x",
-     {"line 0: instantiation of unknown entity 'x'"},
-     0, 0, 0, 1},
-    {"architecture",
-     {},
-     0, 0, 0, 0},
-    {"architecture rtl",
-     {},
-     0, 0, 0, 0},
+    {"entity work", {}, 0, 0, 0, 0},
+    {"entity work.", {"line 0: instantiation of unknown entity ''"}, 0, 0, 0, 1},
+    {"entity work.x", {"line 0: instantiation of unknown entity 'x'"}, 0, 0, 0, 1},
+    {"architecture", {}, 0, 0, 0, 0},
+    {"architecture rtl", {}, 0, 0, 0, 0},
     {"architecture rtl of",
      {"line 1: unclosed architecture ", "line 0: architecture of unknown entity ''"},
      0, 1, 0, 0},
     {"architecture rtl of foo",
      {"line 1: unclosed architecture foo", "line 0: architecture of unknown entity 'foo'"},
      0, 1, 0, 0},
-    {"end",
-     {},
-     0, 0, 0, 0},
-    {"end if",
-     {"line 1: 'end if' without open if"},
-     0, 0, 0, 0},
-    {"end entity",
-     {"line 1: 'end entity' without open entity"},
-     0, 0, 0, 0},
-    {"if c then end if",
-     {},
-     0, 0, 0, 0},
+    {"end", {}, 0, 0, 0, 0},
+    {"end if", {"line 1: 'end if' without open if"}, 0, 0, 0, 0},
+    {"end entity", {"line 1: 'end entity' without open entity"}, 0, 0, 0, 0},
+    {"if c then end if", {}, 0, 0, 0, 0},
     {"entity foo is\nend",
      {"line 1: unclosed entity foo", "line 0: entity 'foo' has no architecture"},
      1, 0, 0, 0},
-    {"entity foo is\nend entity",
-     {"line 0: entity 'foo' has no architecture"},
-     1, 0, 0, 0},
+    {"entity foo is\nend entity", {"line 0: entity 'foo' has no architecture"}, 1, 0, 0, 0},
     {"entity foo is\nend entity bar",
      {"line 2: entity end label 'bar' does not match 'foo'", "line 0: entity 'foo' has no architecture"},
      1, 0, 0, 0},
-    {"entity foo is\nend entity foo",
-     {"line 0: entity 'foo' has no architecture"},
-     1, 0, 0, 0},
+    {"entity foo is\nend entity foo", {"line 0: entity 'foo' has no architecture"}, 1, 0, 0, 0},
     {"entity foo is port (",
      {"line 1: unclosed entity foo", "line 0: entity 'foo' has no architecture"},
      1, 0, 0, 0},
@@ -229,6 +203,7 @@ const EndOfInputCase kEndOfInputCases[] = {
     {"entity foo is end entity;\narchitecture rtl of foo is\nbegin\nghost",
      {"line 2: unclosed architecture foo"},
      1, 1, 0, 0},
+    // A port counts even when its entity comes after the architecture.
     {"architecture rtl of foo is\nbegin\nq <= '1';\nend architecture;\nentity foo is port ( q : out bit );\nend entity foo;",
      {},
      1, 1, 0, 0},
