@@ -17,7 +17,7 @@ namespace roccc {
 
 // Bump on any change to code generation, key derivation, or the entry
 // serialization below. Old tier-2 stores then read as silent misses.
-const char* const kCacheSchema = "roccc-cache-v3";
+const char* const kCacheSchema = "roccc-cache-v4";
 
 // --- key derivation ----------------------------------------------------------
 
@@ -67,8 +67,7 @@ int64_t CacheEntry::byteSize() const {
   // Approximate resident size for the tier-1 byte budget: the blobs plus a
   // small fixed overhead per container element.
   int64_t n = 128;
-  n += static_cast<int64_t>(failedPass.size() + vhdl.size() + vhdlSha256.size() +
-                            verilog.size() + transformedSource.size());
+  n += static_cast<int64_t>(failedPass.size() + vhdl.size() + vhdlSha256.size() + verilog.size());
   for (const auto& d : diags) n += 48 + static_cast<int64_t>(d.message.size());
   for (const auto& p : passLog) {
     n += 96 + static_cast<int64_t>(p.name.size());
@@ -84,7 +83,6 @@ CacheEntry CacheEntry::fromResult(const CompileResult& r) {
   e.vhdl = r.vhdl;
   e.vhdlSha256 = r.vhdlSha256;
   e.verilog = r.verilog;
-  e.transformedSource = r.transformedSource;
   e.diags = r.diags.all();
   e.passLog = r.passLog;
   for (auto& p : e.passLog) p.snapshot.clear();
@@ -98,7 +96,6 @@ CompileResult CacheEntry::toResult() const {
   r.vhdl = vhdl;
   r.vhdlSha256 = vhdlSha256;
   r.verilog = verilog;
-  r.transformedSource = transformedSource;
   for (const auto& d : diags) r.diags.report(d.severity, d.loc, d.message);
   r.passLog = passLog;
   r.ok = outcome == CompileOutcome::Ok && !r.diags.hasErrors();
@@ -160,7 +157,6 @@ std::string serializeEntry(const std::string& key, const CacheEntry& e) {
   out << "key " << key << '\n';
   out << "outcome " << compileOutcomeName(e.outcome) << '\n';
   putBlob(out, "failed-pass", e.failedPass);
-  putBlob(out, "transformed-source", e.transformedSource);
   putBlob(out, "vhdl", e.vhdl);
   putBlob(out, "verilog", e.verilog);
   out << "diags " << e.diags.size() << '\n';
@@ -249,7 +245,6 @@ std::optional<CacheEntry> parseEntry(const std::string& data, const std::string&
            r.blob(static_cast<size_t>(n), out) && r.literal("\n");
   };
   if (!readBlob("failed-pass", e.failedPass)) return std::nullopt;
-  if (!readBlob("transformed-source", e.transformedSource)) return std::nullopt;
   if (!readBlob("vhdl", e.vhdl)) return std::nullopt;
   if (!readBlob("verilog", e.verilog)) return std::nullopt;
 

@@ -92,8 +92,7 @@ struct CacheEntry {
   /// CompileResult::vhdlSha256 (empty when the producer did not hash). Not
   /// part of the tier-2 file: a disk load recomputes it.
   std::string vhdlSha256;
-  std::string verilog;
-  std::string transformedSource;
+  std::string verilog; ///< empty unless the compile asked for Verilog
   std::vector<Diagnostic> diags;
   std::vector<PassStatistics> passLog; ///< snapshots stripped
 

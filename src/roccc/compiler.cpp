@@ -137,7 +137,6 @@ PassManager Compiler::buildPipeline() const {
                   return false;
                 }
                 st.add("unroll-factor", unrollFactor);
-                ctx.result.transformedSource = ast::printModule(ctx.module);
                 return true;
               }});
 
@@ -260,11 +259,13 @@ PassManager Compiler::buildPipeline() const {
                 st.add("bytes", static_cast<int64_t>(ctx.result.vhdl.size()));
                 return true;
               }});
-  pm.addPass({"emit-verilog", PassLayer::Vhdl, [](PassContext& ctx, PassStatistics& st) {
+  pm.addPass({"emit-verilog", PassLayer::Vhdl,
+              [](PassContext& ctx, PassStatistics& st) {
                 ctx.result.verilog = verilog::emitDesign(ctx.result.datapath, ctx.result.kernel);
                 st.add("bytes", static_cast<int64_t>(ctx.result.verilog.size()));
                 return true;
-              }});
+              },
+              opts.emitVerilog});
   return pm;
 }
 

@@ -74,6 +74,10 @@ struct CompileOptions {
   /// its path, so a compile stays a pure function of (source, options) —
   /// the cache-key contract). Empty = the built-in Virtex-II-class table.
   std::string timingModelSpec;
+  /// Also emit the design as Verilog (the `emit-verilog` pass; a library
+  /// extension, the paper ships VHDL). Off = CompileResult::verilog stays
+  /// empty and the pass is recorded as skipped.
+  bool emitVerilog = false;
   /// Pipeline instrumentation: verify-each, print-after snapshots.
   PipelineOptions pipeline;
   /// Per-job resource budget (deadline, IR-node cap, unroll-product cap,
@@ -93,8 +97,6 @@ struct CompileResult {
   /// caught); empty on success and for failures outside the pipeline.
   std::string failedPass;
   DiagEngine diags;
-  /// Transformed-source module (after inlining/unrolling), for inspection.
-  std::string transformedSource;
   hlir::KernelInfo kernel;
   mir::FunctionIR mir;
   dp::DataPath datapath;
@@ -107,7 +109,7 @@ struct CompileResult {
   /// compiler never fills it; the daemon does once per artifact, and the
   /// cache carries it so hits replay it instead of re-hashing.
   std::string vhdlSha256;
-  std::string verilog; ///< generated Verilog (library extension)
+  std::string verilog; ///< generated Verilog; empty unless options.emitVerilog
   /// One typed record per pipeline pass (name, layer, wall time, change
   /// counters, optional IR snapshot) — see roccc/pipeline.hpp.
   std::vector<PassStatistics> passLog;
@@ -122,9 +124,9 @@ class Compiler {
 
   /// The declared pass sequence compileSource runs: parse, the HLIR loop
   /// transforms, kernel extraction, MIR lowering/SSA/optimization,
-  /// data-path construction, RTL build (always verified), and VHDL /
-  /// Verilog emission. Exposed so tools and tests can inspect, reorder, or
-  /// extend the pipeline.
+  /// data-path construction, RTL build (always verified), VHDL emission
+  /// and, when options.emitVerilog is set, Verilog emission. Exposed so
+  /// tools and tests can inspect, reorder, or extend the pipeline.
   PassManager buildPipeline() const;
 
   const CompileOptions& options() const { return options_; }

@@ -73,6 +73,9 @@ constexpr OptionRow kRows[] = {
      .valueName = "FILE",
      .help = "per-primitive delay/area/energy table (docs/SYNTHESIS.md format)",
      .kind = K::FileContents, .validate = validTimingModel, .field = ROCCC_FIELD(timingModelSpec)},
+    {.id = OptionId::Verilog, .key = "verilog", .flag = "--verilog", .valueName = "FILE",
+     .help = "also write the Verilog form of the design", .kind = K::Bool, .flagValue = true,
+     .field = ROCCC_FIELD(emitVerilog)},
     {.id = OptionId::VerifyEach, .key = "verifyEach", .flag = "--verify-each",
      .help = "run the layer verifier after every pipeline pass", .kind = K::Bool,
      .flagValue = true, .field = ROCCC_FIELD(pipeline.verifyEach)},
@@ -243,24 +246,29 @@ json::Value optionToJson(const OptionRow& row, const CompileOptions& options) {
       row.field(const_cast<CompileOptions&>(options)));
 }
 
-cli::OptionSpec compileFlag(OptionId id, CompileOptions& target, const char* help) {
+cli::OptionSpec compileFlag(OptionId id, CompileOptions& target, const char* help,
+                            std::string* value) {
   const OptionRow& row = optionRow(id);
   return {row.flag, row.valueName, help ? help : row.help,
-          [&row, &target](const char* v, std::string& error) {
-            return setOptionFromText(row, v, target, error);
+          [&row, &target, value](const char* v, std::string& error) {
+            if (!setOptionFromText(row, v, target, error)) return false;
+            if (value) *value = v;
+            return true;
           }};
 }
 
-cli::OptionSpec protocolFlag(OptionId id, json::Value& options, const char* help) {
+cli::OptionSpec protocolFlag(OptionId id, json::Value& options, const char* help,
+                             std::string* value) {
   const OptionRow& row = optionRow(id);
   return {row.flag, row.valueName, help ? help : row.help,
-          [&row, &options](const char* v, std::string& error) {
-            json::Value value;
+          [&row, &options, value](const char* v, std::string& error) {
+            json::Value parsed;
             CompileOptions checked;
-            if (!textToJson(row, v, value, error) || !assign(row, value, checked, error)) {
+            if (!textToJson(row, v, parsed, error) || !assign(row, parsed, checked, error)) {
               return false;
             }
-            options.set(row.key, std::move(value));
+            options.set(row.key, std::move(parsed));
+            if (value) *value = v;
             return true;
           }};
 }

@@ -13,8 +13,9 @@
 //     compileFlag(), roccc-client from protocolFlag().
 // So any compile one front door can express, every front door can.
 //
-// Presentation fields (pipeline.printAfter*, the daemon's `verilog` key)
-// are not rows: they never change an artifact.
+// Presentation fields (pipeline.printAfter*) are not rows: they never
+// change an artifact. `verilog` is a row: it decides whether the result
+// holds Verilog text at all.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +44,7 @@ enum class OptionId {
   MultStyle,
   Retime,
   TimingModel,
+  Verilog,
   VerifyEach,
   TimeoutMs,
   MaxIrNodes,
@@ -52,7 +54,8 @@ enum class OptionId {
 };
 
 enum class OptionKind {
-  Bool,           ///< JSON true/false; the CLI flag sets `flagValue`
+  Bool,           ///< JSON true/false; the CLI flag sets `flagValue` (a
+                  ///< flag with a `valueName` leaves its value to the tool)
   Int,            ///< integer in [min, max]
   PositiveDouble, ///< finite number > 0
   Enum,           ///< one of `tokens`; token i is enum value i
@@ -100,9 +103,13 @@ json::Value optionToJson(const OptionRow& row, const CompileOptions& options);
 
 /// The CLI flag of row `id`, setting the field in `target`. `help`
 /// replaces the row's description where a tool words it differently.
-cli::OptionSpec compileFlag(OptionId id, CompileOptions& target, const char* help = nullptr);
+/// `value`, when non-null, also receives the flag's text: the FILE of
+/// `--verilog FILE`, which sets a Bool field and names the tool's output.
+cli::OptionSpec compileFlag(OptionId id, CompileOptions& target, const char* help = nullptr,
+                            std::string* value = nullptr);
 /// The CLI flag of row `id` for a protocol client: the value is validated
 /// as compileFlag does and stored under the row's key in `options`.
-cli::OptionSpec protocolFlag(OptionId id, json::Value& options, const char* help = nullptr);
+cli::OptionSpec protocolFlag(OptionId id, json::Value& options, const char* help = nullptr,
+                             std::string* value = nullptr);
 
 } // namespace roccc

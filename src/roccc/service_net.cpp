@@ -202,17 +202,12 @@ bool compileOptionsFromJson(const json::Value& options, const CompileOptions& ba
     return false;
   }
   for (const auto& [key, v] : options.members()) {
-    if (const OptionRow* row = findOptionByKey(key)) {
-      if (!setOptionFromJson(*row, v, out, error)) return false;
-    } else if (key == "verilog") {
-      // Presentation only (include Verilog text in the response); the
-      // caller reads it straight from the request. Type-checked here so
-      // a bad value is still a bad-request.
-      if (!v.isBool()) { error = "option 'verilog' must be a boolean"; return false; }
-    } else {
+    const OptionRow* row = findOptionByKey(key);
+    if (!row) {
       error = fmt("unknown option '%0'", key);
       return false;
     }
+    if (!setOptionFromJson(*row, v, out, error)) return false;
   }
   // Quotas layered on CompileBudget: the server's ceilings bound every
   // client-requested budget (tighter requests pass through).
@@ -476,11 +471,12 @@ struct ServiceDaemon::Impl {
   /// The per-job result fields shared by `result` responses and
   /// `batch-result` rows. `status` is the outcome name for compiled jobs
   /// (the service edge extends the same taxonomy with rejection codes).
-  /// The artifact texts are moved out of `r`. `sha256` is the digest the
-  /// result carries; only a result without one (a daemon with no cache
-  /// attached) is hashed here.
+  /// The artifact texts are moved out of `r`; `verilog` is there exactly
+  /// when the job asked for it. `sha256` is the digest the result carries;
+  /// only a result without one (a daemon with no cache attached) is hashed
+  /// here.
   void fillResultFields(json::Value& row, const std::string& name, CompileResult&& r,
-                        bool cached, double serviceMs, bool wantVerilog) {
+                        bool cached, double serviceMs) {
     row.set("name", json::Value::string(name));
     row.set("status", json::Value::string(compileOutcomeName(r.outcome)));
     row.set("cached", json::Value::boolean(cached));
@@ -490,7 +486,7 @@ struct ServiceDaemon::Impl {
       std::string digest = r.vhdlSha256.empty() ? sha256Hex(r.vhdl) : std::move(r.vhdlSha256);
       row.set("vhdl", json::Value::string(std::move(r.vhdl)));
       row.set("sha256", json::Value::string(std::move(digest)));
-      if (wantVerilog) row.set("verilog", json::Value::string(std::move(r.verilog)));
+      if (!r.verilog.empty()) row.set("verilog", json::Value::string(std::move(r.verilog)));
     }
     json::Value diags = json::Value::array();
     for (const auto& d : r.diags.all()) diags.push(json::Value::string(d.str()));
@@ -500,8 +496,7 @@ struct ServiceDaemon::Impl {
   // --- request handlers ----------------------------------------------------
 
   /// Parses one job spec {name?, source, options?}. False → bad-request.
-  bool parseJobSpec(const json::Value& spec, CompileJob& job, bool& wantVerilog,
-                    std::string& error) {
+  bool parseJobSpec(const json::Value& spec, CompileJob& job, std::string& error) {
     if (!spec.isObject()) {
       error = "job spec must be an object";
       return false;
@@ -519,27 +514,20 @@ struct ServiceDaemon::Impl {
       return false;
     }
     job.source = source->asString();
-    wantVerilog = false;
     const json::Value* options = spec.find("options");
-    if (options) {
-      if (!compileOptionsFromJson(*options, cfg.baseOptions, cfg.budgetCeiling, job.options,
-                                  error)) {
-        return false;
-      }
-      const json::Value* v = options->find("verilog");
-      wantVerilog = v && v->isBool() && v->asBool();
-    } else {
+    if (!options) {
       job.options = cfg.baseOptions;
+      return true;
     }
-    return true;
+    return compileOptionsFromJson(*options, cfg.baseOptions, cfg.budgetCeiling, job.options,
+                                  error);
   }
 
   void handleCompile(const std::shared_ptr<Connection>& conn, const json::Value& req,
                      const json::Value* id) {
     CompileJob job;
-    bool wantVerilog = false;
     std::string error;
-    if (!parseJobSpec(req, job, wantVerilog, error)) {
+    if (!parseJobSpec(req, job, error)) {
       metrics.recordProtocolError(servicecode::kBadRequest);
       writeResponse(*conn, errorResponse(id, servicecode::kBadRequest, error));
       return;
@@ -559,7 +547,7 @@ struct ServiceDaemon::Impl {
     double serviceMs = 0;
     CompileResult result = runAdmittedJob(conn, job, cached, serviceMs);
     json::Value resp = envelope("result", id);
-    fillResultFields(resp, job.name, std::move(result), cached, serviceMs, wantVerilog);
+    fillResultFields(resp, job.name, std::move(result), cached, serviceMs);
     writeResponse(*conn, resp);
   }
 
@@ -574,17 +562,14 @@ struct ServiceDaemon::Impl {
     }
     const size_t n = jobsField->items().size();
     std::vector<CompileJob> jobs(n);
-    std::vector<char> wantVerilog(n, 0);
     for (size_t i = 0; i < n; ++i) {
       std::string error;
-      bool wv = false;
-      if (!parseJobSpec(jobsField->items()[i], jobs[i], wv, error)) {
+      if (!parseJobSpec(jobsField->items()[i], jobs[i], error)) {
         metrics.recordProtocolError(servicecode::kBadRequest);
         writeResponse(*conn, errorResponse(id, servicecode::kBadRequest,
                                            fmt("jobs[%0]: %1", i, error)));
         return;
       }
-      wantVerilog[i] = wv ? 1 : 0;
     }
     // Atomic up-front admission: every row's verdict is decided before any
     // job runs, so which rows of an oversized batch get rejected is
@@ -634,7 +619,7 @@ struct ServiceDaemon::Impl {
       } else {
         if (slots[i].result.ok) ++ok;
         fillResultFields(row, jobs[i].name, std::move(slots[i].result), slots[i].cached,
-                         slots[i].serviceMs, wantVerilog[i] != 0);
+                         slots[i].serviceMs);
       }
       rows.push(std::move(row));
     }

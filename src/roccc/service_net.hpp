@@ -235,9 +235,8 @@ json::Value makeCompileRequest(const std::string& name, const std::string& sourc
 
 /// Parses a protocol options object into CompileOptions on top of `base`,
 /// clamping budget fields to `ceiling`. The keys are the option table's
-/// (roccc/options.hpp) plus the presentation key `verilog`. Strict: unknown
-/// keys, wrong types and out-of-range values fail with a message (the
-/// daemon answers `bad-request`).
+/// (roccc/options.hpp). Strict: unknown keys, wrong types and out-of-range
+/// values fail with a message (the daemon answers `bad-request`).
 bool compileOptionsFromJson(const json::Value& options, const CompileOptions& base,
                             const BudgetLimits& ceiling, CompileOptions& out, std::string& error);
 

@@ -20,6 +20,13 @@ CompileResult compile(const std::string& src, CompileOptions opt = {}) {
   return r;
 }
 
+/// compile() with the Verilog form requested.
+CompileResult compileVerilog(const std::string& src) {
+  CompileOptions opt;
+  opt.emitVerilog = true;
+  return compile(src, opt);
+}
+
 const char* kFir = R"(
   void fir(const int16 A[36], int16 C[32]) {
     int i;
@@ -147,7 +154,7 @@ TEST(Annotation, UnknownNamesRejected) {
 
 TEST(Verilog, EmittedDesignsValidate) {
   for (const char* src : {kFir, kAcc}) {
-    CompileResult r = compile(src);
+    CompileResult r = compileVerilog(src);
     ASSERT_FALSE(r.verilog.empty());
     const auto chk = verilog::checkDesign(r.verilog);
     EXPECT_TRUE(chk.ok) << join(chk.problems, "\n") << "\n---\n" << r.verilog;
@@ -166,14 +173,14 @@ TEST(Verilog, BranchKernelWithRomValidates) {
       }
     }
   )";
-  CompileResult r = compile(src);
+  CompileResult r = compileVerilog(src);
   const auto chk = verilog::checkDesign(r.verilog);
   EXPECT_TRUE(chk.ok) << join(chk.problems, "\n") << "\n---\n" << r.verilog;
   EXPECT_NE(r.verilog.find("case (addr)"), std::string::npos); // ROM module
 }
 
 TEST(Verilog, MentionsKeyConstructs) {
-  CompileResult r = compile(kAcc);
+  CompileResult r = compileVerilog(kAcc);
   EXPECT_NE(r.verilog.find("always @(posedge clk)"), std::string::npos);
   EXPECT_NE(r.verilog.find("module acc_dp("), std::string::npos);
   EXPECT_NE(r.verilog.find("input wire valid"), std::string::npos); // gated feedback

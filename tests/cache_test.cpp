@@ -120,9 +120,9 @@ TEST(CacheKey, DefaultOptionsCanonicalTextIsPinned) {
             "{\"kernel\":\"\",\"unroll\":1,\"autoUnrollBudget\":0,\"fullUnroll\":true,"
             "\"lutConvert\":true,\"optimize\":true,\"targetNs\":4,\"pipeline\":true,"
             "\"inferWidths\":true,\"widthMode\":\"range\",\"multStyle\":\"lut\",\"retime\":true,"
-            "\"timingModel\":\"\",\"verifyEach\":false,\"timeoutMs\":0,\"maxIrNodes\":0,"
-            "\"maxUnrollProduct\":0,\"maxDepth\":256,\"injectFault\":\"\"}");
-  EXPECT_STREQ(kCacheSchema, "roccc-cache-v3");
+            "\"timingModel\":\"\",\"verilog\":false,\"verifyEach\":false,\"timeoutMs\":0,"
+            "\"maxIrNodes\":0,\"maxUnrollProduct\":0,\"maxDepth\":256,\"injectFault\":\"\"}");
+  EXPECT_STREQ(kCacheSchema, "roccc-cache-v4");
 }
 
 TEST(CacheKey, TimingOptionsPartitionHitsButStayByteIdenticalWithinKey) {
@@ -149,6 +149,27 @@ TEST(CacheKey, TimingOptionsPartitionHitsButStayByteIdenticalWithinKey) {
   EXPECT_EQ(warm.cacheHits, 2);
   EXPECT_EQ(warm.results[0].vhdl, cold.results[0].vhdl);
   EXPECT_EQ(warm.results[1].vhdl, cold.results[1].vhdl);
+}
+
+TEST(CacheKey, VerilogRequestIsPartOfTheKey) {
+  // An entry compiled without Verilog holds none, so a request for Verilog
+  // must miss it rather than be served an empty text.
+  CompileOptions withVerilog;
+  withVerilog.emitVerilog = true;
+  ASSERT_NE(computeCacheKey(kSmallKernel, withVerilog), computeCacheKey(kSmallKernel, {}));
+
+  CompileService service(1);
+  auto cache = std::make_shared<CompileCache>();
+  service.setCache(cache);
+  const BatchResult plain = service.compileBatch({{"k", kSmallKernel, {}}});
+  ASSERT_TRUE(plain.allOk());
+  EXPECT_TRUE(plain.results[0].verilog.empty());
+  const BatchResult verilog = service.compileBatch({{"k", kSmallKernel, withVerilog}});
+  ASSERT_TRUE(verilog.allOk());
+  EXPECT_EQ(verilog.cacheMisses, 1);
+  EXPECT_EQ(verilog.results[0].verilog, Compiler(withVerilog).compileSource(kSmallKernel).verilog);
+  EXPECT_FALSE(verilog.results[0].verilog.empty());
+  EXPECT_EQ(verilog.results[0].vhdl, plain.results[0].vhdl);
 }
 
 TEST(CacheKey, IgnoresPresentationOnlyFields) {
@@ -207,7 +228,9 @@ TEST(CachePolicy, DeterministicOutcomesCacheEnvironmentalOnesDoNot) {
 // --- tier 1 through the batch driver ----------------------------------------
 
 TEST(CompileCache, HitIsByteIdenticalToUncachedCompile) {
-  std::vector<CompileJob> jobs{{"k", kSmallKernel, {}}};
+  CompileOptions withVerilog;
+  withVerilog.emitVerilog = true;
+  std::vector<CompileJob> jobs{{"k", kSmallKernel, withVerilog}};
 
   const BatchResult uncached = CompileService(1).compileBatch(jobs);
   ASSERT_TRUE(uncached.allOk());
@@ -231,7 +254,6 @@ TEST(CompileCache, HitIsByteIdenticalToUncachedCompile) {
   for (const BatchResult* b : {&cold, &warm}) {
     EXPECT_EQ(b->results[0].vhdl, uncached.results[0].vhdl);
     EXPECT_EQ(b->results[0].verilog, uncached.results[0].verilog);
-    EXPECT_EQ(b->results[0].transformedSource, uncached.results[0].transformedSource);
     ASSERT_EQ(b->results[0].passLog.size(), uncached.results[0].passLog.size());
     for (size_t p = 0; p < uncached.results[0].passLog.size(); ++p) {
       EXPECT_EQ(b->results[0].passLog[p].name, uncached.results[0].passLog[p].name);
@@ -370,9 +392,12 @@ TEST(CompileCache, OversizedSingleEntryStaysResident) {
 
 TEST(CompileCacheDisk, WarmRestartServesFromDisk) {
   const std::string dir = freshDir("warm_restart");
-  std::vector<CompileJob> jobs{{"k", kSmallKernel, {}}};
+  CompileOptions withVerilog;
+  withVerilog.emitVerilog = true;
+  std::vector<CompileJob> jobs{{"k", kSmallKernel, withVerilog}};
 
   std::string coldVhdl;
+  std::string coldVerilog;
   {
     CompileService service(1);
     CacheConfig cfg;
@@ -385,6 +410,8 @@ TEST(CompileCacheDisk, WarmRestartServesFromDisk) {
     EXPECT_EQ(cold.cacheMisses, 1);
     EXPECT_EQ(cache->stats().diskStores, 1);
     coldVhdl = cold.results[0].vhdl;
+    coldVerilog = cold.results[0].verilog;
+    EXPECT_FALSE(coldVerilog.empty());
   }
   // A brand-new cache object (a "new process") over the same directory:
   // tier 1 is empty, the hit comes from disk.
@@ -400,6 +427,7 @@ TEST(CompileCacheDisk, WarmRestartServesFromDisk) {
     EXPECT_EQ(warm.cacheMisses, 0);
     EXPECT_EQ(cache->stats().diskHits, 1);
     EXPECT_EQ(warm.results[0].vhdl, coldVhdl);
+    EXPECT_EQ(warm.results[0].verilog, coldVerilog);
   }
   fs::remove_all(dir);
 }

@@ -39,7 +39,8 @@ int seedCount() {
   return kDefaultSeeds;
 }
 
-/// One fuzz kernel per seed; generation is deterministic per seed.
+/// One fuzz kernel per seed; generation is deterministic per seed. Every
+/// job asks for Verilog too, so both emitters run under contention.
 std::vector<CompileJob> fuzzBatch(int seeds, uint64_t salt) {
   std::vector<CompileJob> jobs;
   jobs.reserve(seeds);
@@ -48,6 +49,7 @@ std::vector<CompileJob> fuzzBatch(int seeds, uint64_t salt) {
     CompileJob job;
     job.name = "seed-" + std::to_string(salt + static_cast<uint64_t>(s));
     job.source = fuzzer.generate().source;
+    job.options.emitVerilog = true;
     jobs.push_back(std::move(job));
   }
   return jobs;

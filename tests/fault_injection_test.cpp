@@ -26,11 +26,14 @@
 namespace roccc {
 namespace {
 
+/// Table 1 with Verilog requested, so every emitter (and the
+/// `verilog.emit` fault point) runs.
 std::vector<CompileJob> table1Jobs() {
   std::vector<CompileJob> jobs;
   for (const auto& k : bench::kTable1Kernels) {
     CompileOptions o;
     if (k.targetStageDelayNs > 0) o.dpOptions.targetStageDelayNs = k.targetStageDelayNs;
+    o.emitVerilog = true;
     jobs.push_back({k.name, k.source, o});
   }
   return jobs;
@@ -77,6 +80,7 @@ TEST(FaultInjection, EveryRegisteredPointIsContained) {
   for (const auto& fp : faultPointRegistry()) {
     CompileOptions o;
     o.injectFaultAt = fp.name;
+    o.emitVerilog = true; // reaches verilog.emit
     if (std::string(fp.pass).empty()) {
       // Points outside the PassManager ("driver.job") only fire under the
       // batch driver.
@@ -223,11 +227,11 @@ TEST(CompileBudget, DepthCapContainsPathologicalNesting) {
 TEST(CompileBudget, GenerousBudgetLeavesOutputByteIdentical) {
   // Armed-but-untriggered governance must not perturb the output: this is
   // the determinism side of the <1% overhead claim in EXPERIMENTS.md.
-  const Compiler plain(CompileOptions{});
-  const CompileResult base = plain.compileSource(bench::kFir);
+  CompileOptions o;
+  o.emitVerilog = true;
+  const CompileResult base = Compiler(o).compileSource(bench::kFir);
   ASSERT_TRUE(base.ok);
 
-  CompileOptions o;
   o.budget.timeoutMs = 60'000;
   o.budget.maxIrNodes = 10'000'000;
   o.budget.maxUnrollProduct = 1'000'000;

@@ -265,8 +265,10 @@ TEST(FuzzHdlCheck, PrefixesOfTable1Designs) {
   for (const auto& k : bench::kTable1Kernels) {
     CompileOptions opt;
     if (k.targetStageDelayNs > 0) opt.dpOptions.targetStageDelayNs = k.targetStageDelayNs;
+    opt.emitVerilog = true;
     const CompileResult r = Compiler(opt).compileSource(k.source);
     ASSERT_TRUE(r.ok) << k.name;
+    ASSERT_FALSE(r.verilog.empty()) << k.name;
     for (const std::string* text : {&r.vhdl, &r.verilog}) {
       for (size_t n = 0; n <= text->size(); n += 97) {
         SCOPED_TRACE(std::string(k.name) + " prefix " + std::to_string(n));

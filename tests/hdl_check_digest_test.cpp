@@ -79,6 +79,7 @@ std::vector<Design> designs() {
 
   std::vector<Design> out;
   auto add = [&](const std::string& name, const std::string& source, CompileOptions options) {
+    options.emitVerilog = true;
     const CompileResult r = Compiler(options).compileSource(source);
     EXPECT_TRUE(r.ok) << name << ": " << r.diags.dump();
     out.push_back({name, r.vhdl, r.verilog});

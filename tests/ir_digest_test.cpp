@@ -68,11 +68,13 @@ std::vector<DigestJob> digestJobs() {
       DigestJob job{std::string(k.name) + "@u" + std::to_string(u), k.source, {}};
       if (k.targetStageDelayNs > 0) job.options.dpOptions.targetStageDelayNs = k.targetStageDelayNs;
       job.options.unrollFactor = u;
+      job.options.emitVerilog = true;
       jobs.push_back(std::move(job));
     }
     for (const auto& [name, source] : corpus) {
       DigestJob job{name + "@u" + std::to_string(u), source, {}};
       job.options.unrollFactor = u;
+      job.options.emitVerilog = true;
       jobs.push_back(std::move(job));
     }
   }

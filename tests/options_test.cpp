@@ -72,6 +72,7 @@ std::vector<Sample> samples() {
       {OptionId::MultStyle, "mult18", Value::string("mult18")},
       {OptionId::Retime, "", Value::boolean(false)},
       {OptionId::TimingModel, kSlowModel, Value::string(kSlowModel)},
+      {OptionId::Verilog, "k.v", Value::boolean(true)},
       {OptionId::VerifyEach, "", Value::boolean(true)},
       {OptionId::TimeoutMs, "600000", Value::number(int64_t{600000})},
       {OptionId::MaxIrNodes, "1000000", Value::number(int64_t{1000000})},
@@ -99,9 +100,11 @@ TEST(OptionTable, RowsAreIndexedAndUniquelySpelled) {
     EXPECT_EQ(findOptionByKey(row.key), &row);
     EXPECT_TRUE(keys.insert(row.key).second) << row.key;
     EXPECT_TRUE(flags.insert(row.flag).second) << row.flag;
-    EXPECT_EQ(row.valueName == nullptr, row.kind == OptionKind::Bool) << row.flag;
+    // Only Bool flags go without a value; `--verilog FILE` is the one Bool
+    // flag that takes one (the tool's output path).
+    const bool takesValue = row.kind != OptionKind::Bool || row.id == OptionId::Verilog;
+    EXPECT_EQ(row.valueName != nullptr, takesValue) << row.flag;
   }
-  EXPECT_EQ(findOptionByKey("verilog"), nullptr); // presentation, not a row
 }
 
 TEST(OptionTable, MalformedValuesAreRejected) {
@@ -186,12 +189,15 @@ TEST(OptionDoors, EveryRowParsesAlikeAndCompilesToTheSameBytes) {
     EXPECT_EQ(status->asString(), compileOutcomeName(local.outcome));
     const Value* vhdl = resp.find("vhdl");
     EXPECT_EQ(vhdl ? vhdl->asString() : std::string(), local.vhdl);
+    const Value* verilog = resp.find("verilog");
+    EXPECT_EQ(verilog ? verilog->asString() : std::string(), local.verilog);
+    EXPECT_EQ(local.verilog.empty(), p.id != OptionId::Verilog);
   }
 }
 
 TEST(OptionTable, ServiceDocListsExactlyTheProtocolKeys) {
   // docs/SERVICE.md's options table: one "| `key` | ..." row per option
-  // table row, plus the presentation key `verilog`.
+  // table row.
   std::ifstream in(fs::path(ROCCC_DOCS_DIR) / "SERVICE.md");
   ASSERT_TRUE(in);
   std::set<std::string> documented;
@@ -207,7 +213,7 @@ TEST(OptionTable, ServiceDocListsExactlyTheProtocolKeys) {
     ASSERT_NE(end, std::string::npos) << line;
     documented.insert(line.substr(3, end - 3));
   }
-  std::set<std::string> expected = {"verilog"};
+  std::set<std::string> expected;
   for (const OptionRow& row : optionTable()) expected.insert(row.key);
   EXPECT_EQ(documented, expected);
 }

@@ -58,7 +58,9 @@ TEST(Pipeline, DeclaredPassOrdering) {
 }
 
 TEST(Pipeline, EveryRegisteredPassProducesOneStatsRecord) {
-  const Compiler c;
+  CompileOptions opt;
+  opt.emitVerilog = true; // the one pass a default compile skips
+  const Compiler c(opt);
   const CompileResult r = c.compileSource(kFirSrc);
   ASSERT_TRUE(r.ok) << r.diags.dump();
   EXPECT_EQ(r.passLog.size(), c.buildPipeline().passes().size());
@@ -82,6 +84,24 @@ TEST(Pipeline, DisabledPassesAreRecordedAsSkipped) {
     EXPECT_FALSE(s->ran) << name;
     EXPECT_EQ(s->wallMs, 0.0) << name;
   }
+}
+
+TEST(Pipeline, VerilogIsEmittedOnlyOnRequest) {
+  const CompileResult plain = Compiler().compileSource(kFirSrc);
+  ASSERT_TRUE(plain.ok) << plain.diags.dump();
+  EXPECT_TRUE(plain.verilog.empty());
+  const PassStatistics* skipped = findPass(plain.passLog, "emit-verilog");
+  ASSERT_NE(skipped, nullptr);
+  EXPECT_FALSE(skipped->ran);
+  EXPECT_TRUE(skipped->counters.empty());
+
+  CompileOptions opt;
+  opt.emitVerilog = true;
+  const CompileResult both = Compiler(opt).compileSource(kFirSrc);
+  ASSERT_TRUE(both.ok) << both.diags.dump();
+  EXPECT_FALSE(both.verilog.empty());
+  EXPECT_TRUE(findPass(both.passLog, "emit-verilog")->ran);
+  EXPECT_EQ(both.vhdl, plain.vhdl); // the VHDL does not depend on the request
 }
 
 TEST(Pipeline, VerifyEachCompilesCleanKernels) {
@@ -262,6 +282,7 @@ TEST(Pipeline, PrintAfterCapturesRequestedSnapshots) {
 TEST(Pipeline, PrintAfterAllCapturesEverySnapshot) {
   CompileOptions opt;
   opt.pipeline.printAfterAll = true;
+  opt.emitVerilog = true; // so every pass runs
   const Compiler c(opt);
   const CompileResult r = c.compileSource(kFirSrc);
   ASSERT_TRUE(r.ok);

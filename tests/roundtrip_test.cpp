@@ -1,9 +1,11 @@
 // Property: the AST printer emits parseable C, and printing reaches a fixed
 // point after one round trip (parse -> print -> parse -> print is
 // idempotent). Checked over every Table 1 kernel and the transformed
-// sources the compiler reports. Also covers the ROCCC_sin intrinsic end to
-// end (the cos path is exercised everywhere else).
+// source the `unroll` pass snapshots. Also covers the ROCCC_sin intrinsic
+// end to end (the cos path is exercised everywhere else).
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "../bench/kernels.hpp"
 #include "frontend/parser.hpp"
@@ -55,12 +57,18 @@ INSTANTIATE_TEST_SUITE_P(Table1, RoundTrip,
                                            bench::kDct, bench::kWavelet));
 
 TEST(RoundTripExtra, TransformedSourceReparses) {
-  Compiler c;
-  const CompileResult r = c.compileSource(bench::kBitCorrelator);
+  CompileOptions opt;
+  opt.pipeline.printAfter = {"unroll"};
+  const CompileResult r = Compiler(opt).compileSource(bench::kBitCorrelator);
   ASSERT_TRUE(r.ok);
+  const auto unroll = std::find_if(r.passLog.begin(), r.passLog.end(),
+                                   [](const PassStatistics& p) { return p.name == "unroll"; });
+  ASSERT_NE(unroll, r.passLog.end());
+  const std::string& transformed = unroll->snapshot;
+  ASSERT_FALSE(transformed.empty());
   DiagEngine d;
-  ast::Module m = ast::parse(r.transformedSource, d);
-  EXPECT_FALSE(d.hasErrors()) << r.transformedSource << "\n" << d.dump();
+  ast::Module m = ast::parse(transformed, d);
+  EXPECT_FALSE(d.hasErrors()) << transformed << "\n" << d.dump();
   EXPECT_TRUE(ast::analyze(m, d)) << d.dump();
 }
 

@@ -433,8 +433,11 @@ TEST(ServiceNetCompile, DaemonBytesMatchLocalCompile) {
   h.start();
   auto client = h.connect();
 
-  const CompileResult ref = referenceCompile(kSmallKernel);
+  CompileOptions withVerilog;
+  withVerilog.emitVerilog = true;
+  const CompileResult ref = referenceCompile(kSmallKernel, withVerilog);
   ASSERT_TRUE(ref.ok);
+  ASSERT_FALSE(ref.verilog.empty());
 
   Value resp;
   std::string error;
@@ -535,6 +538,46 @@ TEST(ServiceNetCompile, SharedCacheServesSecondClientFromFirstCompile) {
   ASSERT_NE(cached, nullptr);
   EXPECT_TRUE(cached->asBool());
   EXPECT_EQ(fieldString(resp, "vhdl"), bytes);
+}
+
+TEST(ServiceNetCompile, VerilogRequestMissesAWarmEntryWithoutIt) {
+  // `verilog` is part of the cache key: a warm entry compiled without
+  // Verilog must not answer a request for it, and a response carries
+  // `verilog` exactly when the job asked for it.
+  Harness h("verilog_key");
+  h.cfg.workers = 1;
+  h.cfg.cacheEnabled = true;
+  h.start();
+  auto client = h.connect();
+
+  Value resp;
+  std::string error;
+  for (int round = 0; round < 2; ++round) { // cold, then warm
+    ASSERT_TRUE(client->request(makeCompileRequest("k.c", kSmallKernel, {}), resp, error))
+        << error;
+    ASSERT_EQ(fieldString(resp, "status"), "ok");
+    EXPECT_EQ(resp.find("verilog"), nullptr);
+  }
+  ASSERT_TRUE(resp.find("cached")->asBool());
+
+  CompileOptions withVerilog;
+  withVerilog.emitVerilog = true;
+  const CompileResult ref = Compiler(withVerilog).compileSource(kSmallKernel);
+  ASSERT_FALSE(ref.verilog.empty());
+  Value options = Value::object();
+  options.set("verilog", Value::boolean(true));
+  ASSERT_TRUE(client->request(makeCompileRequest("k.c", kSmallKernel, options), resp, error))
+      << error;
+  ASSERT_EQ(fieldString(resp, "status"), "ok");
+  EXPECT_FALSE(resp.find("cached")->asBool());
+  EXPECT_EQ(fieldString(resp, "verilog"), ref.verilog);
+  EXPECT_EQ(fieldString(resp, "vhdl"), ref.vhdl);
+
+  // The plain entry still answers plain requests, without Verilog.
+  ASSERT_TRUE(client->request(makeCompileRequest("k.c", kSmallKernel, {}), resp, error))
+      << error;
+  EXPECT_TRUE(resp.find("cached")->asBool());
+  EXPECT_EQ(resp.find("verilog"), nullptr);
 }
 
 TEST(ServiceNetCompile, DiskCacheSurvivesDaemonGenerations) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "roccc/compiler.hpp"
 #include "support/strings.hpp"
 #include "vhdl/check.hpp"
@@ -393,9 +395,15 @@ TEST(Vhdl, ValidatorCatchesBrokenDesigns) {
 // --- compiler-level reporting -----------------------------------------------------
 
 TEST(CompilerFacade, PassLogAndTransformedSource) {
-  CompileResult r = compile(kFirSrc);
-  EXPECT_FALSE(r.passLog.empty());
-  EXPECT_NE(r.transformedSource.find("void fir"), std::string::npos);
+  // The transformed source is the `unroll` pass's snapshot
+  // (--print-after unroll).
+  CompileOptions opt;
+  opt.pipeline.printAfter = {"unroll"};
+  CompileResult r = compile(kFirSrc, opt);
+  const auto unroll = std::find_if(r.passLog.begin(), r.passLog.end(),
+                                   [](const PassStatistics& p) { return p.name == "unroll"; });
+  ASSERT_NE(unroll, r.passLog.end());
+  EXPECT_NE(unroll->snapshot.find("void fir"), std::string::npos);
   EXPECT_FALSE(r.kernel.scalarReplacedText.empty());
 }
 

@@ -30,6 +30,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dp/annotate.hpp"
@@ -124,7 +125,7 @@ std::vector<roccc::cli::OptionSpec> optionList(Args& a) {
          a.cosim = true;
          return true;
        }},
-      {"--verilog", "FILE", "also write the Verilog form of the design", setString(a.verilogPath)},
+      roccc::compileFlag(OptionId::Verilog, a.options, nullptr, &a.verilogPath),
       {"--json", "FILE", "export the data-path graph as JSON", setString(a.jsonPath)},
       {"--stats-json", "FILE", "write pass statistics (single) or batch+cache stats as JSON",
        setString(a.statsJsonPath)},
@@ -355,9 +356,22 @@ int main(int argc, char** argv) {
       *roccc::synth::TimingModel::resolve(a.options.timingModelSpec, modelStorage, error);
 
   if (a.inputs.size() > 1) {
-    if (!a.output.empty()) {
-      std::fprintf(stderr, "error: -o is incompatible with multiple inputs "
-                           "(each writes its own <input>.vhd)\n");
+    // Batch mode writes one <input>.vhd per input and nothing else, so a
+    // flag naming one output or one report is a usage error, not ignored.
+    const std::pair<bool, const char*> singleInputOnly[] = {
+        {!a.output.empty(), "-o"},
+        {!a.verilogPath.empty(), "--verilog"},
+        {!a.jsonPath.empty(), "--json"},
+        {a.testbench, "--testbench"},
+        {!a.vcdPath.empty(), "--vcd"}, // before --cosim, which --vcd implies
+        {a.cosim, "--cosim"},
+        {a.dumpDatapath, "--dump-datapath"},
+        {a.dumpMir, "--dump-mir"},
+    };
+    for (const auto& [given, flag] : singleInputOnly) {
+      if (!given) continue;
+      std::fprintf(stderr, "error: %s is incompatible with multiple inputs "
+                           "(each writes its own <input>.vhd)\n", flag);
       return 2;
     }
     return runBatch(a);

@@ -89,12 +89,9 @@ std::vector<roccc::cli::OptionSpec> optionList(Args& a) {
       compile(OptionId::Optimize),
       compile(OptionId::TimingModel, "send FILE's delay/area/energy table with the job"),
       compile(OptionId::VerifyEach),
-      {"--verilog", "FILE", "also request and write the Verilog form (single input only)",
-       [&a](const char* v, std::string&) {
-         a.verilogPath = v;
-         a.options.set("verilog", roccc::json::Value::boolean(true));
-         return true;
-       }},
+      roccc::protocolFlag(OptionId::Verilog, a.options,
+                          "also request and write the Verilog form (single input only)",
+                          &a.verilogPath),
       compile(OptionId::TimeoutMs, "per-job deadline in ms (clamped to the server ceiling)"),
       compile(OptionId::MaxIrNodes, "per-job IR-node cap (clamped to the server ceiling)"),
       compile(OptionId::MaxUnrollProduct, "unroll-product cap (clamped to the server ceiling)"),
