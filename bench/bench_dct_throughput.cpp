@@ -6,21 +6,11 @@
 #include <chrono>
 #include <cstdio>
 
-#include "ip/ip.hpp"
-#include "kernels.hpp"
-#include "roccc/compiler.hpp"
-#include "synth/estimate.hpp"
+#include "table1.hpp"
 
 int main() {
   using namespace roccc;
-  CompileOptions opt;
-  opt.dpOptions.targetStageDelayNs = 7.5; // the paper's DCT operating point
-  Compiler c(opt);
-  const CompileResult r = c.compileSource(bench::kDct);
-  if (!r.ok) {
-    std::fprintf(stderr, "%s\n", r.diags.dump().c_str());
-    return 1;
-  }
+  const CompileResult r = bench::compileTable1Kernel("dct"); // the paper's DCT operating point
 
   interp::KernelIO in;
   for (int i = 0; i < 64; ++i) in.arrays["X"].push_back((i * 37) % 256 - 128);

@@ -1,209 +1,25 @@
 // Reproduces Table 1: "A comparison of hardware performance from Xilinx IPs
 // and ROCCC-generated VHDL code" — clock (MHz) and area (slices) for nine
 // designs, IP baseline vs compiler output, with the paper's numbers printed
-// alongside for reference.
+// alongside for reference. The rows come from bench/table1.hpp, which
+// tests/synth_ip_test.cpp asserts the paper's bands on (Table1Shape).
 //
-// The Xilinx ISE 5.1i toolchain is substituted by the structural synthesis
-// model in src/synth (see DESIGN.md); baselines are the expert netlists in
-// src/ip. For the cos and arbitrary-LUT rows ROCCC instantiates the
-// pre-existing IP component, so both columns are identical by construction
-// (paper section 5: "they have exactly the same performance").
-#include <chrono>
+// Also printed: the retime verdict and synthesis estimate per compiled
+// kernel, and the compile cache's cold vs warm batch throughput, which
+// must stay byte-identical and clear a 5x warm/cold floor.
 #include <cstdio>
-#include <cstdlib>
-#include <random>
+#include <memory>
 #include <string>
 
-#include "ip/ip.hpp"
-#include "kernels.hpp"
 #include "roccc/cache.hpp"
-#include "roccc/compiler.hpp"
 #include "roccc/driver.hpp"
-#include "synth/estimate.hpp"
-
-namespace {
-
-using namespace roccc;
-
-struct Row {
-  std::string name;
-  double ipClock = 0;
-  int64_t ipArea = 0;
-  double rocccClock = 0;
-  int64_t rocccArea = 0;
-  std::string note;
-};
-
-/// Per-kernel pipeline statistics captured from CompileResult::passLog —
-/// the compile-time side of the table (and the bench JSON).
-struct CompileTiming {
-  std::string name;
-  std::vector<PassStatistics> passes;
-
-  double totalMs() const {
-    double t = 0;
-    for (const auto& p : passes) t += p.wallMs;
-    return t;
-  }
-  double layerMs(PassLayer layer) const {
-    double t = 0;
-    for (const auto& p : passes) {
-      if (p.layer == layer) t += p.wallMs;
-    }
-    return t;
-  }
-};
-std::vector<CompileTiming> g_timings;
-
-/// The retime verdict + synthesis estimate per compiled kernel — the
-/// fmax/slices/energy/EDP columns printed after the area table.
-struct TimingRow {
-  std::string name;
-  dp::RetimeReport retiming;
-  int stageCount = 0;
-  synth::Report est;
-};
-std::vector<TimingRow> g_timingRows;
-
-synth::Report compileAndEstimate(const char* name, const char* src, CompileOptions opt = {}) {
-  Compiler c(opt);
-  const CompileResult r = c.compileSource(src);
-  if (!r.ok) {
-    std::fprintf(stderr, "compile failed:\n%s\n", r.diags.dump().c_str());
-    std::exit(1);
-  }
-  g_timings.push_back({name, r.passLog});
-  const synth::Report rep = synth::estimate(r.module);
-  g_timingRows.push_back({name, r.retiming, r.datapath.stageCount, rep});
-  return rep;
-}
-
-/// Random inputs covering the kernel's arrays and scalars.
-interp::KernelIO randomInputs(const hlir::KernelInfo& k, uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  interp::KernelIO io;
-  for (const auto& st : k.inputs) {
-    int64_t n = 1;
-    for (int64_t d : st.dims) n *= d;
-    std::uniform_int_distribution<int64_t> dist(st.elemType.minValue(), st.elemType.maxValue());
-    auto& arr = io.arrays[st.arrayName];
-    for (int64_t i = 0; i < n; ++i) arr.push_back(dist(rng));
-  }
-  for (const auto& si : k.scalarInputs) {
-    if (si.isInduction) continue;
-    std::uniform_int_distribution<int64_t> dist(si.type.minValue(), si.type.maxValue());
-    io.scalars[si.name] = dist(rng);
-  }
-  return io;
-}
-
-/// Wall time of `reps` System::run calls on one engine, plus the outputs.
-std::pair<double, interp::KernelIO> timeEngine(const CompileResult& r, const interp::KernelIO& io,
-                                               rtl::SimEngine engine, int reps) {
-  rtl::SystemOptions sys;
-  sys.engine = engine;
-  interp::KernelIO out;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < reps; ++i) {
-    rtl::System system(r.kernel, r.datapath, r.module, sys);
-    out = system.run(io);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  return {std::chrono::duration<double, std::milli>(t1 - t0).count() / reps, out};
-}
-
-} // namespace
+#include "table1.hpp"
 
 int main() {
-  std::vector<Row> rows;
+  using namespace roccc;
+  const bench::Table1 table = bench::computeTable1();
+  const std::vector<bench::Table1Row>& rows = table.rows;
 
-  // bit_correlator ------------------------------------------------------------
-  {
-    const auto ip = synth::estimate(ip::buildBitCorrelator(181));
-    const auto rc = compileAndEstimate("bit_correlator", bench::kBitCorrelator);
-    rows.push_back({"bit_correlator", ip.fmaxMHz(), ip.slices, rc.fmaxMHz(), rc.slices, ""});
-  }
-  // mul_acc ---------------------------------------------------------------------
-  {
-    const auto ip = synth::estimate(ip::buildMulAcc());
-    const auto rc = compileAndEstimate("mul_acc", bench::kMulAcc);
-    rows.push_back({"mul_acc", ip.fmaxMHz(), ip.slices, rc.fmaxMHz(), rc.slices,
-                    "if-else adds mux nodes"});
-  }
-  // udiv -------------------------------------------------------------------------
-  {
-    const auto ip = synth::estimate(ip::buildUdiv8());
-    CompileOptions opt;
-    // The generated divider pipelines one restoring row per stage (how the
-    // paper's udiv clocked 26% above the IP).
-    opt.dpOptions.targetStageDelayNs = 3.0;
-    const auto rc = compileAndEstimate("udiv", bench::kUdiv, opt);
-    rows.push_back({"udiv", ip.fmaxMHz(), ip.slices, rc.fmaxMHz(), rc.slices,
-                    "compiler-built restoring divider"});
-  }
-  // square root --------------------------------------------------------------------
-  {
-    const auto ip = synth::estimate(ip::buildSquareRoot24());
-    const auto rc = compileAndEstimate("square_root", bench::kSquareRoot);
-    rows.push_back({"square root", ip.fmaxMHz(), ip.slices, rc.fmaxMHz(), rc.slices,
-                    "12-step digit recurrence unrolled"});
-  }
-  // cos -------------------------------------------------------------------------------
-  {
-    const auto ip = synth::estimate(ip::buildCosLut());
-    rows.push_back({"cos", ip.fmaxMHz(), ip.slices, ip.fmaxMHz(), ip.slices,
-                    "ROCCC instantiates the IP core"});
-  }
-  // arbitrary LUT ------------------------------------------------------------------------
-  {
-    std::vector<int64_t> table;
-    for (int i = 0; i < 1024; ++i) table.push_back((i * i) % 65536 - 32768);
-    const auto ip = synth::estimate(ip::buildArbitraryLut(table));
-    rows.push_back({"arbitrary LUT", ip.fmaxMHz(), ip.slices, ip.fmaxMHz(), ip.slices,
-                    "ROM IP instantiation"});
-  }
-  // FIR (x2 filters, LUT multiplier style) ---------------------------------------------------
-  {
-    const auto ip = synth::estimate(ip::buildFir5());
-    const auto rc = compileAndEstimate("fir", bench::kFir); // one filter; the IP holds two
-    rows.push_back({"FIR", ip.fmaxMHz(), ip.slices, rc.fmaxMHz(), 2 * rc.slices,
-                    "two 5-tap filters, multiplier style LUT"});
-  }
-  // DCT ---------------------------------------------------------------------------------------
-  {
-    const auto ip = synth::estimate(ip::buildDct8());
-    CompileOptions opt;
-    // The paper's DCT trades clock for area: ROCCC ran at 73.5% of the IP
-    // clock. A looser stage target reproduces that operating point.
-    opt.dpOptions.targetStageDelayNs = 7.5;
-    const auto rc = compileAndEstimate("dct", bench::kDct, opt);
-    rows.push_back({"DCT", ip.fmaxMHz(), ip.slices, rc.fmaxMHz(), rc.slices,
-                    "ROCCC: 8 outputs/clock vs IP 1/clock"});
-  }
-  // Wavelet (engine: datapath + smart buffer + controllers) -------------------------------------
-  {
-    const auto ip = synth::estimate(ip::buildWavelet53(64));
-    CompileOptions opt;
-    opt.dpOptions.targetStageDelayNs = 9.0; // the paper's ~104 MHz operating point
-    Compiler c(opt);
-    const CompileResult r = c.compileSource(bench::kWavelet);
-    if (!r.ok) {
-      std::fprintf(stderr, "wavelet compile failed:\n%s\n", r.diags.dump().c_str());
-      return 1;
-    }
-    g_timings.push_back({"wavelet", r.passLog});
-    auto rep = synth::estimate(r.module);
-    g_timingRows.push_back({"wavelet", r.retiming, r.datapath.stageCount, rep});
-    // Engine area adds the memory subsystem: a 5-row x 66-col image window
-    // keeps 4 lines + 3 elements of 16-bit data on chip.
-    const int64_t bufferBits = (4 * 66 + 3) * 16;
-    synth::Resources engine = rep.res;
-    engine += synth::memorySubsystemResources(bufferBits, /*addressGenerators=*/3, /*streams=*/3);
-    rows.push_back({"Wavelet*", ip.fmaxMHz(), ip.slices, rep.fmaxMHz(), synth::slicesFor(engine),
-                    "engine incl. addr gen + smart buffer"});
-  }
-
-  // --- print -------------------------------------------------------------------
   const auto& paper = ip::paperTable1();
   std::printf("Table 1: Xilinx IP vs ROCCC-generated hardware (this reproduction, with the\n");
   std::printf("paper's ISE 5.1i numbers in brackets). %%Clock and %%Area follow the paper's\n");
@@ -215,34 +31,20 @@ int main() {
   std::printf("----------------+-----------------------+-----------------------+-----------------+"
               "-----------------+----------------+---------------\n");
   for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
+    const bench::Table1Row& r = rows[i];
     const auto& p = paper[i];
     std::printf("%-15s | %9.0f [%5.0f]     | %9lld [%5d]     | %9.0f [%3.0f] | %9lld [%4d] | "
                 "%5.3f [%5.3f] | %5.2f [%5.2f]\n",
                 r.name.c_str(), r.ipClock, p.ipClockMHz, static_cast<long long>(r.ipArea),
                 p.ipAreaSlices, r.rocccClock, p.rocccClockMHz, static_cast<long long>(r.rocccArea),
-                p.rocccAreaSlices, r.rocccClock / r.ipClock, p.rocccClockMHz / p.ipClockMHz,
-                static_cast<double>(r.rocccArea) / static_cast<double>(r.ipArea),
+                p.rocccAreaSlices, r.clockRatio(), p.rocccClockMHz / p.ipClockMHz, r.areaRatio(),
                 static_cast<double>(p.rocccAreaSlices) / static_cast<double>(p.ipAreaSlices));
   }
   std::printf("\nNotes:\n");
-  for (const Row& r : rows) {
+  for (const bench::Table1Row& r : rows) {
     if (!r.note.empty()) std::printf("  %-15s %s\n", r.name.c_str(), r.note.c_str());
   }
   std::printf("  (*) wavelet baseline is the handwritten engine, as in the paper.\n");
-  std::printf("\nShape checks (paper section 5 conclusions):\n");
-  auto ratio = [&](size_t i) {
-    return static_cast<double>(rows[i].rocccArea) / static_cast<double>(rows[i].ipArea);
-  };
-  std::printf("  - bit-manipulation kernels cost the compiler extra area: bit_correlator %.2fx, "
-              "udiv %.2fx, square_root %.2fx (paper: 2.11x / 3.44x / 2.05x)\n",
-              ratio(0), ratio(2), ratio(3));
-  std::printf("  - lookup-table designs are identical (1.00x / 1.00x), as the compiler\n"
-              "    instantiates the pre-existing IP components.\n");
-  std::printf("  - high-computational-density FIR is near parity: %.2fx area (paper 1.09x).\n",
-              ratio(6));
-  std::printf("  - clock rates stay comparable across the board (paper: within ~10%% for\n"
-              "    most rows; DCT intentionally trades clock for 8x throughput).\n");
 
   // --- timing / energy columns ---------------------------------------------------
   // The retime pass verdict next to the synthesis estimate for every
@@ -255,177 +57,11 @@ int main() {
               "worst ns", "dp fmax MHz", "est fmax MHz", "slices", "pJ/cycle", "EDP pJ*ns");
   std::printf("  ----------------+--------+----------+-------------+--------------+--------+"
               "-----------+-----------\n");
-  for (const TimingRow& t : g_timingRows) {
+  for (const bench::KernelTiming& t : table.timing) {
     std::printf("  %-15s | %6d | %8.2f | %11.1f | %12.1f | %6lld | %9.1f | %10.1f\n",
                 t.name.c_str(), t.stageCount, t.retiming.worstStageNs, t.retiming.fmaxMHz,
                 t.est.fmaxMHz(), static_cast<long long>(t.est.slices), t.est.energyPerCyclePj(),
                 t.est.edpPjNs());
-  }
-
-  // --- retiming ablation ----------------------------------------------------------
-  // Fixed greedy staging (--no-retime) vs the retime pass at the default
-  // 4 ns budget vs retime at a tight 2 ns budget, on the nine Table 1
-  // kernels. The acceptance bar: a tight budget must buy at least five
-  // kernels a deeper pipeline AND a measurably higher modeled fmax than the
-  // fixed staging.
-  {
-    struct AblationRow {
-      int stages;
-      double fmax;
-      double edp;
-    };
-    auto compileConfig = [](const bench::NamedKernel& k, bool retime, double targetNs) {
-      CompileOptions o;
-      o.retimePipeline = retime;
-      o.dpOptions.targetStageDelayNs =
-          targetNs > 0 ? targetNs : (k.targetStageDelayNs > 0 ? k.targetStageDelayNs : 4.0);
-      const CompileResult r = Compiler(o).compileSource(k.source);
-      if (!r.ok) {
-        std::fprintf(stderr, "%s: ablation compile failed\n", k.name);
-        std::exit(1);
-      }
-      const auto est = synth::estimate(r.module);
-      return AblationRow{r.datapath.stageCount, est.fmaxMHz(), est.edpPjNs()};
-    };
-    std::printf("\nRetiming ablation (fixed staging vs retime @ default vs retime @ 2 ns):\n\n");
-    std::printf("  %-15s | %16s | %16s | %16s\n", "kernel", "fixed stg/MHz", "retime stg/MHz",
-                "tight stg/MHz");
-    std::printf("  ----------------+------------------+------------------+-----------------\n");
-    int deeperAndFaster = 0;
-    for (const auto& k : bench::kTable1Kernels) {
-      const AblationRow fixed = compileConfig(k, false, 0);
-      const AblationRow retimed = compileConfig(k, true, 0);
-      const AblationRow tight = compileConfig(k, true, 2.0);
-      const bool wins = tight.stages > fixed.stages && tight.fmax > fixed.fmax;
-      if (wins) ++deeperAndFaster;
-      std::printf("  %-15s | %6d / %7.1f | %6d / %7.1f | %6d / %7.1f %s\n", k.name, fixed.stages,
-                  fixed.fmax, retimed.stages, retimed.fmax, tight.stages, tight.fmax,
-                  wins ? "<- deeper+faster" : "");
-    }
-    std::printf("  tight vs fixed: %d/9 kernels pipeline deeper and clock higher\n",
-                deeperAndFaster);
-    if (deeperAndFaster < 5) {
-      std::fprintf(stderr, "retiming ablation: only %d kernels improved (floor is 5)\n",
-                   deeperAndFaster);
-      return 1;
-    }
-  }
-
-  // --- pipeline compile time ----------------------------------------------------
-  // Per-kernel wall time through the PassManager pipeline, broken down by
-  // layer (the CompileResult::passLog records), plus a machine-readable
-  // JSON line per kernel for downstream tooling.
-  std::printf("\nPipeline compile time per kernel (PassManager stats):\n\n");
-  std::printf("  %-15s | %9s | %8s | %8s | %8s | %8s | %8s\n", "kernel", "total ms", "hlir ms",
-              "mir ms", "dp ms", "rtl ms", "vhdl ms");
-  std::printf("  ----------------+-----------+----------+----------+----------+----------+"
-              "---------\n");
-  for (const CompileTiming& t : g_timings) {
-    std::printf("  %-15s | %9.3f | %8.3f | %8.3f | %8.3f | %8.3f | %8.3f\n", t.name.c_str(),
-                t.totalMs(), t.layerMs(PassLayer::Hlir), t.layerMs(PassLayer::Mir),
-                t.layerMs(PassLayer::Dp), t.layerMs(PassLayer::Rtl), t.layerMs(PassLayer::Vhdl));
-  }
-  std::printf("\nbench_table1 compile-time JSON:\n");
-  std::printf("{\"kernels\": [");
-  for (size_t i = 0; i < g_timings.size(); ++i) {
-    const CompileTiming& t = g_timings[i];
-    std::printf("%s{\"name\": \"%s\", \"compileMs\": %.3f, \"passes\": [", i ? ", " : "",
-                t.name.c_str(), t.totalMs());
-    bool first = true;
-    for (const auto& p : t.passes) {
-      if (!p.ran) continue;
-      std::printf("%s{\"name\": \"%s\", \"layer\": \"%s\", \"wallMs\": %.4f}", first ? "" : ", ",
-                  p.name.c_str(), passLayerName(p.layer), p.wallMs);
-      first = false;
-    }
-    std::printf("]}");
-  }
-  std::printf("]}\n");
-
-  // --- netlist engine comparison ------------------------------------------------
-  // The same compiled modules, cosimulated end-to-end (smart buffer,
-  // controllers, data path) on the reference interpreter vs the compiled
-  // fast engine. Outputs must be identical; the fast engine is the default.
-  struct EngineCase {
-    const char* name;
-    const char* src;
-    double targetNs;
-  };
-  const EngineCase engineCases[] = {
-      {"bit_correlator", bench::kBitCorrelator, 0},
-      {"udiv", bench::kUdiv, 3.0},
-      {"square_root", bench::kSquareRoot, 0},
-      {"fir", bench::kFir, 0},
-      {"dct", bench::kDct, 7.5},
-  };
-  const int kReps = 10;
-  std::printf("\nNetlist engine comparison (full System::run, mean of %d runs):\n\n", kReps);
-  std::printf("  %-15s | %10s | %10s | %8s | %s\n", "kernel", "ref ms", "fast ms", "speedup",
-              "outputs");
-  std::printf("  ----------------+------------+------------+----------+--------\n");
-  for (const EngineCase& ec : engineCases) {
-    CompileOptions opt;
-    if (ec.targetNs > 0) opt.dpOptions.targetStageDelayNs = ec.targetNs;
-    Compiler c(opt);
-    const CompileResult r = c.compileSource(ec.src);
-    if (!r.ok) {
-      std::fprintf(stderr, "%s: compile failed\n", ec.name);
-      return 1;
-    }
-    const auto io = randomInputs(r.kernel, 0x7ab1e);
-    const auto [refMs, refOut] = timeEngine(r, io, rtl::SimEngine::Reference, kReps);
-    const auto [fastMs, fastOut] = timeEngine(r, io, rtl::SimEngine::Fast, kReps);
-    const bool same = refOut.arrays == fastOut.arrays && refOut.scalars == fastOut.scalars;
-    std::printf("  %-15s | %10.3f | %10.3f | %7.1fx | %s\n", ec.name, refMs, fastMs,
-                refMs / fastMs, same ? "MATCH" : "MISMATCH");
-    if (!same) return 1;
-  }
-
-  // --- batch compilation throughput --------------------------------------------
-  // The whole nine-kernel sweep as one CompileService batch, fanned out
-  // across a worker pool (per-kernel options as in the rows above).
-  // Determinism cross-check: the VHDL bytes per kernel must be identical at
-  // every worker count — completion order is unobservable by construction.
-  {
-    std::vector<CompileJob> jobs;
-    for (const auto& k : bench::kTable1Kernels) {
-      CompileOptions o;
-      if (k.targetStageDelayNs > 0) o.dpOptions.targetStageDelayNs = k.targetStageDelayNs;
-      jobs.push_back({k.name, k.source, o});
-    }
-    const int kBatchReps = 3;
-    std::printf("\nBatch compilation throughput (CompileService, nine Table 1 kernels, "
-                "best of %d):\n\n", kBatchReps);
-    std::printf("  %-8s | %10s | %12s | %s\n", "workers", "batch ms", "kernels/s", "determinism");
-    std::printf("  ---------+------------+--------------+------------\n");
-    std::vector<std::string> baselineVhdl;
-    for (const int workers : {1, 2, 4, 8}) {
-      const CompileService service(workers);
-      double bestMs = 0;
-      double bestRate = 0;
-      bool deterministic = true;
-      for (int rep = 0; rep < kBatchReps; ++rep) {
-        const BatchResult batch = service.compileBatch(jobs);
-        if (!batch.allOk()) {
-          std::fprintf(stderr, "batch compile failed at %d workers\n", workers);
-          return 1;
-        }
-        if (bestMs == 0 || batch.wallMs < bestMs) {
-          bestMs = batch.wallMs;
-          bestRate = batch.kernelsPerSecond();
-        }
-        if (baselineVhdl.empty()) {
-          for (const auto& r : batch.results) baselineVhdl.push_back(r.vhdl);
-        } else {
-          for (size_t i = 0; i < batch.results.size(); ++i) {
-            deterministic = deterministic && batch.results[i].vhdl == baselineVhdl[i];
-          }
-        }
-      }
-      std::printf("  %8d | %10.1f | %12.1f | %s\n", workers, bestMs, bestRate,
-                  deterministic ? "byte-identical" : "MISMATCH");
-      if (!deterministic) return 1;
-    }
   }
 
   // --- compile cache: cold vs warm ----------------------------------------------
@@ -496,60 +132,5 @@ int main() {
     }
   }
 
-  // --- budget-checkpoint overhead ----------------------------------------------
-  // The cost of per-job governance (PR 4): the same nine kernels compiled
-  // with no CompileBudget limits vs an armed-but-never-triggered budget
-  // (generous deadline + IR-node + unroll-product caps, which turns on the
-  // deadline clock reads and the pass-boundary IR walks). The whole-sweep
-  // overhead is what EXPERIMENTS.md records as <1%.
-  {
-    const int kGovReps = 5;
-    std::printf("\nBudget-checkpoint overhead (nine-kernel sweep, best of %d):\n\n", kGovReps);
-    std::printf("  %-15s | %12s | %12s | %s\n", "kernel", "disarmed ms", "governed ms",
-                "overhead");
-    std::printf("  ----------------+--------------+--------------+---------\n");
-    auto sweepMs = [&](const CompileOptions& base, bool governed, const char* only) {
-      double total = 0;
-      for (const auto& k : bench::kTable1Kernels) {
-        if (only && std::string(only) != k.name) continue;
-        CompileOptions o = base;
-        if (k.targetStageDelayNs > 0) o.dpOptions.targetStageDelayNs = k.targetStageDelayNs;
-        if (governed) {
-          o.budget.timeoutMs = 600'000;
-          o.budget.maxIrNodes = 50'000'000;
-          o.budget.maxUnrollProduct = 1'000'000'000;
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        const Compiler c(o);
-        const CompileResult r = c.compileSource(k.source);
-        const auto t1 = std::chrono::steady_clock::now();
-        if (!r.ok) {
-          std::fprintf(stderr, "%s: governed compile failed\n", k.name);
-          std::exit(1);
-        }
-        total += std::chrono::duration<double, std::milli>(t1 - t0).count();
-      }
-      return total;
-    };
-    double sweepPlain = 0;
-    double sweepGoverned = 0;
-    for (const auto& k : bench::kTable1Kernels) {
-      double plain = 0;
-      double governed = 0;
-      for (int rep = 0; rep < kGovReps; ++rep) {
-        const double p = sweepMs({}, false, k.name);
-        const double g = sweepMs({}, true, k.name);
-        if (plain == 0 || p < plain) plain = p;
-        if (governed == 0 || g < governed) governed = g;
-      }
-      sweepPlain += plain;
-      sweepGoverned += governed;
-      std::printf("  %-15s | %12.3f | %12.3f | %+7.2f%%\n", k.name, plain, governed,
-                  (governed - plain) * 100.0 / plain);
-    }
-    std::printf("  ----------------+--------------+--------------+---------\n");
-    std::printf("  %-15s | %12.3f | %12.3f | %+7.2f%%\n", "sweep total", sweepPlain,
-                sweepGoverned, (sweepGoverned - sweepPlain) * 100.0 / sweepPlain);
-  }
   return 0;
 }

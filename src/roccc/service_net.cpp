@@ -330,6 +330,9 @@ LineReader::Status LineReader::next(std::string& line) {
 struct ServiceDaemon::Impl {
   explicit Impl(ServiceConfig config) : cfg(std::move(config)) {}
 
+  /// How long accept() waits after running out of descriptors or buffers.
+  static constexpr int kAcceptBackoffMs = 50;
+
   struct Connection {
     int fd = -1;
     int inFlight = 0; ///< jobs in the admission window; guarded by admitMutex
@@ -367,6 +370,9 @@ struct ServiceDaemon::Impl {
 
   ServiceMetrics metrics;
   WallTimer uptime;
+  /// Why the accept loop quit unasked (a poll/accept failure); empty after
+  /// a requested stop. Written by the accept thread before it exits.
+  std::string failure;
 
   void log(const std::string& msg) {
     if (!cfg.quiet) std::fprintf(stderr, "roccc-ccd: %s\n", msg.c_str());
@@ -838,11 +844,13 @@ struct ServiceDaemon::Impl {
   }
 
   void acceptLoop() {
+    bool exhausted = false;
     while (!stopRequested.load() && !hardStop.load()) {
       pollfd fds[2] = {{listenFd, POLLIN, 0}, {wakeRead, POLLIN, 0}};
       const int ready = ::poll(fds, 2, -1);
       if (ready < 0) {
         if (errno == EINTR) continue;
+        failure = fmt("poll(): %0", std::strerror(errno));
         break;
       }
       if (fds[1].revents) {
@@ -853,9 +861,22 @@ struct ServiceDaemon::Impl {
       if (!(fds[0].revents & POLLIN)) continue;
       const int fd = ::accept(listenFd, nullptr, nullptr);
       if (fd < 0) {
-        if (errno == EINTR || errno == ECONNABORTED) continue;
+        const int err = errno;
+        if (err == EINTR || err == ECONNABORTED) continue;
+        if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
+          // Out of descriptors or buffers: the connection stays queued and
+          // the listener stays readable, so wait (waking early for a drain)
+          // until closing connections free some, instead of spinning.
+          if (!exhausted) log(fmt("accept(): %0; backing off", std::strerror(err)));
+          exhausted = true;
+          pollfd wakeFd = {wakeRead, POLLIN, 0};
+          ::poll(&wakeFd, 1, kAcceptBackoffMs);
+          continue;
+        }
+        failure = fmt("accept(): %0", std::strerror(err));
         break;
       }
+      exhausted = false;
       auto conn = std::make_shared<Connection>();
       conn->fd = fd;
       {
@@ -868,6 +889,8 @@ struct ServiceDaemon::Impl {
 
     // Shutdown: refuse new connections, wait out the admission window
     // (unless hard-stopped), unblock every reader, wait for handlers.
+    // A failure prints even under --quiet: it is why the daemon stops.
+    if (!failure.empty()) std::fprintf(stderr, "roccc-ccd: %s\n", failure.c_str());
     draining.store(true);
     ::close(listenFd);
     listenFd = -1;
@@ -949,8 +972,9 @@ void ServiceDaemon::requestDrain() {
   impl_->wake();
 }
 
-void ServiceDaemon::waitStopped() {
+bool ServiceDaemon::waitStopped() {
   if (impl_->acceptThread.joinable()) impl_->acceptThread.join();
+  return impl_->failure.empty();
 }
 
 void ServiceDaemon::stop() {

@@ -161,7 +161,10 @@ class ServiceDaemon {
   void requestDrain();
 
   /// Blocks until the daemon has fully stopped (drained and joined).
-  void waitStopped();
+  /// False when it stopped unasked because poll() or accept() failed (the
+  /// error is logged); running out of descriptors is not such a failure,
+  /// the accept loop backs off and keeps serving.
+  bool waitStopped();
 
   /// Immediate shutdown for tests and error paths: closes everything
   /// without waiting for in-flight jobs' clients to be answered.
@@ -198,7 +201,7 @@ class LineReader {
 };
 
 /// One client connection to a roccc-ccd socket. Blocking, line-oriented;
-/// used by tools/roccc_client.cpp, the tests, and bench_service.
+/// used by tools/roccc_client.cpp, the tests, and perfbench.
 class ServiceClient {
  public:
   ServiceClient() = default;

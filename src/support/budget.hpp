@@ -19,8 +19,8 @@
 //
 // Cost when disarmed: every limit defaults to "unlimited" except the depth
 // cap, and each check is a branch on a cached flag — no clock reads, no IR
-// walks. Armed-but-untriggered governance costs <1% compile throughput
-// (bench_table1's overhead column; EXPERIMENTS.md).
+// walks. Armed-but-untriggered governance cost 1-5% of a Table 1 compile
+// sweep when last measured (EXPERIMENTS.md, "Cost of governance").
 //
 // Layer code reaches the current job's budget through a thread_local
 // installed by Compiler::compileSource (each batch job runs wholly on one

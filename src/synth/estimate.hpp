@@ -78,8 +78,8 @@ struct Report {
   double energyPerCyclePj(double activity = 0.25) const {
     return dynamicPjPerCycle * activity + leakageMw * criticalPathNs;
   }
-  /// Energy-delay product (pJ x ns) at the critical-path clock — the
-  /// bench_table1 efficiency column.
+  /// Energy-delay product (pJ x ns) at the critical-path clock — the EDP
+  /// column of bench_table1's timing table and of roccc-explore.
   double edpPjNs(double activity = 0.25) const {
     return energyPerCyclePj(activity) * criticalPathNs;
   }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "../bench/table1.hpp"
 #include "ip/ip.hpp"
 #include "roccc/compiler.hpp"
 #include "support/cosrom.hpp"
@@ -232,80 +233,125 @@ TEST(IpBaseline, StructuralModelsVerify) {
   }
 }
 
-// --- relative area/clock shape (the Table 1 claims) -----------------------------------
+// --- the Table 1 claims, on the rows bench_table1 prints ----------------------------
+//
+// Paper section 5: ROCCC-generated circuits take "around 2x ~ 3x area"
+// and run "at comparable clock rate"; the lookup-table designs are
+// identical; the bit-manipulation kernels cost the compiler extra area;
+// DCT trades clock for 8 outputs per clock. The rows come from
+// bench::computeTable1(), the same function bench_table1 prints.
 
-TEST(Table1Shape, RocccBitCorrelatorBiggerThanIp) {
-  const char* src = R"(
-    void bit_correlator(const uint8 A[64], uint4 C[64]) {
-      int i;
-      int j;
-      int cnt;
-      for (i = 0; i < 64; i++) {
-        cnt = 0;
-        for (j = 0; j < 8; j++) {
-          if (((A[i] >> j) & 1) == ((181 >> j) & 1)) {
-            cnt = cnt + 1;
-          }
-        }
-        C[i] = cnt;
-      }
-    }
-  )";
-  Compiler c;
-  const CompileResult r = c.compileSource(src);
-  ASSERT_TRUE(r.ok) << r.diags.dump();
-  const auto roccc = synth::estimate(r.module);
-  const auto ipRep = synth::estimate(ip::buildBitCorrelator(181));
-  // Paper: 2.11x area, 0.679x clock.
-  const double areaRatio = static_cast<double>(roccc.slices) / static_cast<double>(ipRep.slices);
-  EXPECT_GT(areaRatio, 1.2) << "roccc " << roccc.summary() << " vs ip " << ipRep.summary();
-  EXPECT_LT(areaRatio, 6.0);
+const bench::Table1& table1() {
+  static const bench::Table1 t = bench::computeTable1();
+  return t;
 }
 
-TEST(Table1Shape, RocccUdivBiggerButComparableClock) {
-  const char* src = R"(
-    void udiv(const uint8 N[64], const uint8 D[64], uint8 Q[64]) {
-      int i;
-      for (i = 0; i < 64; i++) {
-        Q[i] = N[i] / D[i];
-      }
-    }
-  )";
-  Compiler c;
-  const CompileResult r = c.compileSource(src);
-  ASSERT_TRUE(r.ok) << r.diags.dump();
-  const auto roccc = synth::estimate(r.module);
-  const auto ipRep = synth::estimate(ip::buildUdiv8());
-  const double areaRatio = static_cast<double>(roccc.slices) / static_cast<double>(ipRep.slices);
-  const double clockRatio = roccc.fmaxMHz() / ipRep.fmaxMHz();
-  // Paper: 3.44x area, 1.26x clock. Our expansion infers the 8-bit operand
-  // width from the port sizes, so the area gap is milder than the paper's
-  // (documented in EXPERIMENTS.md); the clock stays comparable because the
-  // generated divider pipelines just like the IP.
-  EXPECT_GT(areaRatio, 0.8) << "roccc " << roccc.summary() << "\nip " << ipRep.summary();
-  EXPECT_LT(areaRatio, 8.0) << "roccc " << roccc.summary() << "\nip " << ipRep.summary();
-  EXPECT_GT(clockRatio, 0.5) << "roccc " << roccc.summary() << "\nip " << ipRep.summary();
+constexpr const char* kLutRows[] = {"cos", "arbitrary LUT"};
+constexpr const char* kBitManipulationRows[] = {"bit_correlator", "udiv", "square root"};
+
+bool isLutRow(const std::string& name) {
+  for (const char* lut : kLutRows) {
+    if (name == lut) return true;
+  }
+  return false;
 }
 
-TEST(Table1Shape, FirNearParity) {
-  // The paper's FIR: ROCCC within 9% area, 5% faster clock.
-  const char* src = R"(
-    void fir(const int8 A[68], int16 C[64]) {
-      int i;
-      for (i = 0; i < 64; i = i + 1) {
-        C[i] = 3*A[i] + 5*A[i+1] + 7*A[i+2] + 9*A[i+3] - A[i+4];
-      }
-    }
-  )";
-  Compiler c;
-  const CompileResult r = c.compileSource(src);
-  ASSERT_TRUE(r.ok) << r.diags.dump();
-  const auto roccc = synth::estimate(r.module);
-  const auto ipRep = synth::estimate(ip::buildFir5());
-  // Our IP builds TWO filters (as in the paper); halve for the ratio.
-  const double areaRatio = 2.0 * static_cast<double>(roccc.slices) / static_cast<double>(ipRep.slices);
-  EXPECT_GT(areaRatio, 0.6) << "roccc " << roccc.summary() << "\nip " << ipRep.summary();
-  EXPECT_LT(areaRatio, 2.5) << "roccc " << roccc.summary() << "\nip " << ipRep.summary();
+TEST(Table1Shape, LookupTableRowsAreExactlyTheIp) {
+  for (const char* name : kLutRows) {
+    const bench::Table1Row& r = table1().row(name);
+    EXPECT_EQ(r.areaRatio(), 1.0) << name;
+    EXPECT_EQ(r.clockRatio(), 1.0) << name;
+  }
+}
+
+TEST(Table1Shape, BitManipulationRowsCostExtraArea) {
+  for (const char* name : kBitManipulationRows) {
+    EXPECT_GT(table1().row(name).areaRatio(), 1.0) << name;
+  }
+}
+
+TEST(Table1Shape, EveryClockIsWithinFiftyPercentOfTheIp) {
+  for (const bench::Table1Row& r : table1().rows) {
+    EXPECT_GE(r.clockRatio(), 0.5) << r.name;
+    EXPECT_LE(r.clockRatio(), 1.5) << r.name;
+  }
+}
+
+// At the 64-bit bus a full 8-sample block arrives per clock, so once the
+// pipeline has filled the DCT emits 8 outputs on every advancing clock; at
+// its lower clock that still beats the IP's 1 output per clock.
+TEST(Table1Shape, DctDeliversEightOutputsPerClockAndOutrunsTheIp) {
+  const CompileResult r = bench::compileTable1Kernel("dct");
+  interp::KernelIO in;
+  for (int i = 0; i < 64; ++i) in.arrays["X"].push_back((i * 37) % 256 - 128);
+  rtl::SystemOptions sys;
+  sys.inputBusElems = 8;
+  const rtl::SystemStats st = rtl::measureSystem(r.kernel, r.datapath, r.module, in, sys);
+  const int64_t fillCycles = st.pipelineStages - 1;
+  const double steadyOutputsPerClock =
+      static_cast<double>(st.outputElems) / static_cast<double>(st.enabledCycles - fillCycles);
+  EXPECT_DOUBLE_EQ(steadyOutputsPerClock, 8.0);
+
+  const bench::Table1Row& dct = table1().row("DCT");
+  EXPECT_GT(steadyOutputsPerClock * dct.rocccClock, 1.0 * dct.ipClock);
+}
+
+// --- named expected deviations ------------------------------------------------------
+//
+// A row that misses the paper's band is pinned to today's value (+-2%)
+// with its cause. A regression fails the pin; a fix that lands inside the
+// band fails too, so the entry must then be deleted and the band asserted
+// above instead. No band is widened to make a row pass.
+
+struct Deviation {
+  double measured;
+  double bandLo, bandHi; ///< the paper's band
+  double pinned;         ///< today's value
+  const char* cause;
+};
+
+void expectPinnedDeviation(const Deviation& d) {
+  EXPECT_FALSE(d.measured >= d.bandLo && d.measured <= d.bandHi)
+      << d.measured << " is inside the paper's band [" << d.bandLo << ", " << d.bandHi
+      << "]: delete this deviation and assert the band";
+  EXPECT_NEAR(d.measured, d.pinned, 0.02 * d.pinned) << "cause on record: " << d.cause;
+}
+
+// Paper: "around 2x ~ 3x area".
+TEST(Table1Shape, DeviationNonLutAreaGeomeanBelowTwo) {
+  double logSum = 0;
+  int n = 0;
+  for (const bench::Table1Row& r : table1().rows) {
+    if (isLutRow(r.name)) continue;
+    logSum += std::log(r.areaRatio());
+    ++n;
+  }
+  ASSERT_EQ(n, 7);
+  expectPinnedDeviation({std::exp(logSum / n), 2.0, 3.0, 1.60,
+                         "open: udiv, square_root and mul_acc cost 1.17x/1.17x/1.26x against the "
+                         "paper's 3.44x/2.05x/3.28x, and FIR is below 1x"});
+}
+
+// Paper: FIR at 1.09x area, "near parity" (within 15% of the IP).
+TEST(Table1Shape, DeviationFirAreaBelowParity) {
+  expectPinnedDeviation({table1().row("FIR").areaRatio(), 0.85, 1.15, 0.64,
+                         "the constant taps lower to shift-adds at inferred 13-bit widths (75 "
+                         "slices per filter under the paper's width rule too), under the IP's "
+                         "16-bit distributed-arithmetic filter"});
+}
+
+// Paper: the generated divider clocks 1.26x the IP.
+TEST(Table1Shape, DeviationUdivClockBelowTheIp) {
+  expectPinnedDeviation({table1().row("udiv").clockRatio(), 1.0, 1.5, 0.760,
+                         "latches are placed on the data-path timing view (345 MHz), which misses "
+                         "the resize and mux cells the estimator prices (200 MHz)"});
+}
+
+// Paper: the generated square root clocks 1.32x the IP.
+TEST(Table1Shape, DeviationSquareRootClockBelowTheIp) {
+  expectPinnedDeviation({table1().row("square root").clockRatio(), 1.0, 1.5, 0.759,
+                         "latches are placed on the data-path timing view (228 MHz), which misses "
+                         "the resize and mux cells the estimator prices (153 MHz)"});
 }
 
 TEST(Table1Shape, PaperReferenceNumbersPresent) {

@@ -9,7 +9,8 @@
 // compile cache is shared by every client and, with --cache-dir, by every
 // daemon generation.
 //
-// Exit codes: 0 clean drain/stop, 1 startup failure, 2 usage.
+// Exit codes: 0 clean drain/stop, 1 startup failure or a poll()/accept()
+// failure that stopped serving, 2 usage.
 //
 // Every --opt VALUE option also accepts the --opt=VALUE spelling. The
 // ceilings, --target-ns and --timing-model are option-table flags
@@ -123,7 +124,7 @@ int main(int argc, char** argv) {
                    "docs/CLI.md is the flag reference; docs/SERVICE.md the operations book.\n\n"
                    "options:\n",
                    argv[0]),
-        options, "\nexit codes: 0 clean drain/stop, 1 startup failure, 2 usage\n");
+        options, "\nexit codes: 0 clean drain/stop, 1 startup or serving failure, 2 usage\n");
     return 0;
   }
 
@@ -138,7 +139,7 @@ int main(int argc, char** argv) {
   ::sigaction(SIGTERM, &sa, nullptr);
   ::sigaction(SIGINT, &sa, nullptr);
 
-  daemon.waitStopped();
+  const bool clean = daemon.waitStopped();
   g_daemon = nullptr;
-  return 0;
+  return clean ? 0 : 1;
 }
