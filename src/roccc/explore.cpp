@@ -196,6 +196,19 @@ std::vector<SweepPoint> expandGrid(const SweepGrid& grid) {
   return points;
 }
 
+std::string pointConfigJson(const SweepPoint& point) {
+  const SweepPointConfig& c = point.config;
+  return fmt("{\"unroll\": %0, \"autoUnrollBudget\": %1, \"targetNs\": %2, \"retime\": %3, "
+             "\"pipeline\": %4, \"optimize\": %5, \"lutConvert\": %6, \"widthMode\": \"%7\", "
+             "\"multStyle\": \"%8\"%9",
+             c.unroll, c.autoUnrollBudget, num(c.targetNs), c.retime ? "true" : "false",
+             c.pipeline ? "true" : "false", c.optimize ? "true" : "false",
+             c.lutConvert ? "true" : "false", widthModeName(c.widthMode),
+             multStyleName(c.multStyle),
+             fmt(", \"busElems\": %0, \"smartBuffer\": %1}", c.busElems,
+                 c.smartBuffer ? "true" : "false"));
+}
+
 // --- manifest ----------------------------------------------------------------
 
 namespace {
@@ -601,20 +614,11 @@ std::string SweepResult::toJson(bool includeTimings) const {
   w.indent();
   for (size_t i = 0; i < points.size(); ++i) {
     const SweepPointResult& p = points[i];
-    const SweepPointConfig& c = p.point.config;
     w.line("{");
     w.indent();
     w.line(fmt("\"kernel\": \"%0\",", json::escape(p.point.kernel)));
     w.line(fmt("\"label\": \"%0\",", json::escape(p.point.label)));
-    w.line(fmt("\"config\": {\"unroll\": %0, \"autoUnrollBudget\": %1, \"targetNs\": %2, "
-               "\"retime\": %3, \"pipeline\": %4, \"optimize\": %5, \"lutConvert\": %6, "
-               "\"widthMode\": \"%7\", \"multStyle\": \"%8\"%9",
-               c.unroll, c.autoUnrollBudget, num(c.targetNs), c.retime ? "true" : "false",
-               c.pipeline ? "true" : "false", c.optimize ? "true" : "false",
-               c.lutConvert ? "true" : "false", widthModeName(c.widthMode),
-               multStyleName(c.multStyle),
-               fmt(", \"busElems\": %0, \"smartBuffer\": %1},", c.busElems,
-                   c.smartBuffer ? "true" : "false")));
+    w.line(fmt("\"config\": %0,", pointConfigJson(p.point)));
     w.line(fmt("\"outcome\": \"%0\",", pointOutcomeName(p.outcome)));
     if (!p.error.empty()) w.line(fmt("\"error\": \"%0\",", json::escape(p.error)));
     if (includeTimings) w.line(fmt("\"compileMs\": %0,", num(p.compileMs)));

@@ -128,6 +128,10 @@ struct SweepPoint {
   CompileOptions options; ///< fully resolved compile options
 };
 
+/// The point's `config` object as the JSON report prints it, one line:
+/// {"unroll": 2, "autoUnrollBudget": 0, "targetNs": 4, ...}.
+std::string pointConfigJson(const SweepPoint& point);
+
 /// Crosses the grid into the deduplicated, deterministically-ordered point
 /// list. Dedup key: (kernel name, content-addressed compile key via
 /// roccc::computeCacheKey, buffer geometry) — the first spelling wins.

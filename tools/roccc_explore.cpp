@@ -24,13 +24,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "../bench/kernels.hpp"
+#include "../bench/sweep_kernels.hpp"
 #include "roccc/cache.hpp"
 #include "roccc/explore.hpp"
 #include "roccc/options.hpp"
@@ -164,47 +163,6 @@ std::vector<roccc::cli::OptionSpec> optionList(Args& a) {
   };
 }
 
-bool readFile(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  out = buf.str();
-  return true;
-}
-
-/// Adds the named Table 1 kernels (or all nine) to the grid, with their
-/// per-row stage-delay defaults.
-bool addTable1Kernels(const std::vector<std::string>& names, bool all,
-                      roccc::SweepGrid& grid) {
-  const auto add = [&](const roccc::bench::NamedKernel& k) {
-    grid.kernels.push_back({k.name, k.source, k.targetStageDelayNs});
-  };
-  if (all) {
-    for (const auto& k : roccc::bench::kTable1Kernels) add(k);
-    return true;
-  }
-  for (const std::string& name : names) {
-    if (name == "all") {
-      for (const auto& k : roccc::bench::kTable1Kernels) add(k);
-      continue;
-    }
-    bool found = false;
-    for (const auto& k : roccc::bench::kTable1Kernels) {
-      if (name == k.name) {
-        add(k);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "error: unknown Table 1 kernel '%s'\n", name.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -247,7 +205,7 @@ int main(int argc, char** argv) {
   roccc::SweepManifest manifest;
   if (!a.manifestPath.empty()) {
     std::string text;
-    if (!readFile(a.manifestPath, text)) {
+    if (!roccc::bench::readTextFile(a.manifestPath, text)) {
       std::fprintf(stderr, "error: cannot open grid file '%s'\n", a.manifestPath.c_str());
       return 2;
     }
@@ -259,28 +217,18 @@ int main(int argc, char** argv) {
   roccc::SweepGrid grid = manifest.grid;
   grid.base = a.base;
 
-  if (!addTable1Kernels(manifest.table1, manifest.table1All, grid)) return 2;
-  // `kernel NAME PATH` paths resolve relative to the grid file's directory.
-  const std::filesystem::path manifestDir =
-      std::filesystem::path(a.manifestPath).parent_path();
-  for (const auto& kf : manifest.kernelFiles) {
-    const std::filesystem::path p = std::filesystem::path(kf.path).is_absolute()
-                                        ? std::filesystem::path(kf.path)
-                                        : manifestDir / kf.path;
-    std::string source;
-    if (!readFile(p.string(), source)) {
-      std::fprintf(stderr, "error: cannot open kernel file '%s'\n", p.string().c_str());
-      return 2;
-    }
-    grid.kernels.push_back({kf.name, source, 0});
+  // Kernels: the grid file's, then --table1, then --kernel.
+  if (!roccc::bench::addManifestKernels(manifest, a.manifestPath, grid, error) ||
+      !roccc::bench::addTable1Kernels(a.table1, false, grid, error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
   }
-  if (!addTable1Kernels(a.table1, false, grid)) return 2;
   for (const std::string& spec : a.kernelSpecs) {
     const size_t eq = spec.find('=');
     const std::string name = spec.substr(0, eq);
     const std::string path = spec.substr(eq + 1);
     std::string source;
-    if (!readFile(path, source)) {
+    if (!roccc::bench::readTextFile(path, source)) {
       std::fprintf(stderr, "error: cannot open kernel file '%s'\n", path.c_str());
       return 2;
     }
