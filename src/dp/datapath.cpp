@@ -158,12 +158,10 @@ class Builder {
     createPorts();
     if (!placeOps()) return false;
     insertPipeNodes();
-    if (opt_.inferBitWidths) {
-      if (opt_.widthMode == BuildOptions::WidthMode::RangeAnalysis) {
-        inferWidths();
-      } else {
-        inferWidthsPortOpcode();
-      }
+    if (opt_.widthMode == BuildOptions::WidthMode::RangeAnalysis) {
+      inferWidths();
+    } else if (opt_.widthMode == BuildOptions::WidthMode::PortOpcode) {
+      inferWidthsPortOpcode();
     }
     assignStages();
     computeStats();

@@ -116,15 +116,16 @@ struct BuildOptions {
   /// no stage exceeds it (except a feedback loop that cannot be split).
   double targetStageDelayNs = 4.0;
   bool pipeline = true;        ///< place latches (off: single stage)
-  bool inferBitWidths = true;  ///< narrow internal signals
-  /// How widths are inferred when inferBitWidths is on:
+  /// How internal signals are narrowed:
+  ///  - Declared: not at all; every signal keeps its declared C width.
   ///  - PortOpcode: the paper's rule (section 5, "we derive bit width only
   ///    based on port size and opcodes") — forward structural propagation
   ///    (add -> max+1, mul -> sum, ...), no value information.
   ///  - RangeAnalysis: interval analysis over value ranges — the "more
   ///    aggressive bit narrowing" the paper anticipates. Default, and what
   ///    the rest of this library was validated with.
-  enum class WidthMode { PortOpcode, RangeAnalysis } widthMode = WidthMode::RangeAnalysis;
+  enum class WidthMode { Declared, PortOpcode, RangeAnalysis } widthMode =
+      WidthMode::RangeAnalysis;
   /// 'LUT' multiplier style decomposes constant multiplies into shift-adds
   /// (the Table 1 FIR/DCT setting); 'Mult18' keeps hardware multipliers.
   enum class MultStyle { Lut, Mult18 } multStyle = MultStyle::Lut;

@@ -1,8 +1,9 @@
 #include "roccc/explore.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <map>
+#include <cassert>
+#include <charconv>
+#include <cstdlib>
 #include <sstream>
 #include <unordered_set>
 
@@ -17,30 +18,24 @@ namespace roccc {
 
 namespace {
 
-/// Deterministic number rendering for labels and JSON (operator<< default
-/// precision; never locale-dependent for these value ranges).
+/// Metric rendering in the report (operator<< default precision; never
+/// locale-dependent for these value ranges).
 std::string num(double v) {
   std::ostringstream os;
   os << v;
   return os.str();
 }
 
+/// A double in the shortest text that reads back as the same value, so
+/// two distinct stage-delay targets never print alike.
+std::string shortest(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
 } // namespace
 
 // --- names -------------------------------------------------------------------
-
-const char* widthModeName(SweepGrid::WidthMode mode) {
-  switch (mode) {
-    case SweepGrid::WidthMode::Declared: return "declared";
-    case SweepGrid::WidthMode::PortOpcode: return "paper";
-    case SweepGrid::WidthMode::Range: return "range";
-  }
-  return "range";
-}
-
-const char* multStyleName(dp::BuildOptions::MultStyle style) {
-  return style == dp::BuildOptions::MultStyle::Mult18 ? "mult18" : "lut";
-}
 
 const char* sweepAxisName(SweepAxis axis) {
   switch (axis) {
@@ -91,122 +86,177 @@ PointOutcome pointOutcomeFrom(CompileOutcome outcome) {
   return PointOutcome::InternalError;
 }
 
-// --- expansion ---------------------------------------------------------------
+// --- grid -------------------------------------------------------------------
+
+std::string_view sweepDirective(OptionId id) {
+  std::string_view flag = optionRow(id).flag;
+  flag.remove_prefix(2); // "--"
+  if (flag.starts_with("no-")) flag.remove_prefix(3);
+  return flag;
+}
 
 namespace {
 
-/// "fir@u2/ns4" + a tag per non-default knob. Duplicate configs produce
-/// duplicate labels, but those are exactly the points dedup removes.
-std::string pointLabel(const std::string& kernel, const SweepPointConfig& c) {
-  std::string label = kernel;
-  if (c.autoUnrollBudget > 0) {
-    label += fmt("@auto%0", c.autoUnrollBudget);
-  } else {
-    label += fmt("@u%0", c.unroll);
-  }
-  label += fmt("/ns%0", num(c.targetNs));
-  if (!c.retime) label += "/noretime";
-  if (!c.pipeline) label += "/nopipe";
-  if (!c.optimize) label += "/noopt";
-  if (!c.lutConvert) label += "/nolut";
-  if (c.widthMode != SweepGrid::WidthMode::Range) label += fmt("/%0", widthModeName(c.widthMode));
-  if (c.multStyle != dp::BuildOptions::MultStyle::Lut) label += "/mult18";
-  if (c.busElems != 1) label += fmt("/bus%0", c.busElems);
-  if (!c.smartBuffer) label += "/naive";
-  return label;
+/// `on`/`off`: the grid spelling of every bool axis.
+bool parseOnOff(const std::string& token, bool& out) {
+  if (token != "on" && token != "off") return false;
+  out = token == "on";
+  return true;
 }
 
-CompileOptions resolveOptions(const SweepGrid& grid, const SweepPointConfig& c) {
-  CompileOptions o = grid.base;
-  o.unrollFactor = c.unroll;
-  o.autoUnrollSliceBudget = c.autoUnrollBudget;
-  o.dpOptions.targetStageDelayNs = c.targetNs;
-  o.retimePipeline = c.retime;
-  o.dpOptions.pipeline = c.pipeline;
-  o.optimize = c.optimize;
-  o.convertCallsToLuts = c.lutConvert;
-  switch (c.widthMode) {
-    case SweepGrid::WidthMode::Declared:
-      o.dpOptions.inferBitWidths = false;
-      break;
-    case SweepGrid::WidthMode::PortOpcode:
-      o.dpOptions.inferBitWidths = true;
-      o.dpOptions.widthMode = dp::BuildOptions::WidthMode::PortOpcode;
-      break;
-    case SweepGrid::WidthMode::Range:
-      o.dpOptions.inferBitWidths = true;
-      o.dpOptions.widthMode = dp::BuildOptions::WidthMode::RangeAnalysis;
-      break;
+/// One axis token as the protocol value of `row`; false with what the
+/// token must be in `error`.
+bool axisValue(const OptionRow& row, const std::string& token, json::Value& out,
+               std::string& error) {
+  if (row.kind == OptionKind::Bool) {
+    bool on = false;
+    if (!parseOnOff(token, on)) {
+      error = "must be on or off";
+      return false;
+    }
+    out = json::Value::boolean(on);
+    return true;
   }
-  o.dpOptions.multStyle = c.multStyle;
-  return o;
+  // targetNs 0 stands for the kernel's default: the one value an axis
+  // takes that its row does not.
+  char* end = nullptr;
+  if (row.id == OptionId::TargetNs && std::strtod(token.c_str(), &end) == 0 &&
+      end != token.c_str() && *end == '\0') {
+    out = json::Value::number(int64_t{0});
+    return true;
+  }
+  return optionValueFromText(row, token.c_str(), out, error);
+}
+
+} // namespace
+
+bool SweepGrid::setAxis(OptionId id, const std::vector<std::string>& tokens, std::string& error) {
+  const OptionRow& row = optionRow(id);
+  Axis axis{id, {}};
+  for (const std::string& token : tokens) {
+    json::Value v;
+    if (!axisValue(row, token, v, error)) {
+      error = fmt("value '%0' %1", token, error);
+      return false;
+    }
+    axis.values.push_back(std::move(v));
+  }
+  if (axis.values.empty()) {
+    error = "needs at least one value";
+    return false;
+  }
+  setAxis(std::move(axis));
+  return true;
+}
+
+void SweepGrid::setAxis(Axis axis) {
+  std::erase_if(axes, [&axis](const Axis& a) { return a.id == axis.id; });
+  axes.push_back(std::move(axis));
+}
+
+cli::OptionSpec sweepAxisFlag(OptionId id, SweepGrid& grid, const char* help) {
+  return {optionRow(id).flag, "LIST", help, [id, &grid](const char* v, std::string& error) {
+            std::vector<std::string> tokens;
+            std::stringstream ss(v);
+            for (std::string item; std::getline(ss, item, ',');) tokens.push_back(item);
+            if (tokens.empty()) tokens.emplace_back(); // "" is one empty value
+            return grid.setAxis(id, tokens, error);
+          }};
+}
+
+namespace {
+
+/// "fir@u2/ns4" plus one tag per option off its compiler default, in
+/// kSweepOptions order (a bool option's tag is its flag, "noretime"; an
+/// enum option's its token, "paper"), then the geometry ("bus2", "naive").
+/// Duplicate configs produce duplicate labels, but those are exactly the
+/// points dedup removes.
+std::string pointLabel(const SweepPoint& p) {
+  static const CompileOptions kDefaults;
+  const CompileOptions& o = p.options;
+  std::string label = p.kernel;
+  label += o.autoUnrollSliceBudget > 0 ? fmt("@auto%0", o.autoUnrollSliceBudget)
+                                       : fmt("@u%0", o.unrollFactor);
+  label += "/ns" + shortest(o.dpOptions.targetStageDelayNs);
+  for (OptionId id : kSweepOptions) {
+    const OptionRow& row = optionRow(id);
+    if (row.kind != OptionKind::Bool && row.kind != OptionKind::Enum) continue;
+    const json::Value v = optionToJson(row, o);
+    if (v.dump() == optionToJson(row, kDefaults).dump()) continue;
+    std::string tag = row.kind == OptionKind::Enum ? v.asString() : std::string(row.flag);
+    std::erase(tag, '-'); // "--no-retime" -> "noretime"
+    label += "/" + tag;
+  }
+  if (p.busElems != 1) label += fmt("/bus%0", p.busElems);
+  if (!p.smartBuffer) label += "/naive";
+  return label;
 }
 
 } // namespace
 
 std::vector<SweepPoint> expandGrid(const SweepGrid& grid) {
+  // The odometer's digits, outermost first: the swept options in
+  // kSweepOptions order, then the two geometry axes.
+  std::vector<const SweepGrid::Axis*> axes;
+  for (OptionId id : kSweepOptions) {
+    for (const SweepGrid::Axis& axis : grid.axes) {
+      if (axis.id == id) axes.push_back(&axis);
+    }
+  }
+  std::vector<size_t> sizes;
+  for (const SweepGrid::Axis* axis : axes) sizes.push_back(axis->values.size());
+  sizes.push_back(grid.busElems.size());
+  sizes.push_back(grid.smartBuffer.size());
+  if (std::find(sizes.begin(), sizes.end(), 0u) != sizes.end()) return {};
+
   std::vector<SweepPoint> points;
   std::unordered_set<std::string> seen; // kernel + compile key + geometry
   for (const auto& kernel : grid.kernels) {
-    for (int unroll : grid.unrolls)
-      for (int64_t autoBudget : grid.autoUnrollBudgets)
-        for (double target : grid.targetNs)
-          for (bool retime : grid.retime)
-            for (bool pipeline : grid.pipeline)
-              for (bool optimize : grid.optimize)
-                for (bool lutConvert : grid.lutConvert)
-                  for (SweepGrid::WidthMode widthMode : grid.widthModes)
-                    for (dp::BuildOptions::MultStyle multStyle : grid.multStyles)
-                      for (int busElems : grid.busElems)
-                        for (bool smartBuffer : grid.smartBuffer) {
-                          SweepPointConfig c;
-                          c.unroll = unroll;
-                          c.autoUnrollBudget = autoBudget;
-                          // A 0 target resolves to the kernel's per-row
-                          // default, then the grid base's — so "default"
-                          // and its explicit spelling dedup to one point.
-                          c.targetNs = target > 0 ? target
-                                       : kernel.defaultTargetNs > 0
-                                           ? kernel.defaultTargetNs
-                                           : grid.base.dpOptions.targetStageDelayNs;
-                          c.retime = retime;
-                          c.pipeline = pipeline;
-                          c.optimize = optimize;
-                          c.lutConvert = lutConvert;
-                          c.widthMode = widthMode;
-                          c.multStyle = multStyle;
-                          c.busElems = busElems;
-                          c.smartBuffer = smartBuffer;
-
-                          SweepPoint p;
-                          p.kernel = kernel.name;
-                          p.source = kernel.source;
-                          p.config = c;
-                          p.options = resolveOptions(grid, c);
-                          p.label = pointLabel(kernel.name, c);
-
-                          const std::string key =
-                              fmt("%0|%1|%2|%3", kernel.name,
-                                  computeCacheKey(p.source, p.options), c.busElems,
-                                  c.smartBuffer ? 1 : 0);
-                          if (!seen.insert(key).second) continue;
-                          points.push_back(std::move(p));
-                        }
+    CompileOptions kernelBase = grid.base;
+    if (kernel.defaultTargetNs > 0) {
+      kernelBase.dpOptions.targetStageDelayNs = kernel.defaultTargetNs;
+    }
+    std::vector<size_t> at(sizes.size(), 0);
+    while (true) {
+      SweepPoint p;
+      p.kernel = kernel.name;
+      p.source = kernel.source;
+      p.options = kernelBase;
+      for (size_t i = 0; i < axes.size(); ++i) {
+        const json::Value& v = axes[i]->values[at[i]];
+        // A 0 target leaves the kernel's default in place, so "default"
+        // and its explicit spelling dedup to one point.
+        if (axes[i]->id == OptionId::TargetNs && v.asDouble() == 0) continue;
+        std::string error;
+        [[maybe_unused]] const bool ok =
+            setOptionFromJson(optionRow(axes[i]->id), v, p.options, error);
+        assert(ok && "setAxis checks every axis value");
+      }
+      p.busElems = grid.busElems[at[axes.size()]];
+      p.smartBuffer = grid.smartBuffer[at[axes.size() + 1]];
+      p.label = pointLabel(p);
+      const std::string key = fmt("%0|%1|%2|%3", kernel.name, computeCacheKey(p.source, p.options),
+                                  p.busElems, p.smartBuffer ? 1 : 0);
+      if (seen.insert(key).second) points.push_back(std::move(p));
+      // The last digit turns fastest.
+      size_t i = at.size();
+      while (i > 0 && ++at[i - 1] == sizes[i - 1]) at[--i] = 0;
+      if (i == 0) break;
+    }
   }
   return points;
 }
 
 std::string pointConfigJson(const SweepPoint& point) {
-  const SweepPointConfig& c = point.config;
-  return fmt("{\"unroll\": %0, \"autoUnrollBudget\": %1, \"targetNs\": %2, \"retime\": %3, "
-             "\"pipeline\": %4, \"optimize\": %5, \"lutConvert\": %6, \"widthMode\": \"%7\", "
-             "\"multStyle\": \"%8\"%9",
-             c.unroll, c.autoUnrollBudget, num(c.targetNs), c.retime ? "true" : "false",
-             c.pipeline ? "true" : "false", c.optimize ? "true" : "false",
-             c.lutConvert ? "true" : "false", widthModeName(c.widthMode),
-             multStyleName(c.multStyle),
-             fmt(", \"busElems\": %0, \"smartBuffer\": %1}", c.busElems,
-                 c.smartBuffer ? "true" : "false"));
+  std::string out = "{";
+  for (OptionId id : kSweepOptions) {
+    const OptionRow& row = optionRow(id);
+    const json::Value v = optionToJson(row, point.options);
+    out += fmt("\"%0\": %1, ", row.key,
+               row.kind == OptionKind::PositiveDouble ? shortest(v.asDouble()) : v.dump());
+  }
+  return out + fmt("\"busElems\": %0, \"smartBuffer\": %1}", point.busElems,
+                   point.smartBuffer ? "true" : "false");
 }
 
 // --- manifest ----------------------------------------------------------------
@@ -226,16 +276,12 @@ std::vector<std::string> splitValues(const std::vector<std::string>& rawTokens) 
   return values;
 }
 
-bool parseBoolToken(const std::string& s, bool& out) {
-  if (s == "on" || s == "true" || s == "1") {
-    out = true;
-    return true;
+/// The sweep option whose directive is `directive`, or null.
+const OptionId* findSweepOption(std::string_view directive) {
+  for (const OptionId& id : kSweepOptions) {
+    if (sweepDirective(id) == directive) return &id;
   }
-  if (s == "off" || s == "false" || s == "0") {
-    out = false;
-    return true;
-  }
-  return false;
+  return nullptr;
 }
 
 } // namespace
@@ -271,8 +317,6 @@ bool parseSweepManifest(const std::string& text, SweepManifest& out, std::string
       return fail(fmt("duplicate directive '%0'", directive));
     }
 
-    const auto needValues = [&]() -> bool { return !values.empty(); };
-
     if (directive == "kernel") {
       if (values.size() != 2) return fail("kernel needs exactly NAME and PATH");
       out.kernelFiles.push_back({values[0], values[1]});
@@ -282,74 +326,28 @@ bool parseSweepManifest(const std::string& text, SweepManifest& out, std::string
       } else {
         out.table1.insert(out.table1.end(), values.begin(), values.end());
       }
-    } else if (directive == "unroll" || directive == "bus-elems") {
-      if (!needValues()) return fail(fmt("directive '%0' needs at least one value", directive));
-      std::vector<int> list;
+    } else if (const OptionId* id = findSweepOption(directive)) {
+      if (!out.grid.setAxis(*id, values, error)) return fail(fmt("%0 %1", directive, error));
+    } else if (directive == "bus-elems") {
+      if (values.empty()) return fail("bus-elems needs at least one value");
+      out.grid.busElems.clear();
       for (const auto& v : values) {
-        char* end = nullptr;
-        const long n = std::strtol(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0' || n < 1 || n > 1 << 20) {
-          return fail(fmt("invalid %0 value '%1'", directive, v));
+        int64_t n = 0;
+        if (!cli::parseInt(v, n, 1, 1 << 20)) {
+          return fail(fmt("bus-elems value '%0' must be an integer in [1, %1]", v, 1 << 20));
         }
-        list.push_back(static_cast<int>(n));
+        out.grid.busElems.push_back(static_cast<int>(n));
       }
-      (directive == "unroll" ? out.grid.unrolls : out.grid.busElems) = std::move(list);
-    } else if (directive == "auto-unroll-budget") {
-      if (!needValues()) return fail("directive 'auto-unroll-budget' needs at least one value");
-      out.grid.autoUnrollBudgets.clear();
+    } else if (directive == "smart-buffer") {
+      if (values.empty()) return fail("smart-buffer needs at least one value");
+      out.grid.smartBuffer.clear();
       for (const auto& v : values) {
-        char* end = nullptr;
-        const long long n = std::strtoll(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0' || n < 0) {
-          return fail(fmt("invalid auto-unroll-budget value '%0'", v));
-        }
-        out.grid.autoUnrollBudgets.push_back(n);
-      }
-    } else if (directive == "target-ns") {
-      if (!needValues()) return fail("directive 'target-ns' needs at least one value");
-      out.grid.targetNs.clear();
-      for (const auto& v : values) {
-        char* end = nullptr;
-        const double d = std::strtod(v.c_str(), &end);
-        if (end == v.c_str() || *end != '\0' || d < 0 || d > 1e6) {
-          return fail(fmt("invalid target-ns value '%0'", v));
-        }
-        out.grid.targetNs.push_back(d);
-      }
-    } else if (directive == "retime" || directive == "pipeline" || directive == "optimize" ||
-               directive == "lut-convert" || directive == "smart-buffer") {
-      if (!needValues()) return fail(fmt("directive '%0' needs at least one value", directive));
-      std::vector<bool> list;
-      for (const auto& v : values) {
-        bool b = false;
-        if (!parseBoolToken(v, b)) return fail(fmt("invalid %0 value '%1' (want on/off)", directive, v));
-        list.push_back(b);
-      }
-      if (directive == "retime") out.grid.retime = std::move(list);
-      else if (directive == "pipeline") out.grid.pipeline = std::move(list);
-      else if (directive == "optimize") out.grid.optimize = std::move(list);
-      else if (directive == "lut-convert") out.grid.lutConvert = std::move(list);
-      else out.grid.smartBuffer = std::move(list);
-    } else if (directive == "width-mode") {
-      if (!needValues()) return fail("directive 'width-mode' needs at least one value");
-      out.grid.widthModes.clear();
-      for (const auto& v : values) {
-        if (v == "declared") out.grid.widthModes.push_back(SweepGrid::WidthMode::Declared);
-        else if (v == "paper" || v == "portopcode")
-          out.grid.widthModes.push_back(SweepGrid::WidthMode::PortOpcode);
-        else if (v == "range") out.grid.widthModes.push_back(SweepGrid::WidthMode::Range);
-        else return fail(fmt("invalid width-mode '%0' (want declared/paper/range)", v));
-      }
-    } else if (directive == "mult-style") {
-      if (!needValues()) return fail("directive 'mult-style' needs at least one value");
-      out.grid.multStyles.clear();
-      for (const auto& v : values) {
-        if (v == "lut") out.grid.multStyles.push_back(dp::BuildOptions::MultStyle::Lut);
-        else if (v == "mult18") out.grid.multStyles.push_back(dp::BuildOptions::MultStyle::Mult18);
-        else return fail(fmt("invalid mult-style '%0' (want lut/mult18)", v));
+        bool on = false;
+        if (!parseOnOff(v, on)) return fail(fmt("smart-buffer value '%0' must be on or off", v));
+        out.grid.smartBuffer.push_back(on);
       }
     } else if (directive == "axes") {
-      if (!needValues()) return fail("directive 'axes' needs at least one value");
+      if (values.empty()) return fail("axes needs at least one value");
       out.axes.clear();
       for (const auto& v : values) {
         SweepAxis axis;
@@ -358,9 +356,7 @@ bool parseSweepManifest(const std::string& text, SweepManifest& out, std::string
       }
     } else if (directive == "seed") {
       if (values.size() != 1) return fail("seed needs exactly one value");
-      char* end = nullptr;
-      out.seed = std::strtoull(values[0].c_str(), &end, 0);
-      if (end == values[0].c_str() || *end != '\0') {
+      if (!cli::parseSeed(values[0].c_str(), out.seed)) {
         return fail(fmt("invalid seed '%0'", values[0]));
       }
       out.seedSet = true;
@@ -433,7 +429,7 @@ void collectMetrics(const SweepPoint& point, const CompileResult& r, uint64_t se
     return;
   }
   synth::EstimateOptions eo = synth::EstimateOptions::forModel(*model);
-  eo.useMult18 = point.config.multStyle == dp::BuildOptions::MultStyle::Mult18;
+  eo.useMult18 = point.options.dpOptions.multStyle == dp::BuildOptions::MultStyle::Mult18;
   const synth::Report est = synth::estimate(r.module, eo);
   PointMetrics& m = out.metrics;
   m.slices = est.slices;
@@ -452,8 +448,8 @@ void collectMetrics(const SweepPoint& point, const CompileResult& r, uint64_t se
   try {
     const interp::KernelIO io = deterministicStimulus(r.kernel, seed);
     rtl::SystemOptions so;
-    so.inputBusElems = point.config.busElems;
-    so.useSmartBuffer = point.config.smartBuffer;
+    so.inputBusElems = point.busElems;
+    so.useSmartBuffer = point.smartBuffer;
     so.engine = rtl::SimEngine::Fast;
     const rtl::SystemStats stats = rtl::measureSystem(r.kernel, r.datapath, r.module, io, so);
     m.cycles = stats.cycles;

@@ -5,12 +5,12 @@
 // area/fmax/cycles/energy Pareto frontier. This module turns that workflow
 // into a first-class, deterministic batch job:
 //
-//   SweepGrid      declares the axes: kernels x unroll x auto-unroll budget
-//                  x target-ns x {retime, pipeline, optimize, lut-convert}
-//                  x width-mode x mult-style x smart-buffer/bus geometry.
-//   expandGrid     crosses every axis into a flat job list, canonicalizes
-//                  each point's CompileOptions, and deduplicates points
-//                  whose (source, options, geometry) are semantically
+//   SweepGrid      declares the axes: kernels x the kSweepOptions rows of
+//                  the option table (unroll, target-ns, retime, width-mode,
+//                  ...) x smart-buffer/bus geometry.
+//   expandGrid     crosses every axis into a flat job list, sets each
+//                  point's CompileOptions through the rows, and deduplicates
+//                  points whose (source, options, geometry) are semantically
 //                  identical (two spellings of the default target-ns, a
 //                  repeated axis value, ...). Expansion order is fixed, so
 //                  the point list is a pure function of the grid.
@@ -46,10 +46,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "roccc/driver.hpp"
+#include "roccc/options.hpp"
 #include "roccc/verify.hpp"
+#include "support/cli.hpp"
+#include "support/json.hpp"
 
 namespace roccc {
 
@@ -57,66 +61,62 @@ class CompileCache;
 
 // --- grid declaration --------------------------------------------------------
 
-/// The sweep grid: kernels x axis value lists. Every axis defaults to a
-/// one-element list holding the compiler default, so an empty grid with one
-/// kernel is exactly one compile.
+/// The compile options a sweep grid can vary, in expansion order (the first
+/// is the outermost loop). Each is a row of the option table, so a value
+/// means at a sweep what it means at every other front door.
+inline constexpr OptionId kSweepOptions[] = {
+    OptionId::Unroll,     OptionId::AutoUnrollBudget, OptionId::TargetNs,
+    OptionId::Retime,     OptionId::Pipeline,         OptionId::Optimize,
+    OptionId::LutConvert, OptionId::WidthMode,        OptionId::MultStyle,
+};
+
+/// The grid-file directive of sweep option `id`: its row's CLI flag without
+/// the leading "--" and "no-" ("unroll", "retime", "lut-convert", ...).
+std::string_view sweepDirective(OptionId id);
+
+/// The sweep grid: kernels x option axes x smart-buffer geometry. An option
+/// without an axis keeps `base`'s value, so a grid with one kernel and no
+/// axes is exactly one compile.
 struct SweepGrid {
   struct Kernel {
     std::string name;
     std::string source;
-    /// Per-kernel stage-delay default (the Table 1 per-row targets); a
-    /// grid-axis value of 0 resolves to this, or to the BuildOptions
-    /// default when this is 0 too.
+    /// Per-kernel stage-delay default (the Table 1 per-row targets): it
+    /// replaces base's targetNs, and a targetNs axis value of 0 stands for it.
     double defaultTargetNs = 0;
   };
-  /// How widths are inferred: Declared disables inference entirely,
-  /// PortOpcode is the paper's structural rule, Range is interval analysis
-  /// (the compiler default).
-  enum class WidthMode { Declared, PortOpcode, Range };
+  /// One swept option: a kSweepOptions row and the protocol values it
+  /// takes, in order, each checked by the row (setAxis).
+  struct Axis {
+    OptionId id;
+    std::vector<json::Value> values;
+  };
 
   std::vector<Kernel> kernels;
-
-  std::vector<int> unrolls{1};
-  /// Auto-unroll slice budgets (0 = explicit unrollFactor); nonzero values
-  /// make the compiler pick the largest power-of-two fitting the budget.
-  std::vector<int64_t> autoUnrollBudgets{0};
-  /// Pipeline stage-delay targets in ns (0 = kernel/compiler default).
-  std::vector<double> targetNs{0};
-  std::vector<bool> retime{true};
-  std::vector<bool> pipeline{true};
-  std::vector<bool> optimize{true};
-  std::vector<bool> lutConvert{true};
-  std::vector<WidthMode> widthModes{WidthMode::Range};
-  std::vector<dp::BuildOptions::MultStyle> multStyles{
-      dp::BuildOptions::MultStyle::Lut};
-  /// Smart-buffer geometry: elements fetched per clock, and smart vs naive
-  /// (re-fetching) buffering.
+  /// At most one axis per option, in any order: expansion nests them in
+  /// kSweepOptions order.
+  std::vector<Axis> axes;
+  /// Smart-buffer geometry, not a compile option: elements fetched per
+  /// clock, and smart vs naive (re-fetching) buffering.
   std::vector<int> busElems{1};
   std::vector<bool> smartBuffer{true};
 
   /// Base options every point starts from: budget limits, timing-model
   /// override, fault arming. Axis values overwrite their fields.
   CompileOptions base;
+
+  /// Sets option `id`'s axis from value tokens, replacing any earlier axis
+  /// of `id`. The row checks each token as it checks a CLI value, except
+  /// that a Bool row takes `on`/`off` and targetNs also takes 0. False, with
+  /// "value 'V' must be ..." in `error`, leaving the grid unchanged.
+  bool setAxis(OptionId id, const std::vector<std::string>& tokens, std::string& error);
+  /// Sets `axis`, replacing any earlier axis of the same option.
+  void setAxis(Axis axis);
 };
 
-const char* widthModeName(SweepGrid::WidthMode mode);
-const char* multStyleName(dp::BuildOptions::MultStyle style);
-
-/// One point's resolved axis coordinates (the "config" block of the JSON
-/// report; options carries the same information in compiler form).
-struct SweepPointConfig {
-  int unroll = 1;
-  int64_t autoUnrollBudget = 0;
-  double targetNs = 0; ///< resolved (never 0 once expanded)
-  bool retime = true;
-  bool pipeline = true;
-  bool optimize = true;
-  bool lutConvert = true;
-  SweepGrid::WidthMode widthMode = SweepGrid::WidthMode::Range;
-  dp::BuildOptions::MultStyle multStyle = dp::BuildOptions::MultStyle::Lut;
-  int busElems = 1;
-  bool smartBuffer = true;
-};
+/// The CLI flag of sweep option `id` as an axis: row `id`'s flag taking a
+/// comma-separated LIST, each value checked as setAxis checks it.
+cli::OptionSpec sweepAxisFlag(OptionId id, SweepGrid& grid, const char* help);
 
 /// One expanded design point: a (kernel, options, geometry) triple with a
 /// stable human-readable label ("fir@u2/ns4/mult18/naive").
@@ -124,8 +124,9 @@ struct SweepPoint {
   std::string kernel; ///< kernel name (frontier grouping key)
   std::string label;  ///< unique within the sweep; stable across runs
   std::string source; ///< C source text (not serialized to JSON)
-  SweepPointConfig config;
   CompileOptions options; ///< fully resolved compile options
+  int busElems = 1;
+  bool smartBuffer = true;
 };
 
 /// The point's `config` object as the JSON report prints it, one line:
@@ -145,7 +146,7 @@ std::vector<SweepPoint> expandGrid(const SweepGrid& grid);
 /// tool, `kernel NAME PATH` paths load relative to the manifest — so the
 /// parser itself stays pure and testable.
 struct SweepManifest {
-  SweepGrid grid; ///< axis lists (grid.kernels stays empty)
+  SweepGrid grid; ///< axes and geometry (grid.kernels stays empty)
   struct KernelFile {
     std::string name;
     std::string path;

@@ -17,7 +17,8 @@ namespace {
 constexpr int64_t kInt64Min = INT64_MIN;
 constexpr int64_t kInt64Max = INT64_MAX;
 
-constexpr const char* kWidthModes[] = {"paper", "range"}; // PortOpcode, RangeAnalysis
+// Declared, PortOpcode, RangeAnalysis
+constexpr const char* kWidthModes[] = {"declared", "paper", "range"};
 constexpr const char* kMultStyles[] = {"lut", "mult18"};  // Lut, Mult18
 
 bool validTimingModel(const std::string& text, std::string& error) {
@@ -57,11 +58,8 @@ constexpr OptionRow kRows[] = {
     {.id = OptionId::Pipeline, .key = "pipeline", .flag = "--no-pipeline",
      .help = "single combinational stage (no pipelining)", .kind = K::Bool,
      .field = ROCCC_FIELD(dpOptions.pipeline)},
-    {.id = OptionId::InferWidths, .key = "inferWidths", .flag = "--no-infer",
-     .help = "disable bit-width inference", .kind = K::Bool,
-     .field = ROCCC_FIELD(dpOptions.inferBitWidths)},
     {.id = OptionId::WidthMode, .key = "widthMode", .flag = "--width-mode", .valueName = "M",
-     .help = "bit-width rule: 'range' (default) or 'paper' (port size and opcodes)",
+     .help = "bit-width rule: 'range' (default), 'paper' (port size and opcodes) or 'declared'",
      .kind = K::Enum, .tokens = kWidthModes, .field = ROCCC_FIELD(dpOptions.widthMode)},
     {.id = OptionId::MultStyle, .key = "multStyle", .flag = "--mult-style", .valueName = "S",
      .help = "multiplier style: 'lut' (default) or 'mult18'", .kind = K::Enum,
@@ -112,7 +110,13 @@ std::string requirement(const OptionRow& row) {
     case K::Bool: return "a boolean";
     case K::Int: return row.min == kInt64Min ? "an integer" : fmt("an integer >= %0", row.min);
     case K::PositiveDouble: return "a number > 0";
-    case K::Enum: return fmt("\"%0\" or \"%1\"", row.tokens[0], row.tokens[1]);
+    case K::Enum: {
+      std::string list = fmt("\"%0\"", row.tokens[0]);
+      for (size_t i = 1; i < row.tokens.size(); ++i) {
+        list += fmt(i + 1 < row.tokens.size() ? ", \"%0\"" : " or \"%0\"", row.tokens[i]);
+      }
+      return list;
+    }
     case K::String:
     case K::FileContents: return "a string";
   }
@@ -224,6 +228,12 @@ bool setOptionFromText(const OptionRow& row, const char* text, CompileOptions& o
   return textToJson(row, text, v, error) && assign(row, v, out, error);
 }
 
+bool optionValueFromText(const OptionRow& row, const char* text, json::Value& out,
+                         std::string& error) {
+  CompileOptions checked;
+  return textToJson(row, text, out, error) && assign(row, out, checked, error);
+}
+
 bool setOptionFromJson(const OptionRow& row, const json::Value& v, CompileOptions& out,
                        std::string& error) {
   if (assign(row, v, out, error)) return true;
@@ -263,10 +273,7 @@ cli::OptionSpec protocolFlag(OptionId id, json::Value& options, const char* help
   return {row.flag, row.valueName, help ? help : row.help,
           [&row, &options, value](const char* v, std::string& error) {
             json::Value parsed;
-            CompileOptions checked;
-            if (!textToJson(row, v, parsed, error) || !assign(row, parsed, checked, error)) {
-              return false;
-            }
+            if (!optionValueFromText(row, v, parsed, error)) return false;
             options.set(row.key, std::move(parsed));
             if (value) *value = v;
             return true;

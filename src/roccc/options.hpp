@@ -39,7 +39,6 @@ enum class OptionId {
   Optimize,
   TargetNs,
   Pipeline,
-  InferWidths,
   WidthMode,
   MultStyle,
   Retime,
@@ -94,6 +93,10 @@ const OptionRow* findOptionByKey(std::string_view key);
 /// when it is malformed or outside the row's range.
 bool setOptionFromText(const OptionRow& row, const char* text, CompileOptions& out,
                        std::string& error);
+/// The protocol value a CLI value of `row` stands for, checked against the
+/// row's kind and range as setOptionFromText checks it.
+bool optionValueFromText(const OptionRow& row, const char* text, json::Value& out,
+                         std::string& error);
 /// Sets `row`'s field from a protocol value. False with
 /// "option '<key>' must be ..." in `error` when the value is rejected.
 bool setOptionFromJson(const OptionRow& row, const json::Value& v, CompileOptions& out,

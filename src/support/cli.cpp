@@ -82,18 +82,6 @@ bool parseInt(std::string_view text, int64_t& out, int64_t min, int64_t max) {
   return true;
 }
 
-bool parseIntList(std::string_view text, std::vector<int>& out, int min) {
-  out.clear();
-  while (true) {
-    const size_t comma = text.find(',');
-    int64_t n = 0;
-    if (!parseInt(text.substr(0, comma), n, min, std::numeric_limits<int>::max())) return false;
-    out.push_back(static_cast<int>(n));
-    if (comma == std::string_view::npos) return true;
-    text.remove_prefix(comma + 1);
-  }
-}
-
 bool parseSeed(const char* text, uint64_t& out) {
   char* end = nullptr;
   const uint64_t n = std::strtoull(text, &end, 0);

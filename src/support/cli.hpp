@@ -44,9 +44,6 @@ bool parseInt(std::string_view text, int64_t& out,
               int64_t min = std::numeric_limits<int64_t>::min(),
               int64_t max = std::numeric_limits<int64_t>::max());
 
-/// Comma-separated strict integers, each in [min, INT_MAX]; not empty.
-bool parseIntList(std::string_view text, std::vector<int>& out, int min);
-
 /// Strict unsigned integer in C notation (decimal, 0x hex or 0 octal).
 bool parseSeed(const char* text, uint64_t& out);
 

@@ -119,10 +119,10 @@ TEST(CacheKey, DefaultOptionsCanonicalTextIsPinned) {
   EXPECT_EQ(canonicalizeOptions({}),
             "{\"kernel\":\"\",\"unroll\":1,\"autoUnrollBudget\":0,\"fullUnroll\":true,"
             "\"lutConvert\":true,\"optimize\":true,\"targetNs\":4,\"pipeline\":true,"
-            "\"inferWidths\":true,\"widthMode\":\"range\",\"multStyle\":\"lut\",\"retime\":true,"
+            "\"widthMode\":\"range\",\"multStyle\":\"lut\",\"retime\":true,"
             "\"timingModel\":\"\",\"verilog\":false,\"verifyEach\":false,\"timeoutMs\":0,"
             "\"maxIrNodes\":0,\"maxUnrollProduct\":0,\"maxDepth\":256,\"injectFault\":\"\"}");
-  EXPECT_STREQ(kCacheSchema, "roccc-cache-v4");
+  EXPECT_STREQ(kCacheSchema, "roccc-cache-v5");
 }
 
 TEST(CacheKey, TimingOptionsPartitionHitsButStayByteIdenticalWithinKey) {

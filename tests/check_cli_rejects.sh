@@ -38,7 +38,7 @@ for bad in abc 0 -3 3x; do
   expect_usage roccc-cc "--unroll=$bad" -o "$out" "$KERNEL"
   expect_usage roccc-client --socket "$tmpdir/none.sock" --unroll "$bad" "$KERNEL"
 done
-expect_usage roccc-cc --width-mode declared -o "$out" "$KERNEL"
+expect_usage roccc-cc --width-mode portopcode -o "$out" "$KERNEL"
 expect_usage roccc-cc --timing-model "$tmpdir/missing.tm" -o "$out" "$KERNEL"
 expect_usage roccc-ccd --socket "$tmpdir/ccd.sock" --timeout-ms -5
 expect_usage roccc-client --socket "$tmpdir/none.sock" --target-ns nan "$KERNEL"
@@ -46,6 +46,12 @@ expect_usage roccc-verify --seed abc "$KERNEL"
 expect_usage roccc-verify --jobs abc "$KERNEL"
 expect_usage roccc-verify --unroll 1,0 "$KERNEL"
 expect_usage roccc-explore --timeout-ms 5s --kernel "k=$KERNEL"
+# A sweep axis takes what its option row takes (plus target-ns 0).
+for bad in foo nan inf -1; do
+  expect_usage roccc-explore --target-ns "1,$bad" --kernel "k=$KERNEL"
+done
+expect_usage roccc-explore --unroll 0 --kernel "k=$KERNEL"
+expect_usage roccc-cc --no-infer -o "$out" "$KERNEL"
 
 [ ! -e "$out" ] || { echo "FAIL: a rejected command wrote $out" >&2; failures=$((failures + 1)); }
 [ "$failures" -eq 0 ] || exit 1

@@ -350,7 +350,7 @@ TEST(DpWidths, LutRangeBoundsOutputWidth) {
 TEST(DpWidths, InferenceDisabledKeepsDeclaredWidths) {
   FunctionIR f = toSsaMir("void dp(int8 a, int8 b, int* o) { *o = a + b; }", "dp");
   BuildOptions opt;
-  opt.inferBitWidths = false;
+  opt.widthMode = BuildOptions::WidthMode::Declared;
   DataPath dp = buildDp(f, opt);
   EXPECT_EQ(dp.narrowedBits, 0);
 }
@@ -363,7 +363,7 @@ TEST_P(WidthSoundness, NarrowedEqualsDeclared) {
   FunctionIR f = toSsaMir(src, "dp");
   BuildOptions narrow;
   BuildOptions wide;
-  wide.inferBitWidths = false;
+  wide.widthMode = BuildOptions::WidthMode::Declared;
   DataPath dpN = buildDp(f, narrow);
   DataPath dpW = buildDp(f, wide);
   // Enumerate small input space: up to 2 inputs, try 25 combos.

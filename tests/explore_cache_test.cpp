@@ -30,7 +30,8 @@ SweepGrid smallGrid() {
       }
     }
   }
-  grid.unrolls = {1, 2};
+  std::string error;
+  EXPECT_TRUE(grid.setAxis(OptionId::Unroll, {"1", "2"}, error)) << error;
   return grid;
 }
 
@@ -64,7 +65,8 @@ TEST(ExploreCache, WarmPassHitsAndStaysByteIdentical) {
 
   // An overlapping-but-larger grid still hits on the shared points.
   SweepGrid bigger = smallGrid();
-  bigger.unrolls = {1, 2, 4};
+  std::string error;
+  ASSERT_TRUE(bigger.setAxis(OptionId::Unroll, {"1", "2", "4"}, error)) << error;
   SweepOptions third;
   third.cache = diskCache(dir);
   const SweepResult overlapped = runSweep(bigger, third);

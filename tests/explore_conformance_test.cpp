@@ -17,8 +17,10 @@ SweepGrid acceptanceGrid() {
   for (const auto& k : bench::kTable1Kernels) {
     grid.kernels.push_back({k.name, k.source, k.targetStageDelayNs});
   }
-  grid.unrolls = {1, 2, 4};
-  grid.targetNs = {0, 8.0}; // per-kernel default + one common relaxed target
+  std::string error;
+  EXPECT_TRUE(grid.setAxis(OptionId::Unroll, {"1", "2", "4"}, error)) << error;
+  // The per-kernel default and one common relaxed target.
+  EXPECT_TRUE(grid.setAxis(OptionId::TargetNs, {"0", "8"}, error)) << error;
   return grid;
 }
 
@@ -54,7 +56,8 @@ TEST(ExploreConformance, FrontierVerdictsSurviveReportRoundTrip) {
   const auto& fir = bench::kTable1Kernels[6];
   ASSERT_STREQ(fir.name, "fir");
   grid.kernels.push_back({fir.name, fir.source, fir.targetStageDelayNs});
-  grid.unrolls = {1, 2};
+  std::string error;
+  ASSERT_TRUE(grid.setAxis(OptionId::Unroll, {"1", "2"}, error)) << error;
   const SweepResult sweep = runSweep(grid, SweepOptions{});
   const VerifyReport report = verifyFrontier(sweep, VerifyOptions{});
   ASSERT_FALSE(report.verdicts.empty());

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <set>
 
 #include "../bench/kernels.hpp"
@@ -30,6 +32,22 @@ SweepGrid firGrid() {
   return grid;
 }
 
+/// Sets an axis from grid-file tokens; the values must be valid.
+void setAxis(SweepGrid& grid, OptionId id, const std::vector<std::string>& tokens) {
+  std::string error;
+  ASSERT_TRUE(grid.setAxis(id, tokens, error)) << error;
+}
+
+/// An axis's values as "v1,v2,...", protocol JSON each; "" when unset.
+std::string axisText(const SweepGrid& grid, OptionId id) {
+  std::string text;
+  for (const SweepGrid::Axis& axis : grid.axes) {
+    if (axis.id != id) continue;
+    for (const json::Value& v : axis.values) text += (text.empty() ? "" : ",") + v.dump();
+  }
+  return text;
+}
+
 // --- grid expansion ----------------------------------------------------------
 
 TEST(ExploreGrid, SingleKernelDefaultGridIsOneCompile) {
@@ -37,16 +55,20 @@ TEST(ExploreGrid, SingleKernelDefaultGridIsOneCompile) {
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0].kernel, "fir");
   EXPECT_EQ(points[0].label, "fir@u1/ns4");
-  EXPECT_EQ(points[0].config.unroll, 1);
-  // A 0-valued target axis resolves to the BuildOptions default.
-  EXPECT_DOUBLE_EQ(points[0].config.targetNs, 4.0);
+  EXPECT_EQ(points[0].options.unrollFactor, 1);
+  // With no target axis, a kernel without a default gets the BuildOptions one.
   EXPECT_DOUBLE_EQ(points[0].options.dpOptions.targetStageDelayNs, 4.0);
+  EXPECT_EQ(pointConfigJson(points[0]),
+            "{\"unroll\": 1, \"autoUnrollBudget\": 0, \"targetNs\": 4, \"retime\": true, "
+            "\"pipeline\": true, \"optimize\": true, \"lutConvert\": true, "
+            "\"widthMode\": \"range\", \"multStyle\": \"lut\", \"busElems\": 1, "
+            "\"smartBuffer\": true}");
 }
 
 TEST(ExploreGrid, CrossProductCoversEveryAxisCombination) {
   SweepGrid grid = firGrid();
-  grid.unrolls = {1, 2, 4};
-  grid.targetNs = {2.0, 4.0};
+  setAxis(grid, OptionId::Unroll, {"1", "2", "4"});
+  setAxis(grid, OptionId::TargetNs, {"2", "4"});
   grid.smartBuffer = {true, false};
   const auto points = expandGrid(grid);
   EXPECT_EQ(points.size(), 3u * 2u * 2u);
@@ -59,7 +81,7 @@ TEST(ExploreGrid, CrossProductCoversEveryAxisCombination) {
 
 TEST(ExploreGrid, DuplicateAxisValuesDedupToOnePoint) {
   SweepGrid grid = firGrid();
-  grid.unrolls = {2, 2, 2};
+  setAxis(grid, OptionId::Unroll, {"2", "2", "2"});
   EXPECT_EQ(expandGrid(grid).size(), 1u);
 }
 
@@ -67,7 +89,7 @@ TEST(ExploreGrid, DefaultTargetAndItsExplicitSpellingDedup) {
   // 0 resolves to the compiler default 4.0, so {0, 4.0} is one point —
   // dedup is semantic (content-addressed compile key), not syntactic.
   SweepGrid grid = firGrid();
-  grid.targetNs = {0, 4.0};
+  setAxis(grid, OptionId::TargetNs, {"0", "4.0"});
   EXPECT_EQ(expandGrid(grid).size(), 1u);
 }
 
@@ -75,27 +97,51 @@ TEST(ExploreGrid, PerKernelDefaultTargetResolvesThroughZero) {
   SweepGrid grid;
   grid.kernels.push_back({"dct", "", 7.5});
   grid.kernels[0].source = kFirSource; // source content irrelevant to resolution
-  grid.targetNs = {0};
+  setAxis(grid, OptionId::TargetNs, {"0"});
   const auto points = expandGrid(grid);
   ASSERT_EQ(points.size(), 1u);
-  EXPECT_DOUBLE_EQ(points[0].config.targetNs, 7.5);
+  EXPECT_DOUBLE_EQ(points[0].options.dpOptions.targetStageDelayNs, 7.5);
   EXPECT_EQ(points[0].label, "dct@u1/ns7.5");
 }
 
 TEST(ExploreGrid, OptionCanonicalizationReachesCompileOptions) {
   SweepGrid grid = firGrid();
-  grid.retime = {false};
-  grid.pipeline = {false};
-  grid.widthModes = {SweepGrid::WidthMode::Declared};
-  grid.multStyles = {dp::BuildOptions::MultStyle::Mult18};
+  setAxis(grid, OptionId::Retime, {"off"});
+  setAxis(grid, OptionId::Pipeline, {"off"});
+  setAxis(grid, OptionId::WidthMode, {"declared"});
+  setAxis(grid, OptionId::MultStyle, {"mult18"});
   const auto points = expandGrid(grid);
   ASSERT_EQ(points.size(), 1u);
   const CompileOptions& o = points[0].options;
   EXPECT_FALSE(o.retimePipeline);
   EXPECT_FALSE(o.dpOptions.pipeline);
-  EXPECT_FALSE(o.dpOptions.inferBitWidths);
+  EXPECT_EQ(o.dpOptions.widthMode, dp::BuildOptions::WidthMode::Declared);
   EXPECT_EQ(o.dpOptions.multStyle, dp::BuildOptions::MultStyle::Mult18);
-  EXPECT_EQ(points[0].label, "fir@u1/ns4/noretime/nopipe/declared/mult18");
+  // A bool option's tag is its flag, an enum option's its token.
+  EXPECT_EQ(points[0].label, "fir@u1/ns4/noretime/nopipeline/declared/mult18");
+}
+
+TEST(ExploreGrid, LabelsTellCloseTargetsApart) {
+  // Six significant digits printed both of these as "ns3.12346": two
+  // points, one label. Labels and the config block print the shortest
+  // text that reads back as the same double.
+  SweepGrid grid = firGrid();
+  setAxis(grid, OptionId::TargetNs, {"3.1234567", "3.1234568"});
+  const auto points = expandGrid(grid);
+  ASSERT_EQ(points.size(), 2u);
+  EXPECT_EQ(points[0].label, "fir@u1/ns3.1234567");
+  EXPECT_EQ(points[1].label, "fir@u1/ns3.1234568");
+  EXPECT_NE(pointConfigJson(points[0]).find("\"targetNs\": 3.1234567,"), std::string::npos)
+      << pointConfigJson(points[0]);
+}
+
+TEST(ExploreGrid, DirectivesAreTheRowFlags) {
+  std::vector<std::string> directives;
+  for (OptionId id : kSweepOptions) directives.emplace_back(sweepDirective(id));
+  EXPECT_EQ(directives,
+            (std::vector<std::string>{"unroll", "auto-unroll-budget", "target-ns", "retime",
+                                      "pipeline", "optimize", "lut-convert", "width-mode",
+                                      "mult-style"}));
 }
 
 TEST(ExploreGrid, GeometryVariesThePointButNotTheCompileKey) {
@@ -113,8 +159,8 @@ TEST(ExploreGrid, GeometryVariesThePointButNotTheCompileKey) {
 
 TEST(ExploreGrid, ExpansionOrderIsDeterministic) {
   SweepGrid grid = firGrid();
-  grid.unrolls = {4, 1, 2};
-  grid.targetNs = {8.0, 2.0};
+  setAxis(grid, OptionId::Unroll, {"4", "1", "2"});
+  setAxis(grid, OptionId::TargetNs, {"8", "2"});
   const auto a = expandGrid(grid);
   const auto b = expandGrid(grid);
   ASSERT_EQ(a.size(), b.size());
@@ -192,13 +238,15 @@ TEST(ExploreManifest, ParsesEveryDirective) {
   ASSERT_EQ(m.kernelFiles.size(), 1u);
   EXPECT_EQ(m.kernelFiles[0].name, "tap3");
   EXPECT_EQ(m.kernelFiles[0].path, "kernels/tap3.c");
-  EXPECT_EQ(m.grid.unrolls, (std::vector<int>{1, 2, 4}));
-  EXPECT_EQ(m.grid.autoUnrollBudgets, (std::vector<int64_t>{0, 1000}));
-  EXPECT_EQ(m.grid.targetNs, (std::vector<double>{0, 8}));
-  EXPECT_EQ(m.grid.retime, (std::vector<bool>{true, false}));
-  EXPECT_EQ(m.grid.lutConvert, (std::vector<bool>{false}));
-  EXPECT_EQ(m.grid.widthModes.size(), 3u);
-  EXPECT_EQ(m.grid.multStyles.size(), 2u);
+  EXPECT_EQ(axisText(m.grid, OptionId::Unroll), "1,2,4");
+  EXPECT_EQ(axisText(m.grid, OptionId::AutoUnrollBudget), "0,1000");
+  EXPECT_EQ(axisText(m.grid, OptionId::TargetNs), "0,8");
+  EXPECT_EQ(axisText(m.grid, OptionId::Retime), "true,false");
+  EXPECT_EQ(axisText(m.grid, OptionId::Pipeline), "true");
+  EXPECT_EQ(axisText(m.grid, OptionId::Optimize), "true");
+  EXPECT_EQ(axisText(m.grid, OptionId::LutConvert), "false");
+  EXPECT_EQ(axisText(m.grid, OptionId::WidthMode), "\"declared\",\"paper\",\"range\"");
+  EXPECT_EQ(axisText(m.grid, OptionId::MultStyle), "\"lut\",\"mult18\"");
   EXPECT_EQ(m.grid.busElems, (std::vector<int>{1, 2}));
   EXPECT_EQ(m.axes.size(), 3u);
   EXPECT_TRUE(m.seedSet);
@@ -247,6 +295,30 @@ TEST(ExploreManifest, RepeatedAxisDirectiveIsAnError) {
   EXPECT_EQ(m.table1.size(), 2u);
 }
 
+TEST(ExploreManifest, DocListsExactlyTheDirectives) {
+  // docs/EXPLORE.md's grid-file table: one "| `directive` | ..." row per
+  // directive: the sweep options' and the six that are not options.
+  std::ifstream in(std::filesystem::path(ROCCC_DOCS_DIR) / "EXPLORE.md");
+  ASSERT_TRUE(in);
+  std::set<std::string> documented;
+  bool inSection = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("## ", 0) == 0) inSection = line == "## Grid files";
+    if (!inSection || line.rfind("| `", 0) != 0) continue;
+    documented.insert(line.substr(3, line.find('`', 3) - 3));
+  }
+  std::set<std::string> expected = {"table1",       "kernel", "bus-elems",
+                                    "smart-buffer", "axes",   "seed"};
+  for (OptionId id : kSweepOptions) expected.emplace(sweepDirective(id));
+  EXPECT_EQ(documented, expected);
+  for (const std::string& directive : expected) {
+    SweepManifest m;
+    std::string error;
+    parseSweepManifest(directive + "\n", m, error);
+    EXPECT_EQ(error.find("unknown directive"), std::string::npos) << error;
+  }
+}
+
 TEST(ExploreManifest, UnknownAxisNamesTheLine) {
   SweepManifest m;
   std::string error;
@@ -259,8 +331,8 @@ TEST(ExploreManifest, UnknownAxisNamesTheLine) {
 
 TEST(ExploreDeterminism, JsonIsByteIdenticalAcrossWorkerCounts) {
   SweepGrid grid = firGrid();
-  grid.unrolls = {1, 2, 4};
-  grid.targetNs = {4.0, 8.0};
+  setAxis(grid, OptionId::Unroll, {"1", "2", "4"});
+  setAxis(grid, OptionId::TargetNs, {"4", "8"});
 
   SweepOptions one;
   one.workers = 1;
@@ -277,7 +349,7 @@ TEST(ExploreDeterminism, JsonIsByteIdenticalAcrossWorkerCounts) {
 
 TEST(ExploreDeterminism, MetricsAndFrontierAreStable) {
   SweepGrid grid = firGrid();
-  grid.unrolls = {1, 2};
+  setAxis(grid, OptionId::Unroll, {"1", "2"});
   const SweepResult sweep = runSweep(grid, SweepOptions{});
   ASSERT_EQ(sweep.points.size(), 2u);
   EXPECT_EQ(sweep.okCount(), 2);
@@ -312,7 +384,7 @@ TEST(ExploreDeterminism, BestConfigMinimizesRuntimeThenArea) {
   // Hand-built: give the sweep a grid where unroll 2 halves cycles —
   // best must pick it over the smaller unroll-1 design.
   SweepGrid grid = firGrid();
-  grid.unrolls = {1, 2};
+  setAxis(grid, OptionId::Unroll, {"1", "2"});
   SweepOptions opt;
   opt.axes = {SweepAxis::Slices, SweepAxis::Cycles};
   const SweepResult sweep = runSweep(grid, opt);

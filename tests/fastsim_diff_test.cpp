@@ -103,7 +103,7 @@ TEST(FastSimDiff, LockstepAcrossDatapathKnobs) {
   for (const KernelCase& kc : {kTable1Cases[6] /*fir*/, kTable1Cases[7] /*dct*/}) {
     for (int mode = 0; mode < 3; ++mode) {
       CompileOptions opt;
-      if (mode == 1) opt.dpOptions.inferBitWidths = false;
+      if (mode == 1) opt.dpOptions.widthMode = dp::BuildOptions::WidthMode::Declared;
       if (mode == 2) opt.dpOptions.pipeline = false;
       Compiler c(opt);
       const CompileResult r = c.compileSource(kc.source);

@@ -75,7 +75,7 @@ TEST_P(FuzzWidthSweep, AllWidthModesAgree) {
     CompileOptions portOpcode;
     portOpcode.dpOptions.widthMode = dp::BuildOptions::WidthMode::PortOpcode;
     CompileOptions off;
-    off.dpOptions.inferBitWidths = false;
+    off.dpOptions.widthMode = dp::BuildOptions::WidthMode::Declared;
     for (const CompileOptions& opt : {range, portOpcode, off}) {
       Compiler c(opt);
       const CompileResult r = c.compileSource(g.source);

@@ -4,21 +4,25 @@
 // The load-bearing property is that the front doors agree: for every row,
 // the roccc-cc flag, the roccc-client flag and the protocol key parse to
 // the same canonical option text, and the compile they describe yields the
-// same bytes locally and through a daemon. The cache-key side (every row
+// same bytes locally and through a daemon. A sweep option's grid axis
+// (roccc-explore) checks and sets values through the same rows. The cache-key side (every row
 // moves the key) lives in cache_test.cpp.
 //
 // OptionDoors starts a daemon in-process, so the TSan CI job runs it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 
 #include "roccc/cache.hpp"
+#include "roccc/explore.hpp"
 #include "roccc/options.hpp"
 #include "roccc/service_net.hpp"
 #include "support/cli.hpp"
+#include "support/strings.hpp"
 
 namespace roccc {
 namespace {
@@ -67,7 +71,6 @@ std::vector<Sample> samples() {
       {OptionId::Optimize, "", Value::boolean(false)},
       {OptionId::TargetNs, "2.5", Value::number(2.5)},
       {OptionId::Pipeline, "", Value::boolean(false)},
-      {OptionId::InferWidths, "", Value::boolean(false)},
       {OptionId::WidthMode, "paper", Value::string("paper")},
       {OptionId::MultStyle, "mult18", Value::string("mult18")},
       {OptionId::Retime, "", Value::boolean(false)},
@@ -80,6 +83,24 @@ std::vector<Sample> samples() {
       {OptionId::MaxDepth, "64", Value::number(int64_t{64})},
       {OptionId::InjectFault, "dp.build", Value::string("dp.build")},
   };
+}
+
+/// CLI values each row must reject. Each of these once compiled silently:
+/// atof/atoi read "foo" as 0, "3x" as 3, and nothing checked the sign.
+std::vector<std::pair<OptionId, std::string>> malformedValues() {
+  return {
+      {OptionId::TargetNs, "foo"}, {OptionId::TargetNs, "nan"},  {OptionId::TargetNs, "inf"},
+      {OptionId::TargetNs, "0"},   {OptionId::TargetNs, "-1.5"}, {OptionId::TargetNs, ""},
+      {OptionId::Unroll, "abc"},   {OptionId::Unroll, "0"},      {OptionId::Unroll, "-3"},
+      {OptionId::Unroll, "3x"},    {OptionId::Unroll, " 3"},     {OptionId::Unroll, "4294967296"},
+      {OptionId::MaxDepth, "-1"},  {OptionId::WidthMode, "portopcode"},
+      {OptionId::MultStyle, "dsp48"},
+  };
+}
+
+bool isSweepOption(OptionId id) {
+  return std::find(std::begin(kSweepOptions), std::end(kSweepOptions), id) !=
+         std::end(kSweepOptions);
 }
 
 /// Runs `specs` over one flag (plus its value) the way a tool's main does.
@@ -108,20 +129,10 @@ TEST(OptionTable, RowsAreIndexedAndUniquelySpelled) {
 }
 
 TEST(OptionTable, MalformedValuesAreRejected) {
-  // Each of these once compiled silently: atof/atoi read "foo" as 0, "3x"
-  // as 3, and nothing checked the sign.
-  const std::pair<OptionId, const char*> bad[] = {
-      {OptionId::TargetNs, "foo"}, {OptionId::TargetNs, "nan"},  {OptionId::TargetNs, "inf"},
-      {OptionId::TargetNs, "0"},   {OptionId::TargetNs, "-1.5"}, {OptionId::TargetNs, ""},
-      {OptionId::Unroll, "abc"},   {OptionId::Unroll, "0"},      {OptionId::Unroll, "-3"},
-      {OptionId::Unroll, "3x"},    {OptionId::Unroll, " 3"},     {OptionId::Unroll, "4294967296"},
-      {OptionId::MaxDepth, "-1"},  {OptionId::WidthMode, "declared"},
-      {OptionId::MultStyle, "dsp48"},
-  };
-  for (const auto& [id, text] : bad) {
+  for (const auto& [id, text] : malformedValues()) {
     CompileOptions o;
     std::string error;
-    EXPECT_FALSE(setOptionFromText(optionRow(id), text, o, error))
+    EXPECT_FALSE(setOptionFromText(optionRow(id), text.c_str(), o, error))
         << optionRow(id).flag << " '" << text << "'";
     EXPECT_EQ(error.rfind("must be", 0), 0u) << error;
   }
@@ -133,6 +144,46 @@ TEST(OptionTable, MalformedValuesAreRejected) {
   EXPECT_EQ(o.dpOptions.targetStageDelayNs, 3.25);
   ASSERT_TRUE(setOptionFromText(optionRow(OptionId::TimeoutMs), "-1", o, error)) << error;
   EXPECT_EQ(o.budget.timeoutMs, -1); // the deterministic-timeout convention
+}
+
+TEST(OptionTable, SweepAxesRejectWhatTheirRowsReject) {
+  // A grid file and roccc-explore's axis flags check a value with the
+  // row's own validator: `--target-ns inf` once compiled a point that
+  // roccc-cc rejects, and wrote `"targetNs": inf` into the JSON report.
+  for (const auto& [id, text] : malformedValues()) {
+    if (!isSweepOption(id) || (id == OptionId::TargetNs && text == "0")) continue;
+    const OptionRow& row = optionRow(id);
+    SCOPED_TRACE(std::string(row.flag) + " '" + text + "'");
+    CompileOptions o;
+    std::string rowError, error;
+    ASSERT_FALSE(setOptionFromText(row, text.c_str(), o, rowError));
+
+    SweepGrid grid;
+    EXPECT_FALSE(parseOneFlag(sweepAxisFlag(id, grid, ""), text, error));
+    EXPECT_NE(error.find(rowError), std::string::npos) << error;
+    EXPECT_TRUE(grid.axes.empty());
+    // A grid file splits values on spaces and commas, so only a single
+    // token can reach the row.
+    if (text.empty() || text.find_first_of(" ,") != std::string::npos) continue;
+    SweepManifest m;
+    EXPECT_FALSE(parseSweepManifest(fmt("%0 %1\n", sweepDirective(id), text), m, error));
+    EXPECT_EQ(error.rfind("line 1: ", 0), 0u) << error;
+    EXPECT_NE(error.find(rowError), std::string::npos) << error;
+  }
+
+  // A value the row accepts is a grid value too; the grid file once capped
+  // unroll at 2^20 and target-ns at 1e6.
+  SweepManifest m;
+  std::string error;
+  EXPECT_TRUE(parseSweepManifest("unroll 2000000\ntarget-ns 2e6\n", m, error)) << error;
+  // target-ns 0 is the one value an axis takes that its row does not: the
+  // kernel's default.
+  EXPECT_TRUE(parseSweepManifest("target-ns 0\n", m, error)) << error;
+  SweepGrid grid;
+  EXPECT_TRUE(parseOneFlag(sweepAxisFlag(OptionId::TargetNs, grid, ""), "0,2.5", error)) << error;
+  // Bool options take on/off.
+  EXPECT_FALSE(parseSweepManifest("retime yes\n", m, error));
+  EXPECT_NE(error.find("must be on or off"), std::string::npos) << error;
 }
 
 // --- the front doors agree ---------------------------------------------------
@@ -193,6 +244,31 @@ TEST(OptionDoors, EveryRowParsesAlikeAndCompilesToTheSameBytes) {
     EXPECT_EQ(verilog ? verilog->asString() : std::string(), local.verilog);
     EXPECT_EQ(local.verilog.empty(), p.id != OptionId::Verilog);
   }
+}
+
+TEST(OptionDoors, EverySweepRowExpandsToTheCliCompile) {
+  // The sweep door: a one-kernel grid with one single-value axis is one
+  // point, and its options are the roccc-cc flag's.
+  int swept = 0;
+  for (const Sample& p : samples()) {
+    if (!isSweepOption(p.id)) continue;
+    const OptionRow& row = optionRow(p.id);
+    SCOPED_TRACE(row.key);
+    ++swept;
+    CompileOptions viaCc;
+    std::string error;
+    ASSERT_TRUE(parseOneFlag(compileFlag(p.id, viaCc), p.text, error)) << error;
+
+    SweepGrid grid;
+    grid.kernels.push_back({"k", kKernel, 0});
+    const std::string token =
+        row.kind == OptionKind::Bool ? (p.json.asBool() ? "on" : "off") : p.text;
+    ASSERT_TRUE(grid.setAxis(p.id, {token}, error)) << error;
+    const std::vector<SweepPoint> points = expandGrid(grid);
+    ASSERT_EQ(points.size(), 1u);
+    EXPECT_EQ(canonicalizeOptions(points[0].options), canonicalizeOptions(viaCc));
+  }
+  EXPECT_EQ(swept, static_cast<int>(std::size(kSweepOptions)));
 }
 
 TEST(OptionTable, ServiceDocListsExactlyTheProtocolKeys) {

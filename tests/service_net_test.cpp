@@ -195,6 +195,11 @@ TEST(ServiceNetOptions, UnknownKeysAndWrongTypesAreRejected) {
   EXPECT_NE(error.find("unrol"), std::string::npos);
 
   o = Value::object();
+  o.set("inferWidths", Value::boolean(false)); // now widthMode "declared"
+  EXPECT_FALSE(compileOptionsFromJson(o, base, {}, out, error));
+  EXPECT_EQ(error, "unknown option 'inferWidths'");
+
+  o = Value::object();
   o.set("unroll", Value::string("2")); // wrong type
   EXPECT_FALSE(compileOptionsFromJson(o, base, {}, out, error));
 
@@ -215,7 +220,7 @@ TEST(ServiceNetOptions, OutOfRangeValuesAreRejected) {
       {"unroll", Value::number(2.5)},
       {"unroll", Value::number(int64_t{1} << 40)},
       {"maxDepth", Value::number(int64_t{-1})},
-      {"widthMode", Value::string("declared")},
+      {"widthMode", Value::string("portopcode")},
       {"autoUnrollBudget", Value::number(int64_t{-1})},
       {"timingModel", Value::string("add 8 -1 0 0 0\n")},
       {"verifyEach", Value::number(int64_t{1})},

@@ -96,7 +96,6 @@ std::vector<roccc::cli::OptionSpec> optionList(Args& a) {
       compile(OptionId::TimingModel),
       compile(OptionId::Retime),
       compile(OptionId::MultStyle),
-      compile(OptionId::InferWidths),
       compile(OptionId::Pipeline),
       compile(OptionId::WidthMode),
       compile(OptionId::AutoUnrollBudget),

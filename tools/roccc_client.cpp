@@ -80,7 +80,6 @@ std::vector<roccc::cli::OptionSpec> optionList(Args& a) {
       compile(OptionId::TargetNs, "pipeline stage delay target in ns"),
       compile(OptionId::Retime, "disable the timing-driven retime pass"),
       compile(OptionId::MultStyle, "multiplier style: 'lut' or 'mult18'"),
-      compile(OptionId::InferWidths),
       compile(OptionId::Pipeline),
       compile(OptionId::WidthMode),
       compile(OptionId::AutoUnrollBudget),

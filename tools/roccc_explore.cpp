@@ -42,8 +42,7 @@ struct Args {
   std::string manifestPath;
   std::vector<std::string> table1;     ///< --table1 names ("all" = all nine)
   std::vector<std::string> kernelSpecs; ///< --kernel NAME=PATH
-  std::vector<int> unrolls;            ///< CLI override of the unroll axis
-  std::vector<double> targetNs;        ///< CLI override of the target-ns axis
+  roccc::SweepGrid cliAxes;            ///< axes given as flags; override the grid file's
   std::vector<roccc::SweepAxis> axes;  ///< CLI override of the frontier axes
   bool seedSet = false;
   uint64_t seed = 0;
@@ -67,19 +66,6 @@ int usage(const char* argv0) {
                "       %s --help for the option list (docs/EXPLORE.md has the full reference)\n",
                argv0, argv0);
   return 2;
-}
-
-bool parseDoubleList(const char* v, std::vector<double>& out) {
-  out.clear();
-  std::stringstream ss(v);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    char* end = nullptr;
-    const double d = std::strtod(item.c_str(), &end);
-    if (end == item.c_str() || *end != '\0' || d < 0) return false;
-    out.push_back(d);
-  }
-  return !out.empty();
 }
 
 /// The option list: --help and the docs/EXPLORE.md sync check
@@ -110,13 +96,10 @@ std::vector<roccc::cli::OptionSpec> optionList(Args& a) {
          a.kernelSpecs.emplace_back(v);
          return true;
        }},
-      // Axes, spelled like the compile flag they sweep.
-      {roccc::optionRow(OptionId::Unroll).flag, "LIST",
-       "unroll-factor axis, comma-separated (overrides the grid file)",
-       [&a](const char* v, std::string&) { return roccc::cli::parseIntList(v, a.unrolls, 1); }},
-      {roccc::optionRow(OptionId::TargetNs).flag, "LIST",
-       "stage-delay-target axis in ns (0 = per-kernel default)",
-       [&a](const char* v, std::string&) { return parseDoubleList(v, a.targetNs); }},
+      roccc::sweepAxisFlag(OptionId::Unroll, a.cliAxes,
+                           "unroll-factor axis, comma-separated (overrides the grid file)"),
+      roccc::sweepAxisFlag(OptionId::TargetNs, a.cliAxes,
+                           "stage-delay-target axis in ns (0 = per-kernel default)"),
       {"--axes", "LIST", "Pareto axes: slices,fmax,cycles,energy,edp,throughput",
        [&a](const char* v, std::string&) {
          a.axes.clear();
@@ -238,8 +221,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: no kernels (grid file with table1/kernel, --table1, or --kernel)\n");
     return 2;
   }
-  if (!a.unrolls.empty()) grid.unrolls = a.unrolls;
-  if (!a.targetNs.empty()) grid.targetNs = a.targetNs;
+  for (const roccc::SweepGrid::Axis& axis : a.cliAxes.axes) grid.setAxis(axis);
 
   roccc::SweepOptions opt;
   if (!manifest.axes.empty()) {

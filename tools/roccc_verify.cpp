@@ -33,8 +33,8 @@
 #include <string>
 #include <vector>
 
-#include "../bench/kernels.hpp"
-#include "roccc/options.hpp"
+#include "../bench/sweep_kernels.hpp"
+#include "roccc/explore.hpp"
 #include "roccc/verify.hpp"
 #include "support/cli.hpp"
 #include "support/faultpoint.hpp"
@@ -46,7 +46,7 @@ struct Args {
   std::vector<std::string> inputs;
   bool table1 = false;
   std::string corpusDir;
-  std::vector<int> unrolls = {1};
+  roccc::SweepGrid grid; ///< the kernels, and the --unroll axis
   roccc::VerifyOptions verify;
   int soakRounds = 0;
   std::string jsonPath;
@@ -89,10 +89,8 @@ std::vector<roccc::cli::OptionSpec> optionList(Args& a) {
   return {
       {"--table1", nullptr, "add the nine Table 1 kernels", setFlag(a.table1)},
       {"--corpus", "DIR", "add every .c kernel in DIR (sorted)", setString(a.corpusDir)},
-      // An axis, spelled like the compile flag it sweeps.
-      {roccc::optionRow(roccc::OptionId::Unroll).flag, "LIST",
-       "comma-separated unroll factors (default \"1\")",
-       [&a](const char* v, std::string&) { return roccc::cli::parseIntList(v, a.unrolls, 1); }},
+      roccc::sweepAxisFlag(roccc::OptionId::Unroll, a.grid,
+                           "comma-separated unroll factors (default \"1\")"),
       {"--seed", "N", "stimulus seed (default 0x0dc52005)",
        [&a](const char* v, std::string&) { return roccc::cli::parseSeed(v, a.verify.seed); }},
       {"--jobs", "N", "compile workers (0 = one per hardware thread)",
@@ -109,18 +107,10 @@ std::vector<roccc::cli::OptionSpec> optionList(Args& a) {
   };
 }
 
-bool collectJobs(const Args& a, std::vector<roccc::CompileJob>& jobs) {
-  struct SourceEntry {
-    std::string name;
-    std::string source;
-    double targetNs = 0;
-  };
-  std::vector<SourceEntry> sources;
-  if (a.table1) {
-    for (const auto& k : roccc::bench::kTable1Kernels) {
-      sources.push_back({k.name, k.source, k.targetStageDelayNs});
-    }
-  }
+bool collectJobs(Args& a, std::vector<roccc::CompileJob>& jobs) {
+  std::vector<roccc::SweepGrid::Kernel>& sources = a.grid.kernels;
+  std::string error; // adding all nine Table 1 kernels cannot fail
+  if (a.table1) roccc::bench::addTable1Kernels({}, true, a.grid, error);
   if (!a.corpusDir.empty()) {
     namespace fs = std::filesystem;
     if (!fs::is_directory(a.corpusDir)) {
@@ -153,15 +143,11 @@ bool collectJobs(const Args& a, std::vector<roccc::CompileJob>& jobs) {
     std::fprintf(stderr, "error: no kernels (give files, --table1, or --corpus DIR)\n");
     return false;
   }
-  for (const auto& s : sources) {
-    for (const int u : a.unrolls) {
-      roccc::CompileJob job;
-      job.name = u == 1 ? s.name : roccc::fmt("%0@u%1", s.name, u);
-      job.source = s.source;
-      job.options.unrollFactor = u;
-      if (s.targetNs > 0) job.options.dpOptions.targetStageDelayNs = s.targetNs;
-      jobs.push_back(std::move(job));
-    }
+  // Each kernel at each unroll factor, with its stage-delay default.
+  for (roccc::SweepPoint& p : roccc::expandGrid(a.grid)) {
+    const int u = p.options.unrollFactor;
+    jobs.push_back({u == 1 ? p.kernel : roccc::fmt("%0@u%1", p.kernel, u), std::move(p.source),
+                    std::move(p.options)});
   }
   return true;
 }
