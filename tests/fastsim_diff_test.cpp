@@ -86,11 +86,16 @@ TEST_P(FastSimDiff, LockstepOnAllTable1Kernels) {
     ASSERT_TRUE(r.ok) << kc.name << " unroll " << unroll << ":\n" << r.diags.dump();
     std::vector<std::string> errors;
     ASSERT_TRUE(r.module.verify(errors)) << kc.name << ": " << errors.front();
-    diffRun(r.module, /*seed=*/0xD1FF + static_cast<uint64_t>(unroll) * 131 +
-                          static_cast<uint64_t>(&kc - kTable1Cases),
-            /*cycles=*/48, /*batch=*/3);
-    if (::testing::Test::HasFatalFailure()) {
-      FAIL() << "divergence in kernel '" << kc.name << "' at unroll " << unroll;
+    // Batch 1 is the specialised path System and the testbench replay
+    // clock; batch 3 is the general lane loop.
+    for (const int batch : {1, 3}) {
+      diffRun(r.module, /*seed=*/0xD1FF + static_cast<uint64_t>(unroll) * 131 +
+                            static_cast<uint64_t>(&kc - kTable1Cases),
+              /*cycles=*/48, batch);
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "divergence in kernel '" << kc.name << "' at unroll " << unroll << ", batch "
+               << batch;
+      }
     }
   }
 }
@@ -108,8 +113,9 @@ TEST(FastSimDiff, LockstepAcrossDatapathKnobs) {
       Compiler c(opt);
       const CompileResult r = c.compileSource(kc.source);
       ASSERT_TRUE(r.ok) << kc.name << " mode " << mode;
-      diffRun(r.module, /*seed=*/977 * static_cast<uint64_t>(mode + 1), /*cycles=*/32,
-              /*batch=*/2);
+      for (const int batch : {1, 2}) {
+        diffRun(r.module, /*seed=*/977 * static_cast<uint64_t>(mode + 1), /*cycles=*/32, batch);
+      }
     }
   }
 }

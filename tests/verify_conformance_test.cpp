@@ -2,23 +2,38 @@
 // unroll 1/2/4 must pass 5-way agreement (AST interpreter, MIR executor,
 // data-path evaluator, reference netlist simulator, FastSim) on the
 // deterministic stimulus, with every generated system-level testbench
-// self-reporting PASSED under the reference netlist semantics. Also locks
-// the counterexample machinery (a corrupted netlist must produce a
-// minimized disagreement, not a silent pass) and the soak-mode invariant
-// that a fault-injected job never changes sibling verdicts.
+// self-reporting PASSED under the reference netlist semantics, and the
+// whole Table 1 + corpus report pinned byte for byte. Also locks the
+// counterexample machinery (a corrupted netlist, data path or MIR must
+// produce a minimized disagreement from the engine that runs it, not a
+// silent pass) and the soak-mode invariant that a fault-injected job never
+// changes sibling verdicts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "../bench/kernels.hpp"
+#include "../bench/sweep_kernels.hpp"
 #include "roccc/verify.hpp"
 #include "support/json.hpp"
+#include "support/strings.hpp"
 
 namespace roccc {
+
+bool g_updateGoldens = false;
+
 namespace {
+
+namespace fs = std::filesystem;
+
+const std::string kReportGolden = std::string(ROCCC_GOLDEN_DIR) + "/verify_report.json";
 
 std::vector<CompileJob> table1Jobs(const std::vector<int>& unrolls) {
   std::vector<CompileJob> jobs;
@@ -53,120 +68,57 @@ TEST(VerifyConformance, Table1FiveWayAgreementAcrossUnrollFactors) {
   EXPECT_EQ(report.agreed(), 27);
 }
 
-// The report bytes for Table 1 at unroll 1 with the testbench replay. The
-// verify job's speed work (one oracle trace per job, allocation-free engine
-// steps) must not move a verdict, an iteration count or a golden digest.
+// The full verify report, pinned: Table 1 and tests/corpus at unroll 1, 2
+// and 4 with the testbench replay, 66 jobs built as roccc-verify builds
+// them, so the golden file is byte for byte what
+//
+//   roccc-verify --table1 --corpus tests/corpus --unroll 1,2,4 \
+//       --testbench-check --json FILE
+//
+// writes. Speed work on the engines must not move a verdict, an iteration
+// count or a golden digest. After an intentional change:
+//
+//   ./build/tests/verify_conformance_test --update-goldens \
+//       --gtest_filter=VerifyConformance.Table1ReportBytesArePinned
+//   git diff tests/golden/verify_report.json
+//
+// (or set ROCCC_UPDATE_GOLDENS=1 in the environment).
 TEST(VerifyConformance, Table1ReportBytesArePinned) {
+  SweepGrid grid;
+  std::string error;
+  ASSERT_TRUE(bench::addTable1Kernels({}, true, grid, error)) << error;
+  std::vector<fs::path> files;
+  for (const auto& e : fs::directory_iterator(ROCCC_CORPUS_DIR)) {
+    if (e.path().extension() == ".c") files.push_back(e.path());
+  }
+  std::sort(files.begin(), files.end());
+  for (const fs::path& path : files) {
+    std::string source;
+    ASSERT_TRUE(bench::readTextFile(path.string(), source)) << path;
+    grid.kernels.push_back({path.stem().string(), source, 0});
+  }
+  ASSERT_TRUE(grid.setAxis(OptionId::Unroll, {"1", "2", "4"}, error)) << error;
+  std::vector<CompileJob> jobs;
+  for (SweepPoint& p : expandGrid(grid)) {
+    const int u = p.options.unrollFactor;
+    jobs.push_back({u == 1 ? p.kernel : fmt("%0@u%1", p.kernel, u), std::move(p.source),
+                    std::move(p.options)});
+  }
+  ASSERT_EQ(jobs.size(), 66u);
+
   VerifyOptions opt;
   opt.checkTestbench = true;
-  const VerifyReport report = verifyConformance(table1Jobs({1}), opt);
-  EXPECT_EQ(report.toJson(), R"({
-  "kernels": 9,
-  "agreed": 9,
-  "compileFailures": 0,
-  "verdicts": [
-    {
-      "kernel": "bit_correlator",
-      "outcome": "ok",
-      "agree": true,
-      "testbenchPassed": true,
-      "enginesRun": 5,
-      "iterations": 64,
-      "outputDigest": "5362887572001613501",
-      "disagreements": [
-      ]
-    },
-    {
-      "kernel": "mul_acc",
-      "outcome": "ok",
-      "agree": true,
-      "testbenchPassed": true,
-      "enginesRun": 5,
-      "iterations": 64,
-      "outputDigest": "5760826716477384048",
-      "disagreements": [
-      ]
-    },
-    {
-      "kernel": "mul_acc_predicated",
-      "outcome": "ok",
-      "agree": true,
-      "testbenchPassed": true,
-      "enginesRun": 5,
-      "iterations": 64,
-      "outputDigest": "5760826716477384048",
-      "disagreements": [
-      ]
-    },
-    {
-      "kernel": "udiv",
-      "outcome": "ok",
-      "agree": true,
-      "testbenchPassed": true,
-      "enginesRun": 5,
-      "iterations": 64,
-      "outputDigest": "14658624667340929282",
-      "disagreements": [
-      ]
-    },
-    {
-      "kernel": "square_root",
-      "outcome": "ok",
-      "agree": true,
-      "testbenchPassed": true,
-      "enginesRun": 5,
-      "iterations": 64,
-      "outputDigest": "1976747578297333165",
-      "disagreements": [
-      ]
-    },
-    {
-      "kernel": "cos",
-      "outcome": "ok",
-      "agree": true,
-      "testbenchPassed": true,
-      "enginesRun": 5,
-      "iterations": 64,
-      "outputDigest": "9864215328806911935",
-      "disagreements": [
-      ]
-    },
-    {
-      "kernel": "fir",
-      "outcome": "ok",
-      "agree": true,
-      "testbenchPassed": true,
-      "enginesRun": 5,
-      "iterations": 64,
-      "outputDigest": "6621585900715507222",
-      "disagreements": [
-      ]
-    },
-    {
-      "kernel": "dct",
-      "outcome": "ok",
-      "agree": true,
-      "testbenchPassed": true,
-      "enginesRun": 5,
-      "iterations": 8,
-      "outputDigest": "1617619072075159373",
-      "disagreements": [
-      ]
-    },
-    {
-      "kernel": "wavelet",
-      "outcome": "ok",
-      "agree": true,
-      "testbenchPassed": true,
-      "enginesRun": 5,
-      "iterations": 4096,
-      "outputDigest": "672076246571851828",
-      "disagreements": [
-      ]
-    }
-  ]
-}
-)");
+  const std::string report = verifyConformance(jobs, opt).toJson();
+  if (g_updateGoldens) {
+    std::ofstream out(kReportGolden, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << kReportGolden;
+    out << report;
+    return;
+  }
+  std::string golden;
+  ASSERT_TRUE(bench::readTextFile(kReportGolden, golden))
+      << "missing golden file " << kReportGolden << " — regenerate with --update-goldens";
+  EXPECT_EQ(report, golden);
 }
 
 TEST(VerifyConformance, UnrollingNeverChangesTheOutputDigest) {
@@ -278,6 +230,67 @@ TEST(VerifyConformance, CorruptedNetlistYieldsMinimizedCounterexample) {
   EXPECT_NE(ce.expected, ce.got);
 }
 
+/// Verifies `r` (a fir compile with one fault planted) with every engine
+/// and expects the one disagreement to name `engine` at an iteration and a
+/// dp output port; with `engine` masked out the same result must agree.
+void expectOnlyEngineCatches(const CompileResult& r, VerifyEngine engine) {
+  const KernelVerdict v = verifyKernel("fir-corrupt", bench::kFir, r, VerifyOptions{});
+  EXPECT_FALSE(v.agree);
+  ASSERT_EQ(v.disagreements.size(), 1u);
+  const Counterexample& ce = v.disagreements.front();
+  EXPECT_EQ(ce.engine, engine) << ce.detail;
+  EXPECT_GE(ce.index, 0) << ce.detail;
+  EXPECT_LT(ce.index, v.iterations) << ce.detail;
+  const auto& ports = r.datapath.outputs;
+  EXPECT_TRUE(std::any_of(ports.begin(), ports.end(),
+                          [&](const auto& p) { return p.name == ce.port; }))
+      << ce.detail;
+  EXPECT_NE(ce.expected, ce.got);
+
+  VerifyOptions others;
+  others.engineMask &= ~(1u << static_cast<int>(engine));
+  const KernelVerdict masked = verifyKernel("fir-corrupt", bench::kFir, r, others);
+  EXPECT_TRUE(masked.agree) << (masked.disagreements.empty() ? ""
+                                                             : masked.disagreements.front().detail);
+}
+
+// Engines 2 and 3 replay engine 1's recorded port inputs; each must still
+// catch a fault that only its own representation carries.
+TEST(VerifyConformance, CorruptedDatapathImmediateIsCaughtByDpEval) {
+  CompileResult r = Compiler().compileSource(bench::kFir);
+  ASSERT_TRUE(r.ok);
+  // The constant multipliers became shift-adds, so the first live constant
+  // is a shift amount; the multiplier constants themselves are dead.
+  std::set<int> used;
+  for (const auto& op : r.datapath.ops) used.insert(op.operands.begin(), op.operands.end());
+  bool flipped = false;
+  for (auto& op : r.datapath.ops) {
+    if (op.op == mir::Opcode::Ldc && used.count(op.result)) {
+      op.imm += 1;
+      flipped = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(flipped) << "expected a live constant in the fir data path";
+  expectOnlyEngineCatches(r, VerifyEngine::DpEval);
+}
+
+TEST(VerifyConformance, CorruptedMirImmediateIsCaughtByMirExec) {
+  CompileResult r = Compiler().compileSource(bench::kFir);
+  ASSERT_TRUE(r.ok);
+  bool flipped = false;
+  for (auto& b : r.mir.blocks) {
+    for (auto& in : b.instrs) {
+      if (!flipped && in.op == mir::Opcode::Ldc && in.imm > 1) {
+        in.imm += 1;
+        flipped = true;
+      }
+    }
+  }
+  ASSERT_TRUE(flipped) << "expected a coefficient constant in the fir MIR";
+  expectOnlyEngineCatches(r, VerifyEngine::MirExec);
+}
+
 TEST(VerifyConformance, EngineMaskRestrictsWhatRuns) {
   Compiler compiler;
   const CompileResult r = compiler.compileSource(bench::kUdiv);
@@ -287,6 +300,21 @@ TEST(VerifyConformance, EngineMaskRestrictsWhatRuns) {
   const KernelVerdict v = verifyKernel("udiv", bench::kUdiv, r, opt);
   EXPECT_TRUE(v.agree) << (v.disagreements.empty() ? "" : v.disagreements.front().detail);
   EXPECT_EQ(v.enginesRun, 2); // the interp oracle + dp-eval
+
+  // Each engine on its own beside the oracle, on a kernel with feedback.
+  const CompileResult acc = compiler.compileSource(bench::kMulAcc);
+  ASSERT_TRUE(acc.ok);
+  ASSERT_FALSE(acc.kernel.feedbacks.empty());
+  for (const VerifyEngine e : {VerifyEngine::MirExec, VerifyEngine::DpEval,
+                               VerifyEngine::NetlistRef, VerifyEngine::FastSim}) {
+    VerifyOptions one;
+    one.engineMask = 1u << static_cast<int>(e);
+    const KernelVerdict w = verifyKernel("mul_acc", bench::kMulAcc, acc, one);
+    EXPECT_TRUE(w.agree) << verifyEngineName(e) << ": "
+                         << (w.disagreements.empty() ? "" : w.disagreements.front().detail);
+    EXPECT_EQ(w.enginesRun, 2) << verifyEngineName(e);
+    EXPECT_EQ(w.iterations, 64) << verifyEngineName(e);
+  }
 }
 
 TEST(VerifyConformance, CompileFailureIsAVerdictNotAnAbort) {
@@ -359,3 +387,19 @@ TEST(VerifyConformance, InjectedFaultNeverPoisonsSiblingVerdicts) {
 
 } // namespace
 } // namespace roccc
+
+int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--update-goldens") == 0) {
+      roccc::g_updateGoldens = true;
+      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
+      --argc;
+      break;
+    }
+  }
+  if (const char* env = std::getenv("ROCCC_UPDATE_GOLDENS")) {
+    if (env[0] != '\0' && env[0] != '0') roccc::g_updateGoldens = true;
+  }
+  ::testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}
