@@ -1,5 +1,6 @@
 #include "mir/exec.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -57,41 +58,46 @@ std::optional<Value> evalPureOp(const Instr& in, std::span<const Value> ops,
   }
 }
 
+Executor::Executor(const FunctionIR& f) : f_(f), regs_(static_cast<size_t>(f.regCount())) {
+  for (const auto& p : f.params) {
+    if (p.isOutput) ++outCount_;
+  }
+}
+
 ExecResult execute(const FunctionIR& f, const std::vector<Value>& inputs,
                    const std::map<std::string, Value>& feedback) {
-  std::vector<std::optional<Value>> regs(static_cast<size_t>(f.regCount()));
-  ExecResult result;
-  // Output count = number of output params.
-  size_t outCount = 0;
-  for (const auto& p : f.params) {
-    if (p.isOutput) ++outCount;
-  }
-  result.outputs.assign(outCount, Value());
-  for (const auto& fb : f.feedbacks) {
+  return Executor(f).run(inputs, feedback);
+}
+
+const ExecResult& Executor::run(const std::vector<Value>& inputs,
+                                const std::map<std::string, Value>& feedback) {
+  std::fill(regs_.begin(), regs_.end(), std::nullopt);
+  result_.outputs.assign(outCount_, Value());
+  // The map keeps its nodes between calls while it holds exactly the
+  // declared feedbacks; an SNX to any other name made it grow, so rebuild.
+  if (result_.nextFeedback.size() != f_.feedbacks.size()) result_.nextFeedback.clear();
+  for (const auto& fb : f_.feedbacks) {
     const auto it = feedback.find(fb.name);
-    result.nextFeedback[fb.name] =
+    result_.nextFeedback[fb.name] =
         it != feedback.end() ? it->second.convertTo(fb.type) : Value::fromInt(fb.type, fb.initial);
   }
 
   auto opVal = [&](const Operand& o, ScalarType fallback) -> Value {
     if (o.isImm()) return Value::fromInt(fallback, o.imm);
     assert(o.isReg());
-    const auto& v = regs[static_cast<size_t>(o.reg)];
+    const auto& v = regs_[static_cast<size_t>(o.reg)];
     if (!v) throw std::runtime_error(fmt("mir exec: v%0 read before definition", o.reg));
     return *v;
   };
 
-  // Scratch reused by every block and instruction of this invocation.
-  std::vector<std::pair<int, Value>> phiValues;
-  std::vector<Value> operands;
   int cur = 0, prev = -1;
   size_t steps = 0;
   while (true) {
     if (++steps > 1'000'000) throw std::runtime_error("mir exec: step limit exceeded");
-    const Block& b = f.blocks[static_cast<size_t>(cur)];
+    const Block& b = f_.blocks[static_cast<size_t>(cur)];
     // Phis read their pred slot against `prev` — evaluate them as a batch
     // (they conceptually execute in parallel at block entry).
-    phiValues.clear();
+    phiValues_.clear();
     size_t i = 0;
     for (; i < b.instrs.size() && b.instrs[i].op == Opcode::Phi; ++i) {
       const Instr& phi = b.instrs[i];
@@ -100,9 +106,9 @@ ExecResult execute(const FunctionIR& f, const std::vector<Value>& inputs,
         if (b.preds[slot] == prev) break;
       }
       if (slot == b.preds.size()) throw std::runtime_error("mir exec: phi with unknown predecessor");
-      phiValues.emplace_back(phi.dst, opVal(phi.srcs[slot], phi.type).convertTo(phi.type));
+      phiValues_.emplace_back(phi.dst, opVal(phi.srcs[slot], phi.type).convertTo(phi.type));
     }
-    for (auto& [dst, v] : phiValues) regs[static_cast<size_t>(dst)] = v;
+    for (auto& [dst, v] : phiValues_) regs_[static_cast<size_t>(dst)] = v;
 
     bool terminated = false;
     for (; i < b.instrs.size(); ++i) {
@@ -112,23 +118,23 @@ ExecResult execute(const FunctionIR& f, const std::vector<Value>& inputs,
           if (static_cast<size_t>(in.aux0) >= inputs.size()) {
             throw std::runtime_error(fmt("mir exec: input port %0 not bound", in.aux0));
           }
-          regs[static_cast<size_t>(in.dst)] = inputs[static_cast<size_t>(in.aux0)].convertTo(in.type);
+          regs_[static_cast<size_t>(in.dst)] = inputs[static_cast<size_t>(in.aux0)].convertTo(in.type);
           break;
         }
         case Opcode::Out: {
-          result.outputs[static_cast<size_t>(in.aux0)] = opVal(in.srcs[0], in.type).convertTo(in.type);
+          result_.outputs[static_cast<size_t>(in.aux0)] = opVal(in.srcs[0], in.type).convertTo(in.type);
           break;
         }
         case Opcode::Lpr: {
           const auto it = feedback.find(in.symbol);
-          const FunctionIR::FeedbackReg* fb = f.findFeedback(in.symbol);
+          const FunctionIR::FeedbackReg* fb = f_.findFeedback(in.symbol);
           assert(fb);
-          regs[static_cast<size_t>(in.dst)] =
+          regs_[static_cast<size_t>(in.dst)] =
               (it != feedback.end() ? it->second : Value::fromInt(fb->type, fb->initial)).convertTo(in.type);
           break;
         }
         case Opcode::Snx: {
-          result.nextFeedback[in.symbol] = opVal(in.srcs[0], in.type).convertTo(in.type);
+          result_.nextFeedback[in.symbol] = opVal(in.srcs[0], in.type).convertTo(in.type);
           break;
         }
         case Opcode::Br: {
@@ -145,17 +151,17 @@ ExecResult execute(const FunctionIR& f, const std::vector<Value>& inputs,
           break;
         }
         case Opcode::Ret:
-          return result;
+          return result_;
         default: {
-          operands.clear();
+          operands_.clear();
           for (const auto& o : in.srcs) {
             // Immediate operands adopt the result type for evaluation.
-            operands.push_back(opVal(o, in.type));
+            operands_.push_back(opVal(o, in.type));
           }
           const auto v =
-              evalPureOp(in, operands, in.op == Opcode::Lut ? f.findTable(in.symbol) : nullptr);
+              evalPureOp(in, operands_, in.op == Opcode::Lut ? f_.findTable(in.symbol) : nullptr);
           if (!v) throw std::runtime_error(fmt("mir exec: cannot evaluate %0", opcodeName(in.op)));
-          regs[static_cast<size_t>(in.dst)] = *v;
+          regs_[static_cast<size_t>(in.dst)] = *v;
           break;
         }
       }

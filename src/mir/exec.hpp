@@ -26,9 +26,32 @@ struct ExecResult {
   std::map<std::string, Value> nextFeedback;  ///< SNX values (post-iteration)
 };
 
-/// Runs one invocation: `inputs` by input-port index; `feedback` holds the
-/// current (previous-iteration) feedback register values — LPR reads these
-/// regardless of SNX order, matching the hardware's clocked register.
+/// Runs invocations of one function back to back, keeping the register
+/// file, the operand and phi scratch and the result between calls, so a
+/// stream of iterations allocates nothing after the first.
+class Executor {
+ public:
+  /// `f` must outlive the executor.
+  explicit Executor(const FunctionIR& f);
+
+  /// One invocation: `inputs` by input-port index; `feedback` holds the
+  /// current (previous-iteration) feedback register values — LPR reads
+  /// these regardless of SNX order, matching the hardware's clocked
+  /// register. The result stays valid until the next call; `feedback` must
+  /// not alias it.
+  const ExecResult& run(const std::vector<Value>& inputs,
+                        const std::map<std::string, Value>& feedback);
+
+ private:
+  const FunctionIR& f_;
+  size_t outCount_ = 0;
+  std::vector<std::optional<Value>> regs_;
+  std::vector<std::pair<int, Value>> phiValues_;
+  std::vector<Value> operands_;
+  ExecResult result_;
+};
+
+/// One invocation on a fresh Executor.
 ExecResult execute(const FunctionIR& f, const std::vector<Value>& inputs,
                    const std::map<std::string, Value>& feedback);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 
 #include "dp/eval.hpp"
 #include "frontend/parser.hpp"
@@ -111,6 +112,33 @@ std::optional<Counterexample> compareTraces(const dp::DataPath& dp,
     }
   }
   return std::nullopt;
+}
+
+/// Replays the engine-1 trace's recorded per-iteration port inputs through
+/// `step`, threading feedback from the kernel's initial values the way
+/// rtl::traceStreamingModel does. The inputs are exactly what that model
+/// would gather again from the same stimulus through the same PortBinding,
+/// so only the step differs between engines. Records what compareTraces
+/// reads: the per-iteration outputs and the final feedback. `step` writes
+/// one iteration's outputs and returns the next feedback values.
+template <class Step>
+rtl::StreamTrace replayTrace(const hlir::KernelInfo& kernel, const dp::DataPath& dp,
+                             const rtl::StreamTrace& ref, Step&& step) {
+  rtl::StreamTrace got;
+  std::map<std::string, Value>& feedback = got.finalFeedback;
+  for (const auto& fb : kernel.feedbacks) feedback[fb.name] = Value::fromInt(fb.type, fb.initial);
+  got.outputs.reserve(ref.inputs.size());
+  for (const std::vector<Value>& inputs : ref.inputs) {
+    std::vector<Value> outputs;
+    const std::map<std::string, Value>& next = step(inputs, feedback, outputs);
+    if (outputs.size() != dp.outputs.size()) {
+      throw std::runtime_error(fmt("step produced %0 outputs, %1 ports expected", outputs.size(),
+                                   dp.outputs.size()));
+    }
+    feedback = next;
+    got.outputs.push_back(std::move(outputs));
+  }
+  return got;
 }
 
 /// Lockstep net-level replay of NetlistSim (oracle) against FastSim on the
@@ -277,7 +305,8 @@ KernelVerdict verifyKernel(const std::string& name, const std::string& source,
   if (auto ce = compareFinal(kernel, golden, ref.final)) fail(VerifyEngine::Interp, std::move(*ce));
 
   // Engine 2, MirExec: mir::execute per iteration, ports mapped by name
-  // (MIR params and dp ports share the data-path function's names).
+  // (MIR params and dp ports share the data-path function's names), on the
+  // port inputs engine 1 recorded.
   if (engineRequested(opt, VerifyEngine::MirExec)) {
     ++v.enginesRun;
     const mir::FunctionIR& f = compiled.mir;
@@ -309,22 +338,24 @@ KernelVerdict verifyKernel(const std::string& name, const std::string& source,
       outIdx[p] = static_cast<int>(it - outNames.begin());
     }
     if (mapped) {
+      mir::Executor exec(f);
       std::vector<Value> mirInputs(inTypes.size()); // reused by every iteration
-      const rtl::StreamStep step = [&](const std::vector<Value>& inputs,
-                                       const std::map<std::string, Value>& feedback) {
+      const auto step = [&](const std::vector<Value>& inputs,
+                            const std::map<std::string, Value>& feedback,
+                            std::vector<Value>& outputs) -> const std::map<std::string, Value>& {
         for (size_t p = 0; p < inputs.size(); ++p) {
           mirInputs[static_cast<size_t>(inIdx[p])] =
               Value::fromInt(inTypes[static_cast<size_t>(inIdx[p])], inputs[p].toInt());
         }
-        mir::ExecResult r = mir::execute(f, mirInputs, feedback);
-        std::vector<Value> outputs(dp.outputs.size());
+        const mir::ExecResult& r = exec.run(mirInputs, feedback);
+        outputs.resize(dp.outputs.size());
         for (size_t p = 0; p < dp.outputs.size(); ++p) {
           outputs[p] = r.outputs[static_cast<size_t>(outIdx[p])];
         }
-        return std::pair{std::move(outputs), std::move(r.nextFeedback)};
+        return r.nextFeedback;
       };
       try {
-        const rtl::StreamTrace got = rtl::traceStreamingModel(kernel, dp, io, step);
+        const rtl::StreamTrace got = replayTrace(kernel, dp, ref, step);
         if (auto ce = compareTraces(dp, kernel, ref, got)) fail(VerifyEngine::MirExec, std::move(*ce));
       } catch (const std::exception& e) {
         failText(VerifyEngine::MirExec, fmt("mir execution failed: %0", e.what()));
@@ -335,13 +366,16 @@ KernelVerdict verifyKernel(const std::string& name, const std::string& source,
   // Engine 3, DpEval: dp::evaluate at the inferred (narrowed) widths.
   if (engineRequested(opt, VerifyEngine::DpEval)) {
     ++v.enginesRun;
-    const rtl::StreamStep step = [&](const std::vector<Value>& inputs,
-                                     const std::map<std::string, Value>& feedback) {
-      dp::EvalResult r = dp::evaluate(dp, inputs, feedback);
-      return std::pair{std::move(r.outputs), std::move(r.nextFeedback)};
+    dp::Evaluator eval(dp);
+    const auto step = [&](const std::vector<Value>& inputs,
+                          const std::map<std::string, Value>& feedback,
+                          std::vector<Value>& outputs) -> const std::map<std::string, Value>& {
+      const dp::EvalResult& r = eval.run(inputs, feedback);
+      outputs = r.outputs;
+      return r.nextFeedback;
     };
     try {
-      const rtl::StreamTrace got = rtl::traceStreamingModel(kernel, dp, io, step);
+      const rtl::StreamTrace got = replayTrace(kernel, dp, ref, step);
       if (auto ce = compareTraces(dp, kernel, ref, got)) fail(VerifyEngine::DpEval, std::move(*ce));
     } catch (const std::exception& e) {
       failText(VerifyEngine::DpEval, fmt("dp evaluation failed: %0", e.what()));

@@ -369,7 +369,16 @@ void FastSim::evalImpl() {
 
 void FastSim::tick(bool enable) {
   if (!enable) return;
-  const int B = batch_;
+  if (batch_ == 1) {
+    tickImpl<1>();
+  } else {
+    tickImpl<0>();
+  }
+}
+
+template <int BN>
+void FastSim::tickImpl() {
+  const int B = BN ? BN : batch_;
   uint64_t* L = lanes_.data();
   // Two-phase update: gather every register's next state from the d-input
   // lanes first, then scatter into the output-net lanes — a register fed by

@@ -98,6 +98,8 @@ class FastSim {
   /// Batch 1 — the System's cosimulation path — compiles with the inner
   /// lane loops folded away.
   template <int BN> void evalImpl();
+  /// The clock edge, specialized the same way.
+  template <int BN> void tickImpl();
 
   const Module& m_;
   int batch_;

@@ -193,8 +193,10 @@ NetlistSim::NetlistSim(const Module& m) : m_(m) {
     state[static_cast<size_t>(cid)] = 2;
   };
   for (size_t cid = 0; cid < m.cells.size(); ++cid) {
-    if (isSequential(m.cells[cid].kind)) {
-      regCells_.push_back(static_cast<int>(cid));
+    const Cell& c = m.cells[cid];
+    if (isSequential(c.kind)) {
+      latches_.push_back({c.inputs[0], c.inputs.size() == 2 ? c.inputs[1] : -1, c.output,
+                          m.nets[static_cast<size_t>(c.output)].type, c.imm});
     } else {
       visit(static_cast<int>(cid));
     }
@@ -204,11 +206,7 @@ NetlistSim::NetlistSim(const Module& m) : m_(m) {
 
 void NetlistSim::reset() {
   regState_.clear();
-  for (int cid : regCells_) {
-    const Cell& c = m_.cells[static_cast<size_t>(cid)];
-    const ScalarType t = m_.nets[static_cast<size_t>(c.output)].type;
-    regState_.push_back(Value::fromInt(t, c.imm));
-  }
+  for (const Latch& l : latches_) regState_.push_back(Value::fromInt(l.type, l.init));
 }
 
 void NetlistSim::setInput(size_t port, const Value& v) {
@@ -266,9 +264,8 @@ Value NetlistSim::evalCell(const Cell& c) const {
 
 void NetlistSim::eval() {
   // Register outputs first.
-  for (size_t r = 0; r < regCells_.size(); ++r) {
-    const Cell& c = m_.cells[static_cast<size_t>(regCells_[r])];
-    values_[static_cast<size_t>(c.output)] = regState_[r];
+  for (size_t r = 0; r < latches_.size(); ++r) {
+    values_[static_cast<size_t>(latches_[r].out)] = regState_[r];
   }
   for (int cid : evalOrder_) {
     const Cell& c = m_.cells[static_cast<size_t>(cid)];
@@ -278,13 +275,12 @@ void NetlistSim::eval() {
 
 void NetlistSim::tick(bool enable) {
   if (!enable) return;
-  for (size_t r = 0; r < regCells_.size(); ++r) {
-    const Cell& c = m_.cells[static_cast<size_t>(regCells_[r])];
-    if (c.inputs.size() == 2 && !values_[static_cast<size_t>(c.inputs[1])].toBool()) {
+  for (size_t r = 0; r < latches_.size(); ++r) {
+    const Latch& l = latches_[r];
+    if (l.en >= 0 && !values_[static_cast<size_t>(l.en)].toBool()) {
       continue; // clock-enable input low: hold
     }
-    const ScalarType t = m_.nets[static_cast<size_t>(c.output)].type;
-    regState_[r] = values_[static_cast<size_t>(c.inputs[0])].convertTo(t);
+    regState_[r] = values_[static_cast<size_t>(l.d)].convertTo(l.type);
   }
 }
 

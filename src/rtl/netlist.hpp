@@ -98,11 +98,19 @@ class NetlistSim {
   void reset();
 
  private:
+  /// One register, read from its Cell and Net once at construction so the
+  /// per-cycle eval()/tick() loops touch only this table.
+  struct Latch {
+    int d = -1, en = -1, out = -1; ///< net ids (en < 0: no clock-enable)
+    ScalarType type;               ///< output net type
+    int64_t init = 0;              ///< reset value
+  };
+
   const Module& m_;
   std::vector<Value> values_;
-  std::vector<Value> regState_;
+  std::vector<Value> regState_; ///< parallel to latches_
   std::vector<int> evalOrder_; ///< combinational cells, topologically sorted
-  std::vector<int> regCells_;
+  std::vector<Latch> latches_;
 
   Value evalCell(const Cell& c) const;
 };

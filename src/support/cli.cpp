@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 
 namespace roccc::cli {
 
@@ -82,10 +81,18 @@ bool parseInt(std::string_view text, int64_t& out, int64_t min, int64_t max) {
   return true;
 }
 
-bool parseSeed(const char* text, uint64_t& out) {
-  char* end = nullptr;
-  const uint64_t n = std::strtoull(text, &end, 0);
-  if (end == text || *end != '\0') return false;
+bool parseSeed(std::string_view text, uint64_t& out) {
+  int base = 10;
+  if (text.starts_with("0x")) {
+    text.remove_prefix(2);
+    base = 16;
+  }
+  // from_chars takes no sign or blank for an unsigned type and reports
+  // overflow, so only a whole, nonempty digit string is a seed.
+  uint64_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n, base);
+  if (ec != std::errc() || ptr != end) return false;
   out = n;
   return true;
 }

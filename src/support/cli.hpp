@@ -44,8 +44,9 @@ bool parseInt(std::string_view text, int64_t& out,
               int64_t min = std::numeric_limits<int64_t>::min(),
               int64_t max = std::numeric_limits<int64_t>::max());
 
-/// Strict unsigned integer in C notation (decimal, 0x hex or 0 octal).
-bool parseSeed(const char* text, uint64_t& out);
+/// Strict unsigned 64-bit integer: decimal digits (leading zeros mean
+/// nothing, so 010 is ten), or hex digits after 0x. No sign, no blanks.
+bool parseSeed(std::string_view text, uint64_t& out);
 
 /// Apply functions for the common option shapes.
 std::function<bool(const char*, std::string&)> setString(std::string& target);

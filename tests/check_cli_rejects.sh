@@ -42,7 +42,12 @@ expect_usage roccc-cc --width-mode portopcode -o "$out" "$KERNEL"
 expect_usage roccc-cc --timing-model "$tmpdir/missing.tm" -o "$out" "$KERNEL"
 expect_usage roccc-ccd --socket "$tmpdir/ccd.sock" --timeout-ms -5
 expect_usage roccc-client --socket "$tmpdir/none.sock" --target-ns nan "$KERNEL"
-expect_usage roccc-verify --seed abc "$KERNEL"
+# A seed is decimal or 0x hex: no sign, no blanks, no overflow.
+for bad in abc -1 " 7" 99999999999999999999 0x; do
+  expect_usage roccc-verify --seed "$bad" "$KERNEL"
+  expect_usage roccc-explore --seed "$bad" --kernel "k=$KERNEL"
+  expect_usage roccc-cc --testbench --tb-seed "$bad" -o "$out" "$KERNEL"
+done
 expect_usage roccc-verify --jobs abc "$KERNEL"
 expect_usage roccc-verify --unroll 1,0 "$KERNEL"
 expect_usage roccc-explore --timeout-ms 5s --kernel "k=$KERNEL"

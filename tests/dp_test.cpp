@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "dp/datapath.hpp"
 #include "dp/eval.hpp"
 #include "frontend/parser.hpp"
@@ -141,6 +144,39 @@ TEST(DpBehavior, PaperValues) {
   const auto r = evaluate(dp, inputsOf(f, {9, 2}), {});
   EXPECT_EQ(r.outputs[0].toInt(), -14);
   EXPECT_EQ(r.outputs[1].toInt(), 21);
+}
+
+// The evaluator orders ops once with a ready-loop, so stored op order is
+// free; an op that can never become ready is an error on every call.
+TEST(DpBehavior, EvaluatorOrdersOpsAndRejectsCycles) {
+  FunctionIR f = toSsaMir(kIfElseSrc, "if_else");
+  DataPath dp = buildDp(f);
+  DataPath reversed = dp;
+  std::reverse(reversed.ops.begin(), reversed.ops.end());
+  Evaluator inOrder(dp), outOfOrder(reversed);
+  for (const auto& set : std::vector<std::vector<int64_t>>{{9, 2}, {-6, 4}, {0, 0}}) {
+    const std::vector<Value> in = inputsOf(f, set);
+    const std::vector<Value> want = inOrder.run(in, {}).outputs;
+    EXPECT_EQ(outOfOrder.run(in, {}).outputs, want);
+    EXPECT_EQ(evaluate(dp, in, {}).outputs, want);
+  }
+
+  DataPath cyclic = dp;
+  for (auto& o : cyclic.ops) {
+    if (!o.operands.empty() && o.result >= 0) {
+      o.operands[0] = o.result;
+      break;
+    }
+  }
+  Evaluator ev(cyclic);
+  for (int call = 0; call < 2; ++call) {
+    try {
+      ev.run(inputsOf(f, {9, 2}), {});
+      ADD_FAILURE() << "a self-dependent op evaluated";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("dependency cycle"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(DpBehavior, NestedBranches) {

@@ -280,6 +280,11 @@ TEST(ExploreManifest, ErrorsCarryLineNumbers) {
 
   EXPECT_FALSE(parseSweepManifest("seed 1 2\n", m, error));
   EXPECT_TRUE(error.rfind("line 1:", 0) == 0) << error;
+
+  // A seed is decimal or 0x hex, never signed.
+  EXPECT_FALSE(parseSweepManifest("seed -1\n", m, error));
+  EXPECT_TRUE(error.rfind("line 1:", 0) == 0) << error;
+  EXPECT_NE(error.find("invalid seed '-1'"), std::string::npos) << error;
 }
 
 TEST(ExploreManifest, RepeatedAxisDirectiveIsAnError) {

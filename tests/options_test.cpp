@@ -339,6 +339,20 @@ TEST(Cli, SeedsAcceptCNotationOnly) {
   EXPECT_FALSE(cli::parseSeed("abc", seed));
   EXPECT_FALSE(cli::parseSeed("12z", seed));
   EXPECT_FALSE(cli::parseSeed("", seed));
+  // Decimal or 0x hex only: a leading zero is not octal.
+  EXPECT_TRUE(cli::parseSeed("010", seed));
+  EXPECT_EQ(seed, 10u);
+  EXPECT_TRUE(cli::parseSeed("18446744073709551615", seed));
+  EXPECT_EQ(seed, ~uint64_t{0});
+  EXPECT_TRUE(cli::parseSeed("0xFFFFFFFFFFFFFFFF", seed));
+  EXPECT_EQ(seed, ~uint64_t{0});
+  // No sign, no blanks, no overflow, no bare or doubled prefix.
+  seed = 5;
+  for (const char* bad : {"-1", "+7", " 7", "7 ", "\t7", "99999999999999999999",
+                          "0x10000000000000000", "0x", "0x-1", "0x 1", "0x0x5", "-0x1"}) {
+    EXPECT_FALSE(cli::parseSeed(bad, seed)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(seed, 5u);
 }
 
 } // namespace

@@ -72,14 +72,14 @@ TEST(VerifyConformance, Table1FiveWayAgreementAcrossUnrollFactors) {
 // and 4 with the testbench replay, 66 jobs built as roccc-verify builds
 // them, so the golden file is byte for byte what
 //
-//   roccc-verify --table1 --corpus tests/corpus --unroll 1,2,4 \
-//       --testbench-check --json FILE
+//   roccc-verify --table1 --corpus tests/corpus --unroll 1,2,4
+//                --testbench-check --json FILE
 //
 // writes. Speed work on the engines must not move a verdict, an iteration
 // count or a golden digest. After an intentional change:
 //
-//   ./build/tests/verify_conformance_test --update-goldens \
-//       --gtest_filter=VerifyConformance.Table1ReportBytesArePinned
+//   ./build/tests/verify_conformance_test --update-goldens
+//                --gtest_filter=VerifyConformance.Table1ReportBytesArePinned
 //   git diff tests/golden/verify_report.json
 //
 // (or set ROCCC_UPDATE_GOLDENS=1 in the environment).
