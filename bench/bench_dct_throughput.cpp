@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "roccc/verify.hpp"
 #include "table1.hpp"
 
 int main() {
@@ -15,11 +16,12 @@ int main() {
   interp::KernelIO in;
   for (int i = 0; i < 64; ++i) in.arrays["X"].push_back((i * 37) % 256 - 128);
 
-  rtl::SystemOptions sys;
-  sys.inputBusElems = 8; // 64-bit bus: a full 8-sample block per clock
-  rtl::System system(r.kernel, r.datapath, r.module, sys);
-  system.run(in);
-  const auto& st = system.stats();
+  // Every engine against the interpreter; the statistics come from the
+  // verdict's FastSim run of the Fig 2 system.
+  VerifyOptions vo;
+  vo.system.inputBusElems = 8; // 64-bit bus: a full 8-sample block per clock
+  const KernelVerdict v = verifyKernel("dct", bench::kDct, r, in, vo);
+  const auto& st = v.stats;
 
   const auto rocccRep = synth::estimate(r.module);
   const auto ipRep = synth::estimate(ip::buildDct8());
@@ -43,28 +45,27 @@ int main() {
               static_cast<long long>(st.cycles), static_cast<long long>(st.outputElems),
               st.steadyStateThroughput());
 
-  const auto rep = cosimulate(r, bench::kDct, in, sys);
-  std::printf("  cosimulation vs software: %s\n", rep.match ? "MATCH" : "MISMATCH");
+  std::printf("  verification vs software (%d engines): %s\n", v.enginesRun,
+              v.agree ? "MATCH" : ("MISMATCH (" + v.firstProblem() + ")").c_str());
 
   // Simulation-side throughput: the same run on the reference netlist
-  // interpreter vs the compiled fast engine (the default).
-  auto timeEngine = [&](rtl::SimEngine engine, interp::KernelIO& out) {
-    rtl::SystemOptions eo = sys;
+  // interpreter vs the compiled fast engine (the default). Both engines'
+  // outputs were checked in the verdict above.
+  auto timeEngine = [&](rtl::SimEngine engine) {
+    rtl::SystemOptions eo = vo.system;
     eo.engine = engine;
     const int reps = 20;
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < reps; ++i) {
       rtl::System s(r.kernel, r.datapath, r.module, eo);
-      out = s.run(in);
+      s.run(in);
     }
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double, std::milli>(t1 - t0).count() / reps;
   };
-  interp::KernelIO refOut, fastOut;
-  const double refMs = timeEngine(rtl::SimEngine::Reference, refOut);
-  const double fastMs = timeEngine(rtl::SimEngine::Fast, fastOut);
-  const bool engineMatch = refOut.arrays == fastOut.arrays && refOut.scalars == fastOut.scalars;
-  std::printf("  netlist engine: reference %.3f ms/run, fast %.3f ms/run (%.1fx), outputs %s\n",
-              refMs, fastMs, refMs / fastMs, engineMatch ? "MATCH" : "MISMATCH");
-  return rep.match && engineMatch ? 0 : 1;
+  const double refMs = timeEngine(rtl::SimEngine::Reference);
+  const double fastMs = timeEngine(rtl::SimEngine::Fast);
+  std::printf("  netlist engine: reference %.3f ms/run, fast %.3f ms/run (%.1fx)\n", refMs, fastMs,
+              refMs / fastMs);
+  return v.agree ? 0 : 1;
 }

@@ -6,6 +6,7 @@
 
 #include "kernels.hpp"
 #include "roccc/compiler.hpp"
+#include "rtl/system.hpp"
 
 int main() {
   using namespace roccc;

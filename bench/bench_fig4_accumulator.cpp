@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "frontend/ast.hpp"
-#include "roccc/compiler.hpp"
+#include "roccc/verify.hpp"
 
 static const char* kAccumulator = R"(
 int sum = 0;
@@ -53,17 +53,21 @@ int main() {
     pos = nl + 1;
   }
 
-  // Functional check.
+  // Functional check: every engine, the Fig 2 system included, against
+  // the interpreter.
   interp::KernelIO in;
   long long expect = 0;
   for (int i = 0; i < 32; ++i) {
     in.arrays["A"].push_back(i * 3 - 20);
     expect += i * 3 - 20;
   }
-  const auto rep = cosimulate(r, kAccumulator, in);
-  std::printf("\nCosimulation: hardware sum = %lld, software sum = %lld (%s)\n",
-              static_cast<long long>(rep.hardware.scalars.at("out")),
-              static_cast<long long>(rep.software.scalars.at("out")),
-              rep.match ? "MATCH" : "MISMATCH");
-  return rep.match ? 0 : 1;
+  const KernelVerdict v = verifyKernel("acc", kAccumulator, r, in, VerifyOptions{});
+  if (!v.agree) {
+    std::printf("\nVerification: MISMATCH (%s)\n", v.firstProblem().c_str());
+    return 1;
+  }
+  const long long sum = v.outputs.scalars.at("out");
+  std::printf("\nVerification: sum = %lld (expected %lld), %d engines agree (%s)\n", sum, expect,
+              v.enginesRun, sum == expect ? "MATCH" : "MISMATCH");
+  return sum == expect ? 0 : 1;
 }

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "dp/datapath.hpp"
-#include "roccc/compiler.hpp"
+#include "roccc/verify.hpp"
 
 static const char* kIfElseKernel = R"(
 void branches(const int16 X1[32], const int16 X2[32], int32 X3[32], int32 X4[32]) {
@@ -60,10 +60,15 @@ int main() {
     in.arrays["X1"].push_back(9);
     in.arrays["X2"].push_back(2);
   }
-  const auto rep = cosimulate(r, kIfElseKernel, in);
-  std::printf("paper values x1=9,x2=2: hw x3=%lld x4=%lld (expect -14, 21) -> %s\n",
-              static_cast<long long>(rep.hardware.arrays.at("X3")[0]),
-              static_cast<long long>(rep.hardware.arrays.at("X4")[0]),
-              rep.match ? "MATCH" : "MISMATCH");
-  return rep.match ? 0 : 1;
+  const KernelVerdict v = verifyKernel(r.kernel.kernelName, kIfElseKernel, r, in, VerifyOptions{});
+  if (!v.agree) {
+    std::printf("paper values x1=9,x2=2: MISMATCH (%s)\n", v.firstProblem().c_str());
+    return 1;
+  }
+  const long long x3 = v.outputs.arrays.at("X3")[0];
+  const long long x4 = v.outputs.arrays.at("X4")[0];
+  const bool match = x3 == -14 && x4 == 21;
+  std::printf("paper values x1=9,x2=2: x3=%lld x4=%lld (expect -14, 21), %d engines agree -> %s\n",
+              x3, x4, v.enginesRun, match ? "MATCH" : "MISMATCH");
+  return match ? 0 : 1;
 }

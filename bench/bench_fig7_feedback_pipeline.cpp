@@ -5,7 +5,7 @@
 // accumulator sustains one iteration per clock.
 #include <cstdio>
 
-#include "roccc/compiler.hpp"
+#include "roccc/verify.hpp"
 
 static const char* kMac = R"(
 int32 acc = 0;
@@ -47,12 +47,10 @@ int main() {
     in.arrays["A"].push_back(i - 16);
     in.arrays["B"].push_back(2 * i + 1);
   }
-  rtl::System sys(r.kernel, r.datapath, r.module);
-  sys.run(in);
+  const KernelVerdict v = verifyKernel("mac", kMac, r, in, VerifyOptions{});
   std::printf("\nsystem run: %lld cycles for %lld iterations (1 accumulate per clock after fill)\n",
-              static_cast<long long>(sys.stats().cycles),
-              static_cast<long long>(sys.stats().iterations));
-  const auto rep = cosimulate(r, kMac, in);
-  std::printf("cosimulation vs software: %s\n", rep.match ? "MATCH" : "MISMATCH");
-  return rep.match && lprStage == snxStage ? 0 : 1;
+              static_cast<long long>(v.stats.cycles), static_cast<long long>(v.stats.iterations));
+  std::printf("verification vs software: %s\n",
+              v.agree ? "MATCH" : ("MISMATCH (" + v.firstProblem() + ")").c_str());
+  return v.agree && lprStage == snxStage ? 0 : 1;
 }

@@ -8,7 +8,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "roccc/compiler.hpp"
+#include "roccc/verify.hpp"
 #include "synth/estimate.hpp"
 
 namespace {
@@ -51,25 +51,25 @@ int main() {
     std::fprintf(stderr, "mixer: %s\n", mixer.diags.dump().c_str());
     return 1;
   }
-  const auto mixCosim = cosimulate(mixer, kMixer, mixIo);
-  if (!mixCosim.match) {
-    std::fprintf(stderr, "mixer cosim mismatch: %s\n", mixCosim.mismatch.c_str());
+  const auto mixVerdict = verifyKernel("mixer", kMixer, mixer, mixIo, {});
+  if (!mixVerdict.agree) {
+    std::fprintf(stderr, "mixer verification mismatch: %s\n", mixVerdict.firstProblem().c_str());
     return 1;
   }
 
   // Stage 2 consumes stage 1's output BRAM (pad the window edges).
   interp::KernelIO lpIo;
   auto& bb = lpIo.arrays["BB"];
-  bb = mixCosim.hardware.arrays.at("BB");
+  bb = mixVerdict.outputs.arrays.at("BB");
   bb.resize(260, 0);
   const auto lp = compiler.compileSource(kLowpass);
   if (!lp.ok) {
     std::fprintf(stderr, "lowpass: %s\n", lp.diags.dump().c_str());
     return 1;
   }
-  const auto lpCosim = cosimulate(lp, kLowpass, lpIo);
-  if (!lpCosim.match) {
-    std::fprintf(stderr, "lowpass cosim mismatch: %s\n", lpCosim.mismatch.c_str());
+  const auto lpVerdict = verifyKernel("lowpass", kLowpass, lp, lpIo, {});
+  if (!lpVerdict.agree) {
+    std::fprintf(stderr, "lowpass verification mismatch: %s\n", lpVerdict.firstProblem().c_str());
     return 1;
   }
 
@@ -80,13 +80,13 @@ int main() {
                 stage->datapath.stageCount, rep.summary().c_str());
   }
   std::printf("\n  mixer  : %lld cycles / 256 samples\n",
-              static_cast<long long>(mixCosim.stats.cycles));
+              static_cast<long long>(mixVerdict.stats.cycles));
   std::printf("  lowpass: %lld cycles / 256 samples\n",
-              static_cast<long long>(lpCosim.stats.cycles));
+              static_cast<long long>(lpVerdict.stats.cycles));
 
   // Show the recovered tone (crude ASCII plot of every 8th sample).
   std::printf("\n  recovered baseband (every 8th sample):\n");
-  const auto& out = lpCosim.hardware.arrays.at("OUT");
+  const auto& out = lpVerdict.outputs.arrays.at("OUT");
   for (int n = 8; n < 256; n += 8) {
     const int64_t v = out[static_cast<size_t>(n)];
     const int col = static_cast<int>(32 + v / 24);

@@ -7,7 +7,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "roccc/compiler.hpp"
+#include "roccc/verify.hpp"
 #include "synth/estimate.hpp"
 
 namespace {
@@ -60,25 +60,25 @@ int main() {
     return 1;
   }
 
-  const auto cosim = roccc::cosimulate(result, kKernel, io);
-  if (!cosim.match) {
-    std::fprintf(stderr, "cosimulation mismatch: %s\n", cosim.mismatch.c_str());
+  const auto verdict = roccc::verifyKernel("sobel", kKernel, result, io, {});
+  if (!verdict.agree) {
+    std::fprintf(stderr, "verification mismatch: %s\n", verdict.firstProblem().c_str());
     return 1;
   }
 
   std::printf("Sobel edge detector: %d-stage pipeline, %d window accesses/iteration\n",
               result.datapath.stageCount, result.kernel.inputs[0].accessCount());
   std::printf("line-buffered smart buffer capacity: %lld elements (2 lines + window)\n",
-              static_cast<long long>(cosim.stats.bufferCapacityElems));
+              static_cast<long long>(verdict.stats.bufferCapacityElems));
   std::printf("%lld cycles for %lld pixels; BRAM reads %lld (each pixel fetched once)\n\n",
-              static_cast<long long>(cosim.stats.cycles),
-              static_cast<long long>(cosim.stats.iterations),
-              static_cast<long long>(cosim.stats.bramReads));
+              static_cast<long long>(verdict.stats.cycles),
+              static_cast<long long>(verdict.stats.iterations),
+              static_cast<long long>(verdict.stats.bramReads));
 
   const auto rep = roccc::synth::estimate(result.module);
   std::printf("synthesis estimate: %s\n\n", rep.summary().c_str());
 
-  const auto& edge = cosim.hardware.arrays.at("EDGE");
+  const auto& edge = verdict.outputs.arrays.at("EDGE");
   std::printf("input image                      edge map (hardware output)\n");
   for (int y = 0; y < 22; ++y) {
     for (int x = 0; x < kW; ++x) std::printf("%c", img[static_cast<size_t>(y * kW + x)] > 100 ? '#' : '.');

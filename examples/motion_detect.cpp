@@ -8,7 +8,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "roccc/compiler.hpp"
+#include "roccc/verify.hpp"
 #include "synth/estimate.hpp"
 
 namespace {
@@ -71,23 +71,23 @@ int main() {
     std::fprintf(stderr, "%s\n", r.diags.dump().c_str());
     return 1;
   }
-  const auto cosim = roccc::cosimulate(r, kKernel, io);
-  if (!cosim.match) {
-    std::fprintf(stderr, "cosim mismatch: %s\n", cosim.mismatch.c_str());
+  const auto verdict = roccc::verifyKernel("motion", kKernel, r, io, {});
+  if (!verdict.agree) {
+    std::fprintf(stderr, "verification mismatch: %s\n", verdict.firstProblem().c_str());
     return 1;
   }
 
   const auto rep = roccc::synth::estimate(r.module);
   std::printf("motion detector: two 2-D input streams, 3x3 windows each\n");
   std::printf("  smart buffers: %lld elements total (two line-buffered streams)\n",
-              static_cast<long long>(cosim.stats.bufferCapacityElems));
+              static_cast<long long>(verdict.stats.bufferCapacityElems));
   std::printf("  %lld cycles for %lld pixels, BRAM reads %lld (each pixel of each frame once)\n",
-              static_cast<long long>(cosim.stats.cycles),
-              static_cast<long long>(cosim.stats.iterations),
-              static_cast<long long>(cosim.stats.bramReads));
+              static_cast<long long>(verdict.stats.cycles),
+              static_cast<long long>(verdict.stats.iterations),
+              static_cast<long long>(verdict.stats.bramReads));
   std::printf("  estimate: %s\n\n", rep.summary().c_str());
 
-  const auto& mask = cosim.hardware.arrays.at("MASK");
+  const auto& mask = verdict.outputs.arrays.at("MASK");
   std::printf("motion mask (hardware output): '#' = motion detected\n");
   for (int y = 0; y < 18; ++y) {
     std::printf("  ");

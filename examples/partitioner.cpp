@@ -11,7 +11,7 @@
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
 #include "interp/interp.hpp"
-#include "roccc/compiler.hpp"
+#include "roccc/verify.hpp"
 #include "synth/estimate.hpp"
 
 namespace {
@@ -93,9 +93,10 @@ int main() {
     std::fprintf(stderr, "%s\n", r.diags.dump().c_str());
     return 1;
   }
-  const auto cosim = cosimulate(r, kCandidates[hot].src, inputsFor(kCandidates[hot]));
-  if (!cosim.match) {
-    std::fprintf(stderr, "cosim mismatch: %s\n", cosim.mismatch.c_str());
+  const auto verdict =
+      verifyKernel(kCandidates[hot].name, kCandidates[hot].src, r, inputsFor(kCandidates[hot]), {});
+  if (!verdict.agree) {
+    std::fprintf(stderr, "verification mismatch: %s\n", verdict.firstProblem().c_str());
     return 1;
   }
   const auto rep = synth::estimate(r.module);
@@ -104,11 +105,11 @@ int main() {
   // (the CSoC-era processors of section 1). Hardware: measured cycles at
   // the estimated clock.
   const double cpuUs = static_cast<double>(steps[hot]) * 2.0 / 200.0;
-  const double hwUs = static_cast<double>(cosim.stats.cycles) / rep.fmaxMHz();
+  const double hwUs = static_cast<double>(verdict.stats.cycles) / rep.fmaxMHz();
   std::printf("Hardware engine: %s\n", rep.summary().c_str());
   std::printf("  kernel time on 200 MHz CPU model : %8.2f us\n", cpuUs);
   std::printf("  kernel time on FPGA engine       : %8.2f us (%lld cycles @ %.0f MHz)\n", hwUs,
-              static_cast<long long>(cosim.stats.cycles), rep.fmaxMHz());
+              static_cast<long long>(verdict.stats.cycles), rep.fmaxMHz());
   std::printf("  estimated kernel speedup         : %8.1fx\n", cpuUs / hwUs);
   std::printf("\n(The paper's section 1 cites 10x-100x speedups for such streaming kernels.)\n");
   return 0;

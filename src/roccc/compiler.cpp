@@ -301,67 +301,4 @@ CompileResult Compiler::compileSource(const std::string& cSource) const {
   return r;
 }
 
-CosimReport cosimulate(const CompileResult& compiled, const std::string& originalSource,
-                       const interp::KernelIO& inputs, rtl::SystemOptions sysOptions) {
-  CosimReport rep;
-
-  // Software: the original kernel through the interpreter.
-  DiagEngine diags;
-  ast::Module m = ast::parse(originalSource, diags);
-  if (diags.hasErrors() || !ast::analyze(m, diags)) {
-    rep.mismatch = "software reference failed to build: " + diags.dump();
-    return rep;
-  }
-  rep.software = interp::runKernel(m, compiled.kernel.kernelName, inputs);
-
-  // Hardware: cycle-accurate Fig 2 system.
-  rtl::System system(compiled.kernel, compiled.datapath, compiled.module, sysOptions);
-  rep.hardware = system.run(inputs);
-  rep.stats = system.stats();
-
-  // Compare outputs the kernel defines: output arrays, scalar outs,
-  // feedback finals.
-  rep.match = true;
-  for (const auto& st : compiled.kernel.outputs) {
-    const auto& hw = rep.hardware.arrays.at(st.arrayName);
-    const auto it = rep.software.arrays.find(st.arrayName);
-    if (it == rep.software.arrays.end() || it->second.size() != hw.size()) {
-      rep.match = false;
-      rep.mismatch = fmt("array '%0' size mismatch", st.arrayName);
-      return rep;
-    }
-    for (size_t i = 0; i < hw.size(); ++i) {
-      if (hw[i] != it->second[i]) {
-        rep.match = false;
-        rep.mismatch = fmt("array '%0'[%1]: hw=%2 sw=%3", st.arrayName, i, hw[i], it->second[i]);
-        return rep;
-      }
-    }
-  }
-  for (const auto& so : compiled.kernel.scalarOutputs) {
-    const auto hw = rep.hardware.scalars.find(so.name);
-    const auto sw = rep.software.scalars.find(so.name);
-    if (hw == rep.hardware.scalars.end() || sw == rep.software.scalars.end() ||
-        hw->second != sw->second) {
-      rep.match = false;
-      rep.mismatch = fmt("scalar '%0': hw=%1 sw=%2", so.name,
-                         hw == rep.hardware.scalars.end() ? 0 : hw->second,
-                         sw == rep.software.scalars.end() ? 0 : sw->second);
-      return rep;
-    }
-  }
-  for (const auto& fb : compiled.kernel.feedbacks) {
-    const auto hw = rep.hardware.scalars.find(fb.name);
-    const auto sw = rep.software.scalars.find(fb.name);
-    if (sw == rep.software.scalars.end()) continue; // local feedback, not visible in sw results
-    if (hw == rep.hardware.scalars.end() || hw->second != sw->second) {
-      rep.match = false;
-      rep.mismatch = fmt("feedback '%0': hw=%1 sw=%2", fb.name,
-                         hw == rep.hardware.scalars.end() ? 0 : hw->second, sw->second);
-      return rep;
-    }
-  }
-  return rep;
-}
-
 } // namespace roccc

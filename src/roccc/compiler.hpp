@@ -7,9 +7,9 @@
 //   data-path generation (mux/pipe hard nodes, pipelining, bit-width
 //   inference) -> RTL netlist -> VHDL.
 //
-// Use rtl::System / cosimulate() to execute the generated hardware against
-// the software interpreter, and synth::estimate() (src/synth) to obtain the
-// Table 1-style clock/area figures.
+// Use verifyKernel() (roccc/verify.hpp) to execute the generated hardware
+// against the software interpreter, and synth::estimate() (src/synth) to
+// obtain the Table 1-style clock/area figures.
 #pragma once
 
 #include <string>
@@ -19,11 +19,9 @@
 #include "dp/retime.hpp"
 #include "frontend/ast.hpp"
 #include "hlir/kernel.hpp"
-#include "interp/interp.hpp"
 #include "mir/ir.hpp"
 #include "roccc/pipeline.hpp"
 #include "rtl/netlist.hpp"
-#include "rtl/system.hpp"
 #include "support/budget.hpp"
 #include "support/diag.hpp"
 
@@ -134,21 +132,5 @@ class Compiler {
  private:
   CompileOptions options_;
 };
-
-/// Hardware/software cosimulation: runs the compiled kernel both on the
-/// cycle-accurate RTL system and through the AST interpreter on the
-/// original source, and compares every output. The netlist engine is chosen
-/// by sysOptions.engine (rtl::SimEngine, default Fast); NetlistSim remains
-/// the reference oracle.
-struct CosimReport {
-  bool match = false;
-  std::string mismatch; ///< first difference, empty when match
-  rtl::SystemStats stats;
-  interp::KernelIO hardware;
-  interp::KernelIO software;
-};
-
-CosimReport cosimulate(const CompileResult& compiled, const std::string& originalSource,
-                       const interp::KernelIO& inputs, rtl::SystemOptions sysOptions = {});
 
 } // namespace roccc

@@ -726,7 +726,11 @@ VerifyReport verifyFrontier(const SweepResult& sweep, const VerifyOptions& opt) 
       const SweepPoint& p = sweep.points[idx].point;
       const Compiler compiler(p.options);
       const CompileResult compiled = compiler.compileSource(p.source);
-      report.verdicts.push_back(verifyKernel(p.label, p.source, compiled, opt));
+      // Verify the design the sweep measured: the point's system geometry.
+      VerifyOptions pointOpt = opt;
+      pointOpt.system.inputBusElems = p.busElems;
+      pointOpt.system.useSmartBuffer = p.smartBuffer;
+      report.verdicts.push_back(verifyKernel(p.label, p.source, compiled, pointOpt));
     }
   }
   return report;

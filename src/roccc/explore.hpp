@@ -283,8 +283,10 @@ SweepResult runSweep(const SweepGrid& grid, const SweepOptions& opt);
 
 /// Re-verifies every Pareto-optimal point through 5-way differential
 /// conformance (and, per opt.checkTestbench, its system testbench). Points
-/// are recompiled fresh — cache hits carry no IR — and verdicts come back
-/// in frontier order, labeled by point. A sweep whose frontier fails this
+/// are recompiled fresh — cache hits carry no IR — and run in the point's
+/// system geometry (bus elements, smart buffer), which replaces
+/// opt.system's. Verdicts come back in frontier order, labeled by point. A
+/// sweep whose frontier fails this
 /// must not be trusted; roccc-explore --verify-pareto exits nonzero.
 VerifyReport verifyFrontier(const SweepResult& sweep, const VerifyOptions& opt);
 

@@ -238,6 +238,14 @@ interp::KernelIO deterministicStimulus(const hlir::KernelInfo& kernel, uint64_t 
 
 KernelVerdict verifyKernel(const std::string& name, const std::string& source,
                            const CompileResult& compiled, const VerifyOptions& opt) {
+  const interp::KernelIO io =
+      compiled.ok ? deterministicStimulus(compiled.kernel, opt.seed) : interp::KernelIO{};
+  return verifyKernel(name, source, compiled, io, opt);
+}
+
+KernelVerdict verifyKernel(const std::string& name, const std::string& source,
+                           const CompileResult& compiled, const interp::KernelIO& io,
+                           const VerifyOptions& opt) {
   KernelVerdict v;
   v.kernel = name;
   v.outcome = compiled.outcome;
@@ -253,7 +261,6 @@ KernelVerdict verifyKernel(const std::string& name, const std::string& source,
 
   const hlir::KernelInfo& kernel = compiled.kernel;
   const dp::DataPath& dp = compiled.datapath;
-  const interp::KernelIO io = deterministicStimulus(kernel, opt.seed);
 
   const auto fail = [&](VerifyEngine e, Counterexample ce) {
     ce.kernel = name;
@@ -267,7 +274,7 @@ KernelVerdict verifyKernel(const std::string& name, const std::string& source,
   };
 
   // Golden: the AST interpreter on the original source.
-  interp::KernelIO golden;
+  interp::KernelIO& golden = v.outputs;
   try {
     DiagEngine diags;
     ast::Module m = ast::parse(source, diags);
@@ -389,11 +396,12 @@ KernelVerdict verifyKernel(const std::string& name, const std::string& source,
   std::optional<interp::KernelIO> refHw, fastHw;
   const auto runSystem = [&](VerifyEngine e, rtl::SimEngine engine) -> std::optional<interp::KernelIO> {
     ++v.enginesRun;
-    rtl::SystemOptions so;
+    rtl::SystemOptions so = opt.system;
     so.engine = engine;
     try {
       rtl::System system(kernel, dp, compiled.module, so);
       interp::KernelIO hw = system.run(io);
+      v.stats = system.stats();
       if (auto ce = compareFinal(kernel, golden, hw)) fail(e, std::move(*ce));
       return hw;
     } catch (const std::exception& ex) {
@@ -450,6 +458,18 @@ VerifyReport verifyConformance(const std::vector<CompileJob>& jobs, const Verify
     report.verdicts.push_back(verifyKernel(jobs[i].name, jobs[i].source, batch.results[i], opt));
   }
   return report;
+}
+
+std::string Counterexample::str() const {
+  if (port.empty()) return fmt("%0 engine: %1", verifyEngineName(engine), detail);
+  std::string s = fmt("%0 engine, port %1", verifyEngineName(engine), port);
+  if (index >= 0) s += fmt(", index %0", index);
+  return s + fmt(": expected %0, got %1", expected, got);
+}
+
+std::string KernelVerdict::firstProblem() const {
+  if (!compileError.empty()) return compileError;
+  return disagreements.empty() ? std::string() : disagreements.front().str();
 }
 
 int VerifyReport::agreed() const {

@@ -13,12 +13,14 @@
 //                    NetlistSim reference engine;
 //   5. FastSim     — the same system clocked by the compiled engine.
 //
-// verifyKernel runs all five on one deterministic stimulus (SplitMix64,
-// platform-independent, derived from seed + kernel name) and demands
-// bit-identical results. Any disagreement is reported as a minimized
-// counterexample: the kernel, the first diverging vector (iteration) index,
-// the engine and port — and, when the two netlist engines disagree with
-// each other, the first diverging net and cycle from a lockstep replay.
+// verifyKernel runs all five on one stimulus and demands bit-identical
+// results. By default the stimulus is deterministic (SplitMix64,
+// platform-independent, derived from seed + kernel name); a caller with its
+// own inputs (a test's vectors, an example's image) passes them instead.
+// Any disagreement is reported as a minimized counterexample: the kernel,
+// the first diverging vector (iteration) index, the engine and port — and,
+// when the two netlist engines disagree with each other, the first
+// diverging net and cycle from a lockstep replay.
 //
 // verifyConformance scales this over a corpus through CompileService, so
 // conformance inherits the batch driver's determinism and fault-containment
@@ -31,7 +33,9 @@
 #include <string>
 #include <vector>
 
+#include "interp/interp.hpp"
 #include "roccc/driver.hpp"
+#include "rtl/system.hpp"
 
 namespace roccc {
 
@@ -52,6 +56,9 @@ struct VerifyOptions {
   bool checkTestbench = false;
   /// CompileService worker count for verifyConformance (0 = hardware).
   int workers = 0;
+  /// Fig 2 system geometry for engines 4 and 5: bus width, smart buffer,
+  /// cycle limit. Each engine sets `.engine` itself.
+  rtl::SystemOptions system;
 };
 
 /// One minimized disagreement.
@@ -63,6 +70,9 @@ struct Counterexample {
   std::string expected;    ///< golden value, rendered
   std::string got;         ///< engine value, rendered
   std::string detail;      ///< one-line human-readable description
+  /// "<engine> engine, port <p>, index <i>: expected <e>, got <g>", or
+  /// "<engine> engine: <detail>" when no port diverged.
+  std::string str() const;
 };
 
 struct KernelVerdict {
@@ -77,6 +87,15 @@ struct KernelVerdict {
   /// compares sibling digests across fault-injected batches.
   uint64_t outputDigest = 0;
   std::vector<Counterexample> disagreements; ///< empty when agree
+  /// The golden outputs (the AST interpreter on the original source).
+  /// Not part of the JSON report.
+  interp::KernelIO outputs;
+  /// System statistics of the last netlist engine that ran (FastSim, else
+  /// NetlistRef); zero when neither ran. Not part of the JSON report.
+  rtl::SystemStats stats;
+  /// The first problem, for a failure message: the compile error, or the
+  /// first counterexample's str(). Empty when the verdict agrees.
+  std::string firstProblem() const;
 };
 
 struct VerifyReport {
@@ -92,8 +111,14 @@ struct VerifyReport {
 /// (SplitMix64 over [type.min, type.max], mixed per array/scalar name).
 interp::KernelIO deterministicStimulus(const hlir::KernelInfo& kernel, uint64_t seed);
 
-/// Verifies one compiled kernel against its original source. `compiled`
+/// Verifies one compiled kernel against its original source on `io`, which
+/// binds the kernel's input arrays and scalar inputs by name. `compiled`
 /// must be an Ok result carrying the IR fields (not a cache hit).
+KernelVerdict verifyKernel(const std::string& name, const std::string& source,
+                           const CompileResult& compiled, const interp::KernelIO& io,
+                           const VerifyOptions& opt);
+
+/// The same on deterministicStimulus(compiled.kernel, opt.seed).
 KernelVerdict verifyKernel(const std::string& name, const std::string& source,
                            const CompileResult& compiled, const VerifyOptions& opt);
 

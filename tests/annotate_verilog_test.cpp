@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "dp/annotate.hpp"
-#include "frontend/parser.hpp"
-#include "frontend/sema.hpp"
 #include "dp/eval.hpp"
 #include "rtl/from_dp.hpp"
-#include "roccc/compiler.hpp"
+#include "roccc/verify.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
 #include "vhdl/verilog.hpp"
@@ -95,15 +93,11 @@ TEST(Annotation, ForceStageRepipelines) {
   // Rebuild RTL and verify behavior is unchanged.
   rtl::Module m2;
   ASSERT_TRUE(rtl::buildDatapathModule(r.datapath, m2, diags)) << diags.dump();
+  r.module = std::move(m2);
   interp::KernelIO in;
   for (int i = 0; i < 36; ++i) in.arrays["A"].push_back((i * 31) % 199 - 99);
-  rtl::System sys(r.kernel, r.datapath, m2, {});
-  const auto hw = sys.run(in);
-  DiagEngine d2;
-  ast::Module ref = ast::parse(kFir, d2);
-  ast::analyze(ref, d2);
-  const auto sw = interp::runKernel(ref, "fir", in);
-  EXPECT_EQ(hw.arrays.at("C"), sw.arrays.at("C"));
+  const KernelVerdict v = verifyKernel("fir", kFir, r, in, VerifyOptions{});
+  EXPECT_TRUE(v.agree) << v.firstProblem();
 }
 
 TEST(Annotation, ForceStageRespectsFeedbackLoops) {

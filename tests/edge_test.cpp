@@ -1,12 +1,13 @@
 // Edge and failure-injection paths across the stack.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
 #include "interp/interp.hpp"
-#include "roccc/compiler.hpp"
+#include "roccc/verify.hpp"
 #include "synth/estimate.hpp"
 
 namespace roccc {
@@ -91,8 +92,10 @@ TEST(Edge, MemorySubsystemScalesWithBufferAndStreams) {
 }
 
 TEST(Edge, CosimReportsMismatchWhenModelsDiverge) {
-  // Compile one kernel but cosimulate against a *different* reference
-  // source: the report must flag the divergence rather than crash.
+  // Compile one kernel but verify it against a *different* reference
+  // source, with the engines `roccc-cc --cosim` runs: the verdict must
+  // flag the divergence, with its engine, port and index, rather than
+  // crash.
   Compiler c;
   const CompileResult r = c.compileSource(kFir);
   const char* wrongRef = R"(
@@ -105,9 +108,17 @@ TEST(Edge, CosimReportsMismatchWhenModelsDiverge) {
   )";
   interp::KernelIO in;
   for (int i = 0; i < 36; ++i) in.arrays["A"].push_back(i + 1);
-  const auto rep = cosimulate(r, wrongRef, in);
-  EXPECT_FALSE(rep.match);
-  EXPECT_NE(rep.mismatch.find("C"), std::string::npos);
+  VerifyOptions opt;
+  opt.engineMask = 1u << static_cast<int>(VerifyEngine::FastSim);
+  const KernelVerdict v = verifyKernel("fir", wrongRef, r, in, opt);
+  EXPECT_FALSE(v.agree);
+  const auto ce = std::find_if(v.disagreements.begin(), v.disagreements.end(),
+                               [](const Counterexample& c) { return c.engine == VerifyEngine::FastSim; });
+  ASSERT_NE(ce, v.disagreements.end()) << v.firstProblem();
+  EXPECT_EQ(ce->port, "C");
+  EXPECT_EQ(ce->index, 0); // C[0] = 65 in hardware, A[0] = 1 in the reference
+  EXPECT_EQ(ce->expected, "1");
+  EXPECT_EQ(ce->got, "65");
 }
 
 TEST(Edge, ZeroTripKernelRejected) {
@@ -135,9 +146,9 @@ TEST(Edge, SingleIterationKernelWorks) {
   ASSERT_TRUE(r.ok) << r.diags.dump();
   interp::KernelIO in;
   in.arrays["A"] = {1, 2, 3, 4};
-  const auto rep = cosimulate(r, src, in);
-  EXPECT_TRUE(rep.match) << rep.mismatch;
-  EXPECT_EQ(rep.hardware.scalars.at("out"), 10);
+  const KernelVerdict v = verifyKernel("k", src, r, in, VerifyOptions{});
+  EXPECT_TRUE(v.agree) << v.firstProblem();
+  EXPECT_EQ(v.outputs.scalars.at("out"), 10);
 }
 
 } // namespace

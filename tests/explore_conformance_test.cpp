@@ -67,5 +67,40 @@ TEST(ExploreConformance, FrontierVerdictsSurviveReportRoundTrip) {
   }
 }
 
+TEST(ExploreConformance, FrontierVerdictsRunThePointsGeometry) {
+  // Geometry changes cycles and BRAM traffic, not the compiled design, so
+  // on a slices/fmax frontier the four geometries of each design tie and
+  // all stand on it. Each verdict's system statistics must be the ones the
+  // sweep measured for its point: the verifier ran the same geometry.
+  SweepGrid grid;
+  const auto& fir = bench::kTable1Kernels[6];
+  ASSERT_STREQ(fir.name, "fir");
+  grid.kernels.push_back({fir.name, fir.source, fir.targetStageDelayNs});
+  grid.smartBuffer = {true, false};
+  grid.busElems = {1, 4};
+  SweepOptions sopt;
+  sopt.axes = {SweepAxis::Slices, SweepAxis::FmaxMHz};
+  const SweepResult sweep = runSweep(grid, sopt);
+  ASSERT_EQ(sweep.failedCount(), 0) << sweep.outcomeSummary();
+  VerifyOptions vopt;
+  vopt.seed = sopt.seed;
+  const VerifyReport report = verifyFrontier(sweep, vopt);
+  ASSERT_EQ(sweep.frontiers.size(), 1u);
+  const std::vector<size_t>& frontier = sweep.frontiers[0].points;
+  ASSERT_EQ(report.verdicts.size(), frontier.size());
+  bool sawNaive = false, sawWideBus = false;
+  for (size_t i = 0; i < frontier.size(); ++i) {
+    const SweepPointResult& p = sweep.points[frontier[i]];
+    const KernelVerdict& v = report.verdicts[i];
+    ASSERT_EQ(v.kernel, p.point.label);
+    EXPECT_TRUE(v.agree) << v.kernel << ": " << v.firstProblem();
+    EXPECT_EQ(v.stats.cycles, p.metrics.cycles) << v.kernel;
+    EXPECT_EQ(v.stats.bramReads, p.metrics.bramReads) << v.kernel;
+    sawNaive |= !p.point.smartBuffer;
+    sawWideBus |= p.point.busElems == 4;
+  }
+  EXPECT_TRUE(sawNaive && sawWideBus) << "the frontier must hold a naive and a 4-wide point";
+}
+
 } // namespace
 } // namespace roccc

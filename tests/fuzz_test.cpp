@@ -11,15 +11,13 @@
 // out-of-bounds read in their lexers into a failure).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <string_view>
 
 #include "../bench/kernels.hpp"
-#include "frontend/parser.hpp"
-#include "frontend/sema.hpp"
-#include "hlir/cosim.hpp"
 #include "kernel_fuzzer.hpp"
-#include "roccc/compiler.hpp"
+#include "roccc/verify.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "vhdl/check.hpp"
@@ -27,6 +25,12 @@
 
 namespace roccc {
 namespace {
+
+/// All five engines on the caller's inputs, against the interpreter.
+KernelVerdict verifyOn(const CompileResult& r, const std::string& src,
+                       const interp::KernelIO& in) {
+  return verifyKernel(r.kernel.kernelName, src, r, in, VerifyOptions{});
+}
 
 class FuzzSweep : public ::testing::TestWithParam<uint64_t> {};
 
@@ -37,8 +41,8 @@ TEST_P(FuzzSweep, CompiledHardwareMatchesInterpreter) {
     Compiler c;
     const CompileResult r = c.compileSource(g.source);
     ASSERT_TRUE(r.ok) << g.source << "\n" << r.diags.dump();
-    const CosimReport rep = cosimulate(r, g.source, g.inputs);
-    ASSERT_TRUE(rep.match) << g.source << "\n" << rep.mismatch << "\n" << r.datapath.dump();
+    const KernelVerdict v = verifyOn(r, g.source, g.inputs);
+    ASSERT_TRUE(v.agree) << g.source << "\n" << v.firstProblem() << "\n" << r.datapath.dump();
   }
 }
 
@@ -57,8 +61,8 @@ TEST_P(FuzzPipelineSweep, AggressivePipeliningPreservesSemantics) {
     Compiler c(opt);
     const CompileResult r = c.compileSource(g.source);
     ASSERT_TRUE(r.ok) << g.source << "\n" << r.diags.dump();
-    const CosimReport rep = cosimulate(r, g.source, g.inputs);
-    ASSERT_TRUE(rep.match) << g.source << "\n" << rep.mismatch;
+    const KernelVerdict v = verifyOn(r, g.source, g.inputs);
+    ASSERT_TRUE(v.agree) << g.source << "\n" << v.firstProblem();
   }
 }
 
@@ -80,8 +84,8 @@ TEST_P(FuzzWidthSweep, AllWidthModesAgree) {
       Compiler c(opt);
       const CompileResult r = c.compileSource(g.source);
       ASSERT_TRUE(r.ok) << g.source;
-      const auto rep = cosimulate(r, g.source, g.inputs);
-      ASSERT_TRUE(rep.match) << g.source << "\n" << rep.mismatch << "\n" << r.datapath.dump();
+      const KernelVerdict v = verifyOn(r, g.source, g.inputs);
+      ASSERT_TRUE(v.agree) << g.source << "\n" << v.firstProblem() << "\n" << r.datapath.dump();
     }
   }
 }
@@ -91,16 +95,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzWidthSweep, ::testing::Values(3, 9, 27, 81))
 // Compiler-configuration fuzz: the cross product of the scalar optimization
 // pipeline (on/off) and call-to-LUT conversion (on/off) must produce
 // hardware with identical observable behavior, and on every configuration
-// the fast engine must agree both with the interpreter and with the
-// reference netlist engine driven through the same System.
+// every engine, both netlist engines included, must agree with the
+// interpreter (a split between the netlist engines is localized by the
+// verdict's lockstep replay).
 class FuzzEngineConfigSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FuzzEngineConfigSweep, OptimizeAndLutConfigsAgreeOnBothEngines) {
   KernelFuzzer fuzzer(GetParam() * 2654435761ull);
   for (int round = 0; round < 3; ++round) {
     const auto g = fuzzer.generate();
-    bool haveBaseline = false;
-    interp::KernelIO baseline;
+    std::optional<interp::KernelIO> baseline;
     for (const bool optimize : {true, false}) {
       for (const bool luts : {true, false}) {
         CompileOptions opt;
@@ -109,25 +113,16 @@ TEST_P(FuzzEngineConfigSweep, OptimizeAndLutConfigsAgreeOnBothEngines) {
         Compiler c(opt);
         const CompileResult r = c.compileSource(g.source);
         ASSERT_TRUE(r.ok) << g.source << "\n" << r.diags.dump();
-        // Fast engine vs interpreter (cosimulate defaults to SimEngine::Fast).
-        const CosimReport rep = cosimulate(r, g.source, g.inputs);
-        ASSERT_TRUE(rep.match) << "optimize=" << optimize << " luts=" << luts << "\n"
-                               << g.source << "\n" << rep.mismatch;
-        // Fast engine vs the reference engine on the identical circuit.
-        rtl::SystemOptions refOpt;
-        refOpt.engine = rtl::SimEngine::Reference;
-        rtl::System refSys(r.kernel, r.datapath, r.module, refOpt);
-        const interp::KernelIO refOut = refSys.run(g.inputs);
-        ASSERT_TRUE(refOut.arrays == rep.hardware.arrays && refOut.scalars == rep.hardware.scalars)
-            << "reference and fast engines disagree (optimize=" << optimize << " luts=" << luts
-            << ")\n" << g.source;
-        // All four compiler configurations observe the same kernel semantics.
-        if (!haveBaseline) {
-          baseline = rep.hardware;
-          haveBaseline = true;
+        const KernelVerdict v = verifyOn(r, g.source, g.inputs);
+        ASSERT_TRUE(v.agree) << "optimize=" << optimize << " luts=" << luts << "\n"
+                             << g.source << "\n" << v.firstProblem();
+        // All four compiler configurations observe the same kernel semantics
+        // (each verdict's outputs are what every engine of that
+        // configuration reproduced).
+        if (!baseline) {
+          baseline = v.outputs;
         } else {
-          ASSERT_TRUE(baseline.arrays == rep.hardware.arrays &&
-                      baseline.scalars == rep.hardware.scalars)
+          ASSERT_TRUE(baseline->arrays == v.outputs.arrays && baseline->scalars == v.outputs.scalars)
               << "configuration changes output (optimize=" << optimize << " luts=" << luts
               << ")\n" << g.source;
         }
@@ -186,16 +181,17 @@ void k(const %0 X[%1][%2], int32 Y[%3][%4]) {
     Compiler c;
     const CompileResult r = c.compileSource(src);
     ASSERT_TRUE(r.ok) << src << "\n" << r.diags.dump();
-    const CosimReport rep = cosimulate(r, src, in);
-    ASSERT_TRUE(rep.match) << src << "\n" << rep.mismatch;
+    const KernelVerdict v = verifyOn(r, src, in);
+    ASSERT_TRUE(v.agree) << src << "\n" << v.firstProblem();
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Fuzz2DSweep, ::testing::Values(1, 4, 7, 11, 18, 29));
 
-// Cross-layer property: the three execution layers — software stream model
-// (hlir::simulateStreams, interpreter-backed), the cycle-accurate RTL
-// system, and the whole-kernel interpreter — agree on every fuzz kernel.
+// Cross-layer property: the three execution layers — the whole-kernel
+// interpreter (the verdict's golden), the software stream model over the
+// extracted kernel (engine 1) and the cycle-accurate RTL system (engines 4
+// and 5) — agree on every fuzz kernel.
 class FuzzLayersSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FuzzLayersSweep, AllThreeExecutionLayersAgree) {
@@ -205,20 +201,9 @@ TEST_P(FuzzLayersSweep, AllThreeExecutionLayersAgree) {
     Compiler c;
     const CompileResult r = c.compileSource(g.source);
     ASSERT_TRUE(r.ok) << g.source;
-    // Layer 1: interpreter on the original kernel.
-    DiagEngine d;
-    ast::Module m = ast::parse(g.source, d);
-    ast::analyze(m, d);
-    const auto sw = interp::runKernel(m, r.kernel.kernelName, g.inputs);
-    // Layer 2: stream model over the extracted kernel.
-    const auto streams = hlir::simulateStreams(r.kernel, g.inputs);
-    // Layer 3: cycle-accurate system.
-    rtl::System sys(r.kernel, r.datapath, r.module);
-    const auto hw = sys.run(g.inputs);
-    for (const auto& st : r.kernel.outputs) {
-      ASSERT_EQ(sw.arrays.at(st.arrayName), streams.arrays.at(st.arrayName)) << g.source;
-      ASSERT_EQ(sw.arrays.at(st.arrayName), hw.arrays.at(st.arrayName)) << g.source;
-    }
+    const KernelVerdict v = verifyOn(r, g.source, g.inputs);
+    ASSERT_EQ(v.enginesRun, kVerifyEngineCount) << g.source;
+    ASSERT_TRUE(v.agree) << g.source << "\n" << v.firstProblem();
   }
 }
 

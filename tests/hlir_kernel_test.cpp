@@ -2,10 +2,10 @@
 
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
-#include "hlir/cosim.hpp"
 #include "hlir/kernel.hpp"
 #include "hlir/transforms.hpp"
 #include "interp/interp.hpp"
+#include "roccc/verify.hpp"
 #include "support/strings.hpp"
 
 namespace roccc::hlir {
@@ -26,6 +26,18 @@ KernelInfo extractOk(const Module& m, const std::string& fn) {
   DiagEngine diags;
   EXPECT_TRUE(extractKernel(m, fn, k, diags)) << diags.dump();
   return k;
+}
+
+/// Compiles `src` and runs it on `io` against the AST interpreter through
+/// verifyKernel: engine 1 is the extracted streaming model, engines 2-5 the
+/// back end. Returns the verdict, whose `outputs` are the golden results.
+KernelVerdict expectVerified(const std::string& src, const interp::KernelIO& io,
+                             CompileOptions opt = {}) {
+  const CompileResult r = Compiler(opt).compileSource(src);
+  EXPECT_TRUE(r.ok) << r.diags.dump();
+  KernelVerdict v = verifyKernel(r.kernel.kernelName, src, r, io, VerifyOptions{});
+  EXPECT_TRUE(v.agree) << v.firstProblem();
+  return v;
 }
 
 void expectExtractError(const std::string& src, const std::string& fn, const std::string& needle) {
@@ -106,18 +118,14 @@ TEST(Extract, FirWindowGeometry) {
 }
 
 TEST(Extract, FirCosimMatchesInterpreter) {
-  Module m = build(kFirSrc);
-  KernelInfo k = extractOk(m, "fir");
   interp::KernelIO in;
   for (int i = 0; i < 21; ++i) in.arrays["A"].push_back((i * 97) % 119 - 60);
-  const auto hw = simulateStreams(k, in);
-  const auto sw = interp::runKernel(m, "fir", in);
-  EXPECT_EQ(hw.arrays.at("C"), sw.arrays.at("C"));
+  expectVerified(kFirSrc, in);
 }
 
 TEST(Extract, AccumulatorFeedbackDetected) {
   // Paper Fig 4.
-  Module m = build(R"(
+  const char* src = R"(
     int sum = 0;
     void acc(const int32 A[32], int32* out) {
       int i;
@@ -126,7 +134,8 @@ TEST(Extract, AccumulatorFeedbackDetected) {
       }
       *out = sum;
     }
-  )");
+  )";
+  Module m = build(src);
   KernelInfo k = extractOk(m, "acc");
   ASSERT_EQ(k.feedbacks.size(), 1u);
   EXPECT_EQ(k.feedbacks[0].name, "sum");
@@ -136,18 +145,18 @@ TEST(Extract, AccumulatorFeedbackDetected) {
   const std::string dp = ast::printFunction(k.dpFunction());
   EXPECT_NE(dp.find("ROCCC_load_prev(sum)"), std::string::npos) << dp;
   EXPECT_NE(dp.find("ROCCC_store2next(sum, "), std::string::npos) << dp;
-  // Cosim equals interpreter.
+  // Every engine equals the interpreter, which sums.
   interp::KernelIO in;
   int64_t expect = 0;
   for (int i = 0; i < 32; ++i) {
     in.arrays["A"].push_back(7 * i - 50);
     expect += 7 * i - 50;
   }
-  EXPECT_EQ(simulateStreams(k, in).scalars.at("out"), expect);
+  EXPECT_EQ(expectVerified(src, in).outputs.scalars.at("out"), expect);
 }
 
 TEST(Extract, PreLoopInitialValueRespected) {
-  Module m = build(R"(
+  const char* src = R"(
     void acc(const int32 A[8], int32* out) {
       int i;
       int s;
@@ -155,19 +164,20 @@ TEST(Extract, PreLoopInitialValueRespected) {
       for (i = 0; i < 8; i++) { s = s + A[i]; }
       *out = s;
     }
-  )");
+  )";
+  Module m = build(src);
   KernelInfo k = extractOk(m, "acc");
   ASSERT_EQ(k.feedbacks.size(), 1u);
   EXPECT_EQ(k.feedbacks[0].initial, 100);
   interp::KernelIO in;
   for (int i = 0; i < 8; ++i) in.arrays["A"].push_back(1);
-  EXPECT_EQ(simulateStreams(k, in).scalars.at("out"), 108);
+  EXPECT_EQ(expectVerified(src, in).outputs.scalars.at("out"), 108);
 }
 
 TEST(Extract, MulAccConditionalFeedback) {
   // The paper's mul_acc: 12-bit operand pair with an nd (new data) control
   // input expressed as if-else (section 5 discussion).
-  Module m = build(R"(
+  const char* src = R"(
     int32 acc = 0;
     void mul_acc(const int12 A[16], const int12 B[16], uint1 nd, int32* out) {
       int i;
@@ -178,7 +188,8 @@ TEST(Extract, MulAccConditionalFeedback) {
       }
       *out = acc;
     }
-  )");
+  )";
+  Module m = build(src);
   KernelInfo k = extractOk(m, "mul_acc");
   ASSERT_EQ(k.inputs.size(), 2u);
   ASSERT_EQ(k.feedbacks.size(), 1u);
@@ -191,15 +202,14 @@ TEST(Extract, MulAccConditionalFeedback) {
       in.arrays["A"].push_back(i - 8);
       in.arrays["B"].push_back(3 * i);
     }
-    const auto hw = simulateStreams(k, in);
-    const auto sw = interp::runKernel(m, "mul_acc", in);
-    EXPECT_EQ(hw.scalars.at("out"), sw.scalars.at("out")) << "nd=" << nd;
+    SCOPED_TRACE(fmt("nd=%0", nd));
+    expectVerified(src, in);
   }
 }
 
 TEST(Extract, DctStyleMultiOutputWindow) {
   // 8 outputs per iteration, stride 8 (the paper's DCT throughput shape).
-  Module m = build(R"(
+  const char* src = R"(
     void dct_like(const int8 X[64], int19 Y[64]) {
       int i;
       for (i = 0; i < 8; i++) {
@@ -213,7 +223,8 @@ TEST(Extract, DctStyleMultiOutputWindow) {
         Y[8*i+7] = X[8*i+3] - X[8*i+4];
       }
     }
-  )");
+  )";
+  Module m = build(src);
   KernelInfo k = extractOk(m, "dct_like");
   ASSERT_EQ(k.inputs.size(), 1u);
   EXPECT_EQ(k.inputs[0].accessCount(), 8);
@@ -223,12 +234,12 @@ TEST(Extract, DctStyleMultiOutputWindow) {
   EXPECT_EQ(k.outputs[0].accessCount(), 8);
   interp::KernelIO in;
   for (int i = 0; i < 64; ++i) in.arrays["X"].push_back((i * 13) % 100 - 50);
-  EXPECT_EQ(simulateStreams(k, in).arrays.at("Y"), interp::runKernel(m, "dct_like", in).arrays.at("Y"));
+  expectVerified(src, in);
 }
 
 TEST(Extract, TwoDimensionalWindow) {
   // A (5,3)-style 2-D stencil: 2x3 window over a 2-D image.
-  Module m = build(R"(
+  const char* src = R"(
     void stencil(const int16 X[6][8], int16 Y[5][6]) {
       int i;
       int j;
@@ -239,7 +250,8 @@ TEST(Extract, TwoDimensionalWindow) {
         }
       }
     }
-  )");
+  )";
+  Module m = build(src);
   KernelInfo k = extractOk(m, "stencil");
   ASSERT_EQ(k.loops.size(), 2u);
   ASSERT_EQ(k.inputs.size(), 1u);
@@ -251,33 +263,35 @@ TEST(Extract, TwoDimensionalWindow) {
   EXPECT_EQ(in.dimMap[1].loop, 1);
   interp::KernelIO io;
   for (int i = 0; i < 48; ++i) io.arrays["X"].push_back(i * 5 - 100);
-  EXPECT_EQ(simulateStreams(k, io).arrays.at("Y"), interp::runKernel(m, "stencil", io).arrays.at("Y"));
+  expectVerified(src, io);
 }
 
 TEST(Extract, InductionValueUse) {
-  Module m = build(R"(
+  const char* src = R"(
     void ramp(const int16 A[8], int16 C[8]) {
       int i;
       for (i = 0; i < 8; i++) { C[i] = A[i] * i; }
     }
-  )");
+  )";
+  Module m = build(src);
   KernelInfo k = extractOk(m, "ramp");
   ASSERT_EQ(k.scalarInputs.size(), 1u);
   EXPECT_TRUE(k.scalarInputs[0].isInduction);
   EXPECT_EQ(k.scalarInputs[0].name, "i_val");
   interp::KernelIO io;
   for (int i = 0; i < 8; ++i) io.arrays["A"].push_back(i + 1);
-  EXPECT_EQ(simulateStreams(k, io).arrays.at("C"), interp::runKernel(m, "ramp", io).arrays.at("C"));
+  expectVerified(src, io);
 }
 
 TEST(Extract, LookupTableInKernel) {
-  Module m = build(R"(
+  const char* src = R"(
     const int16 GAMMA[16] = {0,1,4,9,16,25,36,49,64,81,100,121,144,169,196,225};
     void apply(const uint4 A[8], int16 C[8]) {
       int i;
       for (i = 0; i < 8; i++) { C[i] = GAMMA[A[i]]; }
     }
-  )");
+  )";
+  Module m = build(src);
   KernelInfo k = extractOk(m, "apply");
   // GAMMA is a ROM, not a stream.
   EXPECT_EQ(k.inputs.size(), 1u);
@@ -287,24 +301,23 @@ TEST(Extract, LookupTableInKernel) {
   EXPECT_NE(dp.find("ROCCC_lookup(GAMMA"), std::string::npos) << dp;
   interp::KernelIO io;
   for (int i = 0; i < 8; ++i) io.arrays["A"].push_back(15 - i);
-  EXPECT_EQ(simulateStreams(k, io).arrays.at("C"), interp::runKernel(m, "apply", io).arrays.at("C"));
+  expectVerified(src, io);
 }
 
 TEST(Extract, BackwardWindowOffsets) {
-  Module m = build(R"(
+  const char* src = R"(
     void diff(const int16 A[10], int16 C[10]) {
       int i;
       for (i = 1; i < 9; i++) { C[i] = A[i+1] - A[i-1]; }
     }
-  )");
+  )";
+  Module m = build(src);
   KernelInfo k = extractOk(m, "diff");
   EXPECT_EQ(k.inputs[0].minOffset(0), -1);
   EXPECT_EQ(k.inputs[0].extent(0), 3);
   interp::KernelIO io;
   for (int i = 0; i < 10; ++i) io.arrays["A"].push_back(i * i);
-  const auto hw = simulateStreams(k, io);
-  const auto sw = interp::runKernel(m, "diff", io);
-  for (int i = 1; i < 9; ++i) EXPECT_EQ(hw.arrays.at("C")[i], sw.arrays.at("C")[i]);
+  expectVerified(src, io);
 }
 
 TEST(Extract, ScalarReplacedTextMentionsWindow) {
@@ -402,7 +415,7 @@ TEST_P(WindowGeometrySweep, CosimMatchesInterp) {
   EXPECT_EQ(k.inputs[0].strideForLoop(0, k.loops, 0), stride);
   interp::KernelIO io;
   for (int i = 0; i < inLen; ++i) io.arrays["A"].push_back((i * 31) % 200 - 100);
-  EXPECT_EQ(simulateStreams(k, io).arrays.at("C"), interp::runKernel(m, "k", io).arrays.at("C"));
+  expectVerified(src, io);
 }
 
 INSTANTIATE_TEST_SUITE_P(Geometries, WindowGeometrySweep,
@@ -411,31 +424,27 @@ INSTANTIATE_TEST_SUITE_P(Geometries, WindowGeometrySweep,
 
 // Unroll-then-extract: the DCT path (unroll widens the window).
 TEST(Extract, UnrolledFirWidensWindow) {
-  Module m = build(R"(
+  const char* src = R"(
     void fir(const int16 A[36], int16 C[32]) {
       int i;
       for (i = 0; i < 32; i++) {
         C[i] = A[i] + A[i+1] + A[i+2] + A[i+3] + A[i+4];
       }
     }
-  )");
+  )";
+  Module m = build(src);
   DiagEngine diags;
   ASSERT_TRUE(unrollInnerLoop(m, m.functions[0], 4, diags)) << diags.dump();
   KernelInfo k = extractOk(m, "fir");
   EXPECT_EQ(k.inputs[0].extent(0), 8);  // 5 + 4 - 1
   EXPECT_EQ(k.inputs[0].strideForLoop(0, k.loops, 0), 4);
   EXPECT_EQ(k.outputs[0].accessCount(), 4); // 4 outputs per iteration
+  // The same unroll through the compiler, against the rolled source.
   interp::KernelIO io;
   for (int i = 0; i < 36; ++i) io.arrays["A"].push_back(i);
-  Module ref = build(R"(
-    void fir(const int16 A[36], int16 C[32]) {
-      int i;
-      for (i = 0; i < 32; i++) {
-        C[i] = A[i] + A[i+1] + A[i+2] + A[i+3] + A[i+4];
-      }
-    }
-  )");
-  EXPECT_EQ(simulateStreams(k, io).arrays.at("C"), interp::runKernel(ref, "fir", io).arrays.at("C"));
+  CompileOptions opt;
+  opt.unrollFactor = 4;
+  expectVerified(src, io, opt);
 }
 
 } // namespace

@@ -11,7 +11,7 @@
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
 #include "interp/interp.hpp"
-#include "roccc/compiler.hpp"
+#include "roccc/verify.hpp"
 #include "support/cosrom.hpp"
 
 namespace roccc {
@@ -97,10 +97,10 @@ TEST(SinIntrinsic, CompilesAndMatchesRom) {
   ASSERT_TRUE(r.ok) << r.diags.dump();
   interp::KernelIO in;
   for (int i = 0; i < 16; ++i) in.arrays["P"].push_back(i * 64 + 3);
-  const auto rep = cosimulate(r, src, in);
-  ASSERT_TRUE(rep.match) << rep.mismatch;
+  const KernelVerdict v = verifyKernel("wave", src, r, in, VerifyOptions{});
+  ASSERT_TRUE(v.agree) << v.firstProblem();
   for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(rep.hardware.arrays.at("S")[static_cast<size_t>(i)],
+    EXPECT_EQ(v.outputs.arrays.at("S")[static_cast<size_t>(i)],
               cosRomEntry(i * 64 + 3, /*sine=*/true));
   }
 }

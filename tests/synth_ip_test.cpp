@@ -5,6 +5,7 @@
 #include "../bench/table1.hpp"
 #include "ip/ip.hpp"
 #include "roccc/compiler.hpp"
+#include "rtl/system.hpp"
 #include "support/cosrom.hpp"
 #include "support/strings.hpp"
 #include "synth/estimate.hpp"

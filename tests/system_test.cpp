@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "roccc/compiler.hpp"
+#include "roccc/verify.hpp"
 #include "support/strings.hpp"
 #include "vhdl/check.hpp"
 
@@ -20,12 +20,21 @@ CompileResult compile(const std::string& src, CompileOptions opt = {}) {
   return r;
 }
 
+/// All five engines on `in` against the interpreter, in a Fig 2 system of
+/// geometry `sys`.
+KernelVerdict verifyOn(const CompileResult& r, const std::string& src,
+                       const interp::KernelIO& in, rtl::SystemOptions sys = {}) {
+  VerifyOptions vo;
+  vo.system = sys;
+  return verifyKernel(r.kernel.kernelName, src, r, in, vo);
+}
+
 void expectCosim(const std::string& src, const interp::KernelIO& in, CompileOptions opt = {},
                  rtl::SystemOptions sys = {}) {
   CompileResult r = compile(src, opt);
   ASSERT_TRUE(r.ok);
-  const CosimReport rep = cosimulate(r, src, in, sys);
-  EXPECT_TRUE(rep.match) << rep.mismatch << "\n" << r.datapath.dump();
+  const KernelVerdict v = verifyOn(r, src, in, sys);
+  EXPECT_TRUE(v.agree) << v.firstProblem() << "\n" << r.datapath.dump();
 }
 
 const char* kFirSrc = R"(
@@ -138,12 +147,10 @@ TEST(System, DctBlockCosimAndThroughput) {
   for (int i = 0; i < 64; ++i) in.arrays["X"].push_back((i * 37) % 256 - 128);
   rtl::SystemOptions sys;
   sys.inputBusElems = 8;
-  expectCosim(src, in, {}, sys);
-
-  CompileResult r = compile(src);
-  rtl::System system(r.kernel, r.datapath, r.module, sys);
-  system.run(in);
-  EXPECT_GE(system.stats().steadyStateThroughput(), 7.0) << "outputs/clock";
+  const CompileResult r = compile(src);
+  const KernelVerdict v = verifyOn(r, src, in, sys);
+  EXPECT_TRUE(v.agree) << v.firstProblem();
+  EXPECT_GE(v.stats.steadyStateThroughput(), 7.0) << "outputs/clock";
 }
 
 TEST(System, TwoDimensionalStencilCosim) {
@@ -221,20 +228,17 @@ TEST(System, NaiveBufferMatchesButReadsMore) {
   CompileResult r = compile(kFirSrc);
   const interp::KernelIO in = firInput();
 
-  rtl::SystemOptions smart;
-  rtl::System sys1(r.kernel, r.datapath, r.module, smart);
-  const auto out1 = sys1.run(in);
+  const KernelVerdict smart = verifyOn(r, kFirSrc, in);
+  rtl::SystemOptions naiveSystem;
+  naiveSystem.useSmartBuffer = false;
+  const KernelVerdict naive = verifyOn(r, kFirSrc, in, naiveSystem);
 
-  rtl::SystemOptions naive;
-  naive.useSmartBuffer = false;
-  rtl::System sys2(r.kernel, r.datapath, r.module, naive);
-  const auto out2 = sys2.run(in);
-
-  EXPECT_EQ(out1.arrays.at("C"), out2.arrays.at("C"));
+  EXPECT_TRUE(smart.agree) << smart.firstProblem();
+  EXPECT_TRUE(naive.agree) << naive.firstProblem();
   // Smart buffer: 36 reads. Naive: 5 per window * 32 windows = 160.
-  EXPECT_EQ(sys1.stats().bramReads, 36);
-  EXPECT_EQ(sys2.stats().bramReads, 160);
-  EXPECT_GT(sys2.stats().cycles, sys1.stats().cycles);
+  EXPECT_EQ(smart.stats.bramReads, 36);
+  EXPECT_EQ(naive.stats.bramReads, 160);
+  EXPECT_GT(naive.stats.cycles, smart.stats.cycles);
 }
 
 TEST(System, CosLookupKernel) {
@@ -317,8 +321,8 @@ TEST(System, AutoUnrollBudgetPicksFactorAndStaysCorrect) {
   interp::KernelIO in = firInput();
   rtl::SystemOptions sys;
   sys.inputBusElems = r.kernel.outputs[0].accessCount();
-  const auto rep = cosimulate(r, kFirSrc, in, sys);
-  EXPECT_TRUE(rep.match) << rep.mismatch;
+  const KernelVerdict v = verifyOn(r, kFirSrc, in, sys);
+  EXPECT_TRUE(v.agree) << v.firstProblem();
 }
 
 TEST(System, AutoUnrollTinyBudgetKeepsFactorOne) {

@@ -8,7 +8,7 @@
 #include <random>
 
 #include "../bench/kernels.hpp"
-#include "roccc/compiler.hpp"
+#include "roccc/verify.hpp"
 #include "support/cosrom.hpp"
 #include "support/strings.hpp"
 #include "vhdl/check.hpp"
@@ -32,13 +32,22 @@ void checkVhdl(const CompileResult& r) {
   EXPECT_TRUE(chk.ok) << join(chk.problems, "\n");
 }
 
+/// All five engines on `in` against the interpreter, in a Fig 2 system of
+/// geometry `sys`.
+KernelVerdict verifyOn(const CompileResult& r, const char* src, const interp::KernelIO& in,
+                       rtl::SystemOptions sys = {}) {
+  VerifyOptions vo;
+  vo.system = sys;
+  return verifyKernel(r.kernel.kernelName, src, r, in, vo);
+}
+
 void expectCosim(const char* src, const interp::KernelIO& in, CompileOptions opt = {},
                  rtl::SystemOptions sys = {}) {
   CompileResult r = compile(src, opt);
   ASSERT_TRUE(r.ok);
   checkVhdl(r);
-  const CosimReport rep = cosimulate(r, src, in, sys);
-  EXPECT_TRUE(rep.match) << rep.mismatch;
+  const KernelVerdict v = verifyOn(r, src, in, sys);
+  EXPECT_TRUE(v.agree) << v.firstProblem();
 }
 
 std::mt19937_64 rng(20050307); // DATE'05 :-)
@@ -92,13 +101,13 @@ TEST(Table1Kernels, SquareRoot) {
   in.arrays["X"][1] = (1 << 24) - 1;
   in.arrays["X"][2] = 1;
   CompileResult r = compile(bench::kSquareRoot);
-  const CosimReport rep = cosimulate(r, bench::kSquareRoot, in);
-  ASSERT_TRUE(rep.match) << rep.mismatch;
+  const KernelVerdict v = verifyOn(r, bench::kSquareRoot, in);
+  ASSERT_TRUE(v.agree) << v.firstProblem();
   // And the math is actually an integer square root.
   for (int i = 0; i < 64; ++i) {
     const int64_t x = in.arrays["X"][static_cast<size_t>(i)];
     const auto isq = static_cast<int64_t>(std::sqrt(static_cast<double>(x)));
-    EXPECT_EQ(rep.hardware.arrays.at("R")[static_cast<size_t>(i)], isq) << "x=" << x;
+    EXPECT_EQ(v.outputs.arrays.at("R")[static_cast<size_t>(i)], isq) << "x=" << x;
   }
 }
 
@@ -106,10 +115,10 @@ TEST(Table1Kernels, CosKernelMatchesRom) {
   interp::KernelIO in;
   in.arrays["P"] = randomArray(64, ScalarType::make(10, false));
   CompileResult r = compile(bench::kCos);
-  const CosimReport rep = cosimulate(r, bench::kCos, in);
-  ASSERT_TRUE(rep.match) << rep.mismatch;
+  const KernelVerdict v = verifyOn(r, bench::kCos, in);
+  ASSERT_TRUE(v.agree) << v.firstProblem();
   for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(rep.hardware.arrays.at("C")[static_cast<size_t>(i)],
+    EXPECT_EQ(v.outputs.arrays.at("C")[static_cast<size_t>(i)],
               cosRomEntry(static_cast<int>(in.arrays["P"][static_cast<size_t>(i)]), false));
   }
 }
@@ -135,8 +144,8 @@ TEST(Table1Kernels, DctIsActuallyADct) {
   interp::KernelIO in;
   in.arrays["X"] = randomArray(64, ScalarType::make(8, true));
   CompileResult r = compile(bench::kDct);
-  const auto rep = cosimulate(r, bench::kDct, in);
-  ASSERT_TRUE(rep.match);
+  const KernelVerdict v = verifyOn(r, bench::kDct, in);
+  ASSERT_TRUE(v.agree) << v.firstProblem();
   for (int blk = 0; blk < 8; ++blk) {
     for (int k = 0; k < 8; ++k) {
       double ref = 0;
@@ -145,7 +154,7 @@ TEST(Table1Kernels, DctIsActuallyADct) {
                std::cos((2 * n + 1) * k * M_PI / 16.0);
       }
       if (k == 0) ref *= M_SQRT1_2; // the kernel's 724/1024 DC normalization
-      const double got = static_cast<double>(rep.hardware.arrays.at("Y")[static_cast<size_t>(blk * 8 + k)]);
+      const double got = static_cast<double>(v.outputs.arrays.at("Y")[static_cast<size_t>(blk * 8 + k)]);
       // >>10 truncation across four summed terms gives a few LSBs of bias.
       EXPECT_NEAR(got, ref, 6.0) << "block " << blk << " coefficient " << k;
     }
@@ -165,10 +174,10 @@ TEST(Table1Kernels, WaveletReconstruction) {
   interp::KernelIO in;
   in.arrays["X"] = randomArray(68 * 66, ScalarType::make(12, true));
   CompileResult r = compile(bench::kWavelet);
-  const auto rep = cosimulate(r, bench::kWavelet, in);
-  ASSERT_TRUE(rep.match) << rep.mismatch;
+  const KernelVerdict v = verifyOn(r, bench::kWavelet, in);
+  ASSERT_TRUE(v.agree) << v.firstProblem();
   const auto& x = in.arrays["X"];
-  const auto& d = rep.hardware.arrays.at("D");
+  const auto& d = v.outputs.arrays.at("D");
   auto X = [&](int i, int j) { return x[static_cast<size_t>(i * 66 + j)]; };
   for (int i = 0; i < 4; ++i) {
     for (int j = 0; j < 4; ++j) {

@@ -27,7 +27,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -301,25 +300,6 @@ int runBatch(const Args& a) {
   return firstFailureExit;
 }
 
-/// Random inputs covering the kernel's arrays and scalars.
-roccc::interp::KernelIO randomInputs(const roccc::hlir::KernelInfo& k, uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  roccc::interp::KernelIO io;
-  for (const auto& st : k.inputs) {
-    int64_t n = 1;
-    for (int64_t d : st.dims) n *= d;
-    std::uniform_int_distribution<int64_t> dist(st.elemType.minValue(), st.elemType.maxValue());
-    auto& arr = io.arrays[st.arrayName];
-    for (int64_t i = 0; i < n; ++i) arr.push_back(dist(rng));
-  }
-  for (const auto& si : k.scalarInputs) {
-    if (si.isInduction) continue;
-    std::uniform_int_distribution<int64_t> dist(si.type.minValue(), si.type.maxValue());
-    io.scalars[si.name] = dist(rng);
-  }
-  return io;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -525,25 +505,37 @@ int main(int argc, char** argv) {
   if (a.dumpMir) std::printf("\n%s", r.mir.dump().c_str());
 
   if (a.cosim) {
-    const auto io = randomInputs(r.kernel, 1234);
-    roccc::rtl::SystemOptions sysOpt;
-    sysOpt.recordVcd = !a.vcdPath.empty();
-    sysOpt.engine = a.engine;
-    const auto rep = roccc::cosimulate(r, source, io, sysOpt);
-    if (!rep.match) {
-      std::fprintf(stderr, "COSIMULATION MISMATCH: %s\n", rep.mismatch.c_str());
+    // The --testbench stimulus through verifyKernel: the AST interpreter on
+    // the original source is the golden model, checked by the streaming
+    // model and the Fig 2 system on the --sim-engine netlist engine.
+    roccc::VerifyOptions vo;
+    vo.engineMask = 1u << static_cast<int>(a.engine == roccc::rtl::SimEngine::Reference
+                                               ? roccc::VerifyEngine::NetlistRef
+                                               : roccc::VerifyEngine::FastSim);
+    const auto io = roccc::deterministicStimulus(r.kernel, vo.seed);
+    const roccc::KernelVerdict v = roccc::verifyKernel(r.kernel.kernelName, source, r, io, vo);
+    if (!v.agree) {
+      if (!v.compileError.empty()) {
+        std::fprintf(stderr, "COSIMULATION MISMATCH: %s\n", v.compileError.c_str());
+      }
+      for (const auto& ce : v.disagreements) {
+        std::fprintf(stderr, "COSIMULATION MISMATCH: %s\n", ce.str().c_str());
+      }
       return 1;
     }
     if (!a.quiet) {
       std::printf("cosimulation: MATCH (%lld cycles, %lld iterations, %lld BRAM reads, "
                   "%s engine)\n",
-                  static_cast<long long>(rep.stats.cycles),
-                  static_cast<long long>(rep.stats.iterations),
-                  static_cast<long long>(rep.stats.bramReads),
+                  static_cast<long long>(v.stats.cycles),
+                  static_cast<long long>(v.stats.iterations),
+                  static_cast<long long>(v.stats.bramReads),
                   roccc::rtl::simEngineName(a.engine));
     }
     if (!a.vcdPath.empty()) {
-      roccc::rtl::System sys(r.kernel, r.datapath, r.module, sysOpt);
+      roccc::rtl::SystemOptions so;
+      so.engine = a.engine;
+      so.recordVcd = true;
+      roccc::rtl::System sys(r.kernel, r.datapath, r.module, so);
       sys.run(io);
       std::ofstream vcdOut(a.vcdPath);
       vcdOut << sys.vcd();
