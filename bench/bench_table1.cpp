@@ -4,7 +4,7 @@
 // alongside for reference. The rows come from bench/table1.hpp, which
 // tests/synth_ip_test.cpp asserts the paper's bands on (Table1Shape).
 //
-// Also printed: the retime verdict and synthesis estimate per compiled
+// Also printed: the stage timing and synthesis estimate per compiled
 // kernel, and the compile cache's cold vs warm batch throughput, which
 // must stay byte-identical and clear a 5x warm/cold floor.
 #include <cstdio>
@@ -47,19 +47,19 @@ int main() {
   std::printf("  (*) wavelet baseline is the handwritten engine, as in the paper.\n");
 
   // --- timing / energy columns ---------------------------------------------------
-  // The retime pass verdict next to the synthesis estimate for every
-  // compiled kernel: pipeline depth, worst stage against the --target-ns
-  // budget, modeled fmax on both yardsticks (the dp-level retime report and
+  // The latch placement's stage timing next to the synthesis estimate for
+  // every compiled kernel: pipeline depth, worst stage against the
+  // --target-ns budget, modeled fmax on both yardsticks (the dp-level report and
   // the register-to-register netlist estimate), and the energy columns
   // (per-cycle pJ at 0.25 activity, energy-delay product).
-  std::printf("\nTiming and energy per ROCCC kernel (retime @ per-row --target-ns):\n\n");
+  std::printf("\nTiming and energy per ROCCC kernel (latches placed @ per-row --target-ns):\n\n");
   std::printf("  %-15s | %6s | %8s | %11s | %12s | %6s | %9s | %10s\n", "kernel", "stages",
               "worst ns", "dp fmax MHz", "est fmax MHz", "slices", "pJ/cycle", "EDP pJ*ns");
   std::printf("  ----------------+--------+----------+-------------+--------------+--------+"
               "-----------+-----------\n");
   for (const bench::KernelTiming& t : table.timing) {
     std::printf("  %-15s | %6d | %8.2f | %11.1f | %12.1f | %6lld | %9.1f | %10.1f\n",
-                t.name.c_str(), t.stageCount, t.retiming.worstStageNs, t.retiming.fmaxMHz,
+                t.name.c_str(), t.stageCount, t.stages.worstStageNs, t.stages.fmaxMHz,
                 t.est.fmaxMHz(), static_cast<long long>(t.est.slices), t.est.energyPerCyclePj(),
                 t.est.edpPjNs());
   }

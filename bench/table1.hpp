@@ -37,10 +37,10 @@ struct Table1Row {
   double areaRatio() const { return static_cast<double>(rocccArea) / static_cast<double>(ipArea); }
 };
 
-/// The retime verdict and synthesis estimate of one compiled kernel.
+/// The stage timing and synthesis estimate of one compiled kernel.
 struct KernelTiming {
   std::string name;
-  dp::RetimeReport retiming;
+  dp::StageTiming stages;
   int stageCount = 0;
   synth::Report est;
 };
@@ -76,7 +76,7 @@ inline Table1 computeTable1() {
   const auto compileAndEstimate = [&t](const char* name) {
     const CompileResult r = compileTable1Kernel(name);
     const synth::Report rep = synth::estimate(r.module);
-    t.timing.push_back({name, r.retiming, r.datapath.stageCount, rep});
+    t.timing.push_back({name, r.datapath.timing, r.datapath.stageCount, rep});
     return rep;
   };
   const auto addRow = [&t](const char* name, const synth::Report& ip, double rocccClock,

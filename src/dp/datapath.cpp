@@ -17,8 +17,8 @@ namespace roccc::dp {
 using mir::Opcode;
 
 // ---------------------------------------------------------------------------
-// Delay model — looked up from synth::TimingModel (the Virtex-II-class table
-// by default); used for latch placement and by the retime pass.
+// Delay model — looked up from the compile's synth::TimingModel (the
+// Virtex-II-class table by default); used for latch placement.
 // ---------------------------------------------------------------------------
 
 bool primitiveForOpcode(Opcode op, BuildOptions::MultStyle style, synth::Primitive& out) {
@@ -73,10 +73,6 @@ double opDelayNs(const synth::TimingModel& model, Opcode op, int width,
   synth::Primitive p;
   if (!primitiveForOpcode(op, style, p)) return 0.0;
   return model.delayNs(p, width);
-}
-
-double opDelayNs(Opcode op, int width, BuildOptions::MultStyle style) {
-  return opDelayNs(synth::TimingModel::virtex2(), op, width, style);
 }
 
 double timedOpDelayNs(const DataPath& d, const DpOp& o, const synth::TimingModel& model,
@@ -138,10 +134,16 @@ std::vector<std::pair<int, int>> csdDigits(int64_t c) {
 
 namespace {
 
+// Staging (defined in the staging section below).
+bool placeLatches(DataPath& d, const std::vector<double>& delay, const BuildOptions& opt,
+                  double clockOverheadNs, DiagEngine& diags);
+void recomputePipelineStats(DataPath& d);
+
 class Builder {
  public:
-  Builder(const mir::FunctionIR& fn, DataPath& out, DiagEngine& diags, const BuildOptions& opt)
-      : fn_(fn), out_(out), diags_(diags), opt_(opt) {}
+  Builder(const mir::FunctionIR& fn, const synth::TimingModel& model, DataPath& out,
+          DiagEngine& diags, const BuildOptions& opt)
+      : fn_(fn), model_(model), out_(out), diags_(diags), opt_(opt) {}
 
   bool run() {
     out_ = DataPath{};
@@ -170,6 +172,7 @@ class Builder {
 
  private:
   const mir::FunctionIR& fn_;
+  const synth::TimingModel& model_;
   DataPath& out_;
   DiagEngine& diags_;
   BuildOptions opt_;
@@ -892,10 +895,9 @@ class Builder {
   void assignStages() {
     std::vector<double> delay(out_.ops.size(), 0);
     for (size_t oi = 0; oi < out_.ops.size(); ++oi) {
-      delay[oi] = timedOpDelayNs(out_, out_.ops[oi], synth::TimingModel::virtex2(),
-                                 opt_.multStyle);
+      delay[oi] = timedOpDelayNs(out_, out_.ops[oi], model_, opt_.multStyle);
     }
-    assignStagesGreedy(out_, delay, opt_.targetStageDelayNs, opt_.pipeline);
+    if (!placeLatches(out_, delay, opt_, model_.clockOverheadNs, diags_)) failed_ = true;
   }
 
   void computeStats() {
@@ -915,8 +917,13 @@ class Builder {
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Staging primitives (shared between the Builder's seed placement and the
-// timing-driven retime pass, src/dp/retime.cpp)
+// Staging: latch placement (section 4.2.3) in one pass over the data path —
+// a greedy ASAP cut, then merging of adjacent stages that fit the budget
+// together, then balancing of boundary ops — all priced on one delay table.
+// Feedback-register semantics hold throughout: every LPR -> SNX cone keeps
+// its ops in one stage (the loop closes through one register per
+// iteration, Fig 7), and a consumer never sits in an earlier stage than its
+// producer (rtl::from_dp relies on it).
 // ---------------------------------------------------------------------------
 
 std::vector<int> topoOrderOps(const DataPath& d) {
@@ -952,6 +959,14 @@ std::vector<int> topoOrderOps(const DataPath& d) {
   return order;
 }
 
+namespace {
+
+constexpr double kEps = 1e-9;
+/// Safety bound on the balance loop (each iteration moves >= 1 op).
+constexpr int kMaxBalanceIterations = 256;
+
+/// Feedback-cone membership: for each op, the index of the feedback register
+/// whose LPR -> SNX cone it belongs to, or -1.
 std::vector<int> feedbackConeOf(const DataPath& d) {
   // Ops on a path LPR -> SNX for the same register must share a stage (the
   // loop closes through one register, Fig 7).
@@ -993,11 +1008,13 @@ std::vector<int> feedbackConeOf(const DataPath& d) {
   return coneOf;
 }
 
+/// Greedy ASAP cut: walks ops in topological order accumulating
+/// within-stage delay, opening a new stage when the budget would be
+/// exceeded, pinning each feedback cone to one stage. Rewrites op
+/// stages/pathDelayNs, stageCount and feedback stages.
 void assignStagesGreedy(DataPath& d, const std::vector<double>& delay, double targetNs,
-                        bool pipeline) {
-  const std::vector<int> order = topoOrderOps(d);
-  const std::vector<int> coneOf = feedbackConeOf(d);
-
+                        bool pipeline, const std::vector<int>& order,
+                        const std::vector<int>& coneOf) {
   if (!pipeline) {
     for (auto& o : d.ops) o.stage = 0;
     d.stageCount = 1;
@@ -1098,12 +1115,228 @@ void assignStagesGreedy(DataPath& d, const std::vector<double>& delay, double ta
       o.pathDelayNs = in + delay[static_cast<size_t>(oi)];
     }
   }
+}
 
-  // Output stages.
+/// Recomputes every op's within-stage accumulated delay and returns the
+/// per-stage worst (the stage's combinational depth, routing included).
+std::vector<double> computeStageDelays(DataPath& d, const std::vector<double>& delay,
+                                       const std::vector<int>& order) {
+  int maxStage = 0;
+  for (const auto& o : d.ops) maxStage = std::max(maxStage, o.stage);
+  std::vector<double> worst(static_cast<size_t>(maxStage) + 1, 0.0);
+  for (auto& o : d.ops) o.pathDelayNs = 0;
+  for (int oi : order) {
+    DpOp& o = d.ops[static_cast<size_t>(oi)];
+    double in = 0;
+    for (int vid : o.operands) {
+      const DpValue& v = d.values[static_cast<size_t>(vid)];
+      if (v.def < 0) continue;
+      const DpOp& defOp = d.ops[static_cast<size_t>(v.def)];
+      if (defOp.op == Opcode::Ldc) continue;
+      if (defOp.stage == o.stage) in = std::max(in, defOp.pathDelayNs);
+    }
+    o.pathDelayNs = in + delay[static_cast<size_t>(oi)];
+    worst[static_cast<size_t>(o.stage)] = std::max(worst[static_cast<size_t>(o.stage)],
+                                                   o.pathDelayNs);
+  }
+  return worst;
+}
+
+/// The smallest budget each op can ever fit in: its own delay, except that a
+/// feedback cone is unsplittable, so every cone member carries the cone's
+/// longest internal path.
+std::vector<double> unsplittableUnits(const DataPath& d, const std::vector<double>& delay,
+                                      const std::vector<int>& order,
+                                      const std::vector<int>& coneOf) {
+  std::vector<double> unit = delay;
+  std::vector<double> acc(d.ops.size(), 0.0); // longest cone-internal chain ending at op
+  std::vector<double> coneWorst(d.feedbacks.size(), 0.0);
+  for (int oi : order) {
+    const int cone = coneOf[static_cast<size_t>(oi)];
+    if (cone < 0) continue;
+    const DpOp& o = d.ops[static_cast<size_t>(oi)];
+    double in = 0;
+    for (int vid : o.operands) {
+      const int def = d.values[static_cast<size_t>(vid)].def;
+      if (def >= 0 && coneOf[static_cast<size_t>(def)] == cone) {
+        in = std::max(in, acc[static_cast<size_t>(def)]);
+      }
+    }
+    acc[static_cast<size_t>(oi)] = in + delay[static_cast<size_t>(oi)];
+    coneWorst[static_cast<size_t>(cone)] =
+        std::max(coneWorst[static_cast<size_t>(cone)], acc[static_cast<size_t>(oi)]);
+  }
+  for (size_t oi = 0; oi < d.ops.size(); ++oi) {
+    if (coneOf[oi] >= 0) unit[oi] = coneWorst[static_cast<size_t>(coneOf[oi])];
+  }
+  return unit;
+}
+
+/// Fuses adjacent stage pairs whose combined path still fits the budget,
+/// rescanning from the front after each fusion until no pair fits (loose
+/// targets collapse to shallow pipelines). Returns the number of fusions.
+int mergeStages(DataPath& d, const std::vector<double>& delay, const std::vector<int>& order,
+                double targetNs) {
+  int merges = 0;
+  bool mergedAny = true;
+  while (mergedAny && d.stageCount > 1) {
+    mergedAny = false;
+    for (int s = 0; s + 1 < d.stageCount; ++s) {
+      std::vector<int> saved(d.ops.size());
+      for (size_t oi = 0; oi < d.ops.size(); ++oi) saved[oi] = d.ops[oi].stage;
+      for (auto& o : d.ops) {
+        if (o.stage > s) o.stage -= 1; // tentatively fuse s+1 into s
+      }
+      const std::vector<double> worst = computeStageDelays(d, delay, order);
+      if (worst[static_cast<size_t>(s)] <= targetNs + kEps) {
+        d.stageCount -= 1;
+        merges += 1;
+        mergedAny = true;
+        break; // rescan from the front with the new numbering
+      }
+      for (size_t oi = 0; oi < d.ops.size(); ++oi) d.ops[oi].stage = saved[oi]; // revert
+    }
+  }
+  return merges;
+}
+
+/// Moves chain-head ops down (and chain-tail ops up) out of the critical
+/// stage while the global worst-stage delay improves. Never changes the
+/// stage count: it trades slack between neighbors, which raises fmax above
+/// the greedy cut at the same depth. Returns the number of moves.
+int balanceStages(DataPath& d, const std::vector<double>& delay, const std::vector<int>& order,
+                  const std::vector<int>& coneOf) {
+  std::vector<std::vector<int>> consumers(d.values.size());
+  for (size_t oi = 0; oi < d.ops.size(); ++oi) {
+    for (int vid : d.ops[oi].operands) {
+      consumers[static_cast<size_t>(vid)].push_back(static_cast<int>(oi));
+    }
+  }
+  int moves = 0;
+  std::vector<double> worst = computeStageDelays(d, delay, order);
+  for (int iter = 0; iter < kMaxBalanceIterations; ++iter) {
+    int critical = 0;
+    for (int s = 1; s < d.stageCount; ++s) {
+      if (worst[static_cast<size_t>(s)] > worst[static_cast<size_t>(critical)]) critical = s;
+    }
+    const double before = worst[static_cast<size_t>(critical)];
+    bool moved = false;
+    for (int oi : order) {
+      DpOp& o = d.ops[static_cast<size_t>(oi)];
+      if (o.stage != critical || coneOf[static_cast<size_t>(oi)] >= 0) continue;
+      if (o.result < 0 || delay[static_cast<size_t>(oi)] <= 0) continue;
+      // Head hoist: every real operand already lives in an earlier stage.
+      bool headOk = critical > 0;
+      // Tail push: every consumer lives in a later stage.
+      bool tailOk = critical + 1 < d.stageCount;
+      for (int vid : o.operands) {
+        const int def = d.values[static_cast<size_t>(vid)].def;
+        if (def < 0 || d.ops[static_cast<size_t>(def)].op == Opcode::Ldc) continue;
+        if (d.ops[static_cast<size_t>(def)].stage >= critical) headOk = false;
+      }
+      for (int c : consumers[static_cast<size_t>(o.result)]) {
+        if (d.ops[static_cast<size_t>(c)].stage <= critical) tailOk = false;
+      }
+      for (int dir = 0; dir < 2 && !moved; ++dir) {
+        const bool hoist = dir == 0;
+        if (hoist ? !headOk : !tailOk) continue;
+        o.stage = hoist ? critical - 1 : critical + 1;
+        std::vector<double> trial = computeStageDelays(d, delay, order);
+        double trialWorst = 0;
+        for (double t : trial) trialWorst = std::max(trialWorst, t);
+        if (trialWorst < before - kEps) {
+          worst = std::move(trial);
+          moves += 1;
+          moved = true;
+        } else {
+          o.stage = critical;
+        }
+      }
+      if (moved) break;
+    }
+    if (!moved) break;
+  }
+  return moves;
+}
+
+/// Places d's pipeline latches on the per-op `delay` table: greedy cut,
+/// merge, balance. Rewrites op stages and path delays, stageCount and the
+/// feedback/output stages, and fills d.timing. Returns false only on a
+/// diagnosed internal inconsistency.
+bool placeLatches(DataPath& d, const std::vector<double>& delay, const BuildOptions& opt,
+                  double clockOverheadNs, DiagEngine& diags) {
+  const double targetNs = opt.targetStageDelayNs;
+  const std::vector<int> order = topoOrderOps(d);
+  const std::vector<int> coneOf = feedbackConeOf(d);
+  StageTiming& rep = d.timing;
+  rep = StageTiming{};
+  rep.targetNs = targetNs;
+
+  assignStagesGreedy(d, delay, targetNs, opt.pipeline, order, coneOf);
+  rep.merges = mergeStages(d, delay, order, targetNs);
+  rep.movedOps = balanceStages(d, delay, order, coneOf);
+
+  // Final bookkeeping: stage count, feedback/output stages, stage delays.
+  int maxStage = 0;
+  for (const auto& o : d.ops) maxStage = std::max(maxStage, o.stage);
+  d.stageCount = maxStage + 1;
+  for (size_t fi = 0; fi < d.feedbacks.size(); ++fi) {
+    d.feedbacks[fi].stage = 0;
+    for (size_t oi = 0; oi < d.ops.size(); ++oi) {
+      if (coneOf[oi] == static_cast<int>(fi)) {
+        d.feedbacks[fi].stage = d.ops[oi].stage;
+        break;
+      }
+    }
+  }
   for (size_t p = 0; p < d.outputs.size(); ++p) {
     const DpValue& v = d.values[static_cast<size_t>(d.outputs[p].value)];
     d.outputStage[p] = v.def >= 0 ? d.ops[static_cast<size_t>(v.def)].stage : 0;
   }
+  rep.stageDelayNs = computeStageDelays(d, delay, order);
+  for (double s : rep.stageDelayNs) rep.worstStageNs = std::max(rep.worstStageNs, s);
+  rep.criticalPathNs = rep.worstStageNs + clockOverheadNs;
+  rep.fmaxMHz = rep.criticalPathNs > 0 ? 1000.0 / rep.criticalPathNs : 0.0;
+  rep.slackNs = targetNs - rep.worstStageNs;
+  // Pipelined, the budget is met unless one unsplittable unit exceeds it;
+  // unpipelined, the one stage has to fit it.
+  if (opt.pipeline) {
+    for (double u : unsplittableUnits(d, delay, order, coneOf)) {
+      if (u > targetNs + kEps) rep.feasible = false;
+    }
+  } else {
+    rep.feasible = rep.worstStageNs <= targetNs + kEps;
+  }
+
+  // Invariant audit: producers before consumers, cones in one stage, a
+  // feasible budget met. A violation here is a compiler bug, not an input
+  // error.
+  for (size_t oi = 0; oi < d.ops.size(); ++oi) {
+    for (int vid : d.ops[oi].operands) {
+      const int def = d.values[static_cast<size_t>(vid)].def;
+      if (def < 0 || d.ops[static_cast<size_t>(def)].op == Opcode::Ldc) continue;
+      if (d.ops[static_cast<size_t>(def)].stage > d.ops[oi].stage) {
+        diags.error({}, fmt("latch placement: op %0 (stage %1) consumes a stage-%2 value", oi,
+                            d.ops[oi].stage, d.ops[static_cast<size_t>(def)].stage));
+        return false;
+      }
+    }
+  }
+  for (size_t fi = 0; fi < d.feedbacks.size(); ++fi) {
+    for (size_t oi = 0; oi < d.ops.size(); ++oi) {
+      if (coneOf[oi] == static_cast<int>(fi) && d.ops[oi].stage != d.feedbacks[fi].stage) {
+        diags.error({}, fmt("latch placement: feedback '%0' cone split across stages",
+                            d.feedbacks[fi].name));
+        return false;
+      }
+    }
+  }
+  if (rep.feasible && rep.worstStageNs > targetNs + kEps) {
+    diags.error({}, fmt("latch placement: feasible target %0 ns missed (worst stage %1 ns)",
+                        targetNs, rep.worstStageNs));
+    return false;
+  }
+  return true;
 }
 
 void recomputePipelineStats(DataPath& d) {
@@ -1133,10 +1366,12 @@ void recomputePipelineStats(DataPath& d) {
   }
 }
 
-bool buildDataPath(const mir::FunctionIR& fn, DataPath& out, DiagEngine& diags,
-                   const BuildOptions& options) {
+} // namespace
+
+bool buildDataPath(const mir::FunctionIR& fn, const synth::TimingModel& model, DataPath& out,
+                   DiagEngine& diags, const BuildOptions& options) {
   faultpoint("dp.build");
-  Builder b(fn, out, diags, options);
+  Builder b(fn, model, out, diags, options);
   return b.run();
 }
 

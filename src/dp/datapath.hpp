@@ -9,8 +9,9 @@
 //  - a PIPE hard node copying live variables past the branch arms (Fig 6
 //    node 6),
 //  - pipeline latch placement driven by per-instruction delay estimation
-//    (section 4.2.3), with the SNX feedback register closing the LPR loop
-//    inside a single stage so the pipeline sustains one iteration per clock,
+//    (section 4.2.3), priced on the compile's synth::TimingModel, with the
+//    SNX feedback register closing the LPR loop inside a single stage so the
+//    pipeline sustains one iteration per clock,
 //  - bit-width inference for every internal signal from port sizes and
 //    opcodes (sections 4.2.4, 5).
 #pragma once
@@ -61,6 +62,23 @@ struct DpNode {
   std::string label;
 };
 
+/// Timing of the placed stages on the compile's timing model. buildDataPath
+/// fills it on every compile, pipelined or not.
+struct StageTiming {
+  double targetNs = 0;       ///< the per-stage budget (--target-ns)
+  int merges = 0;            ///< adjacent stage pairs fused after the greedy cut
+  int movedOps = 0;          ///< balance moves accepted
+  double worstStageNs = 0;   ///< max per-stage combinational delay
+  double criticalPathNs = 0; ///< worstStageNs + model clock overhead
+  double fmaxMHz = 0;        ///< 1000 / criticalPathNs
+  double slackNs = 0;        ///< targetNs - worstStageNs (negative: missed)
+  /// True when the budget is achievable at all: no single primitive (or
+  /// unsplittable feedback cone) exceeds targetNs, and with pipelining off
+  /// the one stage fits. Whenever feasible, worstStageNs <= targetNs.
+  bool feasible = true;
+  std::vector<double> stageDelayNs; ///< per-stage combinational delay
+};
+
 struct DataPath {
   std::string name;
   std::vector<DpNode> nodes;
@@ -90,6 +108,7 @@ struct DataPath {
   std::vector<mir::FunctionIR::Table> tables;
 
   int stageCount = 1;
+  StageTiming timing;
 
   // --- statistics (drive reports and the Table 1 area discussion) ---
   int softNodeCount = 0;
@@ -113,7 +132,9 @@ struct DataPath {
 
 struct BuildOptions {
   /// Target combinational delay per pipeline stage. Latches are placed so
-  /// no stage exceeds it (except a feedback loop that cannot be split).
+  /// no stage exceeds it (except a feedback loop that cannot be split),
+  /// then adjacent stages that fit it together are merged and boundary ops
+  /// moved to lower the worst stage.
   double targetStageDelayNs = 4.0;
   bool pipeline = true;        ///< place latches (off: single stage)
   /// How internal signals are narrowed:
@@ -140,8 +161,6 @@ bool primitiveForOpcode(mir::Opcode op, BuildOptions::MultStyle style, synth::Pr
 /// synthesis model. Shl/Shr with width 0 signal a constant shift (free).
 double opDelayNs(const synth::TimingModel& model, mir::Opcode op, int width,
                  BuildOptions::MultStyle style);
-/// Same, against the built-in Virtex-II-class table.
-double opDelayNs(mir::Opcode op, int width, BuildOptions::MultStyle style);
 
 /// Placed delay of one op (ns): operand-aware width selection (comparisons
 /// span their operands, constant shift amounts are free wiring) plus the
@@ -153,26 +172,11 @@ double timedOpDelayNs(const DataPath& d, const DpOp& o, const synth::TimingModel
 /// InternalCompilerError if the op graph has a combinational cycle.
 std::vector<int> topoOrderOps(const DataPath& d);
 
-/// Feedback-cone membership: for each op, the index of the feedback register
-/// whose LPR -> SNX cone it belongs to, or -1. All ops of one cone must
-/// share a pipeline stage (the loop closes through one register, Fig 7).
-std::vector<int> feedbackConeOf(const DataPath& d);
-
-/// Greedy ASAP latch placement: walks ops in topological order accumulating
-/// within-stage delay from `delay` (indexed by op), opening a new stage when
-/// the budget would be exceeded, pinning each feedback cone to one stage.
-/// Rewrites op stages/pathDelayNs, stageCount, feedback stages and output
-/// stages. The `retime` pass refines this seed placement.
-void assignStagesGreedy(DataPath& d, const std::vector<double>& delay, double targetNs,
-                        bool pipeline);
-
-/// Recomputes the stage-crossing register statistics (pipelineRegisterBits,
-/// balanceRegisterBits) from the current op stages.
-void recomputePipelineStats(DataPath& d);
-
-/// Builds the data path from SSA MIR. Requires: canonicalizeSideEffects ran
-/// before buildSSA; verifySSA holds. Returns false on diagnosed failure.
-bool buildDataPath(const mir::FunctionIR& fn, DataPath& out, DiagEngine& diags,
-                   const BuildOptions& options = {});
+/// Builds the data path from SSA MIR and places its pipeline latches,
+/// pricing every op on `model`, and fills out.timing. Requires:
+/// canonicalizeSideEffects ran before buildSSA; verifySSA holds. Returns
+/// false on diagnosed failure.
+bool buildDataPath(const mir::FunctionIR& fn, const synth::TimingModel& model, DataPath& out,
+                   DiagEngine& diags, const BuildOptions& options = {});
 
 } // namespace roccc::dp

@@ -17,7 +17,7 @@ namespace roccc {
 
 // Bump on any change to code generation, key derivation, or the entry
 // serialization below. Old tier-2 stores then read as silent misses.
-const char* const kCacheSchema = "roccc-cache-v5";
+const char* const kCacheSchema = "roccc-cache-v6";
 
 // --- key derivation ----------------------------------------------------------
 

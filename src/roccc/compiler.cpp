@@ -191,8 +191,18 @@ PassManager Compiler::buildPipeline() const {
   optPass.alwaysVerify = true;
   pm.addPass(std::move(optPass));
 
+  // Data-path construction with latch placement priced on the compile's
+  // timing model (the built-in table unless --timing-model overrides it).
   pm.addPass({"build-datapath", PassLayer::Dp, [](PassContext& ctx, PassStatistics& st) {
-                if (!dp::buildDataPath(ctx.result.mir, ctx.result.datapath, ctx.diags(),
+                synth::TimingModel storage;
+                std::string parseError;
+                const synth::TimingModel* model = synth::TimingModel::resolve(
+                    ctx.options.timingModelSpec, storage, parseError);
+                if (!model) {
+                  ctx.diags().error({}, "timing-model: " + parseError);
+                  return false;
+                }
+                if (!dp::buildDataPath(ctx.result.mir, *model, ctx.result.datapath, ctx.diags(),
                                        ctx.options.dpOptions)) {
                   return false;
                 }
@@ -203,40 +213,13 @@ PassManager Compiler::buildPipeline() const {
                 st.add("narrowed-bits", d.narrowedBits);
                 st.add("pipeline-register-bits", d.pipelineRegisterBits);
                 st.add("mux-ops", d.muxOpCount);
+                st.add("merges", d.timing.merges);
+                st.add("moved-ops", d.timing.movedOps);
+                st.add("worst-stage-ps", static_cast<int64_t>(d.timing.worstStageNs * 1000 + 0.5));
+                st.add("fmax-khz", static_cast<int64_t>(d.timing.fmaxMHz * 1000 + 0.5));
+                st.add("feasible", d.timing.feasible ? 1 : 0);
                 return true;
               }});
-  // Timing-driven pipeline balancing: re-stage the data path against the
-  // (possibly overridden) synth::TimingModel, merge under-full stages and
-  // spread slack so the worst stage — hence achieved fmax — improves over
-  // the greedy seed placement.
-  Pass retimePass{"retime", PassLayer::Dp, [](PassContext& ctx, PassStatistics& st) {
-                    synth::TimingModel storage;
-                    std::string parseError;
-                    const synth::TimingModel* model = synth::TimingModel::resolve(
-                        ctx.options.timingModelSpec, storage, parseError);
-                    if (!model) {
-                      ctx.diags().error({}, "timing-model: " + parseError);
-                      return false;
-                    }
-                    dp::RetimeOptions ro;
-                    ro.targetNs = ctx.options.dpOptions.targetStageDelayNs;
-                    ro.multStyle = ctx.options.dpOptions.multStyle;
-                    if (!dp::retimePipeline(ctx.result.datapath, *model, ro,
-                                            ctx.result.retiming, ctx.diags())) {
-                      return false;
-                    }
-                    const auto& rr = ctx.result.retiming;
-                    st.add("stages-before", rr.stagesBefore);
-                    st.add("stages-after", rr.stagesAfter);
-                    st.add("merges", rr.merges);
-                    st.add("moved-ops", rr.movedOps);
-                    st.add("worst-stage-ps", static_cast<int64_t>(rr.worstStageNs * 1000 + 0.5));
-                    st.add("fmax-khz", static_cast<int64_t>(rr.fmaxMHz * 1000 + 0.5));
-                    st.add("feasible", rr.feasible ? 1 : 0);
-                    return true;
-                  }};
-  retimePass.enabled = opts.retimePipeline && opts.dpOptions.pipeline;
-  pm.addPass(std::move(retimePass));
   Pass rtlPass{"build-rtl", PassLayer::Rtl, [](PassContext& ctx, PassStatistics& st) {
                  if (!rtl::buildDatapathModule(ctx.result.datapath, ctx.result.module,
                                                ctx.diags())) {

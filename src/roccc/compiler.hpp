@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "dp/datapath.hpp"
-#include "dp/retime.hpp"
 #include "frontend/ast.hpp"
 #include "hlir/kernel.hpp"
 #include "mir/ir.hpp"
@@ -63,11 +62,6 @@ struct CompileOptions {
   /// Data-path generation knobs (pipelining target, bit-width inference,
   /// multiplier style).
   dp::BuildOptions dpOptions;
-  /// Timing-driven pipeline balancing (the `retime` pass): rebalance the
-  /// greedy seed staging against the timing model so every stage fits
-  /// dpOptions.targetStageDelayNs with slack spread evenly. Off = keep the
-  /// fixed greedy staging (the pre-retiming behavior; ablation knob).
-  bool retimePipeline = true;
   /// Timing-model override: the *contents* of a --timing-model file (not
   /// its path, so a compile stays a pure function of (source, options) —
   /// the cache-key contract). Empty = the built-in Virtex-II-class table.
@@ -97,10 +91,7 @@ struct CompileResult {
   DiagEngine diags;
   hlir::KernelInfo kernel;
   mir::FunctionIR mir;
-  dp::DataPath datapath;
-  /// Timing report of the retime pass (run == false when the pass was
-  /// disabled or the compile failed before it).
-  dp::RetimeReport retiming;
+  dp::DataPath datapath; ///< its `timing` is the stage-timing report
   rtl::Module module;
   std::string vhdl; ///< generated RTL VHDL (all entities)
   /// SHA-256 hex of `vhdl`, or empty when no producer computed it. The

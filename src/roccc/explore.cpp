@@ -167,7 +167,7 @@ cli::OptionSpec sweepAxisFlag(OptionId id, SweepGrid& grid, const char* help) {
 namespace {
 
 /// "fir@u2/ns4" plus one tag per option off its compiler default, in
-/// kSweepOptions order (a bool option's tag is its flag, "noretime"; an
+/// kSweepOptions order (a bool option's tag is its flag, "nopipeline"; an
 /// enum option's its token, "paper"), then the geometry ("bus2", "naive").
 /// Duplicate configs produce duplicate labels, but those are exactly the
 /// points dedup removes.
@@ -184,7 +184,7 @@ std::string pointLabel(const SweepPoint& p) {
     const json::Value v = optionToJson(row, o);
     if (v.dump() == optionToJson(row, kDefaults).dump()) continue;
     std::string tag = row.kind == OptionKind::Enum ? v.asString() : std::string(row.flag);
-    std::erase(tag, '-'); // "--no-retime" -> "noretime"
+    std::erase(tag, '-'); // "--no-pipeline" -> "nopipeline"
     label += "/" + tag;
   }
   if (p.busElems != 1) label += fmt("/bus%0", p.busElems);

@@ -6,7 +6,7 @@
 // into a first-class, deterministic batch job:
 //
 //   SweepGrid      declares the axes: kernels x the kSweepOptions rows of
-//                  the option table (unroll, target-ns, retime, width-mode,
+//                  the option table (unroll, target-ns, pipeline, width-mode,
 //                  ...) x smart-buffer/bus geometry.
 //   expandGrid     crosses every axis into a flat job list, sets each
 //                  point's CompileOptions through the rows, and deduplicates
@@ -65,13 +65,12 @@ class CompileCache;
 /// is the outermost loop). Each is a row of the option table, so a value
 /// means at a sweep what it means at every other front door.
 inline constexpr OptionId kSweepOptions[] = {
-    OptionId::Unroll,     OptionId::AutoUnrollBudget, OptionId::TargetNs,
-    OptionId::Retime,     OptionId::Pipeline,         OptionId::Optimize,
-    OptionId::LutConvert, OptionId::WidthMode,        OptionId::MultStyle,
+    OptionId::Unroll,   OptionId::AutoUnrollBudget, OptionId::TargetNs,   OptionId::Pipeline,
+    OptionId::Optimize, OptionId::LutConvert,       OptionId::WidthMode,  OptionId::MultStyle,
 };
 
 /// The grid-file directive of sweep option `id`: its row's CLI flag without
-/// the leading "--" and "no-" ("unroll", "retime", "lut-convert", ...).
+/// the leading "--" and "no-" ("unroll", "pipeline", "lut-convert", ...).
 std::string_view sweepDirective(OptionId id);
 
 /// The sweep grid: kernels x option axes x smart-buffer geometry. An option

@@ -53,7 +53,7 @@ constexpr OptionRow kRows[] = {
      .help = "skip the circuit-level scalar optimizations (CSE, DCE, ...)", .kind = K::Bool,
      .field = ROCCC_FIELD(optimize)},
     {.id = OptionId::TargetNs, .key = "targetNs", .flag = "--target-ns", .valueName = "X",
-     .help = "pipeline stage delay target in ns (default 4.0); retime balances to it",
+     .help = "pipeline stage delay target in ns (default 4.0); latches are placed to it",
      .kind = K::PositiveDouble, .field = ROCCC_FIELD(dpOptions.targetStageDelayNs)},
     {.id = OptionId::Pipeline, .key = "pipeline", .flag = "--no-pipeline",
      .help = "single combinational stage (no pipelining)", .kind = K::Bool,
@@ -64,9 +64,6 @@ constexpr OptionRow kRows[] = {
     {.id = OptionId::MultStyle, .key = "multStyle", .flag = "--mult-style", .valueName = "S",
      .help = "multiplier style: 'lut' (default) or 'mult18'", .kind = K::Enum,
      .tokens = kMultStyles, .field = ROCCC_FIELD(dpOptions.multStyle)},
-    {.id = OptionId::Retime, .key = "retime", .flag = "--no-retime",
-     .help = "disable the timing-driven retime pass (fixed greedy staging)", .kind = K::Bool,
-     .field = ROCCC_FIELD(retimePipeline)},
     {.id = OptionId::TimingModel, .key = "timingModel", .flag = "--timing-model",
      .valueName = "FILE",
      .help = "per-primitive delay/area/energy table (docs/SYNTHESIS.md format)",

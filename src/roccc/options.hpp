@@ -41,7 +41,6 @@ enum class OptionId {
   Pipeline,
   WidthMode,
   MultStyle,
-  Retime,
   TimingModel,
   Verilog,
   VerifyEach,

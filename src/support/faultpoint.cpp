@@ -17,7 +17,6 @@ const std::vector<FaultPointInfo>& faultPointRegistry() {
       {"mir.ssa", "ssa-build"},                  // buildSSA (mir/ssa.cpp)
       {"mir.optimize", "mir-optimize"},          // runStandardPasses fixpoint (mir/passes.cpp)
       {"dp.build", "build-datapath"},            // buildDataPath (dp/datapath.cpp)
-      {"dp.retime", "retime"},                   // retimePipeline (dp/retime.cpp)
       {"rtl.elaborate", "build-rtl"},            // buildDatapathModule (rtl/from_dp.cpp)
       {"vhdl.emit", "emit-vhdl"},                // vhdl::emitDesign (vhdl/emit.cpp)
       {"verilog.emit", "emit-verilog"},          // verilog::emitDesign (vhdl/verilog.cpp)

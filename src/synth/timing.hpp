@@ -4,9 +4,9 @@
 //
 //   * estimation (src/synth/estimate.cpp prices RTL cells from these rows
 //     instead of hand-rolled constants), and
-//   * optimization (the dp-level staging and the timing-driven `retime`
-//     pass place pipeline registers so every stage's combinational delay
-//     fits the --target-ns budget).
+//   * optimization (the dp-level latch placement in build-datapath puts
+//     pipeline registers so every stage's combinational delay fits the
+//     --target-ns budget).
 //
 // The built-in table is a Virtex-II-class characterization (xc2v2000,
 // speed grade -5 ballpark — the device the paper evaluated on with ISE

@@ -119,15 +119,15 @@ TEST(CacheKey, DefaultOptionsCanonicalTextIsPinned) {
   EXPECT_EQ(canonicalizeOptions({}),
             "{\"kernel\":\"\",\"unroll\":1,\"autoUnrollBudget\":0,\"fullUnroll\":true,"
             "\"lutConvert\":true,\"optimize\":true,\"targetNs\":4,\"pipeline\":true,"
-            "\"widthMode\":\"range\",\"multStyle\":\"lut\",\"retime\":true,"
-            "\"timingModel\":\"\",\"verilog\":false,\"verifyEach\":false,\"timeoutMs\":0,"
+            "\"widthMode\":\"range\",\"multStyle\":\"lut\",\"timingModel\":\"\","
+            "\"verilog\":false,\"verifyEach\":false,\"timeoutMs\":0,"
             "\"maxIrNodes\":0,\"maxUnrollProduct\":0,\"maxDepth\":256,\"injectFault\":\"\"}");
-  EXPECT_STREQ(kCacheSchema, "roccc-cache-v5");
+  EXPECT_STREQ(kCacheSchema, "roccc-cache-v6");
 }
 
 TEST(CacheKey, TimingOptionsPartitionHitsButStayByteIdenticalWithinKey) {
-  // Two stage-delay targets are two distinct cache entries (retiming places
-  // registers differently), and a repeat of either target is a warm hit
+  // Two stage-delay targets are two distinct cache entries (latch placement
+  // puts registers differently), and a repeat of either target is a warm hit
   // serving byte-identical VHDL.
   CompileOptions loose;
   loose.dpOptions.targetStageDelayNs = 12.0;

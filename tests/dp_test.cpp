@@ -42,7 +42,7 @@ FunctionIR toSsaMir(const std::string& src, const std::string& fn, bool optimize
 DataPath buildDp(const FunctionIR& f, BuildOptions opt = {}) {
   DataPath dp;
   DiagEngine diags;
-  EXPECT_TRUE(buildDataPath(f, dp, diags, opt)) << diags.dump();
+  EXPECT_TRUE(buildDataPath(f, synth::TimingModel::virtex2(), dp, diags, opt)) << diags.dump();
   return dp;
 }
 

@@ -4,7 +4,7 @@
 //                   disk cache directory: the second pass must report
 //                   nonzero hits and produce byte-identical reports (the
 //                   cache can never change what a sweep observes).
-//   ExploreFault  — fault injection at dp.retime and frontend.parse: the
+//   ExploreFault  — fault injection at dp.build and frontend.parse: the
 //                   armed point comes back as a typed outcome row in the
 //                   JSON without aborting the sweep, and every sibling
 //                   point's metrics are unaffected.
@@ -104,11 +104,11 @@ SweepResult sweepWithFaultAt(const std::string& label, const std::string& faultP
   return runSweep(points, SweepOptions{});
 }
 
-TEST(ExploreFault, RetimeFaultIsATypedRowSiblingsUnaffected) {
+TEST(ExploreFault, DatapathFaultIsATypedRowSiblingsUnaffected) {
   const SweepResult clean = runSweep(smallGrid(), SweepOptions{});
   ASSERT_EQ(clean.failedCount(), 0) << clean.outcomeSummary();
 
-  const SweepResult faulted = sweepWithFaultAt("fir@u2/ns4", "dp.retime");
+  const SweepResult faulted = sweepWithFaultAt("fir@u2/ns4", "dp.build");
   ASSERT_EQ(faulted.points.size(), clean.points.size());
   int failed = 0;
   for (size_t i = 0; i < faulted.points.size(); ++i) {
@@ -151,7 +151,7 @@ TEST(ExploreFault, FaultedSweepAgainstACacheDoesNotPoisonIt) {
   auto cache = std::make_shared<CompileCache>(CacheConfig{});
   std::vector<SweepPoint> points = expandGrid(smallGrid());
   for (auto& p : points) {
-    if (p.label == "fir@u1/ns4") p.options.injectFaultAt = "dp.retime";
+    if (p.label == "fir@u1/ns4") p.options.injectFaultAt = "dp.build";
   }
   SweepOptions opt;
   opt.cache = cache;

@@ -59,7 +59,7 @@ TEST(ExploreGrid, SingleKernelDefaultGridIsOneCompile) {
   // With no target axis, a kernel without a default gets the BuildOptions one.
   EXPECT_DOUBLE_EQ(points[0].options.dpOptions.targetStageDelayNs, 4.0);
   EXPECT_EQ(pointConfigJson(points[0]),
-            "{\"unroll\": 1, \"autoUnrollBudget\": 0, \"targetNs\": 4, \"retime\": true, "
+            "{\"unroll\": 1, \"autoUnrollBudget\": 0, \"targetNs\": 4, "
             "\"pipeline\": true, \"optimize\": true, \"lutConvert\": true, "
             "\"widthMode\": \"range\", \"multStyle\": \"lut\", \"busElems\": 1, "
             "\"smartBuffer\": true}");
@@ -106,19 +106,17 @@ TEST(ExploreGrid, PerKernelDefaultTargetResolvesThroughZero) {
 
 TEST(ExploreGrid, OptionCanonicalizationReachesCompileOptions) {
   SweepGrid grid = firGrid();
-  setAxis(grid, OptionId::Retime, {"off"});
   setAxis(grid, OptionId::Pipeline, {"off"});
   setAxis(grid, OptionId::WidthMode, {"declared"});
   setAxis(grid, OptionId::MultStyle, {"mult18"});
   const auto points = expandGrid(grid);
   ASSERT_EQ(points.size(), 1u);
   const CompileOptions& o = points[0].options;
-  EXPECT_FALSE(o.retimePipeline);
   EXPECT_FALSE(o.dpOptions.pipeline);
   EXPECT_EQ(o.dpOptions.widthMode, dp::BuildOptions::WidthMode::Declared);
   EXPECT_EQ(o.dpOptions.multStyle, dp::BuildOptions::MultStyle::Mult18);
   // A bool option's tag is its flag, an enum option's its token.
-  EXPECT_EQ(points[0].label, "fir@u1/ns4/noretime/nopipeline/declared/mult18");
+  EXPECT_EQ(points[0].label, "fir@u1/ns4/nopipeline/declared/mult18");
 }
 
 TEST(ExploreGrid, LabelsTellCloseTargetsApart) {
@@ -139,9 +137,8 @@ TEST(ExploreGrid, DirectivesAreTheRowFlags) {
   std::vector<std::string> directives;
   for (OptionId id : kSweepOptions) directives.emplace_back(sweepDirective(id));
   EXPECT_EQ(directives,
-            (std::vector<std::string>{"unroll", "auto-unroll-budget", "target-ns", "retime",
-                                      "pipeline", "optimize", "lut-convert", "width-mode",
-                                      "mult-style"}));
+            (std::vector<std::string>{"unroll", "auto-unroll-budget", "target-ns", "pipeline",
+                                      "optimize", "lut-convert", "width-mode", "mult-style"}));
 }
 
 TEST(ExploreGrid, GeometryVariesThePointButNotTheCompileKey) {
@@ -221,8 +218,7 @@ TEST(ExploreManifest, ParsesEveryDirective) {
       "unroll 1,2 4\n"
       "auto-unroll-budget 0 1000\n"
       "target-ns 0,8\n"
-      "retime on off\n"
-      "pipeline on\n"
+      "pipeline on off\n"
       "optimize on\n"
       "lut-convert off\n"
       "width-mode declared paper range\n"
@@ -241,8 +237,7 @@ TEST(ExploreManifest, ParsesEveryDirective) {
   EXPECT_EQ(axisText(m.grid, OptionId::Unroll), "1,2,4");
   EXPECT_EQ(axisText(m.grid, OptionId::AutoUnrollBudget), "0,1000");
   EXPECT_EQ(axisText(m.grid, OptionId::TargetNs), "0,8");
-  EXPECT_EQ(axisText(m.grid, OptionId::Retime), "true,false");
-  EXPECT_EQ(axisText(m.grid, OptionId::Pipeline), "true");
+  EXPECT_EQ(axisText(m.grid, OptionId::Pipeline), "true,false");
   EXPECT_EQ(axisText(m.grid, OptionId::Optimize), "true");
   EXPECT_EQ(axisText(m.grid, OptionId::LutConvert), "false");
   EXPECT_EQ(axisText(m.grid, OptionId::WidthMode), "\"declared\",\"paper\",\"range\"");
@@ -272,7 +267,7 @@ TEST(ExploreManifest, ErrorsCarryLineNumbers) {
   EXPECT_FALSE(parseSweepManifest("unroll 1 zero\n", m, error));
   EXPECT_TRUE(error.rfind("line 1:", 0) == 0) << error;
 
-  EXPECT_FALSE(parseSweepManifest("retime maybe\n", m, error));
+  EXPECT_FALSE(parseSweepManifest("pipeline maybe\n", m, error));
   EXPECT_TRUE(error.rfind("line 1:", 0) == 0) << error;
 
   EXPECT_FALSE(parseSweepManifest("kernel tap3\n", m, error));

@@ -73,7 +73,6 @@ std::vector<Sample> samples() {
       {OptionId::Pipeline, "", Value::boolean(false)},
       {OptionId::WidthMode, "paper", Value::string("paper")},
       {OptionId::MultStyle, "mult18", Value::string("mult18")},
-      {OptionId::Retime, "", Value::boolean(false)},
       {OptionId::TimingModel, kSlowModel, Value::string(kSlowModel)},
       {OptionId::Verilog, "k.v", Value::boolean(true)},
       {OptionId::VerifyEach, "", Value::boolean(true)},
@@ -182,7 +181,7 @@ TEST(OptionTable, SweepAxesRejectWhatTheirRowsReject) {
   SweepGrid grid;
   EXPECT_TRUE(parseOneFlag(sweepAxisFlag(OptionId::TargetNs, grid, ""), "0,2.5", error)) << error;
   // Bool options take on/off.
-  EXPECT_FALSE(parseSweepManifest("retime yes\n", m, error));
+  EXPECT_FALSE(parseSweepManifest("pipeline yes\n", m, error));
   EXPECT_NE(error.find("must be on or off"), std::string::npos) << error;
 }
 

@@ -51,8 +51,7 @@ TEST(Pipeline, DeclaredPassOrdering) {
       "parse",          "lut-convert",        "inline",     "const-fold",
       "fuse-loops",     "unroll-inner-full",  "unroll",     "extract-kernel",
       "lower-mir",      "canonicalize-effects", "ssa-build", "mir-optimize",
-      "build-datapath", "retime",             "build-rtl",  "emit-vhdl",
-      "emit-verilog",
+      "build-datapath", "build-rtl",          "emit-vhdl",  "emit-verilog",
   };
   EXPECT_EQ(names, expected);
 }

@@ -242,13 +242,13 @@ TEST(ServiceNetOptions, SemanticFieldsApplyOverBase) {
   Value o = Value::object();
   o.set("unroll", Value::number(int64_t{4}));
   o.set("targetNs", Value::number(7.5));
-  o.set("retime", Value::boolean(false));
+  o.set("pipeline", Value::boolean(false));
   o.set("multStyle", Value::string("mult18"));
   o.set("kernel", Value::string("fir"));
   ASSERT_TRUE(compileOptionsFromJson(o, base, {}, out, error)) << error;
   EXPECT_EQ(out.unrollFactor, 4);
   EXPECT_EQ(out.dpOptions.targetStageDelayNs, 7.5);
-  EXPECT_FALSE(out.retimePipeline);
+  EXPECT_FALSE(out.dpOptions.pipeline);
   EXPECT_EQ(out.dpOptions.multStyle, dp::BuildOptions::MultStyle::Mult18);
   EXPECT_EQ(out.kernelName, "fir");
 }

@@ -164,13 +164,13 @@ TEST(TimingModel, DpOpDelayDelegatesToBuiltinModel) {
   using dp::BuildOptions;
   const TimingModel& m = TimingModel::virtex2();
   for (int w : {8, 16, 32}) {
-    EXPECT_DOUBLE_EQ(dp::opDelayNs(mir::Opcode::Add, w, BuildOptions::MultStyle::Lut),
-                     dp::opDelayNs(m, mir::Opcode::Add, w, BuildOptions::MultStyle::Lut));
-    EXPECT_DOUBLE_EQ(dp::opDelayNs(mir::Opcode::Mul, w, BuildOptions::MultStyle::Lut),
+    EXPECT_DOUBLE_EQ(dp::opDelayNs(m, mir::Opcode::Add, w, BuildOptions::MultStyle::Lut),
+                     m.delayNs(Primitive::Add, w));
+    EXPECT_DOUBLE_EQ(dp::opDelayNs(m, mir::Opcode::Mul, w, BuildOptions::MultStyle::Lut),
                      m.delayNs(Primitive::MulLut, w));
-    EXPECT_DOUBLE_EQ(dp::opDelayNs(mir::Opcode::Mul, w, BuildOptions::MultStyle::Mult18),
+    EXPECT_DOUBLE_EQ(dp::opDelayNs(m, mir::Opcode::Mul, w, BuildOptions::MultStyle::Mult18),
                      m.delayNs(Primitive::Mul18, w));
-    EXPECT_DOUBLE_EQ(dp::opDelayNs(mir::Opcode::Slt, w, BuildOptions::MultStyle::Lut),
+    EXPECT_DOUBLE_EQ(dp::opDelayNs(m, mir::Opcode::Slt, w, BuildOptions::MultStyle::Lut),
                      m.delayNs(Primitive::Cmp, w));
   }
 }

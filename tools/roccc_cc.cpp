@@ -93,7 +93,6 @@ std::vector<roccc::cli::OptionSpec> optionList(Args& a) {
       compile(OptionId::Unroll),
       compile(OptionId::TargetNs),
       compile(OptionId::TimingModel),
-      compile(OptionId::Retime),
       compile(OptionId::MultStyle),
       compile(OptionId::Pipeline),
       compile(OptionId::WidthMode),
@@ -386,10 +385,9 @@ int main(int argc, char** argv) {
     if (r.ok) {
       const auto est =
           roccc::synth::estimate(r.module, roccc::synth::EstimateOptions::forModel(timingModel));
-      const auto& rt = r.retiming;
+      const auto& rt = r.datapath.timing;
       std::ostringstream t;
       t << "\"timing\": {\"targetNs\": " << a.options.dpOptions.targetStageDelayNs
-        << ", \"retimed\": " << (rt.run ? "true" : "false")
         << ", \"stages\": " << r.datapath.stageCount << ", \"worstStageNs\": " << rt.worstStageNs
         << ", \"criticalPathNs\": " << est.criticalPathNs << ", \"fmaxMHz\": " << est.fmaxMHz()
         << ", \"slackNs\": " << rt.slackNs << ", \"feasible\": " << (rt.feasible ? "true" : "false")
@@ -488,13 +486,11 @@ int main(int argc, char** argv) {
                 static_cast<int>(r.datapath.nodes.size()), r.datapath.softNodeCount,
                 r.datapath.hardNodeCount, r.datapath.stageCount,
                 static_cast<long long>(r.datapath.narrowedBits));
-    if (r.retiming.run) {
-      std::printf("retiming: %d -> %d stages @ %.2f ns target (worst stage %.2f ns, "
-                  "slack %+.2f ns, modeled fmax %.1f MHz, %s)\n",
-                  r.retiming.stagesBefore, r.retiming.stagesAfter, r.retiming.targetNs,
-                  r.retiming.worstStageNs, r.retiming.slackNs, r.retiming.fmaxMHz,
-                  r.retiming.feasible ? "feasible" : "infeasible target");
-    }
+    const auto& rt = r.datapath.timing;
+    std::printf("stage timing: %d stages @ %.2f ns target (worst stage %.2f ns, slack %+.2f ns, "
+                "modeled fmax %.1f MHz, %s)\n",
+                r.datapath.stageCount, rt.targetNs, rt.worstStageNs, rt.slackNs, rt.fmaxMHz,
+                rt.feasible ? "feasible" : "infeasible target");
     const auto rep =
         roccc::synth::estimate(r.module, roccc::synth::EstimateOptions::forModel(timingModel));
     std::printf("synthesis estimate (xc2v2000-5): %s\n", rep.summary().c_str());

@@ -78,7 +78,6 @@ std::vector<roccc::cli::OptionSpec> optionList(Args& a) {
       compile(OptionId::Kernel),
       compile(OptionId::Unroll),
       compile(OptionId::TargetNs, "pipeline stage delay target in ns"),
-      compile(OptionId::Retime, "disable the timing-driven retime pass"),
       compile(OptionId::MultStyle, "multiplier style: 'lut' or 'mult18'"),
       compile(OptionId::Pipeline),
       compile(OptionId::WidthMode),
