@@ -16,7 +16,6 @@
 
 #include <cstdlib>
 #include <memory>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "roccc/cache.hpp"
 #include "roccc/compiler.hpp"
 #include "roccc/driver.hpp"
+#include "support/rng.hpp"
 
 namespace roccc {
 namespace {
@@ -128,19 +128,18 @@ TEST(DriverStress, CacheToggledBatchesMatchSerialUncachedReference) {
   const BatchResult reference = CompileService(1).compileBatch(distinct);
 
   auto cache = std::make_shared<CompileCache>();
-  std::mt19937_64 rng(0x70991eull); // fixed seed; toggling must not matter
+  SplitMix64 rng(0x70991eull); // fixed seed; toggling must not matter
   for (int round = 0; round < 6; ++round) {
     // Each round draws ~2x the distinct set with repeats.
     std::vector<CompileJob> jobs;
     std::vector<size_t> origin;
-    std::uniform_int_distribution<size_t> pick(0, distinct.size() - 1);
     for (size_t n = 0; n < distinct.size() * 2; ++n) {
-      const size_t i = pick(rng);
+      const auto i = static_cast<size_t>(rng.inRange(0, static_cast<int64_t>(distinct.size()) - 1));
       jobs.push_back(distinct[i]);
       origin.push_back(i);
     }
     CompileService service(kWorkers);
-    const bool cached = round % 2 == 1 || (rng() & 1);
+    const bool cached = round % 2 == 1 || (rng.next() & 1);
     if (cached) service.setCache(cache);
 
     const BatchResult batch = service.compileBatch(jobs);

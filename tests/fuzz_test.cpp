@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <optional>
-#include <random>
 #include <string_view>
 
 #include "../bench/kernels.hpp"
@@ -138,8 +137,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzEngineConfigSweep, ::testing::Values(7, 14, 
 class Fuzz2DSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(Fuzz2DSweep, TwoDimensionalKernelsMatch) {
-  std::mt19937_64 rng(GetParam() * 31337);
-  auto pick = [&](int n) { return static_cast<int>(rng() % static_cast<uint64_t>(n)); };
+  SplitMix64 rng(GetParam() * 31337);
+  auto pick = [&](int n) { return static_cast<int>(rng.inRange(0, n - 1)); };
   for (int round = 0; round < 4; ++round) {
     const int wr = 1 + pick(3); // window rows 1..3
     const int wc = 1 + pick(3); // window cols 1..3
@@ -175,8 +174,9 @@ void k(const %0 X[%1][%2], int32 Y[%3][%4]) {
 )", elemTy.str(), inR, inC, rows, cols, expr);
 
     interp::KernelIO in;
-    std::uniform_int_distribution<int64_t> dist(elemTy.minValue(), elemTy.maxValue());
-    for (int i = 0; i < inR * inC; ++i) in.arrays["X"].push_back(dist(rng));
+    for (int i = 0; i < inR * inC; ++i) {
+      in.arrays["X"].push_back(rng.inRange(elemTy.minValue(), elemTy.maxValue()));
+    }
 
     Compiler c;
     const CompileResult r = c.compileSource(src);

@@ -6,10 +6,10 @@
 // reference compiles byte-for-byte.
 #pragma once
 
-#include <random>
 #include <string>
 
 #include "interp/interp.hpp"
+#include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "support/value.hpp"
 
@@ -76,19 +76,20 @@ class KernelFuzzer {
 )", elemTy.str(), inLen, iters, stmts, helper, useFeedback_ ? "int32 s = 0;\n" : "",
         useCallee_ ? "  int32 u;\n" : "");
 
-    std::uniform_int_distribution<int64_t> dist(elemTy.minValue(), elemTy.maxValue());
-    for (int i = 0; i < inLen; ++i) g.inputs.arrays["A"].push_back(dist(rng_));
+    for (int i = 0; i < inLen; ++i) {
+      g.inputs.arrays["A"].push_back(rng_.inRange(elemTy.minValue(), elemTy.maxValue()));
+    }
     return g;
   }
 
  private:
-  std::mt19937_64 rng_;
+  SplitMix64 rng_;
   bool useFeedback_ = false;
   bool useBranch_ = false;
   bool useInduction_ = false;
   bool useCallee_ = false;
 
-  int pick(int n) { return static_cast<int>(rng_() % static_cast<uint64_t>(n)); }
+  int pick(int n) { return static_cast<int>(rng_.inRange(0, n - 1)); }
 
   std::string literal() { return std::to_string(pick(64) - 32); }
 

@@ -5,11 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <random>
 
 #include "../bench/kernels.hpp"
 #include "roccc/verify.hpp"
 #include "support/cosrom.hpp"
+#include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "vhdl/check.hpp"
 
@@ -50,12 +50,11 @@ void expectCosim(const char* src, const interp::KernelIO& in, CompileOptions opt
   EXPECT_TRUE(v.agree) << v.firstProblem();
 }
 
-std::mt19937_64 rng(20050307); // DATE'05 :-)
+SplitMix64 rng(20050307); // DATE'05 :-)
 
 std::vector<int64_t> randomArray(size_t n, ScalarType t) {
-  std::uniform_int_distribution<int64_t> dist(t.minValue(), t.maxValue());
   std::vector<int64_t> v;
-  for (size_t i = 0; i < n; ++i) v.push_back(dist(rng));
+  for (size_t i = 0; i < n; ++i) v.push_back(rng.inRange(t.minValue(), t.maxValue()));
   return v;
 }
 
