@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"
@@ -159,6 +160,7 @@ class Builder {
     dt_ = mir::computeDominators(fn_);
     createPorts();
     if (!placeOps()) return false;
+    foldConstants();
     insertPipeNodes();
     if (opt_.widthMode == BuildOptions::WidthMode::RangeAnalysis) {
       inferWidths();
@@ -613,6 +615,72 @@ class Builder {
           ValueRange::constant(Value::fromInt(in.type, in.imm).toInt());
     }
     if (in.hasDst()) regValue_[in.dst] = o.result;
+  }
+
+  // --- constants -------------------------------------------------------------
+
+  /// One Ldc per (node, value, type): repeats (a shift amount per CSD term,
+  /// the same immediate in two ops) are folded into the first, and
+  /// constants nothing reads (the multiplier a CSD expansion replaced) are
+  /// dropped, with op and value ids compacted.
+  void foldConstants() {
+    std::vector<int> alias(out_.values.size());
+    for (size_t v = 0; v < alias.size(); ++v) alias[v] = static_cast<int>(v);
+    std::map<std::tuple<int, int64_t, int, bool>, int> first;
+    for (const DpOp& o : out_.ops) {
+      if (o.op != Opcode::Ldc) continue;
+      const ScalarType t = out_.values[static_cast<size_t>(o.result)].declared;
+      const auto [it, fresh] = first.emplace(std::tuple(o.node, o.imm, t.width, t.isSigned), o.result);
+      if (!fresh) alias[static_cast<size_t>(o.result)] = it->second;
+    }
+    std::vector<char> read(out_.values.size(), 0);
+    const auto use = [&](int& vid) {
+      if (vid < 0) return;
+      vid = alias[static_cast<size_t>(vid)];
+      read[static_cast<size_t>(vid)] = 1;
+    };
+    for (DpOp& o : out_.ops) {
+      for (int& vid : o.operands) use(vid);
+    }
+    for (auto& port : out_.outputs) use(port.value);
+    for (auto& fb : out_.feedbacks) use(fb.snxValue);
+
+    // Compact: drop unread Ldc ops and their values, renumber the rest.
+    std::vector<int> opId(out_.ops.size(), -1), valueId(out_.values.size(), -1);
+    std::vector<DpOp> ops;
+    for (size_t oi = 0; oi < out_.ops.size(); ++oi) {
+      const DpOp& o = out_.ops[oi];
+      if (o.op == Opcode::Ldc && !read[static_cast<size_t>(o.result)]) continue;
+      opId[oi] = static_cast<int>(ops.size());
+      ops.push_back(std::move(out_.ops[oi]));
+    }
+    std::vector<DpValue> values;
+    for (size_t v = 0; v < out_.values.size(); ++v) {
+      const int def = out_.values[v].def;
+      if (def >= 0 && opId[static_cast<size_t>(def)] < 0) continue;
+      valueId[v] = static_cast<int>(values.size());
+      values.push_back(std::move(out_.values[v]));
+      values.back().id = valueId[v];
+      if (def >= 0) values.back().def = opId[static_cast<size_t>(def)];
+    }
+    const auto remap = [&](int& vid) {
+      if (vid >= 0) vid = valueId[static_cast<size_t>(vid)];
+    };
+    for (DpOp& o : ops) {
+      remap(o.result);
+      for (int& vid : o.operands) remap(vid);
+    }
+    for (auto& port : out_.inputs) remap(port.value);
+    for (auto& port : out_.outputs) remap(port.value);
+    for (auto& fb : out_.feedbacks) {
+      remap(fb.snxValue);
+      remap(fb.lprValue);
+    }
+    for (DpNode& n : out_.nodes) {
+      std::erase_if(n.ops, [&](int& oi) { return (oi = opId[static_cast<size_t>(oi)]) < 0; });
+    }
+    out_.ops = std::move(ops);
+    out_.values = std::move(values);
   }
 
   // --- pipe nodes ------------------------------------------------------------

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <tuple>
 
 #include "../bench/kernels.hpp"
 #include "roccc/verify.hpp"
@@ -126,6 +128,31 @@ TEST(Table1Kernels, Fir) {
   interp::KernelIO in;
   in.arrays["A"] = randomArray(68, ScalarType::make(8, true));
   expectCosim(bench::kFir, in);
+}
+
+// Constants are folded when the data path is built: the CSD expansion of
+// fir's constant multiplies reads one Ldc per shift amount, and the
+// multiplier constants it replaced are gone. So every Const cell of the
+// module is read, and no two carry the same value and type.
+TEST(Table1Kernels, FirModuleHasOneConstCellPerLiveConstant) {
+  const CompileResult r = compile(bench::kFir);
+  ASSERT_TRUE(r.ok);
+  std::vector<int> readers(r.module.nets.size(), 0);
+  for (const auto& c : r.module.cells) {
+    for (int n : c.inputs) ++readers[static_cast<size_t>(n)];
+  }
+  for (int n : r.module.outputPorts) ++readers[static_cast<size_t>(n)];
+  std::set<std::tuple<int64_t, int, bool>> distinct;
+  int consts = 0;
+  for (const auto& c : r.module.cells) {
+    if (c.kind != rtl::CellKind::Const) continue;
+    ++consts;
+    const ScalarType t = r.module.nets[static_cast<size_t>(c.output)].type;
+    EXPECT_GT(readers[static_cast<size_t>(c.output)], 0) << "unread constant " << c.imm;
+    EXPECT_TRUE(distinct.emplace(c.imm, t.width, t.isSigned).second)
+        << "repeated constant " << c.imm << " of type " << t.str();
+  }
+  EXPECT_GT(consts, 0);
 }
 
 TEST(Table1Kernels, DctPaperOperatingPoint) {
