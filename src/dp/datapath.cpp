@@ -630,7 +630,8 @@ class Builder {
     for (const DpOp& o : out_.ops) {
       if (o.op != Opcode::Ldc) continue;
       const ScalarType t = out_.values[static_cast<size_t>(o.result)].declared;
-      const auto [it, fresh] = first.emplace(std::tuple(o.node, o.imm, t.width, t.isSigned), o.result);
+      const auto [it, fresh] =
+          first.emplace(std::tuple(o.node, o.imm, t.width, t.isSigned), o.result);
       if (!fresh) alias[static_cast<size_t>(o.result)] = it->second;
     }
     std::vector<char> read(out_.values.size(), 0);
@@ -677,7 +678,8 @@ class Builder {
       remap(fb.lprValue);
     }
     for (DpNode& n : out_.nodes) {
-      std::erase_if(n.ops, [&](int& oi) { return (oi = opId[static_cast<size_t>(oi)]) < 0; });
+      for (int& oi : n.ops) oi = opId[static_cast<size_t>(oi)];
+      std::erase(n.ops, -1);
     }
     out_.ops = std::move(ops);
     out_.values = std::move(values);
@@ -1078,8 +1080,8 @@ std::vector<int> feedbackConeOf(const DataPath& d) {
 
 /// Greedy ASAP cut: walks ops in topological order accumulating
 /// within-stage delay, opening a new stage when the budget would be
-/// exceeded, pinning each feedback cone to one stage. Rewrites op
-/// stages/pathDelayNs, stageCount and feedback stages.
+/// exceeded, pinning each feedback cone to one stage. Rewrites op stages
+/// and stageCount; path delays are left to computeStageDelays.
 void assignStagesGreedy(DataPath& d, const std::vector<double>& delay, double targetNs,
                         bool pipeline, const std::vector<int>& order,
                         const std::vector<int>& coneOf) {
@@ -1165,23 +1167,6 @@ void assignStagesGreedy(DataPath& d, const std::vector<double>& delay, double ta
     int maxStage = 0;
     for (const auto& o : d.ops) maxStage = std::max(maxStage, o.stage);
     d.stageCount = maxStage + 1;
-    for (size_t fi = 0; fi < d.feedbacks.size(); ++fi) {
-      d.feedbacks[fi].stage = std::max(0, coneStage[fi]);
-    }
-    // Recompute within-stage path delays with the final stages.
-    for (auto& o : d.ops) o.pathDelayNs = 0;
-    for (int oi : order) {
-      DpOp& o = d.ops[static_cast<size_t>(oi)];
-      double in = 0;
-      for (int vid : o.operands) {
-        const DpValue& v = d.values[static_cast<size_t>(vid)];
-        if (v.def < 0) continue;
-        const DpOp& defOp = d.ops[static_cast<size_t>(v.def)];
-        if (defOp.op == Opcode::Ldc) continue;
-        if (defOp.stage == o.stage) in = std::max(in, defOp.pathDelayNs);
-      }
-      o.pathDelayNs = in + delay[static_cast<size_t>(oi)];
-    }
   }
 }
 
