@@ -12,8 +12,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "../bench/kernels.hpp"
@@ -52,6 +53,13 @@ const std::vector<SourceKernel>& allKernels() {
     return out;
   }();
   return kernels;
+}
+
+const std::string& sourceOf(std::string_view name) {
+  for (const auto& k : allKernels()) {
+    if (k.name == name) return k.source;
+  }
+  throw std::out_of_range("no kernel named " + std::string(name));
 }
 
 CompileOptions optionsFor(int unroll, double targetNs) {
@@ -167,12 +175,8 @@ TEST(Retime, TightBudgetOutstagesAndOutclocksRowTargetsOnTable1) {
 // leaves 9 stages at unroll 4 and 4 ns; fusing adjacent stages that fit
 // the budget together collapses them.
 TEST(Retime, MergeCollapsesFeedbackKernelsAtUnroll4) {
-  std::ifstream in(std::filesystem::path(ROCCC_CORPUS_DIR) / "iir_smooth.c");
-  std::ostringstream iir;
-  iir << in.rdbuf();
-  for (const auto& [name, source] : {std::pair<std::string, std::string>{"iir_smooth", iir.str()},
-                                     {"mul_acc", bench::kMulAcc}}) {
-    const CompileResult r = Compiler(optionsFor(4, 4.0)).compileSource(source);
+  for (const char* name : {"iir_smooth", "mul_acc"}) {
+    const CompileResult r = Compiler(optionsFor(4, 4.0)).compileSource(sourceOf(name));
     ASSERT_TRUE(r.ok) << name << "\n" << r.diags.dump();
     EXPECT_LE(r.datapath.stageCount, 3) << name;
     EXPECT_GT(r.datapath.timing.merges, 0) << name;
@@ -182,12 +186,9 @@ TEST(Retime, MergeCollapsesFeedbackKernelsAtUnroll4) {
 // With pipelining off the report describes the one stage there is: its real
 // delay, and an infeasible verdict when that delay exceeds the target.
 TEST(Retime, UnpipelinedReportCarriesTheStageDelay) {
-  std::ifstream in(std::filesystem::path(ROCCC_CORPUS_DIR) / "box3x3.c");
-  std::ostringstream box;
-  box << in.rdbuf();
   CompileOptions opt;
   opt.dpOptions.pipeline = false;
-  const CompileResult r = Compiler(opt).compileSource(box.str());
+  const CompileResult r = Compiler(opt).compileSource(sourceOf("box3x3"));
   ASSERT_TRUE(r.ok) << r.diags.dump();
   const dp::StageTiming& t = r.datapath.timing;
   EXPECT_EQ(r.datapath.stageCount, 1);
