@@ -1,14 +1,17 @@
 // IR digest pin: every layer the compiler builds, not only the VHDL, must
 // stay byte-identical across refactors of the middle end. For Table 1 (with
 // each row's stage-delay target) and every tests/corpus kernel, at unroll
-// factors 1, 2 and 4, the test hashes five artifacts with SHA-256:
+// factors 1, 2 and 4, the test hashes six artifacts with SHA-256:
 //
-//   mir      FunctionIR::dump() of the optimized SSA MIR
-//   rtl      rtl::Module::dump() of the lowered netlist
-//   vhdl     the generated VHDL
-//   verilog  the generated Verilog
-//   passes   every pass record (name, layer, ran, change counters), with
-//            the wall times left out
+//   mir        FunctionIR::dump() of the optimized SSA MIR
+//   rtl        rtl::Module::dump() of the lowered netlist
+//   vhdl       the generated VHDL
+//   verilog    the generated Verilog
+//   passes     every pass record (name, layer, ran, change counters), with
+//              the wall times left out
+//   testbench  emitSystemTestbench over makeSystemVectors of the default
+//              verify stimulus plus 8 seeded extras: the expectations the
+//              interpreter derives, which no other golden pins
 //
 // and compares the digests against tests/golden/ir_digests.txt, one
 // `<job> <artifact> <sha256>` line each.
@@ -32,7 +35,9 @@
 
 #include "../bench/kernels.hpp"
 #include "roccc/compiler.hpp"
+#include "roccc/verify.hpp"
 #include "support/hash.hpp"
+#include "vhdl/testbench.hpp"
 
 namespace roccc {
 namespace {
@@ -95,6 +100,16 @@ std::string passCounters(const std::vector<PassStatistics>& log) {
   return out;
 }
 
+/// The system testbench over the default verify stimulus plus 8 seeded
+/// extras, as `roccc-verify --testbench-check` builds its vectors.
+std::string systemTestbench(const CompileResult& r) {
+  const uint64_t seed = VerifyOptions{}.seed;
+  vhdl::TestbenchInfo info;
+  const std::vector<vhdl::TestVector> vectors = vhdl::makeSystemVectors(
+      r.kernel, r.datapath, deterministicStimulus(r.kernel, seed), /*extraRandom=*/8, seed, &info);
+  return vhdl::emitSystemTestbench(r.datapath, r.kernel, vectors, info);
+}
+
 /// Digest lines for every job, in job order.
 std::string currentDigests() {
   std::string out;
@@ -107,6 +122,7 @@ std::string currentDigests() {
         {"vhdl", r.vhdl},
         {"verilog", r.verilog},
         {"passes", passCounters(r.passLog)},
+        {"testbench", systemTestbench(r)},
     };
     for (const auto& [artifact, text] : artifacts) {
       out += job.name + ' ' + artifact + ' ' + sha256Hex(text) + '\n';
