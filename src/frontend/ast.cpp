@@ -1,6 +1,7 @@
 #include "frontend/ast.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "support/strings.hpp"
 
@@ -70,10 +71,19 @@ bool isComparison(BinOp op) {
 }
 
 namespace intrinsics {
-bool isIntrinsic(const std::string& name) {
-  return name == kLoadPrev || name == kStoreNext || name == kCos || name == kSin ||
-         name == kLookup || name == kBitSelect || name == kBitConcat;
+Id lookup(const std::string& name) {
+  static const std::pair<const char*, Id> kNames[] = {
+      {kLoadPrev, Id::LoadPrev}, {kStoreNext, Id::StoreNext}, {kCos, Id::Cos},
+      {kSin, Id::Sin},           {kLookup, Id::Lookup},       {kBitSelect, Id::BitSelect},
+      {kBitConcat, Id::BitConcat},
+  };
+  for (const auto& [spelling, id] : kNames) {
+    if (name == spelling) return id;
+  }
+  return Id::None;
 }
+
+bool isIntrinsic(const std::string& name) { return lookup(name) != Id::None; }
 } // namespace intrinsics
 
 // ---------------------------------------------------------------------------
@@ -138,6 +148,7 @@ ExprPtr CastExpr::clone() const {
 ExprPtr CallExpr::clone() const {
   auto e = std::make_unique<CallExpr>();
   e->callee = callee;
+  e->intrinsic = intrinsic;
   for (const auto& a : args) e->args.push_back(a->clone());
   e->loc = loc;
   e->type = type;
@@ -219,6 +230,7 @@ Function Function::cloneFn() const {
     f.body.reset(static_cast<BlockStmt*>(b.release()));
   }
   f.loc = loc;
+  f.frameSlots = frameSlots;
   return f;
 }
 

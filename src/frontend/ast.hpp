@@ -68,6 +68,11 @@ struct VarDecl {
   /// row-major; also single-element for initialized scalars.
   std::vector<int64_t> init;
   SourceLoc loc;
+  /// Storage index numbered by sema: a global's position in
+  /// Module::globals, else the declaration's index in its function's frame
+  /// (params first, then locals and loop induction variables). -1 until
+  /// analyzed.
+  int slot = -1;
 };
 
 // ---------------------------------------------------------------------------
@@ -171,16 +176,6 @@ struct CastExpr final : Expr {
   ExprPtr clone() const override;
 };
 
-/// Calls: either a user function (inlined before hardware generation) or a
-/// ROCCC intrinsic (ROCCC_load_prev, ROCCC_cos, ROCCC_lookup, ...).
-struct CallExpr final : Expr {
-  std::string callee;
-  std::vector<ExprPtr> args;
-
-  CallExpr() : Expr(ExprKind::Call) {}
-  ExprPtr clone() const override;
-};
-
 /// Names of the compiler-known intrinsics.
 namespace intrinsics {
 inline constexpr const char* kLoadPrev = "ROCCC_load_prev";
@@ -190,8 +185,22 @@ inline constexpr const char* kSin = "ROCCC_sin";
 inline constexpr const char* kLookup = "ROCCC_lookup";
 inline constexpr const char* kBitSelect = "ROCCC_bit_select";
 inline constexpr const char* kBitConcat = "ROCCC_bit_concat";
+enum class Id { None, LoadPrev, StoreNext, Cos, Sin, Lookup, BitSelect, BitConcat };
+/// The intrinsic `name` spells, or Id::None for any other callee.
+Id lookup(const std::string& name);
 bool isIntrinsic(const std::string& name);
 } // namespace intrinsics
+
+/// Calls: either a user function (inlined before hardware generation) or a
+/// ROCCC intrinsic (ROCCC_load_prev, ROCCC_cos, ROCCC_lookup, ...).
+struct CallExpr final : Expr {
+  std::string callee;
+  intrinsics::Id intrinsic = intrinsics::Id::None; ///< resolved by sema
+  std::vector<ExprPtr> args;
+
+  CallExpr() : Expr(ExprKind::Call) {}
+  ExprPtr clone() const override;
+};
 
 // ---------------------------------------------------------------------------
 // Statements
@@ -291,6 +300,8 @@ struct Function {
   std::vector<VarDecl> params;
   std::unique_ptr<BlockStmt> body;
   SourceLoc loc;
+  /// Number of frame slots sema numbered (params and locals).
+  int frameSlots = 0;
 
   Function() = default;
   Function(const Function&) = delete;

@@ -46,7 +46,9 @@ class Sema {
 
   bool run() {
     Scope globalScope;
-    for (const auto& g : m_.globals) {
+    for (size_t i = 0; i < m_.globals.size(); ++i) {
+      VarDecl& g = m_.globals[i];
+      g.slot = static_cast<int>(i);
       if (!globalScope.declare(&g)) diags_.error(g.loc, fmt("redefinition of global '%0'", g.name));
       checkDeclaredType(g);
       if (g.type.isArray() && !g.init.empty() &&
@@ -68,6 +70,8 @@ class Sema {
   Module& m_;
   DiagEngine& diags_;
   Function* currentFn_ = nullptr;
+  /// Next frame slot of the current function.
+  int nextSlot_ = 0;
   /// Out-params assigned in the current function (each must be written).
   std::set<std::string> writtenOutParams_;
   /// name -> callees, for the recursion check.
@@ -83,12 +87,15 @@ class Sema {
   void analyzeFunction(Function& f, Scope& globalScope) {
     currentFn_ = &f;
     writtenOutParams_.clear();
+    nextSlot_ = 0;
     Scope fnScope(&globalScope);
     for (auto& p : f.params) {
+      p.slot = nextSlot_++;
       checkDeclaredType(p);
       if (!fnScope.declare(&p)) diags_.error(p.loc, fmt("duplicate parameter '%0'", p.name));
     }
     analyzeBlock(*f.body, fnScope);
+    f.frameSlots = nextSlot_;
     for (const auto& p : f.params) {
       if (!p.type.isArray() && p.mode == ParamMode::Out && !writtenOutParams_.count(p.name)) {
         diags_.warning(p.loc, fmt("out-parameter '%0' of '%1' is never written", p.name, f.name));
@@ -109,6 +116,7 @@ class Sema {
         break;
       case StmtKind::Decl: {
         auto& d = static_cast<DeclStmt&>(s);
+        d.var.slot = nextSlot_++;
         checkDeclaredType(d.var);
         if (d.init) {
           analyzeExpr(*d.init, scope);
@@ -145,6 +153,7 @@ class Sema {
         iv->type = Type::scalarOf(ScalarType::intTy());
         iv->storage = Storage::Local;
         iv->loc = f.loc;
+        iv->slot = nextSlot_++;
         f.inductionDecl = iv;
         Scope bodyScope(&scope);
         bodyScope.declare(iv);
@@ -156,7 +165,8 @@ class Sema {
       case StmtKind::CallStmt: {
         auto& c = static_cast<CallStmt&>(s);
         auto& call = static_cast<CallExpr&>(*c.call);
-        if (call.callee == intrinsics::kStoreNext) {
+        call.intrinsic = intrinsics::lookup(call.callee);
+        if (call.intrinsic == intrinsics::Id::StoreNext) {
           analyzeStoreNext(call, scope);
         } else {
           analyzeExpr(*c.call, scope);
@@ -332,7 +342,8 @@ class Sema {
   }
 
   void analyzeCall(CallExpr& c, Scope& scope) {
-    if (intrinsics::isIntrinsic(c.callee)) {
+    c.intrinsic = intrinsics::lookup(c.callee);
+    if (c.intrinsic != intrinsics::Id::None) {
       analyzeIntrinsic(c, scope);
       return;
     }
@@ -374,8 +385,9 @@ class Sema {
   }
 
   void analyzeIntrinsic(CallExpr& c, Scope& scope) {
+    using intrinsics::Id;
     const std::string& n = c.callee;
-    if (n == intrinsics::kLoadPrev) {
+    if (c.intrinsic == Id::LoadPrev) {
       if (c.args.size() != 1 || c.args[0]->kind != ExprKind::VarRef) {
         diags_.error(c.loc, "ROCCC_load_prev expects a single variable argument");
         c.type = ScalarType::intTy();
@@ -392,11 +404,11 @@ class Sema {
       c.type = d->type.scalar;
       return;
     }
-    if (n == intrinsics::kStoreNext) {
+    if (c.intrinsic == Id::StoreNext) {
       analyzeStoreNext(c, scope);
       return;
     }
-    if (n == intrinsics::kLookup) {
+    if (c.intrinsic == Id::Lookup) {
       if (c.args.size() != 2 || c.args[0]->kind != ExprKind::VarRef) {
         diags_.error(c.loc, "ROCCC_lookup expects (const_table, index)");
         return;
@@ -414,7 +426,7 @@ class Sema {
       return;
     }
     for (auto& a : c.args) analyzeExpr(*a, scope);
-    if (n == intrinsics::kCos || n == intrinsics::kSin) {
+    if (c.intrinsic == Id::Cos || c.intrinsic == Id::Sin) {
       if (c.args.size() != 1) diags_.error(c.loc, fmt("%0 expects one argument", n));
       // The pre-existing Virtex-II cos/sin lookup table: 10-bit phase in,
       // 16-bit signed out (the Table 1 configuration).
@@ -422,7 +434,7 @@ class Sema {
       c.type = ScalarType::make(16, true);
       return;
     }
-    if (n == intrinsics::kBitSelect) {
+    if (c.intrinsic == Id::BitSelect) {
       // ROCCC_bit_select(x, hi, lo): bits hi..lo as unsigned.
       if (c.args.size() != 3) {
         diags_.error(c.loc, "ROCCC_bit_select expects (value, hi, lo)");
@@ -437,7 +449,7 @@ class Sema {
       c.type = ScalarType::make(static_cast<int>(*hi - *lo + 1), false);
       return;
     }
-    if (n == intrinsics::kBitConcat) {
+    if (c.intrinsic == Id::BitConcat) {
       if (c.args.size() != 2) {
         diags_.error(c.loc, "ROCCC_bit_concat expects (high, low)");
         return;

@@ -641,11 +641,13 @@ int convertCallsToLookupTables(Module& m, DiagEngine& diags, int maxIndexBits) {
         table.isConst = true;
         table.loc = call.loc;
         interp::Interpreter evaluator(m);
+        interp::Interpreter::PreparedCall eval =
+            evaluator.prepare(call.callee, {callee->params[0].name}, {callee->params[1].name});
+        Value out;
         for (int64_t raw = 0; raw < entries; ++raw) {
-          interp::KernelIO io;
-          io.scalars[callee->params[0].name] = Value(inTy, static_cast<uint64_t>(raw)).toInt();
-          const interp::KernelIO r = evaluator.run(call.callee, io);
-          table.init.push_back(r.scalars.at(callee->params[1].name));
+          const Value in(inTy, static_cast<uint64_t>(raw));
+          eval({&in, 1}, {&out, 1});
+          table.init.push_back(out.toInt());
         }
         m.globals.push_back(std::move(table));
         tablesBuilt.insert(tableName);

@@ -119,11 +119,9 @@ std::optional<Counterexample> compareTraces(const dp::DataPath& dp,
 /// rtl::traceStreamingModel does. The inputs are exactly what that model
 /// would gather again from the same stimulus through the same PortBinding,
 /// so only the step differs between engines. Records what compareTraces
-/// reads: the per-iteration outputs and the final feedback. `step` writes
-/// one iteration's outputs and returns the next feedback values.
-template <class Step>
+/// reads: the per-iteration outputs and the final feedback.
 rtl::StreamTrace replayTrace(const hlir::KernelInfo& kernel, const dp::DataPath& dp,
-                             const rtl::StreamTrace& ref, Step&& step) {
+                             const rtl::StreamTrace& ref, const rtl::StreamStep& step) {
   rtl::StreamTrace got;
   std::map<std::string, Value>& feedback = got.finalFeedback;
   for (const auto& fb : kernel.feedbacks) feedback[fb.name] = Value::fromInt(fb.type, fb.initial);

@@ -1,5 +1,6 @@
 #include "rtl/system.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -76,21 +77,40 @@ StreamTrace traceStreamingModel(const hlir::KernelInfo& kernel, const dp::DataPa
   const PortBinding binding = PortBinding::resolve(kernel, dp);
   StreamTrace trace;
 
-  // Array storage by name; output arrays are zero-initialized (matching the
-  // output BRAMs of the cycle-accurate system).
-  std::map<std::string, std::vector<int64_t>> arrays;
+  // Stream storage, resolved once: a copy of each input array and a
+  // zero-initialized output array (matching the output BRAMs of the
+  // cycle-accurate system), in kernel.inputs / kernel.outputs order.
+  std::vector<std::vector<int64_t>> inData, outData;
   for (const auto& st : kernel.inputs) {
     const auto it = io.arrays.find(st.arrayName);
     if (it == io.arrays.end()) {
       throw std::runtime_error(fmt("input array '%0' not bound", st.arrayName));
     }
-    arrays[st.arrayName] = it->second;
+    inData.push_back(it->second);
   }
   for (const auto& st : kernel.outputs) {
     int64_t n = 1;
     for (int64_t d : st.dims) n *= d;
-    arrays[st.arrayName].assign(static_cast<size_t>(n), 0);
+    outData.emplace_back(static_cast<size_t>(n), 0);
   }
+  // Loop-invariant scalar inputs, by dp input port.
+  std::vector<int64_t> scalarIn(binding.inputs.size(), 0);
+  for (size_t p = 0; p < binding.inputs.size(); ++p) {
+    if (binding.inputs[p].kind != PortBinding::InSource::Kind::Scalar) continue;
+    const auto f = io.scalars.find(binding.inputs[p].scalarName);
+    if (f == io.scalars.end()) {
+      throw std::runtime_error(fmt("scalar input '%0' not bound", binding.inputs[p].scalarName));
+    }
+    scalarIn[p] = f->second;
+  }
+  const auto windowAddress = [](const hlir::Stream& st, size_t access, const std::vector<int64_t>& ivs,
+                                const std::vector<int64_t>& data) {
+    const int64_t addr = st.flatAddress(access, ivs);
+    if (addr < 0 || addr >= static_cast<int64_t>(data.size())) {
+      throw std::runtime_error(fmt("window address %0 out of '%1' bounds", addr, st.arrayName));
+    }
+    return static_cast<size_t>(addr);
+  };
 
   std::map<std::string, Value> feedback;
   for (const auto& fb : kernel.feedbacks) feedback[fb.name] = Value::fromInt(fb.type, fb.initial);
@@ -111,31 +131,21 @@ StreamTrace traceStreamingModel(const hlir::KernelInfo& kernel, const dp::DataPa
       const ScalarType ty = dp.inputs[p].type;
       switch (src.kind) {
         case PortBinding::InSource::Kind::Window: {
-          const auto& st = kernel.inputs[src.stream];
-          const auto& data = arrays.at(st.arrayName);
-          const int64_t addr = st.flatAddress(src.access, ivs);
-          if (addr < 0 || addr >= static_cast<int64_t>(data.size())) {
-            throw std::runtime_error(fmt("window address %0 out of '%1' bounds", addr,
-                                         st.arrayName));
-          }
-          inputs[p] = Value::fromInt(ty, data[static_cast<size_t>(addr)]);
+          const auto& data = inData[src.stream];
+          inputs[p] = Value::fromInt(ty, data[windowAddress(kernel.inputs[src.stream], src.access, ivs, data)]);
           break;
         }
-        case PortBinding::InSource::Kind::Scalar: {
-          const auto f = io.scalars.find(src.scalarName);
-          if (f == io.scalars.end()) {
-            throw std::runtime_error(fmt("scalar input '%0' not bound", src.scalarName));
-          }
-          inputs[p] = Value::fromInt(ty, f->second);
+        case PortBinding::InSource::Kind::Scalar:
+          inputs[p] = Value::fromInt(ty, scalarIn[p]);
           break;
-        }
         case PortBinding::InSource::Kind::Induction:
           inputs[p] = Value::fromInt(ty, ivs[static_cast<size_t>(src.loop)]);
           break;
       }
     }
 
-    auto [outputs, nextFeedback] = step(inputs, feedback);
+    std::vector<Value> outputs;
+    const std::map<std::string, Value>& next = step(inputs, feedback, outputs);
     if (outputs.size() != dp.outputs.size()) {
       throw std::runtime_error(fmt("step produced %0 outputs, %1 ports expected", outputs.size(),
                                    dp.outputs.size()));
@@ -145,25 +155,21 @@ StreamTrace traceStreamingModel(const hlir::KernelInfo& kernel, const dp::DataPa
       const auto& sink = binding.outputs[p];
       const int64_t v = outputs[p].convertTo(dp.outputs[p].type).toInt();
       if (sink.kind == PortBinding::OutSink::Kind::Window) {
-        const auto& st = kernel.outputs[sink.stream];
-        auto& data = arrays.at(st.arrayName);
-        const int64_t addr = st.flatAddress(sink.access, ivs);
-        if (addr < 0 || addr >= static_cast<int64_t>(data.size())) {
-          throw std::runtime_error(fmt("window address %0 out of '%1' bounds", addr,
-                                       st.arrayName));
-        }
-        data[static_cast<size_t>(addr)] = v;
+        auto& data = outData[sink.stream];
+        data[windowAddress(kernel.outputs[sink.stream], sink.access, ivs, data)] = v;
       } else {
         lastScalarOut[sink.scalarName] = v;
       }
     }
-    feedback = std::move(nextFeedback);
+    feedback = next;
 
     trace.inputs.push_back(std::move(inputs));
     trace.outputs.push_back(std::move(outputs));
   }
 
-  for (const auto& st : kernel.outputs) trace.final.arrays[st.arrayName] = arrays.at(st.arrayName);
+  for (size_t s = 0; s < kernel.outputs.size(); ++s) {
+    trace.final.arrays[kernel.outputs[s].arrayName] = std::move(outData[s]);
+  }
   for (const auto& [n, v] : lastScalarOut) trace.final.scalars[n] = v;
   for (const auto& [n, v] : feedback) trace.final.scalars[n] = v.toInt();
   trace.finalFeedback = feedback;
@@ -172,22 +178,43 @@ StreamTrace traceStreamingModel(const hlir::KernelInfo& kernel, const dp::DataPa
 
 StreamStep interpreterStep(const hlir::KernelInfo& kernel, const dp::DataPath& dp,
                            interp::Interpreter& sim) {
-  // The binding map is reused across calls: every call binds the same port
-  // and feedback names, so after the first call no node is allocated.
-  return [&kernel, &dp, &sim, it = interp::KernelIO{}](
-             const std::vector<Value>& inputs,
-             const std::map<std::string, Value>& feedback) mutable {
-    for (size_t p = 0; p < dp.inputs.size(); ++p) it.scalars[dp.inputs[p].name] = inputs[p].toInt();
-    for (const auto& [name, v] : feedback) it.scalars[name] = v.toInt();
-    const interp::KernelIO r = sim.run(kernel.dpName, it);
-    std::vector<Value> outputs;
-    outputs.reserve(dp.outputs.size());
-    for (const auto& port : dp.outputs) {
-      outputs.push_back(Value::fromInt(port.type, r.scalars.at(port.name)));
+  // Call layout: the dp input ports, then the feedback registers as global
+  // overrides; the dp output ports, then the feedback registers' finals.
+  // `next` is filled in place, its keys (and so its order) fixed here.
+  std::map<std::string, Value> next;
+  for (const auto& fb : dp.feedbacks) next[fb.name] = Value::fromInt(fb.type, fb.initial);
+  std::vector<std::string> inNames, outNames;
+  std::vector<Value> initial;
+  for (const auto& port : dp.inputs) inNames.push_back(port.name);
+  for (const auto& port : dp.outputs) outNames.push_back(port.name);
+  for (const auto& [name, v] : next) {
+    inNames.push_back(name);
+    outNames.push_back(name);
+    initial.push_back(v);
+  }
+  return [&dp, call = sim.prepare(kernel.dpName, inNames, outNames), next = std::move(next),
+          initial = std::move(initial), in = std::vector<Value>(inNames.size()),
+          out = std::vector<Value>(outNames.size())](
+             const std::vector<Value>& inputs, const std::map<std::string, Value>& feedback,
+             std::vector<Value>& outputs) mutable -> const std::map<std::string, Value>& {
+    if (inputs.size() != dp.inputs.size()) {
+      throw std::runtime_error(fmt("step given %0 inputs, %1 ports expected", inputs.size(),
+                                   dp.inputs.size()));
     }
-    std::map<std::string, Value> next;
-    for (const auto& fb : dp.feedbacks) next[fb.name] = Value::fromInt(fb.type, r.scalars.at(fb.name));
-    return std::pair{std::move(outputs), std::move(next)};
+    std::copy(inputs.begin(), inputs.end(), in.begin());
+    size_t r = 0;
+    for (const auto& [name, v] : next) {
+      // A register the caller does not thread starts from its initial value.
+      const auto f = feedback.find(name);
+      in[inputs.size() + r] = f != feedback.end() ? f->second : initial[r];
+      ++r;
+    }
+    call(in, out);
+    outputs.resize(dp.outputs.size());
+    for (size_t p = 0; p < dp.outputs.size(); ++p) outputs[p] = out[p].convertTo(dp.outputs[p].type);
+    r = dp.outputs.size();
+    for (auto& [name, v] : next) v = out[r++].convertTo(v.type());
+    return next;
   };
 }
 

@@ -52,11 +52,14 @@ struct PortBinding {
 };
 
 /// One iteration of the data-path function: port-ordered input values and
-/// the current feedback-register values in; port-ordered output values and
-/// the next feedback values out. Implementations: the AST interpreter on
-/// the extracted data-path function, mir::execute, dp::evaluate.
-using StreamStep = std::function<std::pair<std::vector<Value>, std::map<std::string, Value>>(
-    const std::vector<Value>& inputs, const std::map<std::string, Value>& feedback)>;
+/// the current feedback-register values in; the port-ordered output values
+/// are written to `outputs`, and the next feedback values are returned in a
+/// map the step owns, valid until its next call. Implementations: the AST
+/// interpreter on the extracted data-path function, mir::Executor,
+/// dp::Evaluator.
+using StreamStep = std::function<const std::map<std::string, Value>&(
+    const std::vector<Value>& inputs, const std::map<std::string, Value>& feedback,
+    std::vector<Value>& outputs)>;
 
 /// The per-iteration record of a streaming-model run: the exact stimulus
 /// and response any conforming engine (or generated testbench) must
@@ -75,9 +78,9 @@ StreamTrace traceStreamingModel(const hlir::KernelInfo& kernel, const dp::DataPa
                                 const interp::KernelIO& io, const StreamStep& step);
 
 /// The AST-interpreter step: runs the extracted data-path function through
-/// `sim` (which must wrap kernel.dpModule and outlive the returned closure).
-/// This is the golden per-iteration semantics both the conformance engine
-/// and the system-level testbench generator drive.
+/// a call `sim` prepares once (`sim` must wrap kernel.dpModule and outlive
+/// the returned closure). This is the golden per-iteration semantics both
+/// the conformance engine and the system-level testbench generator drive.
 StreamStep interpreterStep(const hlir::KernelInfo& kernel, const dp::DataPath& dp,
                            interp::Interpreter& sim);
 

@@ -175,6 +175,7 @@ std::vector<TestVector> makeSystemVectors(const hlir::KernelInfo& kernel, const 
   SplitMix64 rng(fnv1aMix(seed, fnv1a(kernel.kernelName)));
   interp::Interpreter sim(kernel.dpModule);
   const rtl::StreamStep step = rtl::interpreterStep(kernel, dp, sim);
+  std::vector<Value> outputs;
   for (int e = 0; e < extraRandom; ++e) {
     TestVector v;
     v.inputs.reserve(dp.inputs.size());
@@ -182,12 +183,11 @@ std::vector<TestVector> makeSystemVectors(const hlir::KernelInfo& kernel, const 
       v.inputs.push_back(
           Value::fromInt(port.type, rng.inRange(port.type.minValue(), port.type.maxValue())));
     }
-    auto [outputs, nextFeedback] = step(v.inputs, feedback);
+    feedback = step(v.inputs, feedback, outputs);
     v.expectedOutputs.reserve(dp.outputs.size());
     for (size_t p = 0; p < dp.outputs.size(); ++p) {
       v.expectedOutputs.push_back(outputs[p].convertTo(dp.outputs[p].type));
     }
-    feedback = std::move(nextFeedback);
     vectors.push_back(std::move(v));
   }
 

@@ -2,6 +2,7 @@
 
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
+#include "hlir/transforms.hpp"
 #include "interp/interp.hpp"
 
 namespace roccc::interp {
@@ -247,6 +248,148 @@ TEST(Interp, ShortCircuitLogic) {
   EXPECT_EQ(runKernel(m, "k", in).scalars["o"], 0);
   in.scalars["d"] = 3;
   EXPECT_EQ(runKernel(m, "k", in).scalars["o"], 1);
+}
+
+TEST(Interp, NestedCallsShareGlobalScalars) {
+  // setg writes the global that readg, called next by the same caller,
+  // must see; neither call may restore a stale copy of it on return.
+  const char* src = R"(
+    int g;
+    void setg(int v) { g = v; }
+    void readg(int* o) { *o = g; }
+    void mid(int v, int* o) { setg(v); readg(o); }
+    void k(int a, int* r) { mid(a, r); }
+  )";
+  KernelIO in;
+  in.scalars["a"] = 7;
+  Module m = build(src);
+  const KernelIO out = runKernel(m, "k", in);
+  EXPECT_EQ(out.scalars.at("r"), 7);
+  EXPECT_EQ(out.scalars.at("g"), 7);
+
+  Module inlined = build(src);
+  DiagEngine diags;
+  EXPECT_GE(hlir::inlineCalls(inlined, diags), 3);
+  ASSERT_FALSE(diags.hasErrors()) << diags.dump();
+  EXPECT_EQ(runKernel(inlined, "k", in).scalars, out.scalars);
+}
+
+// --- the prepared call ---------------------------------------------------------
+
+/// The InterpError message `f` throws, or "" when it returns.
+template <class F>
+std::string errorOf(F&& f) {
+  try {
+    f();
+  } catch (const InterpError& e) {
+    return e.message;
+  }
+  return "";
+}
+
+TEST(InterpPrepared, MatchesRunAndStartsFreshEachCall) {
+  Module m = build(R"(
+    int sum = 3;
+    void step(int a, int8 b, int* o, int8* w) {
+      sum = sum + a;
+      *o = sum * b;
+      *w = a + b;
+    }
+  )");
+  Interpreter interp(m);
+  Interpreter::PreparedCall call = interp.prepare("step", {"b", "a"}, {"w", "o", "sum"});
+  for (const auto& [a, b] : std::vector<std::pair<int, int>>{{1, 2}, {100, -3}, {100, 300}}) {
+    KernelIO in;
+    in.scalars["a"] = a;
+    in.scalars["b"] = b;
+    const KernelIO want = runKernel(m, "step", in);
+    const Value inputs[] = {Value::ofInt(b), Value::ofInt(a)};
+    Value outputs[3];
+    call(inputs, outputs);
+    EXPECT_EQ(outputs[0].toInt(), want.scalars.at("w"));
+    EXPECT_EQ(outputs[1].toInt(), want.scalars.at("o"));
+    EXPECT_EQ(outputs[2].toInt(), want.scalars.at("sum")); // sum restarts from 3
+    EXPECT_EQ(outputs[0].type(), ScalarType::make(8, true));
+  }
+}
+
+TEST(InterpPrepared, InputOverridesGlobalInitialValue) {
+  // The data-path step threads feedback registers this way.
+  Module m = build(R"(
+    int sum = 0;
+    void acc(int a, int* o) { sum = sum + a; *o = sum; }
+  )");
+  Interpreter interp(m);
+  Interpreter::PreparedCall call = interp.prepare("acc", {"a", "sum"}, {"o", "sum"});
+  Value state = Value::ofInt(0);
+  for (int i = 1; i <= 4; ++i) {
+    const Value inputs[] = {Value::ofInt(i), state};
+    Value outputs[2];
+    call(inputs, outputs);
+    state = outputs[1];
+    EXPECT_EQ(outputs[0].toInt(), i * (i + 1) / 2);
+  }
+  EXPECT_EQ(interp.stepsExecuted(), 2u);
+}
+
+TEST(InterpPrepared, StepLimitMessageMatchesRun) {
+  Module m = build(R"(
+    void k(const int32 A[4], int32* o) {
+      int i;
+      int s;
+      s = 0;
+      for (i = 0; i < 1000000; i++) { s = s + A[i % 4]; }
+      *o = s;
+    }
+  )");
+  Interpreter interp(m, /*stepLimit=*/1000);
+  KernelIO in;
+  in.arrays["A"] = {1, 2, 3, 4};
+  const std::string viaRun = errorOf([&] { interp.run("k", in); });
+  EXPECT_EQ(viaRun, "step limit 1000 exceeded (runaway loop?)");
+  Interpreter::PreparedCall call = interp.prepare("k", {}, {"o"});
+  Value out;
+  EXPECT_EQ(errorOf([&] { call({}, {&out, 1}); }), viaRun);
+}
+
+TEST(InterpPrepared, OutOfBoundsMessageMatchesRun) {
+  Module m = build("void k(const int8 A[4], int i, int8* o) { *o = A[i]; }");
+  KernelIO in;
+  in.scalars["i"] = 9;
+  const std::string viaRun = errorOf([&] { runKernel(m, "k", in); });
+  EXPECT_EQ(viaRun, "index 9 out of bounds [0, 4) for 'A'");
+  Interpreter interp(m);
+  Interpreter::PreparedCall call = interp.prepare("k", {"i"}, {"o"});
+  const Value i = Value::ofInt(9);
+  Value out;
+  EXPECT_EQ(errorOf([&] { call({&i, 1}, {&out, 1}); }), viaRun);
+}
+
+TEST(InterpPrepared, UninitializedReadMessageMatchesRun) {
+  // Sema scoping rules this out in source; drop the declaration after
+  // analysis so 't' keeps its slot but is never written.
+  Module m = build("void k(int a, int* o) { int t; *o = t + a; }");
+  ast::StmtPtr decl = std::move(m.functions[0].body->stmts.front());
+  m.functions[0].body->stmts.erase(m.functions[0].body->stmts.begin());
+  KernelIO in;
+  in.scalars["a"] = 1;
+  const std::string viaRun = errorOf([&] { runKernel(m, "k", in); });
+  EXPECT_EQ(viaRun, "read of uninitialized 't'");
+  Interpreter interp(m);
+  Interpreter::PreparedCall call = interp.prepare("k", {"a"}, {"o"});
+  const Value a = Value::ofInt(1);
+  Value out;
+  EXPECT_EQ(errorOf([&] { call({&a, 1}, {&out, 1}); }), viaRun);
+}
+
+TEST(InterpPrepared, UnboundInputMessageMatchesRun) {
+  Module m = build("void k(int a, int b, int* o) { *o = a - b; }");
+  KernelIO in;
+  in.scalars["a"] = 1;
+  const std::string viaRun = errorOf([&] { runKernel(m, "k", in); });
+  EXPECT_EQ(viaRun, "scalar input 'b' not bound");
+  Interpreter interp(m);
+  EXPECT_EQ(errorOf([&] { interp.prepare("k", {"a"}, {"o"}); }), viaRun);
 }
 
 } // namespace
