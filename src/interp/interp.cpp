@@ -78,7 +78,8 @@ void Interpreter::resetGlobals(const KernelIO* io) {
     if (g.type.isArray()) {
       // Nothing writes a const array, so its initializer is copied once.
       if (g.isConst && s.set && !(io && io->arrays.count(g.name))) continue;
-      s.set = !bindArray(g, s.elems, io) && g.isConst;
+      s.set = false; // until it holds the initializer again
+      if (!bindArray(g, s.elems, io)) s.set = g.isConst;
       continue;
     }
     // io.scalars may override a global scalar's initial value.
@@ -138,7 +139,7 @@ KernelIO Interpreter::run(const std::string& fnName, const KernelIO& io) {
     if (module_.globals[i].type.isArray()) exportArray(module_.globals[i], globals_[i]);
   }
   for (const VarDecl& p : fn.params) {
-    const Slot& s = frame[static_cast<size_t>(p.slot)];
+    const Slot& s = slotOf(p, frame);
     if (p.type.isArray()) {
       exportArray(p, s);
     } else if (p.mode == ParamMode::Out) {

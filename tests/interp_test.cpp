@@ -1,9 +1,28 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
 #include "hlir/transforms.hpp"
 #include "interp/interp.hpp"
+
+// Counts heap allocations so a test can show that a prepared call's later
+// calls make none.
+namespace {
+std::atomic<long> g_allocations{0};
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+} // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
 
 namespace roccc::interp {
 namespace {
@@ -330,6 +349,58 @@ TEST(InterpPrepared, InputOverridesGlobalInitialValue) {
     EXPECT_EQ(outputs[0].toInt(), i * (i + 1) / 2);
   }
   EXPECT_EQ(interp.stepsExecuted(), 2u);
+}
+
+TEST(InterpPrepared, ConstTableReadsDeclaredContentsAfterRunRebindsIt) {
+  // run() may bind a const global array from its KernelIO; the next call
+  // on the same interpreter must see the declared initializer again.
+  Module m = build(R"(
+    const int8 T[4] = {1, 2, 3, 4};
+    void k(int i, int8* o) { *o = T[i]; }
+  )");
+  Interpreter interp(m);
+  Interpreter::PreparedCall call = interp.prepare("k", {"i"}, {"o"});
+  const Value i = Value::ofInt(1);
+  Value out;
+  call({&i, 1}, {&out, 1});
+  EXPECT_EQ(out.toInt(), 2);
+  KernelIO in;
+  in.scalars["i"] = 1;
+  in.arrays["T"] = {9, 9, 9, 9};
+  EXPECT_EQ(interp.run("k", in).scalars.at("o"), 9);
+  call({&i, 1}, {&out, 1});
+  EXPECT_EQ(out.toInt(), 2);
+}
+
+TEST(InterpPrepared, CallsAfterTheFirstAllocateNothing) {
+  Module m = build(R"(
+    const int8 T[4] = {1, 2, 3, 4};
+    int acc = 0;
+    int hist[4];
+    void k(uint2 i, int* o) {
+      int j;
+      int t;
+      t = 0;
+      for (j = 0; j < 4; j++) { t = t + T[j]; }
+      hist[i] = t;
+      acc = acc + ROCCC_lookup(T, i);
+      *o = t + acc;
+    }
+  )");
+  Interpreter interp(m);
+  Interpreter::PreparedCall call = interp.prepare("k", {"i", "acc"}, {"o", "acc"});
+  Value inputs[] = {Value(ScalarType::make(2, false), 0), Value::ofInt(0)};
+  Value outputs[2];
+  call(inputs, outputs);
+  const long before = g_allocations.load();
+  for (uint64_t i = 1; i < 64; ++i) {
+    inputs[0] = Value(ScalarType::make(2, false), i);
+    inputs[1] = outputs[1];
+    call(inputs, outputs);
+  }
+  const long made = g_allocations.load() - before;
+  EXPECT_EQ(made, 0);
+  EXPECT_EQ(outputs[0].toInt(), 10 + 160); // 16 rounds of 1 + 2 + 3 + 4
 }
 
 TEST(InterpPrepared, StepLimitMessageMatchesRun) {

@@ -1,10 +1,28 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "roccc/verify.hpp"
 #include "support/strings.hpp"
 #include "vhdl/check.hpp"
+
+// Counts heap allocations so a test can show that the engine-1 step makes
+// none after its first call.
+namespace {
+std::atomic<long> g_allocations{0};
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+} // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
 
 namespace roccc {
 namespace {
@@ -81,6 +99,36 @@ TEST(System, AccumulatorCosim) {
   interp::KernelIO in;
   for (int i = 0; i < 32; ++i) in.arrays["A"].push_back(i * 11 - 160);
   expectCosim(src, in);
+}
+
+TEST(System, InterpreterStepAllocatesNothingAfterItsFirstCall) {
+  // Engine 1 calls the step once per loop iteration and threads feedback
+  // the way traceStreamingModel does; only the first call may allocate.
+  CompileResult r = compile(R"(
+    int sum = 0;
+    void acc(const int16 A[8], int16 C[8]) {
+      int i;
+      for (i = 0; i < 8; i++) {
+        sum = sum + A[i];
+        C[i] = sum >> 1;
+      }
+    }
+  )");
+  ASSERT_TRUE(r.ok);
+  ASSERT_EQ(r.datapath.feedbacks.size(), 1u);
+  interp::Interpreter sim(r.kernel.dpModule);
+  const rtl::StreamStep step = rtl::interpreterStep(r.kernel, r.datapath, sim);
+  std::vector<Value> inputs;
+  for (const auto& port : r.datapath.inputs) inputs.push_back(Value::fromInt(port.type, 3));
+  std::map<std::string, Value> feedback;
+  for (const auto& fb : r.kernel.feedbacks) feedback[fb.name] = Value::fromInt(fb.type, fb.initial);
+  std::vector<Value> outputs;
+  feedback = step(inputs, feedback, outputs);
+  const long before = g_allocations.load();
+  for (int t = 1; t < 32; ++t) feedback = step(inputs, feedback, outputs);
+  const long made = g_allocations.load() - before;
+  EXPECT_EQ(made, 0);
+  EXPECT_EQ(feedback.begin()->second.toInt(), 32 * 3);
 }
 
 TEST(System, MulAccWithConditionCosim) {
