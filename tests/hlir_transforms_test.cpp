@@ -286,6 +286,22 @@ TEST(LutConversion, ConvertsPureUnaryFunction) {
   EXPECT_EQ(interp::runKernel(m, "k", in).arrays["C"], interp::runKernel(ref, "k", in).arrays["C"]);
 }
 
+TEST(LutConversion, OutParamNamedLikeAGlobalFillsTheTable) {
+  // The callee's out-parameter shadows a global scalar; each table entry is
+  // the out-parameter's value, not the untouched global's.
+  Module m = build(R"(
+    int r = 5;
+    void sq(uint4 x, int* r) { *r = x * x + 1; }
+    void k(uint4 a, int* o) { int t; t = 0; sq(a, t); *o = t; }
+  )");
+  DiagEngine diags;
+  EXPECT_EQ(convertCallsToLookupTables(m, diags), 1);
+  const ast::VarDecl* table = m.findGlobal("sq_lut");
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(table->init, (std::vector<int64_t>{1, 2, 5, 10, 17, 26, 37, 50, 65, 82, 101, 122,
+                                               145, 170, 197, 226}));
+}
+
 TEST(LutConversion, RespectsWidthLimit) {
   Module m = build(R"(
     void f(uint16 x, int16* r) { *r = x + 1; }
