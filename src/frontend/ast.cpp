@@ -199,6 +199,7 @@ StmtPtr IfStmt::clone() const {
 StmtPtr ForStmt::clone() const {
   auto s = std::make_unique<ForStmt>();
   s->inductionVar = inductionVar;
+  s->declaresType = declaresType;
   s->inductionDecl = inductionDecl;
   s->begin = begin->clone();
   s->end = end->clone();

@@ -267,6 +267,9 @@ struct IfStmt final : Stmt {
 /// The parser accepts <=, and normalizes it into `<` form during sema.
 struct ForStmt final : Stmt {
   std::string inductionVar;
+  /// The for-init declared a type (`for (int i = ...)`). Without one the
+  /// init names a variable, which may be one declared outside the loop.
+  bool declaresType = false;
   const VarDecl* inductionDecl = nullptr;
   ExprPtr begin;
   ExprPtr end;       ///< exclusive bound

@@ -476,10 +476,11 @@ class Parser {
     expect(TokKind::KwFor, "");
     expect(TokKind::LParen, "after 'for'");
 
-    // init
-    std::optional<ScalarType> declType;
-    if (atTypeStart()) declType = parseScalarType();
-    (void)declType; // induction variables are int32 in the subset
+    // init (induction variables are int32 in the subset, whatever the type)
+    if (atTypeStart()) {
+      parseScalarType();
+      f->declaresType = true;
+    }
     if (!at(TokKind::Identifier)) {
       error(cur().loc, "expected induction variable in for-init");
       synchronize();

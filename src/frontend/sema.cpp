@@ -74,6 +74,11 @@ class Sema {
   int nextSlot_ = 0;
   /// Out-params assigned in the current function (each must be written).
   std::set<std::string> writtenOutParams_;
+  /// Variables that an untyped for-init named, with the loop's line. The
+  /// loop counts in its own induction variable, so the named variable
+  /// keeps its value from before the loop where C leaves the exit value.
+  /// Reading it is an error until a plain assignment gives it a value.
+  std::map<const VarDecl*, int> loopExitValueLost_;
   /// name -> callees, for the recursion check.
   std::map<std::string, std::set<std::string>> callGraph_;
 
@@ -87,6 +92,7 @@ class Sema {
   void analyzeFunction(Function& f, Scope& globalScope) {
     currentFn_ = &f;
     writtenOutParams_.clear();
+    loopExitValueLost_.clear();
     nextSlot_ = 0;
     Scope fnScope(&globalScope);
     for (auto& p : f.params) {
@@ -130,6 +136,7 @@ class Sema {
         const ScalarType targetTy = analyzeLValue(a.target, scope, a.loc);
         analyzeExpr(*a.value, scope);
         a.value = coerce(std::move(a.value), targetTy);
+        if (a.target.kind == LValue::Kind::Var) loopExitValueLost_.erase(a.target.decl);
         break;
       }
       case StmtKind::If: {
@@ -158,6 +165,9 @@ class Sema {
         Scope bodyScope(&scope);
         bodyScope.declare(iv);
         analyzeStmt(*f.body, bodyScope);
+        if (const VarDecl* named = f.declaresType ? nullptr : scope.lookup(f.inductionVar)) {
+          loopExitValueLost_[named] = f.loc.line;
+        }
         break;
       }
       case StmtKind::Return:
@@ -268,6 +278,12 @@ class Sema {
           break;
         }
         v.decl = d;
+        if (const auto lost = loopExitValueLost_.find(d); lost != loopExitValueLost_.end()) {
+          diags_.error(e.loc, fmt("'%0' is read after the for loop at line %1 that counts in it; "
+                                  "the C subset does not keep a loop's exit value, so assign "
+                                  "'%0' before reading it",
+                                  v.name, lost->second));
+        }
         if (d->type.isArray()) diags_.error(e.loc, fmt("array '%0' used as a scalar value", v.name));
         if (d->storage == Storage::Param && d->mode == ParamMode::Out && !d->type.isArray()) {
           diags_.error(e.loc, fmt("out-parameter '%0' cannot be read (write-only)", v.name));

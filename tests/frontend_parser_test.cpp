@@ -248,6 +248,44 @@ TEST(Sema, RejectsOutArrayRead) {
                         "cannot be read");
 }
 
+TEST(Sema, RejectsReadingALoopCounterAfterItsLoop) {
+  // The loop counts in its own induction variable, so C's exit value (8)
+  // never reaches the declared 'i'; the interpreter once returned o = 0.
+  const char* kRepro = R"(void k(const int8 A[8], int* o) {
+  int i;
+  int s;
+  s = 0;
+  for (i = 0; i < 8; i++) {
+    s = s + A[i];
+  }
+  *o = i;
+})";
+  expectErrorContaining(kRepro, "'i' is read after the for loop at line 5");
+  expectErrorContaining(kRepro, "does not keep a loop's exit value");
+  // The read is fine once a plain assignment gives 'i' a value, and a
+  // typed for-init leaves an outer 'i' alone, as in C.
+  parseAndAnalyze(R"(void k(const int8 A[8], int* o) {
+  int i;
+  for (i = 0; i < 8; i++) { *o = A[i]; }
+  i = 3;
+  *o = i;
+})");
+  parseAndAnalyze(R"(void k(const int8 A[8], int* o) {
+  int i;
+  i = 5;
+  for (int i = 0; i < 8; i++) { *o = A[i]; }
+  *o = i;
+})");
+  // Reading it on the right of its own reassignment is still too early.
+  expectErrorContaining(R"(void k(const int8 A[8], int* o) {
+  int i;
+  for (i = 0; i < 8; i++) { *o = A[i]; }
+  i = i + 1;
+  *o = i;
+})",
+                        "at line 3");
+}
+
 TEST(Sema, RejectsBadDimensionality) {
   expectErrorContaining("void k(const int8 A[4][4], int8* o) { *o = A[1]; }", "dimensions");
 }
