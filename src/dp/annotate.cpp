@@ -1,79 +1,56 @@
 #include "dp/annotate.hpp"
 
 #include <algorithm>
-#include <sstream>
 
-#include "support/json.hpp"
 #include "support/strings.hpp"
 
 namespace roccc::dp {
 
-std::string exportJson(const DataPath& dp) {
-  std::ostringstream os;
-  os << "{\n  \"name\": \"" << json::escape(dp.name) << "\",\n";
-  os << "  \"stages\": " << dp.stageCount << ",\n";
-
-  os << "  \"nodes\": [\n";
-  for (size_t i = 0; i < dp.nodes.size(); ++i) {
-    const DpNode& n = dp.nodes[i];
-    os << "    {\"id\": " << n.id << ", \"kind\": \""
-       << (n.kind == NodeKind::Soft ? "soft" : (n.kind == NodeKind::Mux ? "mux" : "pipe"))
-       << "\", \"label\": \"" << json::escape(n.label) << "\", \"ops\": [";
-    for (size_t k = 0; k < n.ops.size(); ++k) {
-      if (k) os << ", ";
-      os << n.ops[k];
-    }
-    os << "]}" << (i + 1 < dp.nodes.size() ? "," : "") << "\n";
+json::Value exportJson(const DataPath& dp) {
+  using json::Value;
+  Value nodes = Value::array();
+  for (const DpNode& n : dp.nodes) {
+    Value ops = Value::array();
+    for (int op : n.ops) ops.push(op);
+    const char* kind =
+        n.kind == NodeKind::Soft ? "soft" : (n.kind == NodeKind::Mux ? "mux" : "pipe");
+    nodes.push(Value::object(
+        {{"id", n.id}, {"kind", kind}, {"label", n.label}, {"ops", std::move(ops)}}));
   }
-  os << "  ],\n";
-
-  os << "  \"ops\": [\n";
+  Value ops = Value::array();
   for (size_t i = 0; i < dp.ops.size(); ++i) {
     const DpOp& o = dp.ops[i];
-    os << "    {\"id\": " << i << ", \"op\": \"" << mir::opcodeName(o.op) << "\", \"stage\": "
-       << o.stage << ", \"node\": " << o.node << ", \"result\": " << o.result << ", \"operands\": [";
-    for (size_t k = 0; k < o.operands.size(); ++k) {
-      if (k) os << ", ";
-      os << o.operands[k];
-    }
-    os << "]";
-    if (!o.symbol.empty()) os << ", \"symbol\": \"" << json::escape(o.symbol) << "\"";
-    if (o.op == mir::Opcode::Ldc) os << ", \"imm\": " << o.imm;
-    os << "}" << (i + 1 < dp.ops.size() ? "," : "") << "\n";
+    Value operands = Value::array();
+    for (int v : o.operands) operands.push(v);
+    Value op = Value::object({{"id", i}, {"op", mir::opcodeName(o.op)}, {"stage", o.stage},
+                              {"node", o.node}, {"result", o.result},
+                              {"operands", std::move(operands)}});
+    if (!o.symbol.empty()) op.set("symbol", o.symbol);
+    if (o.op == mir::Opcode::Ldc) op.set("imm", o.imm);
+    ops.push(std::move(op));
   }
-  os << "  ],\n";
-
-  os << "  \"values\": [\n";
-  for (size_t i = 0; i < dp.values.size(); ++i) {
-    const DpValue& v = dp.values[i];
-    os << "    {\"id\": " << v.id << ", \"name\": \"" << json::escape(v.name) << "\", \"width\": "
-       << v.width << ", \"signed\": " << (v.isSigned ? "true" : "false") << ", \"declared\": \""
-       << v.declared.str() << "\", \"def\": " << v.def << "}"
-       << (i + 1 < dp.values.size() ? "," : "") << "\n";
+  Value values = Value::array();
+  for (const DpValue& v : dp.values) {
+    values.push(Value::object({{"id", v.id}, {"name", v.name}, {"width", v.width},
+                               {"signed", v.isSigned}, {"declared", v.declared.str()},
+                               {"def", v.def}}));
   }
-  os << "  ],\n";
-
-  auto ports = [&](const char* key, const std::vector<DataPath::Port>& list) {
-    os << "  \"" << key << "\": [";
-    for (size_t i = 0; i < list.size(); ++i) {
-      if (i) os << ", ";
-      os << "{\"name\": \"" << json::escape(list[i].name) << "\", \"type\": \""
-         << list[i].type.str() << "\", \"value\": " << list[i].value << "}";
+  auto ports = [](const std::vector<DataPath::Port>& list) {
+    Value out = Value::array();
+    for (const auto& p : list) {
+      out.push(Value::object({{"name", p.name}, {"type", p.type.str()}, {"value", p.value}}));
     }
-    os << "],\n";
+    return out;
   };
-  ports("inputs", dp.inputs);
-  ports("outputs", dp.outputs);
-
-  os << "  \"feedbacks\": [";
-  for (size_t i = 0; i < dp.feedbacks.size(); ++i) {
-    const auto& fb = dp.feedbacks[i];
-    if (i) os << ", ";
-    os << "{\"name\": \"" << json::escape(fb.name) << "\", \"initial\": " << fb.initial
-       << ", \"stage\": " << fb.stage << "}";
+  Value feedbacks = Value::array();
+  for (const auto& fb : dp.feedbacks) {
+    feedbacks.push(
+        Value::object({{"name", fb.name}, {"initial", fb.initial}, {"stage", fb.stage}}));
   }
-  os << "]\n}\n";
-  return os.str();
+  return Value::object({{"name", dp.name}, {"stages", dp.stageCount}, {"nodes", std::move(nodes)},
+                        {"ops", std::move(ops)}, {"values", std::move(values)},
+                        {"inputs", ports(dp.inputs)}, {"outputs", ports(dp.outputs)},
+                        {"feedbacks", std::move(feedbacks)}});
 }
 
 bool applyAnnotations(DataPath& dp, const Annotations& a, DiagEngine& diags) {

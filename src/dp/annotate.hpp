@@ -10,12 +10,13 @@
 
 #include "dp/datapath.hpp"
 #include "support/diag.hpp"
+#include "support/json.hpp"
 
 namespace roccc::dp {
 
-/// Serializes the data path (nodes, ops, values, stages, widths, ports,
-/// feedback registers) as JSON for external graph editors.
-std::string exportJson(const DataPath& dp);
+/// The data path (nodes, ops, values, stages, widths, ports, feedback
+/// registers) as a JSON document for external graph editors.
+json::Value exportJson(const DataPath& dp);
 
 /// Hand annotations applied on top of the automatic result.
 struct Annotations {

@@ -39,8 +39,8 @@ std::string canonicalizeOptions(const CompileOptions& o) {
   // The option table's rows are exactly the semantic fields; presentation
   // fields (pipeline.printAfter*) are not rows (see the
   // CacheKey.IgnoresPresentationOnlyFields test). Strings are quoted and
-  // escaped, doubles printed at 17 significant digits, so distinct options
-  // never share a text.
+  // escaped, doubles printed in their shortest round-trip text, so distinct
+  // options never share a text.
   json::Value all = json::Value::object();
   for (const OptionRow& row : optionTable()) all.set(row.key, optionToJson(row, o));
   return all.dump();
@@ -121,12 +121,11 @@ bool isCacheable(const CompileResult& result, const CompileOptions& options) {
   return false;
 }
 
-std::string CacheStats::toJson() const {
-  return fmt("{\"hits\": %0, \"misses\": %1, \"coalesced\": %2, \"evictions\": %3, "
-             "\"uncacheable\": %4, \"diskHits\": %5, \"diskStores\": %6, \"bytesInUse\": %7, "
-             "\"entries\": %8}",
-             hits, misses, coalesced, evictions, uncacheable, diskHits, diskStores, bytesInUse,
-             entries);
+json::Value CacheStats::toJson() const {
+  return json::Value::object({{"hits", hits}, {"misses", misses}, {"coalesced", coalesced},
+                              {"evictions", evictions}, {"uncacheable", uncacheable},
+                              {"diskHits", diskHits}, {"diskStores", diskStores},
+                              {"bytesInUse", bytesInUse}, {"entries", entries}});
 }
 
 // --- entry serialization (tier 2) -------------------------------------------

@@ -58,6 +58,7 @@
 #include <vector>
 
 #include "roccc/compiler.hpp"
+#include "support/json.hpp"
 
 namespace roccc {
 
@@ -122,7 +123,7 @@ struct CacheStats {
   int64_t entries = 0;      ///< current tier-1 entry count
 
   /// {"hits":..,"misses":..,...} — embedded in roccc-cc --stats-json.
-  std::string toJson() const;
+  json::Value toJson() const;
 };
 
 struct CacheConfig {

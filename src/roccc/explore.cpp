@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <cstdlib>
 #include <sstream>
 #include <unordered_set>
@@ -15,25 +14,6 @@
 #include "synth/estimate.hpp"
 
 namespace roccc {
-
-namespace {
-
-/// Metric rendering in the report (operator<< default precision; never
-/// locale-dependent for these value ranges).
-std::string num(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-/// A double in the shortest text that reads back as the same value, so
-/// two distinct stage-delay targets never print alike.
-std::string shortest(double v) {
-  char buf[32];
-  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-}
-
-} // namespace
 
 // --- names -------------------------------------------------------------------
 
@@ -177,7 +157,7 @@ std::string pointLabel(const SweepPoint& p) {
   std::string label = p.kernel;
   label += o.autoUnrollSliceBudget > 0 ? fmt("@auto%0", o.autoUnrollSliceBudget)
                                        : fmt("@u%0", o.unrollFactor);
-  label += "/ns" + shortest(o.dpOptions.targetStageDelayNs);
+  label += "/ns" + json::Value(o.dpOptions.targetStageDelayNs).dump();
   for (OptionId id : kSweepOptions) {
     const OptionRow& row = optionRow(id);
     if (row.kind != OptionKind::Bool && row.kind != OptionKind::Enum) continue;
@@ -247,16 +227,15 @@ std::vector<SweepPoint> expandGrid(const SweepGrid& grid) {
   return points;
 }
 
-std::string pointConfigJson(const SweepPoint& point) {
-  std::string out = "{";
+json::Value pointConfigJson(const SweepPoint& point) {
+  json::Value config = json::Value::object();
   for (OptionId id : kSweepOptions) {
     const OptionRow& row = optionRow(id);
-    const json::Value v = optionToJson(row, point.options);
-    out += fmt("\"%0\": %1, ", row.key,
-               row.kind == OptionKind::PositiveDouble ? shortest(v.asDouble()) : v.dump());
+    config.set(row.key, optionToJson(row, point.options));
   }
-  return out + fmt("\"busElems\": %0, \"smartBuffer\": %1}", point.busElems,
-                   point.smartBuffer ? "true" : "false");
+  config.set("busElems", point.busElems);
+  config.set("smartBuffer", point.smartBuffer);
+  return config;
 }
 
 // --- manifest ----------------------------------------------------------------
@@ -594,77 +573,50 @@ std::string SweepResult::outcomeSummary() const {
   return join(parts, ", ");
 }
 
-std::string SweepResult::toJson(bool includeTimings) const {
-  IndentWriter w;
-  w.line("{");
-  w.indent();
-  w.line("\"schema\": \"roccc-sweep-v1\",");
-  w.line(fmt("\"seed\": %0,", seed));
-  std::vector<std::string> axisNames;
-  for (SweepAxis a : axes) axisNames.push_back(fmt("\"%0\"", sweepAxisName(a)));
-  w.line(fmt("\"axes\": [%0],", join(axisNames, ", ")));
-  w.line(fmt("\"points\": %0,", points.size()));
-  w.line(fmt("\"ok\": %0,", okCount()));
-  w.line(fmt("\"failed\": %0,", failedCount()));
-  w.line("\"results\": [");
-  w.indent();
-  for (size_t i = 0; i < points.size(); ++i) {
-    const SweepPointResult& p = points[i];
-    w.line("{");
-    w.indent();
-    w.line(fmt("\"kernel\": \"%0\",", json::escape(p.point.kernel)));
-    w.line(fmt("\"label\": \"%0\",", json::escape(p.point.label)));
-    w.line(fmt("\"config\": %0,", pointConfigJson(p.point)));
-    w.line(fmt("\"outcome\": \"%0\",", pointOutcomeName(p.outcome)));
-    if (!p.error.empty()) w.line(fmt("\"error\": \"%0\",", json::escape(p.error)));
-    if (includeTimings) w.line(fmt("\"compileMs\": %0,", num(p.compileMs)));
+json::Value SweepResult::toJson(bool includeTimings) const {
+  using json::Value;
+  Value axisNames = Value::array();
+  for (SweepAxis a : axes) axisNames.push(sweepAxisName(a));
+  Value results = Value::array();
+  for (const SweepPointResult& p : points) {
+    Value row = Value::object({{"kernel", p.point.kernel}, {"label", p.point.label},
+                               {"config", pointConfigJson(p.point)},
+                               {"outcome", pointOutcomeName(p.outcome)}});
+    if (!p.error.empty()) row.set("error", p.error);
+    if (includeTimings) row.set("compileMs", p.compileMs);
     if (p.outcome == PointOutcome::Ok) {
       const PointMetrics& m = p.metrics;
-      w.line(fmt("\"metrics\": {\"slices\": %0, \"lut4\": %1, \"ff\": %2, \"mult18\": %3, "
-                 "\"bram\": %4, \"stages\": %5, \"pipelineRegBits\": %6, \"balanceRegBits\": %7,",
-                 m.slices, m.lut4, m.ff, m.mult18, m.bram, m.stages, m.pipelineRegBits,
-                 m.balanceRegBits));
-      w.line(fmt("            \"criticalPathNs\": %0, \"fmaxMHz\": %1, \"cycles\": %2, "
-                 "\"bramReads\": %3, \"throughput\": %4,",
-                 num(m.criticalPathNs), num(m.fmaxMHz), m.cycles, m.bramReads,
-                 num(m.throughput)));
-      w.line(fmt("            \"energyPjPerCycle\": %0, \"edpPjNs\": %1},",
-                 num(m.energyPjPerCycle), num(m.edpPjNs)));
+      row.set("metrics",
+              Value::object({{"slices", m.slices}, {"lut4", m.lut4}, {"ff", m.ff},
+                             {"mult18", m.mult18}, {"bram", m.bram}, {"stages", m.stages},
+                             {"pipelineRegBits", m.pipelineRegBits},
+                             {"balanceRegBits", m.balanceRegBits},
+                             {"criticalPathNs", m.criticalPathNs}, {"fmaxMHz", m.fmaxMHz},
+                             {"cycles", m.cycles}, {"bramReads", m.bramReads},
+                             {"throughput", m.throughput},
+                             {"energyPjPerCycle", m.energyPjPerCycle}, {"edpPjNs", m.edpPjNs}}));
     }
-    w.line(fmt("\"pareto\": %0", p.pareto ? "true" : "false"));
-    w.dedent();
-    w.line(fmt("}%0", i + 1 < points.size() ? "," : ""));
+    row.set("pareto", p.pareto);
+    results.push(std::move(row));
   }
-  w.dedent();
-  w.line("],");
-  w.line("\"frontiers\": [");
-  w.indent();
-  for (size_t i = 0; i < frontiers.size(); ++i) {
-    const KernelFrontier& f = frontiers[i];
-    std::vector<std::string> labels;
-    for (size_t idx : f.points) {
-      labels.push_back(fmt("\"%0\"", json::escape(points[idx].point.label)));
-    }
-    std::string entry = fmt("{\"kernel\": \"%0\", \"points\": [%1]", json::escape(f.kernel),
-                            join(labels, ", "));
-    if (!f.points.empty()) {
-      entry += fmt(", \"best\": \"%0\"", json::escape(points[f.best].point.label));
-    }
-    entry += fmt("}%0", i + 1 < frontiers.size() ? "," : "");
-    w.line(entry);
+  Value frontierRows = Value::array();
+  for (const KernelFrontier& f : frontiers) {
+    Value labels = Value::array();
+    for (size_t idx : f.points) labels.push(points[idx].point.label);
+    Value row = Value::object({{"kernel", f.kernel}, {"points", std::move(labels)}});
+    if (!f.points.empty()) row.set("best", points[f.best].point.label);
+    frontierRows.push(std::move(row));
   }
-  w.dedent();
+  Value doc = Value::object({{"schema", "roccc-sweep-v1"}, {"seed", seed},
+                             {"axes", std::move(axisNames)}, {"points", points.size()},
+                             {"ok", okCount()}, {"failed", failedCount()},
+                             {"results", std::move(results)},
+                             {"frontiers", std::move(frontierRows)}});
   if (includeTimings) {
-    w.line("],");
-    w.line(fmt("\"run\": {\"workers\": %0, \"wallMs\": %1, \"cacheHits\": %2, "
-               "\"cacheMisses\": %3}",
-               workers, num(wallMs), cacheHits, cacheMisses));
-  } else {
-    w.line("]");
+    doc.set("run", Value::object({{"workers", workers}, {"wallMs", wallMs},
+                                  {"cacheHits", cacheHits}, {"cacheMisses", cacheMisses}}));
   }
-  w.dedent();
-  w.line("}");
-  return w.str();
+  return doc;
 }
 
 std::string SweepResult::table() const {
@@ -712,7 +664,7 @@ std::string SweepResult::bestReport() const {
     }
     const SweepPointResult& b = points[f.best];
     os << fmt("  %0: %1 — %2 slices, %3 MHz, %4 cycles, EDP %5 pJ.ns\n", f.kernel, b.point.label,
-              b.metrics.slices, num(b.metrics.fmaxMHz), b.metrics.cycles, num(b.metrics.edpPjNs));
+              b.metrics.slices, b.metrics.fmaxMHz, b.metrics.cycles, b.metrics.edpPjNs);
   }
   return os.str();
 }

@@ -31,7 +31,7 @@
 //                  recommend a configuration that miscompiles.
 //
 // Determinism guarantee (tests/explore_test.cpp): a sweep report is a pure
-// function of (grid, options) — SweepResult::toJson() is byte-identical
+// function of (grid, options) — SweepResult::toJson().pretty() is byte-identical
 // across worker counts and across cold/warm cache runs. Wall-time and
 // cache-accounting fields are exempt and only serialized on request
 // (toJson(true)); this is the same contract compileBatch gives.
@@ -128,9 +128,9 @@ struct SweepPoint {
   bool smartBuffer = true;
 };
 
-/// The point's `config` object as the JSON report prints it, one line:
-/// {"unroll": 2, "autoUnrollBudget": 0, "targetNs": 4, ...}.
-std::string pointConfigJson(const SweepPoint& point);
+/// The point's `config` object in the JSON report, which prints it on one
+/// line: {"unroll": 2, "autoUnrollBudget": 0, "targetNs": 4, ...}.
+json::Value pointConfigJson(const SweepPoint& point);
 
 /// Crosses the grid into the deduplicated, deterministically-ordered point
 /// list. Dedup key: (kernel name, content-addressed compile key via
@@ -266,9 +266,9 @@ struct SweepResult {
 
   /// The versioned JSON report ("schema": "roccc-sweep-v1"). With
   /// includeTimings false (the default and the determinism contract) the
-  /// bytes are a pure function of (grid, SweepOptions); true adds the
+  /// document is a pure function of (grid, SweepOptions); true adds the
   /// per-point compileMs and a "run" block (workers, wallMs, cache hits).
-  std::string toJson(bool includeTimings = false) const;
+  json::Value toJson(bool includeTimings = false) const;
   /// Per-kernel metric table, Pareto points starred.
   std::string table() const;
   /// The "best config per kernel" report.

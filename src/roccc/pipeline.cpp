@@ -6,9 +6,9 @@
 
 #include "roccc/compiler.hpp"
 #include "support/faultpoint.hpp"
-#include "support/json.hpp"
 #include "support/strings.hpp"
 #include "support/timer.hpp"
+#include "synth/estimate.hpp"
 #include "vhdl/check.hpp"
 #include "vhdl/verilog.hpp"
 
@@ -214,30 +214,33 @@ bool PassManager::run(PassContext& ctx, std::vector<PassStatistics>& stats) cons
   return true;
 }
 
-std::string statsToJson(const std::vector<PassStatistics>& stats) {
-  return statsToJson(stats, std::string());
+json::Value statsToJson(const std::vector<PassStatistics>& stats, json::Value timing) {
+  using json::Value;
+  Value passes = Value::array();
+  double totalMs = 0;
+  for (const auto& s : stats) {
+    totalMs += s.wallMs;
+    Value counters = Value::object();
+    for (const auto& [key, value] : s.counters) counters.set(key, value);
+    passes.push(Value::object({{"name", s.name}, {"layer", passLayerName(s.layer)},
+                               {"wallMs", s.wallMs}, {"ran", s.ran},
+                               {"counters", std::move(counters)}}));
+  }
+  Value doc = Value::object({{"passes", std::move(passes)}});
+  if (!timing.isNull()) doc.set("timing", std::move(timing));
+  doc.set("totalMs", totalMs);
+  return doc;
 }
 
-std::string statsToJson(const std::vector<PassStatistics>& stats, const std::string& extraMember) {
-  std::ostringstream os;
-  os << "{\n  \"passes\": [\n";
-  double totalMs = 0;
-  for (size_t i = 0; i < stats.size(); ++i) {
-    const auto& s = stats[i];
-    totalMs += s.wallMs;
-    os << "    {\"name\": \"" << json::escape(s.name) << "\", \"layer\": \""
-       << passLayerName(s.layer) << "\", \"wallMs\": " << s.wallMs
-       << ", \"ran\": " << (s.ran ? "true" : "false") << ", \"counters\": {";
-    for (size_t c = 0; c < s.counters.size(); ++c) {
-      if (c) os << ", ";
-      os << '"' << json::escape(s.counters[c].first) << "\": " << s.counters[c].second;
-    }
-    os << "}}" << (i + 1 < stats.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n";
-  if (!extraMember.empty()) os << "  " << extraMember << ",\n";
-  os << "  \"totalMs\": " << totalMs << "\n}\n";
-  return os.str();
+json::Value timingToJson(const CompileResult& r, double targetNs, const synth::Report& est) {
+  using json::Value;
+  const auto& rt = r.datapath.timing;
+  Value energy = Value::object({{"dynamicPjPerCycle", est.dynamicPjPerCycle},
+                                {"leakageMw", est.leakageMw}, {"edpPjNs", est.edpPjNs()}});
+  return Value::object({{"targetNs", targetNs}, {"stages", r.datapath.stageCount},
+                        {"worstStageNs", rt.worstStageNs}, {"criticalPathNs", est.criticalPathNs},
+                        {"fmaxMHz", est.fmaxMHz()}, {"slackNs", rt.slackNs},
+                        {"feasible", rt.feasible}, {"energy", std::move(energy)}});
 }
 
 std::string statsToTable(const std::vector<PassStatistics>& stats) {

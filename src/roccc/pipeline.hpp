@@ -19,11 +19,15 @@
 #include "frontend/ast.hpp"
 #include "support/budget.hpp"
 #include "support/diag.hpp"
+#include "support/json.hpp"
 
 namespace roccc {
 
 struct CompileOptions;
 struct CompileResult;
+namespace synth {
+struct Report;
+}
 
 /// Which layer of the flow a pass operates on; selects the snapshot
 /// printer and the between-pass verifier.
@@ -48,15 +52,15 @@ struct PassStatistics {
   int64_t counter(const std::string& key) const;
 };
 
-/// The --stats-json payload: {"passes":[{name,layer,wallMs,ran,counters},...],
-/// "totalMs":...}.
-std::string statsToJson(const std::vector<PassStatistics>& stats);
-
-/// As above, with one extra pre-rendered top-level member spliced in before
-/// "totalMs" (e.g. `"timing": {...}` — roccc-cc's --stats-json timing
-/// block). `extraMember` must be a complete `"key": value` fragment, or
-/// empty for none.
-std::string statsToJson(const std::vector<PassStatistics>& stats, const std::string& extraMember);
+/// The --stats-json document: {"passes": [{name, layer, wallMs, ran,
+/// counters}, ...], "timing": {...}, "totalMs": ...}. The "timing" member
+/// is `timing` (roccc-cc's timingToJson block) and is left out when null.
+json::Value statsToJson(const std::vector<PassStatistics>& stats, json::Value timing = {});
+/// The --stats-json "timing" block of a successful compile: the stage-delay
+/// target, latch placement's report on `r.datapath` (stages, worst stage,
+/// slack, feasibility) and the estimate `est` of `r.module` (critical path,
+/// fmax, energy).
+json::Value timingToJson(const CompileResult& r, double targetNs, const synth::Report& est);
 /// The --time-passes table (one row per pass, slowest-aware column widths).
 std::string statsToTable(const std::vector<PassStatistics>& stats);
 

@@ -8,7 +8,6 @@
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
 #include "mir/exec.hpp"
-#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "vhdl/testbench.hpp"
@@ -498,49 +497,26 @@ std::string VerifyReport::summary() const {
   return s;
 }
 
-std::string VerifyReport::toJson() const {
-  IndentWriter w;
-  w.line("{");
-  w.indent();
-  w.line(fmt("\"kernels\": %0,", verdicts.size()));
-  w.line(fmt("\"agreed\": %0,", agreed()));
-  w.line(fmt("\"compileFailures\": %0,", compileFailures()));
-  w.line("\"verdicts\": [");
-  w.indent();
-  for (size_t i = 0; i < verdicts.size(); ++i) {
-    const KernelVerdict& v = verdicts[i];
-    w.line("{");
-    w.indent();
-    w.line(fmt("\"kernel\": \"%0\",", json::escape(v.kernel)));
-    w.line(fmt("\"outcome\": \"%0\",", compileOutcomeName(v.outcome)));
-    w.line(fmt("\"agree\": %0,", v.agree ? "true" : "false"));
-    w.line(fmt("\"testbenchPassed\": %0,", v.testbenchPassed ? "true" : "false"));
-    w.line(fmt("\"enginesRun\": %0,", v.enginesRun));
-    w.line(fmt("\"iterations\": %0,", v.iterations));
-    w.line(fmt("\"outputDigest\": \"%0\",", fmt("%0", v.outputDigest)));
-    if (!v.compileError.empty()) {
-      w.line(fmt("\"compileError\": \"%0\",", json::escape(v.compileError)));
+json::Value VerifyReport::toJson() const {
+  using json::Value;
+  Value rows = Value::array();
+  for (const KernelVerdict& v : verdicts) {
+    Value row = Value::object({{"kernel", v.kernel}, {"outcome", compileOutcomeName(v.outcome)},
+                               {"agree", v.agree}, {"testbenchPassed", v.testbenchPassed},
+                               {"enginesRun", v.enginesRun}, {"iterations", v.iterations},
+                               {"outputDigest", std::to_string(v.outputDigest)}});
+    if (!v.compileError.empty()) row.set("compileError", v.compileError);
+    Value disagreements = Value::array();
+    for (const Counterexample& ce : v.disagreements) {
+      disagreements.push(Value::object({{"engine", verifyEngineName(ce.engine)}, {"port", ce.port},
+                                        {"index", ce.index}, {"expected", ce.expected},
+                                        {"got", ce.got}, {"detail", ce.detail}}));
     }
-    w.line("\"disagreements\": [");
-    w.indent();
-    for (size_t j = 0; j < v.disagreements.size(); ++j) {
-      const Counterexample& ce = v.disagreements[j];
-      w.line(fmt("{\"engine\": \"%0\", \"port\": \"%1\", \"index\": %2, \"expected\": \"%3\", "
-                 "\"got\": \"%4\", \"detail\": \"%5\"}%6",
-                 verifyEngineName(ce.engine), json::escape(ce.port), ce.index,
-                 json::escape(ce.expected), json::escape(ce.got), json::escape(ce.detail),
-                 j + 1 < v.disagreements.size() ? "," : ""));
-    }
-    w.dedent();
-    w.line("]");
-    w.dedent();
-    w.line(fmt("}%0", i + 1 < verdicts.size() ? "," : ""));
+    row.set("disagreements", std::move(disagreements));
+    rows.push(std::move(row));
   }
-  w.dedent();
-  w.line("]");
-  w.dedent();
-  w.line("}");
-  return w.str();
+  return Value::object({{"kernels", verdicts.size()}, {"agreed", agreed()},
+                        {"compileFailures", compileFailures()}, {"verdicts", std::move(rows)}});
 }
 
 } // namespace roccc

@@ -36,6 +36,7 @@
 #include "interp/interp.hpp"
 #include "roccc/driver.hpp"
 #include "rtl/system.hpp"
+#include "support/json.hpp"
 
 namespace roccc {
 
@@ -104,7 +105,8 @@ struct VerifyReport {
   int compileFailures() const;
   bool allAgree() const; ///< every Ok-compiled kernel agreed (and testbenches passed)
   std::string summary() const;
-  std::string toJson() const;
+  /// The roccc-verify --json report.
+  json::Value toJson() const;
 };
 
 /// Deterministic stimulus covering the kernel's input arrays and scalars

@@ -1,57 +1,33 @@
 #include "support/json.hpp"
 
+#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "support/strings.hpp"
 
 namespace roccc::json {
 
-Value Value::boolean(bool b) {
-  Value v;
-  v.kind_ = Kind::Bool;
-  v.bool_ = b;
-  return v;
-}
-
-Value Value::number(double d) {
-  Value v;
-  v.kind_ = Kind::Number;
-  v.number_ = d;
+Value::Value(double d) : kind_(Kind::Number), number_(d) {
   // Integral doubles inside the exact range serialize as integers.
   if (d == std::floor(d) && std::abs(d) < 9.007199254740992e15) {
-    v.int_ = static_cast<int64_t>(d);
-    v.isInt_ = true;
+    int_ = static_cast<int64_t>(d);
+    isInt_ = true;
   }
-  return v;
 }
 
-Value Value::number(int64_t i) {
-  Value v;
-  v.kind_ = Kind::Number;
-  v.number_ = static_cast<double>(i);
-  v.int_ = i;
-  v.isInt_ = true;
-  return v;
-}
-
-Value Value::string(std::string s) {
-  Value v;
-  v.kind_ = Kind::String;
-  v.string_ = std::move(s);
-  return v;
-}
-
-Value Value::array() {
+Value Value::array(std::initializer_list<Value> items) {
   Value v;
   v.kind_ = Kind::Array;
+  v.items_.assign(items);
   return v;
 }
 
-Value Value::object() {
+Value Value::object(std::initializer_list<Member> members) {
   Value v;
   v.kind_ = Kind::Object;
+  v.members_.assign(members);
   return v;
 }
 
@@ -106,54 +82,67 @@ std::string escape(std::string_view s) {
   return out;
 }
 
-namespace {
-
-void dumpTo(const Value& v, std::string& out) {
-  switch (v.kind()) {
-    case Value::Kind::Null: out += "null"; return;
-    case Value::Kind::Bool: out += v.asBool() ? "true" : "false"; return;
-    case Value::Kind::Number: {
-      if (v.isIntegral()) {
-        out += std::to_string(v.asInt());
+void Value::writeTo(std::string& out, int depth) const {
+  switch (kind_) {
+    case Kind::Null: out += "null"; return;
+    case Kind::Bool: out += bool_ ? "true" : "false"; return;
+    case Kind::Number: {
+      char buf[32]; // the longest shortest-form double is 24 characters
+      char* end;
+      if (isInt_) {
+        end = std::to_chars(buf, buf + sizeof buf, int_).ptr;
+      } else if (bigUnsigned_) {
+        end = std::to_chars(buf, buf + sizeof buf, static_cast<uint64_t>(int_)).ptr;
+      } else if (std::isfinite(number_)) {
+        end = std::to_chars(buf, buf + sizeof buf, number_).ptr;
       } else {
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g", v.asDouble());
-        out += buf;
+        out += "null";
+        return;
       }
+      out.append(buf, end);
       return;
     }
-    case Value::Kind::String:
+    case Kind::String:
       out += '"';
-      escapeTo(v.asString(), out);
+      escapeTo(string_, out);
       out += '"';
       return;
-    case Value::Kind::Array: {
-      out += '[';
-      bool first = true;
-      for (const auto& item : v.items()) {
-        if (!first) out += ',';
-        first = false;
-        dumpTo(item, out);
-      }
-      out += ']';
-      return;
-    }
-    case Value::Kind::Object: {
-      out += '{';
-      bool first = true;
-      for (const auto& [key, member] : v.members()) {
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        escapeTo(key, out);
-        out += "\":";
-        dumpTo(member, out);
-      }
-      out += '}';
-      return;
-    }
+    case Kind::Array:
+    case Kind::Object: break;
   }
+  const bool isObject = kind_ == Kind::Object;
+  const size_t size = isObject ? members_.size() : items_.size();
+  auto element = [&](size_t i) -> const Value& {
+    return isObject ? members_[i].second : items_[i];
+  };
+  // The report form gives each element its own line once any element is
+  // a non-empty container.
+  bool multiline = false;
+  for (size_t i = 0; depth >= 0 && i < size && !multiline; ++i) {
+    multiline = !element(i).items_.empty() || !element(i).members_.empty();
+  }
+  out += isObject ? '{' : '[';
+  for (size_t i = 0; i < size; ++i) {
+    if (i > 0) out += depth < 0 || multiline ? "," : ", ";
+    if (multiline) {
+      out += '\n';
+      out.append(2 * static_cast<size_t>(depth + 1), ' ');
+    }
+    if (isObject) {
+      out += '"';
+      escapeTo(members_[i].first, out);
+      out += depth < 0 ? "\":" : "\": ";
+    }
+    element(i).writeTo(out, depth < 0 ? depth : depth + 1);
+  }
+  if (multiline) {
+    out += '\n';
+    out.append(2 * static_cast<size_t>(depth), ' ');
+  }
+  out += isObject ? '}' : ']';
 }
+
+namespace {
 
 /// Recursive-descent RFC 8259 parser over a string_view. Strict: every
 /// deviation is an error with a byte offset, and nesting is capped.
@@ -421,7 +410,14 @@ class Parser {
 
 std::string Value::dump() const {
   std::string out;
-  dumpTo(*this, out);
+  writeTo(out, -1);
+  return out;
+}
+
+std::string Value::pretty() const {
+  std::string out;
+  writeTo(out, 0);
+  out += '\n';
   return out;
 }
 

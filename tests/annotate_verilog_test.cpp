@@ -47,22 +47,19 @@ const char* kAcc = R"(
 
 TEST(Annotation, JsonExportIsWellFormedAndComplete) {
   CompileResult r = compile(kFir);
-  const std::string json = dp::exportJson(r.datapath);
-  // Structural sanity: balanced braces/brackets, key sections present.
-  int braces = 0, brackets = 0;
-  for (char c : json) {
-    if (c == '{') ++braces;
-    if (c == '}') --braces;
-    if (c == '[') ++brackets;
-    if (c == ']') --brackets;
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
-  for (const char* key : {"\"nodes\"", "\"ops\"", "\"values\"", "\"inputs\"", "\"outputs\"",
-                          "\"feedbacks\"", "\"stages\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key;
-  }
-  EXPECT_NE(json.find("\"fir_dp\""), std::string::npos);
+  json::Value doc;
+  std::string error;
+  ASSERT_TRUE(json::parse(dp::exportJson(r.datapath).pretty(), doc, error)) << error;
+  std::vector<std::string> keys;
+  for (const auto& member : doc.members()) keys.push_back(member.first);
+  EXPECT_EQ(keys, (std::vector<std::string>{"name", "stages", "nodes", "ops", "values", "inputs",
+                                            "outputs", "feedbacks"}));
+  EXPECT_EQ(doc.find("name")->asString(), "fir_dp");
+  EXPECT_EQ(doc.find("stages")->asInt(), r.datapath.stageCount);
+  EXPECT_EQ(doc.find("nodes")->items().size(), r.datapath.nodes.size());
+  EXPECT_EQ(doc.find("ops")->items().size(), r.datapath.ops.size());
+  EXPECT_EQ(doc.find("values")->items().size(), r.datapath.values.size());
+  EXPECT_EQ(doc.find("inputs")->items().size(), r.datapath.inputs.size());
 }
 
 TEST(Annotation, JsonExportEscapesControlCharactersInNames) {
@@ -71,7 +68,7 @@ TEST(Annotation, JsonExportEscapesControlCharactersInNames) {
   r.datapath.values.front().name = "v\r\x01\"";
   json::Value doc;
   std::string error;
-  ASSERT_TRUE(json::parse(dp::exportJson(r.datapath), doc, error)) << error;
+  ASSERT_TRUE(json::parse(dp::exportJson(r.datapath).pretty(), doc, error)) << error;
   EXPECT_EQ(doc.find("name")->asString(), "fir\r\x01dp");
   EXPECT_EQ(doc.find("values")->items().front().find("name")->asString(), "v\r\x01\"");
 }

@@ -61,7 +61,7 @@ TEST(ExploreCache, WarmPassHitsAndStaysByteIdentical) {
   const SweepResult second = runSweep(smallGrid(), warm);
   EXPECT_GT(second.cacheHits, 0);
   EXPECT_EQ(second.cacheMisses, 0);
-  EXPECT_EQ(first.toJson(), second.toJson());
+  EXPECT_EQ(first.toJson().pretty(), second.toJson().pretty());
 
   // An overlapping-but-larger grid still hits on the shared points.
   SweepGrid bigger = smallGrid();
@@ -84,7 +84,7 @@ TEST(ExploreCache, SharedCacheAcrossSweepsKeepsInMemoryHits) {
   EXPECT_EQ(first.cacheHits, 0);
   EXPECT_GT(second.cacheHits, 0);
   EXPECT_EQ(second.cacheMisses, 0);
-  EXPECT_EQ(first.toJson(), second.toJson());
+  EXPECT_EQ(first.toJson().pretty(), second.toJson().pretty());
 }
 
 // --- fault containment -------------------------------------------------------
@@ -128,7 +128,7 @@ TEST(ExploreFault, DatapathFaultIsATypedRowSiblingsUnaffected) {
   }
   EXPECT_EQ(failed, 1);
   // The typed outcome is in the JSON — a faulted sweep reports, not aborts.
-  EXPECT_NE(faulted.toJson().find("\"outcome\": \"internal-error\""), std::string::npos);
+  EXPECT_NE(faulted.toJson().pretty().find("\"outcome\": \"internal-error\""), std::string::npos);
   // The faulted point is off the frontier; the kernel still has one.
   for (const auto& fr : faulted.frontiers) EXPECT_FALSE(fr.points.empty()) << fr.kernel;
 }

@@ -61,7 +61,7 @@ TEST(ExploreConformance, FrontierVerdictsSurviveReportRoundTrip) {
   const SweepResult sweep = runSweep(grid, SweepOptions{});
   const VerifyReport report = verifyFrontier(sweep, VerifyOptions{});
   ASSERT_FALSE(report.verdicts.empty());
-  const std::string json = sweep.toJson();
+  const std::string json = sweep.toJson().pretty();
   for (const auto& v : report.verdicts) {
     EXPECT_NE(json.find("\"" + v.kernel + "\""), std::string::npos) << v.kernel;
   }

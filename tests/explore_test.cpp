@@ -15,6 +15,7 @@
 #include "../bench/kernels.hpp"
 #include "roccc/cache.hpp"
 #include "support/json.hpp"
+#include "synth/estimate.hpp"
 
 namespace roccc {
 namespace {
@@ -58,11 +59,11 @@ TEST(ExploreGrid, SingleKernelDefaultGridIsOneCompile) {
   EXPECT_EQ(points[0].options.unrollFactor, 1);
   // With no target axis, a kernel without a default gets the BuildOptions one.
   EXPECT_DOUBLE_EQ(points[0].options.dpOptions.targetStageDelayNs, 4.0);
-  EXPECT_EQ(pointConfigJson(points[0]),
+  EXPECT_EQ(pointConfigJson(points[0]).pretty(),
             "{\"unroll\": 1, \"autoUnrollBudget\": 0, \"targetNs\": 4, "
             "\"pipeline\": true, \"optimize\": true, \"lutConvert\": true, "
             "\"widthMode\": \"range\", \"multStyle\": \"lut\", \"busElems\": 1, "
-            "\"smartBuffer\": true}");
+            "\"smartBuffer\": true}\n");
 }
 
 TEST(ExploreGrid, CrossProductCoversEveryAxisCombination) {
@@ -129,8 +130,8 @@ TEST(ExploreGrid, LabelsTellCloseTargetsApart) {
   ASSERT_EQ(points.size(), 2u);
   EXPECT_EQ(points[0].label, "fir@u1/ns3.1234567");
   EXPECT_EQ(points[1].label, "fir@u1/ns3.1234568");
-  EXPECT_NE(pointConfigJson(points[0]).find("\"targetNs\": 3.1234567,"), std::string::npos)
-      << pointConfigJson(points[0]);
+  const std::string config = pointConfigJson(points[0]).pretty();
+  EXPECT_NE(config.find("\"targetNs\": 3.1234567,"), std::string::npos) << config;
 }
 
 TEST(ExploreGrid, DirectivesAreTheRowFlags) {
@@ -340,11 +341,12 @@ TEST(ExploreDeterminism, JsonIsByteIdenticalAcrossWorkerCounts) {
   eight.workers = 8;
   const SweepResult a = runSweep(grid, one);
   const SweepResult b = runSweep(grid, eight);
-  EXPECT_EQ(a.toJson(), b.toJson());
+  const std::string json = a.toJson().pretty();
+  EXPECT_EQ(json, b.toJson().pretty());
   // Wall-time fields are exempt — they live only in the timings form.
-  EXPECT_NE(a.toJson(true).find("\"run\""), std::string::npos);
-  EXPECT_EQ(a.toJson().find("\"wallMs\""), std::string::npos);
-  EXPECT_EQ(a.toJson().find("\"compileMs\""), std::string::npos);
+  EXPECT_NE(a.toJson(true).find("run"), nullptr);
+  EXPECT_EQ(json.find("\"wallMs\""), std::string::npos);
+  EXPECT_EQ(json.find("\"compileMs\""), std::string::npos);
 }
 
 TEST(ExploreDeterminism, MetricsAndFrontierAreStable) {
@@ -363,7 +365,7 @@ TEST(ExploreDeterminism, MetricsAndFrontierAreStable) {
   // points (area vs cycles trade) and the JSON names them.
   ASSERT_EQ(sweep.frontiers.size(), 1u);
   EXPECT_FALSE(sweep.frontiers[0].points.empty());
-  const std::string json = sweep.toJson();
+  const std::string json = sweep.toJson().pretty();
   EXPECT_NE(json.find("\"schema\": \"roccc-sweep-v1\""), std::string::npos);
   EXPECT_NE(json.find("fir@u1/ns4"), std::string::npos);
   EXPECT_NE(json.find("fir@u2/ns4"), std::string::npos);
@@ -413,7 +415,7 @@ TEST(ExploreDeterminism, OutcomeSummaryCountsEveryPoint) {
   EXPECT_NE(sweep.outcomeSummary().find("frontend-error"), std::string::npos);
   // The failed point appears in the table and the JSON — never dropped.
   EXPECT_NE(sweep.table().find("broken"), std::string::npos);
-  EXPECT_NE(sweep.toJson().find("\"outcome\": \"frontend-error\""), std::string::npos);
+  EXPECT_NE(sweep.toJson().pretty().find("\"outcome\": \"frontend-error\""), std::string::npos);
   // A kernel with no viable point still gets a frontier row.
   ASSERT_EQ(sweep.frontiers.size(), 2u);
   EXPECT_TRUE(sweep.frontiers[1].points.empty());
@@ -431,12 +433,41 @@ TEST(ExploreDeterminism, JsonEscapesControlCharactersInNamesAndErrors) {
   sweep.frontiers.push_back({"k\r\x01", {0}, 0});
   json::Value doc;
   std::string error;
-  ASSERT_TRUE(json::parse(sweep.toJson(), doc, error)) << error;
+  ASSERT_TRUE(json::parse(sweep.toJson().pretty(), doc, error)) << error;
   const json::Value& row = doc.find("results")->items().front();
   EXPECT_EQ(row.find("kernel")->asString(), "k\r\x01");
   EXPECT_EQ(row.find("label")->asString(), "label\r\x01");
   EXPECT_EQ(row.find("error")->asString(), "error\r\x01");
   EXPECT_EQ(doc.find("frontiers")->items().front().find("best")->asString(), "label\r\x01");
+}
+
+TEST(ExploreDeterminism, JsonKeepsTheEstimatesDoubles) {
+  // The report once printed metrics at six significant digits, so its
+  // fmax and critical path were not synth::estimate's values. Every
+  // double now reads back bit for bit.
+  SweepGrid grid = firGrid();
+  setAxis(grid, OptionId::TargetNs, {"3.1234567"});
+  SweepOptions opt;
+  opt.collectCycles = false;
+  const SweepResult sweep = runSweep(grid, opt);
+  ASSERT_EQ(sweep.okCount(), 1);
+  const SweepPoint& point = sweep.points[0].point;
+  const CompileResult r = Compiler(point.options).compileSource(point.source);
+  ASSERT_TRUE(r.ok) << r.diags.dump();
+  synth::EstimateOptions eo = synth::EstimateOptions::forModel(synth::TimingModel::virtex2());
+  eo.useMult18 = point.options.dpOptions.multStyle == dp::BuildOptions::MultStyle::Mult18;
+  const synth::Report est = synth::estimate(r.module, eo);
+
+  json::Value doc;
+  std::string error;
+  ASSERT_TRUE(json::parse(sweep.toJson().pretty(), doc, error)) << error;
+  const json::Value& row = doc.find("results")->items().front();
+  EXPECT_EQ(row.find("config")->find("targetNs")->asDouble(), 3.1234567);
+  const json::Value& m = *row.find("metrics");
+  EXPECT_EQ(m.find("criticalPathNs")->asDouble(), est.criticalPathNs);
+  EXPECT_EQ(m.find("fmaxMHz")->asDouble(), est.fmaxMHz());
+  EXPECT_EQ(m.find("energyPjPerCycle")->asDouble(), est.energyPerCyclePj());
+  EXPECT_EQ(m.find("edpPjNs")->asDouble(), est.edpPjNs());
 }
 
 } // namespace

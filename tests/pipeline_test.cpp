@@ -3,11 +3,15 @@
 // with the legacy free-text passLog values, and the --stats-json shape.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
 #include "hlir/transforms.hpp"
 #include "roccc/compiler.hpp"
 #include "support/json.hpp"
+#include "synth/estimate.hpp"
 
 namespace roccc {
 namespace {
@@ -232,22 +236,91 @@ TEST(Pipeline, StatsJsonShape) {
   const Compiler c;
   const CompileResult r = c.compileSource(kFirSrc);
   ASSERT_TRUE(r.ok);
-  const std::string json = statsToJson(r.passLog);
+  json::Value doc;
+  std::string error;
+  ASSERT_TRUE(json::parse(statsToJson(r.passLog).pretty(), doc, error)) << error;
 
-  // Golden structural checks: the two top-level keys, one object per pass
-  // with the name/layer/wallMs/ran/counters fields, balanced braces.
-  EXPECT_NE(json.find("\"passes\": ["), std::string::npos);
-  EXPECT_NE(json.find("\"totalMs\":"), std::string::npos);
-  for (const auto& s : r.passLog) {
-    EXPECT_NE(json.find("\"name\": \"" + s.name + "\""), std::string::npos) << s.name;
+  // Two top-level members, in order; no timing block was given.
+  ASSERT_TRUE(doc.isObject());
+  ASSERT_EQ(doc.members().size(), 2u);
+  EXPECT_EQ(doc.members()[0].first, "passes");
+  EXPECT_EQ(doc.members()[1].first, "totalMs");
+  ASSERT_TRUE(doc.find("totalMs")->isNumber());
+  // One record per pass, in pipeline order, each member typed.
+  const json::Value& passes = *doc.find("passes");
+  ASSERT_TRUE(passes.isArray());
+  ASSERT_EQ(passes.items().size(), r.passLog.size());
+  double totalMs = 0;
+  for (size_t i = 0; i < r.passLog.size(); ++i) {
+    const PassStatistics& s = r.passLog[i];
+    const json::Value& pass = passes.items()[i];
+    SCOPED_TRACE(s.name);
+    ASSERT_TRUE(pass.isObject());
+    const json::Value* name = pass.find("name");
+    const json::Value* layer = pass.find("layer");
+    const json::Value* wallMs = pass.find("wallMs");
+    const json::Value* ran = pass.find("ran");
+    const json::Value* counters = pass.find("counters");
+    ASSERT_TRUE(name && name->isString());
+    ASSERT_TRUE(layer && layer->isString());
+    ASSERT_TRUE(wallMs && wallMs->isNumber());
+    ASSERT_TRUE(ran && ran->isBool());
+    ASSERT_TRUE(counters && counters->isObject());
+    EXPECT_EQ(name->asString(), s.name);
+    EXPECT_EQ(layer->asString(), passLayerName(s.layer));
+    EXPECT_EQ(wallMs->asDouble(), s.wallMs);
+    EXPECT_EQ(ran->asBool(), s.ran);
+    ASSERT_EQ(counters->members().size(), s.counters.size());
+    for (size_t c = 0; c < s.counters.size(); ++c) {
+      EXPECT_EQ(counters->members()[c].first, s.counters[c].first);
+      ASSERT_TRUE(counters->members()[c].second.isIntegral());
+      EXPECT_EQ(counters->members()[c].second.asInt(), s.counters[c].second);
+    }
+    totalMs += s.wallMs;
   }
-  EXPECT_NE(json.find("\"layer\": \"hlir\""), std::string::npos);
-  EXPECT_NE(json.find("\"wallMs\": "), std::string::npos);
-  EXPECT_NE(json.find("\"ran\": true"), std::string::npos);
-  EXPECT_NE(json.find("\"counters\": {"), std::string::npos);
-  EXPECT_NE(json.find("\"stages\": "), std::string::npos);
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'), std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['), std::count(json.begin(), json.end(), ']'));
+  EXPECT_EQ(doc.find("totalMs")->asDouble(), totalMs);
+  EXPECT_EQ(findPass(r.passLog, "build-datapath")->counter("stages"), r.datapath.stageCount);
+}
+
+TEST(Pipeline, StatsJsonKeepsTheDoublesTheCompileUsed) {
+  // roccc-cc --target-ns 3.1234567 --stats-json once wrote "targetNs":
+  // 3.12346 (six significant digits), so the report did not record the
+  // target the compile used. Every double now reads back exactly.
+  std::ifstream in(std::string(ROCCC_CORPUS_DIR) + "/sad4.c");
+  ASSERT_TRUE(in.good());
+  std::ostringstream source;
+  source << in.rdbuf();
+  CompileOptions opt;
+  opt.dpOptions.targetStageDelayNs = 3.1234567;
+  const CompileResult r = Compiler(opt).compileSource(source.str());
+  ASSERT_TRUE(r.ok) << r.diags.dump();
+  const synth::Report est =
+      synth::estimate(r.module, synth::EstimateOptions::forModel(synth::TimingModel::virtex2()));
+
+  // The document roccc-cc writes for this compile.
+  json::Value doc;
+  std::string error;
+  ASSERT_TRUE(json::parse(statsToJson(r.passLog, timingToJson(r, 3.1234567, est)).pretty(), doc,
+                          error))
+      << error;
+  ASSERT_EQ(doc.members().size(), 3u);
+  EXPECT_EQ(doc.members()[1].first, "timing"); // between passes and totalMs
+  const json::Value& t = *doc.find("timing");
+  EXPECT_EQ(t.find("targetNs")->asDouble(), 3.1234567);
+  EXPECT_EQ(t.find("stages")->asInt(), r.datapath.stageCount);
+  EXPECT_EQ(t.find("worstStageNs")->asDouble(), r.datapath.timing.worstStageNs);
+  EXPECT_EQ(t.find("criticalPathNs")->asDouble(), est.criticalPathNs);
+  EXPECT_EQ(t.find("fmaxMHz")->asDouble(), est.fmaxMHz());
+  EXPECT_EQ(t.find("slackNs")->asDouble(), r.datapath.timing.slackNs);
+  EXPECT_EQ(t.find("feasible")->asBool(), r.datapath.timing.feasible);
+  const json::Value& e = *t.find("energy");
+  EXPECT_EQ(e.find("dynamicPjPerCycle")->asDouble(), est.dynamicPjPerCycle);
+  EXPECT_EQ(e.find("leakageMw")->asDouble(), est.leakageMw);
+  EXPECT_EQ(e.find("edpPjNs")->asDouble(), est.edpPjNs());
+  for (const auto& pass : doc.find("passes")->items()) {
+    EXPECT_EQ(pass.find("wallMs")->asDouble(),
+              findPass(r.passLog, pass.find("name")->asString())->wallMs);
+  }
 }
 
 TEST(Pipeline, StatsJsonEscapesControlCharactersInNames) {
@@ -257,7 +330,7 @@ TEST(Pipeline, StatsJsonEscapesControlCharactersInNames) {
   s.add("counter\r\x01", 7);
   json::Value doc;
   std::string error;
-  ASSERT_TRUE(json::parse(statsToJson({s}), doc, error)) << error;
+  ASSERT_TRUE(json::parse(statsToJson({s}).pretty(), doc, error)) << error;
   const json::Value& pass = doc.find("passes")->items().front();
   EXPECT_EQ(pass.find("name")->asString(), "pass\r\x01");
   EXPECT_EQ(pass.find("counters")->find("counter\r\x01")->asInt(), 7);

@@ -8,9 +8,11 @@
 // byte offsets.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -175,6 +177,57 @@ TEST(JsonCodec, GoldenVhdlEscapesLikeTheReference) {
     buf << in.rdbuf();
     expectCodecRoundTrip(buf.str(), path.filename().string());
   }
+}
+
+// --- the writer: one layout rule, one number format --------------------------
+
+TEST(JsonWriter, ContainersOfScalarsStayOnOneLine) {
+  const Value doc = Value::object(
+      {{"a", 1}, {"b", Value::array({true, "x", Value()})}, {"c", Value::object()},
+       {"d", Value::array()}, {"e", Value::object({{"f", 2}, {"g", Value::array()}})}});
+  EXPECT_EQ(doc.pretty(),
+            "{\n"
+            "  \"a\": 1,\n"
+            "  \"b\": [true, \"x\", null],\n"
+            "  \"c\": {},\n"
+            "  \"d\": [],\n"
+            "  \"e\": {\"f\": 2, \"g\": []}\n"
+            "}\n");
+  EXPECT_EQ(doc.dump(), "{\"a\":1,\"b\":[true,\"x\",null],\"c\":{},\"d\":[],"
+                        "\"e\":{\"f\":2,\"g\":[]}}");
+  EXPECT_EQ(Value::array({1, 2}).pretty(), "[1, 2]\n");
+  EXPECT_EQ(Value::array({Value::array({1}), 2}).pretty(), "[\n  [1],\n  2\n]\n");
+}
+
+TEST(JsonWriter, DoublesPrintShortestAndReadBackExactly) {
+  for (const double d : {3.1234567, 0.1, 1.0 / 3.0, 227.0663033605813, 1e-7, -2.5e300,
+                         5e-324, 0.30000000000000004}) {
+    const std::string text = Value(d).dump();
+    Value back;
+    std::string error;
+    ASSERT_TRUE(json::parse(text, back, error)) << text << ": " << error;
+    EXPECT_EQ(back.asDouble(), d) << text;
+    EXPECT_EQ(Value(d).pretty(), text + "\n");
+  }
+  EXPECT_EQ(Value(3.1234567).dump(), "3.1234567");
+  EXPECT_EQ(Value(0.1).dump(), "0.1");
+  EXPECT_EQ(Value(4.0).dump(), "4");
+  EXPECT_EQ(Value(-0.0).dump(), "0");
+  // JSON cannot spell these.
+  EXPECT_EQ(Value(std::nan("")).dump(), "null");
+  EXPECT_EQ(Value(-std::numeric_limits<double>::infinity()).dump(), "null");
+}
+
+TEST(JsonWriter, EveryIntegerTypeIsExact) {
+  EXPECT_EQ(Value(std::numeric_limits<int64_t>::min()).dump(), "-9223372036854775808");
+  EXPECT_EQ(Value(std::numeric_limits<uint64_t>::max()).dump(), "18446744073709551615");
+  EXPECT_FALSE(Value(std::numeric_limits<uint64_t>::max()).isIntegral());
+  EXPECT_EQ(Value(uint64_t{1} << 63).dump(), "9223372036854775808");
+  EXPECT_EQ(Value(uint64_t{42}).asInt(), 42);
+  EXPECT_EQ(Value(size_t{7}).dump(), "7");
+  EXPECT_EQ(Value(int8_t{-3}).dump(), "-3");
+  EXPECT_TRUE(Value(true).isBool());
+  EXPECT_TRUE(Value("text").isString());
 }
 
 } // namespace

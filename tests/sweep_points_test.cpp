@@ -54,7 +54,7 @@ std::string currentPoints() {
     SweepGrid grid = manifest.grid;
     EXPECT_TRUE(bench::addManifestKernels(manifest, path.string(), grid, error)) << error;
     for (const SweepPoint& p : expandGrid(grid)) {
-      out += file + " " + p.label + " " + pointConfigJson(p) + "\n";
+      out += file + " " + p.label + " " + pointConfigJson(p).pretty();
     }
   }
   return out;

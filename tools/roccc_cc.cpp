@@ -286,14 +286,14 @@ int runBatch(const Args& a) {
       std::fprintf(stderr, "error: cannot write '%s'\n", a.statsJsonPath.c_str());
       return 1;
     }
-    std::ostringstream json;
-    json << "{\n  \"batch\": {\"jobs\": " << jobs.size() << ", \"ok\": " << batch.succeeded()
-         << ", \"workers\": " << batch.workers << ", \"wallMs\": " << batch.wallMs
-         << ", \"cacheHits\": " << batch.cacheHits << ", \"cacheMisses\": " << batch.cacheMisses
-         << "}";
-    if (cache) json << ",\n  \"cache\": " << cache->stats().toJson();
-    json << "\n}\n";
-    sout << json.str();
+    using roccc::json::Value;
+    Value summary = Value::object({{"jobs", jobs.size()}, {"ok", batch.succeeded()},
+                                   {"workers", batch.workers}, {"wallMs", batch.wallMs},
+                                   {"cacheHits", batch.cacheHits},
+                                   {"cacheMisses", batch.cacheMisses}});
+    Value doc = Value::object({{"batch", std::move(summary)}});
+    if (cache) doc.set("cache", cache->stats().toJson());
+    sout << doc.pretty();
     if (!a.quiet) std::printf("wrote %s\n", a.statsJsonPath.c_str());
   }
   return firstFailureExit;
@@ -381,21 +381,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: cannot write '%s'\n", a.statsJsonPath.c_str());
       return 1;
     }
-    std::string timingMember;
+    roccc::json::Value timing;
     if (r.ok) {
       const auto est =
           roccc::synth::estimate(r.module, roccc::synth::EstimateOptions::forModel(timingModel));
-      const auto& rt = r.datapath.timing;
-      std::ostringstream t;
-      t << "\"timing\": {\"targetNs\": " << a.options.dpOptions.targetStageDelayNs
-        << ", \"stages\": " << r.datapath.stageCount << ", \"worstStageNs\": " << rt.worstStageNs
-        << ", \"criticalPathNs\": " << est.criticalPathNs << ", \"fmaxMHz\": " << est.fmaxMHz()
-        << ", \"slackNs\": " << rt.slackNs << ", \"feasible\": " << (rt.feasible ? "true" : "false")
-        << ", \"energy\": {\"dynamicPjPerCycle\": " << est.dynamicPjPerCycle
-        << ", \"leakageMw\": " << est.leakageMw << ", \"edpPjNs\": " << est.edpPjNs() << "}}";
-      timingMember = t.str();
+      timing = roccc::timingToJson(r, a.options.dpOptions.targetStageDelayNs, est);
     }
-    sout << roccc::statsToJson(r.passLog, timingMember);
+    sout << roccc::statsToJson(r.passLog, std::move(timing)).pretty();
     if (!a.quiet) std::printf("wrote %s\n", a.statsJsonPath.c_str());
   }
   if (!r.ok) {
@@ -441,7 +433,7 @@ int main(int argc, char** argv) {
   }
   if (!a.jsonPath.empty()) {
     std::ofstream jout(a.jsonPath);
-    jout << roccc::dp::exportJson(r.datapath);
+    jout << roccc::dp::exportJson(r.datapath).pretty();
     if (!a.quiet) std::printf("wrote %s\n", a.jsonPath.c_str());
   }
 

@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: cannot write '%s'\n", a.jsonPath.c_str());
       return 2;
     }
-    out << sweep.toJson(a.timings);
+    out << sweep.toJson(a.timings).pretty();
   }
   if (!a.statsJsonPath.empty()) {
     std::ofstream out(a.statsJsonPath);
@@ -270,10 +270,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: cannot write '%s'\n", a.statsJsonPath.c_str());
       return 2;
     }
-    out << roccc::fmt("{\"run\": {\"workers\": %0, \"wallMs\": %1, \"points\": %2, "
-                      "\"ok\": %3, \"failed\": %4, \"cacheHits\": %5, \"cacheMisses\": %6}}\n",
-                      sweep.workers, sweep.wallMs, sweep.points.size(), sweep.okCount(),
-                      sweep.failedCount(), sweep.cacheHits, sweep.cacheMisses);
+    using roccc::json::Value;
+    Value run = Value::object({{"workers", sweep.workers}, {"wallMs", sweep.wallMs},
+                               {"points", sweep.points.size()}, {"ok", sweep.okCount()},
+                               {"failed", sweep.failedCount()}, {"cacheHits", sweep.cacheHits},
+                               {"cacheMisses", sweep.cacheMisses}});
+    out << Value::object({{"run", std::move(run)}}).pretty();
   }
 
   if (a.verifyPareto) {

@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: cannot write '%s'\n", a.jsonPath.c_str());
       return 2;
     }
-    out << report.toJson();
+    out << report.toJson().pretty();
     if (!a.quiet) std::printf("wrote %s\n", a.jsonPath.c_str());
   }
 
