@@ -75,13 +75,6 @@ void escapeTo(std::string_view s, std::string& out) {
   out.append(s, run, s.size() - run);
 }
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  escapeTo(s, out);
-  return out;
-}
-
 void Value::writeTo(std::string& out, int depth) const {
   switch (kind_) {
     case Kind::Null: out += "null"; return;

@@ -62,6 +62,7 @@ class Value {
   Value(std::string s) : kind_(Kind::String), string_(std::move(s)) {}
   Value(const char* s) : Value(std::string(s)) {}
 
+  /// Named spellings of the constructors, and the two containers.
   static Value null() { return Value(); }
   static Value boolean(bool b) { return Value(b); }
   static Value number(double d) { return Value(d); }
@@ -133,8 +134,5 @@ bool parse(std::string_view text, Value& out, std::string& error, int maxDepth =
 /// so the output never contains a raw newline. Runs of bytes that need no
 /// escape are appended whole.
 void escapeTo(std::string_view s, std::string& out);
-
-/// escapeTo into a fresh string.
-std::string escape(std::string_view s);
 
 } // namespace roccc::json

@@ -1,5 +1,6 @@
-// The JSON string codec (src/support/json.hpp): escape/escapeTo on the
-// write side, the string scanner of json::parse on the read side.
+// The JSON codec (src/support/json.hpp): escapeTo on the write side, the
+// string scanner of json::parse on the read side, and the writer's layout
+// rule and number format.
 //
 // Every daemon response carries the generated VHDL as one JSON string, so
 // both directions copy runs of plain bytes in bulk. These tests pin what
@@ -58,7 +59,6 @@ std::string referenceEscape(std::string_view s) {
 /// checks that parsing the quoted form gives `s` back.
 void expectCodecRoundTrip(const std::string& s, const std::string& what) {
   const std::string want = referenceEscape(s);
-  EXPECT_EQ(json::escape(s), want) << what;
   std::string appended = "prefix";
   json::escapeTo(s, appended);
   EXPECT_EQ(appended, "prefix" + want) << what;
