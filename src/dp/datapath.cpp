@@ -1,6 +1,7 @@
 #include "dp/datapath.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 #include <cmath>
@@ -108,6 +109,35 @@ double timedOpDelayNs(const DataPath& d, const DpOp& o, const synth::TimingModel
   return delay > 0 ? delay + model.routingPerHopNs : 0.0;
 }
 
+std::optional<DivisionMagic> divisionMagic(const ValueRange& dividend, uint64_t divisor) {
+  using Int = ValueRange::Int;
+  const Int a = divisor;
+  const Int lo = dividend.lo(), hi = dividend.hi();
+  if (std::max(hi, -lo) < a) return DivisionMagic{0, 0};
+  if (std::has_single_bit(divisor)) return DivisionMagic{1, std::countr_zero(divisor)};
+  const auto exactAt = [&](Int x, Int m, int k) {
+    const Int q = x >= 0 ? x / a : -(-x / a);
+    return ((x * m) >> k) + (x < 0 ? 1 : 0) == q;
+  };
+  for (int k = 0;; ++k) {
+    const Int m = ((Int{1} << k) + a - 1) / a;
+    if (m * std::max(hi, -lo) >= Int{1} << 63) return std::nullopt;
+    // With m = ceil(2^k / a) the error of x·m / 2^k grows with |x| within
+    // each remainder class, so the worst dividends on each side of zero are
+    // its far end and, below that, the last one whose remainder is a - 1.
+    bool exact = true;
+    if (hi >= 0) {
+      const Int below = hi - hi % a - 1;
+      exact = exactAt(hi, m, k) && (below < std::max<Int>(lo, 0) || exactAt(below, m, k));
+    }
+    if (exact && lo < 0) {
+      const Int below = -lo - (-lo) % a - 1;
+      exact = exactAt(lo, m, k) && (below < std::max<Int>(-hi, 1) || exactAt(-below, m, k));
+    }
+    if (exact) return DivisionMagic{static_cast<uint64_t>(m), k};
+  }
+}
+
 namespace {
 
 /// Canonical-signed-digit decomposition of |c|: returns (position, +1/-1)
@@ -125,6 +155,106 @@ std::vector<std::pair<int, int>> csdDigits(int64_t c) {
     ++pos;
   }
   return digits;
+}
+
+/// Range of `o`'s result from its operands' ranges: the one transfer rule
+/// of range analysis. inferWidths runs it over the finished data path; the
+/// constant-division lowering runs it over the ops placed so far.
+ValueRange transferRange(const DataPath& d, const DpOp& o) {
+  const ScalarType declared = d.values[static_cast<size_t>(o.result)].declared;
+  auto rng = [&](size_t k) { return d.values[static_cast<size_t>(o.operands[k])].range; };
+  ValueRange r = ValueRange::ofType(declared);
+  switch (o.op) {
+    case Opcode::Ldc:
+      r = ValueRange::constant(Value::fromInt(declared, o.imm).toInt());
+      break;
+    case Opcode::Mov:
+    case Opcode::Cast:
+      r = rng(0).convertTo(declared);
+      break;
+    case Opcode::Add: r = rng(0).add(rng(1)).convertTo(declared); break;
+    case Opcode::Sub: r = rng(0).sub(rng(1)).convertTo(declared); break;
+    case Opcode::Mul: r = rng(0).mul(rng(1)).convertTo(declared); break;
+    case Opcode::Div:
+      // Divide-by-zero yields all-ones at the result width; if the
+      // divisor may be zero the hull must cover that.
+      if (rng(1).contains(0)) {
+        r = ValueRange::ofType(declared);
+      } else {
+        r = rng(0).divide(rng(1)).convertTo(declared);
+      }
+      break;
+    case Opcode::Rem: r = rng(0).rem(rng(1)).convertTo(declared); break;
+    case Opcode::Neg: r = rng(0).neg().convertTo(declared); break;
+    case Opcode::And: r = rng(0).bitAnd(rng(1)).convertTo(declared); break;
+    case Opcode::Or: r = rng(0).bitOr(rng(1)).convertTo(declared); break;
+    case Opcode::Xor: r = rng(0).bitXor(rng(1)).convertTo(declared); break;
+    case Opcode::Not: r = rng(0).bitNot().convertTo(declared); break;
+    case Opcode::Shl: r = rng(0).shl(rng(1)).convertTo(declared); break;
+    case Opcode::Shr: r = rng(0).shr(rng(1)).convertTo(declared); break;
+    case Opcode::Seq:
+    case Opcode::Sne:
+    case Opcode::Slt:
+    case Opcode::Sle:
+    case Opcode::Sgt:
+    case Opcode::Sge:
+      r = ValueRange::boolean();
+      break;
+    case Opcode::Mux:
+      r = rng(1).join(rng(2)).convertTo(declared);
+      break;
+    case Opcode::Lut: {
+      const auto* t = [&]() -> const mir::FunctionIR::Table* {
+        for (const auto& tb : d.tables) {
+          if (tb.name == o.symbol) return &tb;
+        }
+        return nullptr;
+      }();
+      if (t && !t->values.empty()) {
+        int64_t lo = t->values[0], hi = t->values[0];
+        for (int64_t v : t->values) {
+          lo = std::min(lo, v);
+          hi = std::max(hi, v);
+        }
+        r = ValueRange(lo, hi);
+      }
+      break;
+    }
+    case Opcode::BitSel:
+      r = ValueRange(0, (ValueRange::Int{1} << (o.aux0 - o.aux1 + 1)) - 1);
+      break;
+    case Opcode::BitCat:
+      r = ValueRange(0, (ValueRange::Int{1} << declared.width) - 1);
+      break;
+    case Opcode::Lpr:
+      r = ValueRange::ofType(declared);
+      break;
+    default:
+      break;
+  }
+  return r;
+}
+
+/// The narrowest type holding every value of `r`.
+ScalarType exactType(const ValueRange& r) {
+  bool isSigned = false;
+  const int w = r.requiredWidth(&isSigned);
+  return ScalarType::make(w, isSigned);
+}
+
+/// Hull of every value the CSD shift-add tree for x·c computes: its
+/// shifted terms, its partial sums and the product, for x in `x`.
+ValueRange csdHull(const ValueRange& x, uint64_t c) {
+  ValueRange hull = x;
+  ValueRange::Int partial = 0;
+  for (const auto& [pos, digit] : csdDigits(static_cast<int64_t>(c))) {
+    const ValueRange term = x.shl(ValueRange::constant(pos));
+    hull = hull.join(term);
+    if (partial == 0 && digit < 0) hull = hull.join(term.neg()); // the leading Neg
+    partial += digit * (ValueRange::Int{1} << pos);
+    hull = hull.join(x.mul(ValueRange(partial, partial)));
+  }
+  return hull;
 }
 
 } // namespace
@@ -184,6 +314,7 @@ class Builder {
   std::map<int, int> regValue_;  ///< MIR reg -> value id
   std::map<int, int> blockNode_; ///< MIR block -> soft node id
   std::map<int, int> joinMuxNode_; ///< join block -> mux node id
+  std::vector<char> rangeKnown_; ///< value id -> placedRange has computed it
 
   void fail(std::string msg) {
     diags_.error({}, std::move(msg));
@@ -386,21 +517,30 @@ class Builder {
           case Opcode::Ret:
             break; // control flow is encoded by the mux nodes
           case Opcode::Div:
-          case Opcode::Rem:
-            // Always expanded into a restoring-divider array of sub/mux rows
-            // (one row per quotient bit). The generic latch placement then
-            // pipelines the array — this is how the compiler-generated udiv
-            // reaches a higher clock rate than the hand IP at ~3x the area
-            // (Table 1).
-            regValue_[in.dst] = emitRestoringDivider(in, in.op == Opcode::Rem, nodeFor());
+          case Opcode::Rem: {
+            // A constant divisor becomes a multiply and a shift sized on the
+            // dividend's proven range. A variable divisor builds the
+            // restoring-divider array of sub/mux rows (one row per quotient
+            // bit), as do a zero divisor and a range no 64-bit product
+            // covers. The generic latch placement then pipelines the array —
+            // this is how the compiler-generated udiv reaches a higher clock
+            // rate than the hand IP at ~3x the area (Table 1).
+            const int node = nodeFor();
+            int v = emitConstantDivision(in, node);
+            if (v < 0) v = emitRestoringDivider(in, in.op == Opcode::Rem, node);
+            regValue_[in.dst] = v;
             break;
+          }
           case Opcode::Mul: {
             // 'LUT' multiplier style: decompose constant multiplications
             // into canonical-signed-digit shift-adds (Table 1 FIR/DCT).
             if (opt_.multStyle == BuildOptions::MultStyle::Lut) {
               const auto c = constantOperand(in);
               if (c) {
-                regValue_[in.dst] = emitCsdMultiply(in, *c, nodeFor());
+                const int node = nodeFor();
+                const mir::Operand& xOp = in.srcs[static_cast<size_t>(1 - c->side)];
+                regValue_[in.dst] =
+                    emitCsdMultiply(valueOf(xOp, in.type, node), c->imm, in.type, node);
                 break;
               }
             }
@@ -424,17 +564,24 @@ class Builder {
     return !failed_;
   }
 
-  /// Constant operand of a Mul: an immediate, or a register defined by Ldc.
-  std::optional<std::pair<int, int64_t>> constantOperand(const mir::Instr& in) {
-    for (int side = 0; side < 2; ++side) {
+  struct ConstantOperand {
+    int side = 0;
+    int64_t imm = 0;
+    ScalarType type; ///< the type the shared semantics read `imm` at
+  };
+
+  /// Constant operand of a binary op, from srcs[firstSide] on: an
+  /// immediate, or a register defined by Ldc.
+  std::optional<ConstantOperand> constantOperand(const mir::Instr& in, int firstSide = 0) {
+    for (int side = firstSide; side < 2; ++side) {
       const mir::Operand& o = in.srcs[static_cast<size_t>(side)];
-      if (o.isImm()) return std::make_pair(side, o.imm);
+      if (o.isImm()) return ConstantOperand{side, o.imm, in.type};
       if (o.isReg()) {
         const auto it = regValue_.find(o.reg);
         if (it != regValue_.end()) {
           const DpValue& v = out_.values[static_cast<size_t>(it->second)];
           if (v.def >= 0 && out_.ops[static_cast<size_t>(v.def)].op == Opcode::Ldc) {
-            return std::make_pair(side, out_.ops[static_cast<size_t>(v.def)].imm);
+            return ConstantOperand{side, out_.ops[static_cast<size_t>(v.def)].imm, v.declared};
           }
         }
       }
@@ -442,15 +589,13 @@ class Builder {
     return std::nullopt;
   }
 
-  /// x * c as a CSD shift-add tree; returns the result value id.
-  int emitCsdMultiply(const mir::Instr& in, std::pair<int, int64_t> constSide, int node) {
-    const mir::Operand& xOp = in.srcs[static_cast<size_t>(1 - constSide.first)];
-    const int x = valueOf(xOp, in.type, node);
-    int64_t c = constSide.second;
+  /// x * c as a CSD shift-add tree at type t; returns the result value id
+  /// (x itself when c is 1).
+  int emitCsdMultiply(int x, int64_t c, ScalarType t, int node) {
     const bool negate = c < 0;
     if (negate) c = -c;
     if (c == 0) {
-      const int z = addOp(Opcode::Ldc, in.type, {}, node, "c0");
+      const int z = addOp(Opcode::Ldc, t, {}, node, "c0");
       out_.values[static_cast<size_t>(out_.ops[static_cast<size_t>(z)].result)].range = ValueRange::constant(0);
       return out_.ops[static_cast<size_t>(z)].result;
     }
@@ -458,23 +603,23 @@ class Builder {
     for (const auto& [pos, digit] : csdDigits(c)) {
       int term = x;
       if (pos > 0) {
-        const int shOp = addOp(Opcode::Shl, in.type, {x, constantValue(pos, node)}, node);
+        const int shOp = addOp(Opcode::Shl, t, {x, constantValue(pos, node)}, node);
         term = out_.ops[static_cast<size_t>(shOp)].result;
       }
       if (acc < 0) {
         if (digit < 0) {
-          const int negOp = addOp(Opcode::Neg, in.type, {term}, node);
+          const int negOp = addOp(Opcode::Neg, t, {term}, node);
           acc = out_.ops[static_cast<size_t>(negOp)].result;
         } else {
           acc = term;
         }
       } else {
-        const int addIdx = addOp(digit > 0 ? Opcode::Add : Opcode::Sub, in.type, {acc, term}, node);
+        const int addIdx = addOp(digit > 0 ? Opcode::Add : Opcode::Sub, t, {acc, term}, node);
         acc = out_.ops[static_cast<size_t>(addIdx)].result;
       }
     }
     if (negate) {
-      const int negOp = addOp(Opcode::Neg, in.type, {acc}, node);
+      const int negOp = addOp(Opcode::Neg, t, {acc}, node);
       acc = out_.ops[static_cast<size_t>(negOp)].result;
     }
     return acc;
@@ -485,6 +630,136 @@ class Builder {
                  const std::string& name = "") {
     const int idx = addOp(op, t, std::move(operands), node, name);
     return out_.ops[static_cast<size_t>(idx)].result;
+  }
+
+  /// The result of `op` at the narrowest type holding `r`, its exact range.
+  int addExactValue(Opcode op, const ValueRange& r, std::vector<int> operands, int node,
+                    const std::string& name = "") {
+    return addOpValue(op, exactType(r), std::move(operands), node, name);
+  }
+
+  /// `v` at type t: itself when it already has it, else a Cast (wiring).
+  int castTo(int v, ScalarType t, int node, const std::string& name) {
+    if (out_.values[static_cast<size_t>(v)].declared == t) return v;
+    return addOpValue(Opcode::Cast, t, {v}, node, name);
+  }
+
+  /// Range of value `vid` from the ops placed so far, by the transfer rule
+  /// range analysis applies (memoized; placed ops never change).
+  ValueRange placedRange(int vid) {
+    rangeKnown_.resize(out_.values.size(), 0);
+    std::vector<int> stack{vid};
+    while (!stack.empty()) {
+      const int v = stack.back();
+      DpValue& val = out_.values[static_cast<size_t>(v)];
+      if (rangeKnown_[static_cast<size_t>(v)] || val.def < 0) {
+        rangeKnown_[static_cast<size_t>(v)] = 1; // ports keep their type's range
+        stack.pop_back();
+        continue;
+      }
+      const DpOp& o = out_.ops[static_cast<size_t>(val.def)];
+      const size_t before = stack.size();
+      for (int u : o.operands) {
+        if (!rangeKnown_[static_cast<size_t>(u)]) stack.push_back(u);
+      }
+      if (stack.size() != before) continue;
+      val.range = transferRange(out_, o);
+      rangeKnown_[static_cast<size_t>(v)] = 1;
+      stack.pop_back();
+    }
+    return out_.values[static_cast<size_t>(vid)].range;
+  }
+
+  /// x / c and x % c for a constant c (Granlund & Montgomery): x·m >> k,
+  /// with the narrowest (m, k) exact on x's proven range (divisionMagic),
+  /// then the round-toward-zero fix-up if x may be negative, a negation
+  /// for c < 0, and x − |c|·(x / |c|) for the remainder. Every
+  /// intermediate value gets a type that holds its range, so no engine
+  /// wraps. Returns -1, having placed nothing, when c is not a constant or
+  /// is 0, or when no exact product fits 64 bits.
+  int emitConstantDivision(const mir::Instr& in, int node) {
+    const ScalarType rt = in.type;
+    const auto divisor = constantOperand(in, 1);
+    if (!divisor) return -1;
+    // The numbers the shared semantics divide: signed iff the result type
+    // is; unsigned division reads the operands' raw bits.
+    const Value dv = Value::fromInt(divisor->type, divisor->imm);
+    const bool negDivisor = rt.isSigned && dv.toInt() < 0;
+    uint64_t a = rt.isSigned ? static_cast<uint64_t>(dv.toInt()) : dv.toUnsigned();
+    if (negDivisor) a = 0 - a;
+    if (a == 0 || a > INT64_MAX) return -1;
+
+    const mir::Operand& n = in.srcs[0];
+    ValueRange range;
+    if (n.isImm()) {
+      range = ValueRange::constant(Value::fromInt(rt, n.imm).toInt());
+    } else {
+      const auto it = regValue_.find(n.reg);
+      if (it == regValue_.end()) return -1; // the divider's valueOf reports it
+      range = placedRange(it->second);
+    }
+    // An unsigned division reads a dividend's raw bits. Sema converts a
+    // signed dividend to the unsigned type first, so a negative range
+    // should not reach here; if one does, the divider handles it.
+    if (!rt.isSigned && range.lo() < 0) return -1;
+
+    const auto magic = divisionMagic(range, a);
+    if (!magic) return -1;
+    const bool negative = range.lo() < 0;
+    const bool pow2 = (a & (a - 1)) == 0;
+    // A power of two rounds negative dividends toward zero by a bias of
+    // a - 1 before the shift; any other divisor adds 1 after it.
+    const ValueRange bias(0, pow2 && negative ? static_cast<ValueRange::Int>(a - 1) : 0);
+    const ValueRange biased = range.add(bias);
+    const ValueRange product = biased.mul(ValueRange::constant(static_cast<int64_t>(magic->m)));
+    ValueRange quotient = product.shr(ValueRange::constant(magic->k));
+    if (negative && !pow2) quotient = quotient.add(ValueRange(0, 1));
+    const ValueRange csdTree = csdHull(biased, magic->m);
+    const ValueRange remTree = csdHull(quotient, a);
+    if (csdTree.requiredWidth() > 64 || remTree.requiredWidth() > 64) return -1;
+
+    const int x = valueOf(n, rt, node);
+    const bool isRem = in.op == Opcode::Rem;
+    const auto lowMask = [&] { // a - 1
+      return constantValue(static_cast<int64_t>(a - 1), node,
+                           exactType(ValueRange(0, static_cast<ValueRange::Int>(a - 1))));
+    };
+    // A remainder whose quotient is always 0 is the dividend; a
+    // non-negative one by a power of two is the dividend's low bits.
+    if (isRem && magic->m == 0) return castTo(x, rt, node, "remn");
+    if (isRem && pow2 && !negative) {
+      const ValueRange low(0, std::min<ValueRange::Int>(range.hi(), a - 1));
+      return castTo(addExactValue(Opcode::And, low, {x, lowMask()}, node), rt, node, "remn");
+    }
+
+    int q = -1; // trunc(x / a)
+    if (magic->m == 0) {
+      q = constantValue(0, node);
+    } else {
+      int xs = x;
+      int isNeg = -1;
+      if (negative) {
+        isNeg = addOpValue(Opcode::Slt, ScalarType::boolTy(), {x, constantValue(0, node)}, node,
+                           "n_neg");
+      }
+      if (pow2 && negative) {
+        const int b = addExactValue(Opcode::Mux, bias, {isNeg, lowMask(), constantValue(0, node)},
+                                    node, "q_bias");
+        xs = addExactValue(Opcode::Add, biased, {x, b}, node);
+      }
+      q = emitCsdMultiply(xs, static_cast<int64_t>(magic->m), exactType(csdTree), node);
+      if (magic->k > 0) {
+        q = addExactValue(Opcode::Shr, product.shr(ValueRange::constant(magic->k)),
+                          {q, constantValue(magic->k, node)}, node, "q_shr");
+      }
+      if (negative && !pow2) q = addExactValue(Opcode::Add, quotient, {q, isNeg}, node);
+    }
+    if (!isRem) {
+      return negDivisor ? addOpValue(Opcode::Neg, rt, {q}, node, "quot")
+                        : castTo(q, rt, node, "quot");
+    }
+    const int aq = emitCsdMultiply(q, static_cast<int64_t>(a), exactType(remTree), node);
+    return addOpValue(Opcode::Sub, rt, {x, aq}, node, "remn");
   }
 
   /// Restoring-divider array (section 4.2.4: SUIFvm division has no IEEE
@@ -592,8 +867,8 @@ class Builder {
     return addOpValue(Opcode::Mux, rt, {dz, nRawExt, rext}, node, "remn");
   }
 
-  int constantValue(int64_t v, int node) {
-    const int opIdx = addOp(Opcode::Ldc, ScalarType::intTy(), {}, node, fmt("c%0", v));
+  int constantValue(int64_t v, int node, ScalarType t = ScalarType::intTy()) {
+    const int opIdx = addOp(Opcode::Ldc, t, {}, node, fmt("c%0", v));
     out_.ops[static_cast<size_t>(opIdx)].imm = v;
     out_.values[static_cast<size_t>(out_.ops[static_cast<size_t>(opIdx)].result)].range = ValueRange::constant(v);
     return out_.ops[static_cast<size_t>(opIdx)].result;
@@ -755,86 +1030,15 @@ class Builder {
       }
     }
     for (int oi : order) {
-      DpOp& o = out_.ops[static_cast<size_t>(oi)];
+      const DpOp& o = out_.ops[static_cast<size_t>(oi)];
       if (o.result < 0) continue;
       DpValue& res = out_.values[static_cast<size_t>(o.result)];
-      const ScalarType declared = res.declared;
-      auto rng = [&](size_t k) { return out_.values[static_cast<size_t>(o.operands[k])].range; };
-      ValueRange r = ValueRange::ofType(declared);
-      switch (o.op) {
-        case Opcode::Ldc:
-          r = ValueRange::constant(Value::fromInt(declared, o.imm).toInt());
-          break;
-        case Opcode::Mov:
-        case Opcode::Cast:
-          r = rng(0).convertTo(declared);
-          break;
-        case Opcode::Add: r = rng(0).add(rng(1)).convertTo(declared); break;
-        case Opcode::Sub: r = rng(0).sub(rng(1)).convertTo(declared); break;
-        case Opcode::Mul: r = rng(0).mul(rng(1)).convertTo(declared); break;
-        case Opcode::Div:
-          // Divide-by-zero yields all-ones at the result width; if the
-          // divisor may be zero the hull must cover that.
-          if (rng(1).contains(0)) {
-            r = ValueRange::ofType(declared);
-          } else {
-            r = rng(0).divide(rng(1)).convertTo(declared);
-          }
-          break;
-        case Opcode::Rem: r = rng(0).rem(rng(1)).convertTo(declared); break;
-        case Opcode::Neg: r = rng(0).neg().convertTo(declared); break;
-        case Opcode::And: r = rng(0).bitAnd(rng(1)).convertTo(declared); break;
-        case Opcode::Or: r = rng(0).bitOr(rng(1)).convertTo(declared); break;
-        case Opcode::Xor: r = rng(0).bitXor(rng(1)).convertTo(declared); break;
-        case Opcode::Not: r = rng(0).bitNot().convertTo(declared); break;
-        case Opcode::Shl: r = rng(0).shl(rng(1)).convertTo(declared); break;
-        case Opcode::Shr: r = rng(0).shr(rng(1)).convertTo(declared); break;
-        case Opcode::Seq:
-        case Opcode::Sne:
-        case Opcode::Slt:
-        case Opcode::Sle:
-        case Opcode::Sgt:
-        case Opcode::Sge:
-          r = ValueRange::boolean();
-          break;
-        case Opcode::Mux:
-          r = rng(1).join(rng(2)).convertTo(declared);
-          break;
-        case Opcode::Lut: {
-          const auto* t = [&]() -> const mir::FunctionIR::Table* {
-            for (const auto& tb : out_.tables) {
-              if (tb.name == o.symbol) return &tb;
-            }
-            return nullptr;
-          }();
-          if (t && !t->values.empty()) {
-            int64_t lo = t->values[0], hi = t->values[0];
-            for (int64_t v : t->values) {
-              lo = std::min(lo, v);
-              hi = std::max(hi, v);
-            }
-            r = ValueRange(lo, hi);
-          }
-          break;
-        }
-        case Opcode::BitSel:
-          r = ValueRange(0, (ValueRange::Int{1} << (o.aux0 - o.aux1 + 1)) - 1);
-          break;
-        case Opcode::BitCat:
-          r = ValueRange(0, (ValueRange::Int{1} << declared.width) - 1);
-          break;
-        case Opcode::Lpr:
-          r = ValueRange::ofType(declared);
-          break;
-        default:
-          break;
-      }
-      res.range = r;
+      res.range = transferRange(out_, o);
       bool needsSign = false;
-      const int w = r.requiredWidth(&needsSign);
-      res.width = std::min(w, declared.width);
+      const int w = res.range.requiredWidth(&needsSign);
+      res.width = std::min(w, res.declared.width);
       res.isSigned = needsSign;
-      out_.narrowedBits += declared.width - res.width;
+      out_.narrowedBits += res.declared.width - res.width;
     }
   }
 

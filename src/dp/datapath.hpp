@@ -16,6 +16,7 @@
 //    opcodes (sections 4.2.4, 5).
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -167,6 +168,23 @@ double opDelayNs(const synth::TimingModel& model, mir::Opcode op, int width,
 /// model's per-hop routing margin. The unit the stage budget is spent on.
 double timedOpDelayNs(const DataPath& d, const DpOp& o, const synth::TimingModel& model,
                       BuildOptions::MultStyle style);
+
+/// Multiplier and shift that divide by a constant (Granlund & Montgomery,
+/// "Division by Invariant Integers using Multiplication", PLDI 1994).
+struct DivisionMagic {
+  uint64_t m = 0; ///< 0: every quotient on the range is 0
+  int k = 0;
+
+  friend bool operator==(const DivisionMagic&, const DivisionMagic&) = default;
+};
+
+/// The narrowest exact pair for trunc(x / divisor) over every x in
+/// `dividend`: the smallest k, with m = ceil(2^k / divisor), such that
+/// floor(x·m / 2^k) is the quotient of every x >= 0 and floor(x·m / 2^k) + 1
+/// that of every x < 0. A power of two 2^s gives (1, s); its negative
+/// dividends are biased by divisor - 1 before the shift instead. Nullopt
+/// when |x|·m may reach 2^63. Requires divisor >= 1.
+std::optional<DivisionMagic> divisionMagic(const ValueRange& dividend, uint64_t divisor);
 
 /// Topological order of d.ops over value dependencies. Throws
 /// InternalCompilerError if the op graph has a combinational cycle.

@@ -25,18 +25,6 @@ void forEachInstrRpo(FunctionIR& f, const std::vector<int>& rpo, Fn&& fn) {
   }
 }
 
-/// True when the operand's value is provably >= 0: a non-negative immediate,
-/// or a register whose declared type is unsigned and narrower than the
-/// 64-bit evaluation domain.
-bool nonNegative(const FunctionIR& f, const Operand& o) {
-  if (o.isImm()) return o.imm >= 0;
-  if (o.isReg()) {
-    const ScalarType t = f.regTypes[static_cast<size_t>(o.reg)];
-    return !t.isSigned;
-  }
-  return false;
-}
-
 /// CSE expression identity: (op, type, imm, aux0, aux1, symbol, srcs), read
 /// through the defining instruction. An available instruction is never
 /// edited while it is in the table, so the pointer is a stable key.
@@ -333,33 +321,6 @@ int strengthReduce(FunctionIR& f) {
             ++changes;
             return;
           }
-        }
-        return;
-      }
-      case Opcode::Div: {
-        const auto c = constValue(in.srcs[1]);
-        if (c && *c == 1) {
-          in.op = Opcode::Mov;
-          in.srcs = {in.srcs[0]};
-          ++changes;
-          return;
-        }
-        // Division by a power of two is a shift when the dividend is
-        // provably non-negative (unsigned result type, or an unsigned
-        // operand promoted into a signed op).
-        if (c && isPow2(*c) && (!in.type.isSigned || nonNegative(f, in.srcs[0]))) {
-          in.op = Opcode::Shr;
-          in.srcs = {in.srcs[0], Operand::ofImm(log2of(*c))};
-          ++changes;
-        }
-        return;
-      }
-      case Opcode::Rem: {
-        const auto c = constValue(in.srcs[1]);
-        if (c && isPow2(*c) && (!in.type.isSigned || nonNegative(f, in.srcs[0]))) {
-          in.op = Opcode::And;
-          in.srcs = {in.srcs[0], Operand::ofImm(*c - 1)};
-          ++changes;
         }
         return;
       }

@@ -17,8 +17,9 @@ int constantPropagate(FunctionIR& f);
 int copyPropagate(FunctionIR& f);
 int commonSubexpressionEliminate(FunctionIR& f);
 int deadCodeEliminate(FunctionIR& f);
-/// Multiplications/divisions by powers of two become shifts; algebraic
-/// identities (x+0, x*1, x*0, x&0, ...) simplify.
+/// Multiplications by powers of two become shifts; algebraic identities
+/// (x+0, x*1, x*0, x&0, ...) simplify. Division by a constant is left to
+/// the data-path builder, which sizes it on the dividend's proven range.
 int strengthReduce(FunctionIR& f);
 
 /// Typed change counters from runStandardPasses — consumed by the

@@ -16,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "roccc/compiler.hpp"
 #include "roccc/verify.hpp"
+#include "synth/estimate.hpp"
 
 namespace roccc {
 namespace {
@@ -81,6 +83,45 @@ TEST(Corpus, FiveWayAgreementWithSelfCheckingTestbenches) {
     EXPECT_TRUE(v.testbenchPassed) << v.kernel;
     EXPECT_EQ(v.enginesRun, 5) << v.kernel;
   }
+}
+
+// A constant divisor is a multiply and a shift, never the restoring
+// divider's bit-select and compare rows: box3x3's `/ 9` on a sum in
+// [0, 2295], and `/ 2` on the int sum of two uint8 elements.
+TEST(Corpus, ConstantDivisorsBuildNoDividerRows) {
+  const auto box = std::find_if(corpus().begin(), corpus().end(),
+                                [](const CorpusKernel& k) { return k.name == "box3x3"; });
+  ASSERT_NE(box, corpus().end());
+  const std::string avg2 = R"(
+    void avg2(const uint8 A[16], const uint8 B[16], uint8 C[16]) {
+      int i;
+      for (i = 0; i < 16; i++) {
+        C[i] = (A[i] + B[i]) / 2;
+      }
+    }
+  )";
+  struct Case {
+    const char* name;
+    const std::string& source;
+    int maxStages;
+  };
+  for (const Case& c : {Case{"box3x3", box->source, 6}, Case{"avg2", avg2, 1}}) {
+    const CompileResult r = Compiler().compileSource(c.source);
+    ASSERT_TRUE(r.ok) << c.name << ":\n" << r.diags.dump();
+    for (const dp::DpOp& o : r.datapath.ops) {
+      EXPECT_TRUE(o.op != mir::Opcode::BitSel && o.op != mir::Opcode::Sge)
+          << c.name << " holds a divider row: " << mir::opcodeName(o.op);
+    }
+    EXPECT_LE(r.datapath.stageCount, c.maxStages) << c.name;
+  }
+  // The default 4 ns target, LUT multiplier style: no larger or slower
+  // than the hand-written multiply and shift.
+  const CompileResult r = Compiler().compileSource(box->source);
+  synth::EstimateOptions eo = synth::EstimateOptions::forModel(synth::TimingModel::virtex2());
+  eo.useMult18 = false;
+  const synth::Report est = synth::estimate(r.module, eo);
+  EXPECT_LE(est.slices, 142);
+  EXPECT_GE(est.fmaxMHz(), 185.5);
 }
 
 class CorpusGolden : public ::testing::TestWithParam<CorpusKernel> {};

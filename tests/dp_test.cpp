@@ -486,6 +486,111 @@ TEST(DpMultStyle, CsdHandlesAwkwardConstants) {
   }
 }
 
+// --- division by a constant: a multiply and a shift --------------------------------
+
+int countOps(const DataPath& dp, Opcode op) {
+  return static_cast<int>(
+      std::count_if(dp.ops.begin(), dp.ops.end(), [&](const DpOp& o) { return o.op == op; }));
+}
+
+TEST(DpConstDivision, MagicIsTheNarrowestExactPair) {
+  // box3x3's sum of nine uint8 pixels divided by 9.
+  EXPECT_EQ(divisionMagic(ValueRange(0, 2295), 9), (DivisionMagic{1821, 14}));
+  EXPECT_EQ(divisionMagic(ValueRange(0, 510), 2), (DivisionMagic{1, 1}));
+  EXPECT_EQ(divisionMagic(ValueRange(-128, 127), 16), (DivisionMagic{1, 4}));
+  EXPECT_EQ(divisionMagic(ValueRange(-8, 8), 9), (DivisionMagic{0, 0}));
+  // uint32 / 7 needs a 33-bit multiplier, so x·m does not fit 64 bits.
+  EXPECT_EQ(divisionMagic(ValueRange::ofType(ScalarType::uintTy()), 7), std::nullopt);
+  for (uint64_t a : {3u, 7u, 10u, 255u}) {
+    const auto m = divisionMagic(ValueRange(0, 65535), a);
+    ASSERT_TRUE(m.has_value()) << a;
+    // Narrowest: one bit less of shift is not exact somewhere.
+    const ValueRange::Int m1 = ((ValueRange::Int{1} << (m->k - 1)) + a - 1) / a;
+    bool inexact = false;
+    for (int64_t x = 0; x <= 65535 && !inexact; ++x) {
+      inexact = static_cast<int64_t>((x * m1) >> (m->k - 1)) != x / static_cast<int64_t>(a);
+    }
+    EXPECT_TRUE(inexact) << a;
+  }
+}
+
+// Every dividend of every int/uint type up to 16 bits, through `/` and `%`
+// by each divisor, equals Value division; none builds a divider row.
+TEST(DpConstDivision, EqualsValueDivisionOnEveryDividend) {
+  const ScalarType i32 = ScalarType::intTy(), u32 = ScalarType::uintTy();
+  for (int width = 1; width <= 16; ++width) {
+    for (const bool isSigned : {true, false}) {
+      const ScalarType t = ScalarType::make(width, isSigned);
+      for (const int64_t c : {1, -1, 2, -2, 3, -3, 7, 9, -9, 10, 16, 255}) {
+        for (const char* op : {"/", "%"}) {
+          const bool rem = op[0] == '%';
+          // Signed operands divide as int; unsigned ones also as uint32.
+          const std::string src =
+              isSigned ? fmt("void dp(%0 a, int* o) { *o = a %1 %2; }", t.str(), op, c)
+                       : fmt("void dp(%0 a, int* o, uint32* u) { *o = a %1 %2; *u = (uint32)a %1 %2; }",
+                             t.str(), op, c);
+          FunctionIR f = toSsaMir(src, "dp");
+          const DataPath dp = buildDp(f);
+          ASSERT_EQ(countOps(dp, Opcode::BitSel), 0) << src << "\n" << dp.dump();
+          Evaluator ev(dp);
+          const Value divisor = Value::ofInt(c);
+          for (int64_t x = t.minValue(); x <= t.maxValue(); ++x) {
+            const Value a = Value::fromInt(t, x);
+            const auto& out = ev.run({a}, {}).outputs;
+            const auto divide = [&](ScalarType rt) {
+              const Value n = a.convertTo(rt), d = divisor.convertTo(rt);
+              return rem ? ops::rem(n, d, rt) : ops::divide(n, d, rt);
+            };
+            ASSERT_EQ(out[0], divide(i32)) << src << " x=" << x << "\n" << dp.dump();
+            if (!isSigned) {
+              ASSERT_EQ(out[1], divide(u32)) << src << " x=" << x << "\n" << dp.dump();
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DpConstDivision, UnsignedPowerOfTwoIsAShiftAndAMask) {
+  FunctionIR f = toSsaMir(R"(
+    void dp(uint16 a, uint16* o1, uint16* o2) {
+      *o1 = a / 4;
+      *o2 = a % 16;
+    }
+  )", "dp");
+  const DataPath dp = buildDp(f);
+  EXPECT_EQ(countOps(dp, Opcode::BitSel), 0) << dp.dump();
+  EXPECT_EQ(countOps(dp, Opcode::Slt), 0) << dp.dump(); // no sign fix-up
+  EXPECT_EQ(countOps(dp, Opcode::Shr), 1) << dp.dump();
+  EXPECT_EQ(countOps(dp, Opcode::And), 1) << dp.dump();
+  EXPECT_EQ(countOps(dp, Opcode::Add) + countOps(dp, Opcode::Sub), 0) << dp.dump();
+}
+
+// a >> 2 != a / 4 for negative a: the shift takes a round-toward-zero bias.
+TEST(DpConstDivision, SignedPowerOfTwoRoundsTowardZero) {
+  FunctionIR f = toSsaMir("void dp(int a, int* o) { *o = a / 4; }", "dp");
+  const DataPath dp = buildDp(f);
+  EXPECT_EQ(countOps(dp, Opcode::BitSel), 0) << dp.dump();
+  EXPECT_EQ(countOps(dp, Opcode::Slt), 1) << dp.dump();
+  for (const int64_t a : {int64_t{INT32_MIN}, int64_t{-9}, int64_t{-5}, int64_t{-4}, int64_t{-3},
+                          int64_t{-1}, int64_t{0}, int64_t{3}, int64_t{5}, int64_t{INT32_MAX}}) {
+    EXPECT_EQ(evaluate(dp, {Value::ofInt(a)}, {}).outputs[0].toInt(), a / 4) << a;
+  }
+}
+
+// A variable or zero divisor, and a dividend range no 64-bit product covers,
+// keep the restoring divider.
+TEST(DpConstDivision, DividerStaysWhereNoMultiplierIsExact) {
+  for (const char* src : {"void dp(uint8 a, uint8 b, int* o) { *o = a / b; }",
+                          "void dp(uint8 a, int* o) { *o = a / 0; }",
+                          "void dp(uint32 a, uint32* o) { *o = a / 7; }"}) {
+    FunctionIR f = toSsaMir(src, "dp");
+    const DataPath dp = buildDp(f);
+    EXPECT_GT(countOps(dp, Opcode::BitSel), 0) << src << "\n" << dp.dump();
+  }
+}
+
 // --- stats -------------------------------------------------------------------------
 
 TEST(DpStats, BalanceRegistersCountedForSkewedPaths) {

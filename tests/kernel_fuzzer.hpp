@@ -55,6 +55,18 @@ class KernelFuzzer {
     } else {
       stmts += fmt("      t = %0;\n", body);
     }
+    for (int i = 0; i < inLen; ++i) {
+      g.inputs.arrays["A"].push_back(rng_.inRange(elemTy.minValue(), elemTy.maxValue()));
+    }
+    // Sometimes add a window element divided or reduced by a constant.
+    // Drawn after the inputs, so the rest of a seed's kernel and stimulus
+    // are what they are without it.
+    if (pick(3) == 0) {
+      const int64_t divisors[] = {1, -1, 2, -2, 3, -3, 7, 9, -9, 10, 16, 255};
+      const int64_t c = divisors[pick(12)];
+      const char* op = pick(2) == 0 ? "/" : "%";
+      stmts += fmt("      t = t + %0 %1 %2;\n", windowRef(taps, stride), op, c);
+    }
     if (useFeedback_) {
       stmts += "      s = s + t;\n";
       stmts += "      C[i] = s;\n";
@@ -75,10 +87,6 @@ class KernelFuzzer {
 }
 )", elemTy.str(), inLen, iters, stmts, helper, useFeedback_ ? "int32 s = 0;\n" : "",
         useCallee_ ? "  int32 u;\n" : "");
-
-    for (int i = 0; i < inLen; ++i) {
-      g.inputs.arrays["A"].push_back(rng_.inRange(elemTy.minValue(), elemTy.maxValue()));
-    }
     return g;
   }
 

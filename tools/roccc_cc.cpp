@@ -332,6 +332,12 @@ int main(int argc, char** argv) {
   roccc::synth::TimingModel modelStorage;
   const roccc::synth::TimingModel& timingModel =
       *roccc::synth::TimingModel::resolve(a.options.timingModelSpec, modelStorage, error);
+  // Every report prices the design as compiled: variable multipliers in the
+  // compile's multiplier style, as roccc-explore does.
+  roccc::synth::EstimateOptions estimateOptions =
+      roccc::synth::EstimateOptions::forModel(timingModel);
+  estimateOptions.useMult18 =
+      a.options.dpOptions.multStyle == roccc::dp::BuildOptions::MultStyle::Mult18;
 
   if (a.inputs.size() > 1) {
     // Batch mode writes one <input>.vhd per input and nothing else, so a
@@ -383,8 +389,7 @@ int main(int argc, char** argv) {
     }
     roccc::json::Value timing;
     if (r.ok) {
-      const auto est =
-          roccc::synth::estimate(r.module, roccc::synth::EstimateOptions::forModel(timingModel));
+      const auto est = roccc::synth::estimate(r.module, estimateOptions);
       timing = roccc::timingToJson(r, a.options.dpOptions.targetStageDelayNs, est);
     }
     sout << roccc::statsToJson(r.passLog, std::move(timing)).pretty();
@@ -483,8 +488,7 @@ int main(int argc, char** argv) {
                 "modeled fmax %.1f MHz, %s)\n",
                 r.datapath.stageCount, rt.targetNs, rt.worstStageNs, rt.slackNs, rt.fmaxMHz,
                 rt.feasible ? "feasible" : "infeasible target");
-    const auto rep =
-        roccc::synth::estimate(r.module, roccc::synth::EstimateOptions::forModel(timingModel));
+    const auto rep = roccc::synth::estimate(r.module, estimateOptions);
     std::printf("synthesis estimate (xc2v2000-5): %s\n", rep.summary().c_str());
     std::printf("dynamic power @ fmax: %.1f mW\n",
                 roccc::synth::estimatePowerMw(rep.res, rep.fmaxMHz()));
