@@ -1,6 +1,6 @@
 -- Generated by ROCCC (reproduction): RTL VHDL for kernel 'box3x3'
--- data path: 1 nodes (1 soft, 0 hard), 37 pipeline stages
--- netlist: 1624 cells, 22263 register bits
+-- data path: 1 nodes (1 soft, 0 hard), 6 pipeline stages
+-- netlist: 42 cells, 223 register bits
 
 library ieee;
 use ieee.std_logic_1164.all;
@@ -19,7 +19,7 @@ entity box3x3_dp_node1 is
     v6_P6 : in unsigned(7 downto 0);
     v7_P7 : in unsigned(7 downto 0);
     v8_P8 : in unsigned(7 downto 0);
-    v324_t_out : out unsigned(7 downto 0)
+    v32_t_out : out unsigned(7 downto 0)
   );
 end entity box3x3_dp_node1;
 
@@ -32,1609 +32,26 @@ architecture rtl of box3x3_dp_node1 is
   signal v14_t : unsigned(10 downto 0);
   signal v15_t : unsigned(10 downto 0);
   signal v16_t : unsigned(11 downto 0);
-  signal v19_n_neg : unsigned(0 downto 0);
-  signal v20_t : signed(12 downto 0);
-  signal v21_n_mag : signed(12 downto 0);
-  signal v22_n_abs : unsigned(31 downto 0);
-  signal v23_d_neg : unsigned(0 downto 0);
-  signal v24_t : signed(4 downto 0);
-  signal v25_d_mag : signed(4 downto 0);
-  signal v26_d_abs : unsigned(31 downto 0);
-  signal v27_r_init : unsigned(0 downto 0);
-  signal v28_n_b31 : unsigned(0 downto 0);
-  signal v29_t : unsigned(0 downto 0);
-  signal v30_rsh31 : unsigned(32 downto 0);
-  signal v31_t : unsigned(31 downto 0);
-  signal v32_q_b31 : unsigned(0 downto 0);
-  signal v33_t : unsigned(32 downto 0);
-  signal v34_t : unsigned(32 downto 0);
-  signal v35_r31 : unsigned(31 downto 0);
-  signal v36_n_b30 : unsigned(0 downto 0);
-  signal v37_t : unsigned(31 downto 0);
-  signal v38_rsh30 : unsigned(32 downto 0);
-  signal v39_t : unsigned(31 downto 0);
-  signal v40_q_b30 : unsigned(0 downto 0);
-  signal v41_t : unsigned(32 downto 0);
-  signal v42_t : unsigned(32 downto 0);
-  signal v43_r30 : unsigned(31 downto 0);
-  signal v44_n_b29 : unsigned(0 downto 0);
-  signal v45_t : unsigned(31 downto 0);
-  signal v46_rsh29 : unsigned(32 downto 0);
-  signal v47_t : unsigned(31 downto 0);
-  signal v48_q_b29 : unsigned(0 downto 0);
-  signal v49_t : unsigned(32 downto 0);
-  signal v50_t : unsigned(32 downto 0);
-  signal v51_r29 : unsigned(31 downto 0);
-  signal v52_n_b28 : unsigned(0 downto 0);
-  signal v53_t : unsigned(31 downto 0);
-  signal v54_rsh28 : unsigned(32 downto 0);
-  signal v55_t : unsigned(31 downto 0);
-  signal v56_q_b28 : unsigned(0 downto 0);
-  signal v57_t : unsigned(32 downto 0);
-  signal v58_t : unsigned(32 downto 0);
-  signal v59_r28 : unsigned(31 downto 0);
-  signal v60_n_b27 : unsigned(0 downto 0);
-  signal v61_t : unsigned(31 downto 0);
-  signal v62_rsh27 : unsigned(32 downto 0);
-  signal v63_t : unsigned(31 downto 0);
-  signal v64_q_b27 : unsigned(0 downto 0);
-  signal v65_t : unsigned(32 downto 0);
-  signal v66_t : unsigned(32 downto 0);
-  signal v67_r27 : unsigned(31 downto 0);
-  signal v68_n_b26 : unsigned(0 downto 0);
-  signal v69_t : unsigned(31 downto 0);
-  signal v70_rsh26 : unsigned(32 downto 0);
-  signal v71_t : unsigned(31 downto 0);
-  signal v72_q_b26 : unsigned(0 downto 0);
-  signal v73_t : unsigned(32 downto 0);
-  signal v74_t : unsigned(32 downto 0);
-  signal v75_r26 : unsigned(31 downto 0);
-  signal v76_n_b25 : unsigned(0 downto 0);
-  signal v77_t : unsigned(31 downto 0);
-  signal v78_rsh25 : unsigned(32 downto 0);
-  signal v79_t : unsigned(31 downto 0);
-  signal v80_q_b25 : unsigned(0 downto 0);
-  signal v81_t : unsigned(32 downto 0);
-  signal v82_t : unsigned(32 downto 0);
-  signal v83_r25 : unsigned(31 downto 0);
-  signal v84_n_b24 : unsigned(0 downto 0);
-  signal v85_t : unsigned(31 downto 0);
-  signal v86_rsh24 : unsigned(32 downto 0);
-  signal v87_t : unsigned(31 downto 0);
-  signal v88_q_b24 : unsigned(0 downto 0);
-  signal v89_t : unsigned(32 downto 0);
-  signal v90_t : unsigned(32 downto 0);
-  signal v91_r24 : unsigned(31 downto 0);
-  signal v92_n_b23 : unsigned(0 downto 0);
-  signal v93_t : unsigned(31 downto 0);
-  signal v94_rsh23 : unsigned(32 downto 0);
-  signal v95_t : unsigned(31 downto 0);
-  signal v96_q_b23 : unsigned(0 downto 0);
-  signal v97_t : unsigned(32 downto 0);
-  signal v98_t : unsigned(32 downto 0);
-  signal v99_r23 : unsigned(31 downto 0);
-  signal v100_n_b22 : unsigned(0 downto 0);
-  signal v101_t : unsigned(31 downto 0);
-  signal v102_rsh22 : unsigned(32 downto 0);
-  signal v103_t : unsigned(31 downto 0);
-  signal v104_q_b22 : unsigned(0 downto 0);
-  signal v105_t : unsigned(32 downto 0);
-  signal v106_t : unsigned(32 downto 0);
-  signal v107_r22 : unsigned(31 downto 0);
-  signal v108_n_b21 : unsigned(0 downto 0);
-  signal v109_t : unsigned(31 downto 0);
-  signal v110_rsh21 : unsigned(32 downto 0);
-  signal v111_t : unsigned(31 downto 0);
-  signal v112_q_b21 : unsigned(0 downto 0);
-  signal v113_t : unsigned(32 downto 0);
-  signal v114_t : unsigned(32 downto 0);
-  signal v115_r21 : unsigned(31 downto 0);
-  signal v116_n_b20 : unsigned(0 downto 0);
-  signal v117_t : unsigned(31 downto 0);
-  signal v118_rsh20 : unsigned(32 downto 0);
-  signal v119_t : unsigned(31 downto 0);
-  signal v120_q_b20 : unsigned(0 downto 0);
-  signal v121_t : unsigned(32 downto 0);
-  signal v122_t : unsigned(32 downto 0);
-  signal v123_r20 : unsigned(31 downto 0);
-  signal v124_n_b19 : unsigned(0 downto 0);
-  signal v125_t : unsigned(31 downto 0);
-  signal v126_rsh19 : unsigned(32 downto 0);
-  signal v127_t : unsigned(31 downto 0);
-  signal v128_q_b19 : unsigned(0 downto 0);
-  signal v129_t : unsigned(32 downto 0);
-  signal v130_t : unsigned(32 downto 0);
-  signal v131_r19 : unsigned(31 downto 0);
-  signal v132_n_b18 : unsigned(0 downto 0);
-  signal v133_t : unsigned(31 downto 0);
-  signal v134_rsh18 : unsigned(32 downto 0);
-  signal v135_t : unsigned(31 downto 0);
-  signal v136_q_b18 : unsigned(0 downto 0);
-  signal v137_t : unsigned(32 downto 0);
-  signal v138_t : unsigned(32 downto 0);
-  signal v139_r18 : unsigned(31 downto 0);
-  signal v140_n_b17 : unsigned(0 downto 0);
-  signal v141_t : unsigned(31 downto 0);
-  signal v142_rsh17 : unsigned(32 downto 0);
-  signal v143_t : unsigned(31 downto 0);
-  signal v144_q_b17 : unsigned(0 downto 0);
-  signal v145_t : unsigned(32 downto 0);
-  signal v146_t : unsigned(32 downto 0);
-  signal v147_r17 : unsigned(31 downto 0);
-  signal v148_n_b16 : unsigned(0 downto 0);
-  signal v149_t : unsigned(31 downto 0);
-  signal v150_rsh16 : unsigned(32 downto 0);
-  signal v151_t : unsigned(31 downto 0);
-  signal v152_q_b16 : unsigned(0 downto 0);
-  signal v153_t : unsigned(32 downto 0);
-  signal v154_t : unsigned(32 downto 0);
-  signal v155_r16 : unsigned(31 downto 0);
-  signal v156_n_b15 : unsigned(0 downto 0);
-  signal v157_t : unsigned(31 downto 0);
-  signal v158_rsh15 : unsigned(32 downto 0);
-  signal v159_t : unsigned(31 downto 0);
-  signal v160_q_b15 : unsigned(0 downto 0);
-  signal v161_t : unsigned(32 downto 0);
-  signal v162_t : unsigned(32 downto 0);
-  signal v163_r15 : unsigned(31 downto 0);
-  signal v164_n_b14 : unsigned(0 downto 0);
-  signal v165_t : unsigned(31 downto 0);
-  signal v166_rsh14 : unsigned(32 downto 0);
-  signal v167_t : unsigned(31 downto 0);
-  signal v168_q_b14 : unsigned(0 downto 0);
-  signal v169_t : unsigned(32 downto 0);
-  signal v170_t : unsigned(32 downto 0);
-  signal v171_r14 : unsigned(31 downto 0);
-  signal v172_n_b13 : unsigned(0 downto 0);
-  signal v173_t : unsigned(31 downto 0);
-  signal v174_rsh13 : unsigned(32 downto 0);
-  signal v175_t : unsigned(31 downto 0);
-  signal v176_q_b13 : unsigned(0 downto 0);
-  signal v177_t : unsigned(32 downto 0);
-  signal v178_t : unsigned(32 downto 0);
-  signal v179_r13 : unsigned(31 downto 0);
-  signal v180_n_b12 : unsigned(0 downto 0);
-  signal v181_t : unsigned(31 downto 0);
-  signal v182_rsh12 : unsigned(32 downto 0);
-  signal v183_t : unsigned(31 downto 0);
-  signal v184_q_b12 : unsigned(0 downto 0);
-  signal v185_t : unsigned(32 downto 0);
-  signal v186_t : unsigned(32 downto 0);
-  signal v187_r12 : unsigned(31 downto 0);
-  signal v188_n_b11 : unsigned(0 downto 0);
-  signal v189_t : unsigned(31 downto 0);
-  signal v190_rsh11 : unsigned(32 downto 0);
-  signal v191_t : unsigned(31 downto 0);
-  signal v192_q_b11 : unsigned(0 downto 0);
-  signal v193_t : unsigned(32 downto 0);
-  signal v194_t : unsigned(32 downto 0);
-  signal v195_r11 : unsigned(31 downto 0);
-  signal v196_n_b10 : unsigned(0 downto 0);
-  signal v197_t : unsigned(31 downto 0);
-  signal v198_rsh10 : unsigned(32 downto 0);
-  signal v199_t : unsigned(31 downto 0);
-  signal v200_q_b10 : unsigned(0 downto 0);
-  signal v201_t : unsigned(32 downto 0);
-  signal v202_t : unsigned(32 downto 0);
-  signal v203_r10 : unsigned(31 downto 0);
-  signal v204_n_b9 : unsigned(0 downto 0);
-  signal v205_t : unsigned(31 downto 0);
-  signal v206_rsh9 : unsigned(32 downto 0);
-  signal v207_t : unsigned(31 downto 0);
-  signal v208_q_b9 : unsigned(0 downto 0);
-  signal v209_t : unsigned(32 downto 0);
-  signal v210_t : unsigned(32 downto 0);
-  signal v211_r9 : unsigned(31 downto 0);
-  signal v212_n_b8 : unsigned(0 downto 0);
-  signal v213_t : unsigned(31 downto 0);
-  signal v214_rsh8 : unsigned(32 downto 0);
-  signal v215_t : unsigned(31 downto 0);
-  signal v216_q_b8 : unsigned(0 downto 0);
-  signal v217_t : unsigned(32 downto 0);
-  signal v218_t : unsigned(32 downto 0);
-  signal v219_r8 : unsigned(31 downto 0);
-  signal v220_n_b7 : unsigned(0 downto 0);
-  signal v221_t : unsigned(31 downto 0);
-  signal v222_rsh7 : unsigned(32 downto 0);
-  signal v223_t : unsigned(31 downto 0);
-  signal v224_q_b7 : unsigned(0 downto 0);
-  signal v225_t : unsigned(32 downto 0);
-  signal v226_t : unsigned(32 downto 0);
-  signal v227_r7 : unsigned(31 downto 0);
-  signal v228_n_b6 : unsigned(0 downto 0);
-  signal v229_t : unsigned(31 downto 0);
-  signal v230_rsh6 : unsigned(32 downto 0);
-  signal v231_t : unsigned(31 downto 0);
-  signal v232_q_b6 : unsigned(0 downto 0);
-  signal v233_t : unsigned(32 downto 0);
-  signal v234_t : unsigned(32 downto 0);
-  signal v235_r6 : unsigned(31 downto 0);
-  signal v236_n_b5 : unsigned(0 downto 0);
-  signal v237_t : unsigned(31 downto 0);
-  signal v238_rsh5 : unsigned(32 downto 0);
-  signal v239_t : unsigned(31 downto 0);
-  signal v240_q_b5 : unsigned(0 downto 0);
-  signal v241_t : unsigned(32 downto 0);
-  signal v242_t : unsigned(32 downto 0);
-  signal v243_r5 : unsigned(31 downto 0);
-  signal v244_n_b4 : unsigned(0 downto 0);
-  signal v245_t : unsigned(31 downto 0);
-  signal v246_rsh4 : unsigned(32 downto 0);
-  signal v247_t : unsigned(31 downto 0);
-  signal v248_q_b4 : unsigned(0 downto 0);
-  signal v249_t : unsigned(32 downto 0);
-  signal v250_t : unsigned(32 downto 0);
-  signal v251_r4 : unsigned(31 downto 0);
-  signal v252_n_b3 : unsigned(0 downto 0);
-  signal v253_t : unsigned(31 downto 0);
-  signal v254_rsh3 : unsigned(32 downto 0);
-  signal v255_t : unsigned(31 downto 0);
-  signal v256_q_b3 : unsigned(0 downto 0);
-  signal v257_t : unsigned(32 downto 0);
-  signal v258_t : unsigned(32 downto 0);
-  signal v259_r3 : unsigned(31 downto 0);
-  signal v260_n_b2 : unsigned(0 downto 0);
-  signal v261_t : unsigned(31 downto 0);
-  signal v262_rsh2 : unsigned(32 downto 0);
-  signal v263_t : unsigned(31 downto 0);
-  signal v264_q_b2 : unsigned(0 downto 0);
-  signal v265_t : unsigned(32 downto 0);
-  signal v266_t : unsigned(32 downto 0);
-  signal v267_r2 : unsigned(31 downto 0);
-  signal v268_n_b1 : unsigned(0 downto 0);
-  signal v269_t : unsigned(31 downto 0);
-  signal v270_rsh1 : unsigned(32 downto 0);
-  signal v271_t : unsigned(31 downto 0);
-  signal v272_q_b1 : unsigned(0 downto 0);
-  signal v273_t : unsigned(32 downto 0);
-  signal v274_t : unsigned(32 downto 0);
-  signal v275_r1 : unsigned(31 downto 0);
-  signal v276_n_b0 : unsigned(0 downto 0);
-  signal v277_t : unsigned(31 downto 0);
-  signal v278_rsh0 : unsigned(32 downto 0);
-  signal v279_t : unsigned(31 downto 0);
-  signal v280_q_b0 : unsigned(0 downto 0);
-  signal v281_t : unsigned(32 downto 0);
-  signal v282_t : unsigned(32 downto 0);
-  signal v283_r0 : unsigned(31 downto 0);
-  signal v284_q_hi30 : unsigned(1 downto 0);
-  signal v285_q_hi29 : unsigned(2 downto 0);
-  signal v286_q_hi28 : unsigned(3 downto 0);
-  signal v287_q_hi27 : unsigned(4 downto 0);
-  signal v288_q_hi26 : unsigned(5 downto 0);
-  signal v289_q_hi25 : unsigned(6 downto 0);
-  signal v290_q_hi24 : unsigned(7 downto 0);
-  signal v291_q_hi23 : unsigned(8 downto 0);
-  signal v292_q_hi22 : unsigned(9 downto 0);
-  signal v293_q_hi21 : unsigned(10 downto 0);
-  signal v294_q_hi20 : unsigned(11 downto 0);
-  signal v295_q_hi19 : unsigned(12 downto 0);
-  signal v296_q_hi18 : unsigned(13 downto 0);
-  signal v297_q_hi17 : unsigned(14 downto 0);
-  signal v298_q_hi16 : unsigned(15 downto 0);
-  signal v299_q_hi15 : unsigned(16 downto 0);
-  signal v300_q_hi14 : unsigned(17 downto 0);
-  signal v301_q_hi13 : unsigned(18 downto 0);
-  signal v302_q_hi12 : unsigned(19 downto 0);
-  signal v303_q_hi11 : unsigned(20 downto 0);
-  signal v304_q_hi10 : unsigned(21 downto 0);
-  signal v305_q_hi9 : unsigned(22 downto 0);
-  signal v306_q_hi8 : unsigned(23 downto 0);
-  signal v307_q_hi7 : unsigned(24 downto 0);
-  signal v308_q_hi6 : unsigned(25 downto 0);
-  signal v309_q_hi5 : unsigned(26 downto 0);
-  signal v310_q_hi4 : unsigned(27 downto 0);
-  signal v311_q_hi3 : unsigned(28 downto 0);
-  signal v312_q_hi2 : unsigned(29 downto 0);
-  signal v313_q_hi1 : unsigned(30 downto 0);
-  signal v314_q_hi0 : unsigned(31 downto 0);
-  signal v315_t : unsigned(3 downto 0);
-  signal v316_d_is0 : unsigned(0 downto 0);
-  signal v317_q_ext : signed(31 downto 0);
-  signal v318_q_sign : unsigned(0 downto 0);
-  signal v319_t : signed(31 downto 0);
-  signal v320_t : signed(31 downto 0);
-  signal v322_t : signed(0 downto 0);
-  signal v323_quot : signed(31 downto 0);
-  signal v324_t : unsigned(7 downto 0);
+  signal v18_t : unsigned(13 downto 0);
+  signal v19_t : signed(14 downto 0);
+  signal v21_t : unsigned(16 downto 0);
+  signal v22_t : signed(17 downto 0);
+  signal v24_t : unsigned(19 downto 0);
+  signal v25_t : signed(20 downto 0);
+  signal v27_t : unsigned(22 downto 0);
+  signal v28_t : signed(23 downto 0);
+  signal v30_q_shr : unsigned(7 downto 0);
+  signal v31_quot : unsigned(7 downto 0);
+  signal v32_t : unsigned(7 downto 0);
   signal v11_t_s1 : unsigned(9 downto 0);
   signal v13_t_s2 : unsigned(10 downto 0);
   signal v15_t_s3 : unsigned(10 downto 0);
-  signal v29_t_s1 : unsigned(0 downto 0);
-  signal v29_t_s2 : unsigned(0 downto 0);
-  signal v29_t_s3 : unsigned(0 downto 0);
-  signal v30_rsh31_s4 : unsigned(32 downto 0);
-  signal v31_t_s1 : unsigned(31 downto 0);
-  signal v31_t_s2 : unsigned(31 downto 0);
-  signal v31_t_s3 : unsigned(31 downto 0);
-  signal v31_t_s4 : unsigned(31 downto 0);
-  signal v36_n_b30_s4 : unsigned(0 downto 0);
-  signal v38_rsh30_s5 : unsigned(32 downto 0);
-  signal v39_t_s1 : unsigned(31 downto 0);
-  signal v39_t_s2 : unsigned(31 downto 0);
-  signal v39_t_s3 : unsigned(31 downto 0);
-  signal v39_t_s4 : unsigned(31 downto 0);
-  signal v39_t_s5 : unsigned(31 downto 0);
-  signal v44_n_b29_s4 : unsigned(0 downto 0);
-  signal v44_n_b29_s5 : unsigned(0 downto 0);
-  signal v46_rsh29_s6 : unsigned(32 downto 0);
-  signal v47_t_s1 : unsigned(31 downto 0);
-  signal v47_t_s2 : unsigned(31 downto 0);
-  signal v47_t_s3 : unsigned(31 downto 0);
-  signal v47_t_s4 : unsigned(31 downto 0);
-  signal v47_t_s5 : unsigned(31 downto 0);
-  signal v47_t_s6 : unsigned(31 downto 0);
-  signal v52_n_b28_s4 : unsigned(0 downto 0);
-  signal v52_n_b28_s5 : unsigned(0 downto 0);
-  signal v52_n_b28_s6 : unsigned(0 downto 0);
-  signal v54_rsh28_s7 : unsigned(32 downto 0);
-  signal v55_t_s1 : unsigned(31 downto 0);
-  signal v55_t_s2 : unsigned(31 downto 0);
-  signal v55_t_s3 : unsigned(31 downto 0);
-  signal v55_t_s4 : unsigned(31 downto 0);
-  signal v55_t_s5 : unsigned(31 downto 0);
-  signal v55_t_s6 : unsigned(31 downto 0);
-  signal v55_t_s7 : unsigned(31 downto 0);
-  signal v60_n_b27_s4 : unsigned(0 downto 0);
-  signal v60_n_b27_s5 : unsigned(0 downto 0);
-  signal v60_n_b27_s6 : unsigned(0 downto 0);
-  signal v60_n_b27_s7 : unsigned(0 downto 0);
-  signal v62_rsh27_s8 : unsigned(32 downto 0);
-  signal v63_t_s1 : unsigned(31 downto 0);
-  signal v63_t_s2 : unsigned(31 downto 0);
-  signal v63_t_s3 : unsigned(31 downto 0);
-  signal v63_t_s4 : unsigned(31 downto 0);
-  signal v63_t_s5 : unsigned(31 downto 0);
-  signal v63_t_s6 : unsigned(31 downto 0);
-  signal v63_t_s7 : unsigned(31 downto 0);
-  signal v63_t_s8 : unsigned(31 downto 0);
-  signal v68_n_b26_s4 : unsigned(0 downto 0);
-  signal v68_n_b26_s5 : unsigned(0 downto 0);
-  signal v68_n_b26_s6 : unsigned(0 downto 0);
-  signal v68_n_b26_s7 : unsigned(0 downto 0);
-  signal v68_n_b26_s8 : unsigned(0 downto 0);
-  signal v70_rsh26_s9 : unsigned(32 downto 0);
-  signal v71_t_s1 : unsigned(31 downto 0);
-  signal v71_t_s2 : unsigned(31 downto 0);
-  signal v71_t_s3 : unsigned(31 downto 0);
-  signal v71_t_s4 : unsigned(31 downto 0);
-  signal v71_t_s5 : unsigned(31 downto 0);
-  signal v71_t_s6 : unsigned(31 downto 0);
-  signal v71_t_s7 : unsigned(31 downto 0);
-  signal v71_t_s8 : unsigned(31 downto 0);
-  signal v71_t_s9 : unsigned(31 downto 0);
-  signal v76_n_b25_s4 : unsigned(0 downto 0);
-  signal v76_n_b25_s5 : unsigned(0 downto 0);
-  signal v76_n_b25_s6 : unsigned(0 downto 0);
-  signal v76_n_b25_s7 : unsigned(0 downto 0);
-  signal v76_n_b25_s8 : unsigned(0 downto 0);
-  signal v76_n_b25_s9 : unsigned(0 downto 0);
-  signal v78_rsh25_s10 : unsigned(32 downto 0);
-  signal v79_t_s1 : unsigned(31 downto 0);
-  signal v79_t_s2 : unsigned(31 downto 0);
-  signal v79_t_s3 : unsigned(31 downto 0);
-  signal v79_t_s4 : unsigned(31 downto 0);
-  signal v79_t_s5 : unsigned(31 downto 0);
-  signal v79_t_s6 : unsigned(31 downto 0);
-  signal v79_t_s7 : unsigned(31 downto 0);
-  signal v79_t_s8 : unsigned(31 downto 0);
-  signal v79_t_s9 : unsigned(31 downto 0);
-  signal v79_t_s10 : unsigned(31 downto 0);
-  signal v84_n_b24_s4 : unsigned(0 downto 0);
-  signal v84_n_b24_s5 : unsigned(0 downto 0);
-  signal v84_n_b24_s6 : unsigned(0 downto 0);
-  signal v84_n_b24_s7 : unsigned(0 downto 0);
-  signal v84_n_b24_s8 : unsigned(0 downto 0);
-  signal v84_n_b24_s9 : unsigned(0 downto 0);
-  signal v84_n_b24_s10 : unsigned(0 downto 0);
-  signal v86_rsh24_s11 : unsigned(32 downto 0);
-  signal v87_t_s1 : unsigned(31 downto 0);
-  signal v87_t_s2 : unsigned(31 downto 0);
-  signal v87_t_s3 : unsigned(31 downto 0);
-  signal v87_t_s4 : unsigned(31 downto 0);
-  signal v87_t_s5 : unsigned(31 downto 0);
-  signal v87_t_s6 : unsigned(31 downto 0);
-  signal v87_t_s7 : unsigned(31 downto 0);
-  signal v87_t_s8 : unsigned(31 downto 0);
-  signal v87_t_s9 : unsigned(31 downto 0);
-  signal v87_t_s10 : unsigned(31 downto 0);
-  signal v87_t_s11 : unsigned(31 downto 0);
-  signal v92_n_b23_s4 : unsigned(0 downto 0);
-  signal v92_n_b23_s5 : unsigned(0 downto 0);
-  signal v92_n_b23_s6 : unsigned(0 downto 0);
-  signal v92_n_b23_s7 : unsigned(0 downto 0);
-  signal v92_n_b23_s8 : unsigned(0 downto 0);
-  signal v92_n_b23_s9 : unsigned(0 downto 0);
-  signal v92_n_b23_s10 : unsigned(0 downto 0);
-  signal v92_n_b23_s11 : unsigned(0 downto 0);
-  signal v94_rsh23_s12 : unsigned(32 downto 0);
-  signal v95_t_s1 : unsigned(31 downto 0);
-  signal v95_t_s2 : unsigned(31 downto 0);
-  signal v95_t_s3 : unsigned(31 downto 0);
-  signal v95_t_s4 : unsigned(31 downto 0);
-  signal v95_t_s5 : unsigned(31 downto 0);
-  signal v95_t_s6 : unsigned(31 downto 0);
-  signal v95_t_s7 : unsigned(31 downto 0);
-  signal v95_t_s8 : unsigned(31 downto 0);
-  signal v95_t_s9 : unsigned(31 downto 0);
-  signal v95_t_s10 : unsigned(31 downto 0);
-  signal v95_t_s11 : unsigned(31 downto 0);
-  signal v95_t_s12 : unsigned(31 downto 0);
-  signal v100_n_b22_s4 : unsigned(0 downto 0);
-  signal v100_n_b22_s5 : unsigned(0 downto 0);
-  signal v100_n_b22_s6 : unsigned(0 downto 0);
-  signal v100_n_b22_s7 : unsigned(0 downto 0);
-  signal v100_n_b22_s8 : unsigned(0 downto 0);
-  signal v100_n_b22_s9 : unsigned(0 downto 0);
-  signal v100_n_b22_s10 : unsigned(0 downto 0);
-  signal v100_n_b22_s11 : unsigned(0 downto 0);
-  signal v100_n_b22_s12 : unsigned(0 downto 0);
-  signal v102_rsh22_s13 : unsigned(32 downto 0);
-  signal v103_t_s1 : unsigned(31 downto 0);
-  signal v103_t_s2 : unsigned(31 downto 0);
-  signal v103_t_s3 : unsigned(31 downto 0);
-  signal v103_t_s4 : unsigned(31 downto 0);
-  signal v103_t_s5 : unsigned(31 downto 0);
-  signal v103_t_s6 : unsigned(31 downto 0);
-  signal v103_t_s7 : unsigned(31 downto 0);
-  signal v103_t_s8 : unsigned(31 downto 0);
-  signal v103_t_s9 : unsigned(31 downto 0);
-  signal v103_t_s10 : unsigned(31 downto 0);
-  signal v103_t_s11 : unsigned(31 downto 0);
-  signal v103_t_s12 : unsigned(31 downto 0);
-  signal v103_t_s13 : unsigned(31 downto 0);
-  signal v108_n_b21_s4 : unsigned(0 downto 0);
-  signal v108_n_b21_s5 : unsigned(0 downto 0);
-  signal v108_n_b21_s6 : unsigned(0 downto 0);
-  signal v108_n_b21_s7 : unsigned(0 downto 0);
-  signal v108_n_b21_s8 : unsigned(0 downto 0);
-  signal v108_n_b21_s9 : unsigned(0 downto 0);
-  signal v108_n_b21_s10 : unsigned(0 downto 0);
-  signal v108_n_b21_s11 : unsigned(0 downto 0);
-  signal v108_n_b21_s12 : unsigned(0 downto 0);
-  signal v108_n_b21_s13 : unsigned(0 downto 0);
-  signal v110_rsh21_s14 : unsigned(32 downto 0);
-  signal v111_t_s1 : unsigned(31 downto 0);
-  signal v111_t_s2 : unsigned(31 downto 0);
-  signal v111_t_s3 : unsigned(31 downto 0);
-  signal v111_t_s4 : unsigned(31 downto 0);
-  signal v111_t_s5 : unsigned(31 downto 0);
-  signal v111_t_s6 : unsigned(31 downto 0);
-  signal v111_t_s7 : unsigned(31 downto 0);
-  signal v111_t_s8 : unsigned(31 downto 0);
-  signal v111_t_s9 : unsigned(31 downto 0);
-  signal v111_t_s10 : unsigned(31 downto 0);
-  signal v111_t_s11 : unsigned(31 downto 0);
-  signal v111_t_s12 : unsigned(31 downto 0);
-  signal v111_t_s13 : unsigned(31 downto 0);
-  signal v111_t_s14 : unsigned(31 downto 0);
-  signal v116_n_b20_s4 : unsigned(0 downto 0);
-  signal v116_n_b20_s5 : unsigned(0 downto 0);
-  signal v116_n_b20_s6 : unsigned(0 downto 0);
-  signal v116_n_b20_s7 : unsigned(0 downto 0);
-  signal v116_n_b20_s8 : unsigned(0 downto 0);
-  signal v116_n_b20_s9 : unsigned(0 downto 0);
-  signal v116_n_b20_s10 : unsigned(0 downto 0);
-  signal v116_n_b20_s11 : unsigned(0 downto 0);
-  signal v116_n_b20_s12 : unsigned(0 downto 0);
-  signal v116_n_b20_s13 : unsigned(0 downto 0);
-  signal v116_n_b20_s14 : unsigned(0 downto 0);
-  signal v118_rsh20_s15 : unsigned(32 downto 0);
-  signal v119_t_s1 : unsigned(31 downto 0);
-  signal v119_t_s2 : unsigned(31 downto 0);
-  signal v119_t_s3 : unsigned(31 downto 0);
-  signal v119_t_s4 : unsigned(31 downto 0);
-  signal v119_t_s5 : unsigned(31 downto 0);
-  signal v119_t_s6 : unsigned(31 downto 0);
-  signal v119_t_s7 : unsigned(31 downto 0);
-  signal v119_t_s8 : unsigned(31 downto 0);
-  signal v119_t_s9 : unsigned(31 downto 0);
-  signal v119_t_s10 : unsigned(31 downto 0);
-  signal v119_t_s11 : unsigned(31 downto 0);
-  signal v119_t_s12 : unsigned(31 downto 0);
-  signal v119_t_s13 : unsigned(31 downto 0);
-  signal v119_t_s14 : unsigned(31 downto 0);
-  signal v119_t_s15 : unsigned(31 downto 0);
-  signal v124_n_b19_s4 : unsigned(0 downto 0);
-  signal v124_n_b19_s5 : unsigned(0 downto 0);
-  signal v124_n_b19_s6 : unsigned(0 downto 0);
-  signal v124_n_b19_s7 : unsigned(0 downto 0);
-  signal v124_n_b19_s8 : unsigned(0 downto 0);
-  signal v124_n_b19_s9 : unsigned(0 downto 0);
-  signal v124_n_b19_s10 : unsigned(0 downto 0);
-  signal v124_n_b19_s11 : unsigned(0 downto 0);
-  signal v124_n_b19_s12 : unsigned(0 downto 0);
-  signal v124_n_b19_s13 : unsigned(0 downto 0);
-  signal v124_n_b19_s14 : unsigned(0 downto 0);
-  signal v124_n_b19_s15 : unsigned(0 downto 0);
-  signal v126_rsh19_s16 : unsigned(32 downto 0);
-  signal v127_t_s1 : unsigned(31 downto 0);
-  signal v127_t_s2 : unsigned(31 downto 0);
-  signal v127_t_s3 : unsigned(31 downto 0);
-  signal v127_t_s4 : unsigned(31 downto 0);
-  signal v127_t_s5 : unsigned(31 downto 0);
-  signal v127_t_s6 : unsigned(31 downto 0);
-  signal v127_t_s7 : unsigned(31 downto 0);
-  signal v127_t_s8 : unsigned(31 downto 0);
-  signal v127_t_s9 : unsigned(31 downto 0);
-  signal v127_t_s10 : unsigned(31 downto 0);
-  signal v127_t_s11 : unsigned(31 downto 0);
-  signal v127_t_s12 : unsigned(31 downto 0);
-  signal v127_t_s13 : unsigned(31 downto 0);
-  signal v127_t_s14 : unsigned(31 downto 0);
-  signal v127_t_s15 : unsigned(31 downto 0);
-  signal v127_t_s16 : unsigned(31 downto 0);
-  signal v132_n_b18_s4 : unsigned(0 downto 0);
-  signal v132_n_b18_s5 : unsigned(0 downto 0);
-  signal v132_n_b18_s6 : unsigned(0 downto 0);
-  signal v132_n_b18_s7 : unsigned(0 downto 0);
-  signal v132_n_b18_s8 : unsigned(0 downto 0);
-  signal v132_n_b18_s9 : unsigned(0 downto 0);
-  signal v132_n_b18_s10 : unsigned(0 downto 0);
-  signal v132_n_b18_s11 : unsigned(0 downto 0);
-  signal v132_n_b18_s12 : unsigned(0 downto 0);
-  signal v132_n_b18_s13 : unsigned(0 downto 0);
-  signal v132_n_b18_s14 : unsigned(0 downto 0);
-  signal v132_n_b18_s15 : unsigned(0 downto 0);
-  signal v132_n_b18_s16 : unsigned(0 downto 0);
-  signal v134_rsh18_s17 : unsigned(32 downto 0);
-  signal v135_t_s1 : unsigned(31 downto 0);
-  signal v135_t_s2 : unsigned(31 downto 0);
-  signal v135_t_s3 : unsigned(31 downto 0);
-  signal v135_t_s4 : unsigned(31 downto 0);
-  signal v135_t_s5 : unsigned(31 downto 0);
-  signal v135_t_s6 : unsigned(31 downto 0);
-  signal v135_t_s7 : unsigned(31 downto 0);
-  signal v135_t_s8 : unsigned(31 downto 0);
-  signal v135_t_s9 : unsigned(31 downto 0);
-  signal v135_t_s10 : unsigned(31 downto 0);
-  signal v135_t_s11 : unsigned(31 downto 0);
-  signal v135_t_s12 : unsigned(31 downto 0);
-  signal v135_t_s13 : unsigned(31 downto 0);
-  signal v135_t_s14 : unsigned(31 downto 0);
-  signal v135_t_s15 : unsigned(31 downto 0);
-  signal v135_t_s16 : unsigned(31 downto 0);
-  signal v135_t_s17 : unsigned(31 downto 0);
-  signal v140_n_b17_s4 : unsigned(0 downto 0);
-  signal v140_n_b17_s5 : unsigned(0 downto 0);
-  signal v140_n_b17_s6 : unsigned(0 downto 0);
-  signal v140_n_b17_s7 : unsigned(0 downto 0);
-  signal v140_n_b17_s8 : unsigned(0 downto 0);
-  signal v140_n_b17_s9 : unsigned(0 downto 0);
-  signal v140_n_b17_s10 : unsigned(0 downto 0);
-  signal v140_n_b17_s11 : unsigned(0 downto 0);
-  signal v140_n_b17_s12 : unsigned(0 downto 0);
-  signal v140_n_b17_s13 : unsigned(0 downto 0);
-  signal v140_n_b17_s14 : unsigned(0 downto 0);
-  signal v140_n_b17_s15 : unsigned(0 downto 0);
-  signal v140_n_b17_s16 : unsigned(0 downto 0);
-  signal v140_n_b17_s17 : unsigned(0 downto 0);
-  signal v142_rsh17_s18 : unsigned(32 downto 0);
-  signal v143_t_s1 : unsigned(31 downto 0);
-  signal v143_t_s2 : unsigned(31 downto 0);
-  signal v143_t_s3 : unsigned(31 downto 0);
-  signal v143_t_s4 : unsigned(31 downto 0);
-  signal v143_t_s5 : unsigned(31 downto 0);
-  signal v143_t_s6 : unsigned(31 downto 0);
-  signal v143_t_s7 : unsigned(31 downto 0);
-  signal v143_t_s8 : unsigned(31 downto 0);
-  signal v143_t_s9 : unsigned(31 downto 0);
-  signal v143_t_s10 : unsigned(31 downto 0);
-  signal v143_t_s11 : unsigned(31 downto 0);
-  signal v143_t_s12 : unsigned(31 downto 0);
-  signal v143_t_s13 : unsigned(31 downto 0);
-  signal v143_t_s14 : unsigned(31 downto 0);
-  signal v143_t_s15 : unsigned(31 downto 0);
-  signal v143_t_s16 : unsigned(31 downto 0);
-  signal v143_t_s17 : unsigned(31 downto 0);
-  signal v143_t_s18 : unsigned(31 downto 0);
-  signal v148_n_b16_s4 : unsigned(0 downto 0);
-  signal v148_n_b16_s5 : unsigned(0 downto 0);
-  signal v148_n_b16_s6 : unsigned(0 downto 0);
-  signal v148_n_b16_s7 : unsigned(0 downto 0);
-  signal v148_n_b16_s8 : unsigned(0 downto 0);
-  signal v148_n_b16_s9 : unsigned(0 downto 0);
-  signal v148_n_b16_s10 : unsigned(0 downto 0);
-  signal v148_n_b16_s11 : unsigned(0 downto 0);
-  signal v148_n_b16_s12 : unsigned(0 downto 0);
-  signal v148_n_b16_s13 : unsigned(0 downto 0);
-  signal v148_n_b16_s14 : unsigned(0 downto 0);
-  signal v148_n_b16_s15 : unsigned(0 downto 0);
-  signal v148_n_b16_s16 : unsigned(0 downto 0);
-  signal v148_n_b16_s17 : unsigned(0 downto 0);
-  signal v148_n_b16_s18 : unsigned(0 downto 0);
-  signal v150_rsh16_s19 : unsigned(32 downto 0);
-  signal v151_t_s1 : unsigned(31 downto 0);
-  signal v151_t_s2 : unsigned(31 downto 0);
-  signal v151_t_s3 : unsigned(31 downto 0);
-  signal v151_t_s4 : unsigned(31 downto 0);
-  signal v151_t_s5 : unsigned(31 downto 0);
-  signal v151_t_s6 : unsigned(31 downto 0);
-  signal v151_t_s7 : unsigned(31 downto 0);
-  signal v151_t_s8 : unsigned(31 downto 0);
-  signal v151_t_s9 : unsigned(31 downto 0);
-  signal v151_t_s10 : unsigned(31 downto 0);
-  signal v151_t_s11 : unsigned(31 downto 0);
-  signal v151_t_s12 : unsigned(31 downto 0);
-  signal v151_t_s13 : unsigned(31 downto 0);
-  signal v151_t_s14 : unsigned(31 downto 0);
-  signal v151_t_s15 : unsigned(31 downto 0);
-  signal v151_t_s16 : unsigned(31 downto 0);
-  signal v151_t_s17 : unsigned(31 downto 0);
-  signal v151_t_s18 : unsigned(31 downto 0);
-  signal v151_t_s19 : unsigned(31 downto 0);
-  signal v156_n_b15_s4 : unsigned(0 downto 0);
-  signal v156_n_b15_s5 : unsigned(0 downto 0);
-  signal v156_n_b15_s6 : unsigned(0 downto 0);
-  signal v156_n_b15_s7 : unsigned(0 downto 0);
-  signal v156_n_b15_s8 : unsigned(0 downto 0);
-  signal v156_n_b15_s9 : unsigned(0 downto 0);
-  signal v156_n_b15_s10 : unsigned(0 downto 0);
-  signal v156_n_b15_s11 : unsigned(0 downto 0);
-  signal v156_n_b15_s12 : unsigned(0 downto 0);
-  signal v156_n_b15_s13 : unsigned(0 downto 0);
-  signal v156_n_b15_s14 : unsigned(0 downto 0);
-  signal v156_n_b15_s15 : unsigned(0 downto 0);
-  signal v156_n_b15_s16 : unsigned(0 downto 0);
-  signal v156_n_b15_s17 : unsigned(0 downto 0);
-  signal v156_n_b15_s18 : unsigned(0 downto 0);
-  signal v156_n_b15_s19 : unsigned(0 downto 0);
-  signal v158_rsh15_s20 : unsigned(32 downto 0);
-  signal v159_t_s1 : unsigned(31 downto 0);
-  signal v159_t_s2 : unsigned(31 downto 0);
-  signal v159_t_s3 : unsigned(31 downto 0);
-  signal v159_t_s4 : unsigned(31 downto 0);
-  signal v159_t_s5 : unsigned(31 downto 0);
-  signal v159_t_s6 : unsigned(31 downto 0);
-  signal v159_t_s7 : unsigned(31 downto 0);
-  signal v159_t_s8 : unsigned(31 downto 0);
-  signal v159_t_s9 : unsigned(31 downto 0);
-  signal v159_t_s10 : unsigned(31 downto 0);
-  signal v159_t_s11 : unsigned(31 downto 0);
-  signal v159_t_s12 : unsigned(31 downto 0);
-  signal v159_t_s13 : unsigned(31 downto 0);
-  signal v159_t_s14 : unsigned(31 downto 0);
-  signal v159_t_s15 : unsigned(31 downto 0);
-  signal v159_t_s16 : unsigned(31 downto 0);
-  signal v159_t_s17 : unsigned(31 downto 0);
-  signal v159_t_s18 : unsigned(31 downto 0);
-  signal v159_t_s19 : unsigned(31 downto 0);
-  signal v159_t_s20 : unsigned(31 downto 0);
-  signal v164_n_b14_s4 : unsigned(0 downto 0);
-  signal v164_n_b14_s5 : unsigned(0 downto 0);
-  signal v164_n_b14_s6 : unsigned(0 downto 0);
-  signal v164_n_b14_s7 : unsigned(0 downto 0);
-  signal v164_n_b14_s8 : unsigned(0 downto 0);
-  signal v164_n_b14_s9 : unsigned(0 downto 0);
-  signal v164_n_b14_s10 : unsigned(0 downto 0);
-  signal v164_n_b14_s11 : unsigned(0 downto 0);
-  signal v164_n_b14_s12 : unsigned(0 downto 0);
-  signal v164_n_b14_s13 : unsigned(0 downto 0);
-  signal v164_n_b14_s14 : unsigned(0 downto 0);
-  signal v164_n_b14_s15 : unsigned(0 downto 0);
-  signal v164_n_b14_s16 : unsigned(0 downto 0);
-  signal v164_n_b14_s17 : unsigned(0 downto 0);
-  signal v164_n_b14_s18 : unsigned(0 downto 0);
-  signal v164_n_b14_s19 : unsigned(0 downto 0);
-  signal v164_n_b14_s20 : unsigned(0 downto 0);
-  signal v166_rsh14_s21 : unsigned(32 downto 0);
-  signal v167_t_s1 : unsigned(31 downto 0);
-  signal v167_t_s2 : unsigned(31 downto 0);
-  signal v167_t_s3 : unsigned(31 downto 0);
-  signal v167_t_s4 : unsigned(31 downto 0);
-  signal v167_t_s5 : unsigned(31 downto 0);
-  signal v167_t_s6 : unsigned(31 downto 0);
-  signal v167_t_s7 : unsigned(31 downto 0);
-  signal v167_t_s8 : unsigned(31 downto 0);
-  signal v167_t_s9 : unsigned(31 downto 0);
-  signal v167_t_s10 : unsigned(31 downto 0);
-  signal v167_t_s11 : unsigned(31 downto 0);
-  signal v167_t_s12 : unsigned(31 downto 0);
-  signal v167_t_s13 : unsigned(31 downto 0);
-  signal v167_t_s14 : unsigned(31 downto 0);
-  signal v167_t_s15 : unsigned(31 downto 0);
-  signal v167_t_s16 : unsigned(31 downto 0);
-  signal v167_t_s17 : unsigned(31 downto 0);
-  signal v167_t_s18 : unsigned(31 downto 0);
-  signal v167_t_s19 : unsigned(31 downto 0);
-  signal v167_t_s20 : unsigned(31 downto 0);
-  signal v167_t_s21 : unsigned(31 downto 0);
-  signal v172_n_b13_s4 : unsigned(0 downto 0);
-  signal v172_n_b13_s5 : unsigned(0 downto 0);
-  signal v172_n_b13_s6 : unsigned(0 downto 0);
-  signal v172_n_b13_s7 : unsigned(0 downto 0);
-  signal v172_n_b13_s8 : unsigned(0 downto 0);
-  signal v172_n_b13_s9 : unsigned(0 downto 0);
-  signal v172_n_b13_s10 : unsigned(0 downto 0);
-  signal v172_n_b13_s11 : unsigned(0 downto 0);
-  signal v172_n_b13_s12 : unsigned(0 downto 0);
-  signal v172_n_b13_s13 : unsigned(0 downto 0);
-  signal v172_n_b13_s14 : unsigned(0 downto 0);
-  signal v172_n_b13_s15 : unsigned(0 downto 0);
-  signal v172_n_b13_s16 : unsigned(0 downto 0);
-  signal v172_n_b13_s17 : unsigned(0 downto 0);
-  signal v172_n_b13_s18 : unsigned(0 downto 0);
-  signal v172_n_b13_s19 : unsigned(0 downto 0);
-  signal v172_n_b13_s20 : unsigned(0 downto 0);
-  signal v172_n_b13_s21 : unsigned(0 downto 0);
-  signal v174_rsh13_s22 : unsigned(32 downto 0);
-  signal v175_t_s1 : unsigned(31 downto 0);
-  signal v175_t_s2 : unsigned(31 downto 0);
-  signal v175_t_s3 : unsigned(31 downto 0);
-  signal v175_t_s4 : unsigned(31 downto 0);
-  signal v175_t_s5 : unsigned(31 downto 0);
-  signal v175_t_s6 : unsigned(31 downto 0);
-  signal v175_t_s7 : unsigned(31 downto 0);
-  signal v175_t_s8 : unsigned(31 downto 0);
-  signal v175_t_s9 : unsigned(31 downto 0);
-  signal v175_t_s10 : unsigned(31 downto 0);
-  signal v175_t_s11 : unsigned(31 downto 0);
-  signal v175_t_s12 : unsigned(31 downto 0);
-  signal v175_t_s13 : unsigned(31 downto 0);
-  signal v175_t_s14 : unsigned(31 downto 0);
-  signal v175_t_s15 : unsigned(31 downto 0);
-  signal v175_t_s16 : unsigned(31 downto 0);
-  signal v175_t_s17 : unsigned(31 downto 0);
-  signal v175_t_s18 : unsigned(31 downto 0);
-  signal v175_t_s19 : unsigned(31 downto 0);
-  signal v175_t_s20 : unsigned(31 downto 0);
-  signal v175_t_s21 : unsigned(31 downto 0);
-  signal v175_t_s22 : unsigned(31 downto 0);
-  signal v180_n_b12_s4 : unsigned(0 downto 0);
-  signal v180_n_b12_s5 : unsigned(0 downto 0);
-  signal v180_n_b12_s6 : unsigned(0 downto 0);
-  signal v180_n_b12_s7 : unsigned(0 downto 0);
-  signal v180_n_b12_s8 : unsigned(0 downto 0);
-  signal v180_n_b12_s9 : unsigned(0 downto 0);
-  signal v180_n_b12_s10 : unsigned(0 downto 0);
-  signal v180_n_b12_s11 : unsigned(0 downto 0);
-  signal v180_n_b12_s12 : unsigned(0 downto 0);
-  signal v180_n_b12_s13 : unsigned(0 downto 0);
-  signal v180_n_b12_s14 : unsigned(0 downto 0);
-  signal v180_n_b12_s15 : unsigned(0 downto 0);
-  signal v180_n_b12_s16 : unsigned(0 downto 0);
-  signal v180_n_b12_s17 : unsigned(0 downto 0);
-  signal v180_n_b12_s18 : unsigned(0 downto 0);
-  signal v180_n_b12_s19 : unsigned(0 downto 0);
-  signal v180_n_b12_s20 : unsigned(0 downto 0);
-  signal v180_n_b12_s21 : unsigned(0 downto 0);
-  signal v180_n_b12_s22 : unsigned(0 downto 0);
-  signal v182_rsh12_s23 : unsigned(32 downto 0);
-  signal v183_t_s1 : unsigned(31 downto 0);
-  signal v183_t_s2 : unsigned(31 downto 0);
-  signal v183_t_s3 : unsigned(31 downto 0);
-  signal v183_t_s4 : unsigned(31 downto 0);
-  signal v183_t_s5 : unsigned(31 downto 0);
-  signal v183_t_s6 : unsigned(31 downto 0);
-  signal v183_t_s7 : unsigned(31 downto 0);
-  signal v183_t_s8 : unsigned(31 downto 0);
-  signal v183_t_s9 : unsigned(31 downto 0);
-  signal v183_t_s10 : unsigned(31 downto 0);
-  signal v183_t_s11 : unsigned(31 downto 0);
-  signal v183_t_s12 : unsigned(31 downto 0);
-  signal v183_t_s13 : unsigned(31 downto 0);
-  signal v183_t_s14 : unsigned(31 downto 0);
-  signal v183_t_s15 : unsigned(31 downto 0);
-  signal v183_t_s16 : unsigned(31 downto 0);
-  signal v183_t_s17 : unsigned(31 downto 0);
-  signal v183_t_s18 : unsigned(31 downto 0);
-  signal v183_t_s19 : unsigned(31 downto 0);
-  signal v183_t_s20 : unsigned(31 downto 0);
-  signal v183_t_s21 : unsigned(31 downto 0);
-  signal v183_t_s22 : unsigned(31 downto 0);
-  signal v183_t_s23 : unsigned(31 downto 0);
-  signal v188_n_b11_s4 : unsigned(0 downto 0);
-  signal v188_n_b11_s5 : unsigned(0 downto 0);
-  signal v188_n_b11_s6 : unsigned(0 downto 0);
-  signal v188_n_b11_s7 : unsigned(0 downto 0);
-  signal v188_n_b11_s8 : unsigned(0 downto 0);
-  signal v188_n_b11_s9 : unsigned(0 downto 0);
-  signal v188_n_b11_s10 : unsigned(0 downto 0);
-  signal v188_n_b11_s11 : unsigned(0 downto 0);
-  signal v188_n_b11_s12 : unsigned(0 downto 0);
-  signal v188_n_b11_s13 : unsigned(0 downto 0);
-  signal v188_n_b11_s14 : unsigned(0 downto 0);
-  signal v188_n_b11_s15 : unsigned(0 downto 0);
-  signal v188_n_b11_s16 : unsigned(0 downto 0);
-  signal v188_n_b11_s17 : unsigned(0 downto 0);
-  signal v188_n_b11_s18 : unsigned(0 downto 0);
-  signal v188_n_b11_s19 : unsigned(0 downto 0);
-  signal v188_n_b11_s20 : unsigned(0 downto 0);
-  signal v188_n_b11_s21 : unsigned(0 downto 0);
-  signal v188_n_b11_s22 : unsigned(0 downto 0);
-  signal v188_n_b11_s23 : unsigned(0 downto 0);
-  signal v190_rsh11_s24 : unsigned(32 downto 0);
-  signal v191_t_s1 : unsigned(31 downto 0);
-  signal v191_t_s2 : unsigned(31 downto 0);
-  signal v191_t_s3 : unsigned(31 downto 0);
-  signal v191_t_s4 : unsigned(31 downto 0);
-  signal v191_t_s5 : unsigned(31 downto 0);
-  signal v191_t_s6 : unsigned(31 downto 0);
-  signal v191_t_s7 : unsigned(31 downto 0);
-  signal v191_t_s8 : unsigned(31 downto 0);
-  signal v191_t_s9 : unsigned(31 downto 0);
-  signal v191_t_s10 : unsigned(31 downto 0);
-  signal v191_t_s11 : unsigned(31 downto 0);
-  signal v191_t_s12 : unsigned(31 downto 0);
-  signal v191_t_s13 : unsigned(31 downto 0);
-  signal v191_t_s14 : unsigned(31 downto 0);
-  signal v191_t_s15 : unsigned(31 downto 0);
-  signal v191_t_s16 : unsigned(31 downto 0);
-  signal v191_t_s17 : unsigned(31 downto 0);
-  signal v191_t_s18 : unsigned(31 downto 0);
-  signal v191_t_s19 : unsigned(31 downto 0);
-  signal v191_t_s20 : unsigned(31 downto 0);
-  signal v191_t_s21 : unsigned(31 downto 0);
-  signal v191_t_s22 : unsigned(31 downto 0);
-  signal v191_t_s23 : unsigned(31 downto 0);
-  signal v191_t_s24 : unsigned(31 downto 0);
-  signal v196_n_b10_s4 : unsigned(0 downto 0);
-  signal v196_n_b10_s5 : unsigned(0 downto 0);
-  signal v196_n_b10_s6 : unsigned(0 downto 0);
-  signal v196_n_b10_s7 : unsigned(0 downto 0);
-  signal v196_n_b10_s8 : unsigned(0 downto 0);
-  signal v196_n_b10_s9 : unsigned(0 downto 0);
-  signal v196_n_b10_s10 : unsigned(0 downto 0);
-  signal v196_n_b10_s11 : unsigned(0 downto 0);
-  signal v196_n_b10_s12 : unsigned(0 downto 0);
-  signal v196_n_b10_s13 : unsigned(0 downto 0);
-  signal v196_n_b10_s14 : unsigned(0 downto 0);
-  signal v196_n_b10_s15 : unsigned(0 downto 0);
-  signal v196_n_b10_s16 : unsigned(0 downto 0);
-  signal v196_n_b10_s17 : unsigned(0 downto 0);
-  signal v196_n_b10_s18 : unsigned(0 downto 0);
-  signal v196_n_b10_s19 : unsigned(0 downto 0);
-  signal v196_n_b10_s20 : unsigned(0 downto 0);
-  signal v196_n_b10_s21 : unsigned(0 downto 0);
-  signal v196_n_b10_s22 : unsigned(0 downto 0);
-  signal v196_n_b10_s23 : unsigned(0 downto 0);
-  signal v196_n_b10_s24 : unsigned(0 downto 0);
-  signal v198_rsh10_s25 : unsigned(32 downto 0);
-  signal v199_t_s1 : unsigned(31 downto 0);
-  signal v199_t_s2 : unsigned(31 downto 0);
-  signal v199_t_s3 : unsigned(31 downto 0);
-  signal v199_t_s4 : unsigned(31 downto 0);
-  signal v199_t_s5 : unsigned(31 downto 0);
-  signal v199_t_s6 : unsigned(31 downto 0);
-  signal v199_t_s7 : unsigned(31 downto 0);
-  signal v199_t_s8 : unsigned(31 downto 0);
-  signal v199_t_s9 : unsigned(31 downto 0);
-  signal v199_t_s10 : unsigned(31 downto 0);
-  signal v199_t_s11 : unsigned(31 downto 0);
-  signal v199_t_s12 : unsigned(31 downto 0);
-  signal v199_t_s13 : unsigned(31 downto 0);
-  signal v199_t_s14 : unsigned(31 downto 0);
-  signal v199_t_s15 : unsigned(31 downto 0);
-  signal v199_t_s16 : unsigned(31 downto 0);
-  signal v199_t_s17 : unsigned(31 downto 0);
-  signal v199_t_s18 : unsigned(31 downto 0);
-  signal v199_t_s19 : unsigned(31 downto 0);
-  signal v199_t_s20 : unsigned(31 downto 0);
-  signal v199_t_s21 : unsigned(31 downto 0);
-  signal v199_t_s22 : unsigned(31 downto 0);
-  signal v199_t_s23 : unsigned(31 downto 0);
-  signal v199_t_s24 : unsigned(31 downto 0);
-  signal v199_t_s25 : unsigned(31 downto 0);
-  signal v204_n_b9_s4 : unsigned(0 downto 0);
-  signal v204_n_b9_s5 : unsigned(0 downto 0);
-  signal v204_n_b9_s6 : unsigned(0 downto 0);
-  signal v204_n_b9_s7 : unsigned(0 downto 0);
-  signal v204_n_b9_s8 : unsigned(0 downto 0);
-  signal v204_n_b9_s9 : unsigned(0 downto 0);
-  signal v204_n_b9_s10 : unsigned(0 downto 0);
-  signal v204_n_b9_s11 : unsigned(0 downto 0);
-  signal v204_n_b9_s12 : unsigned(0 downto 0);
-  signal v204_n_b9_s13 : unsigned(0 downto 0);
-  signal v204_n_b9_s14 : unsigned(0 downto 0);
-  signal v204_n_b9_s15 : unsigned(0 downto 0);
-  signal v204_n_b9_s16 : unsigned(0 downto 0);
-  signal v204_n_b9_s17 : unsigned(0 downto 0);
-  signal v204_n_b9_s18 : unsigned(0 downto 0);
-  signal v204_n_b9_s19 : unsigned(0 downto 0);
-  signal v204_n_b9_s20 : unsigned(0 downto 0);
-  signal v204_n_b9_s21 : unsigned(0 downto 0);
-  signal v204_n_b9_s22 : unsigned(0 downto 0);
-  signal v204_n_b9_s23 : unsigned(0 downto 0);
-  signal v204_n_b9_s24 : unsigned(0 downto 0);
-  signal v204_n_b9_s25 : unsigned(0 downto 0);
-  signal v206_rsh9_s26 : unsigned(32 downto 0);
-  signal v207_t_s1 : unsigned(31 downto 0);
-  signal v207_t_s2 : unsigned(31 downto 0);
-  signal v207_t_s3 : unsigned(31 downto 0);
-  signal v207_t_s4 : unsigned(31 downto 0);
-  signal v207_t_s5 : unsigned(31 downto 0);
-  signal v207_t_s6 : unsigned(31 downto 0);
-  signal v207_t_s7 : unsigned(31 downto 0);
-  signal v207_t_s8 : unsigned(31 downto 0);
-  signal v207_t_s9 : unsigned(31 downto 0);
-  signal v207_t_s10 : unsigned(31 downto 0);
-  signal v207_t_s11 : unsigned(31 downto 0);
-  signal v207_t_s12 : unsigned(31 downto 0);
-  signal v207_t_s13 : unsigned(31 downto 0);
-  signal v207_t_s14 : unsigned(31 downto 0);
-  signal v207_t_s15 : unsigned(31 downto 0);
-  signal v207_t_s16 : unsigned(31 downto 0);
-  signal v207_t_s17 : unsigned(31 downto 0);
-  signal v207_t_s18 : unsigned(31 downto 0);
-  signal v207_t_s19 : unsigned(31 downto 0);
-  signal v207_t_s20 : unsigned(31 downto 0);
-  signal v207_t_s21 : unsigned(31 downto 0);
-  signal v207_t_s22 : unsigned(31 downto 0);
-  signal v207_t_s23 : unsigned(31 downto 0);
-  signal v207_t_s24 : unsigned(31 downto 0);
-  signal v207_t_s25 : unsigned(31 downto 0);
-  signal v207_t_s26 : unsigned(31 downto 0);
-  signal v212_n_b8_s4 : unsigned(0 downto 0);
-  signal v212_n_b8_s5 : unsigned(0 downto 0);
-  signal v212_n_b8_s6 : unsigned(0 downto 0);
-  signal v212_n_b8_s7 : unsigned(0 downto 0);
-  signal v212_n_b8_s8 : unsigned(0 downto 0);
-  signal v212_n_b8_s9 : unsigned(0 downto 0);
-  signal v212_n_b8_s10 : unsigned(0 downto 0);
-  signal v212_n_b8_s11 : unsigned(0 downto 0);
-  signal v212_n_b8_s12 : unsigned(0 downto 0);
-  signal v212_n_b8_s13 : unsigned(0 downto 0);
-  signal v212_n_b8_s14 : unsigned(0 downto 0);
-  signal v212_n_b8_s15 : unsigned(0 downto 0);
-  signal v212_n_b8_s16 : unsigned(0 downto 0);
-  signal v212_n_b8_s17 : unsigned(0 downto 0);
-  signal v212_n_b8_s18 : unsigned(0 downto 0);
-  signal v212_n_b8_s19 : unsigned(0 downto 0);
-  signal v212_n_b8_s20 : unsigned(0 downto 0);
-  signal v212_n_b8_s21 : unsigned(0 downto 0);
-  signal v212_n_b8_s22 : unsigned(0 downto 0);
-  signal v212_n_b8_s23 : unsigned(0 downto 0);
-  signal v212_n_b8_s24 : unsigned(0 downto 0);
-  signal v212_n_b8_s25 : unsigned(0 downto 0);
-  signal v212_n_b8_s26 : unsigned(0 downto 0);
-  signal v214_rsh8_s27 : unsigned(32 downto 0);
-  signal v215_t_s1 : unsigned(31 downto 0);
-  signal v215_t_s2 : unsigned(31 downto 0);
-  signal v215_t_s3 : unsigned(31 downto 0);
-  signal v215_t_s4 : unsigned(31 downto 0);
-  signal v215_t_s5 : unsigned(31 downto 0);
-  signal v215_t_s6 : unsigned(31 downto 0);
-  signal v215_t_s7 : unsigned(31 downto 0);
-  signal v215_t_s8 : unsigned(31 downto 0);
-  signal v215_t_s9 : unsigned(31 downto 0);
-  signal v215_t_s10 : unsigned(31 downto 0);
-  signal v215_t_s11 : unsigned(31 downto 0);
-  signal v215_t_s12 : unsigned(31 downto 0);
-  signal v215_t_s13 : unsigned(31 downto 0);
-  signal v215_t_s14 : unsigned(31 downto 0);
-  signal v215_t_s15 : unsigned(31 downto 0);
-  signal v215_t_s16 : unsigned(31 downto 0);
-  signal v215_t_s17 : unsigned(31 downto 0);
-  signal v215_t_s18 : unsigned(31 downto 0);
-  signal v215_t_s19 : unsigned(31 downto 0);
-  signal v215_t_s20 : unsigned(31 downto 0);
-  signal v215_t_s21 : unsigned(31 downto 0);
-  signal v215_t_s22 : unsigned(31 downto 0);
-  signal v215_t_s23 : unsigned(31 downto 0);
-  signal v215_t_s24 : unsigned(31 downto 0);
-  signal v215_t_s25 : unsigned(31 downto 0);
-  signal v215_t_s26 : unsigned(31 downto 0);
-  signal v215_t_s27 : unsigned(31 downto 0);
-  signal v220_n_b7_s4 : unsigned(0 downto 0);
-  signal v220_n_b7_s5 : unsigned(0 downto 0);
-  signal v220_n_b7_s6 : unsigned(0 downto 0);
-  signal v220_n_b7_s7 : unsigned(0 downto 0);
-  signal v220_n_b7_s8 : unsigned(0 downto 0);
-  signal v220_n_b7_s9 : unsigned(0 downto 0);
-  signal v220_n_b7_s10 : unsigned(0 downto 0);
-  signal v220_n_b7_s11 : unsigned(0 downto 0);
-  signal v220_n_b7_s12 : unsigned(0 downto 0);
-  signal v220_n_b7_s13 : unsigned(0 downto 0);
-  signal v220_n_b7_s14 : unsigned(0 downto 0);
-  signal v220_n_b7_s15 : unsigned(0 downto 0);
-  signal v220_n_b7_s16 : unsigned(0 downto 0);
-  signal v220_n_b7_s17 : unsigned(0 downto 0);
-  signal v220_n_b7_s18 : unsigned(0 downto 0);
-  signal v220_n_b7_s19 : unsigned(0 downto 0);
-  signal v220_n_b7_s20 : unsigned(0 downto 0);
-  signal v220_n_b7_s21 : unsigned(0 downto 0);
-  signal v220_n_b7_s22 : unsigned(0 downto 0);
-  signal v220_n_b7_s23 : unsigned(0 downto 0);
-  signal v220_n_b7_s24 : unsigned(0 downto 0);
-  signal v220_n_b7_s25 : unsigned(0 downto 0);
-  signal v220_n_b7_s26 : unsigned(0 downto 0);
-  signal v220_n_b7_s27 : unsigned(0 downto 0);
-  signal v222_rsh7_s28 : unsigned(32 downto 0);
-  signal v223_t_s1 : unsigned(31 downto 0);
-  signal v223_t_s2 : unsigned(31 downto 0);
-  signal v223_t_s3 : unsigned(31 downto 0);
-  signal v223_t_s4 : unsigned(31 downto 0);
-  signal v223_t_s5 : unsigned(31 downto 0);
-  signal v223_t_s6 : unsigned(31 downto 0);
-  signal v223_t_s7 : unsigned(31 downto 0);
-  signal v223_t_s8 : unsigned(31 downto 0);
-  signal v223_t_s9 : unsigned(31 downto 0);
-  signal v223_t_s10 : unsigned(31 downto 0);
-  signal v223_t_s11 : unsigned(31 downto 0);
-  signal v223_t_s12 : unsigned(31 downto 0);
-  signal v223_t_s13 : unsigned(31 downto 0);
-  signal v223_t_s14 : unsigned(31 downto 0);
-  signal v223_t_s15 : unsigned(31 downto 0);
-  signal v223_t_s16 : unsigned(31 downto 0);
-  signal v223_t_s17 : unsigned(31 downto 0);
-  signal v223_t_s18 : unsigned(31 downto 0);
-  signal v223_t_s19 : unsigned(31 downto 0);
-  signal v223_t_s20 : unsigned(31 downto 0);
-  signal v223_t_s21 : unsigned(31 downto 0);
-  signal v223_t_s22 : unsigned(31 downto 0);
-  signal v223_t_s23 : unsigned(31 downto 0);
-  signal v223_t_s24 : unsigned(31 downto 0);
-  signal v223_t_s25 : unsigned(31 downto 0);
-  signal v223_t_s26 : unsigned(31 downto 0);
-  signal v223_t_s27 : unsigned(31 downto 0);
-  signal v223_t_s28 : unsigned(31 downto 0);
-  signal v228_n_b6_s4 : unsigned(0 downto 0);
-  signal v228_n_b6_s5 : unsigned(0 downto 0);
-  signal v228_n_b6_s6 : unsigned(0 downto 0);
-  signal v228_n_b6_s7 : unsigned(0 downto 0);
-  signal v228_n_b6_s8 : unsigned(0 downto 0);
-  signal v228_n_b6_s9 : unsigned(0 downto 0);
-  signal v228_n_b6_s10 : unsigned(0 downto 0);
-  signal v228_n_b6_s11 : unsigned(0 downto 0);
-  signal v228_n_b6_s12 : unsigned(0 downto 0);
-  signal v228_n_b6_s13 : unsigned(0 downto 0);
-  signal v228_n_b6_s14 : unsigned(0 downto 0);
-  signal v228_n_b6_s15 : unsigned(0 downto 0);
-  signal v228_n_b6_s16 : unsigned(0 downto 0);
-  signal v228_n_b6_s17 : unsigned(0 downto 0);
-  signal v228_n_b6_s18 : unsigned(0 downto 0);
-  signal v228_n_b6_s19 : unsigned(0 downto 0);
-  signal v228_n_b6_s20 : unsigned(0 downto 0);
-  signal v228_n_b6_s21 : unsigned(0 downto 0);
-  signal v228_n_b6_s22 : unsigned(0 downto 0);
-  signal v228_n_b6_s23 : unsigned(0 downto 0);
-  signal v228_n_b6_s24 : unsigned(0 downto 0);
-  signal v228_n_b6_s25 : unsigned(0 downto 0);
-  signal v228_n_b6_s26 : unsigned(0 downto 0);
-  signal v228_n_b6_s27 : unsigned(0 downto 0);
-  signal v228_n_b6_s28 : unsigned(0 downto 0);
-  signal v230_rsh6_s29 : unsigned(32 downto 0);
-  signal v231_t_s1 : unsigned(31 downto 0);
-  signal v231_t_s2 : unsigned(31 downto 0);
-  signal v231_t_s3 : unsigned(31 downto 0);
-  signal v231_t_s4 : unsigned(31 downto 0);
-  signal v231_t_s5 : unsigned(31 downto 0);
-  signal v231_t_s6 : unsigned(31 downto 0);
-  signal v231_t_s7 : unsigned(31 downto 0);
-  signal v231_t_s8 : unsigned(31 downto 0);
-  signal v231_t_s9 : unsigned(31 downto 0);
-  signal v231_t_s10 : unsigned(31 downto 0);
-  signal v231_t_s11 : unsigned(31 downto 0);
-  signal v231_t_s12 : unsigned(31 downto 0);
-  signal v231_t_s13 : unsigned(31 downto 0);
-  signal v231_t_s14 : unsigned(31 downto 0);
-  signal v231_t_s15 : unsigned(31 downto 0);
-  signal v231_t_s16 : unsigned(31 downto 0);
-  signal v231_t_s17 : unsigned(31 downto 0);
-  signal v231_t_s18 : unsigned(31 downto 0);
-  signal v231_t_s19 : unsigned(31 downto 0);
-  signal v231_t_s20 : unsigned(31 downto 0);
-  signal v231_t_s21 : unsigned(31 downto 0);
-  signal v231_t_s22 : unsigned(31 downto 0);
-  signal v231_t_s23 : unsigned(31 downto 0);
-  signal v231_t_s24 : unsigned(31 downto 0);
-  signal v231_t_s25 : unsigned(31 downto 0);
-  signal v231_t_s26 : unsigned(31 downto 0);
-  signal v231_t_s27 : unsigned(31 downto 0);
-  signal v231_t_s28 : unsigned(31 downto 0);
-  signal v231_t_s29 : unsigned(31 downto 0);
-  signal v236_n_b5_s4 : unsigned(0 downto 0);
-  signal v236_n_b5_s5 : unsigned(0 downto 0);
-  signal v236_n_b5_s6 : unsigned(0 downto 0);
-  signal v236_n_b5_s7 : unsigned(0 downto 0);
-  signal v236_n_b5_s8 : unsigned(0 downto 0);
-  signal v236_n_b5_s9 : unsigned(0 downto 0);
-  signal v236_n_b5_s10 : unsigned(0 downto 0);
-  signal v236_n_b5_s11 : unsigned(0 downto 0);
-  signal v236_n_b5_s12 : unsigned(0 downto 0);
-  signal v236_n_b5_s13 : unsigned(0 downto 0);
-  signal v236_n_b5_s14 : unsigned(0 downto 0);
-  signal v236_n_b5_s15 : unsigned(0 downto 0);
-  signal v236_n_b5_s16 : unsigned(0 downto 0);
-  signal v236_n_b5_s17 : unsigned(0 downto 0);
-  signal v236_n_b5_s18 : unsigned(0 downto 0);
-  signal v236_n_b5_s19 : unsigned(0 downto 0);
-  signal v236_n_b5_s20 : unsigned(0 downto 0);
-  signal v236_n_b5_s21 : unsigned(0 downto 0);
-  signal v236_n_b5_s22 : unsigned(0 downto 0);
-  signal v236_n_b5_s23 : unsigned(0 downto 0);
-  signal v236_n_b5_s24 : unsigned(0 downto 0);
-  signal v236_n_b5_s25 : unsigned(0 downto 0);
-  signal v236_n_b5_s26 : unsigned(0 downto 0);
-  signal v236_n_b5_s27 : unsigned(0 downto 0);
-  signal v236_n_b5_s28 : unsigned(0 downto 0);
-  signal v236_n_b5_s29 : unsigned(0 downto 0);
-  signal v238_rsh5_s30 : unsigned(32 downto 0);
-  signal v239_t_s1 : unsigned(31 downto 0);
-  signal v239_t_s2 : unsigned(31 downto 0);
-  signal v239_t_s3 : unsigned(31 downto 0);
-  signal v239_t_s4 : unsigned(31 downto 0);
-  signal v239_t_s5 : unsigned(31 downto 0);
-  signal v239_t_s6 : unsigned(31 downto 0);
-  signal v239_t_s7 : unsigned(31 downto 0);
-  signal v239_t_s8 : unsigned(31 downto 0);
-  signal v239_t_s9 : unsigned(31 downto 0);
-  signal v239_t_s10 : unsigned(31 downto 0);
-  signal v239_t_s11 : unsigned(31 downto 0);
-  signal v239_t_s12 : unsigned(31 downto 0);
-  signal v239_t_s13 : unsigned(31 downto 0);
-  signal v239_t_s14 : unsigned(31 downto 0);
-  signal v239_t_s15 : unsigned(31 downto 0);
-  signal v239_t_s16 : unsigned(31 downto 0);
-  signal v239_t_s17 : unsigned(31 downto 0);
-  signal v239_t_s18 : unsigned(31 downto 0);
-  signal v239_t_s19 : unsigned(31 downto 0);
-  signal v239_t_s20 : unsigned(31 downto 0);
-  signal v239_t_s21 : unsigned(31 downto 0);
-  signal v239_t_s22 : unsigned(31 downto 0);
-  signal v239_t_s23 : unsigned(31 downto 0);
-  signal v239_t_s24 : unsigned(31 downto 0);
-  signal v239_t_s25 : unsigned(31 downto 0);
-  signal v239_t_s26 : unsigned(31 downto 0);
-  signal v239_t_s27 : unsigned(31 downto 0);
-  signal v239_t_s28 : unsigned(31 downto 0);
-  signal v239_t_s29 : unsigned(31 downto 0);
-  signal v239_t_s30 : unsigned(31 downto 0);
-  signal v244_n_b4_s4 : unsigned(0 downto 0);
-  signal v244_n_b4_s5 : unsigned(0 downto 0);
-  signal v244_n_b4_s6 : unsigned(0 downto 0);
-  signal v244_n_b4_s7 : unsigned(0 downto 0);
-  signal v244_n_b4_s8 : unsigned(0 downto 0);
-  signal v244_n_b4_s9 : unsigned(0 downto 0);
-  signal v244_n_b4_s10 : unsigned(0 downto 0);
-  signal v244_n_b4_s11 : unsigned(0 downto 0);
-  signal v244_n_b4_s12 : unsigned(0 downto 0);
-  signal v244_n_b4_s13 : unsigned(0 downto 0);
-  signal v244_n_b4_s14 : unsigned(0 downto 0);
-  signal v244_n_b4_s15 : unsigned(0 downto 0);
-  signal v244_n_b4_s16 : unsigned(0 downto 0);
-  signal v244_n_b4_s17 : unsigned(0 downto 0);
-  signal v244_n_b4_s18 : unsigned(0 downto 0);
-  signal v244_n_b4_s19 : unsigned(0 downto 0);
-  signal v244_n_b4_s20 : unsigned(0 downto 0);
-  signal v244_n_b4_s21 : unsigned(0 downto 0);
-  signal v244_n_b4_s22 : unsigned(0 downto 0);
-  signal v244_n_b4_s23 : unsigned(0 downto 0);
-  signal v244_n_b4_s24 : unsigned(0 downto 0);
-  signal v244_n_b4_s25 : unsigned(0 downto 0);
-  signal v244_n_b4_s26 : unsigned(0 downto 0);
-  signal v244_n_b4_s27 : unsigned(0 downto 0);
-  signal v244_n_b4_s28 : unsigned(0 downto 0);
-  signal v244_n_b4_s29 : unsigned(0 downto 0);
-  signal v244_n_b4_s30 : unsigned(0 downto 0);
-  signal v246_rsh4_s31 : unsigned(32 downto 0);
-  signal v247_t_s1 : unsigned(31 downto 0);
-  signal v247_t_s2 : unsigned(31 downto 0);
-  signal v247_t_s3 : unsigned(31 downto 0);
-  signal v247_t_s4 : unsigned(31 downto 0);
-  signal v247_t_s5 : unsigned(31 downto 0);
-  signal v247_t_s6 : unsigned(31 downto 0);
-  signal v247_t_s7 : unsigned(31 downto 0);
-  signal v247_t_s8 : unsigned(31 downto 0);
-  signal v247_t_s9 : unsigned(31 downto 0);
-  signal v247_t_s10 : unsigned(31 downto 0);
-  signal v247_t_s11 : unsigned(31 downto 0);
-  signal v247_t_s12 : unsigned(31 downto 0);
-  signal v247_t_s13 : unsigned(31 downto 0);
-  signal v247_t_s14 : unsigned(31 downto 0);
-  signal v247_t_s15 : unsigned(31 downto 0);
-  signal v247_t_s16 : unsigned(31 downto 0);
-  signal v247_t_s17 : unsigned(31 downto 0);
-  signal v247_t_s18 : unsigned(31 downto 0);
-  signal v247_t_s19 : unsigned(31 downto 0);
-  signal v247_t_s20 : unsigned(31 downto 0);
-  signal v247_t_s21 : unsigned(31 downto 0);
-  signal v247_t_s22 : unsigned(31 downto 0);
-  signal v247_t_s23 : unsigned(31 downto 0);
-  signal v247_t_s24 : unsigned(31 downto 0);
-  signal v247_t_s25 : unsigned(31 downto 0);
-  signal v247_t_s26 : unsigned(31 downto 0);
-  signal v247_t_s27 : unsigned(31 downto 0);
-  signal v247_t_s28 : unsigned(31 downto 0);
-  signal v247_t_s29 : unsigned(31 downto 0);
-  signal v247_t_s30 : unsigned(31 downto 0);
-  signal v247_t_s31 : unsigned(31 downto 0);
-  signal v252_n_b3_s4 : unsigned(0 downto 0);
-  signal v252_n_b3_s5 : unsigned(0 downto 0);
-  signal v252_n_b3_s6 : unsigned(0 downto 0);
-  signal v252_n_b3_s7 : unsigned(0 downto 0);
-  signal v252_n_b3_s8 : unsigned(0 downto 0);
-  signal v252_n_b3_s9 : unsigned(0 downto 0);
-  signal v252_n_b3_s10 : unsigned(0 downto 0);
-  signal v252_n_b3_s11 : unsigned(0 downto 0);
-  signal v252_n_b3_s12 : unsigned(0 downto 0);
-  signal v252_n_b3_s13 : unsigned(0 downto 0);
-  signal v252_n_b3_s14 : unsigned(0 downto 0);
-  signal v252_n_b3_s15 : unsigned(0 downto 0);
-  signal v252_n_b3_s16 : unsigned(0 downto 0);
-  signal v252_n_b3_s17 : unsigned(0 downto 0);
-  signal v252_n_b3_s18 : unsigned(0 downto 0);
-  signal v252_n_b3_s19 : unsigned(0 downto 0);
-  signal v252_n_b3_s20 : unsigned(0 downto 0);
-  signal v252_n_b3_s21 : unsigned(0 downto 0);
-  signal v252_n_b3_s22 : unsigned(0 downto 0);
-  signal v252_n_b3_s23 : unsigned(0 downto 0);
-  signal v252_n_b3_s24 : unsigned(0 downto 0);
-  signal v252_n_b3_s25 : unsigned(0 downto 0);
-  signal v252_n_b3_s26 : unsigned(0 downto 0);
-  signal v252_n_b3_s27 : unsigned(0 downto 0);
-  signal v252_n_b3_s28 : unsigned(0 downto 0);
-  signal v252_n_b3_s29 : unsigned(0 downto 0);
-  signal v252_n_b3_s30 : unsigned(0 downto 0);
-  signal v252_n_b3_s31 : unsigned(0 downto 0);
-  signal v254_rsh3_s32 : unsigned(32 downto 0);
-  signal v255_t_s1 : unsigned(31 downto 0);
-  signal v255_t_s2 : unsigned(31 downto 0);
-  signal v255_t_s3 : unsigned(31 downto 0);
-  signal v255_t_s4 : unsigned(31 downto 0);
-  signal v255_t_s5 : unsigned(31 downto 0);
-  signal v255_t_s6 : unsigned(31 downto 0);
-  signal v255_t_s7 : unsigned(31 downto 0);
-  signal v255_t_s8 : unsigned(31 downto 0);
-  signal v255_t_s9 : unsigned(31 downto 0);
-  signal v255_t_s10 : unsigned(31 downto 0);
-  signal v255_t_s11 : unsigned(31 downto 0);
-  signal v255_t_s12 : unsigned(31 downto 0);
-  signal v255_t_s13 : unsigned(31 downto 0);
-  signal v255_t_s14 : unsigned(31 downto 0);
-  signal v255_t_s15 : unsigned(31 downto 0);
-  signal v255_t_s16 : unsigned(31 downto 0);
-  signal v255_t_s17 : unsigned(31 downto 0);
-  signal v255_t_s18 : unsigned(31 downto 0);
-  signal v255_t_s19 : unsigned(31 downto 0);
-  signal v255_t_s20 : unsigned(31 downto 0);
-  signal v255_t_s21 : unsigned(31 downto 0);
-  signal v255_t_s22 : unsigned(31 downto 0);
-  signal v255_t_s23 : unsigned(31 downto 0);
-  signal v255_t_s24 : unsigned(31 downto 0);
-  signal v255_t_s25 : unsigned(31 downto 0);
-  signal v255_t_s26 : unsigned(31 downto 0);
-  signal v255_t_s27 : unsigned(31 downto 0);
-  signal v255_t_s28 : unsigned(31 downto 0);
-  signal v255_t_s29 : unsigned(31 downto 0);
-  signal v255_t_s30 : unsigned(31 downto 0);
-  signal v255_t_s31 : unsigned(31 downto 0);
-  signal v255_t_s32 : unsigned(31 downto 0);
-  signal v260_n_b2_s4 : unsigned(0 downto 0);
-  signal v260_n_b2_s5 : unsigned(0 downto 0);
-  signal v260_n_b2_s6 : unsigned(0 downto 0);
-  signal v260_n_b2_s7 : unsigned(0 downto 0);
-  signal v260_n_b2_s8 : unsigned(0 downto 0);
-  signal v260_n_b2_s9 : unsigned(0 downto 0);
-  signal v260_n_b2_s10 : unsigned(0 downto 0);
-  signal v260_n_b2_s11 : unsigned(0 downto 0);
-  signal v260_n_b2_s12 : unsigned(0 downto 0);
-  signal v260_n_b2_s13 : unsigned(0 downto 0);
-  signal v260_n_b2_s14 : unsigned(0 downto 0);
-  signal v260_n_b2_s15 : unsigned(0 downto 0);
-  signal v260_n_b2_s16 : unsigned(0 downto 0);
-  signal v260_n_b2_s17 : unsigned(0 downto 0);
-  signal v260_n_b2_s18 : unsigned(0 downto 0);
-  signal v260_n_b2_s19 : unsigned(0 downto 0);
-  signal v260_n_b2_s20 : unsigned(0 downto 0);
-  signal v260_n_b2_s21 : unsigned(0 downto 0);
-  signal v260_n_b2_s22 : unsigned(0 downto 0);
-  signal v260_n_b2_s23 : unsigned(0 downto 0);
-  signal v260_n_b2_s24 : unsigned(0 downto 0);
-  signal v260_n_b2_s25 : unsigned(0 downto 0);
-  signal v260_n_b2_s26 : unsigned(0 downto 0);
-  signal v260_n_b2_s27 : unsigned(0 downto 0);
-  signal v260_n_b2_s28 : unsigned(0 downto 0);
-  signal v260_n_b2_s29 : unsigned(0 downto 0);
-  signal v260_n_b2_s30 : unsigned(0 downto 0);
-  signal v260_n_b2_s31 : unsigned(0 downto 0);
-  signal v260_n_b2_s32 : unsigned(0 downto 0);
-  signal v262_rsh2_s33 : unsigned(32 downto 0);
-  signal v263_t_s1 : unsigned(31 downto 0);
-  signal v263_t_s2 : unsigned(31 downto 0);
-  signal v263_t_s3 : unsigned(31 downto 0);
-  signal v263_t_s4 : unsigned(31 downto 0);
-  signal v263_t_s5 : unsigned(31 downto 0);
-  signal v263_t_s6 : unsigned(31 downto 0);
-  signal v263_t_s7 : unsigned(31 downto 0);
-  signal v263_t_s8 : unsigned(31 downto 0);
-  signal v263_t_s9 : unsigned(31 downto 0);
-  signal v263_t_s10 : unsigned(31 downto 0);
-  signal v263_t_s11 : unsigned(31 downto 0);
-  signal v263_t_s12 : unsigned(31 downto 0);
-  signal v263_t_s13 : unsigned(31 downto 0);
-  signal v263_t_s14 : unsigned(31 downto 0);
-  signal v263_t_s15 : unsigned(31 downto 0);
-  signal v263_t_s16 : unsigned(31 downto 0);
-  signal v263_t_s17 : unsigned(31 downto 0);
-  signal v263_t_s18 : unsigned(31 downto 0);
-  signal v263_t_s19 : unsigned(31 downto 0);
-  signal v263_t_s20 : unsigned(31 downto 0);
-  signal v263_t_s21 : unsigned(31 downto 0);
-  signal v263_t_s22 : unsigned(31 downto 0);
-  signal v263_t_s23 : unsigned(31 downto 0);
-  signal v263_t_s24 : unsigned(31 downto 0);
-  signal v263_t_s25 : unsigned(31 downto 0);
-  signal v263_t_s26 : unsigned(31 downto 0);
-  signal v263_t_s27 : unsigned(31 downto 0);
-  signal v263_t_s28 : unsigned(31 downto 0);
-  signal v263_t_s29 : unsigned(31 downto 0);
-  signal v263_t_s30 : unsigned(31 downto 0);
-  signal v263_t_s31 : unsigned(31 downto 0);
-  signal v263_t_s32 : unsigned(31 downto 0);
-  signal v263_t_s33 : unsigned(31 downto 0);
-  signal v268_n_b1_s4 : unsigned(0 downto 0);
-  signal v268_n_b1_s5 : unsigned(0 downto 0);
-  signal v268_n_b1_s6 : unsigned(0 downto 0);
-  signal v268_n_b1_s7 : unsigned(0 downto 0);
-  signal v268_n_b1_s8 : unsigned(0 downto 0);
-  signal v268_n_b1_s9 : unsigned(0 downto 0);
-  signal v268_n_b1_s10 : unsigned(0 downto 0);
-  signal v268_n_b1_s11 : unsigned(0 downto 0);
-  signal v268_n_b1_s12 : unsigned(0 downto 0);
-  signal v268_n_b1_s13 : unsigned(0 downto 0);
-  signal v268_n_b1_s14 : unsigned(0 downto 0);
-  signal v268_n_b1_s15 : unsigned(0 downto 0);
-  signal v268_n_b1_s16 : unsigned(0 downto 0);
-  signal v268_n_b1_s17 : unsigned(0 downto 0);
-  signal v268_n_b1_s18 : unsigned(0 downto 0);
-  signal v268_n_b1_s19 : unsigned(0 downto 0);
-  signal v268_n_b1_s20 : unsigned(0 downto 0);
-  signal v268_n_b1_s21 : unsigned(0 downto 0);
-  signal v268_n_b1_s22 : unsigned(0 downto 0);
-  signal v268_n_b1_s23 : unsigned(0 downto 0);
-  signal v268_n_b1_s24 : unsigned(0 downto 0);
-  signal v268_n_b1_s25 : unsigned(0 downto 0);
-  signal v268_n_b1_s26 : unsigned(0 downto 0);
-  signal v268_n_b1_s27 : unsigned(0 downto 0);
-  signal v268_n_b1_s28 : unsigned(0 downto 0);
-  signal v268_n_b1_s29 : unsigned(0 downto 0);
-  signal v268_n_b1_s30 : unsigned(0 downto 0);
-  signal v268_n_b1_s31 : unsigned(0 downto 0);
-  signal v268_n_b1_s32 : unsigned(0 downto 0);
-  signal v268_n_b1_s33 : unsigned(0 downto 0);
-  signal v270_rsh1_s34 : unsigned(32 downto 0);
-  signal v271_t_s1 : unsigned(31 downto 0);
-  signal v271_t_s2 : unsigned(31 downto 0);
-  signal v271_t_s3 : unsigned(31 downto 0);
-  signal v271_t_s4 : unsigned(31 downto 0);
-  signal v271_t_s5 : unsigned(31 downto 0);
-  signal v271_t_s6 : unsigned(31 downto 0);
-  signal v271_t_s7 : unsigned(31 downto 0);
-  signal v271_t_s8 : unsigned(31 downto 0);
-  signal v271_t_s9 : unsigned(31 downto 0);
-  signal v271_t_s10 : unsigned(31 downto 0);
-  signal v271_t_s11 : unsigned(31 downto 0);
-  signal v271_t_s12 : unsigned(31 downto 0);
-  signal v271_t_s13 : unsigned(31 downto 0);
-  signal v271_t_s14 : unsigned(31 downto 0);
-  signal v271_t_s15 : unsigned(31 downto 0);
-  signal v271_t_s16 : unsigned(31 downto 0);
-  signal v271_t_s17 : unsigned(31 downto 0);
-  signal v271_t_s18 : unsigned(31 downto 0);
-  signal v271_t_s19 : unsigned(31 downto 0);
-  signal v271_t_s20 : unsigned(31 downto 0);
-  signal v271_t_s21 : unsigned(31 downto 0);
-  signal v271_t_s22 : unsigned(31 downto 0);
-  signal v271_t_s23 : unsigned(31 downto 0);
-  signal v271_t_s24 : unsigned(31 downto 0);
-  signal v271_t_s25 : unsigned(31 downto 0);
-  signal v271_t_s26 : unsigned(31 downto 0);
-  signal v271_t_s27 : unsigned(31 downto 0);
-  signal v271_t_s28 : unsigned(31 downto 0);
-  signal v271_t_s29 : unsigned(31 downto 0);
-  signal v271_t_s30 : unsigned(31 downto 0);
-  signal v271_t_s31 : unsigned(31 downto 0);
-  signal v271_t_s32 : unsigned(31 downto 0);
-  signal v271_t_s33 : unsigned(31 downto 0);
-  signal v271_t_s34 : unsigned(31 downto 0);
-  signal v276_n_b0_s4 : unsigned(0 downto 0);
-  signal v276_n_b0_s5 : unsigned(0 downto 0);
-  signal v276_n_b0_s6 : unsigned(0 downto 0);
-  signal v276_n_b0_s7 : unsigned(0 downto 0);
-  signal v276_n_b0_s8 : unsigned(0 downto 0);
-  signal v276_n_b0_s9 : unsigned(0 downto 0);
-  signal v276_n_b0_s10 : unsigned(0 downto 0);
-  signal v276_n_b0_s11 : unsigned(0 downto 0);
-  signal v276_n_b0_s12 : unsigned(0 downto 0);
-  signal v276_n_b0_s13 : unsigned(0 downto 0);
-  signal v276_n_b0_s14 : unsigned(0 downto 0);
-  signal v276_n_b0_s15 : unsigned(0 downto 0);
-  signal v276_n_b0_s16 : unsigned(0 downto 0);
-  signal v276_n_b0_s17 : unsigned(0 downto 0);
-  signal v276_n_b0_s18 : unsigned(0 downto 0);
-  signal v276_n_b0_s19 : unsigned(0 downto 0);
-  signal v276_n_b0_s20 : unsigned(0 downto 0);
-  signal v276_n_b0_s21 : unsigned(0 downto 0);
-  signal v276_n_b0_s22 : unsigned(0 downto 0);
-  signal v276_n_b0_s23 : unsigned(0 downto 0);
-  signal v276_n_b0_s24 : unsigned(0 downto 0);
-  signal v276_n_b0_s25 : unsigned(0 downto 0);
-  signal v276_n_b0_s26 : unsigned(0 downto 0);
-  signal v276_n_b0_s27 : unsigned(0 downto 0);
-  signal v276_n_b0_s28 : unsigned(0 downto 0);
-  signal v276_n_b0_s29 : unsigned(0 downto 0);
-  signal v276_n_b0_s30 : unsigned(0 downto 0);
-  signal v276_n_b0_s31 : unsigned(0 downto 0);
-  signal v276_n_b0_s32 : unsigned(0 downto 0);
-  signal v276_n_b0_s33 : unsigned(0 downto 0);
-  signal v276_n_b0_s34 : unsigned(0 downto 0);
-  signal v278_rsh0_s35 : unsigned(32 downto 0);
-  signal v279_t_s1 : unsigned(31 downto 0);
-  signal v279_t_s2 : unsigned(31 downto 0);
-  signal v279_t_s3 : unsigned(31 downto 0);
-  signal v279_t_s4 : unsigned(31 downto 0);
-  signal v279_t_s5 : unsigned(31 downto 0);
-  signal v279_t_s6 : unsigned(31 downto 0);
-  signal v279_t_s7 : unsigned(31 downto 0);
-  signal v279_t_s8 : unsigned(31 downto 0);
-  signal v279_t_s9 : unsigned(31 downto 0);
-  signal v279_t_s10 : unsigned(31 downto 0);
-  signal v279_t_s11 : unsigned(31 downto 0);
-  signal v279_t_s12 : unsigned(31 downto 0);
-  signal v279_t_s13 : unsigned(31 downto 0);
-  signal v279_t_s14 : unsigned(31 downto 0);
-  signal v279_t_s15 : unsigned(31 downto 0);
-  signal v279_t_s16 : unsigned(31 downto 0);
-  signal v279_t_s17 : unsigned(31 downto 0);
-  signal v279_t_s18 : unsigned(31 downto 0);
-  signal v279_t_s19 : unsigned(31 downto 0);
-  signal v279_t_s20 : unsigned(31 downto 0);
-  signal v279_t_s21 : unsigned(31 downto 0);
-  signal v279_t_s22 : unsigned(31 downto 0);
-  signal v279_t_s23 : unsigned(31 downto 0);
-  signal v279_t_s24 : unsigned(31 downto 0);
-  signal v279_t_s25 : unsigned(31 downto 0);
-  signal v279_t_s26 : unsigned(31 downto 0);
-  signal v279_t_s27 : unsigned(31 downto 0);
-  signal v279_t_s28 : unsigned(31 downto 0);
-  signal v279_t_s29 : unsigned(31 downto 0);
-  signal v279_t_s30 : unsigned(31 downto 0);
-  signal v279_t_s31 : unsigned(31 downto 0);
-  signal v279_t_s32 : unsigned(31 downto 0);
-  signal v279_t_s33 : unsigned(31 downto 0);
-  signal v279_t_s34 : unsigned(31 downto 0);
-  signal v279_t_s35 : unsigned(31 downto 0);
-  signal v32_q_b31_s5 : unsigned(0 downto 0);
-  signal v284_q_hi30_s6 : unsigned(1 downto 0);
-  signal v285_q_hi29_s7 : unsigned(2 downto 0);
-  signal v286_q_hi28_s8 : unsigned(3 downto 0);
-  signal v287_q_hi27_s9 : unsigned(4 downto 0);
-  signal v288_q_hi26_s10 : unsigned(5 downto 0);
-  signal v289_q_hi25_s11 : unsigned(6 downto 0);
-  signal v290_q_hi24_s12 : unsigned(7 downto 0);
-  signal v291_q_hi23_s13 : unsigned(8 downto 0);
-  signal v292_q_hi22_s14 : unsigned(9 downto 0);
-  signal v293_q_hi21_s15 : unsigned(10 downto 0);
-  signal v294_q_hi20_s16 : unsigned(11 downto 0);
-  signal v295_q_hi19_s17 : unsigned(12 downto 0);
-  signal v296_q_hi18_s18 : unsigned(13 downto 0);
-  signal v297_q_hi17_s19 : unsigned(14 downto 0);
-  signal v298_q_hi16_s20 : unsigned(15 downto 0);
-  signal v299_q_hi15_s21 : unsigned(16 downto 0);
-  signal v300_q_hi14_s22 : unsigned(17 downto 0);
-  signal v301_q_hi13_s23 : unsigned(18 downto 0);
-  signal v302_q_hi12_s24 : unsigned(19 downto 0);
-  signal v303_q_hi11_s25 : unsigned(20 downto 0);
-  signal v304_q_hi10_s26 : unsigned(21 downto 0);
-  signal v305_q_hi9_s27 : unsigned(22 downto 0);
-  signal v306_q_hi8_s28 : unsigned(23 downto 0);
-  signal v307_q_hi7_s29 : unsigned(24 downto 0);
-  signal v308_q_hi6_s30 : unsigned(25 downto 0);
-  signal v309_q_hi5_s31 : unsigned(26 downto 0);
-  signal v310_q_hi4_s32 : unsigned(27 downto 0);
-  signal v311_q_hi3_s33 : unsigned(28 downto 0);
-  signal v312_q_hi2_s34 : unsigned(29 downto 0);
-  signal v313_q_hi1_s35 : unsigned(30 downto 0);
-  signal v23_d_neg_s1 : unsigned(0 downto 0);
-  signal v23_d_neg_s2 : unsigned(0 downto 0);
-  signal v23_d_neg_s3 : unsigned(0 downto 0);
-  signal v317_q_ext_s36 : signed(31 downto 0);
-  signal v318_q_sign_s4 : unsigned(0 downto 0);
-  signal v318_q_sign_s5 : unsigned(0 downto 0);
-  signal v318_q_sign_s6 : unsigned(0 downto 0);
-  signal v318_q_sign_s7 : unsigned(0 downto 0);
-  signal v318_q_sign_s8 : unsigned(0 downto 0);
-  signal v318_q_sign_s9 : unsigned(0 downto 0);
-  signal v318_q_sign_s10 : unsigned(0 downto 0);
-  signal v318_q_sign_s11 : unsigned(0 downto 0);
-  signal v318_q_sign_s12 : unsigned(0 downto 0);
-  signal v318_q_sign_s13 : unsigned(0 downto 0);
-  signal v318_q_sign_s14 : unsigned(0 downto 0);
-  signal v318_q_sign_s15 : unsigned(0 downto 0);
-  signal v318_q_sign_s16 : unsigned(0 downto 0);
-  signal v318_q_sign_s17 : unsigned(0 downto 0);
-  signal v318_q_sign_s18 : unsigned(0 downto 0);
-  signal v318_q_sign_s19 : unsigned(0 downto 0);
-  signal v318_q_sign_s20 : unsigned(0 downto 0);
-  signal v318_q_sign_s21 : unsigned(0 downto 0);
-  signal v318_q_sign_s22 : unsigned(0 downto 0);
-  signal v318_q_sign_s23 : unsigned(0 downto 0);
-  signal v318_q_sign_s24 : unsigned(0 downto 0);
-  signal v318_q_sign_s25 : unsigned(0 downto 0);
-  signal v318_q_sign_s26 : unsigned(0 downto 0);
-  signal v318_q_sign_s27 : unsigned(0 downto 0);
-  signal v318_q_sign_s28 : unsigned(0 downto 0);
-  signal v318_q_sign_s29 : unsigned(0 downto 0);
-  signal v318_q_sign_s30 : unsigned(0 downto 0);
-  signal v318_q_sign_s31 : unsigned(0 downto 0);
-  signal v318_q_sign_s32 : unsigned(0 downto 0);
-  signal v318_q_sign_s33 : unsigned(0 downto 0);
-  signal v318_q_sign_s34 : unsigned(0 downto 0);
-  signal v318_q_sign_s35 : unsigned(0 downto 0);
-  signal v318_q_sign_s36 : unsigned(0 downto 0);
-  signal v316_d_is0_s1 : unsigned(0 downto 0);
-  signal v316_d_is0_s2 : unsigned(0 downto 0);
-  signal v316_d_is0_s3 : unsigned(0 downto 0);
-  signal v316_d_is0_s4 : unsigned(0 downto 0);
-  signal v316_d_is0_s5 : unsigned(0 downto 0);
-  signal v316_d_is0_s6 : unsigned(0 downto 0);
-  signal v316_d_is0_s7 : unsigned(0 downto 0);
-  signal v316_d_is0_s8 : unsigned(0 downto 0);
-  signal v316_d_is0_s9 : unsigned(0 downto 0);
-  signal v316_d_is0_s10 : unsigned(0 downto 0);
-  signal v316_d_is0_s11 : unsigned(0 downto 0);
-  signal v316_d_is0_s12 : unsigned(0 downto 0);
-  signal v316_d_is0_s13 : unsigned(0 downto 0);
-  signal v316_d_is0_s14 : unsigned(0 downto 0);
-  signal v316_d_is0_s15 : unsigned(0 downto 0);
-  signal v316_d_is0_s16 : unsigned(0 downto 0);
-  signal v316_d_is0_s17 : unsigned(0 downto 0);
-  signal v316_d_is0_s18 : unsigned(0 downto 0);
-  signal v316_d_is0_s19 : unsigned(0 downto 0);
-  signal v316_d_is0_s20 : unsigned(0 downto 0);
-  signal v316_d_is0_s21 : unsigned(0 downto 0);
-  signal v316_d_is0_s22 : unsigned(0 downto 0);
-  signal v316_d_is0_s23 : unsigned(0 downto 0);
-  signal v316_d_is0_s24 : unsigned(0 downto 0);
-  signal v316_d_is0_s25 : unsigned(0 downto 0);
-  signal v316_d_is0_s26 : unsigned(0 downto 0);
-  signal v316_d_is0_s27 : unsigned(0 downto 0);
-  signal v316_d_is0_s28 : unsigned(0 downto 0);
-  signal v316_d_is0_s29 : unsigned(0 downto 0);
-  signal v316_d_is0_s30 : unsigned(0 downto 0);
-  signal v316_d_is0_s31 : unsigned(0 downto 0);
-  signal v316_d_is0_s32 : unsigned(0 downto 0);
-  signal v316_d_is0_s33 : unsigned(0 downto 0);
-  signal v316_d_is0_s34 : unsigned(0 downto 0);
-  signal v316_d_is0_s35 : unsigned(0 downto 0);
-  signal v316_d_is0_s36 : unsigned(0 downto 0);
-  signal v322_t_s1 : signed(0 downto 0);
-  signal v322_t_s2 : signed(0 downto 0);
-  signal v322_t_s3 : signed(0 downto 0);
-  signal v322_t_s4 : signed(0 downto 0);
-  signal v322_t_s5 : signed(0 downto 0);
-  signal v322_t_s6 : signed(0 downto 0);
-  signal v322_t_s7 : signed(0 downto 0);
-  signal v322_t_s8 : signed(0 downto 0);
-  signal v322_t_s9 : signed(0 downto 0);
-  signal v322_t_s10 : signed(0 downto 0);
-  signal v322_t_s11 : signed(0 downto 0);
-  signal v322_t_s12 : signed(0 downto 0);
-  signal v322_t_s13 : signed(0 downto 0);
-  signal v322_t_s14 : signed(0 downto 0);
-  signal v322_t_s15 : signed(0 downto 0);
-  signal v322_t_s16 : signed(0 downto 0);
-  signal v322_t_s17 : signed(0 downto 0);
-  signal v322_t_s18 : signed(0 downto 0);
-  signal v322_t_s19 : signed(0 downto 0);
-  signal v322_t_s20 : signed(0 downto 0);
-  signal v322_t_s21 : signed(0 downto 0);
-  signal v322_t_s22 : signed(0 downto 0);
-  signal v322_t_s23 : signed(0 downto 0);
-  signal v322_t_s24 : signed(0 downto 0);
-  signal v322_t_s25 : signed(0 downto 0);
-  signal v322_t_s26 : signed(0 downto 0);
-  signal v322_t_s27 : signed(0 downto 0);
-  signal v322_t_s28 : signed(0 downto 0);
-  signal v322_t_s29 : signed(0 downto 0);
-  signal v322_t_s30 : signed(0 downto 0);
-  signal v322_t_s31 : signed(0 downto 0);
-  signal v322_t_s32 : signed(0 downto 0);
-  signal v322_t_s33 : signed(0 downto 0);
-  signal v322_t_s34 : signed(0 downto 0);
-  signal v322_t_s35 : signed(0 downto 0);
-  signal v322_t_s36 : signed(0 downto 0);
+  signal v19_t_s4 : signed(14 downto 0);
+  signal v21_t_s4 : unsigned(16 downto 0);
+  signal v24_t_s4 : unsigned(19 downto 0);
+  signal v25_t_s5 : signed(20 downto 0);
+  signal v27_t_s4 : unsigned(22 downto 0);
+  signal v27_t_s5 : unsigned(22 downto 0);
 begin
   v9_t <= resize(v0_P0, 9) + resize(v1_P1, 9);
   v10_t <= resize(v9_t, 10) + resize(v2_P2, 10);
@@ -1644,311 +61,17 @@ begin
   v14_t <= v13_t_s2 + resize(v6_P6, 11);
   v15_t <= v14_t + resize(v7_P7, 11);
   v16_t <= resize(v15_t_s3, 12) + resize(v8_P8, 12);
-  v19_n_neg <= "1" when resize(v16_t, 13) < to_unsigned(0, 13) else "0";
-  v20_t <= resize(-signed(resize(v16_t, 14)), 13);
-  v21_n_mag <= v20_t when v19_n_neg = 1 else signed(resize(v16_t, 13));
-  v22_n_abs <= unsigned(resize(v21_n_mag, 32));
-  v23_d_neg <= "1" when to_unsigned(9, 5) < to_unsigned(0, 5) else "0";
-  v24_t <= resize(-to_signed(9, 6), 5);
-  v25_d_mag <= v24_t when v23_d_neg = 1 else to_signed(9, 5);
-  v26_d_abs <= unsigned(resize(v25_d_mag, 32));
-  v27_r_init <= to_unsigned(0, 1);
-  v28_n_b31 <= unsigned(std_logic_vector(v22_n_abs(31 downto 31)));
-  v29_t <= v27_r_init;
-  v30_rsh31 <= unsigned(std_logic_vector(resize(v29_t_s3, 32)) & std_logic_vector(v28_n_b31));
-  v31_t <= v26_d_abs;
-  v32_q_b31 <= "1" when resize(v30_rsh31_s4, 34) >= resize(v31_t_s4, 34) else "0";
-  v33_t <= v30_rsh31_s4 - resize(v31_t_s4, 33);
-  v34_t <= v33_t when v32_q_b31 = 1 else v30_rsh31_s4;
-  v35_r31 <= resize(v34_t, 32);
-  v36_n_b30 <= unsigned(std_logic_vector(v22_n_abs(30 downto 30)));
-  v37_t <= v35_r31;
-  v38_rsh30 <= unsigned(std_logic_vector(v37_t) & std_logic_vector(v36_n_b30_s4));
-  v39_t <= v26_d_abs;
-  v40_q_b30 <= "1" when resize(v38_rsh30_s5, 34) >= resize(v39_t_s5, 34) else "0";
-  v41_t <= v38_rsh30_s5 - resize(v39_t_s5, 33);
-  v42_t <= v41_t when v40_q_b30 = 1 else v38_rsh30_s5;
-  v43_r30 <= resize(v42_t, 32);
-  v44_n_b29 <= unsigned(std_logic_vector(v22_n_abs(29 downto 29)));
-  v45_t <= v43_r30;
-  v46_rsh29 <= unsigned(std_logic_vector(v45_t) & std_logic_vector(v44_n_b29_s5));
-  v47_t <= v26_d_abs;
-  v48_q_b29 <= "1" when resize(v46_rsh29_s6, 34) >= resize(v47_t_s6, 34) else "0";
-  v49_t <= v46_rsh29_s6 - resize(v47_t_s6, 33);
-  v50_t <= v49_t when v48_q_b29 = 1 else v46_rsh29_s6;
-  v51_r29 <= resize(v50_t, 32);
-  v52_n_b28 <= unsigned(std_logic_vector(v22_n_abs(28 downto 28)));
-  v53_t <= v51_r29;
-  v54_rsh28 <= unsigned(std_logic_vector(v53_t) & std_logic_vector(v52_n_b28_s6));
-  v55_t <= v26_d_abs;
-  v56_q_b28 <= "1" when resize(v54_rsh28_s7, 34) >= resize(v55_t_s7, 34) else "0";
-  v57_t <= v54_rsh28_s7 - resize(v55_t_s7, 33);
-  v58_t <= v57_t when v56_q_b28 = 1 else v54_rsh28_s7;
-  v59_r28 <= resize(v58_t, 32);
-  v60_n_b27 <= unsigned(std_logic_vector(v22_n_abs(27 downto 27)));
-  v61_t <= v59_r28;
-  v62_rsh27 <= unsigned(std_logic_vector(v61_t) & std_logic_vector(v60_n_b27_s7));
-  v63_t <= v26_d_abs;
-  v64_q_b27 <= "1" when resize(v62_rsh27_s8, 34) >= resize(v63_t_s8, 34) else "0";
-  v65_t <= v62_rsh27_s8 - resize(v63_t_s8, 33);
-  v66_t <= v65_t when v64_q_b27 = 1 else v62_rsh27_s8;
-  v67_r27 <= resize(v66_t, 32);
-  v68_n_b26 <= unsigned(std_logic_vector(v22_n_abs(26 downto 26)));
-  v69_t <= v67_r27;
-  v70_rsh26 <= unsigned(std_logic_vector(v69_t) & std_logic_vector(v68_n_b26_s8));
-  v71_t <= v26_d_abs;
-  v72_q_b26 <= "1" when resize(v70_rsh26_s9, 34) >= resize(v71_t_s9, 34) else "0";
-  v73_t <= v70_rsh26_s9 - resize(v71_t_s9, 33);
-  v74_t <= v73_t when v72_q_b26 = 1 else v70_rsh26_s9;
-  v75_r26 <= resize(v74_t, 32);
-  v76_n_b25 <= unsigned(std_logic_vector(v22_n_abs(25 downto 25)));
-  v77_t <= v75_r26;
-  v78_rsh25 <= unsigned(std_logic_vector(v77_t) & std_logic_vector(v76_n_b25_s9));
-  v79_t <= v26_d_abs;
-  v80_q_b25 <= "1" when resize(v78_rsh25_s10, 34) >= resize(v79_t_s10, 34) else "0";
-  v81_t <= v78_rsh25_s10 - resize(v79_t_s10, 33);
-  v82_t <= v81_t when v80_q_b25 = 1 else v78_rsh25_s10;
-  v83_r25 <= resize(v82_t, 32);
-  v84_n_b24 <= unsigned(std_logic_vector(v22_n_abs(24 downto 24)));
-  v85_t <= v83_r25;
-  v86_rsh24 <= unsigned(std_logic_vector(v85_t) & std_logic_vector(v84_n_b24_s10));
-  v87_t <= v26_d_abs;
-  v88_q_b24 <= "1" when resize(v86_rsh24_s11, 34) >= resize(v87_t_s11, 34) else "0";
-  v89_t <= v86_rsh24_s11 - resize(v87_t_s11, 33);
-  v90_t <= v89_t when v88_q_b24 = 1 else v86_rsh24_s11;
-  v91_r24 <= resize(v90_t, 32);
-  v92_n_b23 <= unsigned(std_logic_vector(v22_n_abs(23 downto 23)));
-  v93_t <= v91_r24;
-  v94_rsh23 <= unsigned(std_logic_vector(v93_t) & std_logic_vector(v92_n_b23_s11));
-  v95_t <= v26_d_abs;
-  v96_q_b23 <= "1" when resize(v94_rsh23_s12, 34) >= resize(v95_t_s12, 34) else "0";
-  v97_t <= v94_rsh23_s12 - resize(v95_t_s12, 33);
-  v98_t <= v97_t when v96_q_b23 = 1 else v94_rsh23_s12;
-  v99_r23 <= resize(v98_t, 32);
-  v100_n_b22 <= unsigned(std_logic_vector(v22_n_abs(22 downto 22)));
-  v101_t <= v99_r23;
-  v102_rsh22 <= unsigned(std_logic_vector(v101_t) & std_logic_vector(v100_n_b22_s12));
-  v103_t <= v26_d_abs;
-  v104_q_b22 <= "1" when resize(v102_rsh22_s13, 34) >= resize(v103_t_s13, 34) else "0";
-  v105_t <= v102_rsh22_s13 - resize(v103_t_s13, 33);
-  v106_t <= v105_t when v104_q_b22 = 1 else v102_rsh22_s13;
-  v107_r22 <= resize(v106_t, 32);
-  v108_n_b21 <= unsigned(std_logic_vector(v22_n_abs(21 downto 21)));
-  v109_t <= v107_r22;
-  v110_rsh21 <= unsigned(std_logic_vector(v109_t) & std_logic_vector(v108_n_b21_s13));
-  v111_t <= v26_d_abs;
-  v112_q_b21 <= "1" when resize(v110_rsh21_s14, 34) >= resize(v111_t_s14, 34) else "0";
-  v113_t <= v110_rsh21_s14 - resize(v111_t_s14, 33);
-  v114_t <= v113_t when v112_q_b21 = 1 else v110_rsh21_s14;
-  v115_r21 <= resize(v114_t, 32);
-  v116_n_b20 <= unsigned(std_logic_vector(v22_n_abs(20 downto 20)));
-  v117_t <= v115_r21;
-  v118_rsh20 <= unsigned(std_logic_vector(v117_t) & std_logic_vector(v116_n_b20_s14));
-  v119_t <= v26_d_abs;
-  v120_q_b20 <= "1" when resize(v118_rsh20_s15, 34) >= resize(v119_t_s15, 34) else "0";
-  v121_t <= v118_rsh20_s15 - resize(v119_t_s15, 33);
-  v122_t <= v121_t when v120_q_b20 = 1 else v118_rsh20_s15;
-  v123_r20 <= resize(v122_t, 32);
-  v124_n_b19 <= unsigned(std_logic_vector(v22_n_abs(19 downto 19)));
-  v125_t <= v123_r20;
-  v126_rsh19 <= unsigned(std_logic_vector(v125_t) & std_logic_vector(v124_n_b19_s15));
-  v127_t <= v26_d_abs;
-  v128_q_b19 <= "1" when resize(v126_rsh19_s16, 34) >= resize(v127_t_s16, 34) else "0";
-  v129_t <= v126_rsh19_s16 - resize(v127_t_s16, 33);
-  v130_t <= v129_t when v128_q_b19 = 1 else v126_rsh19_s16;
-  v131_r19 <= resize(v130_t, 32);
-  v132_n_b18 <= unsigned(std_logic_vector(v22_n_abs(18 downto 18)));
-  v133_t <= v131_r19;
-  v134_rsh18 <= unsigned(std_logic_vector(v133_t) & std_logic_vector(v132_n_b18_s16));
-  v135_t <= v26_d_abs;
-  v136_q_b18 <= "1" when resize(v134_rsh18_s17, 34) >= resize(v135_t_s17, 34) else "0";
-  v137_t <= v134_rsh18_s17 - resize(v135_t_s17, 33);
-  v138_t <= v137_t when v136_q_b18 = 1 else v134_rsh18_s17;
-  v139_r18 <= resize(v138_t, 32);
-  v140_n_b17 <= unsigned(std_logic_vector(v22_n_abs(17 downto 17)));
-  v141_t <= v139_r18;
-  v142_rsh17 <= unsigned(std_logic_vector(v141_t) & std_logic_vector(v140_n_b17_s17));
-  v143_t <= v26_d_abs;
-  v144_q_b17 <= "1" when resize(v142_rsh17_s18, 34) >= resize(v143_t_s18, 34) else "0";
-  v145_t <= v142_rsh17_s18 - resize(v143_t_s18, 33);
-  v146_t <= v145_t when v144_q_b17 = 1 else v142_rsh17_s18;
-  v147_r17 <= resize(v146_t, 32);
-  v148_n_b16 <= unsigned(std_logic_vector(v22_n_abs(16 downto 16)));
-  v149_t <= v147_r17;
-  v150_rsh16 <= unsigned(std_logic_vector(v149_t) & std_logic_vector(v148_n_b16_s18));
-  v151_t <= v26_d_abs;
-  v152_q_b16 <= "1" when resize(v150_rsh16_s19, 34) >= resize(v151_t_s19, 34) else "0";
-  v153_t <= v150_rsh16_s19 - resize(v151_t_s19, 33);
-  v154_t <= v153_t when v152_q_b16 = 1 else v150_rsh16_s19;
-  v155_r16 <= resize(v154_t, 32);
-  v156_n_b15 <= unsigned(std_logic_vector(v22_n_abs(15 downto 15)));
-  v157_t <= v155_r16;
-  v158_rsh15 <= unsigned(std_logic_vector(v157_t) & std_logic_vector(v156_n_b15_s19));
-  v159_t <= v26_d_abs;
-  v160_q_b15 <= "1" when resize(v158_rsh15_s20, 34) >= resize(v159_t_s20, 34) else "0";
-  v161_t <= v158_rsh15_s20 - resize(v159_t_s20, 33);
-  v162_t <= v161_t when v160_q_b15 = 1 else v158_rsh15_s20;
-  v163_r15 <= resize(v162_t, 32);
-  v164_n_b14 <= unsigned(std_logic_vector(v22_n_abs(14 downto 14)));
-  v165_t <= v163_r15;
-  v166_rsh14 <= unsigned(std_logic_vector(v165_t) & std_logic_vector(v164_n_b14_s20));
-  v167_t <= v26_d_abs;
-  v168_q_b14 <= "1" when resize(v166_rsh14_s21, 34) >= resize(v167_t_s21, 34) else "0";
-  v169_t <= v166_rsh14_s21 - resize(v167_t_s21, 33);
-  v170_t <= v169_t when v168_q_b14 = 1 else v166_rsh14_s21;
-  v171_r14 <= resize(v170_t, 32);
-  v172_n_b13 <= unsigned(std_logic_vector(v22_n_abs(13 downto 13)));
-  v173_t <= v171_r14;
-  v174_rsh13 <= unsigned(std_logic_vector(v173_t) & std_logic_vector(v172_n_b13_s21));
-  v175_t <= v26_d_abs;
-  v176_q_b13 <= "1" when resize(v174_rsh13_s22, 34) >= resize(v175_t_s22, 34) else "0";
-  v177_t <= v174_rsh13_s22 - resize(v175_t_s22, 33);
-  v178_t <= v177_t when v176_q_b13 = 1 else v174_rsh13_s22;
-  v179_r13 <= resize(v178_t, 32);
-  v180_n_b12 <= unsigned(std_logic_vector(v22_n_abs(12 downto 12)));
-  v181_t <= v179_r13;
-  v182_rsh12 <= unsigned(std_logic_vector(v181_t) & std_logic_vector(v180_n_b12_s22));
-  v183_t <= v26_d_abs;
-  v184_q_b12 <= "1" when resize(v182_rsh12_s23, 34) >= resize(v183_t_s23, 34) else "0";
-  v185_t <= v182_rsh12_s23 - resize(v183_t_s23, 33);
-  v186_t <= v185_t when v184_q_b12 = 1 else v182_rsh12_s23;
-  v187_r12 <= resize(v186_t, 32);
-  v188_n_b11 <= unsigned(std_logic_vector(v22_n_abs(11 downto 11)));
-  v189_t <= v187_r12;
-  v190_rsh11 <= unsigned(std_logic_vector(v189_t) & std_logic_vector(v188_n_b11_s23));
-  v191_t <= v26_d_abs;
-  v192_q_b11 <= "1" when resize(v190_rsh11_s24, 34) >= resize(v191_t_s24, 34) else "0";
-  v193_t <= v190_rsh11_s24 - resize(v191_t_s24, 33);
-  v194_t <= v193_t when v192_q_b11 = 1 else v190_rsh11_s24;
-  v195_r11 <= resize(v194_t, 32);
-  v196_n_b10 <= unsigned(std_logic_vector(v22_n_abs(10 downto 10)));
-  v197_t <= v195_r11;
-  v198_rsh10 <= unsigned(std_logic_vector(v197_t) & std_logic_vector(v196_n_b10_s24));
-  v199_t <= v26_d_abs;
-  v200_q_b10 <= "1" when resize(v198_rsh10_s25, 34) >= resize(v199_t_s25, 34) else "0";
-  v201_t <= v198_rsh10_s25 - resize(v199_t_s25, 33);
-  v202_t <= v201_t when v200_q_b10 = 1 else v198_rsh10_s25;
-  v203_r10 <= resize(v202_t, 32);
-  v204_n_b9 <= unsigned(std_logic_vector(v22_n_abs(9 downto 9)));
-  v205_t <= v203_r10;
-  v206_rsh9 <= unsigned(std_logic_vector(v205_t) & std_logic_vector(v204_n_b9_s25));
-  v207_t <= v26_d_abs;
-  v208_q_b9 <= "1" when resize(v206_rsh9_s26, 34) >= resize(v207_t_s26, 34) else "0";
-  v209_t <= v206_rsh9_s26 - resize(v207_t_s26, 33);
-  v210_t <= v209_t when v208_q_b9 = 1 else v206_rsh9_s26;
-  v211_r9 <= resize(v210_t, 32);
-  v212_n_b8 <= unsigned(std_logic_vector(v22_n_abs(8 downto 8)));
-  v213_t <= v211_r9;
-  v214_rsh8 <= unsigned(std_logic_vector(v213_t) & std_logic_vector(v212_n_b8_s26));
-  v215_t <= v26_d_abs;
-  v216_q_b8 <= "1" when resize(v214_rsh8_s27, 34) >= resize(v215_t_s27, 34) else "0";
-  v217_t <= v214_rsh8_s27 - resize(v215_t_s27, 33);
-  v218_t <= v217_t when v216_q_b8 = 1 else v214_rsh8_s27;
-  v219_r8 <= resize(v218_t, 32);
-  v220_n_b7 <= unsigned(std_logic_vector(v22_n_abs(7 downto 7)));
-  v221_t <= v219_r8;
-  v222_rsh7 <= unsigned(std_logic_vector(v221_t) & std_logic_vector(v220_n_b7_s27));
-  v223_t <= v26_d_abs;
-  v224_q_b7 <= "1" when resize(v222_rsh7_s28, 34) >= resize(v223_t_s28, 34) else "0";
-  v225_t <= v222_rsh7_s28 - resize(v223_t_s28, 33);
-  v226_t <= v225_t when v224_q_b7 = 1 else v222_rsh7_s28;
-  v227_r7 <= resize(v226_t, 32);
-  v228_n_b6 <= unsigned(std_logic_vector(v22_n_abs(6 downto 6)));
-  v229_t <= v227_r7;
-  v230_rsh6 <= unsigned(std_logic_vector(v229_t) & std_logic_vector(v228_n_b6_s28));
-  v231_t <= v26_d_abs;
-  v232_q_b6 <= "1" when resize(v230_rsh6_s29, 34) >= resize(v231_t_s29, 34) else "0";
-  v233_t <= v230_rsh6_s29 - resize(v231_t_s29, 33);
-  v234_t <= v233_t when v232_q_b6 = 1 else v230_rsh6_s29;
-  v235_r6 <= resize(v234_t, 32);
-  v236_n_b5 <= unsigned(std_logic_vector(v22_n_abs(5 downto 5)));
-  v237_t <= v235_r6;
-  v238_rsh5 <= unsigned(std_logic_vector(v237_t) & std_logic_vector(v236_n_b5_s29));
-  v239_t <= v26_d_abs;
-  v240_q_b5 <= "1" when resize(v238_rsh5_s30, 34) >= resize(v239_t_s30, 34) else "0";
-  v241_t <= v238_rsh5_s30 - resize(v239_t_s30, 33);
-  v242_t <= v241_t when v240_q_b5 = 1 else v238_rsh5_s30;
-  v243_r5 <= resize(v242_t, 32);
-  v244_n_b4 <= unsigned(std_logic_vector(v22_n_abs(4 downto 4)));
-  v245_t <= v243_r5;
-  v246_rsh4 <= unsigned(std_logic_vector(v245_t) & std_logic_vector(v244_n_b4_s30));
-  v247_t <= v26_d_abs;
-  v248_q_b4 <= "1" when resize(v246_rsh4_s31, 34) >= resize(v247_t_s31, 34) else "0";
-  v249_t <= v246_rsh4_s31 - resize(v247_t_s31, 33);
-  v250_t <= v249_t when v248_q_b4 = 1 else v246_rsh4_s31;
-  v251_r4 <= resize(v250_t, 32);
-  v252_n_b3 <= unsigned(std_logic_vector(v22_n_abs(3 downto 3)));
-  v253_t <= v251_r4;
-  v254_rsh3 <= unsigned(std_logic_vector(v253_t) & std_logic_vector(v252_n_b3_s31));
-  v255_t <= v26_d_abs;
-  v256_q_b3 <= "1" when resize(v254_rsh3_s32, 34) >= resize(v255_t_s32, 34) else "0";
-  v257_t <= v254_rsh3_s32 - resize(v255_t_s32, 33);
-  v258_t <= v257_t when v256_q_b3 = 1 else v254_rsh3_s32;
-  v259_r3 <= resize(v258_t, 32);
-  v260_n_b2 <= unsigned(std_logic_vector(v22_n_abs(2 downto 2)));
-  v261_t <= v259_r3;
-  v262_rsh2 <= unsigned(std_logic_vector(v261_t) & std_logic_vector(v260_n_b2_s32));
-  v263_t <= v26_d_abs;
-  v264_q_b2 <= "1" when resize(v262_rsh2_s33, 34) >= resize(v263_t_s33, 34) else "0";
-  v265_t <= v262_rsh2_s33 - resize(v263_t_s33, 33);
-  v266_t <= v265_t when v264_q_b2 = 1 else v262_rsh2_s33;
-  v267_r2 <= resize(v266_t, 32);
-  v268_n_b1 <= unsigned(std_logic_vector(v22_n_abs(1 downto 1)));
-  v269_t <= v267_r2;
-  v270_rsh1 <= unsigned(std_logic_vector(v269_t) & std_logic_vector(v268_n_b1_s33));
-  v271_t <= v26_d_abs;
-  v272_q_b1 <= "1" when resize(v270_rsh1_s34, 34) >= resize(v271_t_s34, 34) else "0";
-  v273_t <= v270_rsh1_s34 - resize(v271_t_s34, 33);
-  v274_t <= v273_t when v272_q_b1 = 1 else v270_rsh1_s34;
-  v275_r1 <= resize(v274_t, 32);
-  v276_n_b0 <= unsigned(std_logic_vector(v22_n_abs(0 downto 0)));
-  v277_t <= v275_r1;
-  v278_rsh0 <= unsigned(std_logic_vector(v277_t) & std_logic_vector(v276_n_b0_s34));
-  v279_t <= v26_d_abs;
-  v280_q_b0 <= "1" when resize(v278_rsh0_s35, 34) >= resize(v279_t_s35, 34) else "0";
-  v281_t <= v278_rsh0_s35 - resize(v279_t_s35, 33);
-  v282_t <= v281_t when v280_q_b0 = 1 else v278_rsh0_s35;
-  v283_r0 <= resize(v282_t, 32);
-  v284_q_hi30 <= unsigned(std_logic_vector(v32_q_b31_s5) & std_logic_vector(v40_q_b30));
-  v285_q_hi29 <= unsigned(std_logic_vector(v284_q_hi30_s6) & std_logic_vector(v48_q_b29));
-  v286_q_hi28 <= unsigned(std_logic_vector(v285_q_hi29_s7) & std_logic_vector(v56_q_b28));
-  v287_q_hi27 <= unsigned(std_logic_vector(v286_q_hi28_s8) & std_logic_vector(v64_q_b27));
-  v288_q_hi26 <= unsigned(std_logic_vector(v287_q_hi27_s9) & std_logic_vector(v72_q_b26));
-  v289_q_hi25 <= unsigned(std_logic_vector(v288_q_hi26_s10) & std_logic_vector(v80_q_b25));
-  v290_q_hi24 <= unsigned(std_logic_vector(v289_q_hi25_s11) & std_logic_vector(v88_q_b24));
-  v291_q_hi23 <= unsigned(std_logic_vector(v290_q_hi24_s12) & std_logic_vector(v96_q_b23));
-  v292_q_hi22 <= unsigned(std_logic_vector(v291_q_hi23_s13) & std_logic_vector(v104_q_b22));
-  v293_q_hi21 <= unsigned(std_logic_vector(v292_q_hi22_s14) & std_logic_vector(v112_q_b21));
-  v294_q_hi20 <= unsigned(std_logic_vector(v293_q_hi21_s15) & std_logic_vector(v120_q_b20));
-  v295_q_hi19 <= unsigned(std_logic_vector(v294_q_hi20_s16) & std_logic_vector(v128_q_b19));
-  v296_q_hi18 <= unsigned(std_logic_vector(v295_q_hi19_s17) & std_logic_vector(v136_q_b18));
-  v297_q_hi17 <= unsigned(std_logic_vector(v296_q_hi18_s18) & std_logic_vector(v144_q_b17));
-  v298_q_hi16 <= unsigned(std_logic_vector(v297_q_hi17_s19) & std_logic_vector(v152_q_b16));
-  v299_q_hi15 <= unsigned(std_logic_vector(v298_q_hi16_s20) & std_logic_vector(v160_q_b15));
-  v300_q_hi14 <= unsigned(std_logic_vector(v299_q_hi15_s21) & std_logic_vector(v168_q_b14));
-  v301_q_hi13 <= unsigned(std_logic_vector(v300_q_hi14_s22) & std_logic_vector(v176_q_b13));
-  v302_q_hi12 <= unsigned(std_logic_vector(v301_q_hi13_s23) & std_logic_vector(v184_q_b12));
-  v303_q_hi11 <= unsigned(std_logic_vector(v302_q_hi12_s24) & std_logic_vector(v192_q_b11));
-  v304_q_hi10 <= unsigned(std_logic_vector(v303_q_hi11_s25) & std_logic_vector(v200_q_b10));
-  v305_q_hi9 <= unsigned(std_logic_vector(v304_q_hi10_s26) & std_logic_vector(v208_q_b9));
-  v306_q_hi8 <= unsigned(std_logic_vector(v305_q_hi9_s27) & std_logic_vector(v216_q_b8));
-  v307_q_hi7 <= unsigned(std_logic_vector(v306_q_hi8_s28) & std_logic_vector(v224_q_b7));
-  v308_q_hi6 <= unsigned(std_logic_vector(v307_q_hi7_s29) & std_logic_vector(v232_q_b6));
-  v309_q_hi5 <= unsigned(std_logic_vector(v308_q_hi6_s30) & std_logic_vector(v240_q_b5));
-  v310_q_hi4 <= unsigned(std_logic_vector(v309_q_hi5_s31) & std_logic_vector(v248_q_b4));
-  v311_q_hi3 <= unsigned(std_logic_vector(v310_q_hi4_s32) & std_logic_vector(v256_q_b3));
-  v312_q_hi2 <= unsigned(std_logic_vector(v311_q_hi3_s33) & std_logic_vector(v264_q_b2));
-  v313_q_hi1 <= unsigned(std_logic_vector(v312_q_hi2_s34) & std_logic_vector(v272_q_b1));
-  v314_q_hi0 <= unsigned(std_logic_vector(v313_q_hi1_s35) & std_logic_vector(v280_q_b0));
-  v315_t <= to_unsigned(9, 4);
-  v316_d_is0 <= "1" when resize(v315_t, 5) = to_unsigned(0, 5) else "0";
-  v317_q_ext <= signed(resize(v314_q_hi0, 32));
-  v318_q_sign <= v19_n_neg xor v23_d_neg_s3;
-  v319_t <= resize(-resize(v317_q_ext_s36, 33), 32);
-  v320_t <= v319_t when v318_q_sign_s36 = 1 else v317_q_ext_s36;
-  v322_t <= to_signed(-1, 1);
-  v323_quot <= resize(v322_t_s36, 32) when v316_d_is0_s36 = 1 else v320_t;
-  v324_t <= unsigned(resize(v323_quot, 8));
+  v18_t <= shift_left(resize(v16_t, 14), to_integer(to_unsigned(2, 6)));
+  v19_t <= signed(resize(v16_t, 15)) - signed(resize(v18_t, 15));
+  v21_t <= shift_left(resize(v16_t, 17), to_integer(to_unsigned(5, 6)));
+  v22_t <= resize(v19_t_s4, 18) + signed(resize(v21_t_s4, 18));
+  v24_t <= shift_left(resize(v16_t, 20), to_integer(to_unsigned(8, 6)));
+  v25_t <= resize(v22_t, 21) - signed(resize(v24_t_s4, 21));
+  v27_t <= shift_left(resize(v16_t, 23), to_integer(to_unsigned(11, 6)));
+  v28_t <= resize(v25_t_s5, 24) + signed(resize(v27_t_s5, 24));
+  v30_q_shr <= shift_right(unsigned(resize(v28_t, 8)), to_integer(to_unsigned(14, 6)));
+  v31_quot <= v30_q_shr;
+  v32_t <= v31_quot;
   process (clk)
   begin
     if rising_edge(clk) then
@@ -1956,1305 +79,16 @@ begin
         v11_t_s1 <= v11_t;
         v13_t_s2 <= v13_t;
         v15_t_s3 <= v15_t;
-        v29_t_s1 <= v29_t;
-        v29_t_s2 <= v29_t_s1;
-        v29_t_s3 <= v29_t_s2;
-        v30_rsh31_s4 <= v30_rsh31;
-        v31_t_s1 <= v31_t;
-        v31_t_s2 <= v31_t_s1;
-        v31_t_s3 <= v31_t_s2;
-        v31_t_s4 <= v31_t_s3;
-        v36_n_b30_s4 <= v36_n_b30;
-        v38_rsh30_s5 <= v38_rsh30;
-        v39_t_s1 <= v39_t;
-        v39_t_s2 <= v39_t_s1;
-        v39_t_s3 <= v39_t_s2;
-        v39_t_s4 <= v39_t_s3;
-        v39_t_s5 <= v39_t_s4;
-        v44_n_b29_s4 <= v44_n_b29;
-        v44_n_b29_s5 <= v44_n_b29_s4;
-        v46_rsh29_s6 <= v46_rsh29;
-        v47_t_s1 <= v47_t;
-        v47_t_s2 <= v47_t_s1;
-        v47_t_s3 <= v47_t_s2;
-        v47_t_s4 <= v47_t_s3;
-        v47_t_s5 <= v47_t_s4;
-        v47_t_s6 <= v47_t_s5;
-        v52_n_b28_s4 <= v52_n_b28;
-        v52_n_b28_s5 <= v52_n_b28_s4;
-        v52_n_b28_s6 <= v52_n_b28_s5;
-        v54_rsh28_s7 <= v54_rsh28;
-        v55_t_s1 <= v55_t;
-        v55_t_s2 <= v55_t_s1;
-        v55_t_s3 <= v55_t_s2;
-        v55_t_s4 <= v55_t_s3;
-        v55_t_s5 <= v55_t_s4;
-        v55_t_s6 <= v55_t_s5;
-        v55_t_s7 <= v55_t_s6;
-        v60_n_b27_s4 <= v60_n_b27;
-        v60_n_b27_s5 <= v60_n_b27_s4;
-        v60_n_b27_s6 <= v60_n_b27_s5;
-        v60_n_b27_s7 <= v60_n_b27_s6;
-        v62_rsh27_s8 <= v62_rsh27;
-        v63_t_s1 <= v63_t;
-        v63_t_s2 <= v63_t_s1;
-        v63_t_s3 <= v63_t_s2;
-        v63_t_s4 <= v63_t_s3;
-        v63_t_s5 <= v63_t_s4;
-        v63_t_s6 <= v63_t_s5;
-        v63_t_s7 <= v63_t_s6;
-        v63_t_s8 <= v63_t_s7;
-        v68_n_b26_s4 <= v68_n_b26;
-        v68_n_b26_s5 <= v68_n_b26_s4;
-        v68_n_b26_s6 <= v68_n_b26_s5;
-        v68_n_b26_s7 <= v68_n_b26_s6;
-        v68_n_b26_s8 <= v68_n_b26_s7;
-        v70_rsh26_s9 <= v70_rsh26;
-        v71_t_s1 <= v71_t;
-        v71_t_s2 <= v71_t_s1;
-        v71_t_s3 <= v71_t_s2;
-        v71_t_s4 <= v71_t_s3;
-        v71_t_s5 <= v71_t_s4;
-        v71_t_s6 <= v71_t_s5;
-        v71_t_s7 <= v71_t_s6;
-        v71_t_s8 <= v71_t_s7;
-        v71_t_s9 <= v71_t_s8;
-        v76_n_b25_s4 <= v76_n_b25;
-        v76_n_b25_s5 <= v76_n_b25_s4;
-        v76_n_b25_s6 <= v76_n_b25_s5;
-        v76_n_b25_s7 <= v76_n_b25_s6;
-        v76_n_b25_s8 <= v76_n_b25_s7;
-        v76_n_b25_s9 <= v76_n_b25_s8;
-        v78_rsh25_s10 <= v78_rsh25;
-        v79_t_s1 <= v79_t;
-        v79_t_s2 <= v79_t_s1;
-        v79_t_s3 <= v79_t_s2;
-        v79_t_s4 <= v79_t_s3;
-        v79_t_s5 <= v79_t_s4;
-        v79_t_s6 <= v79_t_s5;
-        v79_t_s7 <= v79_t_s6;
-        v79_t_s8 <= v79_t_s7;
-        v79_t_s9 <= v79_t_s8;
-        v79_t_s10 <= v79_t_s9;
-        v84_n_b24_s4 <= v84_n_b24;
-        v84_n_b24_s5 <= v84_n_b24_s4;
-        v84_n_b24_s6 <= v84_n_b24_s5;
-        v84_n_b24_s7 <= v84_n_b24_s6;
-        v84_n_b24_s8 <= v84_n_b24_s7;
-        v84_n_b24_s9 <= v84_n_b24_s8;
-        v84_n_b24_s10 <= v84_n_b24_s9;
-        v86_rsh24_s11 <= v86_rsh24;
-        v87_t_s1 <= v87_t;
-        v87_t_s2 <= v87_t_s1;
-        v87_t_s3 <= v87_t_s2;
-        v87_t_s4 <= v87_t_s3;
-        v87_t_s5 <= v87_t_s4;
-        v87_t_s6 <= v87_t_s5;
-        v87_t_s7 <= v87_t_s6;
-        v87_t_s8 <= v87_t_s7;
-        v87_t_s9 <= v87_t_s8;
-        v87_t_s10 <= v87_t_s9;
-        v87_t_s11 <= v87_t_s10;
-        v92_n_b23_s4 <= v92_n_b23;
-        v92_n_b23_s5 <= v92_n_b23_s4;
-        v92_n_b23_s6 <= v92_n_b23_s5;
-        v92_n_b23_s7 <= v92_n_b23_s6;
-        v92_n_b23_s8 <= v92_n_b23_s7;
-        v92_n_b23_s9 <= v92_n_b23_s8;
-        v92_n_b23_s10 <= v92_n_b23_s9;
-        v92_n_b23_s11 <= v92_n_b23_s10;
-        v94_rsh23_s12 <= v94_rsh23;
-        v95_t_s1 <= v95_t;
-        v95_t_s2 <= v95_t_s1;
-        v95_t_s3 <= v95_t_s2;
-        v95_t_s4 <= v95_t_s3;
-        v95_t_s5 <= v95_t_s4;
-        v95_t_s6 <= v95_t_s5;
-        v95_t_s7 <= v95_t_s6;
-        v95_t_s8 <= v95_t_s7;
-        v95_t_s9 <= v95_t_s8;
-        v95_t_s10 <= v95_t_s9;
-        v95_t_s11 <= v95_t_s10;
-        v95_t_s12 <= v95_t_s11;
-        v100_n_b22_s4 <= v100_n_b22;
-        v100_n_b22_s5 <= v100_n_b22_s4;
-        v100_n_b22_s6 <= v100_n_b22_s5;
-        v100_n_b22_s7 <= v100_n_b22_s6;
-        v100_n_b22_s8 <= v100_n_b22_s7;
-        v100_n_b22_s9 <= v100_n_b22_s8;
-        v100_n_b22_s10 <= v100_n_b22_s9;
-        v100_n_b22_s11 <= v100_n_b22_s10;
-        v100_n_b22_s12 <= v100_n_b22_s11;
-        v102_rsh22_s13 <= v102_rsh22;
-        v103_t_s1 <= v103_t;
-        v103_t_s2 <= v103_t_s1;
-        v103_t_s3 <= v103_t_s2;
-        v103_t_s4 <= v103_t_s3;
-        v103_t_s5 <= v103_t_s4;
-        v103_t_s6 <= v103_t_s5;
-        v103_t_s7 <= v103_t_s6;
-        v103_t_s8 <= v103_t_s7;
-        v103_t_s9 <= v103_t_s8;
-        v103_t_s10 <= v103_t_s9;
-        v103_t_s11 <= v103_t_s10;
-        v103_t_s12 <= v103_t_s11;
-        v103_t_s13 <= v103_t_s12;
-        v108_n_b21_s4 <= v108_n_b21;
-        v108_n_b21_s5 <= v108_n_b21_s4;
-        v108_n_b21_s6 <= v108_n_b21_s5;
-        v108_n_b21_s7 <= v108_n_b21_s6;
-        v108_n_b21_s8 <= v108_n_b21_s7;
-        v108_n_b21_s9 <= v108_n_b21_s8;
-        v108_n_b21_s10 <= v108_n_b21_s9;
-        v108_n_b21_s11 <= v108_n_b21_s10;
-        v108_n_b21_s12 <= v108_n_b21_s11;
-        v108_n_b21_s13 <= v108_n_b21_s12;
-        v110_rsh21_s14 <= v110_rsh21;
-        v111_t_s1 <= v111_t;
-        v111_t_s2 <= v111_t_s1;
-        v111_t_s3 <= v111_t_s2;
-        v111_t_s4 <= v111_t_s3;
-        v111_t_s5 <= v111_t_s4;
-        v111_t_s6 <= v111_t_s5;
-        v111_t_s7 <= v111_t_s6;
-        v111_t_s8 <= v111_t_s7;
-        v111_t_s9 <= v111_t_s8;
-        v111_t_s10 <= v111_t_s9;
-        v111_t_s11 <= v111_t_s10;
-        v111_t_s12 <= v111_t_s11;
-        v111_t_s13 <= v111_t_s12;
-        v111_t_s14 <= v111_t_s13;
-        v116_n_b20_s4 <= v116_n_b20;
-        v116_n_b20_s5 <= v116_n_b20_s4;
-        v116_n_b20_s6 <= v116_n_b20_s5;
-        v116_n_b20_s7 <= v116_n_b20_s6;
-        v116_n_b20_s8 <= v116_n_b20_s7;
-        v116_n_b20_s9 <= v116_n_b20_s8;
-        v116_n_b20_s10 <= v116_n_b20_s9;
-        v116_n_b20_s11 <= v116_n_b20_s10;
-        v116_n_b20_s12 <= v116_n_b20_s11;
-        v116_n_b20_s13 <= v116_n_b20_s12;
-        v116_n_b20_s14 <= v116_n_b20_s13;
-        v118_rsh20_s15 <= v118_rsh20;
-        v119_t_s1 <= v119_t;
-        v119_t_s2 <= v119_t_s1;
-        v119_t_s3 <= v119_t_s2;
-        v119_t_s4 <= v119_t_s3;
-        v119_t_s5 <= v119_t_s4;
-        v119_t_s6 <= v119_t_s5;
-        v119_t_s7 <= v119_t_s6;
-        v119_t_s8 <= v119_t_s7;
-        v119_t_s9 <= v119_t_s8;
-        v119_t_s10 <= v119_t_s9;
-        v119_t_s11 <= v119_t_s10;
-        v119_t_s12 <= v119_t_s11;
-        v119_t_s13 <= v119_t_s12;
-        v119_t_s14 <= v119_t_s13;
-        v119_t_s15 <= v119_t_s14;
-        v124_n_b19_s4 <= v124_n_b19;
-        v124_n_b19_s5 <= v124_n_b19_s4;
-        v124_n_b19_s6 <= v124_n_b19_s5;
-        v124_n_b19_s7 <= v124_n_b19_s6;
-        v124_n_b19_s8 <= v124_n_b19_s7;
-        v124_n_b19_s9 <= v124_n_b19_s8;
-        v124_n_b19_s10 <= v124_n_b19_s9;
-        v124_n_b19_s11 <= v124_n_b19_s10;
-        v124_n_b19_s12 <= v124_n_b19_s11;
-        v124_n_b19_s13 <= v124_n_b19_s12;
-        v124_n_b19_s14 <= v124_n_b19_s13;
-        v124_n_b19_s15 <= v124_n_b19_s14;
-        v126_rsh19_s16 <= v126_rsh19;
-        v127_t_s1 <= v127_t;
-        v127_t_s2 <= v127_t_s1;
-        v127_t_s3 <= v127_t_s2;
-        v127_t_s4 <= v127_t_s3;
-        v127_t_s5 <= v127_t_s4;
-        v127_t_s6 <= v127_t_s5;
-        v127_t_s7 <= v127_t_s6;
-        v127_t_s8 <= v127_t_s7;
-        v127_t_s9 <= v127_t_s8;
-        v127_t_s10 <= v127_t_s9;
-        v127_t_s11 <= v127_t_s10;
-        v127_t_s12 <= v127_t_s11;
-        v127_t_s13 <= v127_t_s12;
-        v127_t_s14 <= v127_t_s13;
-        v127_t_s15 <= v127_t_s14;
-        v127_t_s16 <= v127_t_s15;
-        v132_n_b18_s4 <= v132_n_b18;
-        v132_n_b18_s5 <= v132_n_b18_s4;
-        v132_n_b18_s6 <= v132_n_b18_s5;
-        v132_n_b18_s7 <= v132_n_b18_s6;
-        v132_n_b18_s8 <= v132_n_b18_s7;
-        v132_n_b18_s9 <= v132_n_b18_s8;
-        v132_n_b18_s10 <= v132_n_b18_s9;
-        v132_n_b18_s11 <= v132_n_b18_s10;
-        v132_n_b18_s12 <= v132_n_b18_s11;
-        v132_n_b18_s13 <= v132_n_b18_s12;
-        v132_n_b18_s14 <= v132_n_b18_s13;
-        v132_n_b18_s15 <= v132_n_b18_s14;
-        v132_n_b18_s16 <= v132_n_b18_s15;
-        v134_rsh18_s17 <= v134_rsh18;
-        v135_t_s1 <= v135_t;
-        v135_t_s2 <= v135_t_s1;
-        v135_t_s3 <= v135_t_s2;
-        v135_t_s4 <= v135_t_s3;
-        v135_t_s5 <= v135_t_s4;
-        v135_t_s6 <= v135_t_s5;
-        v135_t_s7 <= v135_t_s6;
-        v135_t_s8 <= v135_t_s7;
-        v135_t_s9 <= v135_t_s8;
-        v135_t_s10 <= v135_t_s9;
-        v135_t_s11 <= v135_t_s10;
-        v135_t_s12 <= v135_t_s11;
-        v135_t_s13 <= v135_t_s12;
-        v135_t_s14 <= v135_t_s13;
-        v135_t_s15 <= v135_t_s14;
-        v135_t_s16 <= v135_t_s15;
-        v135_t_s17 <= v135_t_s16;
-        v140_n_b17_s4 <= v140_n_b17;
-        v140_n_b17_s5 <= v140_n_b17_s4;
-        v140_n_b17_s6 <= v140_n_b17_s5;
-        v140_n_b17_s7 <= v140_n_b17_s6;
-        v140_n_b17_s8 <= v140_n_b17_s7;
-        v140_n_b17_s9 <= v140_n_b17_s8;
-        v140_n_b17_s10 <= v140_n_b17_s9;
-        v140_n_b17_s11 <= v140_n_b17_s10;
-        v140_n_b17_s12 <= v140_n_b17_s11;
-        v140_n_b17_s13 <= v140_n_b17_s12;
-        v140_n_b17_s14 <= v140_n_b17_s13;
-        v140_n_b17_s15 <= v140_n_b17_s14;
-        v140_n_b17_s16 <= v140_n_b17_s15;
-        v140_n_b17_s17 <= v140_n_b17_s16;
-        v142_rsh17_s18 <= v142_rsh17;
-        v143_t_s1 <= v143_t;
-        v143_t_s2 <= v143_t_s1;
-        v143_t_s3 <= v143_t_s2;
-        v143_t_s4 <= v143_t_s3;
-        v143_t_s5 <= v143_t_s4;
-        v143_t_s6 <= v143_t_s5;
-        v143_t_s7 <= v143_t_s6;
-        v143_t_s8 <= v143_t_s7;
-        v143_t_s9 <= v143_t_s8;
-        v143_t_s10 <= v143_t_s9;
-        v143_t_s11 <= v143_t_s10;
-        v143_t_s12 <= v143_t_s11;
-        v143_t_s13 <= v143_t_s12;
-        v143_t_s14 <= v143_t_s13;
-        v143_t_s15 <= v143_t_s14;
-        v143_t_s16 <= v143_t_s15;
-        v143_t_s17 <= v143_t_s16;
-        v143_t_s18 <= v143_t_s17;
-        v148_n_b16_s4 <= v148_n_b16;
-        v148_n_b16_s5 <= v148_n_b16_s4;
-        v148_n_b16_s6 <= v148_n_b16_s5;
-        v148_n_b16_s7 <= v148_n_b16_s6;
-        v148_n_b16_s8 <= v148_n_b16_s7;
-        v148_n_b16_s9 <= v148_n_b16_s8;
-        v148_n_b16_s10 <= v148_n_b16_s9;
-        v148_n_b16_s11 <= v148_n_b16_s10;
-        v148_n_b16_s12 <= v148_n_b16_s11;
-        v148_n_b16_s13 <= v148_n_b16_s12;
-        v148_n_b16_s14 <= v148_n_b16_s13;
-        v148_n_b16_s15 <= v148_n_b16_s14;
-        v148_n_b16_s16 <= v148_n_b16_s15;
-        v148_n_b16_s17 <= v148_n_b16_s16;
-        v148_n_b16_s18 <= v148_n_b16_s17;
-        v150_rsh16_s19 <= v150_rsh16;
-        v151_t_s1 <= v151_t;
-        v151_t_s2 <= v151_t_s1;
-        v151_t_s3 <= v151_t_s2;
-        v151_t_s4 <= v151_t_s3;
-        v151_t_s5 <= v151_t_s4;
-        v151_t_s6 <= v151_t_s5;
-        v151_t_s7 <= v151_t_s6;
-        v151_t_s8 <= v151_t_s7;
-        v151_t_s9 <= v151_t_s8;
-        v151_t_s10 <= v151_t_s9;
-        v151_t_s11 <= v151_t_s10;
-        v151_t_s12 <= v151_t_s11;
-        v151_t_s13 <= v151_t_s12;
-        v151_t_s14 <= v151_t_s13;
-        v151_t_s15 <= v151_t_s14;
-        v151_t_s16 <= v151_t_s15;
-        v151_t_s17 <= v151_t_s16;
-        v151_t_s18 <= v151_t_s17;
-        v151_t_s19 <= v151_t_s18;
-        v156_n_b15_s4 <= v156_n_b15;
-        v156_n_b15_s5 <= v156_n_b15_s4;
-        v156_n_b15_s6 <= v156_n_b15_s5;
-        v156_n_b15_s7 <= v156_n_b15_s6;
-        v156_n_b15_s8 <= v156_n_b15_s7;
-        v156_n_b15_s9 <= v156_n_b15_s8;
-        v156_n_b15_s10 <= v156_n_b15_s9;
-        v156_n_b15_s11 <= v156_n_b15_s10;
-        v156_n_b15_s12 <= v156_n_b15_s11;
-        v156_n_b15_s13 <= v156_n_b15_s12;
-        v156_n_b15_s14 <= v156_n_b15_s13;
-        v156_n_b15_s15 <= v156_n_b15_s14;
-        v156_n_b15_s16 <= v156_n_b15_s15;
-        v156_n_b15_s17 <= v156_n_b15_s16;
-        v156_n_b15_s18 <= v156_n_b15_s17;
-        v156_n_b15_s19 <= v156_n_b15_s18;
-        v158_rsh15_s20 <= v158_rsh15;
-        v159_t_s1 <= v159_t;
-        v159_t_s2 <= v159_t_s1;
-        v159_t_s3 <= v159_t_s2;
-        v159_t_s4 <= v159_t_s3;
-        v159_t_s5 <= v159_t_s4;
-        v159_t_s6 <= v159_t_s5;
-        v159_t_s7 <= v159_t_s6;
-        v159_t_s8 <= v159_t_s7;
-        v159_t_s9 <= v159_t_s8;
-        v159_t_s10 <= v159_t_s9;
-        v159_t_s11 <= v159_t_s10;
-        v159_t_s12 <= v159_t_s11;
-        v159_t_s13 <= v159_t_s12;
-        v159_t_s14 <= v159_t_s13;
-        v159_t_s15 <= v159_t_s14;
-        v159_t_s16 <= v159_t_s15;
-        v159_t_s17 <= v159_t_s16;
-        v159_t_s18 <= v159_t_s17;
-        v159_t_s19 <= v159_t_s18;
-        v159_t_s20 <= v159_t_s19;
-        v164_n_b14_s4 <= v164_n_b14;
-        v164_n_b14_s5 <= v164_n_b14_s4;
-        v164_n_b14_s6 <= v164_n_b14_s5;
-        v164_n_b14_s7 <= v164_n_b14_s6;
-        v164_n_b14_s8 <= v164_n_b14_s7;
-        v164_n_b14_s9 <= v164_n_b14_s8;
-        v164_n_b14_s10 <= v164_n_b14_s9;
-        v164_n_b14_s11 <= v164_n_b14_s10;
-        v164_n_b14_s12 <= v164_n_b14_s11;
-        v164_n_b14_s13 <= v164_n_b14_s12;
-        v164_n_b14_s14 <= v164_n_b14_s13;
-        v164_n_b14_s15 <= v164_n_b14_s14;
-        v164_n_b14_s16 <= v164_n_b14_s15;
-        v164_n_b14_s17 <= v164_n_b14_s16;
-        v164_n_b14_s18 <= v164_n_b14_s17;
-        v164_n_b14_s19 <= v164_n_b14_s18;
-        v164_n_b14_s20 <= v164_n_b14_s19;
-        v166_rsh14_s21 <= v166_rsh14;
-        v167_t_s1 <= v167_t;
-        v167_t_s2 <= v167_t_s1;
-        v167_t_s3 <= v167_t_s2;
-        v167_t_s4 <= v167_t_s3;
-        v167_t_s5 <= v167_t_s4;
-        v167_t_s6 <= v167_t_s5;
-        v167_t_s7 <= v167_t_s6;
-        v167_t_s8 <= v167_t_s7;
-        v167_t_s9 <= v167_t_s8;
-        v167_t_s10 <= v167_t_s9;
-        v167_t_s11 <= v167_t_s10;
-        v167_t_s12 <= v167_t_s11;
-        v167_t_s13 <= v167_t_s12;
-        v167_t_s14 <= v167_t_s13;
-        v167_t_s15 <= v167_t_s14;
-        v167_t_s16 <= v167_t_s15;
-        v167_t_s17 <= v167_t_s16;
-        v167_t_s18 <= v167_t_s17;
-        v167_t_s19 <= v167_t_s18;
-        v167_t_s20 <= v167_t_s19;
-        v167_t_s21 <= v167_t_s20;
-        v172_n_b13_s4 <= v172_n_b13;
-        v172_n_b13_s5 <= v172_n_b13_s4;
-        v172_n_b13_s6 <= v172_n_b13_s5;
-        v172_n_b13_s7 <= v172_n_b13_s6;
-        v172_n_b13_s8 <= v172_n_b13_s7;
-        v172_n_b13_s9 <= v172_n_b13_s8;
-        v172_n_b13_s10 <= v172_n_b13_s9;
-        v172_n_b13_s11 <= v172_n_b13_s10;
-        v172_n_b13_s12 <= v172_n_b13_s11;
-        v172_n_b13_s13 <= v172_n_b13_s12;
-        v172_n_b13_s14 <= v172_n_b13_s13;
-        v172_n_b13_s15 <= v172_n_b13_s14;
-        v172_n_b13_s16 <= v172_n_b13_s15;
-        v172_n_b13_s17 <= v172_n_b13_s16;
-        v172_n_b13_s18 <= v172_n_b13_s17;
-        v172_n_b13_s19 <= v172_n_b13_s18;
-        v172_n_b13_s20 <= v172_n_b13_s19;
-        v172_n_b13_s21 <= v172_n_b13_s20;
-        v174_rsh13_s22 <= v174_rsh13;
-        v175_t_s1 <= v175_t;
-        v175_t_s2 <= v175_t_s1;
-        v175_t_s3 <= v175_t_s2;
-        v175_t_s4 <= v175_t_s3;
-        v175_t_s5 <= v175_t_s4;
-        v175_t_s6 <= v175_t_s5;
-        v175_t_s7 <= v175_t_s6;
-        v175_t_s8 <= v175_t_s7;
-        v175_t_s9 <= v175_t_s8;
-        v175_t_s10 <= v175_t_s9;
-        v175_t_s11 <= v175_t_s10;
-        v175_t_s12 <= v175_t_s11;
-        v175_t_s13 <= v175_t_s12;
-        v175_t_s14 <= v175_t_s13;
-        v175_t_s15 <= v175_t_s14;
-        v175_t_s16 <= v175_t_s15;
-        v175_t_s17 <= v175_t_s16;
-        v175_t_s18 <= v175_t_s17;
-        v175_t_s19 <= v175_t_s18;
-        v175_t_s20 <= v175_t_s19;
-        v175_t_s21 <= v175_t_s20;
-        v175_t_s22 <= v175_t_s21;
-        v180_n_b12_s4 <= v180_n_b12;
-        v180_n_b12_s5 <= v180_n_b12_s4;
-        v180_n_b12_s6 <= v180_n_b12_s5;
-        v180_n_b12_s7 <= v180_n_b12_s6;
-        v180_n_b12_s8 <= v180_n_b12_s7;
-        v180_n_b12_s9 <= v180_n_b12_s8;
-        v180_n_b12_s10 <= v180_n_b12_s9;
-        v180_n_b12_s11 <= v180_n_b12_s10;
-        v180_n_b12_s12 <= v180_n_b12_s11;
-        v180_n_b12_s13 <= v180_n_b12_s12;
-        v180_n_b12_s14 <= v180_n_b12_s13;
-        v180_n_b12_s15 <= v180_n_b12_s14;
-        v180_n_b12_s16 <= v180_n_b12_s15;
-        v180_n_b12_s17 <= v180_n_b12_s16;
-        v180_n_b12_s18 <= v180_n_b12_s17;
-        v180_n_b12_s19 <= v180_n_b12_s18;
-        v180_n_b12_s20 <= v180_n_b12_s19;
-        v180_n_b12_s21 <= v180_n_b12_s20;
-        v180_n_b12_s22 <= v180_n_b12_s21;
-        v182_rsh12_s23 <= v182_rsh12;
-        v183_t_s1 <= v183_t;
-        v183_t_s2 <= v183_t_s1;
-        v183_t_s3 <= v183_t_s2;
-        v183_t_s4 <= v183_t_s3;
-        v183_t_s5 <= v183_t_s4;
-        v183_t_s6 <= v183_t_s5;
-        v183_t_s7 <= v183_t_s6;
-        v183_t_s8 <= v183_t_s7;
-        v183_t_s9 <= v183_t_s8;
-        v183_t_s10 <= v183_t_s9;
-        v183_t_s11 <= v183_t_s10;
-        v183_t_s12 <= v183_t_s11;
-        v183_t_s13 <= v183_t_s12;
-        v183_t_s14 <= v183_t_s13;
-        v183_t_s15 <= v183_t_s14;
-        v183_t_s16 <= v183_t_s15;
-        v183_t_s17 <= v183_t_s16;
-        v183_t_s18 <= v183_t_s17;
-        v183_t_s19 <= v183_t_s18;
-        v183_t_s20 <= v183_t_s19;
-        v183_t_s21 <= v183_t_s20;
-        v183_t_s22 <= v183_t_s21;
-        v183_t_s23 <= v183_t_s22;
-        v188_n_b11_s4 <= v188_n_b11;
-        v188_n_b11_s5 <= v188_n_b11_s4;
-        v188_n_b11_s6 <= v188_n_b11_s5;
-        v188_n_b11_s7 <= v188_n_b11_s6;
-        v188_n_b11_s8 <= v188_n_b11_s7;
-        v188_n_b11_s9 <= v188_n_b11_s8;
-        v188_n_b11_s10 <= v188_n_b11_s9;
-        v188_n_b11_s11 <= v188_n_b11_s10;
-        v188_n_b11_s12 <= v188_n_b11_s11;
-        v188_n_b11_s13 <= v188_n_b11_s12;
-        v188_n_b11_s14 <= v188_n_b11_s13;
-        v188_n_b11_s15 <= v188_n_b11_s14;
-        v188_n_b11_s16 <= v188_n_b11_s15;
-        v188_n_b11_s17 <= v188_n_b11_s16;
-        v188_n_b11_s18 <= v188_n_b11_s17;
-        v188_n_b11_s19 <= v188_n_b11_s18;
-        v188_n_b11_s20 <= v188_n_b11_s19;
-        v188_n_b11_s21 <= v188_n_b11_s20;
-        v188_n_b11_s22 <= v188_n_b11_s21;
-        v188_n_b11_s23 <= v188_n_b11_s22;
-        v190_rsh11_s24 <= v190_rsh11;
-        v191_t_s1 <= v191_t;
-        v191_t_s2 <= v191_t_s1;
-        v191_t_s3 <= v191_t_s2;
-        v191_t_s4 <= v191_t_s3;
-        v191_t_s5 <= v191_t_s4;
-        v191_t_s6 <= v191_t_s5;
-        v191_t_s7 <= v191_t_s6;
-        v191_t_s8 <= v191_t_s7;
-        v191_t_s9 <= v191_t_s8;
-        v191_t_s10 <= v191_t_s9;
-        v191_t_s11 <= v191_t_s10;
-        v191_t_s12 <= v191_t_s11;
-        v191_t_s13 <= v191_t_s12;
-        v191_t_s14 <= v191_t_s13;
-        v191_t_s15 <= v191_t_s14;
-        v191_t_s16 <= v191_t_s15;
-        v191_t_s17 <= v191_t_s16;
-        v191_t_s18 <= v191_t_s17;
-        v191_t_s19 <= v191_t_s18;
-        v191_t_s20 <= v191_t_s19;
-        v191_t_s21 <= v191_t_s20;
-        v191_t_s22 <= v191_t_s21;
-        v191_t_s23 <= v191_t_s22;
-        v191_t_s24 <= v191_t_s23;
-        v196_n_b10_s4 <= v196_n_b10;
-        v196_n_b10_s5 <= v196_n_b10_s4;
-        v196_n_b10_s6 <= v196_n_b10_s5;
-        v196_n_b10_s7 <= v196_n_b10_s6;
-        v196_n_b10_s8 <= v196_n_b10_s7;
-        v196_n_b10_s9 <= v196_n_b10_s8;
-        v196_n_b10_s10 <= v196_n_b10_s9;
-        v196_n_b10_s11 <= v196_n_b10_s10;
-        v196_n_b10_s12 <= v196_n_b10_s11;
-        v196_n_b10_s13 <= v196_n_b10_s12;
-        v196_n_b10_s14 <= v196_n_b10_s13;
-        v196_n_b10_s15 <= v196_n_b10_s14;
-        v196_n_b10_s16 <= v196_n_b10_s15;
-        v196_n_b10_s17 <= v196_n_b10_s16;
-        v196_n_b10_s18 <= v196_n_b10_s17;
-        v196_n_b10_s19 <= v196_n_b10_s18;
-        v196_n_b10_s20 <= v196_n_b10_s19;
-        v196_n_b10_s21 <= v196_n_b10_s20;
-        v196_n_b10_s22 <= v196_n_b10_s21;
-        v196_n_b10_s23 <= v196_n_b10_s22;
-        v196_n_b10_s24 <= v196_n_b10_s23;
-        v198_rsh10_s25 <= v198_rsh10;
-        v199_t_s1 <= v199_t;
-        v199_t_s2 <= v199_t_s1;
-        v199_t_s3 <= v199_t_s2;
-        v199_t_s4 <= v199_t_s3;
-        v199_t_s5 <= v199_t_s4;
-        v199_t_s6 <= v199_t_s5;
-        v199_t_s7 <= v199_t_s6;
-        v199_t_s8 <= v199_t_s7;
-        v199_t_s9 <= v199_t_s8;
-        v199_t_s10 <= v199_t_s9;
-        v199_t_s11 <= v199_t_s10;
-        v199_t_s12 <= v199_t_s11;
-        v199_t_s13 <= v199_t_s12;
-        v199_t_s14 <= v199_t_s13;
-        v199_t_s15 <= v199_t_s14;
-        v199_t_s16 <= v199_t_s15;
-        v199_t_s17 <= v199_t_s16;
-        v199_t_s18 <= v199_t_s17;
-        v199_t_s19 <= v199_t_s18;
-        v199_t_s20 <= v199_t_s19;
-        v199_t_s21 <= v199_t_s20;
-        v199_t_s22 <= v199_t_s21;
-        v199_t_s23 <= v199_t_s22;
-        v199_t_s24 <= v199_t_s23;
-        v199_t_s25 <= v199_t_s24;
-        v204_n_b9_s4 <= v204_n_b9;
-        v204_n_b9_s5 <= v204_n_b9_s4;
-        v204_n_b9_s6 <= v204_n_b9_s5;
-        v204_n_b9_s7 <= v204_n_b9_s6;
-        v204_n_b9_s8 <= v204_n_b9_s7;
-        v204_n_b9_s9 <= v204_n_b9_s8;
-        v204_n_b9_s10 <= v204_n_b9_s9;
-        v204_n_b9_s11 <= v204_n_b9_s10;
-        v204_n_b9_s12 <= v204_n_b9_s11;
-        v204_n_b9_s13 <= v204_n_b9_s12;
-        v204_n_b9_s14 <= v204_n_b9_s13;
-        v204_n_b9_s15 <= v204_n_b9_s14;
-        v204_n_b9_s16 <= v204_n_b9_s15;
-        v204_n_b9_s17 <= v204_n_b9_s16;
-        v204_n_b9_s18 <= v204_n_b9_s17;
-        v204_n_b9_s19 <= v204_n_b9_s18;
-        v204_n_b9_s20 <= v204_n_b9_s19;
-        v204_n_b9_s21 <= v204_n_b9_s20;
-        v204_n_b9_s22 <= v204_n_b9_s21;
-        v204_n_b9_s23 <= v204_n_b9_s22;
-        v204_n_b9_s24 <= v204_n_b9_s23;
-        v204_n_b9_s25 <= v204_n_b9_s24;
-        v206_rsh9_s26 <= v206_rsh9;
-        v207_t_s1 <= v207_t;
-        v207_t_s2 <= v207_t_s1;
-        v207_t_s3 <= v207_t_s2;
-        v207_t_s4 <= v207_t_s3;
-        v207_t_s5 <= v207_t_s4;
-        v207_t_s6 <= v207_t_s5;
-        v207_t_s7 <= v207_t_s6;
-        v207_t_s8 <= v207_t_s7;
-        v207_t_s9 <= v207_t_s8;
-        v207_t_s10 <= v207_t_s9;
-        v207_t_s11 <= v207_t_s10;
-        v207_t_s12 <= v207_t_s11;
-        v207_t_s13 <= v207_t_s12;
-        v207_t_s14 <= v207_t_s13;
-        v207_t_s15 <= v207_t_s14;
-        v207_t_s16 <= v207_t_s15;
-        v207_t_s17 <= v207_t_s16;
-        v207_t_s18 <= v207_t_s17;
-        v207_t_s19 <= v207_t_s18;
-        v207_t_s20 <= v207_t_s19;
-        v207_t_s21 <= v207_t_s20;
-        v207_t_s22 <= v207_t_s21;
-        v207_t_s23 <= v207_t_s22;
-        v207_t_s24 <= v207_t_s23;
-        v207_t_s25 <= v207_t_s24;
-        v207_t_s26 <= v207_t_s25;
-        v212_n_b8_s4 <= v212_n_b8;
-        v212_n_b8_s5 <= v212_n_b8_s4;
-        v212_n_b8_s6 <= v212_n_b8_s5;
-        v212_n_b8_s7 <= v212_n_b8_s6;
-        v212_n_b8_s8 <= v212_n_b8_s7;
-        v212_n_b8_s9 <= v212_n_b8_s8;
-        v212_n_b8_s10 <= v212_n_b8_s9;
-        v212_n_b8_s11 <= v212_n_b8_s10;
-        v212_n_b8_s12 <= v212_n_b8_s11;
-        v212_n_b8_s13 <= v212_n_b8_s12;
-        v212_n_b8_s14 <= v212_n_b8_s13;
-        v212_n_b8_s15 <= v212_n_b8_s14;
-        v212_n_b8_s16 <= v212_n_b8_s15;
-        v212_n_b8_s17 <= v212_n_b8_s16;
-        v212_n_b8_s18 <= v212_n_b8_s17;
-        v212_n_b8_s19 <= v212_n_b8_s18;
-        v212_n_b8_s20 <= v212_n_b8_s19;
-        v212_n_b8_s21 <= v212_n_b8_s20;
-        v212_n_b8_s22 <= v212_n_b8_s21;
-        v212_n_b8_s23 <= v212_n_b8_s22;
-        v212_n_b8_s24 <= v212_n_b8_s23;
-        v212_n_b8_s25 <= v212_n_b8_s24;
-        v212_n_b8_s26 <= v212_n_b8_s25;
-        v214_rsh8_s27 <= v214_rsh8;
-        v215_t_s1 <= v215_t;
-        v215_t_s2 <= v215_t_s1;
-        v215_t_s3 <= v215_t_s2;
-        v215_t_s4 <= v215_t_s3;
-        v215_t_s5 <= v215_t_s4;
-        v215_t_s6 <= v215_t_s5;
-        v215_t_s7 <= v215_t_s6;
-        v215_t_s8 <= v215_t_s7;
-        v215_t_s9 <= v215_t_s8;
-        v215_t_s10 <= v215_t_s9;
-        v215_t_s11 <= v215_t_s10;
-        v215_t_s12 <= v215_t_s11;
-        v215_t_s13 <= v215_t_s12;
-        v215_t_s14 <= v215_t_s13;
-        v215_t_s15 <= v215_t_s14;
-        v215_t_s16 <= v215_t_s15;
-        v215_t_s17 <= v215_t_s16;
-        v215_t_s18 <= v215_t_s17;
-        v215_t_s19 <= v215_t_s18;
-        v215_t_s20 <= v215_t_s19;
-        v215_t_s21 <= v215_t_s20;
-        v215_t_s22 <= v215_t_s21;
-        v215_t_s23 <= v215_t_s22;
-        v215_t_s24 <= v215_t_s23;
-        v215_t_s25 <= v215_t_s24;
-        v215_t_s26 <= v215_t_s25;
-        v215_t_s27 <= v215_t_s26;
-        v220_n_b7_s4 <= v220_n_b7;
-        v220_n_b7_s5 <= v220_n_b7_s4;
-        v220_n_b7_s6 <= v220_n_b7_s5;
-        v220_n_b7_s7 <= v220_n_b7_s6;
-        v220_n_b7_s8 <= v220_n_b7_s7;
-        v220_n_b7_s9 <= v220_n_b7_s8;
-        v220_n_b7_s10 <= v220_n_b7_s9;
-        v220_n_b7_s11 <= v220_n_b7_s10;
-        v220_n_b7_s12 <= v220_n_b7_s11;
-        v220_n_b7_s13 <= v220_n_b7_s12;
-        v220_n_b7_s14 <= v220_n_b7_s13;
-        v220_n_b7_s15 <= v220_n_b7_s14;
-        v220_n_b7_s16 <= v220_n_b7_s15;
-        v220_n_b7_s17 <= v220_n_b7_s16;
-        v220_n_b7_s18 <= v220_n_b7_s17;
-        v220_n_b7_s19 <= v220_n_b7_s18;
-        v220_n_b7_s20 <= v220_n_b7_s19;
-        v220_n_b7_s21 <= v220_n_b7_s20;
-        v220_n_b7_s22 <= v220_n_b7_s21;
-        v220_n_b7_s23 <= v220_n_b7_s22;
-        v220_n_b7_s24 <= v220_n_b7_s23;
-        v220_n_b7_s25 <= v220_n_b7_s24;
-        v220_n_b7_s26 <= v220_n_b7_s25;
-        v220_n_b7_s27 <= v220_n_b7_s26;
-        v222_rsh7_s28 <= v222_rsh7;
-        v223_t_s1 <= v223_t;
-        v223_t_s2 <= v223_t_s1;
-        v223_t_s3 <= v223_t_s2;
-        v223_t_s4 <= v223_t_s3;
-        v223_t_s5 <= v223_t_s4;
-        v223_t_s6 <= v223_t_s5;
-        v223_t_s7 <= v223_t_s6;
-        v223_t_s8 <= v223_t_s7;
-        v223_t_s9 <= v223_t_s8;
-        v223_t_s10 <= v223_t_s9;
-        v223_t_s11 <= v223_t_s10;
-        v223_t_s12 <= v223_t_s11;
-        v223_t_s13 <= v223_t_s12;
-        v223_t_s14 <= v223_t_s13;
-        v223_t_s15 <= v223_t_s14;
-        v223_t_s16 <= v223_t_s15;
-        v223_t_s17 <= v223_t_s16;
-        v223_t_s18 <= v223_t_s17;
-        v223_t_s19 <= v223_t_s18;
-        v223_t_s20 <= v223_t_s19;
-        v223_t_s21 <= v223_t_s20;
-        v223_t_s22 <= v223_t_s21;
-        v223_t_s23 <= v223_t_s22;
-        v223_t_s24 <= v223_t_s23;
-        v223_t_s25 <= v223_t_s24;
-        v223_t_s26 <= v223_t_s25;
-        v223_t_s27 <= v223_t_s26;
-        v223_t_s28 <= v223_t_s27;
-        v228_n_b6_s4 <= v228_n_b6;
-        v228_n_b6_s5 <= v228_n_b6_s4;
-        v228_n_b6_s6 <= v228_n_b6_s5;
-        v228_n_b6_s7 <= v228_n_b6_s6;
-        v228_n_b6_s8 <= v228_n_b6_s7;
-        v228_n_b6_s9 <= v228_n_b6_s8;
-        v228_n_b6_s10 <= v228_n_b6_s9;
-        v228_n_b6_s11 <= v228_n_b6_s10;
-        v228_n_b6_s12 <= v228_n_b6_s11;
-        v228_n_b6_s13 <= v228_n_b6_s12;
-        v228_n_b6_s14 <= v228_n_b6_s13;
-        v228_n_b6_s15 <= v228_n_b6_s14;
-        v228_n_b6_s16 <= v228_n_b6_s15;
-        v228_n_b6_s17 <= v228_n_b6_s16;
-        v228_n_b6_s18 <= v228_n_b6_s17;
-        v228_n_b6_s19 <= v228_n_b6_s18;
-        v228_n_b6_s20 <= v228_n_b6_s19;
-        v228_n_b6_s21 <= v228_n_b6_s20;
-        v228_n_b6_s22 <= v228_n_b6_s21;
-        v228_n_b6_s23 <= v228_n_b6_s22;
-        v228_n_b6_s24 <= v228_n_b6_s23;
-        v228_n_b6_s25 <= v228_n_b6_s24;
-        v228_n_b6_s26 <= v228_n_b6_s25;
-        v228_n_b6_s27 <= v228_n_b6_s26;
-        v228_n_b6_s28 <= v228_n_b6_s27;
-        v230_rsh6_s29 <= v230_rsh6;
-        v231_t_s1 <= v231_t;
-        v231_t_s2 <= v231_t_s1;
-        v231_t_s3 <= v231_t_s2;
-        v231_t_s4 <= v231_t_s3;
-        v231_t_s5 <= v231_t_s4;
-        v231_t_s6 <= v231_t_s5;
-        v231_t_s7 <= v231_t_s6;
-        v231_t_s8 <= v231_t_s7;
-        v231_t_s9 <= v231_t_s8;
-        v231_t_s10 <= v231_t_s9;
-        v231_t_s11 <= v231_t_s10;
-        v231_t_s12 <= v231_t_s11;
-        v231_t_s13 <= v231_t_s12;
-        v231_t_s14 <= v231_t_s13;
-        v231_t_s15 <= v231_t_s14;
-        v231_t_s16 <= v231_t_s15;
-        v231_t_s17 <= v231_t_s16;
-        v231_t_s18 <= v231_t_s17;
-        v231_t_s19 <= v231_t_s18;
-        v231_t_s20 <= v231_t_s19;
-        v231_t_s21 <= v231_t_s20;
-        v231_t_s22 <= v231_t_s21;
-        v231_t_s23 <= v231_t_s22;
-        v231_t_s24 <= v231_t_s23;
-        v231_t_s25 <= v231_t_s24;
-        v231_t_s26 <= v231_t_s25;
-        v231_t_s27 <= v231_t_s26;
-        v231_t_s28 <= v231_t_s27;
-        v231_t_s29 <= v231_t_s28;
-        v236_n_b5_s4 <= v236_n_b5;
-        v236_n_b5_s5 <= v236_n_b5_s4;
-        v236_n_b5_s6 <= v236_n_b5_s5;
-        v236_n_b5_s7 <= v236_n_b5_s6;
-        v236_n_b5_s8 <= v236_n_b5_s7;
-        v236_n_b5_s9 <= v236_n_b5_s8;
-        v236_n_b5_s10 <= v236_n_b5_s9;
-        v236_n_b5_s11 <= v236_n_b5_s10;
-        v236_n_b5_s12 <= v236_n_b5_s11;
-        v236_n_b5_s13 <= v236_n_b5_s12;
-        v236_n_b5_s14 <= v236_n_b5_s13;
-        v236_n_b5_s15 <= v236_n_b5_s14;
-        v236_n_b5_s16 <= v236_n_b5_s15;
-        v236_n_b5_s17 <= v236_n_b5_s16;
-        v236_n_b5_s18 <= v236_n_b5_s17;
-        v236_n_b5_s19 <= v236_n_b5_s18;
-        v236_n_b5_s20 <= v236_n_b5_s19;
-        v236_n_b5_s21 <= v236_n_b5_s20;
-        v236_n_b5_s22 <= v236_n_b5_s21;
-        v236_n_b5_s23 <= v236_n_b5_s22;
-        v236_n_b5_s24 <= v236_n_b5_s23;
-        v236_n_b5_s25 <= v236_n_b5_s24;
-        v236_n_b5_s26 <= v236_n_b5_s25;
-        v236_n_b5_s27 <= v236_n_b5_s26;
-        v236_n_b5_s28 <= v236_n_b5_s27;
-        v236_n_b5_s29 <= v236_n_b5_s28;
-        v238_rsh5_s30 <= v238_rsh5;
-        v239_t_s1 <= v239_t;
-        v239_t_s2 <= v239_t_s1;
-        v239_t_s3 <= v239_t_s2;
-        v239_t_s4 <= v239_t_s3;
-        v239_t_s5 <= v239_t_s4;
-        v239_t_s6 <= v239_t_s5;
-        v239_t_s7 <= v239_t_s6;
-        v239_t_s8 <= v239_t_s7;
-        v239_t_s9 <= v239_t_s8;
-        v239_t_s10 <= v239_t_s9;
-        v239_t_s11 <= v239_t_s10;
-        v239_t_s12 <= v239_t_s11;
-        v239_t_s13 <= v239_t_s12;
-        v239_t_s14 <= v239_t_s13;
-        v239_t_s15 <= v239_t_s14;
-        v239_t_s16 <= v239_t_s15;
-        v239_t_s17 <= v239_t_s16;
-        v239_t_s18 <= v239_t_s17;
-        v239_t_s19 <= v239_t_s18;
-        v239_t_s20 <= v239_t_s19;
-        v239_t_s21 <= v239_t_s20;
-        v239_t_s22 <= v239_t_s21;
-        v239_t_s23 <= v239_t_s22;
-        v239_t_s24 <= v239_t_s23;
-        v239_t_s25 <= v239_t_s24;
-        v239_t_s26 <= v239_t_s25;
-        v239_t_s27 <= v239_t_s26;
-        v239_t_s28 <= v239_t_s27;
-        v239_t_s29 <= v239_t_s28;
-        v239_t_s30 <= v239_t_s29;
-        v244_n_b4_s4 <= v244_n_b4;
-        v244_n_b4_s5 <= v244_n_b4_s4;
-        v244_n_b4_s6 <= v244_n_b4_s5;
-        v244_n_b4_s7 <= v244_n_b4_s6;
-        v244_n_b4_s8 <= v244_n_b4_s7;
-        v244_n_b4_s9 <= v244_n_b4_s8;
-        v244_n_b4_s10 <= v244_n_b4_s9;
-        v244_n_b4_s11 <= v244_n_b4_s10;
-        v244_n_b4_s12 <= v244_n_b4_s11;
-        v244_n_b4_s13 <= v244_n_b4_s12;
-        v244_n_b4_s14 <= v244_n_b4_s13;
-        v244_n_b4_s15 <= v244_n_b4_s14;
-        v244_n_b4_s16 <= v244_n_b4_s15;
-        v244_n_b4_s17 <= v244_n_b4_s16;
-        v244_n_b4_s18 <= v244_n_b4_s17;
-        v244_n_b4_s19 <= v244_n_b4_s18;
-        v244_n_b4_s20 <= v244_n_b4_s19;
-        v244_n_b4_s21 <= v244_n_b4_s20;
-        v244_n_b4_s22 <= v244_n_b4_s21;
-        v244_n_b4_s23 <= v244_n_b4_s22;
-        v244_n_b4_s24 <= v244_n_b4_s23;
-        v244_n_b4_s25 <= v244_n_b4_s24;
-        v244_n_b4_s26 <= v244_n_b4_s25;
-        v244_n_b4_s27 <= v244_n_b4_s26;
-        v244_n_b4_s28 <= v244_n_b4_s27;
-        v244_n_b4_s29 <= v244_n_b4_s28;
-        v244_n_b4_s30 <= v244_n_b4_s29;
-        v246_rsh4_s31 <= v246_rsh4;
-        v247_t_s1 <= v247_t;
-        v247_t_s2 <= v247_t_s1;
-        v247_t_s3 <= v247_t_s2;
-        v247_t_s4 <= v247_t_s3;
-        v247_t_s5 <= v247_t_s4;
-        v247_t_s6 <= v247_t_s5;
-        v247_t_s7 <= v247_t_s6;
-        v247_t_s8 <= v247_t_s7;
-        v247_t_s9 <= v247_t_s8;
-        v247_t_s10 <= v247_t_s9;
-        v247_t_s11 <= v247_t_s10;
-        v247_t_s12 <= v247_t_s11;
-        v247_t_s13 <= v247_t_s12;
-        v247_t_s14 <= v247_t_s13;
-        v247_t_s15 <= v247_t_s14;
-        v247_t_s16 <= v247_t_s15;
-        v247_t_s17 <= v247_t_s16;
-        v247_t_s18 <= v247_t_s17;
-        v247_t_s19 <= v247_t_s18;
-        v247_t_s20 <= v247_t_s19;
-        v247_t_s21 <= v247_t_s20;
-        v247_t_s22 <= v247_t_s21;
-        v247_t_s23 <= v247_t_s22;
-        v247_t_s24 <= v247_t_s23;
-        v247_t_s25 <= v247_t_s24;
-        v247_t_s26 <= v247_t_s25;
-        v247_t_s27 <= v247_t_s26;
-        v247_t_s28 <= v247_t_s27;
-        v247_t_s29 <= v247_t_s28;
-        v247_t_s30 <= v247_t_s29;
-        v247_t_s31 <= v247_t_s30;
-        v252_n_b3_s4 <= v252_n_b3;
-        v252_n_b3_s5 <= v252_n_b3_s4;
-        v252_n_b3_s6 <= v252_n_b3_s5;
-        v252_n_b3_s7 <= v252_n_b3_s6;
-        v252_n_b3_s8 <= v252_n_b3_s7;
-        v252_n_b3_s9 <= v252_n_b3_s8;
-        v252_n_b3_s10 <= v252_n_b3_s9;
-        v252_n_b3_s11 <= v252_n_b3_s10;
-        v252_n_b3_s12 <= v252_n_b3_s11;
-        v252_n_b3_s13 <= v252_n_b3_s12;
-        v252_n_b3_s14 <= v252_n_b3_s13;
-        v252_n_b3_s15 <= v252_n_b3_s14;
-        v252_n_b3_s16 <= v252_n_b3_s15;
-        v252_n_b3_s17 <= v252_n_b3_s16;
-        v252_n_b3_s18 <= v252_n_b3_s17;
-        v252_n_b3_s19 <= v252_n_b3_s18;
-        v252_n_b3_s20 <= v252_n_b3_s19;
-        v252_n_b3_s21 <= v252_n_b3_s20;
-        v252_n_b3_s22 <= v252_n_b3_s21;
-        v252_n_b3_s23 <= v252_n_b3_s22;
-        v252_n_b3_s24 <= v252_n_b3_s23;
-        v252_n_b3_s25 <= v252_n_b3_s24;
-        v252_n_b3_s26 <= v252_n_b3_s25;
-        v252_n_b3_s27 <= v252_n_b3_s26;
-        v252_n_b3_s28 <= v252_n_b3_s27;
-        v252_n_b3_s29 <= v252_n_b3_s28;
-        v252_n_b3_s30 <= v252_n_b3_s29;
-        v252_n_b3_s31 <= v252_n_b3_s30;
-        v254_rsh3_s32 <= v254_rsh3;
-        v255_t_s1 <= v255_t;
-        v255_t_s2 <= v255_t_s1;
-        v255_t_s3 <= v255_t_s2;
-        v255_t_s4 <= v255_t_s3;
-        v255_t_s5 <= v255_t_s4;
-        v255_t_s6 <= v255_t_s5;
-        v255_t_s7 <= v255_t_s6;
-        v255_t_s8 <= v255_t_s7;
-        v255_t_s9 <= v255_t_s8;
-        v255_t_s10 <= v255_t_s9;
-        v255_t_s11 <= v255_t_s10;
-        v255_t_s12 <= v255_t_s11;
-        v255_t_s13 <= v255_t_s12;
-        v255_t_s14 <= v255_t_s13;
-        v255_t_s15 <= v255_t_s14;
-        v255_t_s16 <= v255_t_s15;
-        v255_t_s17 <= v255_t_s16;
-        v255_t_s18 <= v255_t_s17;
-        v255_t_s19 <= v255_t_s18;
-        v255_t_s20 <= v255_t_s19;
-        v255_t_s21 <= v255_t_s20;
-        v255_t_s22 <= v255_t_s21;
-        v255_t_s23 <= v255_t_s22;
-        v255_t_s24 <= v255_t_s23;
-        v255_t_s25 <= v255_t_s24;
-        v255_t_s26 <= v255_t_s25;
-        v255_t_s27 <= v255_t_s26;
-        v255_t_s28 <= v255_t_s27;
-        v255_t_s29 <= v255_t_s28;
-        v255_t_s30 <= v255_t_s29;
-        v255_t_s31 <= v255_t_s30;
-        v255_t_s32 <= v255_t_s31;
-        v260_n_b2_s4 <= v260_n_b2;
-        v260_n_b2_s5 <= v260_n_b2_s4;
-        v260_n_b2_s6 <= v260_n_b2_s5;
-        v260_n_b2_s7 <= v260_n_b2_s6;
-        v260_n_b2_s8 <= v260_n_b2_s7;
-        v260_n_b2_s9 <= v260_n_b2_s8;
-        v260_n_b2_s10 <= v260_n_b2_s9;
-        v260_n_b2_s11 <= v260_n_b2_s10;
-        v260_n_b2_s12 <= v260_n_b2_s11;
-        v260_n_b2_s13 <= v260_n_b2_s12;
-        v260_n_b2_s14 <= v260_n_b2_s13;
-        v260_n_b2_s15 <= v260_n_b2_s14;
-        v260_n_b2_s16 <= v260_n_b2_s15;
-        v260_n_b2_s17 <= v260_n_b2_s16;
-        v260_n_b2_s18 <= v260_n_b2_s17;
-        v260_n_b2_s19 <= v260_n_b2_s18;
-        v260_n_b2_s20 <= v260_n_b2_s19;
-        v260_n_b2_s21 <= v260_n_b2_s20;
-        v260_n_b2_s22 <= v260_n_b2_s21;
-        v260_n_b2_s23 <= v260_n_b2_s22;
-        v260_n_b2_s24 <= v260_n_b2_s23;
-        v260_n_b2_s25 <= v260_n_b2_s24;
-        v260_n_b2_s26 <= v260_n_b2_s25;
-        v260_n_b2_s27 <= v260_n_b2_s26;
-        v260_n_b2_s28 <= v260_n_b2_s27;
-        v260_n_b2_s29 <= v260_n_b2_s28;
-        v260_n_b2_s30 <= v260_n_b2_s29;
-        v260_n_b2_s31 <= v260_n_b2_s30;
-        v260_n_b2_s32 <= v260_n_b2_s31;
-        v262_rsh2_s33 <= v262_rsh2;
-        v263_t_s1 <= v263_t;
-        v263_t_s2 <= v263_t_s1;
-        v263_t_s3 <= v263_t_s2;
-        v263_t_s4 <= v263_t_s3;
-        v263_t_s5 <= v263_t_s4;
-        v263_t_s6 <= v263_t_s5;
-        v263_t_s7 <= v263_t_s6;
-        v263_t_s8 <= v263_t_s7;
-        v263_t_s9 <= v263_t_s8;
-        v263_t_s10 <= v263_t_s9;
-        v263_t_s11 <= v263_t_s10;
-        v263_t_s12 <= v263_t_s11;
-        v263_t_s13 <= v263_t_s12;
-        v263_t_s14 <= v263_t_s13;
-        v263_t_s15 <= v263_t_s14;
-        v263_t_s16 <= v263_t_s15;
-        v263_t_s17 <= v263_t_s16;
-        v263_t_s18 <= v263_t_s17;
-        v263_t_s19 <= v263_t_s18;
-        v263_t_s20 <= v263_t_s19;
-        v263_t_s21 <= v263_t_s20;
-        v263_t_s22 <= v263_t_s21;
-        v263_t_s23 <= v263_t_s22;
-        v263_t_s24 <= v263_t_s23;
-        v263_t_s25 <= v263_t_s24;
-        v263_t_s26 <= v263_t_s25;
-        v263_t_s27 <= v263_t_s26;
-        v263_t_s28 <= v263_t_s27;
-        v263_t_s29 <= v263_t_s28;
-        v263_t_s30 <= v263_t_s29;
-        v263_t_s31 <= v263_t_s30;
-        v263_t_s32 <= v263_t_s31;
-        v263_t_s33 <= v263_t_s32;
-        v268_n_b1_s4 <= v268_n_b1;
-        v268_n_b1_s5 <= v268_n_b1_s4;
-        v268_n_b1_s6 <= v268_n_b1_s5;
-        v268_n_b1_s7 <= v268_n_b1_s6;
-        v268_n_b1_s8 <= v268_n_b1_s7;
-        v268_n_b1_s9 <= v268_n_b1_s8;
-        v268_n_b1_s10 <= v268_n_b1_s9;
-        v268_n_b1_s11 <= v268_n_b1_s10;
-        v268_n_b1_s12 <= v268_n_b1_s11;
-        v268_n_b1_s13 <= v268_n_b1_s12;
-        v268_n_b1_s14 <= v268_n_b1_s13;
-        v268_n_b1_s15 <= v268_n_b1_s14;
-        v268_n_b1_s16 <= v268_n_b1_s15;
-        v268_n_b1_s17 <= v268_n_b1_s16;
-        v268_n_b1_s18 <= v268_n_b1_s17;
-        v268_n_b1_s19 <= v268_n_b1_s18;
-        v268_n_b1_s20 <= v268_n_b1_s19;
-        v268_n_b1_s21 <= v268_n_b1_s20;
-        v268_n_b1_s22 <= v268_n_b1_s21;
-        v268_n_b1_s23 <= v268_n_b1_s22;
-        v268_n_b1_s24 <= v268_n_b1_s23;
-        v268_n_b1_s25 <= v268_n_b1_s24;
-        v268_n_b1_s26 <= v268_n_b1_s25;
-        v268_n_b1_s27 <= v268_n_b1_s26;
-        v268_n_b1_s28 <= v268_n_b1_s27;
-        v268_n_b1_s29 <= v268_n_b1_s28;
-        v268_n_b1_s30 <= v268_n_b1_s29;
-        v268_n_b1_s31 <= v268_n_b1_s30;
-        v268_n_b1_s32 <= v268_n_b1_s31;
-        v268_n_b1_s33 <= v268_n_b1_s32;
-        v270_rsh1_s34 <= v270_rsh1;
-        v271_t_s1 <= v271_t;
-        v271_t_s2 <= v271_t_s1;
-        v271_t_s3 <= v271_t_s2;
-        v271_t_s4 <= v271_t_s3;
-        v271_t_s5 <= v271_t_s4;
-        v271_t_s6 <= v271_t_s5;
-        v271_t_s7 <= v271_t_s6;
-        v271_t_s8 <= v271_t_s7;
-        v271_t_s9 <= v271_t_s8;
-        v271_t_s10 <= v271_t_s9;
-        v271_t_s11 <= v271_t_s10;
-        v271_t_s12 <= v271_t_s11;
-        v271_t_s13 <= v271_t_s12;
-        v271_t_s14 <= v271_t_s13;
-        v271_t_s15 <= v271_t_s14;
-        v271_t_s16 <= v271_t_s15;
-        v271_t_s17 <= v271_t_s16;
-        v271_t_s18 <= v271_t_s17;
-        v271_t_s19 <= v271_t_s18;
-        v271_t_s20 <= v271_t_s19;
-        v271_t_s21 <= v271_t_s20;
-        v271_t_s22 <= v271_t_s21;
-        v271_t_s23 <= v271_t_s22;
-        v271_t_s24 <= v271_t_s23;
-        v271_t_s25 <= v271_t_s24;
-        v271_t_s26 <= v271_t_s25;
-        v271_t_s27 <= v271_t_s26;
-        v271_t_s28 <= v271_t_s27;
-        v271_t_s29 <= v271_t_s28;
-        v271_t_s30 <= v271_t_s29;
-        v271_t_s31 <= v271_t_s30;
-        v271_t_s32 <= v271_t_s31;
-        v271_t_s33 <= v271_t_s32;
-        v271_t_s34 <= v271_t_s33;
-        v276_n_b0_s4 <= v276_n_b0;
-        v276_n_b0_s5 <= v276_n_b0_s4;
-        v276_n_b0_s6 <= v276_n_b0_s5;
-        v276_n_b0_s7 <= v276_n_b0_s6;
-        v276_n_b0_s8 <= v276_n_b0_s7;
-        v276_n_b0_s9 <= v276_n_b0_s8;
-        v276_n_b0_s10 <= v276_n_b0_s9;
-        v276_n_b0_s11 <= v276_n_b0_s10;
-        v276_n_b0_s12 <= v276_n_b0_s11;
-        v276_n_b0_s13 <= v276_n_b0_s12;
-        v276_n_b0_s14 <= v276_n_b0_s13;
-        v276_n_b0_s15 <= v276_n_b0_s14;
-        v276_n_b0_s16 <= v276_n_b0_s15;
-        v276_n_b0_s17 <= v276_n_b0_s16;
-        v276_n_b0_s18 <= v276_n_b0_s17;
-        v276_n_b0_s19 <= v276_n_b0_s18;
-        v276_n_b0_s20 <= v276_n_b0_s19;
-        v276_n_b0_s21 <= v276_n_b0_s20;
-        v276_n_b0_s22 <= v276_n_b0_s21;
-        v276_n_b0_s23 <= v276_n_b0_s22;
-        v276_n_b0_s24 <= v276_n_b0_s23;
-        v276_n_b0_s25 <= v276_n_b0_s24;
-        v276_n_b0_s26 <= v276_n_b0_s25;
-        v276_n_b0_s27 <= v276_n_b0_s26;
-        v276_n_b0_s28 <= v276_n_b0_s27;
-        v276_n_b0_s29 <= v276_n_b0_s28;
-        v276_n_b0_s30 <= v276_n_b0_s29;
-        v276_n_b0_s31 <= v276_n_b0_s30;
-        v276_n_b0_s32 <= v276_n_b0_s31;
-        v276_n_b0_s33 <= v276_n_b0_s32;
-        v276_n_b0_s34 <= v276_n_b0_s33;
-        v278_rsh0_s35 <= v278_rsh0;
-        v279_t_s1 <= v279_t;
-        v279_t_s2 <= v279_t_s1;
-        v279_t_s3 <= v279_t_s2;
-        v279_t_s4 <= v279_t_s3;
-        v279_t_s5 <= v279_t_s4;
-        v279_t_s6 <= v279_t_s5;
-        v279_t_s7 <= v279_t_s6;
-        v279_t_s8 <= v279_t_s7;
-        v279_t_s9 <= v279_t_s8;
-        v279_t_s10 <= v279_t_s9;
-        v279_t_s11 <= v279_t_s10;
-        v279_t_s12 <= v279_t_s11;
-        v279_t_s13 <= v279_t_s12;
-        v279_t_s14 <= v279_t_s13;
-        v279_t_s15 <= v279_t_s14;
-        v279_t_s16 <= v279_t_s15;
-        v279_t_s17 <= v279_t_s16;
-        v279_t_s18 <= v279_t_s17;
-        v279_t_s19 <= v279_t_s18;
-        v279_t_s20 <= v279_t_s19;
-        v279_t_s21 <= v279_t_s20;
-        v279_t_s22 <= v279_t_s21;
-        v279_t_s23 <= v279_t_s22;
-        v279_t_s24 <= v279_t_s23;
-        v279_t_s25 <= v279_t_s24;
-        v279_t_s26 <= v279_t_s25;
-        v279_t_s27 <= v279_t_s26;
-        v279_t_s28 <= v279_t_s27;
-        v279_t_s29 <= v279_t_s28;
-        v279_t_s30 <= v279_t_s29;
-        v279_t_s31 <= v279_t_s30;
-        v279_t_s32 <= v279_t_s31;
-        v279_t_s33 <= v279_t_s32;
-        v279_t_s34 <= v279_t_s33;
-        v279_t_s35 <= v279_t_s34;
-        v32_q_b31_s5 <= v32_q_b31;
-        v284_q_hi30_s6 <= v284_q_hi30;
-        v285_q_hi29_s7 <= v285_q_hi29;
-        v286_q_hi28_s8 <= v286_q_hi28;
-        v287_q_hi27_s9 <= v287_q_hi27;
-        v288_q_hi26_s10 <= v288_q_hi26;
-        v289_q_hi25_s11 <= v289_q_hi25;
-        v290_q_hi24_s12 <= v290_q_hi24;
-        v291_q_hi23_s13 <= v291_q_hi23;
-        v292_q_hi22_s14 <= v292_q_hi22;
-        v293_q_hi21_s15 <= v293_q_hi21;
-        v294_q_hi20_s16 <= v294_q_hi20;
-        v295_q_hi19_s17 <= v295_q_hi19;
-        v296_q_hi18_s18 <= v296_q_hi18;
-        v297_q_hi17_s19 <= v297_q_hi17;
-        v298_q_hi16_s20 <= v298_q_hi16;
-        v299_q_hi15_s21 <= v299_q_hi15;
-        v300_q_hi14_s22 <= v300_q_hi14;
-        v301_q_hi13_s23 <= v301_q_hi13;
-        v302_q_hi12_s24 <= v302_q_hi12;
-        v303_q_hi11_s25 <= v303_q_hi11;
-        v304_q_hi10_s26 <= v304_q_hi10;
-        v305_q_hi9_s27 <= v305_q_hi9;
-        v306_q_hi8_s28 <= v306_q_hi8;
-        v307_q_hi7_s29 <= v307_q_hi7;
-        v308_q_hi6_s30 <= v308_q_hi6;
-        v309_q_hi5_s31 <= v309_q_hi5;
-        v310_q_hi4_s32 <= v310_q_hi4;
-        v311_q_hi3_s33 <= v311_q_hi3;
-        v312_q_hi2_s34 <= v312_q_hi2;
-        v313_q_hi1_s35 <= v313_q_hi1;
-        v23_d_neg_s1 <= v23_d_neg;
-        v23_d_neg_s2 <= v23_d_neg_s1;
-        v23_d_neg_s3 <= v23_d_neg_s2;
-        v317_q_ext_s36 <= v317_q_ext;
-        v318_q_sign_s4 <= v318_q_sign;
-        v318_q_sign_s5 <= v318_q_sign_s4;
-        v318_q_sign_s6 <= v318_q_sign_s5;
-        v318_q_sign_s7 <= v318_q_sign_s6;
-        v318_q_sign_s8 <= v318_q_sign_s7;
-        v318_q_sign_s9 <= v318_q_sign_s8;
-        v318_q_sign_s10 <= v318_q_sign_s9;
-        v318_q_sign_s11 <= v318_q_sign_s10;
-        v318_q_sign_s12 <= v318_q_sign_s11;
-        v318_q_sign_s13 <= v318_q_sign_s12;
-        v318_q_sign_s14 <= v318_q_sign_s13;
-        v318_q_sign_s15 <= v318_q_sign_s14;
-        v318_q_sign_s16 <= v318_q_sign_s15;
-        v318_q_sign_s17 <= v318_q_sign_s16;
-        v318_q_sign_s18 <= v318_q_sign_s17;
-        v318_q_sign_s19 <= v318_q_sign_s18;
-        v318_q_sign_s20 <= v318_q_sign_s19;
-        v318_q_sign_s21 <= v318_q_sign_s20;
-        v318_q_sign_s22 <= v318_q_sign_s21;
-        v318_q_sign_s23 <= v318_q_sign_s22;
-        v318_q_sign_s24 <= v318_q_sign_s23;
-        v318_q_sign_s25 <= v318_q_sign_s24;
-        v318_q_sign_s26 <= v318_q_sign_s25;
-        v318_q_sign_s27 <= v318_q_sign_s26;
-        v318_q_sign_s28 <= v318_q_sign_s27;
-        v318_q_sign_s29 <= v318_q_sign_s28;
-        v318_q_sign_s30 <= v318_q_sign_s29;
-        v318_q_sign_s31 <= v318_q_sign_s30;
-        v318_q_sign_s32 <= v318_q_sign_s31;
-        v318_q_sign_s33 <= v318_q_sign_s32;
-        v318_q_sign_s34 <= v318_q_sign_s33;
-        v318_q_sign_s35 <= v318_q_sign_s34;
-        v318_q_sign_s36 <= v318_q_sign_s35;
-        v316_d_is0_s1 <= v316_d_is0;
-        v316_d_is0_s2 <= v316_d_is0_s1;
-        v316_d_is0_s3 <= v316_d_is0_s2;
-        v316_d_is0_s4 <= v316_d_is0_s3;
-        v316_d_is0_s5 <= v316_d_is0_s4;
-        v316_d_is0_s6 <= v316_d_is0_s5;
-        v316_d_is0_s7 <= v316_d_is0_s6;
-        v316_d_is0_s8 <= v316_d_is0_s7;
-        v316_d_is0_s9 <= v316_d_is0_s8;
-        v316_d_is0_s10 <= v316_d_is0_s9;
-        v316_d_is0_s11 <= v316_d_is0_s10;
-        v316_d_is0_s12 <= v316_d_is0_s11;
-        v316_d_is0_s13 <= v316_d_is0_s12;
-        v316_d_is0_s14 <= v316_d_is0_s13;
-        v316_d_is0_s15 <= v316_d_is0_s14;
-        v316_d_is0_s16 <= v316_d_is0_s15;
-        v316_d_is0_s17 <= v316_d_is0_s16;
-        v316_d_is0_s18 <= v316_d_is0_s17;
-        v316_d_is0_s19 <= v316_d_is0_s18;
-        v316_d_is0_s20 <= v316_d_is0_s19;
-        v316_d_is0_s21 <= v316_d_is0_s20;
-        v316_d_is0_s22 <= v316_d_is0_s21;
-        v316_d_is0_s23 <= v316_d_is0_s22;
-        v316_d_is0_s24 <= v316_d_is0_s23;
-        v316_d_is0_s25 <= v316_d_is0_s24;
-        v316_d_is0_s26 <= v316_d_is0_s25;
-        v316_d_is0_s27 <= v316_d_is0_s26;
-        v316_d_is0_s28 <= v316_d_is0_s27;
-        v316_d_is0_s29 <= v316_d_is0_s28;
-        v316_d_is0_s30 <= v316_d_is0_s29;
-        v316_d_is0_s31 <= v316_d_is0_s30;
-        v316_d_is0_s32 <= v316_d_is0_s31;
-        v316_d_is0_s33 <= v316_d_is0_s32;
-        v316_d_is0_s34 <= v316_d_is0_s33;
-        v316_d_is0_s35 <= v316_d_is0_s34;
-        v316_d_is0_s36 <= v316_d_is0_s35;
-        v322_t_s1 <= v322_t;
-        v322_t_s2 <= v322_t_s1;
-        v322_t_s3 <= v322_t_s2;
-        v322_t_s4 <= v322_t_s3;
-        v322_t_s5 <= v322_t_s4;
-        v322_t_s6 <= v322_t_s5;
-        v322_t_s7 <= v322_t_s6;
-        v322_t_s8 <= v322_t_s7;
-        v322_t_s9 <= v322_t_s8;
-        v322_t_s10 <= v322_t_s9;
-        v322_t_s11 <= v322_t_s10;
-        v322_t_s12 <= v322_t_s11;
-        v322_t_s13 <= v322_t_s12;
-        v322_t_s14 <= v322_t_s13;
-        v322_t_s15 <= v322_t_s14;
-        v322_t_s16 <= v322_t_s15;
-        v322_t_s17 <= v322_t_s16;
-        v322_t_s18 <= v322_t_s17;
-        v322_t_s19 <= v322_t_s18;
-        v322_t_s20 <= v322_t_s19;
-        v322_t_s21 <= v322_t_s20;
-        v322_t_s22 <= v322_t_s21;
-        v322_t_s23 <= v322_t_s22;
-        v322_t_s24 <= v322_t_s23;
-        v322_t_s25 <= v322_t_s24;
-        v322_t_s26 <= v322_t_s25;
-        v322_t_s27 <= v322_t_s26;
-        v322_t_s28 <= v322_t_s27;
-        v322_t_s29 <= v322_t_s28;
-        v322_t_s30 <= v322_t_s29;
-        v322_t_s31 <= v322_t_s30;
-        v322_t_s32 <= v322_t_s31;
-        v322_t_s33 <= v322_t_s32;
-        v322_t_s34 <= v322_t_s33;
-        v322_t_s35 <= v322_t_s34;
-        v322_t_s36 <= v322_t_s35;
+        v19_t_s4 <= v19_t;
+        v21_t_s4 <= v21_t;
+        v24_t_s4 <= v24_t;
+        v25_t_s5 <= v25_t;
+        v27_t_s4 <= v27_t;
+        v27_t_s5 <= v27_t_s4;
       end if;
     end if;
   end process;
-  v324_t_out <= v324_t;
+  v32_t_out <= v32_t;
 end architecture rtl;
 
 library ieee;
@@ -3279,7 +113,7 @@ entity box3x3_dp is
 end entity box3x3_dp;
 
 architecture rtl of box3x3_dp is
-  signal v324_t : unsigned(7 downto 0);
+  signal v32_t : unsigned(7 downto 0);
   signal v4_P4_p1 : unsigned(7 downto 0);
   signal v5_P5_p1 : unsigned(7 downto 0);
   signal v6_P6_p1 : unsigned(7 downto 0);
@@ -3291,7 +125,7 @@ architecture rtl of box3x3_dp is
   signal v8_P8_p3 : unsigned(7 downto 0);
 begin
   u_node1 : entity work.box3x3_dp_node1
-    port map (clk => clk, ce => ce, v0_P0 => P0, v1_P1 => P1, v2_P2 => P2, v3_P3 => P3, v4_P4 => v4_P4_p1, v5_P5 => v5_P5_p1, v6_P6 => v6_P6_p2, v7_P7 => v7_P7_p2, v8_P8 => v8_P8_p3, v324_t_out => v324_t);
+    port map (clk => clk, ce => ce, v0_P0 => P0, v1_P1 => P1, v2_P2 => P2, v3_P3 => P3, v4_P4 => v4_P4_p1, v5_P5 => v5_P5_p1, v6_P6 => v6_P6_p2, v7_P7 => v7_P7_p2, v8_P8 => v8_P8_p3, v32_t_out => v32_t);
   process (clk)
   begin
     if rising_edge(clk) then
@@ -3308,5 +142,5 @@ begin
       end if;
     end if;
   end process;
-  B_o0 <= resize(v324_t, 8);
+  B_o0 <= resize(v32_t, 8);
 end architecture rtl;
