@@ -706,7 +706,7 @@ class Builder {
     const auto magic = divisionMagic(range, a);
     if (!magic) return -1;
     const bool negative = range.lo() < 0;
-    const bool pow2 = (a & (a - 1)) == 0;
+    const bool pow2 = std::has_single_bit(a);
     // A power of two rounds negative dividends toward zero by a bias of
     // a - 1 before the shift; any other divisor adds 1 after it.
     const ValueRange bias(0, pow2 && negative ? static_cast<ValueRange::Int>(a - 1) : 0);
