@@ -526,9 +526,10 @@ TEST(DpConstDivision, EqualsValueDivisionOnEveryDividend) {
           const bool rem = op[0] == '%';
           // Signed operands divide as int; unsigned ones also as uint32.
           const std::string src =
-              isSigned ? fmt("void dp(%0 a, int* o) { *o = a %1 %2; }", t.str(), op, c)
-                       : fmt("void dp(%0 a, int* o, uint32* u) { *o = a %1 %2; *u = (uint32)a %1 %2; }",
-                             t.str(), op, c);
+              isSigned
+                  ? fmt("void dp(%0 a, int* o) { *o = a %1 %2; }", t.str(), op, c)
+                  : fmt("void dp(%0 a, int* o, uint32* u) { *o = a %1 %2; *u = (uint32)a %1 %2; }",
+                        t.str(), op, c);
           FunctionIR f = toSsaMir(src, "dp");
           const DataPath dp = buildDp(f);
           ASSERT_EQ(countOps(dp, Opcode::BitSel), 0) << src << "\n" << dp.dump();

@@ -58,9 +58,8 @@ class KernelFuzzer {
     for (int i = 0; i < inLen; ++i) {
       g.inputs.arrays["A"].push_back(rng_.inRange(elemTy.minValue(), elemTy.maxValue()));
     }
-    // Sometimes add a window element divided or reduced by a constant.
-    // Drawn after the inputs, so the rest of a seed's kernel and stimulus
-    // are what they are without it.
+    // Sometimes add a window element divided or reduced by a constant,
+    // drawn after the inputs so that no other draw of a seed moves.
     if (pick(3) == 0) {
       const int64_t divisors[] = {1, -1, 2, -2, 3, -3, 7, 9, -9, 10, 16, 255};
       const int64_t c = divisors[pick(12)];
