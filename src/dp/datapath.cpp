@@ -34,10 +34,6 @@ bool primitiveForOpcode(Opcode op, BuildOptions::MultStyle style, synth::Primiti
       out = style == BuildOptions::MultStyle::Mult18 ? synth::Primitive::Mul18
                                                      : synth::Primitive::MulLut;
       return true;
-    case Opcode::Div:
-    case Opcode::Rem:
-      out = synth::Primitive::Div;
-      return true;
     case Opcode::And:
     case Opcode::Or:
     case Opcode::Xor:
@@ -175,16 +171,6 @@ ValueRange transferRange(const DataPath& d, const DpOp& o) {
     case Opcode::Add: r = rng(0).add(rng(1)).convertTo(declared); break;
     case Opcode::Sub: r = rng(0).sub(rng(1)).convertTo(declared); break;
     case Opcode::Mul: r = rng(0).mul(rng(1)).convertTo(declared); break;
-    case Opcode::Div:
-      // Divide-by-zero yields all-ones at the result width; if the
-      // divisor may be zero the hull must cover that.
-      if (rng(1).contains(0)) {
-        r = ValueRange::ofType(declared);
-      } else {
-        r = rng(0).divide(rng(1)).convertTo(declared);
-      }
-      break;
-    case Opcode::Rem: r = rng(0).rem(rng(1)).convertTo(declared); break;
     case Opcode::Neg: r = rng(0).neg().convertTo(declared); break;
     case Opcode::And: r = rng(0).bitAnd(rng(1)).convertTo(declared); break;
     case Opcode::Or: r = rng(0).bitOr(rng(1)).convertTo(declared); break;

@@ -66,14 +66,6 @@ FastSim::FastSim(const Module& m, int batch) : m_(m), batch_(batch) {
       case CellKind::Add: I.op = Op::Add; break;
       case CellKind::Sub: I.op = Op::Sub; break;
       case CellKind::Mul: I.op = Op::Mul; break;
-      case CellKind::Div:
-        I.op = Op::Div;
-        I.flag = m.nets[static_cast<size_t>(c.output)].type.isSigned;
-        break;
-      case CellKind::Rem:
-        I.op = Op::Rem;
-        I.flag = m.nets[static_cast<size_t>(c.output)].type.isSigned;
-        break;
       case CellKind::Neg: I.op = Op::Neg; break;
       case CellKind::And: I.op = Op::And; break;
       case CellKind::Or: I.op = Op::Or; break;
@@ -222,28 +214,6 @@ void FastSim::evalImpl() {
         for (int l = 0; l < B; ++l) {
           d[l] = (static_cast<uint64_t>(sext(a[l], I.sxa)) *
                   static_cast<uint64_t>(sext(b[l], I.sxb))) & I.mask;
-        }
-        break;
-      case Op::Div:
-        for (int l = 0; l < B; ++l) {
-          if (b[l] == 0) {
-            d[l] = I.mask; // all-ones: restoring-divider convention
-          } else if (I.flag) {
-            d[l] = static_cast<uint64_t>(sext(a[l], I.sxa) / sext(b[l], I.sxb)) & I.mask;
-          } else {
-            d[l] = (a[l] / b[l]) & I.mask;
-          }
-        }
-        break;
-      case Op::Rem:
-        for (int l = 0; l < B; ++l) {
-          if (b[l] == 0) {
-            d[l] = a[l] & I.mask; // remainder = dividend
-          } else if (I.flag) {
-            d[l] = static_cast<uint64_t>(sext(a[l], I.sxa) % sext(b[l], I.sxb)) & I.mask;
-          } else {
-            d[l] = (a[l] % b[l]) & I.mask;
-          }
         }
         break;
       case Op::Neg:

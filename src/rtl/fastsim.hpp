@@ -57,7 +57,7 @@ class FastSim {
   // One opcode per evaluation recipe. Gt/Ge reuse Lt/Le with swapped
   // operands; signed/unsigned compare split is resolved at compile time.
   enum class Op : uint8_t {
-    Add, Sub, Mul, Div, Rem, Neg,
+    Add, Sub, Mul, Neg,
     And, Or, Xor, Not,
     Shl, Shr,
     Eq, Ne, LtS, LtU, LeS, LeU,
@@ -77,7 +77,7 @@ class FastSim {
     int32_t dst = 0, a = 0, b = 0, c = 0; ///< lane-array base offsets
     uint64_t mask = ~uint64_t{0};         ///< result mask (2^width - 1)
     int32_t aux = 0; ///< Slice shift / Concat lo width / Rom table index
-    bool flag = false; ///< Div/Rem: signed result type; Shr: signed operand
+    bool flag = false; ///< Shr: signed operand
   };
 
   struct RomTable {

@@ -21,8 +21,6 @@ CellKind cellFor(Opcode op) {
     case Opcode::Add: return CellKind::Add;
     case Opcode::Sub: return CellKind::Sub;
     case Opcode::Mul: return CellKind::Mul;
-    case Opcode::Div: return CellKind::Div;
-    case Opcode::Rem: return CellKind::Rem;
     case Opcode::Neg: return CellKind::Neg;
     case Opcode::And: return CellKind::And;
     case Opcode::Or: return CellKind::Or;
@@ -41,8 +39,8 @@ CellKind cellFor(Opcode op) {
     case Opcode::Cast: return CellKind::Resize;
     default:
       throw InternalCompilerError(
-          fmt("rtl: opcode %0 reached cell lowering without a direct cell mapping",
-              static_cast<int>(op)));
+          fmt("rtl: opcode '%0' reached cell lowering without a direct cell mapping",
+              mir::opcodeName(op)));
   }
 }
 

@@ -16,8 +16,6 @@ const char* cellKindName(CellKind k) {
     case CellKind::Add: return "add";
     case CellKind::Sub: return "sub";
     case CellKind::Mul: return "mul";
-    case CellKind::Div: return "div";
-    case CellKind::Rem: return "rem";
     case CellKind::Neg: return "neg";
     case CellKind::And: return "and";
     case CellKind::Or: return "or";
@@ -222,8 +220,6 @@ Value NetlistSim::evalCell(const Cell& c) const {
     case CellKind::Add: return ops::add(in(0), in(1), rt);
     case CellKind::Sub: return ops::sub(in(0), in(1), rt);
     case CellKind::Mul: return ops::mul(in(0), in(1), rt);
-    case CellKind::Div: return ops::divide(in(0), in(1), rt);
-    case CellKind::Rem: return ops::rem(in(0), in(1), rt);
     case CellKind::Neg: return ops::neg(in(0), rt);
     case CellKind::And: return ops::bitAnd(in(0), in(1), rt);
     case CellKind::Or: return ops::bitOr(in(0), in(1), rt);

@@ -17,7 +17,7 @@ namespace roccc::rtl {
 
 enum class CellKind {
   Const,
-  Add, Sub, Mul, Div, Rem, Neg,
+  Add, Sub, Mul, Neg,
   And, Or, Xor, Not,
   Shl, Shr,
   Eq, Ne, Lt, Le, Gt, Ge,

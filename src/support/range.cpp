@@ -54,26 +54,6 @@ ValueRange ValueRange::mul(const ValueRange& b) const {
   return {lo, hi};
 }
 
-ValueRange ValueRange::divide(const ValueRange& b) const {
-  // Division magnitude never exceeds the dividend magnitude (divisor 0 is
-  // defined by the hardware convention to yield all-ones at result width,
-  // which the caller's convertTo() absorbs). Hull: [-|max|, |max|].
-  const Int m = std::max(hi_ < 0 ? -hi_ : hi_, lo_ < 0 ? -lo_ : lo_);
-  (void)b;
-  return {lo_ < 0 ? -m : Int{0}, m};
-}
-
-ValueRange ValueRange::rem(const ValueRange& b) const {
-  // |a % b| < |b| and the sign follows the dividend; also |a % b| <= |a|.
-  // If the divisor range contains 0 the hardware convention returns the
-  // dividend, so the bound falls back to |a|.
-  const Int mb = std::max(b.hi_ < 0 ? -b.hi_ : b.hi_, b.lo_ < 0 ? -b.lo_ : b.lo_);
-  const Int ma = std::max(hi_ < 0 ? -hi_ : hi_, lo_ < 0 ? -lo_ : lo_);
-  const bool divisorMayBeZero = b.contains(0);
-  const Int m = divisorMayBeZero ? ma : std::min(ma, mb - 1);
-  return {lo_ < 0 ? -m : Int{0}, m};
-}
-
 ValueRange ValueRange::shl(const ValueRange& sh) const {
   const Int sLo = std::max<Int>(0, sh.lo_);
   const Int sHi = std::min<Int>(63, std::max<Int>(0, sh.hi_));

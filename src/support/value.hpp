@@ -100,8 +100,9 @@ class Value {
 /// The arithmetic used everywhere: each operation takes operand values,
 /// computes at the given result type, and wraps modulo 2^width. Division by
 /// zero yields all-ones quotient and the dividend as remainder (the
-/// convention of hardware restoring dividers; the interpreter and the RTL
-/// simulator agree on it so cosimulation stays bit-exact).
+/// convention of hardware restoring dividers; the interpreter, MIR execution
+/// and the divider rows build-datapath lowers to agree on it so
+/// cosimulation stays bit-exact).
 namespace ops {
 
 Value add(const Value& a, const Value& b, ScalarType rt);

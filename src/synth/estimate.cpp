@@ -116,13 +116,6 @@ CellCost cost(const rtl::Module& m, const rtl::Cell& c, const EstimateOptions& o
       energyFromRes();
       return k;
     }
-    case rtl::CellKind::Div:
-    case rtl::CellKind::Rem:
-      // Un-expanded combinational array divider. The compiler always
-      // expands Div/Rem into restoring-divider rows, so only hand-built
-      // netlists carry this cell: the table row prices the full W-row array.
-      fromRow(Primitive::Div, effectiveWidth(m, c, 0));
-      return k;
     case rtl::CellKind::And:
     case rtl::CellKind::Or:
     case rtl::CellKind::Xor:

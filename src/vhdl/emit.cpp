@@ -260,16 +260,6 @@ class Emitter {
       case Opcode::Mul:
         w_.line(fmt("%0 <= resize(%1 * %2, %3);", dst, in(0), in(1), W));
         return;
-      case Opcode::Div:
-        // Division has no direct IEEE 1076.3 operator form usable for our
-        // zero convention; guard explicitly (restoring-divider behavior).
-        w_.line(fmt("%0 <= (others => '1') when %1 = 0 else resize(%2 / %3, %4);", dst, in(1),
-                    in(0), in(1), W));
-        return;
-      case Opcode::Rem:
-        w_.line(fmt("%0 <= %1 when %2 = 0 else resize(%3 rem %4, %5);", dst, in(0), in(1), in(0),
-                    in(1), W));
-        return;
       case Opcode::Neg:
         w_.line(fmt("%0 <= resize(-%1, %2);", dst, inAt(0, W + 1, true), W));
         return;
@@ -338,8 +328,8 @@ class Emitter {
         // name *is* the port).
         return;
       default:
-        w_.line("-- unhandled op " + std::string(mir::opcodeName(o.op)));
-        return;
+        throw InternalCompilerError(
+            fmt("vhdl: op '%0' has no VHDL form", mir::opcodeName(o.op)));
     }
   }
 

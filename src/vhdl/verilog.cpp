@@ -203,12 +203,6 @@ class Emitter {
       case Opcode::Mul:
         w_.line(fmt("assign %0 = %1 * %2;", dst, in(0), in(1)));
         return;
-      case Opcode::Div:
-        w_.line(fmt("assign %0 = (%1 == 0) ? {%2{1'b1}} : %3 / %1;", dst, in(1), W, in(0)));
-        return;
-      case Opcode::Rem:
-        w_.line(fmt("assign %0 = (%1 == 0) ? %2 : %2 %% %1;", dst, in(1), in(0)));
-        return;
       case Opcode::Neg:
         w_.line(fmt("assign %0 = -%1;", dst, in(0)));
         return;
@@ -281,8 +275,8 @@ class Emitter {
       case Opcode::Lpr:
         return; // arrives as a module input
       default:
-        w_.line("// unhandled op " + std::string(mir::opcodeName(o.op)));
-        return;
+        throw InternalCompilerError(
+            fmt("verilog: op '%0' has no Verilog form", mir::opcodeName(o.op)));
     }
   }
 

@@ -143,13 +143,6 @@ TEST(ValueRange, ShiftsAndJoin) {
   EXPECT_EQ(static_cast<int64_t>(j.hi()), 1);
 }
 
-TEST(ValueRange, RemBounds) {
-  const ValueRange a(0, 1000), b(1, 16);
-  const ValueRange r = a.rem(b);
-  EXPECT_GE(static_cast<int64_t>(r.lo()), 0);
-  EXPECT_LE(static_cast<int64_t>(r.hi()), 15);
-}
-
 TEST(ValueRange, ConvertCollapsesOnOverflow) {
   const ValueRange big(0, 1 << 20);
   const ValueRange c = big.convertTo(ScalarType::make(8, false));

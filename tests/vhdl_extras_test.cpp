@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "roccc/compiler.hpp"
+#include "rtl/from_dp.hpp"
+#include "support/faultpoint.hpp"
 #include "support/strings.hpp"
 #include "synth/estimate.hpp"
 #include "vhdl/check.hpp"
+#include "vhdl/emit.hpp"
 #include "vhdl/testbench.hpp"
+#include "vhdl/verilog.hpp"
 
 namespace roccc {
 namespace {
@@ -98,6 +105,39 @@ TEST(Power, Table1DesignsInPlausibleRange) {
   // of milliwatts dynamic.
   EXPECT_GT(mw, 5.0);
   EXPECT_LT(mw, 2000.0);
+}
+
+// build-datapath lowers every division, so no back end has a form for
+// one: a data path that still holds a `div` op is an internal error that
+// names the op, not a design with a comment where the divider should be.
+TEST(BackEnd, OpWithoutAnHdlFormIsAnInternalError) {
+  const CompileResult r = compile(R"(
+    void q(const uint8 A[16], const uint8 B[16], uint8 C[16]) {
+      int i;
+      for (i = 0; i < 16; i++) { C[i] = A[i] + B[i]; }
+    }
+  )");
+  dp::DataPath d = r.datapath;
+  const auto add = std::find_if(d.ops.begin(), d.ops.end(),
+                                [](const dp::DpOp& o) { return o.op == mir::Opcode::Add; });
+  ASSERT_NE(add, d.ops.end()) << d.dump();
+  add->op = mir::Opcode::Div;
+
+  auto expectNamesDiv = [](const std::function<void()>& emit) {
+    try {
+      emit();
+      ADD_FAILURE() << "no InternalCompilerError";
+    } catch (const InternalCompilerError& e) {
+      EXPECT_NE(std::string(e.what()).find("'div'"), std::string::npos) << e.what();
+    }
+  };
+  expectNamesDiv([&] {
+    rtl::Module m;
+    DiagEngine diags;
+    rtl::buildDatapathModule(d, m, diags);
+  });
+  expectNamesDiv([&] { vhdl::emitDesign(d, r.module, r.kernel); });
+  expectNamesDiv([&] { verilog::emitDesign(d, r.kernel); });
 }
 
 } // namespace
