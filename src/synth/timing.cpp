@@ -1,5 +1,6 @@
 #include "synth/timing.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <vector>
@@ -9,7 +10,7 @@ namespace roccc::synth {
 namespace {
 
 const char* const kPrimitiveNames[kPrimitiveCount] = {
-    "add", "mul-lut", "mul18", "div", "logic", "shift", "cmp", "mux", "reg", "rom",
+    "add", "mul-lut", "mul18", "logic", "shift", "cmp", "mux", "reg", "rom",
 };
 
 /// Closed-form Virtex-II-class characterization, evaluated densely into the
@@ -30,10 +31,6 @@ PrimitiveCost virtex2Row(Primitive p, int width) {
     case Primitive::Mul18: // MULT18X18 blocks, w x w
       r.delayNs = width <= 18 ? 4.9 : 8.5;
       r.mult18 = static_cast<double>((width + 16) / 17) * ((width + 16) / 17);
-      break;
-    case Primitive::Div: // restoring array: one subtract-mux row per bit
-      r.delayNs = w * (0.62 + 0.042 * w);
-      r.lut4 = w * (w + 2);
       break;
     case Primitive::Logic: // two bits of 2-input logic per LUT4
       r.delayNs = 0.44;
@@ -67,6 +64,14 @@ PrimitiveCost virtex2Row(Primitive p, int width) {
 void deriveEnergy(const TimingModel& m, PrimitiveCost& r) {
   r.dynamicPj = m.resourceDynamicPj(r.lut4, r.ff, r.mult18, r.bram);
   r.leakageUw = m.resourceLeakageUw(r.lut4, r.ff, r.mult18, r.bram);
+}
+
+/// Reads all of `tok` as a T (an integer or a double); false if any of it
+/// is not part of one.
+template <typename T> bool parseWhole(const std::string& tok, T& out) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 PrimitiveCost lerp(const PrimitiveCost& a, const PrimitiveCost& b, double t) {
@@ -149,16 +154,30 @@ bool TimingModel::parse(const std::string& text, TimingModel& out, std::string& 
     error = "line " + std::to_string(lineNo) + ": " + msg;
     return false;
   };
+  // A scalar or a cost column: one whole token, finite and >= 0.
+  auto number = [&](const std::string& what, const std::string& tok, double& v) {
+    if (!parseWhole(tok, v)) return fail("'" + what + "' needs a numeric value, got '" + tok + "'");
+    if (!std::isfinite(v) || v < 0) return fail("'" + what + "' must be a finite number >= 0");
+    return true;
+  };
+  auto integer = [&](const std::string& what, const std::string& tok, int& v) {
+    if (!parseWhole(tok, v)) return fail("'" + what + "' needs an integer, got '" + tok + "'");
+    return true;
+  };
   while (std::getline(in, line)) {
     ++lineNo;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
     std::istringstream ls(line);
-    std::string key;
-    if (!(ls >> key)) continue; // blank / comment
+    std::vector<std::string> tok;
+    for (std::string t; ls >> t;) tok.push_back(t);
+    if (tok.empty()) continue; // blank / comment
+    const std::string& key = tok[0];
     double* scalar = nullptr;
     if (key == "model") {
-      if (!(ls >> out.name)) return fail("'model' needs a name");
+      if (tok.size() < 2) return fail("'model' needs a name");
+      if (tok.size() > 2) return fail("trailing garbage '" + tok[2] + "'");
+      out.name = tok[1];
       continue;
     } else if (key == "clock-overhead-ns") {
       scalar = &out.clockOverheadNs;
@@ -188,33 +207,37 @@ bool TimingModel::parse(const std::string& text, TimingModel& out, std::string& 
       scalar = &out.leakBramUw;
     }
     if (scalar) {
-      if (!(ls >> *scalar)) return fail("'" + key + "' needs a numeric value");
-      if (!std::isfinite(*scalar) || *scalar < 0) return fail("'" + key + "' must be >= 0");
+      if (tok.size() < 2) return fail("'" + key + "' needs a numeric value");
+      if (tok.size() > 2) return fail("trailing garbage '" + tok[2] + "'");
+      if (!number(key, tok[1], *scalar)) return false;
       continue;
     }
     Primitive p;
     if (!primitiveByName(key, p)) return fail("unknown directive or primitive '" + key + "'");
+    // The optional columns come in pairs: 6, 8 or 10 tokens.
+    if (tok.size() > 10) return fail("trailing garbage '" + tok[10] + "'");
+    if (tok.size() < 6 || tok.size() % 2 != 0) {
+      return fail("row needs: <primitive> <width> <delay-ns> <latency> <lut4> <ff> "
+                  "[<mult18> <bram> [<dyn-pj> <leak-uw>]]");
+    }
     int width = 0;
     PrimitiveCost r;
-    if (!(ls >> width >> r.delayNs >> r.latencyCycles >> r.lut4 >> r.ff)) {
-      return fail("row needs: <primitive> <width> <delay-ns> <latency> <lut4> <ff>");
-    }
+    if (!integer("width", tok[1], width)) return false;
     if (width < 1 || width > 4096) return fail("width out of range");
-    if (!std::isfinite(r.delayNs) || r.delayNs < 0 || r.latencyCycles < 0 || r.lut4 < 0 ||
-        r.ff < 0) {
-      return fail("row values must be >= 0");
+    if (!integer("latency", tok[3], r.latencyCycles)) return false;
+    if (r.latencyCycles < 0) return fail("'latency' must be >= 0");
+    const struct {
+      size_t token;
+      const char* name;
+      double* field;
+    } columns[] = {{2, "delay-ns", &r.delayNs}, {4, "lut4", &r.lut4},
+                   {5, "ff", &r.ff},            {6, "mult18", &r.mult18},
+                   {7, "bram", &r.bram},        {8, "dyn-pj", &r.dynamicPj},
+                   {9, "leak-uw", &r.leakageUw}};
+    for (const auto& c : columns) {
+      if (c.token < tok.size() && !number(c.name, tok[c.token], *c.field)) return false;
     }
-    bool haveEnergy = false;
-    if (ls >> r.mult18 >> r.bram) {
-      if (r.mult18 < 0 || r.bram < 0) return fail("row values must be >= 0");
-      if (ls >> r.dynamicPj >> r.leakageUw) {
-        if (r.dynamicPj < 0 || r.leakageUw < 0) return fail("row values must be >= 0");
-        haveEnergy = true;
-      }
-    }
-    std::string trailing;
-    if (ls >> trailing) return fail("trailing garbage '" + trailing + "'");
-    if (!haveEnergy) deriveEnergy(out, r);
+    if (tok.size() < 10) deriveEnergy(out, r);
     auto& table = out.rows[static_cast<size_t>(p)];
     if (!overridden[static_cast<size_t>(static_cast<int>(p))]) {
       table.clear(); // first row for a primitive replaces its built-in rows

@@ -26,6 +26,8 @@
 //   leak-{lut,ff,mult18,bram}-uw X
 //   <primitive> <width> <delay-ns> <latency> <lut4> <ff> [<mult18> <bram> [<dyn-pj> <leak-uw>]]
 //
+// Every field is one whole token: integers for width and latency, finite
+// numbers >= 0 elsewhere; a token left over on any line is an error.
 // The first row for a primitive discards that primitive's built-in rows
 // (override is per-primitive, all-or-nothing). Omitted energy columns are
 // derived from the row's resources and the capacitance / leakage scalars.
@@ -43,7 +45,6 @@ enum class Primitive {
   Add,    ///< add/sub/negate (LUT + MUXCY/XORCY carry chain)
   MulLut, ///< LUT-fabric array multiplier
   Mul18,  ///< MULT18X18 block multiplier
-  Div,    ///< restoring array divider (one subtract-mux row per bit)
   Logic,  ///< bitwise and/or/xor/not
   Shift,  ///< barrel shifter, variable amount (constant shifts are wiring)
   Cmp,    ///< comparator — carry chain spanning the operands
@@ -51,7 +52,7 @@ enum class Primitive {
   Reg,    ///< pipeline register
   Rom,    ///< table read (the BRAM/distributed split is structural)
 };
-inline constexpr int kPrimitiveCount = 10;
+inline constexpr int kPrimitiveCount = 9;
 
 const char* primitiveName(Primitive p);
 /// Parses a primitive's table name ("add", "mul-lut", ...). False if unknown.

@@ -32,7 +32,6 @@ TEST(TimingModel, BuiltinRowsMatchClosedForms) {
     EXPECT_DOUBLE_EQ(m.delayNs(Primitive::Mul18, w), w <= 18 ? 4.9 : 8.5) << w;
     const double blocks = static_cast<double>((w + 16) / 17) * ((w + 16) / 17);
     EXPECT_DOUBLE_EQ(m.cost(Primitive::Mul18, w).mult18, blocks) << w;
-    EXPECT_DOUBLE_EQ(m.delayNs(Primitive::Div, w), w * (0.62 + 0.042 * w)) << w;
     EXPECT_DOUBLE_EQ(m.delayNs(Primitive::Cmp, w), 0.55 + 0.035 * w) << w;
     EXPECT_DOUBLE_EQ(m.cost(Primitive::Cmp, w).lut4, (w + 1) / 2 + 1) << w;
     EXPECT_DOUBLE_EQ(m.delayNs(Primitive::Mux, w), 0.5) << w;
@@ -147,6 +146,51 @@ TEST(TimingModel, ParseErrorsCarryLineNumbers) {
   EXPECT_NE(err.find("trailing garbage"), std::string::npos) << err;
 }
 
+// Each field is read as one whole token; a prefix that happens to parse is
+// not accepted for it. Each form is rejected with its line number.
+TEST(TimingModel, RejectsPartialAndLeftoverTokens) {
+  const struct {
+    const char* line;
+    const char* message;
+  } cases[] = {
+      {"add 8.5 1.1 0 8 0", "'width' needs an integer, got '8.5'"},
+      {"add 8 1.1 0.5 8 0", "'latency' needs an integer, got '0.5'"},
+      {"add 8 1.1x 0 8 0", "'delay-ns' needs a numeric value, got '1.1x'"},
+      {"add 8 inf 0 8 0", "'delay-ns' must be a finite number >= 0"},
+      {"add 8 1.1 -1 8 0", "'latency' must be >= 0"},
+      {"add 32 1.1 0 8 0 nan 0", "'mult18' must be a finite number >= 0"},
+      {"add 32 1.1 0 8 0 0 0 1 x", "'leak-uw' needs a numeric value, got 'x'"},
+      {"add 32 1.1 0 8 0 1", "row needs:"},
+      {"add 32 1.1 0 8 0 0 0 1", "row needs:"},
+      {"clock-overhead-ns 0.8 garbage", "trailing garbage 'garbage'"},
+      {"clock-overhead-ns 2x", "'clock-overhead-ns' needs a numeric value, got '2x'"},
+      {"clock-overhead-ns nan", "'clock-overhead-ns' must be a finite number >= 0"},
+      {"model slow extra", "trailing garbage 'extra'"},
+      {"model", "'model' needs a name"},
+      {"div 8 4.0 0 80 0", "unknown directive or primitive 'div'"},
+  };
+  for (const auto& c : cases) {
+    TimingModel m;
+    std::string err;
+    EXPECT_FALSE(TimingModel::parse(std::string("# comment\nmodel ok\n") + c.line + "\n", m, err))
+        << c.line;
+    EXPECT_TRUE(err.starts_with(std::string("line 3: ") + c.message)) << c.line << ": " << err;
+  }
+}
+
+TEST(TimingModel, AcceptsEachRowArity) {
+  TimingModel m;
+  std::string err;
+  ASSERT_TRUE(TimingModel::parse("add 8 1.5 0 8 0\nadd 16 2 0 16 0 0 0\n"
+                                 "add 32 3e0 0 32 0 0 0 7.5 1.25\nclock-overhead-ns 0.5\n",
+                                 m, err))
+      << err;
+  EXPECT_DOUBLE_EQ(m.delayNs(Primitive::Add, 8), 1.5);
+  EXPECT_DOUBLE_EQ(m.delayNs(Primitive::Add, 16), 2.0);
+  EXPECT_DOUBLE_EQ(m.cost(Primitive::Add, 32).leakageUw, 1.25);
+  EXPECT_DOUBLE_EQ(m.clockOverheadNs, 0.5);
+}
+
 TEST(TimingModel, PrimitiveNamesRoundTrip) {
   for (int p = 0; p < synth::kPrimitiveCount; ++p) {
     const auto prim = static_cast<Primitive>(p);
@@ -156,6 +200,8 @@ TEST(TimingModel, PrimitiveNamesRoundTrip) {
   }
   Primitive unused;
   EXPECT_FALSE(synth::primitiveByName("madd", unused));
+  // Division is lowered to add/mux/cmp rows before any pricing: no row.
+  EXPECT_FALSE(synth::primitiveByName("div", unused));
 }
 
 // --- dp staging delegates to the same table ---------------------------------
