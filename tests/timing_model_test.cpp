@@ -178,17 +178,13 @@ TEST(TimingModel, RejectsPartialAndLeftoverTokens) {
   }
 }
 
-TEST(TimingModel, AcceptsEachRowArity) {
+TEST(TimingModel, AcceptsResourceColumnsWithoutEnergy) {
   TimingModel m;
   std::string err;
-  ASSERT_TRUE(TimingModel::parse("add 8 1.5 0 8 0\nadd 16 2 0 16 0 0 0\n"
-                                 "add 32 3e0 0 32 0 0 0 7.5 1.25\nclock-overhead-ns 0.5\n",
-                                 m, err))
-      << err;
-  EXPECT_DOUBLE_EQ(m.delayNs(Primitive::Add, 8), 1.5);
-  EXPECT_DOUBLE_EQ(m.delayNs(Primitive::Add, 16), 2.0);
-  EXPECT_DOUBLE_EQ(m.cost(Primitive::Add, 32).leakageUw, 1.25);
-  EXPECT_DOUBLE_EQ(m.clockOverheadNs, 0.5);
+  ASSERT_TRUE(TimingModel::parse("mul18 16 5e0 0 0 0 1 0\n", m, err)) << err;
+  EXPECT_DOUBLE_EQ(m.delayNs(Primitive::Mul18, 16), 5.0);
+  EXPECT_DOUBLE_EQ(m.cost(Primitive::Mul18, 16).mult18, 1.0);
+  EXPECT_DOUBLE_EQ(m.cost(Primitive::Mul18, 16).dynamicPj, 60.0 * 1.5 * 1.5);
 }
 
 TEST(TimingModel, PrimitiveNamesRoundTrip) {
