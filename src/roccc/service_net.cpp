@@ -298,16 +298,12 @@ LineReader::Status LineReader::next(std::string& line) {
       // accumulating — a burst can deliver the whole oversize line in
       // one recv.
       if (static_cast<int64_t>(nl) > maxLineBytes_) return Status::Oversized;
-      if (nl + 1 == buf_.size()) {
-        // The usual case: the buffer holds exactly one frame. Hand it
-        // over instead of copying it out.
-        buf_.pop_back();
-        line.swap(buf_);
-        buf_.clear();
-      } else {
-        line.assign(buf_, 0, nl);
-        buf_.erase(0, nl + 1);
-      }
+      // Copied out, not swapped, so the buffer keeps its capacity. A swap
+      // left it empty: every large frame then regrew it by doubling, and
+      // the blocks freed on the way made large responses' latency hinge on
+      // when the allocator returned them to the system.
+      line.assign(buf_, 0, nl);
+      buf_.erase(0, nl + 1);
       scanned_ = 0;
       return Status::Line;
     }
