@@ -136,8 +136,10 @@ std::optional<DivisionMagic> divisionMagic(const ValueRange& dividend, uint64_t 
 
 namespace {
 
-/// Canonical-signed-digit decomposition of |c|: returns (position, +1/-1)
-/// pairs with no two adjacent nonzero digits.
+/// Canonical-signed-digit decomposition of c > 0: returns (position,
+/// +1/-1) pairs with no two adjacent nonzero digits, lowest first except
+/// that the lowest +1 digit leads, so a shift-add chain starts from a term
+/// it adds and never needs a Neg (x·3 is (x << 2) - x).
 std::vector<std::pair<int, int>> csdDigits(int64_t c) {
   std::vector<std::pair<int, int>> digits;
   int pos = 0;
@@ -150,6 +152,10 @@ std::vector<std::pair<int, int>> csdDigits(int64_t c) {
     c >>= 1;
     ++pos;
   }
+  // The top digit of a positive c is +1; only INT64_MIN has none.
+  const auto plus = std::find_if(digits.begin(), digits.end(),
+                                 [](const std::pair<int, int>& d) { return d.second > 0; });
+  if (plus != digits.end()) std::rotate(digits.begin(), plus, plus + 1);
   return digits;
 }
 
@@ -236,7 +242,6 @@ ValueRange csdHull(const ValueRange& x, uint64_t c) {
   for (const auto& [pos, digit] : csdDigits(static_cast<int64_t>(c))) {
     const ValueRange term = x.shl(ValueRange::constant(pos));
     hull = hull.join(term);
-    if (partial == 0 && digit < 0) hull = hull.join(term.neg()); // the leading Neg
     partial += digit * (ValueRange::Int{1} << pos);
     hull = hull.join(x.mul(ValueRange(partial, partial)));
   }
@@ -593,12 +598,7 @@ class Builder {
         term = out_.ops[static_cast<size_t>(shOp)].result;
       }
       if (acc < 0) {
-        if (digit < 0) {
-          const int negOp = addOp(Opcode::Neg, t, {term}, node);
-          acc = out_.ops[static_cast<size_t>(negOp)].result;
-        } else {
-          acc = term;
-        }
+        acc = term; // csdDigits leads with a +1 digit
       } else {
         const int addIdx = addOp(digit > 0 ? Opcode::Add : Opcode::Sub, t, {acc, term}, node);
         acc = out_.ops[static_cast<size_t>(addIdx)].result;

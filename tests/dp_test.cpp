@@ -486,6 +486,21 @@ TEST(DpMultStyle, CsdHandlesAwkwardConstants) {
   }
 }
 
+// A constant whose lowest CSD digit is -1 starts its chain from a +1 digit:
+// x·3 is (x << 2) - x, one Sub and no Neg.
+TEST(DpMultStyle, CsdChainStartsFromAnAddedTerm) {
+  for (int64_t c : {3, 7, 23, 45, 255}) {
+    FunctionIR f = toSsaMir(fmt("void dp(int16 a, int* o) { *o = a * %0; }", c), "dp");
+    const DataPath dp = buildDp(f);
+    for (const auto& o : dp.ops) EXPECT_NE(o.op, Opcode::Neg) << "c=" << c << "\n" << dp.dump();
+  }
+  FunctionIR f = toSsaMir("void dp(int16 a, int* o) { *o = a * 3; }", "dp");
+  const DataPath dp = buildDp(f);
+  int adders = 0;
+  for (const auto& o : dp.ops) adders += o.op == Opcode::Add || o.op == Opcode::Sub;
+  EXPECT_EQ(adders, 1) << dp.dump();
+}
+
 // --- division by a constant: a multiply and a shift --------------------------------
 
 int countOps(const DataPath& dp, Opcode op) {

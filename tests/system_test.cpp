@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "dp/annotate.hpp"
 #include "roccc/verify.hpp"
 #include "support/strings.hpp"
 #include "vhdl/check.hpp"
@@ -378,6 +379,29 @@ TEST(System, AutoUnrollTinyBudgetKeepsFactorOne) {
   opt.autoUnrollSliceBudget = 10; // nothing fits: factor stays 1
   CompileResult r = compile(kFirSrc, opt);
   EXPECT_EQ(r.kernel.outputs[0].accessCount(), 1);
+}
+
+// x·3 in the remainder's multiply-back is (x << 2) - x: the data path
+// holds no Neg.
+TEST(System, RemainderByThreeNeedsNoNeg) {
+  const char* src = R"(
+    void rem3(const uint8 A[16], uint8 C[16]) {
+      int i;
+      for (i = 0; i < 16; i = i + 1) {
+        C[i] = A[i] % 3;
+      }
+    }
+  )";
+  const CompileResult r = compile(src);
+  ASSERT_TRUE(r.ok);
+  int negs = 0;
+  for (const json::Value& op : dp::exportJson(r.datapath).find("ops")->items()) {
+    negs += op.find("op")->asString() == "neg";
+  }
+  EXPECT_EQ(negs, 0);
+  interp::KernelIO in;
+  for (int i = 0; i < 16; ++i) in.arrays["A"].push_back(i * 17);
+  expectCosim(src, in);
 }
 
 // --- VHDL output ----------------------------------------------------------------
