@@ -375,7 +375,7 @@ struct SliceRow {
 constexpr SliceRow kExpectedSlices[] = {
     {"bit_correlator", 46}, {"mul_acc", 43}, {"mul_acc_predicated", 48},
     {"udiv", 155},          {"square_root", 707}, {"cos", 512},
-    {"fir", 74},            {"dct", 1097},   {"wavelet", 103},
+    {"fir", 61},            {"dct", 1031},   {"wavelet", 103},
 };
 
 TEST(Table1Slices, PinnedAgainstCostTable) {
