@@ -256,25 +256,39 @@ bool TimingModel::parse(const std::string& text, TimingModel& out, std::string& 
 }
 
 std::string TimingModel::dump() const {
-  std::ostringstream os;
-  os << "model " << name << "\n";
-  os << "clock-overhead-ns " << clockOverheadNs << "\n";
-  os << "routing-per-hop-ns " << routingPerHopNs << "\n";
-  os << "core-voltage " << coreVoltage << "\n";
-  os << "bram-access-ns " << bramAccessNs << "\n";
-  os << "rom-mux-level-ns " << romMuxLevelNs << "\n";
-  os << "cap-lut-pf " << capLutPf << "\ncap-ff-pf " << capFfPf << "\ncap-mult18-pf "
-     << capMult18Pf << "\ncap-bram-pf " << capBramPf << "\n";
-  os << "leak-lut-uw " << leakLutUw << "\nleak-ff-uw " << leakFfUw << "\nleak-mult18-uw "
-     << leakMult18Uw << "\nleak-bram-uw " << leakBramUw << "\n";
+  std::string out;
+  // Shortest round-trip text, so parse(dump()) reads every double back
+  // bit for bit (as json.cpp writes numbers).
+  const auto num = [&out](double v) {
+    char buf[32];
+    out += ' ';
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  };
+  out += "model " + name + "\n";
+  const std::pair<const char*, double> scalars[] = {
+      {"clock-overhead-ns", clockOverheadNs}, {"routing-per-hop-ns", routingPerHopNs},
+      {"core-voltage", coreVoltage},          {"bram-access-ns", bramAccessNs},
+      {"rom-mux-level-ns", romMuxLevelNs},    {"cap-lut-pf", capLutPf},
+      {"cap-ff-pf", capFfPf},                 {"cap-mult18-pf", capMult18Pf},
+      {"cap-bram-pf", capBramPf},             {"leak-lut-uw", leakLutUw},
+      {"leak-ff-uw", leakFfUw},               {"leak-mult18-uw", leakMult18Uw},
+      {"leak-bram-uw", leakBramUw}};
+  for (const auto& [key, v] : scalars) {
+    out += key;
+    num(v);
+    out += '\n';
+  }
   for (int p = 0; p < kPrimitiveCount; ++p) {
     for (const auto& [w, r] : rows[static_cast<size_t>(p)]) {
-      os << kPrimitiveNames[p] << ' ' << w << ' ' << r.delayNs << ' ' << r.latencyCycles << ' '
-         << r.lut4 << ' ' << r.ff << ' ' << r.mult18 << ' ' << r.bram << ' ' << r.dynamicPj
-         << ' ' << r.leakageUw << "\n";
+      out += kPrimitiveNames[p];
+      out += ' ' + std::to_string(w);
+      num(r.delayNs);
+      out += ' ' + std::to_string(r.latencyCycles);
+      for (const double v : {r.lut4, r.ff, r.mult18, r.bram, r.dynamicPj, r.leakageUw}) num(v);
+      out += '\n';
     }
   }
-  return os.str();
+  return out;
 }
 
 } // namespace roccc::synth

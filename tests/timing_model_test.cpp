@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "../bench/kernels.hpp"
 #include "dp/datapath.hpp"
@@ -113,13 +114,26 @@ TEST(TimingModel, DumpParsesBackIdentically) {
   std::string err;
   ASSERT_TRUE(TimingModel::parse(built.dump(), round, err)) << err;
   EXPECT_EQ(round.name, built.name);
-  EXPECT_DOUBLE_EQ(round.clockOverheadNs, built.clockOverheadNs);
+  const auto scalars = [](const TimingModel& m) {
+    return std::vector<double>{m.clockOverheadNs, m.routingPerHopNs, m.coreVoltage,
+                               m.bramAccessNs,    m.romMuxLevelNs,   m.capLutPf,
+                               m.capFfPf,         m.capMult18Pf,     m.capBramPf,
+                               m.leakLutUw,       m.leakFfUw,        m.leakMult18Uw,
+                               m.leakBramUw};
+  };
+  EXPECT_EQ(scalars(round), scalars(built));
   for (int p = 0; p < synth::kPrimitiveCount; ++p) {
-    const auto prim = static_cast<Primitive>(p);
-    ASSERT_EQ(round.rows[static_cast<size_t>(p)].size(), built.rows[static_cast<size_t>(p)].size());
-    for (int w : {1, 7, 18, 33, 64}) {
-      EXPECT_NEAR(round.delayNs(prim, w), built.delayNs(prim, w), 1e-9) << p << ' ' << w;
-      EXPECT_NEAR(round.cost(prim, w).dynamicPj, built.cost(prim, w).dynamicPj, 1e-6)
+    const auto& want = built.rows[static_cast<size_t>(p)];
+    const auto& got = round.rows[static_cast<size_t>(p)];
+    ASSERT_EQ(got.size(), want.size()) << p;
+    for (const auto& [w, r] : want) {
+      ASSERT_EQ(got.count(w), 1u) << p << ' ' << w;
+      const PrimitiveCost& g = got.at(w);
+      EXPECT_EQ(g.latencyCycles, r.latencyCycles) << p << ' ' << w;
+      EXPECT_EQ((std::vector<double>{g.delayNs, g.lut4, g.ff, g.mult18, g.bram, g.dynamicPj,
+                                     g.leakageUw}),
+                (std::vector<double>{r.delayNs, r.lut4, r.ff, r.mult18, r.bram, r.dynamicPj,
+                                     r.leakageUw}))
           << p << ' ' << w;
     }
   }
