@@ -675,62 +675,4 @@ int convertCallsToLookupTables(Module& m, DiagEngine& diags, int maxIndexBits) {
   return converted;
 }
 
-// --- compile-time area estimation -----------------------------------------------------
-
-int64_t AreaEstimate::estimatedSlices() const {
-  // Virtex-II ballpark for 32-bit operators: ripple adder ~16 slices,
-  // LUT-based multiplier ~300, divider array ~500, comparator ~9, logic ~8.
-  return int64_t{16} * adders + 300 * multipliers + 500 * dividers + 9 * comparators +
-         8 * logicOps + 64 * luts;
-}
-
-AreaEstimate estimateArea(const Function& fn) {
-  AreaEstimate est;
-  forEachExprInStmt(*fn.body, [&](const Expr& e) {
-    switch (e.kind) {
-      case ExprKind::Binary: {
-        const auto op = static_cast<const BinaryExpr&>(e).op;
-        switch (op) {
-          case BinOp::Add:
-          case BinOp::Sub: ++est.adders; break;
-          case BinOp::Mul: ++est.multipliers; break;
-          case BinOp::Div:
-          case BinOp::Rem: ++est.dividers; break;
-          case BinOp::Eq:
-          case BinOp::Ne:
-          case BinOp::Lt:
-          case BinOp::Le:
-          case BinOp::Gt:
-          case BinOp::Ge: ++est.comparators; break;
-          default: ++est.logicOps; break;
-        }
-        break;
-      }
-      case ExprKind::Unary:
-        ++est.logicOps;
-        break;
-      case ExprKind::Call: {
-        const auto& c = static_cast<const CallExpr&>(e);
-        if (c.callee == intrinsics::kCos || c.callee == intrinsics::kSin ||
-            c.callee == intrinsics::kLookup) {
-          ++est.luts;
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  });
-  return est;
-}
-
-int chooseUnrollFactor(const Function& fn, int64_t tripCount, int64_t sliceBudget) {
-  const int64_t base = std::max<int64_t>(1, estimateArea(fn).estimatedSlices());
-  int factor = 1;
-  while (factor * 2 <= tripCount && tripCount % (factor * 2) == 0 && base * factor * 2 <= sliceBudget) {
-    factor *= 2;
-  }
-  return factor;
-}
-
 } // namespace roccc::hlir

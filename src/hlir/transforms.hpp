@@ -58,24 +58,4 @@ int inlineCalls(ast::Module& m, DiagEngine& diags);
 /// bits. Returns number of calls converted.
 int convertCallsToLookupTables(ast::Module& m, DiagEngine& diags, int maxIndexBits = 10);
 
-/// Compile-time area estimation over the AST (ref [13]: "<1 ms, within 5%"):
-/// a fast operator census used to drive unroll-factor selection before any
-/// hardware is built.
-struct AreaEstimate {
-  int adders = 0;
-  int multipliers = 0;
-  int dividers = 0;
-  int comparators = 0;
-  int logicOps = 0;
-  int luts = 0; ///< lookup-table instantiations
-  /// Rough slice estimate from the census (32-bit ops assumed).
-  int64_t estimatedSlices() const;
-};
-AreaEstimate estimateArea(const ast::Function& fn);
-
-/// Picks the largest power-of-two unroll factor whose estimated slice count
-/// fits `sliceBudget` (the compile-time-estimation-driven unrolling loop of
-/// section 2).
-int chooseUnrollFactor(const ast::Function& fn, int64_t tripCount, int64_t sliceBudget);
-
 } // namespace roccc::hlir

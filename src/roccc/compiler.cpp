@@ -1,5 +1,7 @@
 #include "roccc/compiler.hpp"
 
+#include <climits>
+
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
 #include "hlir/transforms.hpp"
@@ -112,26 +114,7 @@ PassManager Compiler::buildPipeline() const {
               opts.fullUnrollInnerLoops});
   pm.addPass({"unroll", PassLayer::Hlir, [](PassContext& ctx, PassStatistics& st) {
                 faultpoint("hlir.unroll");
-                int unrollFactor = ctx.options.unrollFactor;
-                if (ctx.options.autoUnrollSliceBudget > 0) {
-                  // Area-estimation-driven unrolling (section 2 / ref [13]):
-                  // largest power-of-two factor whose estimated slice count
-                  // fits the budget.
-                  int64_t trips = 0;
-                  ast::forEachStmt(*ctx.kernel()->body, [&](const ast::Stmt& s) {
-                    if (s.kind == ast::StmtKind::For && trips == 0) {
-                      const auto& f = static_cast<const ast::ForStmt&>(s);
-                      const auto b = ast::evalConstant(*f.begin);
-                      const auto e = ast::evalConstant(*f.end);
-                      if (b && e && *e > *b) trips = (*e - *b + f.step - 1) / f.step;
-                    }
-                  });
-                  if (trips > 1) {
-                    unrollFactor = hlir::chooseUnrollFactor(*ctx.kernel(), trips,
-                                                            ctx.options.autoUnrollSliceBudget);
-                  }
-                  st.add("trip-count", trips);
-                }
+                const int unrollFactor = ctx.options.unrollFactor;
                 if (unrollFactor > 1 &&
                     !hlir::unrollInnerLoop(ctx.module, *ctx.kernel(), unrollFactor, ctx.diags())) {
                   return false;
@@ -252,36 +235,95 @@ PassManager Compiler::buildPipeline() const {
   return pm;
 }
 
-CompileResult Compiler::compileSource(const std::string& cSource) const {
-  CompileResult r;
-  PassContext ctx(options_, r);
-  ctx.source = cSource;
+synth::EstimateOptions estimateOptionsFor(const CompileOptions& options,
+                                          const synth::TimingModel& model) {
+  synth::EstimateOptions eo = synth::EstimateOptions::forModel(model);
+  eo.useMult18 = options.dpOptions.multStyle == dp::BuildOptions::MultStyle::Mult18;
+  return eo;
+}
 
+namespace {
+
+/// One run of `pm` over `source` with `options`, metered by the job's
+/// `budget`.
+CompileResult runPipeline(const PassManager& pm, const CompileOptions& options,
+                          const std::string& source, CompileBudget& budget) {
+  CompileResult r;
+  PassContext ctx(options, r);
+  ctx.source = source;
+  ctx.budget = &budget;
+  pm.run(ctx, r.passLog);
+  if (r.outcome == CompileOutcome::Ok && r.diags.hasErrors()) {
+    r.outcome = CompileOutcome::FrontendError;
+  }
+  r.ok = r.outcome == CompileOutcome::Ok;
+  return r;
+}
+
+/// Area-budget-driven unrolling (section 2, ref [13]): compiles at unroll
+/// 1, 2, 4, ... and returns the last compile whose synth::estimate fits
+/// options.autoUnrollSliceBudget (unroll 1 when even that does not fit).
+/// The factor doubles only while it divides the trip count of the loop the
+/// unroll pass widens, the unroll-1 compile's innermost loop. Every probe
+/// is priced, none extrapolated, so the choice assumes nothing about how
+/// area grows with the factor.
+CompileResult compileWithinSliceBudget(const PassManager& pm, const CompileOptions& options,
+                                       const std::string& source, CompileBudget& budget) {
+  CompileOptions probe = options;
+  probe.unrollFactor = 1;
+  CompileResult best = runPipeline(pm, probe, source, budget);
+  if (!best.ok || best.kernel.loops.empty()) return best;
+  // build-datapath resolved the same spec, so this cannot fail.
+  synth::TimingModel storage;
+  std::string error;
+  const synth::EstimateOptions eo = estimateOptionsFor(
+      options, *synth::TimingModel::resolve(options.timingModelSpec, storage, error));
+  const auto fits = [&](const CompileResult& r) {
+    return synth::estimate(r.module, eo).slices <= options.autoUnrollSliceBudget;
+  };
+  if (!fits(best)) return best;
+  const int64_t trips = best.kernel.loops.back().trips();
+  for (int64_t f = 2; f <= trips && trips % f == 0 && f <= INT_MAX; f *= 2) {
+    // Each probe is its own design: the deadline runs on across the search,
+    // the unroll-product cap bounds one design's expansion.
+    budget.restartUnrollProduct();
+    probe.unrollFactor = static_cast<int>(f);
+    CompileResult r = runPipeline(pm, probe, source, budget);
+    // A factor past one of the job's resource caps does not fit either;
+    // any other failure (the deadline, an internal error) is the job's.
+    if (r.outcome == CompileOutcome::ResourceExceeded || (r.ok && !fits(r))) break;
+    if (!r.ok) return r;
+    best = std::move(r);
+  }
+  return best;
+}
+
+} // namespace
+
+CompileResult Compiler::compileSource(const std::string& cSource) const {
   // Per-job governance: the budget (deadline clock starts here) and any
   // armed fault point are installed into this thread's slots, so layer code
   // deep in the pipeline can checkpoint without threading a handle through
-  // every signature. Each batch job runs wholly on one worker thread.
+  // every signature. Each batch job runs wholly on one worker thread, and
+  // every compile an auto-unroll search makes runs under these two scopes.
   CompileBudget budget(options_.budget);
-  ctx.budget = &budget;
   BudgetScope budgetScope(&budget);
   FaultInjectionScope faultScope(options_.injectFaultAt);
 
   try {
     const PassManager pm = buildPipeline();
-    pm.run(ctx, r.passLog);
+    return options_.autoUnrollSliceBudget > 0
+               ? compileWithinSliceBudget(pm, options_, cSource, budget)
+               : runPipeline(pm, options_, cSource, budget);
   } catch (const std::exception& e) {
     // Belt over the pass-edge suspenders: nothing should escape
     // PassManager::run, but a throw from pipeline construction itself must
     // still come out as a structured outcome, not a dead process.
+    CompileResult r;
     r.outcome = CompileOutcome::InternalError;
     r.diags.error({}, fmt("internal: unhandled exception outside the pass boundary: %0", e.what()));
+    return r;
   }
-
-  if (r.outcome == CompileOutcome::Ok && r.diags.hasErrors()) {
-    r.outcome = CompileOutcome::FrontendError;
-  }
-  r.ok = r.outcome == CompileOutcome::Ok && !r.diags.hasErrors();
-  return r;
 }
 
 } // namespace roccc

@@ -23,6 +23,7 @@
 #include "rtl/netlist.hpp"
 #include "support/budget.hpp"
 #include "support/diag.hpp"
+#include "synth/estimate.hpp"
 
 namespace roccc {
 
@@ -46,9 +47,10 @@ struct CompileOptions {
   /// Widening the data path this way is how the DCT processes a full
   /// 8-sample block per clock (section 5).
   int unrollFactor = 1;
-  /// When > 0, pick the unroll factor automatically: the largest
-  /// power-of-two whose compile-time area estimate (ref [13]) fits this
-  /// many slices. Overrides unrollFactor.
+  /// When > 0, pick the unroll factor automatically (section 2, ref [13]):
+  /// compile at unroll 1, 2, 4, ... and keep the largest factor whose
+  /// synth::estimate fits this many slices and divides the unrolled loop's
+  /// trip count. Overrides unrollFactor.
   int64_t autoUnrollSliceBudget = 0;
   /// Fully unroll loops nested inside the streaming loop (bit_correlator's
   /// per-bit scan, square root's digit recurrence, ...).
@@ -104,11 +106,18 @@ struct CompileResult {
   std::vector<PassStatistics> passLog;
 };
 
+/// The estimate options that price a compile as it was built: `model` (the
+/// compile's resolved timing model) and variable multipliers in the
+/// compile's multiplier style.
+synth::EstimateOptions estimateOptionsFor(const CompileOptions& options,
+                                          const synth::TimingModel& model);
+
 class Compiler {
  public:
   explicit Compiler(CompileOptions options = {}) : options_(std::move(options)) {}
 
-  /// Compiles C source text end to end.
+  /// Compiles C source text end to end. With autoUnrollSliceBudget set, one
+  /// job runs several compiles under one budget and returns the chosen one.
   CompileResult compileSource(const std::string& cSource) const;
 
   /// The declared pass sequence compileSource runs: parse, the HLIR loop

@@ -407,9 +407,7 @@ void collectMetrics(const SweepPoint& point, const CompileResult& r, uint64_t se
     out.error = fmt("timing model: %0", err);
     return;
   }
-  synth::EstimateOptions eo = synth::EstimateOptions::forModel(*model);
-  eo.useMult18 = point.options.dpOptions.multStyle == dp::BuildOptions::MultStyle::Mult18;
-  const synth::Report est = synth::estimate(r.module, eo);
+  const synth::Report est = synth::estimate(r.module, estimateOptionsFor(point.options, *model));
   PointMetrics& m = out.metrics;
   m.slices = est.slices;
   m.lut4 = est.res.lut4;

@@ -41,7 +41,7 @@ constexpr OptionRow kRows[] = {
      .help = "partially unroll the streaming loop by N", .kind = K::Int, .min = 1,
      .max = INT_MAX, .field = ROCCC_FIELD(unrollFactor)},
     {.id = OptionId::AutoUnrollBudget, .key = "autoUnrollBudget", .flag = "--auto-unroll-budget",
-     .valueName = "N", .help = "pick the largest power-of-two unroll whose estimate fits N slices",
+     .valueName = "N", .help = "keep the largest power-of-two unroll whose estimate fits N slices",
      .kind = K::Int, .min = 0, .max = kInt64Max, .field = ROCCC_FIELD(autoUnrollSliceBudget)},
     {.id = OptionId::FullUnroll, .key = "fullUnroll", .flag = "--no-full-unroll",
      .help = "keep loops nested in the streaming loop (no full unrolling)", .kind = K::Bool,

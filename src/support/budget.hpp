@@ -94,6 +94,9 @@ class CompileBudget {
   /// Multiplies the accumulated unroll-expansion product by `factor`
   /// (saturating) and throws BudgetExceeded{UnrollProduct} past the cap.
   void chargeUnroll(int64_t factor, const char* where);
+  /// Starts the unroll-expansion product over at 1, for a job that compiles
+  /// several designs (the auto-unroll search) under one budget.
+  void restartUnrollProduct() { unrollProduct_ = 1; }
   /// Throws BudgetExceeded{Depth} when `depth` exceeds the nesting cap.
   void checkDepth(int64_t depth, const char* where);
 

@@ -116,10 +116,10 @@ TEST(Corpus, ConstantDivisorsBuildNoDividerRows) {
   }
   // The default 4 ns target, LUT multiplier style: no larger or slower
   // than the hand-written multiply and shift.
-  const CompileResult r = Compiler().compileSource(box->source);
-  synth::EstimateOptions eo = synth::EstimateOptions::forModel(synth::TimingModel::virtex2());
-  eo.useMult18 = false;
-  const synth::Report est = synth::estimate(r.module, eo);
+  const Compiler compiler;
+  const CompileResult r = compiler.compileSource(box->source);
+  const synth::Report est = synth::estimate(
+      r.module, estimateOptionsFor(compiler.options(), synth::TimingModel::virtex2()));
   EXPECT_LE(est.slices, 142);
   EXPECT_GE(est.fmaxMHz(), 185.5);
 }

@@ -454,9 +454,8 @@ TEST(ExploreDeterminism, JsonKeepsTheEstimatesDoubles) {
   const SweepPoint& point = sweep.points[0].point;
   const CompileResult r = Compiler(point.options).compileSource(point.source);
   ASSERT_TRUE(r.ok) << r.diags.dump();
-  synth::EstimateOptions eo = synth::EstimateOptions::forModel(synth::TimingModel::virtex2());
-  eo.useMult18 = point.options.dpOptions.multStyle == dp::BuildOptions::MultStyle::Mult18;
-  const synth::Report est = synth::estimate(r.module, eo);
+  const synth::Report est = synth::estimate(
+      r.module, estimateOptionsFor(point.options, synth::TimingModel::virtex2()));
 
   json::Value doc;
   std::string error;

@@ -210,6 +210,33 @@ TEST(CompileBudget, UnrollProductBudgetContainsExpansion) {
   EXPECT_EQ(r.failedPass, "unroll");
 }
 
+// The auto-unroll search compiles several designs under the job's one
+// budget and fault arming: an expired deadline and an armed fault fail the
+// job, and the unroll-product cap bounds each design, so the search stops
+// at the last factor within it (fir's loop has 64 trips).
+TEST(CompileBudget, AutoUnrollSearchRunsUnderTheJobsBudget) {
+  CompileOptions o;
+  o.autoUnrollSliceBudget = 1'000'000;
+  o.budget.timeoutMs = -1;
+  EXPECT_EQ(Compiler(o).compileSource(bench::kFir).outcome, CompileOutcome::Timeout);
+
+  o.budget = {};
+  o.injectFaultAt = "hlir.unroll";
+  const CompileResult faulted = Compiler(o).compileSource(bench::kFir);
+  EXPECT_EQ(faulted.outcome, CompileOutcome::InternalError);
+  EXPECT_EQ(faulted.failedPass, "unroll");
+
+  o.injectFaultAt.clear();
+  o.budget.maxUnrollProduct = 8;
+  const CompileResult r = Compiler(o).compileSource(bench::kFir);
+  ASSERT_TRUE(r.ok) << r.diags.dump();
+  int64_t factor = 0;
+  for (const PassStatistics& p : r.passLog) {
+    if (p.name == "unroll") factor = p.counter("unroll-factor");
+  }
+  EXPECT_EQ(factor, 8);
+}
+
 TEST(CompileBudget, DepthCapContainsPathologicalNesting) {
   std::string deep = "void k(const int A[4], int B[4]) {\n  int i;\n"
                      "  for (i = 0; i < 4; i = i + 1) { B[i] = ";

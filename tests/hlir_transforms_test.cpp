@@ -325,34 +325,6 @@ TEST(LutConversion, SignedInputIndexedByRawBits) {
   EXPECT_EQ(interp::runKernel(m, "k", in).scalars["o"], 21);
 }
 
-TEST(AreaEstimate, CountsOperators) {
-  Module m = build(R"(
-    void k(int a, int b, int* o) {
-      *o = a * b + a * a - (b & 15) + (a < b);
-    }
-  )");
-  const AreaEstimate est = estimateArea(m.functions[0]);
-  EXPECT_EQ(est.multipliers, 2);
-  EXPECT_EQ(est.adders, 3);
-  EXPECT_EQ(est.comparators, 1);
-  EXPECT_EQ(est.logicOps, 1);
-  EXPECT_GT(est.estimatedSlices(), 0);
-}
-
-TEST(AreaEstimate, UnrollFactorScalesWithBudget) {
-  Module m = build(R"(
-    void k(const int32 A[64], int32 C[64]) {
-      int i;
-      for (i = 0; i < 64; i++) { C[i] = A[i] * 3 + 1; }
-    }
-  )");
-  const int small = chooseUnrollFactor(m.functions[0], 64, 700);
-  const int big = chooseUnrollFactor(m.functions[0], 64, 40000);
-  EXPECT_LT(small, big);
-  EXPECT_EQ(64 % small, 0);
-  EXPECT_EQ(64 % big, 0);
-}
-
 // Property sweep: partial unroll by every dividing factor preserves results.
 class UnrollSweep : public ::testing::TestWithParam<int> {};
 

@@ -381,6 +381,35 @@ TEST(System, AutoUnrollTinyBudgetKeepsFactorOne) {
   EXPECT_EQ(r.kernel.outputs[0].accessCount(), 1);
 }
 
+// The search reads the trip count of the loop the unroll pass widens: the
+// inner j loop (6 trips), not the outer i loop (16). A budget that fits
+// every probe stops at 2, the last power of two dividing 6.
+TEST(System, AutoUnrollReadsTheUnrolledLoopsTripCount) {
+  const char* src = R"(
+    void k2d(const uint8 P[16][6], uint8 B[16][6]) {
+      int i;
+      int j;
+      for (i = 0; i < 16; i = i + 1) {
+        for (j = 0; j < 6; j = j + 1) {
+          B[i][j] = P[i][j] + 1;
+        }
+      }
+    }
+  )";
+  CompileOptions opt;
+  opt.autoUnrollSliceBudget = 100000;
+  const CompileResult r = compile(src, opt);
+  ASSERT_TRUE(r.ok);
+  const auto unroll = std::find_if(r.passLog.begin(), r.passLog.end(),
+                                   [](const PassStatistics& p) { return p.name == "unroll"; });
+  ASSERT_NE(unroll, r.passLog.end());
+  EXPECT_EQ(unroll->counter("unroll-factor"), 2);
+  interp::KernelIO in;
+  for (int i = 0; i < 96; ++i) in.arrays["P"].push_back((i * 37) % 256);
+  const KernelVerdict v = verifyOn(r, src, in);
+  EXPECT_TRUE(v.agree) << v.firstProblem();
+}
+
 // x·3 in the remainder's multiply-back is (x << 2) - x: the data path
 // holds no Neg.
 TEST(System, RemainderByThreeNeedsNoNeg) {

@@ -332,12 +332,9 @@ int main(int argc, char** argv) {
   roccc::synth::TimingModel modelStorage;
   const roccc::synth::TimingModel& timingModel =
       *roccc::synth::TimingModel::resolve(a.options.timingModelSpec, modelStorage, error);
-  // Every report prices the design as compiled: variable multipliers in the
-  // compile's multiplier style, as roccc-explore does.
-  roccc::synth::EstimateOptions estimateOptions =
-      roccc::synth::EstimateOptions::forModel(timingModel);
-  estimateOptions.useMult18 =
-      a.options.dpOptions.multStyle == roccc::dp::BuildOptions::MultStyle::Mult18;
+  // Every report prices the design as compiled, as roccc-explore does.
+  const roccc::synth::EstimateOptions estimateOptions =
+      roccc::estimateOptionsFor(a.options, timingModel);
 
   if (a.inputs.size() > 1) {
     // Batch mode writes one <input>.vhd per input and nothing else, so a
