@@ -423,8 +423,9 @@ TEST(System, RemainderByThreeNeedsNoNeg) {
   )";
   const CompileResult r = compile(src);
   ASSERT_TRUE(r.ok);
+  const json::Value exported = dp::exportJson(r.datapath);
   int negs = 0;
-  for (const json::Value& op : dp::exportJson(r.datapath).find("ops")->items()) {
+  for (const json::Value& op : exported.find("ops")->items()) {
     negs += op.find("op")->asString() == "neg";
   }
   EXPECT_EQ(negs, 0);
