@@ -1,7 +1,7 @@
 #include "roccc/cache.hpp"
 
+#include <climits>
 #include <condition_variable>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -14,10 +14,6 @@
 #include "support/strings.hpp"
 
 namespace roccc {
-
-// Bump on any change to code generation, key derivation, or the entry
-// serialization below. Old tier-2 stores then read as silent misses.
-const char* const kCacheSchema = "roccc-cache-v6";
 
 // --- key derivation ----------------------------------------------------------
 
@@ -46,11 +42,12 @@ std::string canonicalizeOptions(const CompileOptions& o) {
   return all.dump();
 }
 
-std::string computeCacheKey(std::string_view source, const CompileOptions& options) {
+std::string computeCacheKey(std::string_view source, const CompileOptions& options,
+                            std::string_view fingerprint) {
   const std::string normalized = normalizeSourceForKey(source);
   const std::string canonical = canonicalizeOptions(options);
   Sha256 h;
-  h.update(kCacheSchema);
+  h.update(fingerprint);
   h.update("\n");
   h.update(canonical);
   h.update("\n");
@@ -128,12 +125,12 @@ json::Value CacheStats::toJson() const {
                               {"bytesInUse", bytesInUse}, {"entries", entries}});
 }
 
-// --- entry serialization (tier 2) -------------------------------------------
+// --- tier-2 entry documents -------------------------------------------------
 //
-// A line-oriented format with length-prefixed blobs. parseEntry is strict:
-// any truncation, header mismatch, or malformed field returns nullopt and
-// the caller treats the file as a miss — corruption can cost a recompile,
-// never an error or a wrong result.
+// One compact JSON document per entry (docs/CACHING.md shows the layout).
+// entryFromJson is strict: a wrong key, a missing or mistyped field, or an
+// out-of-range enum returns nullopt and the caller treats the file as a
+// miss, so damage can cost a recompile, never an error or a wrong result.
 
 namespace {
 
@@ -146,157 +143,100 @@ std::optional<CompileOutcome> outcomeFromName(const std::string& name) {
   return std::nullopt;
 }
 
-void putBlob(std::ostream& out, const char* tag, const std::string& blob) {
-  out << tag << ' ' << blob.size() << '\n' << blob << '\n';
+json::Value entryToJson(const std::string& key, const CacheEntry& e) {
+  using json::Value;
+  Value diags = Value::array();
+  for (const Diagnostic& d : e.diags) {
+    diags.push(Value::object({{"severity", static_cast<int>(d.severity)}, {"line", d.loc.line},
+                              {"column", d.loc.column}, {"message", d.message}}));
+  }
+  Value passes = Value::array();
+  for (const PassStatistics& p : e.passLog) {
+    Value counters = Value::array();
+    for (const auto& [name, value] : p.counters) counters.push(Value::array({name, value}));
+    passes.push(Value::object({{"name", p.name}, {"layer", static_cast<int>(p.layer)},
+                               {"ran", p.ran}, {"wallMs", p.wallMs},
+                               {"counters", std::move(counters)}}));
+  }
+  return Value::object({{"key", key}, {"outcome", compileOutcomeName(e.outcome)},
+                        {"failedPass", e.failedPass}, {"vhdl", e.vhdl}, {"verilog", e.verilog},
+                        {"diags", std::move(diags)}, {"passes", std::move(passes)}});
 }
 
-std::string serializeEntry(const std::string& key, const CacheEntry& e) {
-  std::ostringstream out;
-  out << "roccc-cache-entry " << kCacheSchema << '\n';
-  out << "key " << key << '\n';
-  out << "outcome " << compileOutcomeName(e.outcome) << '\n';
-  putBlob(out, "failed-pass", e.failedPass);
-  putBlob(out, "vhdl", e.vhdl);
-  putBlob(out, "verilog", e.verilog);
-  out << "diags " << e.diags.size() << '\n';
-  for (const auto& d : e.diags) {
-    out << "d " << static_cast<int>(d.severity) << ' ' << d.loc.line << ' ' << d.loc.column << ' '
-        << d.message.size() << '\n'
-        << d.message << '\n';
-  }
-  out << "passes " << e.passLog.size() << '\n';
-  for (const auto& p : e.passLog) {
-    char wall[40];
-    std::snprintf(wall, sizeof wall, "%.17g", p.wallMs);
-    // Pass names are single tokens (no spaces) by construction.
-    out << "p " << static_cast<int>(p.layer) << ' ' << (p.ran ? 1 : 0) << ' ' << wall << ' '
-        << p.name << ' ' << p.counters.size() << '\n';
-    for (const auto& [k, v] : p.counters) {
-      out << "c " << v << ' ' << k.size() << ' ' << k << '\n';
-    }
-  }
-  out << "end\n";
-  return out.str();
+/// `doc`'s member `name` when it has kind `kind`, else null.
+const json::Value* member(const json::Value& doc, std::string_view name, json::Value::Kind kind) {
+  const json::Value* v = doc.find(name);
+  return v && v->kind() == kind ? v : nullptr;
 }
 
-/// Strict cursor over the serialized form.
-class EntryReader {
- public:
-  explicit EntryReader(const std::string& data) : data_(data) {}
+bool readString(const json::Value& doc, std::string_view name, std::string& out) {
+  const json::Value* v = member(doc, name, json::Value::Kind::String);
+  if (v) out = v->asString();
+  return v != nullptr;
+}
 
-  bool literal(const std::string& expect) {
-    if (data_.compare(pos_, expect.size(), expect) != 0) return false;
-    pos_ += expect.size();
-    return true;
-  }
-  /// Reads up to the next '\n' (consumed, not returned).
-  bool line(std::string& out) {
-    const size_t nl = data_.find('\n', pos_);
-    if (nl == std::string::npos) return false;
-    out = data_.substr(pos_, nl - pos_);
-    pos_ = nl + 1;
-    return true;
-  }
-  bool number(int64_t& out) {
-    size_t i = pos_;
-    bool neg = false;
-    if (i < data_.size() && data_[i] == '-') {
-      neg = true;
-      ++i;
-    }
-    if (i >= data_.size() || data_[i] < '0' || data_[i] > '9') return false;
-    int64_t v = 0;
-    while (i < data_.size() && data_[i] >= '0' && data_[i] <= '9') {
-      v = v * 10 + (data_[i] - '0');
-      ++i;
-    }
-    out = neg ? -v : v;
-    pos_ = i;
-    return true;
-  }
-  bool blob(size_t len, std::string& out) {
-    if (pos_ + len > data_.size()) return false;
-    out = data_.substr(pos_, len);
-    pos_ += len;
-    return true;
-  }
+/// An integral member within [lo, hi].
+bool readInt(const json::Value& doc, std::string_view name, int64_t lo, int64_t hi, int64_t& out) {
+  const json::Value* v = member(doc, name, json::Value::Kind::Number);
+  if (!v || !v->isIntegral() || v->asInt() < lo || v->asInt() > hi) return false;
+  out = v->asInt();
+  return true;
+}
 
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
-};
-
-std::optional<CacheEntry> parseEntry(const std::string& data, const std::string& expectKey) {
-  EntryReader r(data);
+std::optional<CacheEntry> entryFromJson(const json::Value& doc, const std::string& expectKey) {
+  using Kind = json::Value::Kind;
   CacheEntry e;
-  std::string text;
-  int64_t n = 0;
+  std::string key, outcome;
+  const json::Value* diags = member(doc, "diags", Kind::Array);
+  const json::Value* passes = member(doc, "passes", Kind::Array);
+  if (!readString(doc, "key", key) || key != expectKey || !readString(doc, "outcome", outcome) ||
+      !readString(doc, "failedPass", e.failedPass) || !readString(doc, "vhdl", e.vhdl) ||
+      !readString(doc, "verilog", e.verilog) || !diags || !passes) {
+    return std::nullopt;
+  }
+  const auto o = outcomeFromName(outcome);
+  if (!o) return std::nullopt;
+  e.outcome = *o;
 
-  if (!r.literal(std::string("roccc-cache-entry ") + kCacheSchema + "\n")) return std::nullopt;
-  if (!r.literal("key " + expectKey + "\n")) return std::nullopt;
-  if (!r.literal("outcome ") || !r.line(text)) return std::nullopt;
-  const auto outcome = outcomeFromName(text);
-  if (!outcome) return std::nullopt;
-  e.outcome = *outcome;
-
-  auto readBlob = [&](const char* tag, std::string& out) {
-    return r.literal(std::string(tag) + " ") && r.number(n) && n >= 0 && r.literal("\n") &&
-           r.blob(static_cast<size_t>(n), out) && r.literal("\n");
-  };
-  if (!readBlob("failed-pass", e.failedPass)) return std::nullopt;
-  if (!readBlob("vhdl", e.vhdl)) return std::nullopt;
-  if (!readBlob("verilog", e.verilog)) return std::nullopt;
-
-  if (!r.literal("diags ") || !r.number(n) || n < 0 || !r.literal("\n")) return std::nullopt;
-  for (int64_t i = 0; i < n; ++i) {
-    int64_t sev = 0, ln = 0, col = 0, len = 0;
-    Diagnostic d;
-    if (!r.literal("d ") || !r.number(sev) || !r.literal(" ") || !r.number(ln) ||
-        !r.literal(" ") || !r.number(col) || !r.literal(" ") || !r.number(len) || len < 0 ||
-        !r.literal("\n") || !r.blob(static_cast<size_t>(len), d.message) || !r.literal("\n")) {
+  for (const json::Value& d : diags->items()) {
+    Diagnostic diag;
+    int64_t severity = 0, line = 0, column = 0;
+    if (!readInt(d, "severity", 0, static_cast<int>(Severity::Error), severity) ||
+        !readInt(d, "line", INT_MIN, INT_MAX, line) ||
+        !readInt(d, "column", INT_MIN, INT_MAX, column) ||
+        !readString(d, "message", diag.message)) {
       return std::nullopt;
     }
-    if (sev < 0 || sev > static_cast<int>(Severity::Error)) return std::nullopt;
-    d.severity = static_cast<Severity>(sev);
-    d.loc.line = static_cast<int>(ln);
-    d.loc.column = static_cast<int>(col);
-    e.diags.push_back(std::move(d));
+    diag.severity = static_cast<Severity>(severity);
+    diag.loc.line = static_cast<int>(line);
+    diag.loc.column = static_cast<int>(column);
+    e.diags.push_back(std::move(diag));
   }
 
-  if (!r.literal("passes ") || !r.number(n) || n < 0 || !r.literal("\n")) return std::nullopt;
-  for (int64_t i = 0; i < n; ++i) {
-    PassStatistics p;
-    int64_t layer = 0, ran = 0, counters = 0;
-    if (!r.literal("p ") || !r.number(layer) || !r.literal(" ") || !r.number(ran) ||
-        !r.literal(" ")) {
+  for (const json::Value& p : passes->items()) {
+    PassStatistics st;
+    int64_t layer = 0;
+    const json::Value* ran = member(p, "ran", Kind::Bool);
+    const json::Value* wallMs = member(p, "wallMs", Kind::Number);
+    const json::Value* counters = member(p, "counters", Kind::Array);
+    if (!readString(p, "name", st.name) || st.name.empty() ||
+        !readInt(p, "layer", 0, static_cast<int>(PassLayer::Vhdl), layer) || !ran || !wallMs ||
+        !counters) {
       return std::nullopt;
     }
-    // Rest of the line: "<wallMs %.17g> <name> <counterCount>" — the name is
-    // a single token, wallMs may be scientific notation.
-    {
-      std::string rest;
-      if (!r.line(rest)) return std::nullopt;
-      std::istringstream fields(rest);
-      if (!(fields >> p.wallMs >> p.name >> counters) || counters < 0 || p.name.empty()) {
+    st.layer = static_cast<PassLayer>(layer);
+    st.ran = ran->asBool();
+    st.wallMs = wallMs->asDouble();
+    for (const json::Value& c : counters->items()) {
+      // [name, value]
+      if (!c.isArray() || c.items().size() != 2 || !c.items()[0].isString() ||
+          !c.items()[1].isNumber() || !c.items()[1].isIntegral()) {
         return std::nullopt;
       }
+      st.counters.emplace_back(c.items()[0].asString(), c.items()[1].asInt());
     }
-    if (layer < 0 || layer > static_cast<int>(PassLayer::Vhdl)) return std::nullopt;
-    p.layer = static_cast<PassLayer>(layer);
-    p.ran = ran != 0;
-    for (int64_t c = 0; c < counters; ++c) {
-      int64_t value = 0, keyLen = 0;
-      std::string ckey;
-      if (!r.literal("c ") || !r.number(value) || !r.literal(" ") || !r.number(keyLen) ||
-          keyLen < 0 || !r.literal(" ") || !r.blob(static_cast<size_t>(keyLen), ckey) ||
-          !r.literal("\n")) {
-        return std::nullopt;
-      }
-      p.counters.emplace_back(std::move(ckey), value);
-    }
-    e.passLog.push_back(std::move(p));
+    e.passLog.push_back(std::move(st));
   }
-  if (!r.literal("end\n")) return std::nullopt;
   return e;
 }
 
@@ -309,25 +249,11 @@ struct CompileCache::DiskStore {
   bool usable = false;
 
   explicit DiskStore(const std::string& directory) : dir(directory) {
-    namespace fs = std::filesystem;
+    // Unusable when the directory cannot be made; every operation then
+    // silently misses.
     std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec) return; // unusable; every operation silently misses
-
-    const std::string manifest = dir + "/manifest";
-    const std::string want = std::string("roccc-compile-cache\nschema ") + kCacheSchema + "\n";
-    std::ifstream in(manifest, std::ios::binary);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      // A manifest from another schema version: leave the store alone —
-      // reads miss, writes are suppressed (we will not mix generations).
-      usable = buf.str() == want;
-      return;
-    }
-    // Fresh (or manifest-less) directory: claim it for this schema.
-    if (!writeAtomic(manifest, want)) return;
-    usable = true;
+    std::filesystem::create_directories(dir, ec);
+    usable = std::filesystem::is_directory(dir, ec);
   }
 
   std::string entryPath(const std::string& key) const { return dir + "/" + key + ".entry"; }
@@ -362,17 +288,19 @@ struct CompileCache::DiskStore {
     if (!in) return std::nullopt;
     std::ostringstream buf;
     buf << in.rdbuf();
-    auto entry = parseEntry(buf.str(), key);
-    // The digest is not in the entry file, so the format and kCacheSchema
-    // stay as they are; it is computed once here, as the entry is promoted
-    // into tier 1.
+    json::Value doc;
+    std::string error;
+    if (!json::parse(buf.str(), doc, error)) return std::nullopt;
+    auto entry = entryFromJson(doc, key);
+    // The digest is not in the entry document; it is computed once here,
+    // as the entry is promoted into tier 1.
     if (entry) entry->vhdlSha256 = sha256Hex(entry->vhdl);
     return entry;
   }
 
   bool store(const std::string& key, const CacheEntry& entry) const {
     if (!usable) return false;
-    return writeAtomic(entryPath(key), serializeEntry(key, entry));
+    return writeAtomic(entryPath(key), entryToJson(key, entry).dump());
   }
 };
 

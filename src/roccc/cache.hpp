@@ -12,29 +12,29 @@
 //
 // Key derivation (docs/CACHING.md has the full walkthrough):
 //
-//   key = SHA-256( schema version || normalized source bytes ||
-//                  canonicalized CompileOptions || fault-injection salt )
+//   key = SHA-256( compiler fingerprint || canonicalized CompileOptions ||
+//                  normalized source bytes )
 //
+//   - the compiler fingerprint (kCompilerFingerprint) covers the compiler
+//     itself: the build hashes every src/**/*.{cpp,hpp}, so any source
+//     edit gives every key a new value and old entries silently miss.
 //   - "normalized source" folds CRLF / lone CR line endings to LF — the one
 //     byte-level difference the front end provably cannot observe.
 //   - "canonicalized options" serializes every *semantic* field of
 //     CompileOptions in a fixed order. Presentation-only fields (the
 //     --print-after / --print-after-all snapshot requests, and roccc-cc's
 //     --quiet, which never reaches CompileOptions) are deliberately
-//     excluded so they cannot fragment cache keys.
-//   - the schema version covers the compiler itself: bump kCacheSchema when
-//     code generation changes, and every old entry silently misses.
-//   - CompileOptions::injectFaultAt participates as a salt, so a
-//     fault-armed compile can never be served a clean compile's result (or
-//     vice versa).
+//     excluded so they cannot fragment cache keys. CompileOptions::
+//     injectFaultAt is a row like any other, so a fault-armed compile can
+//     never be served a clean compile's result (or vice versa).
 //
 // Tier 1 is an in-process sharded-mutex LRU with a byte budget; entries are
 // whole CompileResult artifact sets (VHDL/Verilog bytes, pass log,
 // diagnostics, outcome). Tier 2 is an optional on-disk store (roccc-cc
-// --cache-dir) that survives across processes and CI runs; writes go to a
-// temp file then rename into place (atomic on POSIX), and both the store
-// manifest and each entry carry the schema version — corruption or a
-// version mismatch reads as a silent miss, never an error.
+// --cache-dir) that survives across processes and CI runs: one JSON
+// document per entry, written to a temp file then renamed into place
+// (atomic on POSIX). A damaged file or one holding another key reads as a
+// silent miss, never an error.
 //
 // getOrCompute() is single-flight per key: when N in-flight jobs share a
 // key, one caller (the leader) runs the compile while the other N-1 block
@@ -62,10 +62,10 @@
 
 namespace roccc {
 
-/// Cache schema version. Participates in every key and in the on-disk
-/// manifest/entry headers; bump it whenever code generation or the entry
-/// serialization changes so stale entries miss instead of lying.
-extern const char* const kCacheSchema;
+/// SHA-256 over the sorted (relative path, SHA-256) list of every
+/// src/**/*.{cpp,hpp}, computed by the build (src/roccc/fingerprint.cmake).
+/// Every key hashes it, so an entry from another compiler never hits.
+extern const char* const kCompilerFingerprint;
 
 /// Canonical fixed-order serialization of every semantic CompileOptions
 /// field: the compact JSON protocol options object holding every row of the
@@ -79,8 +79,10 @@ std::string canonicalizeOptions(const CompileOptions& options);
 /// difference, so the fold widens hits without widening behaviour).
 std::string normalizeSourceForKey(std::string_view source);
 
-/// The content-addressed key for one (source, options) compile.
-std::string computeCacheKey(std::string_view source, const CompileOptions& options);
+/// The content-addressed key for one (source, options) compile by the
+/// compiler whose fingerprint is `fingerprint` (this build's by default).
+std::string computeCacheKey(std::string_view source, const CompileOptions& options,
+                            std::string_view fingerprint = kCompilerFingerprint);
 
 /// The artifact set a cache entry stores — everything in a CompileResult
 /// that outlives the compile (the heavyweight in-memory IRs — AST, MIR,
@@ -91,7 +93,7 @@ struct CacheEntry {
   std::string failedPass;
   std::string vhdl;
   /// CompileResult::vhdlSha256 (empty when the producer did not hash). Not
-  /// part of the tier-2 file: a disk load recomputes it.
+  /// part of the tier-2 document: a disk load recomputes it.
   std::string vhdlSha256;
   std::string verilog; ///< empty unless the compile asked for Verilog
   std::vector<Diagnostic> diags;
@@ -159,7 +161,7 @@ class CompileCache {
 
   CacheStats stats() const;
   const CacheConfig& config() const { return config_; }
-  /// True when the tier-2 store is configured and passed its version check.
+  /// True when the tier-2 store is configured and its directory exists.
   bool diskEnabled() const;
 
  private:

@@ -266,12 +266,27 @@ CompileResult runPipeline(const PassManager& pm, const CompileOptions& options,
 /// The factor doubles only while it divides the trip count of the loop the
 /// unroll pass widens, the unroll-1 compile's innermost loop. Every probe
 /// is priced, none extrapolated, so the choice assumes nothing about how
-/// area grows with the factor.
+/// area grows with the factor. The returned pass log keeps the returned
+/// compile's counters, but each pass's wallMs is that pass's time summed
+/// over every probe, so the log accounts for the whole search.
 CompileResult compileWithinSliceBudget(const PassManager& pm, const CompileOptions& options,
                                        const std::string& source, CompileBudget& budget) {
+  // Every run's log is a prefix of pm's pass list, so entry i of any log
+  // is the same pass; spentMs[i] sums its time over the runs so far.
+  std::vector<double> spentMs;
+  const auto run = [&](const CompileOptions& o) {
+    CompileResult r = runPipeline(pm, o, source, budget);
+    if (spentMs.size() < r.passLog.size()) spentMs.resize(r.passLog.size(), 0.0);
+    for (size_t i = 0; i < r.passLog.size(); ++i) spentMs[i] += r.passLog[i].wallMs;
+    return r;
+  };
+  const auto finish = [&](CompileResult r) {
+    for (size_t i = 0; i < r.passLog.size(); ++i) r.passLog[i].wallMs = spentMs[i];
+    return r;
+  };
   CompileOptions probe = options;
   probe.unrollFactor = 1;
-  CompileResult best = runPipeline(pm, probe, source, budget);
+  CompileResult best = run(probe);
   if (!best.ok || best.kernel.loops.empty()) return best;
   // build-datapath resolved the same spec, so this cannot fail.
   synth::TimingModel storage;
@@ -288,14 +303,14 @@ CompileResult compileWithinSliceBudget(const PassManager& pm, const CompileOptio
     // the unroll-product cap bounds one design's expansion.
     budget.restartUnrollProduct();
     probe.unrollFactor = static_cast<int>(f);
-    CompileResult r = runPipeline(pm, probe, source, budget);
+    CompileResult r = run(probe);
     // A factor past one of the job's resource caps does not fit either;
     // any other failure (the deadline, an internal error) is the job's.
     if (r.outcome == CompileOutcome::ResourceExceeded || (r.ok && !fits(r))) break;
-    if (!r.ok) return r;
+    if (!r.ok) return finish(std::move(r));
     best = std::move(r);
   }
-  return best;
+  return finish(std::move(best));
 }
 
 } // namespace

@@ -6,7 +6,7 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "roccc/cache.hpp"
+#include "roccc/cache.hpp" // computeCacheKey: expandGrid's dedup key
 #include "rtl/system.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
@@ -391,9 +391,8 @@ double metricValue(const PointMetrics& m, SweepAxis axis) {
 
 namespace {
 
-/// Collects one Ok point's metrics. `r` must carry the in-memory IR (a
-/// fresh compile, not a cache hit). Throws nothing: simulation failures
-/// come back as a SimError outcome on the result row.
+/// Collects one Ok point's metrics from `r`'s in-memory IR. Throws nothing:
+/// simulation failures come back as a SimError outcome on the result row.
 void collectMetrics(const SweepPoint& point, const CompileResult& r, uint64_t seed,
                     bool collectCycles, SweepPointResult& out) {
   synth::TimingModel storage;
@@ -409,6 +408,9 @@ void collectMetrics(const SweepPoint& point, const CompileResult& r, uint64_t se
   }
   const synth::Report est = synth::estimate(r.module, estimateOptionsFor(point.options, *model));
   PointMetrics& m = out.metrics;
+  for (const PassStatistics& p : r.passLog) {
+    if (p.name == "unroll") m.unroll = p.counter("unroll-factor");
+  }
   m.slices = est.slices;
   m.lut4 = est.res.lut4;
   m.ff = est.res.ff;
@@ -453,12 +455,8 @@ SweepResult runSweep(const std::vector<SweepPoint>& points, const SweepOptions& 
   jobs.reserve(points.size());
   for (const auto& p : points) jobs.push_back({p.label, p.source, p.options});
 
-  CompileService service(opt.workers);
-  if (opt.cache) service.setCache(opt.cache);
-  const BatchResult batch = service.compileBatch(jobs);
+  const BatchResult batch = CompileService(opt.workers).compileBatch(jobs);
   result.workers = batch.workers;
-  result.cacheHits = batch.cacheHits;
-  result.cacheMisses = batch.cacheMisses;
 
   result.points.reserve(points.size());
   for (size_t i = 0; i < points.size(); ++i) {
@@ -481,21 +479,7 @@ SweepResult runSweep(const std::vector<SweepPoint>& points, const SweepOptions& 
       result.points.push_back(std::move(row));
       continue;
     }
-    // Metric collection needs the in-memory IR (kernel info, data path,
-    // netlist). A cache hit materializes only the artifact bytes, so
-    // recompile locally — the determinism guarantee makes the rebuild
-    // byte-equivalent, which is what keeps cold and warm sweep reports
-    // identical.
-    if (r.datapath.ops.empty()) {
-      const Compiler compiler(points[i].options);
-      const CompileResult fresh = compiler.compileSource(points[i].source);
-      row.outcome = pointOutcomeFrom(fresh.outcome);
-      if (row.outcome == PointOutcome::Ok) {
-        collectMetrics(points[i], fresh, opt.seed, opt.collectCycles, row);
-      }
-    } else {
-      collectMetrics(points[i], r, opt.seed, opt.collectCycles, row);
-    }
+    collectMetrics(points[i], r, opt.seed, opt.collectCycles, row);
     result.points.push_back(std::move(row));
   }
 
@@ -585,8 +569,9 @@ json::Value SweepResult::toJson(bool includeTimings) const {
     if (p.outcome == PointOutcome::Ok) {
       const PointMetrics& m = p.metrics;
       row.set("metrics",
-              Value::object({{"slices", m.slices}, {"lut4", m.lut4}, {"ff", m.ff},
-                             {"mult18", m.mult18}, {"bram", m.bram}, {"stages", m.stages},
+              Value::object({{"unroll", m.unroll}, {"slices", m.slices}, {"lut4", m.lut4},
+                             {"ff", m.ff}, {"mult18", m.mult18}, {"bram", m.bram},
+                             {"stages", m.stages},
                              {"pipelineRegBits", m.pipelineRegBits},
                              {"balanceRegBits", m.balanceRegBits},
                              {"criticalPathNs", m.criticalPathNs}, {"fmaxMHz", m.fmaxMHz},
@@ -611,8 +596,7 @@ json::Value SweepResult::toJson(bool includeTimings) const {
                              {"results", std::move(results)},
                              {"frontiers", std::move(frontierRows)}});
   if (includeTimings) {
-    doc.set("run", Value::object({{"workers", workers}, {"wallMs", wallMs},
-                                  {"cacheHits", cacheHits}, {"cacheMisses", cacheMisses}}));
+    doc.set("run", Value::object({{"workers", workers}, {"wallMs", wallMs}}));
   }
   return doc;
 }
@@ -627,9 +611,9 @@ std::string SweepResult::table() const {
     os << fmt("== %0: %1 points, frontier %2 (axes %3) ==\n", f.kernel, total, f.points.size(),
               join(axisNames, ","));
     char buf[256];
-    std::snprintf(buf, sizeof buf, "  %c %-40s %-18s %7s %7s %6s %9s %8s %9s %8s %9s\n", ' ',
-                  "label", "outcome", "slices", "fmax", "stages", "cycles", "out/clk", "bramRd",
-                  "pJ/cyc", "EDP");
+    std::snprintf(buf, sizeof buf, "  %c %-40s %-18s %6s %7s %7s %6s %9s %8s %9s %8s %9s\n",
+                  ' ', "label", "outcome", "unroll", "slices", "fmax", "stages", "cycles",
+                  "out/clk", "bramRd", "pJ/cyc", "EDP");
     os << buf;
     for (const auto& p : points) {
       if (p.point.kernel != f.kernel) continue;
@@ -641,9 +625,10 @@ std::string SweepResult::table() const {
       }
       const PointMetrics& m = p.metrics;
       std::snprintf(buf, sizeof buf,
-                    "  %c %-40s %-18s %7lld %7.0f %6d %9lld %8.2f %9lld %8.1f %9.1f\n",
+                    "  %c %-40s %-18s %6lld %7lld %7.0f %6d %9lld %8.2f %9lld %8.1f %9.1f\n",
                     p.pareto ? '*' : ' ', p.point.label.c_str(), pointOutcomeName(p.outcome),
-                    static_cast<long long>(m.slices), m.fmaxMHz, m.stages,
+                    static_cast<long long>(m.unroll), static_cast<long long>(m.slices),
+                    m.fmaxMHz, m.stages,
                     static_cast<long long>(m.cycles), m.throughput,
                     static_cast<long long>(m.bramReads), m.energyPjPerCycle, m.edpPjNs);
       os << buf;

@@ -15,12 +15,15 @@
 //                  repeated axis value, ...). Expansion order is fixed, so
 //                  the point list is a pure function of the grid.
 //   runSweep       fans the points through roccc::CompileService — the
-//                  CompileCache dedups shared points across sweeps, the
 //                  per-job CompileBudget bounds each — then collects
-//                  per-point metrics: slices / LUT / FF / MULT18 / BRAM and
-//                  modeled fmax + energy from synth::estimate, cycles and
-//                  BRAM traffic from a FastSim system run on the same
-//                  deterministic stimulus the conformance engine uses.
+//                  per-point metrics from each compile's in-memory IR: the
+//                  unroll factor the compile applied, slices / LUT / FF /
+//                  MULT18 / BRAM and modeled fmax + energy from
+//                  synth::estimate, cycles and BRAM traffic from a FastSim
+//                  system run on the same deterministic stimulus the
+//                  conformance engine uses. Every point is compiled once;
+//                  a sweep takes no compile cache, since a hit carries no
+//                  IR to measure.
 //   paretoFrontier computes the non-dominated set per kernel over the
 //                  user-selected axes (dominated-point removal; metric
 //                  ties keep both points; a single axis degenerates to
@@ -32,19 +35,17 @@
 //
 // Determinism guarantee (tests/explore_test.cpp): a sweep report is a pure
 // function of (grid, options) — SweepResult::toJson().pretty() is byte-identical
-// across worker counts and across cold/warm cache runs. Wall-time and
-// cache-accounting fields are exempt and only serialized on request
-// (toJson(true)); this is the same contract compileBatch gives.
+// across worker counts. Wall-time fields are exempt and only serialized on
+// request (toJson(true)); this is the same contract compileBatch gives.
 //
 // Fault containment extends to exploration: a point can fail — compile
 // outcome or simulation error — but a sweep cannot crash. Failed points are
 // recorded as typed PointOutcome rows in the report (never silently
 // dropped), and sibling points are byte-unaffected
-// (tests/explore_cache_test.cpp's fault soak).
+// (tests/explore_fault_test.cpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,8 +57,6 @@
 #include "support/json.hpp"
 
 namespace roccc {
-
-class CompileCache;
 
 // --- grid declaration --------------------------------------------------------
 
@@ -179,6 +178,10 @@ bool sweepAxisMaximizes(SweepAxis axis);
 /// the point's timing model, cycles/traffic/throughput from a FastSim
 /// system run at the point's buffer geometry.
 struct PointMetrics {
+  /// The unroll factor the compile applied (the `unroll` pass's
+  /// unroll-factor counter): the axis value, or an auto-unroll search's
+  /// choice.
+  int64_t unroll = 1;
   int64_t slices = 0;
   int64_t lut4 = 0, ff = 0, mult18 = 0, bram = 0;
   int stages = 0;
@@ -240,8 +243,6 @@ struct SweepOptions {
   /// SplitMix64 derivation the conformance engine uses).
   uint64_t seed = 0x0dc5'2005;
   int workers = 0; ///< CompileService workers (0 = hardware)
-  /// Optional compile cache shared across sweeps / passes.
-  std::shared_ptr<CompileCache> cache;
   /// Skip the FastSim run (area/timing-only sweeps; cycles stay 0 and the
   /// Cycles/Throughput axes are unavailable).
   bool collectCycles = true;
@@ -257,7 +258,6 @@ struct SweepResult {
   // excluded from toJson(false).
   int workers = 1;
   double wallMs = 0;
-  int cacheHits = 0, cacheMisses = 0;
 
   int okCount() const;
   int failedCount() const;
@@ -267,7 +267,7 @@ struct SweepResult {
   /// The versioned JSON report ("schema": "roccc-sweep-v1"). With
   /// includeTimings false (the default and the determinism contract) the
   /// document is a pure function of (grid, SweepOptions); true adds the
-  /// per-point compileMs and a "run" block (workers, wallMs, cache hits).
+  /// per-point compileMs and a "run" block (workers, wallMs).
   json::Value toJson(bool includeTimings = false) const;
   /// Per-kernel metric table, Pareto points starred.
   std::string table() const;
@@ -275,14 +275,14 @@ struct SweepResult {
   std::string bestReport() const;
 };
 
-/// Runs every point: batch compile (cache-aware), per-point metric
-/// collection, per-kernel frontier + best-config computation.
+/// Runs every point: batch compile, per-point metric collection, per-kernel
+/// frontier + best-config computation.
 SweepResult runSweep(const std::vector<SweepPoint>& points, const SweepOptions& opt);
 SweepResult runSweep(const SweepGrid& grid, const SweepOptions& opt);
 
 /// Re-verifies every Pareto-optimal point through 5-way differential
 /// conformance (and, per opt.checkTestbench, its system testbench). Points
-/// are recompiled fresh — cache hits carry no IR — and run in the point's
+/// are recompiled, since a SweepResult keeps no IR, and run in the point's
 /// system geometry (bus elements, smart buffer), which replaces
 /// opt.system's. Verdicts come back in frontier order, labeled by point. A
 /// sweep whose frontier fails this

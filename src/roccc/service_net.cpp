@@ -722,9 +722,9 @@ struct ServiceDaemon::Impl {
       writeResponse(conn, resp);
       return;
     }
-    // A fresh cache over the same config: re-reads the on-disk manifest
-    // (picking up a directory an operator rebuilt or cleaned) and drops
-    // the memory tier. In-flight jobs finish against the old instance —
+    // A fresh cache over the same config: drops the memory tier and
+    // re-checks the disk directory (picking up one an operator rebuilt or
+    // cleaned). In-flight jobs finish against the old instance —
     // determinism makes the two interchangeable.
     auto fresh = std::make_shared<CompileCache>(cfg.cache);
     if (!cfg.cache.diskDir.empty() && !fresh->diskEnabled()) {

@@ -1,8 +1,9 @@
 // Strict JSON: the value model, the parser, and the one writer of every
 // JSON document the library and tools produce — the roccc-ccd wire
-// protocol (src/roccc/service_net.hpp) and the reports (roccc-cc --json
-// and --stats-json, roccc-verify --json, the roccc-sweep-v1 report). No
-// other file decides JSON layout, separators, escaping or number text.
+// protocol (src/roccc/service_net.hpp), the compile cache's disk entries
+// (src/roccc/cache.cpp) and the reports (roccc-cc --json and --stats-json,
+// roccc-verify --json, the roccc-sweep-v1 report). No other file decides
+// JSON layout, separators, escaping or number text.
 //
 // Two text forms share the escaping and the number format:
 //  - dump() is the compact wire form: one line, "," and ":" separators.

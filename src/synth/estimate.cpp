@@ -254,7 +254,7 @@ Report estimate(const rtl::Module& m, const EstimateOptions& opt) {
       if (drv < 0) continue; // module input
       const rtl::Cell& dc = m.cells[static_cast<size_t>(drv)];
       if (dc.kind == rtl::CellKind::Reg || dc.kind == rtl::CellKind::Const) continue;
-      in = std::max(in, arrivalOf(drv) + opt.routingPerHopNs);
+      in = std::max(in, arrivalOf(drv) + tm.routingPerHopNs);
     }
     a = in + cellDelay[static_cast<size_t>(cid)];
     return a;
@@ -269,7 +269,7 @@ Report estimate(const rtl::Module& m, const EstimateOptions& opt) {
       worstName = c.output >= 0 ? m.nets[static_cast<size_t>(c.output)].name : cellKindName(c.kind);
     }
   }
-  rep.criticalPathNs = std::max(0.8, worst) + opt.clockingOverheadNs;
+  rep.criticalPathNs = std::max(0.8, worst) + tm.clockOverheadNs;
   rep.criticalThrough = worstName;
   return rep;
 }

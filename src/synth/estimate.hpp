@@ -35,28 +35,19 @@ struct EstimateOptions {
   /// ROM contents above this many bits go to block RAM instead of
   /// distributed (LUT) ROM.
   int64_t romBramThresholdBits = 16 * 1024;
-  /// Clock-to-out + setup overhead added to every register path (ns).
-  double clockingOverheadNs = 0.8;
-  /// Average routing delay added per cell-to-cell hop (ns).
-  double routingPerHopNs = 0.3;
   /// Map register chains (depth >= 3, single fanout, no clock-enable) onto
   /// SRL16 shift-register LUTs the way ISE's map does — a large area win
   /// for deeply pipelined data paths.
   bool inferSrl16 = true;
-  /// Timing/energy model the per-cell costs are looked up from; null = the
-  /// built-in Virtex-II-class table. The clockingOverheadNs/routingPerHopNs
-  /// fields above mirror that table's defaults — callers loading a
-  /// --timing-model override should copy the model's scalars here too
-  /// (tools/roccc_cc does).
+  /// Timing/energy model the per-cell costs, the per-hop routing delay and
+  /// the clocking overhead are read from; null = the built-in
+  /// Virtex-II-class table.
   const TimingModel* timing = nullptr;
 
-  /// Options bound to `model`: timing table plus its clocking/routing
-  /// scalars. `model` must outlive the returned options.
+  /// Options bound to `model`, which must outlive them.
   static EstimateOptions forModel(const TimingModel& model) {
     EstimateOptions opt;
     opt.timing = &model;
-    opt.clockingOverheadNs = model.clockOverheadNs;
-    opt.routingPerHopNs = model.routingPerHopNs;
     return opt;
   }
 };

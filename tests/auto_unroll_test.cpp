@@ -2,7 +2,8 @@
 // and every tests/corpus kernel at four slice budgets. For each chosen
 // factor f the design fits the budget (unless f is 1), and f is the largest
 // that does: 2f would overrun or not divide the unrolled loop's trip count,
-// or its own synth::estimate is over the budget.
+// or its own synth::estimate is over the budget. The search's pass log
+// times every probe compile and counts the chosen one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -87,6 +88,91 @@ INSTANTIATE_TEST_SUITE_P(TableOneAndCorpus, AutoUnrollChoice, ::testing::ValuesI
                          [](const ::testing::TestParamInfo<Kernel>& info) {
                            return info.param.name;
                          });
+
+double totalMs(const CompileResult& r) {
+  double ms = 0;
+  for (const PassStatistics& p : r.passLog) ms += p.wallMs;
+  return ms;
+}
+
+/// The passes before `unroll`: the same work at every unroll factor.
+double preUnrollMs(const CompileResult& r) {
+  double ms = 0;
+  for (const PassStatistics& p : r.passLog) {
+    if (p.name == "unroll") break;
+    ms += p.wallMs;
+  }
+  return ms;
+}
+
+/// The smallest `measure` of three compiles: the least noisy figure.
+double fastest(const CompileOptions& o, const std::string& source,
+               double (*measure)(const CompileResult&)) {
+  double best = 0;
+  for (int run = 0; run < 3; ++run) {
+    const CompileResult r = Compiler(o).compileSource(source);
+    EXPECT_TRUE(r.ok) << r.diags.dump();
+    best = run == 0 ? measure(r) : std::min(best, measure(r));
+  }
+  return best;
+}
+
+TEST(AutoUnrollPassLog, TimesEveryProbeAndCountsTheChosenCompile) {
+  const auto fir = std::find_if(std::begin(bench::kTable1Kernels), std::end(bench::kTable1Kernels),
+                                [](const auto& k) { return std::string(k.name) == "fir"; });
+  CompileOptions o;
+  o.dpOptions.targetStageDelayNs = fir->targetStageDelayNs;
+  o.autoUnrollSliceBudget = 50000;
+  const CompileResult chosen = Compiler(o).compileSource(fir->source);
+  ASSERT_TRUE(chosen.ok) << chosen.diags.dump();
+
+  // The counters are the chosen factor's own compile's, pass by pass.
+  CompileOptions direct = o;
+  direct.autoUnrollSliceBudget = 0;
+  direct.unrollFactor = 1;
+  const CompileResult one = Compiler(direct).compileSource(fir->source);
+  ASSERT_TRUE(one.ok) << one.diags.dump();
+  const int64_t trips = one.kernel.loops.back().trips();
+  int64_t f = 0;
+  for (const PassStatistics& p : chosen.passLog) {
+    if (p.name == "unroll") f = p.counter("unroll-factor");
+  }
+  ASSERT_GT(f, 1) << "the budget should allow unrolling";
+  direct.unrollFactor = static_cast<int>(f);
+  const CompileResult alone = Compiler(direct).compileSource(fir->source);
+  ASSERT_EQ(chosen.passLog.size(), alone.passLog.size());
+  for (size_t i = 0; i < alone.passLog.size(); ++i) {
+    EXPECT_EQ(chosen.passLog[i].name, alone.passLog[i].name);
+    EXPECT_EQ(chosen.passLog[i].counters, alone.passLog[i].counters) << alone.passLog[i].name;
+  }
+
+  // The time is every probe's: unroll 1, 2, ..., f, and 2f when the search
+  // tried it and found it over the budget.
+  std::vector<int64_t> probes;
+  for (int64_t p = 1; p <= f; p *= 2) probes.push_back(p);
+  if (2 * f <= trips && trips % (2 * f) == 0) probes.push_back(2 * f);
+  double probesMs = 0;
+  for (const int64_t p : probes) {
+    direct.unrollFactor = static_cast<int>(p);
+    probesMs += fastest(direct, fir->source, totalMs);
+  }
+  const double searchMs = fastest(o, fir->source, totalMs);
+  direct.unrollFactor = static_cast<int>(f);
+  EXPECT_GT(searchMs, fastest(direct, fir->source, totalMs))
+      << "the log must not hold only the chosen compile's time";
+  // Equal within timer noise; the bounds are wide enough for a loaded host.
+  EXPECT_GT(searchMs, 0.5 * probesMs);
+  EXPECT_LT(searchMs, 2.0 * probesMs);
+  // The passes before unroll do the same work in every probe, so their
+  // time grows with the probe count: a sharper check than the total, where
+  // the chosen compile dominates. A probe's front end runs faster inside
+  // the search than in a compile of its own, hence the loose lower bound.
+  const double n = static_cast<double>(probes.size());
+  const double onceMs = fastest(direct, fir->source, preUnrollMs);
+  const double searchPreMs = fastest(o, fir->source, preUnrollMs);
+  EXPECT_GT(searchPreMs, 0.25 * n * onceMs);
+  EXPECT_LT(searchPreMs, 3.0 * n * onceMs);
+}
 
 } // namespace
 } // namespace roccc

@@ -1,9 +1,10 @@
 // Tests for the content-addressed compile cache (src/roccc/cache.hpp):
-// SHA-256 correctness, key derivation (sensitivity to every semantic option,
-// invariance to presentation-only ones), tier-1 hit/miss/eviction behaviour,
-// single-flight deduplication under a worker stampede, the negative-caching
-// policy, and the tier-2 disk store (warm restart, corruption, schema
-// mismatch — all of which must read as silent misses, never errors).
+// SHA-256 correctness, key derivation (the compiler fingerprint, sensitivity
+// to every semantic option, invariance to presentation-only ones), tier-1
+// hit/miss/eviction behaviour, single-flight deduplication under a worker
+// stampede, the negative-caching policy, and the tier-2 disk store (warm
+// restart, corrupt entries and entries of another compiler — the last two
+// must read as silent misses, never errors).
 //
 // The load-bearing property throughout: a result served from the cache is
 // byte-identical to a fresh compile of the same (source, options) — the
@@ -11,6 +12,7 @@
 // across worker counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -40,6 +42,13 @@ std::vector<CompileJob> table1Jobs() {
     jobs.push_back({k.name, k.source, o});
   }
   return jobs;
+}
+
+std::string readFile(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 /// Fresh per-test scratch directory under the gtest temp root.
@@ -115,14 +124,40 @@ TEST(CacheKey, SensitiveToEverySemanticOption) {
 
 TEST(CacheKey, DefaultOptionsCanonicalTextIsPinned) {
   // The protocol options object with every option-table row, in table
-  // order. A change here changes every key and needs a kCacheSchema bump.
+  // order. A change here changes every key.
   EXPECT_EQ(canonicalizeOptions({}),
             "{\"kernel\":\"\",\"unroll\":1,\"autoUnrollBudget\":0,\"fullUnroll\":true,"
             "\"lutConvert\":true,\"optimize\":true,\"targetNs\":4,\"pipeline\":true,"
             "\"widthMode\":\"range\",\"multStyle\":\"lut\",\"timingModel\":\"\","
             "\"verilog\":false,\"verifyEach\":false,\"timeoutMs\":0,"
             "\"maxIrNodes\":0,\"maxUnrollProduct\":0,\"maxDepth\":256,\"injectFault\":\"\"}");
-  EXPECT_STREQ(kCacheSchema, "roccc-cache-v6");
+}
+
+TEST(CompilerFingerprint, MatchesTheCheckedOutSources) {
+  // The fingerprint the build compiled in is the SHA-256 of one
+  // "<path> <sha256>\n" line per src/**/*.{cpp,hpp}, sorted by path: any
+  // source edit the build missed would leave it stale.
+  const fs::path root(ROCCC_SRC_DIR);
+  std::vector<std::string> paths;
+  for (const auto& f : fs::recursive_directory_iterator(root)) {
+    const std::string ext = f.path().extension().string();
+    if (f.is_regular_file() && (ext == ".cpp" || ext == ".hpp")) {
+      paths.push_back(fs::relative(f.path(), root).generic_string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  ASSERT_GT(paths.size(), 50u);
+  Sha256 listing;
+  for (const std::string& path : paths) {
+    listing.update(path + " " + sha256Hex(readFile(root / path)) + "\n");
+  }
+  EXPECT_EQ(kCompilerFingerprint, listing.hex());
+}
+
+TEST(CacheKey, FingerprintIsPartOfTheKey) {
+  const CompileOptions o;
+  EXPECT_EQ(computeCacheKey(kSmallKernel, o), computeCacheKey(kSmallKernel, o, kCompilerFingerprint));
+  EXPECT_NE(computeCacheKey(kSmallKernel, o), computeCacheKey(kSmallKernel, o, "another compiler"));
 }
 
 TEST(CacheKey, TimingOptionsPartitionHitsButStayByteIdenticalWithinKey) {
@@ -398,6 +433,7 @@ TEST(CompileCacheDisk, WarmRestartServesFromDisk) {
 
   std::string coldVhdl;
   std::string coldVerilog;
+  std::vector<PassStatistics> coldLog;
   {
     CompileService service(1);
     CacheConfig cfg;
@@ -411,6 +447,7 @@ TEST(CompileCacheDisk, WarmRestartServesFromDisk) {
     EXPECT_EQ(cache->stats().diskStores, 1);
     coldVhdl = cold.results[0].vhdl;
     coldVerilog = cold.results[0].verilog;
+    coldLog = cold.results[0].passLog;
     EXPECT_FALSE(coldVerilog.empty());
   }
   // A brand-new cache object (a "new process") over the same directory:
@@ -428,6 +465,16 @@ TEST(CompileCacheDisk, WarmRestartServesFromDisk) {
     EXPECT_EQ(cache->stats().diskHits, 1);
     EXPECT_EQ(warm.results[0].vhdl, coldVhdl);
     EXPECT_EQ(warm.results[0].verilog, coldVerilog);
+    // The pass log comes back whole, wall times included.
+    const auto& log = warm.results[0].passLog;
+    ASSERT_EQ(log.size(), coldLog.size());
+    for (size_t i = 0; i < log.size(); ++i) {
+      EXPECT_EQ(log[i].name, coldLog[i].name);
+      EXPECT_EQ(log[i].layer, coldLog[i].layer);
+      EXPECT_EQ(log[i].ran, coldLog[i].ran);
+      EXPECT_EQ(log[i].wallMs, coldLog[i].wallMs) << log[i].name;
+      EXPECT_EQ(log[i].counters, coldLog[i].counters) << log[i].name;
+    }
   }
   fs::remove_all(dir);
 }
@@ -465,12 +512,10 @@ TEST(CompileCacheDisk, DigestIsRecomputedOnLoadNotStored) {
     EXPECT_EQ(cache.getOrCompute(key, options, compute, &hit).vhdlSha256, digest);
     EXPECT_TRUE(hit);
   }
-  // The entry file keeps its format: no digest in it.
-  std::ifstream in(fs::path(dir) / (key + ".entry"), std::ios::binary);
-  std::ostringstream file;
-  file << in.rdbuf();
-  ASSERT_FALSE(file.str().empty());
-  EXPECT_EQ(file.str().find(digest), std::string::npos);
+  // The entry document holds no digest.
+  const std::string file = readFile(fs::path(dir) / (key + ".entry"));
+  ASSERT_FALSE(file.empty());
+  EXPECT_EQ(file.find(digest), std::string::npos);
   // A new cache over the directory computes it as the entry is loaded.
   CacheConfig cfg;
   cfg.diskDir = dir;
@@ -496,14 +541,24 @@ TEST(CompileCacheDisk, CorruptEntryIsASilentMiss) {
     goodVhdl = service.compileBatch(jobs).results[0].vhdl;
   }
   const std::string entryFile = dir + "/" + key + ".entry";
-  ASSERT_TRUE(fs::exists(entryFile));
+  json::Value good;
+  std::string error;
+  ASSERT_TRUE(json::parse(readFile(entryFile), good, error)) << error;
+  const auto edited = [&good](const char* field, json::Value v) {
+    json::Value doc = good;
+    doc.set(field, std::move(v));
+    return doc.dump();
+  };
 
-  // Three flavours of damage; each must read as a miss and recompile to the
-  // same bytes, never error out or serve garbage.
+  // Each kind of damage must read as a miss and recompile to the same
+  // bytes, never error out or serve garbage.
   const std::vector<std::string> damage = {
-      "",                                   // truncated to nothing
-      "roccc-cache-entry bogus-schema\n",   // wrong schema header
-      std::string(100, '\xff'),             // binary garbage
+      "",                                              // truncated to nothing
+      good.dump().substr(0, good.dump().size() / 2),   // truncated mid-document
+      edited("outcome", "bogus"),                      // an out-of-range enum
+      edited("diags", json::Value::object()),          // a mistyped field
+      std::string(100, '\xff'),                        // binary garbage
+      edited("key", computeCacheKey("void other() {}", {})), // another key's document
   };
   for (const std::string& bytes : damage) {
     {
@@ -523,32 +578,30 @@ TEST(CompileCacheDisk, CorruptEntryIsASilentMiss) {
   fs::remove_all(dir);
 }
 
-TEST(CompileCacheDisk, ManifestSchemaMismatchDisablesTheStore) {
-  const std::string dir = freshDir("manifest");
-  fs::create_directories(dir);
-  {
-    std::ofstream out(dir + "/manifest", std::ios::binary);
-    out << "roccc-compile-cache\nschema some-other-version\n";
-  }
+TEST(CompileCacheDisk, EntryUnderAnotherFingerprintMisses) {
+  // Compilers with different sources share a directory but never a key:
+  // an entry another compiler stored for the same (source, options) is
+  // not served, and this compiler's entry lands beside it.
+  const std::string dir = freshDir("fingerprint");
+  const CompileOptions options;
+  const std::string theirs = computeCacheKey(kSmallKernel, options, "another compiler");
   CacheConfig cfg;
   cfg.diskDir = dir;
+  {
+    CompileCache cache(cfg);
+    cache.getOrCompute(theirs, options, [&] { return runContainedJob({"k", kSmallKernel, options}); });
+    ASSERT_EQ(cache.stats().diskStores, 1);
+  }
   auto cache = std::make_shared<CompileCache>(cfg);
-  // Another generation owns this directory: reads miss, writes are
-  // suppressed, and the foreign manifest is left untouched.
-  EXPECT_FALSE(cache->diskEnabled());
-
   CompileService service(1);
   service.setCache(cache);
-  std::vector<CompileJob> jobs{{"k", kSmallKernel, {}}};
-  const BatchResult batch = service.compileBatch(jobs);
+  const BatchResult batch = service.compileBatch({{"k", kSmallKernel, options}});
   ASSERT_TRUE(batch.allOk());
-  EXPECT_EQ(cache->stats().diskStores, 0);
-  {
-    std::ifstream in(dir + "/manifest", std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    EXPECT_EQ(buf.str(), "roccc-compile-cache\nschema some-other-version\n");
-  }
+  EXPECT_EQ(batch.cacheMisses, 1);
+  EXPECT_EQ(cache->stats().diskHits, 0);
+  EXPECT_EQ(cache->stats().diskStores, 1);
+  EXPECT_TRUE(fs::exists(fs::path(dir) / (theirs + ".entry")));
+  EXPECT_TRUE(fs::exists(fs::path(dir) / (computeCacheKey(kSmallKernel, options) + ".entry")));
   fs::remove_all(dir);
 }
 

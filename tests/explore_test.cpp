@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 
 #include "../bench/kernels.hpp"
@@ -467,6 +468,35 @@ TEST(ExploreDeterminism, JsonKeepsTheEstimatesDoubles) {
   EXPECT_EQ(m.find("fmaxMHz")->asDouble(), est.fmaxMHz());
   EXPECT_EQ(m.find("energyPjPerCycle")->asDouble(), est.energyPerCyclePj());
   EXPECT_EQ(m.find("edpPjNs")->asDouble(), est.edpPjNs());
+}
+
+TEST(ExploreDeterminism, AutoUnrollPointReportsTheFactorItChose) {
+  // An explicit point reports its axis value; an auto-unroll point reports
+  // the factor its search chose, which is the explicit point of that
+  // factor, area and all.
+  SweepGrid grid = firGrid();
+  setAxis(grid, OptionId::Unroll, {"1", "2", "4", "8"});
+  setAxis(grid, OptionId::AutoUnrollBudget, {"0", "300"});
+  SweepOptions opt;
+  opt.collectCycles = false;
+  const SweepResult sweep = runSweep(grid, opt);
+  ASSERT_EQ(sweep.failedCount(), 0) << sweep.outcomeSummary();
+  std::map<int64_t, int64_t> slicesAt; // explicit factor -> slices
+  for (const auto& p : sweep.points) {
+    if (p.point.options.autoUnrollSliceBudget > 0) continue;
+    EXPECT_EQ(p.metrics.unroll, p.point.options.unrollFactor) << p.point.label;
+    slicesAt[p.metrics.unroll] = p.metrics.slices;
+  }
+  int autoPoints = 0;
+  for (const auto& p : sweep.points) {
+    if (p.point.options.autoUnrollSliceBudget == 0) continue;
+    ++autoPoints;
+    EXPECT_GT(p.metrics.unroll, 1) << p.point.label;
+    ASSERT_TRUE(slicesAt.count(p.metrics.unroll)) << p.point.label << " chose " << p.metrics.unroll;
+    EXPECT_EQ(p.metrics.slices, slicesAt[p.metrics.unroll]) << p.point.label;
+  }
+  EXPECT_GT(autoPoints, 0);
+  EXPECT_NE(sweep.toJson().pretty().find("\"unroll\": "), std::string::npos);
 }
 
 } // namespace

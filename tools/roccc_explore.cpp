@@ -12,9 +12,8 @@
 // documents the grid-file format and the axis semantics.
 //
 // The JSON report (--json) is deterministic: byte-identical for any --jobs
-// value and across cold/warm --cache-dir runs. Wall-time and cache
-// accounting are exempt and only appear with --timings (in the report) or
-// via --stats-json (separate file).
+// value. Wall-time accounting is exempt and only appears with --timings (in
+// the report) or via --stats-json (separate file).
 //
 // Exit codes: 0 every point compiled and measured Ok (and, with
 // --verify-pareto, every frontier point passed 5-way conformance);
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "../bench/sweep_kernels.hpp"
-#include "roccc/cache.hpp"
 #include "roccc/explore.hpp"
 #include "roccc/options.hpp"
 #include "support/cli.hpp"
@@ -47,8 +45,6 @@ struct Args {
   bool seedSet = false;
   uint64_t seed = 0;
   int jobs = 0;
-  bool cacheEnabled = false;
-  std::string cacheDir;
   std::string jsonPath;
   std::string statsJsonPath;
   bool timings = false;
@@ -119,18 +115,11 @@ std::vector<roccc::cli::OptionSpec> optionList(Args& a) {
        }},
       {"--jobs", "N", "compile worker threads (0 = one per hardware thread)",
        roccc::cli::setInt(a.jobs, 0)},
-      {"--cache", nullptr, "enable the content-addressed compile cache", setFlag(a.cacheEnabled)},
-      {"--cache-dir", "DIR", "persistent on-disk cache tier in DIR (implies --cache)",
-       [&a](const char* v, std::string&) {
-         a.cacheEnabled = true;
-         a.cacheDir = v;
-         return true;
-       }},
       {"--json", "FILE", "write the sweep report as versioned JSON (roccc-sweep-v1)",
        setString(a.jsonPath)},
-      {"--timings", nullptr, "include wall-time and cache accounting in the JSON report",
+      {"--timings", nullptr, "include wall-time accounting in the JSON report",
        setFlag(a.timings)},
-      {"--stats-json", "FILE", "write run accounting (workers, wall ms, cache hits) as JSON",
+      {"--stats-json", "FILE", "write run accounting (workers, wall ms, point counts) as JSON",
        setString(a.statsJsonPath)},
       {"--no-cycles", nullptr, "skip the FastSim run (area/timing-only sweep)",
        setFlag(a.noCycles)},
@@ -233,15 +222,6 @@ int main(int argc, char** argv) {
   if (a.seedSet) opt.seed = a.seed;
   opt.workers = a.jobs;
   opt.collectCycles = !a.noCycles;
-  if (a.cacheEnabled) {
-    roccc::CacheConfig cfg;
-    cfg.diskDir = a.cacheDir;
-    opt.cache = std::make_shared<roccc::CompileCache>(cfg);
-    if (!a.cacheDir.empty() && !opt.cache->diskEnabled()) {
-      std::fprintf(stderr, "error: cannot use cache directory '%s'\n", a.cacheDir.c_str());
-      return 2;
-    }
-  }
 
   // --- run ------------------------------------------------------------------
   const std::vector<roccc::SweepPoint> points = roccc::expandGrid(grid);
@@ -273,8 +253,7 @@ int main(int argc, char** argv) {
     using roccc::json::Value;
     Value run = Value::object({{"workers", sweep.workers}, {"wallMs", sweep.wallMs},
                                {"points", sweep.points.size()}, {"ok", sweep.okCount()},
-                               {"failed", sweep.failedCount()}, {"cacheHits", sweep.cacheHits},
-                               {"cacheMisses", sweep.cacheMisses}});
+                               {"failed", sweep.failedCount()}});
     out << Value::object({{"run", std::move(run)}}).pretty();
   }
 
