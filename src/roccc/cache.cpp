@@ -1,5 +1,6 @@
 #include "roccc/cache.hpp"
 
+#include <algorithm>
 #include <climits>
 #include <condition_variable>
 #include <filesystem>
@@ -244,16 +245,47 @@ std::optional<CacheEntry> entryFromJson(const json::Value& doc, const std::strin
 
 // --- tier 2: the disk store --------------------------------------------------
 
+namespace {
+
+bool isFingerprintName(const std::string& name) {
+  return name.size() == 64 &&
+         std::all_of(name.begin(), name.end(), [](char c) {
+           return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+         });
+}
+
+/// Best-effort removal of every other compiler's generation under `root`:
+/// sibling fingerprint directories, and the flat layout older stores wrote
+/// (root-level `*.entry`, `*.entry.tmp.*` and `manifest`). Anything else is
+/// left alone, and a failed removal is ignored.
+void dropOtherGenerations(const std::filesystem::path& root) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  for (fs::directory_iterator it(root, ec), end; !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    std::error_code ignored;
+    if (it->is_directory(ignored)) {
+      if (isFingerprintName(name) && name != kCompilerFingerprint) fs::remove_all(it->path(), ignored);
+    } else if (name == "manifest" || endsWith(name, ".entry") ||
+               name.find(".entry.tmp.") != std::string::npos) {
+      fs::remove(it->path(), ignored);
+    }
+  }
+}
+
+} // namespace
+
 struct CompileCache::DiskStore {
-  std::string dir;
+  std::string dir; ///< <diskDir>/<kCompilerFingerprint>
   bool usable = false;
 
-  explicit DiskStore(const std::string& directory) : dir(directory) {
+  explicit DiskStore(const std::string& root) : dir(root + "/" + kCompilerFingerprint) {
     // Unusable when the directory cannot be made; every operation then
     // silently misses.
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     usable = std::filesystem::is_directory(dir, ec);
+    if (usable) dropOtherGenerations(root);
   }
 
   std::string entryPath(const std::string& key) const { return dir + "/" + key + ".entry"; }
@@ -378,6 +410,21 @@ void CompileCache::insertLocked(Shard& shard, const std::string& key,
   }
 }
 
+std::shared_ptr<const CacheEntry> CompileCache::hitLocked(Shard& shard, const std::string& key) {
+  const auto it = shard.map.find(key);
+  if (it == shard.map.end()) return nullptr;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  std::lock_guard<std::mutex> statsLock(statsMutex_);
+  ++stats_.hits;
+  return it->second->second;
+}
+
+std::shared_ptr<const CacheEntry> CompileCache::probe(const std::string& key) {
+  Shard& shard = shardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  return hitLocked(shard, key);
+}
+
 std::shared_ptr<const CacheEntry> CompileCache::lookup(const std::string& key) {
   Shard& shard = shardFor(key);
   {
@@ -414,14 +461,8 @@ CompileResult CompileCache::getOrCompute(const std::string& key, const CompileOp
   bool leader = false;
   {
     std::unique_lock<std::mutex> lock(shard.mutex);
-    if (auto it = shard.map.find(key); it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      const std::shared_ptr<const CacheEntry> entry = it->second->second;
+    if (const auto entry = hitLocked(shard, key)) {
       lock.unlock();
-      {
-        std::lock_guard<std::mutex> statsLock(statsMutex_);
-        ++stats_.hits;
-      }
       if (wasHit) *wasHit = true;
       return entry->toResult();
     }

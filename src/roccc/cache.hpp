@@ -32,9 +32,10 @@
 // whole CompileResult artifact sets (VHDL/Verilog bytes, pass log,
 // diagnostics, outcome). Tier 2 is an optional on-disk store (roccc-cc
 // --cache-dir) that survives across processes and CI runs: one JSON
-// document per entry, written to a temp file then renamed into place
-// (atomic on POSIX). A damaged file or one holding another key reads as a
-// silent miss, never an error.
+// document per entry under <dir>/<kCompilerFingerprint>/, written to a temp
+// file then renamed into place (atomic on POSIX). Opening a store deletes
+// every other compiler's generation in <dir>. A damaged file or one
+// holding another key reads as a silent miss, never an error.
 //
 // getOrCompute() is single-flight per key: when N in-flight jobs share a
 // key, one caller (the leader) runs the compile while the other N-1 block
@@ -131,7 +132,8 @@ struct CacheStats {
 struct CacheConfig {
   /// Tier-1 byte budget; least-recently-used entries evict past it.
   int64_t maxBytes = 256ll * 1024 * 1024;
-  /// Tier-2 directory; empty disables the disk store.
+  /// Tier-2 directory (entries live in its <kCompilerFingerprint>
+  /// subdirectory); empty disables the disk store.
   std::string diskDir;
   /// Mutex shards for tier 1 (power of two).
   int shards = 16;
@@ -154,6 +156,12 @@ class CompileCache {
                              const std::function<CompileResult()>& compute,
                              bool* wasHit = nullptr);
 
+  /// Tier-1 probe: the resident entry for `key`, counted exactly like
+  /// getOrCompute's hit (LRU refresh, `hits`), or nullptr, counted as
+  /// nothing. It never reads the disk and never joins or starts an
+  /// in-flight compile, so a key being compiled misses here.
+  std::shared_ptr<const CacheEntry> probe(const std::string& key);
+
   /// Direct probe (tier 1 then tier 2), no compute, no single-flight.
   std::shared_ptr<const CacheEntry> lookup(const std::string& key);
   /// Unconditional insert (tests and tools; getOrCompute is the driver path).
@@ -170,6 +178,9 @@ class CompileCache {
   struct DiskStore;
 
   Shard& shardFor(const std::string& key);
+  /// The tier-1 hit path shared by probe() and getOrCompute(): the resident
+  /// entry, its recency refreshed and a hit counted, or nullptr. shard.mutex held.
+  std::shared_ptr<const CacheEntry> hitLocked(Shard& shard, const std::string& key);
   void insertLocked(Shard& shard, const std::string& key, std::shared_ptr<const CacheEntry> entry);
 
   CacheConfig config_;

@@ -408,15 +408,42 @@ struct ServiceDaemon::Impl {
     if (inFlightTotal == 0) windowEmpty.notify_all();
   }
 
-  /// One job through the shared cache when one is attached. A miss hashes
-  /// the VHDL next to the compile, so the entry carries the digest and
-  /// every later hit or coalesced waiter replays it instead of re-hashing.
-  CompileResult compileThroughCache(const CompileJob& job, bool& hit) {
-    const auto c = currentCache();
-    if (!c) return runContainedJob(job);
-    const std::string key = computeCacheKey(job.source, job.options);
-    return c->getOrCompute(
-        key, job.options,
+  /// One admitted job's way through the shared cache: the cache attached
+  /// when the job was probed (null when none is) and the job's key,
+  /// computed once, on the connection thread.
+  struct CacheRoute {
+    std::shared_ptr<CompileCache> cache;
+    std::string key;
+  };
+
+  /// Probes the memory tier for an admitted job on the connection thread.
+  /// A hit is released, recorded and returned in `result`: it never
+  /// reaches the pool. On a miss (or with no cache) `route` is what the
+  /// pool needs and false is returned.
+  bool serveHit(Connection& conn, const CompileJob& job, CacheRoute& route, CompileResult& result,
+                double& serviceMs) {
+    WallTimer timer;
+    route.cache = currentCache();
+    if (!route.cache) return false;
+    route.key = computeCacheKey(job.source, job.options);
+    const auto entry = route.cache->probe(route.key);
+    if (!entry) return false;
+    result = entry->toResult();
+    release(conn);
+    serviceMs = timer.elapsedMs();
+    metrics.recordJobCompleted(result.outcome, /*cacheHit*/ true, serviceMs);
+    return true;
+  }
+
+  /// A job that missed the memory tier, on a pool worker: through the
+  /// cache when one is attached (tier-2 load, single-flight, compile), so
+  /// disk I/O and compiles stay off connection threads. A miss hashes the
+  /// VHDL next to the compile, so the entry carries the digest and every
+  /// later hit or coalesced waiter replays it instead of re-hashing.
+  CompileResult compileThroughCache(const CompileJob& job, const CacheRoute& route, bool& hit) {
+    if (!route.cache) return runContainedJob(job);
+    return route.cache->getOrCompute(
+        route.key, job.options,
         [&] {
           CompileResult r = runContainedJob(job);
           if (r.ok) r.vhdlSha256 = sha256Hex(r.vhdl);
@@ -425,22 +452,23 @@ struct ServiceDaemon::Impl {
         &hit);
   }
 
-  /// Runs one admitted job on the worker pool (through the shared cache
-  /// when attached) and records its completion. Returns the result and
+  /// Runs one admitted job — a memory hit on this thread, anything else on
+  /// the worker pool — and records its completion. Returns the result and
   /// whether it was served from the cache.
   CompileResult runAdmittedJob(const std::shared_ptr<Connection>& conn, const CompileJob& job,
                                bool& wasHit, double& serviceMs) {
     WallTimer timer;
+    CacheRoute route;
     CompileResult result;
-    bool hit = false;
-    auto task = [this, &job, &result, &hit, conn] {
-      result = compileThroughCache(job, hit);
-      release(*conn);
-    };
-    pool->submit(std::move(task)).get();
-    wasHit = hit;
+    wasHit = serveHit(*conn, job, route, result, serviceMs);
+    if (wasHit) return result;
+    pool->submit([&] {
+          result = compileThroughCache(job, route, wasHit);
+          release(*conn);
+        })
+        .get();
     serviceMs = timer.elapsedMs();
-    metrics.recordJobCompleted(result.outcome, hit, serviceMs);
+    metrics.recordJobCompleted(result.outcome, wasHit, serviceMs);
     return result;
   }
 
@@ -587,8 +615,9 @@ struct ServiceDaemon::Impl {
       double serviceMs = 0;
     };
     std::vector<Slot> slots(n);
-    // Fan the admitted rows out through the pool from this connection
-    // thread; rejected rows cost nothing.
+    std::vector<CacheRoute> routes(n);
+    // A memory hit is answered here on the connection thread; only the
+    // misses fan out through the pool. Rejected rows cost nothing.
     std::vector<std::pair<size_t, std::future<void>>> pending;
     WallTimer timer;
     for (size_t i = 0; i < n; ++i) {
@@ -596,10 +625,14 @@ struct ServiceDaemon::Impl {
         metrics.recordRejection(reject[i]);
         continue;
       }
-      pending.emplace_back(i, pool->submit([this, conn, &jobs, &slots, i] {
+      if (serveHit(*conn, jobs[i], routes[i], slots[i].result, slots[i].serviceMs)) {
+        slots[i].cached = true;
+        continue;
+      }
+      pending.emplace_back(i, pool->submit([this, conn, &jobs, &routes, &slots, i] {
         auto& slot = slots[i];
         WallTimer jobTimer;
-        slot.result = compileThroughCache(jobs[i], slot.cached);
+        slot.result = compileThroughCache(jobs[i], routes[i], slot.cached);
         slot.serviceMs = jobTimer.elapsedMs();
         release(*conn);
       }));

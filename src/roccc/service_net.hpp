@@ -12,8 +12,11 @@
 //   - one accept loop, one thread per connection, requests on a
 //     connection handled strictly in order (responses line up with
 //     requests; a batch request is one request);
-//   - compiles run on a shared fixed-size ThreadPool behind a *bounded
-//     admission window*: at most `maxQueue` jobs admitted-but-unfinished
+//   - an admitted job whose result is in the cache's memory tier is
+//     answered on its connection thread; everything that may compile (or
+//     read the disk tier) runs on a shared fixed-size ThreadPool;
+//   - jobs enter through a *bounded admission window* (hits included):
+//     at most `maxQueue` jobs admitted-but-unfinished
 //     across all clients, at most `maxClientJobs` per connection. Past
 //     either bound a job is rejected with a typed error (`queue-full`,
 //     `quota-exceeded`) — extending the PR 4 outcome taxonomy to the
@@ -132,10 +135,11 @@ class ServiceMetrics {
   std::atomic<int64_t> connectionsAccepted_{0}, connectionsOpen_{0};
   std::atomic<int> queueDepth_{0};
 
-  // Log-spaced service-time buckets; a small mutex guards the histogram
-  // (one lock per completed job — noise next to a compile).
-  static constexpr double kBucketUpperMs[] = {0.5,  1,    2,    5,    10,   20,  50,
-                                              100,  200,  500,  1000, 2000, 5000, 10000};
+  // Log-spaced service-time buckets from 10 µs (a memory hit) to 10 s; a
+  // small mutex guards the histogram (one lock per completed job).
+  static constexpr double kBucketUpperMs[] = {0.01, 0.02, 0.05, 0.1,  0.2,  0.5,  1,
+                                              2,    5,    10,   20,   50,   100,  200,
+                                              500,  1000, 2000, 5000, 10000};
   static constexpr int kBuckets = static_cast<int>(std::size(kBucketUpperMs)) + 1;
   mutable std::mutex histMutex_;
   int64_t histCounts_[kBuckets] = {};

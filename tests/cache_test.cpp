@@ -3,8 +3,8 @@
 // to every semantic option, invariance to presentation-only ones), tier-1
 // hit/miss/eviction behaviour, single-flight deduplication under a worker
 // stampede, the negative-caching policy, and the tier-2 disk store (warm
-// restart, corrupt entries and entries of another compiler — the last two
-// must read as silent misses, never errors).
+// restart, corrupt entries — a silent miss, never an error — and the
+// deletion of other compilers' generations when a store opens).
 //
 // The load-bearing property throughout: a result served from the cache is
 // byte-identical to a fresh compile of the same (source, options) — the
@@ -15,7 +15,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
+#include <thread>
 
 #include "../bench/kernels.hpp"
 #include "roccc/cache.hpp"
@@ -423,6 +425,60 @@ TEST(CompileCache, OversizedSingleEntryStaysResident) {
   EXPECT_EQ(cache.stats().entries, 1);
 }
 
+TEST(CompileCache, ProbeCountsAHitOnceAndAMissNotAtAll) {
+  // probe() is getOrCompute's tier-1 hit path alone: a resident key is one
+  // hit; an absent key, a key still compiling and a key only on disk all
+  // miss without counting, waiting, loading or starting a compile.
+  const std::string dir = freshDir("probe");
+  const CompileOptions options;
+  const std::string key = computeCacheKey(kSmallKernel, options);
+  CacheConfig cfg;
+  cfg.diskDir = dir;
+  CompileCache cache(cfg);
+  const auto countsAreZero = [&cache] {
+    const CacheStats s = cache.stats();
+    return s.hits == 0 && s.misses == 0 && s.coalesced == 0 && s.diskHits == 0;
+  };
+
+  EXPECT_EQ(cache.probe(key), nullptr);
+  EXPECT_TRUE(countsAreZero());
+
+  // While the leader compiles, the probe misses at once.
+  std::promise<void> computing, release;
+  int computes = 0;
+  std::thread leader([&] {
+    cache.getOrCompute(key, options, [&] {
+      ++computes;
+      computing.set_value();
+      release.get_future().wait();
+      return runContainedJob({"k", kSmallKernel, options});
+    });
+  });
+  computing.get_future().wait();
+  EXPECT_EQ(cache.probe(key), nullptr);
+  EXPECT_EQ(cache.stats().hits, 0);
+  EXPECT_EQ(cache.stats().coalesced, 0);
+  release.set_value();
+  leader.join();
+  EXPECT_EQ(computes, 1);
+  EXPECT_EQ(cache.stats().misses, 1);
+
+  const auto entry = cache.probe(key);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->outcome, CompileOutcome::Ok);
+  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(cache.stats().misses, 1);
+
+  // A fresh cache over the same directory: the entry is only on disk, and
+  // the probe does not read it.
+  CompileCache restarted(cfg);
+  EXPECT_EQ(restarted.probe(key), nullptr);
+  EXPECT_EQ(restarted.stats().hits, 0);
+  EXPECT_EQ(restarted.stats().diskHits, 0);
+  EXPECT_EQ(restarted.stats().entries, 0);
+  fs::remove_all(dir);
+}
+
 // --- tier 2: the disk store --------------------------------------------------
 
 TEST(CompileCacheDisk, WarmRestartServesFromDisk) {
@@ -513,7 +569,7 @@ TEST(CompileCacheDisk, DigestIsRecomputedOnLoadNotStored) {
     EXPECT_TRUE(hit);
   }
   // The entry document holds no digest.
-  const std::string file = readFile(fs::path(dir) / (key + ".entry"));
+  const std::string file = readFile(fs::path(dir) / kCompilerFingerprint / (key + ".entry"));
   ASSERT_FALSE(file.empty());
   EXPECT_EQ(file.find(digest), std::string::npos);
   // A new cache over the directory computes it as the entry is loaded.
@@ -540,7 +596,7 @@ TEST(CompileCacheDisk, CorruptEntryIsASilentMiss) {
     service.setCache(cache);
     goodVhdl = service.compileBatch(jobs).results[0].vhdl;
   }
-  const std::string entryFile = dir + "/" + key + ".entry";
+  const std::string entryFile = dir + "/" + kCompilerFingerprint + "/" + key + ".entry";
   json::Value good;
   std::string error;
   ASSERT_TRUE(json::parse(readFile(entryFile), good, error)) << error;
@@ -578,21 +634,46 @@ TEST(CompileCacheDisk, CorruptEntryIsASilentMiss) {
   fs::remove_all(dir);
 }
 
-TEST(CompileCacheDisk, EntryUnderAnotherFingerprintMisses) {
-  // Compilers with different sources share a directory but never a key:
-  // an entry another compiler stored for the same (source, options) is
-  // not served, and this compiler's entry lands beside it.
-  const std::string dir = freshDir("fingerprint");
+TEST(CompileCacheDisk, OpeningAStoreDropsOtherGenerations) {
+  // Each compiler keeps its entries in <dir>/<fingerprint>/. Opening a
+  // store deletes another compiler's generation and the flat layout older
+  // stores wrote, and leaves everything else in the directory alone.
+  const std::string dir = freshDir("generations");
   const CompileOptions options;
   const std::string theirs = computeCacheKey(kSmallKernel, options, "another compiler");
-  CacheConfig cfg;
-  cfg.diskDir = dir;
+  const fs::path other = fs::path(dir) / sha256Hex("another compiler");
   {
+    // Plant their generation: an entry this build writes, moved to a
+    // directory named by the other fingerprint.
+    const std::string staging = freshDir("generations_staging");
+    CacheConfig cfg;
+    cfg.diskDir = staging;
     CompileCache cache(cfg);
     cache.getOrCompute(theirs, options, [&] { return runContainedJob({"k", kSmallKernel, options}); });
     ASSERT_EQ(cache.stats().diskStores, 1);
+    fs::create_directories(dir);
+    fs::rename(fs::path(staging) / kCompilerFingerprint, other);
+    fs::remove_all(staging);
   }
+  ASSERT_TRUE(fs::exists(other / (theirs + ".entry")));
+  const fs::path flat = fs::path(dir) / (theirs + ".entry");
+  fs::copy_file(other / (theirs + ".entry"), flat);
+  for (const char* name : {"manifest", "stale.entry.tmp.4242", "README"}) {
+    std::ofstream(fs::path(dir) / name) << "x";
+  }
+  fs::create_directories(fs::path(dir) / "notes");
+
+  CacheConfig cfg;
+  cfg.diskDir = dir;
   auto cache = std::make_shared<CompileCache>(cfg);
+  ASSERT_TRUE(cache->diskEnabled());
+  EXPECT_FALSE(fs::exists(other));
+  EXPECT_FALSE(fs::exists(flat));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "manifest"));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "stale.entry.tmp.4242"));
+  EXPECT_TRUE(fs::exists(fs::path(dir) / "README"));
+  EXPECT_TRUE(fs::is_directory(fs::path(dir) / "notes"));
+
   CompileService service(1);
   service.setCache(cache);
   const BatchResult batch = service.compileBatch({{"k", kSmallKernel, options}});
@@ -600,8 +681,9 @@ TEST(CompileCacheDisk, EntryUnderAnotherFingerprintMisses) {
   EXPECT_EQ(batch.cacheMisses, 1);
   EXPECT_EQ(cache->stats().diskHits, 0);
   EXPECT_EQ(cache->stats().diskStores, 1);
-  EXPECT_TRUE(fs::exists(fs::path(dir) / (theirs + ".entry")));
-  EXPECT_TRUE(fs::exists(fs::path(dir) / (computeCacheKey(kSmallKernel, options) + ".entry")));
+  const std::string ours = computeCacheKey(kSmallKernel, options);
+  EXPECT_TRUE(fs::exists(fs::path(dir) / kCompilerFingerprint / (ours + ".entry")));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / (ours + ".entry")));
   fs::remove_all(dir);
 }
 

@@ -712,6 +712,75 @@ TEST(ServiceNetCompile, Sha256MatchesTheVhdlOnEveryServePath) {
   }
 }
 
+/// The daemon's admission-window depth from a `status` request.
+int64_t queueDepth(ServiceClient& client) {
+  Value req = Value::object();
+  req.set("type", Value::string("status"));
+  Value resp;
+  std::string error;
+  EXPECT_TRUE(client.request(req, resp, error)) << error;
+  const Value* depth = resp.find("queueDepth");
+  return depth && depth->isNumber() ? depth->asInt() : -1;
+}
+
+// A memory hit is answered on its connection thread: it does not queue
+// behind compiles for a worker.
+TEST(ServiceNetCompile, HitIsServedWhileTheOnlyWorkerCompiles) {
+  Harness h("hit_beside_compile");
+  h.cfg.workers = 1;
+  h.cfg.cacheEnabled = true;
+  h.start();
+  auto b = h.connect();
+  Value resp;
+  std::string error;
+  ASSERT_TRUE(b->request(makeCompileRequest("k.c", kSmallKernel, {}), resp, error)) << error;
+  ASSERT_EQ(fieldString(resp, "status"), "ok");
+
+  // Connection A: four distinct slow misses (wavelet at unroll 64, tens of
+  // milliseconds each), sent without reading the answer.
+  Value batch = Value::object();
+  batch.set("proto", Value::string(kServiceProtocol));
+  batch.set("type", Value::string("batch"));
+  Value jobs = Value::array();
+  for (int i = 0; i < 4; ++i) {
+    Value options = Value::object();
+    options.set("unroll", Value::number(int64_t{64}));
+    Value job = Value::object();
+    job.set("name", Value::string("wavelet" + std::to_string(i)));
+    job.set("source", Value::string(std::string(bench::kWavelet) + "// copy " +
+                                    std::to_string(i) + "\n"));
+    job.set("options", std::move(options));
+    jobs.push(std::move(job));
+  }
+  batch.set("jobs", std::move(jobs));
+  auto a = h.connect();
+  ASSERT_TRUE(a->sendBytes(batch.dump() + "\n", error)) << error;
+  for (int spin = 0; spin < 1000 && queueDepth(*b) < 4; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(queueDepth(*b), 4) << "A's batch was never admitted";
+
+  // B's warm key is answered while A's compiles still hold the worker.
+  ASSERT_TRUE(b->request(makeCompileRequest("k.c", kSmallKernel, {}), resp, error)) << error;
+  EXPECT_EQ(fieldString(resp, "status"), "ok");
+  EXPECT_TRUE(resp.find("cached")->asBool());
+  EXPECT_GE(queueDepth(*b), 1) << "the hit waited for A's compiles";
+
+  // A's response, read only now, is four compiled rows (the ping that
+  // reads it is answered after it).
+  std::string raw;
+  ASSERT_TRUE(a->requestRaw("{\"proto\":\"roccc-ccd-v1\",\"type\":\"ping\"}", raw, error)) << error;
+  ASSERT_TRUE(json::parse(raw, resp, error)) << error;
+  EXPECT_EQ(fieldString(resp, "type"), "batch-result");
+  const Value* rows = resp.find("results");
+  ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->items().size(), 4u);
+  for (const Value& row : rows->items()) {
+    EXPECT_EQ(fieldString(row, "status"), "ok");
+    EXPECT_FALSE(row.find("cached")->asBool());
+  }
+}
+
 TEST(ServiceNetCompile, BudgetCeilingTurnsRunawayJobIntoTypedTimeout) {
   Harness h("budget_ceiling");
   h.cfg.workers = 1;
@@ -934,14 +1003,18 @@ TEST(ServiceNetMetrics, CountersAddUpAfterAKnownWorkload) {
   auto client = h.connect();
   Value resp;
   std::string error;
+  std::vector<double> jobMs; // every job's serviceMs, as its response reports it
+  const auto compile = [&](const char* name, const char* source) {
+    ASSERT_TRUE(client->request(makeCompileRequest(name, source, {}), resp, error)) << error;
+    jobMs.push_back(resp.find("serviceMs")->asDouble());
+  };
   // Workload: 3 compiles of the same kernel (1 miss + 2 hits), 1 frontend
   // error, 1 unknown-type protocol error.
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(client->request(makeCompileRequest("k.c", kSmallKernel, {}), resp, error))
-        << error;
+    compile("k.c", kSmallKernel);
     ASSERT_EQ(fieldString(resp, "status"), "ok");
   }
-  ASSERT_TRUE(client->request(makeCompileRequest("bad.c", "int x", {}), resp, error)) << error;
+  compile("bad.c", "int x");
   std::string raw;
   ASSERT_TRUE(client->requestRaw("{\"proto\":\"roccc-ccd-v1\",\"type\":\"zap\"}", raw, error))
       << error;
@@ -964,6 +1037,28 @@ TEST(ServiceNetMetrics, CountersAddUpAfterAKnownWorkload) {
   EXPECT_EQ(svc->find("count")->asInt(), 4);
   EXPECT_GT(svc->find("p95Ms")->asDouble(), 0.0);
   EXPECT_GE(svc->find("p95Ms")->asDouble(), svc->find("p50Ms")->asDouble());
+
+  // Eight more hits make 10 of the 12 jobs memory hits. The median job is
+  // a hit, and p50Ms is the upper bound of its bucket: at most 2.5 times
+  // its time, since the buckets are log-spaced 1-2-5 from 0.01 ms. An
+  // optimized build serves a hit in tens of microseconds, so p50Ms reads
+  // well under the 0.5 ms that a lowest bucket of 0.5 ms would report.
+  for (int i = 0; i < 8; ++i) {
+    compile("k.c", kSmallKernel);
+    ASSERT_TRUE(resp.find("cached")->asBool());
+  }
+  ASSERT_TRUE(client->request(req, m, error)) << error;
+  EXPECT_EQ(m.find("cache")->find("hits")->asInt(), 10);
+  EXPECT_EQ(m.find("jobs")->find("admitted")->asInt(), 12);
+  svc = m.find("serviceMs");
+  ASSERT_NE(svc, nullptr);
+  EXPECT_EQ(svc->find("count")->asInt(), 12);
+  ASSERT_EQ(jobMs.size(), 12u);
+  std::sort(jobMs.begin(), jobMs.end());
+  const double medianJobMs = jobMs[5]; // rank ceil(0.5 * 12)
+  const double p50 = svc->find("p50Ms")->asDouble();
+  EXPECT_GE(p50, medianJobMs);
+  EXPECT_LE(p50, std::max(0.01, 2.5 * medianJobMs)) << "median job " << medianJobMs << " ms";
 }
 
 // --- fault-injection soak ----------------------------------------------------
