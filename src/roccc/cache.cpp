@@ -19,16 +19,19 @@ namespace roccc {
 // --- key derivation ----------------------------------------------------------
 
 std::string normalizeSourceForKey(std::string_view source) {
+  // The runs between '\r' bytes are copied in bulk; each '\r' or "\r\n"
+  // becomes one '\n'.
   std::string out;
   out.reserve(source.size());
-  for (size_t i = 0; i < source.size(); ++i) {
-    if (source[i] == '\r') {
-      out += '\n';
-      if (i + 1 < source.size() && source[i + 1] == '\n') ++i;
-      continue;
-    }
-    out += source[i];
+  size_t run = 0;
+  for (size_t cr = source.find('\r'); cr != std::string_view::npos;
+       cr = source.find('\r', run)) {
+    out.append(source, run, cr - run);
+    out += '\n';
+    run = cr + 1;
+    if (run < source.size() && source[run] == '\n') ++run;
   }
+  out.append(source, run);
   return out;
 }
 

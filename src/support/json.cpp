@@ -3,7 +3,9 @@
 #include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 
 #include "support/strings.hpp"
 
@@ -50,11 +52,43 @@ void Value::set(std::string_view key, Value v) {
   members_.emplace_back(std::string(key), std::move(v));
 }
 
-void escapeTo(std::string_view s, std::string& out) {
-  size_t run = 0; // start of the pending run of verbatim bytes
-  for (size_t i = 0; i < s.size(); ++i) {
+namespace {
+
+/// The offset of the first byte at or after `from` that a JSON string
+/// must treat specially: '"', '\\' or a control byte below 0x20; s.size()
+/// when there is none. Both directions of the codec share it.
+///
+/// It tests eight bytes per step. A word is loaded with memcpy, so there
+/// is no alignment or aliasing question and no read past the view. The
+/// has-less test ((w - n*ones) & ~w & highs, nonzero iff a byte of w is
+/// below n, for n <= 0x80) flags a control byte directly, and a quote or
+/// backslash as a zero byte of w XOR its broadcast. Inside the flagged
+/// word, and in the last few bytes, the byte loop names the byte, so the
+/// result does not depend on endianness.
+size_t findSpecial(std::string_view s, size_t from) {
+  constexpr uint64_t kOnes = 0x0101010101010101ull;
+  constexpr uint64_t kHighs = 0x8080808080808080ull;
+  auto hasLess = [](uint64_t w, uint64_t n) { return (w - kOnes * n) & ~w & kHighs; };
+  size_t i = from;
+  for (; i + 8 <= s.size(); i += 8) {
+    uint64_t w;
+    std::memcpy(&w, s.data() + i, sizeof w);
+    if (hasLess(w, 0x20) | hasLess(w ^ (kOnes * '"'), 1) | hasLess(w ^ (kOnes * '\\'), 1)) break;
+  }
+  for (; i < s.size(); ++i) {
     const unsigned char c = static_cast<unsigned char>(s[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    if (c < 0x20 || c == '"' || c == '\\') return i;
+  }
+  return s.size();
+}
+
+} // namespace
+
+void escapeTo(std::string_view s, std::string& out) {
+  out.reserve(out.size() + s.size() + 2);
+  size_t run = 0; // start of the pending run of verbatim bytes
+  for (size_t i = findSpecial(s, 0); i < s.size(); i = findSpecial(s, run)) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
     out.append(s, run, i - run);
     run = i + 1;
     switch (c) {
@@ -295,6 +329,11 @@ class Parser {
     ++pos_; // opening quote
     out.clear();
     while (true) {
+      // Copy the whole run of plain bytes up to the next quote, backslash
+      // or control byte in one append.
+      const size_t stop = findSpecial(text_, pos_);
+      out.append(text_, pos_, stop - pos_);
+      pos_ = stop;
       if (pos_ >= text_.size()) return fail("unterminated string");
       const unsigned char c = static_cast<unsigned char>(text_[pos_]);
       if (c == '"') {
@@ -302,17 +341,6 @@ class Parser {
         return true;
       }
       if (c < 0x20) return fail("raw control character in string");
-      if (c != '\\') {
-        // Copy the whole run of plain bytes up to the next quote,
-        // backslash or control byte in one append.
-        const size_t start = pos_;
-        while (++pos_ < text_.size()) {
-          const unsigned char d = static_cast<unsigned char>(text_[pos_]);
-          if (d == '"' || d == '\\' || d < 0x20) break;
-        }
-        out.append(text_, start, pos_ - start);
-        continue;
-      }
       ++pos_; // backslash
       if (pos_ >= text_.size()) return fail("truncated escape");
       const char e = text_[pos_++];

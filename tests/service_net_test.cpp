@@ -723,21 +723,9 @@ int64_t queueDepth(ServiceClient& client) {
   return depth && depth->isNumber() ? depth->asInt() : -1;
 }
 
-// A memory hit is answered on its connection thread: it does not queue
-// behind compiles for a worker.
-TEST(ServiceNetCompile, HitIsServedWhileTheOnlyWorkerCompiles) {
-  Harness h("hit_beside_compile");
-  h.cfg.workers = 1;
-  h.cfg.cacheEnabled = true;
-  h.start();
-  auto b = h.connect();
-  Value resp;
-  std::string error;
-  ASSERT_TRUE(b->request(makeCompileRequest("k.c", kSmallKernel, {}), resp, error)) << error;
-  ASSERT_EQ(fieldString(resp, "status"), "ok");
-
-  // Connection A: four distinct slow misses (wavelet at unroll 64, tens of
-  // milliseconds each), sent without reading the answer.
+/// A batch of four distinct slow misses: the wavelet kernel at unroll 64,
+/// tens of milliseconds per compile, each copy with its own source bytes.
+Value slowMissBatch() {
   Value batch = Value::object();
   batch.set("proto", Value::string(kServiceProtocol));
   batch.set("type", Value::string("batch"));
@@ -753,8 +741,26 @@ TEST(ServiceNetCompile, HitIsServedWhileTheOnlyWorkerCompiles) {
     jobs.push(std::move(job));
   }
   batch.set("jobs", std::move(jobs));
+  return batch;
+}
+
+// A memory hit is answered on its connection thread: it does not queue
+// behind compiles for a worker.
+TEST(ServiceNetCompile, HitIsServedWhileTheOnlyWorkerCompiles) {
+  Harness h("hit_beside_compile");
+  h.cfg.workers = 1;
+  h.cfg.cacheEnabled = true;
+  h.start();
+  auto b = h.connect();
+  Value resp;
+  std::string error;
+  ASSERT_TRUE(b->request(makeCompileRequest("k.c", kSmallKernel, {}), resp, error)) << error;
+  ASSERT_EQ(fieldString(resp, "status"), "ok");
+
+  // Connection A: four distinct slow misses, sent without reading the
+  // answer.
   auto a = h.connect();
-  ASSERT_TRUE(a->sendBytes(batch.dump() + "\n", error)) << error;
+  ASSERT_TRUE(a->sendBytes(slowMissBatch().dump() + "\n", error)) << error;
   for (int spin = 0; spin < 1000 && queueDepth(*b) < 4; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -779,6 +785,32 @@ TEST(ServiceNetCompile, HitIsServedWhileTheOnlyWorkerCompiles) {
     EXPECT_EQ(fieldString(row, "status"), "ok");
     EXPECT_FALSE(row.find("cached")->asBool());
   }
+}
+
+// A batch row's serviceMs counts its queue wait, as a compile request's
+// does: with one worker, the last of four equal misses waits for the other
+// three, so its serviceMs is nearly the batch's wallMs (a row timed only
+// while it ran reads about a quarter of it).
+TEST(ServiceNetCompile, BatchRowTimeIncludesItsQueueWait) {
+  Harness h("batch_row_time");
+  h.cfg.workers = 1;
+  h.start();
+  auto client = h.connect();
+  Value resp;
+  std::string error;
+  ASSERT_TRUE(client->request(slowMissBatch(), resp, error)) << error;
+  ASSERT_EQ(fieldString(resp, "type"), "batch-result");
+  const Value* rows = resp.find("results");
+  ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->items().size(), 4u);
+  double longestRowMs = 0;
+  for (const Value& row : rows->items()) {
+    EXPECT_EQ(fieldString(row, "status"), "ok");
+    longestRowMs = std::max(longestRowMs, row.find("serviceMs")->asDouble());
+  }
+  const double wallMs = resp.find("wallMs")->asDouble();
+  EXPECT_GE(longestRowMs, 0.75 * wallMs) << "wallMs " << wallMs;
+  EXPECT_LE(longestRowMs, wallMs);
 }
 
 TEST(ServiceNetCompile, BudgetCeilingTurnsRunawayJobIntoTypedTimeout) {

@@ -3,10 +3,13 @@
 // rule and number format.
 //
 // Every daemon response carries the generated VHDL as one JSON string, so
-// both directions copy runs of plain bytes in bulk. These tests pin what
-// must not change with that: the escaped bytes (against the byte-at-a-time
-// reference below), the decoded bytes, and the parser's error messages and
-// byte offsets.
+// both directions share one word scanner: it tests eight bytes per step
+// for a quote, a backslash or a control byte, names the flagged byte with
+// a byte loop, and copies the plain runs between such bytes in bulk.
+// These tests pin what must not change with that: the escaped bytes
+// (against the byte-at-a-time reference below), the decoded bytes, and
+// the parser's error messages and byte offsets, with special bytes placed
+// on every lane of a word and in the short tail after the last word.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -86,6 +89,34 @@ TEST(JsonCodec, EveryByteAtStartMiddleAndEndOfARun) {
     expectCodecRoundTrip("plain" + c + "run", tag + " in the middle");
     expectCodecRoundTrip("plain run" + c, tag + " at end");
   }
+  // The scanner tests eight bytes per step: put each byte class edge at
+  // every offset of three words, so it lands on each lane of a whole word
+  // and in the byte-at-a-time tail of shorter runs.
+  const std::string run24 = "abcdefghijklmnopqrstuvwx";
+  for (const int b :
+       {0x00, 0x1f, 0x20, 0x21, int{'"'}, int{'#'}, int{'\\'}, int{']'}, 0x7f, 0x80, 0xff}) {
+    for (size_t at = 0; at < run24.size(); ++at) {
+      std::string s = run24;
+      s[at] = static_cast<char>(b);
+      const std::string tag = "byte " + std::to_string(b) + " at offset " + std::to_string(at);
+      expectCodecRoundTrip(s, tag);
+      expectCodecRoundTrip(s.substr(0, at + 1), tag + ", run ends there");
+    }
+  }
+  // Two special bytes in one word, at every pair of lanes.
+  for (size_t x = 0; x < 8; ++x) {
+    for (size_t y = x + 1; y < 8; ++y) {
+      std::string s = run24;
+      s[8 + x] = '"';
+      s[8 + y] = '\x01';
+      expectCodecRoundTrip(s, "quote at lane " + std::to_string(x) + ", control at lane " +
+                                  std::to_string(y));
+      s[8 + x] = '\\';
+      s[8 + y] = '\\';
+      expectCodecRoundTrip(s, "backslashes at lanes " + std::to_string(x) + " and " +
+                                  std::to_string(y));
+    }
+  }
 }
 
 TEST(JsonCodec, AdjacentEscapes) {
@@ -154,6 +185,17 @@ TEST(JsonCodec, ErrorMessagesAndByteOffsets) {
   EXPECT_EQ(parseError("\"\\ude00\""), "unpaired surrogate at byte 7");
   EXPECT_EQ(parseError("\"\\ud83d\\u0041\""), "invalid low surrogate at byte 13");
   EXPECT_EQ(parseError("[\"ok\",\"bad\x02\"]"), "raw control character in string at byte 10");
+  // A raw control byte at every offset of three words, after a run of
+  // plain bytes and after an escape: the offset is the byte's own.
+  for (size_t at = 0; at < 24; ++at) {
+    for (const char b : {'\x00', '\n', '\x1f'}) {
+      std::string body(24, 'a');
+      body[at] = b;
+      const std::string want = "raw control character in string at byte ";
+      EXPECT_EQ(parseError("\"" + body + "\""), want + std::to_string(1 + at));
+      EXPECT_EQ(parseError("[\"\\t" + body + "\"]"), want + std::to_string(4 + at));
+    }
+  }
 }
 
 /// Every checked-in golden VHDL file (Table 1 and corpus).
