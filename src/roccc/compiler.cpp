@@ -227,7 +227,8 @@ PassManager Compiler::buildPipeline() const {
               }});
   pm.addPass({"emit-verilog", PassLayer::Vhdl,
               [](PassContext& ctx, PassStatistics& st) {
-                ctx.result.verilog = verilog::emitDesign(ctx.result.datapath, ctx.result.kernel);
+                ctx.result.verilog =
+                    verilog::emitDesign(ctx.result.datapath, ctx.result.module, ctx.result.kernel);
                 st.add("bytes", static_cast<int64_t>(ctx.result.verilog.size()));
                 return true;
               },

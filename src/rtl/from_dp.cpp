@@ -85,7 +85,7 @@ class Lowering {
       out_.inputNames.push_back("__valid");
       for (int s = 1; s < dp_.stageCount; ++s) {
         const int net = out_.addNet(bitTy, fmt("__valid_s%0", s));
-        out_.addCell(CellKind::Reg, {validAt_.back()}, net);
+        cell(CellKind::Reg, {validAt_.back()}, net);
         validAt_.push_back(net);
       }
     }
@@ -98,6 +98,7 @@ class Lowering {
       lowerOp(dp_.ops[static_cast<size_t>(oi)]);
       if (failed_) return false;
     }
+    owner_ = -1;
 
     // Close the feedback loops; each register is gated by the valid bit of
     // its stage.
@@ -105,8 +106,8 @@ class Lowering {
       const int d = netAt(fb.snxValue, fb.stage);
       const int resized = resizeTo(d, fb.type, fb.name + "__nxt");
       const int en = validAt_.at(static_cast<size_t>(fb.stage));
-      const int cell = out_.addCell(CellKind::Reg, {resized, en}, fbNet_.at(fb.name));
-      out_.cells[static_cast<size_t>(cell)].imm = fb.initial;
+      const int reg = cell(CellKind::Reg, {resized, en}, fbNet_.at(fb.name));
+      out_.cells[static_cast<size_t>(reg)].imm = fb.initial;
     }
 
     // Output ports, all delivered at the final stage.
@@ -148,6 +149,14 @@ class Lowering {
   std::vector<std::vector<int>> staged_;
   std::map<std::string, int> fbNet_;
   std::vector<int> validAt_; ///< valid net per stage (only when feedbacks exist)
+  int owner_ = -1; ///< dp node the cells being added belong to (-1: top level)
+
+  /// Adds a cell owned by `owner_`.
+  int cell(CellKind kind, std::vector<int> inputs, int output) {
+    const int id = out_.addCell(kind, std::move(inputs), output);
+    out_.cells[static_cast<size_t>(id)].node = owner_;
+    return id;
+  }
 
   void define(int valueId, int net, int stage) {
     baseNet_[static_cast<size_t>(valueId)] = net;
@@ -193,12 +202,14 @@ class Lowering {
   int resizeTo(int net, ScalarType t, const std::string& name) {
     if (out_.nets[static_cast<size_t>(net)].type == t) return net;
     const int r = out_.addNet(t, name);
-    out_.addCell(CellKind::Resize, {net}, r);
+    cell(CellKind::Resize, {net}, r);
     return r;
   }
 
   /// Net carrying `value` during `stage`: the base net, advanced through a
-  /// pipeline-register chain when the consumer sits in a later stage.
+  /// pipeline-register chain when the consumer sits in a later stage. The
+  /// chain belongs to the node whose op produces the value (input ports:
+  /// the top level).
   int netAt(int valueId, int stage) {
     const size_t vi = static_cast<size_t>(valueId);
     const int base = baseNetOf(valueId);
@@ -210,23 +221,28 @@ class Lowering {
     if (depth <= chain.size()) return chain[depth - 1];
     // Extend the register chain one stage at a time up to `stage`.
     const DpValue& v = dp_.values[vi];
+    const int consumer = owner_;
+    owner_ = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].node : -1;
     for (size_t k = chain.size(); k < depth; ++k) {
       const int prev = k == 0 ? base : chain[k - 1];
       const int net = out_.addNet(out_.nets[static_cast<size_t>(prev)].type,
                                   fmt("%0_s%1", v.name.empty() ? fmt("t%0", v.id) : v.name,
                                       def + 1 + static_cast<int>(k)));
-      out_.addCell(CellKind::Reg, {prev}, net);
+      cell(CellKind::Reg, {prev}, net);
       chain.push_back(net);
     }
+    owner_ = consumer;
     return chain.back();
   }
 
   void lowerOp(const DpOp& o) {
+    owner_ = o.node;
     switch (o.op) {
       case Opcode::Ldc: {
         const DpValue& v = dp_.values[static_cast<size_t>(o.result)];
         const int net = out_.addConst(Value::fromInt(hwType(v), o.imm).toInt(), hwType(v),
                                       v.name.empty() ? fmt("c%0", o.imm) : v.name);
+        out_.cells[static_cast<size_t>(out_.nets[static_cast<size_t>(net)].driver)].node = o.node;
         define(o.result, net, 0);
         isConst_[static_cast<size_t>(o.result)] = 1;
         return;
@@ -239,14 +255,14 @@ class Lowering {
         const DpValue& v = dp_.values[static_cast<size_t>(o.result)];
         const int addr = operandNet(o, 0);
         const int net = out_.addNet(hwType(v), resultName(o));
-        const int cell = out_.addCell(CellKind::Rom, {addr}, net);
+        Cell& rom = out_.cells[static_cast<size_t>(cell(CellKind::Rom, {addr}, net))];
         for (const auto& t : dp_.tables) {
           if (t.name == o.symbol) {
-            out_.cells[static_cast<size_t>(cell)].romData = t.values;
-            out_.cells[static_cast<size_t>(cell)].romElemType = t.elemType;
+            rom.romData = t.values;
+            rom.romElemType = t.elemType;
           }
         }
-        out_.cells[static_cast<size_t>(cell)].romName = o.symbol;
+        rom.romName = o.symbol;
         define(o.result, net, o.stage);
         return;
       }
@@ -255,9 +271,9 @@ class Lowering {
         const DpValue& src = dp_.values[static_cast<size_t>(o.operands[0])];
         const int full = resizeTo(operandNet(o, 0), src.declared, src.name + "_full");
         const int net = out_.addNet(hwType(v), resultName(o));
-        const int cell = out_.addCell(CellKind::Slice, {full}, net);
-        out_.cells[static_cast<size_t>(cell)].aux0 = o.aux0;
-        out_.cells[static_cast<size_t>(cell)].aux1 = o.aux1;
+        Cell& slice = out_.cells[static_cast<size_t>(cell(CellKind::Slice, {full}, net))];
+        slice.aux0 = o.aux0;
+        slice.aux1 = o.aux1;
         define(o.result, net, o.stage);
         return;
       }
@@ -268,7 +284,7 @@ class Lowering {
         const int hiNet = resizeTo(operandNet(o, 0), hi.declared, hi.name + "_full");
         const int loNet = resizeTo(operandNet(o, 1), lo.declared, lo.name + "_full");
         const int net = out_.addNet(hwType(v), resultName(o));
-        out_.addCell(CellKind::Concat, {hiNet, loNet}, net);
+        cell(CellKind::Concat, {hiNet, loNet}, net);
         define(o.result, net, o.stage);
         return;
       }
@@ -278,7 +294,7 @@ class Lowering {
         std::vector<int> ins;
         for (size_t k = 0; k < o.operands.size(); ++k) ins.push_back(operandNet(o, k));
         const int net = out_.addNet(hwType(v), resultName(o));
-        out_.addCell(cellFor(o.op), ins, net);
+        cell(cellFor(o.op), ins, net);
         define(o.result, net, o.stage);
         return;
       }

@@ -1,8 +1,9 @@
-// RTL netlist: the structural hardware representation both the VHDL
-// emitter and the synthesis estimator consume, and that the cycle-accurate
-// simulator executes. Cells correspond one-to-one to the hardware the
-// compiler emits: IEEE 1076.3 arithmetic operators, multiplexers, clocked
-// registers (with a global clock-enable), and ROM IP blocks.
+// RTL netlist: the one lowered form of a design. The cycle-accurate
+// simulators execute it, the synthesis estimator prices it, and the VHDL
+// and Verilog printers (src/vhdl) write it out cell by cell, one entity per
+// data-path node. Cells correspond one-to-one to the hardware the compiler
+// emits: IEEE 1076.3 arithmetic operators, multiplexers, clocked registers
+// (with a global clock-enable), and ROM IP blocks.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +53,10 @@ struct Cell {
   std::string romName;     ///< Rom: table name (for VHDL component naming)
   std::vector<int64_t> romData;
   ScalarType romElemType = ScalarType::intTy();
+  /// The data-path node the cell was lowered from, whose entity prints it;
+  /// -1 for the top level (input-port chains, the valid chain, feedback
+  /// registers and output-port conversions).
+  int node = -1;
 };
 
 /// A synthesizable module: nets + cells + ports. One implicit clock and one

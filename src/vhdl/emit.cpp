@@ -1,6 +1,7 @@
 #include "vhdl/emit.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"
@@ -8,23 +9,90 @@
 
 namespace roccc::vhdl {
 
-using dp::DataPath;
-using dp::DpOp;
-using dp::DpValue;
-using mir::Opcode;
+using rtl::Cell;
+using rtl::CellKind;
 
 namespace {
 
-using hdl::addrBits;
+using hdl::Ref;
 using hdl::sanitize;
 
-class Emitter {
+std::string typeName(ScalarType t) {
+  return fmt("%0(%1 downto 0)", t.isSigned ? "signed" : "unsigned", t.width - 1);
+}
+
+std::string cast(bool toSigned, const std::string& s) {
+  return fmt("%0(%1)", toSigned ? "signed" : "unsigned", s);
+}
+
+/// `v` as a numeric_std literal; a bit string when VHDL's 32-bit integer
+/// cannot hold it.
+std::string literal(const Value& v) {
+  const int64_t x = v.toInt();
+  if (x >= INT32_MIN && x <= INT32_MAX) {
+    return fmt("to_%0(%1, %2)", v.isSigned() ? "signed" : "unsigned", x, v.width());
+  }
+  std::string bits;
+  for (int b = v.width() - 1; b >= 0; --b) bits += (v.bits() >> b & 1) ? '1' : '0';
+  return fmt("%0'(\"%1\")", v.isSigned() ? "signed" : "unsigned", bits);
+}
+
+/// Bits [lo, lo + read.width) of the signal `s` (of type `named`), read as
+/// `read` and converted to `t`: truncation keeps the low bits, extension
+/// follows `read`'s signedness.
+std::string fitBits(std::string s, ScalarType named, int lo, ScalarType read, ScalarType t) {
+  const int w = std::min(read.width, t.width);
+  if (lo != 0 || w != named.width) s += fmt("(%0 downto %1)", lo + w - 1, lo);
+  bool sgn = named.isSigned;
+  if (t.width > read.width) {
+    if (sgn != read.isSigned) s = cast(read.isSigned, s);
+    sgn = read.isSigned;
+    s = fmt("resize(%0, %1)", s, t.width);
+  }
+  return sgn == t.isSigned ? s : cast(t.isSigned, s);
+}
+
+/// The expression `e` of type `from` converted to `t` (numeric_std's resize
+/// keeps a signed value's sign bit when it narrows, so a signed value is
+/// narrowed as unsigned).
+std::string fitExpr(std::string e, ScalarType from, ScalarType t) {
+  if (t.width != from.width) {
+    if (from.isSigned && t.width < from.width) {
+      e = cast(false, e);
+      from.isSigned = false;
+    }
+    e = fmt("resize(%0, %1)", e, t.width);
+  }
+  return from.isSigned == t.isSigned ? e : cast(t.isSigned, e);
+}
+
+const char* relation(CellKind k) {
+  switch (k) {
+    case CellKind::Eq: return "=";
+    case CellKind::Ne: return "/=";
+    case CellKind::Lt: return "<";
+    case CellKind::Le: return "<=";
+    case CellKind::Gt: return ">";
+    default: return ">=";
+  }
+}
+
+class Printer {
  public:
-  Emitter(const DataPath& dp, const rtl::Module& module, const hlir::KernelInfo& kernel)
-      : dp_(dp), module_(module), kernel_(kernel), layout_(hdl::layoutDesign(dp)) {}
+  Printer(const dp::DataPath& dp, const rtl::Module& m, const hlir::KernelInfo& kernel)
+      : dp_(dp), m_(m), kernel_(kernel), p_(hdl::partition(m, dp.nodes.size(), dp.inputs.size(), dp.outputs.size())) {
+    topNames_ = p_.names;
+    for (size_t i = 0; i < dataInputs(); ++i) {
+      topNames_[static_cast<size_t>(m.inputPorts[i])] = sanitize(m.inputNames[i]);
+    }
+  }
 
   std::string run() {
-    header();
+    w_.line("-- Generated by ROCCC (reproduction): RTL VHDL for kernel '" + kernel_.kernelName + "'");
+    w_.line(fmt("-- data path: %0 nodes (%1 soft, %2 hard), %3 pipeline stages", dp_.nodes.size(),
+                dp_.softNodeCount, dp_.hardNodeCount, dp_.stageCount));
+    w_.line(fmt("-- netlist: %0 cells, %1 register bits", m_.cells.size(), m_.registerBits()));
+    w_.blank();
     romEntities();
     for (const auto& n : dp_.nodes) nodeEntity(n);
     topEntity();
@@ -32,48 +100,88 @@ class Emitter {
   }
 
  private:
-  const DataPath& dp_;
-  const rtl::Module& module_;
+  const dp::DataPath& dp_;
+  const rtl::Module& m_;
   const hlir::KernelInfo& kernel_;
-  const hdl::DesignLayout layout_;
+  const hdl::Partition p_;
   IndentWriter w_;
+  const std::vector<std::string>& names_ = p_.names; ///< per net, inside node entities
+  std::vector<std::string> topNames_; ///< per net, in the top entity (input ports by port name)
+  bool atTop_ = false;
 
-  // --- naming -------------------------------------------------------------
-
-  const std::string& valueName(int vid) const { return layout_.valueNames[static_cast<size_t>(vid)]; }
-
-  std::string typeOf(int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    return fmt("%0(%1 downto 0)", v.isSigned ? "signed" : "unsigned", v.width - 1);
+  /// The module's first input ports are the kernel's; the rest (the valid
+  /// bit) are std_logic controls.
+  size_t dataInputs() const { return std::min(dp_.inputs.size(), m_.inputPorts.size()); }
+  const Cell& cell(int id) const { return m_.cells[static_cast<size_t>(id)]; }
+  ScalarType type(int net) const { return m_.nets[static_cast<size_t>(net)].type; }
+  const std::string& name(int net) const { return (atTop_ ? topNames_ : names_)[static_cast<size_t>(net)]; }
+  const Ref& ref(const Cell& c, size_t k) const { return p_.refs[static_cast<size_t>(c.inputs[k])]; }
+  std::string romEntity(const Cell& c) const {
+    return sanitize(m_.name) + "_" + sanitize(c.romName) + "_rom";
   }
 
-  bool isConstValue(int vid) const { return hdl::isConstValue(dp_, vid); }
+  std::string fit(const Ref& r, ScalarType t) const {
+    if (r.isLiteral()) return literal(r.literalAs(t));
+    return fitBits(name(r.net), type(r.net), r.lo, r.type, t);
+  }
+  /// Input k of `c` as its statement reads it.
+  std::string in(const Cell& c, size_t k) const { return fit(ref(c, k), hdl::inputType(m_, c, k)); }
 
-  /// Renders a reference to `vid` converted to (width, signedness).
-  std::string cvt(int vid, int width, bool wantSigned) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    if (isConstValue(vid)) {
-      const int64_t c = dp_.ops[static_cast<size_t>(v.def)].imm;
-      return fmt("to_%0(%1, %2)", wantSigned ? "signed" : "unsigned",
-                 Value::fromInt(ScalarType::make(width, wantSigned), c).toInt(), width);
-    }
-    std::string r = valueName(vid);
-    if (v.isSigned == wantSigned) {
-      if (v.width == width) return r;
-      return fmt("resize(%0, %1)", r, width);
-    }
-    // Resize in the source domain (correct extension), then reinterpret.
-    return fmt("%0(resize(%1, %2))", wantSigned ? "signed" : "unsigned", r, width);
+  std::string amount(const Cell& c) const {
+    const Ref& n = ref(c, 1);
+    if (n.isLiteral()) return std::to_string(Value::fromInt(n.type, n.literal).toUnsigned());
+    return "to_integer(" + in(c, 1) + ")";
   }
 
-  // --- sections ------------------------------------------------------------------
-
-  void header() {
-    w_.line("-- Generated by ROCCC (reproduction): RTL VHDL for kernel '" + kernel_.kernelName + "'");
-    w_.line(fmt("-- data path: %0 nodes (%1 soft, %2 hard), %3 pipeline stages", dp_.nodes.size(),
-                dp_.softNodeCount, dp_.hardNodeCount, dp_.stageCount));
-    w_.line(fmt("-- netlist: %0 cells, %1 register bits", module_.cells.size(), module_.registerBits()));
-    w_.blank();
+  /// The right-hand side of a combinational cell's assignment.
+  std::string expr(const Cell& c) const {
+    const ScalarType rt = type(c.output);
+    switch (c.kind) {
+      case CellKind::Add: return in(c, 0) + " + " + in(c, 1);
+      case CellKind::Sub: return in(c, 0) + " - " + in(c, 1);
+      case CellKind::Mul: return fitExpr(in(c, 0) + " * " + in(c, 1), {2 * rt.width, false}, rt);
+      case CellKind::Neg: return "0 - " + in(c, 0);
+      case CellKind::And: return in(c, 0) + " and " + in(c, 1);
+      case CellKind::Or: return in(c, 0) + " or " + in(c, 1);
+      case CellKind::Xor: return in(c, 0) + " xor " + in(c, 1);
+      case CellKind::Not: return "not " + in(c, 0);
+      case CellKind::Shl: return fmt("shift_left(%0, %1)", in(c, 0), amount(c));
+      case CellKind::Shr: {
+        // A constant shift that stays inside the operand is a slice.
+        const Ref& a = ref(c, 0);
+        const Ref& n = ref(c, 1);
+        const uint64_t k = n.isLiteral() ? Value::fromInt(n.type, n.literal).toUnsigned() : 64;
+        if (!a.isLiteral() && k < 64 && static_cast<int>(k) + rt.width <= a.type.width) {
+          const int ki = static_cast<int>(k);
+          return fit(Ref{a.net, a.lo + ki, {a.type.width - ki, a.type.isSigned}, 0}, rt);
+        }
+        return fitExpr(fmt("shift_right(%0, %1)", in(c, 0), amount(c)), hdl::inputType(m_, c, 0), rt);
+      }
+      case CellKind::Eq: case CellKind::Ne: case CellKind::Lt:
+      case CellKind::Le: case CellKind::Gt: case CellKind::Ge: {
+        const bool bit = rt.width == 1;
+        return fmt("%0 when %1 %2 %3 else %4", bit ? "\"1\"" : literal(Value::fromInt(rt, 1)), in(c, 0),
+                   relation(c.kind), in(c, 1), bit ? "\"0\"" : literal(Value::fromInt(rt, 0)));
+      }
+      case CellKind::Mux: return fmt("%0 when %1 /= 0 else %2", in(c, 1), in(c, 0), in(c, 2));
+      case CellKind::Slice: {
+        const Ref& r = ref(c, 0);
+        if (!r.isLiteral() && c.aux1 + rt.width <= r.type.width) {
+          return fit(Ref{r.net, r.lo + c.aux1, rt, 0}, rt);
+        }
+        const ScalarType u{hdl::inputType(m_, c, 0).width, false};
+        return fitExpr(fmt("shift_right(%0, %1)", fit(r, u), c.aux1), u, rt);
+      }
+      case CellKind::Concat: {
+        const ScalarType hi{hdl::inputType(m_, c, 0).width, false};
+        const ScalarType lo{hdl::inputType(m_, c, 1).width, false};
+        return fitExpr(fit(ref(c, 0), hi) + " & " + fit(ref(c, 1), lo), {hi.width + lo.width, false}, rt);
+      }
+      case CellKind::Resize: return in(c, 0);
+      default:
+        throw InternalCompilerError(
+            fmt("vhdl: cell kind '%0' has no assignment form", rtl::cellKindName(c.kind)));
+    }
   }
 
   void libraryClause() {
@@ -83,332 +191,88 @@ class Emitter {
     w_.blank();
   }
 
-  void romEntities() {
-    for (const auto& t : dp_.tables) {
-      const std::string name = sanitize(dp_.name) + "_" + sanitize(t.name) + "_rom";
-      const int ab = addrBits(t.values.size());
-      const int dw = t.elemType.width;
-      libraryClause();
-      w_.line("entity " + name + " is");
+  void entity(const std::string& name, const std::vector<std::string>& ports) {
+    libraryClause();
+    w_.line("entity " + name + " is");
+    if (!ports.empty()) {
       w_.indent();
       w_.line("port (");
       w_.indent();
-      w_.line(fmt("addr : in unsigned(%0 downto 0);", ab - 1));
-      w_.line(fmt("data : out %0(%1 downto 0)", t.elemType.isSigned ? "signed" : "unsigned", dw - 1));
+      for (size_t i = 0; i < ports.size(); ++i) w_.line(ports[i] + (i + 1 < ports.size() ? ";" : ""));
       w_.dedent();
       w_.line(");");
       w_.dedent();
-      w_.line("end entity " + name + ";");
-      w_.blank();
+    }
+    w_.line("end entity " + name + ";");
+    w_.blank();
+  }
+
+  void romEntities() {
+    std::vector<std::string> done;
+    for (const Cell& c : m_.cells) {
+      if (c.kind != CellKind::Rom) continue;
+      const std::string name = romEntity(c);
+      if (std::find(done.begin(), done.end(), name) != done.end()) continue;
+      done.push_back(name);
+      const ScalarType et = c.romElemType;
+      entity(name, {fmt("addr : in unsigned(%0 downto 0)", hdl::addrBits(c.romData.size()) - 1),
+                    "data : out " + typeName(et)});
       w_.line("architecture rtl of " + name + " is");
       w_.indent();
-      w_.line(fmt("type rom_t is array (0 to %0) of %1(%2 downto 0);",
-                  t.values.size() - 1, t.elemType.isSigned ? "signed" : "unsigned", dw - 1));
+      w_.line(fmt("type rom_t is array (0 to %0) of %1;", c.romData.size() - 1, typeName(et)));
       std::vector<std::string> init;
-      for (int64_t v : t.values) {
-        init.push_back(fmt("to_%0(%1, %2)", t.elemType.isSigned ? "signed" : "unsigned",
-                           Value::fromInt(t.elemType, v).toInt(), dw));
-      }
+      for (int64_t v : c.romData) init.push_back(literal(Value::fromInt(et, v)));
       w_.line("constant rom : rom_t := (" + join(init, ", ") + ");");
       w_.dedent();
       w_.line("begin");
       w_.indent();
       w_.line(fmt("data <= rom(to_integer(addr)) when to_integer(addr) <= %0 else rom(%0);",
-                  t.values.size() - 1));
+                  c.romData.size() - 1));
       w_.dedent();
       w_.line("end architecture rtl;");
       w_.blank();
     }
   }
 
-  std::string nodeEntityName(const dp::DpNode& n) const {
-    return sanitize(dp_.name) + "_" + sanitize(n.label);
-  }
-
-  void nodeEntity(const dp::DpNode& n) {
-    const hdl::NodeIO& io = layout_.nodes[static_cast<size_t>(n.id)];
-    const bool clocked = io.clocked();
-    const std::string name = nodeEntityName(n);
-    libraryClause();
-    w_.line("entity " + name + " is");
-    w_.indent();
-    w_.line("port (");
-    w_.indent();
-    if (clocked) {
-      w_.line("clk : in std_logic;");
-      w_.line("ce  : in std_logic;");
-    }
-    std::vector<std::string> portLines;
-    for (const auto& in : io.inputs) portLines.push_back(valueName(in.value) + " : in " + typeOf(in.value));
-    for (int vid : io.outputs) portLines.push_back(valueName(vid) + "_out : out " + typeOf(vid));
-    for (size_t i = 0; i < portLines.size(); ++i) {
-      w_.line(portLines[i] + (i + 1 < portLines.size() ? ";" : ""));
-    }
-    w_.dedent();
-    w_.line(");");
-    w_.dedent();
-    w_.line("end entity " + name + ";");
-    w_.blank();
-
-    w_.line("architecture rtl of " + name + " is");
-    w_.indent();
-    // Internal signals: every produced value, plus staged copies for
-    // node-internal stage crossings.
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      if (o.result < 0 || o.op == Opcode::Ldc) continue;
-      w_.line("signal " + valueName(o.result) + " : " + typeOf(o.result) + ";");
-    }
-    for (const auto& c : io.copies) {
-      w_.line(fmt("signal %0_s%1 : %2;", valueName(c.value), c.stage, typeOf(c.value)));
-    }
-    w_.dedent();
-    w_.line("begin");
-    w_.indent();
-
-    // ROM component instantiations first (section 4.2.4: "A LUT instruction
-    // invokes an instantiation of a lookup table component").
-    int lutInst = 0;
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      if (o.op != Opcode::Lut) continue;
-      const mir::FunctionIR::Table* table = nullptr;
-      for (const auto& t : dp_.tables) {
-        if (t.name == o.symbol) table = &t;
+  /// Signals for the nets the scope's cells drive; registers start at their
+  /// reset value.
+  void declareCells(const hdl::Scope& s) {
+    for (int id : s.cells) {
+      const Cell& c = cell(id);
+      const ScalarType t = type(c.output);
+      std::string init;
+      if (c.kind == CellKind::Reg) {
+        init = c.imm == 0 ? " := (others => '0')" : " := " + literal(Value::fromInt(t, c.imm));
       }
-      const int ab = addrBits(table ? table->values.size() : 2);
-      const std::string romName = sanitize(dp_.name) + "_" + sanitize(o.symbol) + "_rom";
-      w_.line(fmt("u_lut%0 : entity work.%1", lutInst++, romName));
-      w_.indent();
-      w_.line(fmt("port map (addr => %0, data => %1);", cvt(o.operands[0], ab, false),
-                  valueName(o.result)));
-      w_.dedent();
-    }
-
-    // Combinational statements.
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      emitOpStatement(n, o);
-    }
-
-    // Internal pipeline latches.
-    if (clocked) {
-      w_.line("process (clk)");
-      w_.line("begin");
-      w_.indent();
-      w_.line("if rising_edge(clk) then");
-      w_.indent();
-      w_.line("if ce = '1' then");
-      w_.indent();
-      for (const auto& c : io.copies) {
-        const std::string from = c.stage - 1 == hdl::defStage(dp_, c.value)
-                                     ? valueName(c.value)
-                                     : fmt("%0_s%1", valueName(c.value), c.stage - 1);
-        w_.line(fmt("%0_s%1 <= %2;", valueName(c.value), c.stage, from));
+      w_.line(fmt("signal %0 : %1%2;", names_[static_cast<size_t>(c.output)], typeName(t), init));
+      if (c.kind == CellKind::Rom && c.romElemType != t) {
+        w_.line(fmt("signal %0_rom : %1;", names_[static_cast<size_t>(c.output)], typeName(c.romElemType)));
       }
-      w_.dedent();
-      w_.line("end if;");
-      w_.dedent();
-      w_.line("end if;");
-      w_.dedent();
-      w_.line("end process;");
-    }
-
-    // Drive output ports.
-    for (int vid : io.outputs) {
-      w_.line(valueName(vid) + "_out <= " + valueName(vid) + ";");
-    }
-    w_.dedent();
-    w_.line("end architecture rtl;");
-    w_.blank();
-  }
-
-  /// Operand reference as seen by op `o` inside node `n`: the staged copy
-  /// when the producer sits in an earlier stage of the same node.
-  std::string operandRef(const dp::DpNode& n, const DpOp& o, int vid, int width, bool wantSigned) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    if (!isConstValue(vid) && v.def >= 0) {
-      const DpOp& defOp = dp_.ops[static_cast<size_t>(v.def)];
-      if (defOp.node == n.id && defOp.stage < o.stage) {
-        // Reference the staged copy, converted like cvt().
-        const std::string base = fmt("%0_s%1", valueName(vid), o.stage);
-        if (v.isSigned == wantSigned) {
-          return v.width == width ? base : fmt("resize(%0, %1)", base, width);
-        }
-        return fmt("%0(resize(%1, %2))", wantSigned ? "signed" : "unsigned", base, width);
-      }
-    }
-    return cvt(vid, width, wantSigned);
-  }
-
-  void emitOpStatement(const dp::DpNode& n, const DpOp& o) {
-    if (o.op == Opcode::Ldc || o.op == Opcode::Lut) return; // handled elsewhere
-    if (o.result < 0) return;
-    const DpValue& r = dp_.values[static_cast<size_t>(o.result)];
-    const std::string dst = valueName(o.result);
-    const int W = r.width;
-    const bool S = r.isSigned;
-    auto in = [&](size_t k) { return operandRef(n, o, o.operands[k], W, S); };
-    auto inAt = [&](size_t k, int width, bool sgn) { return operandRef(n, o, o.operands[k], width, sgn); };
-    switch (o.op) {
-      case Opcode::Add:
-        w_.line(fmt("%0 <= %1 + %2;", dst, in(0), in(1)));
-        return;
-      case Opcode::Sub:
-        w_.line(fmt("%0 <= %1 - %2;", dst, in(0), in(1)));
-        return;
-      case Opcode::Mul:
-        w_.line(fmt("%0 <= resize(%1 * %2, %3);", dst, in(0), in(1), W));
-        return;
-      case Opcode::Neg:
-        w_.line(fmt("%0 <= resize(-%1, %2);", dst, inAt(0, W + 1, true), W));
-        return;
-      case Opcode::And:
-        w_.line(fmt("%0 <= %1 and %2;", dst, in(0), in(1)));
-        return;
-      case Opcode::Or:
-        w_.line(fmt("%0 <= %1 or %2;", dst, in(0), in(1)));
-        return;
-      case Opcode::Xor:
-        w_.line(fmt("%0 <= %1 xor %2;", dst, in(0), in(1)));
-        return;
-      case Opcode::Not:
-        w_.line(fmt("%0 <= not %1;", dst, in(0)));
-        return;
-      case Opcode::Shl:
-        w_.line(fmt("%0 <= shift_left(%1, to_integer(%2));", dst, in(0), inAt(1, 6, false)));
-        return;
-      case Opcode::Shr:
-        w_.line(fmt("%0 <= shift_right(%1, to_integer(%2));", dst, in(0), inAt(1, 6, false)));
-        return;
-      case Opcode::Seq:
-      case Opcode::Sne:
-      case Opcode::Slt:
-      case Opcode::Sle:
-      case Opcode::Sgt:
-      case Opcode::Sge: {
-        const char* rel = o.op == Opcode::Seq   ? "="
-                          : o.op == Opcode::Sne ? "/="
-                          : o.op == Opcode::Slt ? "<"
-                          : o.op == Opcode::Sle ? "<="
-                          : o.op == Opcode::Sgt ? ">"
-                                                : ">=";
-        // Compare at a common width wide enough for both operands.
-        const DpValue& a = dp_.values[static_cast<size_t>(o.operands[0])];
-        const DpValue& b = dp_.values[static_cast<size_t>(o.operands[1])];
-        const bool sgn = a.isSigned || b.isSigned;
-        const int cw = std::max(a.width, b.width) + 1;
-        w_.line(fmt("%0 <= \"1\" when %1 %2 %3 else \"0\";", dst, inAt(0, cw, sgn), rel,
-                    inAt(1, cw, sgn)));
-        return;
-      }
-      case Opcode::Mux:
-        w_.line(fmt("%0 <= %1 when %2 = 1 else %3;", dst, in(1), inAt(0, 1, false), in(2)));
-        return;
-      case Opcode::Mov:
-      case Opcode::Cast:
-        w_.line(fmt("%0 <= %1;", dst, in(0)));
-        return;
-      case Opcode::BitSel: {
-        const DpValue& src = dp_.values[static_cast<size_t>(o.operands[0])];
-        w_.line(fmt("%0 <= unsigned(std_logic_vector(%1(%2 downto %3)));", dst,
-                    inAt(0, src.declared.width, src.declared.isSigned), o.aux0, o.aux1));
-        return;
-      }
-      case Opcode::BitCat: {
-        const DpValue& hi = dp_.values[static_cast<size_t>(o.operands[0])];
-        const DpValue& lo = dp_.values[static_cast<size_t>(o.operands[1])];
-        w_.line(fmt("%0 <= unsigned(std_logic_vector(%1) & std_logic_vector(%2));", dst,
-                    inAt(0, hi.declared.width, false), inAt(1, lo.declared.width, false)));
-        return;
-      }
-      case Opcode::Lpr:
-        // The feedback register lives in the top entity; inside the node the
-        // LPR value arrives as an input port — nothing to emit (the value
-        // name *is* the port).
-        return;
-      default:
-        throw InternalCompilerError(
-            fmt("vhdl: op '%0' has no VHDL form", mir::opcodeName(o.op)));
     }
   }
 
-  void topEntity() {
-    const std::string name = sanitize(dp_.name);
-    libraryClause();
-    w_.line("entity " + name + " is");
-    w_.indent();
-    w_.line("port (");
-    w_.indent();
-    w_.line("clk : in std_logic;");
-    w_.line("ce  : in std_logic;");
-    if (!dp_.feedbacks.empty()) w_.line("valid : in std_logic;");
-    std::vector<std::string> ports;
-    for (const auto& p : dp_.inputs) {
-      ports.push_back(fmt("%0 : in %1(%2 downto 0)", sanitize(p.name),
-                          p.type.isSigned ? "signed" : "unsigned", p.type.width - 1));
-    }
-    for (const auto& p : dp_.outputs) {
-      ports.push_back(fmt("%0 : out %1(%2 downto 0)", sanitize(p.name),
-                          p.type.isSigned ? "signed" : "unsigned", p.type.width - 1));
-    }
-    for (size_t i = 0; i < ports.size(); ++i) {
-      w_.line(ports[i] + (i + 1 < ports.size() ? ";" : ""));
-    }
-    w_.dedent();
-    w_.line(");");
-    w_.dedent();
-    w_.line("end entity " + name + ";");
-    w_.blank();
-
-    w_.line("architecture rtl of " + name + " is");
-    w_.indent();
-
-    // Signals: node ports and the values they carry, cross-node pipeline
-    // registers (a consumer node receives the operand at the consuming
-    // op's stage), feedback registers.
-    for (int vid : layout_.topSignals) {
-      w_.line("signal " + valueName(vid) + " : " + typeOf(vid) + ";");
-    }
-    for (const auto& c : layout_.topChains) {
-      w_.line(fmt("signal %0_p%1 : %2;", valueName(c.value), c.stage, typeOf(c.value)));
-    }
-    // Feedback registers and the valid chain gating them (they must not
-    // latch until real data reaches their stage).
-    for (const auto& fb : dp_.feedbacks) {
-      w_.line(fmt("signal %0_reg : %1(%2 downto 0) := to_%1(%3, %2 + 1);", sanitize(fb.name),
-                  fb.type.isSigned ? "signed" : "unsigned", fb.type.width - 1, fb.initial));
-    }
-    if (!dp_.feedbacks.empty()) {
-      for (int st = 1; st < dp_.stageCount; ++st) {
-        w_.line(fmt("signal valid_s%0 : std_logic := '0';", st));
+  /// The scope's cells: ROM instantiations and assignments in cell order,
+  /// then its registers in one clocked process.
+  void printCells(const hdl::Scope& s) {
+    int lut = 0;
+    for (int id : s.cells) {
+      const Cell& c = cell(id);
+      const std::string& y = names_[static_cast<size_t>(c.output)];
+      if (c.kind == CellKind::Reg) continue;
+      if (c.kind != CellKind::Rom) {
+        w_.line(y + " <= " + expr(c) + ";");
+        continue;
       }
-    }
-    w_.dedent();
-    w_.line("begin");
-    w_.indent();
-
-    // Node instantiations.
-    for (const auto& n : dp_.nodes) {
-      const hdl::NodeIO& io = layout_.nodes[static_cast<size_t>(n.id)];
-      std::vector<std::string> assoc;
-      if (io.clocked()) {
-        assoc.push_back("clk => clk");
-        assoc.push_back("ce => ce");
-      }
-      for (const auto& in : io.inputs) {
-        assoc.push_back(valueName(in.value) + " => " + topOperandRef(in));
-      }
-      for (int vid : io.outputs) {
-        assoc.push_back(valueName(vid) + "_out => " + valueName(vid));
-      }
-      w_.line(fmt("u_%0 : entity work.%1", sanitize(n.label), nodeEntityName(n)));
+      const bool direct = c.romElemType == type(c.output);
+      w_.line(fmt("u_lut%0 : entity work.%1", lut++, romEntity(c)));
       w_.indent();
-      w_.line("port map (" + join(assoc, ", ") + ");");
+      w_.line(fmt("port map (addr => %0, data => %1);", in(c, 0), direct ? y : y + "_rom"));
       w_.dedent();
+      if (!direct) {
+        w_.line(y + " <= " + fitBits(y + "_rom", c.romElemType, 0, c.romElemType, type(c.output)) + ";");
+      }
     }
-
-    // Pipeline + feedback register process.
+    if (!s.clocked) return;
     w_.line("process (clk)");
     w_.line("begin");
     w_.indent();
@@ -416,23 +280,17 @@ class Emitter {
     w_.indent();
     w_.line("if ce = '1' then");
     w_.indent();
-    for (const auto& c : layout_.topChains) {
-      const std::string from = c.stage - 1 == hdl::defStage(dp_, c.value)
-                                   ? topValueRef(c.value)
-                                   : fmt("%0_p%1", valueName(c.value), c.stage - 1);
-      w_.line(fmt("%0_p%1 <= %2;", valueName(c.value), c.stage, from));
-    }
-    if (!dp_.feedbacks.empty()) {
-      for (int st = 1; st < dp_.stageCount; ++st) {
-        w_.line(fmt("valid_s%0 <= %1;", st, st == 1 ? std::string("valid") : fmt("valid_s%0", st - 1)));
+    for (int id : s.cells) {
+      const Cell& c = cell(id);
+      if (c.kind != CellKind::Reg) continue;
+      const std::string assign = names_[static_cast<size_t>(c.output)] + " <= " + in(c, 0) + ";";
+      if (c.inputs.size() < 2) {
+        w_.line(assign);
+        continue;
       }
-    }
-    for (const auto& fb : dp_.feedbacks) {
-      const std::string gate = fb.stage == 0 ? std::string("valid") : fmt("valid_s%0", fb.stage);
-      w_.line(fmt("if %0 = '1' then", gate));
+      w_.line("if " + in(c, 1) + " /= 0 then");
       w_.indent();
-      w_.line(fmt("%0_reg <= %1;", sanitize(fb.name),
-                  cvt(fb.snxValue, fb.type.width, fb.type.isSigned)));
+      w_.line(assign);
       w_.dedent();
       w_.line("end if;");
     }
@@ -442,59 +300,95 @@ class Emitter {
     w_.line("end if;");
     w_.dedent();
     w_.line("end process;");
+  }
 
-    // LPR values read the registers.
-    for (const auto& fb : dp_.feedbacks) {
-      if (fb.lprValue >= 0) {
-        const DpValue& v = dp_.values[static_cast<size_t>(fb.lprValue)];
-        w_.line(fmt("%0 <= %1%2_reg%3;", valueName(fb.lprValue),
-                    v.isSigned == fb.type.isSigned ? "" : (v.isSigned ? "signed(" : "unsigned("),
-                    sanitize(fb.name), v.isSigned == fb.type.isSigned ? "" : ")"));
-      }
+  std::string nodeEntityName(const dp::DpNode& n) const { return sanitize(m_.name) + "_" + sanitize(n.label); }
+
+  void nodeEntity(const dp::DpNode& n) {
+    const hdl::Scope& s = p_.scopes[static_cast<size_t>(n.id)];
+    const std::string name = nodeEntityName(n);
+    std::vector<std::string> ports;
+    if (s.clocked) ports = {"clk : in std_logic", "ce  : in std_logic"};
+    for (int net : s.inputs) ports.push_back(names_[static_cast<size_t>(net)] + " : in " + typeName(type(net)));
+    for (int net : s.outputs) ports.push_back(names_[static_cast<size_t>(net)] + "_out : out " + typeName(type(net)));
+    entity(name, ports);
+    w_.line("architecture rtl of " + name + " is");
+    w_.indent();
+    declareCells(s);
+    w_.dedent();
+    w_.line("begin");
+    w_.indent();
+    atTop_ = false;
+    printCells(s);
+    for (int net : s.outputs) w_.line(names_[static_cast<size_t>(net)] + "_out <= " + names_[static_cast<size_t>(net)] + ";");
+    w_.dedent();
+    w_.line("end architecture rtl;");
+    w_.blank();
+  }
+
+  void topEntity() {
+    const std::string top = sanitize(m_.name);
+    std::vector<std::string> ports = {"clk : in std_logic", "ce  : in std_logic"};
+    for (size_t i = dataInputs(); i < m_.inputPorts.size(); ++i) {
+      ports.push_back(sanitize(m_.inputNames[i]) + " : in std_logic");
     }
-    // Output ports.
-    for (size_t p = 0; p < dp_.outputs.size(); ++p) {
-      const auto& port = dp_.outputs[p];
-      const DpValue& v = dp_.values[static_cast<size_t>(port.value)];
-      const int finalStage = dp_.stageCount - 1;
-      // Outputs are captured at the final stage: read the value's register
-      // there when a chain reaches it.
-      const bool chained = finalStage > hdl::defStage(dp_, port.value) &&
-                           layout_.topChainEnd[static_cast<size_t>(port.value)] >= finalStage;
-      const std::string src =
-          chained ? fmt("%0_p%1", valueName(port.value), finalStage) : topValueRef(port.value);
-      const std::string cast =
-          v.isSigned == port.type.isSigned
-              ? fmt("resize(%0, %1)", src, port.type.width)
-              : fmt("%0(resize(%1, %2))", port.type.isSigned ? "signed" : "unsigned", src, port.type.width);
-      w_.line(fmt("%0 <= %1;", sanitize(port.name), cast));
+    for (size_t i = 0; i < dataInputs(); ++i) {
+      ports.push_back(topNames_[static_cast<size_t>(m_.inputPorts[i])] + " : in " + typeName(type(m_.inputPorts[i])));
+    }
+    for (size_t i = 0; i < p_.ports.size(); ++i) {
+      ports.push_back(sanitize(m_.outputNames[i]) + " : out " + typeName(type(p_.ports[i])));
+    }
+    entity(top, ports);
+
+    // Signals: every net a node exports, the controls as numeric bits, and
+    // the top level's own cells.
+    w_.line("architecture rtl of " + top + " is");
+    w_.indent();
+    for (int net : p_.exported) w_.line(fmt("signal %0 : %1;", names_[static_cast<size_t>(net)], typeName(type(net))));
+    for (size_t i = dataInputs(); i < m_.inputPorts.size(); ++i) {
+      w_.line(fmt("signal %0 : %1;", names_[static_cast<size_t>(m_.inputPorts[i])], typeName(type(m_.inputPorts[i]))));
+    }
+    declareCells(p_.top());
+    w_.dedent();
+    w_.line("begin");
+    w_.indent();
+    atTop_ = true;
+    for (size_t i = dataInputs(); i < m_.inputPorts.size(); ++i) {
+      w_.line(fmt("%0 <= \"1\" when %1 = '1' else \"0\";", names_[static_cast<size_t>(m_.inputPorts[i])],
+                  sanitize(m_.inputNames[i])));
+    }
+    for (const auto& n : dp_.nodes) {
+      const hdl::Scope& s = p_.scopes[static_cast<size_t>(n.id)];
+      std::vector<std::string> assoc;
+      if (s.clocked) assoc = {"clk => clk", "ce => ce"};
+      for (int net : s.inputs) assoc.push_back(names_[static_cast<size_t>(net)] + " => " + name(net));
+      for (int net : s.outputs) assoc.push_back(names_[static_cast<size_t>(net)] + "_out => " + name(net));
+      const std::string inst = fmt("u_%0 : entity work.%1", sanitize(n.label), nodeEntityName(n));
+      if (assoc.empty()) {
+        w_.line(inst + ";");
+        continue;
+      }
+      w_.line(inst);
+      w_.indent();
+      w_.line("port map (" + join(assoc, ", ") + ");");
+      w_.dedent();
+    }
+    printCells(p_.top());
+    for (size_t i = 0; i < p_.ports.size(); ++i) {
+      const int net = p_.ports[i];
+      w_.line(sanitize(m_.outputNames[i]) + " <= " + fit(p_.refs[static_cast<size_t>(net)], type(net)) + ";");
     }
     w_.dedent();
     w_.line("end architecture rtl;");
-  }
-
-  /// Reference to a value at top level: input port name, node output
-  /// signal, or feedback register.
-  std::string topValueRef(int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    if (v.inputPort >= 0) return sanitize(dp_.inputs[static_cast<size_t>(v.inputPort)].name);
-    return valueName(vid);
-  }
-
-  /// Operand binding for a node instantiation: the value, advanced through
-  /// top-level chains to the node's earliest use stage.
-  std::string topOperandRef(const hdl::NodeInput& in) const {
-    if (in.firstUseStage <= hdl::defStage(dp_, in.value)) return topValueRef(in.value);
-    return fmt("%0_p%1", valueName(in.value), in.firstUseStage);
   }
 };
 
 } // namespace
 
-std::string emitDesign(const DataPath& dp, const rtl::Module& module, const hlir::KernelInfo& kernel) {
+std::string emitDesign(const dp::DataPath& dp, const rtl::Module& module, const hlir::KernelInfo& kernel) {
   faultpoint("vhdl.emit");
-  Emitter e(dp, module, kernel);
-  return e.run();
+  Printer p(dp, module, kernel);
+  return p.run();
 }
 
 } // namespace roccc::vhdl

@@ -5,13 +5,18 @@
 // to whether the instruction needs latched or not. A LUT instruction
 // invokes an instantiation of a lookup table component."
 //
-// Emission layout:
-//   - one entity per data-path node (soft, mux, pipe), combinational ops as
-//     concurrent signal assignments, node-internal pipeline latches in a
-//     clocked process,
+// The printer writes the rtl::Module the simulators execute and the
+// estimator prices, one statement form per cell kind:
+//   - one entity per data-path node holding the cells lowered from it:
+//     combinational cells as concurrent signal assignments, its pipeline
+//     registers in one clocked process, ROM cells as instantiations,
 //   - lookup tables as ROM entities with a constant-array architecture,
-//   - a top entity instantiating every node, carrying cross-node pipeline
-//     registers and the LPR/SNX feedback registers (with reset values).
+//     built from the tables the ROM cells carry,
+//   - a top entity instantiating every node and holding the input-port
+//     chains, the valid chain and the LPR/SNX feedback registers (with
+//     their reset values).
+// Constants, and Resize/Slice cells read once in their own entity, are
+// written inline in the statement that reads them (see vhdl/layout.hpp).
 #pragma once
 
 #include <string>
@@ -22,9 +27,9 @@
 
 namespace roccc::vhdl {
 
-/// Emits the complete VHDL design for a compiled kernel. `module` provides
-/// the flat netlist statistics embedded as a header comment; the entities
-/// themselves are generated from the data path.
+/// Prints `module` as a VHDL design. The data path supplies only names and
+/// counts: the node labels, the header line, and how many of the module's
+/// ports are the kernel's.
 std::string emitDesign(const dp::DataPath& dp, const rtl::Module& module,
                        const hlir::KernelInfo& kernel);
 

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
-
-#include "support/strings.hpp"
+#include <functional>
+#include <map>
 
 namespace roccc::hdl {
+
+using rtl::Cell;
+using rtl::CellKind;
+using rtl::Module;
 
 std::string sanitize(std::string_view s) {
   std::string out;
@@ -27,113 +31,167 @@ int addrBits(size_t entries) {
   return b;
 }
 
-bool isConstValue(const dp::DataPath& dp, int vid) {
-  const dp::DpValue& v = dp.values[static_cast<size_t>(vid)];
-  return v.def >= 0 && dp.ops[static_cast<size_t>(v.def)].op == mir::Opcode::Ldc;
-}
-
-int defStage(const dp::DataPath& dp, int vid) {
-  const int def = dp.values[static_cast<size_t>(vid)].def;
-  return def >= 0 ? dp.ops[static_cast<size_t>(def)].stage : 0;
-}
-
-namespace {
-
-/// Appends the registers carrying `vid` past `fromStage` up to `toStage`
-/// that are not there yet. `end` is the last stage already carried: a
-/// value's registers always form one run above its defining stage.
-void extendChain(std::vector<StagedValue>& regs, int& end, int vid, int fromStage, int toStage) {
-  for (int s = std::max(end, fromStage) + 1; s <= toStage; ++s) {
-    regs.push_back({vid, s});
-    end = s;
-  }
-}
-
-} // namespace
-
-DesignLayout layoutDesign(const dp::DataPath& dp) {
-  DesignLayout l;
-  l.valueNames.reserve(dp.values.size());
-  for (size_t vid = 0; vid < dp.values.size(); ++vid) {
-    const std::string& name = dp.values[vid].name;
-    l.valueNames.push_back(fmt("v%0_%1", vid, sanitize(name.empty() ? "t" : name)));
-  }
-
-  // producer[vid]: index of the node whose op list defines vid, or -1.
-  std::vector<int> producer(dp.values.size(), -1);
-  for (size_t n = 0; n < dp.nodes.size(); ++n) {
-    for (int oi : dp.nodes[n].ops) {
-      const int r = dp.ops[static_cast<size_t>(oi)].result;
-      if (r >= 0) producer[static_cast<size_t>(r)] = static_cast<int>(n);
-    }
-  }
-
-  l.nodes.resize(dp.nodes.size());
-  std::vector<int> copyEnd(dp.values.size(), 0);
-  for (size_t n = 0; n < dp.nodes.size(); ++n) {
-    NodeIO& io = l.nodes[n];
-    for (int oi : dp.nodes[n].ops) {
-      const dp::DpOp& o = dp.ops[static_cast<size_t>(oi)];
-      for (int vid : o.operands) {
-        if (isConstValue(dp, vid)) continue;
-        const int def = dp.values[static_cast<size_t>(vid)].def;
-        if (def >= 0) {
-          const dp::DpOp& defOp = dp.ops[static_cast<size_t>(def)];
-          if (defOp.node == dp.nodes[n].id) {
-            extendChain(io.copies, copyEnd[static_cast<size_t>(vid)], vid, defOp.stage, o.stage);
-          }
-        }
-        if (producer[static_cast<size_t>(vid)] != static_cast<int>(n)) io.inputs.push_back({vid, o.stage});
+ScalarType inputType(const Module& m, const Cell& c, size_t k) {
+  const ScalarType rt = m.nets[static_cast<size_t>(c.output)].type;
+  const ScalarType in = m.nets[static_cast<size_t>(c.inputs[k])].type;
+  switch (c.kind) {
+    case CellKind::Mul: return {rt.width, false}; // the low bits do not depend on sign
+    case CellKind::Shl: return k == 0 ? rt : ScalarType{in.width, false};
+    case CellKind::Shr: return k == 0 ? ScalarType{std::max(in.width, rt.width), in.isSigned}
+                                      : ScalarType{in.width, false};
+    case CellKind::Eq: case CellKind::Ne: case CellKind::Lt:
+    case CellKind::Le: case CellKind::Gt: case CellKind::Ge: {
+      // As ops::cmp*: both operands extended by their own signedness, except
+      // that an ordering with an unsigned operand of 32 or more bits compares
+      // the low 32 bits unsigned.
+      const ScalarType a = m.nets[static_cast<size_t>(c.inputs[0])].type;
+      const ScalarType b = m.nets[static_cast<size_t>(c.inputs[1])].type;
+      const bool ordering = c.kind != CellKind::Eq && c.kind != CellKind::Ne;
+      if (ordering && ((!a.isSigned && a.width >= 32) || (!b.isSigned && b.width >= 32))) {
+        return {32, false};
       }
+      return {std::min(std::max(a.width, b.width) + 1, 64), true};
     }
-    // One entry per value, keeping its earliest use.
-    std::sort(io.inputs.begin(), io.inputs.end(), [](const NodeInput& a, const NodeInput& b) {
-      return a.value != b.value ? a.value < b.value : a.firstUseStage < b.firstUseStage;
-    });
-    io.inputs.erase(std::unique(io.inputs.begin(), io.inputs.end(),
-                                [](const NodeInput& a, const NodeInput& b) { return a.value == b.value; }),
-                    io.inputs.end());
+    case CellKind::Mux: return k == 0 ? in : rt;
+    case CellKind::Rom: return {addrBits(c.romData.size()), false};
+    case CellKind::Reg: return k == 0 ? rt : in;
+    case CellKind::Slice:
+    case CellKind::Concat: return in;
+    default: return rt; // arithmetic, logic and Resize read at the result type
   }
+}
 
-  // A produced value is a node output when an op of another node reads it,
-  // or it drives a top-level output port or a feedback register. A value
-  // read by another node also gets top-level registers up to that stage.
-  auto exportValue = [&](int vid) {
-    const int p = vid >= 0 ? producer[static_cast<size_t>(vid)] : -1;
-    if (p >= 0) l.nodes[static_cast<size_t>(p)].outputs.push_back(vid);
+Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t dataOutputs) {
+  Partition p;
+  p.scopes.resize(nodeCount + 1);
+  const int top = static_cast<int>(nodeCount);
+  p.ports.assign(m.outputPorts.begin(),
+                 m.outputPorts.begin() + static_cast<std::ptrdiff_t>(std::min(dataOutputs, m.outputPorts.size())));
+  auto scopeOf = [&](int cell) {
+    const int n = m.cells[static_cast<size_t>(cell)].node;
+    return n < 0 ? top : n;
   };
-  l.topChainEnd.assign(dp.values.size(), 0);
-  for (const auto& o : dp.ops) {
-    for (int vid : o.operands) {
-      const int p = producer[static_cast<size_t>(vid)];
-      if (p >= 0 && o.node != dp.nodes[static_cast<size_t>(p)].id) exportValue(vid);
-      if (isConstValue(dp, vid)) continue;
-      const int def = dp.values[static_cast<size_t>(vid)].def;
-      const int defNode = def >= 0 ? dp.ops[static_cast<size_t>(def)].node : -1;
-      if (defNode == o.node) continue; // node-internal, latched inside the node
-      extendChain(l.topChains, l.topChainEnd[static_cast<size_t>(vid)], vid, defStage(dp, vid), o.stage);
+  auto netType = [&](int net) { return m.nets[static_cast<size_t>(net)].type; };
+
+  // Reads of every net, and the last reader: a cell input, or (cell -1) a
+  // design output port.
+  std::vector<int> uses(m.nets.size(), 0);
+  std::vector<std::pair<int, size_t>> reader(m.nets.size(), {-1, 0});
+  for (const Cell& c : m.cells) {
+    for (size_t k = 0; k < c.inputs.size(); ++k) {
+      ++uses[static_cast<size_t>(c.inputs[k])];
+      reader[static_cast<size_t>(c.inputs[k])] = {c.id, k};
     }
   }
-  for (const auto& port : dp.outputs) exportValue(port.value);
-  for (const auto& fb : dp.feedbacks) exportValue(fb.snxValue);
+  for (int net : p.ports) {
+    ++uses[static_cast<size_t>(net)];
+    reader[static_cast<size_t>(net)] = {-1, 0};
+  }
 
-  for (NodeIO& io : l.nodes) {
-    std::sort(io.outputs.begin(), io.outputs.end());
-    io.outputs.erase(std::unique(io.outputs.begin(), io.outputs.end()), io.outputs.end());
-    for (const NodeInput& in : io.inputs) l.topSignals.push_back(in.value);
-    l.topSignals.insert(l.topSignals.end(), io.outputs.begin(), io.outputs.end());
+  // A Resize or Slice read once, in its own entity, becomes part of its
+  // reader's reference: a narrower window on its input, or the input itself
+  // when the reader's extension of it equals the Resize's.
+  std::vector<char> done(m.nets.size(), 0), inlined(m.cells.size(), 0);
+  p.refs.resize(m.nets.size());
+  std::function<const Ref&(int)> resolve = [&](int net) -> const Ref& {
+    Ref& r = p.refs[static_cast<size_t>(net)];
+    if (done[static_cast<size_t>(net)]) return r;
+    done[static_cast<size_t>(net)] = 1;
+    const ScalarType t = netType(net);
+    r = Ref{net, 0, t, 0};
+    const int d = m.nets[static_cast<size_t>(net)].driver;
+    if (d < 0) return r;
+    const Cell& c = m.cells[static_cast<size_t>(d)];
+    if (c.kind == CellKind::Const) {
+      r = Ref{-1, 0, t, c.imm};
+      inlined[static_cast<size_t>(d)] = 1;
+      return r;
+    }
+    const auto [rd, k] = reader[static_cast<size_t>(net)];
+    if ((c.kind != CellKind::Resize && c.kind != CellKind::Slice) || uses[static_cast<size_t>(net)] != 1 ||
+        (rd < 0 ? top : scopeOf(rd)) != scopeOf(d)) {
+      return r;
+    }
+    const Ref in = resolve(c.inputs[0]);
+    if (c.kind == CellKind::Slice) {
+      if (in.isLiteral()) {
+        r = Ref{-1, 0, t, Value(t, Value::fromInt(in.type, in.literal).toUnsigned() >> c.aux1).toInt()};
+      } else if (c.aux1 + t.width <= in.type.width) {
+        r = Ref{in.net, in.lo + c.aux1, t, 0};
+      } else {
+        return r;
+      }
+    } else if (in.isLiteral()) {
+      r = Ref{-1, 0, t, in.literalAs(t).toInt()};
+    } else if (t.width <= in.type.width) {
+      r = Ref{in.net, in.lo, t, 0};
+    } else if (t.isSigned == in.type.isSigned || !in.type.isSigned ||
+               (rd < 0 ? t : inputType(m, m.cells[static_cast<size_t>(rd)], k)).width <= t.width) {
+      r = in;
+    } else {
+      return r;
+    }
+    inlined[static_cast<size_t>(d)] = 1;
+    return r;
+  };
+  for (size_t n = 0; n < m.nets.size(); ++n) resolve(static_cast<int>(n));
+
+  auto driverScope = [&](int net) {
+    const int d = m.nets[static_cast<size_t>(net)].driver;
+    return d < 0 ? top : scopeOf(d);
+  };
+  auto reference = [&](int scope, int net) {
+    const Ref& r = p.refs[static_cast<size_t>(net)];
+    if (r.isLiteral() || driverScope(r.net) == scope) return;
+    p.scopes[static_cast<size_t>(scope)].inputs.push_back(r.net);
+    if (driverScope(r.net) != top) p.scopes[static_cast<size_t>(driverScope(r.net))].outputs.push_back(r.net);
+  };
+  for (const Cell& c : m.cells) {
+    if (inlined[static_cast<size_t>(c.id)]) continue;
+    Scope& s = p.scopes[static_cast<size_t>(scopeOf(c.id))];
+    s.cells.push_back(c.id);
+    s.clocked |= c.kind == CellKind::Reg;
+    for (int in : c.inputs) reference(scopeOf(c.id), in);
   }
-  for (const auto& port : dp.outputs) l.topSignals.push_back(port.value);
-  for (const auto& fb : dp.feedbacks) {
-    l.topSignals.push_back(fb.snxValue);
-    l.topSignals.push_back(fb.lprValue);
+  for (int net : p.ports) reference(top, net);
+  for (Scope& s : p.scopes) {
+    for (std::vector<int>* v : {&s.inputs, &s.outputs}) {
+      std::sort(v->begin(), v->end());
+      v->erase(std::unique(v->begin(), v->end()), v->end());
+    }
+    if (&s != &p.scopes.back()) p.exported.insert(p.exported.end(), s.outputs.begin(), s.outputs.end());
   }
-  std::sort(l.topSignals.begin(), l.topSignals.end());
-  l.topSignals.erase(std::unique(l.topSignals.begin(), l.topSignals.end()), l.topSignals.end());
-  std::erase_if(l.topSignals, [&](int vid) {
-    return vid < 0 || isConstValue(dp, vid) || dp.values[static_cast<size_t>(vid)].inputPort >= 0;
-  });
-  return l;
+  std::sort(p.exported.begin(), p.exported.end());
+
+  // A net keeps its own name, so the text reads like Module::dump, when
+  // nothing else can mean it: it is the only net of that name (ignoring
+  // case, as VHDL does), no port or clock is called so, it ends in neither
+  // suffix the printers add, and it is either the lowering's "t<N>" or holds
+  // an underscore, which no VHDL or Verilog keyword does. The kernel's input
+  // ports are named after themselves. Every other net gets "n<id>_".
+  auto lower = [](std::string s) {
+    for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    return s;
+  };
+  auto endsWith = [](const std::string& s, std::string_view tail) {
+    return s.size() >= tail.size() && s.compare(s.size() - tail.size(), tail.size(), tail) == 0;
+  };
+  std::map<std::string, int> count;
+  for (const rtl::Net& n : m.nets) ++count[lower(sanitize(n.name))];
+  for (const std::string& port : m.inputNames) count[lower(sanitize(port))] += 2;
+  for (int i = 0; i < static_cast<int>(p.ports.size()); ++i) count[lower(sanitize(m.outputNames[i]))] += 2;
+  count["clk"] += 2;
+  count["ce"] += 2;
+  std::vector<char> dataInput(m.nets.size(), 0);
+  for (size_t i = 0; i < std::min(dataInputs, m.inputPorts.size()); ++i) dataInput[static_cast<size_t>(m.inputPorts[i])] = 1;
+  for (const rtl::Net& n : m.nets) {
+    const std::string s = sanitize(n.name);
+    const bool temp = s.size() > 1 && s[0] == 't' && s.find_first_not_of("0123456789", 1) == std::string::npos;
+    const bool own = count[lower(s)] == 1 && (temp || s.find('_') != std::string::npos) &&
+                     !endsWith(s, "_out") && !endsWith(s, "_rom");
+    p.names.push_back(own || dataInput[static_cast<size_t>(n.id)] ? s : "n" + std::to_string(n.id) + "_" + s);
+  }
+  return p;
 }
 
 } // namespace roccc::hdl

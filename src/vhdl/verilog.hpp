@@ -1,9 +1,11 @@
 // Verilog-2001 backend (library extension beyond the paper, which emits
-// VHDL only): the same node-per-entity structure as the VHDL emitter —
-// one module per data-path node, ROM modules for lookup tables, and a top
-// module with the cross-node pipeline registers and gated feedback
-// registers. Values are plain bit vectors; signedness is made explicit
-// through generated sign/zero extensions, so the text does not depend on
+// VHDL only): prints the same rtl::Module as the VHDL printer, in the same
+// structure — one module per data-path node with the cells lowered from it
+// and its pipeline registers, ROM modules built from the ROM cells' tables,
+// and a top module with the input-port chains, the valid chain and the
+// gated feedback registers. Values are plain bit vectors; signedness is made
+// explicit through generated sign/zero extensions and $signed only where a
+// shift or a comparison depends on it, so the text does not depend on
 // Verilog's self-determination rules.
 #pragma once
 
@@ -12,11 +14,14 @@
 
 #include "dp/datapath.hpp"
 #include "hlir/kernel.hpp"
+#include "rtl/netlist.hpp"
 
 namespace roccc::verilog {
 
-/// Emits the complete Verilog design for a compiled kernel.
-std::string emitDesign(const dp::DataPath& dp, const hlir::KernelInfo& kernel);
+/// Prints `module` as a Verilog design. The data path supplies only names
+/// and counts, as for vhdl::emitDesign.
+std::string emitDesign(const dp::DataPath& dp, const rtl::Module& module,
+                       const hlir::KernelInfo& kernel);
 
 /// Structural validator for the emitted Verilog (module/endmodule balance,
 /// declared-before-assigned wires/regs, instantiations resolve). Defined in

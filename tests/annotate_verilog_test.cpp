@@ -175,7 +175,7 @@ TEST(Verilog, MentionsKeyConstructs) {
   EXPECT_NE(r.verilog.find("always @(posedge clk)"), std::string::npos);
   EXPECT_NE(r.verilog.find("module acc_dp("), std::string::npos);
   EXPECT_NE(r.verilog.find("input wire valid"), std::string::npos); // gated feedback
-  EXPECT_NE(r.verilog.find("_fbreg"), std::string::npos);
+  EXPECT_NE(r.verilog.find("if (valid) sum_reg <= "), std::string::npos); // the feedback register
 }
 
 TEST(Verilog, ValidatorCatchesBrokenText) {

@@ -110,6 +110,8 @@ TEST(Power, Table1DesignsInPlausibleRange) {
 // build-datapath lowers every division, so no back end has a form for
 // one: a data path that still holds a `div` op is an internal error that
 // names the op, not a design with a comment where the divider should be.
+// The netlist lowering is the one place that maps ops to cells; the HDL
+// printers only print cells.
 TEST(BackEnd, OpWithoutAnHdlFormIsAnInternalError) {
   const CompileResult r = compile(R"(
     void q(const uint8 A[16], const uint8 B[16], uint8 C[16]) {
@@ -123,21 +125,14 @@ TEST(BackEnd, OpWithoutAnHdlFormIsAnInternalError) {
   ASSERT_NE(add, d.ops.end()) << d.dump();
   add->op = mir::Opcode::Div;
 
-  auto expectNamesDiv = [](const std::function<void()>& emit) {
-    try {
-      emit();
-      ADD_FAILURE() << "no InternalCompilerError";
-    } catch (const InternalCompilerError& e) {
-      EXPECT_NE(std::string(e.what()).find("'div'"), std::string::npos) << e.what();
-    }
-  };
-  expectNamesDiv([&] {
+  try {
     rtl::Module m;
     DiagEngine diags;
     rtl::buildDatapathModule(d, m, diags);
-  });
-  expectNamesDiv([&] { vhdl::emitDesign(d, r.module, r.kernel); });
-  expectNamesDiv([&] { verilog::emitDesign(d, r.kernel); });
+    ADD_FAILURE() << "no InternalCompilerError";
+  } catch (const InternalCompilerError& e) {
+    EXPECT_NE(std::string(e.what()).find("'div'"), std::string::npos) << e.what();
+  }
 }
 
 } // namespace
