@@ -8,24 +8,18 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node1 is
   port (
-    v0_A0 : in unsigned(7 downto 0);
-    v1_t_out : out unsigned(0 downto 0);
-    v3_t_out : out unsigned(0 downto 0);
-    v5_t_out : out unsigned(0 downto 0)
+    A0 : in unsigned(7 downto 0);
+    t5_out : out unsigned(0 downto 0)
   );
 end entity bit_correlator_dp_node1;
 
 architecture rtl of bit_correlator_dp_node1 is
-  signal v2_t : unsigned(7 downto 0);
-  signal v4_t : unsigned(0 downto 0);
-  signal v5_t : unsigned(0 downto 0);
+  signal t4 : unsigned(0 downto 0);
+  signal t5 : unsigned(0 downto 0);
 begin
-  v2_t <= v0_A0;
-  v4_t <= resize(v2_t, 1) and to_unsigned(1, 1);
-  v5_t <= "1" when resize(v4_t, 2) = to_unsigned(1, 2) else "0";
-  v1_t_out <= v1_t;
-  v3_t_out <= v3_t;
-  v5_t_out <= v5_t;
+  t4 <= A0(0 downto 0) and to_unsigned(1, 1);
+  t5 <= "1" when signed(resize(t4, 2)) = to_signed(1, 2) else "0";
+  t5_out <= t5;
 end architecture rtl;
 
 library ieee;
@@ -34,16 +28,16 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_mux_bb3 is
   port (
-    v50_pipe : in unsigned(0 downto 0);
-    v6_cnt_2_out : out unsigned(0 downto 0)
+    n34_pipe : in unsigned(0 downto 0);
+    cnt_2_out : out unsigned(0 downto 0)
   );
 end entity bit_correlator_dp_mux_bb3;
 
 architecture rtl of bit_correlator_dp_mux_bb3 is
-  signal v6_cnt_2 : unsigned(0 downto 0);
+  signal cnt_2 : unsigned(0 downto 0);
 begin
-  v6_cnt_2 <= to_unsigned(1, 1) when v50_pipe = 1 else to_unsigned(0, 1);
-  v6_cnt_2_out <= v6_cnt_2;
+  cnt_2 <= to_unsigned(1, 1) when n34_pipe /= 0 else to_unsigned(0, 1);
+  cnt_2_out <= cnt_2;
 end architecture rtl;
 
 library ieee;
@@ -52,20 +46,20 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node3 is
   port (
-    v49_A0_pipe : in unsigned(7 downto 0);
-    v9_t_out : out unsigned(0 downto 0)
+    A0_pipe : in unsigned(7 downto 0);
+    t9_out : out unsigned(0 downto 0)
   );
 end entity bit_correlator_dp_node3;
 
 architecture rtl of bit_correlator_dp_node3 is
-  signal v7_t : unsigned(6 downto 0);
-  signal v8_t : unsigned(0 downto 0);
-  signal v9_t : unsigned(0 downto 0);
+  signal t7 : unsigned(6 downto 0);
+  signal t8 : unsigned(0 downto 0);
+  signal t9 : unsigned(0 downto 0);
 begin
-  v7_t <= shift_right(resize(v49_A0_pipe, 7), to_integer(to_unsigned(1, 6)));
-  v8_t <= resize(v7_t, 1) and to_unsigned(1, 1);
-  v9_t <= "1" when resize(v8_t, 2) = to_unsigned(0, 2) else "0";
-  v9_t_out <= v9_t;
+  t7 <= A0_pipe(7 downto 1);
+  t8 <= t7(0 downto 0) and to_unsigned(1, 1);
+  t9 <= "1" when signed(resize(t8, 2)) = to_signed(0, 2) else "0";
+  t9_out <= t9;
 end architecture rtl;
 
 library ieee;
@@ -74,16 +68,27 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node4 is
   port (
-    v6_cnt_2 : in unsigned(0 downto 0);
-    v10_t_out : out unsigned(1 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    cnt_2 : in unsigned(0 downto 0);
+    t10_s1_out : out unsigned(1 downto 0)
   );
 end entity bit_correlator_dp_node4;
 
 architecture rtl of bit_correlator_dp_node4 is
-  signal v10_t : unsigned(1 downto 0);
+  signal t10 : unsigned(1 downto 0);
+  signal t10_s1 : unsigned(1 downto 0) := (others => '0');
 begin
-  v10_t <= resize(v6_cnt_2, 2) + to_unsigned(1, 2);
-  v10_t_out <= v10_t;
+  t10 <= resize(cnt_2, 2) + to_unsigned(1, 2);
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t10_s1 <= t10;
+      end if;
+    end if;
+  end process;
+  t10_s1_out <= t10_s1;
 end architecture rtl;
 
 library ieee;
@@ -92,18 +97,18 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_mux_bb6 is
   port (
-    v10_t : in unsigned(1 downto 0);
-    v51_cnt_2_pipe : in unsigned(0 downto 0);
-    v52_pipe : in unsigned(0 downto 0);
-    v11_cnt_4_out : out unsigned(1 downto 0)
+    n45_pipe_s1 : in unsigned(0 downto 0);
+    t10_s1 : in unsigned(1 downto 0);
+    cnt_2_pipe_s1 : in unsigned(0 downto 0);
+    cnt_4_out : out unsigned(1 downto 0)
   );
 end entity bit_correlator_dp_mux_bb6;
 
 architecture rtl of bit_correlator_dp_mux_bb6 is
-  signal v11_cnt_4 : unsigned(1 downto 0);
+  signal cnt_4 : unsigned(1 downto 0);
 begin
-  v11_cnt_4 <= v10_t when v52_pipe = 1 else resize(v51_cnt_2_pipe, 2);
-  v11_cnt_4_out <= v11_cnt_4;
+  cnt_4 <= t10_s1 when n45_pipe_s1 /= 0 else resize(cnt_2_pipe_s1, 2);
+  cnt_4_out <= cnt_4;
 end architecture rtl;
 
 library ieee;
@@ -112,20 +117,20 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node6 is
   port (
-    v49_A0_pipe : in unsigned(7 downto 0);
-    v15_t_out : out unsigned(0 downto 0)
+    A0_pipe : in unsigned(7 downto 0);
+    t15_out : out unsigned(0 downto 0)
   );
 end entity bit_correlator_dp_node6;
 
 architecture rtl of bit_correlator_dp_node6 is
-  signal v13_t : unsigned(5 downto 0);
-  signal v14_t : unsigned(0 downto 0);
-  signal v15_t : unsigned(0 downto 0);
+  signal t13 : unsigned(5 downto 0);
+  signal t14 : unsigned(0 downto 0);
+  signal t15 : unsigned(0 downto 0);
 begin
-  v13_t <= shift_right(resize(v49_A0_pipe, 6), to_integer(to_unsigned(2, 6)));
-  v14_t <= resize(v13_t, 1) and to_unsigned(1, 1);
-  v15_t <= "1" when resize(v14_t, 2) = to_unsigned(1, 2) else "0";
-  v15_t_out <= v15_t;
+  t13 <= A0_pipe(7 downto 2);
+  t14 <= t13(0 downto 0) and to_unsigned(1, 1);
+  t15 <= "1" when signed(resize(t14, 2)) = to_signed(1, 2) else "0";
+  t15_out <= t15;
 end architecture rtl;
 
 library ieee;
@@ -134,16 +139,16 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node7 is
   port (
-    v11_cnt_4 : in unsigned(1 downto 0);
-    v16_t_out : out unsigned(1 downto 0)
+    cnt_4 : in unsigned(1 downto 0);
+    t16_out : out unsigned(1 downto 0)
   );
 end entity bit_correlator_dp_node7;
 
 architecture rtl of bit_correlator_dp_node7 is
-  signal v16_t : unsigned(1 downto 0);
+  signal t16 : unsigned(1 downto 0);
 begin
-  v16_t <= v11_cnt_4 + to_unsigned(1, 2);
-  v16_t_out <= v16_t;
+  t16 <= cnt_4 + to_unsigned(1, 2);
+  t16_out <= t16;
 end architecture rtl;
 
 library ieee;
@@ -152,18 +157,18 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_mux_bb9 is
   port (
-    v16_t : in unsigned(1 downto 0);
-    v53_cnt_4_pipe : in unsigned(1 downto 0);
-    v54_pipe : in unsigned(0 downto 0);
-    v17_cnt_6_out : out unsigned(1 downto 0)
+    cnt_4_pipe : in unsigned(1 downto 0);
+    t16 : in unsigned(1 downto 0);
+    n51_pipe_s1 : in unsigned(0 downto 0);
+    cnt_6_out : out unsigned(1 downto 0)
   );
 end entity bit_correlator_dp_mux_bb9;
 
 architecture rtl of bit_correlator_dp_mux_bb9 is
-  signal v17_cnt_6 : unsigned(1 downto 0);
+  signal cnt_6 : unsigned(1 downto 0);
 begin
-  v17_cnt_6 <= v16_t when v54_pipe = 1 else v53_cnt_4_pipe;
-  v17_cnt_6_out <= v17_cnt_6;
+  cnt_6 <= t16 when n51_pipe_s1 /= 0 else cnt_4_pipe;
+  cnt_6_out <= cnt_6;
 end architecture rtl;
 
 library ieee;
@@ -172,20 +177,20 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node9 is
   port (
-    v49_A0_pipe : in unsigned(7 downto 0);
-    v21_t_out : out unsigned(0 downto 0)
+    A0_pipe : in unsigned(7 downto 0);
+    t21_out : out unsigned(0 downto 0)
   );
 end entity bit_correlator_dp_node9;
 
 architecture rtl of bit_correlator_dp_node9 is
-  signal v19_t : unsigned(4 downto 0);
-  signal v20_t : unsigned(0 downto 0);
-  signal v21_t : unsigned(0 downto 0);
+  signal t19 : unsigned(4 downto 0);
+  signal t20 : unsigned(0 downto 0);
+  signal t21 : unsigned(0 downto 0);
 begin
-  v19_t <= shift_right(resize(v49_A0_pipe, 5), to_integer(to_unsigned(3, 6)));
-  v20_t <= resize(v19_t, 1) and to_unsigned(1, 1);
-  v21_t <= "1" when resize(v20_t, 2) = to_unsigned(0, 2) else "0";
-  v21_t_out <= v21_t;
+  t19 <= A0_pipe(7 downto 3);
+  t20 <= t19(0 downto 0) and to_unsigned(1, 1);
+  t21 <= "1" when signed(resize(t20, 2)) = to_signed(0, 2) else "0";
+  t21_out <= t21;
 end architecture rtl;
 
 library ieee;
@@ -194,16 +199,27 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node10 is
   port (
-    v17_cnt_6 : in unsigned(1 downto 0);
-    v22_t_out : out unsigned(2 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    cnt_6 : in unsigned(1 downto 0);
+    t22_s2_out : out unsigned(2 downto 0)
   );
 end entity bit_correlator_dp_node10;
 
 architecture rtl of bit_correlator_dp_node10 is
-  signal v22_t : unsigned(2 downto 0);
+  signal t22 : unsigned(2 downto 0);
+  signal t22_s2 : unsigned(2 downto 0) := (others => '0');
 begin
-  v22_t <= resize(v17_cnt_6, 3) + to_unsigned(1, 3);
-  v22_t_out <= v22_t;
+  t22 <= resize(cnt_6, 3) + to_unsigned(1, 3);
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t22_s2 <= t22;
+      end if;
+    end if;
+  end process;
+  t22_s2_out <= t22_s2;
 end architecture rtl;
 
 library ieee;
@@ -212,18 +228,18 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_mux_bb12 is
   port (
-    v22_t : in unsigned(2 downto 0);
-    v55_cnt_6_pipe : in unsigned(1 downto 0);
-    v56_pipe : in unsigned(0 downto 0);
-    v23_cnt_8_out : out unsigned(2 downto 0)
+    n56_pipe_s2 : in unsigned(0 downto 0);
+    t22_s2 : in unsigned(2 downto 0);
+    cnt_6_pipe_s2 : in unsigned(1 downto 0);
+    cnt_8_out : out unsigned(2 downto 0)
   );
 end entity bit_correlator_dp_mux_bb12;
 
 architecture rtl of bit_correlator_dp_mux_bb12 is
-  signal v23_cnt_8 : unsigned(2 downto 0);
+  signal cnt_8 : unsigned(2 downto 0);
 begin
-  v23_cnt_8 <= v22_t when v56_pipe = 1 else resize(v55_cnt_6_pipe, 3);
-  v23_cnt_8_out <= v23_cnt_8;
+  cnt_8 <= t22_s2 when n56_pipe_s2 /= 0 else resize(cnt_6_pipe_s2, 3);
+  cnt_8_out <= cnt_8;
 end architecture rtl;
 
 library ieee;
@@ -232,20 +248,20 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node12 is
   port (
-    v49_A0_pipe : in unsigned(7 downto 0);
-    v27_t_out : out unsigned(0 downto 0)
+    A0_pipe : in unsigned(7 downto 0);
+    t27_out : out unsigned(0 downto 0)
   );
 end entity bit_correlator_dp_node12;
 
 architecture rtl of bit_correlator_dp_node12 is
-  signal v25_t : unsigned(3 downto 0);
-  signal v26_t : unsigned(0 downto 0);
-  signal v27_t : unsigned(0 downto 0);
+  signal t25 : unsigned(3 downto 0);
+  signal t26 : unsigned(0 downto 0);
+  signal t27 : unsigned(0 downto 0);
 begin
-  v25_t <= shift_right(resize(v49_A0_pipe, 4), to_integer(to_unsigned(4, 6)));
-  v26_t <= resize(v25_t, 1) and to_unsigned(1, 1);
-  v27_t <= "1" when resize(v26_t, 2) = to_unsigned(1, 2) else "0";
-  v27_t_out <= v27_t;
+  t25 <= A0_pipe(7 downto 4);
+  t26 <= t25(0 downto 0) and to_unsigned(1, 1);
+  t27 <= "1" when signed(resize(t26, 2)) = to_signed(1, 2) else "0";
+  t27_out <= t27;
 end architecture rtl;
 
 library ieee;
@@ -254,16 +270,16 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node13 is
   port (
-    v23_cnt_8 : in unsigned(2 downto 0);
-    v28_t_out : out unsigned(2 downto 0)
+    cnt_8 : in unsigned(2 downto 0);
+    t28_out : out unsigned(2 downto 0)
   );
 end entity bit_correlator_dp_node13;
 
 architecture rtl of bit_correlator_dp_node13 is
-  signal v28_t : unsigned(2 downto 0);
+  signal t28 : unsigned(2 downto 0);
 begin
-  v28_t <= v23_cnt_8 + to_unsigned(1, 3);
-  v28_t_out <= v28_t;
+  t28 <= cnt_8 + to_unsigned(1, 3);
+  t28_out <= t28;
 end architecture rtl;
 
 library ieee;
@@ -272,18 +288,18 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_mux_bb15 is
   port (
-    v28_t : in unsigned(2 downto 0);
-    v57_cnt_8_pipe : in unsigned(2 downto 0);
-    v58_pipe : in unsigned(0 downto 0);
-    v29_cnt_10_out : out unsigned(2 downto 0)
+    cnt_8_pipe : in unsigned(2 downto 0);
+    t28 : in unsigned(2 downto 0);
+    n63_pipe_s2 : in unsigned(0 downto 0);
+    cnt_10_out : out unsigned(2 downto 0)
   );
 end entity bit_correlator_dp_mux_bb15;
 
 architecture rtl of bit_correlator_dp_mux_bb15 is
-  signal v29_cnt_10 : unsigned(2 downto 0);
+  signal cnt_10 : unsigned(2 downto 0);
 begin
-  v29_cnt_10 <= v28_t when v58_pipe = 1 else v57_cnt_8_pipe;
-  v29_cnt_10_out <= v29_cnt_10;
+  cnt_10 <= t28 when n63_pipe_s2 /= 0 else cnt_8_pipe;
+  cnt_10_out <= cnt_10;
 end architecture rtl;
 
 library ieee;
@@ -292,20 +308,20 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node15 is
   port (
-    v49_A0_pipe : in unsigned(7 downto 0);
-    v33_t_out : out unsigned(0 downto 0)
+    A0_pipe : in unsigned(7 downto 0);
+    t33_out : out unsigned(0 downto 0)
   );
 end entity bit_correlator_dp_node15;
 
 architecture rtl of bit_correlator_dp_node15 is
-  signal v31_t : unsigned(2 downto 0);
-  signal v32_t : unsigned(0 downto 0);
-  signal v33_t : unsigned(0 downto 0);
+  signal t31 : unsigned(2 downto 0);
+  signal t32 : unsigned(0 downto 0);
+  signal t33 : unsigned(0 downto 0);
 begin
-  v31_t <= shift_right(resize(v49_A0_pipe, 3), to_integer(to_unsigned(5, 6)));
-  v32_t <= resize(v31_t, 1) and to_unsigned(1, 1);
-  v33_t <= "1" when resize(v32_t, 2) = to_unsigned(1, 2) else "0";
-  v33_t_out <= v33_t;
+  t31 <= A0_pipe(7 downto 5);
+  t32 <= t31(0 downto 0) and to_unsigned(1, 1);
+  t33 <= "1" when signed(resize(t32, 2)) = to_signed(1, 2) else "0";
+  t33_out <= t33;
 end architecture rtl;
 
 library ieee;
@@ -314,16 +330,27 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node16 is
   port (
-    v29_cnt_10 : in unsigned(2 downto 0);
-    v34_t_out : out unsigned(2 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    cnt_10 : in unsigned(2 downto 0);
+    t34_s3_out : out unsigned(2 downto 0)
   );
 end entity bit_correlator_dp_node16;
 
 architecture rtl of bit_correlator_dp_node16 is
-  signal v34_t : unsigned(2 downto 0);
+  signal t34 : unsigned(2 downto 0);
+  signal t34_s3 : unsigned(2 downto 0) := (others => '0');
 begin
-  v34_t <= v29_cnt_10 + to_unsigned(1, 3);
-  v34_t_out <= v34_t;
+  t34 <= cnt_10 + to_unsigned(1, 3);
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t34_s3 <= t34;
+      end if;
+    end if;
+  end process;
+  t34_s3_out <= t34_s3;
 end architecture rtl;
 
 library ieee;
@@ -332,18 +359,18 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_mux_bb18 is
   port (
-    v34_t : in unsigned(2 downto 0);
-    v59_cnt_10_pipe : in unsigned(2 downto 0);
-    v60_pipe : in unsigned(0 downto 0);
-    v35_cnt_12_out : out unsigned(2 downto 0)
+    n69_pipe_s3 : in unsigned(0 downto 0);
+    t34_s3 : in unsigned(2 downto 0);
+    cnt_10_pipe_s3 : in unsigned(2 downto 0);
+    cnt_12_out : out unsigned(2 downto 0)
   );
 end entity bit_correlator_dp_mux_bb18;
 
 architecture rtl of bit_correlator_dp_mux_bb18 is
-  signal v35_cnt_12 : unsigned(2 downto 0);
+  signal cnt_12 : unsigned(2 downto 0);
 begin
-  v35_cnt_12 <= v34_t when v60_pipe = 1 else v59_cnt_10_pipe;
-  v35_cnt_12_out <= v35_cnt_12;
+  cnt_12 <= t34_s3 when n69_pipe_s3 /= 0 else cnt_10_pipe_s3;
+  cnt_12_out <= cnt_12;
 end architecture rtl;
 
 library ieee;
@@ -352,20 +379,20 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node18 is
   port (
-    v49_A0_pipe : in unsigned(7 downto 0);
-    v39_t_out : out unsigned(0 downto 0)
+    A0_pipe : in unsigned(7 downto 0);
+    t39_out : out unsigned(0 downto 0)
   );
 end entity bit_correlator_dp_node18;
 
 architecture rtl of bit_correlator_dp_node18 is
-  signal v37_t : unsigned(1 downto 0);
-  signal v38_t : unsigned(0 downto 0);
-  signal v39_t : unsigned(0 downto 0);
+  signal t37 : unsigned(1 downto 0);
+  signal t38 : unsigned(0 downto 0);
+  signal t39 : unsigned(0 downto 0);
 begin
-  v37_t <= shift_right(resize(v49_A0_pipe, 2), to_integer(to_unsigned(6, 6)));
-  v38_t <= resize(v37_t, 1) and to_unsigned(1, 1);
-  v39_t <= "1" when resize(v38_t, 2) = to_unsigned(0, 2) else "0";
-  v39_t_out <= v39_t;
+  t37 <= A0_pipe(7 downto 6);
+  t38 <= t37(0 downto 0) and to_unsigned(1, 1);
+  t39 <= "1" when signed(resize(t38, 2)) = to_signed(0, 2) else "0";
+  t39_out <= t39;
 end architecture rtl;
 
 library ieee;
@@ -374,16 +401,16 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node19 is
   port (
-    v35_cnt_12 : in unsigned(2 downto 0);
-    v40_t_out : out unsigned(2 downto 0)
+    cnt_12 : in unsigned(2 downto 0);
+    t40_out : out unsigned(2 downto 0)
   );
 end entity bit_correlator_dp_node19;
 
 architecture rtl of bit_correlator_dp_node19 is
-  signal v40_t : unsigned(2 downto 0);
+  signal t40 : unsigned(2 downto 0);
 begin
-  v40_t <= v35_cnt_12 + to_unsigned(1, 3);
-  v40_t_out <= v40_t;
+  t40 <= cnt_12 + to_unsigned(1, 3);
+  t40_out <= t40;
 end architecture rtl;
 
 library ieee;
@@ -392,18 +419,31 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_mux_bb21 is
   port (
-    v40_t : in unsigned(2 downto 0);
-    v61_cnt_12_pipe : in unsigned(2 downto 0);
-    v62_pipe : in unsigned(0 downto 0);
-    v41_cnt_14_out : out unsigned(2 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    cnt_12_pipe : in unsigned(2 downto 0);
+    t40 : in unsigned(2 downto 0);
+    n77_pipe_s3 : in unsigned(0 downto 0);
+    cnt_14_out : out unsigned(2 downto 0);
+    cnt_14_s4_out : out unsigned(2 downto 0)
   );
 end entity bit_correlator_dp_mux_bb21;
 
 architecture rtl of bit_correlator_dp_mux_bb21 is
-  signal v41_cnt_14 : unsigned(2 downto 0);
+  signal cnt_14 : unsigned(2 downto 0);
+  signal cnt_14_s4 : unsigned(2 downto 0) := (others => '0');
 begin
-  v41_cnt_14 <= v40_t when v62_pipe = 1 else v61_cnt_12_pipe;
-  v41_cnt_14_out <= v41_cnt_14;
+  cnt_14 <= t40 when n77_pipe_s3 /= 0 else cnt_12_pipe;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        cnt_14_s4 <= cnt_14;
+      end if;
+    end if;
+  end process;
+  cnt_14_out <= cnt_14;
+  cnt_14_s4_out <= cnt_14_s4;
 end architecture rtl;
 
 library ieee;
@@ -412,20 +452,20 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node21 is
   port (
-    v49_A0_pipe : in unsigned(7 downto 0);
-    v45_t_out : out unsigned(0 downto 0)
+    A0_pipe : in unsigned(7 downto 0);
+    t45_out : out unsigned(0 downto 0)
   );
 end entity bit_correlator_dp_node21;
 
 architecture rtl of bit_correlator_dp_node21 is
-  signal v43_t : unsigned(0 downto 0);
-  signal v44_t : unsigned(0 downto 0);
-  signal v45_t : unsigned(0 downto 0);
+  signal t43 : unsigned(0 downto 0);
+  signal t44 : unsigned(0 downto 0);
+  signal t45 : unsigned(0 downto 0);
 begin
-  v43_t <= shift_right(resize(v49_A0_pipe, 1), to_integer(to_unsigned(7, 6)));
-  v44_t <= v43_t and to_unsigned(1, 1);
-  v45_t <= "1" when resize(v44_t, 2) = to_unsigned(1, 2) else "0";
-  v45_t_out <= v45_t;
+  t43 <= A0_pipe(7 downto 7);
+  t44 <= t43 and to_unsigned(1, 1);
+  t45 <= "1" when signed(resize(t44, 2)) = to_signed(1, 2) else "0";
+  t45_out <= t45;
 end architecture rtl;
 
 library ieee;
@@ -434,16 +474,16 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node22 is
   port (
-    v41_cnt_14 : in unsigned(2 downto 0);
-    v46_t_out : out unsigned(3 downto 0)
+    cnt_14_s4 : in unsigned(2 downto 0);
+    t46_out : out unsigned(3 downto 0)
   );
 end entity bit_correlator_dp_node22;
 
 architecture rtl of bit_correlator_dp_node22 is
-  signal v46_t : unsigned(3 downto 0);
+  signal t46 : unsigned(3 downto 0);
 begin
-  v46_t <= resize(v41_cnt_14, 4) + to_unsigned(1, 4);
-  v46_t_out <= v46_t;
+  t46 <= resize(cnt_14_s4, 4) + to_unsigned(1, 4);
+  t46_out <= t46;
 end architecture rtl;
 
 library ieee;
@@ -452,18 +492,18 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_mux_bb24 is
   port (
-    v46_t : in unsigned(3 downto 0);
-    v63_cnt_14_pipe : in unsigned(2 downto 0);
-    v64_pipe : in unsigned(0 downto 0);
-    v47_cnt_16_out : out unsigned(3 downto 0)
+    t46 : in unsigned(3 downto 0);
+    pipe_s4 : in unsigned(0 downto 0);
+    cnt_14_pipe_s4 : in unsigned(2 downto 0);
+    cnt_16_out : out unsigned(3 downto 0)
   );
 end entity bit_correlator_dp_mux_bb24;
 
 architecture rtl of bit_correlator_dp_mux_bb24 is
-  signal v47_cnt_16 : unsigned(3 downto 0);
+  signal cnt_16 : unsigned(3 downto 0);
 begin
-  v47_cnt_16 <= v46_t when v64_pipe = 1 else resize(v63_cnt_14_pipe, 4);
-  v47_cnt_16_out <= v47_cnt_16;
+  cnt_16 <= t46 when pipe_s4 /= 0 else resize(cnt_14_pipe_s4, 4);
+  cnt_16_out <= cnt_16;
 end architecture rtl;
 
 library ieee;
@@ -472,16 +512,16 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_node24 is
   port (
-    v47_cnt_16 : in unsigned(3 downto 0);
-    v48_t_out : out unsigned(3 downto 0)
+    cnt_16 : in unsigned(3 downto 0);
+    t48_out : out unsigned(3 downto 0)
   );
 end entity bit_correlator_dp_node24;
 
 architecture rtl of bit_correlator_dp_node24 is
-  signal v48_t : unsigned(3 downto 0);
+  signal t48 : unsigned(3 downto 0);
 begin
-  v48_t <= v47_cnt_16;
-  v48_t_out <= v48_t;
+  t48 <= cnt_16;
+  t48_out <= t48;
 end architecture rtl;
 
 library ieee;
@@ -490,21 +530,21 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_pipe_bb3 is
   port (
-    v0_A0 : in unsigned(7 downto 0);
-    v5_t : in unsigned(0 downto 0);
-    v49_A0_pipe_out : out unsigned(7 downto 0);
-    v50_pipe_out : out unsigned(0 downto 0)
+    A0 : in unsigned(7 downto 0);
+    t5 : in unsigned(0 downto 0);
+    A0_pipe_out : out unsigned(7 downto 0);
+    n34_pipe_out : out unsigned(0 downto 0)
   );
 end entity bit_correlator_dp_pipe_bb3;
 
 architecture rtl of bit_correlator_dp_pipe_bb3 is
-  signal v49_A0_pipe : unsigned(7 downto 0);
-  signal v50_pipe : unsigned(0 downto 0);
+  signal A0_pipe : unsigned(7 downto 0);
+  signal n34_pipe : unsigned(0 downto 0);
 begin
-  v49_A0_pipe <= v0_A0;
-  v50_pipe <= v5_t;
-  v49_A0_pipe_out <= v49_A0_pipe;
-  v50_pipe_out <= v50_pipe;
+  A0_pipe <= A0;
+  n34_pipe <= t5;
+  A0_pipe_out <= A0_pipe;
+  n34_pipe_out <= n34_pipe;
 end architecture rtl;
 
 library ieee;
@@ -513,21 +553,30 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_pipe_bb6 is
   port (
-    v6_cnt_2 : in unsigned(0 downto 0);
-    v9_t : in unsigned(0 downto 0);
-    v51_cnt_2_pipe_out : out unsigned(0 downto 0);
-    v52_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t9 : in unsigned(0 downto 0);
+    cnt_2 : in unsigned(0 downto 0);
+    n45_pipe_s1_out : out unsigned(0 downto 0);
+    cnt_2_pipe_s1_out : out unsigned(0 downto 0)
   );
 end entity bit_correlator_dp_pipe_bb6;
 
 architecture rtl of bit_correlator_dp_pipe_bb6 is
-  signal v51_cnt_2_pipe : unsigned(0 downto 0);
-  signal v52_pipe : unsigned(0 downto 0);
+  signal n45_pipe_s1 : unsigned(0 downto 0) := (others => '0');
+  signal cnt_2_pipe_s1 : unsigned(0 downto 0) := (others => '0');
 begin
-  v51_cnt_2_pipe <= v6_cnt_2;
-  v52_pipe <= v9_t;
-  v51_cnt_2_pipe_out <= v51_cnt_2_pipe;
-  v52_pipe_out <= v52_pipe;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        n45_pipe_s1 <= t9;
+        cnt_2_pipe_s1 <= cnt_2;
+      end if;
+    end if;
+  end process;
+  n45_pipe_s1_out <= n45_pipe_s1;
+  cnt_2_pipe_s1_out <= cnt_2_pipe_s1;
 end architecture rtl;
 
 library ieee;
@@ -536,21 +585,30 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_pipe_bb9 is
   port (
-    v11_cnt_4 : in unsigned(1 downto 0);
-    v15_t : in unsigned(0 downto 0);
-    v53_cnt_4_pipe_out : out unsigned(1 downto 0);
-    v54_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t15 : in unsigned(0 downto 0);
+    cnt_4 : in unsigned(1 downto 0);
+    cnt_4_pipe_out : out unsigned(1 downto 0);
+    n51_pipe_s1_out : out unsigned(0 downto 0)
   );
 end entity bit_correlator_dp_pipe_bb9;
 
 architecture rtl of bit_correlator_dp_pipe_bb9 is
-  signal v53_cnt_4_pipe : unsigned(1 downto 0);
-  signal v54_pipe : unsigned(0 downto 0);
+  signal cnt_4_pipe : unsigned(1 downto 0);
+  signal n51_pipe_s1 : unsigned(0 downto 0) := (others => '0');
 begin
-  v53_cnt_4_pipe <= v11_cnt_4;
-  v54_pipe <= v15_t;
-  v53_cnt_4_pipe_out <= v53_cnt_4_pipe;
-  v54_pipe_out <= v54_pipe;
+  cnt_4_pipe <= cnt_4;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        n51_pipe_s1 <= t15;
+      end if;
+    end if;
+  end process;
+  cnt_4_pipe_out <= cnt_4_pipe;
+  n51_pipe_s1_out <= n51_pipe_s1;
 end architecture rtl;
 
 library ieee;
@@ -559,21 +617,32 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_pipe_bb12 is
   port (
-    v17_cnt_6 : in unsigned(1 downto 0);
-    v21_t : in unsigned(0 downto 0);
-    v55_cnt_6_pipe_out : out unsigned(1 downto 0);
-    v56_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t21 : in unsigned(0 downto 0);
+    cnt_6 : in unsigned(1 downto 0);
+    n56_pipe_s2_out : out unsigned(0 downto 0);
+    cnt_6_pipe_s2_out : out unsigned(1 downto 0)
   );
 end entity bit_correlator_dp_pipe_bb12;
 
 architecture rtl of bit_correlator_dp_pipe_bb12 is
-  signal v55_cnt_6_pipe : unsigned(1 downto 0);
-  signal v56_pipe : unsigned(0 downto 0);
+  signal n55_pipe_s1 : unsigned(0 downto 0) := (others => '0');
+  signal n56_pipe_s2 : unsigned(0 downto 0) := (others => '0');
+  signal cnt_6_pipe_s2 : unsigned(1 downto 0) := (others => '0');
 begin
-  v55_cnt_6_pipe <= v17_cnt_6;
-  v56_pipe <= v21_t;
-  v55_cnt_6_pipe_out <= v55_cnt_6_pipe;
-  v56_pipe_out <= v56_pipe;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        n55_pipe_s1 <= t21;
+        n56_pipe_s2 <= n55_pipe_s1;
+        cnt_6_pipe_s2 <= cnt_6;
+      end if;
+    end if;
+  end process;
+  n56_pipe_s2_out <= n56_pipe_s2;
+  cnt_6_pipe_s2_out <= cnt_6_pipe_s2;
 end architecture rtl;
 
 library ieee;
@@ -582,21 +651,32 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_pipe_bb15 is
   port (
-    v23_cnt_8 : in unsigned(2 downto 0);
-    v27_t : in unsigned(0 downto 0);
-    v57_cnt_8_pipe_out : out unsigned(2 downto 0);
-    v58_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t27 : in unsigned(0 downto 0);
+    cnt_8 : in unsigned(2 downto 0);
+    cnt_8_pipe_out : out unsigned(2 downto 0);
+    n63_pipe_s2_out : out unsigned(0 downto 0)
   );
 end entity bit_correlator_dp_pipe_bb15;
 
 architecture rtl of bit_correlator_dp_pipe_bb15 is
-  signal v57_cnt_8_pipe : unsigned(2 downto 0);
-  signal v58_pipe : unsigned(0 downto 0);
+  signal cnt_8_pipe : unsigned(2 downto 0);
+  signal n62_pipe_s1 : unsigned(0 downto 0) := (others => '0');
+  signal n63_pipe_s2 : unsigned(0 downto 0) := (others => '0');
 begin
-  v57_cnt_8_pipe <= v23_cnt_8;
-  v58_pipe <= v27_t;
-  v57_cnt_8_pipe_out <= v57_cnt_8_pipe;
-  v58_pipe_out <= v58_pipe;
+  cnt_8_pipe <= cnt_8;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        n62_pipe_s1 <= t27;
+        n63_pipe_s2 <= n62_pipe_s1;
+      end if;
+    end if;
+  end process;
+  cnt_8_pipe_out <= cnt_8_pipe;
+  n63_pipe_s2_out <= n63_pipe_s2;
 end architecture rtl;
 
 library ieee;
@@ -605,21 +685,34 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_pipe_bb18 is
   port (
-    v29_cnt_10 : in unsigned(2 downto 0);
-    v33_t : in unsigned(0 downto 0);
-    v59_cnt_10_pipe_out : out unsigned(2 downto 0);
-    v60_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t33 : in unsigned(0 downto 0);
+    cnt_10 : in unsigned(2 downto 0);
+    n69_pipe_s3_out : out unsigned(0 downto 0);
+    cnt_10_pipe_s3_out : out unsigned(2 downto 0)
   );
 end entity bit_correlator_dp_pipe_bb18;
 
 architecture rtl of bit_correlator_dp_pipe_bb18 is
-  signal v59_cnt_10_pipe : unsigned(2 downto 0);
-  signal v60_pipe : unsigned(0 downto 0);
+  signal n67_pipe_s1 : unsigned(0 downto 0) := (others => '0');
+  signal n68_pipe_s2 : unsigned(0 downto 0) := (others => '0');
+  signal n69_pipe_s3 : unsigned(0 downto 0) := (others => '0');
+  signal cnt_10_pipe_s3 : unsigned(2 downto 0) := (others => '0');
 begin
-  v59_cnt_10_pipe <= v29_cnt_10;
-  v60_pipe <= v33_t;
-  v59_cnt_10_pipe_out <= v59_cnt_10_pipe;
-  v60_pipe_out <= v60_pipe;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        n67_pipe_s1 <= t33;
+        n68_pipe_s2 <= n67_pipe_s1;
+        n69_pipe_s3 <= n68_pipe_s2;
+        cnt_10_pipe_s3 <= cnt_10;
+      end if;
+    end if;
+  end process;
+  n69_pipe_s3_out <= n69_pipe_s3;
+  cnt_10_pipe_s3_out <= cnt_10_pipe_s3;
 end architecture rtl;
 
 library ieee;
@@ -628,21 +721,34 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_pipe_bb21 is
   port (
-    v35_cnt_12 : in unsigned(2 downto 0);
-    v39_t : in unsigned(0 downto 0);
-    v61_cnt_12_pipe_out : out unsigned(2 downto 0);
-    v62_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t39 : in unsigned(0 downto 0);
+    cnt_12 : in unsigned(2 downto 0);
+    cnt_12_pipe_out : out unsigned(2 downto 0);
+    n77_pipe_s3_out : out unsigned(0 downto 0)
   );
 end entity bit_correlator_dp_pipe_bb21;
 
 architecture rtl of bit_correlator_dp_pipe_bb21 is
-  signal v61_cnt_12_pipe : unsigned(2 downto 0);
-  signal v62_pipe : unsigned(0 downto 0);
+  signal cnt_12_pipe : unsigned(2 downto 0);
+  signal n75_pipe_s1 : unsigned(0 downto 0) := (others => '0');
+  signal n76_pipe_s2 : unsigned(0 downto 0) := (others => '0');
+  signal n77_pipe_s3 : unsigned(0 downto 0) := (others => '0');
 begin
-  v61_cnt_12_pipe <= v35_cnt_12;
-  v62_pipe <= v39_t;
-  v61_cnt_12_pipe_out <= v61_cnt_12_pipe;
-  v62_pipe_out <= v62_pipe;
+  cnt_12_pipe <= cnt_12;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        n75_pipe_s1 <= t39;
+        n76_pipe_s2 <= n75_pipe_s1;
+        n77_pipe_s3 <= n76_pipe_s2;
+      end if;
+    end if;
+  end process;
+  cnt_12_pipe_out <= cnt_12_pipe;
+  n77_pipe_s3_out <= n77_pipe_s3;
 end architecture rtl;
 
 library ieee;
@@ -651,21 +757,36 @@ use ieee.numeric_std.all;
 
 entity bit_correlator_dp_pipe_bb24 is
   port (
-    v41_cnt_14 : in unsigned(2 downto 0);
-    v45_t : in unsigned(0 downto 0);
-    v63_cnt_14_pipe_out : out unsigned(2 downto 0);
-    v64_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t45 : in unsigned(0 downto 0);
+    cnt_14 : in unsigned(2 downto 0);
+    pipe_s4_out : out unsigned(0 downto 0);
+    cnt_14_pipe_s4_out : out unsigned(2 downto 0)
   );
 end entity bit_correlator_dp_pipe_bb24;
 
 architecture rtl of bit_correlator_dp_pipe_bb24 is
-  signal v63_cnt_14_pipe : unsigned(2 downto 0);
-  signal v64_pipe : unsigned(0 downto 0);
+  signal n82_pipe_s1 : unsigned(0 downto 0) := (others => '0');
+  signal n83_pipe_s2 : unsigned(0 downto 0) := (others => '0');
+  signal n84_pipe_s3 : unsigned(0 downto 0) := (others => '0');
+  signal pipe_s4 : unsigned(0 downto 0) := (others => '0');
+  signal cnt_14_pipe_s4 : unsigned(2 downto 0) := (others => '0');
 begin
-  v63_cnt_14_pipe <= v41_cnt_14;
-  v64_pipe <= v45_t;
-  v63_cnt_14_pipe_out <= v63_cnt_14_pipe;
-  v64_pipe_out <= v64_pipe;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        n82_pipe_s1 <= t45;
+        n83_pipe_s2 <= n82_pipe_s1;
+        n84_pipe_s3 <= n83_pipe_s2;
+        pipe_s4 <= n84_pipe_s3;
+        cnt_14_pipe_s4 <= cnt_14;
+      end if;
+    end if;
+  end process;
+  pipe_s4_out <= pipe_s4;
+  cnt_14_pipe_s4_out <= cnt_14_pipe_s4;
 end architecture rtl;
 
 library ieee;
@@ -682,165 +803,111 @@ entity bit_correlator_dp is
 end entity bit_correlator_dp;
 
 architecture rtl of bit_correlator_dp is
-  signal v5_t : unsigned(0 downto 0);
-  signal v6_cnt_2 : unsigned(0 downto 0);
-  signal v9_t : unsigned(0 downto 0);
-  signal v10_t : unsigned(1 downto 0);
-  signal v11_cnt_4 : unsigned(1 downto 0);
-  signal v15_t : unsigned(0 downto 0);
-  signal v16_t : unsigned(1 downto 0);
-  signal v17_cnt_6 : unsigned(1 downto 0);
-  signal v21_t : unsigned(0 downto 0);
-  signal v22_t : unsigned(2 downto 0);
-  signal v23_cnt_8 : unsigned(2 downto 0);
-  signal v27_t : unsigned(0 downto 0);
-  signal v28_t : unsigned(2 downto 0);
-  signal v29_cnt_10 : unsigned(2 downto 0);
-  signal v33_t : unsigned(0 downto 0);
-  signal v34_t : unsigned(2 downto 0);
-  signal v35_cnt_12 : unsigned(2 downto 0);
-  signal v39_t : unsigned(0 downto 0);
-  signal v40_t : unsigned(2 downto 0);
-  signal v41_cnt_14 : unsigned(2 downto 0);
-  signal v45_t : unsigned(0 downto 0);
-  signal v46_t : unsigned(3 downto 0);
-  signal v47_cnt_16 : unsigned(3 downto 0);
-  signal v48_t : unsigned(3 downto 0);
-  signal v49_A0_pipe : unsigned(7 downto 0);
-  signal v50_pipe : unsigned(0 downto 0);
-  signal v51_cnt_2_pipe : unsigned(0 downto 0);
-  signal v52_pipe : unsigned(0 downto 0);
-  signal v53_cnt_4_pipe : unsigned(1 downto 0);
-  signal v54_pipe : unsigned(0 downto 0);
-  signal v55_cnt_6_pipe : unsigned(1 downto 0);
-  signal v56_pipe : unsigned(0 downto 0);
-  signal v57_cnt_8_pipe : unsigned(2 downto 0);
-  signal v58_pipe : unsigned(0 downto 0);
-  signal v59_cnt_10_pipe : unsigned(2 downto 0);
-  signal v60_pipe : unsigned(0 downto 0);
-  signal v61_cnt_12_pipe : unsigned(2 downto 0);
-  signal v62_pipe : unsigned(0 downto 0);
-  signal v63_cnt_14_pipe : unsigned(2 downto 0);
-  signal v64_pipe : unsigned(0 downto 0);
-  signal v52_pipe_p1 : unsigned(0 downto 0);
-  signal v10_t_p1 : unsigned(1 downto 0);
-  signal v51_cnt_2_pipe_p1 : unsigned(0 downto 0);
-  signal v54_pipe_p1 : unsigned(0 downto 0);
-  signal v56_pipe_p1 : unsigned(0 downto 0);
-  signal v56_pipe_p2 : unsigned(0 downto 0);
-  signal v22_t_p2 : unsigned(2 downto 0);
-  signal v55_cnt_6_pipe_p2 : unsigned(1 downto 0);
-  signal v58_pipe_p1 : unsigned(0 downto 0);
-  signal v58_pipe_p2 : unsigned(0 downto 0);
-  signal v60_pipe_p1 : unsigned(0 downto 0);
-  signal v60_pipe_p2 : unsigned(0 downto 0);
-  signal v60_pipe_p3 : unsigned(0 downto 0);
-  signal v34_t_p3 : unsigned(2 downto 0);
-  signal v59_cnt_10_pipe_p3 : unsigned(2 downto 0);
-  signal v62_pipe_p1 : unsigned(0 downto 0);
-  signal v62_pipe_p2 : unsigned(0 downto 0);
-  signal v62_pipe_p3 : unsigned(0 downto 0);
-  signal v41_cnt_14_p4 : unsigned(2 downto 0);
-  signal v64_pipe_p1 : unsigned(0 downto 0);
-  signal v64_pipe_p2 : unsigned(0 downto 0);
-  signal v64_pipe_p3 : unsigned(0 downto 0);
-  signal v64_pipe_p4 : unsigned(0 downto 0);
-  signal v63_cnt_14_pipe_p4 : unsigned(2 downto 0);
+  signal A0_pipe : unsigned(7 downto 0);
+  signal t45 : unsigned(0 downto 0);
+  signal t33 : unsigned(0 downto 0);
+  signal t27 : unsigned(0 downto 0);
+  signal t15 : unsigned(0 downto 0);
+  signal t5 : unsigned(0 downto 0);
+  signal n34_pipe : unsigned(0 downto 0);
+  signal t39 : unsigned(0 downto 0);
+  signal t21 : unsigned(0 downto 0);
+  signal t9 : unsigned(0 downto 0);
+  signal cnt_2 : unsigned(0 downto 0);
+  signal n45_pipe_s1 : unsigned(0 downto 0);
+  signal t10_s1 : unsigned(1 downto 0);
+  signal cnt_2_pipe_s1 : unsigned(0 downto 0);
+  signal cnt_4 : unsigned(1 downto 0);
+  signal cnt_4_pipe : unsigned(1 downto 0);
+  signal t16 : unsigned(1 downto 0);
+  signal n51_pipe_s1 : unsigned(0 downto 0);
+  signal cnt_6 : unsigned(1 downto 0);
+  signal n56_pipe_s2 : unsigned(0 downto 0);
+  signal t22_s2 : unsigned(2 downto 0);
+  signal cnt_6_pipe_s2 : unsigned(1 downto 0);
+  signal cnt_8 : unsigned(2 downto 0);
+  signal cnt_8_pipe : unsigned(2 downto 0);
+  signal t28 : unsigned(2 downto 0);
+  signal n63_pipe_s2 : unsigned(0 downto 0);
+  signal cnt_10 : unsigned(2 downto 0);
+  signal n69_pipe_s3 : unsigned(0 downto 0);
+  signal t34_s3 : unsigned(2 downto 0);
+  signal cnt_10_pipe_s3 : unsigned(2 downto 0);
+  signal cnt_12 : unsigned(2 downto 0);
+  signal cnt_12_pipe : unsigned(2 downto 0);
+  signal t40 : unsigned(2 downto 0);
+  signal n77_pipe_s3 : unsigned(0 downto 0);
+  signal cnt_14 : unsigned(2 downto 0);
+  signal cnt_14_s4 : unsigned(2 downto 0);
+  signal t46 : unsigned(3 downto 0);
+  signal pipe_s4 : unsigned(0 downto 0);
+  signal cnt_14_pipe_s4 : unsigned(2 downto 0);
+  signal cnt_16 : unsigned(3 downto 0);
+  signal t48 : unsigned(3 downto 0);
 begin
   u_node1 : entity work.bit_correlator_dp_node1
-    port map (v0_A0 => A0, v1_t_out => v1_t, v3_t_out => v3_t, v5_t_out => v5_t);
+    port map (A0 => A0, t5_out => t5);
   u_mux_bb3 : entity work.bit_correlator_dp_mux_bb3
-    port map (v50_pipe => v50_pipe, v6_cnt_2_out => v6_cnt_2);
+    port map (n34_pipe => n34_pipe, cnt_2_out => cnt_2);
   u_node3 : entity work.bit_correlator_dp_node3
-    port map (v49_A0_pipe => v49_A0_pipe, v9_t_out => v9_t);
+    port map (A0_pipe => A0_pipe, t9_out => t9);
   u_node4 : entity work.bit_correlator_dp_node4
-    port map (v6_cnt_2 => v6_cnt_2, v10_t_out => v10_t);
+    port map (clk => clk, ce => ce, cnt_2 => cnt_2, t10_s1_out => t10_s1);
   u_mux_bb6 : entity work.bit_correlator_dp_mux_bb6
-    port map (v10_t => v10_t_p1, v51_cnt_2_pipe => v51_cnt_2_pipe_p1, v52_pipe => v52_pipe_p1, v11_cnt_4_out => v11_cnt_4);
+    port map (n45_pipe_s1 => n45_pipe_s1, t10_s1 => t10_s1, cnt_2_pipe_s1 => cnt_2_pipe_s1, cnt_4_out => cnt_4);
   u_node6 : entity work.bit_correlator_dp_node6
-    port map (v49_A0_pipe => v49_A0_pipe, v15_t_out => v15_t);
+    port map (A0_pipe => A0_pipe, t15_out => t15);
   u_node7 : entity work.bit_correlator_dp_node7
-    port map (v11_cnt_4 => v11_cnt_4, v16_t_out => v16_t);
+    port map (cnt_4 => cnt_4, t16_out => t16);
   u_mux_bb9 : entity work.bit_correlator_dp_mux_bb9
-    port map (v16_t => v16_t, v53_cnt_4_pipe => v53_cnt_4_pipe, v54_pipe => v54_pipe_p1, v17_cnt_6_out => v17_cnt_6);
+    port map (cnt_4_pipe => cnt_4_pipe, t16 => t16, n51_pipe_s1 => n51_pipe_s1, cnt_6_out => cnt_6);
   u_node9 : entity work.bit_correlator_dp_node9
-    port map (v49_A0_pipe => v49_A0_pipe, v21_t_out => v21_t);
+    port map (A0_pipe => A0_pipe, t21_out => t21);
   u_node10 : entity work.bit_correlator_dp_node10
-    port map (v17_cnt_6 => v17_cnt_6, v22_t_out => v22_t);
+    port map (clk => clk, ce => ce, cnt_6 => cnt_6, t22_s2_out => t22_s2);
   u_mux_bb12 : entity work.bit_correlator_dp_mux_bb12
-    port map (v22_t => v22_t_p2, v55_cnt_6_pipe => v55_cnt_6_pipe_p2, v56_pipe => v56_pipe_p2, v23_cnt_8_out => v23_cnt_8);
+    port map (n56_pipe_s2 => n56_pipe_s2, t22_s2 => t22_s2, cnt_6_pipe_s2 => cnt_6_pipe_s2, cnt_8_out => cnt_8);
   u_node12 : entity work.bit_correlator_dp_node12
-    port map (v49_A0_pipe => v49_A0_pipe, v27_t_out => v27_t);
+    port map (A0_pipe => A0_pipe, t27_out => t27);
   u_node13 : entity work.bit_correlator_dp_node13
-    port map (v23_cnt_8 => v23_cnt_8, v28_t_out => v28_t);
+    port map (cnt_8 => cnt_8, t28_out => t28);
   u_mux_bb15 : entity work.bit_correlator_dp_mux_bb15
-    port map (v28_t => v28_t, v57_cnt_8_pipe => v57_cnt_8_pipe, v58_pipe => v58_pipe_p2, v29_cnt_10_out => v29_cnt_10);
+    port map (cnt_8_pipe => cnt_8_pipe, t28 => t28, n63_pipe_s2 => n63_pipe_s2, cnt_10_out => cnt_10);
   u_node15 : entity work.bit_correlator_dp_node15
-    port map (v49_A0_pipe => v49_A0_pipe, v33_t_out => v33_t);
+    port map (A0_pipe => A0_pipe, t33_out => t33);
   u_node16 : entity work.bit_correlator_dp_node16
-    port map (v29_cnt_10 => v29_cnt_10, v34_t_out => v34_t);
+    port map (clk => clk, ce => ce, cnt_10 => cnt_10, t34_s3_out => t34_s3);
   u_mux_bb18 : entity work.bit_correlator_dp_mux_bb18
-    port map (v34_t => v34_t_p3, v59_cnt_10_pipe => v59_cnt_10_pipe_p3, v60_pipe => v60_pipe_p3, v35_cnt_12_out => v35_cnt_12);
+    port map (n69_pipe_s3 => n69_pipe_s3, t34_s3 => t34_s3, cnt_10_pipe_s3 => cnt_10_pipe_s3, cnt_12_out => cnt_12);
   u_node18 : entity work.bit_correlator_dp_node18
-    port map (v49_A0_pipe => v49_A0_pipe, v39_t_out => v39_t);
+    port map (A0_pipe => A0_pipe, t39_out => t39);
   u_node19 : entity work.bit_correlator_dp_node19
-    port map (v35_cnt_12 => v35_cnt_12, v40_t_out => v40_t);
+    port map (cnt_12 => cnt_12, t40_out => t40);
   u_mux_bb21 : entity work.bit_correlator_dp_mux_bb21
-    port map (v40_t => v40_t, v61_cnt_12_pipe => v61_cnt_12_pipe, v62_pipe => v62_pipe_p3, v41_cnt_14_out => v41_cnt_14);
+    port map (clk => clk, ce => ce, cnt_12_pipe => cnt_12_pipe, t40 => t40, n77_pipe_s3 => n77_pipe_s3, cnt_14_out => cnt_14, cnt_14_s4_out => cnt_14_s4);
   u_node21 : entity work.bit_correlator_dp_node21
-    port map (v49_A0_pipe => v49_A0_pipe, v45_t_out => v45_t);
+    port map (A0_pipe => A0_pipe, t45_out => t45);
   u_node22 : entity work.bit_correlator_dp_node22
-    port map (v41_cnt_14 => v41_cnt_14_p4, v46_t_out => v46_t);
+    port map (cnt_14_s4 => cnt_14_s4, t46_out => t46);
   u_mux_bb24 : entity work.bit_correlator_dp_mux_bb24
-    port map (v46_t => v46_t, v63_cnt_14_pipe => v63_cnt_14_pipe_p4, v64_pipe => v64_pipe_p4, v47_cnt_16_out => v47_cnt_16);
+    port map (t46 => t46, pipe_s4 => pipe_s4, cnt_14_pipe_s4 => cnt_14_pipe_s4, cnt_16_out => cnt_16);
   u_node24 : entity work.bit_correlator_dp_node24
-    port map (v47_cnt_16 => v47_cnt_16, v48_t_out => v48_t);
+    port map (cnt_16 => cnt_16, t48_out => t48);
   u_pipe_bb3 : entity work.bit_correlator_dp_pipe_bb3
-    port map (v0_A0 => A0, v5_t => v5_t, v49_A0_pipe_out => v49_A0_pipe, v50_pipe_out => v50_pipe);
+    port map (A0 => A0, t5 => t5, A0_pipe_out => A0_pipe, n34_pipe_out => n34_pipe);
   u_pipe_bb6 : entity work.bit_correlator_dp_pipe_bb6
-    port map (v6_cnt_2 => v6_cnt_2, v9_t => v9_t, v51_cnt_2_pipe_out => v51_cnt_2_pipe, v52_pipe_out => v52_pipe);
+    port map (clk => clk, ce => ce, t9 => t9, cnt_2 => cnt_2, n45_pipe_s1_out => n45_pipe_s1, cnt_2_pipe_s1_out => cnt_2_pipe_s1);
   u_pipe_bb9 : entity work.bit_correlator_dp_pipe_bb9
-    port map (v11_cnt_4 => v11_cnt_4, v15_t => v15_t, v53_cnt_4_pipe_out => v53_cnt_4_pipe, v54_pipe_out => v54_pipe);
+    port map (clk => clk, ce => ce, t15 => t15, cnt_4 => cnt_4, cnt_4_pipe_out => cnt_4_pipe, n51_pipe_s1_out => n51_pipe_s1);
   u_pipe_bb12 : entity work.bit_correlator_dp_pipe_bb12
-    port map (v17_cnt_6 => v17_cnt_6, v21_t => v21_t, v55_cnt_6_pipe_out => v55_cnt_6_pipe, v56_pipe_out => v56_pipe);
+    port map (clk => clk, ce => ce, t21 => t21, cnt_6 => cnt_6, n56_pipe_s2_out => n56_pipe_s2, cnt_6_pipe_s2_out => cnt_6_pipe_s2);
   u_pipe_bb15 : entity work.bit_correlator_dp_pipe_bb15
-    port map (v23_cnt_8 => v23_cnt_8, v27_t => v27_t, v57_cnt_8_pipe_out => v57_cnt_8_pipe, v58_pipe_out => v58_pipe);
+    port map (clk => clk, ce => ce, t27 => t27, cnt_8 => cnt_8, cnt_8_pipe_out => cnt_8_pipe, n63_pipe_s2_out => n63_pipe_s2);
   u_pipe_bb18 : entity work.bit_correlator_dp_pipe_bb18
-    port map (v29_cnt_10 => v29_cnt_10, v33_t => v33_t, v59_cnt_10_pipe_out => v59_cnt_10_pipe, v60_pipe_out => v60_pipe);
+    port map (clk => clk, ce => ce, t33 => t33, cnt_10 => cnt_10, n69_pipe_s3_out => n69_pipe_s3, cnt_10_pipe_s3_out => cnt_10_pipe_s3);
   u_pipe_bb21 : entity work.bit_correlator_dp_pipe_bb21
-    port map (v35_cnt_12 => v35_cnt_12, v39_t => v39_t, v61_cnt_12_pipe_out => v61_cnt_12_pipe, v62_pipe_out => v62_pipe);
+    port map (clk => clk, ce => ce, t39 => t39, cnt_12 => cnt_12, cnt_12_pipe_out => cnt_12_pipe, n77_pipe_s3_out => n77_pipe_s3);
   u_pipe_bb24 : entity work.bit_correlator_dp_pipe_bb24
-    port map (v41_cnt_14 => v41_cnt_14, v45_t => v45_t, v63_cnt_14_pipe_out => v63_cnt_14_pipe, v64_pipe_out => v64_pipe);
-  process (clk)
-  begin
-    if rising_edge(clk) then
-      if ce = '1' then
-        v52_pipe_p1 <= v52_pipe;
-        v10_t_p1 <= v10_t;
-        v51_cnt_2_pipe_p1 <= v51_cnt_2_pipe;
-        v54_pipe_p1 <= v54_pipe;
-        v56_pipe_p1 <= v56_pipe;
-        v56_pipe_p2 <= v56_pipe_p1;
-        v22_t_p2 <= v22_t;
-        v55_cnt_6_pipe_p2 <= v55_cnt_6_pipe;
-        v58_pipe_p1 <= v58_pipe;
-        v58_pipe_p2 <= v58_pipe_p1;
-        v60_pipe_p1 <= v60_pipe;
-        v60_pipe_p2 <= v60_pipe_p1;
-        v60_pipe_p3 <= v60_pipe_p2;
-        v34_t_p3 <= v34_t;
-        v59_cnt_10_pipe_p3 <= v59_cnt_10_pipe;
-        v62_pipe_p1 <= v62_pipe;
-        v62_pipe_p2 <= v62_pipe_p1;
-        v62_pipe_p3 <= v62_pipe_p2;
-        v41_cnt_14_p4 <= v41_cnt_14;
-        v64_pipe_p1 <= v64_pipe;
-        v64_pipe_p2 <= v64_pipe_p1;
-        v64_pipe_p3 <= v64_pipe_p2;
-        v64_pipe_p4 <= v64_pipe_p3;
-        v63_cnt_14_pipe_p4 <= v63_cnt_14_pipe;
-      end if;
-    end if;
-  end process;
-  C_o0 <= resize(v48_t, 4);
+    port map (clk => clk, ce => ce, t45 => t45, cnt_14 => cnt_14, pipe_s4_out => pipe_s4, cnt_14_pipe_s4_out => cnt_14_pipe_s4);
+  C_o0 <= t48;
 end architecture rtl;

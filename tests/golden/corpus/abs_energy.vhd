@@ -8,21 +8,16 @@ use ieee.numeric_std.all;
 
 entity abs_energy_dp_node1 is
   port (
-    v0_X0 : in signed(11 downto 0);
-    v1_acc_prev_out : out signed(23 downto 0);
-    v2_t_out : out unsigned(0 downto 0);
-    v3_t_out : out unsigned(0 downto 0)
+    X0 : in signed(11 downto 0);
+    t3_out : out unsigned(0 downto 0)
   );
 end entity abs_energy_dp_node1;
 
 architecture rtl of abs_energy_dp_node1 is
-  signal v1_acc_prev : signed(23 downto 0);
-  signal v3_t : unsigned(0 downto 0);
+  signal t3 : unsigned(0 downto 0);
 begin
-  v3_t <= "1" when resize(v0_X0, 13) < to_signed(0, 13) else "0";
-  v1_acc_prev_out <= v1_acc_prev;
-  v2_t_out <= v2_t;
-  v3_t_out <= v3_t;
+  t3 <= "1" when resize(X0, 13) < to_signed(0, 13) else "0";
+  t3_out <= t3;
 end architecture rtl;
 
 library ieee;
@@ -31,18 +26,18 @@ use ieee.numeric_std.all;
 
 entity abs_energy_dp_node2 is
   port (
-    v0_X0 : in signed(11 downto 0);
-    v5_t_out : out signed(11 downto 0)
+    X0 : in signed(11 downto 0);
+    t5_out : out signed(11 downto 0)
   );
 end entity abs_energy_dp_node2;
 
 architecture rtl of abs_energy_dp_node2 is
-  signal v4_t : signed(12 downto 0);
-  signal v5_t : signed(11 downto 0);
+  signal t4 : signed(12 downto 0);
+  signal t5 : signed(11 downto 0);
 begin
-  v4_t <= to_signed(0, 13) - resize(v0_X0, 13);
-  v5_t <= resize(v4_t, 12);
-  v5_t_out <= v5_t;
+  t4 <= to_signed(0, 13) - resize(X0, 13);
+  t5 <= t4(11 downto 0);
+  t5_out <= t5;
 end architecture rtl;
 
 library ieee;
@@ -51,18 +46,29 @@ use ieee.numeric_std.all;
 
 entity abs_energy_dp_mux_bb3 is
   port (
-    v5_t : in signed(11 downto 0);
-    v9_X0_pipe : in signed(11 downto 0);
-    v11_pipe : in unsigned(0 downto 0);
-    v6_a_3_out : out signed(11 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    X0_pipe : in signed(11 downto 0);
+    t5 : in signed(11 downto 0);
+    n9_pipe : in unsigned(0 downto 0);
+    a_3_s1_out : out signed(11 downto 0)
   );
 end entity abs_energy_dp_mux_bb3;
 
 architecture rtl of abs_energy_dp_mux_bb3 is
-  signal v6_a_3 : signed(11 downto 0);
+  signal a_3 : signed(11 downto 0);
+  signal a_3_s1 : signed(11 downto 0) := (others => '0');
 begin
-  v6_a_3 <= v5_t when v11_pipe = 1 else v9_X0_pipe;
-  v6_a_3_out <= v6_a_3;
+  a_3 <= t5 when n9_pipe /= 0 else X0_pipe;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        a_3_s1 <= a_3;
+      end if;
+    end if;
+  end process;
+  a_3_s1_out <= a_3_s1;
 end architecture rtl;
 
 library ieee;
@@ -71,19 +77,19 @@ use ieee.numeric_std.all;
 
 entity abs_energy_dp_node4 is
   port (
-    v6_a_3 : in signed(11 downto 0);
-    v10_acc_prev_pipe : in signed(23 downto 0);
-    v8_t_out : out signed(23 downto 0)
+    acc_prev_pipe : in signed(23 downto 0);
+    a_3_s1 : in signed(11 downto 0);
+    t8_out : out signed(23 downto 0)
   );
 end entity abs_energy_dp_node4;
 
 architecture rtl of abs_energy_dp_node4 is
-  signal v7_t : signed(24 downto 0);
-  signal v8_t : signed(23 downto 0);
+  signal t7 : signed(24 downto 0);
+  signal t8 : signed(23 downto 0);
 begin
-  v7_t <= resize(v10_acc_prev_pipe, 25) + resize(v6_a_3, 25);
-  v8_t <= resize(v7_t, 24);
-  v8_t_out <= v8_t;
+  t7 <= resize(acc_prev_pipe, 25) + resize(a_3_s1, 25);
+  t8 <= t7(23 downto 0);
+  t8_out <= t8;
 end architecture rtl;
 
 library ieee;
@@ -92,26 +98,26 @@ use ieee.numeric_std.all;
 
 entity abs_energy_dp_pipe_bb3 is
   port (
-    v0_X0 : in signed(11 downto 0);
-    v1_acc_prev : in signed(23 downto 0);
-    v3_t : in unsigned(0 downto 0);
-    v9_X0_pipe_out : out signed(11 downto 0);
-    v10_acc_prev_pipe_out : out signed(23 downto 0);
-    v11_pipe_out : out unsigned(0 downto 0)
+    X0 : in signed(11 downto 0);
+    acc_reg : in signed(23 downto 0);
+    t3 : in unsigned(0 downto 0);
+    X0_pipe_out : out signed(11 downto 0);
+    n9_pipe_out : out unsigned(0 downto 0);
+    acc_prev_pipe_out : out signed(23 downto 0)
   );
 end entity abs_energy_dp_pipe_bb3;
 
 architecture rtl of abs_energy_dp_pipe_bb3 is
-  signal v9_X0_pipe : signed(11 downto 0);
-  signal v10_acc_prev_pipe : signed(23 downto 0);
-  signal v11_pipe : unsigned(0 downto 0);
+  signal X0_pipe : signed(11 downto 0);
+  signal n9_pipe : unsigned(0 downto 0);
+  signal acc_prev_pipe : signed(23 downto 0);
 begin
-  v9_X0_pipe <= v0_X0;
-  v10_acc_prev_pipe <= v1_acc_prev;
-  v11_pipe <= v3_t;
-  v9_X0_pipe_out <= v9_X0_pipe;
-  v10_acc_prev_pipe_out <= v10_acc_prev_pipe;
-  v11_pipe_out <= v11_pipe;
+  X0_pipe <= X0;
+  n9_pipe <= t3;
+  acc_prev_pipe <= acc_reg;
+  X0_pipe_out <= X0_pipe;
+  n9_pipe_out <= n9_pipe;
+  acc_prev_pipe_out <= acc_prev_pipe;
 end architecture rtl;
 
 library ieee;
@@ -130,41 +136,39 @@ entity abs_energy_dp is
 end entity abs_energy_dp;
 
 architecture rtl of abs_energy_dp is
-  signal v1_acc_prev : signed(23 downto 0);
-  signal v3_t : unsigned(0 downto 0);
-  signal v5_t : signed(11 downto 0);
-  signal v6_a_3 : signed(11 downto 0);
-  signal v8_t : signed(23 downto 0);
-  signal v9_X0_pipe : signed(11 downto 0);
-  signal v10_acc_prev_pipe : signed(23 downto 0);
-  signal v11_pipe : unsigned(0 downto 0);
-  signal v6_a_3_p1 : signed(11 downto 0);
-  signal acc_reg : signed(23 downto 0) := to_signed(0, 23 + 1);
-  signal valid_s1 : std_logic := '0';
+  signal X0_pipe : signed(11 downto 0);
+  signal t5 : signed(11 downto 0);
+  signal t3 : unsigned(0 downto 0);
+  signal n9_pipe : unsigned(0 downto 0);
+  signal acc_prev_pipe : signed(23 downto 0);
+  signal a_3_s1 : signed(11 downto 0);
+  signal t8 : signed(23 downto 0);
+  signal n2_valid : unsigned(0 downto 0);
+  signal valid_s1 : unsigned(0 downto 0) := (others => '0');
+  signal acc_reg : signed(23 downto 0) := (others => '0');
 begin
+  n2_valid <= "1" when valid = '1' else "0";
   u_node1 : entity work.abs_energy_dp_node1
-    port map (v0_X0 => X0, v1_acc_prev_out => v1_acc_prev, v2_t_out => v2_t, v3_t_out => v3_t);
+    port map (X0 => X0, t3_out => t3);
   u_node2 : entity work.abs_energy_dp_node2
-    port map (v0_X0 => X0, v5_t_out => v5_t);
+    port map (X0 => X0, t5_out => t5);
   u_mux_bb3 : entity work.abs_energy_dp_mux_bb3
-    port map (v5_t => v5_t, v9_X0_pipe => v9_X0_pipe, v11_pipe => v11_pipe, v6_a_3_out => v6_a_3);
+    port map (clk => clk, ce => ce, X0_pipe => X0_pipe, t5 => t5, n9_pipe => n9_pipe, a_3_s1_out => a_3_s1);
   u_node4 : entity work.abs_energy_dp_node4
-    port map (v6_a_3 => v6_a_3_p1, v10_acc_prev_pipe => v10_acc_prev_pipe, v8_t_out => v8_t);
+    port map (acc_prev_pipe => acc_prev_pipe, a_3_s1 => a_3_s1, t8_out => t8);
   u_pipe_bb3 : entity work.abs_energy_dp_pipe_bb3
-    port map (v0_X0 => X0, v1_acc_prev => v1_acc_prev, v3_t => v3_t, v9_X0_pipe_out => v9_X0_pipe, v10_acc_prev_pipe_out => v10_acc_prev_pipe, v11_pipe_out => v11_pipe);
+    port map (X0 => X0, acc_reg => acc_reg, t3 => t3, X0_pipe_out => X0_pipe, n9_pipe_out => n9_pipe, acc_prev_pipe_out => acc_prev_pipe);
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v6_a_3_p1 <= v6_a_3;
-        valid_s1 <= valid;
-        if valid_s1 = '1' then
-          acc_reg <= v8_t;
+        valid_s1 <= n2_valid;
+        if valid_s1 /= 0 then
+          acc_reg <= t8;
         end if;
       end if;
     end if;
   end process;
-  v1_acc_prev <= acc_reg;
-  E_o0 <= resize(v8_t, 24);
-  total <= resize(v8_t, 24);
+  E_o0 <= t8;
+  total <= t8;
 end architecture rtl;

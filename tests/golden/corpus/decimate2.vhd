@@ -8,21 +8,21 @@ use ieee.numeric_std.all;
 
 entity decimate2_dp_node1 is
   port (
-    v0_A0 : in signed(11 downto 0);
-    v1_A1 : in signed(11 downto 0);
-    v5_t_out : out signed(11 downto 0)
+    A0 : in signed(11 downto 0);
+    A1 : in signed(11 downto 0);
+    t5_out : out signed(11 downto 0)
   );
 end entity decimate2_dp_node1;
 
 architecture rtl of decimate2_dp_node1 is
-  signal v2_t : signed(12 downto 0);
-  signal v4_t : signed(11 downto 0);
-  signal v5_t : signed(11 downto 0);
+  signal t2 : signed(12 downto 0);
+  signal t4 : signed(11 downto 0);
+  signal t5 : signed(11 downto 0);
 begin
-  v2_t <= resize(v0_A0, 13) + resize(v1_A1, 13);
-  v4_t <= shift_right(resize(v2_t, 12), to_integer(to_unsigned(1, 6)));
-  v5_t <= v4_t;
-  v5_t_out <= v5_t;
+  t2 <= resize(A0, 13) + resize(A1, 13);
+  t4 <= t2(12 downto 1);
+  t5 <= t4;
+  t5_out <= t5;
 end architecture rtl;
 
 library ieee;
@@ -40,16 +40,9 @@ entity decimate2_dp is
 end entity decimate2_dp;
 
 architecture rtl of decimate2_dp is
-  signal v5_t : signed(11 downto 0);
+  signal t5 : signed(11 downto 0);
 begin
   u_node1 : entity work.decimate2_dp_node1
-    port map (v0_A0 => A0, v1_A1 => A1, v5_t_out => v5_t);
-  process (clk)
-  begin
-    if rising_edge(clk) then
-      if ce = '1' then
-      end if;
-    end if;
-  end process;
-  C_o0 <= resize(v5_t, 12);
+    port map (A0 => A0, A1 => A1, t5_out => t5);
+  C_o0 <= t5;
 end architecture rtl;

@@ -8,29 +8,29 @@ use ieee.numeric_std.all;
 
 entity iir_smooth_dp_node1 is
   port (
-    v0_X0 : in signed(11 downto 0);
-    v6_t_out : out signed(19 downto 0);
-    v8_t_out : out signed(11 downto 0)
+    X0 : in signed(11 downto 0);
+    acc_reg : in signed(19 downto 0);
+    t6_out : out signed(19 downto 0);
+    t8_out : out signed(11 downto 0)
   );
 end entity iir_smooth_dp_node1;
 
 architecture rtl of iir_smooth_dp_node1 is
-  signal v1_acc_prev : signed(19 downto 0);
-  signal v3_t : signed(16 downto 0);
-  signal v4_t : signed(20 downto 0);
-  signal v5_t : signed(20 downto 0);
-  signal v6_t : signed(19 downto 0);
-  signal v7_t : signed(16 downto 0);
-  signal v8_t : signed(11 downto 0);
+  signal t3 : signed(16 downto 0);
+  signal t4 : signed(20 downto 0);
+  signal t5 : signed(20 downto 0);
+  signal t6 : signed(19 downto 0);
+  signal t7 : signed(16 downto 0);
+  signal t8 : signed(11 downto 0);
 begin
-  v3_t <= shift_right(resize(v1_acc_prev, 17), to_integer(to_unsigned(3, 6)));
-  v4_t <= resize(v1_acc_prev, 21) - resize(v3_t, 21);
-  v5_t <= v4_t + resize(v0_X0, 21);
-  v6_t <= resize(v5_t, 20);
-  v7_t <= shift_right(resize(v6_t, 17), to_integer(to_unsigned(3, 6)));
-  v8_t <= resize(v7_t, 12);
-  v6_t_out <= v6_t;
-  v8_t_out <= v8_t;
+  t3 <= acc_reg(19 downto 3);
+  t4 <= resize(acc_reg, 21) - resize(t3, 21);
+  t5 <= t4 + resize(X0, 21);
+  t6 <= t5(19 downto 0);
+  t7 <= t6(19 downto 3);
+  t8 <= t7(11 downto 0);
+  t6_out <= t6;
+  t8_out <= t8;
 end architecture rtl;
 
 library ieee;
@@ -48,23 +48,23 @@ entity iir_smooth_dp is
 end entity iir_smooth_dp;
 
 architecture rtl of iir_smooth_dp is
-  signal v1_acc_prev : signed(19 downto 0);
-  signal v6_t : signed(19 downto 0);
-  signal v8_t : signed(11 downto 0);
-  signal acc_reg : signed(19 downto 0) := to_signed(0, 19 + 1);
+  signal t6 : signed(19 downto 0);
+  signal t8 : signed(11 downto 0);
+  signal n2_valid : unsigned(0 downto 0);
+  signal acc_reg : signed(19 downto 0) := (others => '0');
 begin
+  n2_valid <= "1" when valid = '1' else "0";
   u_node1 : entity work.iir_smooth_dp_node1
-    port map (v0_X0 => X0, v6_t_out => v6_t, v8_t_out => v8_t);
+    port map (X0 => X0, acc_reg => acc_reg, t6_out => t6, t8_out => t8);
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        if valid = '1' then
-          acc_reg <= v6_t;
+        if n2_valid /= 0 then
+          acc_reg <= t6;
         end if;
       end if;
     end if;
   end process;
-  v1_acc_prev <= acc_reg;
-  Y_o0 <= resize(v8_t, 12);
+  Y_o0 <= t8;
 end architecture rtl;

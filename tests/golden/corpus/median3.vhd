@@ -8,17 +8,17 @@ use ieee.numeric_std.all;
 
 entity median3_dp_node1 is
   port (
-    v0_A0 : in signed(11 downto 0);
-    v1_A1 : in signed(11 downto 0);
-    v3_t_out : out unsigned(0 downto 0)
+    A0 : in signed(11 downto 0);
+    A1 : in signed(11 downto 0);
+    t3_out : out unsigned(0 downto 0)
   );
 end entity median3_dp_node1;
 
 architecture rtl of median3_dp_node1 is
-  signal v3_t : unsigned(0 downto 0);
+  signal t3 : unsigned(0 downto 0);
 begin
-  v3_t <= "1" when resize(v0_A0, 13) > resize(v1_A1, 13) else "0";
-  v3_t_out <= v3_t;
+  t3 <= "1" when resize(A0, 13) > resize(A1, 13) else "0";
+  t3_out <= t3;
 end architecture rtl;
 
 library ieee;
@@ -27,17 +27,17 @@ use ieee.numeric_std.all;
 
 entity median3_dp_node2 is
   port (
-    v0_A0 : in signed(11 downto 0);
-    v2_A2 : in signed(11 downto 0);
-    v4_t_out : out unsigned(0 downto 0)
+    A0 : in signed(11 downto 0);
+    A2 : in signed(11 downto 0);
+    t4_out : out unsigned(0 downto 0)
   );
 end entity median3_dp_node2;
 
 architecture rtl of median3_dp_node2 is
-  signal v4_t : unsigned(0 downto 0);
+  signal t4 : unsigned(0 downto 0);
 begin
-  v4_t <= "1" when resize(v0_A0, 13) > resize(v2_A2, 13) else "0";
-  v4_t_out <= v4_t;
+  t4 <= "1" when resize(A0, 13) > resize(A2, 13) else "0";
+  t4_out <= t4;
 end architecture rtl;
 
 library ieee;
@@ -46,17 +46,17 @@ use ieee.numeric_std.all;
 
 entity median3_dp_node3 is
   port (
-    v1_A1 : in signed(11 downto 0);
-    v2_A2 : in signed(11 downto 0);
-    v5_t_out : out unsigned(0 downto 0)
+    A1 : in signed(11 downto 0);
+    A2 : in signed(11 downto 0);
+    t5_out : out unsigned(0 downto 0)
   );
 end entity median3_dp_node3;
 
 architecture rtl of median3_dp_node3 is
-  signal v5_t : unsigned(0 downto 0);
+  signal t5 : unsigned(0 downto 0);
 begin
-  v5_t <= "1" when resize(v1_A1, 13) > resize(v2_A2, 13) else "0";
-  v5_t_out <= v5_t;
+  t5 <= "1" when resize(A1, 13) > resize(A2, 13) else "0";
+  t5_out <= t5;
 end architecture rtl;
 
 library ieee;
@@ -65,18 +65,18 @@ use ieee.numeric_std.all;
 
 entity median3_dp_mux_bb15 is
   port (
-    v21_A1_pipe : in signed(11 downto 0);
-    v22_A2_pipe : in signed(11 downto 0);
-    v23_pipe : in unsigned(0 downto 0);
-    v6_m_9_out : out signed(11 downto 0)
+    n3_A2_pipe : in signed(11 downto 0);
+    n4_A1_pipe : in signed(11 downto 0);
+    n16_pipe : in unsigned(0 downto 0);
+    m_9_out : out signed(11 downto 0)
   );
 end entity median3_dp_mux_bb15;
 
 architecture rtl of median3_dp_mux_bb15 is
-  signal v6_m_9 : signed(11 downto 0);
+  signal m_9 : signed(11 downto 0);
 begin
-  v6_m_9 <= v22_A2_pipe when v23_pipe = 1 else v21_A1_pipe;
-  v6_m_9_out <= v6_m_9;
+  m_9 <= n3_A2_pipe when n16_pipe /= 0 else n4_A1_pipe;
+  m_9_out <= m_9;
 end architecture rtl;
 
 library ieee;
@@ -85,18 +85,18 @@ use ieee.numeric_std.all;
 
 entity median3_dp_mux_bb12 is
   port (
-    v6_m_9 : in signed(11 downto 0);
-    v19_A0_pipe : in signed(11 downto 0);
-    v20_pipe : in unsigned(0 downto 0);
-    v7_m_10_out : out signed(11 downto 0)
+    n5_A0_pipe : in signed(11 downto 0);
+    m_9 : in signed(11 downto 0);
+    n19_pipe : in unsigned(0 downto 0);
+    m_10_out : out signed(11 downto 0)
   );
 end entity median3_dp_mux_bb12;
 
 architecture rtl of median3_dp_mux_bb12 is
-  signal v7_m_10 : signed(11 downto 0);
+  signal m_10 : signed(11 downto 0);
 begin
-  v7_m_10 <= v19_A0_pipe when v20_pipe = 1 else v6_m_9;
-  v7_m_10_out <= v7_m_10;
+  m_10 <= n5_A0_pipe when n19_pipe /= 0 else m_9;
+  m_10_out <= m_10;
 end architecture rtl;
 
 library ieee;
@@ -105,17 +105,17 @@ use ieee.numeric_std.all;
 
 entity median3_dp_node6 is
   port (
-    v1_A1 : in signed(11 downto 0);
-    v2_A2 : in signed(11 downto 0);
-    v8_t_out : out unsigned(0 downto 0)
+    A1 : in signed(11 downto 0);
+    A2 : in signed(11 downto 0);
+    t8_out : out unsigned(0 downto 0)
   );
 end entity median3_dp_node6;
 
 architecture rtl of median3_dp_node6 is
-  signal v8_t : unsigned(0 downto 0);
+  signal t8 : unsigned(0 downto 0);
 begin
-  v8_t <= "1" when resize(v1_A1, 13) > resize(v2_A2, 13) else "0";
-  v8_t_out <= v8_t;
+  t8 <= "1" when resize(A1, 13) > resize(A2, 13) else "0";
+  t8_out <= t8;
 end architecture rtl;
 
 library ieee;
@@ -124,17 +124,17 @@ use ieee.numeric_std.all;
 
 entity median3_dp_node7 is
   port (
-    v0_A0 : in signed(11 downto 0);
-    v2_A2 : in signed(11 downto 0);
-    v9_t_out : out unsigned(0 downto 0)
+    A0 : in signed(11 downto 0);
+    A2 : in signed(11 downto 0);
+    t9_out : out unsigned(0 downto 0)
   );
 end entity median3_dp_node7;
 
 architecture rtl of median3_dp_node7 is
-  signal v9_t : unsigned(0 downto 0);
+  signal t9 : unsigned(0 downto 0);
 begin
-  v9_t <= "1" when resize(v0_A0, 13) > resize(v2_A2, 13) else "0";
-  v9_t_out <= v9_t;
+  t9 <= "1" when resize(A0, 13) > resize(A2, 13) else "0";
+  t9_out <= t9;
 end architecture rtl;
 
 library ieee;
@@ -143,18 +143,18 @@ use ieee.numeric_std.all;
 
 entity median3_dp_mux_bb9 is
   port (
-    v16_A0_pipe : in signed(11 downto 0);
-    v17_A2_pipe : in signed(11 downto 0);
-    v18_pipe : in unsigned(0 downto 0);
-    v10_m_4_out : out signed(11 downto 0)
+    n6_A2_pipe : in signed(11 downto 0);
+    n7_A0_pipe : in signed(11 downto 0);
+    n10_pipe : in unsigned(0 downto 0);
+    m_4_out : out signed(11 downto 0)
   );
 end entity median3_dp_mux_bb9;
 
 architecture rtl of median3_dp_mux_bb9 is
-  signal v10_m_4 : signed(11 downto 0);
+  signal m_4 : signed(11 downto 0);
 begin
-  v10_m_4 <= v17_A2_pipe when v18_pipe = 1 else v16_A0_pipe;
-  v10_m_4_out <= v10_m_4;
+  m_4 <= n6_A2_pipe when n10_pipe /= 0 else n7_A0_pipe;
+  m_4_out <= m_4;
 end architecture rtl;
 
 library ieee;
@@ -163,18 +163,18 @@ use ieee.numeric_std.all;
 
 entity median3_dp_mux_bb6 is
   port (
-    v10_m_4 : in signed(11 downto 0);
-    v14_A1_pipe : in signed(11 downto 0);
-    v15_pipe : in unsigned(0 downto 0);
-    v11_m_5_out : out signed(11 downto 0)
+    n8_A1_pipe : in signed(11 downto 0);
+    m_4 : in signed(11 downto 0);
+    n13_pipe : in unsigned(0 downto 0);
+    m_5_out : out signed(11 downto 0)
   );
 end entity median3_dp_mux_bb6;
 
 architecture rtl of median3_dp_mux_bb6 is
-  signal v11_m_5 : signed(11 downto 0);
+  signal m_5 : signed(11 downto 0);
 begin
-  v11_m_5 <= v14_A1_pipe when v15_pipe = 1 else v10_m_4;
-  v11_m_5_out <= v11_m_5;
+  m_5 <= n8_A1_pipe when n13_pipe /= 0 else m_4;
+  m_5_out <= m_5;
 end architecture rtl;
 
 library ieee;
@@ -183,18 +183,18 @@ use ieee.numeric_std.all;
 
 entity median3_dp_mux_bb3 is
   port (
-    v7_m_10 : in signed(11 downto 0);
-    v11_m_5 : in signed(11 downto 0);
-    v13_pipe : in unsigned(0 downto 0);
-    v12_m_11_out : out signed(11 downto 0)
+    m_5 : in signed(11 downto 0);
+    m_10 : in signed(11 downto 0);
+    n22_pipe : in unsigned(0 downto 0);
+    m_11_out : out signed(11 downto 0)
   );
 end entity median3_dp_mux_bb3;
 
 architecture rtl of median3_dp_mux_bb3 is
-  signal v12_m_11 : signed(11 downto 0);
+  signal m_11 : signed(11 downto 0);
 begin
-  v12_m_11 <= v11_m_5 when v13_pipe = 1 else v7_m_10;
-  v12_m_11_out <= v12_m_11;
+  m_11 <= m_5 when n22_pipe /= 0 else m_10;
+  m_11_out <= m_11;
 end architecture rtl;
 
 library ieee;
@@ -202,8 +202,6 @@ use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 
 entity median3_dp_node11 is
-  port (
-  );
 end entity median3_dp_node11;
 
 architecture rtl of median3_dp_node11 is
@@ -216,16 +214,16 @@ use ieee.numeric_std.all;
 
 entity median3_dp_pipe_bb3 is
   port (
-    v3_t : in unsigned(0 downto 0);
-    v13_pipe_out : out unsigned(0 downto 0)
+    t3 : in unsigned(0 downto 0);
+    n22_pipe_out : out unsigned(0 downto 0)
   );
 end entity median3_dp_pipe_bb3;
 
 architecture rtl of median3_dp_pipe_bb3 is
-  signal v13_pipe : unsigned(0 downto 0);
+  signal n22_pipe : unsigned(0 downto 0);
 begin
-  v13_pipe <= v3_t;
-  v13_pipe_out <= v13_pipe;
+  n22_pipe <= t3;
+  n22_pipe_out <= n22_pipe;
 end architecture rtl;
 
 library ieee;
@@ -234,21 +232,21 @@ use ieee.numeric_std.all;
 
 entity median3_dp_pipe_bb6 is
   port (
-    v1_A1 : in signed(11 downto 0);
-    v8_t : in unsigned(0 downto 0);
-    v14_A1_pipe_out : out signed(11 downto 0);
-    v15_pipe_out : out unsigned(0 downto 0)
+    A1 : in signed(11 downto 0);
+    t8 : in unsigned(0 downto 0);
+    n8_A1_pipe_out : out signed(11 downto 0);
+    n13_pipe_out : out unsigned(0 downto 0)
   );
 end entity median3_dp_pipe_bb6;
 
 architecture rtl of median3_dp_pipe_bb6 is
-  signal v14_A1_pipe : signed(11 downto 0);
-  signal v15_pipe : unsigned(0 downto 0);
+  signal n8_A1_pipe : signed(11 downto 0);
+  signal n13_pipe : unsigned(0 downto 0);
 begin
-  v14_A1_pipe <= v1_A1;
-  v15_pipe <= v8_t;
-  v14_A1_pipe_out <= v14_A1_pipe;
-  v15_pipe_out <= v15_pipe;
+  n8_A1_pipe <= A1;
+  n13_pipe <= t8;
+  n8_A1_pipe_out <= n8_A1_pipe;
+  n13_pipe_out <= n13_pipe;
 end architecture rtl;
 
 library ieee;
@@ -257,26 +255,26 @@ use ieee.numeric_std.all;
 
 entity median3_dp_pipe_bb9 is
   port (
-    v0_A0 : in signed(11 downto 0);
-    v2_A2 : in signed(11 downto 0);
-    v9_t : in unsigned(0 downto 0);
-    v16_A0_pipe_out : out signed(11 downto 0);
-    v17_A2_pipe_out : out signed(11 downto 0);
-    v18_pipe_out : out unsigned(0 downto 0)
+    A0 : in signed(11 downto 0);
+    A2 : in signed(11 downto 0);
+    t9 : in unsigned(0 downto 0);
+    n6_A2_pipe_out : out signed(11 downto 0);
+    n7_A0_pipe_out : out signed(11 downto 0);
+    n10_pipe_out : out unsigned(0 downto 0)
   );
 end entity median3_dp_pipe_bb9;
 
 architecture rtl of median3_dp_pipe_bb9 is
-  signal v16_A0_pipe : signed(11 downto 0);
-  signal v17_A2_pipe : signed(11 downto 0);
-  signal v18_pipe : unsigned(0 downto 0);
+  signal n6_A2_pipe : signed(11 downto 0);
+  signal n7_A0_pipe : signed(11 downto 0);
+  signal n10_pipe : unsigned(0 downto 0);
 begin
-  v16_A0_pipe <= v0_A0;
-  v17_A2_pipe <= v2_A2;
-  v18_pipe <= v9_t;
-  v16_A0_pipe_out <= v16_A0_pipe;
-  v17_A2_pipe_out <= v17_A2_pipe;
-  v18_pipe_out <= v18_pipe;
+  n6_A2_pipe <= A2;
+  n7_A0_pipe <= A0;
+  n10_pipe <= t9;
+  n6_A2_pipe_out <= n6_A2_pipe;
+  n7_A0_pipe_out <= n7_A0_pipe;
+  n10_pipe_out <= n10_pipe;
 end architecture rtl;
 
 library ieee;
@@ -285,21 +283,21 @@ use ieee.numeric_std.all;
 
 entity median3_dp_pipe_bb12 is
   port (
-    v0_A0 : in signed(11 downto 0);
-    v4_t : in unsigned(0 downto 0);
-    v19_A0_pipe_out : out signed(11 downto 0);
-    v20_pipe_out : out unsigned(0 downto 0)
+    A0 : in signed(11 downto 0);
+    t4 : in unsigned(0 downto 0);
+    n5_A0_pipe_out : out signed(11 downto 0);
+    n19_pipe_out : out unsigned(0 downto 0)
   );
 end entity median3_dp_pipe_bb12;
 
 architecture rtl of median3_dp_pipe_bb12 is
-  signal v19_A0_pipe : signed(11 downto 0);
-  signal v20_pipe : unsigned(0 downto 0);
+  signal n5_A0_pipe : signed(11 downto 0);
+  signal n19_pipe : unsigned(0 downto 0);
 begin
-  v19_A0_pipe <= v0_A0;
-  v20_pipe <= v4_t;
-  v19_A0_pipe_out <= v19_A0_pipe;
-  v20_pipe_out <= v20_pipe;
+  n5_A0_pipe <= A0;
+  n19_pipe <= t4;
+  n5_A0_pipe_out <= n5_A0_pipe;
+  n19_pipe_out <= n19_pipe;
 end architecture rtl;
 
 library ieee;
@@ -308,26 +306,26 @@ use ieee.numeric_std.all;
 
 entity median3_dp_pipe_bb15 is
   port (
-    v1_A1 : in signed(11 downto 0);
-    v2_A2 : in signed(11 downto 0);
-    v5_t : in unsigned(0 downto 0);
-    v21_A1_pipe_out : out signed(11 downto 0);
-    v22_A2_pipe_out : out signed(11 downto 0);
-    v23_pipe_out : out unsigned(0 downto 0)
+    A1 : in signed(11 downto 0);
+    A2 : in signed(11 downto 0);
+    t5 : in unsigned(0 downto 0);
+    n3_A2_pipe_out : out signed(11 downto 0);
+    n4_A1_pipe_out : out signed(11 downto 0);
+    n16_pipe_out : out unsigned(0 downto 0)
   );
 end entity median3_dp_pipe_bb15;
 
 architecture rtl of median3_dp_pipe_bb15 is
-  signal v21_A1_pipe : signed(11 downto 0);
-  signal v22_A2_pipe : signed(11 downto 0);
-  signal v23_pipe : unsigned(0 downto 0);
+  signal n3_A2_pipe : signed(11 downto 0);
+  signal n4_A1_pipe : signed(11 downto 0);
+  signal n16_pipe : unsigned(0 downto 0);
 begin
-  v21_A1_pipe <= v1_A1;
-  v22_A2_pipe <= v2_A2;
-  v23_pipe <= v5_t;
-  v21_A1_pipe_out <= v21_A1_pipe;
-  v22_A2_pipe_out <= v22_A2_pipe;
-  v23_pipe_out <= v23_pipe;
+  n3_A2_pipe <= A2;
+  n4_A1_pipe <= A1;
+  n16_pipe <= t5;
+  n3_A2_pipe_out <= n3_A2_pipe;
+  n4_A1_pipe_out <= n4_A1_pipe;
+  n16_pipe_out <= n16_pipe;
 end architecture rtl;
 
 library ieee;
@@ -346,66 +344,58 @@ entity median3_dp is
 end entity median3_dp;
 
 architecture rtl of median3_dp is
-  signal v3_t : unsigned(0 downto 0);
-  signal v4_t : unsigned(0 downto 0);
-  signal v5_t : unsigned(0 downto 0);
-  signal v6_m_9 : signed(11 downto 0);
-  signal v7_m_10 : signed(11 downto 0);
-  signal v8_t : unsigned(0 downto 0);
-  signal v9_t : unsigned(0 downto 0);
-  signal v10_m_4 : signed(11 downto 0);
-  signal v11_m_5 : signed(11 downto 0);
-  signal v12_m_11 : signed(11 downto 0);
-  signal v13_pipe : unsigned(0 downto 0);
-  signal v14_A1_pipe : signed(11 downto 0);
-  signal v15_pipe : unsigned(0 downto 0);
-  signal v16_A0_pipe : signed(11 downto 0);
-  signal v17_A2_pipe : signed(11 downto 0);
-  signal v18_pipe : unsigned(0 downto 0);
-  signal v19_A0_pipe : signed(11 downto 0);
-  signal v20_pipe : unsigned(0 downto 0);
-  signal v21_A1_pipe : signed(11 downto 0);
-  signal v22_A2_pipe : signed(11 downto 0);
-  signal v23_pipe : unsigned(0 downto 0);
+  signal n3_A2_pipe : signed(11 downto 0);
+  signal n4_A1_pipe : signed(11 downto 0);
+  signal n5_A0_pipe : signed(11 downto 0);
+  signal n6_A2_pipe : signed(11 downto 0);
+  signal n7_A0_pipe : signed(11 downto 0);
+  signal n8_A1_pipe : signed(11 downto 0);
+  signal t9 : unsigned(0 downto 0);
+  signal n10_pipe : unsigned(0 downto 0);
+  signal m_4 : signed(11 downto 0);
+  signal t8 : unsigned(0 downto 0);
+  signal n13_pipe : unsigned(0 downto 0);
+  signal m_5 : signed(11 downto 0);
+  signal t5 : unsigned(0 downto 0);
+  signal n16_pipe : unsigned(0 downto 0);
+  signal m_9 : signed(11 downto 0);
+  signal t4 : unsigned(0 downto 0);
+  signal n19_pipe : unsigned(0 downto 0);
+  signal m_10 : signed(11 downto 0);
+  signal t3 : unsigned(0 downto 0);
+  signal n22_pipe : unsigned(0 downto 0);
+  signal m_11 : signed(11 downto 0);
 begin
   u_node1 : entity work.median3_dp_node1
-    port map (v0_A0 => A0, v1_A1 => A1, v3_t_out => v3_t);
+    port map (A0 => A0, A1 => A1, t3_out => t3);
   u_node2 : entity work.median3_dp_node2
-    port map (v0_A0 => A0, v2_A2 => A2, v4_t_out => v4_t);
+    port map (A0 => A0, A2 => A2, t4_out => t4);
   u_node3 : entity work.median3_dp_node3
-    port map (v1_A1 => A1, v2_A2 => A2, v5_t_out => v5_t);
+    port map (A1 => A1, A2 => A2, t5_out => t5);
   u_mux_bb15 : entity work.median3_dp_mux_bb15
-    port map (v21_A1_pipe => v21_A1_pipe, v22_A2_pipe => v22_A2_pipe, v23_pipe => v23_pipe, v6_m_9_out => v6_m_9);
+    port map (n3_A2_pipe => n3_A2_pipe, n4_A1_pipe => n4_A1_pipe, n16_pipe => n16_pipe, m_9_out => m_9);
   u_mux_bb12 : entity work.median3_dp_mux_bb12
-    port map (v6_m_9 => v6_m_9, v19_A0_pipe => v19_A0_pipe, v20_pipe => v20_pipe, v7_m_10_out => v7_m_10);
+    port map (n5_A0_pipe => n5_A0_pipe, m_9 => m_9, n19_pipe => n19_pipe, m_10_out => m_10);
   u_node6 : entity work.median3_dp_node6
-    port map (v1_A1 => A1, v2_A2 => A2, v8_t_out => v8_t);
+    port map (A1 => A1, A2 => A2, t8_out => t8);
   u_node7 : entity work.median3_dp_node7
-    port map (v0_A0 => A0, v2_A2 => A2, v9_t_out => v9_t);
+    port map (A0 => A0, A2 => A2, t9_out => t9);
   u_mux_bb9 : entity work.median3_dp_mux_bb9
-    port map (v16_A0_pipe => v16_A0_pipe, v17_A2_pipe => v17_A2_pipe, v18_pipe => v18_pipe, v10_m_4_out => v10_m_4);
+    port map (n6_A2_pipe => n6_A2_pipe, n7_A0_pipe => n7_A0_pipe, n10_pipe => n10_pipe, m_4_out => m_4);
   u_mux_bb6 : entity work.median3_dp_mux_bb6
-    port map (v10_m_4 => v10_m_4, v14_A1_pipe => v14_A1_pipe, v15_pipe => v15_pipe, v11_m_5_out => v11_m_5);
+    port map (n8_A1_pipe => n8_A1_pipe, m_4 => m_4, n13_pipe => n13_pipe, m_5_out => m_5);
   u_mux_bb3 : entity work.median3_dp_mux_bb3
-    port map (v7_m_10 => v7_m_10, v11_m_5 => v11_m_5, v13_pipe => v13_pipe, v12_m_11_out => v12_m_11);
-  u_node11 : entity work.median3_dp_node11
-    port map ();
+    port map (m_5 => m_5, m_10 => m_10, n22_pipe => n22_pipe, m_11_out => m_11);
+  u_node11 : entity work.median3_dp_node11;
   u_pipe_bb3 : entity work.median3_dp_pipe_bb3
-    port map (v3_t => v3_t, v13_pipe_out => v13_pipe);
+    port map (t3 => t3, n22_pipe_out => n22_pipe);
   u_pipe_bb6 : entity work.median3_dp_pipe_bb6
-    port map (v1_A1 => A1, v8_t => v8_t, v14_A1_pipe_out => v14_A1_pipe, v15_pipe_out => v15_pipe);
+    port map (A1 => A1, t8 => t8, n8_A1_pipe_out => n8_A1_pipe, n13_pipe_out => n13_pipe);
   u_pipe_bb9 : entity work.median3_dp_pipe_bb9
-    port map (v0_A0 => A0, v2_A2 => A2, v9_t => v9_t, v16_A0_pipe_out => v16_A0_pipe, v17_A2_pipe_out => v17_A2_pipe, v18_pipe_out => v18_pipe);
+    port map (A0 => A0, A2 => A2, t9 => t9, n6_A2_pipe_out => n6_A2_pipe, n7_A0_pipe_out => n7_A0_pipe, n10_pipe_out => n10_pipe);
   u_pipe_bb12 : entity work.median3_dp_pipe_bb12
-    port map (v0_A0 => A0, v4_t => v4_t, v19_A0_pipe_out => v19_A0_pipe, v20_pipe_out => v20_pipe);
+    port map (A0 => A0, t4 => t4, n5_A0_pipe_out => n5_A0_pipe, n19_pipe_out => n19_pipe);
   u_pipe_bb15 : entity work.median3_dp_pipe_bb15
-    port map (v1_A1 => A1, v2_A2 => A2, v5_t => v5_t, v21_A1_pipe_out => v21_A1_pipe, v22_A2_pipe_out => v22_A2_pipe, v23_pipe_out => v23_pipe);
-  process (clk)
-  begin
-    if rising_edge(clk) then
-      if ce = '1' then
-      end if;
-    end if;
-  end process;
-  M_o0 <= resize(v12_m_11, 12);
+    port map (A1 => A1, A2 => A2, t5 => t5, n3_A2_pipe_out => n3_A2_pipe, n4_A1_pipe_out => n4_A1_pipe, n16_pipe_out => n16_pipe);
+  M_o0 <= m_11;
 end architecture rtl;

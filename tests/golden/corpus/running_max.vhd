@@ -8,19 +8,17 @@ use ieee.numeric_std.all;
 
 entity running_max_dp_node1 is
   port (
-    v0_A0 : in signed(15 downto 0);
-    v1_mx_prev_out : out signed(15 downto 0);
-    v2_t_out : out unsigned(0 downto 0)
+    A0 : in signed(15 downto 0);
+    mx_reg : in signed(15 downto 0);
+    t2_out : out unsigned(0 downto 0)
   );
 end entity running_max_dp_node1;
 
 architecture rtl of running_max_dp_node1 is
-  signal v1_mx_prev : signed(15 downto 0);
-  signal v2_t : unsigned(0 downto 0);
+  signal t2 : unsigned(0 downto 0);
 begin
-  v2_t <= "1" when resize(v0_A0, 17) > resize(v1_mx_prev, 17) else "0";
-  v1_mx_prev_out <= v1_mx_prev;
-  v2_t_out <= v2_t;
+  t2 <= "1" when resize(A0, 17) > resize(mx_reg, 17) else "0";
+  t2_out <= t2;
 end architecture rtl;
 
 library ieee;
@@ -29,18 +27,18 @@ use ieee.numeric_std.all;
 
 entity running_max_dp_mux_bb3 is
   port (
-    v4_A0_pipe : in signed(15 downto 0);
-    v5_mx_prev_pipe : in signed(15 downto 0);
-    v6_pipe : in unsigned(0 downto 0);
-    v3_mx_fb_2_out : out signed(15 downto 0)
+    A0_pipe : in signed(15 downto 0);
+    mx_prev_pipe : in signed(15 downto 0);
+    n6_pipe : in unsigned(0 downto 0);
+    mx_fb_2_out : out signed(15 downto 0)
   );
 end entity running_max_dp_mux_bb3;
 
 architecture rtl of running_max_dp_mux_bb3 is
-  signal v3_mx_fb_2 : signed(15 downto 0);
+  signal mx_fb_2 : signed(15 downto 0);
 begin
-  v3_mx_fb_2 <= v4_A0_pipe when v6_pipe = 1 else v5_mx_prev_pipe;
-  v3_mx_fb_2_out <= v3_mx_fb_2;
+  mx_fb_2 <= A0_pipe when n6_pipe /= 0 else mx_prev_pipe;
+  mx_fb_2_out <= mx_fb_2;
 end architecture rtl;
 
 library ieee;
@@ -48,8 +46,6 @@ use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 
 entity running_max_dp_node3 is
-  port (
-  );
 end entity running_max_dp_node3;
 
 architecture rtl of running_max_dp_node3 is
@@ -62,26 +58,26 @@ use ieee.numeric_std.all;
 
 entity running_max_dp_pipe_bb3 is
   port (
-    v0_A0 : in signed(15 downto 0);
-    v1_mx_prev : in signed(15 downto 0);
-    v2_t : in unsigned(0 downto 0);
-    v4_A0_pipe_out : out signed(15 downto 0);
-    v5_mx_prev_pipe_out : out signed(15 downto 0);
-    v6_pipe_out : out unsigned(0 downto 0)
+    A0 : in signed(15 downto 0);
+    mx_reg : in signed(15 downto 0);
+    t2 : in unsigned(0 downto 0);
+    A0_pipe_out : out signed(15 downto 0);
+    mx_prev_pipe_out : out signed(15 downto 0);
+    n6_pipe_out : out unsigned(0 downto 0)
   );
 end entity running_max_dp_pipe_bb3;
 
 architecture rtl of running_max_dp_pipe_bb3 is
-  signal v4_A0_pipe : signed(15 downto 0);
-  signal v5_mx_prev_pipe : signed(15 downto 0);
-  signal v6_pipe : unsigned(0 downto 0);
+  signal A0_pipe : signed(15 downto 0);
+  signal mx_prev_pipe : signed(15 downto 0);
+  signal n6_pipe : unsigned(0 downto 0);
 begin
-  v4_A0_pipe <= v0_A0;
-  v5_mx_prev_pipe <= v1_mx_prev;
-  v6_pipe <= v2_t;
-  v4_A0_pipe_out <= v4_A0_pipe;
-  v5_mx_prev_pipe_out <= v5_mx_prev_pipe;
-  v6_pipe_out <= v6_pipe;
+  A0_pipe <= A0;
+  mx_prev_pipe <= mx_reg;
+  n6_pipe <= t2;
+  A0_pipe_out <= A0_pipe;
+  mx_prev_pipe_out <= mx_prev_pipe;
+  n6_pipe_out <= n6_pipe;
 end architecture rtl;
 
 library ieee;
@@ -100,33 +96,32 @@ entity running_max_dp is
 end entity running_max_dp;
 
 architecture rtl of running_max_dp is
-  signal v1_mx_prev : signed(15 downto 0);
-  signal v2_t : unsigned(0 downto 0);
-  signal v3_mx_fb_2 : signed(15 downto 0);
-  signal v4_A0_pipe : signed(15 downto 0);
-  signal v5_mx_prev_pipe : signed(15 downto 0);
-  signal v6_pipe : unsigned(0 downto 0);
-  signal mx_reg : signed(15 downto 0) := to_signed(-32768, 15 + 1);
+  signal A0_pipe : signed(15 downto 0);
+  signal mx_prev_pipe : signed(15 downto 0);
+  signal t2 : unsigned(0 downto 0);
+  signal n6_pipe : unsigned(0 downto 0);
+  signal mx_fb_2 : signed(15 downto 0);
+  signal n2_valid : unsigned(0 downto 0);
+  signal mx_reg : signed(15 downto 0) := to_signed(-32768, 16);
 begin
+  n2_valid <= "1" when valid = '1' else "0";
   u_node1 : entity work.running_max_dp_node1
-    port map (v0_A0 => A0, v1_mx_prev_out => v1_mx_prev, v2_t_out => v2_t);
+    port map (A0 => A0, mx_reg => mx_reg, t2_out => t2);
   u_mux_bb3 : entity work.running_max_dp_mux_bb3
-    port map (v4_A0_pipe => v4_A0_pipe, v5_mx_prev_pipe => v5_mx_prev_pipe, v6_pipe => v6_pipe, v3_mx_fb_2_out => v3_mx_fb_2);
-  u_node3 : entity work.running_max_dp_node3
-    port map ();
+    port map (A0_pipe => A0_pipe, mx_prev_pipe => mx_prev_pipe, n6_pipe => n6_pipe, mx_fb_2_out => mx_fb_2);
+  u_node3 : entity work.running_max_dp_node3;
   u_pipe_bb3 : entity work.running_max_dp_pipe_bb3
-    port map (v0_A0 => A0, v1_mx_prev => v1_mx_prev, v2_t => v2_t, v4_A0_pipe_out => v4_A0_pipe, v5_mx_prev_pipe_out => v5_mx_prev_pipe, v6_pipe_out => v6_pipe);
+    port map (A0 => A0, mx_reg => mx_reg, t2 => t2, A0_pipe_out => A0_pipe, mx_prev_pipe_out => mx_prev_pipe, n6_pipe_out => n6_pipe);
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        if valid = '1' then
-          mx_reg <= v3_mx_fb_2;
+        if n2_valid /= 0 then
+          mx_reg <= mx_fb_2;
         end if;
       end if;
     end if;
   end process;
-  v1_mx_prev <= mx_reg;
-  M_o0 <= resize(v3_mx_fb_2, 16);
-  last <= resize(v3_mx_fb_2, 16);
+  M_o0 <= mx_fb_2;
+  last <= mx_fb_2;
 end architecture rtl;

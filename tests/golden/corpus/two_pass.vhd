@@ -8,26 +8,26 @@ use ieee.numeric_std.all;
 
 entity two_pass_dp_node1 is
   port (
-    v0_A0 : in signed(9 downto 0);
-    v4_t_out : out signed(11 downto 0);
-    v7_t_out : out signed(10 downto 0)
+    A0 : in signed(9 downto 0);
+    t7_out : out signed(10 downto 0);
+    t4_out : out signed(11 downto 0)
   );
 end entity two_pass_dp_node1;
 
 architecture rtl of two_pass_dp_node1 is
-  signal v2_t : signed(11 downto 0);
-  signal v3_t : signed(12 downto 0);
-  signal v4_t : signed(11 downto 0);
-  signal v6_t : signed(10 downto 0);
-  signal v7_t : signed(10 downto 0);
+  signal t6 : signed(10 downto 0);
+  signal t7 : signed(10 downto 0);
+  signal t2 : signed(11 downto 0);
+  signal t3 : signed(12 downto 0);
+  signal t4 : signed(11 downto 0);
 begin
-  v2_t <= shift_left(resize(v0_A0, 12), to_integer(to_unsigned(2, 6)));
-  v3_t <= resize(v2_t, 13) - resize(v0_A0, 13);
-  v4_t <= resize(v3_t, 12);
-  v6_t <= resize(v0_A0, 11) + to_signed(100, 11);
-  v7_t <= v6_t;
-  v4_t_out <= v4_t;
-  v7_t_out <= v7_t;
+  t6 <= resize(A0, 11) + to_signed(100, 11);
+  t7 <= t6;
+  t2 <= shift_left(resize(A0, 12), 2);
+  t3 <= resize(t2, 13) - resize(A0, 13);
+  t4 <= t3(11 downto 0);
+  t7_out <= t7;
+  t4_out <= t4;
 end architecture rtl;
 
 library ieee;
@@ -45,18 +45,11 @@ entity two_pass_dp is
 end entity two_pass_dp;
 
 architecture rtl of two_pass_dp is
-  signal v4_t : signed(11 downto 0);
-  signal v7_t : signed(10 downto 0);
+  signal t7 : signed(10 downto 0);
+  signal t4 : signed(11 downto 0);
 begin
   u_node1 : entity work.two_pass_dp_node1
-    port map (v0_A0 => A0, v4_t_out => v4_t, v7_t_out => v7_t);
-  process (clk)
-  begin
-    if rising_edge(clk) then
-      if ce = '1' then
-      end if;
-    end if;
-  end process;
-  C_o0 <= resize(v4_t, 12);
-  D_o0 <= resize(v7_t, 12);
+    port map (A0 => A0, t7_out => t7, t4_out => t4);
+  C_o0 <= t4;
+  D_o0 <= resize(t7, 12);
 end architecture rtl;

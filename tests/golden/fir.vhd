@@ -10,59 +10,59 @@ entity fir_dp_node1 is
   port (
     clk : in std_logic;
     ce  : in std_logic;
-    v0_A0 : in signed(7 downto 0);
-    v1_A1 : in signed(7 downto 0);
-    v2_A2 : in signed(7 downto 0);
-    v3_A3 : in signed(7 downto 0);
-    v4_A4 : in signed(7 downto 0);
-    v19_t_out : out signed(12 downto 0)
+    A0 : in signed(7 downto 0);
+    A1 : in signed(7 downto 0);
+    A2 : in signed(7 downto 0);
+    A3 : in signed(7 downto 0);
+    A4_s2 : in signed(7 downto 0);
+    t19_out : out signed(12 downto 0)
   );
 end entity fir_dp_node1;
 
 architecture rtl of fir_dp_node1 is
-  signal v7_t : signed(9 downto 0);
-  signal v8_t : signed(10 downto 0);
-  signal v9_t : signed(9 downto 0);
-  signal v10_t : signed(10 downto 0);
-  signal v11_t : signed(11 downto 0);
-  signal v12_t : signed(10 downto 0);
-  signal v13_t : signed(11 downto 0);
-  signal v14_t : signed(12 downto 0);
-  signal v15_t : signed(10 downto 0);
-  signal v16_t : signed(11 downto 0);
-  signal v17_t : signed(12 downto 0);
-  signal v18_t : signed(12 downto 0);
-  signal v19_t : signed(12 downto 0);
-  signal v11_t_s1 : signed(11 downto 0);
-  signal v13_t_s1 : signed(11 downto 0);
-  signal v16_t_s1 : signed(11 downto 0);
-  signal v17_t_s2 : signed(12 downto 0);
+  signal t9 : signed(9 downto 0);
+  signal t10 : signed(10 downto 0);
+  signal t7 : signed(9 downto 0);
+  signal t8 : signed(10 downto 0);
+  signal t11 : signed(11 downto 0);
+  signal t15 : signed(10 downto 0);
+  signal t16 : signed(11 downto 0);
+  signal t12 : signed(10 downto 0);
+  signal t13 : signed(11 downto 0);
+  signal t11_s1 : signed(11 downto 0) := (others => '0');
+  signal t13_s1 : signed(11 downto 0) := (others => '0');
+  signal t14 : signed(12 downto 0);
+  signal t16_s1 : signed(11 downto 0) := (others => '0');
+  signal t17 : signed(12 downto 0);
+  signal t17_s2 : signed(12 downto 0) := (others => '0');
+  signal t18 : signed(12 downto 0);
+  signal t19 : signed(12 downto 0);
 begin
-  v7_t <= shift_left(resize(v0_A0, 10), to_integer(to_unsigned(2, 6)));
-  v8_t <= resize(v7_t, 11) - resize(v0_A0, 11);
-  v9_t <= shift_left(resize(v1_A1, 10), to_integer(to_unsigned(2, 6)));
-  v10_t <= resize(v1_A1, 11) + resize(v9_t, 11);
-  v11_t <= resize(v8_t, 12) + resize(v10_t, 12);
-  v12_t <= shift_left(resize(v2_A2, 11), to_integer(to_unsigned(3, 6)));
-  v13_t <= resize(v12_t, 12) - resize(v2_A2, 12);
-  v14_t <= resize(v11_t_s1, 13) + resize(v13_t_s1, 13);
-  v15_t <= shift_left(resize(v3_A3, 11), to_integer(to_unsigned(3, 6)));
-  v16_t <= resize(v3_A3, 12) + resize(v15_t, 12);
-  v17_t <= v14_t + resize(v16_t_s1, 13);
-  v18_t <= v17_t_s2 - resize(v4_A4, 13);
-  v19_t <= v18_t;
+  t9 <= shift_left(resize(A1, 10), 2);
+  t10 <= resize(A1, 11) + resize(t9, 11);
+  t7 <= shift_left(resize(A0, 10), 2);
+  t8 <= resize(t7, 11) - resize(A0, 11);
+  t11 <= resize(t8, 12) + resize(t10, 12);
+  t15 <= shift_left(resize(A3, 11), 3);
+  t16 <= resize(A3, 12) + resize(t15, 12);
+  t12 <= shift_left(resize(A2, 11), 3);
+  t13 <= resize(t12, 12) - resize(A2, 12);
+  t14 <= resize(t11_s1, 13) + resize(t13_s1, 13);
+  t17 <= t14 + resize(t16_s1, 13);
+  t18 <= t17_s2 - resize(A4_s2, 13);
+  t19 <= t18;
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v11_t_s1 <= v11_t;
-        v13_t_s1 <= v13_t;
-        v16_t_s1 <= v16_t;
-        v17_t_s2 <= v17_t;
+        t11_s1 <= t11;
+        t13_s1 <= t13;
+        t16_s1 <= t16;
+        t17_s2 <= t17;
       end if;
     end if;
   end process;
-  v19_t_out <= v19_t;
+  t19_out <= t19;
 end architecture rtl;
 
 library ieee;
@@ -83,20 +83,20 @@ entity fir_dp is
 end entity fir_dp;
 
 architecture rtl of fir_dp is
-  signal v19_t : signed(12 downto 0);
-  signal v4_A4_p1 : signed(7 downto 0);
-  signal v4_A4_p2 : signed(7 downto 0);
+  signal t19 : signed(12 downto 0);
+  signal A4_s1 : signed(7 downto 0) := (others => '0');
+  signal A4_s2 : signed(7 downto 0) := (others => '0');
 begin
   u_node1 : entity work.fir_dp_node1
-    port map (clk => clk, ce => ce, v0_A0 => A0, v1_A1 => A1, v2_A2 => A2, v3_A3 => A3, v4_A4 => v4_A4_p2, v19_t_out => v19_t);
+    port map (clk => clk, ce => ce, A0 => A0, A1 => A1, A2 => A2, A3 => A3, A4_s2 => A4_s2, t19_out => t19);
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v4_A4_p1 <= A4;
-        v4_A4_p2 <= v4_A4_p1;
+        A4_s1 <= A4;
+        A4_s2 <= A4_s1;
       end if;
     end if;
   end process;
-  C_o0 <= resize(v19_t, 16);
+  C_o0 <= resize(t19, 16);
 end architecture rtl;

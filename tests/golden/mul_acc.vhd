@@ -7,15 +7,10 @@ use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 
 entity mul_acc_dp_node1 is
-  port (
-    v3_acc_prev_out : out signed(31 downto 0)
-  );
 end entity mul_acc_dp_node1;
 
 architecture rtl of mul_acc_dp_node1 is
-  signal v3_acc_prev : signed(31 downto 0);
 begin
-  v3_acc_prev_out <= v3_acc_prev;
 end architecture rtl;
 
 library ieee;
@@ -26,29 +21,29 @@ entity mul_acc_dp_node2 is
   port (
     clk : in std_logic;
     ce  : in std_logic;
-    v0_A0 : in signed(11 downto 0);
-    v1_B0 : in signed(11 downto 0);
-    v3_acc_prev : in signed(31 downto 0);
-    v5_t_out : out signed(31 downto 0)
+    A0 : in signed(11 downto 0);
+    B0 : in signed(11 downto 0);
+    acc_reg : in signed(31 downto 0);
+    t5_out : out signed(31 downto 0)
   );
 end entity mul_acc_dp_node2;
 
 architecture rtl of mul_acc_dp_node2 is
-  signal v4_t : signed(23 downto 0);
-  signal v5_t : signed(31 downto 0);
-  signal v4_t_s1 : signed(23 downto 0);
+  signal t4 : signed(23 downto 0);
+  signal t4_s1 : signed(23 downto 0) := (others => '0');
+  signal t5 : signed(31 downto 0);
 begin
-  v4_t <= resize(resize(v0_A0, 24) * resize(v1_B0, 24), 24);
-  v5_t <= v3_acc_prev + resize(v4_t_s1, 32);
+  t4 <= signed(resize(unsigned(resize(A0, 24)) * unsigned(resize(B0, 24)), 24));
+  t5 <= acc_reg + resize(t4_s1, 32);
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v4_t_s1 <= v4_t;
+        t4_s1 <= t4;
       end if;
     end if;
   end process;
-  v5_t_out <= v5_t;
+  t5_out <= t5;
 end architecture rtl;
 
 library ieee;
@@ -57,18 +52,18 @@ use ieee.numeric_std.all;
 
 entity mul_acc_dp_mux_bb3 is
   port (
-    v5_t : in signed(31 downto 0);
-    v7_nd_pipe : in unsigned(0 downto 0);
-    v8_acc_prev_pipe : in signed(31 downto 0);
-    v6_acc_fb_2_out : out signed(31 downto 0)
+    acc_prev_pipe : in signed(31 downto 0);
+    t5 : in signed(31 downto 0);
+    nd_pipe_s1 : in unsigned(0 downto 0);
+    acc_fb_2_out : out signed(31 downto 0)
   );
 end entity mul_acc_dp_mux_bb3;
 
 architecture rtl of mul_acc_dp_mux_bb3 is
-  signal v6_acc_fb_2 : signed(31 downto 0);
+  signal acc_fb_2 : signed(31 downto 0);
 begin
-  v6_acc_fb_2 <= v5_t when v7_nd_pipe = 1 else v8_acc_prev_pipe;
-  v6_acc_fb_2_out <= v6_acc_fb_2;
+  acc_fb_2 <= t5 when nd_pipe_s1 /= 0 else acc_prev_pipe;
+  acc_fb_2_out <= acc_fb_2;
 end architecture rtl;
 
 library ieee;
@@ -76,8 +71,6 @@ use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 
 entity mul_acc_dp_node4 is
-  port (
-  );
 end entity mul_acc_dp_node4;
 
 architecture rtl of mul_acc_dp_node4 is
@@ -90,21 +83,30 @@ use ieee.numeric_std.all;
 
 entity mul_acc_dp_pipe_bb3 is
   port (
-    v2_nd : in unsigned(0 downto 0);
-    v3_acc_prev : in signed(31 downto 0);
-    v7_nd_pipe_out : out unsigned(0 downto 0);
-    v8_acc_prev_pipe_out : out signed(31 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    nd : in unsigned(0 downto 0);
+    acc_reg : in signed(31 downto 0);
+    acc_prev_pipe_out : out signed(31 downto 0);
+    nd_pipe_s1_out : out unsigned(0 downto 0)
   );
 end entity mul_acc_dp_pipe_bb3;
 
 architecture rtl of mul_acc_dp_pipe_bb3 is
-  signal v7_nd_pipe : unsigned(0 downto 0);
-  signal v8_acc_prev_pipe : signed(31 downto 0);
+  signal acc_prev_pipe : signed(31 downto 0);
+  signal nd_pipe_s1 : unsigned(0 downto 0) := (others => '0');
 begin
-  v7_nd_pipe <= v2_nd;
-  v8_acc_prev_pipe <= v3_acc_prev;
-  v7_nd_pipe_out <= v7_nd_pipe;
-  v8_acc_prev_pipe_out <= v8_acc_prev_pipe;
+  acc_prev_pipe <= acc_reg;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        nd_pipe_s1 <= nd;
+      end if;
+    end if;
+  end process;
+  acc_prev_pipe_out <= acc_prev_pipe;
+  nd_pipe_s1_out <= nd_pipe_s1;
 end architecture rtl;
 
 library ieee;
@@ -124,37 +126,33 @@ entity mul_acc_dp is
 end entity mul_acc_dp;
 
 architecture rtl of mul_acc_dp is
-  signal v3_acc_prev : signed(31 downto 0);
-  signal v5_t : signed(31 downto 0);
-  signal v6_acc_fb_2 : signed(31 downto 0);
-  signal v7_nd_pipe : unsigned(0 downto 0);
-  signal v8_acc_prev_pipe : signed(31 downto 0);
-  signal v7_nd_pipe_p1 : unsigned(0 downto 0);
-  signal acc_reg : signed(31 downto 0) := to_signed(0, 31 + 1);
-  signal valid_s1 : std_logic := '0';
+  signal acc_prev_pipe : signed(31 downto 0);
+  signal t5 : signed(31 downto 0);
+  signal nd_pipe_s1 : unsigned(0 downto 0);
+  signal acc_fb_2 : signed(31 downto 0);
+  signal n4_valid : unsigned(0 downto 0);
+  signal valid_s1 : unsigned(0 downto 0) := (others => '0');
+  signal acc_reg : signed(31 downto 0) := (others => '0');
 begin
-  u_node1 : entity work.mul_acc_dp_node1
-    port map (v3_acc_prev_out => v3_acc_prev);
+  n4_valid <= "1" when valid = '1' else "0";
+  u_node1 : entity work.mul_acc_dp_node1;
   u_node2 : entity work.mul_acc_dp_node2
-    port map (clk => clk, ce => ce, v0_A0 => A0, v1_B0 => B0, v3_acc_prev => v3_acc_prev, v5_t_out => v5_t);
+    port map (clk => clk, ce => ce, A0 => A0, B0 => B0, acc_reg => acc_reg, t5_out => t5);
   u_mux_bb3 : entity work.mul_acc_dp_mux_bb3
-    port map (v5_t => v5_t, v7_nd_pipe => v7_nd_pipe_p1, v8_acc_prev_pipe => v8_acc_prev_pipe, v6_acc_fb_2_out => v6_acc_fb_2);
-  u_node4 : entity work.mul_acc_dp_node4
-    port map ();
+    port map (acc_prev_pipe => acc_prev_pipe, t5 => t5, nd_pipe_s1 => nd_pipe_s1, acc_fb_2_out => acc_fb_2);
+  u_node4 : entity work.mul_acc_dp_node4;
   u_pipe_bb3 : entity work.mul_acc_dp_pipe_bb3
-    port map (v2_nd => nd, v3_acc_prev => v3_acc_prev, v7_nd_pipe_out => v7_nd_pipe, v8_acc_prev_pipe_out => v8_acc_prev_pipe);
+    port map (clk => clk, ce => ce, nd => nd, acc_reg => acc_reg, acc_prev_pipe_out => acc_prev_pipe, nd_pipe_s1_out => nd_pipe_s1);
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v7_nd_pipe_p1 <= v7_nd_pipe;
-        valid_s1 <= valid;
-        if valid_s1 = '1' then
-          acc_reg <= v6_acc_fb_2;
+        valid_s1 <= n4_valid;
+        if valid_s1 /= 0 then
+          acc_reg <= acc_fb_2;
         end if;
       end if;
     end if;
   end process;
-  v3_acc_prev <= acc_reg;
-  out <= resize(v6_acc_fb_2, 32);
+  out <= acc_fb_2;
 end architecture rtl;

@@ -10,34 +10,34 @@ entity mul_acc_dp_node1 is
   port (
     clk : in std_logic;
     ce  : in std_logic;
-    v0_A0 : in signed(11 downto 0);
-    v1_B0 : in signed(11 downto 0);
-    v2_nd : in unsigned(0 downto 0);
-    v6_t_out : out signed(31 downto 0)
+    A0 : in signed(11 downto 0);
+    B0 : in signed(11 downto 0);
+    acc_reg : in signed(31 downto 0);
+    nd_s1 : in unsigned(0 downto 0);
+    t6_out : out signed(31 downto 0)
   );
 end entity mul_acc_dp_node1;
 
 architecture rtl of mul_acc_dp_node1 is
-  signal v3_acc_prev : signed(31 downto 0);
-  signal v4_t : signed(23 downto 0);
-  signal v5_t : signed(23 downto 0);
-  signal v6_t : signed(31 downto 0);
-  signal v4_t_s1 : signed(23 downto 0);
-  signal v5_t_s2 : signed(23 downto 0);
+  signal t4 : signed(23 downto 0);
+  signal t4_s1 : signed(23 downto 0) := (others => '0');
+  signal t5 : signed(23 downto 0);
+  signal t5_s2 : signed(23 downto 0) := (others => '0');
+  signal t6 : signed(31 downto 0);
 begin
-  v4_t <= resize(resize(v0_A0, 24) * resize(v1_B0, 24), 24);
-  v5_t <= resize(v4_t_s1 * signed(resize(v2_nd, 24)), 24);
-  v6_t <= v3_acc_prev + resize(v5_t_s2, 32);
+  t4 <= signed(resize(unsigned(resize(A0, 24)) * unsigned(resize(B0, 24)), 24));
+  t5 <= signed(resize(unsigned(t4_s1) * resize(nd_s1, 24), 24));
+  t6 <= acc_reg + resize(t5_s2, 32);
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v4_t_s1 <= v4_t;
-        v5_t_s2 <= v5_t;
+        t4_s1 <= t4;
+        t5_s2 <= t5;
       end if;
     end if;
   end process;
-  v6_t_out <= v6_t;
+  t6_out <= t6;
 end architecture rtl;
 
 library ieee;
@@ -57,28 +57,28 @@ entity mul_acc_dp is
 end entity mul_acc_dp;
 
 architecture rtl of mul_acc_dp is
-  signal v3_acc_prev : signed(31 downto 0);
-  signal v6_t : signed(31 downto 0);
-  signal v2_nd_p1 : unsigned(0 downto 0);
-  signal acc_reg : signed(31 downto 0) := to_signed(0, 31 + 1);
-  signal valid_s1 : std_logic := '0';
-  signal valid_s2 : std_logic := '0';
+  signal t6 : signed(31 downto 0);
+  signal n4_valid : unsigned(0 downto 0);
+  signal valid_s1 : unsigned(0 downto 0) := (others => '0');
+  signal valid_s2 : unsigned(0 downto 0) := (others => '0');
+  signal nd_s1 : unsigned(0 downto 0) := (others => '0');
+  signal acc_reg : signed(31 downto 0) := (others => '0');
 begin
+  n4_valid <= "1" when valid = '1' else "0";
   u_node1 : entity work.mul_acc_dp_node1
-    port map (clk => clk, ce => ce, v0_A0 => A0, v1_B0 => B0, v2_nd => v2_nd_p1, v6_t_out => v6_t);
+    port map (clk => clk, ce => ce, A0 => A0, B0 => B0, acc_reg => acc_reg, nd_s1 => nd_s1, t6_out => t6);
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v2_nd_p1 <= nd;
-        valid_s1 <= valid;
+        valid_s1 <= n4_valid;
         valid_s2 <= valid_s1;
-        if valid_s2 = '1' then
-          acc_reg <= v6_t;
+        nd_s1 <= nd;
+        if valid_s2 /= 0 then
+          acc_reg <= t6;
         end if;
       end if;
     end if;
   end process;
-  v3_acc_prev <= acc_reg;
-  out <= resize(v6_t, 32);
+  out <= t6;
 end architecture rtl;

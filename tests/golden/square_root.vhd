@@ -8,38 +8,24 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node1 is
   port (
-    v0_X0 : in unsigned(23 downto 0);
-    v1_t_out : out unsigned(0 downto 0);
-    v3_t_out : out unsigned(1 downto 0);
-    v5_t_out : out unsigned(1 downto 0);
-    v9_t_out : out unsigned(1 downto 0);
-    v10_t_out : out unsigned(0 downto 0);
-    v11_t_out : out unsigned(0 downto 0);
-    v12_t_out : out unsigned(0 downto 0)
+    X0 : in unsigned(23 downto 0);
+    t9_out : out unsigned(1 downto 0);
+    t12_out : out unsigned(0 downto 0)
   );
 end entity square_root_dp_node1;
 
 architecture rtl of square_root_dp_node1 is
-  signal v4_t : unsigned(1 downto 0);
-  signal v6_t : unsigned(1 downto 0);
-  signal v7_t : unsigned(1 downto 0);
-  signal v8_t : unsigned(1 downto 0);
-  signal v9_t : unsigned(1 downto 0);
-  signal v12_t : unsigned(0 downto 0);
+  signal t4 : unsigned(1 downto 0);
+  signal t6 : unsigned(1 downto 0);
+  signal t9 : unsigned(1 downto 0);
+  signal t12 : unsigned(0 downto 0);
 begin
-  v4_t <= shift_right(resize(v0_X0, 2), to_integer(to_unsigned(22, 6)));
-  v6_t <= v4_t and to_unsigned(3, 2);
-  v7_t <= v6_t;
-  v8_t <= v7_t;
-  v9_t <= v8_t;
-  v12_t <= "1" when resize(v9_t, 3) >= to_unsigned(1, 3) else "0";
-  v1_t_out <= v1_t;
-  v3_t_out <= v3_t;
-  v5_t_out <= v5_t;
-  v9_t_out <= v9_t;
-  v10_t_out <= v10_t;
-  v11_t_out <= v11_t;
-  v12_t_out <= v12_t;
+  t4 <= X0(23 downto 22);
+  t6 <= t4 and to_unsigned(3, 2);
+  t9 <= t6;
+  t12 <= "1" when signed(resize(t9, 3)) >= to_signed(1, 3) else "0";
+  t9_out <= t9;
+  t12_out <= t12;
 end architecture rtl;
 
 library ieee;
@@ -48,20 +34,18 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node2 is
   port (
-    v9_t : in unsigned(1 downto 0);
-    v14_t_out : out unsigned(25 downto 0);
-    v15_t_out : out unsigned(0 downto 0)
+    t9 : in unsigned(1 downto 0);
+    t14_out : out unsigned(25 downto 0)
   );
 end entity square_root_dp_node2;
 
 architecture rtl of square_root_dp_node2 is
-  signal v13_t : signed(2 downto 0);
-  signal v14_t : unsigned(25 downto 0);
+  signal t13 : signed(2 downto 0);
+  signal t14 : unsigned(25 downto 0);
 begin
-  v13_t <= signed(resize(v9_t, 3)) - to_signed(1, 3);
-  v14_t <= unsigned(resize(v13_t, 26));
-  v14_t_out <= v14_t;
-  v15_t_out <= v15_t;
+  t13 <= signed(resize(t9, 3)) - to_signed(1, 3);
+  t14 <= unsigned(resize(t13, 26));
+  t14_out <= t14;
 end architecture rtl;
 
 library ieee;
@@ -70,22 +54,22 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_mux_bb3 is
   port (
-    v14_t : in unsigned(25 downto 0);
-    v235_pipe : in unsigned(1 downto 0);
-    v236_pipe : in unsigned(0 downto 0);
-    v16_root_3_out : out unsigned(0 downto 0);
-    v17_rem_3_out : out unsigned(25 downto 0)
+    n55_pipe : in unsigned(1 downto 0);
+    t14 : in unsigned(25 downto 0);
+    n59_pipe : in unsigned(0 downto 0);
+    rem_3_out : out unsigned(25 downto 0);
+    root_3_out : out unsigned(0 downto 0)
   );
 end entity square_root_dp_mux_bb3;
 
 architecture rtl of square_root_dp_mux_bb3 is
-  signal v16_root_3 : unsigned(0 downto 0);
-  signal v17_rem_3 : unsigned(25 downto 0);
+  signal rem_3 : unsigned(25 downto 0);
+  signal root_3 : unsigned(0 downto 0);
 begin
-  v16_root_3 <= to_unsigned(1, 1) when v236_pipe = 1 else to_unsigned(0, 1);
-  v17_rem_3 <= v14_t when v236_pipe = 1 else resize(v235_pipe, 26);
-  v16_root_3_out <= v16_root_3;
-  v17_rem_3_out <= v17_rem_3;
+  rem_3 <= t14 when n59_pipe /= 0 else resize(n55_pipe, 26);
+  root_3 <= to_unsigned(1, 1) when n59_pipe /= 0 else to_unsigned(0, 1);
+  rem_3_out <= rem_3;
+  root_3_out <= root_3;
 end architecture rtl;
 
 library ieee;
@@ -96,51 +80,49 @@ entity square_root_dp_node4 is
   port (
     clk : in std_logic;
     ce  : in std_logic;
-    v16_root_3 : in unsigned(0 downto 0);
-    v17_rem_3 : in unsigned(25 downto 0);
-    v234_X0_pipe : in unsigned(23 downto 0);
-    v24_t_out : out unsigned(25 downto 0);
-    v27_t_out : out unsigned(2 downto 0);
-    v28_t_out : out unsigned(0 downto 0)
+    X0_pipe : in unsigned(23 downto 0);
+    rem_3 : in unsigned(25 downto 0);
+    root_3 : in unsigned(0 downto 0);
+    t24_out : out unsigned(25 downto 0);
+    t24_s1_out : out unsigned(25 downto 0);
+    t27_s1_out : out unsigned(2 downto 0);
+    t28_out : out unsigned(0 downto 0)
   );
 end entity square_root_dp_node4;
 
 architecture rtl of square_root_dp_node4 is
-  signal v19_t : unsigned(3 downto 0);
-  signal v20_t : unsigned(1 downto 0);
-  signal v21_t : unsigned(1 downto 0);
-  signal v22_t : unsigned(27 downto 0);
-  signal v23_t : unsigned(27 downto 0);
-  signal v24_t : unsigned(25 downto 0);
-  signal v25_t : unsigned(2 downto 0);
-  signal v26_t : unsigned(2 downto 0);
-  signal v27_t : unsigned(2 downto 0);
-  signal v28_t : unsigned(0 downto 0);
-  signal v24_t_s1 : unsigned(25 downto 0);
-  signal v27_t_s1 : unsigned(2 downto 0);
+  signal t19 : unsigned(3 downto 0);
+  signal t20 : unsigned(1 downto 0);
+  signal t22 : unsigned(27 downto 0);
+  signal t23 : unsigned(27 downto 0);
+  signal t24 : unsigned(25 downto 0);
+  signal t25 : unsigned(2 downto 0);
+  signal t26 : unsigned(2 downto 0);
+  signal t24_s1 : unsigned(25 downto 0) := (others => '0');
+  signal t27_s1 : unsigned(2 downto 0) := (others => '0');
+  signal t28 : unsigned(0 downto 0);
 begin
-  v19_t <= shift_right(resize(v234_X0_pipe, 4), to_integer(to_unsigned(20, 6)));
-  v20_t <= resize(v19_t, 2) and to_unsigned(3, 2);
-  v21_t <= v20_t;
-  v22_t <= shift_left(resize(v17_rem_3, 28), to_integer(to_unsigned(2, 6)));
-  v23_t <= v22_t or resize(v21_t, 28);
-  v24_t <= resize(v23_t, 26);
-  v25_t <= shift_left(resize(v16_root_3, 3), to_integer(to_unsigned(2, 6)));
-  v26_t <= v25_t or to_unsigned(1, 3);
-  v27_t <= v26_t;
-  v28_t <= "1" when resize(v24_t_s1, 27) >= resize(v27_t_s1, 27) else "0";
+  t19 <= X0_pipe(23 downto 20);
+  t20 <= t19(1 downto 0) and to_unsigned(3, 2);
+  t22 <= shift_left(resize(rem_3, 28), 2);
+  t23 <= t22 or resize(t20, 28);
+  t24 <= t23(25 downto 0);
+  t25 <= shift_left(resize(root_3, 3), 2);
+  t26 <= t25 or to_unsigned(1, 3);
+  t28 <= "1" when signed(resize(t24_s1, 27)) >= signed(resize(t27_s1, 27)) else "0";
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v24_t_s1 <= v24_t;
-        v27_t_s1 <= v27_t;
+        t24_s1 <= t24;
+        t27_s1 <= t26;
       end if;
     end if;
   end process;
-  v24_t_out <= v24_t;
-  v27_t_out <= v27_t;
-  v28_t_out <= v28_t;
+  t24_out <= t24;
+  t24_s1_out <= t24_s1;
+  t27_s1_out <= t27_s1;
+  t28_out <= t28;
 end architecture rtl;
 
 library ieee;
@@ -149,18 +131,27 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node5 is
   port (
-    v16_root_3 : in unsigned(0 downto 0);
-    v30_t_out : out unsigned(1 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_3 : in unsigned(0 downto 0);
+    t30_s1_out : out unsigned(1 downto 0)
   );
 end entity square_root_dp_node5;
 
 architecture rtl of square_root_dp_node5 is
-  signal v29_t : unsigned(1 downto 0);
-  signal v30_t : unsigned(1 downto 0);
+  signal t29 : unsigned(1 downto 0);
+  signal t30_s1 : unsigned(1 downto 0) := (others => '0');
 begin
-  v29_t <= shift_left(resize(v16_root_3, 2), to_integer(to_unsigned(1, 6)));
-  v30_t <= v29_t;
-  v30_t_out <= v30_t;
+  t29 <= shift_left(resize(root_3, 2), 1);
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t30_s1 <= t29;
+      end if;
+    end if;
+  end process;
+  t30_s1_out <= t30_s1;
 end architecture rtl;
 
 library ieee;
@@ -169,28 +160,37 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node6 is
   port (
-    v16_root_3 : in unsigned(0 downto 0);
-    v24_t : in unsigned(25 downto 0);
-    v27_t : in unsigned(2 downto 0);
-    v32_t_out : out unsigned(25 downto 0);
-    v35_t_out : out unsigned(1 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_3 : in unsigned(0 downto 0);
+    t24_s1 : in unsigned(25 downto 0);
+    t27_s1 : in unsigned(2 downto 0);
+    t32_out : out unsigned(25 downto 0);
+    t35_s1_out : out unsigned(1 downto 0)
   );
 end entity square_root_dp_node6;
 
 architecture rtl of square_root_dp_node6 is
-  signal v31_t : signed(26 downto 0);
-  signal v32_t : unsigned(25 downto 0);
-  signal v33_t : unsigned(1 downto 0);
-  signal v34_t : unsigned(1 downto 0);
-  signal v35_t : unsigned(1 downto 0);
+  signal t33 : unsigned(1 downto 0);
+  signal t34 : unsigned(1 downto 0);
+  signal t31 : signed(26 downto 0);
+  signal t32 : unsigned(25 downto 0);
+  signal t35_s1 : unsigned(1 downto 0) := (others => '0');
 begin
-  v31_t <= signed(resize(v24_t, 27)) - signed(resize(v27_t, 27));
-  v32_t <= unsigned(resize(v31_t, 26));
-  v33_t <= shift_left(resize(v16_root_3, 2), to_integer(to_unsigned(1, 6)));
-  v34_t <= v33_t or to_unsigned(1, 2);
-  v35_t <= v34_t;
-  v32_t_out <= v32_t;
-  v35_t_out <= v35_t;
+  t33 <= shift_left(resize(root_3, 2), 1);
+  t34 <= t33 or to_unsigned(1, 2);
+  t31 <= signed(resize(t24_s1, 27)) - signed(resize(t27_s1, 27));
+  t32 <= unsigned(t31(25 downto 0));
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t35_s1 <= t34;
+      end if;
+    end if;
+  end process;
+  t32_out <= t32;
+  t35_s1_out <= t35_s1;
 end architecture rtl;
 
 library ieee;
@@ -199,24 +199,24 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_mux_bb6 is
   port (
-    v30_t : in unsigned(1 downto 0);
-    v32_t : in unsigned(25 downto 0);
-    v35_t : in unsigned(1 downto 0);
-    v237_pipe : in unsigned(25 downto 0);
-    v238_pipe : in unsigned(0 downto 0);
-    v36_root_6_out : out unsigned(1 downto 0);
-    v37_rem_6_out : out unsigned(25 downto 0)
+    t32 : in unsigned(25 downto 0);
+    n80_pipe : in unsigned(0 downto 0);
+    pipe_s1 : in unsigned(25 downto 0);
+    t35_s1 : in unsigned(1 downto 0);
+    t30_s1 : in unsigned(1 downto 0);
+    rem_6_out : out unsigned(25 downto 0);
+    root_6_out : out unsigned(1 downto 0)
   );
 end entity square_root_dp_mux_bb6;
 
 architecture rtl of square_root_dp_mux_bb6 is
-  signal v36_root_6 : unsigned(1 downto 0);
-  signal v37_rem_6 : unsigned(25 downto 0);
+  signal rem_6 : unsigned(25 downto 0);
+  signal root_6 : unsigned(1 downto 0);
 begin
-  v36_root_6 <= v35_t when v238_pipe = 1 else v30_t;
-  v37_rem_6 <= v32_t when v238_pipe = 1 else v237_pipe;
-  v36_root_6_out <= v36_root_6;
-  v37_rem_6_out <= v37_rem_6;
+  rem_6 <= t32 when n80_pipe /= 0 else pipe_s1;
+  root_6 <= t35_s1 when n80_pipe /= 0 else t30_s1;
+  rem_6_out <= rem_6;
+  root_6_out <= root_6;
 end architecture rtl;
 
 library ieee;
@@ -227,55 +227,51 @@ entity square_root_dp_node8 is
   port (
     clk : in std_logic;
     ce  : in std_logic;
-    v36_root_6 : in unsigned(1 downto 0);
-    v37_rem_6 : in unsigned(25 downto 0);
-    v234_X0_pipe : in unsigned(23 downto 0);
-    v38_t_out : out unsigned(2 downto 0);
-    v45_t_out : out unsigned(25 downto 0);
-    v48_t_out : out unsigned(3 downto 0);
-    v49_t_out : out unsigned(0 downto 0)
+    X0_pipe : in unsigned(23 downto 0);
+    rem_6 : in unsigned(25 downto 0);
+    root_6 : in unsigned(1 downto 0);
+    t45_out : out unsigned(25 downto 0);
+    t45_s2_out : out unsigned(25 downto 0);
+    t48_s2_out : out unsigned(3 downto 0);
+    t49_out : out unsigned(0 downto 0)
   );
 end entity square_root_dp_node8;
 
 architecture rtl of square_root_dp_node8 is
-  signal v40_t : unsigned(5 downto 0);
-  signal v41_t : unsigned(1 downto 0);
-  signal v42_t : unsigned(1 downto 0);
-  signal v43_t : unsigned(27 downto 0);
-  signal v44_t : unsigned(27 downto 0);
-  signal v45_t : unsigned(25 downto 0);
-  signal v46_t : unsigned(3 downto 0);
-  signal v47_t : unsigned(3 downto 0);
-  signal v48_t : unsigned(3 downto 0);
-  signal v49_t : unsigned(0 downto 0);
-  signal v42_t_s1 : unsigned(1 downto 0);
-  signal v45_t_s2 : unsigned(25 downto 0);
-  signal v48_t_s2 : unsigned(3 downto 0);
+  signal t40 : unsigned(5 downto 0);
+  signal t41 : unsigned(1 downto 0);
+  signal t43 : unsigned(27 downto 0);
+  signal t42_s1 : unsigned(1 downto 0) := (others => '0');
+  signal t44 : unsigned(27 downto 0);
+  signal t45 : unsigned(25 downto 0);
+  signal t46 : unsigned(3 downto 0);
+  signal t47 : unsigned(3 downto 0);
+  signal t45_s2 : unsigned(25 downto 0) := (others => '0');
+  signal t48_s2 : unsigned(3 downto 0) := (others => '0');
+  signal t49 : unsigned(0 downto 0);
 begin
-  v40_t <= shift_right(resize(v234_X0_pipe, 6), to_integer(to_unsigned(18, 6)));
-  v41_t <= resize(v40_t, 2) and to_unsigned(3, 2);
-  v42_t <= v41_t;
-  v43_t <= shift_left(resize(v37_rem_6, 28), to_integer(to_unsigned(2, 6)));
-  v44_t <= v43_t or resize(v42_t_s1, 28);
-  v45_t <= resize(v44_t, 26);
-  v46_t <= shift_left(resize(v36_root_6, 4), to_integer(to_unsigned(2, 6)));
-  v47_t <= v46_t or to_unsigned(1, 4);
-  v48_t <= v47_t;
-  v49_t <= "1" when resize(v45_t_s2, 27) >= resize(v48_t_s2, 27) else "0";
+  t40 <= X0_pipe(23 downto 18);
+  t41 <= t40(1 downto 0) and to_unsigned(3, 2);
+  t43 <= shift_left(resize(rem_6, 28), 2);
+  t44 <= t43 or resize(t42_s1, 28);
+  t45 <= t44(25 downto 0);
+  t46 <= shift_left(resize(root_6, 4), 2);
+  t47 <= t46 or to_unsigned(1, 4);
+  t49 <= "1" when signed(resize(t45_s2, 27)) >= signed(resize(t48_s2, 27)) else "0";
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v42_t_s1 <= v42_t;
-        v45_t_s2 <= v45_t;
-        v48_t_s2 <= v48_t;
+        t42_s1 <= t41;
+        t45_s2 <= t45;
+        t48_s2 <= t47;
       end if;
     end if;
   end process;
-  v38_t_out <= v38_t;
-  v45_t_out <= v45_t;
-  v48_t_out <= v48_t;
-  v49_t_out <= v49_t;
+  t45_out <= t45;
+  t45_s2_out <= t45_s2;
+  t48_s2_out <= t48_s2;
+  t49_out <= t49;
 end architecture rtl;
 
 library ieee;
@@ -284,18 +280,27 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node9 is
   port (
-    v36_root_6 : in unsigned(1 downto 0);
-    v51_t_out : out unsigned(2 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_6 : in unsigned(1 downto 0);
+    t51_s2_out : out unsigned(2 downto 0)
   );
 end entity square_root_dp_node9;
 
 architecture rtl of square_root_dp_node9 is
-  signal v50_t : unsigned(2 downto 0);
-  signal v51_t : unsigned(2 downto 0);
+  signal t50 : unsigned(2 downto 0);
+  signal t51_s2 : unsigned(2 downto 0) := (others => '0');
 begin
-  v50_t <= shift_left(resize(v36_root_6, 3), to_integer(to_unsigned(1, 6)));
-  v51_t <= v50_t;
-  v51_t_out <= v51_t;
+  t50 <= shift_left(resize(root_6, 3), 1);
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t51_s2 <= t50;
+      end if;
+    end if;
+  end process;
+  t51_s2_out <= t51_s2;
 end architecture rtl;
 
 library ieee;
@@ -304,28 +309,37 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node10 is
   port (
-    v36_root_6 : in unsigned(1 downto 0);
-    v45_t : in unsigned(25 downto 0);
-    v48_t : in unsigned(3 downto 0);
-    v53_t_out : out unsigned(25 downto 0);
-    v56_t_out : out unsigned(2 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_6 : in unsigned(1 downto 0);
+    t45_s2 : in unsigned(25 downto 0);
+    t48_s2 : in unsigned(3 downto 0);
+    t53_out : out unsigned(25 downto 0);
+    t56_s2_out : out unsigned(2 downto 0)
   );
 end entity square_root_dp_node10;
 
 architecture rtl of square_root_dp_node10 is
-  signal v52_t : signed(26 downto 0);
-  signal v53_t : unsigned(25 downto 0);
-  signal v54_t : unsigned(2 downto 0);
-  signal v55_t : unsigned(2 downto 0);
-  signal v56_t : unsigned(2 downto 0);
+  signal t54 : unsigned(2 downto 0);
+  signal t55 : unsigned(2 downto 0);
+  signal t52 : signed(26 downto 0);
+  signal t53 : unsigned(25 downto 0);
+  signal t56_s2 : unsigned(2 downto 0) := (others => '0');
 begin
-  v52_t <= signed(resize(v45_t, 27)) - signed(resize(v48_t, 27));
-  v53_t <= unsigned(resize(v52_t, 26));
-  v54_t <= shift_left(resize(v36_root_6, 3), to_integer(to_unsigned(1, 6)));
-  v55_t <= v54_t or to_unsigned(1, 3);
-  v56_t <= v55_t;
-  v53_t_out <= v53_t;
-  v56_t_out <= v56_t;
+  t54 <= shift_left(resize(root_6, 3), 1);
+  t55 <= t54 or to_unsigned(1, 3);
+  t52 <= signed(resize(t45_s2, 27)) - signed(resize(t48_s2, 27));
+  t53 <= unsigned(t52(25 downto 0));
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t56_s2 <= t55;
+      end if;
+    end if;
+  end process;
+  t53_out <= t53;
+  t56_s2_out <= t56_s2;
 end architecture rtl;
 
 library ieee;
@@ -334,24 +348,24 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_mux_bb9 is
   port (
-    v51_t : in unsigned(2 downto 0);
-    v53_t : in unsigned(25 downto 0);
-    v56_t : in unsigned(2 downto 0);
-    v239_pipe : in unsigned(25 downto 0);
-    v240_pipe : in unsigned(0 downto 0);
-    v57_root_9_out : out unsigned(2 downto 0);
-    v58_rem_9_out : out unsigned(25 downto 0)
+    t53 : in unsigned(25 downto 0);
+    n104_pipe : in unsigned(0 downto 0);
+    pipe_s2 : in unsigned(25 downto 0);
+    t56_s2 : in unsigned(2 downto 0);
+    t51_s2 : in unsigned(2 downto 0);
+    rem_9_out : out unsigned(25 downto 0);
+    root_9_out : out unsigned(2 downto 0)
   );
 end entity square_root_dp_mux_bb9;
 
 architecture rtl of square_root_dp_mux_bb9 is
-  signal v57_root_9 : unsigned(2 downto 0);
-  signal v58_rem_9 : unsigned(25 downto 0);
+  signal rem_9 : unsigned(25 downto 0);
+  signal root_9 : unsigned(2 downto 0);
 begin
-  v57_root_9 <= v56_t when v240_pipe = 1 else v51_t;
-  v58_rem_9 <= v53_t when v240_pipe = 1 else v239_pipe;
-  v57_root_9_out <= v57_root_9;
-  v58_rem_9_out <= v58_rem_9;
+  rem_9 <= t53 when n104_pipe /= 0 else pipe_s2;
+  root_9 <= t56_s2 when n104_pipe /= 0 else t51_s2;
+  rem_9_out <= rem_9;
+  root_9_out <= root_9;
 end architecture rtl;
 
 library ieee;
@@ -362,57 +376,53 @@ entity square_root_dp_node12 is
   port (
     clk : in std_logic;
     ce  : in std_logic;
-    v57_root_9 : in unsigned(2 downto 0);
-    v58_rem_9 : in unsigned(25 downto 0);
-    v234_X0_pipe : in unsigned(23 downto 0);
-    v59_t_out : out unsigned(2 downto 0);
-    v66_t_out : out unsigned(25 downto 0);
-    v69_t_out : out unsigned(4 downto 0);
-    v70_t_out : out unsigned(0 downto 0)
+    X0_pipe : in unsigned(23 downto 0);
+    rem_9 : in unsigned(25 downto 0);
+    root_9 : in unsigned(2 downto 0);
+    t66_out : out unsigned(25 downto 0);
+    t66_s3_out : out unsigned(25 downto 0);
+    t69_s3_out : out unsigned(4 downto 0);
+    t70_out : out unsigned(0 downto 0)
   );
 end entity square_root_dp_node12;
 
 architecture rtl of square_root_dp_node12 is
-  signal v61_t : unsigned(7 downto 0);
-  signal v62_t : unsigned(1 downto 0);
-  signal v63_t : unsigned(1 downto 0);
-  signal v64_t : unsigned(27 downto 0);
-  signal v65_t : unsigned(27 downto 0);
-  signal v66_t : unsigned(25 downto 0);
-  signal v67_t : unsigned(4 downto 0);
-  signal v68_t : unsigned(4 downto 0);
-  signal v69_t : unsigned(4 downto 0);
-  signal v70_t : unsigned(0 downto 0);
-  signal v63_t_s1 : unsigned(1 downto 0);
-  signal v63_t_s2 : unsigned(1 downto 0);
-  signal v66_t_s3 : unsigned(25 downto 0);
-  signal v69_t_s3 : unsigned(4 downto 0);
+  signal t61 : unsigned(7 downto 0);
+  signal t62 : unsigned(1 downto 0);
+  signal t64 : unsigned(27 downto 0);
+  signal t63_s1 : unsigned(1 downto 0) := (others => '0');
+  signal t63_s2 : unsigned(1 downto 0) := (others => '0');
+  signal t65 : unsigned(27 downto 0);
+  signal t66 : unsigned(25 downto 0);
+  signal t67 : unsigned(4 downto 0);
+  signal t68 : unsigned(4 downto 0);
+  signal t66_s3 : unsigned(25 downto 0) := (others => '0');
+  signal t69_s3 : unsigned(4 downto 0) := (others => '0');
+  signal t70 : unsigned(0 downto 0);
 begin
-  v61_t <= shift_right(resize(v234_X0_pipe, 8), to_integer(to_unsigned(16, 6)));
-  v62_t <= resize(v61_t, 2) and to_unsigned(3, 2);
-  v63_t <= v62_t;
-  v64_t <= shift_left(resize(v58_rem_9, 28), to_integer(to_unsigned(2, 6)));
-  v65_t <= v64_t or resize(v63_t_s2, 28);
-  v66_t <= resize(v65_t, 26);
-  v67_t <= shift_left(resize(v57_root_9, 5), to_integer(to_unsigned(2, 6)));
-  v68_t <= v67_t or to_unsigned(1, 5);
-  v69_t <= v68_t;
-  v70_t <= "1" when resize(v66_t_s3, 27) >= resize(v69_t_s3, 27) else "0";
+  t61 <= X0_pipe(23 downto 16);
+  t62 <= t61(1 downto 0) and to_unsigned(3, 2);
+  t64 <= shift_left(resize(rem_9, 28), 2);
+  t65 <= t64 or resize(t63_s2, 28);
+  t66 <= t65(25 downto 0);
+  t67 <= shift_left(resize(root_9, 5), 2);
+  t68 <= t67 or to_unsigned(1, 5);
+  t70 <= "1" when signed(resize(t66_s3, 27)) >= signed(resize(t69_s3, 27)) else "0";
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v63_t_s1 <= v63_t;
-        v63_t_s2 <= v63_t_s1;
-        v66_t_s3 <= v66_t;
-        v69_t_s3 <= v69_t;
+        t63_s1 <= t62;
+        t63_s2 <= t63_s1;
+        t66_s3 <= t66;
+        t69_s3 <= t68;
       end if;
     end if;
   end process;
-  v59_t_out <= v59_t;
-  v66_t_out <= v66_t;
-  v69_t_out <= v69_t;
-  v70_t_out <= v70_t;
+  t66_out <= t66;
+  t66_s3_out <= t66_s3;
+  t69_s3_out <= t69_s3;
+  t70_out <= t70;
 end architecture rtl;
 
 library ieee;
@@ -421,18 +431,27 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node13 is
   port (
-    v57_root_9 : in unsigned(2 downto 0);
-    v72_t_out : out unsigned(3 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_9 : in unsigned(2 downto 0);
+    t72_s3_out : out unsigned(3 downto 0)
   );
 end entity square_root_dp_node13;
 
 architecture rtl of square_root_dp_node13 is
-  signal v71_t : unsigned(3 downto 0);
-  signal v72_t : unsigned(3 downto 0);
+  signal t71 : unsigned(3 downto 0);
+  signal t72_s3 : unsigned(3 downto 0) := (others => '0');
 begin
-  v71_t <= shift_left(resize(v57_root_9, 4), to_integer(to_unsigned(1, 6)));
-  v72_t <= v71_t;
-  v72_t_out <= v72_t;
+  t71 <= shift_left(resize(root_9, 4), 1);
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t72_s3 <= t71;
+      end if;
+    end if;
+  end process;
+  t72_s3_out <= t72_s3;
 end architecture rtl;
 
 library ieee;
@@ -441,28 +460,37 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node14 is
   port (
-    v57_root_9 : in unsigned(2 downto 0);
-    v66_t : in unsigned(25 downto 0);
-    v69_t : in unsigned(4 downto 0);
-    v74_t_out : out unsigned(25 downto 0);
-    v77_t_out : out unsigned(3 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_9 : in unsigned(2 downto 0);
+    t66_s3 : in unsigned(25 downto 0);
+    t69_s3 : in unsigned(4 downto 0);
+    t74_out : out unsigned(25 downto 0);
+    t77_s3_out : out unsigned(3 downto 0)
   );
 end entity square_root_dp_node14;
 
 architecture rtl of square_root_dp_node14 is
-  signal v73_t : signed(26 downto 0);
-  signal v74_t : unsigned(25 downto 0);
-  signal v75_t : unsigned(3 downto 0);
-  signal v76_t : unsigned(3 downto 0);
-  signal v77_t : unsigned(3 downto 0);
+  signal t75 : unsigned(3 downto 0);
+  signal t76 : unsigned(3 downto 0);
+  signal t73 : signed(26 downto 0);
+  signal t74 : unsigned(25 downto 0);
+  signal t77_s3 : unsigned(3 downto 0) := (others => '0');
 begin
-  v73_t <= signed(resize(v66_t, 27)) - signed(resize(v69_t, 27));
-  v74_t <= unsigned(resize(v73_t, 26));
-  v75_t <= shift_left(resize(v57_root_9, 4), to_integer(to_unsigned(1, 6)));
-  v76_t <= v75_t or to_unsigned(1, 4);
-  v77_t <= v76_t;
-  v74_t_out <= v74_t;
-  v77_t_out <= v77_t;
+  t75 <= shift_left(resize(root_9, 4), 1);
+  t76 <= t75 or to_unsigned(1, 4);
+  t73 <= signed(resize(t66_s3, 27)) - signed(resize(t69_s3, 27));
+  t74 <= unsigned(t73(25 downto 0));
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t77_s3 <= t76;
+      end if;
+    end if;
+  end process;
+  t74_out <= t74;
+  t77_s3_out <= t77_s3;
 end architecture rtl;
 
 library ieee;
@@ -471,24 +499,24 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_mux_bb12 is
   port (
-    v72_t : in unsigned(3 downto 0);
-    v74_t : in unsigned(25 downto 0);
-    v77_t : in unsigned(3 downto 0);
-    v241_pipe : in unsigned(25 downto 0);
-    v242_pipe : in unsigned(0 downto 0);
-    v78_root_12_out : out unsigned(3 downto 0);
-    v79_rem_12_out : out unsigned(25 downto 0)
+    t74 : in unsigned(25 downto 0);
+    n129_pipe : in unsigned(0 downto 0);
+    pipe_s3 : in unsigned(25 downto 0);
+    t77_s3 : in unsigned(3 downto 0);
+    t72_s3 : in unsigned(3 downto 0);
+    rem_12_out : out unsigned(25 downto 0);
+    root_12_out : out unsigned(3 downto 0)
   );
 end entity square_root_dp_mux_bb12;
 
 architecture rtl of square_root_dp_mux_bb12 is
-  signal v78_root_12 : unsigned(3 downto 0);
-  signal v79_rem_12 : unsigned(25 downto 0);
+  signal rem_12 : unsigned(25 downto 0);
+  signal root_12 : unsigned(3 downto 0);
 begin
-  v78_root_12 <= v77_t when v242_pipe = 1 else v72_t;
-  v79_rem_12 <= v74_t when v242_pipe = 1 else v241_pipe;
-  v78_root_12_out <= v78_root_12;
-  v79_rem_12_out <= v79_rem_12;
+  rem_12 <= t74 when n129_pipe /= 0 else pipe_s3;
+  root_12 <= t77_s3 when n129_pipe /= 0 else t72_s3;
+  rem_12_out <= rem_12;
+  root_12_out <= root_12;
 end architecture rtl;
 
 library ieee;
@@ -499,59 +527,55 @@ entity square_root_dp_node16 is
   port (
     clk : in std_logic;
     ce  : in std_logic;
-    v78_root_12 : in unsigned(3 downto 0);
-    v79_rem_12 : in unsigned(25 downto 0);
-    v234_X0_pipe : in unsigned(23 downto 0);
-    v80_t_out : out unsigned(3 downto 0);
-    v87_t_out : out unsigned(25 downto 0);
-    v90_t_out : out unsigned(5 downto 0);
-    v91_t_out : out unsigned(0 downto 0)
+    X0_pipe : in unsigned(23 downto 0);
+    rem_12 : in unsigned(25 downto 0);
+    root_12 : in unsigned(3 downto 0);
+    t87_out : out unsigned(25 downto 0);
+    t87_s4_out : out unsigned(25 downto 0);
+    t90_s4_out : out unsigned(5 downto 0);
+    t91_out : out unsigned(0 downto 0)
   );
 end entity square_root_dp_node16;
 
 architecture rtl of square_root_dp_node16 is
-  signal v82_t : unsigned(9 downto 0);
-  signal v83_t : unsigned(1 downto 0);
-  signal v84_t : unsigned(1 downto 0);
-  signal v85_t : unsigned(27 downto 0);
-  signal v86_t : unsigned(27 downto 0);
-  signal v87_t : unsigned(25 downto 0);
-  signal v88_t : unsigned(5 downto 0);
-  signal v89_t : unsigned(5 downto 0);
-  signal v90_t : unsigned(5 downto 0);
-  signal v91_t : unsigned(0 downto 0);
-  signal v84_t_s1 : unsigned(1 downto 0);
-  signal v84_t_s2 : unsigned(1 downto 0);
-  signal v84_t_s3 : unsigned(1 downto 0);
-  signal v87_t_s4 : unsigned(25 downto 0);
-  signal v90_t_s4 : unsigned(5 downto 0);
+  signal t82 : unsigned(9 downto 0);
+  signal t83 : unsigned(1 downto 0);
+  signal t85 : unsigned(27 downto 0);
+  signal t84_s1 : unsigned(1 downto 0) := (others => '0');
+  signal t84_s2 : unsigned(1 downto 0) := (others => '0');
+  signal t84_s3 : unsigned(1 downto 0) := (others => '0');
+  signal t86 : unsigned(27 downto 0);
+  signal t87 : unsigned(25 downto 0);
+  signal t88 : unsigned(5 downto 0);
+  signal t89 : unsigned(5 downto 0);
+  signal t87_s4 : unsigned(25 downto 0) := (others => '0');
+  signal t90_s4 : unsigned(5 downto 0) := (others => '0');
+  signal t91 : unsigned(0 downto 0);
 begin
-  v82_t <= shift_right(resize(v234_X0_pipe, 10), to_integer(to_unsigned(14, 6)));
-  v83_t <= resize(v82_t, 2) and to_unsigned(3, 2);
-  v84_t <= v83_t;
-  v85_t <= shift_left(resize(v79_rem_12, 28), to_integer(to_unsigned(2, 6)));
-  v86_t <= v85_t or resize(v84_t_s3, 28);
-  v87_t <= resize(v86_t, 26);
-  v88_t <= shift_left(resize(v78_root_12, 6), to_integer(to_unsigned(2, 6)));
-  v89_t <= v88_t or to_unsigned(1, 6);
-  v90_t <= v89_t;
-  v91_t <= "1" when resize(v87_t_s4, 27) >= resize(v90_t_s4, 27) else "0";
+  t82 <= X0_pipe(23 downto 14);
+  t83 <= t82(1 downto 0) and to_unsigned(3, 2);
+  t85 <= shift_left(resize(rem_12, 28), 2);
+  t86 <= t85 or resize(t84_s3, 28);
+  t87 <= t86(25 downto 0);
+  t88 <= shift_left(resize(root_12, 6), 2);
+  t89 <= t88 or to_unsigned(1, 6);
+  t91 <= "1" when signed(resize(t87_s4, 27)) >= signed(resize(t90_s4, 27)) else "0";
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v84_t_s1 <= v84_t;
-        v84_t_s2 <= v84_t_s1;
-        v84_t_s3 <= v84_t_s2;
-        v87_t_s4 <= v87_t;
-        v90_t_s4 <= v90_t;
+        t84_s1 <= t83;
+        t84_s2 <= t84_s1;
+        t84_s3 <= t84_s2;
+        t87_s4 <= t87;
+        t90_s4 <= t89;
       end if;
     end if;
   end process;
-  v80_t_out <= v80_t;
-  v87_t_out <= v87_t;
-  v90_t_out <= v90_t;
-  v91_t_out <= v91_t;
+  t87_out <= t87;
+  t87_s4_out <= t87_s4;
+  t90_s4_out <= t90_s4;
+  t91_out <= t91;
 end architecture rtl;
 
 library ieee;
@@ -560,18 +584,27 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node17 is
   port (
-    v78_root_12 : in unsigned(3 downto 0);
-    v93_t_out : out unsigned(4 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_12 : in unsigned(3 downto 0);
+    t93_s4_out : out unsigned(4 downto 0)
   );
 end entity square_root_dp_node17;
 
 architecture rtl of square_root_dp_node17 is
-  signal v92_t : unsigned(4 downto 0);
-  signal v93_t : unsigned(4 downto 0);
+  signal t92 : unsigned(4 downto 0);
+  signal t93_s4 : unsigned(4 downto 0) := (others => '0');
 begin
-  v92_t <= shift_left(resize(v78_root_12, 5), to_integer(to_unsigned(1, 6)));
-  v93_t <= v92_t;
-  v93_t_out <= v93_t;
+  t92 <= shift_left(resize(root_12, 5), 1);
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t93_s4 <= t92;
+      end if;
+    end if;
+  end process;
+  t93_s4_out <= t93_s4;
 end architecture rtl;
 
 library ieee;
@@ -580,28 +613,37 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node18 is
   port (
-    v78_root_12 : in unsigned(3 downto 0);
-    v87_t : in unsigned(25 downto 0);
-    v90_t : in unsigned(5 downto 0);
-    v95_t_out : out unsigned(25 downto 0);
-    v98_t_out : out unsigned(4 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_12 : in unsigned(3 downto 0);
+    t87_s4 : in unsigned(25 downto 0);
+    t90_s4 : in unsigned(5 downto 0);
+    t95_out : out unsigned(25 downto 0);
+    t98_s4_out : out unsigned(4 downto 0)
   );
 end entity square_root_dp_node18;
 
 architecture rtl of square_root_dp_node18 is
-  signal v94_t : signed(26 downto 0);
-  signal v95_t : unsigned(25 downto 0);
-  signal v96_t : unsigned(4 downto 0);
-  signal v97_t : unsigned(4 downto 0);
-  signal v98_t : unsigned(4 downto 0);
+  signal t96 : unsigned(4 downto 0);
+  signal t97 : unsigned(4 downto 0);
+  signal t94 : signed(26 downto 0);
+  signal t95 : unsigned(25 downto 0);
+  signal t98_s4 : unsigned(4 downto 0) := (others => '0');
 begin
-  v94_t <= signed(resize(v87_t, 27)) - signed(resize(v90_t, 27));
-  v95_t <= unsigned(resize(v94_t, 26));
-  v96_t <= shift_left(resize(v78_root_12, 5), to_integer(to_unsigned(1, 6)));
-  v97_t <= v96_t or to_unsigned(1, 5);
-  v98_t <= v97_t;
-  v95_t_out <= v95_t;
-  v98_t_out <= v98_t;
+  t96 <= shift_left(resize(root_12, 5), 1);
+  t97 <= t96 or to_unsigned(1, 5);
+  t94 <= signed(resize(t87_s4, 27)) - signed(resize(t90_s4, 27));
+  t95 <= unsigned(t94(25 downto 0));
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t98_s4 <= t97;
+      end if;
+    end if;
+  end process;
+  t95_out <= t95;
+  t98_s4_out <= t98_s4;
 end architecture rtl;
 
 library ieee;
@@ -610,24 +652,24 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_mux_bb15 is
   port (
-    v93_t : in unsigned(4 downto 0);
-    v95_t : in unsigned(25 downto 0);
-    v98_t : in unsigned(4 downto 0);
-    v243_pipe : in unsigned(25 downto 0);
-    v244_pipe : in unsigned(0 downto 0);
-    v99_root_15_out : out unsigned(4 downto 0);
-    v100_rem_15_out : out unsigned(25 downto 0)
+    t95 : in unsigned(25 downto 0);
+    n155_pipe : in unsigned(0 downto 0);
+    pipe_s4 : in unsigned(25 downto 0);
+    t98_s4 : in unsigned(4 downto 0);
+    t93_s4 : in unsigned(4 downto 0);
+    rem_15_out : out unsigned(25 downto 0);
+    root_15_out : out unsigned(4 downto 0)
   );
 end entity square_root_dp_mux_bb15;
 
 architecture rtl of square_root_dp_mux_bb15 is
-  signal v99_root_15 : unsigned(4 downto 0);
-  signal v100_rem_15 : unsigned(25 downto 0);
+  signal rem_15 : unsigned(25 downto 0);
+  signal root_15 : unsigned(4 downto 0);
 begin
-  v99_root_15 <= v98_t when v244_pipe = 1 else v93_t;
-  v100_rem_15 <= v95_t when v244_pipe = 1 else v243_pipe;
-  v99_root_15_out <= v99_root_15;
-  v100_rem_15_out <= v100_rem_15;
+  rem_15 <= t95 when n155_pipe /= 0 else pipe_s4;
+  root_15 <= t98_s4 when n155_pipe /= 0 else t93_s4;
+  rem_15_out <= rem_15;
+  root_15_out <= root_15;
 end architecture rtl;
 
 library ieee;
@@ -638,61 +680,57 @@ entity square_root_dp_node20 is
   port (
     clk : in std_logic;
     ce  : in std_logic;
-    v99_root_15 : in unsigned(4 downto 0);
-    v100_rem_15 : in unsigned(25 downto 0);
-    v234_X0_pipe : in unsigned(23 downto 0);
-    v101_t_out : out unsigned(3 downto 0);
-    v108_t_out : out unsigned(25 downto 0);
-    v111_t_out : out unsigned(6 downto 0);
-    v112_t_out : out unsigned(0 downto 0)
+    X0_pipe : in unsigned(23 downto 0);
+    rem_15 : in unsigned(25 downto 0);
+    root_15 : in unsigned(4 downto 0);
+    t108_out : out unsigned(25 downto 0);
+    t108_s5_out : out unsigned(25 downto 0);
+    t111_s5_out : out unsigned(6 downto 0);
+    t112_out : out unsigned(0 downto 0)
   );
 end entity square_root_dp_node20;
 
 architecture rtl of square_root_dp_node20 is
-  signal v103_t : unsigned(11 downto 0);
-  signal v104_t : unsigned(1 downto 0);
-  signal v105_t : unsigned(1 downto 0);
-  signal v106_t : unsigned(27 downto 0);
-  signal v107_t : unsigned(27 downto 0);
-  signal v108_t : unsigned(25 downto 0);
-  signal v109_t : unsigned(6 downto 0);
-  signal v110_t : unsigned(6 downto 0);
-  signal v111_t : unsigned(6 downto 0);
-  signal v112_t : unsigned(0 downto 0);
-  signal v105_t_s1 : unsigned(1 downto 0);
-  signal v105_t_s2 : unsigned(1 downto 0);
-  signal v105_t_s3 : unsigned(1 downto 0);
-  signal v105_t_s4 : unsigned(1 downto 0);
-  signal v108_t_s5 : unsigned(25 downto 0);
-  signal v111_t_s5 : unsigned(6 downto 0);
+  signal t103 : unsigned(11 downto 0);
+  signal t104 : unsigned(1 downto 0);
+  signal t106 : unsigned(27 downto 0);
+  signal t105_s1 : unsigned(1 downto 0) := (others => '0');
+  signal t105_s2 : unsigned(1 downto 0) := (others => '0');
+  signal t105_s3 : unsigned(1 downto 0) := (others => '0');
+  signal t105_s4 : unsigned(1 downto 0) := (others => '0');
+  signal t107 : unsigned(27 downto 0);
+  signal t108 : unsigned(25 downto 0);
+  signal t109 : unsigned(6 downto 0);
+  signal t110 : unsigned(6 downto 0);
+  signal t108_s5 : unsigned(25 downto 0) := (others => '0');
+  signal t111_s5 : unsigned(6 downto 0) := (others => '0');
+  signal t112 : unsigned(0 downto 0);
 begin
-  v103_t <= shift_right(resize(v234_X0_pipe, 12), to_integer(to_unsigned(12, 6)));
-  v104_t <= resize(v103_t, 2) and to_unsigned(3, 2);
-  v105_t <= v104_t;
-  v106_t <= shift_left(resize(v100_rem_15, 28), to_integer(to_unsigned(2, 6)));
-  v107_t <= v106_t or resize(v105_t_s4, 28);
-  v108_t <= resize(v107_t, 26);
-  v109_t <= shift_left(resize(v99_root_15, 7), to_integer(to_unsigned(2, 6)));
-  v110_t <= v109_t or to_unsigned(1, 7);
-  v111_t <= v110_t;
-  v112_t <= "1" when resize(v108_t_s5, 27) >= resize(v111_t_s5, 27) else "0";
+  t103 <= X0_pipe(23 downto 12);
+  t104 <= t103(1 downto 0) and to_unsigned(3, 2);
+  t106 <= shift_left(resize(rem_15, 28), 2);
+  t107 <= t106 or resize(t105_s4, 28);
+  t108 <= t107(25 downto 0);
+  t109 <= shift_left(resize(root_15, 7), 2);
+  t110 <= t109 or to_unsigned(1, 7);
+  t112 <= "1" when signed(resize(t108_s5, 27)) >= signed(resize(t111_s5, 27)) else "0";
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v105_t_s1 <= v105_t;
-        v105_t_s2 <= v105_t_s1;
-        v105_t_s3 <= v105_t_s2;
-        v105_t_s4 <= v105_t_s3;
-        v108_t_s5 <= v108_t;
-        v111_t_s5 <= v111_t;
+        t105_s1 <= t104;
+        t105_s2 <= t105_s1;
+        t105_s3 <= t105_s2;
+        t105_s4 <= t105_s3;
+        t108_s5 <= t108;
+        t111_s5 <= t110;
       end if;
     end if;
   end process;
-  v101_t_out <= v101_t;
-  v108_t_out <= v108_t;
-  v111_t_out <= v111_t;
-  v112_t_out <= v112_t;
+  t108_out <= t108;
+  t108_s5_out <= t108_s5;
+  t111_s5_out <= t111_s5;
+  t112_out <= t112;
 end architecture rtl;
 
 library ieee;
@@ -701,18 +739,27 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node21 is
   port (
-    v99_root_15 : in unsigned(4 downto 0);
-    v114_t_out : out unsigned(5 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_15 : in unsigned(4 downto 0);
+    t114_s5_out : out unsigned(5 downto 0)
   );
 end entity square_root_dp_node21;
 
 architecture rtl of square_root_dp_node21 is
-  signal v113_t : unsigned(5 downto 0);
-  signal v114_t : unsigned(5 downto 0);
+  signal t113 : unsigned(5 downto 0);
+  signal t114_s5 : unsigned(5 downto 0) := (others => '0');
 begin
-  v113_t <= shift_left(resize(v99_root_15, 6), to_integer(to_unsigned(1, 6)));
-  v114_t <= v113_t;
-  v114_t_out <= v114_t;
+  t113 <= shift_left(resize(root_15, 6), 1);
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t114_s5 <= t113;
+      end if;
+    end if;
+  end process;
+  t114_s5_out <= t114_s5;
 end architecture rtl;
 
 library ieee;
@@ -721,28 +768,37 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node22 is
   port (
-    v99_root_15 : in unsigned(4 downto 0);
-    v108_t : in unsigned(25 downto 0);
-    v111_t : in unsigned(6 downto 0);
-    v116_t_out : out unsigned(25 downto 0);
-    v119_t_out : out unsigned(5 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_15 : in unsigned(4 downto 0);
+    t108_s5 : in unsigned(25 downto 0);
+    t111_s5 : in unsigned(6 downto 0);
+    t116_out : out unsigned(25 downto 0);
+    t119_s5_out : out unsigned(5 downto 0)
   );
 end entity square_root_dp_node22;
 
 architecture rtl of square_root_dp_node22 is
-  signal v115_t : signed(26 downto 0);
-  signal v116_t : unsigned(25 downto 0);
-  signal v117_t : unsigned(5 downto 0);
-  signal v118_t : unsigned(5 downto 0);
-  signal v119_t : unsigned(5 downto 0);
+  signal t117 : unsigned(5 downto 0);
+  signal t118 : unsigned(5 downto 0);
+  signal t115 : signed(26 downto 0);
+  signal t116 : unsigned(25 downto 0);
+  signal t119_s5 : unsigned(5 downto 0) := (others => '0');
 begin
-  v115_t <= signed(resize(v108_t, 27)) - signed(resize(v111_t, 27));
-  v116_t <= unsigned(resize(v115_t, 26));
-  v117_t <= shift_left(resize(v99_root_15, 6), to_integer(to_unsigned(1, 6)));
-  v118_t <= v117_t or to_unsigned(1, 6);
-  v119_t <= v118_t;
-  v116_t_out <= v116_t;
-  v119_t_out <= v119_t;
+  t117 <= shift_left(resize(root_15, 6), 1);
+  t118 <= t117 or to_unsigned(1, 6);
+  t115 <= signed(resize(t108_s5, 27)) - signed(resize(t111_s5, 27));
+  t116 <= unsigned(t115(25 downto 0));
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t119_s5 <= t118;
+      end if;
+    end if;
+  end process;
+  t116_out <= t116;
+  t119_s5_out <= t119_s5;
 end architecture rtl;
 
 library ieee;
@@ -751,24 +807,24 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_mux_bb18 is
   port (
-    v114_t : in unsigned(5 downto 0);
-    v116_t : in unsigned(25 downto 0);
-    v119_t : in unsigned(5 downto 0);
-    v245_pipe : in unsigned(25 downto 0);
-    v246_pipe : in unsigned(0 downto 0);
-    v120_root_18_out : out unsigned(5 downto 0);
-    v121_rem_18_out : out unsigned(25 downto 0)
+    t116 : in unsigned(25 downto 0);
+    n182_pipe : in unsigned(0 downto 0);
+    pipe_s5 : in unsigned(25 downto 0);
+    t119_s5 : in unsigned(5 downto 0);
+    t114_s5 : in unsigned(5 downto 0);
+    rem_18_out : out unsigned(25 downto 0);
+    root_18_out : out unsigned(5 downto 0)
   );
 end entity square_root_dp_mux_bb18;
 
 architecture rtl of square_root_dp_mux_bb18 is
-  signal v120_root_18 : unsigned(5 downto 0);
-  signal v121_rem_18 : unsigned(25 downto 0);
+  signal rem_18 : unsigned(25 downto 0);
+  signal root_18 : unsigned(5 downto 0);
 begin
-  v120_root_18 <= v119_t when v246_pipe = 1 else v114_t;
-  v121_rem_18 <= v116_t when v246_pipe = 1 else v245_pipe;
-  v120_root_18_out <= v120_root_18;
-  v121_rem_18_out <= v121_rem_18;
+  rem_18 <= t116 when n182_pipe /= 0 else pipe_s5;
+  root_18 <= t119_s5 when n182_pipe /= 0 else t114_s5;
+  rem_18_out <= rem_18;
+  root_18_out <= root_18;
 end architecture rtl;
 
 library ieee;
@@ -779,61 +835,59 @@ entity square_root_dp_node24 is
   port (
     clk : in std_logic;
     ce  : in std_logic;
-    v120_root_18 : in unsigned(5 downto 0);
-    v121_rem_18 : in unsigned(25 downto 0);
-    v234_X0_pipe : in unsigned(23 downto 0);
-    v127_t_out : out unsigned(25 downto 0);
-    v130_t_out : out unsigned(7 downto 0);
-    v131_t_out : out unsigned(0 downto 0)
+    X0_pipe : in unsigned(23 downto 0);
+    rem_18 : in unsigned(25 downto 0);
+    root_18 : in unsigned(5 downto 0);
+    t127_out : out unsigned(25 downto 0);
+    t127_s6_out : out unsigned(25 downto 0);
+    t130_s6_out : out unsigned(7 downto 0);
+    t131_out : out unsigned(0 downto 0)
   );
 end entity square_root_dp_node24;
 
 architecture rtl of square_root_dp_node24 is
-  signal v122_t : unsigned(13 downto 0);
-  signal v123_t : unsigned(1 downto 0);
-  signal v124_t : unsigned(1 downto 0);
-  signal v125_t : unsigned(27 downto 0);
-  signal v126_t : unsigned(27 downto 0);
-  signal v127_t : unsigned(25 downto 0);
-  signal v128_t : unsigned(7 downto 0);
-  signal v129_t : unsigned(7 downto 0);
-  signal v130_t : unsigned(7 downto 0);
-  signal v131_t : unsigned(0 downto 0);
-  signal v124_t_s1 : unsigned(1 downto 0);
-  signal v124_t_s2 : unsigned(1 downto 0);
-  signal v124_t_s3 : unsigned(1 downto 0);
-  signal v124_t_s4 : unsigned(1 downto 0);
-  signal v124_t_s5 : unsigned(1 downto 0);
-  signal v127_t_s6 : unsigned(25 downto 0);
-  signal v130_t_s6 : unsigned(7 downto 0);
+  signal t122 : unsigned(13 downto 0);
+  signal t123 : unsigned(1 downto 0);
+  signal t125 : unsigned(27 downto 0);
+  signal t124_s1 : unsigned(1 downto 0) := (others => '0');
+  signal t124_s2 : unsigned(1 downto 0) := (others => '0');
+  signal t124_s3 : unsigned(1 downto 0) := (others => '0');
+  signal t124_s4 : unsigned(1 downto 0) := (others => '0');
+  signal t124_s5 : unsigned(1 downto 0) := (others => '0');
+  signal t126 : unsigned(27 downto 0);
+  signal t127 : unsigned(25 downto 0);
+  signal t128 : unsigned(7 downto 0);
+  signal t129 : unsigned(7 downto 0);
+  signal t127_s6 : unsigned(25 downto 0) := (others => '0');
+  signal t130_s6 : unsigned(7 downto 0) := (others => '0');
+  signal t131 : unsigned(0 downto 0);
 begin
-  v122_t <= shift_right(resize(v234_X0_pipe, 14), to_integer(to_unsigned(10, 6)));
-  v123_t <= resize(v122_t, 2) and to_unsigned(3, 2);
-  v124_t <= v123_t;
-  v125_t <= shift_left(resize(v121_rem_18, 28), to_integer(to_unsigned(2, 6)));
-  v126_t <= v125_t or resize(v124_t_s5, 28);
-  v127_t <= resize(v126_t, 26);
-  v128_t <= shift_left(resize(v120_root_18, 8), to_integer(to_unsigned(2, 6)));
-  v129_t <= v128_t or to_unsigned(1, 8);
-  v130_t <= v129_t;
-  v131_t <= "1" when resize(v127_t_s6, 27) >= resize(v130_t_s6, 27) else "0";
+  t122 <= X0_pipe(23 downto 10);
+  t123 <= t122(1 downto 0) and to_unsigned(3, 2);
+  t125 <= shift_left(resize(rem_18, 28), 2);
+  t126 <= t125 or resize(t124_s5, 28);
+  t127 <= t126(25 downto 0);
+  t128 <= shift_left(resize(root_18, 8), 2);
+  t129 <= t128 or to_unsigned(1, 8);
+  t131 <= "1" when signed(resize(t127_s6, 27)) >= signed(resize(t130_s6, 27)) else "0";
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v124_t_s1 <= v124_t;
-        v124_t_s2 <= v124_t_s1;
-        v124_t_s3 <= v124_t_s2;
-        v124_t_s4 <= v124_t_s3;
-        v124_t_s5 <= v124_t_s4;
-        v127_t_s6 <= v127_t;
-        v130_t_s6 <= v130_t;
+        t124_s1 <= t123;
+        t124_s2 <= t124_s1;
+        t124_s3 <= t124_s2;
+        t124_s4 <= t124_s3;
+        t124_s5 <= t124_s4;
+        t127_s6 <= t127;
+        t130_s6 <= t129;
       end if;
     end if;
   end process;
-  v127_t_out <= v127_t;
-  v130_t_out <= v130_t;
-  v131_t_out <= v131_t;
+  t127_out <= t127;
+  t127_s6_out <= t127_s6;
+  t130_s6_out <= t130_s6;
+  t131_out <= t131;
 end architecture rtl;
 
 library ieee;
@@ -842,18 +896,27 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node25 is
   port (
-    v120_root_18 : in unsigned(5 downto 0);
-    v133_t_out : out unsigned(6 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_18 : in unsigned(5 downto 0);
+    t133_s6_out : out unsigned(6 downto 0)
   );
 end entity square_root_dp_node25;
 
 architecture rtl of square_root_dp_node25 is
-  signal v132_t : unsigned(6 downto 0);
-  signal v133_t : unsigned(6 downto 0);
+  signal t132 : unsigned(6 downto 0);
+  signal t133_s6 : unsigned(6 downto 0) := (others => '0');
 begin
-  v132_t <= shift_left(resize(v120_root_18, 7), to_integer(to_unsigned(1, 6)));
-  v133_t <= v132_t;
-  v133_t_out <= v133_t;
+  t132 <= shift_left(resize(root_18, 7), 1);
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t133_s6 <= t132;
+      end if;
+    end if;
+  end process;
+  t133_s6_out <= t133_s6;
 end architecture rtl;
 
 library ieee;
@@ -862,28 +925,37 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node26 is
   port (
-    v120_root_18 : in unsigned(5 downto 0);
-    v127_t : in unsigned(25 downto 0);
-    v130_t : in unsigned(7 downto 0);
-    v135_t_out : out unsigned(25 downto 0);
-    v138_t_out : out unsigned(6 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_18 : in unsigned(5 downto 0);
+    t127_s6 : in unsigned(25 downto 0);
+    t130_s6 : in unsigned(7 downto 0);
+    t135_out : out unsigned(25 downto 0);
+    t138_s6_out : out unsigned(6 downto 0)
   );
 end entity square_root_dp_node26;
 
 architecture rtl of square_root_dp_node26 is
-  signal v134_t : signed(26 downto 0);
-  signal v135_t : unsigned(25 downto 0);
-  signal v136_t : unsigned(6 downto 0);
-  signal v137_t : unsigned(6 downto 0);
-  signal v138_t : unsigned(6 downto 0);
+  signal t136 : unsigned(6 downto 0);
+  signal t137 : unsigned(6 downto 0);
+  signal t134 : signed(26 downto 0);
+  signal t135 : unsigned(25 downto 0);
+  signal t138_s6 : unsigned(6 downto 0) := (others => '0');
 begin
-  v134_t <= signed(resize(v127_t, 27)) - signed(resize(v130_t, 27));
-  v135_t <= unsigned(resize(v134_t, 26));
-  v136_t <= shift_left(resize(v120_root_18, 7), to_integer(to_unsigned(1, 6)));
-  v137_t <= v136_t or to_unsigned(1, 7);
-  v138_t <= v137_t;
-  v135_t_out <= v135_t;
-  v138_t_out <= v138_t;
+  t136 <= shift_left(resize(root_18, 7), 1);
+  t137 <= t136 or to_unsigned(1, 7);
+  t134 <= signed(resize(t127_s6, 27)) - signed(resize(t130_s6, 27));
+  t135 <= unsigned(t134(25 downto 0));
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t138_s6 <= t137;
+      end if;
+    end if;
+  end process;
+  t135_out <= t135;
+  t138_s6_out <= t138_s6;
 end architecture rtl;
 
 library ieee;
@@ -892,24 +964,24 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_mux_bb21 is
   port (
-    v133_t : in unsigned(6 downto 0);
-    v135_t : in unsigned(25 downto 0);
-    v138_t : in unsigned(6 downto 0);
-    v247_pipe : in unsigned(25 downto 0);
-    v248_pipe : in unsigned(0 downto 0);
-    v139_root_21_out : out unsigned(6 downto 0);
-    v140_rem_21_out : out unsigned(25 downto 0)
+    t135 : in unsigned(25 downto 0);
+    n210_pipe : in unsigned(0 downto 0);
+    pipe_s6 : in unsigned(25 downto 0);
+    t138_s6 : in unsigned(6 downto 0);
+    t133_s6 : in unsigned(6 downto 0);
+    rem_21_out : out unsigned(25 downto 0);
+    root_21_out : out unsigned(6 downto 0)
   );
 end entity square_root_dp_mux_bb21;
 
 architecture rtl of square_root_dp_mux_bb21 is
-  signal v139_root_21 : unsigned(6 downto 0);
-  signal v140_rem_21 : unsigned(25 downto 0);
+  signal rem_21 : unsigned(25 downto 0);
+  signal root_21 : unsigned(6 downto 0);
 begin
-  v139_root_21 <= v138_t when v248_pipe = 1 else v133_t;
-  v140_rem_21 <= v135_t when v248_pipe = 1 else v247_pipe;
-  v139_root_21_out <= v139_root_21;
-  v140_rem_21_out <= v140_rem_21;
+  rem_21 <= t135 when n210_pipe /= 0 else pipe_s6;
+  root_21 <= t138_s6 when n210_pipe /= 0 else t133_s6;
+  rem_21_out <= rem_21;
+  root_21_out <= root_21;
 end architecture rtl;
 
 library ieee;
@@ -920,63 +992,61 @@ entity square_root_dp_node28 is
   port (
     clk : in std_logic;
     ce  : in std_logic;
-    v139_root_21 : in unsigned(6 downto 0);
-    v140_rem_21 : in unsigned(25 downto 0);
-    v234_X0_pipe : in unsigned(23 downto 0);
-    v146_t_out : out unsigned(25 downto 0);
-    v149_t_out : out unsigned(8 downto 0);
-    v150_t_out : out unsigned(0 downto 0)
+    X0_pipe : in unsigned(23 downto 0);
+    rem_21 : in unsigned(25 downto 0);
+    root_21 : in unsigned(6 downto 0);
+    t146_out : out unsigned(25 downto 0);
+    t146_s7_out : out unsigned(25 downto 0);
+    t149_s7_out : out unsigned(8 downto 0);
+    t150_out : out unsigned(0 downto 0)
   );
 end entity square_root_dp_node28;
 
 architecture rtl of square_root_dp_node28 is
-  signal v141_t : unsigned(15 downto 0);
-  signal v142_t : unsigned(1 downto 0);
-  signal v143_t : unsigned(1 downto 0);
-  signal v144_t : unsigned(27 downto 0);
-  signal v145_t : unsigned(27 downto 0);
-  signal v146_t : unsigned(25 downto 0);
-  signal v147_t : unsigned(8 downto 0);
-  signal v148_t : unsigned(8 downto 0);
-  signal v149_t : unsigned(8 downto 0);
-  signal v150_t : unsigned(0 downto 0);
-  signal v143_t_s1 : unsigned(1 downto 0);
-  signal v143_t_s2 : unsigned(1 downto 0);
-  signal v143_t_s3 : unsigned(1 downto 0);
-  signal v143_t_s4 : unsigned(1 downto 0);
-  signal v143_t_s5 : unsigned(1 downto 0);
-  signal v143_t_s6 : unsigned(1 downto 0);
-  signal v146_t_s7 : unsigned(25 downto 0);
-  signal v149_t_s7 : unsigned(8 downto 0);
+  signal t141 : unsigned(15 downto 0);
+  signal t142 : unsigned(1 downto 0);
+  signal t144 : unsigned(27 downto 0);
+  signal t143_s1 : unsigned(1 downto 0) := (others => '0');
+  signal t143_s2 : unsigned(1 downto 0) := (others => '0');
+  signal t143_s3 : unsigned(1 downto 0) := (others => '0');
+  signal t143_s4 : unsigned(1 downto 0) := (others => '0');
+  signal t143_s5 : unsigned(1 downto 0) := (others => '0');
+  signal t143_s6 : unsigned(1 downto 0) := (others => '0');
+  signal t145 : unsigned(27 downto 0);
+  signal t146 : unsigned(25 downto 0);
+  signal t147 : unsigned(8 downto 0);
+  signal t148 : unsigned(8 downto 0);
+  signal t146_s7 : unsigned(25 downto 0) := (others => '0');
+  signal t149_s7 : unsigned(8 downto 0) := (others => '0');
+  signal t150 : unsigned(0 downto 0);
 begin
-  v141_t <= shift_right(resize(v234_X0_pipe, 16), to_integer(to_unsigned(8, 6)));
-  v142_t <= resize(v141_t, 2) and to_unsigned(3, 2);
-  v143_t <= v142_t;
-  v144_t <= shift_left(resize(v140_rem_21, 28), to_integer(to_unsigned(2, 6)));
-  v145_t <= v144_t or resize(v143_t_s6, 28);
-  v146_t <= resize(v145_t, 26);
-  v147_t <= shift_left(resize(v139_root_21, 9), to_integer(to_unsigned(2, 6)));
-  v148_t <= v147_t or to_unsigned(1, 9);
-  v149_t <= v148_t;
-  v150_t <= "1" when resize(v146_t_s7, 27) >= resize(v149_t_s7, 27) else "0";
+  t141 <= X0_pipe(23 downto 8);
+  t142 <= t141(1 downto 0) and to_unsigned(3, 2);
+  t144 <= shift_left(resize(rem_21, 28), 2);
+  t145 <= t144 or resize(t143_s6, 28);
+  t146 <= t145(25 downto 0);
+  t147 <= shift_left(resize(root_21, 9), 2);
+  t148 <= t147 or to_unsigned(1, 9);
+  t150 <= "1" when signed(resize(t146_s7, 27)) >= signed(resize(t149_s7, 27)) else "0";
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v143_t_s1 <= v143_t;
-        v143_t_s2 <= v143_t_s1;
-        v143_t_s3 <= v143_t_s2;
-        v143_t_s4 <= v143_t_s3;
-        v143_t_s5 <= v143_t_s4;
-        v143_t_s6 <= v143_t_s5;
-        v146_t_s7 <= v146_t;
-        v149_t_s7 <= v149_t;
+        t143_s1 <= t142;
+        t143_s2 <= t143_s1;
+        t143_s3 <= t143_s2;
+        t143_s4 <= t143_s3;
+        t143_s5 <= t143_s4;
+        t143_s6 <= t143_s5;
+        t146_s7 <= t146;
+        t149_s7 <= t148;
       end if;
     end if;
   end process;
-  v146_t_out <= v146_t;
-  v149_t_out <= v149_t;
-  v150_t_out <= v150_t;
+  t146_out <= t146;
+  t146_s7_out <= t146_s7;
+  t149_s7_out <= t149_s7;
+  t150_out <= t150;
 end architecture rtl;
 
 library ieee;
@@ -985,18 +1055,27 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node29 is
   port (
-    v139_root_21 : in unsigned(6 downto 0);
-    v152_t_out : out unsigned(7 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_21 : in unsigned(6 downto 0);
+    t152_s7_out : out unsigned(7 downto 0)
   );
 end entity square_root_dp_node29;
 
 architecture rtl of square_root_dp_node29 is
-  signal v151_t : unsigned(7 downto 0);
-  signal v152_t : unsigned(7 downto 0);
+  signal t151 : unsigned(7 downto 0);
+  signal t152_s7 : unsigned(7 downto 0) := (others => '0');
 begin
-  v151_t <= shift_left(resize(v139_root_21, 8), to_integer(to_unsigned(1, 6)));
-  v152_t <= v151_t;
-  v152_t_out <= v152_t;
+  t151 <= shift_left(resize(root_21, 8), 1);
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t152_s7 <= t151;
+      end if;
+    end if;
+  end process;
+  t152_s7_out <= t152_s7;
 end architecture rtl;
 
 library ieee;
@@ -1005,28 +1084,37 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node30 is
   port (
-    v139_root_21 : in unsigned(6 downto 0);
-    v146_t : in unsigned(25 downto 0);
-    v149_t : in unsigned(8 downto 0);
-    v154_t_out : out unsigned(25 downto 0);
-    v157_t_out : out unsigned(7 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_21 : in unsigned(6 downto 0);
+    t146_s7 : in unsigned(25 downto 0);
+    t149_s7 : in unsigned(8 downto 0);
+    t154_out : out unsigned(25 downto 0);
+    t157_s7_out : out unsigned(7 downto 0)
   );
 end entity square_root_dp_node30;
 
 architecture rtl of square_root_dp_node30 is
-  signal v153_t : signed(26 downto 0);
-  signal v154_t : unsigned(25 downto 0);
-  signal v155_t : unsigned(7 downto 0);
-  signal v156_t : unsigned(7 downto 0);
-  signal v157_t : unsigned(7 downto 0);
+  signal t155 : unsigned(7 downto 0);
+  signal t156 : unsigned(7 downto 0);
+  signal t153 : signed(26 downto 0);
+  signal t154 : unsigned(25 downto 0);
+  signal t157_s7 : unsigned(7 downto 0) := (others => '0');
 begin
-  v153_t <= signed(resize(v146_t, 27)) - signed(resize(v149_t, 27));
-  v154_t <= unsigned(resize(v153_t, 26));
-  v155_t <= shift_left(resize(v139_root_21, 8), to_integer(to_unsigned(1, 6)));
-  v156_t <= v155_t or to_unsigned(1, 8);
-  v157_t <= v156_t;
-  v154_t_out <= v154_t;
-  v157_t_out <= v157_t;
+  t155 <= shift_left(resize(root_21, 8), 1);
+  t156 <= t155 or to_unsigned(1, 8);
+  t153 <= signed(resize(t146_s7, 27)) - signed(resize(t149_s7, 27));
+  t154 <= unsigned(t153(25 downto 0));
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t157_s7 <= t156;
+      end if;
+    end if;
+  end process;
+  t154_out <= t154;
+  t157_s7_out <= t157_s7;
 end architecture rtl;
 
 library ieee;
@@ -1035,24 +1123,24 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_mux_bb24 is
   port (
-    v152_t : in unsigned(7 downto 0);
-    v154_t : in unsigned(25 downto 0);
-    v157_t : in unsigned(7 downto 0);
-    v249_pipe : in unsigned(25 downto 0);
-    v250_pipe : in unsigned(0 downto 0);
-    v158_root_24_out : out unsigned(7 downto 0);
-    v159_rem_24_out : out unsigned(25 downto 0)
+    t154 : in unsigned(25 downto 0);
+    n239_pipe : in unsigned(0 downto 0);
+    pipe_s7 : in unsigned(25 downto 0);
+    t157_s7 : in unsigned(7 downto 0);
+    t152_s7 : in unsigned(7 downto 0);
+    rem_24_out : out unsigned(25 downto 0);
+    root_24_out : out unsigned(7 downto 0)
   );
 end entity square_root_dp_mux_bb24;
 
 architecture rtl of square_root_dp_mux_bb24 is
-  signal v158_root_24 : unsigned(7 downto 0);
-  signal v159_rem_24 : unsigned(25 downto 0);
+  signal rem_24 : unsigned(25 downto 0);
+  signal root_24 : unsigned(7 downto 0);
 begin
-  v158_root_24 <= v157_t when v250_pipe = 1 else v152_t;
-  v159_rem_24 <= v154_t when v250_pipe = 1 else v249_pipe;
-  v158_root_24_out <= v158_root_24;
-  v159_rem_24_out <= v159_rem_24;
+  rem_24 <= t154 when n239_pipe /= 0 else pipe_s7;
+  root_24 <= t157_s7 when n239_pipe /= 0 else t152_s7;
+  rem_24_out <= rem_24;
+  root_24_out <= root_24;
 end architecture rtl;
 
 library ieee;
@@ -1063,65 +1151,63 @@ entity square_root_dp_node32 is
   port (
     clk : in std_logic;
     ce  : in std_logic;
-    v158_root_24 : in unsigned(7 downto 0);
-    v159_rem_24 : in unsigned(25 downto 0);
-    v234_X0_pipe : in unsigned(23 downto 0);
-    v165_t_out : out unsigned(25 downto 0);
-    v168_t_out : out unsigned(9 downto 0);
-    v169_t_out : out unsigned(0 downto 0)
+    X0_pipe : in unsigned(23 downto 0);
+    rem_24 : in unsigned(25 downto 0);
+    root_24 : in unsigned(7 downto 0);
+    t165_out : out unsigned(25 downto 0);
+    t165_s8_out : out unsigned(25 downto 0);
+    t168_s8_out : out unsigned(9 downto 0);
+    t169_out : out unsigned(0 downto 0)
   );
 end entity square_root_dp_node32;
 
 architecture rtl of square_root_dp_node32 is
-  signal v160_t : unsigned(17 downto 0);
-  signal v161_t : unsigned(1 downto 0);
-  signal v162_t : unsigned(1 downto 0);
-  signal v163_t : unsigned(27 downto 0);
-  signal v164_t : unsigned(27 downto 0);
-  signal v165_t : unsigned(25 downto 0);
-  signal v166_t : unsigned(9 downto 0);
-  signal v167_t : unsigned(9 downto 0);
-  signal v168_t : unsigned(9 downto 0);
-  signal v169_t : unsigned(0 downto 0);
-  signal v162_t_s1 : unsigned(1 downto 0);
-  signal v162_t_s2 : unsigned(1 downto 0);
-  signal v162_t_s3 : unsigned(1 downto 0);
-  signal v162_t_s4 : unsigned(1 downto 0);
-  signal v162_t_s5 : unsigned(1 downto 0);
-  signal v162_t_s6 : unsigned(1 downto 0);
-  signal v162_t_s7 : unsigned(1 downto 0);
-  signal v165_t_s8 : unsigned(25 downto 0);
-  signal v168_t_s8 : unsigned(9 downto 0);
+  signal t160 : unsigned(17 downto 0);
+  signal t161 : unsigned(1 downto 0);
+  signal t163 : unsigned(27 downto 0);
+  signal t162_s1 : unsigned(1 downto 0) := (others => '0');
+  signal t162_s2 : unsigned(1 downto 0) := (others => '0');
+  signal t162_s3 : unsigned(1 downto 0) := (others => '0');
+  signal t162_s4 : unsigned(1 downto 0) := (others => '0');
+  signal t162_s5 : unsigned(1 downto 0) := (others => '0');
+  signal t162_s6 : unsigned(1 downto 0) := (others => '0');
+  signal t162_s7 : unsigned(1 downto 0) := (others => '0');
+  signal t164 : unsigned(27 downto 0);
+  signal t165 : unsigned(25 downto 0);
+  signal t166 : unsigned(9 downto 0);
+  signal t167 : unsigned(9 downto 0);
+  signal t165_s8 : unsigned(25 downto 0) := (others => '0');
+  signal t168_s8 : unsigned(9 downto 0) := (others => '0');
+  signal t169 : unsigned(0 downto 0);
 begin
-  v160_t <= shift_right(resize(v234_X0_pipe, 18), to_integer(to_unsigned(6, 6)));
-  v161_t <= resize(v160_t, 2) and to_unsigned(3, 2);
-  v162_t <= v161_t;
-  v163_t <= shift_left(resize(v159_rem_24, 28), to_integer(to_unsigned(2, 6)));
-  v164_t <= v163_t or resize(v162_t_s7, 28);
-  v165_t <= resize(v164_t, 26);
-  v166_t <= shift_left(resize(v158_root_24, 10), to_integer(to_unsigned(2, 6)));
-  v167_t <= v166_t or to_unsigned(1, 10);
-  v168_t <= v167_t;
-  v169_t <= "1" when resize(v165_t_s8, 27) >= resize(v168_t_s8, 27) else "0";
+  t160 <= X0_pipe(23 downto 6);
+  t161 <= t160(1 downto 0) and to_unsigned(3, 2);
+  t163 <= shift_left(resize(rem_24, 28), 2);
+  t164 <= t163 or resize(t162_s7, 28);
+  t165 <= t164(25 downto 0);
+  t166 <= shift_left(resize(root_24, 10), 2);
+  t167 <= t166 or to_unsigned(1, 10);
+  t169 <= "1" when signed(resize(t165_s8, 27)) >= signed(resize(t168_s8, 27)) else "0";
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v162_t_s1 <= v162_t;
-        v162_t_s2 <= v162_t_s1;
-        v162_t_s3 <= v162_t_s2;
-        v162_t_s4 <= v162_t_s3;
-        v162_t_s5 <= v162_t_s4;
-        v162_t_s6 <= v162_t_s5;
-        v162_t_s7 <= v162_t_s6;
-        v165_t_s8 <= v165_t;
-        v168_t_s8 <= v168_t;
+        t162_s1 <= t161;
+        t162_s2 <= t162_s1;
+        t162_s3 <= t162_s2;
+        t162_s4 <= t162_s3;
+        t162_s5 <= t162_s4;
+        t162_s6 <= t162_s5;
+        t162_s7 <= t162_s6;
+        t165_s8 <= t165;
+        t168_s8 <= t167;
       end if;
     end if;
   end process;
-  v165_t_out <= v165_t;
-  v168_t_out <= v168_t;
-  v169_t_out <= v169_t;
+  t165_out <= t165;
+  t165_s8_out <= t165_s8;
+  t168_s8_out <= t168_s8;
+  t169_out <= t169;
 end architecture rtl;
 
 library ieee;
@@ -1130,18 +1216,27 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node33 is
   port (
-    v158_root_24 : in unsigned(7 downto 0);
-    v171_t_out : out unsigned(8 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_24 : in unsigned(7 downto 0);
+    t171_s8_out : out unsigned(8 downto 0)
   );
 end entity square_root_dp_node33;
 
 architecture rtl of square_root_dp_node33 is
-  signal v170_t : unsigned(8 downto 0);
-  signal v171_t : unsigned(8 downto 0);
+  signal t170 : unsigned(8 downto 0);
+  signal t171_s8 : unsigned(8 downto 0) := (others => '0');
 begin
-  v170_t <= shift_left(resize(v158_root_24, 9), to_integer(to_unsigned(1, 6)));
-  v171_t <= v170_t;
-  v171_t_out <= v171_t;
+  t170 <= shift_left(resize(root_24, 9), 1);
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t171_s8 <= t170;
+      end if;
+    end if;
+  end process;
+  t171_s8_out <= t171_s8;
 end architecture rtl;
 
 library ieee;
@@ -1150,28 +1245,37 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node34 is
   port (
-    v158_root_24 : in unsigned(7 downto 0);
-    v165_t : in unsigned(25 downto 0);
-    v168_t : in unsigned(9 downto 0);
-    v173_t_out : out unsigned(25 downto 0);
-    v176_t_out : out unsigned(8 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_24 : in unsigned(7 downto 0);
+    t165_s8 : in unsigned(25 downto 0);
+    t168_s8 : in unsigned(9 downto 0);
+    t173_out : out unsigned(25 downto 0);
+    t176_s8_out : out unsigned(8 downto 0)
   );
 end entity square_root_dp_node34;
 
 architecture rtl of square_root_dp_node34 is
-  signal v172_t : signed(26 downto 0);
-  signal v173_t : unsigned(25 downto 0);
-  signal v174_t : unsigned(8 downto 0);
-  signal v175_t : unsigned(8 downto 0);
-  signal v176_t : unsigned(8 downto 0);
+  signal t174 : unsigned(8 downto 0);
+  signal t175 : unsigned(8 downto 0);
+  signal t172 : signed(26 downto 0);
+  signal t173 : unsigned(25 downto 0);
+  signal t176_s8 : unsigned(8 downto 0) := (others => '0');
 begin
-  v172_t <= signed(resize(v165_t, 27)) - signed(resize(v168_t, 27));
-  v173_t <= unsigned(resize(v172_t, 26));
-  v174_t <= shift_left(resize(v158_root_24, 9), to_integer(to_unsigned(1, 6)));
-  v175_t <= v174_t or to_unsigned(1, 9);
-  v176_t <= v175_t;
-  v173_t_out <= v173_t;
-  v176_t_out <= v176_t;
+  t174 <= shift_left(resize(root_24, 9), 1);
+  t175 <= t174 or to_unsigned(1, 9);
+  t172 <= signed(resize(t165_s8, 27)) - signed(resize(t168_s8, 27));
+  t173 <= unsigned(t172(25 downto 0));
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t176_s8 <= t175;
+      end if;
+    end if;
+  end process;
+  t173_out <= t173;
+  t176_s8_out <= t176_s8;
 end architecture rtl;
 
 library ieee;
@@ -1180,24 +1284,24 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_mux_bb27 is
   port (
-    v171_t : in unsigned(8 downto 0);
-    v173_t : in unsigned(25 downto 0);
-    v176_t : in unsigned(8 downto 0);
-    v251_pipe : in unsigned(25 downto 0);
-    v252_pipe : in unsigned(0 downto 0);
-    v177_root_27_out : out unsigned(8 downto 0);
-    v178_rem_27_out : out unsigned(25 downto 0)
+    t173 : in unsigned(25 downto 0);
+    n269_pipe : in unsigned(0 downto 0);
+    pipe_s8 : in unsigned(25 downto 0);
+    t176_s8 : in unsigned(8 downto 0);
+    t171_s8 : in unsigned(8 downto 0);
+    rem_27_out : out unsigned(25 downto 0);
+    root_27_out : out unsigned(8 downto 0)
   );
 end entity square_root_dp_mux_bb27;
 
 architecture rtl of square_root_dp_mux_bb27 is
-  signal v177_root_27 : unsigned(8 downto 0);
-  signal v178_rem_27 : unsigned(25 downto 0);
+  signal rem_27 : unsigned(25 downto 0);
+  signal root_27 : unsigned(8 downto 0);
 begin
-  v177_root_27 <= v176_t when v252_pipe = 1 else v171_t;
-  v178_rem_27 <= v173_t when v252_pipe = 1 else v251_pipe;
-  v177_root_27_out <= v177_root_27;
-  v178_rem_27_out <= v178_rem_27;
+  rem_27 <= t173 when n269_pipe /= 0 else pipe_s8;
+  root_27 <= t176_s8 when n269_pipe /= 0 else t171_s8;
+  rem_27_out <= rem_27;
+  root_27_out <= root_27;
 end architecture rtl;
 
 library ieee;
@@ -1208,67 +1312,65 @@ entity square_root_dp_node36 is
   port (
     clk : in std_logic;
     ce  : in std_logic;
-    v177_root_27 : in unsigned(8 downto 0);
-    v178_rem_27 : in unsigned(25 downto 0);
-    v234_X0_pipe : in unsigned(23 downto 0);
-    v184_t_out : out unsigned(25 downto 0);
-    v187_t_out : out unsigned(10 downto 0);
-    v188_t_out : out unsigned(0 downto 0)
+    X0_pipe : in unsigned(23 downto 0);
+    rem_27 : in unsigned(25 downto 0);
+    root_27 : in unsigned(8 downto 0);
+    t184_out : out unsigned(25 downto 0);
+    t184_s9_out : out unsigned(25 downto 0);
+    t187_s9_out : out unsigned(10 downto 0);
+    t188_out : out unsigned(0 downto 0)
   );
 end entity square_root_dp_node36;
 
 architecture rtl of square_root_dp_node36 is
-  signal v179_t : unsigned(19 downto 0);
-  signal v180_t : unsigned(1 downto 0);
-  signal v181_t : unsigned(1 downto 0);
-  signal v182_t : unsigned(27 downto 0);
-  signal v183_t : unsigned(27 downto 0);
-  signal v184_t : unsigned(25 downto 0);
-  signal v185_t : unsigned(10 downto 0);
-  signal v186_t : unsigned(10 downto 0);
-  signal v187_t : unsigned(10 downto 0);
-  signal v188_t : unsigned(0 downto 0);
-  signal v181_t_s1 : unsigned(1 downto 0);
-  signal v181_t_s2 : unsigned(1 downto 0);
-  signal v181_t_s3 : unsigned(1 downto 0);
-  signal v181_t_s4 : unsigned(1 downto 0);
-  signal v181_t_s5 : unsigned(1 downto 0);
-  signal v181_t_s6 : unsigned(1 downto 0);
-  signal v181_t_s7 : unsigned(1 downto 0);
-  signal v181_t_s8 : unsigned(1 downto 0);
-  signal v184_t_s9 : unsigned(25 downto 0);
-  signal v187_t_s9 : unsigned(10 downto 0);
+  signal t179 : unsigned(19 downto 0);
+  signal t180 : unsigned(1 downto 0);
+  signal t182 : unsigned(27 downto 0);
+  signal t181_s1 : unsigned(1 downto 0) := (others => '0');
+  signal t181_s2 : unsigned(1 downto 0) := (others => '0');
+  signal t181_s3 : unsigned(1 downto 0) := (others => '0');
+  signal t181_s4 : unsigned(1 downto 0) := (others => '0');
+  signal t181_s5 : unsigned(1 downto 0) := (others => '0');
+  signal t181_s6 : unsigned(1 downto 0) := (others => '0');
+  signal t181_s7 : unsigned(1 downto 0) := (others => '0');
+  signal t181_s8 : unsigned(1 downto 0) := (others => '0');
+  signal t183 : unsigned(27 downto 0);
+  signal t184 : unsigned(25 downto 0);
+  signal t185 : unsigned(10 downto 0);
+  signal t186 : unsigned(10 downto 0);
+  signal t184_s9 : unsigned(25 downto 0) := (others => '0');
+  signal t187_s9 : unsigned(10 downto 0) := (others => '0');
+  signal t188 : unsigned(0 downto 0);
 begin
-  v179_t <= shift_right(resize(v234_X0_pipe, 20), to_integer(to_unsigned(4, 6)));
-  v180_t <= resize(v179_t, 2) and to_unsigned(3, 2);
-  v181_t <= v180_t;
-  v182_t <= shift_left(resize(v178_rem_27, 28), to_integer(to_unsigned(2, 6)));
-  v183_t <= v182_t or resize(v181_t_s8, 28);
-  v184_t <= resize(v183_t, 26);
-  v185_t <= shift_left(resize(v177_root_27, 11), to_integer(to_unsigned(2, 6)));
-  v186_t <= v185_t or to_unsigned(1, 11);
-  v187_t <= v186_t;
-  v188_t <= "1" when resize(v184_t_s9, 27) >= resize(v187_t_s9, 27) else "0";
+  t179 <= X0_pipe(23 downto 4);
+  t180 <= t179(1 downto 0) and to_unsigned(3, 2);
+  t182 <= shift_left(resize(rem_27, 28), 2);
+  t183 <= t182 or resize(t181_s8, 28);
+  t184 <= t183(25 downto 0);
+  t185 <= shift_left(resize(root_27, 11), 2);
+  t186 <= t185 or to_unsigned(1, 11);
+  t188 <= "1" when signed(resize(t184_s9, 27)) >= signed(resize(t187_s9, 27)) else "0";
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v181_t_s1 <= v181_t;
-        v181_t_s2 <= v181_t_s1;
-        v181_t_s3 <= v181_t_s2;
-        v181_t_s4 <= v181_t_s3;
-        v181_t_s5 <= v181_t_s4;
-        v181_t_s6 <= v181_t_s5;
-        v181_t_s7 <= v181_t_s6;
-        v181_t_s8 <= v181_t_s7;
-        v184_t_s9 <= v184_t;
-        v187_t_s9 <= v187_t;
+        t181_s1 <= t180;
+        t181_s2 <= t181_s1;
+        t181_s3 <= t181_s2;
+        t181_s4 <= t181_s3;
+        t181_s5 <= t181_s4;
+        t181_s6 <= t181_s5;
+        t181_s7 <= t181_s6;
+        t181_s8 <= t181_s7;
+        t184_s9 <= t184;
+        t187_s9 <= t186;
       end if;
     end if;
   end process;
-  v184_t_out <= v184_t;
-  v187_t_out <= v187_t;
-  v188_t_out <= v188_t;
+  t184_out <= t184;
+  t184_s9_out <= t184_s9;
+  t187_s9_out <= t187_s9;
+  t188_out <= t188;
 end architecture rtl;
 
 library ieee;
@@ -1277,18 +1379,27 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node37 is
   port (
-    v177_root_27 : in unsigned(8 downto 0);
-    v190_t_out : out unsigned(9 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_27 : in unsigned(8 downto 0);
+    t190_s9_out : out unsigned(9 downto 0)
   );
 end entity square_root_dp_node37;
 
 architecture rtl of square_root_dp_node37 is
-  signal v189_t : unsigned(9 downto 0);
-  signal v190_t : unsigned(9 downto 0);
+  signal t189 : unsigned(9 downto 0);
+  signal t190_s9 : unsigned(9 downto 0) := (others => '0');
 begin
-  v189_t <= shift_left(resize(v177_root_27, 10), to_integer(to_unsigned(1, 6)));
-  v190_t <= v189_t;
-  v190_t_out <= v190_t;
+  t189 <= shift_left(resize(root_27, 10), 1);
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t190_s9 <= t189;
+      end if;
+    end if;
+  end process;
+  t190_s9_out <= t190_s9;
 end architecture rtl;
 
 library ieee;
@@ -1297,28 +1408,37 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node38 is
   port (
-    v177_root_27 : in unsigned(8 downto 0);
-    v184_t : in unsigned(25 downto 0);
-    v187_t : in unsigned(10 downto 0);
-    v192_t_out : out unsigned(25 downto 0);
-    v195_t_out : out unsigned(9 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_27 : in unsigned(8 downto 0);
+    t184_s9 : in unsigned(25 downto 0);
+    t187_s9 : in unsigned(10 downto 0);
+    t192_out : out unsigned(25 downto 0);
+    t195_s9_out : out unsigned(9 downto 0)
   );
 end entity square_root_dp_node38;
 
 architecture rtl of square_root_dp_node38 is
-  signal v191_t : signed(26 downto 0);
-  signal v192_t : unsigned(25 downto 0);
-  signal v193_t : unsigned(9 downto 0);
-  signal v194_t : unsigned(9 downto 0);
-  signal v195_t : unsigned(9 downto 0);
+  signal t193 : unsigned(9 downto 0);
+  signal t194 : unsigned(9 downto 0);
+  signal t191 : signed(26 downto 0);
+  signal t192 : unsigned(25 downto 0);
+  signal t195_s9 : unsigned(9 downto 0) := (others => '0');
 begin
-  v191_t <= signed(resize(v184_t, 27)) - signed(resize(v187_t, 27));
-  v192_t <= unsigned(resize(v191_t, 26));
-  v193_t <= shift_left(resize(v177_root_27, 10), to_integer(to_unsigned(1, 6)));
-  v194_t <= v193_t or to_unsigned(1, 10);
-  v195_t <= v194_t;
-  v192_t_out <= v192_t;
-  v195_t_out <= v195_t;
+  t193 <= shift_left(resize(root_27, 10), 1);
+  t194 <= t193 or to_unsigned(1, 10);
+  t191 <= signed(resize(t184_s9, 27)) - signed(resize(t187_s9, 27));
+  t192 <= unsigned(t191(25 downto 0));
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t195_s9 <= t194;
+      end if;
+    end if;
+  end process;
+  t192_out <= t192;
+  t195_s9_out <= t195_s9;
 end architecture rtl;
 
 library ieee;
@@ -1327,24 +1447,24 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_mux_bb30 is
   port (
-    v190_t : in unsigned(9 downto 0);
-    v192_t : in unsigned(25 downto 0);
-    v195_t : in unsigned(9 downto 0);
-    v253_pipe : in unsigned(25 downto 0);
-    v254_pipe : in unsigned(0 downto 0);
-    v196_root_30_out : out unsigned(9 downto 0);
-    v197_rem_30_out : out unsigned(25 downto 0)
+    t192 : in unsigned(25 downto 0);
+    n300_pipe : in unsigned(0 downto 0);
+    pipe_s9 : in unsigned(25 downto 0);
+    t195_s9 : in unsigned(9 downto 0);
+    t190_s9 : in unsigned(9 downto 0);
+    rem_30_out : out unsigned(25 downto 0);
+    root_30_out : out unsigned(9 downto 0)
   );
 end entity square_root_dp_mux_bb30;
 
 architecture rtl of square_root_dp_mux_bb30 is
-  signal v196_root_30 : unsigned(9 downto 0);
-  signal v197_rem_30 : unsigned(25 downto 0);
+  signal rem_30 : unsigned(25 downto 0);
+  signal root_30 : unsigned(9 downto 0);
 begin
-  v196_root_30 <= v195_t when v254_pipe = 1 else v190_t;
-  v197_rem_30 <= v192_t when v254_pipe = 1 else v253_pipe;
-  v196_root_30_out <= v196_root_30;
-  v197_rem_30_out <= v197_rem_30;
+  rem_30 <= t192 when n300_pipe /= 0 else pipe_s9;
+  root_30 <= t195_s9 when n300_pipe /= 0 else t190_s9;
+  rem_30_out <= rem_30;
+  root_30_out <= root_30;
 end architecture rtl;
 
 library ieee;
@@ -1355,69 +1475,67 @@ entity square_root_dp_node40 is
   port (
     clk : in std_logic;
     ce  : in std_logic;
-    v196_root_30 : in unsigned(9 downto 0);
-    v197_rem_30 : in unsigned(25 downto 0);
-    v234_X0_pipe : in unsigned(23 downto 0);
-    v203_t_out : out unsigned(25 downto 0);
-    v206_t_out : out unsigned(11 downto 0);
-    v207_t_out : out unsigned(0 downto 0)
+    X0_pipe : in unsigned(23 downto 0);
+    rem_30 : in unsigned(25 downto 0);
+    root_30 : in unsigned(9 downto 0);
+    t203_out : out unsigned(25 downto 0);
+    t203_s10_out : out unsigned(25 downto 0);
+    t206_s10_out : out unsigned(11 downto 0);
+    t207_out : out unsigned(0 downto 0)
   );
 end entity square_root_dp_node40;
 
 architecture rtl of square_root_dp_node40 is
-  signal v198_t : unsigned(21 downto 0);
-  signal v199_t : unsigned(1 downto 0);
-  signal v200_t : unsigned(1 downto 0);
-  signal v201_t : unsigned(27 downto 0);
-  signal v202_t : unsigned(27 downto 0);
-  signal v203_t : unsigned(25 downto 0);
-  signal v204_t : unsigned(11 downto 0);
-  signal v205_t : unsigned(11 downto 0);
-  signal v206_t : unsigned(11 downto 0);
-  signal v207_t : unsigned(0 downto 0);
-  signal v200_t_s1 : unsigned(1 downto 0);
-  signal v200_t_s2 : unsigned(1 downto 0);
-  signal v200_t_s3 : unsigned(1 downto 0);
-  signal v200_t_s4 : unsigned(1 downto 0);
-  signal v200_t_s5 : unsigned(1 downto 0);
-  signal v200_t_s6 : unsigned(1 downto 0);
-  signal v200_t_s7 : unsigned(1 downto 0);
-  signal v200_t_s8 : unsigned(1 downto 0);
-  signal v200_t_s9 : unsigned(1 downto 0);
-  signal v203_t_s10 : unsigned(25 downto 0);
-  signal v206_t_s10 : unsigned(11 downto 0);
+  signal t198 : unsigned(21 downto 0);
+  signal t199 : unsigned(1 downto 0);
+  signal t201 : unsigned(27 downto 0);
+  signal t200_s1 : unsigned(1 downto 0) := (others => '0');
+  signal t200_s2 : unsigned(1 downto 0) := (others => '0');
+  signal t200_s3 : unsigned(1 downto 0) := (others => '0');
+  signal t200_s4 : unsigned(1 downto 0) := (others => '0');
+  signal t200_s5 : unsigned(1 downto 0) := (others => '0');
+  signal t200_s6 : unsigned(1 downto 0) := (others => '0');
+  signal t200_s7 : unsigned(1 downto 0) := (others => '0');
+  signal t200_s8 : unsigned(1 downto 0) := (others => '0');
+  signal t200_s9 : unsigned(1 downto 0) := (others => '0');
+  signal t202 : unsigned(27 downto 0);
+  signal t203 : unsigned(25 downto 0);
+  signal t204 : unsigned(11 downto 0);
+  signal t205 : unsigned(11 downto 0);
+  signal t203_s10 : unsigned(25 downto 0) := (others => '0');
+  signal t206_s10 : unsigned(11 downto 0) := (others => '0');
+  signal t207 : unsigned(0 downto 0);
 begin
-  v198_t <= shift_right(resize(v234_X0_pipe, 22), to_integer(to_unsigned(2, 6)));
-  v199_t <= resize(v198_t, 2) and to_unsigned(3, 2);
-  v200_t <= v199_t;
-  v201_t <= shift_left(resize(v197_rem_30, 28), to_integer(to_unsigned(2, 6)));
-  v202_t <= v201_t or resize(v200_t_s9, 28);
-  v203_t <= resize(v202_t, 26);
-  v204_t <= shift_left(resize(v196_root_30, 12), to_integer(to_unsigned(2, 6)));
-  v205_t <= v204_t or to_unsigned(1, 12);
-  v206_t <= v205_t;
-  v207_t <= "1" when resize(v203_t_s10, 27) >= resize(v206_t_s10, 27) else "0";
+  t198 <= X0_pipe(23 downto 2);
+  t199 <= t198(1 downto 0) and to_unsigned(3, 2);
+  t201 <= shift_left(resize(rem_30, 28), 2);
+  t202 <= t201 or resize(t200_s9, 28);
+  t203 <= t202(25 downto 0);
+  t204 <= shift_left(resize(root_30, 12), 2);
+  t205 <= t204 or to_unsigned(1, 12);
+  t207 <= "1" when signed(resize(t203_s10, 27)) >= signed(resize(t206_s10, 27)) else "0";
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v200_t_s1 <= v200_t;
-        v200_t_s2 <= v200_t_s1;
-        v200_t_s3 <= v200_t_s2;
-        v200_t_s4 <= v200_t_s3;
-        v200_t_s5 <= v200_t_s4;
-        v200_t_s6 <= v200_t_s5;
-        v200_t_s7 <= v200_t_s6;
-        v200_t_s8 <= v200_t_s7;
-        v200_t_s9 <= v200_t_s8;
-        v203_t_s10 <= v203_t;
-        v206_t_s10 <= v206_t;
+        t200_s1 <= t199;
+        t200_s2 <= t200_s1;
+        t200_s3 <= t200_s2;
+        t200_s4 <= t200_s3;
+        t200_s5 <= t200_s4;
+        t200_s6 <= t200_s5;
+        t200_s7 <= t200_s6;
+        t200_s8 <= t200_s7;
+        t200_s9 <= t200_s8;
+        t203_s10 <= t203;
+        t206_s10 <= t205;
       end if;
     end if;
   end process;
-  v203_t_out <= v203_t;
-  v206_t_out <= v206_t;
-  v207_t_out <= v207_t;
+  t203_out <= t203;
+  t203_s10_out <= t203_s10;
+  t206_s10_out <= t206_s10;
+  t207_out <= t207;
 end architecture rtl;
 
 library ieee;
@@ -1426,18 +1544,27 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node41 is
   port (
-    v196_root_30 : in unsigned(9 downto 0);
-    v209_t_out : out unsigned(10 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_30 : in unsigned(9 downto 0);
+    t209_s10_out : out unsigned(10 downto 0)
   );
 end entity square_root_dp_node41;
 
 architecture rtl of square_root_dp_node41 is
-  signal v208_t : unsigned(10 downto 0);
-  signal v209_t : unsigned(10 downto 0);
+  signal t208 : unsigned(10 downto 0);
+  signal t209_s10 : unsigned(10 downto 0) := (others => '0');
 begin
-  v208_t <= shift_left(resize(v196_root_30, 11), to_integer(to_unsigned(1, 6)));
-  v209_t <= v208_t;
-  v209_t_out <= v209_t;
+  t208 <= shift_left(resize(root_30, 11), 1);
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t209_s10 <= t208;
+      end if;
+    end if;
+  end process;
+  t209_s10_out <= t209_s10;
 end architecture rtl;
 
 library ieee;
@@ -1446,28 +1573,37 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node42 is
   port (
-    v196_root_30 : in unsigned(9 downto 0);
-    v203_t : in unsigned(25 downto 0);
-    v206_t : in unsigned(11 downto 0);
-    v211_t_out : out unsigned(25 downto 0);
-    v214_t_out : out unsigned(10 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_30 : in unsigned(9 downto 0);
+    t203_s10 : in unsigned(25 downto 0);
+    t206_s10 : in unsigned(11 downto 0);
+    t211_out : out unsigned(25 downto 0);
+    t214_s10_out : out unsigned(10 downto 0)
   );
 end entity square_root_dp_node42;
 
 architecture rtl of square_root_dp_node42 is
-  signal v210_t : signed(26 downto 0);
-  signal v211_t : unsigned(25 downto 0);
-  signal v212_t : unsigned(10 downto 0);
-  signal v213_t : unsigned(10 downto 0);
-  signal v214_t : unsigned(10 downto 0);
+  signal t212 : unsigned(10 downto 0);
+  signal t213 : unsigned(10 downto 0);
+  signal t210 : signed(26 downto 0);
+  signal t211 : unsigned(25 downto 0);
+  signal t214_s10 : unsigned(10 downto 0) := (others => '0');
 begin
-  v210_t <= signed(resize(v203_t, 27)) - signed(resize(v206_t, 27));
-  v211_t <= unsigned(resize(v210_t, 26));
-  v212_t <= shift_left(resize(v196_root_30, 11), to_integer(to_unsigned(1, 6)));
-  v213_t <= v212_t or to_unsigned(1, 11);
-  v214_t <= v213_t;
-  v211_t_out <= v211_t;
-  v214_t_out <= v214_t;
+  t212 <= shift_left(resize(root_30, 11), 1);
+  t213 <= t212 or to_unsigned(1, 11);
+  t210 <= signed(resize(t203_s10, 27)) - signed(resize(t206_s10, 27));
+  t211 <= unsigned(t210(25 downto 0));
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t214_s10 <= t213;
+      end if;
+    end if;
+  end process;
+  t211_out <= t211;
+  t214_s10_out <= t214_s10;
 end architecture rtl;
 
 library ieee;
@@ -1476,24 +1612,24 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_mux_bb33 is
   port (
-    v209_t : in unsigned(10 downto 0);
-    v211_t : in unsigned(25 downto 0);
-    v214_t : in unsigned(10 downto 0);
-    v255_pipe : in unsigned(25 downto 0);
-    v256_pipe : in unsigned(0 downto 0);
-    v215_root_33_out : out unsigned(10 downto 0);
-    v216_rem_33_out : out unsigned(25 downto 0)
+    t211 : in unsigned(25 downto 0);
+    n332_pipe : in unsigned(0 downto 0);
+    pipe_s10 : in unsigned(25 downto 0);
+    t214_s10 : in unsigned(10 downto 0);
+    t209_s10 : in unsigned(10 downto 0);
+    rem_33_out : out unsigned(25 downto 0);
+    root_33_out : out unsigned(10 downto 0)
   );
 end entity square_root_dp_mux_bb33;
 
 architecture rtl of square_root_dp_mux_bb33 is
-  signal v215_root_33 : unsigned(10 downto 0);
-  signal v216_rem_33 : unsigned(25 downto 0);
+  signal rem_33 : unsigned(25 downto 0);
+  signal root_33 : unsigned(10 downto 0);
 begin
-  v215_root_33 <= v214_t when v256_pipe = 1 else v209_t;
-  v216_rem_33 <= v211_t when v256_pipe = 1 else v255_pipe;
-  v215_root_33_out <= v215_root_33;
-  v216_rem_33_out <= v216_rem_33;
+  rem_33 <= t211 when n332_pipe /= 0 else pipe_s10;
+  root_33 <= t214_s10 when n332_pipe /= 0 else t209_s10;
+  rem_33_out <= rem_33;
+  root_33_out <= root_33;
 end architecture rtl;
 
 library ieee;
@@ -1504,67 +1640,59 @@ entity square_root_dp_node44 is
   port (
     clk : in std_logic;
     ce  : in std_logic;
-    v215_root_33 : in unsigned(10 downto 0);
-    v216_rem_33 : in unsigned(25 downto 0);
-    v234_X0_pipe : in unsigned(23 downto 0);
-    v226_t_out : out unsigned(0 downto 0)
+    X0_pipe : in unsigned(23 downto 0);
+    rem_33 : in unsigned(25 downto 0);
+    root_33 : in unsigned(10 downto 0);
+    t226_out : out unsigned(0 downto 0)
   );
 end entity square_root_dp_node44;
 
 architecture rtl of square_root_dp_node44 is
-  signal v217_t : unsigned(23 downto 0);
-  signal v218_t : unsigned(1 downto 0);
-  signal v219_t : unsigned(1 downto 0);
-  signal v220_t : unsigned(27 downto 0);
-  signal v221_t : unsigned(27 downto 0);
-  signal v222_t : unsigned(25 downto 0);
-  signal v223_t : unsigned(12 downto 0);
-  signal v224_t : unsigned(12 downto 0);
-  signal v225_t : unsigned(12 downto 0);
-  signal v226_t : unsigned(0 downto 0);
-  signal v219_t_s1 : unsigned(1 downto 0);
-  signal v219_t_s2 : unsigned(1 downto 0);
-  signal v219_t_s3 : unsigned(1 downto 0);
-  signal v219_t_s4 : unsigned(1 downto 0);
-  signal v219_t_s5 : unsigned(1 downto 0);
-  signal v219_t_s6 : unsigned(1 downto 0);
-  signal v219_t_s7 : unsigned(1 downto 0);
-  signal v219_t_s8 : unsigned(1 downto 0);
-  signal v219_t_s9 : unsigned(1 downto 0);
-  signal v219_t_s10 : unsigned(1 downto 0);
-  signal v222_t_s11 : unsigned(25 downto 0);
-  signal v225_t_s11 : unsigned(12 downto 0);
+  signal t218 : unsigned(1 downto 0);
+  signal t220 : unsigned(27 downto 0);
+  signal t219_s1 : unsigned(1 downto 0) := (others => '0');
+  signal t219_s2 : unsigned(1 downto 0) := (others => '0');
+  signal t219_s3 : unsigned(1 downto 0) := (others => '0');
+  signal t219_s4 : unsigned(1 downto 0) := (others => '0');
+  signal t219_s5 : unsigned(1 downto 0) := (others => '0');
+  signal t219_s6 : unsigned(1 downto 0) := (others => '0');
+  signal t219_s7 : unsigned(1 downto 0) := (others => '0');
+  signal t219_s8 : unsigned(1 downto 0) := (others => '0');
+  signal t219_s9 : unsigned(1 downto 0) := (others => '0');
+  signal t219_s10 : unsigned(1 downto 0) := (others => '0');
+  signal t221 : unsigned(27 downto 0);
+  signal t223 : unsigned(12 downto 0);
+  signal t224 : unsigned(12 downto 0);
+  signal t222_s11 : unsigned(25 downto 0) := (others => '0');
+  signal t225_s11 : unsigned(12 downto 0) := (others => '0');
+  signal t226 : unsigned(0 downto 0);
 begin
-  v217_t <= v234_X0_pipe;
-  v218_t <= resize(v217_t, 2) and to_unsigned(3, 2);
-  v219_t <= v218_t;
-  v220_t <= shift_left(resize(v216_rem_33, 28), to_integer(to_unsigned(2, 6)));
-  v221_t <= v220_t or resize(v219_t_s10, 28);
-  v222_t <= resize(v221_t, 26);
-  v223_t <= shift_left(resize(v215_root_33, 13), to_integer(to_unsigned(2, 6)));
-  v224_t <= v223_t or to_unsigned(1, 13);
-  v225_t <= v224_t;
-  v226_t <= "1" when resize(v222_t_s11, 27) >= resize(v225_t_s11, 27) else "0";
+  t218 <= X0_pipe(1 downto 0) and to_unsigned(3, 2);
+  t220 <= shift_left(resize(rem_33, 28), 2);
+  t221 <= t220 or resize(t219_s10, 28);
+  t223 <= shift_left(resize(root_33, 13), 2);
+  t224 <= t223 or to_unsigned(1, 13);
+  t226 <= "1" when signed(resize(t222_s11, 27)) >= signed(resize(t225_s11, 27)) else "0";
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v219_t_s1 <= v219_t;
-        v219_t_s2 <= v219_t_s1;
-        v219_t_s3 <= v219_t_s2;
-        v219_t_s4 <= v219_t_s3;
-        v219_t_s5 <= v219_t_s4;
-        v219_t_s6 <= v219_t_s5;
-        v219_t_s7 <= v219_t_s6;
-        v219_t_s8 <= v219_t_s7;
-        v219_t_s9 <= v219_t_s8;
-        v219_t_s10 <= v219_t_s9;
-        v222_t_s11 <= v222_t;
-        v225_t_s11 <= v225_t;
+        t219_s1 <= t218;
+        t219_s2 <= t219_s1;
+        t219_s3 <= t219_s2;
+        t219_s4 <= t219_s3;
+        t219_s5 <= t219_s4;
+        t219_s6 <= t219_s5;
+        t219_s7 <= t219_s6;
+        t219_s8 <= t219_s7;
+        t219_s9 <= t219_s8;
+        t219_s10 <= t219_s9;
+        t222_s11 <= t221(25 downto 0);
+        t225_s11 <= t224;
       end if;
     end if;
   end process;
-  v226_t_out <= v226_t;
+  t226_out <= t226;
 end architecture rtl;
 
 library ieee;
@@ -1573,18 +1701,27 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node45 is
   port (
-    v215_root_33 : in unsigned(10 downto 0);
-    v228_t_out : out unsigned(11 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_33 : in unsigned(10 downto 0);
+    t228_s11_out : out unsigned(11 downto 0)
   );
 end entity square_root_dp_node45;
 
 architecture rtl of square_root_dp_node45 is
-  signal v227_t : unsigned(11 downto 0);
-  signal v228_t : unsigned(11 downto 0);
+  signal t227 : unsigned(11 downto 0);
+  signal t228_s11 : unsigned(11 downto 0) := (others => '0');
 begin
-  v227_t <= shift_left(resize(v215_root_33, 12), to_integer(to_unsigned(1, 6)));
-  v228_t <= v227_t;
-  v228_t_out <= v228_t;
+  t227 <= shift_left(resize(root_33, 12), 1);
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t228_s11 <= t227;
+      end if;
+    end if;
+  end process;
+  t228_s11_out <= t228_s11;
 end architecture rtl;
 
 library ieee;
@@ -1593,20 +1730,29 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node46 is
   port (
-    v215_root_33 : in unsigned(10 downto 0);
-    v231_t_out : out unsigned(11 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    root_33 : in unsigned(10 downto 0);
+    t231_s11_out : out unsigned(11 downto 0)
   );
 end entity square_root_dp_node46;
 
 architecture rtl of square_root_dp_node46 is
-  signal v229_t : unsigned(11 downto 0);
-  signal v230_t : unsigned(11 downto 0);
-  signal v231_t : unsigned(11 downto 0);
+  signal t229 : unsigned(11 downto 0);
+  signal t230 : unsigned(11 downto 0);
+  signal t231_s11 : unsigned(11 downto 0) := (others => '0');
 begin
-  v229_t <= shift_left(resize(v215_root_33, 12), to_integer(to_unsigned(1, 6)));
-  v230_t <= v229_t or to_unsigned(1, 12);
-  v231_t <= v230_t;
-  v231_t_out <= v231_t;
+  t229 <= shift_left(resize(root_33, 12), 1);
+  t230 <= t229 or to_unsigned(1, 12);
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        t231_s11 <= t230;
+      end if;
+    end if;
+  end process;
+  t231_s11_out <= t231_s11;
 end architecture rtl;
 
 library ieee;
@@ -1615,18 +1761,18 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_mux_bb36 is
   port (
-    v228_t : in unsigned(11 downto 0);
-    v231_t : in unsigned(11 downto 0);
-    v257_pipe : in unsigned(0 downto 0);
-    v232_root_36_out : out unsigned(11 downto 0)
+    n362_pipe : in unsigned(0 downto 0);
+    t231_s11 : in unsigned(11 downto 0);
+    t228_s11 : in unsigned(11 downto 0);
+    root_36_out : out unsigned(11 downto 0)
   );
 end entity square_root_dp_mux_bb36;
 
 architecture rtl of square_root_dp_mux_bb36 is
-  signal v232_root_36 : unsigned(11 downto 0);
+  signal root_36 : unsigned(11 downto 0);
 begin
-  v232_root_36 <= v231_t when v257_pipe = 1 else v228_t;
-  v232_root_36_out <= v232_root_36;
+  root_36 <= t231_s11 when n362_pipe /= 0 else t228_s11;
+  root_36_out <= root_36;
 end architecture rtl;
 
 library ieee;
@@ -1635,16 +1781,16 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_node48 is
   port (
-    v232_root_36 : in unsigned(11 downto 0);
-    v233_t_out : out unsigned(11 downto 0)
+    root_36 : in unsigned(11 downto 0);
+    t233_out : out unsigned(11 downto 0)
   );
 end entity square_root_dp_node48;
 
 architecture rtl of square_root_dp_node48 is
-  signal v233_t : unsigned(11 downto 0);
+  signal t233 : unsigned(11 downto 0);
 begin
-  v233_t <= v232_root_36;
-  v233_t_out <= v233_t;
+  t233 <= root_36;
+  t233_out <= t233;
 end architecture rtl;
 
 library ieee;
@@ -1653,26 +1799,26 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_pipe_bb3 is
   port (
-    v0_X0 : in unsigned(23 downto 0);
-    v9_t : in unsigned(1 downto 0);
-    v12_t : in unsigned(0 downto 0);
-    v234_X0_pipe_out : out unsigned(23 downto 0);
-    v235_pipe_out : out unsigned(1 downto 0);
-    v236_pipe_out : out unsigned(0 downto 0)
+    X0 : in unsigned(23 downto 0);
+    t9 : in unsigned(1 downto 0);
+    t12 : in unsigned(0 downto 0);
+    X0_pipe_out : out unsigned(23 downto 0);
+    n55_pipe_out : out unsigned(1 downto 0);
+    n59_pipe_out : out unsigned(0 downto 0)
   );
 end entity square_root_dp_pipe_bb3;
 
 architecture rtl of square_root_dp_pipe_bb3 is
-  signal v234_X0_pipe : unsigned(23 downto 0);
-  signal v235_pipe : unsigned(1 downto 0);
-  signal v236_pipe : unsigned(0 downto 0);
+  signal X0_pipe : unsigned(23 downto 0);
+  signal n55_pipe : unsigned(1 downto 0);
+  signal n59_pipe : unsigned(0 downto 0);
 begin
-  v234_X0_pipe <= v0_X0;
-  v235_pipe <= v9_t;
-  v236_pipe <= v12_t;
-  v234_X0_pipe_out <= v234_X0_pipe;
-  v235_pipe_out <= v235_pipe;
-  v236_pipe_out <= v236_pipe;
+  X0_pipe <= X0;
+  n55_pipe <= t9;
+  n59_pipe <= t12;
+  X0_pipe_out <= X0_pipe;
+  n55_pipe_out <= n55_pipe;
+  n59_pipe_out <= n59_pipe;
 end architecture rtl;
 
 library ieee;
@@ -1681,21 +1827,30 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_pipe_bb6 is
   port (
-    v24_t : in unsigned(25 downto 0);
-    v28_t : in unsigned(0 downto 0);
-    v237_pipe_out : out unsigned(25 downto 0);
-    v238_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t24 : in unsigned(25 downto 0);
+    t28 : in unsigned(0 downto 0);
+    n80_pipe_out : out unsigned(0 downto 0);
+    pipe_s1_out : out unsigned(25 downto 0)
   );
 end entity square_root_dp_pipe_bb6;
 
 architecture rtl of square_root_dp_pipe_bb6 is
-  signal v237_pipe : unsigned(25 downto 0);
-  signal v238_pipe : unsigned(0 downto 0);
+  signal n80_pipe : unsigned(0 downto 0);
+  signal pipe_s1 : unsigned(25 downto 0) := (others => '0');
 begin
-  v237_pipe <= v24_t;
-  v238_pipe <= v28_t;
-  v237_pipe_out <= v237_pipe;
-  v238_pipe_out <= v238_pipe;
+  n80_pipe <= t28;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        pipe_s1 <= t24;
+      end if;
+    end if;
+  end process;
+  n80_pipe_out <= n80_pipe;
+  pipe_s1_out <= pipe_s1;
 end architecture rtl;
 
 library ieee;
@@ -1704,21 +1859,30 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_pipe_bb9 is
   port (
-    v45_t : in unsigned(25 downto 0);
-    v49_t : in unsigned(0 downto 0);
-    v239_pipe_out : out unsigned(25 downto 0);
-    v240_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t45 : in unsigned(25 downto 0);
+    t49 : in unsigned(0 downto 0);
+    n104_pipe_out : out unsigned(0 downto 0);
+    pipe_s2_out : out unsigned(25 downto 0)
   );
 end entity square_root_dp_pipe_bb9;
 
 architecture rtl of square_root_dp_pipe_bb9 is
-  signal v239_pipe : unsigned(25 downto 0);
-  signal v240_pipe : unsigned(0 downto 0);
+  signal n104_pipe : unsigned(0 downto 0);
+  signal pipe_s2 : unsigned(25 downto 0) := (others => '0');
 begin
-  v239_pipe <= v45_t;
-  v240_pipe <= v49_t;
-  v239_pipe_out <= v239_pipe;
-  v240_pipe_out <= v240_pipe;
+  n104_pipe <= t49;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        pipe_s2 <= t45;
+      end if;
+    end if;
+  end process;
+  n104_pipe_out <= n104_pipe;
+  pipe_s2_out <= pipe_s2;
 end architecture rtl;
 
 library ieee;
@@ -1727,21 +1891,30 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_pipe_bb12 is
   port (
-    v66_t : in unsigned(25 downto 0);
-    v70_t : in unsigned(0 downto 0);
-    v241_pipe_out : out unsigned(25 downto 0);
-    v242_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t66 : in unsigned(25 downto 0);
+    t70 : in unsigned(0 downto 0);
+    n129_pipe_out : out unsigned(0 downto 0);
+    pipe_s3_out : out unsigned(25 downto 0)
   );
 end entity square_root_dp_pipe_bb12;
 
 architecture rtl of square_root_dp_pipe_bb12 is
-  signal v241_pipe : unsigned(25 downto 0);
-  signal v242_pipe : unsigned(0 downto 0);
+  signal n129_pipe : unsigned(0 downto 0);
+  signal pipe_s3 : unsigned(25 downto 0) := (others => '0');
 begin
-  v241_pipe <= v66_t;
-  v242_pipe <= v70_t;
-  v241_pipe_out <= v241_pipe;
-  v242_pipe_out <= v242_pipe;
+  n129_pipe <= t70;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        pipe_s3 <= t66;
+      end if;
+    end if;
+  end process;
+  n129_pipe_out <= n129_pipe;
+  pipe_s3_out <= pipe_s3;
 end architecture rtl;
 
 library ieee;
@@ -1750,21 +1923,30 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_pipe_bb15 is
   port (
-    v87_t : in unsigned(25 downto 0);
-    v91_t : in unsigned(0 downto 0);
-    v243_pipe_out : out unsigned(25 downto 0);
-    v244_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t87 : in unsigned(25 downto 0);
+    t91 : in unsigned(0 downto 0);
+    n155_pipe_out : out unsigned(0 downto 0);
+    pipe_s4_out : out unsigned(25 downto 0)
   );
 end entity square_root_dp_pipe_bb15;
 
 architecture rtl of square_root_dp_pipe_bb15 is
-  signal v243_pipe : unsigned(25 downto 0);
-  signal v244_pipe : unsigned(0 downto 0);
+  signal n155_pipe : unsigned(0 downto 0);
+  signal pipe_s4 : unsigned(25 downto 0) := (others => '0');
 begin
-  v243_pipe <= v87_t;
-  v244_pipe <= v91_t;
-  v243_pipe_out <= v243_pipe;
-  v244_pipe_out <= v244_pipe;
+  n155_pipe <= t91;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        pipe_s4 <= t87;
+      end if;
+    end if;
+  end process;
+  n155_pipe_out <= n155_pipe;
+  pipe_s4_out <= pipe_s4;
 end architecture rtl;
 
 library ieee;
@@ -1773,21 +1955,30 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_pipe_bb18 is
   port (
-    v108_t : in unsigned(25 downto 0);
-    v112_t : in unsigned(0 downto 0);
-    v245_pipe_out : out unsigned(25 downto 0);
-    v246_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t108 : in unsigned(25 downto 0);
+    t112 : in unsigned(0 downto 0);
+    n182_pipe_out : out unsigned(0 downto 0);
+    pipe_s5_out : out unsigned(25 downto 0)
   );
 end entity square_root_dp_pipe_bb18;
 
 architecture rtl of square_root_dp_pipe_bb18 is
-  signal v245_pipe : unsigned(25 downto 0);
-  signal v246_pipe : unsigned(0 downto 0);
+  signal n182_pipe : unsigned(0 downto 0);
+  signal pipe_s5 : unsigned(25 downto 0) := (others => '0');
 begin
-  v245_pipe <= v108_t;
-  v246_pipe <= v112_t;
-  v245_pipe_out <= v245_pipe;
-  v246_pipe_out <= v246_pipe;
+  n182_pipe <= t112;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        pipe_s5 <= t108;
+      end if;
+    end if;
+  end process;
+  n182_pipe_out <= n182_pipe;
+  pipe_s5_out <= pipe_s5;
 end architecture rtl;
 
 library ieee;
@@ -1796,21 +1987,30 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_pipe_bb21 is
   port (
-    v127_t : in unsigned(25 downto 0);
-    v131_t : in unsigned(0 downto 0);
-    v247_pipe_out : out unsigned(25 downto 0);
-    v248_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t127 : in unsigned(25 downto 0);
+    t131 : in unsigned(0 downto 0);
+    n210_pipe_out : out unsigned(0 downto 0);
+    pipe_s6_out : out unsigned(25 downto 0)
   );
 end entity square_root_dp_pipe_bb21;
 
 architecture rtl of square_root_dp_pipe_bb21 is
-  signal v247_pipe : unsigned(25 downto 0);
-  signal v248_pipe : unsigned(0 downto 0);
+  signal n210_pipe : unsigned(0 downto 0);
+  signal pipe_s6 : unsigned(25 downto 0) := (others => '0');
 begin
-  v247_pipe <= v127_t;
-  v248_pipe <= v131_t;
-  v247_pipe_out <= v247_pipe;
-  v248_pipe_out <= v248_pipe;
+  n210_pipe <= t131;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        pipe_s6 <= t127;
+      end if;
+    end if;
+  end process;
+  n210_pipe_out <= n210_pipe;
+  pipe_s6_out <= pipe_s6;
 end architecture rtl;
 
 library ieee;
@@ -1819,21 +2019,30 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_pipe_bb24 is
   port (
-    v146_t : in unsigned(25 downto 0);
-    v150_t : in unsigned(0 downto 0);
-    v249_pipe_out : out unsigned(25 downto 0);
-    v250_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t146 : in unsigned(25 downto 0);
+    t150 : in unsigned(0 downto 0);
+    n239_pipe_out : out unsigned(0 downto 0);
+    pipe_s7_out : out unsigned(25 downto 0)
   );
 end entity square_root_dp_pipe_bb24;
 
 architecture rtl of square_root_dp_pipe_bb24 is
-  signal v249_pipe : unsigned(25 downto 0);
-  signal v250_pipe : unsigned(0 downto 0);
+  signal n239_pipe : unsigned(0 downto 0);
+  signal pipe_s7 : unsigned(25 downto 0) := (others => '0');
 begin
-  v249_pipe <= v146_t;
-  v250_pipe <= v150_t;
-  v249_pipe_out <= v249_pipe;
-  v250_pipe_out <= v250_pipe;
+  n239_pipe <= t150;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        pipe_s7 <= t146;
+      end if;
+    end if;
+  end process;
+  n239_pipe_out <= n239_pipe;
+  pipe_s7_out <= pipe_s7;
 end architecture rtl;
 
 library ieee;
@@ -1842,21 +2051,30 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_pipe_bb27 is
   port (
-    v165_t : in unsigned(25 downto 0);
-    v169_t : in unsigned(0 downto 0);
-    v251_pipe_out : out unsigned(25 downto 0);
-    v252_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t165 : in unsigned(25 downto 0);
+    t169 : in unsigned(0 downto 0);
+    n269_pipe_out : out unsigned(0 downto 0);
+    pipe_s8_out : out unsigned(25 downto 0)
   );
 end entity square_root_dp_pipe_bb27;
 
 architecture rtl of square_root_dp_pipe_bb27 is
-  signal v251_pipe : unsigned(25 downto 0);
-  signal v252_pipe : unsigned(0 downto 0);
+  signal n269_pipe : unsigned(0 downto 0);
+  signal pipe_s8 : unsigned(25 downto 0) := (others => '0');
 begin
-  v251_pipe <= v165_t;
-  v252_pipe <= v169_t;
-  v251_pipe_out <= v251_pipe;
-  v252_pipe_out <= v252_pipe;
+  n269_pipe <= t169;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        pipe_s8 <= t165;
+      end if;
+    end if;
+  end process;
+  n269_pipe_out <= n269_pipe;
+  pipe_s8_out <= pipe_s8;
 end architecture rtl;
 
 library ieee;
@@ -1865,21 +2083,30 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_pipe_bb30 is
   port (
-    v184_t : in unsigned(25 downto 0);
-    v188_t : in unsigned(0 downto 0);
-    v253_pipe_out : out unsigned(25 downto 0);
-    v254_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t184 : in unsigned(25 downto 0);
+    t188 : in unsigned(0 downto 0);
+    n300_pipe_out : out unsigned(0 downto 0);
+    pipe_s9_out : out unsigned(25 downto 0)
   );
 end entity square_root_dp_pipe_bb30;
 
 architecture rtl of square_root_dp_pipe_bb30 is
-  signal v253_pipe : unsigned(25 downto 0);
-  signal v254_pipe : unsigned(0 downto 0);
+  signal n300_pipe : unsigned(0 downto 0);
+  signal pipe_s9 : unsigned(25 downto 0) := (others => '0');
 begin
-  v253_pipe <= v184_t;
-  v254_pipe <= v188_t;
-  v253_pipe_out <= v253_pipe;
-  v254_pipe_out <= v254_pipe;
+  n300_pipe <= t188;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        pipe_s9 <= t184;
+      end if;
+    end if;
+  end process;
+  n300_pipe_out <= n300_pipe;
+  pipe_s9_out <= pipe_s9;
 end architecture rtl;
 
 library ieee;
@@ -1888,21 +2115,30 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_pipe_bb33 is
   port (
-    v203_t : in unsigned(25 downto 0);
-    v207_t : in unsigned(0 downto 0);
-    v255_pipe_out : out unsigned(25 downto 0);
-    v256_pipe_out : out unsigned(0 downto 0)
+    clk : in std_logic;
+    ce  : in std_logic;
+    t203 : in unsigned(25 downto 0);
+    t207 : in unsigned(0 downto 0);
+    n332_pipe_out : out unsigned(0 downto 0);
+    pipe_s10_out : out unsigned(25 downto 0)
   );
 end entity square_root_dp_pipe_bb33;
 
 architecture rtl of square_root_dp_pipe_bb33 is
-  signal v255_pipe : unsigned(25 downto 0);
-  signal v256_pipe : unsigned(0 downto 0);
+  signal n332_pipe : unsigned(0 downto 0);
+  signal pipe_s10 : unsigned(25 downto 0) := (others => '0');
 begin
-  v255_pipe <= v203_t;
-  v256_pipe <= v207_t;
-  v255_pipe_out <= v255_pipe;
-  v256_pipe_out <= v256_pipe;
+  n332_pipe <= t207;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if ce = '1' then
+        pipe_s10 <= t203;
+      end if;
+    end if;
+  end process;
+  n332_pipe_out <= n332_pipe;
+  pipe_s10_out <= pipe_s10;
 end architecture rtl;
 
 library ieee;
@@ -1911,16 +2147,16 @@ use ieee.numeric_std.all;
 
 entity square_root_dp_pipe_bb36 is
   port (
-    v226_t : in unsigned(0 downto 0);
-    v257_pipe_out : out unsigned(0 downto 0)
+    t226 : in unsigned(0 downto 0);
+    n362_pipe_out : out unsigned(0 downto 0)
   );
 end entity square_root_dp_pipe_bb36;
 
 architecture rtl of square_root_dp_pipe_bb36 is
-  signal v257_pipe : unsigned(0 downto 0);
+  signal n362_pipe : unsigned(0 downto 0);
 begin
-  v257_pipe <= v226_t;
-  v257_pipe_out <= v257_pipe;
+  n362_pipe <= t226;
+  n362_pipe_out <= n362_pipe;
 end architecture rtl;
 
 library ieee;
@@ -1937,351 +2173,250 @@ entity square_root_dp is
 end entity square_root_dp;
 
 architecture rtl of square_root_dp is
-  signal v9_t : unsigned(1 downto 0);
-  signal v12_t : unsigned(0 downto 0);
-  signal v14_t : unsigned(25 downto 0);
-  signal v16_root_3 : unsigned(0 downto 0);
-  signal v17_rem_3 : unsigned(25 downto 0);
-  signal v24_t : unsigned(25 downto 0);
-  signal v27_t : unsigned(2 downto 0);
-  signal v28_t : unsigned(0 downto 0);
-  signal v30_t : unsigned(1 downto 0);
-  signal v32_t : unsigned(25 downto 0);
-  signal v35_t : unsigned(1 downto 0);
-  signal v36_root_6 : unsigned(1 downto 0);
-  signal v37_rem_6 : unsigned(25 downto 0);
-  signal v45_t : unsigned(25 downto 0);
-  signal v48_t : unsigned(3 downto 0);
-  signal v49_t : unsigned(0 downto 0);
-  signal v51_t : unsigned(2 downto 0);
-  signal v53_t : unsigned(25 downto 0);
-  signal v56_t : unsigned(2 downto 0);
-  signal v57_root_9 : unsigned(2 downto 0);
-  signal v58_rem_9 : unsigned(25 downto 0);
-  signal v66_t : unsigned(25 downto 0);
-  signal v69_t : unsigned(4 downto 0);
-  signal v70_t : unsigned(0 downto 0);
-  signal v72_t : unsigned(3 downto 0);
-  signal v74_t : unsigned(25 downto 0);
-  signal v77_t : unsigned(3 downto 0);
-  signal v78_root_12 : unsigned(3 downto 0);
-  signal v79_rem_12 : unsigned(25 downto 0);
-  signal v87_t : unsigned(25 downto 0);
-  signal v90_t : unsigned(5 downto 0);
-  signal v91_t : unsigned(0 downto 0);
-  signal v93_t : unsigned(4 downto 0);
-  signal v95_t : unsigned(25 downto 0);
-  signal v98_t : unsigned(4 downto 0);
-  signal v99_root_15 : unsigned(4 downto 0);
-  signal v100_rem_15 : unsigned(25 downto 0);
-  signal v108_t : unsigned(25 downto 0);
-  signal v111_t : unsigned(6 downto 0);
-  signal v112_t : unsigned(0 downto 0);
-  signal v114_t : unsigned(5 downto 0);
-  signal v116_t : unsigned(25 downto 0);
-  signal v119_t : unsigned(5 downto 0);
-  signal v120_root_18 : unsigned(5 downto 0);
-  signal v121_rem_18 : unsigned(25 downto 0);
-  signal v127_t : unsigned(25 downto 0);
-  signal v130_t : unsigned(7 downto 0);
-  signal v131_t : unsigned(0 downto 0);
-  signal v133_t : unsigned(6 downto 0);
-  signal v135_t : unsigned(25 downto 0);
-  signal v138_t : unsigned(6 downto 0);
-  signal v139_root_21 : unsigned(6 downto 0);
-  signal v140_rem_21 : unsigned(25 downto 0);
-  signal v146_t : unsigned(25 downto 0);
-  signal v149_t : unsigned(8 downto 0);
-  signal v150_t : unsigned(0 downto 0);
-  signal v152_t : unsigned(7 downto 0);
-  signal v154_t : unsigned(25 downto 0);
-  signal v157_t : unsigned(7 downto 0);
-  signal v158_root_24 : unsigned(7 downto 0);
-  signal v159_rem_24 : unsigned(25 downto 0);
-  signal v165_t : unsigned(25 downto 0);
-  signal v168_t : unsigned(9 downto 0);
-  signal v169_t : unsigned(0 downto 0);
-  signal v171_t : unsigned(8 downto 0);
-  signal v173_t : unsigned(25 downto 0);
-  signal v176_t : unsigned(8 downto 0);
-  signal v177_root_27 : unsigned(8 downto 0);
-  signal v178_rem_27 : unsigned(25 downto 0);
-  signal v184_t : unsigned(25 downto 0);
-  signal v187_t : unsigned(10 downto 0);
-  signal v188_t : unsigned(0 downto 0);
-  signal v190_t : unsigned(9 downto 0);
-  signal v192_t : unsigned(25 downto 0);
-  signal v195_t : unsigned(9 downto 0);
-  signal v196_root_30 : unsigned(9 downto 0);
-  signal v197_rem_30 : unsigned(25 downto 0);
-  signal v203_t : unsigned(25 downto 0);
-  signal v206_t : unsigned(11 downto 0);
-  signal v207_t : unsigned(0 downto 0);
-  signal v209_t : unsigned(10 downto 0);
-  signal v211_t : unsigned(25 downto 0);
-  signal v214_t : unsigned(10 downto 0);
-  signal v215_root_33 : unsigned(10 downto 0);
-  signal v216_rem_33 : unsigned(25 downto 0);
-  signal v226_t : unsigned(0 downto 0);
-  signal v228_t : unsigned(11 downto 0);
-  signal v231_t : unsigned(11 downto 0);
-  signal v232_root_36 : unsigned(11 downto 0);
-  signal v233_t : unsigned(11 downto 0);
-  signal v234_X0_pipe : unsigned(23 downto 0);
-  signal v235_pipe : unsigned(1 downto 0);
-  signal v236_pipe : unsigned(0 downto 0);
-  signal v237_pipe : unsigned(25 downto 0);
-  signal v238_pipe : unsigned(0 downto 0);
-  signal v239_pipe : unsigned(25 downto 0);
-  signal v240_pipe : unsigned(0 downto 0);
-  signal v241_pipe : unsigned(25 downto 0);
-  signal v242_pipe : unsigned(0 downto 0);
-  signal v243_pipe : unsigned(25 downto 0);
-  signal v244_pipe : unsigned(0 downto 0);
-  signal v245_pipe : unsigned(25 downto 0);
-  signal v246_pipe : unsigned(0 downto 0);
-  signal v247_pipe : unsigned(25 downto 0);
-  signal v248_pipe : unsigned(0 downto 0);
-  signal v249_pipe : unsigned(25 downto 0);
-  signal v250_pipe : unsigned(0 downto 0);
-  signal v251_pipe : unsigned(25 downto 0);
-  signal v252_pipe : unsigned(0 downto 0);
-  signal v253_pipe : unsigned(25 downto 0);
-  signal v254_pipe : unsigned(0 downto 0);
-  signal v255_pipe : unsigned(25 downto 0);
-  signal v256_pipe : unsigned(0 downto 0);
-  signal v257_pipe : unsigned(0 downto 0);
-  signal v24_t_p1 : unsigned(25 downto 0);
-  signal v27_t_p1 : unsigned(2 downto 0);
-  signal v35_t_p1 : unsigned(1 downto 0);
-  signal v30_t_p1 : unsigned(1 downto 0);
-  signal v237_pipe_p1 : unsigned(25 downto 0);
-  signal v45_t_p2 : unsigned(25 downto 0);
-  signal v48_t_p2 : unsigned(3 downto 0);
-  signal v56_t_p2 : unsigned(2 downto 0);
-  signal v51_t_p2 : unsigned(2 downto 0);
-  signal v239_pipe_p2 : unsigned(25 downto 0);
-  signal v66_t_p3 : unsigned(25 downto 0);
-  signal v69_t_p3 : unsigned(4 downto 0);
-  signal v77_t_p3 : unsigned(3 downto 0);
-  signal v72_t_p3 : unsigned(3 downto 0);
-  signal v241_pipe_p3 : unsigned(25 downto 0);
-  signal v87_t_p4 : unsigned(25 downto 0);
-  signal v90_t_p4 : unsigned(5 downto 0);
-  signal v98_t_p4 : unsigned(4 downto 0);
-  signal v93_t_p4 : unsigned(4 downto 0);
-  signal v243_pipe_p4 : unsigned(25 downto 0);
-  signal v108_t_p5 : unsigned(25 downto 0);
-  signal v111_t_p5 : unsigned(6 downto 0);
-  signal v119_t_p5 : unsigned(5 downto 0);
-  signal v114_t_p5 : unsigned(5 downto 0);
-  signal v245_pipe_p5 : unsigned(25 downto 0);
-  signal v127_t_p6 : unsigned(25 downto 0);
-  signal v130_t_p6 : unsigned(7 downto 0);
-  signal v138_t_p6 : unsigned(6 downto 0);
-  signal v133_t_p6 : unsigned(6 downto 0);
-  signal v247_pipe_p6 : unsigned(25 downto 0);
-  signal v146_t_p7 : unsigned(25 downto 0);
-  signal v149_t_p7 : unsigned(8 downto 0);
-  signal v157_t_p7 : unsigned(7 downto 0);
-  signal v152_t_p7 : unsigned(7 downto 0);
-  signal v249_pipe_p7 : unsigned(25 downto 0);
-  signal v165_t_p8 : unsigned(25 downto 0);
-  signal v168_t_p8 : unsigned(9 downto 0);
-  signal v176_t_p8 : unsigned(8 downto 0);
-  signal v171_t_p8 : unsigned(8 downto 0);
-  signal v251_pipe_p8 : unsigned(25 downto 0);
-  signal v184_t_p9 : unsigned(25 downto 0);
-  signal v187_t_p9 : unsigned(10 downto 0);
-  signal v195_t_p9 : unsigned(9 downto 0);
-  signal v190_t_p9 : unsigned(9 downto 0);
-  signal v253_pipe_p9 : unsigned(25 downto 0);
-  signal v203_t_p10 : unsigned(25 downto 0);
-  signal v206_t_p10 : unsigned(11 downto 0);
-  signal v214_t_p10 : unsigned(10 downto 0);
-  signal v209_t_p10 : unsigned(10 downto 0);
-  signal v255_pipe_p10 : unsigned(25 downto 0);
-  signal v231_t_p11 : unsigned(11 downto 0);
-  signal v228_t_p11 : unsigned(11 downto 0);
+  signal X0_pipe : unsigned(23 downto 0);
+  signal t9 : unsigned(1 downto 0);
+  signal n55_pipe : unsigned(1 downto 0);
+  signal t14 : unsigned(25 downto 0);
+  signal t12 : unsigned(0 downto 0);
+  signal n59_pipe : unsigned(0 downto 0);
+  signal rem_3 : unsigned(25 downto 0);
+  signal t24 : unsigned(25 downto 0);
+  signal root_3 : unsigned(0 downto 0);
+  signal t24_s1 : unsigned(25 downto 0);
+  signal t27_s1 : unsigned(2 downto 0);
+  signal t32 : unsigned(25 downto 0);
+  signal t28 : unsigned(0 downto 0);
+  signal n80_pipe : unsigned(0 downto 0);
+  signal pipe_s1 : unsigned(25 downto 0);
+  signal rem_6 : unsigned(25 downto 0);
+  signal t45 : unsigned(25 downto 0);
+  signal t35_s1 : unsigned(1 downto 0);
+  signal t30_s1 : unsigned(1 downto 0);
+  signal root_6 : unsigned(1 downto 0);
+  signal t45_s2 : unsigned(25 downto 0);
+  signal t48_s2 : unsigned(3 downto 0);
+  signal t53 : unsigned(25 downto 0);
+  signal t49 : unsigned(0 downto 0);
+  signal n104_pipe : unsigned(0 downto 0);
+  signal pipe_s2 : unsigned(25 downto 0);
+  signal rem_9 : unsigned(25 downto 0);
+  signal t66 : unsigned(25 downto 0);
+  signal t56_s2 : unsigned(2 downto 0);
+  signal t51_s2 : unsigned(2 downto 0);
+  signal root_9 : unsigned(2 downto 0);
+  signal t66_s3 : unsigned(25 downto 0);
+  signal t69_s3 : unsigned(4 downto 0);
+  signal t74 : unsigned(25 downto 0);
+  signal t70 : unsigned(0 downto 0);
+  signal n129_pipe : unsigned(0 downto 0);
+  signal pipe_s3 : unsigned(25 downto 0);
+  signal rem_12 : unsigned(25 downto 0);
+  signal t87 : unsigned(25 downto 0);
+  signal t77_s3 : unsigned(3 downto 0);
+  signal t72_s3 : unsigned(3 downto 0);
+  signal root_12 : unsigned(3 downto 0);
+  signal t87_s4 : unsigned(25 downto 0);
+  signal t90_s4 : unsigned(5 downto 0);
+  signal t95 : unsigned(25 downto 0);
+  signal t91 : unsigned(0 downto 0);
+  signal n155_pipe : unsigned(0 downto 0);
+  signal pipe_s4 : unsigned(25 downto 0);
+  signal rem_15 : unsigned(25 downto 0);
+  signal t108 : unsigned(25 downto 0);
+  signal t98_s4 : unsigned(4 downto 0);
+  signal t93_s4 : unsigned(4 downto 0);
+  signal root_15 : unsigned(4 downto 0);
+  signal t108_s5 : unsigned(25 downto 0);
+  signal t111_s5 : unsigned(6 downto 0);
+  signal t116 : unsigned(25 downto 0);
+  signal t112 : unsigned(0 downto 0);
+  signal n182_pipe : unsigned(0 downto 0);
+  signal pipe_s5 : unsigned(25 downto 0);
+  signal rem_18 : unsigned(25 downto 0);
+  signal t127 : unsigned(25 downto 0);
+  signal t119_s5 : unsigned(5 downto 0);
+  signal t114_s5 : unsigned(5 downto 0);
+  signal root_18 : unsigned(5 downto 0);
+  signal t127_s6 : unsigned(25 downto 0);
+  signal t130_s6 : unsigned(7 downto 0);
+  signal t135 : unsigned(25 downto 0);
+  signal t131 : unsigned(0 downto 0);
+  signal n210_pipe : unsigned(0 downto 0);
+  signal pipe_s6 : unsigned(25 downto 0);
+  signal rem_21 : unsigned(25 downto 0);
+  signal t146 : unsigned(25 downto 0);
+  signal t138_s6 : unsigned(6 downto 0);
+  signal t133_s6 : unsigned(6 downto 0);
+  signal root_21 : unsigned(6 downto 0);
+  signal t146_s7 : unsigned(25 downto 0);
+  signal t149_s7 : unsigned(8 downto 0);
+  signal t154 : unsigned(25 downto 0);
+  signal t150 : unsigned(0 downto 0);
+  signal n239_pipe : unsigned(0 downto 0);
+  signal pipe_s7 : unsigned(25 downto 0);
+  signal rem_24 : unsigned(25 downto 0);
+  signal t165 : unsigned(25 downto 0);
+  signal t157_s7 : unsigned(7 downto 0);
+  signal t152_s7 : unsigned(7 downto 0);
+  signal root_24 : unsigned(7 downto 0);
+  signal t165_s8 : unsigned(25 downto 0);
+  signal t168_s8 : unsigned(9 downto 0);
+  signal t173 : unsigned(25 downto 0);
+  signal t169 : unsigned(0 downto 0);
+  signal n269_pipe : unsigned(0 downto 0);
+  signal pipe_s8 : unsigned(25 downto 0);
+  signal rem_27 : unsigned(25 downto 0);
+  signal t184 : unsigned(25 downto 0);
+  signal t176_s8 : unsigned(8 downto 0);
+  signal t171_s8 : unsigned(8 downto 0);
+  signal root_27 : unsigned(8 downto 0);
+  signal t184_s9 : unsigned(25 downto 0);
+  signal t187_s9 : unsigned(10 downto 0);
+  signal t192 : unsigned(25 downto 0);
+  signal t188 : unsigned(0 downto 0);
+  signal n300_pipe : unsigned(0 downto 0);
+  signal pipe_s9 : unsigned(25 downto 0);
+  signal rem_30 : unsigned(25 downto 0);
+  signal t203 : unsigned(25 downto 0);
+  signal t195_s9 : unsigned(9 downto 0);
+  signal t190_s9 : unsigned(9 downto 0);
+  signal root_30 : unsigned(9 downto 0);
+  signal t203_s10 : unsigned(25 downto 0);
+  signal t206_s10 : unsigned(11 downto 0);
+  signal t211 : unsigned(25 downto 0);
+  signal t207 : unsigned(0 downto 0);
+  signal n332_pipe : unsigned(0 downto 0);
+  signal pipe_s10 : unsigned(25 downto 0);
+  signal rem_33 : unsigned(25 downto 0);
+  signal t214_s10 : unsigned(10 downto 0);
+  signal t209_s10 : unsigned(10 downto 0);
+  signal root_33 : unsigned(10 downto 0);
+  signal t226 : unsigned(0 downto 0);
+  signal n362_pipe : unsigned(0 downto 0);
+  signal t231_s11 : unsigned(11 downto 0);
+  signal t228_s11 : unsigned(11 downto 0);
+  signal root_36 : unsigned(11 downto 0);
+  signal t233 : unsigned(11 downto 0);
 begin
   u_node1 : entity work.square_root_dp_node1
-    port map (v0_X0 => X0, v1_t_out => v1_t, v3_t_out => v3_t, v5_t_out => v5_t, v9_t_out => v9_t, v10_t_out => v10_t, v11_t_out => v11_t, v12_t_out => v12_t);
+    port map (X0 => X0, t9_out => t9, t12_out => t12);
   u_node2 : entity work.square_root_dp_node2
-    port map (v9_t => v9_t, v14_t_out => v14_t, v15_t_out => v15_t);
+    port map (t9 => t9, t14_out => t14);
   u_mux_bb3 : entity work.square_root_dp_mux_bb3
-    port map (v14_t => v14_t, v235_pipe => v235_pipe, v236_pipe => v236_pipe, v16_root_3_out => v16_root_3, v17_rem_3_out => v17_rem_3);
+    port map (n55_pipe => n55_pipe, t14 => t14, n59_pipe => n59_pipe, rem_3_out => rem_3, root_3_out => root_3);
   u_node4 : entity work.square_root_dp_node4
-    port map (clk => clk, ce => ce, v16_root_3 => v16_root_3, v17_rem_3 => v17_rem_3, v234_X0_pipe => v234_X0_pipe, v24_t_out => v24_t, v27_t_out => v27_t, v28_t_out => v28_t);
+    port map (clk => clk, ce => ce, X0_pipe => X0_pipe, rem_3 => rem_3, root_3 => root_3, t24_out => t24, t24_s1_out => t24_s1, t27_s1_out => t27_s1, t28_out => t28);
   u_node5 : entity work.square_root_dp_node5
-    port map (v16_root_3 => v16_root_3, v30_t_out => v30_t);
+    port map (clk => clk, ce => ce, root_3 => root_3, t30_s1_out => t30_s1);
   u_node6 : entity work.square_root_dp_node6
-    port map (v16_root_3 => v16_root_3, v24_t => v24_t_p1, v27_t => v27_t_p1, v32_t_out => v32_t, v35_t_out => v35_t);
+    port map (clk => clk, ce => ce, root_3 => root_3, t24_s1 => t24_s1, t27_s1 => t27_s1, t32_out => t32, t35_s1_out => t35_s1);
   u_mux_bb6 : entity work.square_root_dp_mux_bb6
-    port map (v30_t => v30_t_p1, v32_t => v32_t, v35_t => v35_t_p1, v237_pipe => v237_pipe_p1, v238_pipe => v238_pipe, v36_root_6_out => v36_root_6, v37_rem_6_out => v37_rem_6);
+    port map (t32 => t32, n80_pipe => n80_pipe, pipe_s1 => pipe_s1, t35_s1 => t35_s1, t30_s1 => t30_s1, rem_6_out => rem_6, root_6_out => root_6);
   u_node8 : entity work.square_root_dp_node8
-    port map (clk => clk, ce => ce, v36_root_6 => v36_root_6, v37_rem_6 => v37_rem_6, v234_X0_pipe => v234_X0_pipe, v38_t_out => v38_t, v45_t_out => v45_t, v48_t_out => v48_t, v49_t_out => v49_t);
+    port map (clk => clk, ce => ce, X0_pipe => X0_pipe, rem_6 => rem_6, root_6 => root_6, t45_out => t45, t45_s2_out => t45_s2, t48_s2_out => t48_s2, t49_out => t49);
   u_node9 : entity work.square_root_dp_node9
-    port map (v36_root_6 => v36_root_6, v51_t_out => v51_t);
+    port map (clk => clk, ce => ce, root_6 => root_6, t51_s2_out => t51_s2);
   u_node10 : entity work.square_root_dp_node10
-    port map (v36_root_6 => v36_root_6, v45_t => v45_t_p2, v48_t => v48_t_p2, v53_t_out => v53_t, v56_t_out => v56_t);
+    port map (clk => clk, ce => ce, root_6 => root_6, t45_s2 => t45_s2, t48_s2 => t48_s2, t53_out => t53, t56_s2_out => t56_s2);
   u_mux_bb9 : entity work.square_root_dp_mux_bb9
-    port map (v51_t => v51_t_p2, v53_t => v53_t, v56_t => v56_t_p2, v239_pipe => v239_pipe_p2, v240_pipe => v240_pipe, v57_root_9_out => v57_root_9, v58_rem_9_out => v58_rem_9);
+    port map (t53 => t53, n104_pipe => n104_pipe, pipe_s2 => pipe_s2, t56_s2 => t56_s2, t51_s2 => t51_s2, rem_9_out => rem_9, root_9_out => root_9);
   u_node12 : entity work.square_root_dp_node12
-    port map (clk => clk, ce => ce, v57_root_9 => v57_root_9, v58_rem_9 => v58_rem_9, v234_X0_pipe => v234_X0_pipe, v59_t_out => v59_t, v66_t_out => v66_t, v69_t_out => v69_t, v70_t_out => v70_t);
+    port map (clk => clk, ce => ce, X0_pipe => X0_pipe, rem_9 => rem_9, root_9 => root_9, t66_out => t66, t66_s3_out => t66_s3, t69_s3_out => t69_s3, t70_out => t70);
   u_node13 : entity work.square_root_dp_node13
-    port map (v57_root_9 => v57_root_9, v72_t_out => v72_t);
+    port map (clk => clk, ce => ce, root_9 => root_9, t72_s3_out => t72_s3);
   u_node14 : entity work.square_root_dp_node14
-    port map (v57_root_9 => v57_root_9, v66_t => v66_t_p3, v69_t => v69_t_p3, v74_t_out => v74_t, v77_t_out => v77_t);
+    port map (clk => clk, ce => ce, root_9 => root_9, t66_s3 => t66_s3, t69_s3 => t69_s3, t74_out => t74, t77_s3_out => t77_s3);
   u_mux_bb12 : entity work.square_root_dp_mux_bb12
-    port map (v72_t => v72_t_p3, v74_t => v74_t, v77_t => v77_t_p3, v241_pipe => v241_pipe_p3, v242_pipe => v242_pipe, v78_root_12_out => v78_root_12, v79_rem_12_out => v79_rem_12);
+    port map (t74 => t74, n129_pipe => n129_pipe, pipe_s3 => pipe_s3, t77_s3 => t77_s3, t72_s3 => t72_s3, rem_12_out => rem_12, root_12_out => root_12);
   u_node16 : entity work.square_root_dp_node16
-    port map (clk => clk, ce => ce, v78_root_12 => v78_root_12, v79_rem_12 => v79_rem_12, v234_X0_pipe => v234_X0_pipe, v80_t_out => v80_t, v87_t_out => v87_t, v90_t_out => v90_t, v91_t_out => v91_t);
+    port map (clk => clk, ce => ce, X0_pipe => X0_pipe, rem_12 => rem_12, root_12 => root_12, t87_out => t87, t87_s4_out => t87_s4, t90_s4_out => t90_s4, t91_out => t91);
   u_node17 : entity work.square_root_dp_node17
-    port map (v78_root_12 => v78_root_12, v93_t_out => v93_t);
+    port map (clk => clk, ce => ce, root_12 => root_12, t93_s4_out => t93_s4);
   u_node18 : entity work.square_root_dp_node18
-    port map (v78_root_12 => v78_root_12, v87_t => v87_t_p4, v90_t => v90_t_p4, v95_t_out => v95_t, v98_t_out => v98_t);
+    port map (clk => clk, ce => ce, root_12 => root_12, t87_s4 => t87_s4, t90_s4 => t90_s4, t95_out => t95, t98_s4_out => t98_s4);
   u_mux_bb15 : entity work.square_root_dp_mux_bb15
-    port map (v93_t => v93_t_p4, v95_t => v95_t, v98_t => v98_t_p4, v243_pipe => v243_pipe_p4, v244_pipe => v244_pipe, v99_root_15_out => v99_root_15, v100_rem_15_out => v100_rem_15);
+    port map (t95 => t95, n155_pipe => n155_pipe, pipe_s4 => pipe_s4, t98_s4 => t98_s4, t93_s4 => t93_s4, rem_15_out => rem_15, root_15_out => root_15);
   u_node20 : entity work.square_root_dp_node20
-    port map (clk => clk, ce => ce, v99_root_15 => v99_root_15, v100_rem_15 => v100_rem_15, v234_X0_pipe => v234_X0_pipe, v101_t_out => v101_t, v108_t_out => v108_t, v111_t_out => v111_t, v112_t_out => v112_t);
+    port map (clk => clk, ce => ce, X0_pipe => X0_pipe, rem_15 => rem_15, root_15 => root_15, t108_out => t108, t108_s5_out => t108_s5, t111_s5_out => t111_s5, t112_out => t112);
   u_node21 : entity work.square_root_dp_node21
-    port map (v99_root_15 => v99_root_15, v114_t_out => v114_t);
+    port map (clk => clk, ce => ce, root_15 => root_15, t114_s5_out => t114_s5);
   u_node22 : entity work.square_root_dp_node22
-    port map (v99_root_15 => v99_root_15, v108_t => v108_t_p5, v111_t => v111_t_p5, v116_t_out => v116_t, v119_t_out => v119_t);
+    port map (clk => clk, ce => ce, root_15 => root_15, t108_s5 => t108_s5, t111_s5 => t111_s5, t116_out => t116, t119_s5_out => t119_s5);
   u_mux_bb18 : entity work.square_root_dp_mux_bb18
-    port map (v114_t => v114_t_p5, v116_t => v116_t, v119_t => v119_t_p5, v245_pipe => v245_pipe_p5, v246_pipe => v246_pipe, v120_root_18_out => v120_root_18, v121_rem_18_out => v121_rem_18);
+    port map (t116 => t116, n182_pipe => n182_pipe, pipe_s5 => pipe_s5, t119_s5 => t119_s5, t114_s5 => t114_s5, rem_18_out => rem_18, root_18_out => root_18);
   u_node24 : entity work.square_root_dp_node24
-    port map (clk => clk, ce => ce, v120_root_18 => v120_root_18, v121_rem_18 => v121_rem_18, v234_X0_pipe => v234_X0_pipe, v127_t_out => v127_t, v130_t_out => v130_t, v131_t_out => v131_t);
+    port map (clk => clk, ce => ce, X0_pipe => X0_pipe, rem_18 => rem_18, root_18 => root_18, t127_out => t127, t127_s6_out => t127_s6, t130_s6_out => t130_s6, t131_out => t131);
   u_node25 : entity work.square_root_dp_node25
-    port map (v120_root_18 => v120_root_18, v133_t_out => v133_t);
+    port map (clk => clk, ce => ce, root_18 => root_18, t133_s6_out => t133_s6);
   u_node26 : entity work.square_root_dp_node26
-    port map (v120_root_18 => v120_root_18, v127_t => v127_t_p6, v130_t => v130_t_p6, v135_t_out => v135_t, v138_t_out => v138_t);
+    port map (clk => clk, ce => ce, root_18 => root_18, t127_s6 => t127_s6, t130_s6 => t130_s6, t135_out => t135, t138_s6_out => t138_s6);
   u_mux_bb21 : entity work.square_root_dp_mux_bb21
-    port map (v133_t => v133_t_p6, v135_t => v135_t, v138_t => v138_t_p6, v247_pipe => v247_pipe_p6, v248_pipe => v248_pipe, v139_root_21_out => v139_root_21, v140_rem_21_out => v140_rem_21);
+    port map (t135 => t135, n210_pipe => n210_pipe, pipe_s6 => pipe_s6, t138_s6 => t138_s6, t133_s6 => t133_s6, rem_21_out => rem_21, root_21_out => root_21);
   u_node28 : entity work.square_root_dp_node28
-    port map (clk => clk, ce => ce, v139_root_21 => v139_root_21, v140_rem_21 => v140_rem_21, v234_X0_pipe => v234_X0_pipe, v146_t_out => v146_t, v149_t_out => v149_t, v150_t_out => v150_t);
+    port map (clk => clk, ce => ce, X0_pipe => X0_pipe, rem_21 => rem_21, root_21 => root_21, t146_out => t146, t146_s7_out => t146_s7, t149_s7_out => t149_s7, t150_out => t150);
   u_node29 : entity work.square_root_dp_node29
-    port map (v139_root_21 => v139_root_21, v152_t_out => v152_t);
+    port map (clk => clk, ce => ce, root_21 => root_21, t152_s7_out => t152_s7);
   u_node30 : entity work.square_root_dp_node30
-    port map (v139_root_21 => v139_root_21, v146_t => v146_t_p7, v149_t => v149_t_p7, v154_t_out => v154_t, v157_t_out => v157_t);
+    port map (clk => clk, ce => ce, root_21 => root_21, t146_s7 => t146_s7, t149_s7 => t149_s7, t154_out => t154, t157_s7_out => t157_s7);
   u_mux_bb24 : entity work.square_root_dp_mux_bb24
-    port map (v152_t => v152_t_p7, v154_t => v154_t, v157_t => v157_t_p7, v249_pipe => v249_pipe_p7, v250_pipe => v250_pipe, v158_root_24_out => v158_root_24, v159_rem_24_out => v159_rem_24);
+    port map (t154 => t154, n239_pipe => n239_pipe, pipe_s7 => pipe_s7, t157_s7 => t157_s7, t152_s7 => t152_s7, rem_24_out => rem_24, root_24_out => root_24);
   u_node32 : entity work.square_root_dp_node32
-    port map (clk => clk, ce => ce, v158_root_24 => v158_root_24, v159_rem_24 => v159_rem_24, v234_X0_pipe => v234_X0_pipe, v165_t_out => v165_t, v168_t_out => v168_t, v169_t_out => v169_t);
+    port map (clk => clk, ce => ce, X0_pipe => X0_pipe, rem_24 => rem_24, root_24 => root_24, t165_out => t165, t165_s8_out => t165_s8, t168_s8_out => t168_s8, t169_out => t169);
   u_node33 : entity work.square_root_dp_node33
-    port map (v158_root_24 => v158_root_24, v171_t_out => v171_t);
+    port map (clk => clk, ce => ce, root_24 => root_24, t171_s8_out => t171_s8);
   u_node34 : entity work.square_root_dp_node34
-    port map (v158_root_24 => v158_root_24, v165_t => v165_t_p8, v168_t => v168_t_p8, v173_t_out => v173_t, v176_t_out => v176_t);
+    port map (clk => clk, ce => ce, root_24 => root_24, t165_s8 => t165_s8, t168_s8 => t168_s8, t173_out => t173, t176_s8_out => t176_s8);
   u_mux_bb27 : entity work.square_root_dp_mux_bb27
-    port map (v171_t => v171_t_p8, v173_t => v173_t, v176_t => v176_t_p8, v251_pipe => v251_pipe_p8, v252_pipe => v252_pipe, v177_root_27_out => v177_root_27, v178_rem_27_out => v178_rem_27);
+    port map (t173 => t173, n269_pipe => n269_pipe, pipe_s8 => pipe_s8, t176_s8 => t176_s8, t171_s8 => t171_s8, rem_27_out => rem_27, root_27_out => root_27);
   u_node36 : entity work.square_root_dp_node36
-    port map (clk => clk, ce => ce, v177_root_27 => v177_root_27, v178_rem_27 => v178_rem_27, v234_X0_pipe => v234_X0_pipe, v184_t_out => v184_t, v187_t_out => v187_t, v188_t_out => v188_t);
+    port map (clk => clk, ce => ce, X0_pipe => X0_pipe, rem_27 => rem_27, root_27 => root_27, t184_out => t184, t184_s9_out => t184_s9, t187_s9_out => t187_s9, t188_out => t188);
   u_node37 : entity work.square_root_dp_node37
-    port map (v177_root_27 => v177_root_27, v190_t_out => v190_t);
+    port map (clk => clk, ce => ce, root_27 => root_27, t190_s9_out => t190_s9);
   u_node38 : entity work.square_root_dp_node38
-    port map (v177_root_27 => v177_root_27, v184_t => v184_t_p9, v187_t => v187_t_p9, v192_t_out => v192_t, v195_t_out => v195_t);
+    port map (clk => clk, ce => ce, root_27 => root_27, t184_s9 => t184_s9, t187_s9 => t187_s9, t192_out => t192, t195_s9_out => t195_s9);
   u_mux_bb30 : entity work.square_root_dp_mux_bb30
-    port map (v190_t => v190_t_p9, v192_t => v192_t, v195_t => v195_t_p9, v253_pipe => v253_pipe_p9, v254_pipe => v254_pipe, v196_root_30_out => v196_root_30, v197_rem_30_out => v197_rem_30);
+    port map (t192 => t192, n300_pipe => n300_pipe, pipe_s9 => pipe_s9, t195_s9 => t195_s9, t190_s9 => t190_s9, rem_30_out => rem_30, root_30_out => root_30);
   u_node40 : entity work.square_root_dp_node40
-    port map (clk => clk, ce => ce, v196_root_30 => v196_root_30, v197_rem_30 => v197_rem_30, v234_X0_pipe => v234_X0_pipe, v203_t_out => v203_t, v206_t_out => v206_t, v207_t_out => v207_t);
+    port map (clk => clk, ce => ce, X0_pipe => X0_pipe, rem_30 => rem_30, root_30 => root_30, t203_out => t203, t203_s10_out => t203_s10, t206_s10_out => t206_s10, t207_out => t207);
   u_node41 : entity work.square_root_dp_node41
-    port map (v196_root_30 => v196_root_30, v209_t_out => v209_t);
+    port map (clk => clk, ce => ce, root_30 => root_30, t209_s10_out => t209_s10);
   u_node42 : entity work.square_root_dp_node42
-    port map (v196_root_30 => v196_root_30, v203_t => v203_t_p10, v206_t => v206_t_p10, v211_t_out => v211_t, v214_t_out => v214_t);
+    port map (clk => clk, ce => ce, root_30 => root_30, t203_s10 => t203_s10, t206_s10 => t206_s10, t211_out => t211, t214_s10_out => t214_s10);
   u_mux_bb33 : entity work.square_root_dp_mux_bb33
-    port map (v209_t => v209_t_p10, v211_t => v211_t, v214_t => v214_t_p10, v255_pipe => v255_pipe_p10, v256_pipe => v256_pipe, v215_root_33_out => v215_root_33, v216_rem_33_out => v216_rem_33);
+    port map (t211 => t211, n332_pipe => n332_pipe, pipe_s10 => pipe_s10, t214_s10 => t214_s10, t209_s10 => t209_s10, rem_33_out => rem_33, root_33_out => root_33);
   u_node44 : entity work.square_root_dp_node44
-    port map (clk => clk, ce => ce, v215_root_33 => v215_root_33, v216_rem_33 => v216_rem_33, v234_X0_pipe => v234_X0_pipe, v226_t_out => v226_t);
+    port map (clk => clk, ce => ce, X0_pipe => X0_pipe, rem_33 => rem_33, root_33 => root_33, t226_out => t226);
   u_node45 : entity work.square_root_dp_node45
-    port map (v215_root_33 => v215_root_33, v228_t_out => v228_t);
+    port map (clk => clk, ce => ce, root_33 => root_33, t228_s11_out => t228_s11);
   u_node46 : entity work.square_root_dp_node46
-    port map (v215_root_33 => v215_root_33, v231_t_out => v231_t);
+    port map (clk => clk, ce => ce, root_33 => root_33, t231_s11_out => t231_s11);
   u_mux_bb36 : entity work.square_root_dp_mux_bb36
-    port map (v228_t => v228_t_p11, v231_t => v231_t_p11, v257_pipe => v257_pipe, v232_root_36_out => v232_root_36);
+    port map (n362_pipe => n362_pipe, t231_s11 => t231_s11, t228_s11 => t228_s11, root_36_out => root_36);
   u_node48 : entity work.square_root_dp_node48
-    port map (v232_root_36 => v232_root_36, v233_t_out => v233_t);
+    port map (root_36 => root_36, t233_out => t233);
   u_pipe_bb3 : entity work.square_root_dp_pipe_bb3
-    port map (v0_X0 => X0, v9_t => v9_t, v12_t => v12_t, v234_X0_pipe_out => v234_X0_pipe, v235_pipe_out => v235_pipe, v236_pipe_out => v236_pipe);
+    port map (X0 => X0, t9 => t9, t12 => t12, X0_pipe_out => X0_pipe, n55_pipe_out => n55_pipe, n59_pipe_out => n59_pipe);
   u_pipe_bb6 : entity work.square_root_dp_pipe_bb6
-    port map (v24_t => v24_t, v28_t => v28_t, v237_pipe_out => v237_pipe, v238_pipe_out => v238_pipe);
+    port map (clk => clk, ce => ce, t24 => t24, t28 => t28, n80_pipe_out => n80_pipe, pipe_s1_out => pipe_s1);
   u_pipe_bb9 : entity work.square_root_dp_pipe_bb9
-    port map (v45_t => v45_t, v49_t => v49_t, v239_pipe_out => v239_pipe, v240_pipe_out => v240_pipe);
+    port map (clk => clk, ce => ce, t45 => t45, t49 => t49, n104_pipe_out => n104_pipe, pipe_s2_out => pipe_s2);
   u_pipe_bb12 : entity work.square_root_dp_pipe_bb12
-    port map (v66_t => v66_t, v70_t => v70_t, v241_pipe_out => v241_pipe, v242_pipe_out => v242_pipe);
+    port map (clk => clk, ce => ce, t66 => t66, t70 => t70, n129_pipe_out => n129_pipe, pipe_s3_out => pipe_s3);
   u_pipe_bb15 : entity work.square_root_dp_pipe_bb15
-    port map (v87_t => v87_t, v91_t => v91_t, v243_pipe_out => v243_pipe, v244_pipe_out => v244_pipe);
+    port map (clk => clk, ce => ce, t87 => t87, t91 => t91, n155_pipe_out => n155_pipe, pipe_s4_out => pipe_s4);
   u_pipe_bb18 : entity work.square_root_dp_pipe_bb18
-    port map (v108_t => v108_t, v112_t => v112_t, v245_pipe_out => v245_pipe, v246_pipe_out => v246_pipe);
+    port map (clk => clk, ce => ce, t108 => t108, t112 => t112, n182_pipe_out => n182_pipe, pipe_s5_out => pipe_s5);
   u_pipe_bb21 : entity work.square_root_dp_pipe_bb21
-    port map (v127_t => v127_t, v131_t => v131_t, v247_pipe_out => v247_pipe, v248_pipe_out => v248_pipe);
+    port map (clk => clk, ce => ce, t127 => t127, t131 => t131, n210_pipe_out => n210_pipe, pipe_s6_out => pipe_s6);
   u_pipe_bb24 : entity work.square_root_dp_pipe_bb24
-    port map (v146_t => v146_t, v150_t => v150_t, v249_pipe_out => v249_pipe, v250_pipe_out => v250_pipe);
+    port map (clk => clk, ce => ce, t146 => t146, t150 => t150, n239_pipe_out => n239_pipe, pipe_s7_out => pipe_s7);
   u_pipe_bb27 : entity work.square_root_dp_pipe_bb27
-    port map (v165_t => v165_t, v169_t => v169_t, v251_pipe_out => v251_pipe, v252_pipe_out => v252_pipe);
+    port map (clk => clk, ce => ce, t165 => t165, t169 => t169, n269_pipe_out => n269_pipe, pipe_s8_out => pipe_s8);
   u_pipe_bb30 : entity work.square_root_dp_pipe_bb30
-    port map (v184_t => v184_t, v188_t => v188_t, v253_pipe_out => v253_pipe, v254_pipe_out => v254_pipe);
+    port map (clk => clk, ce => ce, t184 => t184, t188 => t188, n300_pipe_out => n300_pipe, pipe_s9_out => pipe_s9);
   u_pipe_bb33 : entity work.square_root_dp_pipe_bb33
-    port map (v203_t => v203_t, v207_t => v207_t, v255_pipe_out => v255_pipe, v256_pipe_out => v256_pipe);
+    port map (clk => clk, ce => ce, t203 => t203, t207 => t207, n332_pipe_out => n332_pipe, pipe_s10_out => pipe_s10);
   u_pipe_bb36 : entity work.square_root_dp_pipe_bb36
-    port map (v226_t => v226_t, v257_pipe_out => v257_pipe);
-  process (clk)
-  begin
-    if rising_edge(clk) then
-      if ce = '1' then
-        v24_t_p1 <= v24_t;
-        v27_t_p1 <= v27_t;
-        v35_t_p1 <= v35_t;
-        v30_t_p1 <= v30_t;
-        v237_pipe_p1 <= v237_pipe;
-        v45_t_p2 <= v45_t;
-        v48_t_p2 <= v48_t;
-        v56_t_p2 <= v56_t;
-        v51_t_p2 <= v51_t;
-        v239_pipe_p2 <= v239_pipe;
-        v66_t_p3 <= v66_t;
-        v69_t_p3 <= v69_t;
-        v77_t_p3 <= v77_t;
-        v72_t_p3 <= v72_t;
-        v241_pipe_p3 <= v241_pipe;
-        v87_t_p4 <= v87_t;
-        v90_t_p4 <= v90_t;
-        v98_t_p4 <= v98_t;
-        v93_t_p4 <= v93_t;
-        v243_pipe_p4 <= v243_pipe;
-        v108_t_p5 <= v108_t;
-        v111_t_p5 <= v111_t;
-        v119_t_p5 <= v119_t;
-        v114_t_p5 <= v114_t;
-        v245_pipe_p5 <= v245_pipe;
-        v127_t_p6 <= v127_t;
-        v130_t_p6 <= v130_t;
-        v138_t_p6 <= v138_t;
-        v133_t_p6 <= v133_t;
-        v247_pipe_p6 <= v247_pipe;
-        v146_t_p7 <= v146_t;
-        v149_t_p7 <= v149_t;
-        v157_t_p7 <= v157_t;
-        v152_t_p7 <= v152_t;
-        v249_pipe_p7 <= v249_pipe;
-        v165_t_p8 <= v165_t;
-        v168_t_p8 <= v168_t;
-        v176_t_p8 <= v176_t;
-        v171_t_p8 <= v171_t;
-        v251_pipe_p8 <= v251_pipe;
-        v184_t_p9 <= v184_t;
-        v187_t_p9 <= v187_t;
-        v195_t_p9 <= v195_t;
-        v190_t_p9 <= v190_t;
-        v253_pipe_p9 <= v253_pipe;
-        v203_t_p10 <= v203_t;
-        v206_t_p10 <= v206_t;
-        v214_t_p10 <= v214_t;
-        v209_t_p10 <= v209_t;
-        v255_pipe_p10 <= v255_pipe;
-        v231_t_p11 <= v231_t;
-        v228_t_p11 <= v228_t;
-      end if;
-    end if;
-  end process;
-  R_o0 <= resize(v233_t, 12);
+    port map (t226 => t226, n362_pipe_out => n362_pipe);
+  R_o0 <= t233;
 end architecture rtl;

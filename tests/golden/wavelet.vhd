@@ -10,77 +10,73 @@ entity wavelet_dp_node1 is
   port (
     clk : in std_logic;
     ce  : in std_logic;
-    v0_X0 : in signed(15 downto 0);
-    v1_X1 : in signed(15 downto 0);
-    v2_X2 : in signed(15 downto 0);
-    v3_X3 : in signed(15 downto 0);
-    v4_X4 : in signed(15 downto 0);
-    v5_X5 : in signed(15 downto 0);
-    v6_X6 : in signed(15 downto 0);
-    v7_X7 : in signed(15 downto 0);
-    v8_X8 : in signed(15 downto 0);
-    v17_t_out : out signed(15 downto 0);
-    v31_t_out : out signed(15 downto 0)
+    X0 : in signed(15 downto 0);
+    X1 : in signed(15 downto 0);
+    X2 : in signed(15 downto 0);
+    X3 : in signed(15 downto 0);
+    X4 : in signed(15 downto 0);
+    X5 : in signed(15 downto 0);
+    X6 : in signed(15 downto 0);
+    X7 : in signed(15 downto 0);
+    X8 : in signed(15 downto 0);
+    t31_out : out signed(15 downto 0);
+    t17_s1_out : out signed(15 downto 0)
   );
 end entity wavelet_dp_node1;
 
 architecture rtl of wavelet_dp_node1 is
-  signal v9_t : signed(16 downto 0);
-  signal v11_t : signed(15 downto 0);
-  signal v12_t : signed(16 downto 0);
-  signal v13_t : signed(15 downto 0);
-  signal v14_t : signed(16 downto 0);
-  signal v15_t : signed(15 downto 0);
-  signal v16_t : signed(16 downto 0);
-  signal v17_t : signed(15 downto 0);
-  signal v18_t : signed(16 downto 0);
-  signal v19_t : signed(15 downto 0);
-  signal v20_t : signed(16 downto 0);
-  signal v21_t : signed(15 downto 0);
-  signal v22_t : signed(16 downto 0);
-  signal v24_t : signed(17 downto 0);
-  signal v25_t : signed(15 downto 0);
-  signal v26_t : signed(16 downto 0);
-  signal v27_t : signed(15 downto 0);
-  signal v28_t : signed(16 downto 0);
-  signal v29_t : signed(14 downto 0);
-  signal v30_t : signed(16 downto 0);
-  signal v31_t : signed(15 downto 0);
-  signal v27_t_s1 : signed(15 downto 0);
-  signal v29_t_s1 : signed(14 downto 0);
+  signal t18 : signed(16 downto 0);
+  signal t14 : signed(16 downto 0);
+  signal t19 : signed(15 downto 0);
+  signal t20 : signed(16 downto 0);
+  signal t15 : signed(15 downto 0);
+  signal t16 : signed(16 downto 0);
+  signal t17 : signed(15 downto 0);
+  signal t28 : signed(16 downto 0);
+  signal t29 : signed(14 downto 0);
+  signal t9 : signed(16 downto 0);
+  signal t11 : signed(15 downto 0);
+  signal t12 : signed(16 downto 0);
+  signal t22 : signed(16 downto 0);
+  signal t24 : signed(17 downto 0);
+  signal t25 : signed(15 downto 0);
+  signal t26 : signed(16 downto 0);
+  signal t27_s1 : signed(15 downto 0) := (others => '0');
+  signal t29_s1 : signed(14 downto 0) := (others => '0');
+  signal t30 : signed(16 downto 0);
+  signal t31 : signed(15 downto 0);
+  signal t17_s1 : signed(15 downto 0) := (others => '0');
 begin
-  v9_t <= resize(v0_X0, 17) + resize(v2_X2, 17);
-  v11_t <= shift_right(resize(v9_t, 16), to_integer(to_unsigned(1, 6)));
-  v12_t <= resize(v1_X1, 17) - resize(v11_t, 17);
-  v13_t <= resize(v12_t, 16);
-  v14_t <= resize(v3_X3, 17) + resize(v5_X5, 17);
-  v15_t <= shift_right(resize(v14_t, 16), to_integer(to_unsigned(1, 6)));
-  v16_t <= resize(v4_X4, 17) - resize(v15_t, 17);
-  v17_t <= resize(v16_t, 16);
-  v18_t <= resize(v6_X6, 17) + resize(v8_X8, 17);
-  v19_t <= shift_right(resize(v18_t, 16), to_integer(to_unsigned(1, 6)));
-  v20_t <= resize(v7_X7, 17) - resize(v19_t, 17);
-  v21_t <= resize(v20_t, 16);
-  v22_t <= resize(v13_t, 17) + resize(v17_t, 17);
-  v24_t <= resize(v22_t, 18) + to_signed(2, 18);
-  v25_t <= shift_right(resize(v24_t, 16), to_integer(to_unsigned(2, 6)));
-  v26_t <= resize(v4_X4, 17) + resize(v25_t, 17);
-  v27_t <= resize(v26_t, 16);
-  v28_t <= resize(v17_t, 17) + resize(v21_t, 17);
-  v29_t <= shift_right(resize(v28_t, 15), to_integer(to_unsigned(2, 6)));
-  v30_t <= resize(v27_t_s1, 17) + resize(v29_t_s1, 17);
-  v31_t <= resize(v30_t, 16);
+  t18 <= resize(X6, 17) + resize(X8, 17);
+  t14 <= resize(X3, 17) + resize(X5, 17);
+  t19 <= t18(16 downto 1);
+  t20 <= resize(X7, 17) - resize(t19, 17);
+  t15 <= t14(16 downto 1);
+  t16 <= resize(X4, 17) - resize(t15, 17);
+  t17 <= t16(15 downto 0);
+  t28 <= resize(t17, 17) + resize(t20(15 downto 0), 17);
+  t29 <= t28(16 downto 2);
+  t9 <= resize(X0, 17) + resize(X2, 17);
+  t11 <= t9(16 downto 1);
+  t12 <= resize(X1, 17) - resize(t11, 17);
+  t22 <= resize(t12(15 downto 0), 17) + resize(t17, 17);
+  t24 <= resize(t22, 18) + to_signed(2, 18);
+  t25 <= t24(17 downto 2);
+  t26 <= resize(X4, 17) + resize(t25, 17);
+  t30 <= resize(t27_s1, 17) + resize(t29_s1, 17);
+  t31 <= t30(15 downto 0);
   process (clk)
   begin
     if rising_edge(clk) then
       if ce = '1' then
-        v27_t_s1 <= v27_t;
-        v29_t_s1 <= v29_t;
+        t27_s1 <= t26(15 downto 0);
+        t29_s1 <= t29;
+        t17_s1 <= t17;
       end if;
     end if;
   end process;
-  v17_t_out <= v17_t;
-  v31_t_out <= v31_t;
+  t31_out <= t31;
+  t17_s1_out <= t17_s1;
 end architecture rtl;
 
 library ieee;
@@ -106,18 +102,11 @@ entity wavelet_dp is
 end entity wavelet_dp;
 
 architecture rtl of wavelet_dp is
-  signal v17_t : signed(15 downto 0);
-  signal v31_t : signed(15 downto 0);
+  signal t31 : signed(15 downto 0);
+  signal t17_s1 : signed(15 downto 0);
 begin
   u_node1 : entity work.wavelet_dp_node1
-    port map (clk => clk, ce => ce, v0_X0 => X0, v1_X1 => X1, v2_X2 => X2, v3_X3 => X3, v4_X4 => X4, v5_X5 => X5, v6_X6 => X6, v7_X7 => X7, v8_X8 => X8, v17_t_out => v17_t, v31_t_out => v31_t);
-  process (clk)
-  begin
-    if rising_edge(clk) then
-      if ce = '1' then
-      end if;
-    end if;
-  end process;
-  S_o0 <= resize(v31_t, 16);
-  D_o0 <= resize(v17_t, 16);
+    port map (clk => clk, ce => ce, X0 => X0, X1 => X1, X2 => X2, X3 => X3, X4 => X4, X5 => X5, X6 => X6, X7 => X7, X8 => X8, t31_out => t31, t17_s1_out => t17_s1);
+  S_o0 <= t31;
+  D_o0 <= t17_s1;
 end architecture rtl;
