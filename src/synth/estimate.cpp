@@ -290,18 +290,6 @@ Resources memorySubsystemResources(int64_t bufferBits, int addressGenerators, in
   return r;
 }
 
-double estimatePowerMw(const Resources& r, double clockMHz, double activity) {
-  // Activity-based CV^2f over the mapped resources; the per-resource
-  // switched capacitances (and the 1.5 V core) live in the timing model so
-  // estimation and the per-primitive energy rows share one calibration.
-  const TimingModel& tm = TimingModel::virtex2();
-  const double pj = tm.resourceDynamicPj(static_cast<double>(r.lut4), static_cast<double>(r.ff),
-                                         static_cast<double>(r.mult18),
-                                         static_cast<double>(r.bram));
-  // pJ * MHz = microwatts; convert to milliwatts.
-  return pj * clockMHz * activity / 1000.0;
-}
-
 std::string Report::summary() const {
   std::ostringstream os;
   os << "slices=" << slices << " (lut4=" << res.lut4 << ", ff=" << res.ff

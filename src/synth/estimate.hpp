@@ -89,11 +89,4 @@ Resources memorySubsystemResources(int64_t bufferBits, int addressGenerators, in
 /// packing modeled with a fill factor).
 int64_t slicesFor(const Resources& r);
 
-/// Dynamic-power estimate (the paper's Fig 1 lists power next to area and
-/// delay in the estimation box). A standard activity-based CV^2f model over
-/// the mapped resources: per-resource switched capacitance x toggle
-/// activity x clock. Returns milliwatts at the given clock and activity
-/// factor (0..1, default 0.25 — a typical streaming-datapath value).
-double estimatePowerMw(const Resources& r, double clockMHz, double activity = 0.25);
-
 } // namespace roccc::synth

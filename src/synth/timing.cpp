@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -147,6 +148,7 @@ const TimingModel* TimingModel::resolve(const std::string& spec, TimingModel& st
 bool TimingModel::parse(const std::string& text, TimingModel& out, std::string& error) {
   out = virtex2();
   std::vector<char> overridden(kPrimitiveCount, 0);
+  std::array<std::set<int>, kPrimitiveCount> statesEnergy; ///< widths of rows that state dyn-pj/leak-uw
   std::istringstream in(text);
   std::string line;
   int lineNo = 0;
@@ -225,7 +227,9 @@ bool TimingModel::parse(const std::string& text, TimingModel& out, std::string& 
     if (!integer("width", tok[1], width)) return false;
     if (width < 1 || width > 4096) return fail("width out of range");
     if (!integer("latency", tok[3], r.latencyCycles)) return false;
-    if (r.latencyCycles < 0) return fail("'latency' must be >= 0");
+    // Latch placement treats every primitive as combinational, so a model
+    // may not claim otherwise and have the claim dropped.
+    if (r.latencyCycles != 0) return fail("'latency' must be 0 (multi-cycle primitives are not placed yet)");
     const struct {
       size_t token;
       const char* name;
@@ -237,13 +241,25 @@ bool TimingModel::parse(const std::string& text, TimingModel& out, std::string& 
     for (const auto& c : columns) {
       if (c.token < tok.size() && !number(c.name, tok[c.token], *c.field)) return false;
     }
-    if (tok.size() < 10) deriveEnergy(out, r);
     auto& table = out.rows[static_cast<size_t>(p)];
+    auto& statedHere = statesEnergy[static_cast<size_t>(p)];
     if (!overridden[static_cast<size_t>(static_cast<int>(p))]) {
       table.clear(); // first row for a primitive replaces its built-in rows
       overridden[static_cast<size_t>(static_cast<int>(p))] = 1;
     }
     table[width] = r;
+    if (tok.size() == 10) {
+      statedHere.insert(width);
+    } else {
+      statedHere.erase(width);
+    }
+  }
+  // Energy columns a row does not state follow the model's final scalars,
+  // wherever in the file those are set; the built-in rows are rederived too.
+  for (int p = 0; p < kPrimitiveCount; ++p) {
+    for (auto& [w, r] : out.rows[static_cast<size_t>(p)]) {
+      if (!statesEnergy[static_cast<size_t>(p)].count(w)) deriveEnergy(out, r);
+    }
   }
   for (int p = 0; p < kPrimitiveCount; ++p) {
     if (out.rows[static_cast<size_t>(p)].empty()) {

@@ -29,8 +29,11 @@
 // Every field is one whole token: integers for width and latency, finite
 // numbers >= 0 elsewhere; a token left over on any line is an error.
 // The first row for a primitive discards that primitive's built-in rows
-// (override is per-primitive, all-or-nothing). Omitted energy columns are
-// derived from the row's resources and the capacitance / leakage scalars.
+// (override is per-primitive, all-or-nothing). The latency column must be
+// 0: latch placement treats every primitive as combinational. Energy
+// columns a row omits, and those of the built-in rows, are derived from the
+// row's resources once the whole file is read, so the capacitance, leakage
+// and voltage scalars reach them wherever in the file they are set.
 #pragma once
 
 #include <array>
@@ -61,7 +64,7 @@ bool primitiveByName(const std::string& name, Primitive& out);
 /// One breakpoint row: the cost of a primitive at one operand bitwidth.
 struct PrimitiveCost {
   double delayNs = 0;    ///< combinational delay through the primitive
-  int latencyCycles = 0; ///< internal pipeline latency (reserved; built-in rows are 0)
+  int latencyCycles = 0; ///< internal pipeline latency (reserved: always 0, parse rejects others)
   double lut4 = 0;
   double ff = 0;
   double mult18 = 0;
@@ -81,7 +84,7 @@ struct TimingModel {
   double romMuxLevelNs = 0.4;   ///< per mux level of a distributed ROM read
 
   // Per-resource switched capacitance (pF) and leakage (uW) — the basis of
-  // every derived energy column and of estimatePowerMw.
+  // every derived energy column.
   double capLutPf = 4.0, capFfPf = 2.0, capMult18Pf = 60.0, capBramPf = 90.0;
   double leakLutUw = 1.5, leakFfUw = 0.8, leakMult18Uw = 15.0, leakBramUw = 25.0;
 

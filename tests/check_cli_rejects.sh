@@ -41,9 +41,11 @@ done
 expect_usage roccc-cc --width-mode portopcode -o "$out" "$KERNEL"
 expect_usage roccc-cc --timing-model "$tmpdir/missing.tm" -o "$out" "$KERNEL"
 # A timing-model field is one whole token and no token is left over; a
-# `div` row names no primitive. Each error carries the line it is on.
+# `div` row names no primitive; a nonzero latency is refused, not ignored.
+# Each error carries the line it is on.
 for bad in 'add 8.5 1.1 0 8 0' 'add 8 1.1 0.5 8 0' 'clock-overhead-ns 0.8 garbage' \
-    'clock-overhead-ns 2x' 'model slow extra' 'add 32 1.1 0 8 0 nan 0' 'div 8 4.0 0 80 0'; do
+    'clock-overhead-ns 2x' 'model slow extra' 'add 32 1.1 0 8 0 nan 0' 'div 8 4.0 0 80 0' \
+    'mul-lut 8 4.0 2 80 0'; do
   printf '# malformed on line 2\n%s\n' "$bad" > "$tmpdir/bad.tm"
   expect_usage roccc-cc --timing-model "$tmpdir/bad.tm" -o "$out" "$KERNEL"
   grep -q 'line 2: ' "$tmpdir/out" || {

@@ -15,6 +15,7 @@
 
 #include "../bench/kernels.hpp"
 #include "roccc/cache.hpp"
+#include "roccc/compiler.hpp"
 #include "support/json.hpp"
 #include "synth/estimate.hpp"
 
@@ -327,6 +328,41 @@ TEST(ExploreManifest, UnknownAxisNamesTheLine) {
   EXPECT_FALSE(parseSweepManifest("\n\naxes slices,speed\n", m, error));
   EXPECT_TRUE(error.rfind("line 3:", 0) == 0) << error;
   EXPECT_NE(error.find("speed"), std::string::npos) << error;
+}
+
+// --- energy ---------------------------------------------------------------------
+
+// One energy view: the model's core voltage reaches the Report behind
+// --stats-json's timing.energy and roccc-explore's pJ/cycle alike. Dynamic
+// energy is C·V², so 3.0 V against the built-in 1.5 V is exactly 4x;
+// leakage and the critical path do not move.
+TEST(ExploreEnergy, CoreVoltageScalesDynamicEnergyByFour) {
+  SweepGrid base = firGrid();
+  SweepGrid hot = firGrid();
+  hot.base.timingModelSpec = "core-voltage 3.0\n";
+  SweepOptions opt;
+  opt.collectCycles = false;
+  const SweepResult a = runSweep(base, opt);
+  const SweepResult b = runSweep(hot, opt);
+  ASSERT_EQ(a.okCount(), 1);
+  ASSERT_EQ(b.okCount(), 1);
+
+  auto report = [](const CompileOptions& options) {
+    const CompileResult r = Compiler(options).compileSource(kFirSource);
+    synth::TimingModel storage;
+    std::string error;
+    const synth::TimingModel* model = synth::TimingModel::resolve(options.timingModelSpec, storage, error);
+    EXPECT_NE(model, nullptr) << error;
+    return synth::estimate(r.module, estimateOptionsFor(options, *model));
+  };
+  const synth::Report cool = report(base.base);
+  const synth::Report warm = report(hot.base);
+  EXPECT_GT(cool.dynamicPjPerCycle, 0);
+  EXPECT_EQ(warm.dynamicPjPerCycle, 4 * cool.dynamicPjPerCycle);
+  EXPECT_EQ(warm.leakageMw, cool.leakageMw);
+  EXPECT_EQ(warm.criticalPathNs, cool.criticalPathNs);
+  EXPECT_DOUBLE_EQ(a.points[0].metrics.energyPjPerCycle, cool.energyPerCyclePj());
+  EXPECT_DOUBLE_EQ(b.points[0].metrics.energyPjPerCycle, warm.energyPerCyclePj());
 }
 
 // --- sweep execution + determinism -------------------------------------------

@@ -108,6 +108,27 @@ TEST(TimingModel, ExplicitEnergyColumnsWinOverDerivation) {
   EXPECT_DOUBLE_EQ(m.cost(Primitive::Add, 32).leakageUw, 1.25);
 }
 
+// Energy columns a row does not state are derived from the model's final
+// scalars, whether the scalar line comes before or after the row, and the
+// built-in rows follow them too. Dynamic energy is C·V², so doubling the
+// core voltage multiplies it by exactly 4.
+TEST(TimingModel, ScalarsReachEveryDerivedEnergyColumn) {
+  const TimingModel& built = TimingModel::virtex2();
+  TimingModel hot, rowFirst, stated;
+  std::string err;
+  ASSERT_TRUE(TimingModel::parse("core-voltage 3.0\n", hot, err)) << err;
+  ASSERT_TRUE(TimingModel::parse("add 32 1.0 0 32 0\ncore-voltage 3.0\n", rowFirst, err)) << err;
+  ASSERT_TRUE(TimingModel::parse("add 32 1.0 0 32 0 0 0 7.5 1.25\ncore-voltage 3.0\n", stated, err))
+      << err;
+  for (const Primitive p : {Primitive::Add, Primitive::Logic, Primitive::Mul18, Primitive::Reg}) {
+    EXPECT_EQ(hot.cost(p, 16).dynamicPj, 4 * built.cost(p, 16).dynamicPj) << synth::primitiveName(p);
+    EXPECT_EQ(hot.cost(p, 16).leakageUw, built.cost(p, 16).leakageUw) << synth::primitiveName(p);
+  }
+  EXPECT_DOUBLE_EQ(rowFirst.cost(Primitive::Add, 32).dynamicPj, 32 * built.capLutPf * 9.0);
+  EXPECT_EQ(rowFirst.cost(Primitive::Logic, 8).dynamicPj, 4 * built.cost(Primitive::Logic, 8).dynamicPj);
+  EXPECT_DOUBLE_EQ(stated.cost(Primitive::Add, 32).dynamicPj, 7.5); // stated columns stay
+}
+
 TEST(TimingModel, DumpParsesBackIdentically) {
   const TimingModel& built = TimingModel::virtex2();
   TimingModel round;
@@ -171,7 +192,8 @@ TEST(TimingModel, RejectsPartialAndLeftoverTokens) {
       {"add 8 1.1 0.5 8 0", "'latency' needs an integer, got '0.5'"},
       {"add 8 1.1x 0 8 0", "'delay-ns' needs a numeric value, got '1.1x'"},
       {"add 8 inf 0 8 0", "'delay-ns' must be a finite number >= 0"},
-      {"add 8 1.1 -1 8 0", "'latency' must be >= 0"},
+      {"add 8 1.1 -1 8 0", "'latency' must be 0"},
+      {"mul-lut 8 4.0 2 80 0", "'latency' must be 0"},
       {"add 32 1.1 0 8 0 nan 0", "'mult18' must be a finite number >= 0"},
       {"add 32 1.1 0 8 0 0 0 1 x", "'leak-uw' needs a numeric value, got 'x'"},
       {"add 32 1.1 0 8 0 1", "row needs:"},

@@ -1,17 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 
 #include "roccc/compiler.hpp"
 #include "rtl/from_dp.hpp"
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"
-#include "synth/estimate.hpp"
 #include "vhdl/check.hpp"
-#include "vhdl/emit.hpp"
 #include "vhdl/testbench.hpp"
-#include "vhdl/verilog.hpp"
 
 namespace roccc {
 namespace {
@@ -75,36 +71,6 @@ TEST(Testbench, EmittedBenchIsStructurallyValid) {
   EXPECT_NE(tb.find("entity fir_dp_tb is"), std::string::npos);
   EXPECT_NE(tb.find("TESTBENCH PASSED"), std::string::npos);
   EXPECT_NE(tb.find("assert"), std::string::npos);
-}
-
-TEST(Power, ScalesWithResourcesAndClock) {
-  synth::Resources small;
-  small.lut4 = 100;
-  small.ff = 100;
-  synth::Resources big = small;
-  big.lut4 = 1000;
-  const double p1 = synth::estimatePowerMw(small, 100);
-  const double p2 = synth::estimatePowerMw(big, 100);
-  const double p3 = synth::estimatePowerMw(small, 200);
-  EXPECT_GT(p2, p1);
-  EXPECT_NEAR(p3, 2 * p1, 1e-9);
-  EXPECT_GT(p1, 0);
-  // A multiplier block costs more than a LUT.
-  synth::Resources mult;
-  mult.mult18 = 1;
-  synth::Resources lut;
-  lut.lut4 = 1;
-  EXPECT_GT(synth::estimatePowerMw(mult, 100), synth::estimatePowerMw(lut, 100));
-}
-
-TEST(Power, Table1DesignsInPlausibleRange) {
-  CompileResult r = compile(kFir);
-  const auto rep = synth::estimate(r.module);
-  const double mw = synth::estimatePowerMw(rep.res, rep.fmaxMHz());
-  // A small Virtex-II datapath at a couple hundred MHz: tens to hundreds
-  // of milliwatts dynamic.
-  EXPECT_GT(mw, 5.0);
-  EXPECT_LT(mw, 2000.0);
 }
 
 // build-datapath lowers every division, so no back end has a form for

@@ -487,8 +487,6 @@ int main(int argc, char** argv) {
                 rt.feasible ? "feasible" : "infeasible target");
     const auto rep = roccc::synth::estimate(r.module, estimateOptions);
     std::printf("synthesis estimate (xc2v2000-5): %s\n", rep.summary().c_str());
-    std::printf("dynamic power @ fmax: %.1f mW\n",
-                roccc::synth::estimatePowerMw(rep.res, rep.fmaxMHz()));
   }
   if (a.dumpDatapath) std::printf("\n%s", r.datapath.dump().c_str());
   if (a.dumpMir) std::printf("\n%s", r.mir.dump().c_str());
