@@ -80,12 +80,7 @@ const char* relation(CellKind k) {
 class Printer {
  public:
   Printer(const dp::DataPath& dp, const rtl::Module& m, const hlir::KernelInfo& kernel)
-      : dp_(dp), m_(m), kernel_(kernel), p_(hdl::partition(m, dp.nodes.size(), dp.inputs.size(), dp.outputs.size())) {
-    topNames_ = p_.names;
-    for (size_t i = 0; i < dataInputs(); ++i) {
-      topNames_[static_cast<size_t>(m.inputPorts[i])] = sanitize(m.inputNames[i]);
-    }
-  }
+      : dp_(dp), m_(m), kernel_(kernel), p_(hdl::partition(m, dp.nodes.size(), dp.inputs.size(), dp.outputs.size())) {}
 
   std::string run() {
     w_.line("-- Generated by ROCCC (reproduction): RTL VHDL for kernel '" + kernel_.kernelName + "'");
@@ -105,16 +100,14 @@ class Printer {
   const hlir::KernelInfo& kernel_;
   const hdl::Partition p_;
   IndentWriter w_;
-  const std::vector<std::string>& names_ = p_.names; ///< per net, inside node entities
-  std::vector<std::string> topNames_; ///< per net, in the top entity (input ports by port name)
-  bool atTop_ = false;
 
   /// The module's first input ports are the kernel's; the rest (the valid
   /// bit) are std_logic controls.
   size_t dataInputs() const { return std::min(dp_.inputs.size(), m_.inputPorts.size()); }
   const Cell& cell(int id) const { return m_.cells[static_cast<size_t>(id)]; }
   ScalarType type(int net) const { return m_.nets[static_cast<size_t>(net)].type; }
-  const std::string& name(int net) const { return (atTop_ ? topNames_ : names_)[static_cast<size_t>(net)]; }
+  /// A net's identifier; the kernel's input ports are named after their port.
+  const std::string& name(int net) const { return p_.names[static_cast<size_t>(net)]; }
   const Ref& ref(const Cell& c, size_t k) const { return p_.refs[static_cast<size_t>(c.inputs[k])]; }
   std::string romEntity(const Cell& c) const {
     return sanitize(m_.name) + "_" + sanitize(c.romName) + "_rom";
@@ -244,9 +237,9 @@ class Printer {
       if (c.kind == CellKind::Reg) {
         init = c.imm == 0 ? " := (others => '0')" : " := " + literal(Value::fromInt(t, c.imm));
       }
-      w_.line(fmt("signal %0 : %1%2;", names_[static_cast<size_t>(c.output)], typeName(t), init));
+      w_.line(fmt("signal %0 : %1%2;", name(c.output), typeName(t), init));
       if (c.kind == CellKind::Rom && c.romElemType != t) {
-        w_.line(fmt("signal %0_rom : %1;", names_[static_cast<size_t>(c.output)], typeName(c.romElemType)));
+        w_.line(fmt("signal %0_rom : %1;", name(c.output), typeName(c.romElemType)));
       }
     }
   }
@@ -257,7 +250,7 @@ class Printer {
     int lut = 0;
     for (int id : s.cells) {
       const Cell& c = cell(id);
-      const std::string& y = names_[static_cast<size_t>(c.output)];
+      const std::string& y = name(c.output);
       if (c.kind == CellKind::Reg) continue;
       if (c.kind != CellKind::Rom) {
         w_.line(y + " <= " + expr(c) + ";");
@@ -283,7 +276,7 @@ class Printer {
     for (int id : s.cells) {
       const Cell& c = cell(id);
       if (c.kind != CellKind::Reg) continue;
-      const std::string assign = names_[static_cast<size_t>(c.output)] + " <= " + in(c, 0) + ";";
+      const std::string assign = name(c.output) + " <= " + in(c, 0) + ";";
       if (c.inputs.size() < 2) {
         w_.line(assign);
         continue;
@@ -306,21 +299,20 @@ class Printer {
 
   void nodeEntity(const dp::DpNode& n) {
     const hdl::Scope& s = p_.scopes[static_cast<size_t>(n.id)];
-    const std::string name = nodeEntityName(n);
+    const std::string entityName = nodeEntityName(n);
     std::vector<std::string> ports;
     if (s.clocked) ports = {"clk : in std_logic", "ce  : in std_logic"};
-    for (int net : s.inputs) ports.push_back(names_[static_cast<size_t>(net)] + " : in " + typeName(type(net)));
-    for (int net : s.outputs) ports.push_back(names_[static_cast<size_t>(net)] + "_out : out " + typeName(type(net)));
-    entity(name, ports);
-    w_.line("architecture rtl of " + name + " is");
+    for (int net : s.inputs) ports.push_back(name(net) + " : in " + typeName(type(net)));
+    for (int net : s.outputs) ports.push_back(name(net) + "_out : out " + typeName(type(net)));
+    entity(entityName, ports);
+    w_.line("architecture rtl of " + entityName + " is");
     w_.indent();
     declareCells(s);
     w_.dedent();
     w_.line("begin");
     w_.indent();
-    atTop_ = false;
     printCells(s);
-    for (int net : s.outputs) w_.line(names_[static_cast<size_t>(net)] + "_out <= " + names_[static_cast<size_t>(net)] + ";");
+    for (int net : s.outputs) w_.line(name(net) + "_out <= " + name(net) + ";");
     w_.dedent();
     w_.line("end architecture rtl;");
     w_.blank();
@@ -333,7 +325,7 @@ class Printer {
       ports.push_back(sanitize(m_.inputNames[i]) + " : in std_logic");
     }
     for (size_t i = 0; i < dataInputs(); ++i) {
-      ports.push_back(topNames_[static_cast<size_t>(m_.inputPorts[i])] + " : in " + typeName(type(m_.inputPorts[i])));
+      ports.push_back(name(m_.inputPorts[i]) + " : in " + typeName(type(m_.inputPorts[i])));
     }
     for (size_t i = 0; i < p_.ports.size(); ++i) {
       ports.push_back(sanitize(m_.outputNames[i]) + " : out " + typeName(type(p_.ports[i])));
@@ -344,25 +336,24 @@ class Printer {
     // the top level's own cells.
     w_.line("architecture rtl of " + top + " is");
     w_.indent();
-    for (int net : p_.exported) w_.line(fmt("signal %0 : %1;", names_[static_cast<size_t>(net)], typeName(type(net))));
+    for (int net : p_.exported) w_.line(fmt("signal %0 : %1;", name(net), typeName(type(net))));
     for (size_t i = dataInputs(); i < m_.inputPorts.size(); ++i) {
-      w_.line(fmt("signal %0 : %1;", names_[static_cast<size_t>(m_.inputPorts[i])], typeName(type(m_.inputPorts[i]))));
+      w_.line(fmt("signal %0 : %1;", name(m_.inputPorts[i]), typeName(type(m_.inputPorts[i]))));
     }
     declareCells(p_.top());
     w_.dedent();
     w_.line("begin");
     w_.indent();
-    atTop_ = true;
     for (size_t i = dataInputs(); i < m_.inputPorts.size(); ++i) {
-      w_.line(fmt("%0 <= \"1\" when %1 = '1' else \"0\";", names_[static_cast<size_t>(m_.inputPorts[i])],
+      w_.line(fmt("%0 <= \"1\" when %1 = '1' else \"0\";", name(m_.inputPorts[i]),
                   sanitize(m_.inputNames[i])));
     }
     for (const auto& n : dp_.nodes) {
       const hdl::Scope& s = p_.scopes[static_cast<size_t>(n.id)];
       std::vector<std::string> assoc;
       if (s.clocked) assoc = {"clk => clk", "ce => ce"};
-      for (int net : s.inputs) assoc.push_back(names_[static_cast<size_t>(net)] + " => " + name(net));
-      for (int net : s.outputs) assoc.push_back(names_[static_cast<size_t>(net)] + "_out => " + name(net));
+      for (int net : s.inputs) assoc.push_back(name(net) + " => " + name(net));
+      for (int net : s.outputs) assoc.push_back(name(net) + "_out => " + name(net));
       const std::string inst = fmt("u_%0 : entity work.%1", sanitize(n.label), nodeEntityName(n));
       if (assoc.empty()) {
         w_.line(inst + ";");

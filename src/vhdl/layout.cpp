@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <functional>
-#include <map>
 
 namespace roccc::hdl {
 
@@ -12,6 +10,14 @@ using rtl::CellKind;
 using rtl::Module;
 
 std::string sanitize(std::string_view s) {
+  // Most names already are identifiers: letters, digits and single inner
+  // underscores, not starting with a digit.
+  const auto word = [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9');
+  };
+  bool clean = !s.empty() && word(s.front()) && word(s.back()) && !(s.front() >= '0' && s.front() <= '9');
+  for (size_t i = 1; clean && i < s.size(); ++i) clean = word(s[i]) || (s[i] == '_' && word(s[i - 1]));
+  if (clean) return std::string(s);
   std::string out;
   for (char c : s) {
     if (std::isalnum(static_cast<unsigned char>(c))) {
@@ -93,7 +99,7 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
   // when the reader's extension of it equals the Resize's.
   std::vector<char> done(m.nets.size(), 0), inlined(m.cells.size(), 0);
   p.refs.resize(m.nets.size());
-  std::function<const Ref&(int)> resolve = [&](int net) -> const Ref& {
+  auto resolve = [&](auto& self, int net) -> const Ref& {
     Ref& r = p.refs[static_cast<size_t>(net)];
     if (done[static_cast<size_t>(net)]) return r;
     done[static_cast<size_t>(net)] = 1;
@@ -112,7 +118,7 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
         (rd < 0 ? top : scopeOf(rd)) != scopeOf(d)) {
       return r;
     }
-    const Ref in = resolve(c.inputs[0]);
+    const Ref in = self(self, c.inputs[0]);
     if (c.kind == CellKind::Slice) {
       if (in.isLiteral()) {
         r = Ref{-1, 0, t, Value(t, Value::fromInt(in.type, in.literal).toUnsigned() >> c.aux1).toInt()};
@@ -134,7 +140,7 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
     inlined[static_cast<size_t>(d)] = 1;
     return r;
   };
-  for (size_t n = 0; n < m.nets.size(); ++n) resolve(static_cast<int>(n));
+  for (size_t n = 0; n < m.nets.size(); ++n) resolve(resolve, static_cast<int>(n));
 
   auto driverScope = [&](int net) {
     const int d = m.nets[static_cast<size_t>(net)].driver;
@@ -169,27 +175,40 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
   // suffix the printers add, and it is either the lowering's "t<N>" or holds
   // an underscore, which no VHDL or Verilog keyword does. The kernel's input
   // ports are named after themselves. Every other net gets "n<id>_".
-  auto lower = [](std::string s) {
-    for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    return s;
-  };
+  p.names.reserve(m.nets.size());
+  for (const rtl::Net& n : m.nets) p.names.push_back(sanitize(n.name));
+  std::vector<std::string> reserved = {"clk", "ce"};
+  for (const std::string& port : m.inputNames) reserved.push_back(sanitize(port));
+  for (size_t i = 0; i < p.ports.size(); ++i) reserved.push_back(sanitize(m.outputNames[i]));
+  // Lower-cased copies, sorted through an index, find the names that clash.
+  std::vector<std::string> lower(p.names);
+  lower.insert(lower.end(), reserved.begin(), reserved.end());
+  for (std::string& name : lower) {
+    for (char& c : name) c = (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+  }
+  std::vector<int> byName(lower.size());
+  for (size_t i = 0; i < byName.size(); ++i) byName[i] = static_cast<int>(i);
+  std::sort(byName.begin(), byName.end(),
+            [&](int a, int b) { return lower[static_cast<size_t>(a)] < lower[static_cast<size_t>(b)]; });
+  std::vector<char> clash(m.nets.size(), 0);
+  for (size_t i = 0; i + 1 < byName.size(); ++i) {
+    if (lower[static_cast<size_t>(byName[i])] != lower[static_cast<size_t>(byName[i + 1])]) continue;
+    for (const int j : {byName[i], byName[i + 1]}) {
+      if (static_cast<size_t>(j) < clash.size()) clash[static_cast<size_t>(j)] = 1; // the rest are reserved names
+    }
+  }
+  std::vector<char> portName(m.nets.size(), 0);
+  for (size_t i = 0; i < std::min(dataInputs, m.inputPorts.size()); ++i) {
+    portName[static_cast<size_t>(m.inputPorts[i])] = 1;
+  }
   auto endsWith = [](const std::string& s, std::string_view tail) {
     return s.size() >= tail.size() && s.compare(s.size() - tail.size(), tail.size(), tail) == 0;
   };
-  std::map<std::string, int> count;
-  for (const rtl::Net& n : m.nets) ++count[lower(sanitize(n.name))];
-  for (const std::string& port : m.inputNames) count[lower(sanitize(port))] += 2;
-  for (int i = 0; i < static_cast<int>(p.ports.size()); ++i) count[lower(sanitize(m.outputNames[i]))] += 2;
-  count["clk"] += 2;
-  count["ce"] += 2;
-  std::vector<char> dataInput(m.nets.size(), 0);
-  for (size_t i = 0; i < std::min(dataInputs, m.inputPorts.size()); ++i) dataInput[static_cast<size_t>(m.inputPorts[i])] = 1;
-  for (const rtl::Net& n : m.nets) {
-    const std::string s = sanitize(n.name);
+  for (size_t n = 0; n < p.names.size(); ++n) {
+    std::string& s = p.names[n];
     const bool temp = s.size() > 1 && s[0] == 't' && s.find_first_not_of("0123456789", 1) == std::string::npos;
-    const bool own = count[lower(s)] == 1 && (temp || s.find('_') != std::string::npos) &&
-                     !endsWith(s, "_out") && !endsWith(s, "_rom");
-    p.names.push_back(own || dataInput[static_cast<size_t>(n.id)] ? s : "n" + std::to_string(n.id) + "_" + s);
+    const bool own = temp || (s.find('_') != std::string::npos && !endsWith(s, "_out") && !endsWith(s, "_rom"));
+    if (!portName[n] && (clash[n] || !own)) s = "n" + std::to_string(n) + "_" + s;
   }
   return p;
 }

@@ -53,12 +53,7 @@ const char* relation(CellKind k) {
 class Printer {
  public:
   Printer(const dp::DataPath& dp, const rtl::Module& m, const hlir::KernelInfo& kernel)
-      : dp_(dp), m_(m), kernel_(kernel), p_(hdl::partition(m, dp.nodes.size(), dp.inputs.size(), dp.outputs.size())),
-        topNames_(p_.names) {
-    for (size_t i = 0; i < m.inputPorts.size(); ++i) {
-      topNames_[static_cast<size_t>(m.inputPorts[i])] = sanitize(m.inputNames[i]);
-    }
-  }
+      : dp_(dp), m_(m), kernel_(kernel), p_(hdl::partition(m, dp.nodes.size(), dp.inputs.size(), dp.outputs.size())) {}
 
   std::string run() {
     w_.line("// Generated by ROCCC (reproduction): Verilog for kernel '" + kernel_.kernelName + "'");
@@ -75,14 +70,18 @@ class Printer {
   const rtl::Module& m_;
   const hlir::KernelInfo& kernel_;
   const hdl::Partition p_;
-  const std::vector<std::string>& names_ = p_.names; ///< per net, inside node modules
-  std::vector<std::string> topNames_; ///< per net, in the top module (input ports by port name)
   IndentWriter w_;
   bool atTop_ = false;
 
   const Cell& cell(int id) const { return m_.cells[static_cast<size_t>(id)]; }
   ScalarType type(int net) const { return m_.nets[static_cast<size_t>(net)].type; }
-  const std::string& name(int net) const { return (atTop_ ? topNames_ : names_)[static_cast<size_t>(net)]; }
+  const std::string& ident(int net) const { return p_.names[static_cast<size_t>(net)]; }
+  /// How the current module reads a net: its identifier, except that in
+  /// the top module every input port, the valid bit too, is its port.
+  std::string name(int net) const {
+    const rtl::Net& n = m_.nets[static_cast<size_t>(net)];
+    return atTop_ && n.driver < 0 ? sanitize(n.name) : ident(net);
+  }
   const Ref& ref(const Cell& c, size_t k) const { return p_.refs[static_cast<size_t>(c.inputs[k])]; }
   std::string romModule(const Cell& c) const { return sanitize(m_.name) + "_" + sanitize(c.romName) + "_rom"; }
   /// The kernel's input ports are vectors; the controls after them (the
@@ -183,7 +182,7 @@ class Printer {
     for (int id : s.cells) {
       const Cell& c = cell(id);
       const ScalarType t = type(c.output);
-      const std::string& y = names_[static_cast<size_t>(c.output)];
+      const std::string& y = ident(c.output);
       if (c.kind == CellKind::Reg) {
         w_.line(fmt("reg %0 %1 = %2;", range(t), y, literal(Value::fromInt(t, c.imm))));
         continue;
@@ -199,7 +198,7 @@ class Printer {
     int lut = 0;
     for (int id : s.cells) {
       const Cell& c = cell(id);
-      const std::string& y = names_[static_cast<size_t>(c.output)];
+      const std::string& y = ident(c.output);
       if (c.kind == CellKind::Reg) continue;
       if (c.kind != CellKind::Rom) {
         w_.line("assign " + y + " = " + expr(c) + ";");
@@ -219,7 +218,7 @@ class Printer {
     for (int id : s.cells) {
       const Cell& c = cell(id);
       if (c.kind != CellKind::Reg) continue;
-      const std::string assign = names_[static_cast<size_t>(c.output)] + " <= " + in(c, 0) + ";";
+      const std::string assign = ident(c.output) + " <= " + in(c, 0) + ";";
       w_.line(c.inputs.size() < 2 ? assign : "if (" + in(c, 1) + ") " + assign);
     }
     w_.dedent();
@@ -234,14 +233,14 @@ class Printer {
     const hdl::Scope& s = p_.scopes[static_cast<size_t>(n.id)];
     std::vector<std::string> ports;
     if (s.clocked) ports = {"input wire clk", "input wire ce"};
-    for (int net : s.inputs) ports.push_back(fmt("input wire %0 %1", range(type(net)), names_[static_cast<size_t>(net)]));
-    for (int net : s.outputs) ports.push_back(fmt("output wire %0 %1_out", range(type(net)), names_[static_cast<size_t>(net)]));
+    for (int net : s.inputs) ports.push_back(fmt("input wire %0 %1", range(type(net)), ident(net)));
+    for (int net : s.outputs) ports.push_back(fmt("output wire %0 %1_out", range(type(net)), ident(net)));
     w_.line("module " + nodeModuleName(n) + "(" + join(ports, ", ") + ");");
     w_.indent();
     declareCells(s);
     atTop_ = false;
     printCells(s);
-    for (int net : s.outputs) w_.line(fmt("assign %0_out = %0;", names_[static_cast<size_t>(net)]));
+    for (int net : s.outputs) w_.line(fmt("assign %0_out = %0;", ident(net)));
     w_.dedent();
     w_.line("endmodule");
     w_.blank();
@@ -251,25 +250,25 @@ class Printer {
     std::vector<std::string> ports = {"input wire clk", "input wire ce"};
     const size_t dataInputs = std::min(dp_.inputs.size(), m_.inputPorts.size());
     for (size_t i = dataInputs; i < m_.inputPorts.size(); ++i) {
-      ports.push_back("input wire " + topNames_[static_cast<size_t>(m_.inputPorts[i])]);
+      ports.push_back("input wire " + sanitize(m_.inputNames[i]));
     }
     for (size_t i = 0; i < dataInputs; ++i) {
-      ports.push_back("input wire " + portRange(i) + topNames_[static_cast<size_t>(m_.inputPorts[i])]);
+      ports.push_back("input wire " + portRange(i) + sanitize(m_.inputNames[i]));
     }
     for (size_t i = 0; i < p_.ports.size(); ++i) {
       ports.push_back(fmt("output wire %0 %1", range(type(p_.ports[i])), sanitize(m_.outputNames[i])));
     }
     w_.line("module " + sanitize(m_.name) + "(" + join(ports, ", ") + ");");
     w_.indent();
-    for (int net : p_.exported) w_.line(fmt("wire %0 %1;", range(type(net)), names_[static_cast<size_t>(net)]));
+    for (int net : p_.exported) w_.line(fmt("wire %0 %1;", range(type(net)), ident(net)));
     declareCells(p_.top());
     atTop_ = true;
     for (const auto& n : dp_.nodes) {
       const hdl::Scope& s = p_.scopes[static_cast<size_t>(n.id)];
       std::vector<std::string> assoc;
       if (s.clocked) assoc = {".clk(clk)", ".ce(ce)"};
-      for (int net : s.inputs) assoc.push_back(fmt(".%0(%1)", names_[static_cast<size_t>(net)], name(net)));
-      for (int net : s.outputs) assoc.push_back(fmt(".%0_out(%1)", names_[static_cast<size_t>(net)], name(net)));
+      for (int net : s.inputs) assoc.push_back(fmt(".%0(%1)", ident(net), name(net)));
+      for (int net : s.outputs) assoc.push_back(fmt(".%0_out(%1)", ident(net), name(net)));
       w_.line(fmt("%0 u_%1(%2);", nodeModuleName(n), sanitize(n.label), join(assoc, ", ")));
     }
     printCells(p_.top());
