@@ -171,10 +171,11 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
 
   // A net keeps its own name, so the text reads like Module::dump, when
   // nothing else can mean it: it is the only net of that name (ignoring
-  // case, as VHDL does), no port or clock is called so, it ends in neither
-  // suffix the printers add, and it is either the lowering's "t<N>" or holds
-  // an underscore, which no VHDL or Verilog keyword does. The kernel's input
-  // ports are named after themselves. Every other net gets "n<id>_".
+  // case, as VHDL does), no port or clock is called so, it has neither the
+  // instance-label prefix "u_" nor a suffix the printers add, and it is
+  // either the lowering's "t<N>" or holds an underscore, which no VHDL or
+  // Verilog keyword does. The kernel's input ports are named after
+  // themselves. Every other net gets "n<id>_".
   p.names.reserve(m.nets.size());
   for (const rtl::Net& n : m.nets) p.names.push_back(sanitize(n.name));
   std::vector<std::string> reserved = {"clk", "ce"};
@@ -207,7 +208,8 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
   for (size_t n = 0; n < p.names.size(); ++n) {
     std::string& s = p.names[n];
     const bool temp = s.size() > 1 && s[0] == 't' && s.find_first_not_of("0123456789", 1) == std::string::npos;
-    const bool own = temp || (s.find('_') != std::string::npos && !endsWith(s, "_out") && !endsWith(s, "_rom"));
+    const bool own = temp || (s.find('_') != std::string::npos && s.compare(0, 2, "u_") != 0 &&
+                              !endsWith(s, "_out") && !endsWith(s, "_rom"));
     if (!portName[n] && (clash[n] || !own)) s = "n" + std::to_string(n) + "_" + s;
   }
   return p;

@@ -7,6 +7,7 @@
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"
 #include "vhdl/check.hpp"
+#include "vhdl/layout.hpp"
 #include "vhdl/testbench.hpp"
 
 namespace roccc {
@@ -99,6 +100,30 @@ TEST(BackEnd, OpWithoutAnHdlFormIsAnInternalError) {
   } catch (const InternalCompilerError& e) {
     EXPECT_NE(std::string(e.what()).find("'div'"), std::string::npos) << e.what();
   }
+}
+
+// The printers name a net after itself when nothing else in the text can
+// mean it, and otherwise prefix it with its id: a name that clashes with
+// another net ignoring case, or with a port; a word that could be a VHDL
+// or Verilog keyword; a printer suffix or an instance label.
+TEST(HdlPartition, NetsKeepTheirNameOnlyWhenNothingElseCanMeanIt) {
+  rtl::Module m;
+  m.name = "k_dp";
+  const ScalarType t = ScalarType::make(8, false);
+  const int x = m.addNet(t, "X0");
+  m.inputPorts.push_back(x);
+  m.inputNames.push_back("X0");
+  std::vector<int> nets;
+  for (const char* name : {"t1", "T1", "rem_3", "out", "a_out", "u_lut0", "C_o0", "x__nxt"}) {
+    nets.push_back(m.addNet(t, name));
+    m.addCell(rtl::CellKind::Not, {x}, nets.back());
+  }
+  m.outputPorts.push_back(nets[0]);
+  m.outputNames.push_back("C_o0");
+  const hdl::Partition p = hdl::partition(m, 0, 1, 1);
+  const std::vector<std::string> want = {"X0",       "n1_t1",  "n2_T1",     "rem_3", "n4_out",
+                                         "n5_a_out", "n6_u_lut0", "n7_C_o0", "x_nxt"};
+  EXPECT_EQ(p.names, want);
 }
 
 } // namespace
