@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <sstream>
 
 #include "roccc/compiler.hpp"
 #include "rtl/from_dp.hpp"
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"
 #include "vhdl/check.hpp"
+#include "vhdl/emit.hpp"
 #include "vhdl/layout.hpp"
 #include "vhdl/testbench.hpp"
+#include "vhdl/verilog.hpp"
 
 namespace roccc {
 namespace {
@@ -124,6 +128,126 @@ TEST(HdlPartition, NetsKeepTheirNameOnlyWhenNothingElseCanMeanIt) {
   const std::vector<std::string> want = {"X0",       "n1_t1",  "n2_T1",     "rem_3", "n4_out",
                                          "n5_a_out", "n6_u_lut0", "n7_C_o0", "x_nxt"};
   EXPECT_EQ(p.names, want);
+}
+
+// One hand-built netlist holding the statement forms the printers get
+// wrong most easily; each is pinned as an exact line of both texts, so a
+// failure names the form. The cells sit at the top level (no data-path
+// nodes), which prints them in the top entity.
+struct EdgeDesign {
+  rtl::Module m;
+  dp::DataPath dp;
+  hlir::KernelInfo kernel;
+};
+
+EdgeDesign edgeDesign() {
+  EdgeDesign e;
+  rtl::Module& m = e.m;
+  m.name = "edge_dp";
+  const ScalarType s64 = ScalarType::make(64, true), u40 = ScalarType::make(40, false);
+  const ScalarType s32 = ScalarType::make(32, true), s16 = ScalarType::make(16, true);
+  const ScalarType bit = ScalarType::make(1, false), s8 = ScalarType::make(8, true);
+  const int x = m.addNet(s32, "X");
+  const int y = m.addNet(s64, "Y");
+  const int z = m.addNet(u40, "Z");
+  m.inputPorts = {x, y, z};
+  m.inputNames = {"X", "Y", "Z"};
+  // Literals at and one past each end of VHDL's 32-bit integer, and a
+  // 40-bit one: to_signed/to_unsigned inside the range, bit strings past it.
+  int t = 1;
+  auto net = [&](ScalarType type) { return m.addNet(type, "t" + std::to_string(t++)); };
+  for (const int64_t k : {int64_t{INT32_MIN}, int64_t{INT32_MIN} - 1, int64_t{INT32_MAX},
+                          int64_t{INT32_MAX} + 1}) {
+    m.addCell(rtl::CellKind::Add, {y, m.addConst(k, s64)}, net(s64));
+  }
+  m.addCell(rtl::CellKind::Add, {z, m.addConst(int64_t{1} << 35, u40)}, net(u40));
+  // A 1-bit compare.
+  m.addCell(rtl::CellKind::Lt, {x, m.addConst(5, s32)}, net(bit));
+  // A ROM whose 8-bit words widen into a 16-bit net.
+  const int addr = m.addNet(ScalarType::make(2, false), "addr_lo");
+  m.addCell(rtl::CellKind::Resize, {x}, addr);
+  const int rom = m.addCell(rtl::CellKind::Rom, {addr}, net(s16));
+  m.cells[static_cast<size_t>(rom)].romName = "tbl";
+  m.cells[static_cast<size_t>(rom)].romData = {1, -2, 3, -128};
+  m.cells[static_cast<size_t>(rom)].romElemType = s8;
+  // A constant right shift inside the operand: a slice.
+  m.addCell(rtl::CellKind::Shr, {x, m.addConst(4, ScalarType::make(3, false))}, net(s16));
+  // A variable signed right shift narrowed to 16 bits: narrowed unsigned.
+  const int amount = m.addNet(ScalarType::make(3, false), "amount_lo");
+  m.addCell(rtl::CellKind::Resize, {x}, amount);
+  m.addCell(rtl::CellKind::Shr, {x, amount}, net(s16));
+  // A signed multiply narrowed to 16 bits: the low bits of the product.
+  const int prod = net(s16);
+  m.addCell(rtl::CellKind::Mul, {x, x}, prod);
+  m.outputPorts = {prod};
+  m.outputNames = {"P"};
+
+  e.dp.name = m.name;
+  e.dp.inputs = {{"X", s32, -1}, {"Y", s64, -1}, {"Z", u40, -1}};
+  e.dp.outputs = {{"P", s16, -1}};
+  e.kernel.kernelName = "edge";
+  return e;
+}
+
+/// The text's lines with their indentation removed.
+std::vector<std::string> trimmedLines(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    const size_t start = line.find_first_not_of(' ');
+    out.push_back(start == std::string::npos ? "" : line.substr(start));
+  }
+  return out;
+}
+
+void expectLines(const std::string& text, const std::vector<std::string>& want) {
+  const std::vector<std::string> got = trimmedLines(text);
+  for (const std::string& line : want) {
+    EXPECT_NE(std::find(got.begin(), got.end(), line), got.end())
+        << "missing line: " << line << "\n---\n" << text;
+  }
+}
+
+TEST(HdlPrinter, VhdlEdgeFormsPrintExactStatements) {
+  const EdgeDesign e = edgeDesign();
+  expectLines(vhdl::emitDesign(e.dp, e.m, e.kernel), {
+      "t1 <= Y + to_signed(-2147483648, 64);",
+      "t2 <= Y + signed'(\"1111111111111111111111111111111101111111111111111111111111111111\");",
+      "t3 <= Y + to_signed(2147483647, 64);",
+      "t4 <= Y + signed'(\"0000000000000000000000000000000010000000000000000000000000000000\");",
+      "t5 <= Z + unsigned'(\"0000100000000000000000000000000000000000\");",
+      "t6 <= \"1\" when resize(X, 33) < to_signed(5, 33) else \"0\";",
+      "constant rom : rom_t := (to_signed(1, 8), to_signed(-2, 8), to_signed(3, 8), to_signed(-128, 8));",
+      "signal t7 : signed(15 downto 0);",
+      "signal t7_rom : signed(7 downto 0);",
+      "port map (addr => unsigned(X(1 downto 0)), data => t7_rom);",
+      "t7 <= resize(t7_rom, 16);",
+      "t8 <= X(19 downto 4);",
+      "t9 <= signed(resize(unsigned(shift_right(X, to_integer(unsigned(X(2 downto 0))))), 16));",
+      "t10 <= signed(resize(unsigned(X(15 downto 0)) * unsigned(X(15 downto 0)), 16));",
+      "P <= t10;",
+  });
+}
+
+TEST(HdlPrinter, VerilogEdgeFormsPrintExactStatements) {
+  const EdgeDesign e = edgeDesign();
+  expectLines(verilog::emitDesign(e.dp, e.m, e.kernel), {
+      "assign t1 = Y + 64'hffffffff80000000;",
+      "assign t2 = Y + 64'hffffffff7fffffff;",
+      "assign t3 = Y + 64'h7fffffff;",
+      "assign t4 = Y + 64'h80000000;",
+      "assign t5 = Z + 40'h800000000;",
+      "assign t6 = ($signed({X[31], X}) < $signed(33'h5)) ? 1'h1 : 1'h0;",
+      "2'd3: data = 8'h80;",
+      "default: data = 8'h80;",
+      "wire [7:0] t7_rom;",
+      "edge_dp_tbl_rom u_lut0(.addr(X[1:0]), .data(t7_rom));",
+      "assign t7 = {{8{t7_rom[7]}}, t7_rom};",
+      "assign t8 = X[19:4];",
+      "assign t9 = $signed(X) >>> X[2:0];",
+      "assign t10 = X[15:0] * X[15:0];",
+      "assign P = t10;",
+  });
 }
 
 } // namespace
