@@ -29,10 +29,4 @@ std::string replaceAll(std::string s, const std::string& from, const std::string
   return s;
 }
 
-void IndentWriter::line(std::string_view text) {
-  out_.append(static_cast<size_t>(level_ * spaces_), ' ');
-  out_ += text;
-  out_ += '\n';
-}
-
 } // namespace roccc

@@ -69,7 +69,11 @@ std::string fmt(std::string_view pattern, const Args&... args) {
   return out;
 }
 
-/// Writes indented lines; used by all the text emitters (AST printer, VHDL).
+/// Writes indented lines into one buffer; used by all the text emitters (AST
+/// printer, VHDL, Verilog, testbenches). Pieces are appended in place, each
+/// rendered as fmt renders it, so a printer builds no temporary strings:
+/// line(a, b, ...) writes a whole line, begin(...) starts one that put(...)
+/// continues and end() closes.
 class IndentWriter {
  public:
   explicit IndentWriter(int spacesPerLevel = 2) : spaces_(spacesPerLevel) {}
@@ -78,13 +82,34 @@ class IndentWriter {
   void dedent() {
     if (level_ > 0) --level_;
   }
+  void reserve(size_t bytes) { out_.reserve(bytes); }
 
   /// Appends one full line at the current indent level.
-  void line(std::string_view text);
+  template <typename... Args>
+  void line(const Args&... args) {
+    begin(args...);
+    end();
+  }
+  /// Starts a line at the current indent level with `args`.
+  template <typename... Args>
+  IndentWriter& begin(const Args&... args) {
+    out_.append(static_cast<size_t>(level_ * spaces_), ' ');
+    return put(args...);
+  }
+  /// Appends `args` to the open line.
+  template <typename... Args>
+  IndentWriter& put(const Args&... args) {
+    (detail::appendArg(out_, args), ...);
+    return *this;
+  }
+  /// Closes the open line.
+  void end() { out_ += '\n'; }
   /// Appends a blank line.
   void blank() { out_ += '\n'; }
 
   const std::string& str() const { return out_; }
+  /// Moves the text out, leaving the writer empty.
+  std::string take() { return std::move(out_); }
 
  private:
   int spaces_;

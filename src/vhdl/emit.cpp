@@ -17,53 +17,31 @@ namespace {
 using hdl::Ref;
 using hdl::sanitize;
 
-std::string typeName(ScalarType t) {
-  return fmt("%0(%1 downto 0)", t.isSigned ? "signed" : "unsigned", t.width - 1);
-}
+const char* signedness(bool isSigned) { return isSigned ? "signed" : "unsigned"; }
 
-std::string cast(bool toSigned, const std::string& s) {
-  return fmt("%0(%1)", toSigned ? "signed" : "unsigned", s);
-}
+/// A conversion around an operand, decided before any of it is written:
+/// an outer signedness cast around a resize around an inner cast, each
+/// optional (-1 / 0 for absent).
+struct Wrap {
+  int outer = -1; ///< cast to signed (1) or unsigned (0)
+  int resize = 0; ///< target width of a numeric_std resize
+  int inner = -1; ///< cast applied before the resize
+};
 
-/// `v` as a numeric_std literal; a bit string when VHDL's 32-bit integer
-/// cannot hold it.
-std::string literal(const Value& v) {
-  const int64_t x = v.toInt();
-  if (x >= INT32_MIN && x <= INT32_MAX) {
-    return fmt("to_%0(%1, %2)", v.isSigned() ? "signed" : "unsigned", x, v.width());
-  }
-  std::string bits;
-  for (int b = v.width() - 1; b >= 0; --b) bits += (v.bits() >> b & 1) ? '1' : '0';
-  return fmt("%0'(\"%1\")", v.isSigned() ? "signed" : "unsigned", bits);
-}
-
-/// Bits [lo, lo + read.width) of the signal `s` (of type `named`), read as
-/// `read` and converted to `t`: truncation keeps the low bits, extension
-/// follows `read`'s signedness.
-std::string fitBits(std::string s, ScalarType named, int lo, ScalarType read, ScalarType t) {
-  const int w = std::min(read.width, t.width);
-  if (lo != 0 || w != named.width) s += fmt("(%0 downto %1)", lo + w - 1, lo);
-  bool sgn = named.isSigned;
-  if (t.width > read.width) {
-    if (sgn != read.isSigned) s = cast(read.isSigned, s);
-    sgn = read.isSigned;
-    s = fmt("resize(%0, %1)", s, t.width);
-  }
-  return sgn == t.isSigned ? s : cast(t.isSigned, s);
-}
-
-/// The expression `e` of type `from` converted to `t` (numeric_std's resize
-/// keeps a signed value's sign bit when it narrows, so a signed value is
-/// narrowed as unsigned).
-std::string fitExpr(std::string e, ScalarType from, ScalarType t) {
+/// The conversion of an expression of type `from` to `t` (numeric_std's
+/// resize keeps a signed value's sign bit when it narrows, so a signed value
+/// is narrowed as unsigned).
+Wrap fitExpr(ScalarType from, ScalarType t) {
+  Wrap w;
   if (t.width != from.width) {
     if (from.isSigned && t.width < from.width) {
-      e = cast(false, e);
+      w.inner = 0;
       from.isSigned = false;
     }
-    e = fmt("resize(%0, %1)", e, t.width);
+    w.resize = t.width;
   }
-  return from.isSigned == t.isSigned ? e : cast(t.isSigned, e);
+  if (from.isSigned != t.isSigned) w.outer = t.isSigned;
+  return w;
 }
 
 const char* relation(CellKind k) {
@@ -80,18 +58,30 @@ const char* relation(CellKind k) {
 class Printer {
  public:
   Printer(const dp::DataPath& dp, const rtl::Module& m, const hlir::KernelInfo& kernel)
-      : dp_(dp), m_(m), kernel_(kernel), p_(hdl::partition(m, dp.nodes.size(), dp.inputs.size(), dp.outputs.size())) {}
+      : dp_(dp), m_(m), kernel_(kernel), p_(hdl::partition(m, dp.nodes.size(), dp.inputs.size(), dp.outputs.size())),
+        top_(sanitize(m.name)) {
+    // One reservation holds the whole text: an upper bound per cell, node
+    // entity, entity port and ROM word, fitted on Table 1 and the corpus.
+    size_t ports = 0, romWords = 0;
+    for (const hdl::Scope& s : p_.scopes) ports += s.inputs.size() + s.outputs.size();
+    for (const Cell& c : m_.cells) romWords += c.romData.size();
+    w_.reserve(1024 + 96 * m_.cells.size() + 320 * dp_.nodes.size() + 128 * ports + 24 * romWords);
+    labels_.reserve(dp_.nodes.size());
+    for (const auto& n : dp_.nodes) labels_.push_back(sanitize(n.label));
+    outputs_.reserve(p_.ports.size());
+    for (size_t i = 0; i < p_.ports.size(); ++i) outputs_.push_back(sanitize(m_.outputNames[i]));
+  }
 
   std::string run() {
-    w_.line("-- Generated by ROCCC (reproduction): RTL VHDL for kernel '" + kernel_.kernelName + "'");
-    w_.line(fmt("-- data path: %0 nodes (%1 soft, %2 hard), %3 pipeline stages", dp_.nodes.size(),
-                dp_.softNodeCount, dp_.hardNodeCount, dp_.stageCount));
-    w_.line(fmt("-- netlist: %0 cells, %1 register bits", m_.cells.size(), m_.registerBits()));
+    w_.line("-- Generated by ROCCC (reproduction): RTL VHDL for kernel '", kernel_.kernelName, "'");
+    w_.line("-- data path: ", dp_.nodes.size(), " nodes (", dp_.softNodeCount, " soft, ", dp_.hardNodeCount,
+            " hard), ", dp_.stageCount, " pipeline stages");
+    w_.line("-- netlist: ", m_.cells.size(), " cells, ", m_.registerBits(), " register bits");
     w_.blank();
     romEntities();
     for (const auto& n : dp_.nodes) nodeEntity(n);
     topEntity();
-    return w_.str();
+    return w_.take();
   }
 
  private:
@@ -99,7 +89,11 @@ class Printer {
   const rtl::Module& m_;
   const hlir::KernelInfo& kernel_;
   const hdl::Partition p_;
+  const std::string top_;            ///< the top entity's name
+  std::vector<std::string> labels_;  ///< per data-path node: its entity's suffix
+  std::vector<std::string> outputs_; ///< per design output port: its name
   IndentWriter w_;
+  bool firstItem_ = true; ///< of the port list or port map being written
 
   /// The module's first input ports are the kernel's; the rest (the valid
   /// bit) are std_logic controls.
@@ -107,38 +101,111 @@ class Printer {
   const Cell& cell(int id) const { return m_.cells[static_cast<size_t>(id)]; }
   ScalarType type(int net) const { return m_.nets[static_cast<size_t>(net)].type; }
   /// A net's identifier; the kernel's input ports are named after their port.
-  const std::string& name(int net) const { return p_.names[static_cast<size_t>(net)]; }
+  std::string_view name(int net) const { return p_.names[static_cast<size_t>(net)]; }
   const Ref& ref(const Cell& c, size_t k) const { return p_.refs[static_cast<size_t>(c.inputs[k])]; }
-  std::string romEntity(const Cell& c) const {
-    return sanitize(m_.name) + "_" + sanitize(c.romName) + "_rom";
+
+  void typeName(ScalarType t) { w_.put(signedness(t.isSigned), "(", t.width - 1, " downto 0)"); }
+
+  /// `v` as a numeric_std literal; a bit string when VHDL's 32-bit integer
+  /// cannot hold it.
+  void literal(const Value& v) {
+    const int64_t x = v.toInt();
+    if (x >= INT32_MIN && x <= INT32_MAX) {
+      w_.put("to_", signedness(v.isSigned()), "(", x, ", ", v.width(), ")");
+      return;
+    }
+    w_.put(signedness(v.isSigned()), "'(\"");
+    for (int b = v.width() - 1; b >= 0; --b) w_.put((v.bits() >> b & 1) ? '1' : '0');
+    w_.put("\")");
   }
 
-  std::string fit(const Ref& r, ScalarType t) const {
+  /// A compare's result `b` at type `t`: a bit string for one bit.
+  void boolean(ScalarType t, int b) {
+    if (t.width == 1) {
+      w_.put(b ? "\"1\"" : "\"0\"");
+    } else {
+      literal(Value::fromInt(t, b));
+    }
+  }
+
+  void open(const Wrap& c) {
+    if (c.outer >= 0) w_.put(signedness(c.outer), "(");
+    if (c.resize) w_.put("resize(");
+    if (c.inner >= 0) w_.put(signedness(c.inner), "(");
+  }
+  void close(const Wrap& c) {
+    if (c.inner >= 0) w_.put(")");
+    if (c.resize) w_.put(", ", c.resize, ")");
+    if (c.outer >= 0) w_.put(")");
+  }
+
+  /// Bits [lo, lo + read.width) of the signal `s` + `suffix` (of type
+  /// `named`), read as `read` and converted to `t`: truncation keeps the low
+  /// bits, extension follows `read`'s signedness.
+  void fitBits(std::string_view s, std::string_view suffix, ScalarType named, int lo, ScalarType read,
+               ScalarType t) {
+    const int w = std::min(read.width, t.width);
+    Wrap c;
+    bool sgn = named.isSigned;
+    if (t.width > read.width) {
+      if (sgn != read.isSigned) c.inner = read.isSigned;
+      sgn = read.isSigned;
+      c.resize = t.width;
+    }
+    if (sgn != t.isSigned) c.outer = t.isSigned;
+    open(c);
+    w_.put(s, suffix);
+    if (lo != 0 || w != named.width) w_.put("(", lo + w - 1, " downto ", lo, ")");
+    close(c);
+  }
+
+  void fit(const Ref& r, ScalarType t) {
     if (r.isLiteral()) return literal(r.literalAs(t));
-    return fitBits(name(r.net), type(r.net), r.lo, r.type, t);
+    fitBits(name(r.net), {}, type(r.net), r.lo, r.type, t);
   }
   /// Input k of `c` as its statement reads it.
-  std::string in(const Cell& c, size_t k) const { return fit(ref(c, k), hdl::inputType(m_, c, k)); }
+  void in(const Cell& c, size_t k) { fit(ref(c, k), hdl::inputType(m_, c, k)); }
+  void binary(const Cell& c, const char* op) {
+    in(c, 0);
+    w_.put(op);
+    in(c, 1);
+  }
 
-  std::string amount(const Cell& c) const {
+  void amount(const Cell& c) {
     const Ref& n = ref(c, 1);
-    if (n.isLiteral()) return std::to_string(Value::fromInt(n.type, n.literal).toUnsigned());
-    return "to_integer(" + in(c, 1) + ")";
+    if (n.isLiteral()) {
+      w_.put(Value::fromInt(n.type, n.literal).toUnsigned());
+      return;
+    }
+    w_.put("to_integer(");
+    in(c, 1);
+    w_.put(")");
   }
 
   /// The right-hand side of a combinational cell's assignment.
-  std::string expr(const Cell& c) const {
+  void expr(const Cell& c) {
     const ScalarType rt = type(c.output);
     switch (c.kind) {
-      case CellKind::Add: return in(c, 0) + " + " + in(c, 1);
-      case CellKind::Sub: return in(c, 0) + " - " + in(c, 1);
-      case CellKind::Mul: return fitExpr(in(c, 0) + " * " + in(c, 1), {2 * rt.width, false}, rt);
-      case CellKind::Neg: return "0 - " + in(c, 0);
-      case CellKind::And: return in(c, 0) + " and " + in(c, 1);
-      case CellKind::Or: return in(c, 0) + " or " + in(c, 1);
-      case CellKind::Xor: return in(c, 0) + " xor " + in(c, 1);
-      case CellKind::Not: return "not " + in(c, 0);
-      case CellKind::Shl: return fmt("shift_left(%0, %1)", in(c, 0), amount(c));
+      case CellKind::Add: return binary(c, " + ");
+      case CellKind::Sub: return binary(c, " - ");
+      case CellKind::Mul: {
+        const Wrap w = fitExpr({2 * rt.width, false}, rt);
+        open(w);
+        binary(c, " * ");
+        return close(w);
+      }
+      case CellKind::Neg: w_.put("0 - "); return in(c, 0);
+      case CellKind::And: return binary(c, " and ");
+      case CellKind::Or: return binary(c, " or ");
+      case CellKind::Xor: return binary(c, " xor ");
+      case CellKind::Not: w_.put("not "); return in(c, 0);
+      case CellKind::Shl:
+        w_.put("shift_left(");
+        in(c, 0);
+        w_.put(", ");
+        amount(c);
+        w_.put(")");
+        return;
       case CellKind::Shr: {
         // A constant shift that stays inside the operand is a slice.
         const Ref& a = ref(c, 0);
@@ -148,27 +215,53 @@ class Printer {
           const int ki = static_cast<int>(k);
           return fit(Ref{a.net, a.lo + ki, {a.type.width - ki, a.type.isSigned}, 0}, rt);
         }
-        return fitExpr(fmt("shift_right(%0, %1)", in(c, 0), amount(c)), hdl::inputType(m_, c, 0), rt);
+        const Wrap w = fitExpr(hdl::inputType(m_, c, 0), rt);
+        open(w);
+        w_.put("shift_right(");
+        in(c, 0);
+        w_.put(", ");
+        amount(c);
+        w_.put(")");
+        return close(w);
       }
       case CellKind::Eq: case CellKind::Ne: case CellKind::Lt:
       case CellKind::Le: case CellKind::Gt: case CellKind::Ge: {
-        const bool bit = rt.width == 1;
-        return fmt("%0 when %1 %2 %3 else %4", bit ? "\"1\"" : literal(Value::fromInt(rt, 1)), in(c, 0),
-                   relation(c.kind), in(c, 1), bit ? "\"0\"" : literal(Value::fromInt(rt, 0)));
+        boolean(rt, 1);
+        w_.put(" when ");
+        in(c, 0);
+        w_.put(" ", relation(c.kind), " ");
+        in(c, 1);
+        w_.put(" else ");
+        return boolean(rt, 0);
       }
-      case CellKind::Mux: return fmt("%0 when %1 /= 0 else %2", in(c, 1), in(c, 0), in(c, 2));
+      case CellKind::Mux:
+        in(c, 1);
+        w_.put(" when ");
+        in(c, 0);
+        w_.put(" /= 0 else ");
+        return in(c, 2);
       case CellKind::Slice: {
         const Ref& r = ref(c, 0);
         if (!r.isLiteral() && c.aux1 + rt.width <= r.type.width) {
           return fit(Ref{r.net, r.lo + c.aux1, rt, 0}, rt);
         }
         const ScalarType u{hdl::inputType(m_, c, 0).width, false};
-        return fitExpr(fmt("shift_right(%0, %1)", fit(r, u), c.aux1), u, rt);
+        const Wrap w = fitExpr(u, rt);
+        open(w);
+        w_.put("shift_right(");
+        fit(r, u);
+        w_.put(", ", c.aux1, ")");
+        return close(w);
       }
       case CellKind::Concat: {
         const ScalarType hi{hdl::inputType(m_, c, 0).width, false};
         const ScalarType lo{hdl::inputType(m_, c, 1).width, false};
-        return fitExpr(fit(ref(c, 0), hi) + " & " + fit(ref(c, 1), lo), {hi.width + lo.width, false}, rt);
+        const Wrap w = fitExpr({hi.width + lo.width, false}, rt);
+        open(w);
+        fit(ref(c, 0), hi);
+        w_.put(" & ");
+        fit(ref(c, 1), lo);
+        return close(w);
       }
       case CellKind::Resize: return in(c, 0);
       default:
@@ -177,26 +270,37 @@ class Printer {
     }
   }
 
-  void libraryClause() {
+  /// Opens `entity <name...> is` and its port list; port() writes each
+  /// port and endEntity() closes both.
+  template <typename... Name>
+  void beginEntity(bool hasPorts, const Name&... name) {
     w_.line("library ieee;");
     w_.line("use ieee.std_logic_1164.all;");
     w_.line("use ieee.numeric_std.all;");
     w_.blank();
+    w_.line("entity ", name..., " is");
+    if (!hasPorts) return;
+    w_.indent();
+    w_.line("port (");
+    w_.indent();
+    firstItem_ = true;
   }
-
-  void entity(const std::string& name, const std::vector<std::string>& ports) {
-    libraryClause();
-    w_.line("entity " + name + " is");
-    if (!ports.empty()) {
-      w_.indent();
-      w_.line("port (");
-      w_.indent();
-      for (size_t i = 0; i < ports.size(); ++i) w_.line(ports[i] + (i + 1 < ports.size() ? ";" : ""));
+  /// Starts the next port's line, closing the previous one with ';'.
+  template <typename... Args>
+  IndentWriter& port(const Args&... args) {
+    if (!firstItem_) w_.put(";").end();
+    firstItem_ = false;
+    return w_.begin(args...);
+  }
+  template <typename... Name>
+  void endEntity(bool hasPorts, const Name&... name) {
+    if (hasPorts) {
+      w_.end();
       w_.dedent();
       w_.line(");");
       w_.dedent();
     }
-    w_.line("end entity " + name + ";");
+    w_.line("end entity ", name..., ";");
     w_.blank();
   }
 
@@ -204,26 +308,34 @@ class Printer {
     std::vector<std::string> done;
     for (const Cell& c : m_.cells) {
       if (c.kind != CellKind::Rom) continue;
-      const std::string name = romEntity(c);
-      if (std::find(done.begin(), done.end(), name) != done.end()) continue;
-      done.push_back(name);
+      std::string rom = sanitize(c.romName);
+      if (std::find(done.begin(), done.end(), rom) != done.end()) continue;
       const ScalarType et = c.romElemType;
-      entity(name, {fmt("addr : in unsigned(%0 downto 0)", hdl::addrBits(c.romData.size()) - 1),
-                    "data : out " + typeName(et)});
-      w_.line("architecture rtl of " + name + " is");
+      const size_t last = c.romData.size() - 1;
+      beginEntity(true, top_, "_", rom, "_rom");
+      port("addr : in unsigned(", hdl::addrBits(c.romData.size()) - 1, " downto 0)");
+      port("data : out ");
+      typeName(et);
+      endEntity(true, top_, "_", rom, "_rom");
+      w_.line("architecture rtl of ", top_, "_", rom, "_rom is");
       w_.indent();
-      w_.line(fmt("type rom_t is array (0 to %0) of %1;", c.romData.size() - 1, typeName(et)));
-      std::vector<std::string> init;
-      for (int64_t v : c.romData) init.push_back(literal(Value::fromInt(et, v)));
-      w_.line("constant rom : rom_t := (" + join(init, ", ") + ");");
+      w_.begin("type rom_t is array (0 to ", last, ") of ");
+      typeName(et);
+      w_.put(";").end();
+      w_.begin("constant rom : rom_t := (");
+      for (size_t i = 0; i <= last; ++i) {
+        if (i) w_.put(", ");
+        literal(Value::fromInt(et, c.romData[i]));
+      }
+      w_.put(");").end();
       w_.dedent();
       w_.line("begin");
       w_.indent();
-      w_.line(fmt("data <= rom(to_integer(addr)) when to_integer(addr) <= %0 else rom(%0);",
-                  c.romData.size() - 1));
+      w_.line("data <= rom(to_integer(addr)) when to_integer(addr) <= ", last, " else rom(", last, ");");
       w_.dedent();
       w_.line("end architecture rtl;");
       w_.blank();
+      done.push_back(std::move(rom));
     }
   }
 
@@ -233,13 +345,21 @@ class Printer {
     for (int id : s.cells) {
       const Cell& c = cell(id);
       const ScalarType t = type(c.output);
-      std::string init;
+      w_.begin("signal ", name(c.output), " : ");
+      typeName(t);
       if (c.kind == CellKind::Reg) {
-        init = c.imm == 0 ? " := (others => '0')" : " := " + literal(Value::fromInt(t, c.imm));
+        if (c.imm == 0) {
+          w_.put(" := (others => '0')");
+        } else {
+          w_.put(" := ");
+          literal(Value::fromInt(t, c.imm));
+        }
       }
-      w_.line(fmt("signal %0 : %1%2;", name(c.output), typeName(t), init));
+      w_.put(";").end();
       if (c.kind == CellKind::Rom && c.romElemType != t) {
-        w_.line(fmt("signal %0_rom : %1;", name(c.output), typeName(c.romElemType)));
+        w_.begin("signal ", name(c.output), "_rom : ");
+        typeName(c.romElemType);
+        w_.put(";").end();
       }
     }
   }
@@ -250,19 +370,25 @@ class Printer {
     int lut = 0;
     for (int id : s.cells) {
       const Cell& c = cell(id);
-      const std::string& y = name(c.output);
+      const std::string_view y = name(c.output);
       if (c.kind == CellKind::Reg) continue;
       if (c.kind != CellKind::Rom) {
-        w_.line(y + " <= " + expr(c) + ";");
+        w_.begin(y, " <= ");
+        expr(c);
+        w_.put(";").end();
         continue;
       }
       const bool direct = c.romElemType == type(c.output);
-      w_.line(fmt("u_lut%0 : entity work.%1", lut++, romEntity(c)));
+      w_.line("u_lut", lut++, " : entity work.", top_, "_", sanitize(c.romName), "_rom");
       w_.indent();
-      w_.line(fmt("port map (addr => %0, data => %1);", in(c, 0), direct ? y : y + "_rom"));
+      w_.begin("port map (addr => ");
+      in(c, 0);
+      w_.put(", data => ", y, direct ? "" : "_rom", ");").end();
       w_.dedent();
       if (!direct) {
-        w_.line(y + " <= " + fitBits(y + "_rom", c.romElemType, 0, c.romElemType, type(c.output)) + ";");
+        w_.begin(y, " <= ");
+        fitBits(y, "_rom", c.romElemType, 0, c.romElemType, type(c.output));
+        w_.put(";").end();
       }
     }
     if (!s.clocked) return;
@@ -276,16 +402,20 @@ class Printer {
     for (int id : s.cells) {
       const Cell& c = cell(id);
       if (c.kind != CellKind::Reg) continue;
-      const std::string assign = name(c.output) + " <= " + in(c, 0) + ";";
-      if (c.inputs.size() < 2) {
-        w_.line(assign);
-        continue;
+      const bool gated = c.inputs.size() >= 2;
+      if (gated) {
+        w_.begin("if ");
+        in(c, 1);
+        w_.put(" /= 0 then").end();
+        w_.indent();
       }
-      w_.line("if " + in(c, 1) + " /= 0 then");
-      w_.indent();
-      w_.line(assign);
-      w_.dedent();
-      w_.line("end if;");
+      w_.begin(name(c.output), " <= ");
+      in(c, 0);
+      w_.put(";").end();
+      if (gated) {
+        w_.dedent();
+        w_.line("end if;");
+      }
     }
     w_.dedent();
     w_.line("end if;");
@@ -295,79 +425,107 @@ class Printer {
     w_.line("end process;");
   }
 
-  std::string nodeEntityName(const dp::DpNode& n) const { return sanitize(m_.name) + "_" + sanitize(n.label); }
-
   void nodeEntity(const dp::DpNode& n) {
     const hdl::Scope& s = p_.scopes[static_cast<size_t>(n.id)];
-    const std::string entityName = nodeEntityName(n);
-    std::vector<std::string> ports;
-    if (s.clocked) ports = {"clk : in std_logic", "ce  : in std_logic"};
-    for (int net : s.inputs) ports.push_back(name(net) + " : in " + typeName(type(net)));
-    for (int net : s.outputs) ports.push_back(name(net) + "_out : out " + typeName(type(net)));
-    entity(entityName, ports);
-    w_.line("architecture rtl of " + entityName + " is");
+    const std::string& label = labels_[static_cast<size_t>(n.id)];
+    const bool hasPorts = s.clocked || !s.inputs.empty() || !s.outputs.empty();
+    beginEntity(hasPorts, top_, "_", label);
+    if (s.clocked) {
+      port("clk : in std_logic");
+      port("ce  : in std_logic");
+    }
+    for (int net : s.inputs) {
+      port(name(net), " : in ");
+      typeName(type(net));
+    }
+    for (int net : s.outputs) {
+      port(name(net), "_out : out ");
+      typeName(type(net));
+    }
+    endEntity(hasPorts, top_, "_", label);
+    w_.line("architecture rtl of ", top_, "_", label, " is");
     w_.indent();
     declareCells(s);
     w_.dedent();
     w_.line("begin");
     w_.indent();
     printCells(s);
-    for (int net : s.outputs) w_.line(name(net) + "_out <= " + name(net) + ";");
+    for (int net : s.outputs) w_.line(name(net), "_out <= ", name(net), ";");
     w_.dedent();
     w_.line("end architecture rtl;");
     w_.blank();
   }
 
+  /// Appends ", " before every association of a port map but the first.
+  template <typename... Args>
+  void assoc(const Args&... args) {
+    if (!firstItem_) w_.put(", ");
+    firstItem_ = false;
+    w_.put(args...);
+  }
+
   void topEntity() {
-    const std::string top = sanitize(m_.name);
-    std::vector<std::string> ports = {"clk : in std_logic", "ce  : in std_logic"};
+    beginEntity(true, top_);
+    port("clk : in std_logic");
+    port("ce  : in std_logic");
     for (size_t i = dataInputs(); i < m_.inputPorts.size(); ++i) {
-      ports.push_back(sanitize(m_.inputNames[i]) + " : in std_logic");
+      port(sanitize(m_.inputNames[i]), " : in std_logic");
     }
     for (size_t i = 0; i < dataInputs(); ++i) {
-      ports.push_back(name(m_.inputPorts[i]) + " : in " + typeName(type(m_.inputPorts[i])));
+      port(name(m_.inputPorts[i]), " : in ");
+      typeName(type(m_.inputPorts[i]));
     }
     for (size_t i = 0; i < p_.ports.size(); ++i) {
-      ports.push_back(sanitize(m_.outputNames[i]) + " : out " + typeName(type(p_.ports[i])));
+      port(outputs_[i], " : out ");
+      typeName(type(p_.ports[i]));
     }
-    entity(top, ports);
+    endEntity(true, top_);
 
     // Signals: every net a node exports, the controls as numeric bits, and
     // the top level's own cells.
-    w_.line("architecture rtl of " + top + " is");
+    w_.line("architecture rtl of ", top_, " is");
     w_.indent();
-    for (int net : p_.exported) w_.line(fmt("signal %0 : %1;", name(net), typeName(type(net))));
+    for (int net : p_.exported) {
+      w_.begin("signal ", name(net), " : ");
+      typeName(type(net));
+      w_.put(";").end();
+    }
     for (size_t i = dataInputs(); i < m_.inputPorts.size(); ++i) {
-      w_.line(fmt("signal %0 : %1;", name(m_.inputPorts[i]), typeName(type(m_.inputPorts[i]))));
+      w_.begin("signal ", name(m_.inputPorts[i]), " : ");
+      typeName(type(m_.inputPorts[i]));
+      w_.put(";").end();
     }
     declareCells(p_.top());
     w_.dedent();
     w_.line("begin");
     w_.indent();
     for (size_t i = dataInputs(); i < m_.inputPorts.size(); ++i) {
-      w_.line(fmt("%0 <= \"1\" when %1 = '1' else \"0\";", name(m_.inputPorts[i]),
-                  sanitize(m_.inputNames[i])));
+      w_.line(name(m_.inputPorts[i]), " <= \"1\" when ", sanitize(m_.inputNames[i]), " = '1' else \"0\";");
     }
     for (const auto& n : dp_.nodes) {
       const hdl::Scope& s = p_.scopes[static_cast<size_t>(n.id)];
-      std::vector<std::string> assoc;
-      if (s.clocked) assoc = {"clk => clk", "ce => ce"};
-      for (int net : s.inputs) assoc.push_back(name(net) + " => " + name(net));
-      for (int net : s.outputs) assoc.push_back(name(net) + "_out => " + name(net));
-      const std::string inst = fmt("u_%0 : entity work.%1", sanitize(n.label), nodeEntityName(n));
-      if (assoc.empty()) {
-        w_.line(inst + ";");
+      const std::string& label = labels_[static_cast<size_t>(n.id)];
+      w_.begin("u_", label, " : entity work.", top_, "_", label);
+      if (!s.clocked && s.inputs.empty() && s.outputs.empty()) {
+        w_.put(";").end();
         continue;
       }
-      w_.line(inst);
+      w_.end();
       w_.indent();
-      w_.line("port map (" + join(assoc, ", ") + ");");
+      w_.begin("port map (");
+      firstItem_ = true;
+      if (s.clocked) assoc("clk => clk, ce => ce");
+      for (int net : s.inputs) assoc(name(net), " => ", name(net));
+      for (int net : s.outputs) assoc(name(net), "_out => ", name(net));
+      w_.put(");").end();
       w_.dedent();
     }
     printCells(p_.top());
     for (size_t i = 0; i < p_.ports.size(); ++i) {
       const int net = p_.ports[i];
-      w_.line(sanitize(m_.outputNames[i]) + " <= " + fit(p_.refs[static_cast<size_t>(net)], type(net)) + ";");
+      w_.begin(outputs_[i], " <= ");
+      fit(p_.refs[static_cast<size_t>(net)], type(net));
+      w_.put(";").end();
     }
     w_.dedent();
     w_.line("end architecture rtl;");

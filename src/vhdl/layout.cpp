@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
+
+#include "support/strings.hpp"
 
 namespace roccc::hdl {
 
@@ -9,15 +12,26 @@ using rtl::Cell;
 using rtl::CellKind;
 using rtl::Module;
 
+namespace {
+
+bool isWordChar(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9'); }
+
+/// True when `s` already is an identifier: letters, digits and single inner
+/// underscores, not starting with a digit. Most names are.
+bool isClean(std::string_view s) {
+  if (s.empty() || !isWordChar(s.front()) || !isWordChar(s.back()) || (s.front() >= '0' && s.front() <= '9')) {
+    return false;
+  }
+  for (size_t i = 1; i < s.size(); ++i) {
+    if (!isWordChar(s[i]) && !(s[i] == '_' && isWordChar(s[i - 1]))) return false;
+  }
+  return true;
+}
+
+} // namespace
+
 std::string sanitize(std::string_view s) {
-  // Most names already are identifiers: letters, digits and single inner
-  // underscores, not starting with a digit.
-  const auto word = [](char c) {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9');
-  };
-  bool clean = !s.empty() && word(s.front()) && word(s.back()) && !(s.front() >= '0' && s.front() <= '9');
-  for (size_t i = 1; clean && i < s.size(); ++i) clean = word(s[i]) || (s[i] == '_' && word(s[i - 1]));
-  if (clean) return std::string(s);
+  if (isClean(s)) return std::string(s);
   std::string out;
   for (char c : s) {
     if (std::isalnum(static_cast<unsigned char>(c))) {
@@ -152,6 +166,9 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
     p.scopes[static_cast<size_t>(scope)].inputs.push_back(r.net);
     if (driverScope(r.net) != top) p.scopes[static_cast<size_t>(driverScope(r.net))].outputs.push_back(r.net);
   };
+  std::vector<size_t> cellCount(p.scopes.size(), 0);
+  for (const Cell& c : m.cells) cellCount[static_cast<size_t>(scopeOf(c.id))] += !inlined[static_cast<size_t>(c.id)];
+  for (size_t s = 0; s < p.scopes.size(); ++s) p.scopes[s].cells.reserve(cellCount[s]);
   for (const Cell& c : m.cells) {
     if (inlined[static_cast<size_t>(c.id)]) continue;
     Scope& s = p.scopes[static_cast<size_t>(scopeOf(c.id))];
@@ -175,42 +192,68 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
   // instance-label prefix "u_" nor a suffix the printers add, and it is
   // either the lowering's "t<N>" or holds an underscore, which no VHDL or
   // Verilog keyword does. The kernel's input ports are named after
-  // themselves. Every other net gets "n<id>_".
+  // themselves. Every other net gets "n<id>_". A clean name is a view of
+  // the net's own; only the others are stored.
   p.names.reserve(m.nets.size());
-  for (const rtl::Net& n : m.nets) p.names.push_back(sanitize(n.name));
-  std::vector<std::string> reserved = {"clk", "ce"};
-  for (const std::string& port : m.inputNames) reserved.push_back(sanitize(port));
-  for (size_t i = 0; i < p.ports.size(); ++i) reserved.push_back(sanitize(m.outputNames[i]));
-  // Lower-cased copies, sorted through an index, find the names that clash.
-  std::vector<std::string> lower(p.names);
-  lower.insert(lower.end(), reserved.begin(), reserved.end());
-  for (std::string& name : lower) {
-    for (char& c : name) c = (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+  for (const rtl::Net& n : m.nets) {
+    p.names.push_back(isClean(n.name) ? std::string_view(n.name) : p.stored.emplace_back(sanitize(n.name)));
   }
-  std::vector<int> byName(lower.size());
-  for (size_t i = 0; i < byName.size(); ++i) byName[i] = static_cast<int>(i);
-  std::sort(byName.begin(), byName.end(),
-            [&](int a, int b) { return lower[static_cast<size_t>(a)] < lower[static_cast<size_t>(b)]; });
-  std::vector<char> clash(m.nets.size(), 0);
-  for (size_t i = 0; i + 1 < byName.size(); ++i) {
-    if (lower[static_cast<size_t>(byName[i])] != lower[static_cast<size_t>(byName[i + 1])]) continue;
-    for (const int j : {byName[i], byName[i + 1]}) {
-      if (static_cast<size_t>(j) < clash.size()) clash[static_cast<size_t>(j)] = 1; // the rest are reserved names
+  // Clashes ignoring case: one open-addressing table over the nets' names
+  // (indices 0..nets-1) and then the reserved ones (indices from nets),
+  // each slot holding the first index inserted under its name.
+  std::vector<std::string_view> reserved = {"clk", "ce"};
+  for (const std::string& port : m.inputNames) {
+    reserved.push_back(isClean(port) ? std::string_view(port) : p.stored.emplace_back(sanitize(port)));
+  }
+  for (size_t i = 0; i < p.ports.size(); ++i) {
+    const std::string& port = m.outputNames[i];
+    reserved.push_back(isClean(port) ? std::string_view(port) : p.stored.emplace_back(sanitize(port)));
+  }
+  const size_t nets = m.nets.size();
+  auto nameAt = [&](size_t i) { return i < nets ? p.names[i] : reserved[i - nets]; };
+  auto fold = [](char c) { return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c; };
+  auto same = [&](std::string_view a, std::string_view b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (fold(a[i]) != fold(b[i])) return false;
+    }
+    return true;
+  };
+  size_t cap = 16;
+  while (cap < 2 * (nets + reserved.size())) cap *= 2;
+  std::vector<int> table(cap, -1);
+  std::vector<char> clash(nets, 0);
+  for (size_t i = 0; i < nets + reserved.size(); ++i) {
+    const std::string_view name = nameAt(i);
+    uint64_t h = 14695981039346656037ull; // FNV-1a over the folded bytes
+    for (char c : name) h = (h ^ static_cast<unsigned char>(fold(c))) * 1099511628211ull;
+    for (size_t k = h & (cap - 1);; k = (k + 1) & (cap - 1)) {
+      int& slot = table[k];
+      if (slot < 0) {
+        slot = static_cast<int>(i);
+        break;
+      }
+      if (!same(nameAt(static_cast<size_t>(slot)), name)) continue;
+      if (i < nets) clash[i] = 1;
+      if (static_cast<size_t>(slot) < nets) clash[static_cast<size_t>(slot)] = 1;
+      break;
     }
   }
+
   std::vector<char> portName(m.nets.size(), 0);
   for (size_t i = 0; i < std::min(dataInputs, m.inputPorts.size()); ++i) {
     portName[static_cast<size_t>(m.inputPorts[i])] = 1;
   }
-  auto endsWith = [](const std::string& s, std::string_view tail) {
-    return s.size() >= tail.size() && s.compare(s.size() - tail.size(), tail.size(), tail) == 0;
+  auto endsWith = [](std::string_view s, std::string_view tail) {
+    return s.size() >= tail.size() && s.substr(s.size() - tail.size()) == tail;
   };
   for (size_t n = 0; n < p.names.size(); ++n) {
-    std::string& s = p.names[n];
-    const bool temp = s.size() > 1 && s[0] == 't' && s.find_first_not_of("0123456789", 1) == std::string::npos;
-    const bool own = temp || (s.find('_') != std::string::npos && s.compare(0, 2, "u_") != 0 &&
+    const std::string_view s = p.names[n];
+    const bool temp = s.size() > 1 && s[0] == 't' && s.find_first_not_of("0123456789", 1) == std::string_view::npos;
+    const bool own = temp || (s.find('_') != std::string_view::npos && s.substr(0, 2) != "u_" &&
                               !endsWith(s, "_out") && !endsWith(s, "_rom"));
-    if (!portName[n] && (clash[n] || !own)) s = "n" + std::to_string(n) + "_" + s;
+    if (portName[n] || (!clash[n] && own)) continue;
+    p.names[n] = p.stored.emplace_back(fmt("n%0_%1", n, s));
   }
   return p;
 }

@@ -7,6 +7,7 @@
 // entity.
 #pragma once
 
+#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,17 +51,28 @@ struct Scope {
 struct Partition {
   std::vector<Scope> scopes;      ///< one per data-path node, then the top level last
   std::vector<Ref> refs;          ///< per net: how its readers name it
-  std::vector<std::string> names; ///< per net: its HDL identifier inside node entities
+  /// Per net: its HDL identifier inside node entities, a view of the net's
+  /// own name or of `stored`.
+  std::vector<std::string_view> names;
+  std::deque<std::string> stored; ///< the identifiers that are not a net's or port's own name
   std::vector<int> exported;      ///< nets some node exports (top-level signals), ascending
   std::vector<int> ports;         ///< output ports of the design (the first of m.outputPorts)
 
   const Scope& top() const { return scopes.back(); }
+
+  // `names` views `stored` and the module's nets: a copy would view the
+  // original's storage.
+  Partition() = default;
+  Partition(Partition&&) = default;
+  Partition(const Partition&) = delete;
+  Partition& operator=(const Partition&) = delete;
 };
 
 /// Partitions `m` into `nodeCount` node entities and the top level. The
 /// first `dataInputs` input ports are the kernel's (the rest are controls,
 /// the valid bit); only the first `dataOutputs` output ports are ports of
-/// the printed design, the rest are simulation taps.
+/// the printed design, the rest are simulation taps. The names view `m`'s
+/// nets, so `m` must outlive the partition.
 Partition partition(const rtl::Module& m, size_t nodeCount, size_t dataInputs, size_t dataOutputs);
 
 } // namespace roccc::hdl

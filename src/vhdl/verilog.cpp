@@ -17,28 +17,6 @@ namespace {
 using hdl::Ref;
 using hdl::sanitize;
 
-/// `v` as a sized hex literal ("8'hff").
-std::string literal(const Value& v) {
-  char buf[16];
-  return fmt("%0'h%1", v.width(), std::string(buf, std::to_chars(buf, buf + sizeof buf, v.bits(), 16).ptr));
-}
-
-std::string range(ScalarType t) { return fmt("[%0:0]", t.width - 1); }
-
-/// Bits [lo, lo + read.width) of the vector `s` (of type `named`), read as
-/// `read` and converted to `t`: truncation keeps the low bits, extension
-/// follows `read`'s signedness.
-std::string fitBits(const std::string& s, ScalarType named, int lo, ScalarType read, ScalarType t) {
-  const int w = std::min(read.width, t.width);
-  std::string bits = s;
-  if (lo != 0 || w != named.width) bits += w == 1 ? fmt("[%0]", lo) : fmt("[%0:%1]", lo + w - 1, lo);
-  if (t.width <= read.width) return bits;
-  const int k = t.width - read.width;
-  if (!read.isSigned) return fmt("{%0'd0, %1}", k, bits);
-  const std::string sign = fmt("%0[%1]", s, lo + read.width - 1);
-  return k == 1 ? fmt("{%0, %1}", sign, bits) : fmt("{{%0{%1}}, %2}", k, sign, bits);
-}
-
 const char* relation(CellKind k) {
   switch (k) {
     case CellKind::Eq: return "==";
@@ -53,16 +31,29 @@ const char* relation(CellKind k) {
 class Printer {
  public:
   Printer(const dp::DataPath& dp, const rtl::Module& m, const hlir::KernelInfo& kernel)
-      : dp_(dp), m_(m), kernel_(kernel), p_(hdl::partition(m, dp.nodes.size(), dp.inputs.size(), dp.outputs.size())) {}
+      : dp_(dp), m_(m), kernel_(kernel), p_(hdl::partition(m, dp.nodes.size(), dp.inputs.size(), dp.outputs.size())),
+        top_(sanitize(m.name)) {
+    // One reservation holds the whole text: an upper bound per cell, node
+    // module, module port and ROM word, fitted on Table 1 and the corpus.
+    size_t ports = 0, romWords = 0;
+    for (const hdl::Scope& s : p_.scopes) ports += s.inputs.size() + s.outputs.size();
+    for (const Cell& c : m_.cells) romWords += c.romData.size();
+    w_.reserve(512 + 80 * m_.cells.size() + 128 * dp_.nodes.size() + 80 * ports + 36 * romWords);
+    labels_.reserve(dp_.nodes.size());
+    for (const auto& n : dp_.nodes) labels_.push_back(sanitize(n.label));
+    for (const rtl::Net& n : m_.nets) {
+      if (n.driver < 0) portNames_.emplace_back(n.id, sanitize(n.name));
+    }
+  }
 
   std::string run() {
-    w_.line("// Generated by ROCCC (reproduction): Verilog for kernel '" + kernel_.kernelName + "'");
-    w_.line(fmt("// data path: %0 nodes, %1 pipeline stages", dp_.nodes.size(), dp_.stageCount));
+    w_.line("// Generated by ROCCC (reproduction): Verilog for kernel '", kernel_.kernelName, "'");
+    w_.line("// data path: ", dp_.nodes.size(), " nodes, ", dp_.stageCount, " pipeline stages");
     w_.blank();
     romModules();
     for (const auto& n : dp_.nodes) nodeModule(n);
     topModule();
-    return w_.str();
+    return w_.take();
   }
 
  private:
@@ -70,47 +61,96 @@ class Printer {
   const rtl::Module& m_;
   const hlir::KernelInfo& kernel_;
   const hdl::Partition p_;
+  const std::string top_;           ///< the top module's name
+  std::vector<std::string> labels_; ///< per data-path node: its module's suffix
+  /// Undriven nets (the input ports, the valid bit too) and their port
+  /// names, ascending by net.
+  std::vector<std::pair<int, std::string>> portNames_;
   IndentWriter w_;
   bool atTop_ = false;
+  bool firstItem_ = true; ///< of the port list or connection list being written
 
   const Cell& cell(int id) const { return m_.cells[static_cast<size_t>(id)]; }
   ScalarType type(int net) const { return m_.nets[static_cast<size_t>(net)].type; }
-  const std::string& ident(int net) const { return p_.names[static_cast<size_t>(net)]; }
+  std::string_view ident(int net) const { return p_.names[static_cast<size_t>(net)]; }
   /// How the current module reads a net: its identifier, except that in
   /// the top module every input port, the valid bit too, is its port.
-  std::string name(int net) const {
-    const rtl::Net& n = m_.nets[static_cast<size_t>(net)];
-    return atTop_ && n.driver < 0 ? sanitize(n.name) : ident(net);
+  std::string_view name(int net) const {
+    if (atTop_ && m_.nets[static_cast<size_t>(net)].driver < 0) {
+      return std::lower_bound(portNames_.begin(), portNames_.end(), net,
+                              [](const auto& entry, int n) { return entry.first < n; })
+          ->second;
+    }
+    return ident(net);
   }
   const Ref& ref(const Cell& c, size_t k) const { return p_.refs[static_cast<size_t>(c.inputs[k])]; }
-  std::string romModule(const Cell& c) const { return sanitize(m_.name) + "_" + sanitize(c.romName) + "_rom"; }
-  /// The kernel's input ports are vectors; the controls after them (the
-  /// valid bit) are plain wires.
-  std::string portRange(size_t input) const {
-    return input < dp_.inputs.size() ? range(type(m_.inputPorts[input])) + " " : "";
+
+  void range(ScalarType t) { w_.put("[", t.width - 1, ":0]"); }
+
+  /// `v` as a sized hex literal ("8'hff").
+  void literal(const Value& v) {
+    char buf[16];
+    w_.put(v.width(), "'h", std::string_view(buf, static_cast<size_t>(
+                                                   std::to_chars(buf, buf + sizeof buf, v.bits(), 16).ptr - buf)));
   }
 
-  std::string fit(const Ref& r, ScalarType t) const {
+  /// Bits [lo, lo + read.width) of the vector `s` + `suffix` (of type
+  /// `named`), read as `read` and converted to `t`: truncation keeps the low
+  /// bits, extension follows `read`'s signedness.
+  void fitBits(std::string_view s, std::string_view suffix, ScalarType named, int lo, ScalarType read,
+               ScalarType t) {
+    const int w = std::min(read.width, t.width);
+    const int k = t.width - read.width;
+    if (k > 0 && !read.isSigned) {
+      w_.put("{", k, "'d0, ");
+    } else if (k == 1) {
+      w_.put("{", s, suffix, "[", lo + read.width - 1, "], ");
+    } else if (k > 1) {
+      w_.put("{{", k, "{", s, suffix, "[", lo + read.width - 1, "]}}, ");
+    }
+    w_.put(s, suffix);
+    if (lo != 0 || w != named.width) {
+      if (w == 1) {
+        w_.put("[", lo, "]");
+      } else {
+        w_.put("[", lo + w - 1, ":", lo, "]");
+      }
+    }
+    if (k > 0) w_.put("}");
+  }
+
+  void fit(const Ref& r, ScalarType t) {
     if (r.isLiteral()) return literal(r.literalAs(t));
-    return fitBits(name(r.net), type(r.net), r.lo, r.type, t);
+    fitBits(name(r.net), {}, type(r.net), r.lo, r.type, t);
   }
   /// Input k of `c` as its statement reads it.
-  std::string in(const Cell& c, size_t k) const { return fit(ref(c, k), hdl::inputType(m_, c, k)); }
+  void in(const Cell& c, size_t k) { fit(ref(c, k), hdl::inputType(m_, c, k)); }
+  void binary(const Cell& c, const char* op) {
+    in(c, 0);
+    w_.put(op);
+    in(c, 1);
+  }
+  /// Input k of `c`, read as signed when `sgn`.
+  void operand(const Cell& c, size_t k, bool sgn) {
+    if (sgn) w_.put("$signed(");
+    in(c, k);
+    if (sgn) w_.put(")");
+  }
 
   /// The right-hand side of a combinational cell's assign; the assignment
   /// truncates or zero-extends it to the result width.
-  std::string expr(const Cell& c) const {
+  void expr(const Cell& c) {
     const ScalarType rt = type(c.output);
     switch (c.kind) {
-      case CellKind::Add: return in(c, 0) + " + " + in(c, 1);
-      case CellKind::Sub: return in(c, 0) + " - " + in(c, 1);
-      case CellKind::Mul: return in(c, 0) + " * " + in(c, 1);
-      case CellKind::Neg: return "-" + in(c, 0);
-      case CellKind::And: return in(c, 0) + " & " + in(c, 1);
-      case CellKind::Or: return in(c, 0) + " | " + in(c, 1);
-      case CellKind::Xor: return in(c, 0) + " ^ " + in(c, 1);
-      case CellKind::Not: return "~" + in(c, 0);
-      case CellKind::Shl: return in(c, 0) + " << " + in(c, 1);
+      case CellKind::Add: return binary(c, " + ");
+      case CellKind::Sub: return binary(c, " - ");
+      case CellKind::Mul: return binary(c, " * ");
+      case CellKind::Neg: w_.put("-"); return in(c, 0);
+      case CellKind::And: return binary(c, " & ");
+      case CellKind::Or: return binary(c, " | ");
+      case CellKind::Xor: return binary(c, " ^ ");
+      case CellKind::Not: w_.put("~"); return in(c, 0);
+      case CellKind::Shl: return binary(c, " << ");
       case CellKind::Shr: {
         // A constant shift that stays inside the operand is a part-select.
         const Ref& a = ref(c, 0);
@@ -120,26 +160,43 @@ class Printer {
           const int ki = static_cast<int>(k);
           return fit(Ref{a.net, a.lo + ki, {a.type.width - ki, a.type.isSigned}, 0}, rt);
         }
-        if (!hdl::inputType(m_, c, 0).isSigned) return in(c, 0) + " >> " + in(c, 1);
-        return "$signed(" + in(c, 0) + ") >>> " + in(c, 1);
+        if (!hdl::inputType(m_, c, 0).isSigned) return binary(c, " >> ");
+        operand(c, 0, true);
+        w_.put(" >>> ");
+        return in(c, 1);
       }
       case CellKind::Eq: case CellKind::Ne: case CellKind::Lt:
       case CellKind::Le: case CellKind::Gt: case CellKind::Ge: {
         const bool sgn = hdl::inputType(m_, c, 0).isSigned;
-        const std::string a = sgn ? "$signed(" + in(c, 0) + ")" : in(c, 0);
-        const std::string b = sgn ? "$signed(" + in(c, 1) + ")" : in(c, 1);
-        return fmt("(%0 %1 %2) ? %3 : %4", a, relation(c.kind), b, literal(Value::fromInt(rt, 1)),
-                   literal(Value::fromInt(rt, 0)));
+        w_.put("(");
+        operand(c, 0, sgn);
+        w_.put(" ", relation(c.kind), " ");
+        operand(c, 1, sgn);
+        w_.put(") ? ");
+        literal(Value::fromInt(rt, 1));
+        w_.put(" : ");
+        return literal(Value::fromInt(rt, 0));
       }
-      case CellKind::Mux: return fmt("%0 ? %1 : %2", in(c, 0), in(c, 1), in(c, 2));
+      case CellKind::Mux:
+        in(c, 0);
+        w_.put(" ? ");
+        in(c, 1);
+        w_.put(" : ");
+        return in(c, 2);
       case CellKind::Slice: {
         const Ref& r = ref(c, 0);
         if (!r.isLiteral() && c.aux1 + rt.width <= r.type.width) {
           return fit(Ref{r.net, r.lo + c.aux1, rt, 0}, rt);
         }
-        return fmt("%0 >> %1", in(c, 0), c.aux1);
+        in(c, 0);
+        w_.put(" >> ", c.aux1);
+        return;
       }
-      case CellKind::Concat: return fmt("{%0, %1}", in(c, 0), in(c, 1));
+      case CellKind::Concat:
+        w_.put("{");
+        binary(c, ", ");
+        w_.put("}");
+        return;
       case CellKind::Resize: return in(c, 0);
       default:
         throw InternalCompilerError(
@@ -151,21 +208,26 @@ class Printer {
     std::vector<std::string> done;
     for (const Cell& c : m_.cells) {
       if (c.kind != CellKind::Rom) continue;
-      const std::string name = romModule(c);
-      if (std::find(done.begin(), done.end(), name) != done.end()) continue;
-      done.push_back(name);
+      std::string rom = sanitize(c.romName);
+      if (std::find(done.begin(), done.end(), rom) != done.end()) continue;
       const int ab = hdl::addrBits(c.romData.size());
-      w_.line(fmt("module %0(input wire [%1:0] addr, output reg %2 data);", name, ab - 1, range(c.romElemType)));
+      w_.begin("module ", top_, "_", rom, "_rom(input wire [", ab - 1, ":0] addr, output reg ");
+      range(c.romElemType);
+      w_.put(" data);").end();
       w_.indent();
       w_.line("always @* begin");
       w_.indent();
       w_.line("case (addr)");
       w_.indent();
       for (size_t i = 0; i < c.romData.size(); ++i) {
-        w_.line(fmt("%0'd%1: data = %2;", ab, i, literal(Value::fromInt(c.romElemType, c.romData[i]))));
+        w_.begin(ab, "'d", i, ": data = ");
+        literal(Value::fromInt(c.romElemType, c.romData[i]));
+        w_.put(";").end();
       }
       // Addresses past the table read its last word, as the simulators do.
-      w_.line(fmt("default: data = %0;", literal(Value::fromInt(c.romElemType, c.romData.back()))));
+      w_.begin("default: data = ");
+      literal(Value::fromInt(c.romElemType, c.romData.back()));
+      w_.put(";").end();
       w_.dedent();
       w_.line("endcase");
       w_.dedent();
@@ -173,6 +235,7 @@ class Printer {
       w_.dedent();
       w_.line("endmodule");
       w_.blank();
+      done.push_back(std::move(rom));
     }
   }
 
@@ -182,13 +245,20 @@ class Printer {
     for (int id : s.cells) {
       const Cell& c = cell(id);
       const ScalarType t = type(c.output);
-      const std::string& y = ident(c.output);
+      const std::string_view y = ident(c.output);
+      w_.begin(c.kind == CellKind::Reg ? "reg " : "wire ");
+      range(t);
+      w_.put(" ", y);
       if (c.kind == CellKind::Reg) {
-        w_.line(fmt("reg %0 %1 = %2;", range(t), y, literal(Value::fromInt(t, c.imm))));
-        continue;
+        w_.put(" = ");
+        literal(Value::fromInt(t, c.imm));
       }
-      w_.line(fmt("wire %0 %1;", range(t), y));
-      if (c.kind == CellKind::Rom && c.romElemType != t) w_.line(fmt("wire %0 %1_rom;", range(c.romElemType), y));
+      w_.put(";").end();
+      if (c.kind == CellKind::Rom && c.romElemType != t) {
+        w_.begin("wire ");
+        range(c.romElemType);
+        w_.put(" ", y, "_rom;").end();
+      }
     }
   }
 
@@ -198,16 +268,22 @@ class Printer {
     int lut = 0;
     for (int id : s.cells) {
       const Cell& c = cell(id);
-      const std::string& y = ident(c.output);
+      const std::string_view y = ident(c.output);
       if (c.kind == CellKind::Reg) continue;
       if (c.kind != CellKind::Rom) {
-        w_.line("assign " + y + " = " + expr(c) + ";");
+        w_.begin("assign ", y, " = ");
+        expr(c);
+        w_.put(";").end();
         continue;
       }
       const bool direct = c.romElemType == type(c.output);
-      w_.line(fmt("%0 u_lut%1(.addr(%2), .data(%3));", romModule(c), lut++, in(c, 0), direct ? y : y + "_rom"));
+      w_.begin(top_, "_", sanitize(c.romName), "_rom u_lut", lut++, "(.addr(");
+      in(c, 0);
+      w_.put("), .data(", y, direct ? "" : "_rom", "));").end();
       if (!direct) {
-        w_.line(fmt("assign %0 = %1;", y, fitBits(y + "_rom", c.romElemType, 0, c.romElemType, type(c.output))));
+        w_.begin("assign ", y, " = ");
+        fitBits(y, "_rom", c.romElemType, 0, c.romElemType, type(c.output));
+        w_.put(";").end();
       }
     }
     if (!s.clocked) return;
@@ -218,8 +294,15 @@ class Printer {
     for (int id : s.cells) {
       const Cell& c = cell(id);
       if (c.kind != CellKind::Reg) continue;
-      const std::string assign = ident(c.output) + " <= " + in(c, 0) + ";";
-      w_.line(c.inputs.size() < 2 ? assign : "if (" + in(c, 1) + ") " + assign);
+      w_.begin();
+      if (c.inputs.size() >= 2) {
+        w_.put("if (");
+        in(c, 1);
+        w_.put(") ");
+      }
+      w_.put(ident(c.output), " <= ");
+      in(c, 0);
+      w_.put(";").end();
     }
     w_.dedent();
     w_.line("end");
@@ -227,54 +310,82 @@ class Printer {
     w_.line("end");
   }
 
-  std::string nodeModuleName(const dp::DpNode& n) const { return sanitize(m_.name) + "_" + sanitize(n.label); }
+  /// Appends ", " before every item of a port or connection list but the
+  /// first.
+  template <typename... Args>
+  IndentWriter& item(const Args&... args) {
+    if (!firstItem_) w_.put(", ");
+    firstItem_ = false;
+    return w_.put(args...);
+  }
 
   void nodeModule(const dp::DpNode& n) {
     const hdl::Scope& s = p_.scopes[static_cast<size_t>(n.id)];
-    std::vector<std::string> ports;
-    if (s.clocked) ports = {"input wire clk", "input wire ce"};
-    for (int net : s.inputs) ports.push_back(fmt("input wire %0 %1", range(type(net)), ident(net)));
-    for (int net : s.outputs) ports.push_back(fmt("output wire %0 %1_out", range(type(net)), ident(net)));
-    w_.line("module " + nodeModuleName(n) + "(" + join(ports, ", ") + ");");
+    w_.begin("module ", top_, "_", labels_[static_cast<size_t>(n.id)], "(");
+    firstItem_ = true;
+    if (s.clocked) item("input wire clk, input wire ce");
+    for (int net : s.inputs) {
+      item("input wire ");
+      range(type(net));
+      w_.put(" ", ident(net));
+    }
+    for (int net : s.outputs) {
+      item("output wire ");
+      range(type(net));
+      w_.put(" ", ident(net), "_out");
+    }
+    w_.put(");").end();
     w_.indent();
     declareCells(s);
     atTop_ = false;
     printCells(s);
-    for (int net : s.outputs) w_.line(fmt("assign %0_out = %0;", ident(net)));
+    for (int net : s.outputs) w_.line("assign ", ident(net), "_out = ", ident(net), ";");
     w_.dedent();
     w_.line("endmodule");
     w_.blank();
   }
 
   void topModule() {
-    std::vector<std::string> ports = {"input wire clk", "input wire ce"};
     const size_t dataInputs = std::min(dp_.inputs.size(), m_.inputPorts.size());
-    for (size_t i = dataInputs; i < m_.inputPorts.size(); ++i) {
-      ports.push_back("input wire " + sanitize(m_.inputNames[i]));
-    }
+    w_.begin("module ", top_, "(input wire clk, input wire ce");
+    for (size_t i = dataInputs; i < m_.inputPorts.size(); ++i) w_.put(", input wire ", sanitize(m_.inputNames[i]));
+    // The kernel's input ports are vectors; the controls (the valid bit)
+    // are plain wires.
     for (size_t i = 0; i < dataInputs; ++i) {
-      ports.push_back("input wire " + portRange(i) + sanitize(m_.inputNames[i]));
+      w_.put(", input wire ");
+      range(type(m_.inputPorts[i]));
+      w_.put(" ", sanitize(m_.inputNames[i]));
     }
     for (size_t i = 0; i < p_.ports.size(); ++i) {
-      ports.push_back(fmt("output wire %0 %1", range(type(p_.ports[i])), sanitize(m_.outputNames[i])));
+      w_.put(", output wire ");
+      range(type(p_.ports[i]));
+      w_.put(" ", sanitize(m_.outputNames[i]));
     }
-    w_.line("module " + sanitize(m_.name) + "(" + join(ports, ", ") + ");");
+    w_.put(");").end();
     w_.indent();
-    for (int net : p_.exported) w_.line(fmt("wire %0 %1;", range(type(net)), ident(net)));
+    for (int net : p_.exported) {
+      w_.begin("wire ");
+      range(type(net));
+      w_.put(" ", ident(net), ";").end();
+    }
     declareCells(p_.top());
     atTop_ = true;
     for (const auto& n : dp_.nodes) {
       const hdl::Scope& s = p_.scopes[static_cast<size_t>(n.id)];
-      std::vector<std::string> assoc;
-      if (s.clocked) assoc = {".clk(clk)", ".ce(ce)"};
-      for (int net : s.inputs) assoc.push_back(fmt(".%0(%1)", ident(net), name(net)));
-      for (int net : s.outputs) assoc.push_back(fmt(".%0_out(%1)", ident(net), name(net)));
-      w_.line(fmt("%0 u_%1(%2);", nodeModuleName(n), sanitize(n.label), join(assoc, ", ")));
+      const std::string& label = labels_[static_cast<size_t>(n.id)];
+      w_.begin(top_, "_", label, " u_", label, "(");
+      firstItem_ = true;
+      if (s.clocked) item(".clk(clk), .ce(ce)");
+      for (int net : s.inputs) item(".", ident(net), "(", name(net), ")");
+      for (int net : s.outputs) item(".", ident(net), "_out(", name(net), ")");
+      w_.put(");").end();
     }
     printCells(p_.top());
     for (size_t i = 0; i < p_.ports.size(); ++i) {
       const int net = p_.ports[i];
-      w_.line(fmt("assign %0 = %1;", sanitize(m_.outputNames[i]), fit(p_.refs[static_cast<size_t>(net)], type(net))));
+      w_.begin("assign ", sanitize(m_.outputNames[i]), " = ");
+      fit(p_.refs[static_cast<size_t>(net)], type(net));
+      w_.put(";").end();
     }
     w_.dedent();
     w_.line("endmodule");

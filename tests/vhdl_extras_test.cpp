@@ -127,7 +127,7 @@ TEST(HdlPartition, NetsKeepTheirNameOnlyWhenNothingElseCanMeanIt) {
   const hdl::Partition p = hdl::partition(m, 0, 1, 1);
   const std::vector<std::string> want = {"X0",       "n1_t1",  "n2_T1",     "rem_3", "n4_out",
                                          "n5_a_out", "n6_u_lut0", "n7_C_o0", "x_nxt"};
-  EXPECT_EQ(p.names, want);
+  EXPECT_EQ(std::vector<std::string>(p.names.begin(), p.names.end()), want);
 }
 
 // One hand-built netlist holding the statement forms the printers get
