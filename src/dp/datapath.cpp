@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -1231,24 +1232,26 @@ std::vector<int> feedbackConeOf(const DataPath& d) {
   // Ops on a path LPR -> SNX for the same register must share a stage (the
   // loop closes through one register, Fig 7).
   std::vector<int> coneOf(d.ops.size(), -1);
+  if (d.feedbacks.empty()) return coneOf;
+  std::vector<std::vector<int>> consumers(d.values.size());
+  for (size_t oi = 0; oi < d.ops.size(); ++oi) {
+    for (int vid : d.ops[oi].operands) consumers[static_cast<size_t>(vid)].push_back(static_cast<int>(oi));
+  }
   for (size_t fi = 0; fi < d.feedbacks.size(); ++fi) {
     const auto& fb = d.feedbacks[fi];
     if (fb.lprValue < 0 || fb.snxValue < 0) continue;
     // Forward-reachable from the LPR value.
     std::vector<char> fromLpr(d.ops.size(), 0);
-    std::function<void(int)> mark = [&](int vid) {
-      for (size_t oi = 0; oi < d.ops.size(); ++oi) {
-        if (fromLpr[oi]) continue;
-        for (int op : d.ops[oi].operands) {
-          if (op == vid) {
-            fromLpr[oi] = 1;
-            if (d.ops[oi].result >= 0) mark(d.ops[oi].result);
-            break;
-          }
-        }
+    std::vector<int> pending = {fb.lprValue};
+    while (!pending.empty()) {
+      const int vid = pending.back();
+      pending.pop_back();
+      for (int oi : consumers[static_cast<size_t>(vid)]) {
+        if (fromLpr[static_cast<size_t>(oi)]) continue;
+        fromLpr[static_cast<size_t>(oi)] = 1;
+        if (d.ops[static_cast<size_t>(oi)].result >= 0) pending.push_back(d.ops[static_cast<size_t>(oi)].result);
       }
-    };
-    mark(fb.lprValue);
+    }
     // Backward from the SNX value.
     std::vector<char> toSnx(d.ops.size(), 0);
     std::function<void(int)> markBack = [&](int vid) {
@@ -1360,28 +1363,37 @@ void assignStagesGreedy(DataPath& d, const std::vector<double>& delay, double ta
   }
 }
 
-/// Recomputes every op's within-stage accumulated delay and returns the
-/// per-stage worst (the stage's combinational depth, routing included).
-std::vector<double> computeStageDelays(DataPath& d, const std::vector<double>& delay,
-                                       const std::vector<int>& order) {
+/// Every op's within-stage accumulated delay into `path`, and the per-stage
+/// worst (the stage's combinational depth, routing included).
+std::vector<double> stageDelays(const DataPath& d, const std::vector<double>& delay, const std::vector<int>& order,
+                                std::vector<double>& path) {
   int maxStage = 0;
   for (const auto& o : d.ops) maxStage = std::max(maxStage, o.stage);
   std::vector<double> worst(static_cast<size_t>(maxStage) + 1, 0.0);
-  for (auto& o : d.ops) o.pathDelayNs = 0;
+  path.assign(d.ops.size(), 0.0);
   for (int oi : order) {
-    DpOp& o = d.ops[static_cast<size_t>(oi)];
+    const DpOp& o = d.ops[static_cast<size_t>(oi)];
     double in = 0;
     for (int vid : o.operands) {
-      const DpValue& v = d.values[static_cast<size_t>(vid)];
-      if (v.def < 0) continue;
-      const DpOp& defOp = d.ops[static_cast<size_t>(v.def)];
+      const int def = d.values[static_cast<size_t>(vid)].def;
+      if (def < 0) continue;
+      const DpOp& defOp = d.ops[static_cast<size_t>(def)];
       if (defOp.op == Opcode::Ldc) continue;
-      if (defOp.stage == o.stage) in = std::max(in, defOp.pathDelayNs);
+      if (defOp.stage == o.stage) in = std::max(in, path[static_cast<size_t>(def)]);
     }
-    o.pathDelayNs = in + delay[static_cast<size_t>(oi)];
-    worst[static_cast<size_t>(o.stage)] = std::max(worst[static_cast<size_t>(o.stage)],
-                                                   o.pathDelayNs);
+    path[static_cast<size_t>(oi)] = in + delay[static_cast<size_t>(oi)];
+    worst[static_cast<size_t>(o.stage)] = std::max(worst[static_cast<size_t>(o.stage)], path[static_cast<size_t>(oi)]);
   }
+  return worst;
+}
+
+/// Recomputes every op's within-stage accumulated delay and returns the
+/// per-stage worst.
+std::vector<double> computeStageDelays(DataPath& d, const std::vector<double>& delay,
+                                       const std::vector<int>& order) {
+  std::vector<double> path;
+  std::vector<double> worst = stageDelays(d, delay, order, path);
+  for (size_t oi = 0; oi < d.ops.size(); ++oi) d.ops[oi].pathDelayNs = path[oi];
   return worst;
 }
 
@@ -1416,29 +1428,50 @@ std::vector<double> unsplittableUnits(const DataPath& d, const std::vector<doubl
 }
 
 /// Fuses adjacent stage pairs whose combined path still fits the budget,
-/// rescanning from the front after each fusion until no pair fits (loose
-/// targets collapse to shallow pipelines). Returns the number of fusions.
+/// from the front, until no pair fits (loose targets collapse to shallow
+/// pipelines). A candidate is priced on the ops of its two stages only.
+/// Returns the number of fusions.
 int mergeStages(DataPath& d, const std::vector<double>& delay, const std::vector<int>& order,
                 double targetNs) {
+  std::vector<size_t> pos(d.ops.size());
+  for (size_t i = 0; i < order.size(); ++i) pos[static_cast<size_t>(order[i])] = i;
+  std::vector<std::vector<int>> byStage(static_cast<size_t>(d.stageCount)); // ops in topological order
+  for (int oi : order) byStage[static_cast<size_t>(d.ops[static_cast<size_t>(oi)].stage)].push_back(oi);
+  std::vector<double> path(d.ops.size(), 0.0);
+  std::vector<int> fused;
   int merges = 0;
-  bool mergedAny = true;
-  while (mergedAny && d.stageCount > 1) {
-    mergedAny = false;
-    for (int s = 0; s + 1 < d.stageCount; ++s) {
-      std::vector<int> saved(d.ops.size());
-      for (size_t oi = 0; oi < d.ops.size(); ++oi) saved[oi] = d.ops[oi].stage;
-      for (auto& o : d.ops) {
-        if (o.stage > s) o.stage -= 1; // tentatively fuse s+1 into s
+  for (int s = 0; s + 1 < d.stageCount;) {
+    const auto& lo = byStage[static_cast<size_t>(s)];
+    const auto& hi = byStage[static_cast<size_t>(s) + 1];
+    fused.clear();
+    std::merge(lo.begin(), lo.end(), hi.begin(), hi.end(), std::back_inserter(fused),
+               [&](int a, int b) { return pos[static_cast<size_t>(a)] < pos[static_cast<size_t>(b)]; });
+    double worst = 0;
+    for (int oi : fused) {
+      double in = 0;
+      for (int vid : d.ops[static_cast<size_t>(oi)].operands) {
+        const int def = d.values[static_cast<size_t>(vid)].def;
+        if (def < 0) continue;
+        const DpOp& defOp = d.ops[static_cast<size_t>(def)];
+        if (defOp.op == Opcode::Ldc) continue;
+        if (defOp.stage == s || defOp.stage == s + 1) in = std::max(in, path[static_cast<size_t>(def)]);
       }
-      const std::vector<double> worst = computeStageDelays(d, delay, order);
-      if (worst[static_cast<size_t>(s)] <= targetNs + kEps) {
-        d.stageCount -= 1;
-        merges += 1;
-        mergedAny = true;
-        break; // rescan from the front with the new numbering
-      }
-      for (size_t oi = 0; oi < d.ops.size(); ++oi) d.ops[oi].stage = saved[oi]; // revert
+      path[static_cast<size_t>(oi)] = in + delay[static_cast<size_t>(oi)];
+      worst = std::max(worst, path[static_cast<size_t>(oi)]);
     }
+    if (worst > targetNs + kEps) {
+      ++s;
+      continue;
+    }
+    for (auto& o : d.ops) {
+      if (o.stage > s) o.stage -= 1;
+    }
+    byStage[static_cast<size_t>(s)].swap(fused);
+    byStage.erase(byStage.begin() + s + 1);
+    d.stageCount -= 1;
+    merges += 1;
+    // The pairs before s - 1 did not fit and have not changed.
+    s = std::max(0, s - 1);
   }
   return merges;
 }
@@ -1447,6 +1480,12 @@ int mergeStages(DataPath& d, const std::vector<double>& delay, const std::vector
 /// stage while the global worst-stage delay improves. Never changes the
 /// stage count: it trades slack between neighbors, which raises fmax above
 /// the greedy cut at the same depth. Returns the number of moves.
+///
+/// Only trials that can lower the worst stage are priced. One cannot when
+/// an op of the critical stage that is as slow as the worst (within kEps)
+/// keeps its path, that is when the moved op is neither that op nor one of
+/// its ancestors in the stage; nor when a stage other than the critical one
+/// and the destination is as slow, since neither changes.
 int balanceStages(DataPath& d, const std::vector<double>& delay, const std::vector<int>& order,
                   const std::vector<int>& coneOf) {
   std::vector<std::vector<int>> consumers(d.values.size());
@@ -1456,18 +1495,55 @@ int balanceStages(DataPath& d, const std::vector<double>& delay, const std::vect
     }
   }
   int moves = 0;
-  std::vector<double> worst = computeStageDelays(d, delay, order);
+  std::vector<double> path, trialPath;
+  std::vector<double> worst = stageDelays(d, delay, order, path);
+  // Per op: how many slow ops of the critical stage it is an in-stage
+  // ancestor of, or is; `seen` stamps one walk per slow op.
+  std::vector<int> feeds(d.ops.size()), seen(d.ops.size(), -1);
+  std::vector<int> pending;
   for (int iter = 0; iter < kMaxBalanceIterations; ++iter) {
     int critical = 0;
     for (int s = 1; s < d.stageCount; ++s) {
       if (worst[static_cast<size_t>(s)] > worst[static_cast<size_t>(critical)]) critical = s;
     }
     const double before = worst[static_cast<size_t>(critical)];
+    int slowOps = 0;
+    std::fill(feeds.begin(), feeds.end(), 0);
+    for (int x : order) {
+      const DpOp& o = d.ops[static_cast<size_t>(x)];
+      if (o.stage != critical || path[static_cast<size_t>(x)] < before - kEps) continue;
+      pending.assign(1, x);
+      seen[static_cast<size_t>(x)] = slowOps;
+      while (!pending.empty()) {
+        const int a = pending.back();
+        pending.pop_back();
+        ++feeds[static_cast<size_t>(a)];
+        for (int vid : d.ops[static_cast<size_t>(a)].operands) {
+          const int def = d.values[static_cast<size_t>(vid)].def;
+          if (def < 0 || seen[static_cast<size_t>(def)] == slowOps) continue;
+          const DpOp& defOp = d.ops[static_cast<size_t>(def)];
+          if (defOp.op == Opcode::Ldc || defOp.stage != critical) continue;
+          seen[static_cast<size_t>(def)] = slowOps;
+          pending.push_back(def);
+        }
+      }
+      ++slowOps;
+    }
+    std::fill(seen.begin(), seen.end(), -1);
+    int slowStages = 0, slowStage = -1;
+    for (size_t s = 0; s < worst.size(); ++s) {
+      if (static_cast<int>(s) != critical && worst[s] >= before - kEps) {
+        ++slowStages;
+        slowStage = static_cast<int>(s);
+      }
+    }
     bool moved = false;
     for (int oi : order) {
+      if (slowStages > 1) break;
       DpOp& o = d.ops[static_cast<size_t>(oi)];
       if (o.stage != critical || coneOf[static_cast<size_t>(oi)] >= 0) continue;
       if (o.result < 0 || delay[static_cast<size_t>(oi)] <= 0) continue;
+      if (feeds[static_cast<size_t>(oi)] != slowOps) continue;
       // Head hoist: every real operand already lives in an earlier stage.
       bool headOk = critical > 0;
       // Tail push: every consumer lives in a later stage.
@@ -1483,12 +1559,15 @@ int balanceStages(DataPath& d, const std::vector<double>& delay, const std::vect
       for (int dir = 0; dir < 2 && !moved; ++dir) {
         const bool hoist = dir == 0;
         if (hoist ? !headOk : !tailOk) continue;
-        o.stage = hoist ? critical - 1 : critical + 1;
-        std::vector<double> trial = computeStageDelays(d, delay, order);
+        const int dest = hoist ? critical - 1 : critical + 1;
+        if (slowStages == 1 && slowStage != dest) continue;
+        o.stage = dest;
+        std::vector<double> trial = stageDelays(d, delay, order, trialPath);
         double trialWorst = 0;
         for (double t : trial) trialWorst = std::max(trialWorst, t);
         if (trialWorst < before - kEps) {
           worst = std::move(trial);
+          path.swap(trialPath);
           moves += 1;
           moved = true;
         } else {
