@@ -17,6 +17,7 @@
 #include <string_view>
 
 #include "support/strings.hpp"
+#include "vhdl/layout.hpp"
 #include "vhdl/verilog.hpp"
 
 namespace roccc {
@@ -449,14 +450,14 @@ struct BlockRules {
 };
 
 /// Port names per entity: identifiers followed by ':' after `port (`, up to
-/// the next `end`.
+/// the next `end`. A port may not be named with a reserved word.
 struct PortRules {
   using Port = std::pair<std::string_view, std::string_view>; ///< (entity, port)
   std::vector<Port> ports;
   std::string_view entity;
   bool inPorts = false;
 
-  void step(const VhdlWindow& w) {
+  void step(const VhdlWindow& w, vhdl::CheckResult& r) {
     const VhdlTok& t = w[0];
     if (t.kind == VKind::Entity && w[2].kind == VKind::Is) {
       entity = w[1].text;
@@ -465,6 +466,9 @@ struct PortRules {
       inPorts = true;
     } else if (inPorts && isIdent(t) && w[1].kind == VKind::Colon) {
       ports.emplace_back(entity, t.text);
+      if (hdl::isVhdlReservedWord(t.text)) {
+        addProblem(r, t.line, fmt("port '%0' of entity '%1' is named with a reserved word", t.text, entity));
+      }
     } else if (t.kind == VKind::End) {
       inPorts = false;
     }
@@ -474,7 +478,8 @@ struct PortRules {
 /// Signal assignments inside an architecture body: the target must be a
 /// signal or constant declared earlier in the architecture, or a port of its
 /// entity. Ports are known only after the last token (the entity may come
-/// later), so a target that is not a local waits in `unresolved`.
+/// later), so a target that is not a local waits in `unresolved`. A signal
+/// or constant may not be named with a reserved word.
 struct AssignRules {
   struct Target {
     std::string_view name, entity;
@@ -485,7 +490,7 @@ struct AssignRules {
   std::string_view entity; ///< of the open architecture; empty outside one
   bool inBody = false;
 
-  void step(const VhdlWindow& w) {
+  void step(const VhdlWindow& w, vhdl::CheckResult& r) {
     const VhdlTok& t = w[0];
     if (t.kind == VKind::Architecture && w[2].kind == VKind::Of) {
       entity = w[3].text;
@@ -496,6 +501,9 @@ struct AssignRules {
     if (entity.empty()) return;
     if ((t.kind == VKind::Signal || t.kind == VKind::Constant) && isIdent(w[1])) {
       locals.insert(w[1].text);
+      if (hdl::isVhdlReservedWord(w[1].text)) {
+        addProblem(r, w[1].line, fmt("%0 '%1' is named with a reserved word", t.text, w[1].text));
+      }
     } else if (!inBody && t.kind == VKind::Begin) {
       inBody = true;
     } else if (t.kind == VKind::End) {
@@ -714,8 +722,8 @@ CheckResult checkDesign(const std::string& text) {
     if (kind < VKind::Ident) continue;
     if (kind == VKind::Ident && w[1].kind != VKind::Colon && w[1].kind != VKind::LessEq) continue;
     blocks.step(w, r);
-    ports.step(w);
-    assigns.step(w);
+    ports.step(w, r);
+    assigns.step(w, r);
   }
   blocks.finish(r);
   assigns.finish(ports.ports, r);

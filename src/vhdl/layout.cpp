@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iterator>
 #include <cstdint>
 
 #include "support/strings.hpp"
@@ -28,10 +29,64 @@ bool isClean(std::string_view s) {
   return true;
 }
 
+/// Reserved words, lower case and sorted: VHDL-2008's, then those of
+/// Verilog-2005 that VHDL does not reserve.
+constexpr std::string_view kVhdlWords[] = {
+    "abs", "access", "after", "alias", "all", "and", "architecture", "array", "assert", "assume",
+    "assume_guarantee", "attribute", "begin", "block", "body", "buffer", "bus", "case", "component",
+    "configuration", "constant", "context", "cover", "default", "disconnect", "downto", "else",
+    "elsif", "end", "entity", "exit", "fairness", "file", "for", "force", "function", "generate",
+    "generic", "group", "guarded", "if", "impure", "in", "inertial", "inout", "is", "label",
+    "library", "linkage", "literal", "loop", "map", "mod", "nand", "new", "next", "nor", "not",
+    "null", "of", "on", "open", "or", "others", "out", "package", "parameter", "port", "postponed",
+    "procedure", "process", "property", "protected", "pure", "range", "record", "register",
+    "reject", "release", "rem", "report", "restrict", "restrict_guarantee", "return", "rol", "ror",
+    "select", "sequence", "severity", "shared", "signal", "sla", "sll", "sra", "srl", "strong",
+    "subtype", "then", "to", "transport", "type", "unaffected", "units", "until", "use", "variable",
+    "vmode", "vprop", "vunit", "wait", "when", "while", "with", "xnor", "xor",
+};
+constexpr std::string_view kVerilogWords[] = {
+    "always", "assign", "automatic", "buf", "bufif0", "bufif1", "casex", "casez", "cell", "cmos",
+    "config", "deassign", "defparam", "design", "disable", "edge", "endcase", "endconfig",
+    "endfunction", "endgenerate", "endmodule", "endprimitive", "endspecify", "endtable", "endtask",
+    "event", "forever", "fork", "genvar", "highz0", "highz1", "ifnone", "incdir", "include",
+    "initial", "input", "instance", "integer", "join", "large", "liblist", "localparam",
+    "macromodule", "medium", "module", "negedge", "nmos", "noshowcancelled", "notif0", "notif1",
+    "output", "pmos", "posedge", "primitive", "pull0", "pull1", "pulldown", "pullup",
+    "pulsestyle_ondetect", "pulsestyle_onevent", "rcmos", "real", "realtime", "reg", "repeat",
+    "rnmos", "rpmos", "rtran", "rtranif0", "rtranif1", "scalared", "showcancelled", "signed",
+    "small", "specify", "specparam", "strong0", "strong1", "supply0", "supply1", "table", "task",
+    "time", "tran", "tranif0", "tranif1", "tri", "tri0", "tri1", "triand", "trior", "trireg",
+    "unsigned", "uwire", "vectored", "wand", "weak0", "weak1", "wire", "wor",
+};
+static_assert(std::is_sorted(std::begin(kVhdlWords), std::end(kVhdlWords)));
+static_assert(std::is_sorted(std::begin(kVerilogWords), std::end(kVerilogWords)));
+
+/// `s` lower-cased into `buf`, or empty when it is longer than any
+/// reserved word.
+std::string_view folded(std::string_view s, char (&buf)[20]) {
+  if (s.size() > sizeof buf) return {};
+  for (size_t i = 0; i < s.size(); ++i) buf[i] = (s[i] >= 'A' && s[i] <= 'Z') ? static_cast<char>(s[i] - 'A' + 'a') : s[i];
+  return {buf, s.size()};
+}
+
 } // namespace
 
+bool isVhdlReservedWord(std::string_view s) {
+  char buf[20];
+  const std::string_view w = folded(s, buf);
+  return !w.empty() && std::binary_search(std::begin(kVhdlWords), std::end(kVhdlWords), w);
+}
+
+bool isReservedWord(std::string_view s) {
+  char buf[20];
+  const std::string_view w = folded(s, buf);
+  return !w.empty() && (std::binary_search(std::begin(kVhdlWords), std::end(kVhdlWords), w) ||
+                        std::binary_search(std::begin(kVerilogWords), std::end(kVerilogWords), w));
+}
+
 std::string sanitize(std::string_view s) {
-  if (isClean(s)) return std::string(s);
+  if (isClean(s) && !isReservedWord(s)) return std::string(s);
   std::string out;
   for (char c : s) {
     if (std::isalnum(static_cast<unsigned char>(c))) {
@@ -41,7 +96,7 @@ std::string sanitize(std::string_view s) {
     }
   }
   while (!out.empty() && out.back() == '_') out.pop_back();
-  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0]))) out = "s_" + out;
+  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0])) || isReservedWord(out)) out = "s_" + out;
   return out;
 }
 
@@ -190,25 +245,31 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
   // nothing else can mean it: it is the only net of that name (ignoring
   // case, as VHDL does), no port or clock is called so, it has neither the
   // instance-label prefix "u_" nor a suffix the printers add, and it is
-  // either the lowering's "t<N>" or holds an underscore, which no VHDL or
-  // Verilog keyword does. The kernel's input ports are named after
-  // themselves. Every other net gets "n<id>_". A clean name is a view of
-  // the net's own; only the others are stored.
+  // either the lowering's "t<N>" or holds an underscore and is not a
+  // reserved word. The kernel's input ports are named as sanitize() names
+  // their port. Every other net gets "n<id>_". A name that needs no
+  // sanitizing is a view of the net's own; only the others are stored.
+  std::vector<char> portName(m.nets.size(), 0);
+  for (size_t i = 0; i < std::min(dataInputs, m.inputPorts.size()); ++i) {
+    portName[static_cast<size_t>(m.inputPorts[i])] = 1;
+  }
+  auto portIdent = [&](const std::string& s) {
+    return isClean(s) && !isReservedWord(s) ? std::string_view(s) : std::string_view(p.stored.emplace_back(sanitize(s)));
+  };
   p.names.reserve(m.nets.size());
   for (const rtl::Net& n : m.nets) {
-    p.names.push_back(isClean(n.name) ? std::string_view(n.name) : p.stored.emplace_back(sanitize(n.name)));
+    if (portName[static_cast<size_t>(n.id)]) {
+      p.names.push_back(portIdent(n.name));
+    } else {
+      p.names.push_back(isClean(n.name) ? std::string_view(n.name) : p.stored.emplace_back(sanitize(n.name)));
+    }
   }
   // Clashes ignoring case: one open-addressing table over the nets' names
   // (indices 0..nets-1) and then the reserved ones (indices from nets),
   // each slot holding the first index inserted under its name.
   std::vector<std::string_view> reserved = {"clk", "ce"};
-  for (const std::string& port : m.inputNames) {
-    reserved.push_back(isClean(port) ? std::string_view(port) : p.stored.emplace_back(sanitize(port)));
-  }
-  for (size_t i = 0; i < p.ports.size(); ++i) {
-    const std::string& port = m.outputNames[i];
-    reserved.push_back(isClean(port) ? std::string_view(port) : p.stored.emplace_back(sanitize(port)));
-  }
+  for (const std::string& port : m.inputNames) reserved.push_back(portIdent(port));
+  for (size_t i = 0; i < p.ports.size(); ++i) reserved.push_back(portIdent(m.outputNames[i]));
   const size_t nets = m.nets.size();
   auto nameAt = [&](size_t i) { return i < nets ? p.names[i] : reserved[i - nets]; };
   auto fold = [](char c) { return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c; };
@@ -240,10 +301,6 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
     }
   }
 
-  std::vector<char> portName(m.nets.size(), 0);
-  for (size_t i = 0; i < std::min(dataInputs, m.inputPorts.size()); ++i) {
-    portName[static_cast<size_t>(m.inputPorts[i])] = 1;
-  }
   auto endsWith = [](std::string_view s, std::string_view tail) {
     return s.size() >= tail.size() && s.substr(s.size() - tail.size()) == tail;
   };
@@ -251,7 +308,7 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
     const std::string_view s = p.names[n];
     const bool temp = s.size() > 1 && s[0] == 't' && s.find_first_not_of("0123456789", 1) == std::string_view::npos;
     const bool own = temp || (s.find('_') != std::string_view::npos && s.substr(0, 2) != "u_" &&
-                              !endsWith(s, "_out") && !endsWith(s, "_rom"));
+                              !endsWith(s, "_out") && !endsWith(s, "_rom") && !isReservedWord(s));
     if (portName[n] || (!clash[n] && own)) continue;
     p.names[n] = p.stored.emplace_back(fmt("n%0_%1", n, s));
   }

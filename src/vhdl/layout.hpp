@@ -16,7 +16,16 @@
 
 namespace roccc::hdl {
 
-/// HDL-safe identifier from a debug name (valid in VHDL and Verilog).
+/// True when `s`, ignoring case, is a reserved word of VHDL-2008.
+bool isVhdlReservedWord(std::string_view s);
+/// True when `s`, ignoring case, is a reserved word of VHDL-2008 or
+/// Verilog-2005.
+bool isReservedWord(std::string_view s);
+
+/// HDL-safe identifier from a debug name (valid in VHDL and Verilog):
+/// letters, digits and single inner underscores, with "s_" in front of a
+/// name that would otherwise be empty, start with a digit or be a reserved
+/// word of either language ("out" becomes "s_out").
 std::string sanitize(std::string_view s);
 
 /// Address width of a ROM holding `entries` words (at least one bit).

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <sstream>
 
@@ -248,6 +249,81 @@ TEST(HdlPrinter, VerilogEdgeFormsPrintExactStatements) {
       "assign t10 = X[15:0] * X[15:0];",
       "assign P = t10;",
   });
+}
+
+// A port, signal or constant named with a VHDL reserved word, in any case,
+// is a checker problem; the same names as plain words are not.
+TEST(VhdlCheck, ReservedWordDeclarationsAreReported) {
+  const std::string text = R"(
+entity e is
+  port (
+    Out : out signed(7 downto 0);
+    outs : out signed(7 downto 0)
+  );
+end entity e;
+architecture rtl of e is
+  signal label : signed(7 downto 0);
+  constant WAIT : signed(7 downto 0) := to_signed(1, 8);
+  signal wire : signed(7 downto 0);
+begin
+  Out <= label;
+  outs <= wire;
+end architecture rtl;
+)";
+  const vhdl::CheckResult chk = vhdl::checkDesign(text);
+  EXPECT_FALSE(chk.ok);
+  const std::vector<std::string> want = {
+      "line 4: port 'out' of entity 'e' is named with a reserved word",
+      "line 9: signal 'label' is named with a reserved word",
+      "line 10: constant 'wait' is named with a reserved word",
+  };
+  EXPECT_EQ(chk.problems, want);
+}
+
+// sanitize renames a reserved word of either language, ignoring case, and
+// leaves other names alone.
+TEST(HdlNames, SanitizeRenamesReservedWords) {
+  EXPECT_EQ(hdl::sanitize("out"), "s_out");
+  EXPECT_EQ(hdl::sanitize("OUT"), "s_OUT");
+  EXPECT_EQ(hdl::sanitize("wire"), "s_wire");
+  EXPECT_EQ(hdl::sanitize("out_"), "s_out");
+  EXPECT_EQ(hdl::sanitize("outs"), "outs");
+  EXPECT_EQ(hdl::sanitize("C_o0"), "C_o0");
+  EXPECT_TRUE(hdl::isVhdlReservedWord("Signal"));
+  EXPECT_FALSE(hdl::isVhdlReservedWord("wire"));
+  EXPECT_TRUE(hdl::isReservedWord("wire"));
+}
+
+// The accumulator's scalar output is called `out`: the top entity, the
+// testbench and the Verilog all name it s_out, and the design checks.
+TEST(HdlNames, KernelPortNamedWithAReservedWordIsRenamedEverywhere) {
+  CompileOptions options;
+  options.emitVerilog = true;
+  const CompileResult r = Compiler(options).compileSource(R"(
+    int32 sum = 0;
+    void acc(const int32 A[16], int32* out) {
+      int i;
+      for (i = 0; i < 16; i++) { sum = sum + A[i]; }
+      *out = sum;
+    }
+  )");
+  ASSERT_TRUE(r.ok) << r.diags.dump();
+  std::vector<std::vector<int64_t>> sets = {{5}, {7}, {-2}};
+  const std::string tb = vhdl::emitTestbench(r.datapath, vhdl::makeVectors(r.datapath, sets));
+  for (const std::string* text : {&r.vhdl, &tb}) {
+    for (const std::string& line : trimmedLines(*text)) {
+      std::string lower = line;
+      for (char& c : lower) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+      EXPECT_NE(lower.rfind("out :", 0), 0u) << line;
+      EXPECT_EQ(lower.rfind("signal out ", 0), std::string::npos) << line;
+    }
+  }
+  EXPECT_NE(r.vhdl.find("s_out : out signed(31 downto 0)"), std::string::npos) << r.vhdl;
+  EXPECT_NE(tb.find("s_out => s_out"), std::string::npos) << tb;
+  EXPECT_NE(r.verilog.find("output wire [31:0] s_out"), std::string::npos) << r.verilog;
+  const vhdl::CheckResult chk = vhdl::checkDesign(r.vhdl + "\n" + tb);
+  EXPECT_TRUE(chk.ok) << join(chk.problems, "\n");
+  EXPECT_TRUE(verilog::checkDesign(r.verilog).ok);
 }
 
 } // namespace
