@@ -121,7 +121,7 @@ entity mul_acc_dp is
     A0 : in signed(11 downto 0);
     B0 : in signed(11 downto 0);
     nd : in unsigned(0 downto 0);
-    out : out signed(31 downto 0)
+    s_out : out signed(31 downto 0)
   );
 end entity mul_acc_dp;
 
@@ -154,5 +154,5 @@ begin
       end if;
     end if;
   end process;
-  out <= acc_fb_2;
+  s_out <= acc_fb_2;
 end architecture rtl;

@@ -52,7 +52,7 @@ entity mul_acc_dp is
     A0 : in signed(11 downto 0);
     B0 : in signed(11 downto 0);
     nd : in unsigned(0 downto 0);
-    out : out signed(31 downto 0)
+    s_out : out signed(31 downto 0)
   );
 end entity mul_acc_dp;
 
@@ -80,5 +80,5 @@ begin
       end if;
     end if;
   end process;
-  out <= t6;
+  s_out <= t6;
 end architecture rtl;
