@@ -44,6 +44,32 @@ Wrap fitExpr(ScalarType from, ScalarType t) {
   return w;
 }
 
+// Pieces a statement is written from, besides text and integers: input k of
+// a cell as its statement reads it, a cell's right-hand side, a reference
+// converted to a type, and the two halves of a conversion.
+struct In {
+  const Cell& c;
+  size_t k;
+};
+/// The right-hand side of a combinational cell's assignment.
+struct Expr {
+  const Cell& c;
+};
+/// A shift cell's amount.
+struct Amount {
+  const Cell& c;
+};
+struct Fit {
+  Ref r;
+  ScalarType t;
+};
+struct Open {
+  Wrap w;
+};
+struct Close {
+  Wrap w;
+};
+
 const char* relation(CellKind k) {
   switch (k) {
     case CellKind::Eq: return "=";
@@ -66,17 +92,15 @@ class Printer {
     for (const hdl::Scope& s : p_.scopes) ports += s.inputs.size() + s.outputs.size();
     for (const Cell& c : m_.cells) romWords += c.romData.size();
     w_.reserve(1024 + 96 * m_.cells.size() + 320 * dp_.nodes.size() + 128 * ports + 24 * romWords);
-    labels_.reserve(dp_.nodes.size());
     for (const auto& n : dp_.nodes) labels_.push_back(sanitize(n.label));
-    outputs_.reserve(p_.ports.size());
     for (size_t i = 0; i < p_.ports.size(); ++i) outputs_.push_back(sanitize(m_.outputNames[i]));
   }
 
   std::string run() {
-    w_.line("-- Generated by ROCCC (reproduction): RTL VHDL for kernel '", kernel_.kernelName, "'");
-    w_.line("-- data path: ", dp_.nodes.size(), " nodes (", dp_.softNodeCount, " soft, ", dp_.hardNodeCount,
-            " hard), ", dp_.stageCount, " pipeline stages");
-    w_.line("-- netlist: ", m_.cells.size(), " cells, ", m_.registerBits(), " register bits");
+    line("-- Generated by ROCCC (reproduction): RTL VHDL for kernel '", kernel_.kernelName, "'");
+    line("-- data path: ", dp_.nodes.size(), " nodes (", dp_.softNodeCount, " soft, ", dp_.hardNodeCount,
+         " hard), ", dp_.stageCount, " pipeline stages");
+    line("-- netlist: ", m_.cells.size(), " cells, ", m_.registerBits(), " register bits");
     w_.blank();
     romEntities();
     for (const auto& n : dp_.nodes) nodeEntity(n);
@@ -104,11 +128,15 @@ class Printer {
   std::string_view name(int net) const { return p_.names[static_cast<size_t>(net)]; }
   const Ref& ref(const Cell& c, size_t k) const { return p_.refs[static_cast<size_t>(c.inputs[k])]; }
 
-  void typeName(ScalarType t) { w_.put(signedness(t.isSigned), "(", t.width - 1, " downto 0)"); }
-
+  // Writing: put() appends pieces to the open line, line() writes a whole
+  // one. A ScalarType is written as its type name and a Value as its
+  // literal.
+  template <typename T>
+  void piece(const T& text) { w_.put(text); }
+  void piece(ScalarType t) { w_.put(signedness(t.isSigned), "(", t.width - 1, " downto 0)"); }
   /// `v` as a numeric_std literal; a bit string when VHDL's 32-bit integer
   /// cannot hold it.
-  void literal(const Value& v) {
+  void piece(const Value& v) {
     const int64_t x = v.toInt();
     if (x >= INT32_MIN && x <= INT32_MAX) {
       w_.put("to_", signedness(v.isSigned()), "(", x, ", ", v.width(), ")");
@@ -118,25 +146,36 @@ class Printer {
     for (int b = v.width() - 1; b >= 0; --b) w_.put((v.bits() >> b & 1) ? '1' : '0');
     w_.put("\")");
   }
-
-  /// A compare's result `b` at type `t`: a bit string for one bit.
-  void boolean(ScalarType t, int b) {
-    if (t.width == 1) {
-      w_.put(b ? "\"1\"" : "\"0\"");
+  /// A shift's amount: a number, or its input read as an integer.
+  void piece(const Amount& x) {
+    const Cell& c = x.c;
+    const Ref& n = ref(c, 1);
+    if (n.isLiteral()) {
+      w_.put(Value::fromInt(n.type, n.literal).toUnsigned());
     } else {
-      literal(Value::fromInt(t, b));
+      put("to_integer(", In{c, 1}, ")");
     }
   }
-
-  void open(const Wrap& c) {
-    if (c.outer >= 0) w_.put(signedness(c.outer), "(");
-    if (c.resize) w_.put("resize(");
-    if (c.inner >= 0) w_.put(signedness(c.inner), "(");
+  void piece(const In& x) { fit(ref(x.c, x.k), hdl::inputType(m_, x.c, x.k)); }
+  void piece(const Fit& x) { fit(x.r, x.t); }
+  void piece(const Expr& x) { expr(x.c); }
+  void piece(const Open& x) {
+    if (x.w.outer >= 0) w_.put(signedness(x.w.outer), "(");
+    if (x.w.resize) w_.put("resize(");
+    if (x.w.inner >= 0) w_.put(signedness(x.w.inner), "(");
   }
-  void close(const Wrap& c) {
-    if (c.inner >= 0) w_.put(")");
-    if (c.resize) w_.put(", ", c.resize, ")");
-    if (c.outer >= 0) w_.put(")");
+  void piece(const Close& x) {
+    if (x.w.inner >= 0) w_.put(")");
+    if (x.w.resize) w_.put(", ", x.w.resize, ")");
+    if (x.w.outer >= 0) w_.put(")");
+  }
+  template <typename... Args>
+  void put(const Args&... args) { (piece(args), ...); }
+  template <typename... Args>
+  void line(const Args&... args) {
+    w_.begin();
+    put(args...);
+    w_.end();
   }
 
   /// Bits [lo, lo + read.width) of the signal `s` + `suffix` (of type
@@ -153,59 +192,41 @@ class Printer {
       c.resize = t.width;
     }
     if (sgn != t.isSigned) c.outer = t.isSigned;
-    open(c);
-    w_.put(s, suffix);
+    put(Open{c}, s, suffix);
     if (lo != 0 || w != named.width) w_.put("(", lo + w - 1, " downto ", lo, ")");
-    close(c);
+    put(Close{c});
   }
 
   void fit(const Ref& r, ScalarType t) {
-    if (r.isLiteral()) return literal(r.literalAs(t));
+    if (r.isLiteral()) return piece(r.literalAs(t));
     fitBits(name(r.net), {}, type(r.net), r.lo, r.type, t);
   }
-  /// Input k of `c` as its statement reads it.
-  void in(const Cell& c, size_t k) { fit(ref(c, k), hdl::inputType(m_, c, k)); }
-  void binary(const Cell& c, const char* op) {
-    in(c, 0);
-    w_.put(op);
-    in(c, 1);
-  }
 
-  void amount(const Cell& c) {
-    const Ref& n = ref(c, 1);
-    if (n.isLiteral()) {
-      w_.put(Value::fromInt(n.type, n.literal).toUnsigned());
-      return;
+  /// A compare's result `b` at type `t`: a bit string for one bit.
+  void boolean(ScalarType t, int b) {
+    if (t.width == 1) {
+      w_.put(b ? "\"1\"" : "\"0\"");
+    } else {
+      piece(Value::fromInt(t, b));
     }
-    w_.put("to_integer(");
-    in(c, 1);
-    w_.put(")");
   }
 
   /// The right-hand side of a combinational cell's assignment.
   void expr(const Cell& c) {
     const ScalarType rt = type(c.output);
     switch (c.kind) {
-      case CellKind::Add: return binary(c, " + ");
-      case CellKind::Sub: return binary(c, " - ");
+      case CellKind::Add: return put(In{c, 0}, " + ", In{c, 1});
+      case CellKind::Sub: return put(In{c, 0}, " - ", In{c, 1});
       case CellKind::Mul: {
         const Wrap w = fitExpr({2 * rt.width, false}, rt);
-        open(w);
-        binary(c, " * ");
-        return close(w);
+        return put(Open{w}, In{c, 0}, " * ", In{c, 1}, Close{w});
       }
-      case CellKind::Neg: w_.put("0 - "); return in(c, 0);
-      case CellKind::And: return binary(c, " and ");
-      case CellKind::Or: return binary(c, " or ");
-      case CellKind::Xor: return binary(c, " xor ");
-      case CellKind::Not: w_.put("not "); return in(c, 0);
-      case CellKind::Shl:
-        w_.put("shift_left(");
-        in(c, 0);
-        w_.put(", ");
-        amount(c);
-        w_.put(")");
-        return;
+      case CellKind::Neg: return put("0 - ", In{c, 0});
+      case CellKind::And: return put(In{c, 0}, " and ", In{c, 1});
+      case CellKind::Or: return put(In{c, 0}, " or ", In{c, 1});
+      case CellKind::Xor: return put(In{c, 0}, " xor ", In{c, 1});
+      case CellKind::Not: return put("not ", In{c, 0});
+      case CellKind::Shl: return put("shift_left(", In{c, 0}, ", ", Amount{c}, ")");
       case CellKind::Shr: {
         // A constant shift that stays inside the operand is a slice.
         const Ref& a = ref(c, 0);
@@ -216,92 +237,74 @@ class Printer {
           return fit(Ref{a.net, a.lo + ki, {a.type.width - ki, a.type.isSigned}, 0}, rt);
         }
         const Wrap w = fitExpr(hdl::inputType(m_, c, 0), rt);
-        open(w);
-        w_.put("shift_right(");
-        in(c, 0);
-        w_.put(", ");
-        amount(c);
-        w_.put(")");
-        return close(w);
+        return put(Open{w}, "shift_right(", In{c, 0}, ", ", Amount{c}, ")", Close{w});
       }
       case CellKind::Eq: case CellKind::Ne: case CellKind::Lt:
-      case CellKind::Le: case CellKind::Gt: case CellKind::Ge: {
+      case CellKind::Le: case CellKind::Gt: case CellKind::Ge:
         boolean(rt, 1);
-        w_.put(" when ");
-        in(c, 0);
-        w_.put(" ", relation(c.kind), " ");
-        in(c, 1);
-        w_.put(" else ");
+        put(" when ", In{c, 0}, " ", relation(c.kind), " ", In{c, 1}, " else ");
         return boolean(rt, 0);
-      }
-      case CellKind::Mux:
-        in(c, 1);
-        w_.put(" when ");
-        in(c, 0);
-        w_.put(" /= 0 else ");
-        return in(c, 2);
+      case CellKind::Mux: return put(In{c, 1}, " when ", In{c, 0}, " /= 0 else ", In{c, 2});
       case CellKind::Slice: {
         const Ref& r = ref(c, 0);
-        if (!r.isLiteral() && c.aux1 + rt.width <= r.type.width) {
-          return fit(Ref{r.net, r.lo + c.aux1, rt, 0}, rt);
-        }
+        if (!r.isLiteral() && c.aux1 + rt.width <= r.type.width) return fit(Ref{r.net, r.lo + c.aux1, rt, 0}, rt);
         const ScalarType u{hdl::inputType(m_, c, 0).width, false};
         const Wrap w = fitExpr(u, rt);
-        open(w);
-        w_.put("shift_right(");
-        fit(r, u);
-        w_.put(", ", c.aux1, ")");
-        return close(w);
+        return put(Open{w}, "shift_right(", Fit{r, u}, ", ", c.aux1, ")", Close{w});
       }
       case CellKind::Concat: {
         const ScalarType hi{hdl::inputType(m_, c, 0).width, false};
         const ScalarType lo{hdl::inputType(m_, c, 1).width, false};
         const Wrap w = fitExpr({hi.width + lo.width, false}, rt);
-        open(w);
-        fit(ref(c, 0), hi);
-        w_.put(" & ");
-        fit(ref(c, 1), lo);
-        return close(w);
+        return put(Open{w}, Fit{ref(c, 0), hi}, " & ", Fit{ref(c, 1), lo}, Close{w});
       }
-      case CellKind::Resize: return in(c, 0);
+      case CellKind::Resize: return put(In{c, 0});
       default:
         throw InternalCompilerError(
             fmt("vhdl: cell kind '%0' has no assignment form", rtl::cellKindName(c.kind)));
     }
   }
 
-  /// Opens `entity <name...> is` and its port list; port() writes each
-  /// port and endEntity() closes both.
+  /// Opens `entity <name...> is` and its port list; port() starts each
+  /// port's line and endEntity() closes both.
   template <typename... Name>
   void beginEntity(bool hasPorts, const Name&... name) {
-    w_.line("library ieee;");
-    w_.line("use ieee.std_logic_1164.all;");
-    w_.line("use ieee.numeric_std.all;");
+    line("library ieee;");
+    line("use ieee.std_logic_1164.all;");
+    line("use ieee.numeric_std.all;");
     w_.blank();
-    w_.line("entity ", name..., " is");
+    line("entity ", name..., " is");
     if (!hasPorts) return;
     w_.indent();
-    w_.line("port (");
+    line("port (");
     w_.indent();
     firstItem_ = true;
   }
-  /// Starts the next port's line, closing the previous one with ';'.
+  /// Writes the next port, closing the previous one's line with ';'.
   template <typename... Args>
-  IndentWriter& port(const Args&... args) {
+  void port(const Args&... args) {
     if (!firstItem_) w_.put(";").end();
     firstItem_ = false;
-    return w_.begin(args...);
+    w_.begin();
+    put(args...);
   }
   template <typename... Name>
   void endEntity(bool hasPorts, const Name&... name) {
     if (hasPorts) {
       w_.end();
       w_.dedent();
-      w_.line(");");
+      line(");");
       w_.dedent();
     }
-    w_.line("end entity ", name..., ";");
+    line("end entity ", name..., ";");
     w_.blank();
+  }
+  /// Writes the next association of a port map, after ", " but the first.
+  template <typename... Args>
+  void assoc(const Args&... args) {
+    if (!firstItem_) w_.put(", ");
+    firstItem_ = false;
+    put(args...);
   }
 
   void romEntities() {
@@ -314,26 +317,20 @@ class Printer {
       const size_t last = c.romData.size() - 1;
       beginEntity(true, top_, "_", rom, "_rom");
       port("addr : in unsigned(", hdl::addrBits(c.romData.size()) - 1, " downto 0)");
-      port("data : out ");
-      typeName(et);
+      port("data : out ", et);
       endEntity(true, top_, "_", rom, "_rom");
-      w_.line("architecture rtl of ", top_, "_", rom, "_rom is");
+      line("architecture rtl of ", top_, "_", rom, "_rom is");
       w_.indent();
-      w_.begin("type rom_t is array (0 to ", last, ") of ");
-      typeName(et);
-      w_.put(";").end();
+      line("type rom_t is array (0 to ", last, ") of ", et, ";");
       w_.begin("constant rom : rom_t := (");
-      for (size_t i = 0; i <= last; ++i) {
-        if (i) w_.put(", ");
-        literal(Value::fromInt(et, c.romData[i]));
-      }
+      for (size_t i = 0; i <= last; ++i) put(i ? ", " : "", Value::fromInt(et, c.romData[i]));
       w_.put(");").end();
       w_.dedent();
-      w_.line("begin");
+      line("begin");
       w_.indent();
-      w_.line("data <= rom(to_integer(addr)) when to_integer(addr) <= ", last, " else rom(", last, ");");
+      line("data <= rom(to_integer(addr)) when to_integer(addr) <= ", last, " else rom(", last, ");");
       w_.dedent();
-      w_.line("end architecture rtl;");
+      line("end architecture rtl;");
       w_.blank();
       done.push_back(std::move(rom));
     }
@@ -345,22 +342,12 @@ class Printer {
     for (int id : s.cells) {
       const Cell& c = cell(id);
       const ScalarType t = type(c.output);
-      w_.begin("signal ", name(c.output), " : ");
-      typeName(t);
-      if (c.kind == CellKind::Reg) {
-        if (c.imm == 0) {
-          w_.put(" := (others => '0')");
-        } else {
-          w_.put(" := ");
-          literal(Value::fromInt(t, c.imm));
-        }
-      }
+      w_.begin();
+      put("signal ", name(c.output), " : ", t);
+      if (c.kind == CellKind::Reg && c.imm == 0) put(" := (others => '0')");
+      if (c.kind == CellKind::Reg && c.imm != 0) put(" := ", Value::fromInt(t, c.imm));
       w_.put(";").end();
-      if (c.kind == CellKind::Rom && c.romElemType != t) {
-        w_.begin("signal ", name(c.output), "_rom : ");
-        typeName(c.romElemType);
-        w_.put(";").end();
-      }
+      if (c.kind == CellKind::Rom && c.romElemType != t) line("signal ", name(c.output), "_rom : ", c.romElemType, ";");
     }
   }
 
@@ -373,17 +360,13 @@ class Printer {
       const std::string_view y = name(c.output);
       if (c.kind == CellKind::Reg) continue;
       if (c.kind != CellKind::Rom) {
-        w_.begin(y, " <= ");
-        expr(c);
-        w_.put(";").end();
+        line(y, " <= ", Expr{c}, ";");
         continue;
       }
       const bool direct = c.romElemType == type(c.output);
-      w_.line("u_lut", lut++, " : entity work.", top_, "_", sanitize(c.romName), "_rom");
+      line("u_lut", lut++, " : entity work.", top_, "_", sanitize(c.romName), "_rom");
       w_.indent();
-      w_.begin("port map (addr => ");
-      in(c, 0);
-      w_.put(", data => ", y, direct ? "" : "_rom", ");").end();
+      line("port map (addr => ", In{c, 0}, ", data => ", y, direct ? "" : "_rom", ");");
       w_.dedent();
       if (!direct) {
         w_.begin(y, " <= ");
@@ -392,37 +375,32 @@ class Printer {
       }
     }
     if (!s.clocked) return;
-    w_.line("process (clk)");
-    w_.line("begin");
+    line("process (clk)");
+    line("begin");
     w_.indent();
-    w_.line("if rising_edge(clk) then");
+    line("if rising_edge(clk) then");
     w_.indent();
-    w_.line("if ce = '1' then");
+    line("if ce = '1' then");
     w_.indent();
     for (int id : s.cells) {
       const Cell& c = cell(id);
       if (c.kind != CellKind::Reg) continue;
-      const bool gated = c.inputs.size() >= 2;
-      if (gated) {
-        w_.begin("if ");
-        in(c, 1);
-        w_.put(" /= 0 then").end();
-        w_.indent();
+      if (c.inputs.size() < 2) {
+        line(name(c.output), " <= ", In{c, 0}, ";");
+        continue;
       }
-      w_.begin(name(c.output), " <= ");
-      in(c, 0);
-      w_.put(";").end();
-      if (gated) {
-        w_.dedent();
-        w_.line("end if;");
-      }
+      line("if ", In{c, 1}, " /= 0 then");
+      w_.indent();
+      line(name(c.output), " <= ", In{c, 0}, ";");
+      w_.dedent();
+      line("end if;");
     }
     w_.dedent();
-    w_.line("end if;");
+    line("end if;");
     w_.dedent();
-    w_.line("end if;");
+    line("end if;");
     w_.dedent();
-    w_.line("end process;");
+    line("end process;");
   }
 
   void nodeEntity(const dp::DpNode& n) {
@@ -434,83 +412,54 @@ class Printer {
       port("clk : in std_logic");
       port("ce  : in std_logic");
     }
-    for (int net : s.inputs) {
-      port(name(net), " : in ");
-      typeName(type(net));
-    }
-    for (int net : s.outputs) {
-      port(name(net), "_out : out ");
-      typeName(type(net));
-    }
+    for (int net : s.inputs) port(name(net), " : in ", type(net));
+    for (int net : s.outputs) port(name(net), "_out : out ", type(net));
     endEntity(hasPorts, top_, "_", label);
-    w_.line("architecture rtl of ", top_, "_", label, " is");
+    line("architecture rtl of ", top_, "_", label, " is");
     w_.indent();
     declareCells(s);
     w_.dedent();
-    w_.line("begin");
+    line("begin");
     w_.indent();
     printCells(s);
-    for (int net : s.outputs) w_.line(name(net), "_out <= ", name(net), ";");
+    for (int net : s.outputs) line(name(net), "_out <= ", name(net), ";");
     w_.dedent();
-    w_.line("end architecture rtl;");
+    line("end architecture rtl;");
     w_.blank();
-  }
-
-  /// Appends ", " before every association of a port map but the first.
-  template <typename... Args>
-  void assoc(const Args&... args) {
-    if (!firstItem_) w_.put(", ");
-    firstItem_ = false;
-    w_.put(args...);
   }
 
   void topEntity() {
     beginEntity(true, top_);
     port("clk : in std_logic");
     port("ce  : in std_logic");
-    for (size_t i = dataInputs(); i < m_.inputPorts.size(); ++i) {
-      port(sanitize(m_.inputNames[i]), " : in std_logic");
-    }
-    for (size_t i = 0; i < dataInputs(); ++i) {
-      port(name(m_.inputPorts[i]), " : in ");
-      typeName(type(m_.inputPorts[i]));
-    }
-    for (size_t i = 0; i < p_.ports.size(); ++i) {
-      port(outputs_[i], " : out ");
-      typeName(type(p_.ports[i]));
-    }
+    for (size_t i = dataInputs(); i < m_.inputPorts.size(); ++i) port(sanitize(m_.inputNames[i]), " : in std_logic");
+    for (size_t i = 0; i < dataInputs(); ++i) port(name(m_.inputPorts[i]), " : in ", type(m_.inputPorts[i]));
+    for (size_t i = 0; i < p_.ports.size(); ++i) port(outputs_[i], " : out ", type(p_.ports[i]));
     endEntity(true, top_);
 
     // Signals: every net a node exports, the controls as numeric bits, and
     // the top level's own cells.
-    w_.line("architecture rtl of ", top_, " is");
+    line("architecture rtl of ", top_, " is");
     w_.indent();
-    for (int net : p_.exported) {
-      w_.begin("signal ", name(net), " : ");
-      typeName(type(net));
-      w_.put(";").end();
-    }
+    for (int net : p_.exported) line("signal ", name(net), " : ", type(net), ";");
     for (size_t i = dataInputs(); i < m_.inputPorts.size(); ++i) {
-      w_.begin("signal ", name(m_.inputPorts[i]), " : ");
-      typeName(type(m_.inputPorts[i]));
-      w_.put(";").end();
+      line("signal ", name(m_.inputPorts[i]), " : ", type(m_.inputPorts[i]), ";");
     }
     declareCells(p_.top());
     w_.dedent();
-    w_.line("begin");
+    line("begin");
     w_.indent();
     for (size_t i = dataInputs(); i < m_.inputPorts.size(); ++i) {
-      w_.line(name(m_.inputPorts[i]), " <= \"1\" when ", sanitize(m_.inputNames[i]), " = '1' else \"0\";");
+      line(name(m_.inputPorts[i]), " <= \"1\" when ", sanitize(m_.inputNames[i]), " = '1' else \"0\";");
     }
     for (const auto& n : dp_.nodes) {
       const hdl::Scope& s = p_.scopes[static_cast<size_t>(n.id)];
       const std::string& label = labels_[static_cast<size_t>(n.id)];
-      w_.begin("u_", label, " : entity work.", top_, "_", label);
       if (!s.clocked && s.inputs.empty() && s.outputs.empty()) {
-        w_.put(";").end();
+        line("u_", label, " : entity work.", top_, "_", label, ";");
         continue;
       }
-      w_.end();
+      line("u_", label, " : entity work.", top_, "_", label);
       w_.indent();
       w_.begin("port map (");
       firstItem_ = true;
@@ -523,12 +472,10 @@ class Printer {
     printCells(p_.top());
     for (size_t i = 0; i < p_.ports.size(); ++i) {
       const int net = p_.ports[i];
-      w_.begin(outputs_[i], " <= ");
-      fit(p_.refs[static_cast<size_t>(net)], type(net));
-      w_.put(";").end();
+      line(outputs_[i], " <= ", Fit{p_.refs[static_cast<size_t>(net)], type(net)}, ";");
     }
     w_.dedent();
-    w_.line("end architecture rtl;");
+    line("end architecture rtl;");
   }
 };
 

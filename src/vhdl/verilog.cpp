@@ -17,6 +17,24 @@ namespace {
 using hdl::Ref;
 using hdl::sanitize;
 
+// Pieces a statement is written from, besides text and integers: input k of
+// a cell as its statement reads it (read as signed when `sgn`), a cell's
+// right-hand side and a reference converted to a type.
+struct In {
+  const Cell& c;
+  size_t k;
+  bool sgn = false;
+};
+/// The right-hand side of a combinational cell's assign.
+struct Expr {
+  const Cell& c;
+};
+/// A reference converted to a type.
+struct Fit {
+  hdl::Ref r;
+  ScalarType t;
+};
+
 const char* relation(CellKind k) {
   switch (k) {
     case CellKind::Eq: return "==";
@@ -39,7 +57,6 @@ class Printer {
     for (const hdl::Scope& s : p_.scopes) ports += s.inputs.size() + s.outputs.size();
     for (const Cell& c : m_.cells) romWords += c.romData.size();
     w_.reserve(512 + 80 * m_.cells.size() + 128 * dp_.nodes.size() + 80 * ports + 36 * romWords);
-    labels_.reserve(dp_.nodes.size());
     for (const auto& n : dp_.nodes) labels_.push_back(sanitize(n.label));
     for (const rtl::Net& n : m_.nets) {
       if (n.driver < 0) portNames_.emplace_back(n.id, sanitize(n.name));
@@ -47,8 +64,8 @@ class Printer {
   }
 
   std::string run() {
-    w_.line("// Generated by ROCCC (reproduction): Verilog for kernel '", kernel_.kernelName, "'");
-    w_.line("// data path: ", dp_.nodes.size(), " nodes, ", dp_.stageCount, " pipeline stages");
+    line("// Generated by ROCCC (reproduction): Verilog for kernel '", kernel_.kernelName, "'");
+    line("// data path: ", dp_.nodes.size(), " nodes, ", dp_.stageCount, " pipeline stages");
     w_.blank();
     romModules();
     for (const auto& n : dp_.nodes) nodeModule(n);
@@ -85,13 +102,31 @@ class Printer {
   }
   const Ref& ref(const Cell& c, size_t k) const { return p_.refs[static_cast<size_t>(c.inputs[k])]; }
 
-  void range(ScalarType t) { w_.put("[", t.width - 1, ":0]"); }
-
-  /// `v` as a sized hex literal ("8'hff").
-  void literal(const Value& v) {
+  // Writing: put() appends pieces to the open line, line() writes a whole
+  // one. A ScalarType is written as its range and a Value as its literal.
+  template <typename T>
+  void piece(const T& text) { w_.put(text); }
+  void piece(ScalarType t) { w_.put("[", t.width - 1, ":0]"); }
+  /// A sized hex literal ("8'hff").
+  void piece(const Value& v) {
     char buf[16];
-    w_.put(v.width(), "'h", std::string_view(buf, static_cast<size_t>(
-                                                   std::to_chars(buf, buf + sizeof buf, v.bits(), 16).ptr - buf)));
+    const char* end = std::to_chars(buf, buf + sizeof buf, v.bits(), 16).ptr;
+    w_.put(v.width(), "'h", std::string_view(buf, static_cast<size_t>(end - buf)));
+  }
+  void piece(const In& x) {
+    if (x.sgn) w_.put("$signed(");
+    fit(ref(x.c, x.k), hdl::inputType(m_, x.c, x.k));
+    if (x.sgn) w_.put(")");
+  }
+  void piece(const Expr& x) { expr(x.c); }
+  void piece(const Fit& x) { fit(x.r, x.t); }
+  template <typename... Args>
+  void put(const Args&... args) { (piece(args), ...); }
+  template <typename... Args>
+  void line(const Args&... args) {
+    w_.begin();
+    put(args...);
+    w_.end();
   }
 
   /// Bits [lo, lo + read.width) of the vector `s` + `suffix` (of type
@@ -109,32 +144,14 @@ class Printer {
       w_.put("{{", k, "{", s, suffix, "[", lo + read.width - 1, "]}}, ");
     }
     w_.put(s, suffix);
-    if (lo != 0 || w != named.width) {
-      if (w == 1) {
-        w_.put("[", lo, "]");
-      } else {
-        w_.put("[", lo + w - 1, ":", lo, "]");
-      }
-    }
+    if (w == 1 && (lo != 0 || w != named.width)) w_.put("[", lo, "]");
+    if (w != 1 && (lo != 0 || w != named.width)) w_.put("[", lo + w - 1, ":", lo, "]");
     if (k > 0) w_.put("}");
   }
 
   void fit(const Ref& r, ScalarType t) {
-    if (r.isLiteral()) return literal(r.literalAs(t));
+    if (r.isLiteral()) return piece(r.literalAs(t));
     fitBits(name(r.net), {}, type(r.net), r.lo, r.type, t);
-  }
-  /// Input k of `c` as its statement reads it.
-  void in(const Cell& c, size_t k) { fit(ref(c, k), hdl::inputType(m_, c, k)); }
-  void binary(const Cell& c, const char* op) {
-    in(c, 0);
-    w_.put(op);
-    in(c, 1);
-  }
-  /// Input k of `c`, read as signed when `sgn`.
-  void operand(const Cell& c, size_t k, bool sgn) {
-    if (sgn) w_.put("$signed(");
-    in(c, k);
-    if (sgn) w_.put(")");
   }
 
   /// The right-hand side of a combinational cell's assign; the assignment
@@ -142,15 +159,15 @@ class Printer {
   void expr(const Cell& c) {
     const ScalarType rt = type(c.output);
     switch (c.kind) {
-      case CellKind::Add: return binary(c, " + ");
-      case CellKind::Sub: return binary(c, " - ");
-      case CellKind::Mul: return binary(c, " * ");
-      case CellKind::Neg: w_.put("-"); return in(c, 0);
-      case CellKind::And: return binary(c, " & ");
-      case CellKind::Or: return binary(c, " | ");
-      case CellKind::Xor: return binary(c, " ^ ");
-      case CellKind::Not: w_.put("~"); return in(c, 0);
-      case CellKind::Shl: return binary(c, " << ");
+      case CellKind::Add: return put(In{c, 0}, " + ", In{c, 1});
+      case CellKind::Sub: return put(In{c, 0}, " - ", In{c, 1});
+      case CellKind::Mul: return put(In{c, 0}, " * ", In{c, 1});
+      case CellKind::Neg: return put("-", In{c, 0});
+      case CellKind::And: return put(In{c, 0}, " & ", In{c, 1});
+      case CellKind::Or: return put(In{c, 0}, " | ", In{c, 1});
+      case CellKind::Xor: return put(In{c, 0}, " ^ ", In{c, 1});
+      case CellKind::Not: return put("~", In{c, 0});
+      case CellKind::Shl: return put(In{c, 0}, " << ", In{c, 1});
       case CellKind::Shr: {
         // A constant shift that stays inside the operand is a part-select.
         const Ref& a = ref(c, 0);
@@ -160,48 +177,36 @@ class Printer {
           const int ki = static_cast<int>(k);
           return fit(Ref{a.net, a.lo + ki, {a.type.width - ki, a.type.isSigned}, 0}, rt);
         }
-        if (!hdl::inputType(m_, c, 0).isSigned) return binary(c, " >> ");
-        operand(c, 0, true);
-        w_.put(" >>> ");
-        return in(c, 1);
+        if (!hdl::inputType(m_, c, 0).isSigned) return put(In{c, 0}, " >> ", In{c, 1});
+        return put(In{c, 0, true}, " >>> ", In{c, 1});
       }
       case CellKind::Eq: case CellKind::Ne: case CellKind::Lt:
       case CellKind::Le: case CellKind::Gt: case CellKind::Ge: {
         const bool sgn = hdl::inputType(m_, c, 0).isSigned;
-        w_.put("(");
-        operand(c, 0, sgn);
-        w_.put(" ", relation(c.kind), " ");
-        operand(c, 1, sgn);
-        w_.put(") ? ");
-        literal(Value::fromInt(rt, 1));
-        w_.put(" : ");
-        return literal(Value::fromInt(rt, 0));
+        return put("(", In{c, 0, sgn}, " ", relation(c.kind), " ", In{c, 1, sgn}, ") ? ", Value::fromInt(rt, 1),
+                   " : ", Value::fromInt(rt, 0));
       }
-      case CellKind::Mux:
-        in(c, 0);
-        w_.put(" ? ");
-        in(c, 1);
-        w_.put(" : ");
-        return in(c, 2);
+      case CellKind::Mux: return put(In{c, 0}, " ? ", In{c, 1}, " : ", In{c, 2});
       case CellKind::Slice: {
         const Ref& r = ref(c, 0);
-        if (!r.isLiteral() && c.aux1 + rt.width <= r.type.width) {
-          return fit(Ref{r.net, r.lo + c.aux1, rt, 0}, rt);
-        }
-        in(c, 0);
-        w_.put(" >> ", c.aux1);
-        return;
+        if (!r.isLiteral() && c.aux1 + rt.width <= r.type.width) return fit(Ref{r.net, r.lo + c.aux1, rt, 0}, rt);
+        return put(In{c, 0}, " >> ", c.aux1);
       }
-      case CellKind::Concat:
-        w_.put("{");
-        binary(c, ", ");
-        w_.put("}");
-        return;
-      case CellKind::Resize: return in(c, 0);
+      case CellKind::Concat: return put("{", In{c, 0}, ", ", In{c, 1}, "}");
+      case CellKind::Resize: return put(In{c, 0});
       default:
         throw InternalCompilerError(
             fmt("verilog: cell kind '%0' has no assign form", rtl::cellKindName(c.kind)));
     }
+  }
+
+  /// Writes the next item of a port or connection list, after ", " but the
+  /// first.
+  template <typename... Args>
+  void item(const Args&... args) {
+    if (!firstItem_) w_.put(", ");
+    firstItem_ = false;
+    put(args...);
   }
 
   void romModules() {
@@ -211,29 +216,22 @@ class Printer {
       std::string rom = sanitize(c.romName);
       if (std::find(done.begin(), done.end(), rom) != done.end()) continue;
       const int ab = hdl::addrBits(c.romData.size());
-      w_.begin("module ", top_, "_", rom, "_rom(input wire [", ab - 1, ":0] addr, output reg ");
-      range(c.romElemType);
-      w_.put(" data);").end();
+      const ScalarType et = c.romElemType;
+      line("module ", top_, "_", rom, "_rom(input wire [", ab - 1, ":0] addr, output reg ", et, " data);");
       w_.indent();
-      w_.line("always @* begin");
+      line("always @* begin");
       w_.indent();
-      w_.line("case (addr)");
+      line("case (addr)");
       w_.indent();
-      for (size_t i = 0; i < c.romData.size(); ++i) {
-        w_.begin(ab, "'d", i, ": data = ");
-        literal(Value::fromInt(c.romElemType, c.romData[i]));
-        w_.put(";").end();
-      }
+      for (size_t i = 0; i < c.romData.size(); ++i) line(ab, "'d", i, ": data = ", Value::fromInt(et, c.romData[i]), ";");
       // Addresses past the table read its last word, as the simulators do.
-      w_.begin("default: data = ");
-      literal(Value::fromInt(c.romElemType, c.romData.back()));
-      w_.put(";").end();
+      line("default: data = ", Value::fromInt(et, c.romData.back()), ";");
       w_.dedent();
-      w_.line("endcase");
+      line("endcase");
       w_.dedent();
-      w_.line("end");
+      line("end");
       w_.dedent();
-      w_.line("endmodule");
+      line("endmodule");
       w_.blank();
       done.push_back(std::move(rom));
     }
@@ -246,19 +244,12 @@ class Printer {
       const Cell& c = cell(id);
       const ScalarType t = type(c.output);
       const std::string_view y = ident(c.output);
-      w_.begin(c.kind == CellKind::Reg ? "reg " : "wire ");
-      range(t);
-      w_.put(" ", y);
       if (c.kind == CellKind::Reg) {
-        w_.put(" = ");
-        literal(Value::fromInt(t, c.imm));
+        line("reg ", t, " ", y, " = ", Value::fromInt(t, c.imm), ";");
+        continue;
       }
-      w_.put(";").end();
-      if (c.kind == CellKind::Rom && c.romElemType != t) {
-        w_.begin("wire ");
-        range(c.romElemType);
-        w_.put(" ", y, "_rom;").end();
-      }
+      line("wire ", t, " ", y, ";");
+      if (c.kind == CellKind::Rom && c.romElemType != t) line("wire ", c.romElemType, " ", y, "_rom;");
     }
   }
 
@@ -271,15 +262,12 @@ class Printer {
       const std::string_view y = ident(c.output);
       if (c.kind == CellKind::Reg) continue;
       if (c.kind != CellKind::Rom) {
-        w_.begin("assign ", y, " = ");
-        expr(c);
-        w_.put(";").end();
+        line("assign ", y, " = ", Expr{c}, ";");
         continue;
       }
       const bool direct = c.romElemType == type(c.output);
-      w_.begin(top_, "_", sanitize(c.romName), "_rom u_lut", lut++, "(.addr(");
-      in(c, 0);
-      w_.put("), .data(", y, direct ? "" : "_rom", "));").end();
+      line(top_, "_", sanitize(c.romName), "_rom u_lut", lut++, "(.addr(", In{c, 0}, "), .data(", y,
+           direct ? "" : "_rom", "));");
       if (!direct) {
         w_.begin("assign ", y, " = ");
         fitBits(y, "_rom", c.romElemType, 0, c.romElemType, type(c.output));
@@ -287,36 +275,22 @@ class Printer {
       }
     }
     if (!s.clocked) return;
-    w_.line("always @(posedge clk) begin");
+    line("always @(posedge clk) begin");
     w_.indent();
-    w_.line("if (ce) begin");
+    line("if (ce) begin");
     w_.indent();
     for (int id : s.cells) {
       const Cell& c = cell(id);
       if (c.kind != CellKind::Reg) continue;
       w_.begin();
-      if (c.inputs.size() >= 2) {
-        w_.put("if (");
-        in(c, 1);
-        w_.put(") ");
-      }
-      w_.put(ident(c.output), " <= ");
-      in(c, 0);
-      w_.put(";").end();
+      if (c.inputs.size() >= 2) put("if (", In{c, 1}, ") ");
+      put(ident(c.output), " <= ", In{c, 0}, ";");
+      w_.end();
     }
     w_.dedent();
-    w_.line("end");
+    line("end");
     w_.dedent();
-    w_.line("end");
-  }
-
-  /// Appends ", " before every item of a port or connection list but the
-  /// first.
-  template <typename... Args>
-  IndentWriter& item(const Args&... args) {
-    if (!firstItem_) w_.put(", ");
-    firstItem_ = false;
-    return w_.put(args...);
+    line("end");
   }
 
   void nodeModule(const dp::DpNode& n) {
@@ -324,50 +298,34 @@ class Printer {
     w_.begin("module ", top_, "_", labels_[static_cast<size_t>(n.id)], "(");
     firstItem_ = true;
     if (s.clocked) item("input wire clk, input wire ce");
-    for (int net : s.inputs) {
-      item("input wire ");
-      range(type(net));
-      w_.put(" ", ident(net));
-    }
-    for (int net : s.outputs) {
-      item("output wire ");
-      range(type(net));
-      w_.put(" ", ident(net), "_out");
-    }
+    for (int net : s.inputs) item("input wire ", type(net), " ", ident(net));
+    for (int net : s.outputs) item("output wire ", type(net), " ", ident(net), "_out");
     w_.put(");").end();
     w_.indent();
     declareCells(s);
     atTop_ = false;
     printCells(s);
-    for (int net : s.outputs) w_.line("assign ", ident(net), "_out = ", ident(net), ";");
+    for (int net : s.outputs) line("assign ", ident(net), "_out = ", ident(net), ";");
     w_.dedent();
-    w_.line("endmodule");
+    line("endmodule");
     w_.blank();
   }
 
   void topModule() {
+    // The kernel's input ports are vectors; the controls after them (the
+    // valid bit) are plain wires.
     const size_t dataInputs = std::min(dp_.inputs.size(), m_.inputPorts.size());
     w_.begin("module ", top_, "(input wire clk, input wire ce");
-    for (size_t i = dataInputs; i < m_.inputPorts.size(); ++i) w_.put(", input wire ", sanitize(m_.inputNames[i]));
-    // The kernel's input ports are vectors; the controls (the valid bit)
-    // are plain wires.
+    for (size_t i = dataInputs; i < m_.inputPorts.size(); ++i) put(", input wire ", sanitize(m_.inputNames[i]));
     for (size_t i = 0; i < dataInputs; ++i) {
-      w_.put(", input wire ");
-      range(type(m_.inputPorts[i]));
-      w_.put(" ", sanitize(m_.inputNames[i]));
+      put(", input wire ", type(m_.inputPorts[i]), " ", sanitize(m_.inputNames[i]));
     }
     for (size_t i = 0; i < p_.ports.size(); ++i) {
-      w_.put(", output wire ");
-      range(type(p_.ports[i]));
-      w_.put(" ", sanitize(m_.outputNames[i]));
+      put(", output wire ", type(p_.ports[i]), " ", sanitize(m_.outputNames[i]));
     }
     w_.put(");").end();
     w_.indent();
-    for (int net : p_.exported) {
-      w_.begin("wire ");
-      range(type(net));
-      w_.put(" ", ident(net), ";").end();
-    }
+    for (int net : p_.exported) line("wire ", type(net), " ", ident(net), ";");
     declareCells(p_.top());
     atTop_ = true;
     for (const auto& n : dp_.nodes) {
@@ -383,12 +341,10 @@ class Printer {
     printCells(p_.top());
     for (size_t i = 0; i < p_.ports.size(); ++i) {
       const int net = p_.ports[i];
-      w_.begin("assign ", sanitize(m_.outputNames[i]), " = ");
-      fit(p_.refs[static_cast<size_t>(net)], type(net));
-      w_.put(";").end();
+      line("assign ", sanitize(m_.outputNames[i]), " = ", Fit{p_.refs[static_cast<size_t>(net)], type(net)}, ";");
     }
     w_.dedent();
-    w_.line("endmodule");
+    line("endmodule");
   }
 };
 
