@@ -1,8 +1,8 @@
 #include "vhdl/layout.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
-#include <iterator>
 #include <cstdint>
 
 #include "support/strings.hpp"
@@ -29,8 +29,8 @@ bool isClean(std::string_view s) {
   return true;
 }
 
-/// Reserved words, lower case and sorted: VHDL-2008's, then those of
-/// Verilog-2005 that VHDL does not reserve.
+/// Reserved words, lower case: VHDL-2008's, then those of Verilog-2005
+/// that VHDL does not reserve.
 constexpr std::string_view kVhdlWords[] = {
     "abs", "access", "after", "alias", "all", "and", "architecture", "array", "assert", "assume",
     "assume_guarantee", "attribute", "begin", "block", "body", "buffer", "bus", "case", "component",
@@ -59,31 +59,56 @@ constexpr std::string_view kVerilogWords[] = {
     "time", "tran", "tranif0", "tranif1", "tri", "tri0", "tri1", "triand", "trior", "trireg",
     "unsigned", "uwire", "vectored", "wand", "weak0", "weak1", "wire", "wor",
 };
-static_assert(std::is_sorted(std::begin(kVhdlWords), std::end(kVhdlWords)));
-static_assert(std::is_sorted(std::begin(kVerilogWords), std::end(kVerilogWords)));
 
-/// `s` lower-cased into `buf`, or empty when it is longer than any
-/// reserved word.
-std::string_view folded(std::string_view s, char (&buf)[20]) {
-  if (s.size() > sizeof buf) return {};
-  for (size_t i = 0; i < s.size(); ++i) buf[i] = (s[i] >= 'A' && s[i] <= 'Z') ? static_cast<char>(s[i] - 'A' + 'a') : s[i];
-  return {buf, s.size()};
+struct ReservedWord {
+  std::string_view text;
+  bool vhdl = false;
+};
+constexpr size_t kLongestWord = 19;
+constexpr size_t kWordSlots = 512; ///< a power of two, over twice the words
+
+constexpr uint32_t fnv1a(uint32_t h, char c) { return (h ^ static_cast<unsigned char>(c)) * 16777619u; }
+
+/// Both lists in one open-addressing table, hashed with FNV-1a.
+constexpr std::array<ReservedWord, kWordSlots> kReserved = [] {
+  std::array<ReservedWord, kWordSlots> table{};
+  auto add = [&](std::string_view w, bool vhdl) {
+    uint32_t h = 2166136261u;
+    for (char c : w) h = fnv1a(h, c);
+    size_t i = h & (kWordSlots - 1);
+    while (!table[i].text.empty()) i = (i + 1) & (kWordSlots - 1);
+    table[i] = {w, vhdl};
+  };
+  for (std::string_view w : kVhdlWords) add(w, true);
+  for (std::string_view w : kVerilogWords) add(w, false);
+  return table;
+}();
+
+/// The table's entry for `s` lower-cased, or null when it is no reserved
+/// word.
+const ReservedWord* reservedWord(std::string_view s) {
+  if (s.empty() || s.size() > kLongestWord) return nullptr;
+  char buf[kLongestWord];
+  uint32_t h = 2166136261u;
+  for (size_t i = 0; i < s.size(); ++i) {
+    buf[i] = (s[i] >= 'A' && s[i] <= 'Z') ? static_cast<char>(s[i] - 'A' + 'a') : s[i];
+    h = fnv1a(h, buf[i]);
+  }
+  const std::string_view w(buf, s.size());
+  for (size_t i = h & (kWordSlots - 1); !kReserved[i].text.empty(); i = (i + 1) & (kWordSlots - 1)) {
+    if (kReserved[i].text == w) return &kReserved[i];
+  }
+  return nullptr;
 }
 
 } // namespace
 
 bool isVhdlReservedWord(std::string_view s) {
-  char buf[20];
-  const std::string_view w = folded(s, buf);
-  return !w.empty() && std::binary_search(std::begin(kVhdlWords), std::end(kVhdlWords), w);
+  const ReservedWord* w = reservedWord(s);
+  return w && w->vhdl;
 }
 
-bool isReservedWord(std::string_view s) {
-  char buf[20];
-  const std::string_view w = folded(s, buf);
-  return !w.empty() && (std::binary_search(std::begin(kVhdlWords), std::end(kVhdlWords), w) ||
-                        std::binary_search(std::begin(kVerilogWords), std::end(kVerilogWords), w));
-}
+bool isReservedWord(std::string_view s) { return reservedWord(s) != nullptr; }
 
 std::string sanitize(std::string_view s) {
   if (isClean(s) && !isReservedWord(s)) return std::string(s);
@@ -215,11 +240,22 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
     const int d = m.nets[static_cast<size_t>(net)].driver;
     return d < 0 ? top : scopeOf(d);
   };
+  // A net read from another entity is an input of the reader's scope and,
+  // once, an output of its driver's; `lastReader` skips the repeats of
+  // consecutive reads from one scope.
+  std::vector<int> lastReader(m.nets.size(), -1);
+  std::vector<char> isOutput(m.nets.size(), 0);
   auto reference = [&](int scope, int net) {
     const Ref& r = p.refs[static_cast<size_t>(net)];
-    if (r.isLiteral() || driverScope(r.net) == scope) return;
+    if (r.isLiteral() || lastReader[static_cast<size_t>(r.net)] == scope) return;
+    const int from = driverScope(r.net);
+    if (from == scope) return;
+    lastReader[static_cast<size_t>(r.net)] = scope;
     p.scopes[static_cast<size_t>(scope)].inputs.push_back(r.net);
-    if (driverScope(r.net) != top) p.scopes[static_cast<size_t>(driverScope(r.net))].outputs.push_back(r.net);
+    if (from != top && !isOutput[static_cast<size_t>(r.net)]) {
+      isOutput[static_cast<size_t>(r.net)] = 1;
+      p.scopes[static_cast<size_t>(from)].outputs.push_back(r.net);
+    }
   };
   std::vector<size_t> cellCount(p.scopes.size(), 0);
   for (const Cell& c : m.cells) cellCount[static_cast<size_t>(scopeOf(c.id))] += !inlined[static_cast<size_t>(c.id)];
@@ -233,10 +269,9 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
   }
   for (int net : p.ports) reference(top, net);
   for (Scope& s : p.scopes) {
-    for (std::vector<int>* v : {&s.inputs, &s.outputs}) {
-      std::sort(v->begin(), v->end());
-      v->erase(std::unique(v->begin(), v->end()), v->end());
-    }
+    std::sort(s.inputs.begin(), s.inputs.end());
+    s.inputs.erase(std::unique(s.inputs.begin(), s.inputs.end()), s.inputs.end());
+    std::sort(s.outputs.begin(), s.outputs.end());
     if (&s != &p.scopes.back()) p.exported.insert(p.exported.end(), s.outputs.begin(), s.outputs.end());
   }
   std::sort(p.exported.begin(), p.exported.end());
