@@ -16,6 +16,7 @@ using rtl::Module;
 namespace {
 
 bool isWordChar(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9'); }
+char lower(char c) { return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c; }
 
 /// True when `s` already is an identifier: letters, digits and single inner
 /// underscores, not starting with a digit. Most names are.
@@ -91,7 +92,7 @@ const ReservedWord* reservedWord(std::string_view s) {
   char buf[kLongestWord];
   uint32_t h = 2166136261u;
   for (size_t i = 0; i < s.size(); ++i) {
-    buf[i] = (s[i] >= 'A' && s[i] <= 'Z') ? static_cast<char>(s[i] - 'A' + 'a') : s[i];
+    buf[i] = lower(s[i]);
     h = fnv1a(h, buf[i]);
   }
   const std::string_view w(buf, s.size());
@@ -307,11 +308,10 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
   for (size_t i = 0; i < p.ports.size(); ++i) reserved.push_back(portIdent(m.outputNames[i]));
   const size_t nets = m.nets.size();
   auto nameAt = [&](size_t i) { return i < nets ? p.names[i] : reserved[i - nets]; };
-  auto fold = [](char c) { return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c; };
-  auto same = [&](std::string_view a, std::string_view b) {
+  auto same = [](std::string_view a, std::string_view b) {
     if (a.size() != b.size()) return false;
     for (size_t i = 0; i < a.size(); ++i) {
-      if (fold(a[i]) != fold(b[i])) return false;
+      if (lower(a[i]) != lower(b[i])) return false;
     }
     return true;
   };
@@ -321,8 +321,8 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
   std::vector<char> clash(nets, 0);
   for (size_t i = 0; i < nets + reserved.size(); ++i) {
     const std::string_view name = nameAt(i);
-    uint64_t h = 14695981039346656037ull; // FNV-1a over the folded bytes
-    for (char c : name) h = (h ^ static_cast<unsigned char>(fold(c))) * 1099511628211ull;
+    uint32_t h = 2166136261u;
+    for (char c : name) h = fnv1a(h, lower(c));
     for (size_t k = h & (cap - 1);; k = (k + 1) & (cap - 1)) {
       int& slot = table[k];
       if (slot < 0) {
