@@ -85,10 +85,38 @@ constexpr std::array<ReservedWord, kWordSlots> kReserved = [] {
   return table;
 }();
 
+/// Index of a letter (0-25) or digit (26-35), lower-casing letters; 36 for
+/// any other character.
+constexpr size_t charIndex(char c) {
+  if (c >= 'a' && c <= 'z') return static_cast<size_t>(c - 'a');
+  if (c >= 'A' && c <= 'Z') return static_cast<size_t>(c - 'A');
+  if (c >= '0' && c <= '9') return static_cast<size_t>(c - '0') + 26;
+  return 36;
+}
+
+/// Per first character and per last character, a bit for each length some
+/// reserved word has (of VHDL only, or of either language): most names fail
+/// this test before any hashing.
+struct LengthMasks {
+  std::array<uint32_t, 37> first{}, last{};
+};
+constexpr LengthMasks lengthMasks(bool vhdlOnly) {
+  LengthMasks m;
+  for (const ReservedWord& w : kReserved) {
+    if (w.text.empty() || (vhdlOnly && !w.vhdl)) continue;
+    m.first[charIndex(w.text.front())] |= uint32_t{1} << w.text.size();
+    m.last[charIndex(w.text.back())] |= uint32_t{1} << w.text.size();
+  }
+  return m;
+}
+constexpr LengthMasks kVhdlLengths = lengthMasks(true);
+constexpr LengthMasks kAllLengths = lengthMasks(false);
+
 /// The table's entry for `s` lower-cased, or null when it is no reserved
-/// word.
-const ReservedWord* reservedWord(std::string_view s) {
+/// word of the set `masks` describes.
+const ReservedWord* reservedWord(std::string_view s, const LengthMasks& masks) {
   if (s.empty() || s.size() > kLongestWord) return nullptr;
+  if (!(masks.first[charIndex(s.front())] & masks.last[charIndex(s.back())] & uint32_t{1} << s.size())) return nullptr;
   char buf[kLongestWord];
   uint32_t h = 2166136261u;
   for (size_t i = 0; i < s.size(); ++i) {
@@ -105,11 +133,11 @@ const ReservedWord* reservedWord(std::string_view s) {
 } // namespace
 
 bool isVhdlReservedWord(std::string_view s) {
-  const ReservedWord* w = reservedWord(s);
+  const ReservedWord* w = reservedWord(s, kVhdlLengths);
   return w && w->vhdl;
 }
 
-bool isReservedWord(std::string_view s) { return reservedWord(s) != nullptr; }
+bool isReservedWord(std::string_view s) { return reservedWord(s, kAllLengths) != nullptr; }
 
 std::string sanitize(std::string_view s) {
   if (isClean(s) && !isReservedWord(s)) return std::string(s);
