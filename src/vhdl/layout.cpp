@@ -318,7 +318,8 @@ Partition partition(const Module& m, size_t nodeCount, size_t dataInputs, size_t
     portName[static_cast<size_t>(m.inputPorts[i])] = 1;
   }
   auto portIdent = [&](const std::string& s) {
-    return isClean(s) && !isReservedWord(s) ? std::string_view(s) : std::string_view(p.stored.emplace_back(sanitize(s)));
+    return isClean(s) && !isReservedWord(s) ? std::string_view(s)
+                                            : std::string_view(p.stored.emplace_back(sanitize(s)));
   };
   p.names.reserve(m.nets.size());
   for (const rtl::Net& n : m.nets) {

@@ -223,7 +223,9 @@ class Printer {
       w_.indent();
       line("case (addr)");
       w_.indent();
-      for (size_t i = 0; i < c.romData.size(); ++i) line(ab, "'d", i, ": data = ", Value::fromInt(et, c.romData[i]), ";");
+      for (size_t i = 0; i < c.romData.size(); ++i) {
+        line(ab, "'d", i, ": data = ", Value::fromInt(et, c.romData[i]), ";");
+      }
       // Addresses past the table read its last word, as the simulators do.
       line("default: data = ", Value::fromInt(et, c.romData.back()), ";");
       w_.dedent();
